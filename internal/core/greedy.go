@@ -11,7 +11,6 @@ import (
 	"dqo/internal/physio"
 	"dqo/internal/props"
 	"dqo/internal/sortx"
-	"dqo/internal/storage"
 )
 
 // greedy is the fast planning tier: one pass over the logical tree instead
@@ -65,29 +64,13 @@ func (o *optimizer) greedy(n logical.Node, want string) (*Plan, error) {
 	}
 }
 
-// greedyScanProps computes (and memoises, per optimisation run) the
-// restricted property set of one stored relation — the greedy pass touches
-// the same base relations repeatedly (scan variants, AV-backed join
-// fallbacks) and the property extraction walks every column's stats.
-func (o *optimizer) greedyScanProps(rel *storage.Relation) props.Set {
-	if ps, ok := o.scanProps[rel]; ok {
-		return ps
-	}
-	ps := o.restrict(logical.ScanProps(rel))
-	if o.scanProps == nil {
-		o.scanProps = make(map[*storage.Relation]props.Set, 8)
-	}
-	o.scanProps[rel] = ps
-	return ps
-}
-
 // greedyScan picks the base scan, or — when the parent wants an order an AV
 // sorted projection already paid for — that variant, at identical scan cost.
 func (o *optimizer) greedyScan(n *logical.Scan, want string) *Plan {
 	rows := o.estimator().Estimate(n)
 	p := &Plan{
 		Op: OpScan, Table: n.Table, Rel: n.Rel,
-		Props: o.greedyScanProps(n.Rel),
+		Props: o.scanPropsOf(n.Rel),
 		Rows:  rows,
 		Cost:  o.mode.Model.Scan(rows),
 	}
@@ -95,7 +78,7 @@ func (o *optimizer) greedyScan(n *logical.Scan, want string) *Plan {
 	o.stats.Alternatives++
 	if o.mode.Scans != nil && want != "" && !p.Props.SortedOn(want) {
 		for _, v := range o.mode.Scans.ScanVariants(n.Table) {
-			vprops := o.greedyScanProps(v.Rel)
+			vprops := o.scanPropsOf(v.Rel)
 			if !vprops.SortedOn(want) {
 				continue
 			}

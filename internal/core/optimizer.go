@@ -106,9 +106,10 @@ func Optimize(n logical.Node, mode Mode) (*Result, error) {
 type optimizer struct {
 	mode  Mode
 	stats Stats
-	// scanProps memoises per-relation scan properties for the greedy tier,
-	// which revisits base relations (scan variants, AV fallbacks) within one
-	// single-pass run. The DP tiers keep their own enumeration paths.
+	// scanProps memoises the restricted scan properties per relation: every
+	// tier revisits base relations within one run (compressed twins, AV
+	// variants and fallbacks, cracked and direct-on-compressed filter bases),
+	// and the extraction walks every column's statistics.
 	scanProps map[*storage.Relation]props.Set
 	// est shares one memoised cardinality estimator across the whole run —
 	// the greedy pass asks about every node it visits, and the DP tiers
@@ -145,25 +146,39 @@ func cheapest(plans []*Plan) *Plan {
 	return best
 }
 
-// keepPareto retains, per property fingerprint, the cheapest plan; it also
-// drops any plan strictly worse than another whose properties subsume it
-// would require a lattice — per-fingerprint pruning is the classical
-// compromise and keeps enumeration exact for the requirements we check.
-func (o *optimizer) keepPareto(plans []*Plan) []*Plan {
-	bestBy := make(map[string]*Plan, len(plans))
-	order := make([]string, 0, len(plans))
-	for _, p := range plans {
-		fp := p.Props.Fingerprint()
-		if cur, ok := bestBy[fp]; !ok {
-			bestBy[fp] = p
-			order = append(order, fp)
-		} else if p.Cost < cur.Cost {
-			bestBy[fp] = p
-		}
+// scanPropsOf returns the restricted property set of a stored relation,
+// computed once per run. Property sets are immutable once built, so every
+// plan over the relation shares the one value.
+func (o *optimizer) scanPropsOf(rel *storage.Relation) props.Set {
+	if ps, ok := o.scanProps[rel]; ok {
+		return ps
 	}
-	out := make([]*Plan, 0, len(order))
-	for _, fp := range order {
-		out = append(out, bestBy[fp])
+	ps := o.restrict(logical.ScanProps(rel))
+	if o.scanProps == nil {
+		o.scanProps = make(map[*storage.Relation]props.Set, 8)
+	}
+	o.scanProps[rel] = ps
+	return ps
+}
+
+// keepPareto retains, per property vector, the cheapest plan, in order of
+// first appearance; dropping any plan strictly worse than another whose
+// properties subsume it would require a lattice — per-vector pruning is the
+// classical compromise and keeps enumeration exact for the requirements we
+// check.
+func (o *optimizer) keepPareto(plans []*Plan) []*Plan {
+	slot := make(map[props.Key]int, len(plans))
+	out := make([]*Plan, 0, len(plans))
+	for _, p := range plans {
+		if !p.keyed {
+			p.key, p.keyed = p.Props.Key(), true
+		}
+		if i, ok := slot[p.key]; !ok {
+			slot[p.key] = len(out)
+			out = append(out, p)
+		} else if p.Cost < out[i].Cost {
+			out[i] = p
+		}
 	}
 	return o.beamCap(out)
 }
@@ -334,16 +349,30 @@ func MarkSpillTwins(p *Plan) int {
 // delta. SQO keeps sortedness (and what follows from it) but is blind to
 // density: its property vector simply never contains a dense domain, so
 // SPH-based alternatives are unreachable.
+//
+// Sets are immutable once built, so a set with nothing dense is returned
+// as-is and otherwise only the domain map is copied.
 func (o *optimizer) restrict(s props.Set) props.Set {
 	if o.mode.TrackDensity {
 		return s
 	}
-	n := s.Clone()
-	for c, d := range n.Cols {
-		d.Dense = false
-		n.Cols[c] = d
+	anyDense := false
+	for _, d := range s.Cols {
+		if d.Dense {
+			anyDense = true
+			break
+		}
 	}
-	return n
+	if !anyDense {
+		return s
+	}
+	cols := make(map[string]props.Domain, len(s.Cols))
+	for c, d := range s.Cols {
+		d.Dense = false
+		cols[c] = d
+	}
+	s.Cols = cols
+	return s
 }
 
 func (o *optimizer) sortKinds() []sortx.Kind {
@@ -387,7 +416,7 @@ func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
 		rows := o.estimator().Estimate(n)
 		p := &Plan{
 			Op: OpScan, Table: n.Table, Rel: n.Rel,
-			Props: o.restrict(logical.ScanProps(n.Rel)),
+			Props: o.scanPropsOf(n.Rel),
 			Rows:  rows,
 		}
 		p.Cost = o.mode.Model.Scan(p.Rows)
@@ -401,7 +430,7 @@ func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
 			for _, v := range o.mode.Scans.ScanVariants(n.Table) {
 				vp := &Plan{
 					Op: OpScan, Table: n.Table, Rel: v.Rel, AV: v.Label,
-					Props: o.restrict(logical.ScanProps(v.Rel)),
+					Props: o.scanPropsOf(v.Rel),
 					Rows:  rows,
 					Cost:  o.mode.Model.Scan(rows),
 				}
@@ -420,7 +449,7 @@ func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
 			if enc := relCompression(n.Rel); enc != props.NoCompression {
 				cp := &Plan{
 					Op: OpScan, Table: n.Table, Rel: n.Rel, Enc: enc,
-					Props: o.restrict(logical.ScanProps(n.Rel)),
+					Props: o.scanPropsOf(n.Rel),
 					Rows:  rows,
 					Cost:  o.mode.Model.ScanCompressed(rows, enc),
 				}
@@ -476,7 +505,7 @@ func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
 					if idx, have := o.mode.CrackedIdx.Cracked(scan.Table, col); have {
 						base := &Plan{
 							Op: OpScan, Table: scan.Table, Rel: scan.Rel,
-							Props: o.restrict(logical.ScanProps(scan.Rel)),
+							Props: o.scanPropsOf(scan.Rel),
 							Rows:  o.estimator().Estimate(scan),
 							Cost:  o.mode.Model.Scan(o.estimator().Estimate(scan)),
 						}
@@ -516,7 +545,7 @@ func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
 							base := &Plan{
 								Op: OpScan, Table: scan.Table, Rel: scan.Rel,
 								Enc:   relCompression(scan.Rel),
-								Props: o.restrict(logical.ScanProps(scan.Rel)),
+								Props: o.scanPropsOf(scan.Rel),
 								Rows:  scanRows,
 								Cost:  o.mode.Model.ScanCompressed(scanRows, enc),
 							}
@@ -738,7 +767,7 @@ func (o *optimizer) optimizeJoin(n *logical.Join) ([]*Plan, error) {
 			if idx, have := o.mode.Indexes.Index(scan.Table, n.LeftKey); have {
 				base := &Plan{
 					Op: OpScan, Table: scan.Table, Rel: scan.Rel,
-					Props: o.restrict(logical.ScanProps(scan.Rel)),
+					Props: o.scanPropsOf(scan.Rel),
 					Rows:  o.estimator().Estimate(scan),
 					Cost:  o.mode.Model.Scan(o.estimator().Estimate(scan)),
 				}

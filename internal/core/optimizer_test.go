@@ -13,6 +13,7 @@ import (
 	"dqo/internal/physio"
 	"dqo/internal/sortx"
 	"dqo/internal/storage"
+	"dqo/internal/xrand"
 )
 
 // paperQuery builds SELECT R.A, COUNT(*) FROM R JOIN S ON R.ID = S.R_ID
@@ -450,5 +451,86 @@ func TestModeConstructors(t *testing.T) {
 	}
 	if _, ok := interface{}(cost.Paper{}).(cost.Model); !ok {
 		t.Fatal("Paper does not implement Model")
+	}
+}
+
+// fingerprintPareto is keepPareto as it was keyed before props.Key: per
+// Fingerprint string, the cheapest plan, in order of first appearance.
+func fingerprintPareto(plans []*Plan) []*Plan {
+	slot := map[string]int{}
+	var out []*Plan
+	for _, p := range plans {
+		fp := p.Props.Fingerprint()
+		if i, ok := slot[fp]; !ok {
+			slot[fp] = len(out)
+			out = append(out, p)
+		} else if p.Cost < out[i].Cost {
+			out[i] = p
+		}
+	}
+	return out
+}
+
+// TestParetoKeyedLikeFingerprint feeds keepPareto the plans of the DP tables
+// of the query corpus — the Figure-5 cells and the differential suite's
+// random shapes, at every logical site, pooled per mode so that vectors
+// differing only in order, density or bounds meet — and checks it keeps
+// exactly the plans per-Fingerprint pruning keeps: the digest key is a
+// cheaper spelling of the same dedup, never a different pruning.
+func TestParetoKeyedLikeFingerprint(t *testing.T) {
+	var queries []logical.Node
+	for cell := 0; cell < 8; cell++ {
+		queries = append(queries, greedyQuery(t, cell&1 != 0, cell&2 != 0, cell&4 != 0))
+	}
+	r := xrand.New(20260925)
+	for i := 0; i < 40; i++ {
+		queries = append(queries, randomQuery(r))
+	}
+	parallel := DQO()
+	parallel.DOP = 4
+	for _, m := range []Mode{SQO(), DQO(), parallel, DQOCalibrated()} {
+		var pool []*Plan
+		seen := map[*Plan]bool{}
+		var collect func(p *Plan)
+		collect = func(p *Plan) {
+			if seen[p] {
+				return
+			}
+			seen[p] = true
+			pool = append(pool, p)
+			for _, c := range p.Children {
+				collect(c)
+			}
+		}
+		o := &optimizer{mode: m}
+		var sites func(n logical.Node)
+		sites = func(n logical.Node) {
+			table, err := o.optimize(n)
+			if err != nil {
+				t.Fatalf("%s: %v", m.Name, err)
+			}
+			for _, p := range table {
+				collect(p)
+			}
+			for _, c := range n.Children() {
+				sites(c)
+			}
+		}
+		for _, q := range queries {
+			sites(q)
+		}
+		got, want := o.keepPareto(pool), fingerprintPareto(pool)
+		if len(got) != len(want) {
+			t.Fatalf("%s: kept %d of %d plans, per-Fingerprint pruning keeps %d", m.Name, len(got), len(pool), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: entry %d differs: %s vs %s", m.Name, i,
+					got[i].Props.Fingerprint(), want[i].Props.Fingerprint())
+			}
+		}
+		if len(got) < 100 || len(got) == len(pool) {
+			t.Fatalf("%s: %d property-distinct entries among %d plans: the pool does not exercise the dedup", m.Name, len(got), len(pool))
+		}
 	}
 }

@@ -113,6 +113,11 @@ type Plan struct {
 	// kernel working set + output). Modes with a MemBudget prune on Mem.
 	Width float64
 	Mem   float64
+
+	// key caches Props.Key() for the DP tables: a plan is keyed at its own
+	// site and again as an enforcer candidate of its parent's.
+	key   props.Key
+	keyed bool
 }
 
 // Summary returns a one-line account of the chosen plan: the operator chain

@@ -51,6 +51,14 @@ func domainOf(rel *storage.Relation, name string) props.Domain {
 	return props.FromStats(st.Rows, st.Min, st.Max, st.Distinct, st.Dense, st.Exact)
 }
 
+// keySorted reports whether rel's (uint32 or dictionary-coded) key column is
+// non-decreasing: the linear, allocation-free check the sort and join
+// kernels assert their order postcondition with. Full statistics would
+// build a distinct-count map over every output row to learn one bit.
+func keySorted(rel *storage.Relation, name string) bool {
+	return sortx.IsSortedUint32(rel.MustColumn(name).Uint32s())
+}
+
 // FilterRel returns the rows of rel satisfying pred.
 func FilterRel(rel *storage.Relation, pred expr.Expr) (*storage.Relation, error) {
 	idx, err := expr.Selectivity(pred, rel)
@@ -67,8 +75,8 @@ func ProjectRel(rel *storage.Relation, cols ...string) (*storage.Relation, error
 	return rel.Project(cols...)
 }
 
-// SortRel returns rel sorted ascending by the key column (stable), and
-// records the resulting sortedness in the key column's statistics.
+// SortRel returns rel sorted ascending by the key column (stable). The
+// output's statistics stay lazy, for the rare caller that asks.
 func SortRel(rel *storage.Relation, keyCol string, kind sortx.Kind) (*storage.Relation, error) {
 	keys, err := keyColumn(rel, keyCol)
 	if err != nil {
@@ -76,9 +84,7 @@ func SortRel(rel *storage.Relation, keyCol string, kind sortx.Kind) (*storage.Re
 	}
 	perm := sortx.ArgSortUint32(kind, keys)
 	out := rel.Gather(perm)
-	c := out.MustColumn(keyCol)
-	st := c.Stats() // computed on the gathered data; records Sorted = true
-	if !st.Sorted {
+	if !keySorted(out, keyCol) {
 		return nil, fmt.Errorf("physical: SortRel postcondition violated on %q", keyCol)
 	}
 	return out, nil
@@ -117,9 +123,7 @@ func SortRelParCtl(rel *storage.Relation, keyCol string, kind sortx.Kind, worker
 		return nil, err
 	}
 	out := rel.GatherPar(perm, workers)
-	c := out.MustColumn(keyCol)
-	st := c.Stats()
-	if !st.Sorted {
+	if !keySorted(out, keyCol) {
 		return nil, fmt.Errorf("physical: SortRelPar postcondition violated on %q", keyCol)
 	}
 	return out, nil
@@ -353,13 +357,8 @@ func joinRelImpl(left, right *storage.Relation, leftKey, rightKey string, kind J
 	if err != nil {
 		return nil, err
 	}
-	if res.SortedByKey {
-		// Record sortedness of the join key column in the output stats.
-		c := out.MustColumn(leftKey)
-		st := c.Stats()
-		if !st.Sorted {
-			return nil, fmt.Errorf("physical: join claimed sorted output but key column is not sorted")
-		}
+	if res.SortedByKey && !keySorted(out, leftKey) {
+		return nil, fmt.Errorf("physical: join claimed sorted output but key column is not sorted")
 	}
 	return out, nil
 }

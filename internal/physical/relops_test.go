@@ -59,6 +59,37 @@ func TestSortRel(t *testing.T) {
 	}
 }
 
+// TestSortRelLeavesStatsLazy: the sort asserts its postcondition with a
+// linear check, so the output's statistics are only computed if asked for.
+func TestSortRelLeavesStatsLazy(t *testing.T) {
+	r, _ := datagen.FKPair(3, datagen.FKConfig{RRows: 5000, SRows: 10, AGroups: 50})
+	before := storage.StatsComputations()
+	out, err := SortRel(r, "A", sortx.Radix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := storage.StatsComputations() - before; n != 0 {
+		t.Fatalf("SortRel computed statistics %d times", n)
+	}
+	if st := out.MustColumn("A").Stats(); !st.Sorted || st.Distinct != 50 {
+		t.Fatalf("lazy output stats wrong: %+v", st)
+	}
+}
+
+// BenchmarkSortRelPostcondition prices SortRel end to end; the sortedness
+// postcondition is part of every call, so its cost (and, before it became a
+// linear check, its distinct-count map) shows in ns/op and allocs/op.
+func BenchmarkSortRelPostcondition(b *testing.B) {
+	_, s := datagen.FKPair(11, datagen.FKConfig{RRows: 20000, SRows: 100000, AGroups: 200})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SortRel(s, "R_ID", sortx.Radix); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestGroupByRelBasic(t *testing.T) {
 	rel := storage.MustNewRelation("t",
 		storage.NewUint32("g", []uint32{0, 1, 0, 1, 0}),

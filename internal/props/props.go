@@ -354,8 +354,9 @@ func (s Set) Rename(old, new string) Set {
 	return n
 }
 
-// Fingerprint returns a canonical string encoding, usable as a memo key in
-// dynamic programming. Two sets with equal knowledge produce equal strings.
+// Fingerprint returns a canonical, readable string encoding: two sets with
+// equal knowledge produce equal strings. It formats every column, so it is
+// for tests and debugging; dynamic programming keys its tables on Key.
 func (s Set) Fingerprint() string {
 	var b strings.Builder
 	b.WriteString("s:")
@@ -391,6 +392,95 @@ func (s Set) Fingerprint() string {
 	}
 	fmt.Fprintf(&b, "l:%s", s.Layout)
 	return b.String()
+}
+
+// Key is a fixed-size digest of a Set, comparable and usable as a map key: it
+// is the memo key of the optimiser's dynamic programming. Two sets get equal
+// keys exactly when their Fingerprints are equal (up to a 128-bit hash
+// collision), at none of Fingerprint's cost: no formatting, no sorting of map
+// keys, no allocation.
+type Key struct{ a, b uint64 }
+
+// Component tags keep equal names in different components apart.
+const (
+	tagSorted uint64 = iota + 1
+	tagGrouped
+	tagCorr
+	tagDomain
+	tagComp
+	tagLayout
+)
+
+// mix is the splitmix64 finaliser: a bijection that spreads every input bit
+// over the whole word.
+func mix(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
+// hashName is FNV-1a over the column name.
+func hashName(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return h
+}
+
+// add folds one element into the key. Addition commutes, so elements of an
+// unordered component (a map, a name set) may arrive in any order.
+func (k *Key) add(h uint64) {
+	k.a += mix(h)
+	k.b += mix(h ^ 0x9e3779b97f4a7c15)
+}
+
+// addNames folds a name set: order and duplicates do not matter, as in
+// Fingerprint, which normalises the list first.
+func (k *Key) addNames(tag uint64, names []string) {
+next:
+	for i, n := range names {
+		for _, earlier := range names[:i] {
+			if earlier == n {
+				continue next
+			}
+		}
+		k.add(mix(hashName(n)) + tag)
+	}
+}
+
+// Key returns the set's memo key.
+func (s Set) Key() Key {
+	var k Key
+	k.addNames(tagSorted, s.SortedBy)
+	k.addNames(tagGrouped, s.GroupedBy)
+	// Correlations are a sequence, as in Fingerprint: chain them in order.
+	seq := tagCorr
+	for _, c := range s.Corrs {
+		seq = mix(mix(seq+hashName(c.Key)) + hashName(c.Dep))
+	}
+	k.add(seq)
+	for c, d := range s.Cols {
+		if !d.Known {
+			continue
+		}
+		h := mix(hashName(c)) + tagDomain
+		h = mix(h + d.Lo)
+		h = mix(h + d.Hi)
+		last := uint64(d.Distinct) << 1
+		if d.Dense {
+			last |= 1
+		}
+		k.add(mix(h + last))
+	}
+	for c, cc := range s.ColComp {
+		k.add(mix(mix(hashName(c))+tagComp) + uint64(cc))
+	}
+	k.add(mix(tagLayout) + uint64(s.Layout))
+	return k
 }
 
 // ReqKind identifies what a Requirement asks for.

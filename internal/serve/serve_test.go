@@ -192,6 +192,16 @@ func TestConcurrentPrepareExecuteOneSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	const q = "SELECT R.A, COUNT(*) FROM R JOIN S ON R.ID = S.R_ID WHERE R.A < ? GROUP BY R.A"
+	// Plan the template once up front: the cache does not single-flight, so
+	// concurrent first executions would each miss and the counts below would
+	// depend on how many cores overlap them.
+	warm, err := c.Prepare(context.Background(), "cal", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Execute(context.Background(), warm.Stmt, 5); err != nil {
+		t.Fatal(err)
+	}
 	const workers = 8
 	handles := make([]string, workers)
 	errc := make(chan error, workers)
@@ -230,8 +240,8 @@ func TestConcurrentPrepareExecuteOneSession(t *testing.T) {
 			t.Fatalf("same statement got distinct handles %v", handles)
 		}
 	}
-	if hits, misses := db.PlanCacheStats(); misses != 1 || hits != workers*5-1 {
-		t.Fatalf("plan cache = %d hits / %d misses, want %d/1", hits, misses, workers*5-1)
+	if hits, misses := db.PlanCacheStats(); misses != 1 || hits != workers*5 {
+		t.Fatalf("plan cache = %d hits / %d misses, want %d/1", hits, misses, workers*5)
 	}
 }
 

@@ -12,6 +12,9 @@ import (
 //
 // Mutating a backing slice after handing it to a column invalidates cached
 // statistics; use ResetStats if you must.
+//
+// A Column must not be copied by value (it holds its statistics cell);
+// Rename and Slice are the ways to derive one.
 type Column struct {
 	name string
 	kind Kind
@@ -28,7 +31,18 @@ type Column struct {
 	// decoded lazily when a kernel asks for the raw slice. See segment.go.
 	enc *encview
 
-	stats *Stats // lazily computed or declared
+	// own is the column's statistics cell. A whole-column view (Rename) has
+	// shared pointing at the cell of the column it views instead, so the
+	// statistics of a registered table are computed once however many
+	// per-query views are made of it.
+	own    statsCell
+	shared *statsCell
+}
+
+// shallow returns a column sharing c's name, kind and backing stores, with
+// an empty statistics cell of its own.
+func (c *Column) shallow() *Column {
+	return &Column{name: c.name, kind: c.kind, u32: c.u32, u64: c.u64, i64: c.i64, f64: c.f64, dict: c.dict, enc: c.enc}
 }
 
 // data32 returns the column's uint32 payload, decoding an encoded backing
@@ -117,12 +131,15 @@ func (c *Column) Len() int {
 	}
 }
 
-// Rename returns a column sharing this column's data under a new name.
-// Statistics carry over (they describe the data, not the name).
+// Rename returns a column sharing this column's data under a new name. The
+// view also shares the statistics cell (statistics describe the data, not
+// the name): whichever of the two is asked first computes them, once, for
+// both, and SetStats/ResetStats through either acts on both.
 func (c *Column) Rename(name string) *Column {
-	nc := *c
+	nc := c.shallow()
 	nc.name = name
-	return &nc
+	nc.shared = c.cell()
+	return nc
 }
 
 // Uint32s returns the backing uint32 slice. It panics unless the column is
@@ -244,24 +261,35 @@ func (c *Column) ValueAt(i int) Value {
 }
 
 // Stats returns the column statistics, computing them exactly on first use.
-// For float columns only Rows and Sorted are meaningful.
+// For float columns only Rows and Sorted are meaningful. It is safe for
+// concurrent use: concurrent first callers compute once.
 func (c *Column) Stats() Stats {
-	if c.stats == nil {
-		st := c.computeStats()
-		c.stats = &st
+	cell := c.cell()
+	if st := cell.st.Load(); st != nil {
+		return *st
 	}
-	return *c.stats
+	cell.mu.Lock()
+	defer cell.mu.Unlock()
+	if st := cell.st.Load(); st != nil {
+		return *st
+	}
+	st := c.computeStats()
+	cell.st.Store(&st)
+	return st
 }
 
 // SetStats installs declared statistics (e.g. ground truth from a dataset
 // generator) without scanning the data. Callers are trusted; tests verify
-// generators against computed stats on small instances.
-func (c *Column) SetStats(st Stats) { c.stats = &st }
+// generators against computed stats on small instances. Through a Rename
+// view it declares them for the viewed column too.
+func (c *Column) SetStats(st Stats) { c.cell().st.Store(&st) }
 
-// ResetStats discards cached statistics, forcing recomputation.
-func (c *Column) ResetStats() { c.stats = nil }
+// ResetStats discards cached statistics, forcing recomputation — for the
+// viewed column too when called through a Rename view.
+func (c *Column) ResetStats() { c.cell().st.Store(nil) }
 
 func (c *Column) computeStats() Stats {
+	statsComputed.Add(1)
 	switch c.kind {
 	case KindUint32, KindString:
 		return statsForUint32(c.data32())
@@ -371,8 +399,7 @@ func (c *Column) gatherRange(dst *Column, idx []int32, lo, hi int) {
 
 // Slice returns a column viewing rows [lo, hi) of c without copying.
 func (c *Column) Slice(lo, hi int) *Column {
-	nc := *c
-	nc.stats = nil
+	nc := c.shallow()
 	switch c.kind {
 	case KindUint32, KindString:
 		if c.enc != nil {
@@ -389,7 +416,7 @@ func (c *Column) Slice(lo, hi int) *Column {
 	case KindFloat64:
 		nc.f64 = c.f64[lo:hi]
 	}
-	return &nc
+	return nc
 }
 
 // Equal reports whether two columns have the same kind, length, and values.

@@ -606,7 +606,8 @@ func (r *Relation) Materialize() *Relation {
 			cols[i] = c
 			continue
 		}
-		nc := &Column{name: c.name, kind: c.kind, dict: c.dict, u32: c.enc.decoded(), stats: c.stats}
+		nc := &Column{name: c.name, kind: c.kind, dict: c.dict, u32: c.enc.decoded()}
+		nc.own.st.Store(c.cell().st.Load()) // statistics known so far carry over by value
 		cols[i] = nc
 	}
 	out := MustNewRelation(r.name, cols...)

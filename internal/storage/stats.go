@@ -1,6 +1,10 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+)
 
 // Stats describes the data properties of a column that the optimiser reasons
 // about. The paper (Section 2.2) lists sortedness and density explicitly and
@@ -18,6 +22,29 @@ type Stats struct {
 	Dense    bool   // Distinct == Max-Min+1 (contiguous key domain)
 	Exact    bool   // true if computed or declared from ground truth
 }
+
+// statsCell holds a column's lazily computed or declared statistics. It
+// belongs to the column that owns the data; whole-column views point at it.
+type statsCell struct {
+	mu sync.Mutex // serialises the first computation
+	st atomic.Pointer[Stats]
+}
+
+// cell returns the statistics cell c reads and fills.
+func (c *Column) cell() *statsCell {
+	if c.shared != nil {
+		return c.shared
+	}
+	return &c.own
+}
+
+// statsComputed counts exact statistics computations (full column scans).
+var statsComputed atomic.Int64
+
+// StatsComputations returns how many times any column's statistics have been
+// computed from its data since process start. Tests take differences of it to
+// pin that planning does not rescan registered tables.
+func StatsComputations() int64 { return statsComputed.Load() }
 
 // String renders the stats compactly for EXPLAIN output.
 func (s Stats) String() string {

@@ -59,12 +59,14 @@ func normalizeAnalyze(s string) string {
 // TestExplainAnalyzeGolden pins the full EXPLAIN ANALYZE rendering for the
 // 2-join + group-by query under both deterministic cost models. The
 // calibrated model picks machine-dependent plans, so it is covered by the
-// structural test below instead.
+// structural test below instead. Workers are pinned: deep modes default
+// their DOP to GOMAXPROCS and enumerate a parallel twin per granule above
+// one, so the alternatives= count would otherwise depend on the host.
 func TestExplainAnalyzeGolden(t *testing.T) {
 	db := testDB2Join(t)
 	for _, mode := range []Mode{ModeSQO, ModeDQO} {
 		t.Run(mode.String(), func(t *testing.T) {
-			text, err := db.Explain(mode, twoJoinSQL, ExplainAnalyze())
+			text, err := db.Explain(mode, twoJoinSQL, ExplainAnalyze(), ExplainWith(WithWorkers(1)))
 			if err != nil {
 				t.Fatal(err)
 			}
