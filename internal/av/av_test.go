@@ -65,15 +65,12 @@ func TestMaterializeHashIndexProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []int32
-	v.Probe(7, func(r int32) { rows = append(rows, r) })
-	if len(rows) != 2 {
-		t.Fatalf("probe(7) = %v", rows)
+	build, probe := make([]int32, 2), make([]int32, 2)
+	if n := v.CountBatch([]uint32{4, 7}); n != 2 {
+		t.Fatalf("probe(4, 7) counts %d rows, want 2 (none for 4)", n)
 	}
-	rows = nil
-	v.Probe(4, func(r int32) { rows = append(rows, r) })
-	if len(rows) != 0 {
-		t.Fatal("probe(4) found phantom rows")
+	if n := v.FillBatch([]uint32{4, 7}, 10, build, probe); n != 2 || build[0] != 2 || build[1] != 0 || probe[0] != 11 || probe[1] != 11 {
+		t.Fatalf("probe(4, 7) = %d pairs, build %v probe %v, want build [2 0] probe [11 11]", n, build, probe)
 	}
 	if v.SPH() {
 		t.Fatal("hash index claims SPH")
@@ -89,13 +86,14 @@ func TestMaterializeSPH(t *testing.T) {
 	if !v.SPH() {
 		t.Fatal("SPH directory does not claim SPH")
 	}
-	var rows []int32
-	v.Probe(10, func(r int32) { rows = append(rows, r) })
-	if len(rows) != 2 {
-		t.Fatalf("probe(10) = %v", rows)
+	build, probe := make([]int32, 2), make([]int32, 2)
+	keys := []uint32{9, 10, 13} // below the domain, inside, above
+	if n := v.CountBatch(keys); n != 2 {
+		t.Fatalf("probe(9, 10, 13) counts %d rows, want 2 (only for 10)", n)
 	}
-	v.Probe(9, func(r int32) { t.Fatal("probe below domain hit") })
-	v.Probe(13, func(r int32) { t.Fatal("probe above domain hit") })
+	if n := v.FillBatch(keys, 0, build, probe); n != 2 || build[0] != 3 || build[1] != 1 || probe[0] != 1 || probe[1] != 1 {
+		t.Fatalf("probe(9, 10, 13) = %d pairs, build %v probe %v, want build [3 1] probe [1 1]", n, build, probe)
+	}
 
 	sparse := storage.MustNewRelation("t", storage.NewUint32("k", []uint32{1, 100}))
 	if _, err := MaterializeSPH("t", sparse, "k"); err == nil {

@@ -10,7 +10,7 @@
 //   - SortedProjection: a clustered copy of a table ordered by one column.
 //     Plans starting from it inherit the sorted property for free (the
 //     order-based operator family applies without enforcers).
-//   - HashIndex: a prebuilt chained multimap over a key column — the build
+//   - HashIndex: a prebuilt hash multimap over a key column — the build
 //     phase of a hash join paid offline.
 //   - SPHDirectory: a prebuilt static-perfect-hash directory over a dense
 //     key column — the build phase of an SPH join paid offline.
@@ -68,12 +68,9 @@ type View struct {
 	SizeBytes int64         // memory footprint of the materialisation
 	BuildTime time.Duration // offline cost actually paid
 
-	rel   *storage.Relation // SortedProjection
-	multi *hashtable.Multi  // HashIndex
-	heads []int32           // SPHDirectory
-	next  []int32
-	lo    uint32
-	crk   *crack.Cracker // CrackedIndex
+	rel *storage.Relation // SortedProjection
+	idx physical.RowIndex // HashIndex (*hashtable.Multi), SPHDirectory (*hashtable.SPH)
+	crk *crack.Cracker    // CrackedIndex
 }
 
 // Label returns e.g. "av:sorted(R.ID)".
@@ -84,22 +81,21 @@ func (v *View) Label() string {
 // SPH reports whether the view is an SPH directory (core.PrebuiltIndex).
 func (v *View) SPH() bool { return v.Kind == SPHDirectory }
 
-// Probe implements core.PrebuiltIndex for HashIndex and SPHDirectory views.
-func (v *View) Probe(key uint32, fn func(row int32)) {
-	switch v.Kind {
-	case HashIndex:
-		v.multi.Probe(key, fn)
-	case SPHDirectory:
-		slot := int64(key) - int64(v.lo)
-		if slot < 0 || slot >= int64(len(v.heads)) {
-			return
-		}
-		for i := v.heads[slot]; i >= 0; i = v.next[i] {
-			fn(i)
-		}
-	default:
-		panic(fmt.Sprintf("av: Probe on %s view", v.Kind))
+// CountBatch implements core.PrebuiltIndex for HashIndex and SPHDirectory
+// views.
+func (v *View) CountBatch(keys []uint32) int { return v.index().CountBatch(keys) }
+
+// FillBatch implements core.PrebuiltIndex for HashIndex and SPHDirectory
+// views.
+func (v *View) FillBatch(keys []uint32, first int32, build, probe []int32) int {
+	return v.index().FillBatch(keys, first, build, probe)
+}
+
+func (v *View) index() physical.RowIndex {
+	if v.idx == nil {
+		panic(fmt.Sprintf("av: index probe on %s view", v.Kind))
 	}
+	return v.idx
 }
 
 // Relation returns the materialised relation of a SortedProjection view.
@@ -169,15 +165,15 @@ func MaterializeHashIndex(table string, rel *storage.Relation, col string, fn ha
 	if err != nil {
 		return nil, err
 	}
-	m := hashtable.NewMulti(fn, len(keys))
-	for i, k := range keys {
-		m.Insert(k, int32(i))
+	m, err := hashtable.BuildMulti(fn, keys, nil, nil)
+	if err != nil {
+		return nil, err
 	}
 	return &View{
 		Kind: HashIndex, Table: table, Column: col,
 		SizeBytes: int64(len(keys)) * 16, // entry arena + directory estimate
 		BuildTime: time.Since(start),
-		multi:     m,
+		idx:       m,
 	}, nil
 }
 
@@ -197,21 +193,15 @@ func MaterializeSPH(table string, rel *storage.Relation, col string) (*View, err
 	if width > 1<<24 {
 		return nil, fmt.Errorf("av: sph(%s.%s) domain width %d too large", table, col, width)
 	}
-	lo := uint32(st.Min)
-	heads := make([]int32, width)
-	for i := range heads {
-		heads[i] = -1
-	}
-	next := make([]int32, len(keys))
-	for i, k := range keys {
-		next[i] = heads[k-lo]
-		heads[k-lo] = int32(i)
+	d, err := hashtable.BuildSPH(keys, uint32(st.Min), int(width), nil)
+	if err != nil {
+		return nil, err
 	}
 	return &View{
 		Kind: SPHDirectory, Table: table, Column: col,
 		SizeBytes: int64(width)*4 + int64(len(keys))*4,
 		BuildTime: time.Since(start),
-		heads:     heads, next: next, lo: lo,
+		idx:       d,
 	}, nil
 }
 

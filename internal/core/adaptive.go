@@ -57,13 +57,7 @@ func executeAdaptive(p *Plan, mode Mode, rep *AdaptiveReport) (*storage.Relation
 			if err != nil {
 				return nil, err
 			}
-			if p.Index != nil {
-				return executeIndexJoin(p, left, right)
-			}
-			if p.Swapped {
-				return physical.JoinRelDomSwapped(left, right, p.LeftKey, p.RightKey, p.Join.Kind, p.Join.Opt, p.KeyDom)
-			}
-			return physical.JoinRelDom(left, right, p.LeftKey, p.RightKey, p.Join.Kind, p.Join.Opt, p.KeyDom)
+			return p.runJoin(left, right, p.Join.Opt, nil)
 		default:
 			in, err := executeAdaptive(p.Children[0], mode, rep)
 			if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"dqo/internal/physical"
 	"dqo/internal/storage"
 )
 
@@ -34,9 +35,9 @@ type ScanProvider interface {
 // PrebuiltIndex is a materialised build side of a join: probing it yields
 // the base-table row ids holding the key.
 type PrebuiltIndex interface {
-	// Probe calls fn for every row of the indexed table whose column equals
-	// key.
-	Probe(key uint32, fn func(row int32))
+	// CountBatch and FillBatch report how many rows of the indexed table
+	// hold each probed key, and which.
+	physical.RowIndex
 	// Label describes the index, e.g. "av:sph(R.ID)".
 	Label() string
 	// SPH reports whether the index is a static-perfect-hash directory

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"dqo/internal/exec"
 	"dqo/internal/govern"
@@ -53,15 +54,23 @@ type ExecOptions struct {
 // filter/project chain over a scan) lower to an exec.Pipe that fans morsels
 // across the worker pool; everything else lowers to the serial operators, so
 // DOP = 1 plans execute exactly as before the parallel dimension existed.
+//
+// Lowering also carries, top-down, the columns each node's ancestors
+// reference (project lists, predicates, group key and aggregate arguments,
+// sort keys, the keys of joins above), and join breakers materialise only
+// those: a join under GROUP BY R.A, COUNT(*) gathers R.A, not every column
+// of both inputs. This is a property of the lowering, not of the plan —
+// EXPLAIN shows the same logical schema as before.
 func Compile(p *Plan) (exec.Operator, error) {
-	return compileNode(p, nil)
+	return compileNode(p, nil, nil)
 }
 
 // compileNode is the compiler body. With a non-nil ReoptConfig, every
 // pipeline-breaker kernel is wrapped with a mid-query re-planning check
 // (index joins excepted: their build side was prepaid offline). rc == nil
-// lowers exactly as Compile always has.
-func compileNode(p *Plan, rc *ReoptConfig) (exec.Operator, error) {
+// lowers exactly as Compile always has. need names the columns p's
+// ancestors reference; nil means all of p's output.
+func compileNode(p *Plan, rc *ReoptConfig, need []string) (exec.Operator, error) {
 	switch p.Op {
 	case OpScan:
 		if p.Enc != props.NoCompression {
@@ -96,7 +105,7 @@ func compileNode(p *Plan, rc *ReoptConfig) (exec.Operator, error) {
 				return crack.Range64(lo, hi)
 			}), nil
 		}
-		child, err := compileNode(p.Children[0], rc)
+		child, err := compileNode(p.Children[0], rc, withColumns(need, p.Pred.Columns(nil)...))
 		if err != nil {
 			return nil, err
 		}
@@ -107,13 +116,13 @@ func compileNode(p *Plan, rc *ReoptConfig) (exec.Operator, error) {
 				return op, nil
 			}
 		}
-		child, err := compileNode(p.Children[0], rc)
+		child, err := compileNode(p.Children[0], rc, p.Cols)
 		if err != nil {
 			return nil, err
 		}
 		return exec.NewProject(p.Label(), child, p.Cols), nil
 	case OpSort:
-		child, err := compileNode(p.Children[0], rc)
+		child, err := compileNode(p.Children[0], rc, withColumns(need, p.SortKey))
 		if err != nil {
 			return nil, err
 		}
@@ -142,7 +151,13 @@ func compileNode(p *Plan, rc *ReoptConfig) (exec.Operator, error) {
 		b.SetDOP(dop)
 		return b, nil
 	case OpGroup:
-		child, err := compileNode(p.Children[0], rc)
+		groupNeed := []string{p.GroupKey}
+		for _, a := range p.Aggs {
+			if a.Col != "" {
+				groupNeed = append(groupNeed, a.Col)
+			}
+		}
+		child, err := compileNode(p.Children[0], rc, groupNeed)
 		if err != nil {
 			return nil, err
 		}
@@ -171,11 +186,20 @@ func compileNode(p *Plan, rc *ReoptConfig) (exec.Operator, error) {
 		b.SetDOP(opt.Parallel)
 		return b, nil
 	case OpJoin:
-		left, err := compileNode(p.Children[0], rc)
+		// The output-name rule ("_r" on a clash) is decided on the inputs a
+		// join actually receives, so pruning below a join whose sides share
+		// a column name could change a name an ancestor uses: such a join,
+		// and everything under it, keeps every column.
+		cols := need
+		if cols != nil && sharesColumn(p.Children[0].outputColumns(), p.Children[1].outputColumns()) {
+			cols = nil
+		}
+		childNeed := withColumns(cols, p.LeftKey, p.RightKey)
+		left, err := compileNode(p.Children[0], rc, childNeed)
 		if err != nil {
 			return nil, err
 		}
-		right, err := compileNode(p.Children[1], rc)
+		right, err := compileNode(p.Children[1], rc, childNeed)
 		if err != nil {
 			return nil, err
 		}
@@ -183,31 +207,16 @@ func compileNode(p *Plan, rc *ReoptConfig) (exec.Operator, error) {
 			// Disk-backed twin: grace hash join, byte-identical to the serial
 			// in-memory hash join.
 			return exec.NewSpillJoin(p.Label(), left, right, p.LeftKey, p.RightKey,
-				p.Join.Opt, p.Swapped, p.KeyDom), nil
+				p.Join.Opt, p.Swapped, p.KeyDom, cols), nil
 		}
 		node := p
-		clamp := func(ec *exec.ExecContext) physical.JoinOptions {
+		kernel := func(ec *exec.ExecContext, l, r *storage.Relation) (*storage.Relation, error) {
 			o := node.Join.Opt
 			if o.Parallel > 1 {
 				o.Parallel = ec.EffectiveDOP(o.Parallel)
 			}
 			o.Ctl = ec.Ctl()
-			return o
-		}
-		var kernel func(ec *exec.ExecContext, l, r *storage.Relation) (*storage.Relation, error)
-		switch {
-		case p.Index != nil:
-			kernel = func(_ *exec.ExecContext, l, r *storage.Relation) (*storage.Relation, error) {
-				return executeIndexJoin(node, l, r)
-			}
-		case p.Swapped:
-			kernel = func(ec *exec.ExecContext, l, r *storage.Relation) (*storage.Relation, error) {
-				return physical.JoinRelDomSwapped(l, r, node.LeftKey, node.RightKey, node.Join.Kind, clamp(ec), node.KeyDom)
-			}
-		default:
-			kernel = func(ec *exec.ExecContext, l, r *storage.Relation) (*storage.Relation, error) {
-				return physical.JoinRelDom(l, r, node.LeftKey, node.RightKey, node.Join.Kind, clamp(ec), node.KeyDom)
-			}
+			return node.runJoin(l, r, o, cols)
 		}
 		var b *exec.Breaker2
 		if rc != nil && p.Index == nil {
@@ -222,6 +231,19 @@ func compileNode(p *Plan, rc *ReoptConfig) (exec.Operator, error) {
 	default:
 		return nil, fmt.Errorf("core: cannot compile operator %v", p.Op)
 	}
+}
+
+// withColumns returns need extended by cols; "all columns" (nil) stays nil.
+func withColumns(need []string, cols ...string) []string {
+	if need == nil {
+		return nil
+	}
+	return append(append(make([]string, 0, len(need)+len(cols)), need...), cols...)
+}
+
+// sharesColumn reports whether two column lists have a name in common.
+func sharesColumn(a, b []string) bool {
+	return slices.ContainsFunc(a, func(x string) bool { return slices.Contains(b, x) })
 }
 
 // compilePipe lowers a parallel streaming segment — a filter/project chain

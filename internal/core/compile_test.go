@@ -1,0 +1,141 @@
+package core
+
+import (
+	"context"
+	"testing"
+
+	"dqo/internal/datagen"
+	"dqo/internal/expr"
+	"dqo/internal/logical"
+	"dqo/internal/storage"
+)
+
+// fkJoin is the Section 4.3 join R ⋈ S on ID = R_ID over generated tables.
+func fkJoin(seed uint64) (join *logical.Join, r, s *storage.Relation) {
+	r, s = datagen.FKPair(seed, datagen.FKConfig{RRows: 300, SRows: 1300, AGroups: 30, Dense: true})
+	return &logical.Join{
+		Left: &logical.Scan{Table: "R", Rel: r}, Right: &logical.Scan{Table: "S", Rel: s},
+		LeftKey: "ID", RightKey: "R_ID",
+	}, r, s
+}
+
+// TestCompileJoinMaterialisesReferencedColumnsOnly: under GROUP BY A,
+// COUNT(*) the join's ancestors reference A alone, so the join breaker holds
+// its two (aliased) inputs plus one 4-byte column per output pair — not the
+// 20 bytes per pair of ID, A, R_ID, M. Planning is untouched: the plan's
+// own width estimate still describes the logical schema.
+func TestCompileJoinMaterialisesReferencedColumnsOnly(t *testing.T) {
+	join, r, s := fkJoin(3)
+	q := &logical.GroupBy{Input: join, Key: "A", Aggs: []expr.AggSpec{{Func: expr.AggCount}}}
+	want, err := naiveExecute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []Mode{SQO(), DQO(), Greedy()} {
+		res, err := Optimize(q, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, prof, err := ExecuteContext(context.Background(), res.Best, ExecOptions{MorselSize: 128})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameRows(canonical(got), canonical(want)) {
+			t.Fatalf("%s: result differs from the naive evaluator", m.Name)
+		}
+		var joinPeak int64
+		var joinPlan *Plan
+		res.Best.PreOrder(func(n *Plan, _ int) {
+			if n.Op == OpJoin {
+				joinPlan = n
+			}
+		})
+		for _, op := range prof {
+			if op.Label == joinPlan.Label() {
+				joinPeak = op.PeakBytes
+			}
+		}
+		pairs := int64(s.NumRows()) // FK join: one output row per S row
+		if want := r.MemBytes() + s.MemBytes() + 4*pairs; joinPeak != want {
+			t.Fatalf("%s: join held %d bytes at its peak, want %d (inputs + 4 B per pair); all columns would be %d",
+				m.Name, joinPeak, want, r.MemBytes()+s.MemBytes()+20*pairs)
+		}
+		if joinPlan.Width != 20 {
+			t.Fatalf("%s: plan width estimate %v changed; pruning is a lowering detail", m.Name, joinPlan.Width)
+		}
+	}
+}
+
+// TestCompileRequiredColumnsAcrossOperators drives the required-columns pass
+// through every operator that extends or replaces the set, and through the
+// shapes where it must back off, comparing with the naive evaluator (row
+// order included where the query sorts).
+func TestCompileRequiredColumnsAcrossOperators(t *testing.T) {
+	join, _, _ := fkJoin(8)
+	// T.K joins R.A; T.M clashes with S.M (a non-key column), T.W is payload.
+	k, tm, w := make([]uint32, 30), make([]int64, 30), make([]int64, 30)
+	for i := range k {
+		k[i], tm[i], w[i] = uint32(i), int64(1000+i), int64(i%5)
+	}
+	tt := storage.MustNewRelation("T", storage.NewUint32("K", k), storage.NewInt64("M", tm), storage.NewInt64("W", w))
+	three := &logical.Join{Left: join, Right: &logical.Scan{Table: "T", Rel: tt}, LeftKey: "A", RightKey: "K"}
+	lt := func(col string, v int64) expr.Expr {
+		return expr.Bin{Op: expr.OpLt, L: expr.Col{Name: col}, R: expr.IntLit{V: v}}
+	}
+	cases := []struct {
+		name   string
+		q      logical.Node
+		sorted string // column the result must be ordered by, "" = any order
+	}{
+		{"project", &logical.Project{Input: join, Cols: []string{"M", "A"}}, ""},
+		{"no project: every column", join, ""},
+		{"filter on an unprojected column",
+			&logical.Project{Input: &logical.Filter{Input: join, Pred: lt("M", 50)}, Cols: []string{"A"}}, ""},
+		{"sort by an unprojected column",
+			&logical.Project{Input: &logical.Sort{Input: join, Key: "R_ID"}, Cols: []string{"A", "M"}}, ""},
+		{"sorted output", &logical.Sort{Input: &logical.Project{Input: join, Cols: []string{"R_ID", "M"}}, Key: "R_ID"}, "R_ID"},
+		{"aggregate arguments", &logical.GroupBy{Input: &logical.Filter{Input: join, Pred: lt("ID", 200)}, Key: "A",
+			Aggs: []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "M"}, {Func: expr.AggMax, Col: "R_ID"}}}, ""},
+		{"join above a join", &logical.GroupBy{Input: three, Key: "K",
+			Aggs: []expr.AggSpec{{Func: expr.AggSum, Col: "W"}, {Func: expr.AggCount}}}, ""},
+		// M_r exists only because the inner join's M is still there when the
+		// outer join names its columns: nothing below a clash is pruned.
+		{"clashing names above a join", &logical.Project{Input: three, Cols: []string{"M_r", "ID"}}, ""},
+		{"clashing names, both sides", &logical.GroupBy{Input: three, Key: "A",
+			Aggs: []expr.AggSpec{{Func: expr.AggSum, Col: "M"}, {Func: expr.AggSum, Col: "M_r"}}}, ""},
+	}
+	for _, tc := range cases {
+		want, err := naiveExecute(tc.q)
+		if err != nil {
+			t.Fatalf("%s: naive: %v", tc.name, err)
+		}
+		for _, m := range []Mode{SQO(), DQO(), DQOCalibrated(), Greedy()} {
+			res, err := Optimize(tc.q, m)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", tc.name, m.Name, err)
+			}
+			got, _, err := ExecuteContext(context.Background(), res.Best, ExecOptions{MorselSize: 64})
+			if err != nil {
+				t.Fatalf("%s/%s: %v\n%s", tc.name, m.Name, err, res.Best.Explain())
+			}
+			if len(got.ColumnNames()) != len(want.ColumnNames()) {
+				t.Fatalf("%s/%s: schema %v, want %v", tc.name, m.Name, got.ColumnNames(), want.ColumnNames())
+			}
+			for i, name := range want.ColumnNames() {
+				if got.ColumnNames()[i] != name {
+					t.Fatalf("%s/%s: schema %v, want %v", tc.name, m.Name, got.ColumnNames(), want.ColumnNames())
+				}
+			}
+			if !sameRows(canonical(got), canonical(want)) {
+				t.Fatalf("%s/%s: result differs from the naive evaluator\n%s", tc.name, m.Name, res.Best.Explain())
+			}
+			if tc.sorted != "" && !got.MustColumn(tc.sorted).Stats().Sorted {
+				t.Fatalf("%s/%s: output not ordered by %s", tc.name, m.Name, tc.sorted)
+			}
+			bulk, err := ExecuteBulk(res.Best)
+			if err != nil || !sameRows(canonical(bulk), canonical(want)) {
+				t.Fatalf("%s/%s: bulk reference disagrees (err %v)", tc.name, m.Name, err)
+			}
+		}
+	}
+}

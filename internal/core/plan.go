@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"dqo/internal/expr"
@@ -318,13 +319,7 @@ func ExecuteBulk(p *Plan) (*storage.Relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		if p.Index != nil {
-			return executeIndexJoin(p, left, right)
-		}
-		if p.Swapped {
-			return physical.JoinRelDomSwapped(left, right, p.LeftKey, p.RightKey, p.Join.Kind, p.Join.Opt, p.KeyDom)
-		}
-		return physical.JoinRelDom(left, right, p.LeftKey, p.RightKey, p.Join.Kind, p.Join.Opt, p.KeyDom)
+		return p.runJoin(left, right, p.Join.Opt, nil)
 	case OpGroup:
 		in, err := ExecuteBulk(p.Children[0])
 		if err != nil {
@@ -336,40 +331,49 @@ func ExecuteBulk(p *Plan) (*storage.Relation, error) {
 	}
 }
 
-// executeIndexJoin runs an AV-backed join: the build phase was paid offline
-// (the prebuilt index maps keys to left base-table rows), so only the probe
-// runs at query time. The left child is by construction the bare base scan.
-func executeIndexJoin(p *Plan, left, right *storage.Relation) (*storage.Relation, error) {
-	rkCol, ok := right.Column(p.RightKey)
-	if !ok {
-		return nil, fmt.Errorf("core: AV join: right relation has no column %q", p.RightKey)
+// runJoin executes the node's join over its materialised inputs: through
+// the prebuilt index of an AV-backed join (the build phase was paid offline
+// and the left child is by construction the bare base scan), otherwise with
+// the chosen kernel in the planned build/probe roles. cols restricts the
+// output columns (see physical.JoinRelDom); nil keeps them all.
+func (p *Plan) runJoin(left, right *storage.Relation, opt physical.JoinOptions, cols []string) (*storage.Relation, error) {
+	switch {
+	case p.Index != nil:
+		return physical.JoinRelIndex(left, right, p.RightKey, p.Index, opt, cols)
+	case p.Swapped:
+		return physical.JoinRelDomSwapped(left, right, p.LeftKey, p.RightKey, p.Join.Kind, opt, p.KeyDom, cols)
+	default:
+		return physical.JoinRelDom(left, right, p.LeftKey, p.RightKey, p.Join.Kind, opt, p.KeyDom, cols)
 	}
-	if rkCol.Kind() != storage.KindUint32 && rkCol.Kind() != storage.KindString {
-		return nil, fmt.Errorf("core: AV join: right key %q has kind %s", p.RightKey, rkCol.Kind())
-	}
-	var leftIdx, rightIdx []int32
-	for j, k := range rkCol.Uint32s() {
-		p.Index.Probe(k, func(li int32) {
-			leftIdx = append(leftIdx, li)
-			rightIdx = append(rightIdx, int32(j))
-		})
-	}
-	lg := left.Gather(leftIdx)
-	rg := right.Gather(rightIdx)
-	cols := append([]*storage.Column(nil), lg.Columns()...)
-	used := map[string]bool{}
-	for _, c := range cols {
-		used[c.Name()] = true
-	}
-	for _, c := range rg.Columns() {
-		name := c.Name()
-		if used[name] {
-			name += "_r"
+}
+
+// outputColumns lists the node's output column names in order, derived
+// bottom-up from the scanned relations by the same rules the kernels apply.
+func (p *Plan) outputColumns() []string {
+	switch p.Op {
+	case OpScan:
+		return p.Rel.ColumnNames()
+	case OpProject:
+		return p.Cols
+	case OpGroup:
+		cols := []string{p.GroupKey}
+		for _, a := range p.Aggs {
+			cols = append(cols, a.OutName())
 		}
-		used[name] = true
-		cols = append(cols, c.Rename(name))
+		return cols
+	case OpJoin:
+		left := p.Children[0].outputColumns()
+		cols := append(make([]string, 0, 2*len(left)), left...)
+		for _, name := range p.Children[1].outputColumns() {
+			if slices.Contains(cols, name) {
+				name += "_r"
+			}
+			cols = append(cols, name)
+		}
+		return cols
+	default:
+		return p.Children[0].outputColumns()
 	}
-	return storage.NewRelation(left.Name()+"_join_"+right.Name(), cols...)
 }
 
 // SelfCost is the node's own estimated cost: the cumulative Cost minus the

@@ -134,7 +134,7 @@ func suffixLabels(p *Plan) string {
 // pipeline-breaker kernel with a re-planning check (see ReoptConfig). A nil
 // rc is identical to Compile.
 func CompileReopt(p *Plan, rc *ReoptConfig) (exec.Operator, error) {
-	return compileNode(p, rc)
+	return compileNode(p, rc, nil)
 }
 
 // replan1 is the re-planning wrapper around a single-input breaker kernel
@@ -271,10 +271,7 @@ func execReplanned(ec *exec.ExecContext, p *Plan) (*storage.Relation, error) {
 			o.Parallel = ec.EffectiveDOP(o.Parallel)
 		}
 		o.Ctl = ec.Ctl()
-		if p.Swapped {
-			return physical.JoinRelDomSwapped(kids[0], kids[1], p.LeftKey, p.RightKey, p.Join.Kind, o, p.KeyDom)
-		}
-		return physical.JoinRelDom(kids[0], kids[1], p.LeftKey, p.RightKey, p.Join.Kind, o, p.KeyDom)
+		return p.runJoin(kids[0], kids[1], o, nil)
 	default:
 		return nil, fmt.Errorf("core: cannot execute re-planned operator %v", p.Op)
 	}

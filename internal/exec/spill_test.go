@@ -140,33 +140,40 @@ func TestSpillGroupMatchesInMemory(t *testing.T) {
 }
 
 // TestSpillJoinMatchesInMemory checks the grace hash join against the serial
-// in-memory hash join, in both build-side orientations.
+// in-memory hash join, in both build-side orientations, with every output
+// column and with the column list a plan's ancestors would ask for (both
+// sides' "key" clash, so the list names a "_r" column too).
 func TestSpillJoinMatchesInMemory(t *testing.T) {
 	left := spillRel("l", 4000, 3)
 	right := spillRel("r", 5000, 13)
 	opt := physical.JoinOptions{Hash: hashtable.Murmur3Fin, Parallel: 1}
-	for _, swapped := range []bool{false, true} {
-		swapped := swapped
-		want := runTree(t, NewBreaker2("join", NewScan("l", left), NewScan("r", right),
-			func(ec *ExecContext, l, r *storage.Relation) (*storage.Relation, error) {
-				o := opt
-				o.Ctl = ec.Ctl()
-				if swapped {
-					return physical.JoinRelDomSwapped(l, r, "key", "key", physical.HJ, o, props.Domain{})
-				}
-				return physical.JoinRelDom(l, r, "key", "key", physical.HJ, o, props.Domain{})
-			}), 4096)
-		for _, workers := range spillDOPs() {
-			for _, morsel := range spillMorsels {
-				got, spilled := runSpillTree(t, func() Operator {
-					return NewSpillJoin("join", NewScan("l", left), NewScan("r", right),
-						"key", "key", opt, swapped, props.Domain{})
-				}, morsel, workers, 2048)
-				if spilled == 0 {
-					t.Fatalf("swapped=%v morsel=%d workers=%d: grace join never touched disk", swapped, morsel, workers)
-				}
-				if !got.Equal(want) {
-					t.Fatalf("swapped=%v morsel=%d workers=%d: grace join diverges from in-memory join", swapped, morsel, workers)
+	for _, cols := range [][]string{nil, {"city_r", "val"}} {
+		for _, swapped := range []bool{false, true} {
+			cols, swapped := cols, swapped
+			want := runTree(t, NewBreaker2("join", NewScan("l", left), NewScan("r", right),
+				func(ec *ExecContext, l, r *storage.Relation) (*storage.Relation, error) {
+					o := opt
+					o.Ctl = ec.Ctl()
+					if swapped {
+						return physical.JoinRelDomSwapped(l, r, "key", "key", physical.HJ, o, props.Domain{}, cols)
+					}
+					return physical.JoinRelDom(l, r, "key", "key", physical.HJ, o, props.Domain{}, cols)
+				}), 4096)
+			if cols != nil && want.NumCols() != len(cols) {
+				t.Fatalf("in-memory join kept %v, want %v", want.ColumnNames(), cols)
+			}
+			for _, workers := range spillDOPs() {
+				for _, morsel := range spillMorsels {
+					got, spilled := runSpillTree(t, func() Operator {
+						return NewSpillJoin("join", NewScan("l", left), NewScan("r", right),
+							"key", "key", opt, swapped, props.Domain{}, cols)
+					}, morsel, workers, 2048)
+					if spilled == 0 {
+						t.Fatalf("cols=%v swapped=%v morsel=%d workers=%d: grace join never touched disk", cols, swapped, morsel, workers)
+					}
+					if !got.Equal(want) {
+						t.Fatalf("cols=%v swapped=%v morsel=%d workers=%d: grace join diverges from in-memory join", cols, swapped, morsel, workers)
+					}
 				}
 			}
 		}

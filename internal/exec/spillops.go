@@ -11,8 +11,8 @@ package exec
 //   - SpillJoin tags each side with its global row ordinal, hash-partitions
 //     both sides to disk, joins partition pairs serially, and restores the
 //     serial hash join's emission order — (probe row ascending, build row
-//     descending, a consequence of the chained multimap's reverse-insertion
-//     probe order) — with one global sort over the tagged pair outputs.
+//     descending: the multimap's reverse-build-order emission contract) —
+//     with one global sort over the tagged pair outputs.
 //   - SpillGroup hash-partitions its input (keys are partition-complete, so
 //     per-partition aggregates are exact), reuses the serial chained-hash
 //     aggregation kernel per partition, and reorders the merged groups by
@@ -1176,6 +1176,7 @@ type SpillJoin struct {
 	opt         physical.JoinOptions
 	swapped     bool
 	dom         props.Domain
+	cols        []string // output columns kept (physical.JoinRelDom); nil = all
 	out         *storage.Relation
 	pos         int
 	held        int64
@@ -1183,11 +1184,12 @@ type SpillJoin struct {
 }
 
 // NewSpillJoin returns a grace hash join of left and right. swapped selects
-// build-on-right (join commutativity), mirroring JoinRelDomSwapped.
-func NewSpillJoin(label string, left, right Operator, leftKey, rightKey string, opt physical.JoinOptions, swapped bool, dom props.Domain) *SpillJoin {
+// build-on-right (join commutativity) and cols the output columns kept,
+// both mirroring physical.JoinRelDom / JoinRelDomSwapped.
+func NewSpillJoin(label string, left, right Operator, leftKey, rightKey string, opt physical.JoinOptions, swapped bool, dom props.Domain, cols []string) *SpillJoin {
 	opt.Parallel = 1
 	return &SpillJoin{base: base{label: label}, left: left, right: right,
-		leftKey: leftKey, rightKey: rightKey, opt: opt, swapped: swapped, dom: dom}
+		leftKey: leftKey, rightKey: rightKey, opt: opt, swapped: swapped, dom: dom, cols: cols}
 }
 
 // Open implements Operator.
@@ -1349,11 +1351,17 @@ func (j *SpillJoin) materialize(ec *ExecContext) error {
 		return qerr.New(qerr.ErrInternal, "spill join: missing input schema")
 	}
 
-	join := func(l, r *storage.Relation) (*storage.Relation, error) {
+	join := func(l, r *storage.Relation, cols []string) (*storage.Relation, error) {
 		if j.swapped {
-			return physical.JoinRelDomSwapped(l, r, j.leftKey, j.rightKey, physical.HJ, opt, j.dom)
+			return physical.JoinRelDomSwapped(l, r, j.leftKey, j.rightKey, physical.HJ, opt, j.dom, cols)
 		}
-		return physical.JoinRelDom(l, r, j.leftKey, j.rightKey, physical.HJ, opt, j.dom)
+		return physical.JoinRelDom(l, r, j.leftKey, j.rightKey, physical.HJ, opt, j.dom, cols)
+	}
+	// Partition pairs are joined over row-tagged inputs and must carry the
+	// tags through to the order-restoring sort.
+	taggedCols := j.cols
+	if taggedCols != nil {
+		taggedCols = append(append([]string(nil), j.cols...), rowTagL, rowTagR)
 	}
 
 	if !spillMode {
@@ -1366,7 +1374,7 @@ func (j *SpillJoin) materialize(ec *ExecContext) error {
 		if err != nil {
 			return err
 		}
-		out, err := join(l, r)
+		out, err := join(l, r, j.cols)
 		if err != nil {
 			return err
 		}
@@ -1426,7 +1434,7 @@ func (j *SpillJoin) materialize(ec *ExecContext) error {
 		if err != nil {
 			return err
 		}
-		out, err := join(lrel, rrel)
+		out, err := join(lrel, rrel, taggedCols)
 		if err != nil {
 			return err
 		}
@@ -1445,7 +1453,7 @@ func (j *SpillJoin) materialize(ec *ExecContext) error {
 	}
 
 	if len(pairs) == 0 {
-		out, err := join(ls.template.Slice(0, 0), rs.template.Slice(0, 0))
+		out, err := join(ls.template.Slice(0, 0), rs.template.Slice(0, 0), j.cols)
 		if err != nil {
 			return err
 		}

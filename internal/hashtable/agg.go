@@ -58,6 +58,10 @@ func (a *AggState) Merge(b AggState) {
 type AggTable interface {
 	// Add folds value v into the group of key.
 	Add(key uint32, v int64)
+	// AddBatch folds vals[i] into the group of keys[i], in order; nil vals
+	// folds zeros (COUNT-only aggregation). Equivalent to calling Add per
+	// row, with the hash function resolved once per block of rows.
+	AddBatch(keys []uint32, vals []int64)
 	// AddState merges a whole partial state into the group of key; used when
 	// merging per-worker partial tables after a parallel build.
 	AddState(key uint32, st AggState)
@@ -125,6 +129,32 @@ func nextPow2(n int) int {
 	return c
 }
 
+// hashedAdder is the per-row insert both table layouts share with addBatch:
+// Add with the key's hash already computed.
+type hashedAdder interface {
+	addHashed(key uint32, h uint64, v int64)
+}
+
+// addBatch is the tables' AddBatch: it hashes a block of keys at a time and
+// hands each row to the table with its hash.
+func addBatch(t hashedAdder, f Func, keys []uint32, vals []int64) {
+	var hs [hashBlock]uint64
+	for lo := 0; lo < len(keys); lo += hashBlock {
+		blk := keys[lo:min(lo+hashBlock, len(keys))]
+		f.HashBatch(hs[:], blk)
+		if vals == nil {
+			for i, k := range blk {
+				t.addHashed(k, hs[i], 0)
+			}
+			continue
+		}
+		vblk := vals[lo : lo+len(blk)]
+		for i, k := range blk {
+			t.addHashed(k, hs[i], vblk[i])
+		}
+	}
+}
+
 // chainedTable is a node-based chained hash table: a bucket directory of
 // int32 heads plus an entry arena. Insertion order is preserved in the arena,
 // which makes ForEach iteration order deterministic (first-seen order), like
@@ -154,8 +184,12 @@ func newChained(f Func, capacity int) *chainedTable {
 
 func (t *chainedTable) Scheme() Scheme { return Chained }
 
-func (t *chainedTable) Add(key uint32, v int64) {
-	b := t.fn.Hash(key) & t.mask
+func (t *chainedTable) Add(key uint32, v int64) { t.addHashed(key, t.fn.Hash(key), v) }
+
+func (t *chainedTable) AddBatch(keys []uint32, vals []int64) { addBatch(t, t.fn, keys, vals) }
+
+func (t *chainedTable) addHashed(key uint32, h uint64, v int64) {
+	b := h & t.mask
 	for i := t.heads[b]; i >= 0; i = t.entries[i].next {
 		if t.entries[i].key == key {
 			t.entries[i].st.add(v)
@@ -164,7 +198,7 @@ func (t *chainedTable) Add(key uint32, v int64) {
 	}
 	if len(t.entries) >= len(t.heads) { // load factor 1: grow directory
 		t.grow()
-		b = t.fn.Hash(key) & t.mask
+		b = h & t.mask
 	}
 	e := chainedEntry{key: key, next: t.heads[b]}
 	e.st.add(v)
@@ -259,14 +293,18 @@ func (t *openTable) Scheme() Scheme {
 
 func (t *openTable) Len() int { return t.n }
 
-func (t *openTable) Add(key uint32, v int64) {
+func (t *openTable) Add(key uint32, v int64) { t.addHashed(key, t.fn.Hash(key), v) }
+
+func (t *openTable) AddBatch(keys []uint32, vals []int64) { addBatch(t, t.fn, keys, vals) }
+
+func (t *openTable) addHashed(key uint32, h uint64, v int64) {
 	if t.n*100 >= len(t.keys)*t.maxLoadPct {
 		t.grow()
 	}
 	if t.robin {
-		t.addRobin(key, v)
+		t.addRobin(key, h, v)
 	} else {
-		t.addLinear(key, v)
+		t.addLinear(key, h, v)
 	}
 }
 
@@ -277,8 +315,8 @@ func (t *openTable) AddState(key uint32, st AggState) {
 	t.insertState(key, st)
 }
 
-func (t *openTable) addLinear(key uint32, v int64) {
-	i := t.fn.Hash(key) & t.mask
+func (t *openTable) addLinear(key uint32, h uint64, v int64) {
+	i := h & t.mask
 	for t.used[i] {
 		if t.keys[i] == key {
 			t.states[i].add(v)
@@ -293,8 +331,8 @@ func (t *openTable) addLinear(key uint32, v int64) {
 	t.n++
 }
 
-func (t *openTable) addRobin(key uint32, v int64) {
-	i := t.fn.Hash(key) & t.mask
+func (t *openTable) addRobin(key uint32, h uint64, v int64) {
+	i := h & t.mask
 	var d uint16
 	insKey, insSt := key, AggState{}
 	insSt.add(v)

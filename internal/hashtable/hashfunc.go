@@ -57,17 +57,59 @@ func (f Func) Hash(key uint32) uint64 {
 	case Murmur3Fin:
 		return murmur3fin(uint64(key))
 	case Fibonacci:
-		// 2^64 / golden ratio, rotated so low bits mix.
-		h := uint64(key) * 0x9e3779b97f4a7c15
-		return h ^ (h >> 32)
+		return fibonacci(key)
 	case MultiplyShift:
-		h := uint64(key) * 0xff51afd7ed558ccd
-		return h ^ (h >> 33)
+		return multiplyShift(key)
 	case Identity:
 		return uint64(key)
 	default:
 		panic(fmt.Sprintf("hashtable: unknown hash function %d", uint8(f)))
 	}
+}
+
+// HashBatch writes the hash of keys[i] to dst[i] (len(dst) >= len(keys)).
+// The function is resolved once for the whole batch, so the tables' bulk
+// paths pay the dispatch per block of rows, not per row.
+func (f Func) HashBatch(dst []uint64, keys []uint32) {
+	dst = dst[:len(keys)]
+	switch f {
+	case Murmur3Fin:
+		for i, k := range keys {
+			dst[i] = murmur3fin(uint64(k))
+		}
+	case Fibonacci:
+		for i, k := range keys {
+			dst[i] = fibonacci(k)
+		}
+	case MultiplyShift:
+		for i, k := range keys {
+			dst[i] = multiplyShift(k)
+		}
+	case Identity:
+		for i, k := range keys {
+			dst[i] = uint64(k)
+		}
+	default:
+		panic(fmt.Sprintf("hashtable: unknown hash function %d", uint8(f)))
+	}
+}
+
+// hashBlock is the number of keys the bulk paths hash at a time: large
+// enough to amortise the dispatch, small enough to live on the stack.
+const hashBlock = 256
+
+// fibonacci is multiplicative hashing with 2^64 / golden ratio, folded so
+// the low bits mix.
+func fibonacci(key uint32) uint64 {
+	h := uint64(key) * 0x9e3779b97f4a7c15
+	return h ^ (h >> 32)
+}
+
+// multiplyShift is Dietzfelbinger-style multiply-shift with a fixed odd
+// multiplier, folded so the low bits mix.
+func multiplyShift(key uint32) uint64 {
+	h := uint64(key) * 0xff51afd7ed558ccd
+	return h ^ (h >> 33)
 }
 
 // murmur3fin is the 64-bit finaliser of MurmurHash3 (fmix64).

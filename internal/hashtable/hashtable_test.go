@@ -218,69 +218,6 @@ func TestChainedForEachInsertionOrder(t *testing.T) {
 	}
 }
 
-func TestMultiProbe(t *testing.T) {
-	m := NewMulti(Murmur3Fin, 0)
-	m.Insert(5, 0)
-	m.Insert(7, 1)
-	m.Insert(5, 2)
-	if m.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", m.Len())
-	}
-	var rows []int32
-	m.Probe(5, func(r int32) { rows = append(rows, r) })
-	if len(rows) != 2 {
-		t.Fatalf("probe(5) found %v", rows)
-	}
-	rows = nil
-	m.Probe(6, func(r int32) { rows = append(rows, r) })
-	if len(rows) != 0 {
-		t.Fatalf("probe(6) found %v", rows)
-	}
-}
-
-func TestMultiMatchesReference(t *testing.T) {
-	f := func(keys []uint32) bool {
-		for i := range keys {
-			keys[i] %= 50
-		}
-		m := NewMulti(Fibonacci, 0)
-		ref := map[uint32][]int32{}
-		for i, k := range keys {
-			m.Insert(k, int32(i))
-			ref[k] = append(ref[k], int32(i))
-		}
-		for k, want := range ref {
-			got := map[int32]bool{}
-			m.Probe(k, func(r int32) { got[r] = true })
-			if len(got) != len(want) {
-				return false
-			}
-			for _, r := range want {
-				if !got[r] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMultiGrowth(t *testing.T) {
-	m := NewMulti(MultiplyShift, 2)
-	const n = 10000
-	for i := 0; i < n; i++ {
-		m.Insert(uint32(i%100), int32(i))
-	}
-	count := 0
-	m.Probe(0, func(int32) { count++ })
-	if count != n/100 {
-		t.Fatalf("probe(0) found %d rows, want %d", count, n/100)
-	}
-}
-
 func BenchmarkAggAdd(b *testing.B) {
 	r := xrand.New(2)
 	const n = 1 << 16

@@ -1,0 +1,310 @@
+package hashtable
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"dqo/internal/xrand"
+)
+
+// chainedMulti is the insert-at-a-time chained multimap that Multi replaced,
+// kept as the reference for its emission-order contract: rows with equal keys
+// form an intrusive list headed by the latest insert, the directory doubles
+// whenever the average chain length reaches two, and a probe walks the chain
+// from its head.
+type chainedMulti struct {
+	fn      Func
+	mask    uint64
+	heads   []int32
+	entries []chainedMultiEntry
+}
+
+type chainedMultiEntry struct {
+	key  uint32
+	row  int32
+	next int32
+}
+
+func newChainedMulti(f Func, capacity int) *chainedMulti {
+	nb := nextPow2(capacity)
+	m := &chainedMulti{fn: f, mask: uint64(nb - 1), heads: make([]int32, nb)}
+	for i := range m.heads {
+		m.heads[i] = -1
+	}
+	return m
+}
+
+func (m *chainedMulti) insert(key uint32, row int32) {
+	if len(m.entries) >= len(m.heads)*2 {
+		nb := len(m.heads) * 2
+		m.heads = make([]int32, nb)
+		m.mask = uint64(nb - 1)
+		for i := range m.heads {
+			m.heads[i] = -1
+		}
+		for i := range m.entries {
+			b := m.fn.Hash(m.entries[i].key) & m.mask
+			m.entries[i].next = m.heads[b]
+			m.heads[b] = int32(i)
+		}
+	}
+	b := m.fn.Hash(key) & m.mask
+	m.entries = append(m.entries, chainedMultiEntry{key: key, row: row, next: m.heads[b]})
+	m.heads[b] = int32(len(m.entries) - 1)
+}
+
+func (m *chainedMulti) probe(key uint32) []int32 {
+	var rows []int32
+	b := m.fn.Hash(key) & m.mask
+	for i := m.heads[b]; i >= 0; i = m.entries[i].next {
+		if m.entries[i].key == key {
+			rows = append(rows, m.entries[i].row)
+		}
+	}
+	return rows
+}
+
+// fillRows probes m the way the join kernels do: count, then fill a buffer
+// of exactly that size.
+func fillRows(t *testing.T, m interface {
+	Count(uint32) int
+	Fill(uint32, []int32) int
+}, key uint32) []int32 {
+	t.Helper()
+	n := m.Count(key)
+	if n == 0 {
+		return nil
+	}
+	rows := make([]int32, n)
+	if got := m.Fill(key, rows); got != n {
+		t.Fatalf("Fill(%d) wrote %d rows, Count said %d", key, got, n)
+	}
+	return rows
+}
+
+// checkBatch probes idx with the whole key batch and compares the pairs with
+// the per-key expectation.
+func checkBatch(t *testing.T, idx interface {
+	CountBatch([]uint32) int
+	FillBatch([]uint32, int32, []int32, []int32) int
+}, keys []uint32, first int32, wantBuild, wantProbe []int32) {
+	t.Helper()
+	n := idx.CountBatch(keys)
+	if n != len(wantBuild) {
+		t.Fatalf("CountBatch = %d, want %d", n, len(wantBuild))
+	}
+	build, probe := make([]int32, n), make([]int32, n)
+	if got := idx.FillBatch(keys, first, build, probe); got != n {
+		t.Fatalf("FillBatch wrote %d pairs, CountBatch said %d", got, n)
+	}
+	if n > 0 && (!reflect.DeepEqual(build, wantBuild) || !reflect.DeepEqual(probe, wantProbe)) {
+		t.Fatalf("FillBatch pairs differ from the per-key probes")
+	}
+}
+
+func mustBuildMulti(t *testing.T, f Func, keys []uint32, rows []int32) *Multi {
+	t.Helper()
+	m, err := BuildMulti(f, keys, rows, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+func TestMultiCountFill(t *testing.T) {
+	m := mustBuildMulti(t, Murmur3Fin, []uint32{5, 7, 5}, nil)
+	if m.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", m.Len())
+	}
+	if got := fillRows(t, m, 5); !reflect.DeepEqual(got, []int32{2, 0}) {
+		t.Fatalf("rows of 5 = %v, want [2 0] (reverse build order)", got)
+	}
+	if got := fillRows(t, m, 6); got != nil {
+		t.Fatalf("rows of 6 = %v, want none", got)
+	}
+	// Explicit row ids replace the build positions.
+	m = mustBuildMulti(t, Murmur3Fin, []uint32{5, 7, 5}, []int32{40, 41, 42})
+	if got := fillRows(t, m, 5); !reflect.DeepEqual(got, []int32{42, 40}) {
+		t.Fatalf("rows of 5 = %v, want [42 40]", got)
+	}
+}
+
+// TestMultiMatchesChainedReference pins the emission-order contract: for
+// every probed key the build-once table yields exactly the row sequence the
+// chained table yielded — across all hash functions, duplicate factors, an
+// Identity hash on a regular sparse stride (every key in one bucket chain
+// neighbourhood), and the empty build and empty probe sides.
+func TestMultiMatchesChainedReference(t *testing.T) {
+	r := xrand.New(11)
+	type input struct {
+		name   string
+		build  []uint32
+		probes []uint32
+	}
+	var inputs []input
+	for _, dup := range []int{1, 4, 64} {
+		const n = 6000
+		build := make([]uint32, n)
+		for i := range build {
+			build[i] = r.Uint32n(uint32(n/dup)) * 3
+		}
+		probes := make([]uint32, 2000)
+		for i := range probes {
+			probes[i] = r.Uint32n(uint32(n/dup)*3 + 10) // hits, misses inside the domain, misses above it
+		}
+		inputs = append(inputs, input{fmt.Sprintf("dup%d", dup), build, probes})
+	}
+	stride := make([]uint32, 3000)
+	for i := range stride {
+		stride[i] = uint32(i%1000) * 4096 // low bits all zero: Identity's worst case
+	}
+	inputs = append(inputs,
+		input{"stride", stride, append([]uint32{1, 4095, 4097}, stride[:1200]...)},
+		input{"empty-build", nil, []uint32{0, 1, 2}},
+		input{"empty-probe", []uint32{1, 2, 3}, nil},
+	)
+	for _, f := range Funcs() {
+		for _, in := range inputs {
+			t.Run(f.String()+"/"+in.name, func(t *testing.T) {
+				m := mustBuildMulti(t, f, in.build, nil)
+				ref := newChainedMulti(f, len(in.build))
+				grown := newChainedMulti(f, 0) // the reference's order must not depend on its growth history
+				for i, k := range in.build {
+					ref.insert(k, int32(i))
+					grown.insert(k, int32(i))
+				}
+				if m.Len() != len(in.build) {
+					t.Fatalf("Len = %d, want %d", m.Len(), len(in.build))
+				}
+				if m.MemBytes() != MultiBytes(len(in.build)) {
+					t.Fatalf("MemBytes = %d, MultiBytes = %d", m.MemBytes(), MultiBytes(len(in.build)))
+				}
+				if n := len(in.build); n > 0 && m.MemBytes() > int64(nextPow2(n))*4+int64(n)*12 {
+					t.Fatalf("footprint %d exceeds the chained table's %d", m.MemBytes(), nextPow2(n)*4+n*12)
+				}
+				var wantBuild, wantProbe []int32
+				for j, k := range in.probes {
+					want := ref.probe(k)
+					if g := grown.probe(k); !reflect.DeepEqual(g, want) {
+						t.Fatalf("reference disagrees with itself on key %d: %v vs %v", k, g, want)
+					}
+					if got := fillRows(t, m, k); !reflect.DeepEqual(got, want) {
+						t.Fatalf("key %d: rows %v, chained reference %v", k, got, want)
+					}
+					for _, row := range want {
+						wantBuild, wantProbe = append(wantBuild, row), append(wantProbe, 7+int32(j))
+					}
+				}
+				checkBatch(t, m, in.probes, 7, wantBuild, wantProbe)
+			})
+		}
+	}
+}
+
+func TestBuildMultiStops(t *testing.T) {
+	keys := make([]uint32, 5*buildPoll)
+	stopErr := errors.New("stop")
+	for _, failAt := range []int{1, 4, 8} { // first pass, second pass
+		polls := 0
+		_, err := BuildMulti(Fibonacci, keys, nil, func() error {
+			polls++
+			if polls == failAt {
+				return stopErr
+			}
+			return nil
+		})
+		if !errors.Is(err, stopErr) {
+			t.Fatalf("failAt %d: err = %v after %d polls, want stop", failAt, err, polls)
+		}
+	}
+}
+
+func TestSPHMatchesMulti(t *testing.T) {
+	r := xrand.New(5)
+	const lo, width = 100, 500
+	keys := make([]uint32, 4000)
+	for i := range keys {
+		keys[i] = lo + r.Uint32n(width)
+	}
+	d, err := BuildSPH(keys, lo, width, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := mustBuildMulti(t, Murmur3Fin, keys, nil)
+	var probes []uint32
+	var wantBuild, wantProbe []int32
+	for k := uint32(0); k < lo+width+50; k++ {
+		want := fillRows(t, m, k)
+		if got := fillRows(t, d, k); !reflect.DeepEqual(got, want) {
+			t.Fatalf("key %d: SPH rows %v, Multi rows %v", k, got, want)
+		}
+		probes = append(probes, k)
+		for _, row := range want {
+			wantBuild, wantProbe = append(wantBuild, row), append(wantProbe, int32(k))
+		}
+	}
+	checkBatch(t, d, probes, 0, wantBuild, wantProbe)
+	if d.MemBytes() != SPHBytes(width, len(keys)) {
+		t.Fatalf("MemBytes = %d, SPHBytes = %d", d.MemBytes(), SPHBytes(width, len(keys)))
+	}
+	for _, bad := range []uint32{lo - 1, lo + width} {
+		if _, err := BuildSPH([]uint32{lo, bad}, lo, width, nil); err == nil {
+			t.Fatalf("build key %d outside [%d,%d) accepted", bad, lo, lo+width)
+		}
+	}
+}
+
+// TestAddBatchMatchesAdd checks the tables' bulk path against the per-row
+// one, state for state and in iteration order, with and without values and
+// across block boundaries and growth.
+func TestAddBatchMatchesAdd(t *testing.T) {
+	r := xrand.New(3)
+	keys := make([]uint32, 3*hashBlock+17)
+	vals := make([]int64, len(keys))
+	for i := range keys {
+		keys[i] = r.Uint32n(300)
+		vals[i] = int64(r.Uint32n(1000)) - 500
+	}
+	type entry struct {
+		key uint32
+		st  AggState
+	}
+	dump := func(tab AggTable) []entry {
+		var out []entry
+		tab.ForEach(func(k uint32, st AggState) { out = append(out, entry{k, st}) })
+		return out
+	}
+	for _, s := range Schemes() {
+		for _, f := range Funcs() {
+			for _, v := range [][]int64{vals, nil} {
+				one, bulk := NewAgg(s, f, 0), NewAgg(s, f, 0)
+				for i, k := range keys {
+					if v == nil {
+						one.Add(k, 0)
+					} else {
+						one.Add(k, v[i])
+					}
+				}
+				bulk.AddBatch(keys, v)
+				if !reflect.DeepEqual(dump(one), dump(bulk)) {
+					t.Fatalf("%s/%s (vals=%v): AddBatch diverges from Add", s, f, v != nil)
+				}
+			}
+		}
+	}
+}
+
+func TestHashBatchMatchesHash(t *testing.T) {
+	keys := []uint32{0, 1, 2, 77, 1 << 20, ^uint32(0)}
+	dst := make([]uint64, len(keys))
+	for _, f := range Funcs() {
+		f.HashBatch(dst, keys)
+		for i, k := range keys {
+			if dst[i] != f.Hash(k) {
+				t.Fatalf("%s: HashBatch(%d) = %#x, Hash = %#x", f, k, dst[i], f.Hash(k))
+			}
+		}
+	}
+}

@@ -135,9 +135,18 @@ func valAt(vals []int64, i int) int64 {
 	return vals[i]
 }
 
-// groupHash is HG: one hash table insert per input element. The table's
-// footprint is charged against the budget as it grows; cancellation and
-// budget violations abort mid-build.
+// valsWindow is vals[lo:hi], or nil for COUNT-only aggregation (nil vals).
+func valsWindow(vals []int64, lo, hi int) []int64 {
+	if vals == nil {
+		return nil
+	}
+	return vals[lo:hi]
+}
+
+// groupHash is HG: one hash table insert per input element, with the table
+// scheme and hash function resolved once per block of rows (AddBatch). The
+// table's footprint is charged against the budget as it grows; cancellation
+// and budget violations abort mid-build.
 func groupHash(keys []uint32, vals []int64, dom props.Domain, opt GroupOptions) (*GroupResult, error) {
 	hint := 0
 	if dom.Known {
@@ -149,18 +158,7 @@ func groupHash(keys []uint32, vals []int64, dom props.Domain, opt GroupOptions) 
 	if err := rv.charge(tab.MemBytes()); err != nil {
 		return nil, err
 	}
-	for i, k := range keys {
-		if i%checkEvery == 0 {
-			if err := opt.Ctl.Err(); err != nil {
-				return nil, err
-			}
-			if err := rv.charge(tab.MemBytes()); err != nil {
-				return nil, err
-			}
-		}
-		tab.Add(k, valAt(vals, i))
-	}
-	if err := rv.charge(tab.MemBytes()); err != nil {
+	if err := loadAgg(tab, keys, vals, &rv); err != nil {
 		return nil, err
 	}
 	res := &GroupResult{
@@ -175,6 +173,23 @@ func groupHash(keys []uint32, vals []int64, dom props.Domain, opt GroupOptions) 
 	// paper, a consumer must assume it is unordered.
 	res.Sorted = sortx.IsSortedUint32(res.Keys)
 	return res, nil
+}
+
+// loadAgg folds keys/vals (nil vals: COUNT-only) into tab one checkEvery
+// block at a time, polling cancellation and charging the table's growth to
+// rv between blocks and once more at the end.
+func loadAgg(tab hashtable.AggTable, keys []uint32, vals []int64, rv *resv) error {
+	for lo := 0; lo < len(keys); lo += checkEvery {
+		if err := rv.ctl.Err(); err != nil {
+			return err
+		}
+		if err := rv.charge(tab.MemBytes()); err != nil {
+			return err
+		}
+		hi := min(lo+checkEvery, len(keys))
+		tab.AddBatch(keys[lo:hi], valsWindow(vals, lo, hi))
+	}
+	return rv.charge(tab.MemBytes())
 }
 
 // groupSPH is SPHG: the key (offset by the domain minimum) indexes an array

@@ -2,6 +2,7 @@ package physical
 
 import (
 	"fmt"
+	"sync"
 
 	"dqo/internal/govern"
 	"dqo/internal/hashtable"
@@ -17,8 +18,8 @@ type JoinKind uint8
 
 // Join algorithm kinds.
 const (
-	// HJ: hash join. Build a chained hash multimap on the left, probe with
-	// the right.
+	// HJ: hash join. Build a hash multimap on the left, probe with the
+	// right.
 	HJ JoinKind = iota
 	// SPHJ: static perfect hash join. The left keys index a dense array
 	// directly; requires a known dense left key domain.
@@ -128,53 +129,149 @@ func Join(kind JoinKind, left, right []uint32, leftDom props.Domain, opt JoinOpt
 	}
 }
 
-// joinHash is HJ: chained multimap build on left, probe with right. The
-// build table and the growing pair lists are charged against the budget.
-func joinHash(left, right []uint32, opt JoinOptions) (*JoinResult, error) {
-	rv := resv{ctl: opt.Ctl}
-	defer rv.release()
-	m := hashtable.NewMulti(opt.Hash, len(left))
-	if err := rv.charge(m.MemBytes()); err != nil {
+// RowIndex is the built side of a probe-major join (HJ's multimap, SPHJ's
+// directory, a prebuilt AV index; BSJ's and parallel HJ's through perKey),
+// probed a batch of keys at a time. CountBatch returns the total number of build rows holding
+// keys[0], keys[1], …; FillBatch writes the pairs — per key, in order, its
+// build rows in the index's emission order to build and the probe row
+// first+i to probe — from index 0 of slices that have room for
+// CountBatch(keys), and returns how many it wrote.
+type RowIndex interface {
+	CountBatch(keys []uint32) int
+	FillBatch(keys []uint32, first int32, build, probe []int32) int
+}
+
+// perKey makes a RowIndex of a build side that answers one key at a time
+// (BSJ's sorted directory, parallel HJ's partitioned tables): Count says how
+// many build rows hold the key, Fill writes them to the front of dst.
+type perKey struct {
+	idx interface {
+		Count(key uint32) int
+		Fill(key uint32, dst []int32) int
+	}
+}
+
+func (p perKey) CountBatch(keys []uint32) int {
+	n := 0
+	for _, k := range keys {
+		n += p.idx.Count(k)
+	}
+	return n
+}
+
+func (p perKey) FillBatch(keys []uint32, first int32, build, probe []int32) int {
+	n := 0
+	for i, k := range keys {
+		c := p.idx.Fill(k, build[n:])
+		for j := n; j < n+c; j++ {
+			probe[j] = first + int32(i)
+		}
+		n += c
+	}
+	return n
+}
+
+// probePairs probes idx with every key of probe and returns the matching
+// pairs probe-major: probe rows ascending, and per probe row the build rows
+// in idx's emission order. It touches the probe side twice and allocates
+// once: a first pass counts the matches, the pair arrays are then reserved
+// (through rv) and allocated at their exact size, and a second pass fills
+// them. With workers > 1 both passes run over contiguous probe chunks that
+// write disjoint windows of the same arrays, so the result is identical at
+// any worker count. Cancellation is polled every checkEvery rows of both
+// passes.
+func probePairs(idx RowIndex, probe []uint32, workers int, rv *resv) (*JoinResult, error) {
+	if len(probe) < minParallelChunk || workers < 1 {
+		workers = 1
+	}
+	chunk := max((len(probe)+workers-1)/workers, 1)
+	nChunks := max((len(probe)+chunk-1)/chunk, 1) // an empty probe side is one empty chunk
+	offs := make([]int, nChunks+1)
+	err := forChunks(len(probe), chunk, func(c, lo, hi int) error {
+		for ; lo < hi; lo += checkEvery {
+			if err := rv.ctl.Err(); err != nil {
+				return err
+			}
+			offs[c+1] += idx.CountBatch(probe[lo:min(lo+checkEvery, hi)])
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	for i, k := range left {
-		if i%checkEvery == 0 {
-			if err := opt.Ctl.Err(); err != nil {
-				return nil, err
-			}
-			if err := rv.charge(m.MemBytes()); err != nil {
-				return nil, err
-			}
-		}
-		m.Insert(k, int32(i))
+	for c := 0; c < nChunks; c++ {
+		offs[c+1] += offs[c]
 	}
-	if err := rv.charge(m.MemBytes()); err != nil {
+	total := offs[nChunks]
+	if err := rv.add(int64(total) * 8); err != nil {
 		return nil, err
 	}
-	build := rv.held
-	res := &JoinResult{}
-	for j, k := range right {
-		if j%checkEvery == 0 {
-			if err := opt.Ctl.Err(); err != nil {
-				return nil, err
+	res := &JoinResult{LeftIdx: make([]int32, total), RightIdx: make([]int32, total)}
+	err = forChunks(len(probe), chunk, func(c, lo, hi int) error {
+		for o := offs[c]; lo < hi; lo += checkEvery {
+			if err := rv.ctl.Err(); err != nil {
+				return err
 			}
-			if err := rv.charge(build + int64(cap(res.LeftIdx)+cap(res.RightIdx))*4); err != nil {
-				return nil, err
-			}
+			o += idx.FillBatch(probe[lo:min(lo+checkEvery, hi)], int32(lo), res.LeftIdx[o:], res.RightIdx[o:])
 		}
-		m.Probe(k, func(li int32) {
-			res.LeftIdx = append(res.LeftIdx, li)
-			res.RightIdx = append(res.RightIdx, int32(j))
-		})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
-// joinSPH is SPHJ: left keys index a dense array of chain heads, so a probe
-// is a single array access. Duplicate left keys are chained through next.
-// The build is always serial (chain insertion order is the output contract);
-// with opt.Parallel > 1 the probe runs over contiguous right chunks whose
-// pair lists concatenate in chunk order — the serial emission order exactly.
+// forChunks runs fn over the contiguous chunks [c*chunk, (c+1)*chunk) of
+// [0, n): inline when there is at most one, otherwise one goroutine per
+// chunk, with a panic in any of them re-surfacing as the returned error. The
+// lowest-numbered chunk's error wins.
+func forChunks(n, chunk int, fn func(c, lo, hi int) error) error {
+	if n <= chunk {
+		return fn(0, 0, n)
+	}
+	nChunks := (n + chunk - 1) / chunk
+	errs := make([]error, nChunks)
+	var box govern.PanicBox
+	var wg sync.WaitGroup
+	for c := 0; c < nChunks; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			defer box.Guard()
+			errs[c] = fn(c, c*chunk, min((c+1)*chunk, n))
+		}(c)
+	}
+	wg.Wait()
+	if err := box.Err(); err != nil {
+		return err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// joinHash is HJ: build-once multimap on left, probe with right. The table
+// is reserved before it is built and the pair arrays before they are filled.
+func joinHash(left, right []uint32, opt JoinOptions) (*JoinResult, error) {
+	rv := resv{ctl: opt.Ctl}
+	defer rv.release()
+	if err := rv.add(hashtable.MultiBytes(len(left))); err != nil {
+		return nil, err
+	}
+	m, err := hashtable.BuildMulti(opt.Hash, left, nil, opt.Ctl.Err)
+	if err != nil {
+		return nil, err
+	}
+	return probePairs(m, right, 1, &rv)
+}
+
+// joinSPH is SPHJ: left keys, offset by the domain minimum, index a dense
+// directory directly, so a probe is a single array access. The build is
+// serial; with opt.Parallel > 1 the probe runs over contiguous right chunks.
 func joinSPH(left, right []uint32, leftDom props.Domain, opt JoinOptions) (*JoinResult, error) {
 	lo64, hi64, ok := leftDom.DenseDomain()
 	if !ok {
@@ -184,54 +281,16 @@ func joinSPH(left, right []uint32, leftDom props.Domain, opt JoinOptions) (*Join
 	if width > maxSPHWidth {
 		return nil, fmt.Errorf("physical: SPHJ domain width %d exceeds limit %d", width, maxSPHWidth)
 	}
-	lo := uint32(lo64)
-	hi := uint32(hi64)
 	rv := resv{ctl: opt.Ctl}
 	defer rv.release()
-	// Directory (heads) plus chain links (next): 4 bytes per slot and row.
-	if err := rv.add(int64(width)*4 + int64(len(left))*4); err != nil {
+	if err := rv.add(hashtable.SPHBytes(int(width), len(left))); err != nil {
 		return nil, err
 	}
-	heads := make([]int32, width)
-	for i := range heads {
-		heads[i] = -1
+	d, err := hashtable.BuildSPH(left, uint32(lo64), int(width), opt.Ctl.Err)
+	if err != nil {
+		return nil, err
 	}
-	next := make([]int32, len(left))
-	for i, k := range left {
-		if i%checkEvery == 0 {
-			if err := opt.Ctl.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if k < lo || k > hi {
-			return nil, fmt.Errorf("physical: SPHJ left key %d outside declared domain [%d,%d]", k, lo, hi)
-		}
-		next[i] = heads[k-lo]
-		heads[k-lo] = int32(i)
-	}
-	if opt.Parallel > 1 && len(right) >= minParallelChunk {
-		return sphProbeParallel(heads, next, lo, hi, right, opt.Parallel, opt.Ctl)
-	}
-	build := rv.held
-	res := &JoinResult{}
-	for j, k := range right {
-		if j%checkEvery == 0 {
-			if err := opt.Ctl.Err(); err != nil {
-				return nil, err
-			}
-			if err := rv.charge(build + int64(cap(res.LeftIdx)+cap(res.RightIdx))*4); err != nil {
-				return nil, err
-			}
-		}
-		if k < lo || k > hi {
-			continue // no partner possible
-		}
-		for li := heads[k-lo]; li >= 0; li = next[li] {
-			res.LeftIdx = append(res.LeftIdx, li)
-			res.RightIdx = append(res.RightIdx, int32(j))
-		}
-	}
-	return res, nil
+	return probePairs(d, right, opt.Parallel, &rv)
 }
 
 // joinMerge is OJ: classic sort-merge join over two sorted inputs, with full
@@ -379,32 +438,42 @@ func joinBinarySearch(left, right []uint32, opt JoinOptions) (*JoinResult, error
 	if err := opt.Ctl.Err(); err != nil {
 		return nil, err
 	}
-	perm := sortx.ArgSortUint32(opt.Sort, left)
-	sorted := make([]uint32, len(left))
-	for i, p := range perm {
-		sorted[i] = left[p]
+	d := sortedDir{perm: sortx.ArgSortUint32(opt.Sort, left), keys: make([]uint32, len(left))}
+	for i, p := range d.perm {
+		d.keys[i] = left[p]
 	}
-	base := rv.held
-	res := &JoinResult{}
-	for j, k := range right {
-		if j%checkEvery == 0 {
-			if err := opt.Ctl.Err(); err != nil {
-				return nil, err
-			}
-			if err := rv.charge(base + int64(cap(res.LeftIdx)+cap(res.RightIdx))*4); err != nil {
-				return nil, err
-			}
-		}
-		pos, found := searchUint32(sorted, k)
-		if !found {
-			continue
-		}
-		for a := pos; a < len(sorted) && sorted[a] == k; a++ {
-			res.LeftIdx = append(res.LeftIdx, perm[a])
-			res.RightIdx = append(res.RightIdx, int32(j))
-		}
+	return probePairs(perKey{d}, right, 1, &rv)
+}
+
+// sortedDir is BSJ's build side: the left keys in ascending order and the
+// (stable) permutation that sorts them. A key's rows are the run of equal
+// keys, emitted in ascending original row order.
+type sortedDir struct {
+	keys []uint32
+	perm []int32
+}
+
+// run returns the window of keys equal to key.
+func (d sortedDir) run(key uint32) (lo, hi int) {
+	lo, found := searchUint32(d.keys, key)
+	if !found {
+		return lo, lo
 	}
-	return res, nil
+	hi = lo + 1
+	for hi < len(d.keys) && d.keys[hi] == key {
+		hi++
+	}
+	return lo, hi
+}
+
+func (d sortedDir) Count(key uint32) int {
+	lo, hi := d.run(key)
+	return hi - lo
+}
+
+func (d sortedDir) Fill(key uint32, dst []int32) int {
+	lo, hi := d.run(key)
+	return copy(dst, d.perm[lo:hi])
 }
 
 // OutputProps returns the property set of the join output given both input

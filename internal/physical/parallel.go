@@ -64,22 +64,7 @@ func groupHashParallel(keys []uint32, vals []int64, dom props.Domain, opt GroupO
 			defer box.Guard()
 			rv := resv{ctl: opt.Ctl}
 			tab := hashtable.NewAgg(opt.Scheme, opt.Hash, 0)
-			for i := lo; i < hi; i++ {
-				if (i-lo)%checkEvery == 0 {
-					if err := opt.Ctl.Err(); err != nil {
-						errs[c] = err
-						rv.release()
-						return
-					}
-					if err := rv.charge(tab.MemBytes()); err != nil {
-						errs[c] = err
-						rv.release()
-						return
-					}
-				}
-				tab.Add(keys[i], valAt(vals, i))
-			}
-			if err := rv.charge(tab.MemBytes()); err != nil {
+			if err := loadAgg(tab, keys[lo:hi], valsWindow(vals, lo, hi), &rv); err != nil {
 				errs[c] = err
 				rv.release()
 				return
@@ -168,12 +153,13 @@ func joinPartition(key uint32, bits uint) int {
 // histograms plus prefix sums give every input chunk a disjoint write window
 // per partition, so within each partition, rows keep their original relative
 // order. All rows with a given key land in one partition; the partition's
-// Multi is built in ascending partition-local (= original) order, so Probe
-// visits matches in descending original row order — the same order the
-// serial table yields. The probe side is split into contiguous chunks whose
-// pair lists are concatenated in chunk order, keeping j ascending globally.
-// Pairs therefore appear in (j ascending, i descending per key) order — the
-// serial order — and the output is independent of the partition count.
+// Multi is built in ascending partition-local (= original) order, so Fill
+// yields matches in descending original row order — the same order the
+// serial table yields. The probe side is split into contiguous chunks that
+// fill disjoint windows of the pair arrays in chunk order, keeping j
+// ascending globally. Pairs therefore appear in (j ascending, i descending
+// per key) order — the serial order — and the output is independent of the
+// partition count.
 func joinHashParallel(left, right []uint32, opt JoinOptions) (*JoinResult, error) {
 	workers := opt.Parallel
 	if workers <= 1 || len(left) < minParallelChunk || len(right) < minParallelChunk {
@@ -270,226 +256,48 @@ func joinHashParallel(left, right []uint32, opt JoinOptions) (*JoinResult, error
 		return nil, err
 	}
 
-	// Build one Multi per partition; worker w strides partitions w, w+W, …
-	// Each worker charges the tables it builds; reservations stay until the
-	// probe is done (kept in rv via buildHeld below).
+	// Build one Multi per partition over the partition's keys and original
+	// row ids; worker w strides partitions w, w+W, … The tables are reserved
+	// together before any is built and stay reserved until the probe is done.
 	if err := faultinject.Fire(faultinject.PointPhysicalBuild); err != nil {
 		return nil, err
 	}
-	tables := make([]*hashtable.Multi, nPart)
-	buildHeld := make([]int64, workers)
-	buildErrs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer box.Guard()
-			brv := resv{ctl: opt.Ctl}
-			for p := w; p < nPart; p += workers {
-				if err := opt.Ctl.Err(); err != nil {
-					buildErrs[w] = err
-					brv.release()
-					return
-				}
-				seg := partKeys[partStart[p]:partStart[p+1]]
-				m := hashtable.NewMulti(opt.Hash, len(seg))
-				if err := brv.add(m.MemBytes()); err != nil {
-					buildErrs[w] = err
-					brv.release()
-					return
-				}
-				for l, k := range seg {
-					m.Insert(k, int32(l))
-				}
-				tables[p] = m
-			}
-			buildHeld[w] = brv.held
-		}(w)
+	var tableBytes int64
+	for p := 0; p < nPart; p++ {
+		tableBytes += hashtable.MultiBytes(int(partStart[p+1] - partStart[p]))
 	}
-	wg.Wait()
-	for _, h := range buildHeld {
-		rv.held += h // adopt worker reservations so the deferred release sees them
-	}
-	if err := box.Err(); err != nil {
+	if err := rv.add(tableBytes); err != nil {
 		return nil, err
 	}
-	for _, err := range buildErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Probe in contiguous right chunks; concatenate pair lists in chunk order.
-	type pairChunk struct {
-		li, ri []int32
-	}
-	pn := len(right)
-	pChunk := (pn + workers - 1) / workers
-	pChunks := (pn + pChunk - 1) / pChunk
-	out := make([]pairChunk, pChunks)
-	probeHeld := make([]int64, pChunks)
-	probeErrs := make([]error, pChunks)
-	for c := 0; c < pChunks; c++ {
-		lo := c * pChunk
-		hi := lo + pChunk
-		if hi > pn {
-			hi = pn
-		}
-		wg.Add(1)
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			defer box.Guard()
-			prv := resv{ctl: opt.Ctl}
-			var pc pairChunk
-			for j := lo; j < hi; j++ {
-				if (j-lo)%checkEvery == 0 {
-					if err := opt.Ctl.Err(); err != nil {
-						probeErrs[c] = err
-						prv.release()
-						return
-					}
-					if err := prv.charge(int64(cap(pc.li)+cap(pc.ri)) * 4); err != nil {
-						probeErrs[c] = err
-						prv.release()
-						return
-					}
-				}
-				k := right[j]
-				p := joinPartition(k, bits)
-				base := partStart[p]
-				tables[p].Probe(k, func(l int32) {
-					pc.li = append(pc.li, partIdx[base+l])
-					pc.ri = append(pc.ri, int32(j))
-				})
+	idx := partitionedMulti{bits: bits, tables: make([]*hashtable.Multi, nPart)}
+	err := forChunks(workers, 1, func(w, _, _ int) error {
+		for p := w; p < nPart; p += workers {
+			lo, hi := partStart[p], partStart[p+1]
+			m, err := hashtable.BuildMulti(opt.Hash, partKeys[lo:hi], partIdx[lo:hi], opt.Ctl.Err)
+			if err != nil {
+				return err
 			}
-			if err := prv.charge(int64(cap(pc.li)+cap(pc.ri)) * 4); err != nil {
-				probeErrs[c] = err
-				prv.release()
-				return
-			}
-			out[c] = pc
-			probeHeld[c] = prv.held
-		}(c, lo, hi)
-	}
-	wg.Wait()
-	for _, h := range probeHeld {
-		rv.held += h
-	}
-	if err := box.Err(); err != nil {
+			idx.tables[p] = m
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	for _, err := range probeErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	total := 0
-	for _, pc := range out {
-		total += len(pc.li)
-	}
-	if err := rv.add(int64(total) * 8); err != nil {
-		return nil, err
-	}
-	res := &JoinResult{
-		LeftIdx:  make([]int32, 0, total),
-		RightIdx: make([]int32, 0, total),
-	}
-	for _, pc := range out {
-		res.LeftIdx = append(res.LeftIdx, pc.li...)
-		res.RightIdx = append(res.RightIdx, pc.ri...)
-	}
-	return res, nil
+	return probePairs(perKey{idx}, right, workers, &rv)
 }
 
-// sphProbeParallel probes the SPHJ dense directory in contiguous right
-// chunks, concatenating pair lists in chunk order. The build stays serial
-// (chain insertion order is the output contract); probing a read-only
-// directory in ascending-j chunks and concatenating in chunk order yields
-// exactly the serial probe's emission order.
-func sphProbeParallel(heads, next []int32, lo, hi uint32, right []uint32, workers int, ctl *govern.Ctl) (*JoinResult, error) {
-	type pairChunk struct {
-		li, ri []int32
-	}
-	n := len(right)
-	chunk := (n + workers - 1) / workers
-	nChunks := (n + chunk - 1) / chunk
-	out := make([]pairChunk, nChunks)
-	held := make([]int64, nChunks)
-	errs := make([]error, nChunks)
-	var box govern.PanicBox
-	var wg sync.WaitGroup
-	for c := 0; c < nChunks; c++ {
-		b := c * chunk
-		e := b + chunk
-		if e > n {
-			e = n
-		}
-		wg.Add(1)
-		go func(c, b, e int) {
-			defer wg.Done()
-			defer box.Guard()
-			prv := resv{ctl: ctl}
-			var pc pairChunk
-			for j := b; j < e; j++ {
-				if (j-b)%checkEvery == 0 {
-					if err := ctl.Err(); err != nil {
-						errs[c] = err
-						prv.release()
-						return
-					}
-					if err := prv.charge(int64(cap(pc.li)+cap(pc.ri)) * 4); err != nil {
-						errs[c] = err
-						prv.release()
-						return
-					}
-				}
-				k := right[j]
-				if k < lo || k > hi {
-					continue
-				}
-				for li := heads[k-lo]; li >= 0; li = next[li] {
-					pc.li = append(pc.li, li)
-					pc.ri = append(pc.ri, int32(j))
-				}
-			}
-			if err := prv.charge(int64(cap(pc.li)+cap(pc.ri)) * 4); err != nil {
-				errs[c] = err
-				prv.release()
-				return
-			}
-			out[c] = pc
-			held[c] = prv.held
-		}(c, b, e)
-	}
-	wg.Wait()
-	rv := resv{ctl: ctl}
-	defer rv.release()
-	for _, h := range held {
-		rv.held += h
-	}
-	if err := box.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	total := 0
-	for _, pc := range out {
-		total += len(pc.li)
-	}
-	if err := rv.add(int64(total) * 8); err != nil {
-		return nil, err
-	}
-	res := &JoinResult{
-		LeftIdx:  make([]int32, 0, total),
-		RightIdx: make([]int32, 0, total),
-	}
-	for _, pc := range out {
-		res.LeftIdx = append(res.LeftIdx, pc.li...)
-		res.RightIdx = append(res.RightIdx, pc.ri...)
-	}
-	return res, nil
+// partitionedMulti is the parallel HJ's build side: one Multi per radix
+// partition, each holding its rows' original ids.
+type partitionedMulti struct {
+	bits   uint
+	tables []*hashtable.Multi
+}
+
+func (p partitionedMulti) Count(key uint32) int {
+	return p.tables[joinPartition(key, p.bits)].Count(key)
+}
+
+func (p partitionedMulti) Fill(key uint32, dst []int32) int {
+	return p.tables[joinPartition(key, p.bits)].Fill(key, dst)
 }

@@ -2,6 +2,7 @@ package physical
 
 import (
 	"fmt"
+	"slices"
 
 	"dqo/internal/expr"
 	"dqo/internal/govern"
@@ -22,9 +23,11 @@ import (
 //     yields exactly the whole-relation result, so the executor runs them
 //     per morsel. TestRelopsMorselDecomposable pins this contract.
 //   - SortRel, GroupByRel*, and JoinRel* are pipeline breakers — their
-//     results depend on the whole input — so the executor materialises
-//     their inputs and invokes them once, behind the same operator
-//     interface.
+//     results depend on the whole input — so the executor drains their
+//     inputs and invokes them once, behind the same operator interface.
+//     What a breaker receives is a possibly aliasing view, not a private
+//     copy: a drained scan is a re-slice of the scanned table itself
+//     (storage.Concat), so these kernels never write their inputs.
 
 // keyColumn extracts a uint32 key view of a column usable for grouping and
 // joining (uint32 values or dictionary codes).
@@ -147,9 +150,8 @@ func GroupByRelDom(rel *storage.Relation, keyCol string, aggs []expr.AggSpec, ki
 	if err != nil {
 		return nil, err
 	}
-	// One kernel run per distinct aggregate argument column. All kernels
-	// order groups deterministically as a function of the key sequence, so
-	// per-run results align group-by-group.
+	// All kernels order groups deterministically as a function of the key
+	// sequence, so the per-argument runs align group-by-group.
 	return groupAndAssemble(rel, keyCol, aggs, func(vals []int64) (*GroupResult, error) {
 		return Group(kind, keys, vals, dom, opt)
 	})
@@ -176,65 +178,57 @@ func GroupByRelBundle(rel *storage.Relation, keyCol string, aggs []expr.AggSpec,
 	})
 }
 
-// groupAndAssemble runs the provided grouping kernel once per distinct
-// aggregate argument column and assembles the output relation.
+// groupAndAssemble runs the grouping kernel once per distinct aggregate
+// argument column, in the order the columns first appear in aggs, and
+// assembles the output relation. Every AggState carries Count, Sum, Min and
+// Max, so all aggregates over one column share its run and COUNT(*) reads
+// Count from the first run; only when no aggregate names a column does the
+// kernel run COUNT-only (vals == nil). The first run supplies the output key
+// column and its sortedness.
 func groupAndAssemble(rel *storage.Relation, keyCol string, aggs []expr.AggSpec, run func(vals []int64) (*GroupResult, error)) (*storage.Relation, error) {
 	for _, a := range aggs {
 		if err := a.Validate(); err != nil {
 			return nil, err
 		}
 	}
-	runs := map[string]*GroupResult{}
-	order := make([]string, 0, 2)
-	argFor := func(a expr.AggSpec) string { return a.Col }
-	needed := map[string]bool{}
+	type argRun struct {
+		col string
+		res *GroupResult
+	}
+	var runs []argRun
+	runOf := func(col string) *GroupResult {
+		for _, r := range runs {
+			if r.col == col {
+				return r.res
+			}
+		}
+		return nil
+	}
 	for _, a := range aggs {
-		needed[argFor(a)] = true
-	}
-	if len(needed) == 0 {
-		needed[""] = true
-	}
-	for col := range needed {
-		order = append(order, col)
-	}
-	var first *GroupResult
-	for _, col := range order {
-		var vals []int64
-		if col != "" {
-			c, ok := rel.Column(col)
-			if !ok {
-				return nil, fmt.Errorf("physical: aggregate argument column %q not found", col)
-			}
-			switch c.Kind() {
-			case storage.KindInt64:
-				vals = c.Int64s()
-			case storage.KindUint32:
-				u := c.Uint32s()
-				vals = make([]int64, len(u))
-				for i, v := range u {
-					vals[i] = int64(v)
-				}
-			case storage.KindUint64:
-				u := c.Uint64s()
-				vals = make([]int64, len(u))
-				for i, v := range u {
-					vals[i] = int64(v)
-				}
-			default:
-				return nil, fmt.Errorf("physical: cannot aggregate %s column %q", c.Kind(), col)
-			}
+		if a.Col == "" || runOf(a.Col) != nil {
+			continue
+		}
+		vals, err := aggArgument(rel, a.Col)
+		if err != nil {
+			return nil, err
 		}
 		res, err := run(vals)
 		if err != nil {
 			return nil, err
 		}
-		if first == nil {
-			first = res
-		} else if len(res.Keys) != len(first.Keys) {
+		if len(runs) > 0 && len(res.Keys) != len(runs[0].res.Keys) {
 			return nil, fmt.Errorf("physical: internal error: kernel runs disagree on group count")
 		}
-		runs[col] = res
+		runs = append(runs, argRun{a.Col, res})
 	}
+	if len(runs) == 0 {
+		res, err := run(nil)
+		if err != nil {
+			return nil, err
+		}
+		runs = append(runs, argRun{"", res})
+	}
+	first := runs[0].res
 
 	// Assemble the output relation.
 	keySrc, _ := rel.Column(keyCol)
@@ -269,7 +263,10 @@ func groupAndAssemble(rel *storage.Relation, keyCol string, aggs []expr.AggSpec,
 	outCols = append(outCols, keyOut)
 
 	for _, a := range aggs {
-		res := runs[argFor(a)]
+		res := first
+		if a.Col != "" {
+			res = runOf(a.Col)
+		}
 		if a.Integral() {
 			vals := make([]int64, g)
 			for i, st := range res.States {
@@ -287,29 +284,62 @@ func groupAndAssemble(rel *storage.Relation, keyCol string, aggs []expr.AggSpec,
 	return storage.NewRelation(rel.Name()+"_grouped", outCols...)
 }
 
+// aggArgument returns an aggregate argument column as int64 values: the
+// backing slice of an int64 column, a widened copy of an unsigned one.
+func aggArgument(rel *storage.Relation, col string) ([]int64, error) {
+	c, ok := rel.Column(col)
+	if !ok {
+		return nil, fmt.Errorf("physical: aggregate argument column %q not found", col)
+	}
+	switch c.Kind() {
+	case storage.KindInt64:
+		return c.Int64s(), nil
+	case storage.KindUint32:
+		u := c.Uint32s()
+		vals := make([]int64, len(u))
+		for i, v := range u {
+			vals[i] = int64(v)
+		}
+		return vals, nil
+	case storage.KindUint64:
+		u := c.Uint64s()
+		vals := make([]int64, len(u))
+		for i, v := range u {
+			vals[i] = int64(v)
+		}
+		return vals, nil
+	default:
+		return nil, fmt.Errorf("physical: cannot aggregate %s column %q", c.Kind(), col)
+	}
+}
+
 // JoinRel joins left and right on leftKey = rightKey using the chosen
 // algorithm, deriving the build-side key domain from the relation's own
 // statistics. The output contains all left columns followed by all right
 // columns; right columns whose names clash are suffixed with "_r".
 func JoinRel(left, right *storage.Relation, leftKey, rightKey string, kind JoinKind, opt JoinOptions) (*storage.Relation, error) {
-	return JoinRelDom(left, right, leftKey, rightKey, kind, opt, props.Domain{})
+	return JoinRelDom(left, right, leftKey, rightKey, kind, opt, props.Domain{}, nil)
 }
 
-// JoinRelDom is JoinRel with an explicit build-side key domain; a zero
-// domain falls back to the left relation's statistics.
-func JoinRelDom(left, right *storage.Relation, leftKey, rightKey string, kind JoinKind, opt JoinOptions, dom props.Domain) (*storage.Relation, error) {
-	return joinRelImpl(left, right, leftKey, rightKey, kind, opt, dom, false)
+// JoinRelDom is JoinRel with an explicit build-side key domain (a zero
+// domain falls back to the left relation's statistics) and an explicit
+// output column list: a non-nil cols keeps only the output columns it names
+// (after "_r" suffixing; names the output does not have are ignored), and
+// only those are gathered. The plan compiler passes the columns the join's
+// ancestors reference.
+func JoinRelDom(left, right *storage.Relation, leftKey, rightKey string, kind JoinKind, opt JoinOptions, dom props.Domain, cols []string) (*storage.Relation, error) {
+	return joinRelImpl(left, right, leftKey, rightKey, kind, opt, dom, false, cols)
 }
 
 // JoinRelDomSwapped executes the join with the roles of the inputs swapped
 // (build on right, probe with left — join commutativity) while keeping the
 // output schema identical to JoinRelDom: left columns first, clashing right
 // columns suffixed "_r". dom describes the right (build) key domain.
-func JoinRelDomSwapped(left, right *storage.Relation, leftKey, rightKey string, kind JoinKind, opt JoinOptions, dom props.Domain) (*storage.Relation, error) {
-	return joinRelImpl(left, right, leftKey, rightKey, kind, opt, dom, true)
+func JoinRelDomSwapped(left, right *storage.Relation, leftKey, rightKey string, kind JoinKind, opt JoinOptions, dom props.Domain, cols []string) (*storage.Relation, error) {
+	return joinRelImpl(left, right, leftKey, rightKey, kind, opt, dom, true, cols)
 }
 
-func joinRelImpl(left, right *storage.Relation, leftKey, rightKey string, kind JoinKind, opt JoinOptions, dom props.Domain, swapped bool) (*storage.Relation, error) {
+func joinRelImpl(left, right *storage.Relation, leftKey, rightKey string, kind JoinKind, opt JoinOptions, dom props.Domain, swapped bool, cols []string) (*storage.Relation, error) {
 	lk, err := keyColumn(left, leftKey)
 	if err != nil {
 		return nil, err
@@ -337,28 +367,83 @@ func joinRelImpl(left, right *storage.Relation, leftKey, rightKey string, kind J
 			return nil, err
 		}
 	}
-	lgath := left.GatherPar(res.LeftIdx, opt.Parallel)
-	rgath := right.GatherPar(res.RightIdx, opt.Parallel)
-	cols := make([]*storage.Column, 0, lgath.NumCols()+rgath.NumCols())
-	cols = append(cols, lgath.Columns()...)
-	used := map[string]bool{}
-	for _, c := range cols {
-		used[c.Name()] = true
+	if res.SortedByKey && !gatherSorted(lk, res.LeftIdx) {
+		return nil, fmt.Errorf("physical: join claimed sorted output but key column is not sorted")
 	}
-	for _, c := range rgath.Columns() {
+	return assembleJoin(left, right, res, cols, opt.Parallel)
+}
+
+// JoinRelIndex joins left and right through a prebuilt index on the left
+// key: the build phase was paid offline, so only the probe runs. Output
+// schema and cols are as for JoinRelDom.
+func JoinRelIndex(left, right *storage.Relation, rightKey string, idx RowIndex, opt JoinOptions, cols []string) (*storage.Relation, error) {
+	rk, err := keyColumn(right, rightKey)
+	if err != nil {
+		return nil, err
+	}
+	rv := resv{ctl: opt.Ctl}
+	defer rv.release()
+	res, err := probePairs(idx, rk, 1, &rv)
+	if err != nil {
+		return nil, err
+	}
+	return assembleJoin(left, right, res, cols, 1)
+}
+
+// gatherSorted reports whether keys[idx[0]], keys[idx[1]], ... is
+// non-decreasing: the sortedness of a gathered key column, checked without
+// materialising it.
+func gatherSorted(keys []uint32, idx []int32) bool {
+	for i := 1; i < len(idx); i++ {
+		if keys[idx[i]] < keys[idx[i-1]] {
+			return false
+		}
+	}
+	return true
+}
+
+// assembleJoin materialises a join's output from its matching row pairs —
+// the one place every join breaker (in-memory, spill twin, AV index) builds
+// its result. The schema is the left columns followed by the right columns,
+// a right column whose name clashes suffixed "_r"; names are decided on the
+// full inputs, then a non-nil cols keeps only the output columns it names,
+// and only the kept columns are gathered.
+func assembleJoin(left, right *storage.Relation, res *JoinResult, cols []string, workers int) (*storage.Relation, error) {
+	keep := func(name string) bool { return cols == nil || slices.Contains(cols, name) }
+	used := make(map[string]bool, left.NumCols()+right.NumCols())
+	var lsrc, rsrc, rout []string
+	for _, c := range left.Columns() {
+		used[c.Name()] = true
+		if keep(c.Name()) {
+			lsrc = append(lsrc, c.Name())
+		}
+	}
+	for _, c := range right.Columns() {
 		name := c.Name()
 		if used[name] {
 			name += "_r"
 		}
 		used[name] = true
-		cols = append(cols, c.Rename(name))
+		if keep(name) {
+			rsrc = append(rsrc, c.Name())
+			rout = append(rout, name)
+		}
 	}
-	out, err := storage.NewRelation(left.Name()+"_join_"+right.Name(), cols...)
+	if len(lsrc)+len(rsrc) == 0 {
+		return nil, fmt.Errorf("physical: join output keeps none of its columns (asked for %v)", cols)
+	}
+	lproj, err := left.Project(lsrc...)
 	if err != nil {
 		return nil, err
 	}
-	if res.SortedByKey && !keySorted(out, leftKey) {
-		return nil, fmt.Errorf("physical: join claimed sorted output but key column is not sorted")
+	rproj, err := right.Project(rsrc...)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	out := make([]*storage.Column, 0, len(lsrc)+len(rsrc))
+	out = append(out, lproj.GatherPar(res.LeftIdx, workers).Columns()...)
+	for i, c := range rproj.GatherPar(res.RightIdx, workers).Columns() {
+		out = append(out, c.Rename(rout[i]))
+	}
+	return storage.NewRelation(left.Name()+"_join_"+right.Name(), out...)
 }

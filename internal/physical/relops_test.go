@@ -370,3 +370,96 @@ func TestGroupByRelBundleRunsOnGroupedInput(t *testing.T) {
 		t.Fatal("runs strategy accepted ungrouped input")
 	}
 }
+
+// TestGroupByRelKernelRuns: the grouping kernel runs once per distinct
+// aggregate argument column, in the order the columns first appear —
+// COUNT(*) rides along on the first run, and only an argument-free aggregate
+// list runs COUNT-only — and what it assembles equals the per-aggregate
+// reference (each aggregate grouped on its own) for every kernel.
+func TestGroupByRelKernelRuns(t *testing.T) {
+	base := datagen.GroupingRelation(7, 6000, 40, datagen.Quadrant{Sorted: true, Dense: true})
+	w := make([]int64, base.NumRows())
+	for i := range w {
+		w[i] = int64(i%17) - 8
+	}
+	rel := storage.MustNewRelation("t", base.MustColumn("key"), base.MustColumn("val").Rename("v"), storage.NewInt64("w", w))
+	keys := rel.MustColumn("key").Uint32s()
+	dom := domainOf(rel, "key")
+
+	count := expr.AggSpec{Func: expr.AggCount}
+	agg := func(f expr.AggFunc, col string) expr.AggSpec { return expr.AggSpec{Func: f, Col: col} }
+	cases := []struct {
+		name string
+		aggs []expr.AggSpec
+		args []string // the argument column of each expected run; "" = COUNT-only
+	}{
+		{"count+sum", []expr.AggSpec{count, agg(expr.AggSum, "v")}, []string{"v"}},
+		{"sum+min+avg", []expr.AggSpec{agg(expr.AggSum, "v"), agg(expr.AggMin, "v"), agg(expr.AggAvg, "v")}, []string{"v"}},
+		{"sum+sum", []expr.AggSpec{agg(expr.AggSum, "v"), agg(expr.AggSum, "w")}, []string{"v", "w"}},
+		{"count", []expr.AggSpec{count}, []string{""}},
+		{"count+max(w)+sum(v)+min(w)", []expr.AggSpec{count, agg(expr.AggMax, "w"), agg(expr.AggSum, "v"), agg(expr.AggMin, "w")}, []string{"w", "v"}},
+	}
+	argName := func(vals []int64) string {
+		switch {
+		case vals == nil:
+			return ""
+		case &vals[0] == &rel.MustColumn("v").Int64s()[0]:
+			return "v"
+		case &vals[0] == &rel.MustColumn("w").Int64s()[0]:
+			return "w"
+		}
+		return "?"
+	}
+	for _, kind := range GroupKinds() {
+		for _, tc := range cases {
+			var ran []string
+			got, err := groupAndAssemble(rel, "key", tc.aggs, func(vals []int64) (*GroupResult, error) {
+				ran = append(ran, argName(vals))
+				return Group(kind, keys, vals, dom, GroupOptions{})
+			})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", kind, tc.name, err)
+			}
+			if len(ran) != len(tc.args) {
+				t.Fatalf("%s/%s: kernel ran over %q, want %q", kind, tc.name, ran, tc.args)
+			}
+			for i := range ran {
+				if ran[i] != tc.args[i] {
+					t.Fatalf("%s/%s: kernel ran over %q, want %q", kind, tc.name, ran, tc.args)
+				}
+			}
+			if got.NumCols() != 1+len(tc.aggs) {
+				t.Fatalf("%s/%s: %d output columns", kind, tc.name, got.NumCols())
+			}
+			for _, a := range tc.aggs {
+				ref, err := GroupByRel(rel, "key", []expr.AggSpec{a}, kind, GroupOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.MustColumn("key").Equal(ref.MustColumn("key")) || !got.MustColumn(a.OutName()).Equal(ref.MustColumn(a.OutName())) {
+					t.Fatalf("%s/%s: %s differs from the aggregate grouped on its own", kind, tc.name, a)
+				}
+			}
+		}
+	}
+
+	// The output key column, and the Sorted bit it publishes, come from the
+	// first aggregate's run — every time, not from whichever run a map
+	// iteration happened to visit first.
+	twoArgs := []expr.AggSpec{agg(expr.AggSum, "v"), agg(expr.AggSum, "w")}
+	for i := 0; i < 20; i++ {
+		out, err := groupAndAssemble(rel, "key", twoArgs, func(vals []int64) (*GroupResult, error) {
+			res, err := Group(HG, keys, vals, dom, GroupOptions{})
+			if err == nil {
+				res.Sorted = argName(vals) == "v"
+			}
+			return res, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.MustColumn("key").Stats().Sorted {
+			t.Fatalf("iteration %d: output took its Sorted bit from the second aggregate's run", i)
+		}
+	}
+}

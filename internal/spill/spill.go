@@ -13,11 +13,11 @@
 //	magic   uint32  "DQSP"
 //	length  uint32  payload bytes
 //	crc32   uint32  IEEE checksum of the payload
-//	payload:
-//	  ncols uint32, nrows uint32
+//	payload (a string is len uint32, then its bytes):
+//	  relation name string, ncols uint32, nrows uint32
 //	  per column:
-//	    kind uint8, hasDict uint8, len(name) uint16, name bytes
-//	    [hasDict: ndict uint32, then per string: len uint32, bytes]
+//	    kind uint8, hasDict uint8, name string
+//	    [hasDict: ndict uint32, then ndict strings]
 //	    raw values (uint32/codes: 4 B per row; 64-bit kinds: 8 B per row)
 //
 // A dictionary is serialised in full (all codes in order) the first time a
@@ -257,10 +257,15 @@ func (r *Run) Open(dicts map[string]*storage.Dict) (*RunReader, error) {
 	if err != nil {
 		return nil, qerr.Wrap(qerr.ErrSpillIO, err)
 	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, qerr.Wrap(qerr.ErrSpillIO, err)
+	}
 	if dicts == nil {
 		dicts = make(map[string]*storage.Dict)
 	}
-	return &RunReader{f: f, r: bufio.NewReaderSize(f, 64<<10), dicts: dicts,
+	return &RunReader{f: f, r: bufio.NewReaderSize(f, 64<<10), left: st.Size(), dicts: dicts,
 		remaps: make(map[string][]uint32)}, nil
 }
 
@@ -281,6 +286,7 @@ func (r *Run) Remove() error {
 type RunReader struct {
 	f      *os.File
 	r      *bufio.Reader
+	left   int64 // file bytes not yet consumed; bounds a frame's claimed length
 	dicts  map[string]*storage.Dict
 	remaps map[string][]uint32
 	buf    []byte
@@ -303,7 +309,14 @@ func (r *RunReader) Next() (*storage.Relation, error) {
 	if binary.LittleEndian.Uint32(hdr[0:]) != frameMagic {
 		return nil, qerr.New(qerr.ErrSpillIO, "corrupt spill frame: bad magic %#x", binary.LittleEndian.Uint32(hdr[0:]))
 	}
+	r.left -= int64(len(hdr))
 	n := int(binary.LittleEndian.Uint32(hdr[4:]))
+	// The length is not covered by the checksum: check it against what the
+	// file still holds before allocating a buffer of that size.
+	if int64(n) > r.left {
+		return nil, qerr.New(qerr.ErrSpillIO, "corrupt spill frame: length %d, but %d bytes left in the run", n, r.left)
+	}
+	r.left -= int64(n)
 	if cap(r.buf) < n {
 		r.buf = make([]byte, n)
 	}

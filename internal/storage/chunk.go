@@ -29,6 +29,16 @@ func (r *Relation) Slice(lo, hi int) *Relation {
 // single-batch input is returned as-is, without copying. String columns
 // sharing one dictionary keep it; batches with differing dictionaries are
 // re-interned into a fresh one.
+//
+// A column whose parts are back-to-back windows of one backing array — the
+// morsels a Scan or a breaker's output stream hands out via Slice — is
+// returned as a view of that array, not a copy; this is decided per column,
+// so a relation copies only the columns it must. Encoded columns, string
+// parts with differing dictionaries, and parts that are empty, gapped,
+// repeated, reordered or from different arrays are copied. The result may
+// therefore alias its producer's storage (a registered table included):
+// like every relation it is immutable by convention, and no kernel writes
+// its input.
 func Concat(parts []*Relation) (*Relation, error) {
 	if err := faultinject.Fire(faultinject.PointStorageConcat); err != nil {
 		return nil, err
@@ -74,24 +84,36 @@ func concatColumns(cols []*Column) (*Column, error) {
 	}
 	switch first.kind {
 	case KindUint32:
+		if v := spanOf(cols, (*Column).plain32); v != nil {
+			return &Column{name: first.name, kind: first.kind, u32: v}, nil
+		}
 		out := make([]uint32, 0, total)
 		for _, c := range cols {
 			out = append(out, c.data32()...)
 		}
 		return &Column{name: first.name, kind: first.kind, u32: out}, nil
 	case KindUint64:
+		if v := spanOf(cols, (*Column).Uint64s); v != nil {
+			return &Column{name: first.name, kind: first.kind, u64: v}, nil
+		}
 		out := make([]uint64, 0, total)
 		for _, c := range cols {
 			out = append(out, c.u64...)
 		}
 		return &Column{name: first.name, kind: first.kind, u64: out}, nil
 	case KindInt64:
+		if v := spanOf(cols, (*Column).Int64s); v != nil {
+			return &Column{name: first.name, kind: first.kind, i64: v}, nil
+		}
 		out := make([]int64, 0, total)
 		for _, c := range cols {
 			out = append(out, c.i64...)
 		}
 		return &Column{name: first.name, kind: first.kind, i64: out}, nil
 	case KindFloat64:
+		if v := spanOf(cols, (*Column).Float64s); v != nil {
+			return &Column{name: first.name, kind: first.kind, f64: v}, nil
+		}
 		out := make([]float64, 0, total)
 		for _, c := range cols {
 			out = append(out, c.f64...)
@@ -103,6 +125,11 @@ func concatColumns(cols []*Column) (*Column, error) {
 			if c.dict != shared {
 				shared = nil
 				break
+			}
+		}
+		if shared != nil {
+			if v := spanOf(cols, (*Column).plain32); v != nil {
+				return &Column{name: first.name, kind: KindString, u32: v, dict: shared}, nil
 			}
 		}
 		out := make([]uint32, 0, total)
@@ -123,6 +150,31 @@ func concatColumns(cols []*Column) (*Column, error) {
 	default:
 		return nil, fmt.Errorf("storage: Concat on invalid column %q", first.name)
 	}
+}
+
+// plain32 returns the column's uint32 payload when it is stored plain, nil
+// when it is encoded.
+func (c *Column) plain32() []uint32 {
+	if c.enc != nil {
+		return nil
+	}
+	return c.u32
+}
+
+// spanOf returns the single window covering every column's data when the
+// columns are non-empty back-to-back windows of one backing array, in order
+// (each starts at the element the previous one ends before), and nil
+// otherwise. The window's capacity is clipped to its length.
+func spanOf[T any](cols []*Column, data func(*Column) []T) []T {
+	span := data(cols[0])
+	for _, c := range cols[1:] {
+		next := data(c)
+		if len(span) == 0 || len(next) == 0 || cap(span) == len(span) || &span[:len(span)+1][len(span)] != &next[0] {
+			return nil
+		}
+		span = span[:len(span)+len(next)]
+	}
+	return span[:len(span):len(span)]
 }
 
 // elemBytes is the per-row storage footprint of a column kind; dictionary
