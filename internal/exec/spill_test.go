@@ -361,22 +361,93 @@ func BenchmarkExternalSort(b *testing.B) {
 	spillSort := func() Operator {
 		return NewSpillSort("sort", NewScan("scan", rel), "key", sortx.Radix)
 	}
-	run := func(b *testing.B, build func() Operator, quota int64) {
-		dir := b.TempDir()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ec := NewExecContext(context.Background(), 4096, 1)
-			ec.SetSpill(dir, 0)
-			if quota > 0 {
-				ec.SetSpillQuota(quota)
-			}
-			if _, err := Run(ec, build()); err != nil {
-				b.Fatal(err)
-			}
+	b.Run("in-memory", func(b *testing.B) { benchSpillOp(b, inMemory, 0) })
+	b.Run("spill-idle", func(b *testing.B) { benchSpillOp(b, spillSort, 0) })
+	b.Run("spill-forced", func(b *testing.B) { benchSpillOp(b, spillSort, 256<<10) })
+}
+
+// benchSpillOp times one breaker tree per iteration with the spill directory
+// armed: in memory (quota 0 = the default grant, nothing flushes) or forced
+// to disk by a small run quota.
+func benchSpillOp(b *testing.B, build func() Operator, quota int64) {
+	dir := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ec := NewExecContext(context.Background(), 4096, 1)
+		ec.SetSpill(dir, 0)
+		if quota > 0 {
+			ec.SetSpillQuota(quota)
+		}
+		if _, err := Run(ec, build()); err != nil {
+			b.Fatal(err)
 		}
 	}
-	b.Run("in-memory", func(b *testing.B) { run(b, inMemory, 0) })
-	b.Run("spill-idle", func(b *testing.B) { run(b, spillSort, 0) })
-	b.Run("spill-forced", func(b *testing.B) { run(b, spillSort, 256<<10) })
+}
+
+// sparseKeys returns n shuffled keys over distinct sparse values, each value
+// n/distinct times: the benchmark's high-cardinality grouping and unique-key
+// join columns.
+func sparseKeys(n, distinct int, seed uint32) []uint32 {
+	keys := make([]uint32, n)
+	x := seed | 1
+	for i := range keys {
+		keys[i] = uint32(i%distinct)*uint32((1<<32)/uint64(distinct)) + seed%97
+	}
+	for i := n - 1; i > 0; i-- {
+		x = x*1664525 + 1013904223
+		j := int(x>>8) % (i + 1)
+		keys[i], keys[j] = keys[j], keys[i]
+	}
+	return keys
+}
+
+// plannedDomain is the key domain the optimiser would hand the operator: the
+// column's statistics, taken once (a zero domain makes the join kernel take
+// them per call — per partition pair, in the spilling twin).
+func plannedDomain(rel *storage.Relation, key string) props.Domain {
+	st := rel.MustColumn(key).Stats()
+	return props.FromStats(st.Rows, st.Min, st.Max, st.Distinct, st.Dense, st.Exact)
+}
+
+func payloadCol(n int) []int64 {
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(i % 1000)
+	}
+	return vals
+}
+
+// BenchmarkSpillGroup is the bench guard for the spilling aggregation at the
+// repository benchmark's shape (120 000 rows, 30 000 groups, COUNT + SUM):
+// the same operator in memory and forced to partition through disk by the run
+// quota that benchmark's 2 MiB memory limit grants (a quarter of it).
+func BenchmarkSpillGroup(b *testing.B) {
+	rel := storage.MustNewRelation("G", storage.NewUint32("K", sparseKeys(120_000, 30_000, 5)),
+		storage.NewInt64("V", payloadCol(120_000)))
+	aggs := []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "V"}}
+	opt := physical.GroupOptions{Scheme: hashtable.Chained, Hash: hashtable.Identity, Parallel: 1}
+	dom := plannedDomain(rel, "K")
+	build := func() Operator {
+		return NewSpillGroup("group", NewScan("scan", rel), "K", aggs, opt, dom)
+	}
+	b.Run("in-memory", func(b *testing.B) { benchSpillOp(b, build, 0) })
+	b.Run("spill-forced", func(b *testing.B) { benchSpillOp(b, build, 512<<10) })
+}
+
+// BenchmarkSpillJoin is the bench guard for the grace hash join at the
+// repository benchmark's shape: two tables of 70 000 unique keys that share
+// 1 000 of them.
+func BenchmarkSpillJoin(b *testing.B) {
+	const n, shared = 70_000, 1_000
+	keys := sparseKeys(2*n-shared, 2*n-shared, 11)
+	left := storage.MustNewRelation("P", storage.NewUint32("K", keys[:n]), storage.NewInt64("V", payloadCol(n)))
+	right := storage.MustNewRelation("Q", storage.NewUint32("K", keys[n-shared:]), storage.NewInt64("W", payloadCol(n)))
+	opt := physical.JoinOptions{Hash: hashtable.Identity, Parallel: 1}
+	dom := plannedDomain(left, "K")
+	build := func() Operator {
+		return NewSpillJoin("join", NewScan("l", left), NewScan("r", right), "K", "K", opt, false, dom, nil)
+	}
+	b.Run("in-memory", func(b *testing.B) { benchSpillOp(b, build, 0) })
+	b.Run("spill-forced", func(b *testing.B) { benchSpillOp(b, build, 512<<10) })
 }

@@ -7,17 +7,24 @@ package exec
 //
 //   - SpillSort writes stably sorted runs and k-way merges them with a
 //     (key, run order) tie-break — since the in-memory argsort is stable for
-//     every sort kind, the merged output IS the stable full sort.
-//   - SpillJoin tags each side with its global row ordinal, hash-partitions
-//     both sides to disk, joins partition pairs serially, and restores the
-//     serial hash join's emission order — (probe row ascending, build row
-//     descending: the multimap's reverse-build-order emission contract) —
-//     with one global sort over the tagged pair outputs.
+//     every sort kind, the merged output IS the stable full sort. The merge
+//     decides on keys alone and copies whole column windows.
+//   - SpillJoin numbers each side's rows by global input ordinal,
+//     hash-partitions both sides to disk, joins partition pairs serially, and
+//     restores the serial hash join's emission order — (probe row ascending,
+//     build row descending: the multimap's reverse-build-order emission
+//     contract) — with one radix sort over the pair outputs' ordinals.
 //   - SpillGroup hash-partitions its input (keys are partition-complete, so
 //     per-partition aggregates are exact), reuses the serial chained-hash
 //     aggregation kernel per partition, and reorders the merged groups by
-//     each key's first-occurrence row, reproducing the chained table's
+//     each key's first-occurrence ordinal — found by one forward walk per
+//     partition, ordered by one radix sort — reproducing the chained table's
 //     first-seen iteration order.
+//
+// The twins move columns, not values: a partition set scatters each batch
+// column by column into per-partition buffers and writes a buffer as one
+// frame of the set's one run file; a partition is read back by its frame
+// offsets straight into a relation allocated once at its known size.
 //
 // All three buffer in memory up to the govern spill grant and only touch
 // disk past it, so a query whose data fits never pays a single write
@@ -27,7 +34,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"dqo/internal/expr"
@@ -47,7 +53,7 @@ const (
 	spillParts    = 1 << spillPartBits // partitions per recursion level
 	spillMaxDepth = 4                  // recursion cap: 4 levels * 4 bits = 16 hash bits
 
-	// rowTagCol carries each input row's global ordinal through
+	// The tag column carries each input row's global ordinal through
 	// partitioning, so partitioned operators can reconstruct the exact
 	// serial emission order. Two names, so a join's sides never clash.
 	rowTagL = "__dqo_lrow"
@@ -61,20 +67,6 @@ func spillBucket(key uint32, level int) int {
 	h := uint64(key) * 0x9E3779B97F4A7C15
 	shift := uint(64 - spillPartBits*(level+1))
 	return int((h >> shift) & (spillParts - 1))
-}
-
-// spillKeyCodes returns a relation's key column as uint32 codes (values for
-// KindUint32, dictionary codes for KindString — the same representation
-// every grouping/join kernel operates on).
-func spillKeyCodes(rel *storage.Relation, key string) ([]uint32, error) {
-	c, ok := rel.Column(key)
-	if !ok {
-		return nil, qerr.New(qerr.ErrInternal, "spill: key column %q not found", key)
-	}
-	if k := c.Kind(); k != storage.KindUint32 && k != storage.KindString {
-		return nil, qerr.New(qerr.ErrInternal, "spill: key column %q has kind %v", key, k)
-	}
-	return c.Uint32s(), nil
 }
 
 // seedDicts returns a dictionary pool pre-seeded with a relation's own
@@ -120,101 +112,50 @@ func (r *resv) drop(n int64) {
 }
 
 // ---------------------------------------------------------------------------
-// Column-wise relation builder, used by the external merge.
+// Column windows: the spill paths fill relations they allocated themselves,
+// one typed loop per column, before anyone else sees them.
 
-type relBuilder struct {
-	template *storage.Relation
-	u32      [][]uint32
-	u64      [][]uint64
-	i64      [][]int64
-	f64      [][]float64
-	rows     int
-}
-
-func newRelBuilder(template *storage.Relation) *relBuilder {
-	cols := template.Columns()
-	b := &relBuilder{
-		template: template,
-		u32:      make([][]uint32, len(cols)),
-		u64:      make([][]uint64, len(cols)),
-		i64:      make([][]int64, len(cols)),
-		f64:      make([][]float64, len(cols)),
+// rowBytes is the column-data footprint of one row of schema.
+func rowBytes(schema *storage.Relation) int64 {
+	var n int64
+	for _, c := range schema.Columns() {
+		if k := c.Kind(); k == storage.KindUint32 || k == storage.KindString {
+			n += 4
+		} else {
+			n += 8
+		}
 	}
-	return b
+	return n
 }
 
-// colVec caches one batch's raw column slices for row-wise appends.
-type colVec struct {
-	kind storage.Kind
-	u32  []uint32
-	u64  []uint64
-	i64  []int64
-	f64  []float64
+// allocLike returns a relation of n zeroed rows with schema's column names,
+// kinds and dictionaries.
+func allocLike(schema *storage.Relation, n int) (*storage.Relation, error) {
+	cols := make([]*storage.Column, schema.NumCols())
+	for i, c := range schema.Columns() {
+		var err error
+		if cols[i], err = storage.NewColumn(c.Name(), c.Kind(), c.Dict(), n); err != nil {
+			return nil, qerr.Wrap(qerr.ErrInternal, err)
+		}
+	}
+	return storage.NewRelation(schema.Name(), cols...)
 }
 
-func vecsOf(rel *storage.Relation) []colVec {
-	cols := rel.Columns()
-	out := make([]colVec, len(cols))
-	for i, c := range cols {
-		v := colVec{kind: c.Kind()}
-		switch c.Kind() {
+// copyRows copies the first n rows of src into rows [at, at+n) of dst.
+func copyRows(dst *storage.Relation, at int, src *storage.Relation, n int) {
+	for c, d := range dst.Columns() {
+		s := src.Columns()[c]
+		switch d.Kind() {
 		case storage.KindUint32, storage.KindString:
-			v.u32 = c.Uint32s()
+			copy(d.Uint32s()[at:], s.Uint32s()[:n])
 		case storage.KindUint64:
-			v.u64 = c.Uint64s()
+			copy(d.Uint64s()[at:], s.Uint64s()[:n])
 		case storage.KindInt64:
-			v.i64 = c.Int64s()
+			copy(d.Int64s()[at:], s.Int64s()[:n])
 		case storage.KindFloat64:
-			v.f64 = c.Float64s()
-		}
-		out[i] = v
-	}
-	return out
-}
-
-func (b *relBuilder) appendFrom(vecs []colVec, row int) {
-	for i := range vecs {
-		switch vecs[i].kind {
-		case storage.KindUint32, storage.KindString:
-			b.u32[i] = append(b.u32[i], vecs[i].u32[row])
-		case storage.KindUint64:
-			b.u64[i] = append(b.u64[i], vecs[i].u64[row])
-		case storage.KindInt64:
-			b.i64[i] = append(b.i64[i], vecs[i].i64[row])
-		case storage.KindFloat64:
-			b.f64[i] = append(b.f64[i], vecs[i].f64[row])
+			copy(d.Float64s()[at:], s.Float64s()[:n])
 		}
 	}
-	b.rows++
-}
-
-func (b *relBuilder) build() (*storage.Relation, error) {
-	tcols := b.template.Columns()
-	cols := make([]*storage.Column, len(tcols))
-	for i, tc := range tcols {
-		switch tc.Kind() {
-		case storage.KindUint32:
-			cols[i] = storage.NewUint32(tc.Name(), b.u32[i])
-		case storage.KindString:
-			cols[i] = storage.NewStringCodes(tc.Name(), b.u32[i], tc.Dict())
-		case storage.KindUint64:
-			cols[i] = storage.NewUint64(tc.Name(), b.u64[i])
-		case storage.KindInt64:
-			cols[i] = storage.NewInt64(tc.Name(), b.i64[i])
-		case storage.KindFloat64:
-			cols[i] = storage.NewFloat64(tc.Name(), b.f64[i])
-		default:
-			return nil, qerr.New(qerr.ErrInternal, "spill: cannot rebuild column %q", tc.Name())
-		}
-	}
-	return storage.NewRelation(b.template.Name(), cols...)
-}
-
-func (b *relBuilder) reset() {
-	for i := range b.u32 {
-		b.u32[i], b.u64[i], b.i64[i], b.f64[i] = nil, nil, nil, nil
-	}
-	b.rows = 0
 }
 
 // ---------------------------------------------------------------------------
@@ -400,11 +341,7 @@ func (s *SpillSort) writeRun(ec *ExecContext, sorted *storage.Relation) (*spill.
 	}
 	n := sorted.NumRows()
 	for lo := 0; lo == 0 || lo < n; lo += ec.MorselSize {
-		hi := lo + ec.MorselSize
-		if hi > n {
-			hi = n
-		}
-		if err := w.Append(sorted.Slice(lo, hi)); err != nil {
+		if err := w.Append(sorted.Slice(lo, min(lo+ec.MorselSize, n))); err != nil {
 			w.Abort()
 			return nil, err
 		}
@@ -412,51 +349,44 @@ func (s *SpillSort) writeRun(ec *ExecContext, sorted *storage.Relation) (*spill.
 	return w.Finish()
 }
 
-// sortCursor streams one sorted run during a merge.
+// sortCursor streams one sorted run during a merge through a frame-sized
+// window it owns: the current frame's keys, the next row to merge (pos) and
+// the row the pending selection starts at (from).
 type sortCursor struct {
-	rd   *spill.RunReader
-	keys []uint32
-	vecs []colVec
-	pos  int
-	done bool
+	run       *spill.Run
+	rd        *spill.RunReader
+	batch     *storage.Relation // morsel-sized: no frame of a run is larger
+	keys      []uint32
+	pos, from int
+	done      bool
 }
 
 func (c *sortCursor) advance(key string) error {
-	for {
-		batch, err := c.rd.Next()
-		if err != nil {
-			return err
-		}
-		if batch == nil {
+	c.keys, c.pos, c.from = nil, 0, 0
+	for len(c.keys) == 0 { // an empty frame carries only the schema
+		if c.rd.Offset() == c.run.Bytes {
 			c.done = true
 			return nil
 		}
-		if batch.NumRows() == 0 {
-			continue
-		}
-		keys, err := spillKeyCodes(batch, key)
+		n, err := c.rd.ReadInto(c.rd.Offset(), c.batch, 0)
 		if err != nil {
 			return err
 		}
-		c.keys, c.vecs, c.pos = keys, vecsOf(batch), 0
-		return nil
+		c.keys = c.batch.MustColumn(key).Uint32s()[:n]
 	}
+	return nil
 }
 
 // merge k-way merges s.runs down to the final in-memory output, doing
 // intermediate disk-to-disk passes while the run count exceeds the fan-in.
 func (s *SpillSort) merge(ec *ExecContext, rv *resv) (*storage.Relation, error) {
-	template := s.template()
 	runs := s.runs
 	passes := int64(1)
 	for len(runs) > spillFanIn {
 		var next []*spill.Run
 		for lo := 0; lo < len(runs); lo += spillFanIn {
-			hi := lo + spillFanIn
-			if hi > len(runs) {
-				hi = len(runs)
-			}
-			merged, err := s.mergeToDisk(ec, runs[lo:hi], template)
+			hi := min(lo+spillFanIn, len(runs))
+			merged, err := s.mergeToDisk(ec, runs[lo:hi])
 			if err != nil {
 				return nil, err
 			}
@@ -472,42 +402,31 @@ func (s *SpillSort) merge(ec *ExecContext, rv *resv) (*storage.Relation, error) 
 	}
 	s.addSpill(0, 0, passes)
 
-	var outParts []*storage.Relation
-	var outBytes int64
-	err := s.mergeRuns(ec, runs, template, func(rel *storage.Relation) error {
-		if err := rv.grab(rel.MemBytes()); err != nil {
-			return err
-		}
-		outBytes += rel.MemBytes()
-		outParts = append(outParts, rel)
-		return nil
-	})
+	// The output is allocated, and reserved, once at its final size.
+	var total int64
+	for _, r := range runs {
+		total += r.Rows
+	}
+	if err := rv.grab(total * rowBytes(s.tmpl)); err != nil {
+		return nil, err
+	}
+	out, err := allocLike(s.tmpl, int(total))
 	if err != nil {
 		return nil, err
 	}
-	if len(outParts) == 0 {
-		outParts = append(outParts, template.Slice(0, 0))
+	n, err := s.mergeRuns(ec, runs, out, nil)
+	if err == nil && n != total {
+		err = qerr.New(qerr.ErrInternal, "spill sort: merged %d rows of %d", n, total)
 	}
-	out, err := storage.Concat(outParts)
-	if err != nil {
-		return nil, err
-	}
-	if len(outParts) > 1 {
-		if err := rv.grab(out.MemBytes()); err != nil {
-			return nil, err
-		}
-		rv.drop(outBytes)
-	}
-	return out, nil
+	return out, err
 }
 
-// template returns the schema batch the merge rebuilds rows against: the
-// first batch the drain saw (its columns carry the dictionaries decoded
-// frames re-intern into).
-func (s *SpillSort) template() *storage.Relation { return s.tmpl }
-
-func (s *SpillSort) mergeToDisk(ec *ExecContext, runs []*spill.Run, template *storage.Relation) (*spill.Run, error) {
+func (s *SpillSort) mergeToDisk(ec *ExecContext, runs []*spill.Run) (*spill.Run, error) {
 	dir, err := ec.Spill()
+	if err != nil {
+		return nil, err
+	}
+	out, err := allocLike(s.tmpl, ec.MorselSize)
 	if err != nil {
 		return nil, err
 	}
@@ -515,10 +434,7 @@ func (s *SpillSort) mergeToDisk(ec *ExecContext, runs []*spill.Run, template *st
 	if err != nil {
 		return nil, err
 	}
-	err = s.mergeRuns(ec, runs, template, func(rel *storage.Relation) error {
-		return w.Append(rel)
-	})
-	if err != nil {
+	if _, err = s.mergeRuns(ec, runs, out, w.Append); err != nil {
 		w.Abort()
 		return nil, err
 	}
@@ -530,138 +446,269 @@ func (s *SpillSort) mergeToDisk(ec *ExecContext, runs []*spill.Run, template *st
 	return run, nil
 }
 
-// mergeRuns streams the stable k-way merge of sorted runs into emit as
-// morsel-sized batches. Ties break by run order, which — runs partitioning
-// the input in order, each stably sorted — reproduces the stable full sort.
-func (s *SpillSort) mergeRuns(ec *ExecContext, runs []*spill.Run, template *storage.Relation, emit func(*storage.Relation) error) error {
-	dicts := seedDicts(template)
-	cursors := make([]*sortCursor, len(runs))
+// mergeRuns streams the stable k-way merge of at most spillFanIn sorted runs
+// through out and returns the rows merged. Ties break by run order, which —
+// runs partitioning the input in order, each stably sorted — reproduces the
+// stable full sort. The merge decides on keys alone: it records which run
+// each output row comes from (a run's rows leave in order, so the run number
+// is the whole selection) and, whenever a cursor's frame runs out or the
+// window fills, copies that window column by column. With an emit, out is a
+// window handed on each time it fills (and once more for the rest) and
+// overwritten after; without, out must hold every row.
+func (s *SpillSort) mergeRuns(ec *ExecContext, runs []*spill.Run, out *storage.Relation, emit func(*storage.Relation) error) (int64, error) {
+	dicts := seedDicts(s.tmpl)
+	cursors := make([]*sortCursor, 0, len(runs))
 	defer func() {
 		for _, c := range cursors {
-			if c != nil {
-				c.rd.Close()
-			}
+			c.rd.Close()
 		}
 	}()
-	for i, r := range runs {
+	for _, r := range runs {
 		rd, err := r.Open(dicts)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		cursors[i] = &sortCursor{rd: rd}
-		if err := cursors[i].advance(s.key); err != nil {
-			return err
+		c := &sortCursor{run: r, rd: rd}
+		cursors = append(cursors, c)
+		if c.batch, err = allocLike(s.tmpl, ec.MorselSize); err != nil {
+			return 0, err
+		}
+		if err := c.advance(s.key); err != nil {
+			return 0, err
 		}
 	}
-	b := newRelBuilder(template)
+	var merged int64
+	room, at := out.NumRows(), 0
+	sel := make([]uint8, 0, min(room, ec.MorselSize))
 	for {
-		if err := ec.Err(); err != nil {
-			return err
-		}
 		best := -1
 		var bestKey uint32
 		for i, c := range cursors {
-			if c.done {
-				continue
-			}
-			if k := c.keys[c.pos]; best == -1 || k < bestKey {
-				best, bestKey = i, k
+			if !c.done && (best == -1 || c.keys[c.pos] < bestKey) {
+				best, bestKey = i, c.keys[c.pos]
 			}
 		}
 		if best == -1 {
 			break
 		}
+		if at+len(sel) == room {
+			return 0, qerr.New(qerr.ErrInternal, "spill sort: runs hold more than the %d rows they declared", room)
+		}
 		c := cursors[best]
-		b.appendFrom(c.vecs, c.pos)
+		sel = append(sel, uint8(best))
 		c.pos++
-		if c.pos >= len(c.keys) {
+		exhausted := c.pos == len(c.keys)
+		if !exhausted && len(sel) < cap(sel) && at+len(sel) < room {
+			continue
+		}
+		if err := ec.Err(); err != nil {
+			return 0, err
+		}
+		selectRows(out, at, sel, cursors)
+		at, merged, sel = at+len(sel), merged+int64(len(sel)), sel[:0]
+		if exhausted {
 			if err := c.advance(s.key); err != nil {
-				return err
+				return 0, err
 			}
 		}
-		if b.rows >= ec.MorselSize {
-			rel, err := b.build()
-			if err != nil {
-				return err
+		if at == room && emit != nil {
+			if err := emit(out); err != nil {
+				return 0, err
 			}
-			if err := emit(rel); err != nil {
-				return err
-			}
-			b.reset()
+			at = 0
 		}
 	}
-	if b.rows > 0 {
-		rel, err := b.build()
-		if err != nil {
-			return err
-		}
-		return emit(rel)
+	if at > 0 && emit != nil {
+		return merged, emit(out.Slice(0, at))
 	}
-	return nil
+	return merged, nil
+}
+
+// selectRows copies the rows sel names — one run number per output row, each
+// cursor's rows taken in order from its from mark — into out from row at, one
+// typed loop per column, and moves the marks up.
+func selectRows(out *storage.Relation, at int, sel []uint8, cursors []*sortCursor) {
+	for c, col := range out.Columns() {
+		switch col.Kind() {
+		case storage.KindUint32, storage.KindString:
+			selectCol(col.Uint32s()[at:], sel, cursors, c, (*storage.Column).Uint32s)
+		case storage.KindUint64:
+			selectCol(col.Uint64s()[at:], sel, cursors, c, (*storage.Column).Uint64s)
+		case storage.KindInt64:
+			selectCol(col.Int64s()[at:], sel, cursors, c, (*storage.Column).Int64s)
+		case storage.KindFloat64:
+			selectCol(col.Float64s()[at:], sel, cursors, c, (*storage.Column).Float64s)
+		}
+	}
+	for _, cu := range cursors {
+		cu.from = cu.pos
+	}
+}
+
+func selectCol[T any](dst []T, sel []uint8, cursors []*sortCursor, c int, data func(*storage.Column) []T) {
+	var src [spillFanIn][]T
+	for i, cu := range cursors {
+		if !cu.done {
+			src[i] = data(cu.batch.Columns()[c])[cu.from:]
+		}
+	}
+	var pos [spillFanIn]int
+	for o, r := range sel {
+		dst[o] = src[r][pos[r]]
+		pos[r]++
+	}
 }
 
 // ---------------------------------------------------------------------------
 // Partitioned spilling, shared by grace join and spilling aggregation.
 
-// partitionSet fans one tagged input out into spillParts hash partitions.
-// Batches buffer in memory; past the spill grant, every buffered batch is
-// appended — in input order — to its partition's run file, so a partition's
-// frames plus its in-memory tail always hold that partition's rows in
-// global input order.
+// partitionSet fans one input out into spillParts hash partitions. Every
+// partition has a column-wise append buffer — the input's columns plus each
+// row's global input ordinal as a last column named tag — that batches are
+// scattered into directly. Once the buffered bytes pass the spill grant every
+// buffer is appended, as one frame, to the set's single run file and the
+// frame's offset joins the partition's extent list, so a partition's extents
+// in order plus its buffered tail always hold its rows in global input order.
+// The file is removed when the last partition has been retired.
 type partitionSet struct {
 	rv       *resv
+	sets     *[]*partitionSet // the owning operator's list of sets to abort on Close
 	label    string
 	key      string
+	tag      string
 	level    int
 	quota    int64
-	writers  [spillParts]*spill.RunWriter
-	runs     [spillParts][]*spill.Run
-	mem      [spillParts][]*storage.Relation
-	memB     [spillParts]int64
-	diskB    [spillParts]int64
-	rows     [spillParts]int64
+	schema   *storage.Relation // zero rows: the input's columns, then the tag
+	keyCol   int
+	rowB     int64 // bytes reserved per buffered row
+	dicts    map[string]*storage.Dict
+	next     uint32 // ordinal of the next untagged input row
+	bufs     [spillParts]*storage.Relation
+	fill     [spillParts]int     // rows buffered in bufs[p]
+	rows     [spillParts]int64   // rows dealt to p, on disk or buffered
+	extents  [spillParts][]int64 // p's frame offsets in the run file, in write order
+	bucket   []uint8             // scratch: the partition of each row of a batch
 	bufTotal int64
-	spilled  bool
+	w        *spill.RunWriter
+	run      *spill.Run
+	rd       *spill.RunReader
+	left     int // partitions not yet retired
 }
 
-func newPartitionSet(rv *resv, label, key string, level int, quota int64) *partitionSet {
-	return &partitionSet{rv: rv, label: label, key: key, level: level, quota: quota}
+// newPartitionSet returns an empty set, registered in sets.
+func newPartitionSet(rv *resv, sets *[]*partitionSet, label, key, tag string, level int, quota int64) *partitionSet {
+	ps := &partitionSet{rv: rv, sets: sets, label: label, key: key, tag: tag, level: level, quota: quota, left: spillParts}
+	*sets = append(*sets, ps)
+	return ps
 }
 
-// add scatters a batch across the partitions, flushing every buffer to disk
-// once the set's in-memory total passes the grant.
-func (ps *partitionSet) add(ec *ExecContext, batch *storage.Relation) error {
+// setSchema fixes the buffers' schema: the input's columns plus the tag.
+func (ps *partitionSet) setSchema(input *storage.Relation) error {
+	if _, ok := input.Column(ps.tag); ok {
+		return qerr.New(qerr.ErrInternal, "spill: input already has reserved column %q", ps.tag)
+	}
+	// Keys are uint32 codes: values, or dictionary codes — what every
+	// grouping and join kernel operates on.
+	ps.keyCol = -1
+	for i, c := range input.Columns() {
+		if k := c.Kind(); c.Name() == ps.key && (k == storage.KindUint32 || k == storage.KindString) {
+			ps.keyCol = i
+		}
+	}
+	if ps.keyCol < 0 {
+		return qerr.New(qerr.ErrInternal, "spill: no uint32 or string key column %q", ps.key)
+	}
+	cols := append(input.Slice(0, 0).Columns(), storage.NewUint32(ps.tag, nil))
+	schema, err := storage.NewRelation(input.Name(), cols...)
+	if err != nil {
+		return err
+	}
+	ps.schema, ps.rowB, ps.dicts = schema, rowBytes(schema), seedDicts(schema)
+	return nil
+}
+
+// add scatters a batch across the partition buffers — histogram, room, then
+// one typed pass per column — and flushes them all once the set's buffered
+// total passes the grant. Rows are numbered next, next+1, … unless the batch
+// is tagged already: a re-dealt partition, whose last column carries its rows'
+// ordinals.
+func (ps *partitionSet) add(ec *ExecContext, batch *storage.Relation, tagged bool) error {
 	n := batch.NumRows()
 	if n == 0 {
 		return nil
 	}
-	keys, err := spillKeyCodes(batch, ps.key)
-	if err != nil {
-		return err
-	}
-	var idx [spillParts][]int32
-	for i := 0; i < n; i++ {
-		p := spillBucket(keys[i], ps.level)
-		idx[p] = append(idx[p], int32(i))
-	}
-	for p := 0; p < spillParts; p++ {
-		if len(idx[p]) == 0 {
-			continue
+	if ps.schema == nil {
+		if err := ps.setSchema(batch); err != nil {
+			return err
 		}
-		g := batch.Gather(idx[p])
-		gb := g.MemBytes()
-		if err := ps.rv.grab(gb); err != nil {
-			if ferr := ps.flush(ec); ferr != nil {
-				return ferr
-			}
-			if err := ps.rv.grab(gb); err != nil {
+	}
+	need := int64(n) * ps.rowB
+	if ps.rv.grab(need) != nil {
+		// Memory pressure before the grant: flush and retry once.
+		if err := ps.flush(ec); err != nil {
+			return err
+		}
+		if err := ps.rv.grab(need); err != nil {
+			return err
+		}
+	}
+	ps.bufTotal += need
+
+	if cap(ps.bucket) < n {
+		ps.bucket = make([]uint8, n)
+	}
+	ps.bucket = ps.bucket[:n]
+	var count [spillParts]int
+	for i, k := range batch.Columns()[ps.keyCol].Uint32s() {
+		p := spillBucket(k, ps.level)
+		ps.bucket[i] = uint8(p)
+		count[p]++
+	}
+	for p, c := range count {
+		if need := ps.fill[p] + c; c > 0 && (ps.bufs[p] == nil || ps.bufs[p].NumRows() < need) {
+			// A first buffer holds an even share of the grant and of the
+			// batch that overshoots it, plus an eighth for chance: uniform
+			// keys never regrow it.
+			even := (int(ps.quota/ps.rowB) + n) / spillParts
+			grown, err := allocLike(ps.schema, max(need, 2*ps.fill[p], even+even/8))
+			if err != nil {
 				return err
 			}
+			if ps.fill[p] > 0 {
+				copyRows(grown, 0, ps.bufs[p], ps.fill[p])
+			}
+			ps.bufs[p] = grown
 		}
-		ps.mem[p] = append(ps.mem[p], g)
-		ps.memB[p] += gb
-		ps.rows[p] += int64(len(idx[p]))
-		ps.bufTotal += gb
+		ps.rows[p] += int64(c)
+	}
+	for c, col := range batch.Columns() {
+		switch col.Kind() {
+		case storage.KindUint32, storage.KindString:
+			scatterCol(ps, c, col.Uint32s(), (*storage.Column).Uint32s)
+		case storage.KindUint64:
+			scatterCol(ps, c, col.Uint64s(), (*storage.Column).Uint64s)
+		case storage.KindInt64:
+			scatterCol(ps, c, col.Int64s(), (*storage.Column).Int64s)
+		case storage.KindFloat64:
+			scatterCol(ps, c, col.Float64s(), (*storage.Column).Float64s)
+		}
+	}
+	if !tagged {
+		var dst [spillParts][]uint32
+		for p, b := range ps.bufs {
+			if b != nil {
+				dst[p] = b.Columns()[ps.schema.NumCols()-1].Uint32s()
+			}
+		}
+		pos := ps.fill
+		for i, p := range ps.bucket {
+			dst[p][pos[p]] = ps.next + uint32(i)
+			pos[p]++
+		}
+		ps.next += uint32(n)
+	}
+	for p, c := range count {
+		ps.fill[p] += c
 	}
 	if ps.bufTotal > ps.quota {
 		return ps.flush(ec)
@@ -669,204 +716,278 @@ func (ps *partitionSet) add(ec *ExecContext, batch *storage.Relation) error {
 	return nil
 }
 
-// flush appends every buffered batch to its partition's run file and
-// releases the buffer reservations.
+// scatterCol deals one column of a batch into column c of the partition
+// buffers, each row to the next free slot of the partition ps.bucket names.
+func scatterCol[T any](ps *partitionSet, c int, src []T, data func(*storage.Column) []T) {
+	var dst [spillParts][]T
+	for p, b := range ps.bufs {
+		if b != nil {
+			dst[p] = data(b.Columns()[c])
+		}
+	}
+	pos := ps.fill
+	for i, p := range ps.bucket {
+		dst[p][pos[p]] = src[i]
+		pos[p]++
+	}
+}
+
+// flush appends every non-empty buffer to the run file as one frame and
+// releases the buffers' reservations; the buffers themselves stay, empty, for
+// the next batches.
 func (ps *partitionSet) flush(ec *ExecContext) error {
 	if ps.bufTotal == 0 {
 		return nil
 	}
-	for p := 0; p < spillParts; p++ {
-		if len(ps.mem[p]) == 0 {
-			continue
-		}
-		if ps.writers[p] == nil {
-			dir, err := ec.Spill()
-			if err != nil {
-				return err
-			}
-			w, err := dir.NewRun(fmt.Sprintf("%s-l%d-p%02d", ps.label, ps.level, p))
-			if err != nil {
-				return err
-			}
-			ps.writers[p] = w
-			ps.rv.b.addSpill(0, 1, 0)
-		}
-		w := ps.writers[p]
-		before := w.BytesWritten()
-		for _, m := range ps.mem[p] {
-			if err := w.Append(m); err != nil {
-				return err
-			}
-		}
-		ps.rv.b.addSpill(w.BytesWritten()-before, 0, 0)
-		ps.diskB[p] += ps.memB[p]
-		ps.rv.drop(ps.memB[p])
-		ps.mem[p], ps.memB[p] = nil, 0
-	}
-	ps.bufTotal = 0
-	ps.spilled = true
-	return nil
-}
-
-// seal finishes every open run writer. Call once the input is drained,
-// before loading or re-partitioning.
-func (ps *partitionSet) seal() error {
-	for p := 0; p < spillParts; p++ {
-		if ps.writers[p] == nil {
-			continue
-		}
-		run, err := ps.writers[p].Finish()
-		ps.writers[p] = nil
+	if ps.w == nil {
+		dir, err := ec.Spill()
 		if err != nil {
 			return err
 		}
-		ps.runs[p] = append(ps.runs[p], run)
+		if ps.w, err = dir.NewRun(fmt.Sprintf("%s-l%d", ps.label, ps.level)); err != nil {
+			return err
+		}
 	}
+	for p, n := range ps.fill {
+		if n == 0 {
+			continue
+		}
+		if len(ps.extents[p]) == 0 {
+			ps.rv.b.addSpill(0, 1, 0)
+		}
+		off := ps.w.BytesWritten()
+		if err := ps.w.Append(ps.bufs[p].Slice(0, n)); err != nil {
+			return err
+		}
+		ps.rv.b.addSpill(ps.w.BytesWritten()-off, 0, 0)
+		ps.extents[p] = append(ps.extents[p], off)
+		ps.rv.drop(int64(n) * ps.rowB)
+		ps.fill[p] = 0
+	}
+	ps.bufTotal = 0
 	return nil
 }
 
-// abort closes any still-open writers (error/panic path; the files
-// themselves die with the query's spill.Dir).
-func (ps *partitionSet) abort() {
-	if ps == nil {
-		return
+// seal finishes the run file. Call once the input is drained, before
+// loading or re-partitioning.
+func (ps *partitionSet) seal() error {
+	if ps.w == nil {
+		return nil
 	}
-	for p := 0; p < spillParts; p++ {
-		if ps.writers[p] != nil {
-			ps.writers[p].Abort()
-			ps.writers[p] = nil
-		}
+	run, err := ps.w.Finish()
+	ps.w, ps.run = nil, run
+	return err
+}
+
+// abort closes the set's open file, if any (error/panic path; the file
+// itself dies with the query's spill.Dir).
+func (ps *partitionSet) abort() {
+	if ps.w != nil {
+		ps.w.Abort()
+		ps.w = nil
+	}
+	if ps.rd != nil {
+		ps.rd.Close()
+		ps.rd = nil
 	}
 }
 
-// partBytes reports a partition's total payload (disk + in-memory tail).
-func (ps *partitionSet) partBytes(p int) int64 { return ps.diskB[p] + ps.memB[p] }
+// partBytes reports a partition's total payload (disk + buffered tail).
+func (ps *partitionSet) partBytes(p int) int64 { return ps.rows[p] * ps.rowB }
 
-// load materialises partition p as one relation in global input order,
-// returning the bytes now reserved for it (the caller drops them when the
-// partition is consumed). A rowless partition returns (nil, 0, nil).
-func (ps *partitionSet) load(ec *ExecContext, p int, dicts map[string]*storage.Dict) (*storage.Relation, int64, error) {
-	if ps.rows[p] == 0 {
-		return nil, 0, nil
+// reader returns the sealed run file's one reader, opened on first use, or
+// the query's error once it has one.
+func (ps *partitionSet) reader(ec *ExecContext) (*spill.RunReader, error) {
+	if err := ec.Err(); err != nil {
+		return nil, err
 	}
-	var parts []*storage.Relation
-	var partBytes int64
-	for _, run := range ps.runs[p] {
-		rd, err := run.Open(dicts)
+	if ps.rd == nil {
+		rd, err := ps.run.Open(ps.dicts)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		for {
-			if err := ec.Err(); err != nil {
-				rd.Close()
-				return nil, 0, err
-			}
-			batch, err := rd.Next()
-			if err != nil {
-				rd.Close()
-				return nil, 0, err
-			}
-			if batch == nil {
-				break
-			}
-			if err := ps.rv.grab(batch.MemBytes()); err != nil {
-				rd.Close()
-				return nil, 0, err
-			}
-			partBytes += batch.MemBytes()
-			parts = append(parts, batch)
-		}
-		if err := rd.Close(); err != nil {
-			return nil, 0, err
-		}
+		ps.rd = rd
 	}
-	// In-memory tail comes after all frames: later rows flushed never, so
-	// frame order + tail order = global input order.
-	parts = append(parts, ps.mem[p]...)
-	tail := ps.memB[p]
-	ps.mem[p], ps.memB[p] = nil, 0 // ownership moves to the caller
-	rel, err := storage.Concat(parts)
+	return ps.rd, nil
+}
+
+// load materialises the non-empty partition p, tag column included, as one
+// relation in global input order, allocated once at its known size: frames
+// decode straight into it and the buffered tail is copied behind them (later
+// rows were never flushed, so extent order + tail = input order). It retires
+// p and returns the bytes now reserved for the relation, which the caller
+// drops when it is done with it.
+func (ps *partitionSet) load(ec *ExecContext, p int) (*storage.Relation, int64, error) {
+	held := ps.partBytes(p)
+	if err := ps.rv.grab(held); err != nil {
+		return nil, 0, err
+	}
+	rel, err := allocLike(ps.schema, int(ps.rows[p]))
 	if err != nil {
 		return nil, 0, err
 	}
-	held := partBytes + tail
-	if len(parts) > 1 {
-		if err := ps.rv.grab(rel.MemBytes()); err != nil {
+	at := 0
+	for _, off := range ps.extents[p] {
+		rd, err := ps.reader(ec)
+		if err != nil {
 			return nil, 0, err
 		}
-		ps.rv.drop(held)
-		held = rel.MemBytes()
+		n, err := rd.ReadInto(off, rel, at)
+		if err != nil {
+			return nil, 0, err
+		}
+		at += n
 	}
-	return rel, held, nil
+	if at+ps.fill[p] != rel.NumRows() {
+		return nil, 0, qerr.New(qerr.ErrInternal, "spill: partition %d holds %d rows, %d were dealt", p, at+ps.fill[p], rel.NumRows())
+	}
+	if ps.fill[p] > 0 {
+		copyRows(rel, at, ps.bufs[p], ps.fill[p])
+	}
+	return rel, held, ps.retire(p)
 }
 
-// repartition deals partition p out into a fresh set one level deeper
-// (a different hash-bit window), then retires p's runs and buffers. Used
-// when a partition alone still exceeds the spill grant.
-func (ps *partitionSet) repartition(ec *ExecContext, p int, dicts map[string]*storage.Dict) (*partitionSet, error) {
-	child := newPartitionSet(ps.rv, ps.label, ps.key, ps.level+1, ps.quota)
-	ps.rv.b.addSpill(0, 0, 1)
-	feed := func(batch *storage.Relation) error {
-		if err := ec.Err(); err != nil {
+// retire gives up partition p's buffer and its reservation and, with the
+// set's last partition, closes the reader and removes the run file, which
+// returns the file's bytes to the disk budget.
+func (ps *partitionSet) retire(p int) error {
+	tail := int64(ps.fill[p]) * ps.rowB
+	ps.rv.drop(tail)
+	ps.bufTotal -= tail
+	ps.bufs[p], ps.fill[p], ps.extents[p] = nil, 0, nil
+	if ps.left--; ps.left > 0 || ps.run == nil {
+		return nil
+	}
+	run := ps.run
+	ps.run = nil
+	if ps.rd != nil {
+		err := ps.rd.Close()
+		if ps.rd = nil; err != nil {
 			return err
 		}
-		return child.add(ec, batch)
 	}
-	for _, run := range ps.runs[p] {
-		rd, err := run.Open(dicts)
+	return run.Remove()
+}
+
+// repartition deals partition p out into a fresh, sealed set one level
+// deeper (a different hash-bit window) and retires p. Used when a partition
+// alone still exceeds the spill grant.
+func (ps *partitionSet) repartition(ec *ExecContext, p int) (*partitionSet, error) {
+	child := newPartitionSet(ps.rv, ps.sets, ps.label, ps.key, ps.tag, ps.level+1, ps.quota)
+	child.schema, child.keyCol, child.rowB, child.dicts = ps.schema, ps.keyCol, ps.rowB, ps.dicts
+	ps.rv.b.addSpill(0, 0, 1)
+	for _, off := range ps.extents[p] {
+		rd, err := ps.reader(ec)
 		if err != nil {
 			return nil, err
 		}
+		batch, err := rd.ReadAt(off)
+		if err != nil {
+			return nil, err
+		}
+		if err := child.add(ec, batch, true); err != nil {
+			return nil, err
+		}
+	}
+	if ps.fill[p] > 0 {
+		if err := child.add(ec, ps.bufs[p].Slice(0, ps.fill[p]), true); err != nil {
+			return nil, err
+		}
+	}
+	if err := ps.retire(p); err != nil {
+		return nil, err
+	}
+	return child, child.seal()
+}
+
+// spillInput is one child of a partitioned operator as it is drained:
+// in-memory batches until the operator's inputs together pass the grant, a
+// partition set afterwards.
+type spillInput struct {
+	op       Operator
+	key      string
+	tag      string
+	template *storage.Relation
+	parts    []*storage.Relation
+	bufBytes int64
+	ps       *partitionSet
+}
+
+// drainInputs drains ins one after the other and reports whether they
+// spilled. Batches buffer in memory while all inputs together fit the grant
+// and the budget; the first batch that does not sends every input's buffer
+// to a partition set of its own, each with an equal share of the grant, and
+// later batches are dealt straight to the sets, which are returned sealed.
+func drainInputs(ec *ExecContext, rv *resv, sets *[]*partitionSet, label string, quota int64, ins ...*spillInput) (bool, error) {
+	var rows, buffered int64
+	spilled := false
+	for _, in := range ins {
 		for {
-			batch, err := rd.Next()
+			if err := ec.Err(); err != nil {
+				return false, err
+			}
+			if err := faultinject.Fire(faultinject.PointExecDrainBatch); err != nil {
+				return false, err
+			}
+			batch, err := in.op.Next(ec)
 			if err != nil {
-				rd.Close()
-				return nil, err
+				return false, err
 			}
 			if batch == nil {
 				break
 			}
-			if err := feed(batch); err != nil {
-				rd.Close()
-				return nil, err
+			ec.Counters.tick(batch.NumRows())
+			rows += int64(batch.NumRows())
+			if in.template == nil {
+				in.template = batch
+			}
+			if batch.NumRows() == 0 {
+				continue
+			}
+			if !spilled {
+				n := batch.MemBytes()
+				if err := rv.grab(n); err == nil && buffered+n <= quota {
+					in.parts = append(in.parts, batch)
+					in.bufBytes, buffered = in.bufBytes+n, buffered+n
+					continue
+				} else if err == nil {
+					rv.drop(n) // quota, not budget, tripped: re-grab inside spill mode
+				}
+				spilled = true
+				for _, s := range ins {
+					s.ps = newPartitionSet(rv, sets, label, s.key, s.tag, 0, quota/int64(len(ins)))
+					for _, b := range s.parts {
+						if err := s.ps.add(ec, b, false); err != nil {
+							return false, err
+						}
+					}
+					rv.drop(s.bufBytes)
+					s.parts, s.bufBytes = nil, 0
+					if err := s.ps.flush(ec); err != nil {
+						return false, err
+					}
+				}
+			}
+			if err := in.ps.add(ec, batch, false); err != nil {
+				return false, err
 			}
 		}
-		if err := rd.Close(); err != nil {
-			return nil, err
+	}
+	rv.b.addRowsIn(rows)
+	if err := faultinject.Fire(faultinject.PointExecBreaker); err != nil {
+		return false, err
+	}
+	for _, in := range ins {
+		if in.template == nil {
+			return false, qerr.New(qerr.ErrInternal, "spill: %s has no input schema", label)
+		}
+		if spilled {
+			if err := in.ps.seal(); err != nil {
+				return false, err
+			}
 		}
 	}
-	for _, m := range ps.mem[p] {
-		if err := feed(m); err != nil {
-			return nil, err
-		}
-	}
-	ps.rv.drop(ps.memB[p])
-	ps.mem[p], ps.memB[p] = nil, 0
-	for _, run := range ps.runs[p] {
-		if err := run.Remove(); err != nil {
-			return nil, err
-		}
-	}
-	ps.runs[p] = nil
-	if err := child.seal(); err != nil {
-		return nil, err
-	}
-	return child, nil
-}
-
-// tagRows appends a global row-ordinal column to a batch, advancing *next.
-func tagRows(batch *storage.Relation, tag string, next *uint32) (*storage.Relation, error) {
-	if _, ok := batch.Column(tag); ok {
-		return nil, qerr.New(qerr.ErrInternal, "spill: input already has reserved column %q", tag)
-	}
-	n := batch.NumRows()
-	ids := make([]uint32, n)
-	for i := range ids {
-		ids[i] = *next + uint32(i)
-	}
-	*next += uint32(n)
-	cols := append(append([]*storage.Column{}, batch.Columns()...), storage.NewUint32(tag, ids))
-	return storage.NewRelation(batch.Name(), cols...)
+	return spilled, nil
 }
 
 // dropCols returns rel without the named columns.
@@ -955,101 +1076,22 @@ func (g *SpillGroup) materialize(ec *ExecContext) error {
 	opt.Ctl = ctl
 	quota := ec.SpillQuota()
 
-	var template *storage.Relation
-	var parts []*storage.Relation // in-memory mode buffer (original batches)
-	var bufBytes, rows int64
-	var ps *partitionSet
-	var nextRow uint32
-
-	toSpillMode := func() error {
-		ps = newPartitionSet(rv, g.label, g.key, 0, quota)
-		g.sets = append(g.sets, ps)
-		for _, b := range parts {
-			tagged, err := tagRows(b, rowTagL, &nextRow)
-			if err != nil {
-				return err
-			}
-			if err := ps.add(ec, tagged); err != nil {
-				return err
-			}
-		}
-		freed := bufBytes
-		parts, bufBytes = nil, 0
-		rv.drop(freed)
-		return ps.flush(ec)
-	}
-
-	for {
-		if err := ec.Err(); err != nil {
-			return err
-		}
-		if err := faultinject.Fire(faultinject.PointExecDrainBatch); err != nil {
-			return err
-		}
-		batch, err := g.child.Next(ec)
-		if err != nil {
-			return err
-		}
-		if batch == nil {
-			break
-		}
-		ec.Counters.tick(batch.NumRows())
-		rows += int64(batch.NumRows())
-		if template == nil {
-			template = batch
-		}
-		if batch.NumRows() == 0 {
-			continue
-		}
-		if ps != nil {
-			tagged, err := tagRows(batch, rowTagL, &nextRow)
-			if err != nil {
-				return err
-			}
-			if err := ps.add(ec, tagged); err != nil {
-				return err
-			}
-			continue
-		}
-		n := batch.MemBytes()
-		if err := rv.grab(n); err != nil || bufBytes+n > quota {
-			if err == nil {
-				rv.drop(n) // quota, not budget, tripped: re-grab inside spill mode
-			}
-			if err := toSpillMode(); err != nil {
-				return err
-			}
-			tagged, terr := tagRows(batch, rowTagL, &nextRow)
-			if terr != nil {
-				return terr
-			}
-			if err := ps.add(ec, tagged); err != nil {
-				return err
-			}
-			continue
-		}
-		parts = append(parts, batch)
-		bufBytes += n
-	}
-	g.addRowsIn(rows)
-	if err := faultinject.Fire(faultinject.PointExecBreaker); err != nil {
+	in := &spillInput{op: g.child, key: g.key, tag: rowTagL}
+	spilled, err := drainInputs(ec, rv, &g.sets, g.label, quota, in)
+	if err != nil {
 		return err
 	}
-	if template == nil {
-		return qerr.New(qerr.ErrInternal, "spill group: no input schema")
-	}
-
-	if ps == nil {
+	if !spilled {
 		// Everything fit: the in-memory serial twin, exactly.
-		in, err := storage.Concat(orSchema(parts, template))
+		rel, err := storage.Concat(orSchema(in.parts, in.template))
 		if err != nil {
 			return err
 		}
-		out, err := physical.GroupByRelDom(in, g.key, g.aggs, physical.HG, opt, g.dom)
+		out, err := physical.GroupByRelDom(rel, g.key, g.aggs, physical.HG, opt, g.dom)
 		if err != nil {
 			return err
 		}
-		rv.drop(bufBytes)
+		rv.drop(in.bufBytes)
 		if err := rv.grab(out.MemBytes()); err != nil {
 			return err
 		}
@@ -1057,12 +1099,8 @@ func (g *SpillGroup) materialize(ec *ExecContext) error {
 		return nil
 	}
 
-	if err := ps.seal(); err != nil {
-		return err
-	}
-	dicts := seedDicts(template)
 	var groups []*storage.Relation
-	var orders [][]uint32
+	var ord []uint32 // every group's first input row, in groups order
 	var groupBytes int64
 	var process func(set *partitionSet, p int) error
 	process = func(set *partitionSet, p int) error {
@@ -1070,14 +1108,13 @@ func (g *SpillGroup) materialize(ec *ExecContext) error {
 			return err
 		}
 		if set.rows[p] == 0 {
-			return nil
+			return set.retire(p)
 		}
 		if set.partBytes(p) > quota && set.level+1 < spillMaxDepth {
-			child, err := set.repartition(ec, p, dicts)
+			child, err := set.repartition(ec, p)
 			if err != nil {
 				return err
 			}
-			g.sets = append(g.sets, child)
 			for q := 0; q < spillParts; q++ {
 				if err := process(child, q); err != nil {
 					return err
@@ -1085,22 +1122,13 @@ func (g *SpillGroup) materialize(ec *ExecContext) error {
 			}
 			return nil
 		}
-		rel, held, err := set.load(ec, p, dicts)
+		rel, held, err := set.load(ec, p)
 		if err != nil {
 			return err
 		}
-		keys, err := spillKeyCodes(rel, g.key)
-		if err != nil {
-			return err
-		}
-		rowids := rel.MustColumn(rowTagL).Uint32s()
-		first := make(map[uint32]uint32)
-		for i, k := range keys {
-			if _, ok := first[k]; !ok {
-				first[k] = rowids[i]
-			}
-		}
-		stripped, err := dropCols(rel, rowTagL)
+		cols := rel.Columns()
+		tag := len(cols) - 1
+		stripped, err := storage.NewRelation(rel.Name(), cols[:tag]...)
 		if err != nil {
 			return err
 		}
@@ -1112,24 +1140,21 @@ func (g *SpillGroup) materialize(ec *ExecContext) error {
 			return err
 		}
 		groupBytes += gr.MemBytes()
-		gkeys := gr.Columns()[0].Uint32s()
-		ord := make([]uint32, len(gkeys))
-		for i, k := range gkeys {
-			ord[i] = first[k]
+		if ord, err = firstSeen(ord, cols[set.keyCol].Uint32s(), cols[tag].Uint32s(), gr.Columns()[0].Uint32s()); err != nil {
+			return err
 		}
 		groups = append(groups, gr)
-		orders = append(orders, ord)
 		rv.drop(held)
 		return nil
 	}
 	for p := 0; p < spillParts; p++ {
-		if err := process(ps, p); err != nil {
+		if err := process(in.ps, p); err != nil {
 			return err
 		}
 	}
 
 	if len(groups) == 0 {
-		out, err := physical.GroupByRelDom(template.Slice(0, 0), g.key, g.aggs, physical.HG, opt, g.dom)
+		out, err := physical.GroupByRelDom(in.template.Slice(0, 0), g.key, g.aggs, physical.HG, opt, g.dom)
 		if err != nil {
 			return err
 		}
@@ -1140,22 +1165,39 @@ func (g *SpillGroup) materialize(ec *ExecContext) error {
 	if err != nil {
 		return err
 	}
-	var ord []uint32
-	for _, o := range orders {
-		ord = append(ord, o...)
-	}
-	perm := make([]int32, len(ord))
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	sort.Slice(perm, func(a, b int) bool { return ord[perm[a]] < ord[perm[b]] })
-	out := merged.Gather(perm)
+	// First-occurrence ordinals are unique, so their argsort is the chained
+	// table's first-seen order over the whole input.
+	out := merged.Gather(sortx.ArgSortUint32(sortx.Radix, ord))
 	if err := rv.grab(out.MemBytes()); err != nil {
 		return err
 	}
 	rv.drop(groupBytes)
 	g.out = out
 	return nil
+}
+
+// firstSeen appends to ord the input ordinal of each group's first row. keys
+// and rows are one partition's key column and ordinals in input order; gkeys
+// are its groups as the chained kernel emits them, first-seen. Group i+1 was
+// first seen after group i, and every row before group i's first one belongs
+// to an earlier group, so a single forward walk that waits for gkeys[i] meets
+// it exactly at its first occurrence. A group the walk never meets — groups
+// in an order that cannot be first-seen — is an internal error.
+func firstSeen(ord, keys, rows, gkeys []uint32) ([]uint32, error) {
+	g := 0
+	for i, k := range keys {
+		if g == len(gkeys) {
+			break
+		}
+		if k == gkeys[g] {
+			ord = append(ord, rows[i])
+			g++
+		}
+	}
+	if g != len(gkeys) {
+		return nil, qerr.New(qerr.ErrInternal, "spill group: %d of %d groups met in first-seen order", g, len(gkeys))
+	}
+	return ord, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -1233,19 +1275,6 @@ func (j *SpillJoin) Close(ec *ExecContext) error {
 // Children implements Operator.
 func (j *SpillJoin) Children() []Operator { return []Operator{j.left, j.right} }
 
-// joinSide is one drained side of the join: in-memory batches until the
-// combined buffer passes the grant, a partition set afterwards.
-type joinSide struct {
-	op       Operator
-	key      string
-	tag      string
-	template *storage.Relation
-	parts    []*storage.Relation
-	bufBytes int64
-	ps       *partitionSet
-	nextRow  uint32
-}
-
 func (j *SpillJoin) materialize(ec *ExecContext) error {
 	ctl := ec.CtlFor(j.label)
 	rv := &resv{ctl: ctl, held: &j.held, b: &j.base}
@@ -1253,102 +1282,11 @@ func (j *SpillJoin) materialize(ec *ExecContext) error {
 	opt.Ctl = ctl
 	quota := ec.SpillQuota()
 
-	ls := &joinSide{op: j.left, key: j.leftKey, tag: rowTagL}
-	rs := &joinSide{op: j.right, key: j.rightKey, tag: rowTagR}
-	var rows int64
-	spillMode := false
-
-	sideToSpill := func(s *joinSide) error {
-		s.ps = newPartitionSet(rv, j.label, s.key, 0, quota/2)
-		j.sets = append(j.sets, s.ps)
-		for _, b := range s.parts {
-			tagged, err := tagRows(b, s.tag, &s.nextRow)
-			if err != nil {
-				return err
-			}
-			if err := s.ps.add(ec, tagged); err != nil {
-				return err
-			}
-		}
-		freed := s.bufBytes
-		s.parts, s.bufBytes = nil, 0
-		rv.drop(freed)
-		return s.ps.flush(ec)
-	}
-	enterSpillMode := func() error {
-		spillMode = true
-		if err := sideToSpill(ls); err != nil {
-			return err
-		}
-		return sideToSpill(rs)
-	}
-
-	drainSide := func(s *joinSide, other *joinSide) error {
-		for {
-			if err := ec.Err(); err != nil {
-				return err
-			}
-			if err := faultinject.Fire(faultinject.PointExecDrainBatch); err != nil {
-				return err
-			}
-			batch, err := s.op.Next(ec)
-			if err != nil {
-				return err
-			}
-			if batch == nil {
-				return nil
-			}
-			ec.Counters.tick(batch.NumRows())
-			rows += int64(batch.NumRows())
-			if s.template == nil {
-				s.template = batch
-			}
-			if batch.NumRows() == 0 {
-				continue
-			}
-			if spillMode {
-				tagged, err := tagRows(batch, s.tag, &s.nextRow)
-				if err != nil {
-					return err
-				}
-				if err := s.ps.add(ec, tagged); err != nil {
-					return err
-				}
-				continue
-			}
-			n := batch.MemBytes()
-			if err := rv.grab(n); err != nil || s.bufBytes+other.bufBytes+n > quota {
-				if err == nil {
-					rv.drop(n)
-				}
-				if err := enterSpillMode(); err != nil {
-					return err
-				}
-				tagged, terr := tagRows(batch, s.tag, &s.nextRow)
-				if terr != nil {
-					return terr
-				}
-				if err := s.ps.add(ec, tagged); err != nil {
-					return err
-				}
-				continue
-			}
-			s.parts = append(s.parts, batch)
-			s.bufBytes += n
-		}
-	}
-	if err := drainSide(ls, rs); err != nil {
+	ls := &spillInput{op: j.left, key: j.leftKey, tag: rowTagL}
+	rs := &spillInput{op: j.right, key: j.rightKey, tag: rowTagR}
+	spilled, err := drainInputs(ec, rv, &j.sets, j.label, quota, ls, rs)
+	if err != nil {
 		return err
-	}
-	if err := drainSide(rs, ls); err != nil {
-		return err
-	}
-	j.addRowsIn(rows)
-	if err := faultinject.Fire(faultinject.PointExecBreaker); err != nil {
-		return err
-	}
-	if ls.template == nil || rs.template == nil {
-		return qerr.New(qerr.ErrInternal, "spill join: missing input schema")
 	}
 
 	join := func(l, r *storage.Relation, cols []string) (*storage.Relation, error) {
@@ -1364,7 +1302,7 @@ func (j *SpillJoin) materialize(ec *ExecContext) error {
 		taggedCols = append(append([]string(nil), j.cols...), rowTagL, rowTagR)
 	}
 
-	if !spillMode {
+	if !spilled {
 		// Everything fit: the in-memory serial twin, exactly.
 		l, err := storage.Concat(orSchema(ls.parts, ls.template))
 		if err != nil {
@@ -1386,14 +1324,6 @@ func (j *SpillJoin) materialize(ec *ExecContext) error {
 		return nil
 	}
 
-	if err := ls.ps.seal(); err != nil {
-		return err
-	}
-	if err := rs.ps.seal(); err != nil {
-		return err
-	}
-	ldicts := seedDicts(ls.template)
-	rdicts := seedDicts(rs.template)
 	var pairs []*storage.Relation
 	var pairBytes int64
 	var process func(lset, rset *partitionSet, p int) error
@@ -1402,23 +1332,26 @@ func (j *SpillJoin) materialize(ec *ExecContext) error {
 			return err
 		}
 		if lset.rows[p] == 0 || rset.rows[p] == 0 {
-			return nil // inner join: an empty side means no matches
+			// Inner join: an empty side means no matches, and the other
+			// side's rows are given up unread.
+			if err := lset.retire(p); err != nil {
+				return err
+			}
+			return rset.retire(p)
 		}
 		build := lset
 		if j.swapped {
 			build = rset
 		}
 		if build.partBytes(p) > quota/2 && lset.level+1 < spillMaxDepth {
-			lchild, err := lset.repartition(ec, p, ldicts)
+			lchild, err := lset.repartition(ec, p)
 			if err != nil {
 				return err
 			}
-			j.sets = append(j.sets, lchild)
-			rchild, err := rset.repartition(ec, p, rdicts)
+			rchild, err := rset.repartition(ec, p)
 			if err != nil {
 				return err
 			}
-			j.sets = append(j.sets, rchild)
 			for q := 0; q < spillParts; q++ {
 				if err := process(lchild, rchild, q); err != nil {
 					return err
@@ -1426,11 +1359,11 @@ func (j *SpillJoin) materialize(ec *ExecContext) error {
 			}
 			return nil
 		}
-		lrel, lheld, err := lset.load(ec, p, ldicts)
+		lrel, lheld, err := lset.load(ec, p)
 		if err != nil {
 			return err
 		}
-		rrel, rheld, err := rset.load(ec, p, rdicts)
+		rrel, rheld, err := rset.load(ec, p)
 		if err != nil {
 			return err
 		}
@@ -1471,24 +1404,26 @@ func (j *SpillJoin) materialize(ec *ExecContext) error {
 	if j.swapped {
 		probeTag, buildTag = rowTagL, rowTagR
 	}
+	// That order is ascending in the 64-bit key probe<<32 | ^build, which an
+	// LSD radix sort reaches in two stable passes, low word first.
 	probe := merged.MustColumn(probeTag).Uint32s()
-	bld := merged.MustColumn(buildTag).Uint32s()
-	perm := make([]int32, merged.NumRows())
-	for i := range perm {
-		perm[i] = int32(i)
+	word := make([]uint32, merged.NumRows())
+	for i, b := range merged.MustColumn(buildTag).Uint32s() {
+		word[i] = ^b
 	}
-	sort.Slice(perm, func(a, b int) bool {
-		pa, pb := probe[perm[a]], probe[perm[b]]
-		if pa != pb {
-			return pa < pb
-		}
-		return bld[perm[a]] > bld[perm[b]]
-	})
-	gathered := merged.Gather(perm)
-	out, err := dropCols(gathered, rowTagL, rowTagR)
+	byBuild := sortx.ArgSortUint32(sortx.Radix, word)
+	for i, r := range byBuild {
+		word[i] = probe[r]
+	}
+	perm := sortx.ArgSortUint32(sortx.Radix, word)
+	for i, r := range perm {
+		perm[i] = byBuild[r]
+	}
+	untagged, err := dropCols(merged, rowTagL, rowTagR)
 	if err != nil {
 		return err
 	}
+	out := untagged.Gather(perm)
 	if err := rv.grab(out.MemBytes()); err != nil {
 		return err
 	}

@@ -1,7 +1,6 @@
 package spill
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math"
 
@@ -9,30 +8,34 @@ import (
 	"dqo/internal/storage"
 )
 
-// encodeFrame serialises rel into buf (payload only — the caller frames it
-// with magic/length/checksum). dicts tracks which columns' dictionaries
-// this run has already carried, so each dictionary is written once per run.
-func encodeFrame(buf *bytes.Buffer, rel *storage.Relation, dicts *map[string]bool) error {
-	var scratch [8]byte
-	putU32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		buf.Write(scratch[:4])
-	}
-	putU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(scratch[:8], v)
-		buf.Write(scratch[:8])
-	}
-	putStr := func(s string) {
-		putU32(uint32(len(s)))
-		buf.WriteString(s)
-	}
+// frameHeader is the magic/length/checksum prefix of every frame.
+const frameHeader = 12
 
+func appendStr(buf []byte, s string) []byte {
+	return append(binary.LittleEndian.AppendUint32(buf, uint32(len(s))), s...)
+}
+
+// extend grows buf by n bytes and returns it with the offset of the window.
+func extend(buf []byte, n int) ([]byte, int) {
+	off := len(buf)
+	if cap(buf)-off < n {
+		buf = append(buf, make([]byte, n)...)
+	}
+	return buf[:off+n], off
+}
+
+// encodeFrame appends rel to buf as one frame: frameHeader bytes the caller
+// fills in (magic/length/checksum), then the payload, each column's values as
+// one sized window of little-endian words. dicts tracks which columns'
+// dictionaries this run has already carried, so each dictionary is written
+// once per run.
+func encodeFrame(buf []byte, rel *storage.Relation, dicts *map[string]bool) ([]byte, error) {
 	cols := rel.Columns()
-	putStr(rel.Name())
-	putU32(uint32(len(cols)))
-	putU32(uint32(rel.NumRows()))
+	buf, _ = extend(buf, frameHeader)
+	buf = appendStr(buf, rel.Name())
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(cols)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(rel.NumRows()))
 	for _, c := range cols {
-		buf.WriteByte(byte(c.Kind()))
 		hasDict := byte(0)
 		if c.Kind() == storage.KindString {
 			if *dicts == nil {
@@ -43,37 +46,45 @@ func encodeFrame(buf *bytes.Buffer, rel *storage.Relation, dicts *map[string]boo
 				(*dicts)[c.Name()] = true
 			}
 		}
-		buf.WriteByte(hasDict)
-		putStr(c.Name())
+		buf = appendStr(append(buf, byte(c.Kind()), hasDict), c.Name())
 		if hasDict == 1 {
 			d := c.Dict()
-			putU32(uint32(d.Len()))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(d.Len()))
 			for i := 0; i < d.Len(); i++ {
-				putStr(d.Lookup(uint32(i)))
+				buf = appendStr(buf, d.Lookup(uint32(i)))
 			}
 		}
+		var off int
 		switch c.Kind() {
 		case storage.KindUint32, storage.KindString:
-			for _, v := range c.Uint32s() {
-				putU32(v)
+			vals := c.Uint32s()
+			buf, off = extend(buf, 4*len(vals))
+			for i, v := range vals {
+				binary.LittleEndian.PutUint32(buf[off+4*i:], v)
 			}
 		case storage.KindUint64:
-			for _, v := range c.Uint64s() {
-				putU64(v)
+			vals := c.Uint64s()
+			buf, off = extend(buf, 8*len(vals))
+			for i, v := range vals {
+				binary.LittleEndian.PutUint64(buf[off+8*i:], v)
 			}
 		case storage.KindInt64:
-			for _, v := range c.Int64s() {
-				putU64(uint64(v))
+			vals := c.Int64s()
+			buf, off = extend(buf, 8*len(vals))
+			for i, v := range vals {
+				binary.LittleEndian.PutUint64(buf[off+8*i:], uint64(v))
 			}
 		case storage.KindFloat64:
-			for _, v := range c.Float64s() {
-				putU64(math.Float64bits(v))
+			vals := c.Float64s()
+			buf, off = extend(buf, 8*len(vals))
+			for i, v := range vals {
+				binary.LittleEndian.PutUint64(buf[off+8*i:], math.Float64bits(v))
 			}
 		default:
-			return qerr.New(qerr.ErrSpillIO, "cannot spill column %q of kind %v", c.Name(), c.Kind())
+			return buf, qerr.New(qerr.ErrSpillIO, "cannot spill column %q of kind %v", c.Name(), c.Kind())
 		}
 	}
-	return nil
+	return buf, nil
 }
 
 // frameReader is a bounds-checked cursor over a frame payload; any
@@ -88,21 +99,13 @@ func (f *frameReader) take(n int) []byte {
 	if f.err != nil {
 		return nil
 	}
-	if f.off+n > len(f.b) {
-		f.err = qerr.New(qerr.ErrSpillIO, "corrupt spill frame: truncated payload (%d of %d bytes)", len(f.b), f.off+n)
+	if n < 0 || n > len(f.b)-f.off {
+		f.err = qerr.New(qerr.ErrSpillIO, "corrupt spill frame: truncated payload (%d bytes, %d wanted at %d)", len(f.b), n, f.off)
 		return nil
 	}
 	s := f.b[f.off : f.off+n]
 	f.off += n
 	return s
-}
-
-func (f *frameReader) u8() byte {
-	s := f.take(1)
-	if s == nil {
-		return 0
-	}
-	return s[0]
 }
 
 func (f *frameReader) u32() uint32 {
@@ -113,50 +116,70 @@ func (f *frameReader) u32() uint32 {
 	return binary.LittleEndian.Uint32(s)
 }
 
-func (f *frameReader) u64() uint64 {
-	s := f.take(8)
-	if s == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(s)
-}
-
 func (f *frameReader) str() string {
-	n := int(f.u32())
-	s := f.take(n)
-	if s == nil {
-		return ""
-	}
-	return string(s)
+	return string(f.take(int(f.u32())))
 }
 
-// decodeFrame reconstructs a relation from a frame payload. String columns
-// are re-interned through the dicts pool so every batch of a column shares
-// one dictionary with the original code assignment (see Run.Open). remaps
-// carries frame-code → pool-code translations across a run's frames (later
-// frames reference the dictionary of the first without re-carrying it); it
-// stays empty when the pool already holds the original dictionaries.
-func decodeFrame(payload []byte, dicts map[string]*storage.Dict, remaps map[string][]uint32) (*storage.Relation, error) {
+// remapCodes translates frame codes to pool codes in place and rejects a code
+// outside the dictionary (a checksum cannot catch a frame that was written
+// wrong, and a column of invalid codes would panic its first reader).
+func remapCodes(codes, remap []uint32, dictLen int) error {
+	if remap != nil {
+		dictLen = len(remap)
+	}
+	for i, c := range codes {
+		if int64(c) >= int64(dictLen) {
+			return qerr.New(qerr.ErrSpillIO, "corrupt spill frame: code %d outside dictionary (%d)", c, dictLen)
+		}
+		if remap != nil {
+			codes[i] = remap[c]
+		}
+	}
+	return nil
+}
+
+// decodeFrame reconstructs a frame payload: as a fresh relation, or — given a
+// caller-owned dst of the frame's schema — into rows [at, at+rows) of dst's
+// columns. It returns the frame's row count. String columns are re-interned
+// through the dicts pool so every batch of a column shares one dictionary
+// with the original code assignment (see Run.Open); a dst string column must
+// already carry the pool's dictionary. remaps carries frame-code → pool-code
+// translations across a run's frames (later frames reference the dictionary of
+// the first without re-carrying it); it stays empty when the pool already
+// holds the original dictionaries. Each column's bytes are taken once and
+// converted in one typed loop, and nothing is allocated before the payload is
+// known to hold it.
+func decodeFrame(payload []byte, dicts map[string]*storage.Dict, remaps map[string][]uint32, dst *storage.Relation, at int) (*storage.Relation, int, error) {
 	f := &frameReader{b: payload}
 	name := f.str()
-	ncols := int(f.u32())
-	nrows := int(f.u32())
+	ncols, nrows := int(f.u32()), int(f.u32())
 	if f.err != nil {
-		return nil, f.err
+		return nil, 0, f.err
 	}
-	if ncols < 0 || ncols > 1<<20 || nrows < 0 {
-		return nil, qerr.New(qerr.ErrSpillIO, "corrupt spill frame: %d columns, %d rows", ncols, nrows)
+	// A column costs at least its kind, dictionary flag and name length.
+	if ncols < 0 || ncols > (len(payload)-f.off)/6 {
+		return nil, 0, qerr.New(qerr.ErrSpillIO, "corrupt spill frame: %d columns in %d bytes", ncols, len(payload)-f.off)
 	}
-	cols := make([]*storage.Column, 0, ncols)
+	if dst != nil && (dst.NumCols() != ncols || at < 0 || nrows > dst.NumRows()-at) {
+		return nil, 0, qerr.New(qerr.ErrSpillIO, "spill frame (%d columns, %d rows) does not fit its destination (%d columns, %d rows from %d)",
+			ncols, nrows, dst.NumCols(), dst.NumRows(), at)
+	}
+	var cols []*storage.Column
+	if dst == nil {
+		cols = make([]*storage.Column, ncols)
+	}
 	for ci := 0; ci < ncols; ci++ {
-		kind := storage.Kind(f.u8())
-		hasDict := f.u8()
+		hdr := f.take(2) // kind, dictionary flag
 		cname := f.str()
 		if f.err != nil {
-			return nil, f.err
+			return nil, 0, f.err
 		}
-		if hasDict == 1 {
+		kind := storage.Kind(hdr[0])
+		if hdr[1] == 1 {
 			nd := int(f.u32())
+			if nd < 0 || nd > (len(payload)-f.off)/4 {
+				return nil, 0, qerr.New(qerr.ErrSpillIO, "corrupt spill frame: dictionary of %d strings in %d bytes", nd, len(payload)-f.off)
+			}
 			pool := dicts[cname]
 			if pool == nil {
 				pool = storage.NewDict()
@@ -166,7 +189,7 @@ func decodeFrame(payload []byte, dicts map[string]*storage.Dict, remaps map[stri
 			for i := 0; i < nd; i++ {
 				s := f.str()
 				if f.err != nil {
-					return nil, f.err
+					return nil, 0, f.err
 				}
 				code := pool.Intern(s)
 				if code != uint32(i) && remap == nil {
@@ -179,63 +202,68 @@ func decodeFrame(payload []byte, dicts map[string]*storage.Dict, remaps map[stri
 					remap[i] = code
 				}
 			}
-			if remap != nil {
+			if delete(remaps, cname); remap != nil {
 				remaps[cname] = remap
 			}
 		}
-		remap := remaps[cname]
-		switch kind {
-		case storage.KindUint32:
-			vals := make([]uint32, nrows)
-			for i := range vals {
-				vals[i] = f.u32()
-			}
-			cols = append(cols, storage.NewUint32(cname, vals))
-		case storage.KindString:
-			pool := dicts[cname]
-			if pool == nil {
-				return nil, qerr.New(qerr.ErrSpillIO, "corrupt spill frame: string column %q before its dictionary", cname)
-			}
-			codes := make([]uint32, nrows)
-			for i := range codes {
-				c := f.u32()
-				if remap != nil {
-					if int(c) >= len(remap) {
-						return nil, qerr.New(qerr.ErrSpillIO, "corrupt spill frame: code %d outside dictionary (%d)", c, len(remap))
-					}
-					c = remap[c]
-				}
-				codes[i] = c
-			}
-			cols = append(cols, storage.NewStringCodes(cname, codes, pool))
-		case storage.KindUint64:
-			vals := make([]uint64, nrows)
-			for i := range vals {
-				vals[i] = f.u64()
-			}
-			cols = append(cols, storage.NewUint64(cname, vals))
-		case storage.KindInt64:
-			vals := make([]int64, nrows)
-			for i := range vals {
-				vals[i] = int64(f.u64())
-			}
-			cols = append(cols, storage.NewInt64(cname, vals))
-		case storage.KindFloat64:
-			vals := make([]float64, nrows)
-			for i := range vals {
-				vals[i] = math.Float64frombits(f.u64())
-			}
-			cols = append(cols, storage.NewFloat64(cname, vals))
-		default:
-			return nil, qerr.New(qerr.ErrSpillIO, "corrupt spill frame: column %q has invalid kind %d", cname, kind)
+		width := 8
+		if kind == storage.KindUint32 || kind == storage.KindString {
+			width = 4
 		}
+		b := f.take(width * nrows)
 		if f.err != nil {
-			return nil, f.err
+			return nil, 0, f.err
 		}
+		pool := dicts[cname]
+		if kind == storage.KindString && pool == nil {
+			return nil, 0, qerr.New(qerr.ErrSpillIO, "corrupt spill frame: string column %q before its dictionary", cname)
+		}
+		// The values land in rows [at, at+nrows) of the destination's column,
+		// or of a fresh column now that the payload is known to hold them.
+		var col *storage.Column
+		if dst == nil {
+			var err error
+			if col, err = storage.NewColumn(cname, kind, pool, nrows); err != nil {
+				return nil, 0, qerr.New(qerr.ErrSpillIO, "corrupt spill frame: %v", err)
+			}
+			cols[ci] = col
+		} else if col = dst.Columns()[ci]; col.Kind() != kind || col.Name() != cname || (kind == storage.KindString && col.Dict() != pool) {
+			return nil, 0, qerr.New(qerr.ErrSpillIO, "spill frame column %d is %v %q, its destination %v %q (or of another dictionary)", ci, kind, cname, col.Kind(), col.Name())
+		}
+		switch kind {
+		case storage.KindUint32, storage.KindString:
+			vals := col.Uint32s()[at : at+nrows]
+			for i := range vals {
+				vals[i] = binary.LittleEndian.Uint32(b[4*i:])
+			}
+			if kind == storage.KindString {
+				if err := remapCodes(vals, remaps[cname], pool.Len()); err != nil {
+					return nil, 0, err
+				}
+			}
+		case storage.KindUint64:
+			vals := col.Uint64s()[at : at+nrows]
+			for i := range vals {
+				vals[i] = binary.LittleEndian.Uint64(b[8*i:])
+			}
+		case storage.KindInt64:
+			vals := col.Int64s()[at : at+nrows]
+			for i := range vals {
+				vals[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+			}
+		case storage.KindFloat64:
+			vals := col.Float64s()[at : at+nrows]
+			for i := range vals {
+				vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+			}
+		}
+	}
+	if dst != nil {
+		return dst, nrows, nil
 	}
 	rel, err := storage.NewRelation(name, cols...)
 	if err != nil {
-		return nil, qerr.Wrap(qerr.ErrSpillIO, err)
+		return nil, 0, qerr.Wrap(qerr.ErrSpillIO, err)
 	}
-	return rel, nil
+	return rel, nrows, nil
 }

@@ -1,12 +1,12 @@
 // Package spill provides budget-accounted temp-file runs for operators that
 // outgrow their memory budget: a per-query Dir of run files, a RunWriter
 // that serialises relation batches into CRC-checksummed frames, and a
-// RunReader that streams them back. Every byte written is charged against
-// the query's disk budget (qerr.ErrSpillLimitExceeded past the limit), every
-// I/O failure surfaces as a typed qerr.ErrSpillIO, and Dir.Cleanup removes
-// the whole directory no matter how the query ended — the executor calls it
-// from the drive loop's deferred close path, so cancelled and panicking
-// queries leak neither files nor descriptors.
+// RunReader that reads them back, in order or by offset. Every byte written
+// is charged against the query's disk budget (qerr.ErrSpillLimitExceeded past
+// the limit), every I/O failure surfaces as a typed qerr.ErrSpillIO, and
+// Dir.Cleanup removes the whole directory no matter how the query ended — the
+// executor calls it from the drive loop's deferred close path, so cancelled
+// and panicking queries leak neither files nor descriptors.
 //
 // Frame format (little-endian), one frame per appended batch:
 //
@@ -20,20 +20,32 @@
 //	    [hasDict: ndict uint32, then ndict strings]
 //	    raw values (uint32/codes: 4 B per row; 64-bit kinds: 8 B per row)
 //
+// A column's values are one window of words: the writer appends it in one
+// sized step and the reader converts it in one typed loop, into a fresh column
+// or straight into the rows of a relation the caller allocated (ReadInto).
+//
+// A run is a sequence of frames, and a frame is addressed by the offset
+// RunWriter.BytesWritten reported before it was appended. That lets one file
+// hold several interleaved streams: a partitioned operator appends all its
+// partitions' frames to one run, keeps each partition's offsets (its extents)
+// in memory, and reads a partition back by ReadAt/ReadInto on those offsets,
+// so it creates one file per partition set, not one per partition. The file's
+// bytes stay charged to the disk budget until Run.Remove (or Cleanup).
+//
 // A dictionary is serialised in full (all codes in order) the first time a
 // string column appears in a run; readers re-intern it into the caller's
 // dictionary pool so reconstructed columns keep the original code
 // assignment — dictionary codes order sorts and groupings, so code fidelity
-// is what makes spilled plans byte-identical to in-memory ones.
+// is what makes spilled plans byte-identical to in-memory ones. A reader that
+// goes by offset may never see that first frame: it must be opened on a pool
+// that already holds the column's dictionary.
 package spill
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -176,45 +188,43 @@ type RunWriter struct {
 	f     *os.File
 	w     *bufio.Writer
 	path  string
-	bytes int64
+	bytes int64 // bytes charged to the disk budget (written, or failed mid-write)
 	rows  int64
 	dicts map[string]bool // columns whose dictionary is already in this run
-	buf   bytes.Buffer
+	buf   []byte
 }
 
 // Append serialises rel as one checksummed frame at the end of the run,
-// charging the frame bytes against the disk budget first.
+// charging the frame bytes against the disk budget first. The frame starts at
+// the BytesWritten offset of before the call.
 func (w *RunWriter) Append(rel *storage.Relation) error {
+	frame, err := encodeFrame(w.buf[:0], rel, &w.dicts)
+	w.buf = frame
+	if err != nil {
+		return err
+	}
+	payload := frame[frameHeader:]
+	binary.LittleEndian.PutUint32(frame[0:], frameMagic)
+	binary.LittleEndian.PutUint32(frame[4:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[8:], crc32.ChecksumIEEE(payload))
+	if err := w.d.account(int64(len(frame))); err != nil {
+		return err
+	}
+	w.bytes += int64(len(frame))
 	if err := faultinject.Fire(faultinject.PointSpillWrite); err != nil {
 		return qerr.Wrap(qerr.ErrSpillIO, err)
 	}
-	w.buf.Reset()
-	if err := encodeFrame(&w.buf, rel, &w.dicts); err != nil {
-		return err
-	}
-	payload := w.buf.Bytes()
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], frameMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[8:], crc32.ChecksumIEEE(payload))
-	frame := int64(len(hdr) + len(payload))
-	if err := w.d.account(frame); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(hdr[:]); err != nil {
+	if n, err := w.w.Write(frame); err != nil {
 		return qerr.Wrap(qerr.ErrSpillIO, err)
+	} else if n != len(frame) {
+		return qerr.New(qerr.ErrSpillIO, "short write: %d of %d bytes", n, len(frame))
 	}
-	if n, err := w.w.Write(payload); err != nil {
-		return qerr.Wrap(qerr.ErrSpillIO, err)
-	} else if n != len(payload) {
-		return qerr.New(qerr.ErrSpillIO, "short write: %d of %d bytes", n, len(payload))
-	}
-	w.bytes += frame
 	w.rows += int64(rel.NumRows())
 	return nil
 }
 
-// BytesWritten reports the run bytes written so far (frames + headers).
+// BytesWritten reports the run bytes written so far (frames + headers): the
+// offset the next frame starts at.
 func (w *RunWriter) BytesWritten() int64 { return w.bytes }
 
 // Finish flushes and closes the run file, returning a handle for reading it
@@ -230,12 +240,13 @@ func (w *RunWriter) Finish() (*Run, error) {
 	return &Run{d: w.d, path: w.path, Bytes: w.bytes, Rows: w.rows}, nil
 }
 
-// Abort closes and deletes a half-written run, returning its bytes to the
-// disk budget.
+// Abort closes and deletes a half-written run, returning every byte it
+// charged — a frame whose write failed included — to the disk budget.
 func (w *RunWriter) Abort() {
 	w.f.Close()
 	os.Remove(w.path)
 	w.d.forget(w.bytes)
+	w.bytes = 0
 }
 
 // Run is a finished, readable run file.
@@ -246,12 +257,12 @@ type Run struct {
 	Rows  int64
 }
 
-// Open returns a reader streaming the run's frames back. Readers
-// reconstruct string columns through dicts, a pool keyed by column name:
-// seeding it with the original columns' dictionaries makes decoded batches
-// share those exact dictionary objects (and code assignment), which keeps
-// spilled results byte-identical and lets storage.Concat take its
-// shared-dictionary fast path. A nil pool re-interns per run.
+// Open returns a reader over the run's frames. Readers reconstruct string
+// columns through dicts, a pool keyed by column name: seeding it with the
+// original columns' dictionaries makes decoded batches share those exact
+// dictionary objects (and code assignment), which keeps spilled results
+// byte-identical and lets storage.Concat take its shared-dictionary fast
+// path. A nil pool re-interns per run.
 func (r *Run) Open(dicts map[string]*storage.Dict) (*RunReader, error) {
 	f, err := os.Open(r.path)
 	if err != nil {
@@ -265,8 +276,7 @@ func (r *Run) Open(dicts map[string]*storage.Dict) (*RunReader, error) {
 	if dicts == nil {
 		dicts = make(map[string]*storage.Dict)
 	}
-	return &RunReader{f: f, r: bufio.NewReaderSize(f, 64<<10), left: st.Size(), dicts: dicts,
-		remaps: make(map[string][]uint32)}, nil
+	return &RunReader{f: f, size: st.Size(), dicts: dicts, remaps: make(map[string][]uint32)}, nil
 }
 
 // Remove deletes the run file early (before Cleanup), releasing its bytes
@@ -281,12 +291,13 @@ func (r *Run) Remove() error {
 	return nil
 }
 
-// RunReader streams a run's frames back as relations. Not safe for
-// concurrent use.
+// RunReader reads a run's frames back: in file order with Next, or by the
+// offset the writer reported with ReadAt / ReadInto. Not safe for concurrent
+// use.
 type RunReader struct {
 	f      *os.File
-	r      *bufio.Reader
-	left   int64 // file bytes not yet consumed; bounds a frame's claimed length
+	size   int64 // file bytes; bounds a frame's claimed length
+	off    int64 // end of the frame read last: where Next continues
 	dicts  map[string]*storage.Dict
 	remaps map[string][]uint32
 	buf    []byte
@@ -296,38 +307,61 @@ type RunReader struct {
 // exhausted. A corrupt frame (bad magic or checksum mismatch) is a typed
 // qerr.ErrSpillIO.
 func (r *RunReader) Next() (*storage.Relation, error) {
-	if err := faultinject.Fire(faultinject.PointSpillRead); err != nil {
-		return nil, qerr.Wrap(qerr.ErrSpillIO, err)
+	if r.off == r.size {
+		return nil, nil
 	}
-	var hdr [12]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, nil
-		}
-		return nil, qerr.Wrap(qerr.ErrSpillIO, err)
+	return r.ReadAt(r.off)
+}
+
+// Offset reports where the frame after the one read last starts: the offset
+// Next reads at, and the run's size once every frame has been read in order.
+func (r *RunReader) Offset() int64 { return r.off }
+
+// ReadAt returns the frame that starts at byte off of the run as a fresh
+// relation.
+func (r *RunReader) ReadAt(off int64) (*storage.Relation, error) {
+	rel, _, err := r.read(off, nil, 0)
+	return rel, err
+}
+
+// ReadInto decodes the frame that starts at byte off straight into rows
+// [at, at+n) of the caller-owned dst, which must have the frame's schema (and,
+// for string columns, the dictionaries of the reader's pool), and returns n.
+func (r *RunReader) ReadInto(off int64, dst *storage.Relation, at int) (int, error) {
+	_, n, err := r.read(off, dst, at)
+	return n, err
+}
+
+func (r *RunReader) read(off int64, dst *storage.Relation, at int) (*storage.Relation, int, error) {
+	if err := faultinject.Fire(faultinject.PointSpillRead); err != nil {
+		return nil, 0, qerr.Wrap(qerr.ErrSpillIO, err)
+	}
+	var hdr [frameHeader]byte
+	if _, err := r.f.ReadAt(hdr[:], off); err != nil {
+		return nil, 0, qerr.Wrap(qerr.ErrSpillIO, err)
 	}
 	if binary.LittleEndian.Uint32(hdr[0:]) != frameMagic {
-		return nil, qerr.New(qerr.ErrSpillIO, "corrupt spill frame: bad magic %#x", binary.LittleEndian.Uint32(hdr[0:]))
+		return nil, 0, qerr.New(qerr.ErrSpillIO, "corrupt spill frame: bad magic %#x", binary.LittleEndian.Uint32(hdr[0:]))
 	}
-	r.left -= int64(len(hdr))
+	off += frameHeader
 	n := int(binary.LittleEndian.Uint32(hdr[4:]))
 	// The length is not covered by the checksum: check it against what the
 	// file still holds before allocating a buffer of that size.
-	if int64(n) > r.left {
-		return nil, qerr.New(qerr.ErrSpillIO, "corrupt spill frame: length %d, but %d bytes left in the run", n, r.left)
+	if int64(n) > r.size-off {
+		return nil, 0, qerr.New(qerr.ErrSpillIO, "corrupt spill frame: length %d, but %d bytes left in the run", n, r.size-off)
 	}
-	r.left -= int64(n)
 	if cap(r.buf) < n {
-		r.buf = make([]byte, n)
+		r.buf = make([]byte, n+n/8) // frames of a run are near one size: regrow rarely
 	}
 	payload := r.buf[:n]
-	if _, err := io.ReadFull(r.r, payload); err != nil {
-		return nil, qerr.Wrap(qerr.ErrSpillIO, err)
+	if _, err := r.f.ReadAt(payload, off); err != nil {
+		return nil, 0, qerr.Wrap(qerr.ErrSpillIO, err)
 	}
 	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(hdr[8:]); got != want {
-		return nil, qerr.New(qerr.ErrSpillIO, "corrupt spill frame: checksum %#x, want %#x", got, want)
+		return nil, 0, qerr.New(qerr.ErrSpillIO, "corrupt spill frame: checksum %#x, want %#x", got, want)
 	}
-	return decodeFrame(payload, r.dicts, r.remaps)
+	r.off = off + int64(n)
+	return decodeFrame(payload, r.dicts, r.remaps, dst, at)
 }
 
 // Close releases the reader's file descriptor.

@@ -24,7 +24,7 @@ func everyKind(n int) *storage.Relation {
 		storage.NewInt64("i64", i64), storage.NewFloat64("f64", f64), storage.NewString("s", s))
 }
 
-func newTestDir(t *testing.T, diskLimit int64) (*Dir, *govern.Budget) {
+func newTestDir(t testing.TB, diskLimit int64) (*Dir, *govern.Budget) {
 	t.Helper()
 	disk := govern.NewDiskBudget(diskLimit)
 	d, err := NewDir(t.TempDir(), &govern.Ctl{Ctx: context.Background(), Disk: disk})
@@ -158,13 +158,33 @@ func TestFrameRoundTripEveryKind(t *testing.T) {
 	}
 }
 
-// TestCorruptRunIsTypedError damages a valid two-frame run in every way the
-// framing is meant to catch. Each must surface as qerr.ErrSpillIO — from
-// Next, never as a panic — after the intact frames before the damage.
-func TestCorruptRunIsTypedError(t *testing.T) {
+// corruptRun is a run-file image damaged in one of the ways the framing is
+// meant to catch, and the number of frames that still decode before the
+// damage.
+type corruptRun struct {
+	name   string
+	file   []byte
+	intact int
+}
+
+// corruptRuns writes a valid two-frame run of every column kind into d and
+// returns it, its file image, and that image damaged every which way.
+func corruptRuns(t testing.TB, d *Dir) (*Run, []byte, []corruptRun) {
+	t.Helper()
 	rel := everyKind(64)
-	d, _ := newTestDir(t, 0)
-	clean := writeRun(t, d, rel.Slice(0, 40), rel.Slice(40, 64))
+	w, err := d.NewRun("clean")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []*storage.Relation{rel.Slice(0, 40), rel.Slice(40, 64)} {
+		if err := w.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clean, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
 	image, err := os.ReadFile(clean.path)
 	if err != nil {
 		t.Fatal(err)
@@ -183,11 +203,7 @@ func TestCorruptRunIsTypedError(t *testing.T) {
 		binary.LittleEndian.PutUint32(c[off+4:], n)
 		return c
 	}
-	cases := []struct {
-		name   string
-		file   []byte
-		intact int // frames that still decode before the error
-	}{
+	return clean, image, []corruptRun{
 		{"bad magic", with(0, 0xff), 0},
 		{"bad magic in second frame", with(second+1, 0x01), 1},
 		{"flipped checksum", with(8, 0x01), 0},
@@ -203,6 +219,14 @@ func TestCorruptRunIsTypedError(t *testing.T) {
 		{"zero-length frame after a valid one", append(append([]byte(nil), image[:second]...), emptyFrame...), 1},
 		{"garbage", []byte("not a spill run at all, just some text"), 0},
 	}
+}
+
+// TestCorruptRunIsTypedError damages a valid two-frame run in every way the
+// framing is meant to catch. Each must surface as qerr.ErrSpillIO — from
+// Next, never as a panic — after the intact frames before the damage.
+func TestCorruptRunIsTypedError(t *testing.T) {
+	d, _ := newTestDir(t, 0)
+	clean, _, cases := corruptRuns(t, d)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			w, err := d.NewRun(tc.name)

@@ -354,13 +354,20 @@ func (c *Column) Gather(idx []int32) *Column {
 	}
 }
 
-// newGatherDst allocates a gather destination of c's kind with n rows,
-// sharing the dictionary (Gather never rewrites codes).
-func (c *Column) newGatherDst(n int) *Column {
-	out := &Column{name: c.name, kind: c.kind, dict: c.dict}
-	switch c.kind {
-	case KindUint32, KindString:
+// NewColumn returns a column of n zeroed rows of the given kind, for a
+// caller that fills the backing slice in place before it publishes the
+// column. A string column needs its dictionary, and zeroed rows are code 0
+// until filled.
+func NewColumn(name string, kind Kind, dict *Dict, n int) (*Column, error) {
+	out := &Column{name: name, kind: kind}
+	switch kind {
+	case KindUint32:
 		out.u32 = make([]uint32, n)
+	case KindString:
+		if dict == nil {
+			return nil, fmt.Errorf("storage: string column %q without a dictionary", name)
+		}
+		out.u32, out.dict = make([]uint32, n), dict
 	case KindUint64:
 		out.u64 = make([]uint64, n)
 	case KindInt64:
@@ -368,6 +375,16 @@ func (c *Column) newGatherDst(n int) *Column {
 	case KindFloat64:
 		out.f64 = make([]float64, n)
 	default:
+		return nil, fmt.Errorf("storage: column %q of invalid kind %d", name, kind)
+	}
+	return out, nil
+}
+
+// newGatherDst allocates a gather destination of c's kind with n rows,
+// sharing the dictionary (Gather never rewrites codes).
+func (c *Column) newGatherDst(n int) *Column {
+	out, err := NewColumn(c.name, c.kind, c.dict, n)
+	if err != nil {
 		panic(fmt.Sprintf("storage: gather on invalid column %q", c.name))
 	}
 	return out
