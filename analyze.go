@@ -61,7 +61,7 @@ func analyzeRows(res *Result) []obs.AnalyzeRow {
 			plans = append(plans, planRow{node: n})
 		})
 	}
-	prof := res.profile
+	prof := res.profile()
 	rows := make([]obs.AnalyzeRow, 0, len(prof))
 	for i, s := range prof {
 		row := obs.AnalyzeRow{

@@ -473,17 +473,17 @@ func BenchmarkMorselPipelineAllocs(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var root exec.Operator
 				if p > 1 {
-					pipe := exec.NewPipe("scan", rel, p)
-					pipe.AddStage("filter", func(in *storage.Relation) (*storage.Relation, error) {
+					pipe := exec.NewPipe(exec.Text("scan"), rel, p)
+					pipe.AddStage(exec.Text("filter"), func(in *storage.Relation) (*storage.Relation, error) {
 						return physical.FilterRel(in, pred)
 					})
-					pipe.AddStage("project", func(in *storage.Relation) (*storage.Relation, error) {
+					pipe.AddStage(exec.Text("project"), func(in *storage.Relation) (*storage.Relation, error) {
 						return physical.ProjectRel(in, "key")
 					})
 					root = pipe
 				} else {
-					root = exec.NewProject("project",
-						exec.NewFilter("filter", exec.NewScan("scan", rel), pred), []string{"key"})
+					root = exec.NewProject(exec.Text("project"),
+						exec.NewFilter(exec.Text("filter"), exec.NewScan(exec.Text("scan"), rel), pred), []string{"key"})
 				}
 				ec := exec.NewExecContext(context.Background(), 0, p)
 				if _, err := exec.Run(ec, root); err != nil {

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dqo/internal/av"
@@ -97,6 +99,24 @@ type DB struct {
 
 	feedback   *feedback.Store // internally synchronised; always non-nil
 	feedbackOn bool            // guarded by mu
+
+	// catalogEpoch counts the changes to what a statement binds against:
+	// the registered tables, their storage, and the identity of the view
+	// catalog. Prepared statements keep their bound form per epoch, and
+	// plan-cache keys carry it.
+	catalogEpoch atomic.Uint64
+}
+
+// catalogChanged retires everything derived from the catalog as it was:
+// cached plans, the bound form of prepared statements (by moving the epoch
+// on), and the pending traces of the default ring tracer, whose plans refer
+// to the tables being replaced. Callers hold db.mu.
+func (db *DB) catalogChanged() {
+	db.catalogEpoch.Add(1)
+	db.planCache.Clear()
+	if ring, ok := db.tracer.(*obs.RingTracer); ok {
+		ring.Settle()
+	}
 }
 
 // SetAdmission installs a DB-level admission gate: at most maxActive
@@ -136,7 +156,8 @@ func Open() *DB {
 
 // Register adds a table. Re-registering a name replaces the table,
 // invalidates cached plans, and drops Algorithmic Views materialised from
-// the old data (they would be stale).
+// the old data (they would be stale). Prepared statements stay valid: their
+// next execution binds to the new table.
 func (db *DB) Register(t *Table) error {
 	if t == nil || t.rel == nil {
 		return fmt.Errorf("dqo: Register of nil table")
@@ -148,7 +169,7 @@ func (db *DB) Register(t *Table) error {
 		db.avs.DropTable(name)
 	}
 	db.tables[name] = t.rel
-	db.planCache.Clear()
+	db.catalogChanged()
 	return nil
 }
 
@@ -169,7 +190,7 @@ func (db *DB) CompressTable(name string) error {
 		return fmt.Errorf("dqo: unknown table %q", name)
 	}
 	db.tables[name] = rel.Compress()
-	db.planCache.Clear()
+	db.catalogChanged()
 	return nil
 }
 
@@ -184,7 +205,7 @@ func (db *DB) DecompressTable(name string) error {
 		return fmt.Errorf("dqo: unknown table %q", name)
 	}
 	db.tables[name] = rel.Materialize()
-	db.planCache.Clear()
+	db.catalogChanged()
 	return nil
 }
 
@@ -401,25 +422,44 @@ func (db *DB) compile(mode Mode, query string, cfg queryConfig, pt *phaseTimes) 
 	if pt == nil {
 		pt = &phaseTimes{}
 	}
-	t0 := time.Now()
-	stmt := cfg.stmt
-	var err error
-	if stmt == nil {
+	var (
+		stmt  *sql.SelectStmt
+		node  logical.Node
+		cm    core.Mode
+		shape string // "mode|fingerprint": the head of the statement's plan-cache keys
+		epoch uint64 // the catalog the statement was bound against
+	)
+	if p := cfg.prepared; p != nil {
+		// Parsed at Prepare and bound once per catalog epoch: an execution
+		// only substitutes its arguments into the bound tree's filters.
+		t0 := time.Now()
+		b, err := p.bind()
+		if err != nil {
+			pt.bind = time.Since(t0)
+			return nil, nil, err
+		}
+		node = sql.BindTree(b.node, cfg.args)
+		pt.bind = time.Since(t0)
+		stmt, cm, shape, epoch = p.tmpl, b.mode, p.fingerprint, b.epoch
+	} else {
+		t0 := time.Now()
+		var err error
 		stmt, err = sql.Parse(query)
-	}
-	pt.parse = time.Since(t0)
-	if err != nil {
-		return nil, nil, err
-	}
-	t0 = time.Now()
-	node, err := sql.Bind(stmt, catalogView{db})
-	pt.bind = time.Since(t0)
-	if err != nil {
-		return nil, nil, err
-	}
-	cm, err := mode.coreMode()
-	if err != nil {
-		return nil, nil, err
+		pt.parse = time.Since(t0)
+		if err != nil {
+			return nil, nil, err
+		}
+		epoch = db.catalogEpoch.Load()
+		t0 = time.Now()
+		node, err = sql.Bind(stmt, catalogView{db})
+		pt.bind = time.Since(t0)
+		if err != nil {
+			return nil, nil, err
+		}
+		if cm, err = mode.coreMode(); err != nil {
+			return nil, nil, err
+		}
+		cm = db.overViews(cm, stmt)
 	}
 	if cfg.workers > 0 {
 		cm.DOP = cfg.workers
@@ -436,11 +476,9 @@ func (db *DB) compile(mode Mode, query string, cfg queryConfig, pt *phaseTimes) 
 	if cfg.beam > 0 {
 		cm = cm.WithBeam(cfg.beam)
 	}
-	prov := av.Qualified{Cat: db.avs, Aliases: aliasMap(stmt)}
-	cm = cm.WithAVs(prov, prov).WithCracked(prov)
 
 	db.mu.RLock()
-	useCache := db.cachePlans || cfg.prepared
+	useCache := db.cachePlans || cfg.prepared != nil
 	fbOn := db.feedbackOn
 	db.mu.RUnlock()
 	if fbOn {
@@ -451,27 +489,19 @@ func (db *DB) compile(mode Mode, query string, cfg queryConfig, pt *phaseTimes) 
 	pt.tier = planTier(cm)
 	pt.beam = cm.Beam
 
-	t0 = time.Now()
+	t0 := time.Now()
 	var res *core.Result
+	var err error
 	hit := false
 	if useCache {
-		// Template cache: the key is the statement's normalized fingerprint
-		// (literals stripped to parameter slots), so repeated query shapes
-		// hit regardless of their literal values and re-plan by rebinding.
-		// The chosen plan depends on the DOP, memory-budget, beam, and
-		// spill dimensions, so the key must too: the same shape planned at
-		// different worker counts or budgets may pick different granules,
-		// and an over-budget shape planned with spilling armed picks the
-		// disk-backed twin.
-		key := fmt.Sprintf("%s|dop=%d|mem=%d|beam=%d|spill=%t|%s", mode, cm.DOP, cm.MemBudget, cm.Beam, cm.Spill, sql.Fingerprint(stmt))
-		if fbOn {
-			// Feedback-aware plans embed the store's corrections at insert
-			// time; version-keying retires templates the moment the store
-			// changes materially, so a cache hit never replays a plan the
-			// feedback-aware optimiser would no longer choose.
-			key = fmt.Sprintf("%s|fb=%d", key, pt.fbVersion)
+		// Template cache: the key starts with the statement's normalized
+		// fingerprint (literals stripped to parameter slots), so repeated
+		// query shapes hit regardless of their literal values and re-plan by
+		// rebinding.
+		if shape == "" {
+			shape = mode.String() + "|" + sql.Fingerprint(stmt)
 		}
-		res, hit, err = db.planCache.OptimizeTemplate(key, node, cm)
+		res, hit, err = db.planCache.OptimizeTemplate(planKey(shape, cm, epoch, fbOn, pt.fbVersion), node, cm)
 	} else {
 		res, err = core.Optimize(node, cm)
 	}
@@ -486,6 +516,37 @@ func (db *DB) compile(mode Mode, query string, cfg queryConfig, pt *phaseTimes) 
 		db.metrics.AddAlternatives(res.Stats.Alternatives)
 	}
 	return res, stmt, nil
+}
+
+// overViews installs the DB's Algorithmic View catalog, seen through the
+// statement's table aliases, as the mode's access-path providers.
+func (db *DB) overViews(cm core.Mode, stmt *sql.SelectStmt) core.Mode {
+	prov := av.Qualified{Cat: db.avs, Aliases: aliasMap(stmt)}
+	return cm.WithAVs(prov, prov).WithCracked(prov)
+}
+
+// planKey completes a statement's plan-cache key. The chosen plan depends on
+// the DOP, memory-budget, beam, and spill dimensions, so the key must too:
+// the same shape planned at different worker counts or budgets may pick
+// different granules, and an over-budget shape planned with spilling armed
+// picks the disk-backed twin. The catalog epoch keeps a plan that was being
+// built while a table was replaced from ever answering for the new table.
+// Feedback-aware plans embed the store's corrections at insert time;
+// version-keying retires templates the moment the store changes materially,
+// so a cache hit never replays a plan the feedback-aware optimiser would no
+// longer choose.
+func planKey(shape string, cm core.Mode, epoch uint64, fbOn bool, fbVersion uint64) string {
+	var arr [256]byte
+	b := append(arr[:0], shape...)
+	b = strconv.AppendInt(append(b, "|dop="...), int64(cm.DOP), 10)
+	b = strconv.AppendInt(append(b, "|mem="...), cm.MemBudget, 10)
+	b = strconv.AppendInt(append(b, "|beam="...), int64(cm.Beam), 10)
+	b = strconv.AppendBool(append(b, "|spill="...), cm.Spill)
+	b = strconv.AppendUint(append(b, "|cat="...), epoch, 10)
+	if fbOn {
+		b = strconv.AppendUint(append(b, "|fb="...), fbVersion, 10)
+	}
+	return string(b)
 }
 
 // Query optimises and executes a SQL query under the given mode, through
@@ -576,21 +637,23 @@ func (db *DB) execQuery(ctx context.Context, mode Mode, query string, cfg queryC
 	t0 = time.Now()
 	rel, err := exec.Run(ec, root)
 	pt.execute = time.Since(t0)
-	if err != nil {
-		return &Result{plan: res, profile: exec.CollectProfile(root), memPeak: mem.Peak(), err: err, replans: replanEvents(rc)}, err
+	// The profile is kept as counters; its labels are rendered if and when
+	// somebody reads them (Stats, EXPLAIN ANALYZE, a trace).
+	out := &Result{plan: res, snap: exec.Snap(root), memPeak: mem.Peak(), replans: replanEvents(rc)}
+	if err == nil {
+		out.rel, err = applyAliases(rel, stmt)
 	}
-	rel, err = applyAliases(rel, stmt)
 	if err != nil {
-		return &Result{plan: res, profile: exec.CollectProfile(root), memPeak: mem.Peak(), err: err, replans: replanEvents(rc)}, err
+		out.err = err
+		return out, err
 	}
-	prof := exec.CollectProfile(root)
 	if db.feedbackEnabled() && stmt.Limit < 0 {
 		// Close the loop: fold the measured profile back into the store.
 		// LIMIT queries are skipped — early exit truncates every
 		// measurement below the limit operator.
-		core.HarvestFeedback(db.feedback, res.Best, prof)
+		core.HarvestFeedback(db.feedback, res.Best, out.profile())
 	}
-	return &Result{rel: rel, plan: res, profile: prof, memPeak: mem.Peak(), replans: replanEvents(rc)}, nil
+	return out, nil
 }
 
 // replanEvents extracts the splice log of a reoptimising run (nil rc = no
@@ -801,8 +864,10 @@ func (db *DB) DescribeAVs() string { return db.avs.String() }
 
 // DropAVs removes every materialised AV.
 func (db *DB) DropAVs() {
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	db.avs = av.NewCatalog()
-	db.planCache.Clear()
+	db.catalogChanged()
 }
 
 // SelectAVs solves the Algorithmic View Selection Problem for a workload of

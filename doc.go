@@ -57,8 +57,9 @@
 //		if err := res.Scan(&a, &n); err != nil { ... }
 //	}
 //
-// Whole columns are available in one call via Uint32Column and friends,
-// the execution profile via Result.Stats, and String renders an aligned
-// table. The network serving layer (cmd/dqoserve, internal/serve) streams
-// its JSON responses through this same cursor.
+// Whole columns are available in one call via Uint32Column and friends, or
+// by position and of any type via ColumnAt; the execution profile via
+// Result.Stats, and String renders an aligned table. The network serving
+// layer (cmd/dqoserve, internal/serve) encodes its JSON responses from the
+// typed columns ColumnAt returns.
 package dqo

@@ -2,6 +2,7 @@ package av
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"dqo/internal/core"
@@ -169,5 +170,75 @@ func TestPlanCacheResetStatsKeepsEntries(t *testing.T) {
 	}
 	if hits, misses := pc.Stats(); hits != 1 || misses != 0 {
 		t.Fatalf("post-reset stats = %d/%d, want 1/0", hits, misses)
+	}
+}
+
+// TestOptimizeTemplateSingleFlight: sixteen callers arriving at once for a
+// cold key enumerate once. The planner is the miss; the fifteen that waited
+// rebind from its template and count as hits, each with its own literals.
+func TestOptimizeTemplateSingleFlight(t *testing.T) {
+	pc := NewPlanCache()
+	const callers = 16
+	nodes := make([]logical.Node, callers)
+	for i := range nodes {
+		nodes[i] = rangeFilter(t, int64(i), int64(i+5))
+	}
+	var start, done sync.WaitGroup
+	start.Add(1)
+	enumerated := make([]int, callers)
+	for i := 0; i < callers; i++ {
+		done.Add(1)
+		go func(i int) {
+			defer done.Done()
+			start.Wait()
+			res, _, err := pc.OptimizeTemplate("cold", nodes[i], core.DQOCalibrated())
+			if err != nil {
+				t.Errorf("caller %d: %v", i, err)
+				return
+			}
+			enumerated[i] = res.Stats.Alternatives
+			out, err := core.Execute(res.Best)
+			if err != nil || out.NumRows() != 50 {
+				t.Errorf("caller %d: %d rows (err %v), want 50: a waiter must get its own literals", i, out.NumRows(), err)
+			}
+		}(i)
+	}
+	start.Done()
+	done.Wait()
+	hits, misses := pc.Stats()
+	if misses != 1 || hits != callers-1 {
+		t.Fatalf("hits/misses = %d/%d, want %d/1", hits, misses, callers-1)
+	}
+	planners := 0
+	for _, alts := range enumerated {
+		if alts > 0 {
+			planners++
+		}
+	}
+	if planners != 1 {
+		t.Fatalf("%d callers enumerated, want 1", planners)
+	}
+}
+
+// TestOptimizeTemplateFailedPlannerReleasesWaiters: a planner whose
+// optimisation fails leaves no entry and no flight behind, so the key can be
+// planned again (and nobody waits forever).
+func TestOptimizeTemplateFailedPlannerReleasesWaiters(t *testing.T) {
+	pc := NewPlanCache()
+	bad := &logical.Filter{Input: &logical.Scan{Table: "R"}, Pred: expr.Col{Name: "A"}}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { _ = recover() }() // a nil relation may panic inside the optimiser; waiters must still wake
+			if _, _, err := pc.OptimizeTemplate("bad", bad, core.DQOCalibrated()); err == nil {
+				t.Error("planned a scan without a relation")
+			}
+		}()
+	}
+	wg.Wait()
+	if _, hit, err := pc.OptimizeTemplate("bad", rangeFilter(t, 0, 5), core.DQOCalibrated()); err != nil || hit {
+		t.Fatalf("key stayed poisoned: hit=%v err=%v", hit, err)
 	}
 }

@@ -82,13 +82,13 @@ func RunScaling(n, groups, maxWorkers int, seed uint64, w io.Writer) ([]ScalingR
 		{"filter pipe (val < 500)", func(p int) error {
 			var root exec.Operator
 			if p > 1 {
-				pipe := exec.NewPipe("scan", rel, p)
-				pipe.AddStage("filter", func(in *storage.Relation) (*storage.Relation, error) {
+				pipe := exec.NewPipe(exec.Text("scan"), rel, p)
+				pipe.AddStage(exec.Text("filter"), func(in *storage.Relation) (*storage.Relation, error) {
 					return physical.FilterRel(in, pred)
 				})
 				root = pipe
 			} else {
-				root = exec.NewFilter("filter", exec.NewScan("scan", rel), pred)
+				root = exec.NewFilter(exec.Text("filter"), exec.NewScan(exec.Text("scan"), rel), pred)
 			}
 			ec := exec.NewExecContext(context.Background(), 0, p)
 			_, err := exec.Run(ec, root)

@@ -74,9 +74,9 @@ func compileNode(p *Plan, rc *ReoptConfig, need []string) (exec.Operator, error)
 	switch p.Op {
 	case OpScan:
 		if p.Enc != props.NoCompression {
-			return exec.NewCompressedScan(p.Label(), p.Rel), nil
+			return exec.NewCompressedScan(p, p.Rel), nil
 		}
-		return exec.NewScan(p.Label(), p.Rel), nil
+		return exec.NewScan(p, p.Rel), nil
 	case OpFilter:
 		if p.DOP > 1 {
 			if op, ok := compilePipe(p); ok {
@@ -91,7 +91,7 @@ func compileNode(p *Plan, rc *ReoptConfig, need []string) (exec.Operator, error)
 			if child.Op != OpScan {
 				return nil, fmt.Errorf("core: compressed filter over %v, want Scan", child.Op)
 			}
-			return exec.NewCompressedFilter(p.Label(), child.Rel, p.EncCol, p.EncLo, p.EncHi), nil
+			return exec.NewCompressedFilter(p, child.Rel, p.EncCol, p.EncLo, p.EncHi), nil
 		}
 		if p.Crack != nil {
 			// The cracked index answers the filter with base-table row
@@ -101,7 +101,7 @@ func compileNode(p *Plan, rc *ReoptConfig, need []string) (exec.Operator, error)
 				return nil, fmt.Errorf("core: cracked filter over %v, want Scan", child.Op)
 			}
 			crack, lo, hi := p.Crack, p.CrackLo, p.CrackHi
-			return exec.NewIndexScan(p.Label(), child.Rel, func() []int32 {
+			return exec.NewIndexScan(p, child.Rel, func() []int32 {
 				return crack.Range64(lo, hi)
 			}), nil
 		}
@@ -109,7 +109,7 @@ func compileNode(p *Plan, rc *ReoptConfig, need []string) (exec.Operator, error)
 		if err != nil {
 			return nil, err
 		}
-		return exec.NewFilter(p.Label(), child, p.Pred), nil
+		return exec.NewFilter(p, child, p.Pred), nil
 	case OpProject:
 		if p.DOP > 1 {
 			if op, ok := compilePipe(p); ok {
@@ -120,7 +120,7 @@ func compileNode(p *Plan, rc *ReoptConfig, need []string) (exec.Operator, error)
 		if err != nil {
 			return nil, err
 		}
-		return exec.NewProject(p.Label(), child, p.Cols), nil
+		return exec.NewProject(p, child, p.Cols), nil
 	case OpSort:
 		child, err := compileNode(p.Children[0], rc, withColumns(need, p.SortKey))
 		if err != nil {
@@ -130,7 +130,7 @@ func compileNode(p *Plan, rc *ReoptConfig, need []string) (exec.Operator, error)
 			// Disk-backed twin: external merge sort, byte-identical to the
 			// serial in-memory sort. No reopt wrapping — the spill twin is
 			// already the last resort under the budget.
-			return exec.NewSpillSort(p.Label(), child, p.SortKey, p.SortKind), nil
+			return exec.NewSpillSort(p, child, p.SortKey, p.SortKind), nil
 		}
 		key, kind, dop := p.SortKey, p.SortKind, p.DOP
 		kernel := func(ec *exec.ExecContext, in *storage.Relation) (*storage.Relation, error) {
@@ -147,7 +147,7 @@ func compileNode(p *Plan, rc *ReoptConfig, need []string) (exec.Operator, error)
 				return rc.replan1(ec, node, in, orig, func() { b.NoteReplan() })
 			}
 		}
-		b = exec.NewBreaker1(p.Label(), child, kernel)
+		b = exec.NewBreaker1(p, child, kernel)
 		b.SetDOP(dop)
 		return b, nil
 	case OpGroup:
@@ -164,7 +164,7 @@ func compileNode(p *Plan, rc *ReoptConfig, need []string) (exec.Operator, error)
 		if p.Spill {
 			// Disk-backed twin: partition-and-recurse hash aggregation,
 			// byte-identical to the serial chained-hash kernel.
-			return exec.NewSpillGroup(p.Label(), child, p.GroupKey, p.Aggs, p.Group.Opt, p.KeyDom), nil
+			return exec.NewSpillGroup(p, child, p.GroupKey, p.Aggs, p.Group.Opt, p.KeyDom), nil
 		}
 		key, aggs, kind, opt, dom := p.GroupKey, p.Aggs, p.Group.Kind, p.Group.Opt, p.KeyDom
 		kernel := func(ec *exec.ExecContext, in *storage.Relation) (*storage.Relation, error) {
@@ -182,7 +182,7 @@ func compileNode(p *Plan, rc *ReoptConfig, need []string) (exec.Operator, error)
 				return rc.replan1(ec, node, in, orig, func() { b.NoteReplan() })
 			}
 		}
-		b = exec.NewBreaker1(p.Label(), child, kernel)
+		b = exec.NewBreaker1(p, child, kernel)
 		b.SetDOP(opt.Parallel)
 		return b, nil
 	case OpJoin:
@@ -206,7 +206,7 @@ func compileNode(p *Plan, rc *ReoptConfig, need []string) (exec.Operator, error)
 		if p.Spill {
 			// Disk-backed twin: grace hash join, byte-identical to the serial
 			// in-memory hash join.
-			return exec.NewSpillJoin(p.Label(), left, right, p.LeftKey, p.RightKey,
+			return exec.NewSpillJoin(p, left, right, p.LeftKey, p.RightKey,
 				p.Join.Opt, p.Swapped, p.KeyDom, cols), nil
 		}
 		node := p
@@ -225,7 +225,7 @@ func compileNode(p *Plan, rc *ReoptConfig, need []string) (exec.Operator, error)
 				return rc.replan2(ec, node, l, r, orig, func() { b.NoteReplan() })
 			}
 		}
-		b = exec.NewBreaker2(p.Label(), left, right, kernel)
+		b = exec.NewBreaker2(p, left, right, kernel)
 		b.SetDOP(p.Join.Opt.Parallel)
 		return b, nil
 	default:
@@ -262,18 +262,18 @@ func compilePipe(p *Plan) (exec.Operator, bool) {
 	if n.Op != OpScan || len(chain) == 0 {
 		return nil, false
 	}
-	pipe := exec.NewPipe(n.Label(), n.Rel, p.DOP)
+	pipe := exec.NewPipe(n, n.Rel, p.DOP)
 	for i := len(chain) - 1; i >= 0; i-- {
 		st := chain[i]
 		switch st.Op {
 		case OpFilter:
 			pred := st.Pred
-			pipe.AddStage(st.Label(), func(in *storage.Relation) (*storage.Relation, error) {
+			pipe.AddStage(st, func(in *storage.Relation) (*storage.Relation, error) {
 				return physical.FilterRel(in, pred)
 			})
 		case OpProject:
 			cols := st.Cols
-			pipe.AddStage(st.Label(), func(in *storage.Relation) (*storage.Relation, error) {
+			pipe.AddStage(st, func(in *storage.Relation) (*storage.Relation, error) {
 				return physical.ProjectRel(in, cols...)
 			})
 		}

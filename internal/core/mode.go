@@ -117,12 +117,18 @@ func DQO() Mode {
 		DOP: runtime.GOMAXPROCS(0), Model: cost.Paper{}}
 }
 
+// calibrated is the default-coefficient calibrated model every mode that
+// uses it shares. A cost model is read-only once built (measured variants
+// are built by cost.Measure from their own copy), so a mode costs no
+// allocation to make.
+var calibrated = cost.NewCalibrated()
+
 // DQOCalibrated returns the deep configuration with the molecule-aware
 // calibrated cost model — the setting in which deep enumeration can pay off
 // below the algorithm-family level, including the serial-vs-parallel choice.
 func DQOCalibrated() Mode {
 	return Mode{Name: "dqo-calibrated", Depth: physio.Deep, TrackDensity: true, TrackProbeOrder: true,
-		DOP: runtime.GOMAXPROCS(0), Model: cost.NewCalibrated()}
+		DOP: runtime.GOMAXPROCS(0), Model: calibrated}
 }
 
 // Greedy returns the fast planning tier: deep granule vocabulary and the
@@ -130,7 +136,7 @@ func DQOCalibrated() Mode {
 // constant cost probes per operator, ordered by visible selectivity.
 func Greedy() Mode {
 	return Mode{Name: "greedy", Depth: physio.Deep, Greedy: true, TrackDensity: true, TrackProbeOrder: true,
-		DOP: runtime.GOMAXPROCS(0), Model: cost.NewCalibrated()}
+		DOP: runtime.GOMAXPROCS(0), Model: calibrated}
 }
 
 // WithBeam returns a copy of the mode with the DP table capped at the k

@@ -71,7 +71,7 @@ func TestBreakersDoNotWriteTheirInputs(t *testing.T) {
 	aggs := []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "val"}, {Func: expr.AggMin, Col: "key"}}
 	for _, kind := range physical.GroupKinds() {
 		for _, dop := range []int{1, 4} {
-			runTree(t, NewBreaker1("group", NewScan("g", g), func(ec *ExecContext, in *storage.Relation) (*storage.Relation, error) {
+			runTree(t, NewBreaker1(Text("group"), NewScan(Text("g"), g), func(ec *ExecContext, in *storage.Relation) (*storage.Relation, error) {
 				sawView(in, g)
 				return physical.GroupByRel(in, "key", aggs, kind, physical.GroupOptions{Parallel: dop, Ctl: ec.Ctl()})
 			}), morsel)
@@ -83,7 +83,7 @@ func TestBreakersDoNotWriteTheirInputs(t *testing.T) {
 				if swapped && kind == physical.SPHJ {
 					continue // S.R_ID is not a dense build key
 				}
-				runTree(t, NewBreaker2("join", NewScan("r", r), NewScan("s", s), func(ec *ExecContext, l, rr *storage.Relation) (*storage.Relation, error) {
+				runTree(t, NewBreaker2(Text("join"), NewScan(Text("r"), r), NewScan(Text("s"), s), func(ec *ExecContext, l, rr *storage.Relation) (*storage.Relation, error) {
 					sawView(l, r)
 					sawView(rr, s)
 					opt := physical.JoinOptions{Parallel: dop, Ctl: ec.Ctl()}
@@ -97,7 +97,7 @@ func TestBreakersDoNotWriteTheirInputs(t *testing.T) {
 	}
 	for _, kind := range sortx.Kinds() {
 		for _, dop := range []int{1, 4} {
-			runTree(t, NewBreaker1("sort", NewScan("s", s), func(ec *ExecContext, in *storage.Relation) (*storage.Relation, error) {
+			runTree(t, NewBreaker1(Text("sort"), NewScan(Text("s"), s), func(ec *ExecContext, in *storage.Relation) (*storage.Relation, error) {
 				sawView(in, s)
 				return physical.SortRelParCtl(in, "R_ID", kind, dop, ec.Ctl())
 			}), morsel)
@@ -130,7 +130,7 @@ func BenchmarkDrainScan(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ec := NewExecContext(context.Background(), 0, 1)
-		if _, err := Run(ec, NewBreaker1("drain", NewScan("scan", rel), kernel)); err != nil {
+		if _, err := Run(ec, NewBreaker1(Text("drain"), NewScan(Text("scan"), rel), kernel)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -30,7 +30,7 @@ type CompressedScan struct {
 }
 
 // NewCompressedScan returns a decode-once scan over rel.
-func NewCompressedScan(label string, rel *storage.Relation) *CompressedScan {
+func NewCompressedScan(label Labeler, rel *storage.Relation) *CompressedScan {
 	return &CompressedScan{base: base{label: label}, rel: rel}
 }
 
@@ -85,7 +85,7 @@ type CompressedFilter struct {
 }
 
 // NewCompressedFilter returns a direct filter of rel by plo <= col <= phi.
-func NewCompressedFilter(label string, rel *storage.Relation, col string, plo, phi uint32) *CompressedFilter {
+func NewCompressedFilter(label Labeler, rel *storage.Relation, col string, plo, phi uint32) *CompressedFilter {
 	return &CompressedFilter{base: base{label: label}, rel: rel, col: col, plo: plo, phi: phi}
 }
 

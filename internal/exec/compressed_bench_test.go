@@ -35,8 +35,8 @@ func BenchmarkScanCompressed(b *testing.B) {
 		rel  *storage.Relation
 		mk   func(*storage.Relation) Operator
 	}{
-		{"plain", plain, func(r *storage.Relation) Operator { return NewScan("scan", r) }},
-		{"compressed", comp, func(r *storage.Relation) Operator { return NewCompressedScan("cscan", r) }},
+		{"plain", plain, func(r *storage.Relation) Operator { return NewScan(Text("scan"), r) }},
+		{"compressed", comp, func(r *storage.Relation) Operator { return NewCompressedScan(Text("cscan"), r) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -70,8 +70,8 @@ func BenchmarkFilterRLE(b *testing.B) {
 		name string
 		mk   func() Operator
 	}{
-		{"decoded", func() Operator { return NewFilter("filter", NewCompressedScan("cscan", comp), pred) }},
-		{"compressed", func() Operator { return NewCompressedFilter("cfilter", comp, "key", 0, phi) }},
+		{"decoded", func() Operator { return NewFilter(Text("filter"), NewCompressedScan(Text("cscan"), comp), pred) }},
+		{"compressed", func() Operator { return NewCompressedFilter(Text("cfilter"), comp, "key", 0, phi) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -117,8 +117,8 @@ func TestCompressedScanMorselAllocs(t *testing.T) {
 		})
 	}
 
-	base := steadyNext(NewScan("scan", plain))
-	got := steadyNext(NewCompressedScan("cscan", comp))
+	base := steadyNext(NewScan(Text("scan"), plain))
+	got := steadyNext(NewCompressedScan(Text("cscan"), comp))
 	if got > base {
 		t.Fatalf("compressed scan allocates %v per morsel, plain scan %v — decode is not one-time", got, base)
 	}

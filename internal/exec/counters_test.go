@@ -13,7 +13,7 @@ func TestCountersTickAtBoundaries(t *testing.T) {
 	var c Counters
 	ec := NewExecContext(context.Background(), 10, 0)
 	ec.Counters = &c
-	out, err := Run(ec, NewScan("scan", rel))
+	out, err := Run(ec, NewScan(Text("scan"), rel))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestCountersTickAtBoundaries(t *testing.T) {
 	// 10-row morsels plus re-emitting the result counts on both sides.
 	c.Morsels.Store(0)
 	c.Rows.Store(0)
-	br := NewBreaker1("identity", NewScan("scan", rel),
+	br := NewBreaker1(Text("identity"), NewScan(Text("scan"), rel),
 		func(_ *ExecContext, in *storage.Relation) (*storage.Relation, error) { return in, nil })
 	ec2 := NewExecContext(context.Background(), 10, 0)
 	ec2.Counters = &c
@@ -48,7 +48,7 @@ func TestCountersNilSafe(t *testing.T) {
 	c.tick(100) // must not panic
 	rel := testRel(t, 10)
 	ec := NewExecContext(context.Background(), 4, 0)
-	if _, err := Run(ec, NewScan("scan", rel)); err != nil {
+	if _, err := Run(ec, NewScan(Text("scan"), rel)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -69,7 +69,7 @@ func TestHotPathInstrumentationAllocFree(t *testing.T) {
 		return testing.AllocsPerRun(50, func() {
 			ec := NewExecContext(context.Background(), 256, 0)
 			ec.Counters = cnt
-			if _, err := Run(ec, NewFilter("f", NewScan("s", rel), pred)); err != nil {
+			if _, err := Run(ec, NewFilter(Text("f"), NewScan(Text("s"), rel), pred)); err != nil {
 				t.Fatal(err)
 			}
 		})

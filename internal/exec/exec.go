@@ -168,8 +168,14 @@ func (ec *ExecContext) Context() context.Context { return ec.ctx }
 func (ec *ExecContext) Ctl() *govern.Ctl { return ec.ctl }
 
 // CtlFor returns the governance handle labelled with the requesting
-// operator, so budget failures name the culprit kernel.
-func (ec *ExecContext) CtlFor(label string) *govern.Ctl { return ec.ctl.For(label) }
+// operator, so budget failures name the culprit kernel. Only a budget can
+// fail a reservation, so without one the label is not rendered.
+func (ec *ExecContext) CtlFor(op Labeler) *govern.Ctl {
+	if ec.ctl.Mem == nil && ec.ctl.Disk == nil {
+		return ec.ctl
+	}
+	return ec.ctl.For(op.Label())
+}
 
 // Budget returns the query's memory budget (nil = unlimited).
 func (ec *ExecContext) Budget() *govern.Budget { return ec.ctl.Mem }
@@ -209,13 +215,26 @@ type OpStats struct {
 	SpillPasses int64 // extra passes over spilled data (repartition or merge rounds)
 }
 
+// Labeler names an operator for EXPLAIN/stats output. An operator keeps the
+// source and renders the text when a profile or a trace is read: rendering a
+// plan node's label costs more than lowering the node, and the labels of
+// most executions are never looked at.
+type Labeler interface{ Label() string }
+
+// Text is a Labeler of fixed text.
+type Text string
+
+// Label implements Labeler.
+func (t Text) Label() string { return string(t) }
+
 // base supplies the label/stats boilerplate shared by all operators.
 type base struct {
-	label string
+	label Labeler
 	stats OpStats
 }
 
-func (b *base) Label() string   { return b.label }
+func (b *base) Label() string   { return b.label.Label() }
+func (b *base) source() Labeler { return b.label }
 func (b *base) Stats() *OpStats { return &b.stats }
 
 // timed starts the inclusive wall clock for one Next call; invoke the
@@ -380,38 +399,73 @@ type OpStat struct {
 // (root first).
 type Profile []OpStat
 
-// CollectProfile walks the operator tree and snapshots every operator's
-// counters, deriving self time from the inclusive wall times.
-func CollectProfile(root Operator) Profile {
-	var out Profile
-	var rec func(op Operator, depth int)
-	rec = func(op Operator, depth int) {
-		st := op.Stats().snapshot()
-		self := st.Wall
-		for _, c := range op.Children() {
-			self -= time.Duration(atomic.LoadInt64((*int64)(&c.Stats().Wall)))
-		}
-		if self < 0 {
-			self = 0
-		}
-		dop := st.DOP
-		if dop < 1 {
-			dop = 1
-		}
-		out = append(out, OpStat{
-			Label: op.Label(), Depth: depth,
-			RowsIn: st.RowsIn, RowsOut: st.RowsOut, Batches: st.Batches,
-			Wall: st.Wall, Self: self, PeakBytes: st.PeakBytes, DOP: dop,
-			Replans:    st.Replans,
-			SpillBytes: st.SpillBytes, SpillParts: st.SpillParts, SpillPasses: st.SpillPasses,
-		})
-		for _, c := range op.Children() {
-			rec(c, depth+1)
-		}
+// Snapshot is a finished run's profile with the labels still unrendered:
+// every operator's counters plus the source of its label. It references no
+// operator, so holding one keeps no execution state alive.
+type Snapshot struct {
+	stats  Profile // Label left empty
+	labels []Labeler
+}
+
+// Snap walks the operator tree and snapshots every operator's counters,
+// deriving self time from the inclusive wall times.
+func Snap(root Operator) Snapshot {
+	s := Snapshot{stats: make(Profile, 0, 4), labels: make([]Labeler, 0, 4)}
+	s.walk(root, 0)
+	return s
+}
+
+func (s *Snapshot) walk(op Operator, depth int) {
+	st := op.Stats().snapshot()
+	kids := op.Children()
+	self := st.Wall
+	for _, c := range kids {
+		self -= time.Duration(atomic.LoadInt64((*int64)(&c.Stats().Wall)))
 	}
-	rec(root, 0)
+	if self < 0 {
+		self = 0
+	}
+	dop := st.DOP
+	if dop < 1 {
+		dop = 1
+	}
+	s.stats = append(s.stats, OpStat{
+		Depth:  depth,
+		RowsIn: st.RowsIn, RowsOut: st.RowsOut, Batches: st.Batches,
+		Wall: st.Wall, Self: self, PeakBytes: st.PeakBytes, DOP: dop,
+		Replans:    st.Replans,
+		SpillBytes: st.SpillBytes, SpillParts: st.SpillParts, SpillPasses: st.SpillPasses,
+	})
+	if b, ok := op.(interface{ source() Labeler }); ok {
+		s.labels = append(s.labels, b.source())
+	} else {
+		s.labels = append(s.labels, Text(op.Label()))
+	}
+	for _, c := range kids {
+		s.walk(c, depth+1)
+	}
+}
+
+// Counters returns the snapshot's rows in pre-order with Label empty, for
+// readers that want only the numbers. The slice is shared; do not mutate.
+func (s Snapshot) Counters() Profile { return s.stats }
+
+// Profile renders the labels into a copy of the snapshot's rows.
+func (s Snapshot) Profile() Profile {
+	if s.stats == nil {
+		return nil
+	}
+	out := make(Profile, len(s.stats))
+	copy(out, s.stats)
+	for i, l := range s.labels {
+		out[i].Label = l.Label()
+	}
 	return out
 }
+
+// CollectProfile snapshots the operator tree's counters and renders the
+// labels: Snap(root).Profile().
+func CollectProfile(root Operator) Profile { return Snap(root).Profile() }
 
 // String renders the profile as an aligned table.
 func (p Profile) String() string {

@@ -37,7 +37,7 @@ func runTree(t *testing.T, root Operator, morsel int) *storage.Relation {
 func TestScanMorselBoundaries(t *testing.T) {
 	rel := testRel(t, 10)
 	for _, morsel := range []int{1, 3, 7, 10, 1000} {
-		scan := NewScan("scan", rel)
+		scan := NewScan(Text("scan"), rel)
 		out := runTree(t, scan, morsel)
 		if !out.Equal(rel) {
 			t.Fatalf("morsel %d: reassembled relation differs", morsel)
@@ -52,13 +52,13 @@ func TestScanMorselBoundaries(t *testing.T) {
 
 func TestEmptyRelationEmitsSchema(t *testing.T) {
 	rel := testRel(t, 0)
-	out := runTree(t, NewScan("scan", rel), 4)
+	out := runTree(t, NewScan(Text("scan"), rel), 4)
 	if out.NumRows() != 0 || out.NumCols() != 2 {
 		t.Fatalf("empty scan lost schema: %d rows, %d cols", out.NumRows(), out.NumCols())
 	}
 	// A filter over an empty input must still surface the schema.
 	pred := expr.Bin{Op: expr.OpLt, L: expr.Col{Name: "id"}, R: expr.IntLit{V: 5}}
-	out = runTree(t, NewFilter("filter", NewScan("scan", testRel(t, 0)), pred), 4)
+	out = runTree(t, NewFilter(Text("filter"), NewScan(Text("scan"), testRel(t, 0)), pred), 4)
 	if out.NumCols() != 2 {
 		t.Fatal("filter over empty input lost schema")
 	}
@@ -67,7 +67,7 @@ func TestEmptyRelationEmitsSchema(t *testing.T) {
 func TestFilterPerMorsel(t *testing.T) {
 	rel := testRel(t, 100)
 	pred := expr.Bin{Op: expr.OpLt, L: expr.Col{Name: "id"}, R: expr.IntLit{V: 30}}
-	filter := NewFilter("filter", NewScan("scan", rel), pred)
+	filter := NewFilter(Text("filter"), NewScan(Text("scan"), rel), pred)
 	out := runTree(t, filter, 7)
 	if out.NumRows() != 30 {
 		t.Fatalf("filter kept %d rows, want 30", out.NumRows())
@@ -80,7 +80,7 @@ func TestFilterPerMorsel(t *testing.T) {
 
 func TestProject(t *testing.T) {
 	rel := testRel(t, 20)
-	out := runTree(t, NewProject("project", NewScan("scan", rel), []string{"v"}), 6)
+	out := runTree(t, NewProject(Text("project"), NewScan(Text("scan"), rel), []string{"v"}), 6)
 	if out.NumCols() != 1 || out.ColumnNames()[0] != "v" || out.NumRows() != 20 {
 		t.Fatalf("projection wrong: %v, %d rows", out.ColumnNames(), out.NumRows())
 	}
@@ -88,7 +88,7 @@ func TestProject(t *testing.T) {
 
 func TestLimitEarlyExit(t *testing.T) {
 	rel := testRel(t, 1000)
-	scan := NewScan("scan", rel)
+	scan := NewScan(Text("scan"), rel)
 	limit := NewLimit(scan, 5)
 	out := runTree(t, limit, 10)
 	if out.NumRows() != 5 {
@@ -105,7 +105,7 @@ func TestLimitEarlyExit(t *testing.T) {
 }
 
 func TestLimitZero(t *testing.T) {
-	scan := NewScan("scan", testRel(t, 50))
+	scan := NewScan(Text("scan"), testRel(t, 50))
 	out := runTree(t, NewLimit(scan, 0), 10)
 	if out.NumRows() != 0 || out.NumCols() != 2 {
 		t.Fatalf("LIMIT 0: %d rows, %d cols", out.NumRows(), out.NumCols())
@@ -118,7 +118,7 @@ func TestLimitZero(t *testing.T) {
 func TestBreaker1KernelRunsOnce(t *testing.T) {
 	rel := testRel(t, 25)
 	calls := 0
-	rev := NewBreaker1("reverse", NewScan("scan", rel), func(_ *ExecContext, in *storage.Relation) (*storage.Relation, error) {
+	rev := NewBreaker1(Text("reverse"), NewScan(Text("scan"), rel), func(_ *ExecContext, in *storage.Relation) (*storage.Relation, error) {
 		calls++
 		idx := make([]int32, in.NumRows())
 		for i := range idx {
@@ -142,7 +142,7 @@ func TestBreaker1KernelRunsOnce(t *testing.T) {
 func TestBreaker2ConcurrentDrain(t *testing.T) {
 	left := testRel(t, 40)
 	right := testRel(t, 60)
-	join := NewBreaker2("cross-count", NewScan("l", left), NewScan("r", right),
+	join := NewBreaker2(Text("cross-count"), NewScan(Text("l"), left), NewScan(Text("r"), right),
 		func(_ *ExecContext, l, r *storage.Relation) (*storage.Relation, error) {
 			n := int64(l.NumRows()) * int64(r.NumRows())
 			return storage.NewRelation("out", storage.NewInt64("n", []int64{n}))
@@ -174,9 +174,9 @@ func (b *blocking) Next(ec *ExecContext) (*storage.Relation, error) {
 func TestCancellationUnwindsWithoutLeaks(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
-	join := NewBreaker2("join",
-		&blocking{base: base{label: "block-l"}},
-		&blocking{base: base{label: "block-r"}},
+	join := NewBreaker2(Text("join"),
+		&blocking{base: base{label: Text("block-l")}},
+		&blocking{base: base{label: Text("block-r")}},
 		func(_ *ExecContext, l, r *storage.Relation) (*storage.Relation, error) {
 			t.Error("kernel ran despite cancellation")
 			return l, nil
@@ -211,7 +211,7 @@ func TestCancelledContextFailsFast(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ec := NewExecContext(ctx, 8, 0)
-	_, err := Run(ec, NewScan("scan", testRel(t, 100)))
+	_, err := Run(ec, NewScan(Text("scan"), testRel(t, 100)))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
@@ -246,7 +246,7 @@ func TestPoolPropagatesFirstError(t *testing.T) {
 func TestProfileCollectsEveryOperator(t *testing.T) {
 	rel := testRel(t, 64)
 	pred := expr.Bin{Op: expr.OpGe, L: expr.Col{Name: "id"}, R: expr.IntLit{V: 0}}
-	root := NewLimit(NewFilter("filter", NewScan("scan", rel), pred), 20)
+	root := NewLimit(NewFilter(Text("filter"), NewScan(Text("scan"), rel), pred), 20)
 	runTree(t, root, 8)
 	prof := CollectProfile(root)
 	if len(prof) != 3 {

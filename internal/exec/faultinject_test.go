@@ -77,11 +77,11 @@ func govCases(t *testing.T) []govCase {
 				faultinject.PointStorageConcat,
 			},
 			build: func(dop int) Operator {
-				pipe := NewPipe("scan", rel, dop)
-				pipe.AddStage("filter", func(in *storage.Relation) (*storage.Relation, error) {
+				pipe := NewPipe(Text("scan"), rel, dop)
+				pipe.AddStage(Text("filter"), func(in *storage.Relation) (*storage.Relation, error) {
 					return physical.FilterRel(in, pred)
 				})
-				b := NewBreaker1("sort", pipe, func(ec *ExecContext, in *storage.Relation) (*storage.Relation, error) {
+				b := NewBreaker1(Text("sort"), pipe, func(ec *ExecContext, in *storage.Relation) (*storage.Relation, error) {
 					return physical.SortRelParCtl(in, "id", sortx.Radix, ec.EffectiveDOP(dop), ec.Ctl())
 				})
 				b.SetDOP(dop)
@@ -93,7 +93,7 @@ func govCases(t *testing.T) []govCase {
 			points: []string{faultinject.PointHashtableGrow},
 			build: func(dop int) Operator {
 				aggs := []expr.AggSpec{{Func: expr.AggCount}}
-				b := NewBreaker1("group", NewScan("scan", grpRel), func(ec *ExecContext, in *storage.Relation) (*storage.Relation, error) {
+				b := NewBreaker1(Text("group"), NewScan(Text("scan"), grpRel), func(ec *ExecContext, in *storage.Relation) (*storage.Relation, error) {
 					opt := physical.GroupOptions{
 						Scheme: hashtable.Chained, Hash: hashtable.Murmur3Fin,
 						Parallel: ec.EffectiveDOP(dop), Ctl: ec.Ctl(),
@@ -113,7 +113,7 @@ func govCases(t *testing.T) []govCase {
 				faultinject.PointPhysicalBuild,
 			},
 			build: func(dop int) Operator {
-				b := NewBreaker2("join", NewScan("l", joinL), NewScan("r", joinR),
+				b := NewBreaker2(Text("join"), NewScan(Text("l"), joinL), NewScan(Text("r"), joinR),
 					func(ec *ExecContext, l, r *storage.Relation) (*storage.Relation, error) {
 						opt := physical.JoinOptions{
 							Hash: hashtable.Murmur3Fin, Parallel: ec.EffectiveDOP(dop), Ctl: ec.Ctl(),
@@ -259,7 +259,7 @@ func TestInjectedMergeCancellation(t *testing.T) {
 // merge sort whose tiny run quota forces disk traffic, reaching the
 // spill.write and spill.read failure points.
 func spillGovTree() Operator {
-	return NewSpillSort("sort", NewScan("scan", spillRel("t", 6000, 7)), "key", sortx.Radix)
+	return NewSpillSort(Text("sort"), NewScan(Text("scan"), spillRel("t", 6000, 7)), "key", sortx.Radix)
 }
 
 func newSpillEC(t *testing.T, morsel, dop int, mem *govern.Budget) (*ExecContext, string) {

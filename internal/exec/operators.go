@@ -22,7 +22,7 @@ type Scan struct {
 }
 
 // NewScan returns a scan over rel.
-func NewScan(label string, rel *storage.Relation) *Scan {
+func NewScan(label Labeler, rel *storage.Relation) *Scan {
 	return &Scan{base: base{label: label}, rel: rel}
 }
 
@@ -74,7 +74,7 @@ type Filter struct {
 }
 
 // NewFilter returns a filter of child by pred.
-func NewFilter(label string, child Operator, pred expr.Expr) *Filter {
+func NewFilter(label Labeler, child Operator, pred expr.Expr) *Filter {
 	return &Filter{base: base{label: label}, child: child, pred: pred}
 }
 
@@ -119,7 +119,7 @@ type Project struct {
 }
 
 // NewProject returns a projection of child to cols.
-func NewProject(label string, child Operator, cols []string) *Project {
+func NewProject(label Labeler, child Operator, cols []string) *Project {
 	return &Project{base: base{label: label}, child: child, cols: cols}
 }
 
@@ -171,7 +171,7 @@ type Limit struct {
 
 // NewLimit returns a limit of child to n rows.
 func NewLimit(child Operator, n int) *Limit {
-	return &Limit{base: base{label: "Limit"}, child: child, n: n}
+	return &Limit{base: base{label: Text("Limit")}, child: child, n: n}
 }
 
 // Open implements Operator.
@@ -253,7 +253,7 @@ type IndexScan struct {
 
 // NewIndexScan returns an index scan over rel; probe returns the selected
 // row positions (and may refine the index as a side effect).
-func NewIndexScan(label string, rel *storage.Relation, probe func() []int32) *IndexScan {
+func NewIndexScan(label Labeler, rel *storage.Relation, probe func() []int32) *IndexScan {
 	return &IndexScan{base: base{label: label}, rel: rel, probe: probe}
 }
 
@@ -273,7 +273,7 @@ func (s *IndexScan) Next(ec *ExecContext) (*storage.Relation, error) {
 		// the base table's per-row footprint.
 		if n := s.rel.NumRows(); n > 0 {
 			need := int64(len(idx)) * (s.rel.MemBytes() / int64(n))
-			if err := ec.CtlFor(s.label).Reserve(need); err != nil {
+			if err := ec.CtlFor(s).Reserve(need); err != nil {
 				return nil, err
 			}
 			atomic.AddInt64(&s.held, need)
@@ -312,7 +312,7 @@ type Breaker1 struct {
 // NewBreaker1 returns a unary breaker applying kernel to the materialised
 // input. The kernel receives the execution context so it can clamp its
 // planned degree of parallelism to the pool (ec.EffectiveDOP).
-func NewBreaker1(label string, child Operator, kernel func(*ExecContext, *storage.Relation) (*storage.Relation, error)) *Breaker1 {
+func NewBreaker1(label Labeler, child Operator, kernel func(*ExecContext, *storage.Relation) (*storage.Relation, error)) *Breaker1 {
 	return &Breaker1{base: base{label: label}, child: child, kernel: kernel}
 }
 
@@ -334,7 +334,7 @@ func (b *Breaker1) Next(ec *ExecContext) (*storage.Relation, error) {
 		return nil, err
 	}
 	if b.out == nil {
-		ctl := ec.CtlFor(b.label)
+		ctl := ec.CtlFor(b)
 		in, rows, err := drain(ec, ctl, b.child, &b.held)
 		if err != nil {
 			return nil, err
@@ -389,7 +389,7 @@ type Breaker2 struct {
 // NewBreaker2 returns a binary breaker applying kernel to the two
 // materialised inputs. The kernel receives the execution context so it can
 // clamp its planned degree of parallelism to the pool (ec.EffectiveDOP).
-func NewBreaker2(label string, left, right Operator, kernel func(ec *ExecContext, l, r *storage.Relation) (*storage.Relation, error)) *Breaker2 {
+func NewBreaker2(label Labeler, left, right Operator, kernel func(ec *ExecContext, l, r *storage.Relation) (*storage.Relation, error)) *Breaker2 {
 	return &Breaker2{base: base{label: label}, left: left, right: right, kernel: kernel}
 }
 
@@ -414,7 +414,7 @@ func (b *Breaker2) Next(ec *ExecContext) (*storage.Relation, error) {
 		return nil, err
 	}
 	if b.out == nil {
-		ctl := ec.CtlFor(b.label)
+		ctl := ec.CtlFor(b)
 		var l, r *storage.Relation
 		var lRows, rRows int64
 		// Both drains reserve into b.held concurrently (atomic adds), so a

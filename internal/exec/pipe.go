@@ -80,9 +80,9 @@ func (n *pipeNode) Children() []Operator {
 
 // NewPipe returns a parallel pipeline over rel with the plan's chosen degree
 // of parallelism. Stages are added bottom-up with AddStage.
-func NewPipe(scanLabel string, rel *storage.Relation, dop int) *Pipe {
+func NewPipe(scanLabel Labeler, rel *storage.Relation, dop int) *Pipe {
 	return &Pipe{
-		base: base{label: "Pipeline"},
+		base: base{label: Text("Pipeline")},
 		rel:  rel,
 		scan: &pipeNode{base: base{label: scanLabel}},
 		dop:  dop,
@@ -91,7 +91,7 @@ func NewPipe(scanLabel string, rel *storage.Relation, dop int) *Pipe {
 
 // AddStage appends a morsel-decomposable stage (filter, project) above the
 // current top of the pipeline.
-func (p *Pipe) AddStage(label string, fn func(*storage.Relation) (*storage.Relation, error)) {
+func (p *Pipe) AddStage(label Labeler, fn func(*storage.Relation) (*storage.Relation, error)) {
 	node := &pipeNode{base: base{label: label}}
 	if len(p.stages) == 0 {
 		node.child = p.scan

@@ -49,9 +49,9 @@ func TestPipeMatchesSerialPipeline(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 3, 8} {
 		for _, morsel := range []int{1, 7, 1024, 1 << 30} {
-			p := NewPipe("scan", rel, workers)
-			p.AddStage("filter", filterStage(pred))
-			p.AddStage("project", func(in *storage.Relation) (*storage.Relation, error) {
+			p := NewPipe(Text("scan"), rel, workers)
+			p.AddStage(Text("filter"), filterStage(pred))
+			p.AddStage(Text("project"), func(in *storage.Relation) (*storage.Relation, error) {
 				return physical.ProjectRel(in, "v")
 			})
 			ec := NewExecContext(context.Background(), morsel, workers)
@@ -68,8 +68,8 @@ func TestPipeMatchesSerialPipeline(t *testing.T) {
 
 func TestPipeEmptyRelationEmitsSchema(t *testing.T) {
 	rel := pipeRel(t, 0)
-	p := NewPipe("scan", rel, 4)
-	p.AddStage("filter", filterStage(expr.Bin{Op: expr.OpLt, L: expr.Col{Name: "id"}, R: expr.IntLit{V: 5}}))
+	p := NewPipe(Text("scan"), rel, 4)
+	p.AddStage(Text("filter"), filterStage(expr.Bin{Op: expr.OpLt, L: expr.Col{Name: "id"}, R: expr.IntLit{V: 5}}))
 	ec := NewExecContext(context.Background(), 16, 4)
 	got, err := Run(ec, p)
 	if err != nil {
@@ -83,8 +83,8 @@ func TestPipeEmptyRelationEmitsSchema(t *testing.T) {
 func TestPipeStageErrorIsDeterministic(t *testing.T) {
 	rel := pipeRel(t, 1000)
 	for _, workers := range []int{1, 4} {
-		p := NewPipe("scan", rel, workers)
-		p.AddStage("boom", func(in *storage.Relation) (*storage.Relation, error) {
+		p := NewPipe(Text("scan"), rel, workers)
+		p.AddStage(Text("boom"), func(in *storage.Relation) (*storage.Relation, error) {
 			if ids := in.MustColumn("id").Uint32s(); len(ids) > 0 && ids[0] >= 96 {
 				return nil, fmt.Errorf("boom at %d", ids[0])
 			}
@@ -106,8 +106,8 @@ func TestPipeLimitEarlyExit(t *testing.T) {
 	rel := pipeRel(t, 50_000)
 	for _, morsel := range []int{1, 7, 1024} {
 		for _, workers := range []int{2, 8} {
-			p := NewPipe("scan", rel, workers)
-			p.AddStage("pass", func(in *storage.Relation) (*storage.Relation, error) { return in, nil })
+			p := NewPipe(Text("scan"), rel, workers)
+			p.AddStage(Text("pass"), func(in *storage.Relation) (*storage.Relation, error) { return in, nil })
 			limit := NewLimit(p, 10)
 			ec := NewExecContext(context.Background(), morsel, workers)
 			got, err := Run(ec, limit)
@@ -139,8 +139,8 @@ func TestPipeCancellationStopsWorkers(t *testing.T) {
 		time.Sleep(200 * time.Microsecond)
 		return in, nil
 	}
-	p := NewPipe("scan", rel, 4)
-	p.AddStage("slow", slow)
+	p := NewPipe(Text("scan"), rel, 4)
+	p.AddStage(Text("slow"), slow)
 	ec := NewExecContext(ctx, 64, 4)
 	done := make(chan error, 1)
 	go func() {
@@ -168,8 +168,8 @@ func TestPipeCancellationStopsWorkers(t *testing.T) {
 
 func TestPipeStatsAndProfile(t *testing.T) {
 	rel := pipeRel(t, 10_000)
-	p := NewPipe("scan t", rel, 4)
-	p.AddStage("filter", filterStage(expr.Bin{Op: expr.OpLt, L: expr.Col{Name: "id"}, R: expr.IntLit{V: 5000}}))
+	p := NewPipe(Text("scan t"), rel, 4)
+	p.AddStage(Text("filter"), filterStage(expr.Bin{Op: expr.OpLt, L: expr.Col{Name: "id"}, R: expr.IntLit{V: 5000}}))
 	ec := NewExecContext(context.Background(), 512, 4)
 	if _, err := Run(ec, p); err != nil {
 		t.Fatal(err)

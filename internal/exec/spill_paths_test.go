@@ -73,7 +73,7 @@ func TestSpillGroupFirstSeenWalk(t *testing.T) {
 		for _, quota := range []int64{1, 4 << 10, 0} {
 			for _, morsel := range spillMorsels {
 				got, spilled := runSpillTree(t, func() Operator {
-					return NewSpillGroup("group", NewScan("scan", rel), "k", aggs, opt, props.Domain{})
+					return NewSpillGroup(Text("group"), NewScan(Text("scan"), rel), "k", aggs, opt, props.Domain{})
 				}, morsel, 1, quota)
 				if (spilled > 0) != (quota > 0) {
 					t.Fatalf("%s quota=%d morsel=%d: spilled %d bytes", name, quota, morsel, spilled)
@@ -112,9 +112,9 @@ func newTestPartitionSet(t *testing.T, quota int64) (*ExecContext, *partitionSet
 			t.Errorf("cleanup: %v", err)
 		}
 	})
-	b := &base{label: "set"}
+	b := &base{label: Text("set")}
 	var held int64
-	rv := &resv{ctl: ec.CtlFor("set"), held: &held, b: b}
+	rv := &resv{ctl: ec.CtlFor(b), held: &held, b: b}
 	sets := new([]*partitionSet)
 	return ec, newPartitionSet(rv, sets, "set", "key", rowTagL, 0, quota), sets, mem, dir
 }
@@ -287,7 +287,7 @@ func TestSpillSortMergeWindows(t *testing.T) {
 		ec := NewExecContext(context.Background(), morsel, 1)
 		ec.SetSpill(dir, 0)
 		ec.SetSpillQuota(20 << 10) // 216 KB of input: 11+ runs
-		root := NewSpillSort("sort", NewScan("scan", rel), "key", sortx.Radix)
+		root := NewSpillSort(Text("sort"), NewScan(Text("scan"), rel), "key", sortx.Radix)
 		got, err := Run(ec, root)
 		if err != nil {
 			t.Fatal(err)
@@ -330,7 +330,7 @@ func TestSpillJoinReleasesOrphanedSides(t *testing.T) {
 	ec.SetSpill(t.TempDir(), 0)
 	ec.SetSpillQuota(16 << 10)
 	opt := physical.JoinOptions{Hash: hashtable.Murmur3Fin, Parallel: 1}
-	root := NewSpillJoin("join", NewScan("l", left), NewScan("r", right), "key", "key", opt, false, props.Domain{}, nil)
+	root := NewSpillJoin(Text("join"), NewScan(Text("l"), left), NewScan(Text("r"), right), "key", "key", opt, false, props.Domain{}, nil)
 	if err := root.Open(ec); err != nil {
 		t.Fatal(err)
 	}

@@ -88,14 +88,14 @@ func TestSpillSortMatchesInMemory(t *testing.T) {
 	rel := spillRel("t", 6000, 7)
 	for _, kind := range []sortx.Kind{sortx.Radix, sortx.Comparison, sortx.Std} {
 		kind := kind
-		want := runTree(t, NewBreaker1("sort", NewScan("scan", rel),
+		want := runTree(t, NewBreaker1(Text("sort"), NewScan(Text("scan"), rel),
 			func(ec *ExecContext, in *storage.Relation) (*storage.Relation, error) {
 				return physical.SortRelParCtl(in, "key", kind, 1, ec.Ctl())
 			}), 4096)
 		for _, workers := range spillDOPs() {
 			for _, morsel := range spillMorsels {
 				got, spilled := runSpillTree(t, func() Operator {
-					return NewSpillSort("sort", NewScan("scan", rel), "key", kind)
+					return NewSpillSort(Text("sort"), NewScan(Text("scan"), rel), "key", kind)
 				}, morsel, workers, 2048)
 				if spilled == 0 {
 					t.Fatalf("kind=%v morsel=%d workers=%d: external sort never touched disk", kind, morsel, workers)
@@ -117,7 +117,7 @@ func TestSpillGroupMatchesInMemory(t *testing.T) {
 	for _, key := range []string{"key", "city"} {
 		key := key
 		opt := physical.GroupOptions{Scheme: hashtable.Chained, Hash: hashtable.Murmur3Fin, Parallel: 1}
-		want := runTree(t, NewBreaker1("group", NewScan("scan", rel),
+		want := runTree(t, NewBreaker1(Text("group"), NewScan(Text("scan"), rel),
 			func(ec *ExecContext, in *storage.Relation) (*storage.Relation, error) {
 				o := opt
 				o.Ctl = ec.Ctl()
@@ -126,7 +126,7 @@ func TestSpillGroupMatchesInMemory(t *testing.T) {
 		for _, workers := range spillDOPs() {
 			for _, morsel := range spillMorsels {
 				got, spilled := runSpillTree(t, func() Operator {
-					return NewSpillGroup("group", NewScan("scan", rel), key, aggs, opt, props.Domain{})
+					return NewSpillGroup(Text("group"), NewScan(Text("scan"), rel), key, aggs, opt, props.Domain{})
 				}, morsel, workers, 2048)
 				if spilled == 0 {
 					t.Fatalf("key=%s morsel=%d workers=%d: spill group never touched disk", key, morsel, workers)
@@ -150,7 +150,7 @@ func TestSpillJoinMatchesInMemory(t *testing.T) {
 	for _, cols := range [][]string{nil, {"city_r", "val"}} {
 		for _, swapped := range []bool{false, true} {
 			cols, swapped := cols, swapped
-			want := runTree(t, NewBreaker2("join", NewScan("l", left), NewScan("r", right),
+			want := runTree(t, NewBreaker2(Text("join"), NewScan(Text("l"), left), NewScan(Text("r"), right),
 				func(ec *ExecContext, l, r *storage.Relation) (*storage.Relation, error) {
 					o := opt
 					o.Ctl = ec.Ctl()
@@ -165,7 +165,7 @@ func TestSpillJoinMatchesInMemory(t *testing.T) {
 			for _, workers := range spillDOPs() {
 				for _, morsel := range spillMorsels {
 					got, spilled := runSpillTree(t, func() Operator {
-						return NewSpillJoin("join", NewScan("l", left), NewScan("r", right),
+						return NewSpillJoin(Text("join"), NewScan(Text("l"), left), NewScan(Text("r"), right),
 							"key", "key", opt, swapped, props.Domain{}, cols)
 					}, morsel, workers, 2048)
 					if spilled == 0 {
@@ -185,14 +185,14 @@ func TestSpillJoinMatchesInMemory(t *testing.T) {
 // return the exact in-memory result.
 func TestSpillIdleStaysInMemory(t *testing.T) {
 	rel := spillRel("t", 3000, 5)
-	want := runTree(t, NewBreaker1("sort", NewScan("scan", rel),
+	want := runTree(t, NewBreaker1(Text("sort"), NewScan(Text("scan"), rel),
 		func(ec *ExecContext, in *storage.Relation) (*storage.Relation, error) {
 			return physical.SortRelParCtl(in, "key", sortx.Radix, 1, ec.Ctl())
 		}), 4096)
 	dir := t.TempDir()
 	ec := NewExecContext(context.Background(), 256, 2)
 	ec.SetSpill(dir, 0) // default quota: nothing this small ever flushes
-	root := NewSpillSort("sort", NewScan("scan", rel), "key", sortx.Radix)
+	root := NewSpillSort(Text("sort"), NewScan(Text("scan"), rel), "key", sortx.Radix)
 	got, err := Run(ec, root)
 	if err != nil {
 		t.Fatal(err)
@@ -283,13 +283,13 @@ func TestSpillLifecycleCensus(t *testing.T) {
 			ec := NewExecContextBudget(ctx, 64, 2, mem)
 			ec.SetSpill(dir, tc.diskCap)
 			ec.SetSpillQuota(1)
-			var child Operator = NewScan("scan", rel)
+			var child Operator = NewScan(Text("scan"), rel)
 			if tc.mode != "" {
 				// Trip late enough that runs are already on disk.
-				child = &tripwire{base: base{label: "trip"}, child: child,
+				child = &tripwire{base: base{label: Text("trip")}, child: child,
 					after: 40, mode: tc.mode, cancel: cancel}
 			}
-			root := NewSpillSort("sort", child, "key", sortx.Radix)
+			root := NewSpillSort(Text("sort"), child, "key", sortx.Radix)
 			_, err := Run(ec, root)
 			if tc.wantErr == nil {
 				if err != nil {
@@ -333,7 +333,7 @@ func TestSpillStatsSurface(t *testing.T) {
 	ec := NewExecContext(context.Background(), 256, 1)
 	ec.SetSpill(dir, 0)
 	ec.SetSpillQuota(2048)
-	root := NewSpillSort("sort", NewScan("scan", rel), "key", sortx.Radix)
+	root := NewSpillSort(Text("sort"), NewScan(Text("scan"), rel), "key", sortx.Radix)
 	if _, err := Run(ec, root); err != nil {
 		t.Fatal(err)
 	}
@@ -353,13 +353,13 @@ func TestSpillStatsSurface(t *testing.T) {
 func BenchmarkExternalSort(b *testing.B) {
 	rel := spillRel("t", 200_000, 17)
 	inMemory := func() Operator {
-		return NewBreaker1("sort", NewScan("scan", rel),
+		return NewBreaker1(Text("sort"), NewScan(Text("scan"), rel),
 			func(ec *ExecContext, in *storage.Relation) (*storage.Relation, error) {
 				return physical.SortRelParCtl(in, "key", sortx.Radix, 1, ec.Ctl())
 			})
 	}
 	spillSort := func() Operator {
-		return NewSpillSort("sort", NewScan("scan", rel), "key", sortx.Radix)
+		return NewSpillSort(Text("sort"), NewScan(Text("scan"), rel), "key", sortx.Radix)
 	}
 	b.Run("in-memory", func(b *testing.B) { benchSpillOp(b, inMemory, 0) })
 	b.Run("spill-idle", func(b *testing.B) { benchSpillOp(b, spillSort, 0) })
@@ -429,7 +429,7 @@ func BenchmarkSpillGroup(b *testing.B) {
 	opt := physical.GroupOptions{Scheme: hashtable.Chained, Hash: hashtable.Identity, Parallel: 1}
 	dom := plannedDomain(rel, "K")
 	build := func() Operator {
-		return NewSpillGroup("group", NewScan("scan", rel), "K", aggs, opt, dom)
+		return NewSpillGroup(Text("group"), NewScan(Text("scan"), rel), "K", aggs, opt, dom)
 	}
 	b.Run("in-memory", func(b *testing.B) { benchSpillOp(b, build, 0) })
 	b.Run("spill-forced", func(b *testing.B) { benchSpillOp(b, build, 512<<10) })
@@ -446,7 +446,7 @@ func BenchmarkSpillJoin(b *testing.B) {
 	opt := physical.JoinOptions{Hash: hashtable.Identity, Parallel: 1}
 	dom := plannedDomain(left, "K")
 	build := func() Operator {
-		return NewSpillJoin("join", NewScan("l", left), NewScan("r", right), "K", "K", opt, false, dom, nil)
+		return NewSpillJoin(Text("join"), NewScan(Text("l"), left), NewScan(Text("r"), right), "K", "K", opt, false, dom, nil)
 	}
 	b.Run("in-memory", func(b *testing.B) { benchSpillOp(b, build, 0) })
 	b.Run("spill-forced", func(b *testing.B) { benchSpillOp(b, build, 512<<10) })

@@ -181,7 +181,7 @@ type SpillSort struct {
 }
 
 // NewSpillSort returns an external merge sort of child by key.
-func NewSpillSort(label string, child Operator, key string, kind sortx.Kind) *SpillSort {
+func NewSpillSort(label Labeler, child Operator, key string, kind sortx.Kind) *SpillSort {
 	return &SpillSort{base: base{label: label}, child: child, key: key, kind: kind}
 }
 
@@ -217,7 +217,7 @@ func (s *SpillSort) Close(ec *ExecContext) error {
 func (s *SpillSort) Children() []Operator { return []Operator{s.child} }
 
 func (s *SpillSort) materialize(ec *ExecContext) error {
-	rv := &resv{ctl: ec.CtlFor(s.label), held: &s.held, b: &s.base}
+	rv := &resv{ctl: ec.CtlFor(s), held: &s.held, b: &s.base}
 	quota := ec.SpillQuota()
 	var parts []*storage.Relation
 	var bufBytes, rows int64
@@ -335,7 +335,7 @@ func (s *SpillSort) writeRun(ec *ExecContext, sorted *storage.Relation) (*spill.
 	if err != nil {
 		return nil, err
 	}
-	w, err := dir.NewRun(s.label)
+	w, err := dir.NewRun(s.Label())
 	if err != nil {
 		return nil, err
 	}
@@ -430,7 +430,7 @@ func (s *SpillSort) mergeToDisk(ec *ExecContext, runs []*spill.Run) (*spill.Run,
 	if err != nil {
 		return nil, err
 	}
-	w, err := dir.NewRun(s.label + "-merge")
+	w, err := dir.NewRun(s.Label() + "-merge")
 	if err != nil {
 		return nil, err
 	}
@@ -1030,7 +1030,7 @@ type SpillGroup struct {
 // NewSpillGroup returns a spilling hash aggregation of child by key. opt
 // must describe the serial chained-hash variant (the only scheme whose
 // iteration order is partition-recomposable).
-func NewSpillGroup(label string, child Operator, key string, aggs []expr.AggSpec, opt physical.GroupOptions, dom props.Domain) *SpillGroup {
+func NewSpillGroup(label Labeler, child Operator, key string, aggs []expr.AggSpec, opt physical.GroupOptions, dom props.Domain) *SpillGroup {
 	opt.Parallel = 1
 	return &SpillGroup{base: base{label: label}, child: child, key: key, aggs: aggs, opt: opt, dom: dom}
 }
@@ -1070,14 +1070,14 @@ func (g *SpillGroup) Close(ec *ExecContext) error {
 func (g *SpillGroup) Children() []Operator { return []Operator{g.child} }
 
 func (g *SpillGroup) materialize(ec *ExecContext) error {
-	ctl := ec.CtlFor(g.label)
+	ctl := ec.CtlFor(g)
 	rv := &resv{ctl: ctl, held: &g.held, b: &g.base}
 	opt := g.opt
 	opt.Ctl = ctl
 	quota := ec.SpillQuota()
 
 	in := &spillInput{op: g.child, key: g.key, tag: rowTagL}
-	spilled, err := drainInputs(ec, rv, &g.sets, g.label, quota, in)
+	spilled, err := drainInputs(ec, rv, &g.sets, g.Label(), quota, in)
 	if err != nil {
 		return err
 	}
@@ -1228,7 +1228,7 @@ type SpillJoin struct {
 // NewSpillJoin returns a grace hash join of left and right. swapped selects
 // build-on-right (join commutativity) and cols the output columns kept,
 // both mirroring physical.JoinRelDom / JoinRelDomSwapped.
-func NewSpillJoin(label string, left, right Operator, leftKey, rightKey string, opt physical.JoinOptions, swapped bool, dom props.Domain, cols []string) *SpillJoin {
+func NewSpillJoin(label Labeler, left, right Operator, leftKey, rightKey string, opt physical.JoinOptions, swapped bool, dom props.Domain, cols []string) *SpillJoin {
 	opt.Parallel = 1
 	return &SpillJoin{base: base{label: label}, left: left, right: right,
 		leftKey: leftKey, rightKey: rightKey, opt: opt, swapped: swapped, dom: dom, cols: cols}
@@ -1276,7 +1276,7 @@ func (j *SpillJoin) Close(ec *ExecContext) error {
 func (j *SpillJoin) Children() []Operator { return []Operator{j.left, j.right} }
 
 func (j *SpillJoin) materialize(ec *ExecContext) error {
-	ctl := ec.CtlFor(j.label)
+	ctl := ec.CtlFor(j)
 	rv := &resv{ctl: ctl, held: &j.held, b: &j.base}
 	opt := j.opt
 	opt.Ctl = ctl
@@ -1284,7 +1284,7 @@ func (j *SpillJoin) materialize(ec *ExecContext) error {
 
 	ls := &spillInput{op: j.left, key: j.leftKey, tag: rowTagL}
 	rs := &spillInput{op: j.right, key: j.rightKey, tag: rowTagR}
-	spilled, err := drainInputs(ec, rv, &j.sets, j.label, quota, ls, rs)
+	spilled, err := drainInputs(ec, rv, &j.sets, j.Label(), quota, ls, rs)
 	if err != nil {
 		return err
 	}

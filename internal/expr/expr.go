@@ -2,9 +2,12 @@
 // aggregate specifications evaluated over columnar relations.
 //
 // Expression evaluation is vectorised: an expression evaluates over a whole
-// relation into a typed result vector. The hot aggregation loops in
-// internal/physical do not go through this interpreter — they read raw
-// columns — so the interpreter favours clarity over micro-optimisation.
+// relation into a typed result vector. The hot loops do not go through this
+// interpreter — aggregation in internal/physical reads raw columns, and
+// filters whose predicate is a column compared with a literal run the typed
+// kernel in select.go — so the interpreter favours clarity over
+// micro-optimisation. It evaluates arithmetic and column-against-column
+// predicates, and is the reference the kernel is tested against.
 package expr
 
 import (
@@ -172,23 +175,6 @@ func EvalPredicate(e Expr, rel *storage.Relation) ([]bool, error) {
 		return nil, fmt.Errorf("expr: %s is not a predicate", e)
 	}
 	return r.bools, nil
-}
-
-// Selectivity runs the predicate and returns the selected row indexes. The
-// returned slice is drawn from the storage buffer pool; callers that consume
-// it immediately (e.g. via Gather) may release it with storage.PutInt32s.
-func Selectivity(e Expr, rel *storage.Relation) ([]int32, error) {
-	bools, err := EvalPredicate(e, rel)
-	if err != nil {
-		return nil, err
-	}
-	idx := storage.GetInt32s(len(bools))
-	for i, b := range bools {
-		if b {
-			idx = append(idx, int32(i))
-		}
-	}
-	return idx, nil
 }
 
 func eval(e Expr, rel *storage.Relation) (result, error) {

@@ -462,17 +462,23 @@ func (e *Estimator) colDistinct(n Node, col string) float64 {
 // (root first). Bind produces Filters only from WHERE and HAVING clauses,
 // so for two statements sharing a fingerprint the sequences are positionally
 // aligned — the contract plan-template rebinding relies on.
-func FilterPreds(n Node) []expr.Expr {
-	var out []expr.Expr
-	var rec func(n Node)
-	rec = func(n Node) {
-		if f, ok := n.(*Filter); ok {
-			out = append(out, f.Pred)
-		}
-		for _, c := range n.Children() {
-			rec(c)
-		}
+func FilterPreds(n Node) []expr.Expr { return appendFilterPreds(nil, n) }
+
+func appendFilterPreds(out []expr.Expr, n Node) []expr.Expr {
+	// The unary nodes are walked without their Children slice: this runs
+	// once per execution of a cached plan template.
+	switch n := n.(type) {
+	case *Filter:
+		return appendFilterPreds(append(out, n.Pred), n.Input)
+	case *Project:
+		return appendFilterPreds(out, n.Input)
+	case *GroupBy:
+		return appendFilterPreds(out, n.Input)
+	case *Sort:
+		return appendFilterPreds(out, n.Input)
 	}
-	rec(n)
+	for _, c := range n.Children() {
+		out = appendFilterPreds(out, c)
+	}
 	return out
 }

@@ -109,6 +109,53 @@ func TestRingTracerEviction(t *testing.T) {
 	}
 }
 
+// countingSource is a Deferred that counts how often its trace is built.
+type countingSource struct {
+	name   string
+	builds *int
+	trace  *QueryTrace
+}
+
+func (c *countingSource) Trace() *QueryTrace {
+	if c.trace == nil {
+		*c.builds++
+		c.trace = &QueryTrace{Query: c.name}
+	}
+	return c.trace
+}
+
+// TestRingTracerDefers: a deferred trace is built when it is read, at most
+// once, and never if it is evicted unread; Settle builds what is pending.
+func TestRingTracerDefers(t *testing.T) {
+	r := NewRingTracer(3)
+	builds := 0
+	for i := 0; i < 5; i++ {
+		r.Defer(&countingSource{name: fmt.Sprintf("q%d", i), builds: &builds})
+	}
+	if r.Count() != 5 || builds != 0 {
+		t.Fatalf("Count = %d, builds = %d before any read", r.Count(), builds)
+	}
+	if got := r.Last(); got.Query != "q4" || builds != 1 || r.Last() != got || builds != 1 {
+		t.Fatalf("Last = %q after %d builds", got.Query, builds)
+	}
+	r.TraceQuery(&QueryTrace{Query: "built"})
+	traces := r.Traces()
+	if len(traces) != 3 || traces[0].Query != "q3" || traces[1].Query != "q4" || traces[2].Query != "built" {
+		t.Fatalf("Traces = %v", traces)
+	}
+	if builds != 2 { // q3 now, q4 before; q0..q2 were evicted unread
+		t.Fatalf("builds = %d, want 2", builds)
+	}
+	r.Defer(&countingSource{name: "q5", builds: &builds})
+	r.Settle()
+	if builds != 3 {
+		t.Fatalf("Settle left a trace pending: builds = %d", builds)
+	}
+	if r.Last().Query != "q5" || builds != 3 {
+		t.Fatalf("Last = %q after %d builds", r.Last().Query, builds)
+	}
+}
+
 func TestRingTracerClamp(t *testing.T) {
 	r := NewRingTracer(0)
 	r.TraceQuery(&QueryTrace{Query: "a"})

@@ -3,10 +3,10 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 )
 
@@ -18,6 +18,12 @@ type Client struct {
 	base    string
 	hc      *http.Client
 	session string
+
+	// The four POST endpoints, parsed once: a request is a struct literal
+	// over one of these, not a URL parsed per call. err is why base did not
+	// parse, reported by every call.
+	query, newSession, prepare, execute *url.URL
+	err                                 error
 }
 
 // RemoteError is a non-2xx response decoded into the error envelope.
@@ -39,7 +45,17 @@ func NewClient(base string, hc *http.Client) *Client {
 	if hc == nil {
 		hc = http.DefaultClient
 	}
-	return &Client{base: strings.TrimRight(base, "/"), hc: hc}
+	c := &Client{base: strings.TrimRight(base, "/"), hc: hc}
+	endpoint := func(path string) *url.URL {
+		u, err := url.Parse(c.base + path)
+		if err != nil && c.err == nil {
+			c.err = err
+		}
+		return u
+	}
+	c.query, c.newSession = endpoint("/query"), endpoint("/session")
+	c.prepare, c.execute = endpoint("/prepare"), endpoint("/execute")
+	return c
 }
 
 // Session returns the client's session handle ("" before NewSession).
@@ -48,9 +64,13 @@ func (c *Client) Session() string { return c.session }
 // NewSession opens a server-side session under the tenant label and pins it
 // to this client; subsequent Prepare/Execute calls run inside it.
 func (c *Client) NewSession(ctx context.Context, tenant string) error {
-	var resp SessionResponse
-	if err := c.post(ctx, "/session", SessionRequest{Tenant: tenant}, &resp); err != nil {
+	body, err := c.post(ctx, c.newSession, appendSessionRequest(nil, &SessionRequest{Tenant: tenant}))
+	if err != nil {
 		return err
+	}
+	var resp SessionResponse
+	if err := decodeSessionResponse(body, &resp); err != nil {
+		return fmt.Errorf("response body: %w", err)
 	}
 	c.session = resp.Session
 	return nil
@@ -80,39 +100,48 @@ func (c *Client) CloseSession(ctx context.Context) error {
 // Query runs a one-shot query. mode "" selects the server default; args
 // bind positional "?" parameters.
 func (c *Client) Query(ctx context.Context, mode, sql string, args ...any) (*QueryResponse, error) {
-	var resp QueryResponse
-	err := c.post(ctx, "/query", QueryRequest{
-		SQL: sql, Mode: mode, Args: args, Session: c.session,
-	}, &resp)
+	req, err := appendQueryRequest(nil, &QueryRequest{SQL: sql, Mode: mode, Args: args, Session: c.session})
 	if err != nil {
 		return nil, err
 	}
-	return &resp, nil
+	return c.rows(ctx, c.query, req)
 }
 
 // Prepare registers a statement in the client's session (NewSession first)
 // and returns its handle.
 func (c *Client) Prepare(ctx context.Context, mode, sql string) (*PrepareResponse, error) {
-	var resp PrepareResponse
-	err := c.post(ctx, "/prepare", PrepareRequest{
-		Session: c.session, SQL: sql, Mode: mode,
-	}, &resp)
+	req := appendPrepareRequest(nil, &PrepareRequest{Session: c.session, SQL: sql, Mode: mode})
+	body, err := c.post(ctx, c.prepare, req)
 	if err != nil {
 		return nil, err
+	}
+	var resp PrepareResponse
+	if err := decodePrepareResponse(body, &resp); err != nil {
+		return nil, fmt.Errorf("response body: %w", err)
 	}
 	return &resp, nil
 }
 
 // Execute runs a prepared statement by handle with one set of arguments.
 func (c *Client) Execute(ctx context.Context, stmt string, args ...any) (*QueryResponse, error) {
-	var resp QueryResponse
-	err := c.post(ctx, "/execute", ExecuteRequest{
-		Session: c.session, Stmt: stmt, Args: args,
-	}, &resp)
+	req, err := appendExecuteRequest(nil, &ExecuteRequest{Session: c.session, Stmt: stmt, Args: args})
 	if err != nil {
 		return nil, err
 	}
-	return &resp, nil
+	return c.rows(ctx, c.execute, req)
+}
+
+// rows posts an encoded /query or /execute request and decodes the result.
+func (c *Client) rows(ctx context.Context, u *url.URL, req []byte) (*QueryResponse, error) {
+	body, err := c.post(ctx, u, req)
+	if err != nil {
+		return nil, err
+	}
+	resp := new(QueryResponse)
+	if err := decodeQueryResponse(body, resp); err != nil {
+		return nil, fmt.Errorf("response body: %w", err)
+	}
+	return resp, nil
 }
 
 // Metrics fetches the server's Prometheus text exposition.
@@ -148,38 +177,62 @@ func (c *Client) Healthy(ctx context.Context) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// post sends one JSON request and decodes the response into out.
-func (c *Client) post(ctx context.Context, path string, body, out any) error {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return err
+// post sends one encoded request body and returns the body of a 2xx
+// response.
+func (c *Client) post(ctx context.Context, u *url.URL, body []byte) (string, error) {
+	if c.err != nil {
+		return "", c.err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(buf))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
+	req := (&http.Request{
+		Method:        http.MethodPost,
+		URL:           u,
+		Host:          u.Host,
+		Proto:         "HTTP/1.1",
+		ProtoMajor:    1,
+		ProtoMinor:    1,
+		Header:        http.Header{"Content-Type": jsonType},
+		Body:          io.NopCloser(bytes.NewReader(body)),
+		GetBody:       func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil },
+		ContentLength: int64(len(body)),
+	}).WithContext(ctx)
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return err
+		return "", err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 300 {
-		return decodeError(resp)
+		return "", decodeError(resp)
 	}
-	dec := json.NewDecoder(resp.Body)
-	dec.UseNumber()
-	if err := dec.Decode(out); err != nil {
-		return fmt.Errorf("response body: %w", err)
+	buf := getBuf()
+	defer putBuf(buf)
+	if buf.b, err = appendAll(buf.b[:0], resp.Body); err != nil {
+		return "", fmt.Errorf("response body: %w", err)
 	}
-	return nil
+	return string(buf.b), nil
+}
+
+// appendAll reads r to its end onto dst.
+func appendAll(dst []byte, r io.Reader) ([]byte, error) {
+	for {
+		if len(dst) == cap(dst) {
+			dst = append(dst, 0)[:len(dst)]
+		}
+		n, err := r.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
 }
 
 // decodeError turns a non-2xx response into a *RemoteError.
 func decodeError(resp *http.Response) error {
 	var e ErrorResponse
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	if err := json.Unmarshal(body, &e); err != nil || e.Kind == "" {
+	if err := decodeErrorResponse(string(body), &e); err != nil || e.Kind == "" {
 		return &RemoteError{Status: resp.StatusCode, Kind: KindInternal,
 			Msg: strings.TrimSpace(string(body))}
 	}

@@ -1,11 +1,11 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -56,7 +56,7 @@ type Config struct {
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
 
-	// MaxRows truncates result streaming after this many rows (0 =
+	// MaxRows truncates the encoded result after this many rows (0 =
 	// unlimited). The query still runs to completion; only the response body
 	// is bounded.
 	MaxRows int
@@ -182,11 +182,25 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 	}
 }
 
+// jsonType is the Content-Type of every JSON response, shared so that
+// setting it allocates nothing.
+var jsonType = []string{"application/json"}
+
+// writeBody sends one complete JSON body with its status and length.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h["Content-Type"] = jsonType
+	h["Content-Length"] = []string{strconv.Itoa(len(body))}
+	w.WriteHeader(status)
+	_, _ = w.Write(body) // a failed write is the client having gone away
+}
+
 // writeError emits the typed error envelope.
 func writeError(w http.ResponseWriter, status int, kind, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(ErrorResponse{Kind: kind, Error: fmt.Sprintf(format, args...)})
+	buf := getBuf()
+	defer putBuf(buf)
+	buf.b = appendErrorResponse(buf.b, kind, fmt.Sprintf(format, args...))
+	writeBody(w, status, buf.b)
 }
 
 // writeEngineError maps an engine error onto HTTP status + kind. Untyped
@@ -211,16 +225,41 @@ func writeEngineError(w http.ResponseWriter, err error) {
 	}
 }
 
-// decode parses a JSON request body with numbers preserved (see
-// ConvertArgs) and unknown fields rejected.
-func decode(r *http.Request, dst any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.UseNumber()
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("request body: %w", err)
+// maxBody bounds a request body. The largest legitimate request is a SQL
+// text and a handful of arguments; anything near this is a mistake or abuse.
+const maxBody = 1 << 20
+
+// readBody reads the request body into buf and returns it as a string the
+// decoded request may share. A body over maxBody is refused with the typed
+// envelope (and false) before the handler looks at it.
+func readBody(w http.ResponseWriter, r *http.Request, buf *wireBuf) (string, bool) {
+	var err error
+	buf.b, err = appendAll(buf.b[:0], http.MaxBytesReader(w, r.Body, maxBody))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return string(buf.b), true
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, KindInvalid, "request body: larger than %d bytes", tooLarge.Limit)
+	default:
+		writeError(w, http.StatusBadRequest, KindInvalid, "request body: %v", err)
 	}
-	return nil
+	return "", false
+}
+
+// readRequest reads the request body through buf and decodes it into req,
+// answering the request itself (and returning false) when the body is
+// oversize, unreadable or refused by the decoder.
+func readRequest[T any](w http.ResponseWriter, r *http.Request, buf *wireBuf, decode func(string, *T) error, req *T) bool {
+	body, ok := readBody(w, r, buf)
+	if !ok {
+		return false
+	}
+	if err := decode(body, req); err != nil {
+		writeError(w, http.StatusBadRequest, KindInvalid, "request body: %v", err)
+		return false
+	}
+	return true
 }
 
 // admit passes the request through the tenant's gate, then the global one.
@@ -268,9 +307,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, KindDraining, "server is draining")
 		return
 	}
+	buf := getBuf()
+	defer putBuf(buf)
 	var req QueryRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, KindInvalid, "%v", err)
+	if !readRequest(w, r, buf, decodeQueryRequest, &req) {
 		return
 	}
 	mode, err := ParseMode(req.Mode, s.cfg.DefaultMode)
@@ -317,7 +357,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, err)
 		return
 	}
-	s.writeResult(w, res, time.Since(start))
+	s.writeResult(w, buf, res, time.Since(start))
 }
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
@@ -325,24 +365,23 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, KindDraining, "server is draining")
 		return
 	}
+	buf := getBuf()
+	defer putBuf(buf)
 	// An empty body is a valid anonymous-session request.
 	var req SessionRequest
-	if r.ContentLength != 0 {
-		if err := decode(r, &req); err != nil {
-			writeError(w, http.StatusBadRequest, KindInvalid, "%v", err)
-			return
-		}
+	if r.ContentLength != 0 && !readRequest(w, r, buf, decodeSessionRequest, &req) {
+		return
 	}
 	sess, err := s.sessions.create(req.Tenant)
 	if err != nil {
 		writeError(w, http.StatusTooManyRequests, KindQueueFull, "%v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(SessionResponse{
+	buf.b = appendSessionResponse(buf.b[:0], &SessionResponse{
 		Session:    sess.id,
 		TTLSeconds: int64(s.cfg.SessionTTL / time.Second),
 	})
+	writeBody(w, http.StatusOK, buf.b)
 }
 
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
@@ -358,9 +397,10 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, KindDraining, "server is draining")
 		return
 	}
+	buf := getBuf()
+	defer putBuf(buf)
 	var req PrepareRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, KindInvalid, "%v", err)
+	if !readRequest(w, r, buf, decodePrepareRequest, &req) {
 		return
 	}
 	sess, ok := s.sessions.get(req.Session)
@@ -383,12 +423,12 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusTooManyRequests, KindQueueFull, "%v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(PrepareResponse{
+	buf.b = appendPrepareResponse(buf.b[:0], &PrepareResponse{
 		Stmt:        handle,
 		NumParams:   stmt.NumParams(),
 		Fingerprint: stmt.Fingerprint(),
 	})
+	writeBody(w, http.StatusOK, buf.b)
 }
 
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
@@ -396,9 +436,10 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, KindDraining, "server is draining")
 		return
 	}
+	buf := getBuf()
+	defer putBuf(buf)
 	var req ExecuteRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, KindInvalid, "%v", err)
+	if !readRequest(w, r, buf, decodeExecuteRequest, &req) {
 		return
 	}
 	sess, ok := s.sessions.get(req.Session)
@@ -429,7 +470,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, err)
 		return
 	}
-	s.writeResult(w, res, time.Since(start))
+	s.writeResult(w, buf, res, time.Since(start))
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -455,48 +496,47 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, `{"status":"ok"}`)
 }
 
-// writeResult streams the result relation as the QueryResponse JSON shape:
-// the envelope is hand-written so rows go out one at a time through the
-// Result's Next/Scan cursor instead of materialising a row-major copy.
-func (s *Server) writeResult(w http.ResponseWriter, res *dqo.Result, elapsed time.Duration) {
-	w.Header().Set("Content-Type", "application/json")
-	cols := res.Columns()
-	if cols == nil {
-		cols = []string{}
-	}
-	head, err := json.Marshal(cols)
+// writeResult encodes the result relation as the QueryResponse JSON shape,
+// straight from its typed columns into buf. A result that stays under the
+// buffer's flush mark leaves in one write with its Content-Length; a longer
+// one goes out a bufferful at a time, so the row-major form of a large
+// result never exists whole on the server.
+func (s *Server) writeResult(w http.ResponseWriter, buf *wireBuf, res *dqo.Result, elapsed time.Duration) {
+	enc, err := newRowEncoder(res)
 	if err != nil {
+		// Nothing has been written: the client gets a typed error, not a
+		// body that stops in the middle of a row.
 		writeError(w, http.StatusInternalServerError, KindInternal, "%v", err)
 		return
 	}
-	fmt.Fprintf(w, `{"columns":%s,"rows":[`, head)
-	cells := make([]any, len(cols))
-	dests := make([]any, len(cols))
-	for i := range cells {
-		dests[i] = &cells[i]
+	rows := res.NumRows()
+	if s.cfg.MaxRows > 0 && rows > s.cfg.MaxRows {
+		rows = s.cfg.MaxRows
 	}
-	n := 0
-	for res.Next() {
-		if s.cfg.MaxRows > 0 && n >= s.cfg.MaxRows {
-			break
+	b := enc.appendHead(buf.b[:0])
+	streaming := false
+	for i := 0; i < rows; i++ {
+		if i > 0 {
+			b = append(b, ',')
 		}
-		if err := res.Scan(dests...); err != nil {
-			// The envelope is already on the wire; truncate the stream. The
-			// client's JSON decoder reports the malformed body.
-			fmt.Fprintf(w, `],"error":%q}`, err.Error())
-			return
+		if b = enc.appendRow(b, i); len(b) < flushAt {
+			continue
 		}
-		row, err := json.Marshal(cells)
-		if err != nil {
-			fmt.Fprintf(w, `],"error":%q}`, err.Error())
-			return
+		if !streaming {
+			w.Header()["Content-Type"] = jsonType
+			streaming = true
 		}
-		if n > 0 {
-			fmt.Fprint(w, ",")
+		if _, err := w.Write(b); err != nil {
+			buf.b = b
+			return // the client went away
 		}
-		w.Write(row)
-		n++
+		b = b[:0]
 	}
-	fmt.Fprintf(w, `],"row_count":%d,"elapsed_ms":%g}`, res.NumRows(),
-		float64(elapsed.Microseconds())/1000)
+	b = appendTail(b, res.NumRows(), elapsed.Microseconds())
+	buf.b = b
+	if streaming {
+		_, _ = w.Write(b)
+		return
+	}
+	writeBody(w, http.StatusOK, b)
 }

@@ -31,9 +31,10 @@ type QueryRequest struct {
 }
 
 // QueryResponse is the body of a successful /query or /execute: the result
-// relation in row-major JSON plus summary measurements. Rows is streamed by
-// the server one row at a time — large results never materialise a second
-// row-major copy server-side.
+// relation in row-major JSON plus summary measurements. The server encodes
+// Rows from the result's columns a buffer at a time — large results never
+// materialise a second row-major copy server-side. Decoded cells are
+// json.Number for numeric columns and string for string columns.
 type QueryResponse struct {
 	Columns       []string `json:"columns"`
 	Rows          [][]any  `json:"rows"`
@@ -124,11 +125,11 @@ func ParseMode(s string, def dqo.Mode) (dqo.Mode, error) {
 	}
 }
 
-// ConvertArgs normalises JSON-decoded argument values into the Go types the
-// engine's parameter binder accepts. The request decoder must run with
-// json.Decoder.UseNumber so numbers arrive as json.Number: integral numbers
-// become int64, everything else float64 — a bare float64 decode would turn
-// the integer 7 into 7.0 and break integer-column comparisons.
+// ConvertArgs normalises decoded argument values into the Go types the
+// engine's parameter binder accepts. The request decoder keeps a number as
+// its literal text (json.Number): integral numbers become int64, everything
+// else float64 — decoding straight to float64 would turn the integer 7 into
+// 7.0 and break integer-column comparisons.
 func ConvertArgs(args []any) ([]any, error) {
 	out := make([]any, len(args))
 	for i, a := range args {

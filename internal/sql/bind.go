@@ -20,6 +20,14 @@ func Bind(stmt *SelectStmt, cat Catalog) (logical.Node, error) {
 	if stmt.Params > 0 {
 		return nil, fmt.Errorf("sql: statement has %d unbound parameter(s); supply arguments through a prepared statement", stmt.Params)
 	}
+	return BindTemplate(stmt, cat)
+}
+
+// BindTemplate is Bind for a statement that may still hold positional
+// parameters: they stay in the tree's filter predicates as expr.Param, for
+// BindTree to replace. Binding resolves names and nothing else, so one bound
+// template serves every argument set until the catalog changes.
+func BindTemplate(stmt *SelectStmt, cat Catalog) (logical.Node, error) {
 	b := &binder{cat: cat, cols: map[string][]string{}}
 
 	var node logical.Node

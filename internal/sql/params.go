@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dqo/internal/expr"
+	"dqo/internal/logical"
 )
 
 // BindArgs returns a copy of s with every positional "?" parameter replaced
@@ -12,8 +13,26 @@ import (
 // left untouched, so one prepared statement can be bound concurrently with
 // different argument sets. The argument count must match exactly.
 func BindArgs(s *SelectStmt, args []any) (*SelectStmt, error) {
-	if len(args) != s.Params {
-		return nil, fmt.Errorf("sql: statement wants %d argument(s), got %d", s.Params, len(args))
+	lits, err := Literals(s.Params, args)
+	if err != nil {
+		return nil, err
+	}
+	out := *s
+	out.Params = 0
+	if s.Where != nil {
+		out.Where, _ = substExpr(s.Where, lits)
+	}
+	if s.Having != nil {
+		out.Having, _ = substExpr(s.Having, lits)
+	}
+	return &out, nil
+}
+
+// Literals converts one argument set into the literal nodes the parser would
+// have produced, checking the count against the statement's parameters.
+func Literals(params int, args []any) ([]expr.Expr, error) {
+	if len(args) != params {
+		return nil, fmt.Errorf("sql: statement wants %d argument(s), got %d", params, len(args))
 	}
 	lits := make([]expr.Expr, len(args))
 	for i, a := range args {
@@ -23,28 +42,66 @@ func BindArgs(s *SelectStmt, args []any) (*SelectStmt, error) {
 		}
 		lits[i] = lit
 	}
-	out := *s
-	out.Params = 0
-	if s.Where != nil {
-		out.Where = substExpr(s.Where, lits)
-	}
-	if s.Having != nil {
-		out.Having = substExpr(s.Having, lits)
-	}
-	return &out, nil
+	return lits, nil
 }
 
-// substExpr clones the expression with parameters replaced by their
-// literals. Subtrees without parameters are shared, not copied.
-func substExpr(e expr.Expr, lits []expr.Expr) expr.Expr {
+// BindTree is BindArgs for a statement already bound as a template
+// (BindTemplate): it returns n with every parameter in its filter predicates
+// replaced by the literal of that index. Only the filters that hold a
+// parameter and the nodes above them are copied; scans and every other
+// subtree are shared with n, which is left untouched.
+func BindTree(n logical.Node, lits []expr.Expr) logical.Node {
+	switch n := n.(type) {
+	case *logical.Filter:
+		in := BindTree(n.Input, lits)
+		pred, changed := substExpr(n.Pred, lits)
+		if in == n.Input && !changed {
+			return n
+		}
+		return &logical.Filter{Input: in, Pred: pred}
+	case *logical.Project:
+		if in := BindTree(n.Input, lits); in != n.Input {
+			cp := *n
+			cp.Input = in
+			return &cp
+		}
+	case *logical.GroupBy:
+		if in := BindTree(n.Input, lits); in != n.Input {
+			cp := *n
+			cp.Input = in
+			return &cp
+		}
+	case *logical.Sort:
+		if in := BindTree(n.Input, lits); in != n.Input {
+			cp := *n
+			cp.Input = in
+			return &cp
+		}
+	case *logical.Join:
+		if l, r := BindTree(n.Left, lits), BindTree(n.Right, lits); l != n.Left || r != n.Right {
+			cp := *n
+			cp.Left, cp.Right = l, r
+			return &cp
+		}
+	}
+	return n
+}
+
+// substExpr returns the expression with parameters replaced by their
+// literals, and whether it held any. Subtrees without parameters are shared,
+// not copied.
+func substExpr(e expr.Expr, lits []expr.Expr) (expr.Expr, bool) {
 	switch e := e.(type) {
 	case expr.Param:
-		return lits[e.Idx]
+		return lits[e.Idx], true
 	case expr.Bin:
-		return expr.Bin{Op: e.Op, L: substExpr(e.L, lits), R: substExpr(e.R, lits)}
-	default:
-		return e
+		l, lc := substExpr(e.L, lits)
+		r, rc := substExpr(e.R, lits)
+		if lc || rc {
+			return expr.Bin{Op: e.Op, L: l, R: r}, true
+		}
 	}
+	return e, false
 }
 
 // literal converts one Go argument value into the literal node the parser

@@ -42,6 +42,10 @@ func (d *Dict) Lookup(c uint32) string {
 	return d.strings[c]
 }
 
+// Strings returns the dictionary's strings indexed by code. The slice is
+// shared; do not mutate.
+func (d *Dict) Strings() []string { return d.strings }
+
 // Len returns the number of distinct strings.
 func (d *Dict) Len() int { return len(d.strings) }
 

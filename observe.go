@@ -3,6 +3,7 @@ package dqo
 import (
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"dqo/internal/exec"
@@ -121,11 +122,46 @@ func (db *DB) observe(tracer Tracer, mode Mode, query string, start time.Time,
 	if tracer == nil {
 		return
 	}
-	trace := buildTrace(mode, query, start, total, pt, res, err)
+	trace := &lazyTrace{phases: *pt, trace: obs.QueryTrace{
+		Query: query, Mode: mode.String(), Start: start, Total: total, Err: obs.KindLabel(err),
+	}}
 	if res != nil {
+		trace.snap = res.snap
 		res.trace = trace
 	}
-	tracer.TraceQuery(trace)
+	// The default ring evicts most traces unread, so for a query that ran a
+	// cached plan it takes the source and builds the span tree only when
+	// somebody looks. The source holds the plan its labels render from: a
+	// cached plan is alive anyway, but a freshly enumerated one is a few
+	// kilobytes of pointers that thirty-two pending traces would keep
+	// reachable (measured: +9 % on adhoc-plan's p50, all of it in the
+	// collector's mark phase), and next to enumeration the tree costs
+	// nothing — so that query, like any other tracer's, gets it built now.
+	if ring, ok := tracer.(*obs.RingTracer); ok && pt.cacheHit {
+		ring.Defer(trace)
+		return
+	}
+	tracer.TraceQuery(trace.Trace())
+}
+
+// lazyTrace is one finished query's trace with its span tree still to be
+// built, on first read, from the phase times and the operators' counters
+// (with the plan nodes their labels render from). It does not hold the
+// query's result.
+type lazyTrace struct {
+	trace  obs.QueryTrace // Root is set by the first Trace call
+	phases phaseTimes
+	snap   exec.Snapshot
+	once   sync.Once
+}
+
+// Trace implements obs.Deferred.
+func (l *lazyTrace) Trace() *obs.QueryTrace {
+	l.once.Do(func() {
+		l.trace.Root = buildSpans(l.trace.Total, &l.phases, l.snap.Profile())
+		l.snap = exec.Snapshot{} // the plan is no longer needed
+	})
+	return &l.trace
 }
 
 // resultPeakBytes is the query's measured memory peak: the budget's
@@ -139,7 +175,7 @@ func resultPeakBytes(res *Result) int64 {
 		return res.memPeak
 	}
 	var max int64
-	for _, s := range res.profile {
+	for _, s := range res.snap.Counters() {
 		if s.PeakBytes > max {
 			max = s.PeakBytes
 		}
@@ -147,11 +183,10 @@ func resultPeakBytes(res *Result) int64 {
 	return max
 }
 
-// buildTrace assembles the span tree of one query: a root "query" span with
+// buildSpans assembles the span tree of one query: a root "query" span with
 // one child per lifecycle phase, and the per-operator span tree (rebuilt
 // from the execution profile) under the execute phase.
-func buildTrace(mode Mode, query string, start time.Time, total time.Duration,
-	pt *phaseTimes, res *Result, err error) *obs.QueryTrace {
+func buildSpans(total time.Duration, pt *phaseTimes, profile exec.Profile) *obs.Span {
 	root := &obs.Span{Name: "query", Dur: total}
 	offset := time.Duration(0)
 	durs := pt.dur()
@@ -174,18 +209,11 @@ func buildTrace(mode Mode, query string, start time.Time, total time.Duration,
 		offset += durs[i]
 		root.Children = append(root.Children, sp)
 	}
-	if res != nil && len(res.profile) > 0 {
+	if len(profile) > 0 {
 		execSpan := root.Children[len(root.Children)-1]
-		execSpan.Children = profileSpans(res.profile, execSpan.Start)
+		execSpan.Children = profileSpans(profile, execSpan.Start)
 	}
-	return &obs.QueryTrace{
-		Query: query,
-		Mode:  mode.String(),
-		Start: start,
-		Total: total,
-		Err:   obs.KindLabel(err),
-		Root:  root,
-	}
+	return root
 }
 
 // profileSpans rebuilds the operator tree from a pre-order profile using the

@@ -395,6 +395,38 @@ func TestRingTracerDefault(t *testing.T) {
 	}
 }
 
+// TestRingTraceIsBuiltOnRead: the default ring takes a query's trace as a
+// source and builds it when it is read — the same trace for the ring and the
+// Result, with the operator labels the plan had when the query ran, even if
+// the table has been replaced since.
+func TestRingTraceIsBuiltOnRead(t *testing.T) {
+	db := Open()
+	if err := db.Register(versionedR(1, 100)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Query(context.Background(), ModeDQOCalibrated, "SELECT ID FROM R WHERE A = 3", WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Register(versionedR(2, 250)); err != nil {
+		t.Fatal(err)
+	}
+	tr := db.LastTrace()
+	if tr == nil || tr != res.Trace() || tr != db.LastTrace() {
+		t.Fatalf("LastTrace = %p, Result.Trace = %p", tr, res.Trace())
+	}
+	text := tr.String()
+	for _, want := range []string{"Project(R.ID)", "Filter((R.A = 3))", "Scan(R)"} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("trace lacks %q:\n%s", want, text)
+		}
+	}
+	stats := res.Stats()
+	if len(stats) != 3 || stats[1].Label != "Filter((R.A = 3))" || stats[1].RowsOut != 10 {
+		t.Fatalf("Stats = %+v", stats)
+	}
+}
+
 // TestWithTracerOption checks per-query tracer control: WithTracer(nil)
 // silences one query without touching the DB default, and WithTracer(other)
 // redirects one query's trace.

@@ -4,8 +4,8 @@ import (
 	"time"
 
 	"dqo/internal/core"
+	"dqo/internal/expr"
 	"dqo/internal/obs"
-	"dqo/internal/sql"
 )
 
 // QueryOption tunes optimisation and execution of one query; pass options
@@ -25,12 +25,13 @@ type queryConfig struct {
 	spillDir   string // spill-to-disk parent directory ("" = spilling off)
 	spillLimit int64  // cap on live spill bytes (<= 0 = unlimited)
 
-	// Prepared-statement path: stmt is the pre-parsed (and argument-bound)
-	// statement, so compile skips the parse phase; prepared routes the plan
-	// through the template cache even when the DB-level cache is off — a
-	// prepared statement's whole point is planning once per shape.
-	stmt     *sql.SelectStmt
-	prepared bool
+	// Prepared-statement path: compile takes the statement's parsed and
+	// bound form from prepared and substitutes args (one literal per
+	// parameter) into it, and routes the plan through the template cache even
+	// when the DB-level cache is off — a prepared statement's whole point is
+	// planning once per shape.
+	prepared *Stmt
+	args     []expr.Expr
 }
 
 func resolveOptions(opts []QueryOption) queryConfig {

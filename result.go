@@ -3,11 +3,11 @@ package dqo
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"dqo/internal/core"
 	"dqo/internal/exec"
-	"dqo/internal/obs"
 	"dqo/internal/storage"
 )
 
@@ -19,14 +19,24 @@ import (
 type Result struct {
 	rel     *storage.Relation
 	plan    *core.Result
-	profile exec.Profile
+	snap    exec.Snapshot // the operators' counters; see profile
 	err     error
-	trace   *obs.QueryTrace
+	trace   *lazyTrace // nil when tracing was off for this query
 	phases  phaseTimes
 	memPeak int64 // budget high-water mark (0 when no budget was installed)
 	replans []ReplanEvent
 
+	rendered     exec.Profile // snap with its labels rendered, on first read
+	renderedOnce sync.Once
+
 	cursor int // Next/Scan row cursor: rows consumed so far
+}
+
+// profile returns the per-operator execution profile. Its labels are
+// rendered the first time anything asks for them, not per execution.
+func (r *Result) profile() exec.Profile {
+	r.renderedOnce.Do(func() { r.rendered = r.snap.Profile() })
+	return r.rendered
 }
 
 // ReplanEvent records one mid-query re-planning decision taken at a
@@ -46,7 +56,12 @@ func (r *Result) Err() error { return r.err }
 
 // Trace returns the query's span tree — the same trace delivered to the
 // DB's tracer — or nil when tracing was disabled for this query.
-func (r *Result) Trace() *QueryTrace { return r.trace }
+func (r *Result) Trace() *QueryTrace {
+	if r.trace == nil {
+		return nil
+	}
+	return r.trace.Trace()
+}
 
 // PeakBytes reports the query's measured memory high-water mark: the
 // budget's peak when a memory limit was set, else the largest per-operator
@@ -58,7 +73,7 @@ func (r *Result) PeakBytes() int64 { return resultPeakBytes(r) }
 // plans whose input turned out to fit in memory.
 func (r *Result) SpilledBytes() int64 {
 	var n int64
-	for _, s := range r.profile {
+	for _, s := range r.snap.Counters() {
 		n += s.SpillBytes
 	}
 	return n
@@ -92,15 +107,16 @@ type OpStat struct {
 // half of the optimise/execute loop: estimated cost and cardinality come
 // from PlanExplain, measured rows and time come from here.
 func (r *Result) Stats() []OpStat {
-	out := make([]OpStat, len(r.profile))
-	for i, s := range r.profile {
+	prof := r.profile()
+	out := make([]OpStat, len(prof))
+	for i, s := range prof {
 		out[i] = OpStat(s)
 	}
 	return out
 }
 
 // StatsString renders the execution profile as an aligned table.
-func (r *Result) StatsString() string { return r.profile.String() }
+func (r *Result) StatsString() string { return r.profile().String() }
 
 // NumRows returns the number of result rows (0 for a failed query).
 func (r *Result) NumRows() int {
@@ -118,11 +134,50 @@ func (r *Result) Columns() []string {
 	return r.rel.ColumnNames()
 }
 
+// Column is a typed, zero-copy view of one result column. Exactly one of the
+// value slices is set, by the column's type; a string column is dictionary
+// coded, row i holding Dict[Codes[i]]. The slices are the result's own
+// storage: read them, do not write them.
+type Column struct {
+	Name     string
+	Uint32s  []uint32
+	Uint64s  []uint64
+	Int64s   []int64
+	Float64s []float64
+	Codes    []uint32
+	Dict     []string
+}
+
+// ColumnAt returns the i-th result column (in Columns order) as its typed
+// slice — the column-at-a-time surface over a result, which costs nothing
+// per row and is what the serving layer's encoder reads. It panics when i
+// is out of range; a failed query has no columns.
+func (r *Result) ColumnAt(i int) Column {
+	if r.rel == nil {
+		panic(fmt.Sprintf("dqo: ColumnAt(%d) on a failed query", i))
+	}
+	c := r.rel.Columns()[i]
+	out := Column{Name: c.Name()}
+	switch c.Kind() {
+	case storage.KindUint32:
+		out.Uint32s = c.Uint32s()
+	case storage.KindUint64:
+		out.Uint64s = c.Uint64s()
+	case storage.KindInt64:
+		out.Int64s = c.Int64s()
+	case storage.KindFloat64:
+		out.Float64s = c.Float64s()
+	case storage.KindString:
+		out.Codes, out.Dict = c.Uint32s(), c.Dict().Strings()
+	}
+	return out
+}
+
 // Next advances the result's row cursor, returning false once every row has
 // been consumed (and always for a failed query). Together with Columns and
-// Scan it is the streaming surface over a result — consumers like the
-// serving layer's JSON encoder emit one row at a time instead of
-// materialising a row-major copy:
+// Scan it is the row-at-a-time surface over a result, for consumers that
+// want rows without materialising a row-major copy (an encoder that wants
+// whole columns reads them through ColumnAt instead):
 //
 //	for res.Next() {
 //	    var a uint32

@@ -2,8 +2,10 @@ package dqo
 
 import (
 	"context"
-	"fmt"
+	"sync/atomic"
 
+	"dqo/internal/core"
+	"dqo/internal/logical"
 	"dqo/internal/sql"
 )
 
@@ -17,13 +19,31 @@ import (
 // trade made explicit: a prepared statement pays deep optimisation once and
 // amortises it over every execution.
 //
-// A Stmt is immutable after Prepare and safe for concurrent use; the network
-// serving layer executes one session's statement from many requests at once.
+// Everything about a statement that does not depend on its arguments is
+// computed once: the fingerprint that prefixes its plan-cache keys at
+// Prepare, and — each time the DB's catalog has changed since (a table
+// registered, compressed or decompressed, the views dropped) — the statement
+// bound to the registered tables and the optimiser mode over the view
+// catalog. An execution substitutes its arguments into the filters of that
+// bound tree and nothing else.
+//
+// A Stmt is safe for concurrent use; the network serving layer executes one
+// session's statement from many requests at once.
 type Stmt struct {
-	db   *DB
-	mode Mode
-	text string
-	tmpl *sql.SelectStmt
+	db          *DB
+	mode        Mode
+	text        string
+	tmpl        *sql.SelectStmt
+	fingerprint string
+	bound       atomic.Pointer[boundStmt]
+}
+
+// boundStmt is the part of a prepared statement that depends on the DB's
+// catalog, valid while the catalog stays at epoch.
+type boundStmt struct {
+	epoch uint64
+	node  logical.Node // tmpl bound to the tables; parameters still open
+	mode  core.Mode    // the statement's mode over the view catalog
 }
 
 // Prepare parses and name-checks a query for repeated execution under the
@@ -35,7 +55,10 @@ type Stmt struct {
 //	res, err := stmt.Query(ctx, 100)
 //
 // Unknown tables or columns are reported here rather than at execution;
-// argument type mismatches surface when the query runs.
+// argument type mismatches surface when the query runs. A statement outlives
+// changes to the tables it names: the execution after a table is replaced
+// binds to the new table, and fails with the binder's error if the statement
+// no longer fits it.
 func (db *DB) Prepare(mode Mode, query string) (*Stmt, error) {
 	if _, err := mode.coreMode(); err != nil {
 		return nil, err
@@ -44,23 +67,36 @@ func (db *DB) Prepare(mode Mode, query string) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Name-check now so /prepare-style callers fail fast: substitute a
-	// neutral literal for every parameter and bind the probe. Binding only
-	// resolves names — it cannot depend on the literal values.
-	probe := tmpl
-	if tmpl.Params > 0 {
-		zeros := make([]any, tmpl.Params)
-		for i := range zeros {
-			zeros[i] = int64(0)
-		}
-		if probe, err = sql.BindArgs(tmpl, zeros); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := sql.Bind(probe, catalogView{db}); err != nil {
+	s := &Stmt{db: db, mode: mode, text: query, tmpl: tmpl,
+		fingerprint: mode.String() + "|" + sql.Fingerprint(tmpl)}
+	// Binding resolves names and cannot depend on argument values, so the
+	// name check of the template is the bind every execution reuses.
+	if _, err := s.bind(); err != nil {
 		return nil, err
 	}
-	return &Stmt{db: db, mode: mode, text: query, tmpl: tmpl}, nil
+	return s, nil
+}
+
+// bind returns the statement bound to the DB's current catalog, binding
+// again when the catalog has moved on since the last execution.
+func (s *Stmt) bind() (*boundStmt, error) {
+	// The epoch is read before the tables are: a table replaced while this
+	// binds leaves a stale epoch behind, and the next execution binds again.
+	epoch := s.db.catalogEpoch.Load()
+	if b := s.bound.Load(); b != nil && b.epoch == epoch {
+		return b, nil
+	}
+	node, err := sql.BindTemplate(s.tmpl, catalogView{s.db})
+	if err != nil {
+		return nil, err
+	}
+	cm, err := s.mode.coreMode()
+	if err != nil {
+		return nil, err
+	}
+	b := &boundStmt{epoch: epoch, node: node, mode: s.db.overViews(cm, s.tmpl)}
+	s.bound.Store(b)
+	return b, nil
 }
 
 // Query executes the prepared statement with the given arguments, one per
@@ -75,13 +111,12 @@ func (s *Stmt) Query(ctx context.Context, args ...any) (*Result, error) {
 // at different worker counts or memory limits plan as distinct cache
 // entries: the plan depends on those dimensions.
 func (s *Stmt) QueryWith(ctx context.Context, args []any, opts ...QueryOption) (*Result, error) {
-	bound, err := sql.BindArgs(s.tmpl, args)
+	lits, err := sql.Literals(s.tmpl.Params, args)
 	if err != nil {
 		return nil, err
 	}
 	cfg := resolveOptions(opts)
-	cfg.stmt = bound
-	cfg.prepared = true
+	cfg.prepared, cfg.args = s, lits
 	// Traces and metrics record the template text ("?" slots), not the
 	// substituted literals: one prepared statement is one query shape.
 	return s.db.run(ctx, s.mode, s.text, cfg)
@@ -98,8 +133,6 @@ func (s *Stmt) Mode() Mode { return s.mode }
 
 // Fingerprint returns the statement's normalized shape (literals and
 // parameters stripped to slots) prefixed with its mode — the key the serving
-// layer deduplicates server-side statements under, and the shape component
-// of the plan-cache key its executions hit.
-func (s *Stmt) Fingerprint() string {
-	return fmt.Sprintf("%s|%s", s.mode, sql.Fingerprint(s.tmpl))
-}
+// layer deduplicates server-side statements under, and the prefix of the
+// plan-cache keys its executions hit.
+func (s *Stmt) Fingerprint() string { return s.fingerprint }

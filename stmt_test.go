@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -244,5 +245,181 @@ func TestResultIterator(t *testing.T) {
 	bad.rel = nil
 	if bad.Next() {
 		t.Fatal("Next on failed result")
+	}
+}
+
+// versionedR builds table R in one of two versions that no query can
+// confuse: version v holds n rows with ID = v*1000 + i and A = i % 10, and
+// version 2 also carries a column the first does not, ahead of the others.
+func versionedR(v, n int) *Table {
+	id, a, extra := make([]uint32, n), make([]uint32, n), make([]int64, n)
+	for i := range id {
+		id[i], a[i], extra[i] = uint32(v*1000+i), uint32(i%10), int64(-i)
+	}
+	b := NewTableBuilder("R")
+	if v == 2 {
+		b = b.Int64("EXTRA", extra)
+	}
+	return b.Uint32("ID", id).Uint32("A", a).MustBuild()
+}
+
+// idsOf runs the statement and returns which table version answered (every
+// ID / 1000, which must agree) and how many rows it returned.
+func idsOf(t *testing.T, stmt *Stmt, arg int) (version, rows int) {
+	t.Helper()
+	res, err := stmt.Query(context.Background(), arg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := res.Uint32Column("R.ID")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		if v := int(id / 1000); i > 0 && v != version {
+			t.Fatalf("one result mixes table versions %d and %d", version, v)
+		} else {
+			version = v
+		}
+	}
+	return version, len(ids)
+}
+
+// TestPreparedStatementFollowsTheCatalog: what a statement computed once is
+// dropped when the table it binds to changes. After a re-Register with other
+// data and other columns, and after CompressTable, the next execution
+// answers from the table as it is now; when the statement no longer fits the
+// table it fails with the binder's error and recovers when the table does.
+func TestPreparedStatementFollowsTheCatalog(t *testing.T) {
+	for _, cache := range []bool{false, true} {
+		db := Open()
+		db.EnablePlanCache(cache)
+		if err := db.Register(versionedR(1, 100)); err != nil {
+			t.Fatal(err)
+		}
+		stmt, err := db.Prepare(ModeDQOCalibrated, "SELECT ID FROM R WHERE A = ?")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, n := idsOf(t, stmt, 3); v != 1 || n != 10 {
+			t.Fatalf("version %d, %d rows; want 1, 10", v, n)
+		}
+
+		if err := db.Register(versionedR(2, 250)); err != nil {
+			t.Fatal(err)
+		}
+		if v, n := idsOf(t, stmt, 3); v != 2 || n != 25 {
+			t.Fatalf("after re-Register: version %d, %d rows; want 2, 25", v, n)
+		}
+
+		if err := db.CompressTable("R"); err != nil {
+			t.Fatal(err)
+		}
+		if v, n := idsOf(t, stmt, 4); v != 2 || n != 25 {
+			t.Fatalf("after CompressTable: version %d, %d rows; want 2, 25", v, n)
+		}
+		if plan, err := db.Explain(ModeDQOCalibrated, "SELECT ID FROM R WHERE A = 4"); err != nil || !strings.Contains(plan, "Compressed") {
+			t.Fatalf("the compressed table is not planned as one (err %v):\n%s", err, plan)
+		}
+
+		// A table without the statement's column: a clean error, no stale answer.
+		noA := NewTableBuilder("R").Uint32("ID", []uint32{1, 2, 3}).MustBuild()
+		if err := db.Register(noA); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := stmt.Query(context.Background(), 3); err == nil || !strings.Contains(err.Error(), `unknown column "A"`) {
+			t.Fatalf("statement over a table without its column: err = %v", err)
+		}
+		if err := db.Register(versionedR(1, 100)); err != nil {
+			t.Fatal(err)
+		}
+		if v, n := idsOf(t, stmt, 3); v != 1 || n != 10 {
+			t.Fatalf("after the column came back: version %d, %d rows; want 1, 10", v, n)
+		}
+	}
+}
+
+// TestPreparedConcurrentWithReRegister: executions of one Stmt from many
+// goroutines while the table is replaced under them. Every result comes
+// whole from one version of the table (run under -race).
+func TestPreparedConcurrentWithReRegister(t *testing.T) {
+	db := Open()
+	if err := db.Register(versionedR(1, 100)); err != nil {
+		t.Fatal(err)
+	}
+	stmt, err := db.Prepare(ModeDQOCalibrated, "SELECT ID FROM R WHERE A = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var executed atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				res, err := stmt.Query(context.Background(), (g+i)%10)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				executed.Add(1)
+				ids, _ := res.Uint32Column("R.ID")
+				want := map[uint32]int{1: 10, 2: 25}[ids[0]/1000]
+				if len(ids) != want {
+					t.Errorf("%d rows from version %d, want %d", len(ids), ids[0]/1000, want)
+					return
+				}
+				for _, id := range ids {
+					if id/1000 != ids[0]/1000 {
+						t.Errorf("one result mixes table versions")
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	// Replace the table until the executions have crossed many replacements.
+	for i := 0; i < 40 || (executed.Load() < 4000 && !t.Failed()); i++ {
+		if err := db.Register(versionedR(1+i%2, []int{100, 250}[i%2])); err != nil {
+			t.Fatal(err)
+		}
+		if i%8 == 7 {
+			if err := db.CompressTable("R"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := db.Register(versionedR(2, 250)); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	wg.Wait()
+	// Nobody is left on a replaced table.
+	if v, n := idsOf(t, stmt, 3); v != 2 || n != 25 {
+		t.Fatalf("after the churn: version %d, %d rows; want 2, 25", v, n)
+	}
+}
+
+// TestStmtFingerprintIsComputedOnce: Fingerprint hands out the string made
+// at Prepare.
+func TestStmtFingerprintIsComputedOnce(t *testing.T) {
+	db := testDB(t, false, false, true)
+	stmt, err := db.Prepare(ModeDQOCalibrated, "SELECT ID FROM R WHERE A = ? AND ID < ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "dqo-calibrated|SELECT ID FROM R WHERE ((A = ?) AND (ID < ?))"
+	if got := stmt.Fingerprint(); got != want {
+		t.Fatalf("Fingerprint = %q, want %q", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = stmt.Fingerprint() }); n != 0 {
+		t.Fatalf("Fingerprint allocates %v times per call", n)
 	}
 }
