@@ -1,10 +1,6 @@
 package expr
 
-import (
-	"fmt"
-
-	"dqo/internal/hashtable"
-)
+import "fmt"
 
 // AggFunc identifies an aggregation function. All are distributive or
 // algebraic, so they can be computed "on the fly" and merged — the property
@@ -93,29 +89,6 @@ func (a AggSpec) Validate() error {
 		return fmt.Errorf("expr: %s requires an argument column", a.Func)
 	}
 	return nil
-}
-
-// FromState extracts this aggregate's value from a per-group running state.
-// The bool result reports whether the value is integral (false = float, used
-// by AVG).
-func (a AggSpec) FromState(st hashtable.AggState) (int64, float64, bool) {
-	switch a.Func {
-	case AggCount:
-		return st.Count, 0, true
-	case AggSum:
-		return st.Sum, 0, true
-	case AggMin:
-		return st.Min, 0, true
-	case AggMax:
-		return st.Max, 0, true
-	case AggAvg:
-		if st.Count == 0 {
-			return 0, 0, false
-		}
-		return 0, float64(st.Sum) / float64(st.Count), false
-	default:
-		return 0, 0, true
-	}
 }
 
 // Integral reports whether the aggregate produces an integer column.

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"dqo/internal/hashtable"
 	"dqo/internal/storage"
 )
 
@@ -203,31 +202,6 @@ func TestExprColumns(t *testing.T) {
 	}
 }
 
-func TestAggSpecBasics(t *testing.T) {
-	st := hashtable.AggState{Count: 4, Sum: 20, Min: -1, Max: 9}
-	cases := []struct {
-		spec AggSpec
-		i    int64
-		f    float64
-		intg bool
-	}{
-		{AggSpec{Func: AggCount}, 4, 0, true},
-		{AggSpec{Func: AggSum, Col: "v"}, 20, 0, true},
-		{AggSpec{Func: AggMin, Col: "v"}, -1, 0, true},
-		{AggSpec{Func: AggMax, Col: "v"}, 9, 0, true},
-		{AggSpec{Func: AggAvg, Col: "v"}, 0, 5.0, false},
-	}
-	for _, c := range cases {
-		i, f, intg := c.spec.FromState(st)
-		if i != c.i || f != c.f || intg != c.intg {
-			t.Errorf("%s: got (%d,%g,%v), want (%d,%g,%v)", c.spec, i, f, intg, c.i, c.f, c.intg)
-		}
-		if c.spec.Integral() != c.intg {
-			t.Errorf("%s: Integral mismatch", c.spec)
-		}
-	}
-}
-
 func TestAggSpecNames(t *testing.T) {
 	if (AggSpec{Func: AggCount}).OutName() != "count_star" {
 		t.Fatal("COUNT(*) default name wrong")
@@ -253,12 +227,5 @@ func TestAggSpecValidate(t *testing.T) {
 	}
 	if err := (AggSpec{Func: AggFunc(99), Col: "v"}).Validate(); err == nil {
 		t.Fatal("invalid function accepted")
-	}
-}
-
-func TestAvgOfEmptyState(t *testing.T) {
-	_, f, intg := (AggSpec{Func: AggAvg, Col: "v"}).FromState(hashtable.AggState{})
-	if intg || f != 0 {
-		t.Fatal("AVG of empty state should be float 0")
 	}
 }

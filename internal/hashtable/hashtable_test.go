@@ -1,6 +1,7 @@
 package hashtable
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -54,107 +55,89 @@ func TestHashLowBitsSpread(t *testing.T) {
 	}
 }
 
-func TestAggStateAddAndMerge(t *testing.T) {
-	var a AggState
-	for _, v := range []int64{5, -3, 7} {
-		a.add(v)
+// resolveAll resolves keys through tab in windows of step keys.
+func resolveAll(tab GroupTable, keys []uint32, step int) []int32 {
+	ids := make([]int32, len(keys))
+	for lo := 0; lo < len(keys); lo += step {
+		hi := min(lo+step, len(keys))
+		tab.Resolve(keys[lo:hi], ids[lo:hi])
 	}
-	if a.Count != 3 || a.Sum != 9 || a.Min != -3 || a.Max != 7 {
-		t.Fatalf("state wrong: %+v", a)
-	}
-	var b AggState
-	b.add(100)
-	a.Merge(b)
-	if a.Count != 4 || a.Sum != 109 || a.Max != 100 || a.Min != -3 {
-		t.Fatalf("merged state wrong: %+v", a)
-	}
-	var empty AggState
-	a.Merge(empty)
-	if a.Count != 4 {
-		t.Fatal("merging empty changed state")
-	}
-	empty.Merge(a)
-	if empty != a {
-		t.Fatal("merge into empty did not copy")
-	}
+	return ids
 }
 
-// refAgg is the trivially correct reference aggregation.
-func refAgg(keys []uint32, vals []int64) map[uint32]AggState {
-	ref := map[uint32]AggState{}
+// checkDirectory checks the GroupTable contract against the trivially
+// correct reference: ids are dense and handed out in first-seen order, and
+// Groups lists every group exactly once under its id.
+func checkDirectory(t *testing.T, label string, tab GroupTable, keys []uint32, ids []int32) {
+	t.Helper()
+	ref := map[uint32]int32{}
 	for i, k := range keys {
-		st := ref[k]
-		st.add(vals[i])
-		ref[k] = st
-	}
-	return ref
-}
-
-func collect(tab AggTable) map[uint32]AggState {
-	got := map[uint32]AggState{}
-	tab.ForEach(func(k uint32, st AggState) {
-		if _, dup := got[k]; dup {
-			panic("ForEach visited a key twice")
+		want, seen := ref[k]
+		if !seen {
+			want = int32(len(ref))
+			ref[k] = want
 		}
-		got[k] = st
-	})
-	return got
+		if ids[i] != want {
+			t.Fatalf("%s: row %d key %d resolved to id %d, want %d", label, i, k, ids[i], want)
+		}
+	}
+	if tab.Len() != len(ref) {
+		t.Fatalf("%s: Len = %d, want %d", label, tab.Len(), len(ref))
+	}
+	gkeys, gids := tab.Groups()
+	if len(gkeys) != len(ref) || (gids != nil && len(gids) != len(ref)) {
+		t.Fatalf("%s: Groups lists %d keys / %d ids, want %d", label, len(gkeys), len(gids), len(ref))
+	}
+	seen := map[uint32]bool{}
+	for i, k := range gkeys {
+		id := int32(i)
+		if gids != nil {
+			id = gids[i]
+		}
+		if want, ok := ref[k]; !ok || seen[k] || id != want {
+			t.Fatalf("%s: Groups entry %d = (key %d, id %d), want id %d once", label, i, k, id, want)
+		}
+		seen[k] = true
+	}
 }
 
-func TestAggTablesMatchReference(t *testing.T) {
+func TestGroupTablesMatchReference(t *testing.T) {
 	r := xrand.New(1)
 	const n = 20000
 	keys := make([]uint32, n)
-	vals := make([]int64, n)
 	for i := range keys {
 		keys[i] = r.Uint32n(500)
-		vals[i] = r.Int63() % 1000
 	}
-	ref := refAgg(keys, vals)
 	for _, s := range Schemes() {
 		for _, f := range Funcs() {
-			tab := NewAgg(s, f, 0)
-			for i, k := range keys {
-				tab.Add(k, vals[i])
+			tab := NewGroupTable(s, f, 0)
+			if tab.Scheme() != s {
+				t.Fatalf("%s: Scheme = %s", s, tab.Scheme())
 			}
-			if tab.Len() != len(ref) {
-				t.Fatalf("%s/%s: Len = %d, want %d", s, f, tab.Len(), len(ref))
-			}
-			got := collect(tab)
-			for k, want := range ref {
-				if got[k] != want {
-					t.Fatalf("%s/%s: key %d = %+v, want %+v", s, f, k, got[k], want)
-				}
-			}
+			checkDirectory(t, s.String()+"/"+f.String(), tab, keys, resolveAll(tab, keys, n))
 		}
 	}
 }
 
-func TestAggTablesQuick(t *testing.T) {
+func TestGroupTablesQuick(t *testing.T) {
 	for _, s := range Schemes() {
 		s := s
-		f := func(keys []uint32, seed uint64) bool {
-			r := xrand.New(seed)
-			vals := make([]int64, len(keys))
+		f := func(keys []uint32) bool {
 			for i := range keys {
 				keys[i] %= 97 // force collisions and repeats
-				vals[i] = r.Int63() % 100
 			}
-			tab := NewAgg(s, Murmur3Fin, 0)
+			tab := NewGroupTable(s, Murmur3Fin, 0)
+			ids := resolveAll(tab, keys, 7)
+			ref := map[uint32]int32{}
 			for i, k := range keys {
-				tab.Add(k, vals[i])
-			}
-			ref := refAgg(keys, vals)
-			if tab.Len() != len(ref) {
-				return false
-			}
-			got := collect(tab)
-			for k, want := range ref {
-				if got[k] != want {
+				if _, ok := ref[k]; !ok {
+					ref[k] = int32(len(ref))
+				}
+				if ids[i] != ref[k] {
 					return false
 				}
 			}
-			return true
+			return tab.Len() == len(ref)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 			t.Fatalf("%s: %v", s, err)
@@ -162,75 +145,81 @@ func TestAggTablesQuick(t *testing.T) {
 	}
 }
 
-func TestAggTableGrowth(t *testing.T) {
-	// Insert far more distinct keys than the initial capacity to force
-	// repeated growth in all schemes.
+func TestGroupTableGrowth(t *testing.T) {
+	// Resolve far more distinct keys than the initial capacity to force
+	// repeated growth in all schemes; every group keeps its id through it.
 	for _, s := range Schemes() {
-		tab := NewAgg(s, Fibonacci, 4)
+		tab := NewGroupTable(s, Fibonacci, 4)
 		const n = 50000
-		for k := uint32(0); k < n; k++ {
-			tab.Add(k, int64(k))
+		keys := make([]uint32, n)
+		for i := range keys {
+			keys[i] = uint32(i) * 3
 		}
-		if tab.Len() != n {
-			t.Fatalf("%s: Len = %d after growth, want %d", s, tab.Len(), n)
-		}
-		got := collect(tab)
-		for k := uint32(0); k < n; k += 997 {
-			st := got[k]
-			if st.Count != 1 || st.Sum != int64(k) {
-				t.Fatalf("%s: key %d lost during growth: %+v", s, k, st)
+		checkDirectory(t, s.String(), tab, keys, resolveAll(tab, keys, 1000))
+		again := resolveAll(tab, keys, n)
+		for i, id := range again {
+			if id != int32(i) {
+				t.Fatalf("%s: key %d lost its id during growth: %d", s, keys[i], id)
 			}
 		}
 	}
 }
 
-func TestAggTableIdentityHashAdversarial(t *testing.T) {
+func TestGroupTablePresizedDoesNotGrow(t *testing.T) {
+	// A table sized for its keys up front never reallocates: its footprint
+	// after the load is its footprint before.
+	for _, s := range Schemes() {
+		tab := NewGroupTable(s, Murmur3Fin, 1000)
+		before := tab.MemBytes()
+		keys := make([]uint32, 1000)
+		for i := range keys {
+			keys[i] = uint32(i) * 7919
+		}
+		resolveAll(tab, keys, 256)
+		if after := tab.MemBytes(); after != before {
+			t.Fatalf("%s: footprint moved from %d to %d bytes under its own capacity hint", s, before, after)
+		}
+	}
+}
+
+func TestGroupTableIdentityHashAdversarial(t *testing.T) {
 	// Keys that all collide under identity&mask must still be correct (just
 	// slow) — correctness may not depend on hash quality.
 	for _, s := range Schemes() {
-		tab := NewAgg(s, Identity, 0)
+		tab := NewGroupTable(s, Identity, 0)
 		const stride = 1 << 20
-		for i := 0; i < 300; i++ {
-			tab.Add(uint32(i*stride), 1)
+		keys := make([]uint32, 300)
+		for i := range keys {
+			keys[i] = uint32(i * stride)
 		}
-		if tab.Len() != 300 {
-			t.Fatalf("%s: adversarial identity keys lost: %d", s, tab.Len())
-		}
+		checkDirectory(t, s.String(), tab, keys, resolveAll(tab, keys, 64))
 	}
 }
 
-func TestChainedForEachInsertionOrder(t *testing.T) {
-	tab := NewAgg(Chained, Murmur3Fin, 0)
-	keys := []uint32{42, 7, 99, 7, 13}
-	for _, k := range keys {
-		tab.Add(k, 1)
-	}
-	var order []uint32
-	tab.ForEach(func(k uint32, _ AggState) { order = append(order, k) })
-	want := []uint32{42, 7, 99, 13}
-	if len(order) != len(want) {
-		t.Fatalf("order %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order %v, want first-seen %v", order, want)
-		}
+func TestChainedGroupsInsertionOrder(t *testing.T) {
+	tab := NewGroupTable(Chained, Murmur3Fin, 0)
+	resolveAll(tab, []uint32{42, 7, 99, 7, 13}, 2)
+	order, ids := tab.Groups()
+	if want := []uint32{42, 7, 99, 13}; !slices.Equal(order, want) || ids != nil {
+		t.Fatalf("Groups = %v (ids %v), want first-seen %v in id order", order, ids, want)
 	}
 }
 
-func BenchmarkAggAdd(b *testing.B) {
+func BenchmarkGroupTableResolve(b *testing.B) {
 	r := xrand.New(2)
 	const n = 1 << 16
 	keys := make([]uint32, n)
 	for i := range keys {
 		keys[i] = r.Uint32n(1024)
 	}
+	ids := make([]int32, n)
 	for _, s := range Schemes() {
 		b.Run(s.String(), func(b *testing.B) {
-			tab := NewAgg(s, Murmur3Fin, 1024)
+			tab := NewGroupTable(s, Murmur3Fin, 1024)
+			b.SetBytes(n * 4)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tab.Add(keys[i&(n-1)], 1)
+				tab.Resolve(keys, ids)
 			}
 		})
 	}

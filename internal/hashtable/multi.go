@@ -142,8 +142,19 @@ func (m *Multi) CountBatch(keys []uint32) int {
 // FillBatch writes the join pairs of probing keys in order: for each keys[i]
 // its build rows (as Fill yields them) to build and the probe row first+i
 // alongside to probe, both from index 0. It returns the number of pairs;
-// build and probe must have room for CountBatch(keys).
+// build and probe must have room for CountBatch(keys), or be nil: a nil side
+// is not written.
 func (m *Multi) FillBatch(keys []uint32, first int32, build, probe []int32) int {
+	// A side that is not wanted is written to one scratch slot (index n&0)
+	// instead of being tested for per match.
+	var unwanted [1]int32
+	bmask, pmask := -1, -1
+	if build == nil {
+		build, bmask = unwanted[:], 0
+	}
+	if probe == nil {
+		probe, pmask = unwanted[:], 0
+	}
 	var hs [hashBlock]uint64
 	var lo, hi [hashBlock]int32
 	n := 0
@@ -153,8 +164,8 @@ func (m *Multi) FillBatch(keys []uint32, first int32, build, probe []int32) int 
 		for i, k := range blk {
 			for _, e := range m.entries[lo[i]:hi[i]] {
 				if e.key == k {
-					build[n] = e.row
-					probe[n] = first + int32(o+i)
+					build[n&bmask] = e.row
+					probe[n&pmask] = first + int32(o+i)
 					n++
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dqo/internal/xrand"
@@ -256,41 +257,23 @@ func TestSPHMatchesMulti(t *testing.T) {
 	}
 }
 
-// TestAddBatchMatchesAdd checks the tables' bulk path against the per-row
-// one, state for state and in iteration order, with and without values and
-// across block boundaries and growth.
-func TestAddBatchMatchesAdd(t *testing.T) {
+// TestResolveWindowing checks that a table ends in the same state however
+// its input is cut into Resolve calls — ids row for row and Groups in
+// iteration order — across hash-block boundaries and growth.
+func TestResolveWindowing(t *testing.T) {
 	r := xrand.New(3)
 	keys := make([]uint32, 3*hashBlock+17)
-	vals := make([]int64, len(keys))
 	for i := range keys {
 		keys[i] = r.Uint32n(300)
-		vals[i] = int64(r.Uint32n(1000)) - 500
-	}
-	type entry struct {
-		key uint32
-		st  AggState
-	}
-	dump := func(tab AggTable) []entry {
-		var out []entry
-		tab.ForEach(func(k uint32, st AggState) { out = append(out, entry{k, st}) })
-		return out
 	}
 	for _, s := range Schemes() {
 		for _, f := range Funcs() {
-			for _, v := range [][]int64{vals, nil} {
-				one, bulk := NewAgg(s, f, 0), NewAgg(s, f, 0)
-				for i, k := range keys {
-					if v == nil {
-						one.Add(k, 0)
-					} else {
-						one.Add(k, v[i])
-					}
-				}
-				bulk.AddBatch(keys, v)
-				if !reflect.DeepEqual(dump(one), dump(bulk)) {
-					t.Fatalf("%s/%s (vals=%v): AddBatch diverges from Add", s, f, v != nil)
-				}
+			one, bulk := NewGroupTable(s, f, 0), NewGroupTable(s, f, 0)
+			oneIDs, bulkIDs := resolveAll(one, keys, 1), resolveAll(bulk, keys, len(keys))
+			oneKeys, oneOrder := one.Groups()
+			bulkKeys, bulkOrder := bulk.Groups()
+			if !slices.Equal(oneIDs, bulkIDs) || !slices.Equal(oneKeys, bulkKeys) || !slices.Equal(oneOrder, bulkOrder) {
+				t.Fatalf("%s/%s: one Resolve over all rows diverges from one per row", s, f)
 			}
 		}
 	}

@@ -91,9 +91,16 @@ func (d *SPH) CountBatch(keys []uint32) int {
 func (d *SPH) FillBatch(keys []uint32, first int32, build, probe []int32) int {
 	n := 0
 	for i, k := range keys {
-		c := d.Fill(k, build[n:])
-		for j := n; j < n+c; j++ {
-			probe[j] = first + int32(i)
+		var c int
+		if build != nil {
+			c = d.Fill(k, build[n:])
+		} else {
+			c = d.Count(k)
+		}
+		if probe != nil {
+			for j := n; j < n+c; j++ {
+				probe[j] = first + int32(i)
+			}
 		}
 		n += c
 	}

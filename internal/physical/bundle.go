@@ -159,22 +159,40 @@ func partitionRuns(keys []uint32, dom props.Domain) (*Bundle, error) {
 }
 
 // AggregateBundle implements line 2 of Figure 2: every producer is
-// aggregated independently with the same aggregation function. With
-// parallel > 1 producers are processed by a worker pool — legal precisely
-// because the producers are independent. The output preserves producer
-// order, so the bundle's SortedByKey property carries over to the result.
+// aggregated independently with the same aggregation function — COUNT, and
+// SUM over vals unless vals is nil. With parallel > 1 producers are processed
+// by a worker pool — legal precisely because the producers are independent.
+// The output preserves producer order, so the bundle's SortedByKey property
+// carries over to the result.
 func AggregateBundle(b *Bundle, vals []int64, parallel int) *GroupResult {
-	res := &GroupResult{
-		Keys:   make([]uint32, len(b.Producers)),
-		States: make([]hashtable.AggState, len(b.Producers)),
-		Sorted: b.SortedByKey,
+	var args []aggArg
+	if vals != nil {
+		args = []aggArg{{vals: argVals{i64: vals}, need: needSum}}
 	}
+	return aggregateBundle(b, args, parallel)
+}
+
+// aggregateBundle is AggregateBundle over any number of argument columns.
+// A producer is a window of row ids, so like OG's runs it folds straight
+// into the output arrays.
+func aggregateBundle(b *Bundle, args []aggArg, parallel int) *GroupResult {
+	res := newGroupResult(make([]uint32, len(b.Producers)), args)
+	res.Sorted = b.SortedByKey
 	aggOne := func(p int) {
 		prod := &b.Producers[p]
 		res.Keys[p] = prod.Key
-		st := &res.States[p]
-		for _, r := range prod.Rows {
-			addState(st, valAt(vals, int(r)))
+		res.Counts[p] = int64(len(prod.Rows))
+		for i, a := range args {
+			sum, mn, mx := a.vals.fold(prod.Rows)
+			if out := &res.Aggs[i]; out.Sum != nil {
+				out.Sum[p] = sum
+			}
+			if out := &res.Aggs[i]; out.Min != nil {
+				out.Min[p] = mn
+			}
+			if out := &res.Aggs[i]; out.Max != nil {
+				out.Max[p] = mx
+			}
 		}
 	}
 	if parallel <= 1 || len(b.Producers) < 2 {

@@ -3,9 +3,11 @@ package physical
 import "dqo/internal/govern"
 
 // Budget/cancellation plumbing for the kernels. Kernels poll their options'
-// Ctl every checkEvery rows: cheap enough to disappear in the noise, frequent
-// enough that cancellation and budget violations surface mid-kernel instead
-// of only at morsel boundaries.
+// Ctl at block boundaries — the joins every checkEvery rows, the grouping
+// kernels every groupBlock rows, a quarter of that — never inside a row loop:
+// cheap enough to disappear in the noise, frequent enough that cancellation
+// and budget violations surface mid-kernel instead of only at morsel
+// boundaries.
 //
 // Accounting discipline: kernels charge their *internal* transient
 // allocations (hash tables, sorted copies, partition buffers, pair lists)
@@ -13,7 +15,7 @@ import "dqo/internal/govern"
 // Output relations are charged by the executor that materialises them, so
 // nothing is double-counted.
 
-// checkEvery is the row interval between Ctl polls inside kernel loops.
+// checkEvery is the longest stretch of rows a kernel folds between Ctl polls.
 const checkEvery = 1 << 13
 
 // resv tracks how many bytes a kernel currently holds against the budget so

@@ -11,7 +11,8 @@ package physical
 
 import (
 	"fmt"
-	"sync"
+	"math"
+	"math/bits"
 
 	"dqo/internal/govern"
 	"dqo/internal/hashtable"
@@ -89,114 +90,157 @@ type GroupOptions struct {
 	Ctl      *govern.Ctl      // cancellation + memory budget; nil is ungoverned
 }
 
-// maxSPHWidth bounds the group-array width SPHG will allocate (16 Mi groups
-// * 32 B state = 512 MiB); wider domains must use another algorithm.
+// maxSPHWidth bounds the group-array width SPHG will allocate (16 Mi slots
+// of 16 B narrow state = 256 MiB per argument column); wider domains must
+// use another algorithm.
 const maxSPHWidth = 1 << 24
 
 // GroupResult is the output of a grouping kernel: one entry per distinct
-// key, with the running aggregate state. Sorted reports whether Keys is
-// ascending (a DQO plan property of the output, not an implementation
-// detail: SPHG/SOG/BSG produce sorted output, HG does not, OG only if its
-// input was sorted).
+// key, with the aggregates that were asked for as one array each. Sorted
+// reports whether Keys is ascending (a DQO plan property of the output, not
+// an implementation detail: SPHG/SOG/BSG produce sorted output, HG does not,
+// OG only if its input was sorted).
 type GroupResult struct {
 	Keys   []uint32
-	States []hashtable.AggState
+	Counts []int64   // rows per group
+	Aggs   []ColAggs // per aggregate argument column, in argument order
 	Sorted bool
 }
 
-// Group aggregates vals by keys using the chosen algorithm. vals may be nil
-// for COUNT-only aggregation. dom is what is known about the key domain
-// (SPHG requires a known dense domain; HG and BSG use Distinct as a capacity
-// hint). The returned error reports unmet requirements, never data errors.
+// ColAggs holds one argument column's aggregates per group; an aggregate
+// nobody asked for is nil.
+type ColAggs struct{ Sum, Min, Max []int64 }
+
+// newGroupResult returns a result over keys whose arrays — len(keys) long,
+// with room for cap(keys) — are those args ask for.
+func newGroupResult(keys []uint32, args []aggArg) *GroupResult {
+	array := func() []int64 { return make([]int64, len(keys), cap(keys)) }
+	res := &GroupResult{Keys: keys, Counts: array()}
+	if len(args) > 0 {
+		res.Aggs = make([]ColAggs, len(args))
+	}
+	for i, a := range args {
+		if a.need&needSum != 0 {
+			res.Aggs[i].Sum = array()
+		}
+		if a.need&needMin != 0 {
+			res.Aggs[i].Min = array()
+		}
+		if a.need&needMax != 0 {
+			res.Aggs[i].Max = array()
+		}
+	}
+	return res
+}
+
+// Group aggregates vals by keys using the chosen algorithm, computing COUNT
+// and SUM on the fly like the paper's kernels (Section 4.1): Counts, and
+// Aggs[0].Sum unless vals is nil (COUNT-only aggregation). dom is what is
+// known about the key domain (SPHG requires a known dense domain; the others
+// use Distinct, capped at the row count, as a capacity hint). The returned
+// error reports unmet requirements, never data errors.
 func Group(kind GroupKind, keys []uint32, vals []int64, dom props.Domain, opt GroupOptions) (*GroupResult, error) {
+	var args []aggArg
+	if vals != nil {
+		args = []aggArg{{vals: argVals{i64: vals}, need: needSum}}
+	}
+	return groupArgs(kind, keys, args, dom, opt)
+}
+
+// groupArgs is Group over any number of argument columns, each with the
+// aggregates needed of it: the keys are resolved once and every column's
+// state is updated from the same block of group ids.
+func groupArgs(kind GroupKind, keys []uint32, args []aggArg, dom props.Domain, opt GroupOptions) (*GroupResult, error) {
 	switch kind {
 	case HG:
 		if opt.Parallel > 1 {
-			return groupHashParallel(keys, vals, dom, opt)
+			return groupHashParallel(keys, args, dom, opt)
 		}
-		return groupHash(keys, vals, dom, opt)
+		return groupHash(keys, args, dom, opt)
 	case SPHG:
-		return groupSPH(keys, vals, dom, opt)
+		return groupSPH(keys, args, dom, opt)
 	case OG:
-		return groupOrder(keys, vals, dom, opt.Ctl)
+		return groupOrder(keys, args, dom, opt.Ctl)
 	case SOG:
-		return groupSortOrder(keys, vals, dom, opt)
+		return groupSortOrder(keys, args, dom, opt)
 	case BSG:
-		return groupBinarySearch(keys, vals, dom, opt.Ctl)
+		return groupBinarySearch(keys, args, dom, opt.Ctl)
 	default:
 		return nil, fmt.Errorf("physical: unknown grouping kind %d", uint8(kind))
 	}
 }
 
-func valAt(vals []int64, i int) int64 {
-	if vals == nil {
+// capHint is the number of groups a kernel sizes its directory and states
+// for: the domain's distinct count, which may describe a superset of the
+// data (a spill partition, the output of a selective join), capped at the
+// number of input rows; 0 when nothing is known.
+func capHint(dom props.Domain, rows int) int {
+	if !dom.Known {
 		return 0
 	}
-	return vals[i]
+	return int(min(dom.Distinct, int64(rows)))
 }
 
-// valsWindow is vals[lo:hi], or nil for COUNT-only aggregation (nil vals).
-func valsWindow(vals []int64, lo, hi int) []int64 {
-	if vals == nil {
-		return nil
-	}
-	return vals[lo:hi]
+// resolver is the part of a grouping kernel that differs between HG and
+// BSG: it gives every distinct key a dense id, in first-seen order.
+type resolver interface {
+	Resolve(keys []uint32, ids []int32)
+	Len() int
+	MemBytes() int64
 }
 
-// groupHash is HG: one hash table insert per input element, with the table
-// scheme and hash function resolved once per block of rows (AddBatch). The
-// table's footprint is charged against the budget as it grows; cancellation
-// and budget violations abort mid-build.
-func groupHash(keys []uint32, vals []int64, dom props.Domain, opt GroupOptions) (*GroupResult, error) {
-	hint := 0
-	if dom.Known {
-		hint = int(dom.Distinct)
-	}
-	tab := hashtable.NewAgg(opt.Scheme, opt.Hash, hint)
-	rv := resv{ctl: opt.Ctl}
-	defer rv.release()
-	if err := rv.charge(tab.MemBytes()); err != nil {
-		return nil, err
-	}
-	if err := loadAgg(tab, keys, vals, &rv); err != nil {
-		return nil, err
-	}
-	res := &GroupResult{
-		Keys:   make([]uint32, 0, tab.Len()),
-		States: make([]hashtable.AggState, 0, tab.Len()),
-	}
-	tab.ForEach(func(k uint32, st hashtable.AggState) {
-		res.Keys = append(res.Keys, k)
-		res.States = append(res.States, st)
-	})
-	// A hash table's output order depends on the hash function; per the
-	// paper, a consumer must assume it is unordered.
-	res.Sorted = sortx.IsSortedUint32(res.Keys)
-	return res, nil
-}
-
-// loadAgg folds keys/vals (nil vals: COUNT-only) into tab one checkEvery
-// block at a time, polling cancellation and charging the table's growth to
-// rv between blocks and once more at the end.
-func loadAgg(tab hashtable.AggTable, keys []uint32, vals []int64, rv *resv) error {
-	for lo := 0; lo < len(keys); lo += checkEvery {
+// loadGroups folds rows [begin, end) into st one block at a time: resolve
+// the block's group ids, then update every argument's state from them.
+// Between blocks it polls cancellation and charges the directory's and the
+// states' growth to rv, and charges once more at the end.
+func loadGroups(dir resolver, st *groupStates, keys []uint32, begin, end int, rv *resv) error {
+	ids := make([]int32, min(groupBlock, end-begin))
+	for lo := begin; lo < end; lo += groupBlock {
 		if err := rv.ctl.Err(); err != nil {
 			return err
 		}
-		if err := rv.charge(tab.MemBytes()); err != nil {
+		if err := rv.charge(dir.MemBytes() + st.memBytes()); err != nil {
 			return err
 		}
-		hi := min(lo+checkEvery, len(keys))
-		tab.AddBatch(keys[lo:hi], valsWindow(vals, lo, hi))
+		blk := keys[lo:min(lo+groupBlock, end)]
+		dir.Resolve(blk, ids)
+		st.add(ids[:len(blk)], lo, dir.Len())
 	}
-	return rv.charge(tab.MemBytes())
+	return rv.charge(dir.MemBytes() + st.memBytes())
+}
+
+// groupHash is HG: one hash table lookup per input element, with the table
+// scheme and hash function resolved once per block of rows. The table's and
+// the states' footprint is charged against the budget as they grow;
+// cancellation and budget violations abort mid-build.
+func groupHash(keys []uint32, args []aggArg, dom props.Domain, opt GroupOptions) (*GroupResult, error) {
+	hint := capHint(dom, len(keys))
+	tab := hashtable.NewGroupTable(opt.Scheme, opt.Hash, hint)
+	st := newGroupStates(args, 0, hint)
+	rv := resv{ctl: opt.Ctl}
+	defer rv.release()
+	if err := loadGroups(tab, st, keys, 0, len(keys), &rv); err != nil {
+		return nil, err
+	}
+	return hashResult(tab, st), nil
+}
+
+// hashResult is HG's output: the groups in the table's iteration order. A
+// hash table's output order depends on the hash function; per the paper, a
+// consumer must assume it is unordered.
+func hashResult(tab hashtable.GroupTable, st *groupStates) *GroupResult {
+	gkeys, order := tab.Groups()
+	if order != nil {
+		st.reorder(order)
+	}
+	return st.result(gkeys, sortx.IsSortedUint32(gkeys))
 }
 
 // groupSPH is SPHG: the key (offset by the domain minimum) indexes an array
 // of running aggregates — a minimal static perfect hash when the domain is
 // dense. With opt.Parallel > 1 the load loop is split across goroutines with
 // per-worker arrays merged at the end (the Figure 3(e) "parallel loop").
-func groupSPH(keys []uint32, vals []int64, dom props.Domain, opt GroupOptions) (*GroupResult, error) {
+func groupSPH(keys []uint32, args []aggArg, dom props.Domain, opt GroupOptions) (*GroupResult, error) {
 	lo64, hi64, ok := dom.DenseDomain()
 	if !ok {
 		return nil, fmt.Errorf("physical: SPHG requires a known dense key domain, have %+v", dom)
@@ -205,221 +249,149 @@ func groupSPH(keys []uint32, vals []int64, dom props.Domain, opt GroupOptions) (
 	if width > maxSPHWidth {
 		return nil, fmt.Errorf("physical: SPHG domain width %d exceeds limit %d", width, maxSPHWidth)
 	}
-	lo := uint32(lo64)
-	w := int(width)
+	sph := sphDomain{lo: uint32(lo64), width: int(width)}
 
 	rv := resv{ctl: opt.Ctl}
 	defer rv.release()
-	var states []hashtable.AggState
+	workers := 1
 	if opt.Parallel > 1 && len(keys) >= opt.Parallel {
-		// Per-worker arrays: the footprint is workers copies of the directory.
-		if err := rv.add(int64(opt.Parallel) * int64(w) * aggStateBytes); err != nil {
+		workers = opt.Parallel // per-worker arrays: workers copies of the directory
+	}
+	if err := rv.add(int64(workers) * int64(sph.width) * stateBytes(args)); err != nil {
+		return nil, err
+	}
+	var st *groupStates
+	if workers > 1 {
+		var err error
+		if st, err = sphParallelLoad(keys, args, sph, workers, opt.Ctl); err != nil {
 			return nil, err
-		}
-		var perr error
-		states, perr = sphParallelLoad(keys, vals, lo, w, opt.Parallel, opt.Ctl)
-		if perr != nil {
-			return nil, perr
 		}
 	} else {
-		if err := rv.add(int64(w) * aggStateBytes); err != nil {
+		st = newGroupStates(args, sph.width, 0)
+		if err := sph.load(st, keys, 0, len(keys), opt.Ctl); err != nil {
 			return nil, err
-		}
-		states = make([]hashtable.AggState, w)
-		if vals == nil {
-			for i, k := range keys {
-				if i%checkEvery == 0 {
-					if err := opt.Ctl.Err(); err != nil {
-						return nil, err
-					}
-				}
-				slot := k - lo
-				if uint64(slot) >= width { // also catches k < lo (wraparound)
-					return nil, fmt.Errorf("physical: SPHG key %d outside declared domain [%d,%d]", k, lo64, hi64)
-				}
-				st := &states[slot]
-				if st.Count == 0 {
-					st.Min, st.Max = 0, 0
-				}
-				st.Count++
-			}
-		} else {
-			for i, k := range keys {
-				if i%checkEvery == 0 {
-					if err := opt.Ctl.Err(); err != nil {
-						return nil, err
-					}
-				}
-				slot := k - lo
-				if uint64(slot) >= width {
-					return nil, fmt.Errorf("physical: SPHG key %d outside declared domain [%d,%d]", k, lo64, hi64)
-				}
-				addState(&states[slot], vals[i])
-			}
 		}
 	}
 
-	res := &GroupResult{Sorted: true}
-	res.Keys = make([]uint32, 0, w)
-	res.States = make([]hashtable.AggState, 0, w)
-	for i := range states {
-		if states[i].Count > 0 {
-			res.Keys = append(res.Keys, lo+uint32(i))
-			res.States = append(res.States, states[i])
-		}
-	}
-	return res, nil
+	// The non-empty slots, in slot order, are the output.
+	return st.result(st.compact(sph.lo, len(keys)), true), nil
 }
 
-// aggStateBytes is the budget charge per hashtable.AggState array slot.
-const aggStateBytes = 32
+// sphDomain is SPHG's static perfect hash: key lo is slot 0.
+type sphDomain struct {
+	lo    uint32
+	width int
+}
 
-// addState inlines hashtable.AggState maintenance for the array kernels.
-func addState(st *hashtable.AggState, v int64) {
-	if st.Count == 0 {
-		st.Min, st.Max = v, v
-	} else {
-		if v < st.Min {
-			st.Min = v
+// load folds rows [begin, end) into the slot states st block by block,
+// polling ctl between blocks. A key outside the domain is an error.
+func (d sphDomain) load(st *groupStates, keys []uint32, begin, end int, ctl *govern.Ctl) error {
+	ids := make([]int32, min(groupBlock, end-begin))
+	for lo := begin; lo < end; lo += groupBlock {
+		if err := ctl.Err(); err != nil {
+			return err
 		}
-		if v > st.Max {
-			st.Max = v
+		blk := keys[lo:min(lo+groupBlock, end)]
+		for i, k := range blk {
+			slot := k - d.lo
+			if uint64(slot) >= uint64(d.width) { // also catches k < lo (wraparound)
+				return fmt.Errorf("physical: SPHG key %d outside declared domain [%d,%d]", k, d.lo, uint64(d.lo)+uint64(d.width)-1)
+			}
+			ids[i] = int32(slot)
 		}
+		st.add(ids[:len(blk)], lo, d.width)
 	}
-	st.Count++
-	st.Sum += v
+	return nil
 }
 
 // sphParallelLoad builds per-worker SPH arrays over input chunks and merges
-// them. Aggregates are distributive, so the merge is exact. Out-of-domain
-// keys are reported as an error after all workers finish.
-func sphParallelLoad(keys []uint32, vals []int64, lo uint32, w, workers int, ctl *govern.Ctl) ([]hashtable.AggState, error) {
-	partial := make([][]hashtable.AggState, workers)
-	errs := make([]error, workers)
-	var box govern.PanicBox
-	var wg sync.WaitGroup
+// them into the first. Aggregates are distributive, so the merge is exact.
+// Out-of-domain keys are reported as an error after all workers finish.
+func sphParallelLoad(keys []uint32, args []aggArg, d sphDomain, workers int, ctl *govern.Ctl) (*groupStates, error) {
 	chunk := (len(keys) + workers - 1) / workers
-	for p := 0; p < workers; p++ {
-		begin := p * chunk
-		end := begin + chunk
-		if end > len(keys) {
-			end = len(keys)
-		}
-		if begin >= end {
-			partial[p] = nil
-			continue
-		}
-		wg.Add(1)
-		go func(p, begin, end int) {
-			defer wg.Done()
-			defer box.Guard()
-			states := make([]hashtable.AggState, w)
-			for i := begin; i < end; i++ {
-				if (i-begin)%checkEvery == 0 {
-					if err := ctl.Err(); err != nil {
-						errs[p] = err
-						return
-					}
-				}
-				slot := keys[i] - lo
-				if uint64(slot) >= uint64(w) {
-					errs[p] = fmt.Errorf("physical: SPHG key %d outside declared domain", keys[i])
-					return
-				}
-				if vals == nil {
-					st := &states[slot]
-					if st.Count == 0 {
-						st.Min, st.Max = 0, 0
-					}
-					st.Count++
-				} else {
-					addState(&states[slot], vals[i])
-				}
-			}
-			partial[p] = states
-		}(p, begin, end)
-	}
-	wg.Wait()
-	if err := box.Err(); err != nil {
+	partial := make([]*groupStates, (len(keys)+chunk-1)/chunk)
+	err := forChunks(len(keys), chunk, func(c, begin, end int) error {
+		partial[c] = newGroupStates(args, d.width, 0)
+		return d.load(partial[c], keys, begin, end, ctl)
+	})
+	if err != nil {
 		return nil, err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	slots := make([]int32, d.width)
+	for i := range slots {
+		slots[i] = int32(i)
 	}
-	out := make([]hashtable.AggState, w)
-	for _, states := range partial {
-		if states == nil {
-			continue
-		}
-		for i := range states {
-			if states[i].Count > 0 {
-				out[i].Merge(states[i])
-			}
-		}
+	for _, p := range partial[1:] {
+		partial[0].merge(slots, p, 0, d.width)
 	}
-	return out, nil
+	return partial[0], nil
 }
 
-// groupOrder is OG: a single sequential pass over grouped input. Each run of
-// equal keys becomes one group, appended at the next free slot. If the input
-// violates the grouped requirement, a key starts more than one run; that is
-// detected (cheaply, via the known distinct count when available, and always
-// via a final duplicate check on small group counts) and reported.
-func groupOrder(keys []uint32, vals []int64, dom props.Domain, ctl *govern.Ctl) (*GroupResult, error) {
-	res := &GroupResult{}
+// groupOrder is OG: a single sequential pass over grouped input, run-wise.
+// Each run of equal keys becomes one group, appended at the next free slot,
+// and its aggregates are folded from the run's window of values straight
+// into the output arrays — there is no per-row state. If the input violates
+// the grouped requirement, a key starts more than one run; that is detected
+// (cheaply, via the known distinct count when available, and always via a
+// final duplicate check on small group counts) and reported.
+func groupOrder(keys []uint32, args []aggArg, dom props.Domain, ctl *govern.Ctl) (*GroupResult, error) {
+	res := newGroupResult(make([]uint32, 0, capHint(dom, len(keys))), args)
+	perGroup := int64(4 + 8)
+	for _, a := range args {
+		perGroup += 8 * int64(bits.OnesCount8(uint8(a.need)))
+	}
 	rv := resv{ctl: ctl}
 	defer rv.release()
-	chargeGroups := func() error {
-		return rv.charge(int64(cap(res.Keys))*4 + int64(cap(res.States))*aggStateBytes)
-	}
-	if dom.Known {
-		res.Keys = make([]uint32, 0, dom.Distinct)
-		res.States = make([]hashtable.AggState, 0, dom.Distinct)
-		if err := chargeGroups(); err != nil {
+
+	buf := widenBuf(args)
+	ends := make([]int32, min(groupBlock, len(keys))) // where each run of the block ends, block-relative
+	for lo := 0; lo < len(keys); lo += groupBlock {
+		if err := ctl.Err(); err != nil {
 			return nil, err
 		}
-	}
-	if len(keys) == 0 {
-		res.Sorted = true
-		return res, nil
-	}
-	cur := keys[0]
-	var st hashtable.AggState
-	addState(&st, valAt(vals, 0))
-	sorted := true
-	prevRun := cur
-	first := true
-	for i := 1; i < len(keys); i++ {
-		if i%checkEvery == 0 {
-			if err := ctl.Err(); err != nil {
-				return nil, err
-			}
-			if err := chargeGroups(); err != nil {
-				return nil, err
+		if err := rv.charge(int64(cap(res.Keys)) * perGroup); err != nil {
+			return nil, err
+		}
+		blk := keys[lo:min(lo+groupBlock, len(keys))]
+		// The block's first run continues the last group when the key is
+		// the same; every other run starts a group.
+		first := len(res.Keys)
+		if first > 0 && res.Keys[first-1] == blk[0] {
+			first--
+		} else {
+			res.Keys = append(res.Keys, blk[0])
+		}
+		runs := 0
+		for i := 1; i < len(blk); i++ {
+			if blk[i] != blk[i-1] {
+				ends[runs] = int32(i)
+				runs++
+				res.Keys = append(res.Keys, blk[i])
 			}
 		}
-		k := keys[i]
-		if k != cur {
-			res.Keys = append(res.Keys, cur)
-			res.States = append(res.States, st)
-			if !first && cur < prevRun {
-				sorted = false
+		ends[runs] = int32(len(blk))
+		runs++
+
+		g := len(res.Keys)
+		res.Counts = extendWith(res.Counts, g, 0)
+		countRuns(res.Counts[first:], ends[:runs])
+		for i, a := range args {
+			out, vals := &res.Aggs[i], a.vals.window(lo, lo+len(blk), buf)
+			if out.Sum != nil {
+				out.Sum = extendWith(out.Sum, g, 0)
+				sumRuns(out.Sum[first:], vals, ends[:runs])
 			}
-			prevRun = cur
-			first = false
-			cur = k
-			st = hashtable.AggState{}
+			if out.Min != nil {
+				out.Min = extendWith(out.Min, g, math.MaxInt64)
+				minRuns(out.Min[first:], vals, ends[:runs])
+			}
+			if out.Max != nil {
+				out.Max = extendWith(out.Max, g, math.MinInt64)
+				maxRuns(out.Max[first:], vals, ends[:runs])
+			}
 		}
-		addState(&st, valAt(vals, i))
 	}
-	res.Keys = append(res.Keys, cur)
-	res.States = append(res.States, st)
-	if !first && cur < prevRun {
-		sorted = false
-	}
-	res.Sorted = sorted && sortx.IsSortedUint32(res.Keys)
+	res.Sorted = sortx.IsSortedUint32(res.Keys)
 
 	if dom.Known && len(res.Keys) > int(dom.Distinct) {
 		return nil, fmt.Errorf("physical: OG input not grouped: %d runs for %d distinct keys", len(res.Keys), dom.Distinct)
@@ -428,6 +400,63 @@ func groupOrder(keys []uint32, vals []int64, dom props.Domain, ctl *govern.Ctl) 
 		return nil, fmt.Errorf("physical: OG input not grouped: duplicate runs detected")
 	}
 	return res, nil
+}
+
+// extendWith grows xs to n elements, the new ones holding fill.
+func extendWith(xs []int64, n int, fill int64) []int64 {
+	for len(xs) < n {
+		xs = append(xs, fill)
+	}
+	return xs
+}
+
+// countRuns adds the length of run r, which ends at ends[r] where run r+1
+// starts, to dst[r].
+func countRuns(dst []int64, ends []int32) {
+	var start int32
+	for r, end := range ends {
+		dst[r] += int64(end - start)
+		start = end
+	}
+}
+
+// sumRuns adds the sum of vals over run r to dst[r].
+func sumRuns(dst, vals []int64, ends []int32) {
+	var start int32
+	for r, end := range ends {
+		var s int64
+		for _, v := range vals[start:end] {
+			s += v
+		}
+		dst[r] += s
+		start = end
+	}
+}
+
+// minRuns lowers dst[r] to the minimum of vals over run r.
+func minRuns(dst, vals []int64, ends []int32) {
+	var start int32
+	for r, end := range ends {
+		m := dst[r]
+		for _, v := range vals[start:end] {
+			m = min(m, v)
+		}
+		dst[r] = m
+		start = end
+	}
+}
+
+// maxRuns raises dst[r] to the maximum of vals over run r.
+func maxRuns(dst, vals []int64, ends []int32) {
+	var start int32
+	for r, end := range ends {
+		m := dst[r]
+		for _, v := range vals[start:end] {
+			m = max(m, v)
+		}
+		dst[r] = m
+		start = end
+	}
 }
 
 func hasDuplicates(keys []uint32) bool {
@@ -441,18 +470,17 @@ func hasDuplicates(keys []uint32) bool {
 	return false
 }
 
-// groupSortOrder is SOG: copy the input, sort key/value pairs, then OG. With
-// opt.Parallel > 1 the sort runs as per-worker runs + pairwise merges, which
+// groupSortOrder is SOG: sort copies of the key and argument columns by key,
+// then OG over the copies. Each argument column is sorted along with its own
+// copy of the keys; the sorts are stable, so the columns stay aligned. With
+// opt.Parallel > 1 a sort runs as per-worker runs + pairwise merges, which
 // produces the identical (stable) ordering, so the result is DOP-invariant.
-func groupSortOrder(keys []uint32, vals []int64, dom props.Domain, opt GroupOptions) (*GroupResult, error) {
+func groupSortOrder(keys []uint32, args []aggArg, dom props.Domain, opt GroupOptions) (*GroupResult, error) {
 	rv := resv{ctl: opt.Ctl}
 	defer rv.release()
-	// The sorted key/value copies, doubled when the parallel merge passes
-	// need their swap buffers.
-	perRow := int64(4)
-	if vals != nil {
-		perRow += 8
-	}
+	// The sorted key copy and every argument column's int64 copy, doubled
+	// when the parallel merge passes need their swap buffers.
+	perRow := int64(4 + 8*len(args))
 	if opt.Parallel > 1 {
 		perRow *= 2
 	}
@@ -462,10 +490,24 @@ func groupSortOrder(keys []uint32, vals []int64, dom props.Domain, opt GroupOpti
 	stop := opt.Ctl.Err
 	sk := make([]uint32, len(keys))
 	copy(sk, keys)
-	var sv []int64
-	if vals != nil {
-		sv = make([]int64, len(vals))
-		copy(sv, vals)
+	if len(args) == 0 {
+		if opt.Parallel > 1 {
+			if err := sortx.ParallelSortUint32Ctl(opt.Sort, sk, opt.Parallel, stop); err != nil {
+				return nil, err
+			}
+		} else {
+			if err := stop(); err != nil {
+				return nil, err
+			}
+			sortx.SortUint32(opt.Sort, sk)
+		}
+	}
+	sorted := make([]aggArg, len(args))
+	for i, a := range args {
+		if i > 0 {
+			copy(sk, keys)
+		}
+		sv := a.vals.clone()
 		if opt.Parallel > 1 {
 			if err := sortx.ParallelSortPairsUint32Int64Ctl(opt.Sort, sk, sv, opt.Parallel, stop); err != nil {
 				return nil, err
@@ -476,17 +518,9 @@ func groupSortOrder(keys []uint32, vals []int64, dom props.Domain, opt GroupOpti
 			}
 			sortx.SortPairsUint32Int64(opt.Sort, sk, sv)
 		}
-	} else if opt.Parallel > 1 {
-		if err := sortx.ParallelSortUint32Ctl(opt.Sort, sk, opt.Parallel, stop); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := stop(); err != nil {
-			return nil, err
-		}
-		sortx.SortUint32(opt.Sort, sk)
+		sorted[i] = aggArg{vals: argVals{i64: sv}, need: a.need}
 	}
-	res, err := groupOrder(sk, sv, dom, opt.Ctl)
+	res, err := groupOrder(sk, sorted, dom, opt.Ctl)
 	if err != nil {
 		return nil, err
 	}
@@ -494,43 +528,48 @@ func groupSortOrder(keys []uint32, vals []int64, dom props.Domain, opt GroupOpti
 	return res, nil
 }
 
+// sortedGroups is BSG's group directory: the distinct keys in ascending
+// order, each with the id it was given when first seen.
+type sortedGroups struct {
+	keys []uint32
+	ids  []int32
+}
+
+func (d *sortedGroups) Len() int { return len(d.keys) }
+
+func (d *sortedGroups) MemBytes() int64 { return int64(cap(d.keys))*4 + int64(cap(d.ids))*4 }
+
+func (d *sortedGroups) Resolve(keys []uint32, ids []int32) {
+	for i, k := range keys {
+		pos, found := searchUint32(d.keys, k)
+		if !found {
+			d.keys = append(d.keys, 0)
+			d.ids = append(d.ids, 0)
+			copy(d.keys[pos+1:], d.keys[pos:])
+			copy(d.ids[pos+1:], d.ids[pos:])
+			d.keys[pos], d.ids[pos] = k, int32(len(d.keys)-1)
+		}
+		ids[i] = d.ids[pos]
+	}
+}
+
 // groupBinarySearch is BSG: the group directory is a sorted array probed by
 // binary search; unseen keys are insertion-shifted into place. Lookup is
 // O(log g); building pays O(g) per new key, amortised away for small g —
-// which is exactly the regime where the paper finds BSG competitive.
-func groupBinarySearch(keys []uint32, vals []int64, dom props.Domain, ctl *govern.Ctl) (*GroupResult, error) {
-	capHint := 16
-	if dom.Known {
-		capHint = int(dom.Distinct)
-	}
+// which is exactly the regime where the paper finds BSG competitive. The
+// states stay where their group was first seen (the shift moves 8 bytes per
+// group, not the aggregates) and are read out through the directory.
+func groupBinarySearch(keys []uint32, args []aggArg, dom props.Domain, ctl *govern.Ctl) (*GroupResult, error) {
+	hint := capHint(dom, len(keys))
+	dir := &sortedGroups{keys: make([]uint32, 0, hint), ids: make([]int32, 0, hint)}
+	st := newGroupStates(args, 0, hint)
 	rv := resv{ctl: ctl}
 	defer rv.release()
-	gk := make([]uint32, 0, capHint)
-	gs := make([]hashtable.AggState, 0, capHint)
-	if err := rv.charge(int64(cap(gk))*4 + int64(cap(gs))*aggStateBytes); err != nil {
+	if err := loadGroups(dir, st, keys, 0, len(keys), &rv); err != nil {
 		return nil, err
 	}
-	for i, k := range keys {
-		if i%checkEvery == 0 {
-			if err := ctl.Err(); err != nil {
-				return nil, err
-			}
-			if err := rv.charge(int64(cap(gk))*4 + int64(cap(gs))*aggStateBytes); err != nil {
-				return nil, err
-			}
-		}
-		pos, found := searchUint32(gk, k)
-		if !found {
-			gk = append(gk, 0)
-			gs = append(gs, hashtable.AggState{})
-			copy(gk[pos+1:], gk[pos:])
-			copy(gs[pos+1:], gs[pos:])
-			gk[pos] = k
-			gs[pos] = hashtable.AggState{}
-		}
-		addState(&gs[pos], valAt(vals, i))
-	}
-	return &GroupResult{Keys: gk, States: gs, Sorted: true}, nil
+	st.reorder(dir.ids)
+	return st.result(dir.keys, true), nil
 }
 
 // searchUint32 returns the insertion position of k in the sorted slice xs

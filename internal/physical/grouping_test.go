@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -11,9 +12,12 @@ import (
 	"dqo/internal/xrand"
 )
 
+// refState is one group's aggregates as the naive reference computes them.
+type refState struct{ Count, Sum, Min, Max int64 }
+
 // refGroup is the trivially correct reference.
-func refGroup(keys []uint32, vals []int64) map[uint32]hashtable.AggState {
-	ref := map[uint32]hashtable.AggState{}
+func refGroup(keys []uint32, vals []int64) map[uint32]refState {
+	ref := map[uint32]refState{}
 	for i, k := range keys {
 		st := ref[k]
 		var v int64
@@ -23,12 +27,7 @@ func refGroup(keys []uint32, vals []int64) map[uint32]hashtable.AggState {
 		if st.Count == 0 {
 			st.Min, st.Max = v, v
 		} else {
-			if v < st.Min {
-				st.Min = v
-			}
-			if v > st.Max {
-				st.Max = v
-			}
+			st.Min, st.Max = min(st.Min, v), max(st.Max, v)
 		}
 		st.Count++
 		st.Sum += v
@@ -37,13 +36,37 @@ func refGroup(keys []uint32, vals []int64) map[uint32]hashtable.AggState {
 	return ref
 }
 
-func checkResult(t *testing.T, label string, res *GroupResult, ref map[uint32]hashtable.AggState) {
+// stateAt reads group i of res back as a refState; an aggregate the kernel
+// was not asked for reads as the reference's value, so it compares equal.
+func stateAt(res *GroupResult, i int, want refState) refState {
+	got := refState{Count: res.Counts[i], Sum: want.Sum, Min: want.Min, Max: want.Max}
+	if len(res.Aggs) > 0 {
+		if c := res.Aggs[0]; c.Sum != nil {
+			got.Sum = c.Sum[i]
+		}
+		if c := res.Aggs[0]; c.Min != nil {
+			got.Min = c.Min[i]
+		}
+		if c := res.Aggs[0]; c.Max != nil {
+			got.Max = c.Max[i]
+		}
+	}
+	return got
+}
+
+// groupWide is Group asking for every aggregate of vals, so the kernels run
+// over the 32-byte state.
+func groupWide(kind GroupKind, keys []uint32, vals []int64, dom props.Domain, opt GroupOptions) (*GroupResult, error) {
+	return groupArgs(kind, keys, []aggArg{{vals: argVals{i64: vals}, need: needSum | needMin | needMax}}, dom, opt)
+}
+
+func checkResult(t *testing.T, label string, res *GroupResult, ref map[uint32]refState) {
 	t.Helper()
 	if len(res.Keys) != len(ref) {
 		t.Fatalf("%s: %d groups, want %d", label, len(res.Keys), len(ref))
 	}
-	if len(res.Keys) != len(res.States) {
-		t.Fatalf("%s: keys/states length mismatch", label)
+	if len(res.Keys) != len(res.Counts) {
+		t.Fatalf("%s: keys/counts length mismatch", label)
 	}
 	seen := map[uint32]bool{}
 	for i, k := range res.Keys {
@@ -55,8 +78,8 @@ func checkResult(t *testing.T, label string, res *GroupResult, ref map[uint32]ha
 		if !ok {
 			t.Fatalf("%s: unexpected group key %d", label, k)
 		}
-		if res.States[i] != want {
-			t.Fatalf("%s: key %d state %+v, want %+v", label, k, res.States[i], want)
+		if got := stateAt(res, i, want); got != want {
+			t.Fatalf("%s: key %d state %+v, want %+v", label, k, got, want)
 		}
 	}
 	if res.Sorted && !sortx.IsSortedUint32(res.Keys) {
@@ -114,11 +137,13 @@ func TestGroupAllKindsAllQuadrants(t *testing.T) {
 			if !applicable(k, q) {
 				continue
 			}
-			res, err := Group(k, keys, vals, dom, GroupOptions{})
-			if err != nil {
-				t.Fatalf("%s on %s: %v", k, q, err)
+			for _, group := range []func(GroupKind, []uint32, []int64, props.Domain, GroupOptions) (*GroupResult, error){Group, groupWide} {
+				res, err := group(k, keys, vals, dom, GroupOptions{})
+				if err != nil {
+					t.Fatalf("%s on %s: %v", k, q, err)
+				}
+				checkResult(t, k.String()+"/"+q.String(), res, ref)
 			}
-			checkResult(t, k.String()+"/"+q.String(), res, ref)
 		}
 	}
 }
@@ -244,12 +269,12 @@ func TestGroupNilValsCountsOnly(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", k, err)
 		}
+		if res.Aggs != nil {
+			t.Fatalf("%s: nil vals produced argument aggregates", k)
+		}
 		total := int64(0)
-		for _, st := range res.States {
-			total += st.Count
-			if st.Sum != 0 {
-				t.Fatalf("%s: nil vals produced nonzero sum", k)
-			}
+		for _, c := range res.Counts {
+			total += c
 		}
 		if total != 5 {
 			t.Fatalf("%s: counts sum to %d, want 5", k, total)
@@ -305,23 +330,16 @@ func TestSPHGParallelMatchesSerial(t *testing.T) {
 		vals[i] = int64(i % 13)
 	}
 	dom := domFromKeys(keys)
-	serial, err := Group(SPHG, keys, vals, dom, GroupOptions{})
+	serial, err := groupWide(SPHG, keys, vals, dom, GroupOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 3, 8} {
-		par, err := Group(SPHG, keys, vals, dom, GroupOptions{Parallel: p})
+		par, err := groupWide(SPHG, keys, vals, dom, GroupOptions{Parallel: p})
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", p, err)
 		}
-		if len(par.Keys) != len(serial.Keys) {
-			t.Fatalf("parallel=%d: group count %d vs %d", p, len(par.Keys), len(serial.Keys))
-		}
-		for i := range serial.Keys {
-			if par.Keys[i] != serial.Keys[i] || par.States[i] != serial.States[i] {
-				t.Fatalf("parallel=%d: divergence at group %d", p, i)
-			}
-		}
+		sameGroupResult(t, fmt.Sprintf("parallel=%d", p), serial, par)
 	}
 }
 
@@ -348,7 +366,7 @@ func TestGroupQuickEquivalence(t *testing.T) {
 			kinds = append(kinds, SPHG)
 		}
 		for _, k := range kinds {
-			res, err := Group(k, keys, vals, dom, GroupOptions{})
+			res, err := groupWide(k, keys, vals, dom, GroupOptions{})
 			if err != nil {
 				return false
 			}
@@ -356,7 +374,7 @@ func TestGroupQuickEquivalence(t *testing.T) {
 				return false
 			}
 			for i, key := range res.Keys {
-				if res.States[i] != ref[key] {
+				if stateAt(res, i, refState{}) != ref[key] {
 					return false
 				}
 			}

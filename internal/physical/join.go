@@ -8,6 +8,7 @@ import (
 	"dqo/internal/hashtable"
 	"dqo/internal/props"
 	"dqo/internal/sortx"
+	"dqo/internal/storage"
 )
 
 // JoinKind identifies one of the five join algorithm families — "the
@@ -79,7 +80,9 @@ type JoinOptions struct {
 
 // JoinResult holds matching row pairs: for every i, left row LeftIdx[i]
 // joins right row RightIdx[i]. SortedByKey reports whether the pairs are
-// emitted in ascending key order (true for the order-based family).
+// emitted in ascending key order (true for the order-based family). The
+// relation-level joins ask only for the side whose columns they will gather;
+// the other array is then nil.
 type JoinResult struct {
 	LeftIdx     []int32
 	RightIdx    []int32
@@ -87,19 +90,46 @@ type JoinResult struct {
 }
 
 // Len returns the number of result pairs.
-func (r *JoinResult) Len() int { return len(r.LeftIdx) }
+func (r *JoinResult) Len() int { return max(len(r.LeftIdx), len(r.RightIdx)) }
+
+// Release hands the row-id arrays back to the scratch pool they came from.
+// The caller must hold no reference into them any more: a gather copies, so
+// the relation-level joins release as soon as their output is assembled. A
+// result nobody releases is simply collected.
+func (r *JoinResult) Release() {
+	storage.PutInt32s(r.LeftIdx)
+	storage.PutInt32s(r.RightIdx)
+	r.LeftIdx, r.RightIdx = nil, nil
+}
+
+// pairSides says which row-id arrays of a JoinResult a caller wants.
+type pairSides uint8
+
+const (
+	leftRows pairSides = 1 << iota
+	rightRows
+	bothRows = leftRows | rightRows
+)
+
+// swap exchanges the roles of the two sides.
+func (s pairSides) swap() pairSides { return s>>1 | s<<1&bothRows }
 
 // Join computes the inner equi-join of two key columns using the chosen
 // algorithm. leftDom describes the left (build) key domain.
 func Join(kind JoinKind, left, right []uint32, leftDom props.Domain, opt JoinOptions) (*JoinResult, error) {
+	return joinSides(kind, left, right, leftDom, opt, bothRows)
+}
+
+// joinSides is Join producing only the row-id arrays of sides.
+func joinSides(kind JoinKind, left, right []uint32, leftDom props.Domain, opt JoinOptions, sides pairSides) (*JoinResult, error) {
 	switch kind {
 	case HJ:
 		var res *JoinResult
 		var err error
 		if opt.Parallel > 1 {
-			res, err = joinHashParallel(left, right, opt)
+			res, err = joinHashParallel(left, right, opt, sides)
 		} else {
-			res, err = joinHash(left, right, opt)
+			res, err = joinHash(left, right, opt, sides)
 		}
 		if err != nil {
 			return nil, err
@@ -107,18 +137,18 @@ func Join(kind JoinKind, left, right []uint32, leftDom props.Domain, opt JoinOpt
 		res.SortedByKey = sortx.IsSortedUint32(right) // probe-major emission
 		return res, nil
 	case SPHJ:
-		res, err := joinSPH(left, right, leftDom, opt)
+		res, err := joinSPH(left, right, leftDom, opt, sides)
 		if err != nil {
 			return nil, err
 		}
 		res.SortedByKey = sortx.IsSortedUint32(right)
 		return res, nil
 	case OJ:
-		return joinMerge(left, right, opt.Ctl)
+		return joinMerge(left, right, opt.Ctl, sides)
 	case SOJ:
-		return joinSortMerge(left, right, opt)
+		return joinSortMerge(left, right, opt, sides)
 	case BSJ:
-		res, err := joinBinarySearch(left, right, opt)
+		res, err := joinBinarySearch(left, right, opt, sides)
 		if err != nil {
 			return nil, err
 		}
@@ -135,7 +165,8 @@ func Join(kind JoinKind, left, right []uint32, leftDom props.Domain, opt JoinOpt
 // keys[0], keys[1], …; FillBatch writes the pairs — per key, in order, its
 // build rows in the index's emission order to build and the probe row
 // first+i to probe — from index 0 of slices that have room for
-// CountBatch(keys), and returns how many it wrote.
+// CountBatch(keys), and returns how many there are. A nil build or probe is
+// a side the caller does not want: it is not written.
 type RowIndex interface {
 	CountBatch(keys []uint32) int
 	FillBatch(keys []uint32, first int32, build, probe []int32) int
@@ -162,9 +193,16 @@ func (p perKey) CountBatch(keys []uint32) int {
 func (p perKey) FillBatch(keys []uint32, first int32, build, probe []int32) int {
 	n := 0
 	for i, k := range keys {
-		c := p.idx.Fill(k, build[n:])
-		for j := n; j < n+c; j++ {
-			probe[j] = first + int32(i)
+		var c int
+		if build != nil {
+			c = p.idx.Fill(k, build[n:])
+		} else {
+			c = p.idx.Count(k)
+		}
+		if probe != nil {
+			for j := n; j < n+c; j++ {
+				probe[j] = first + int32(i)
+			}
 		}
 		n += c
 	}
@@ -179,8 +217,11 @@ func (p perKey) FillBatch(keys []uint32, first int32, build, probe []int32) int 
 // them. With workers > 1 both passes run over contiguous probe chunks that
 // write disjoint windows of the same arrays, so the result is identical at
 // any worker count. Cancellation is polled every checkEvery rows of both
-// passes.
-func probePairs(idx RowIndex, probe []uint32, workers int, rv *resv) (*JoinResult, error) {
+// passes. The arrays come from the storage scratch pool (JoinResult.Release
+// returns them), and only those of sides — the build rows are the left — are
+// taken at all; the reservation covers both either way, so what a join may
+// hold does not depend on the columns its consumer reads.
+func probePairs(idx RowIndex, probe []uint32, workers int, rv *resv, sides pairSides) (*JoinResult, error) {
 	if len(probe) < minParallelChunk || workers < 1 {
 		workers = 1
 	}
@@ -206,17 +247,31 @@ func probePairs(idx RowIndex, probe []uint32, workers int, rv *resv) (*JoinResul
 	if err := rv.add(int64(total) * 8); err != nil {
 		return nil, err
 	}
-	res := &JoinResult{LeftIdx: make([]int32, total), RightIdx: make([]int32, total)}
+	res := &JoinResult{}
+	if sides&leftRows != 0 {
+		res.LeftIdx = storage.GetInt32s(total)[:total]
+	}
+	if sides&rightRows != 0 {
+		res.RightIdx = storage.GetInt32s(total)[:total]
+	}
+	// tail is xs from o on, and stays nil for the side that was not taken.
+	tail := func(xs []int32, o int) []int32 {
+		if xs == nil {
+			return nil
+		}
+		return xs[o:]
+	}
 	err = forChunks(len(probe), chunk, func(c, lo, hi int) error {
 		for o := offs[c]; lo < hi; lo += checkEvery {
 			if err := rv.ctl.Err(); err != nil {
 				return err
 			}
-			o += idx.FillBatch(probe[lo:min(lo+checkEvery, hi)], int32(lo), res.LeftIdx[o:], res.RightIdx[o:])
+			o += idx.FillBatch(probe[lo:min(lo+checkEvery, hi)], int32(lo), tail(res.LeftIdx, o), tail(res.RightIdx, o))
 		}
 		return nil
 	})
 	if err != nil {
+		res.Release()
 		return nil, err
 	}
 	return res, nil
@@ -256,7 +311,7 @@ func forChunks(n, chunk int, fn func(c, lo, hi int) error) error {
 
 // joinHash is HJ: build-once multimap on left, probe with right. The table
 // is reserved before it is built and the pair arrays before they are filled.
-func joinHash(left, right []uint32, opt JoinOptions) (*JoinResult, error) {
+func joinHash(left, right []uint32, opt JoinOptions, sides pairSides) (*JoinResult, error) {
 	rv := resv{ctl: opt.Ctl}
 	defer rv.release()
 	if err := rv.add(hashtable.MultiBytes(len(left))); err != nil {
@@ -266,13 +321,13 @@ func joinHash(left, right []uint32, opt JoinOptions) (*JoinResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return probePairs(m, right, 1, &rv)
+	return probePairs(m, right, 1, &rv, sides)
 }
 
 // joinSPH is SPHJ: left keys, offset by the domain minimum, index a dense
 // directory directly, so a probe is a single array access. The build is
 // serial; with opt.Parallel > 1 the probe runs over contiguous right chunks.
-func joinSPH(left, right []uint32, leftDom props.Domain, opt JoinOptions) (*JoinResult, error) {
+func joinSPH(left, right []uint32, leftDom props.Domain, opt JoinOptions, sides pairSides) (*JoinResult, error) {
 	lo64, hi64, ok := leftDom.DenseDomain()
 	if !ok {
 		return nil, fmt.Errorf("physical: SPHJ requires a known dense left key domain, have %+v", leftDom)
@@ -290,12 +345,12 @@ func joinSPH(left, right []uint32, leftDom props.Domain, opt JoinOptions) (*Join
 	if err != nil {
 		return nil, err
 	}
-	return probePairs(d, right, opt.Parallel, &rv)
+	return probePairs(d, right, opt.Parallel, &rv, sides)
 }
 
 // joinMerge is OJ: classic sort-merge join over two sorted inputs, with full
 // duplicate-block handling. Fails fast if either input is unsorted.
-func joinMerge(left, right []uint32, ctl *govern.Ctl) (*JoinResult, error) {
+func joinMerge(left, right []uint32, ctl *govern.Ctl, sides pairSides) (*JoinResult, error) {
 	if !sortx.IsSortedUint32(left) {
 		return nil, fmt.Errorf("physical: OJ requires sorted left input")
 	}
@@ -316,8 +371,12 @@ func joinMerge(left, right []uint32, ctl *govern.Ctl) (*JoinResult, error) {
 			}
 		}
 		emitted++
-		res.LeftIdx = append(res.LeftIdx, li)
-		res.RightIdx = append(res.RightIdx, ri)
+		if sides&leftRows != 0 {
+			res.LeftIdx = append(res.LeftIdx, li)
+		}
+		if sides&rightRows != 0 {
+			res.RightIdx = append(res.RightIdx, ri)
+		}
 		return nil
 	})
 	if err != nil {
@@ -363,7 +422,7 @@ func mergePairsErr(left, right []uint32, emit func(li, ri int32) error) error {
 // row indexes back through the permutations. With opt.Parallel > 1 the two
 // argsorts run as parallel stable runs + merges (identical permutations to
 // the serial sorts); the merge itself stays serial.
-func joinSortMerge(left, right []uint32, opt JoinOptions) (*JoinResult, error) {
+func joinSortMerge(left, right []uint32, opt JoinOptions, sides pairSides) (*JoinResult, error) {
 	rv := resv{ctl: opt.Ctl}
 	defer rv.release()
 	// Permutations plus sorted copies: 8 bytes per row on each side (doubled
@@ -416,8 +475,12 @@ func joinSortMerge(left, right []uint32, opt JoinOptions) (*JoinResult, error) {
 			}
 		}
 		emitted++
-		res.LeftIdx = append(res.LeftIdx, lperm[li])
-		res.RightIdx = append(res.RightIdx, rperm[ri])
+		if sides&leftRows != 0 {
+			res.LeftIdx = append(res.LeftIdx, lperm[li])
+		}
+		if sides&rightRows != 0 {
+			res.RightIdx = append(res.RightIdx, rperm[ri])
+		}
 		return nil
 	})
 	if err != nil {
@@ -428,7 +491,7 @@ func joinSortMerge(left, right []uint32, opt JoinOptions) (*JoinResult, error) {
 
 // joinBinarySearch is BSJ: sort a directory over the left side once, then
 // binary-search it for every right key, scanning duplicate runs.
-func joinBinarySearch(left, right []uint32, opt JoinOptions) (*JoinResult, error) {
+func joinBinarySearch(left, right []uint32, opt JoinOptions, sides pairSides) (*JoinResult, error) {
 	rv := resv{ctl: opt.Ctl}
 	defer rv.release()
 	// Directory: permutation (4 B/row) plus sorted key copy (4 B/row).
@@ -442,7 +505,7 @@ func joinBinarySearch(left, right []uint32, opt JoinOptions) (*JoinResult, error
 	for i, p := range d.perm {
 		d.keys[i] = left[p]
 	}
-	return probePairs(perKey{d}, right, 1, &rv)
+	return probePairs(perKey{d}, right, 1, &rv, sides)
 }
 
 // sortedDir is BSJ's build side: the left keys in ascending order and the

@@ -113,7 +113,7 @@ func TestProbeCancelledMidCountAndMidFill(t *testing.T) {
 			mem := govern.NewBudget(0)
 			rv := resv{ctl: &govern.Ctl{Ctx: ctx, Mem: mem}}
 			idx := &cancellingIndex{RowIndex: m, cancel: cancel, atCount: at.count, atFill: at.fill}
-			_, err := probePairs(idx, probe, workers, &rv)
+			_, err := probePairs(idx, probe, workers, &rv, bothRows)
 			rv.release()
 			cancel()
 			if !errors.Is(err, qerr.ErrCancelled) || !errors.Is(err, context.Canceled) {

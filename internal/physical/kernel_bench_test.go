@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"runtime"
 	"testing"
 
 	"dqo/internal/datagen"
@@ -12,8 +13,9 @@ import (
 // BenchmarkJoinHash prices one HJ kernel call, build plus probe, at the
 // repository benchmark's Figure-5 cell size (|R| = 50 k unique sparse keys,
 // |S| = 225 k foreign keys): dup1 builds on R and probes with S, dup4.5
-// builds on S (4.5 rows per key) and probes with R. B/op is the table plus
-// the exact-size pair arrays.
+// builds on S (4.5 rows per key) and probes with R. The result is released
+// the way the relation-level joins release it once they have gathered, so
+// B/op is the table: the pair arrays come back out of the scratch pool.
 func BenchmarkJoinHash(b *testing.B) {
 	r, s := datagen.FKPair(42, datagen.FKConfig{RRows: 50000, SRows: 225000, AGroups: 50000})
 	id, rid := r.MustColumn("ID").Uint32s(), s.MustColumn("R_ID").Uint32s()
@@ -28,34 +30,88 @@ func BenchmarkJoinHash(b *testing.B) {
 				if err != nil || res.Len() != len(rid) {
 					b.Fatalf("pairs = %d, err = %v", res.Len(), err)
 				}
+				res.Release()
 			}
 		})
 	}
 }
 
+// groupBenchCases are the grouping kernels the deep plans use, each on the
+// Figure-4 quadrant it is chosen for (BSG on the one where its sorted
+// output is all it has to offer): 300 k rows in 20 k groups.
+var groupBenchCases = []struct {
+	kind GroupKind
+	q    datagen.Quadrant
+}{
+	{HG, datagen.Quadrant{Sorted: false, Dense: false}},
+	{SPHG, datagen.Quadrant{Sorted: false, Dense: true}},
+	{OG, datagen.Quadrant{Sorted: true, Dense: false}},
+	{BSG, datagen.Quadrant{Sorted: false, Dense: false}},
+}
+
 // BenchmarkGroupByRelCountSum prices the Figure-4 query's breaker —
-// COUNT(*) and SUM(V) over 300 k rows in 20 k groups — for the three
-// grouping kernels the deep plans use, each on the quadrant it is chosen
-// for. Both aggregates come out of one kernel pass.
+// COUNT(*) and SUM(V) over 300 k rows in 20 k groups, both out of one kernel
+// pass over the 16-byte state — and, as <kind>/MinMax, the same statement
+// with MIN(V) and MAX(V) added, which selects the 32-byte state.
 func BenchmarkGroupByRelCountSum(b *testing.B) {
-	aggs := []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "val"}}
-	for _, c := range []struct {
-		kind GroupKind
-		q    datagen.Quadrant
-	}{
-		{HG, datagen.Quadrant{Sorted: false, Dense: false}},
-		{SPHG, datagen.Quadrant{Sorted: false, Dense: true}},
-		{OG, datagen.Quadrant{Sorted: true, Dense: false}},
-	} {
+	countSum := []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "val"}}
+	minMax := append(countSum[:2:2], expr.AggSpec{Func: expr.AggMin, Col: "val"}, expr.AggSpec{Func: expr.AggMax, Col: "val"})
+	for _, c := range groupBenchCases {
 		rel := datagen.GroupingRelation(42, 300000, 20000, c.q)
+		for _, v := range []struct {
+			name string
+			aggs []expr.AggSpec
+		}{{c.kind.String(), countSum}, {c.kind.String() + "/MinMax", minMax}} {
+			b.Run(v.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					out, err := GroupByRel(rel, "key", v.aggs, c.kind, GroupOptions{})
+					if err != nil || out.NumRows() != 20000 {
+						b.Fatalf("groups = %v, err = %v", out, err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkGroupKernel prices Group alone — key resolution plus COUNT and
+// SUM maintenance, no relation around it — in ns/row, the unit of
+// cost.Calibrated's per-row constants.
+func BenchmarkGroupKernel(b *testing.B) {
+	for _, c := range groupBenchCases[:3] {
+		rel := datagen.GroupingRelation(42, 300000, 20000, c.q)
+		keys, vals, dom := rel.MustColumn("key").Uint32s(), rel.MustColumn("val").Int64s(), domainOf(rel, "key")
 		b.Run(c.kind.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out, err := GroupByRel(rel, "key", aggs, c.kind, GroupOptions{})
-				if err != nil || out.NumRows() != 20000 {
-					b.Fatalf("groups = %v, err = %v", out, err)
+				res, err := Group(c.kind, keys, vals, dom, GroupOptions{})
+				if err != nil || len(res.Keys) != 20000 {
+					b.Fatalf("err = %v", err)
 				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(keys)), "ns/row")
 		})
+	}
+}
+
+// TestGroupHashAllocBound is the B/op guard of the Figure-4 HG breaker: a
+// directory sized once and 16-byte states keep one GROUP BY over 300 k rows
+// in 20 k groups under 1.5 MB (5.4 MB when the arena grew by append around
+// 40-byte entries).
+func TestGroupHashAllocBound(t *testing.T) {
+	rel := datagen.GroupingRelation(42, 300000, 20000, datagen.Quadrant{})
+	aggs := []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "val"}}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := GroupByRel(rel, "key", aggs, HG, GroupOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 1500000 {
+		t.Fatalf("HG GROUP BY allocates %d B/op, want at most 1.5 MB", got)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"dqo/internal/govern"
 	"dqo/internal/hashtable"
 	"dqo/internal/props"
-	"dqo/internal/sortx"
 )
 
 // Parallel kernel variants. Every one of them is DOP-invariant: its output is
@@ -22,104 +21,83 @@ const minParallelChunk = 1 << 12
 
 // groupHashParallel is HG with a parallel load: per-chunk chained tables are
 // built concurrently over contiguous input chunks, then merged sequentially
-// in chunk order via AddState into one table.
+// in chunk order into one table: each partial's keys are resolved in the
+// merged table and its states folded into the groups they resolve to.
 //
-// Output-order proof: a chained table's ForEach order is first-seen order.
+// Output-order proof: a chained table's iteration order is first-seen order.
 // Merging the per-chunk first-seen sequences in chunk order yields keys
 // ordered by (first chunk containing the key, first position within that
 // chunk) — which is exactly the global first-seen order, because chunks are
-// contiguous input ranges. Hence the merged arena order equals the serial
-// table's arena order, and the result matches groupHash exactly.
+// contiguous input ranges. Hence the merged table's ids equal the serial
+// table's, and the result matches groupHash exactly.
 //
 // Only the Chained scheme has a content-deterministic iteration order (open
 // addressing slot order depends on insertion history), so other schemes fall
 // back to the serial kernel.
-func groupHashParallel(keys []uint32, vals []int64, dom props.Domain, opt GroupOptions) (*GroupResult, error) {
+func groupHashParallel(keys []uint32, args []aggArg, dom props.Domain, opt GroupOptions) (*GroupResult, error) {
 	workers := opt.Parallel
 	if max := len(keys) / minParallelChunk; workers > max {
 		workers = max
 	}
 	if workers <= 1 || opt.Scheme != hashtable.Chained {
-		return groupHash(keys, vals, dom, opt)
+		return groupHash(keys, args, dom, opt)
 	}
 	chunk := (len(keys) + workers - 1) / workers
 	nChunks := (len(keys) + chunk - 1) / chunk
-	parts := make([]hashtable.AggTable, nChunks)
+	type partial struct {
+		tab hashtable.GroupTable
+		st  *groupStates
+	}
+	parts := make([]partial, nChunks)
 	// Each worker charges its own partial table against the shared budget;
 	// the reservations are kept until the merged table is built, because the
 	// partials stay live that long.
 	held := make([]int64, nChunks)
-	errs := make([]error, nChunks)
-	var box govern.PanicBox
-	var wg sync.WaitGroup
-	for c := 0; c < nChunks; c++ {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > len(keys) {
-			hi = len(keys)
-		}
-		wg.Add(1)
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			defer box.Guard()
-			rv := resv{ctl: opt.Ctl}
-			tab := hashtable.NewAgg(opt.Scheme, opt.Hash, 0)
-			if err := loadAgg(tab, keys[lo:hi], valsWindow(vals, lo, hi), &rv); err != nil {
-				errs[c] = err
-				rv.release()
-				return
-			}
-			parts[c] = tab
-			held[c] = rv.held
-		}(c, lo, hi)
-	}
-	wg.Wait()
-	releaseParts := func() {
+	defer func() {
 		var total int64
 		for _, h := range held {
 			total += h
 		}
 		opt.Ctl.Release(total)
-	}
-	defer releaseParts()
-	if err := box.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	}()
+	err := forChunks(len(keys), chunk, func(c, lo, hi int) error {
+		rv := resv{ctl: opt.Ctl}
+		p := partial{hashtable.NewGroupTable(opt.Scheme, opt.Hash, 0), newGroupStates(args, 0, 0)}
+		if err := loadGroups(p.tab, p.st, keys, lo, hi, &rv); err != nil {
+			rv.release()
+			return err
 		}
+		parts[c], held[c] = p, rv.held
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	hint := 0
-	if dom.Known {
-		hint = int(dom.Distinct)
-	}
+	hint := capHint(dom, len(keys))
 	rv := resv{ctl: opt.Ctl}
 	defer rv.release()
-	tab := hashtable.NewAgg(opt.Scheme, opt.Hash, hint)
-	if err := rv.charge(tab.MemBytes()); err != nil {
+	tab := hashtable.NewGroupTable(opt.Scheme, opt.Hash, hint)
+	st := newGroupStates(args, 0, hint)
+	ids := make([]int32, groupBlock)
+	for _, p := range parts {
+		pkeys, _ := p.tab.Groups()
+		for lo := 0; lo < len(pkeys); lo += groupBlock {
+			if err := opt.Ctl.Err(); err != nil {
+				return nil, err
+			}
+			if err := rv.charge(tab.MemBytes() + st.memBytes()); err != nil {
+				return nil, err
+			}
+			blk := pkeys[lo:min(lo+groupBlock, len(pkeys))]
+			tab.Resolve(blk, ids)
+			st.merge(ids[:len(blk)], p.st, lo, tab.Len())
+		}
+	}
+	if err := rv.charge(tab.MemBytes() + st.memBytes()); err != nil {
 		return nil, err
 	}
-	for _, pt := range parts {
-		if err := opt.Ctl.Err(); err != nil {
-			return nil, err
-		}
-		pt.ForEach(tab.AddState)
-		if err := rv.charge(tab.MemBytes()); err != nil {
-			return nil, err
-		}
-	}
-	res := &GroupResult{
-		Keys:   make([]uint32, 0, tab.Len()),
-		States: make([]hashtable.AggState, 0, tab.Len()),
-	}
-	tab.ForEach(func(k uint32, st hashtable.AggState) {
-		res.Keys = append(res.Keys, k)
-		res.States = append(res.States, st)
-	})
-	res.Sorted = sortx.IsSortedUint32(res.Keys)
-	return res, nil
+	return hashResult(tab, st), nil
 }
 
 // joinPartBits sizes the radix partition directory: a few partitions per
@@ -160,10 +138,10 @@ func joinPartition(key uint32, bits uint) int {
 // ascending globally. Pairs therefore appear in (j ascending, i descending
 // per key) order — the serial order — and the output is independent of the
 // partition count.
-func joinHashParallel(left, right []uint32, opt JoinOptions) (*JoinResult, error) {
+func joinHashParallel(left, right []uint32, opt JoinOptions, sides pairSides) (*JoinResult, error) {
 	workers := opt.Parallel
 	if workers <= 1 || len(left) < minParallelChunk || len(right) < minParallelChunk {
-		return joinHash(left, right, opt)
+		return joinHash(left, right, opt, sides)
 	}
 	bits := joinPartBits(workers)
 	nPart := 1 << bits
@@ -284,7 +262,7 @@ func joinHashParallel(left, right []uint32, opt JoinOptions) (*JoinResult, error
 	if err != nil {
 		return nil, err
 	}
-	return probePairs(perKey{idx}, right, workers, &rv)
+	return probePairs(perKey{idx}, right, workers, &rv, sides)
 }
 
 // partitionedMulti is the parallel HJ's build side: one Multi per radix

@@ -2,6 +2,7 @@ package physical
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dqo/internal/hashtable"
@@ -15,17 +16,8 @@ import (
 
 func sameGroupResult(t *testing.T, label string, want, got *GroupResult) {
 	t.Helper()
-	if len(got.Keys) != len(want.Keys) {
-		t.Fatalf("%s: %d groups, want %d", label, len(got.Keys), len(want.Keys))
-	}
-	for i := range got.Keys {
-		if got.Keys[i] != want.Keys[i] || got.States[i] != want.States[i] {
-			t.Fatalf("%s: group %d = (%d,%+v), want (%d,%+v)",
-				label, i, got.Keys[i], got.States[i], want.Keys[i], want.States[i])
-		}
-	}
-	if got.Sorted != want.Sorted {
-		t.Fatalf("%s: Sorted = %v, want %v", label, got.Sorted, want.Sorted)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: result differs from the serial kernel's:\n got %+v\nwant %+v", label, got, want)
 	}
 }
 
@@ -60,14 +52,14 @@ func TestParallelGroupMatchesSerial(t *testing.T) {
 		for _, fn := range hashtable.Funcs() {
 			for _, srt := range sortx.Kinds() {
 				serialOpt := GroupOptions{Scheme: hashtable.Chained, Hash: fn, Sort: srt}
-				want, err := Group(kind, keys, vals, dom, serialOpt)
+				want, err := groupWide(kind, keys, vals, dom, serialOpt)
 				if err != nil {
 					t.Fatalf("%s serial: %v", kind, err)
 				}
 				for _, w := range []int{2, 3, 8} {
 					parOpt := serialOpt
 					parOpt.Parallel = w
-					got, err := Group(kind, keys, vals, dom, parOpt)
+					got, err := groupWide(kind, keys, vals, dom, parOpt)
 					if err != nil {
 						t.Fatalf("%s w=%d: %v", kind, w, err)
 					}
@@ -137,11 +129,11 @@ func TestParallelJoinDuplicateChains(t *testing.T) {
 	for i := range right {
 		right[i] = uint32(rng.Intn(7))
 	}
-	want, err := joinHash(left, right, JoinOptions{})
+	want, err := joinHash(left, right, JoinOptions{}, bothRows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := joinHashParallel(left, right, JoinOptions{Parallel: 4})
+	got, err := joinHashParallel(left, right, JoinOptions{Parallel: 4}, bothRows)
 	if err != nil {
 		t.Fatal(err)
 	}

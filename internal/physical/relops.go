@@ -150,10 +150,8 @@ func GroupByRelDom(rel *storage.Relation, keyCol string, aggs []expr.AggSpec, ki
 	if err != nil {
 		return nil, err
 	}
-	// All kernels order groups deterministically as a function of the key
-	// sequence, so the per-argument runs align group-by-group.
-	return groupAndAssemble(rel, keyCol, aggs, func(vals []int64) (*GroupResult, error) {
-		return Group(kind, keys, vals, dom, opt)
+	return groupAndAssemble(rel, keyCol, aggs, func(args []aggArg) (*GroupResult, error) {
+		return groupArgs(kind, keys, args, dom, opt)
 	})
 }
 
@@ -173,86 +171,69 @@ func GroupByRelBundle(rel *storage.Relation, keyCol string, aggs []expr.AggSpec,
 	if err != nil {
 		return nil, err
 	}
-	return groupAndAssemble(rel, keyCol, aggs, func(vals []int64) (*GroupResult, error) {
-		return AggregateBundle(bundle, vals, parallel), nil
+	return groupAndAssemble(rel, keyCol, aggs, func(args []aggArg) (*GroupResult, error) {
+		return aggregateBundle(bundle, args, parallel), nil
 	})
 }
 
-// groupAndAssemble runs the grouping kernel once per distinct aggregate
-// argument column, in the order the columns first appear in aggs, and
-// assembles the output relation. Every AggState carries Count, Sum, Min and
-// Max, so all aggregates over one column share its run and COUNT(*) reads
-// Count from the first run; only when no aggregate names a column does the
-// kernel run COUNT-only (vals == nil). The first run supplies the output key
-// column and its sortedness.
-func groupAndAssemble(rel *storage.Relation, keyCol string, aggs []expr.AggSpec, run func(vals []int64) (*GroupResult, error)) (*storage.Relation, error) {
+// groupAndAssemble runs the grouping kernel once over the distinct aggregate
+// argument columns, in the order the columns first appear in aggs, each with
+// the aggregates the statement needs of it, and assembles the output
+// relation. The kernel's result arrays become the output columns as they
+// are: COUNT of anything is the group's row count, SUM, MIN and MAX are the
+// argument column's arrays, and only AVG computes (sum over count).
+func groupAndAssemble(rel *storage.Relation, keyCol string, aggs []expr.AggSpec, run func(args []aggArg) (*GroupResult, error)) (*storage.Relation, error) {
+	args := make([]aggArg, 0, len(aggs))
+	argOf := func(col string) int { return slices.IndexFunc(args, func(a aggArg) bool { return a.col == col }) }
 	for _, a := range aggs {
 		if err := a.Validate(); err != nil {
 			return nil, err
 		}
-	}
-	type argRun struct {
-		col string
-		res *GroupResult
-	}
-	var runs []argRun
-	runOf := func(col string) *GroupResult {
-		for _, r := range runs {
-			if r.col == col {
-				return r.res
-			}
-		}
-		return nil
-	}
-	for _, a := range aggs {
-		if a.Col == "" || runOf(a.Col) != nil {
+		if a.Col == "" {
 			continue
 		}
-		vals, err := aggArgument(rel, a.Col)
-		if err != nil {
-			return nil, err
+		at := argOf(a.Col)
+		if at < 0 {
+			vals, err := aggArgument(rel, a.Col)
+			if err != nil {
+				return nil, err
+			}
+			at, args = len(args), append(args, aggArg{col: a.Col, vals: vals})
 		}
-		res, err := run(vals)
-		if err != nil {
-			return nil, err
+		switch a.Func {
+		case expr.AggSum, expr.AggAvg:
+			args[at].need |= needSum
+		case expr.AggMin:
+			args[at].need |= needMin
+		case expr.AggMax:
+			args[at].need |= needMax
 		}
-		if len(runs) > 0 && len(res.Keys) != len(runs[0].res.Keys) {
-			return nil, fmt.Errorf("physical: internal error: kernel runs disagree on group count")
-		}
-		runs = append(runs, argRun{a.Col, res})
 	}
-	if len(runs) == 0 {
-		res, err := run(nil)
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, argRun{"", res})
+	// COUNT(col) reads the row count: a column of which nothing else is
+	// asked is validated above and then not handed to the kernel.
+	args = slices.DeleteFunc(args, func(a aggArg) bool { return a.need == 0 })
+	res, err := run(args)
+	if err != nil {
+		return nil, err
 	}
-	first := runs[0].res
 
-	// Assemble the output relation.
 	keySrc, _ := rel.Column(keyCol)
 	outCols := make([]*storage.Column, 0, 1+len(aggs))
-	outKeys := first.Keys
 	var keyOut *storage.Column
 	if keySrc.Kind() == storage.KindString {
-		keyOut = storage.NewStringCodes(keyCol, outKeys, keySrc.Dict())
+		keyOut = storage.NewStringCodes(keyCol, res.Keys, keySrc.Dict())
 	} else {
-		keyOut = storage.NewUint32(keyCol, outKeys)
+		keyOut = storage.NewUint32(keyCol, res.Keys)
 	}
 	// Ground-truth stats for the output key column: one row per distinct
-	// key; sortedness per the kernel; domain inherited.
-	g := len(outKeys)
-	kst := storage.Stats{Rows: g, Distinct: g, Sorted: first.Sorted, Exact: true}
+	// key; sortedness per the kernel; domain inherited. A sorted output has
+	// its extremes at its ends.
+	g := len(res.Keys)
+	kst := storage.Stats{Rows: g, Distinct: g, Sorted: res.Sorted, Exact: true}
 	if g > 0 {
-		mn, mx := outKeys[0], outKeys[0]
-		for _, k := range outKeys {
-			if k < mn {
-				mn = k
-			}
-			if k > mx {
-				mx = k
-			}
+		mn, mx := res.Keys[0], res.Keys[g-1]
+		if !res.Sorted {
+			mn, mx = slices.Min(res.Keys), slices.Max(res.Keys)
 		}
 		kst.Min, kst.Max = uint64(mn), uint64(mx)
 		kst.Dense = uint64(g) == kst.Max-kst.Min+1
@@ -262,54 +243,53 @@ func groupAndAssemble(rel *storage.Relation, keyCol string, aggs []expr.AggSpec,
 	keyOut.SetStats(kst)
 	outCols = append(outCols, keyOut)
 
-	for _, a := range aggs {
-		res := first
-		if a.Col != "" {
-			res = runOf(a.Col)
-		}
-		if a.Integral() {
-			vals := make([]int64, g)
-			for i, st := range res.States {
-				vals[i], _, _ = a.FromState(st)
+	for i, a := range aggs {
+		var vals []int64
+		switch a.Func {
+		case expr.AggCount:
+			vals = res.Counts
+		case expr.AggSum:
+			vals = res.Aggs[argOf(a.Col)].Sum
+		case expr.AggMin:
+			vals = res.Aggs[argOf(a.Col)].Min
+		case expr.AggMax:
+			vals = res.Aggs[argOf(a.Col)].Max
+		case expr.AggAvg:
+			avg := make([]float64, g)
+			for j, sum := range res.Aggs[argOf(a.Col)].Sum {
+				avg[j] = float64(sum) / float64(res.Counts[j])
 			}
-			outCols = append(outCols, storage.NewInt64(a.OutName(), vals))
-		} else {
-			vals := make([]float64, g)
-			for i, st := range res.States {
-				_, vals[i], _ = a.FromState(st)
-			}
-			outCols = append(outCols, storage.NewFloat64(a.OutName(), vals))
+			outCols = append(outCols, storage.NewFloat64(a.OutName(), avg))
+			continue
 		}
+		// A result array an earlier aggregate already reads (COUNT(*) and
+		// COUNT(v), SUM(v) twice) backs that one's column; this one copies.
+		if slices.ContainsFunc(aggs[:i], func(b expr.AggSpec) bool {
+			return b.Func == a.Func && (b.Col == a.Col || a.Func == expr.AggCount)
+		}) {
+			vals = slices.Clone(vals)
+		}
+		outCols = append(outCols, storage.NewInt64(a.OutName(), vals))
 	}
 	return storage.NewRelation(rel.Name()+"_grouped", outCols...)
 }
 
-// aggArgument returns an aggregate argument column as int64 values: the
-// backing slice of an int64 column, a widened copy of an unsigned one.
-func aggArgument(rel *storage.Relation, col string) ([]int64, error) {
+// aggArgument returns an aggregate argument column as a view the kernels
+// read int64 values through: no copy, whatever the column's integer kind.
+func aggArgument(rel *storage.Relation, col string) (argVals, error) {
 	c, ok := rel.Column(col)
 	if !ok {
-		return nil, fmt.Errorf("physical: aggregate argument column %q not found", col)
+		return argVals{}, fmt.Errorf("physical: aggregate argument column %q not found", col)
 	}
 	switch c.Kind() {
 	case storage.KindInt64:
-		return c.Int64s(), nil
+		return argVals{i64: c.Int64s()}, nil
 	case storage.KindUint32:
-		u := c.Uint32s()
-		vals := make([]int64, len(u))
-		for i, v := range u {
-			vals[i] = int64(v)
-		}
-		return vals, nil
+		return argVals{u32: c.Uint32s()}, nil
 	case storage.KindUint64:
-		u := c.Uint64s()
-		vals := make([]int64, len(u))
-		for i, v := range u {
-			vals[i] = int64(v)
-		}
-		return vals, nil
+		return argVals{u64: c.Uint64s()}, nil
 	default:
-		return nil, fmt.Errorf("physical: cannot aggregate %s column %q", c.Kind(), col)
+		return argVals{}, fmt.Errorf("physical: cannot aggregate %s column %q", c.Kind(), col)
 	}
 }
 
@@ -348,12 +328,16 @@ func joinRelImpl(left, right *storage.Relation, leftKey, rightKey string, kind J
 	if err != nil {
 		return nil, err
 	}
+	out, err := newJoinOutput(left, right, cols)
+	if err != nil {
+		return nil, err
+	}
 	var res *JoinResult
 	if swapped {
 		if !dom.Known {
 			dom = domainOf(right, rightKey)
 		}
-		inner, err := Join(kind, rk, lk, dom, opt)
+		inner, err := joinSides(kind, rk, lk, dom, opt, out.sides().swap())
 		if err != nil {
 			return nil, err
 		}
@@ -362,15 +346,22 @@ func joinRelImpl(left, right *storage.Relation, leftKey, rightKey string, kind J
 		if !dom.Known {
 			dom = domainOf(left, leftKey)
 		}
-		res, err = Join(kind, lk, rk, dom, opt)
+		res, err = joinSides(kind, lk, rk, dom, opt, out.sides())
 		if err != nil {
 			return nil, err
 		}
 	}
-	if res.SortedByKey && !gatherSorted(lk, res.LeftIdx) {
+	defer res.Release() // the gather below copies; nothing aliases the row ids after it
+	// Matching rows hold equal keys, so whichever side's row ids were kept
+	// shows the order of the output's key.
+	keys, idx := lk, res.LeftIdx
+	if idx == nil {
+		keys, idx = rk, res.RightIdx
+	}
+	if res.SortedByKey && !gatherSorted(keys, idx) {
 		return nil, fmt.Errorf("physical: join claimed sorted output but key column is not sorted")
 	}
-	return assembleJoin(left, right, res, cols, opt.Parallel)
+	return out.assemble(res, opt.Parallel)
 }
 
 // JoinRelIndex joins left and right through a prebuilt index on the left
@@ -381,13 +372,18 @@ func JoinRelIndex(left, right *storage.Relation, rightKey string, idx RowIndex, 
 	if err != nil {
 		return nil, err
 	}
-	rv := resv{ctl: opt.Ctl}
-	defer rv.release()
-	res, err := probePairs(idx, rk, 1, &rv)
+	out, err := newJoinOutput(left, right, cols)
 	if err != nil {
 		return nil, err
 	}
-	return assembleJoin(left, right, res, cols, 1)
+	rv := resv{ctl: opt.Ctl}
+	defer rv.release()
+	res, err := probePairs(idx, rk, 1, &rv, out.sides())
+	if err != nil {
+		return nil, err
+	}
+	defer res.Release()
+	return out.assemble(res, 1)
 }
 
 // gatherSorted reports whether keys[idx[0]], keys[idx[1]], ... is
@@ -402,13 +398,20 @@ func gatherSorted(keys []uint32, idx []int32) bool {
 	return true
 }
 
-// assembleJoin materialises a join's output from its matching row pairs —
-// the one place every join breaker (in-memory, spill twin, AV index) builds
-// its result. The schema is the left columns followed by the right columns,
-// a right column whose name clashes suffixed "_r"; names are decided on the
-// full inputs, then a non-nil cols keeps only the output columns it names,
-// and only the kept columns are gathered.
-func assembleJoin(left, right *storage.Relation, res *JoinResult, cols []string, workers int) (*storage.Relation, error) {
+// joinOutput is the output schema of a join — the one every join breaker
+// (in-memory, spill twin, AV index) builds its result through. The schema is
+// the left columns followed by the right columns, a right column whose name
+// clashes suffixed "_r"; names are decided on the full inputs, then a
+// non-nil cols keeps only the output columns it names. It is decided before
+// the join runs, so that a side none of whose columns is kept gets no row-id
+// array at all.
+type joinOutput struct {
+	name         string
+	lproj, rproj *storage.Relation // the kept columns of each side
+	rout         []string          // output names of rproj's columns
+}
+
+func newJoinOutput(left, right *storage.Relation, cols []string) (*joinOutput, error) {
 	keep := func(name string) bool { return cols == nil || slices.Contains(cols, name) }
 	used := make(map[string]bool, left.NumCols()+right.NumCols())
 	var lsrc, rsrc, rout []string
@@ -440,10 +443,32 @@ func assembleJoin(left, right *storage.Relation, res *JoinResult, cols []string,
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*storage.Column, 0, len(lsrc)+len(rsrc))
-	out = append(out, lproj.GatherPar(res.LeftIdx, workers).Columns()...)
-	for i, c := range rproj.GatherPar(res.RightIdx, workers).Columns() {
-		out = append(out, c.Rename(rout[i]))
+	return &joinOutput{name: left.Name() + "_join_" + right.Name(), lproj: lproj, rproj: rproj, rout: rout}, nil
+}
+
+// sides reports which inputs' rows the output gathers.
+func (o *joinOutput) sides() pairSides {
+	var s pairSides
+	if o.lproj.NumCols() > 0 {
+		s |= leftRows
 	}
-	return storage.NewRelation(left.Name()+"_join_"+right.Name(), out...)
+	if o.rproj.NumCols() > 0 {
+		s |= rightRows
+	}
+	return s
+}
+
+// assemble materialises the output from the join's matching row pairs: only
+// the kept columns are gathered.
+func (o *joinOutput) assemble(res *JoinResult, workers int) (*storage.Relation, error) {
+	out := make([]*storage.Column, 0, o.lproj.NumCols()+o.rproj.NumCols())
+	if o.lproj.NumCols() > 0 {
+		out = append(out, o.lproj.GatherPar(res.LeftIdx, workers).Columns()...)
+	}
+	if o.rproj.NumCols() > 0 {
+		for i, c := range o.rproj.GatherPar(res.RightIdx, workers).Columns() {
+			out = append(out, c.Rename(o.rout[i]))
+		}
+	}
+	return storage.NewRelation(o.name, out...)
 }

@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"strings"
 	"testing"
 
 	"dqo/internal/datagen"
@@ -371,11 +372,13 @@ func TestGroupByRelBundleRunsOnGroupedInput(t *testing.T) {
 	}
 }
 
-// TestGroupByRelKernelRuns: the grouping kernel runs once per distinct
-// aggregate argument column, in the order the columns first appear —
-// COUNT(*) rides along on the first run, and only an argument-free aggregate
-// list runs COUNT-only — and what it assembles equals the per-aggregate
-// reference (each aggregate grouped on its own) for every kernel.
+// TestGroupByRelKernelRuns: the grouping kernel runs once per statement,
+// over the distinct aggregate argument columns in the order they first appear
+// (they share one key resolution; before the kernels kept state by need it
+// ran once per column), each with exactly the aggregates asked of it —
+// COUNT reads the row count and names no argument — and what it assembles
+// equals the per-aggregate reference (each aggregate grouped on its own) for
+// every kernel.
 func TestGroupByRelKernelRuns(t *testing.T) {
 	base := datagen.GroupingRelation(7, 6000, 40, datagen.Quadrant{Sorted: true, Dense: true})
 	w := make([]int64, base.NumRows())
@@ -391,42 +394,47 @@ func TestGroupByRelKernelRuns(t *testing.T) {
 	cases := []struct {
 		name string
 		aggs []expr.AggSpec
-		args []string // the argument column of each expected run; "" = COUNT-only
+		args string // the one run's argument columns and needs
 	}{
-		{"count+sum", []expr.AggSpec{count, agg(expr.AggSum, "v")}, []string{"v"}},
-		{"sum+min+avg", []expr.AggSpec{agg(expr.AggSum, "v"), agg(expr.AggMin, "v"), agg(expr.AggAvg, "v")}, []string{"v"}},
-		{"sum+sum", []expr.AggSpec{agg(expr.AggSum, "v"), agg(expr.AggSum, "w")}, []string{"v", "w"}},
-		{"count", []expr.AggSpec{count}, []string{""}},
-		{"count+max(w)+sum(v)+min(w)", []expr.AggSpec{count, agg(expr.AggMax, "w"), agg(expr.AggSum, "v"), agg(expr.AggMin, "w")}, []string{"w", "v"}},
+		{"count+sum", []expr.AggSpec{count, agg(expr.AggSum, "v")}, "v:sum"},
+		{"sum+min+avg", []expr.AggSpec{agg(expr.AggSum, "v"), agg(expr.AggMin, "v"), agg(expr.AggAvg, "v")}, "v:sum+min"},
+		{"sum+sum", []expr.AggSpec{agg(expr.AggSum, "v"), agg(expr.AggSum, "w")}, "v:sum w:sum"},
+		{"count", []expr.AggSpec{count}, ""},
+		{"count(v)", []expr.AggSpec{agg(expr.AggCount, "v")}, ""},
+		{"count+max(w)+sum(v)+min(w)", []expr.AggSpec{count, agg(expr.AggMax, "w"), agg(expr.AggSum, "v"), agg(expr.AggMin, "w")}, "w:min+max v:sum"},
 	}
-	argName := func(vals []int64) string {
-		switch {
-		case vals == nil:
-			return ""
-		case &vals[0] == &rel.MustColumn("v").Int64s()[0]:
-			return "v"
-		case &vals[0] == &rel.MustColumn("w").Int64s()[0]:
-			return "w"
+	describe := func(args []aggArg) string {
+		var parts []string
+		for _, a := range args {
+			name := "?"
+			switch {
+			case len(a.vals.i64) > 0 && &a.vals.i64[0] == &rel.MustColumn("v").Int64s()[0]:
+				name = "v"
+			case len(a.vals.i64) > 0 && &a.vals.i64[0] == &rel.MustColumn("w").Int64s()[0]:
+				name = "w"
+			}
+			var needs []string
+			for i, n := range []string{"sum", "min", "max"} {
+				if a.need&(1<<i) != 0 {
+					needs = append(needs, n)
+				}
+			}
+			parts = append(parts, name+":"+strings.Join(needs, "+"))
 		}
-		return "?"
+		return strings.Join(parts, " ")
 	}
 	for _, kind := range GroupKinds() {
 		for _, tc := range cases {
 			var ran []string
-			got, err := groupAndAssemble(rel, "key", tc.aggs, func(vals []int64) (*GroupResult, error) {
-				ran = append(ran, argName(vals))
-				return Group(kind, keys, vals, dom, GroupOptions{})
+			got, err := groupAndAssemble(rel, "key", tc.aggs, func(args []aggArg) (*GroupResult, error) {
+				ran = append(ran, describe(args))
+				return groupArgs(kind, keys, args, dom, GroupOptions{})
 			})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", kind, tc.name, err)
 			}
-			if len(ran) != len(tc.args) {
-				t.Fatalf("%s/%s: kernel ran over %q, want %q", kind, tc.name, ran, tc.args)
-			}
-			for i := range ran {
-				if ran[i] != tc.args[i] {
-					t.Fatalf("%s/%s: kernel ran over %q, want %q", kind, tc.name, ran, tc.args)
-				}
+			if len(ran) != 1 || ran[0] != tc.args {
+				t.Fatalf("%s/%s: kernel ran over %q, want one run over %q", kind, tc.name, ran, tc.args)
 			}
 			if got.NumCols() != 1+len(tc.aggs) {
 				t.Fatalf("%s/%s: %d output columns", kind, tc.name, got.NumCols())
@@ -440,26 +448,6 @@ func TestGroupByRelKernelRuns(t *testing.T) {
 					t.Fatalf("%s/%s: %s differs from the aggregate grouped on its own", kind, tc.name, a)
 				}
 			}
-		}
-	}
-
-	// The output key column, and the Sorted bit it publishes, come from the
-	// first aggregate's run — every time, not from whichever run a map
-	// iteration happened to visit first.
-	twoArgs := []expr.AggSpec{agg(expr.AggSum, "v"), agg(expr.AggSum, "w")}
-	for i := 0; i < 20; i++ {
-		out, err := groupAndAssemble(rel, "key", twoArgs, func(vals []int64) (*GroupResult, error) {
-			res, err := Group(HG, keys, vals, dom, GroupOptions{})
-			if err == nil {
-				res.Sorted = argName(vals) == "v"
-			}
-			return res, err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !out.MustColumn("key").Stats().Sorted {
-			t.Fatalf("iteration %d: output took its Sorted bit from the second aggregate's run", i)
 		}
 	}
 }
