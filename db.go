@@ -634,9 +634,17 @@ func (db *DB) execQuery(ctx context.Context, mode Mode, query string, cfg queryC
 		ec.SetSpill(cfg.spillDir, cfg.spillLimit)
 	}
 	ec.Counters = &db.execCounters
+	var taker *tableTaker
+	if len(stmt.Joins) > 0 && db.avs.Adopting() {
+		taker = &tableTaker{db: db, stmt: stmt}
+		ec.Tables = taker
+	}
 	t0 = time.Now()
 	rel, err := exec.Run(ec, root)
 	pt.execute = time.Since(t0)
+	if taker != nil {
+		pt.adopted = taker.adopted
+	}
 	// The profile is kept as counters; its labels are rendered if and when
 	// somebody reads them (Stats, EXPLAIN ANALYZE, a trace).
 	out := &Result{plan: res, snap: exec.Snap(root), memPeak: mem.Peak(), replans: replanEvents(rc)}
@@ -859,15 +867,76 @@ func (db *DB) MaterializeAV(kind AVKind, table, column string) error {
 	return nil
 }
 
-// DescribeAVs renders the AV catalog.
+// DescribeAVs renders the AV catalog: every view with its footprint, whether
+// it is explicit (MaterializeAV, SelectAVs) or adopted from a join (see
+// tableTaker), the keys it has been probed with and the builds it saved.
 func (db *DB) DescribeAVs() string { return db.avs.String() }
 
-// DropAVs removes every materialised AV.
+// DropAVs removes every materialised AV, explicit and adopted.
 func (db *DB) DropAVs() {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.avs = av.NewCatalog()
+	db.avs.Clear()
 	db.catalogChanged()
+}
+
+// tableTaker is the DB as the exec.TableTaker of one join statement: how the
+// engine materialises Algorithmic Views on its own. When an in-memory join
+// builds its hash table (or SPH directory) over the unfiltered scan of a
+// registered table of at least a morsel of rows, the second such build since
+// the catalog last changed is not thrown away: the table is adopted as a
+// hash-index (or SPH) view, cached plans and prepared statements re-plan once,
+// and from then on the join only probes. Adopted views may hold
+// av.DefaultBudget bytes in total; an offer that does not fit is declined and
+// nothing is evicted to make room. Views named by MaterializeAV or SelectAVs
+// are pinned and do not count. Re-registering a table drops its views, DropAVs
+// all of them.
+type tableTaker struct {
+	db      *DB
+	stmt    *sql.SelectStmt // resolves the plan's aliases, as overViews does
+	adopted []string        // the views this execution's tables became; written under db.mu
+}
+
+// OfferTable adopts a join's table as a view when the catalog's policy says
+// so. The plan names the scan by its alias; the view goes under the base
+// table the statement gave that alias, which is where the statement's next
+// plan will look for it. That the table indexes what is registered there is
+// checked, not taken from the plan: the key column it was built over must be,
+// in place, a plain column of that table now — which no filtered, decoded,
+// re-ordered or replaced input is. An offer the catalog has no use for
+// returns before the DB lock is asked for. An adoption changes what
+// statements should plan against, exactly like a Register: the catalog epoch
+// moves on.
+func (t *tableTaker) OfferTable(o exec.TableOffer) bool {
+	db := t.db
+	table := o.Table
+	if base, ok := aliasMap(t.stmt)[table]; ok {
+		table = base
+	}
+	column := strings.TrimPrefix(o.Column, o.Table+".")
+	if !db.avs.Wants(table, column, o) {
+		return false
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	rel, ok := db.tables[table]
+	if !ok {
+		return false
+	}
+	c, ok := rel.Column(column)
+	if !ok || c.Encoding() != storage.EncNone || (c.Kind() != storage.KindUint32 && c.Kind() != storage.KindString) {
+		return false
+	}
+	if data := c.Uint32s(); len(o.Keys) == 0 || len(data) != len(o.Keys) || &data[0] != &o.Keys[0] {
+		return false
+	}
+	v := db.avs.Offer(table, column, o)
+	if v == nil {
+		return false
+	}
+	db.catalogChanged()
+	t.adopted = append(t.adopted, v.Label())
+	return true
 }
 
 // SelectAVs solves the Algorithmic View Selection Problem for a workload of

@@ -66,10 +66,10 @@ func TestMaterializeHashIndexProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 	build, probe := make([]int32, 2), make([]int32, 2)
-	if n := v.CountBatch([]uint32{4, 7}); n != 2 {
+	if n := v.Serve(0).CountBatch([]uint32{4, 7}); n != 2 {
 		t.Fatalf("probe(4, 7) counts %d rows, want 2 (none for 4)", n)
 	}
-	if n := v.FillBatch([]uint32{4, 7}, 10, build, probe); n != 2 || build[0] != 2 || build[1] != 0 || probe[0] != 11 || probe[1] != 11 {
+	if n := v.Serve(0).FillBatch([]uint32{4, 7}, 10, build, probe); n != 2 || build[0] != 2 || build[1] != 0 || probe[0] != 11 || probe[1] != 11 {
 		t.Fatalf("probe(4, 7) = %d pairs, build %v probe %v, want build [2 0] probe [11 11]", n, build, probe)
 	}
 	if v.SPH() {
@@ -88,10 +88,10 @@ func TestMaterializeSPH(t *testing.T) {
 	}
 	build, probe := make([]int32, 2), make([]int32, 2)
 	keys := []uint32{9, 10, 13} // below the domain, inside, above
-	if n := v.CountBatch(keys); n != 2 {
+	if n := v.Serve(0).CountBatch(keys); n != 2 {
 		t.Fatalf("probe(9, 10, 13) counts %d rows, want 2 (only for 10)", n)
 	}
-	if n := v.FillBatch(keys, 0, build, probe); n != 2 || build[0] != 3 || build[1] != 1 || probe[0] != 1 || probe[1] != 1 {
+	if n := v.Serve(0).FillBatch(keys, 0, build, probe); n != 2 || build[0] != 3 || build[1] != 1 || probe[0] != 1 || probe[1] != 1 {
 		t.Fatalf("probe(9, 10, 13) = %d pairs, build %v probe %v, want build [3 1] probe [1 1]", n, build, probe)
 	}
 

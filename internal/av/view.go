@@ -22,6 +22,7 @@ package av
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"dqo/internal/crack"
@@ -67,10 +68,18 @@ type View struct {
 	Column    string
 	SizeBytes int64         // memory footprint of the materialisation
 	BuildTime time.Duration // offline cost actually paid
+	// Adopted marks a view nobody asked for by name: a table a join built
+	// over the whole column, offered to the catalog and kept (Catalog.Offer).
+	// Explicit views are pinned; adopted ones live under the catalog's budget.
+	Adopted bool
 
-	rel *storage.Relation // SortedProjection
-	idx physical.RowIndex // HashIndex (*hashtable.Multi), SPHDirectory (*hashtable.SPH)
-	crk *crack.Cracker    // CrackedIndex
+	rel  *storage.Relation // SortedProjection
+	idx  physical.RowIndex // HashIndex (*hashtable.Multi), SPHDirectory (*hashtable.SPH)
+	hash hashtable.Func    // HashIndex: the function idx hashes with
+	crk  *crack.Cracker    // CrackedIndex
+
+	joins  atomic.Int64 // joins served: each one a build that did not happen
+	probes atomic.Int64 // keys those joins probed with
 }
 
 // Label returns e.g. "av:sorted(R.ID)".
@@ -81,22 +90,23 @@ func (v *View) Label() string {
 // SPH reports whether the view is an SPH directory (core.PrebuiltIndex).
 func (v *View) SPH() bool { return v.Kind == SPHDirectory }
 
-// CountBatch implements core.PrebuiltIndex for HashIndex and SPHDirectory
-// views.
-func (v *View) CountBatch(keys []uint32) int { return v.index().CountBatch(keys) }
+// Hash is the function a HashIndex view hashes with (core.PrebuiltIndex).
+func (v *View) Hash() hashtable.Func { return v.hash }
 
-// FillBatch implements core.PrebuiltIndex for HashIndex and SPHDirectory
-// views.
-func (v *View) FillBatch(keys []uint32, first int32, build, probe []int32) int {
-	return v.index().FillBatch(keys, first, build, probe)
-}
-
-func (v *View) index() physical.RowIndex {
+// Serve implements core.PrebuiltIndex for HashIndex and SPHDirectory views:
+// it hands the table itself to one join and counts the join as served.
+func (v *View) Serve(probeRows int) physical.RowIndex {
 	if v.idx == nil {
 		panic(fmt.Sprintf("av: index probe on %s view", v.Kind))
 	}
+	v.joins.Add(1)
+	v.probes.Add(int64(probeRows))
 	return v.idx
 }
+
+// Served reports how many joins the view has served — builds saved — and how
+// many keys they probed it with.
+func (v *View) Served() (joins, probes int64) { return v.joins.Load(), v.probes.Load() }
 
 // Relation returns the materialised relation of a SortedProjection view.
 func (v *View) Relation() *storage.Relation {
@@ -173,7 +183,7 @@ func MaterializeHashIndex(table string, rel *storage.Relation, col string, fn ha
 		Kind: HashIndex, Table: table, Column: col,
 		SizeBytes: int64(len(keys)) * 16, // entry arena + directory estimate
 		BuildTime: time.Since(start),
-		idx:       m,
+		idx:       m, hash: fn,
 	}, nil
 }
 

@@ -57,7 +57,7 @@ func executeAdaptive(p *Plan, mode Mode, rep *AdaptiveReport) (*storage.Relation
 			if err != nil {
 				return nil, err
 			}
-			return p.runJoin(left, right, p.Join.Opt, nil)
+			return p.runJoin(nil, left, right, p.Join.Opt, nil)
 		default:
 			in, err := executeAdaptive(p.Children[0], mode, rep)
 			if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"dqo/internal/hashtable"
 	"dqo/internal/physical"
 	"dqo/internal/storage"
 )
@@ -35,14 +36,17 @@ type ScanProvider interface {
 // PrebuiltIndex is a materialised build side of a join: probing it yields
 // the base-table row ids holding the key.
 type PrebuiltIndex interface {
-	// CountBatch and FillBatch report how many rows of the indexed table
-	// hold each probed key, and which.
-	physical.RowIndex
+	// Serve hands out the table itself for one join that probes it with
+	// probeRows keys — the concrete table, so that the probe finds every fast
+	// path it offers. The table is shared and never written.
+	Serve(probeRows int) physical.RowIndex
 	// Label describes the index, e.g. "av:sph(R.ID)".
 	Label() string
 	// SPH reports whether the index is a static-perfect-hash directory
 	// (costed like SPHJ) rather than a hash index (costed like HJ).
 	SPH() bool
+	// Hash is the function a hash index hashes with.
+	Hash() hashtable.Func
 }
 
 // IndexProvider supplies prebuilt join indexes per (table, column).

@@ -216,7 +216,7 @@ func compileNode(p *Plan, rc *ReoptConfig, need []string) (exec.Operator, error)
 				o.Parallel = ec.EffectiveDOP(o.Parallel)
 			}
 			o.Ctl = ec.Ctl()
-			return node.runJoin(l, r, o, cols)
+			return node.runJoin(ec, l, r, o, cols)
 		}
 		var b *exec.Breaker2
 		if rc != nil && p.Index == nil {

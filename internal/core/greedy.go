@@ -347,37 +347,14 @@ func (o *optimizer) greedyJoin(n *logical.Join) (*Plan, error) {
 	}
 	setJoinFootprint(p, lp, rp, cost.MemJoin(ch, build.Rows, probe.Rows, buildDistinct, rows))
 
-	// AV-backed join: a prebuilt index on the left base scan's join key
-	// prepaid the build phase — one probe decides whether the probe-only
-	// cost beats the greedy pick.
-	if o.mode.Indexes != nil {
-		if scan, ok := n.Left.(*logical.Scan); ok {
-			if idx, have := o.mode.Indexes.Index(scan.Table, n.LeftKey); have {
-				leftDistinct := o.estimator().ColDistinct(scan, n.LeftKey)
-				base := o.greedyScan(scan, "")
-				akind := physical.HJ
-				if idx.SPH() {
-					akind = physical.SPHJ
-				}
-				ach := physio.JoinChoice{
-					Kind: akind,
-					Tree: physio.JoinTree(akind, physical.JoinOptions{}, n.LeftKey, n.RightKey),
-				}
-				o.stats.Alternatives++
-				ap := &Plan{
-					Op: OpJoin, Children: []*Plan{base, rp},
-					Join: ach, LeftKey: n.LeftKey, RightKey: n.RightKey,
-					AV: idx.Label(), Index: idx,
-					KeyDom: base.Props.Domain(n.LeftKey),
-					Props:  o.restrict(o.joinOutProps(ach, base.Props, rp.Props, n.LeftKey, n.RightKey)),
-					Rows:   rows,
-					Cost:   base.Cost + rp.Cost + o.mode.Model.Join(ach, 0, rp.Rows, leftDistinct),
-				}
-				setJoinFootprint(ap, base, rp, cost.MemJoin(ach, 0, rp.Rows, leftDistinct, rows))
-				if ap.Cost < p.Cost {
-					p = ap
-				}
-			}
+	// AV-backed join: a prebuilt index on either base scan's join key
+	// prepaid the build phase — one probe each decides whether the
+	// probe-only cost beats the greedy pick.
+	for _, ap := range o.indexedJoins(n, rows, []*Plan{lp}, []*Plan{rp}, func(scan *logical.Scan) *Plan {
+		return o.greedyScan(scan, "")
+	}) {
+		if ap.Cost < p.Cost {
+			p = ap
 		}
 	}
 	return o.greedyDegrade(p), nil

@@ -759,51 +759,79 @@ func (o *optimizer) optimizeJoin(n *logical.Join) ([]*Plan, error) {
 			}
 		}
 	}
-	// AV-backed joins: if the left input is the bare base scan of a table
-	// with a prebuilt index on the join key, the build phase was paid
-	// offline and only the probe side is charged.
-	if o.mode.Indexes != nil {
-		if scan, ok := n.Left.(*logical.Scan); ok {
-			if idx, have := o.mode.Indexes.Index(scan.Table, n.LeftKey); have {
-				base := &Plan{
-					Op: OpScan, Table: scan.Table, Rel: scan.Rel,
-					Props: o.scanPropsOf(scan.Rel),
-					Rows:  o.estimator().Estimate(scan),
-					Cost:  o.mode.Model.Scan(o.estimator().Estimate(scan)),
-				}
-				setFootprint(base)
-				kind := physical.HJ
-				if idx.SPH() {
-					kind = physical.SPHJ
-				}
-				ch := physio.JoinChoice{
-					Kind: kind,
-					Tree: physio.JoinTree(kind, physical.JoinOptions{}, n.LeftKey, n.RightKey),
-				}
-				for _, rp := range rights {
-					o.stats.Alternatives++
-					outProps := o.joinOutProps(ch, base.Props, rp.Props, n.LeftKey, n.RightKey)
-					ap := &Plan{
-						Op: OpJoin, Children: []*Plan{base, rp},
-						Join: ch, LeftKey: n.LeftKey, RightKey: n.RightKey,
-						AV: idx.Label(), Index: idx,
-						KeyDom: base.Props.Domain(n.LeftKey),
-						Props:  o.restrict(outProps),
-						Rows:   rows,
-						// Build side already materialised: charge probe only.
-						Cost: base.Cost + rp.Cost + o.mode.Model.Join(ch, 0, rp.Rows, keyDistinct),
-					}
-					// Build side prepaid offline: no build working set.
-					setJoinFootprint(ap, base, rp, cost.MemJoin(ch, 0, rp.Rows, keyDistinct, rows))
-					out = append(out, ap)
-				}
-			}
+	out = append(out, o.indexedJoins(n, rows, lefts, rights, func(scan *logical.Scan) *Plan {
+		base := &Plan{
+			Op: OpScan, Table: scan.Table, Rel: scan.Rel,
+			Props: o.scanPropsOf(scan.Rel),
+			Rows:  o.estimator().Estimate(scan),
+			Cost:  o.mode.Model.Scan(o.estimator().Estimate(scan)),
 		}
-	}
+		setFootprint(base)
+		return base
+	})...)
 	if len(out) == 0 {
 		return nil, fmt.Errorf("core: no applicable join implementation for %s", n)
 	}
 	return o.keepPareto(o.pruneMem(out)), nil
+}
+
+// indexedJoins enumerates the AV-backed alternatives of join n, which both
+// planning tiers consider: for either input that is the bare base scan of a
+// table with a prebuilt index on its join key, the build phase was paid
+// offline (or by an earlier execution whose table was adopted), so the join
+// is that index probed with the other input — one alternative per candidate
+// plan of the other input, charged the probe only and holding no build
+// working set. An index under the right input is the commuted join: probe
+// with the left, output in the left's order. scanPlan plans the indexed
+// table's bare scan the way the calling tier does.
+func (o *optimizer) indexedJoins(n *logical.Join, rows float64, lefts, rights []*Plan, scanPlan func(*logical.Scan) *Plan) []*Plan {
+	if o.mode.Indexes == nil {
+		return nil
+	}
+	var out []*Plan
+	for _, swapped := range []bool{false, true} {
+		buildNode, buildKey, probeKey, probes := n.Left, n.LeftKey, n.RightKey, rights
+		if swapped {
+			buildNode, buildKey, probeKey, probes = n.Right, n.RightKey, n.LeftKey, lefts
+		}
+		scan, ok := buildNode.(*logical.Scan)
+		if !ok {
+			continue
+		}
+		idx, have := o.mode.Indexes.Index(scan.Table, buildKey)
+		if !have {
+			continue
+		}
+		base := scanPlan(scan)
+		distinct := o.estimator().ColDistinct(scan, buildKey)
+		kind := physical.HJ
+		if idx.SPH() {
+			kind = physical.SPHJ
+		}
+		opt := physical.JoinOptions{Hash: idx.Hash()}
+		ch := physio.JoinChoice{Kind: kind, Opt: opt, Tree: physio.JoinTree(kind, opt, buildKey, probeKey)}
+		for _, pp := range probes {
+			o.stats.Alternatives++
+			lp, rp := base, pp
+			if swapped {
+				lp, rp = pp, base
+			}
+			ap := &Plan{
+				Op: OpJoin, Children: []*Plan{lp, rp},
+				Join: ch, LeftKey: n.LeftKey, RightKey: n.RightKey, Swapped: swapped,
+				AV: idx.Label(), Index: idx,
+				KeyDom: base.Props.Domain(buildKey),
+				Props:  o.restrict(o.joinOutProps(ch, base.Props, pp.Props, buildKey, probeKey)),
+				Rows:   rows,
+				// Build side already materialised: charge probe only.
+				Cost: base.Cost + pp.Cost + o.mode.Model.Join(ch, 0, pp.Rows, distinct),
+			}
+			// Build side prepaid: no build working set.
+			setJoinFootprint(ap, lp, rp, cost.MemJoin(ch, 0, pp.Rows, distinct, rows))
+			out = append(out, ap)
+		}
+	}
+	return out
 }
 
 // setJoinFootprint fills Width/Mem for a join alternative: both inputs

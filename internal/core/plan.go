@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 
+	"dqo/internal/exec"
 	"dqo/internal/expr"
 	"dqo/internal/physical"
 	"dqo/internal/physio"
@@ -319,7 +320,7 @@ func ExecuteBulk(p *Plan) (*storage.Relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		return p.runJoin(left, right, p.Join.Opt, nil)
+		return p.runJoin(nil, left, right, p.Join.Opt, nil)
 	case OpGroup:
 		in, err := ExecuteBulk(p.Children[0])
 		if err != nil {
@@ -333,18 +334,55 @@ func ExecuteBulk(p *Plan) (*storage.Relation, error) {
 
 // runJoin executes the node's join over its materialised inputs: through
 // the prebuilt index of an AV-backed join (the build phase was paid offline
-// and the left child is by construction the bare base scan), otherwise with
-// the chosen kernel in the planned build/probe roles. cols restricts the
-// output columns (see physical.JoinRelDom); nil keeps them all.
-func (p *Plan) runJoin(left, right *storage.Relation, opt physical.JoinOptions, cols []string) (*storage.Relation, error) {
+// and the build-side child is by construction the bare base scan), otherwise
+// with the chosen kernel in the planned build/probe roles. cols restricts the
+// output columns (see physical.JoinRelDom); nil keeps them all. With an
+// execution context, a join whose build may be worth keeping (offersBuild)
+// does its two steps itself and offers the table in between to the context's
+// taker; a table that is taken is kept out of the scratch pool.
+func (p *Plan) runJoin(ec *exec.ExecContext, left, right *storage.Relation, opt physical.JoinOptions, cols []string) (*storage.Relation, error) {
+	build, probe, buildKey, buildNode := left, right, p.LeftKey, p.Children[0]
+	if p.Swapped {
+		build, probe, buildKey, buildNode = right, left, p.RightKey, p.Children[1]
+	}
 	switch {
 	case p.Index != nil:
-		return physical.JoinRelIndex(left, right, p.RightKey, p.Index, opt, cols)
+		return physical.JoinRelIndex(left, right, p.LeftKey, p.RightKey, p.Join.Kind, p.Index.Serve(probe.NumRows()), p.Swapped, opt, cols)
+	case ec != nil && ec.Tables != nil && p.offersBuild(buildNode):
+		t, err := physical.BuildJoinTable(build, buildKey, p.Join.Kind, opt, p.KeyDom)
+		if err != nil {
+			return nil, err
+		}
+		defer t.Release()
+		out, err := physical.JoinRelIndex(left, right, p.LeftKey, p.RightKey, p.Join.Kind, t.Index(), p.Swapped, opt, cols)
+		if err == nil && ec.Tables.OfferTable(exec.TableOffer{
+			Table: buildNode.Table, Column: buildKey, Keys: t.Keys(), Index: t.Index(),
+			SPH: p.Join.Kind == physical.SPHJ, Hash: opt.Hash, Bytes: t.Bytes(),
+		}) {
+			t.Keep()
+		}
+		return out, err
 	case p.Swapped:
 		return physical.JoinRelDomSwapped(left, right, p.LeftKey, p.RightKey, p.Join.Kind, opt, p.KeyDom, cols)
 	default:
 		return physical.JoinRelDom(left, right, p.LeftKey, p.RightKey, p.Join.Kind, opt, p.KeyDom, cols)
 	}
+}
+
+// offersBuild reports whether the table this join builds over its child b
+// could serve as an Algorithmic View afterwards: a serial in-memory HJ or SPHJ
+// that builds, and builds over the unfiltered scan of a plain base table of at
+// least a morsel of rows — below that the build costs less than the re-plan an
+// adoption triggers. Spill twins and their partition joins never come here. Whoever
+// takes the offer checks the table against its own catalog; this only keeps
+// joins that cannot qualify from asking.
+func (p *Plan) offersBuild(b *Plan) bool {
+	if p.Index != nil || p.Spill || p.Join.Opt.Parallel > 1 ||
+		(p.Join.Kind != physical.HJ && p.Join.Kind != physical.SPHJ) {
+		return false
+	}
+	return b.Op == OpScan && b.AV == "" && b.Enc == props.NoCompression &&
+		!b.Rel.HasEncoded() && b.Rel.NumRows() >= exec.DefaultMorselSize
 }
 
 // outputColumns lists the node's output column names in order, derived

@@ -271,7 +271,7 @@ func execReplanned(ec *exec.ExecContext, p *Plan) (*storage.Relation, error) {
 			o.Parallel = ec.EffectiveDOP(o.Parallel)
 		}
 		o.Ctl = ec.Ctl()
-		return p.runJoin(kids[0], kids[1], o, nil)
+		return p.runJoin(nil, kids[0], kids[1], o, nil) // a spliced remainder keeps its builds to itself
 	default:
 		return nil, fmt.Errorf("core: cannot execute re-planned operator %v", p.Op)
 	}

@@ -71,6 +71,10 @@ type ExecContext struct {
 	// consumed at a pipeline boundary. Owned by the DB (cumulative across
 	// queries); nil disables counting at the cost of a nil check.
 	Counters *Counters
+	// Tables, when non-nil, is offered the join tables the query builds over
+	// whole base-table columns (see TableOffer); nil keeps every build
+	// private to its join.
+	Tables TableTaker
 
 	// Spill-to-disk state: operators that outgrow the memory budget write
 	// runs into a lazily created per-query spill.Dir under spillParent.

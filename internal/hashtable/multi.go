@@ -1,24 +1,35 @@
 package hashtable
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"dqo/internal/storage"
+)
 
 // Multi is a build-once multimap from uint32 keys to row identifiers, the
 // build side of hash joins. Every caller knows all its keys up front, so the
-// table is laid out by counting sort on the bucket: one pass counts rows per
-// bucket, a prefix sum turns the counts into bucket windows, and a second
-// pass scatters (key, row) pairs into one arena in which each bucket's rows
-// are contiguous. A probe reads one directory slot and then one contiguous
-// run, instead of chasing a link per match.
+// table is laid out by counting sort on the bucket: one pass hashes every key,
+// notes its bucket and counts rows per bucket, a prefix sum turns the counts
+// into bucket windows, and a second pass scatters (key, row) pairs by the
+// noted buckets into one arena in which each bucket's rows are contiguous. A
+// probe reads one directory slot and then one contiguous run, instead of
+// chasing a link per match.
 //
 // Emission-order contract: Fill yields the rows of a key in reverse build
 // order (the last row built under the key comes first) — the order the
 // chained table this replaces produced, which the parallel, spill and AV
 // join twins all reproduce.
+//
+// Ownership: the directory and the arena come from the storage scratch pool.
+// Whoever built the table may Release it once no probe can be running; a
+// table that is kept (a materialised or adopted Algorithmic View) is simply
+// never released. A built table is never written.
 type Multi struct {
 	fn      Func
 	mask    uint64
 	starts  []int32 // bucket b holds entries[starts[b]:starts[b+1]]
 	entries []multiEntry
+	arena   []int32 // the pooled words entries is a view of
 }
 
 type multiEntry struct {
@@ -26,12 +37,13 @@ type multiEntry struct {
 	row int32
 }
 
-// buildPoll is the row interval at which BuildMulti polls stop.
+// buildPoll is the row interval at which the build passes poll stop.
 const buildPoll = 1 << 13
 
 // MultiBytes is the heap footprint of a Multi over n rows, so callers can
 // reserve it before building: 4 B per bucket (at most 2n of them) plus 8 B
-// per row.
+// per row. The build's bucket notes (4 B per row) are scratch that is back in
+// the pool before the table is probed, and are not part of it.
 func MultiBytes(n int) int64 {
 	return int64(nextPow2(n)+1)*4 + int64(n)*int64(unsafe.Sizeof(multiEntry{}))
 }
@@ -40,27 +52,38 @@ func MultiBytes(n int) int64 {
 // i itself when rows is nil. stop, when non-nil, is polled every buildPoll
 // rows of both passes; its error aborts the build.
 func BuildMulti(f Func, keys []uint32, rows []int32, stop func() error) (*Multi, error) {
-	nb := nextPow2(len(keys))
-	m := &Multi{
-		fn: f, mask: uint64(nb - 1),
-		starts:  make([]int32, nb+1),
-		entries: make([]multiEntry, len(keys)),
+	n := len(keys)
+	nb := nextPow2(n)
+	m := &Multi{fn: f, mask: uint64(nb - 1)}
+	m.starts = storage.GetInt32s(nb + 1)[:nb+1]
+	clear(m.starts)
+	if n > 0 {
+		// Two words per entry, every one of them written by the scatter.
+		m.arena = storage.GetInt32s(2 * n)[:2*n]
+		m.entries = unsafe.Slice((*multiEntry)(unsafe.Pointer(&m.arena[0])), n)
 	}
+	// bucket[i] is row i's bucket, kept from the count pass so that the
+	// scatter does not hash the key again.
+	bucket := storage.GetInt32s(n)[:n]
+	defer storage.PutInt32s(bucket)
 	var hs [hashBlock]uint64
-	poll := func(lo int) error {
-		if stop != nil && lo%buildPoll == 0 {
-			return stop()
+	for lo := 0; lo < n; lo += buildPoll {
+		if stop != nil {
+			if err := stop(); err != nil {
+				m.Release()
+				return nil, err
+			}
 		}
-		return nil
-	}
-	for lo := 0; lo < len(keys); lo += hashBlock {
-		if err := poll(lo); err != nil {
-			return nil, err
-		}
-		blk := keys[lo:min(lo+hashBlock, len(keys))]
-		f.HashBatch(hs[:], blk)
-		for _, h := range hs[:len(blk)] {
-			m.starts[h&m.mask]++
+		hi := min(lo+buildPoll, n)
+		for o := lo; o < hi; o += hashBlock {
+			blk := keys[o:min(o+hashBlock, hi)]
+			f.HashBatch(hs[:], blk)
+			bs := bucket[o : o+len(blk)]
+			for i, h := range hs[:len(blk)] {
+				b := int32(h & m.mask)
+				bs[i] = b
+				m.starts[b]++
+			}
 		}
 	}
 	// Inclusive prefix sum: starts[b] is the end of bucket b. The scatter
@@ -72,23 +95,34 @@ func BuildMulti(f Func, keys []uint32, rows []int32, stop func() error) (*Multi,
 		m.starts[b] = run
 	}
 	m.starts[nb] = run
-	for lo := 0; lo < len(keys); lo += hashBlock {
-		if err := poll(lo); err != nil {
-			return nil, err
-		}
-		blk := keys[lo:min(lo+hashBlock, len(keys))]
-		f.HashBatch(hs[:], blk)
-		for i, k := range blk {
-			b := hs[i] & m.mask
-			m.starts[b]--
-			row := int32(lo + i)
-			if rows != nil {
-				row = rows[lo+i]
+	for lo := 0; lo < n; lo += buildPoll {
+		if stop != nil {
+			if err := stop(); err != nil {
+				m.Release()
+				return nil, err
 			}
-			m.entries[m.starts[b]] = multiEntry{key: k, row: row}
+		}
+		for i := lo; i < min(lo+buildPoll, n); i++ {
+			row := int32(i)
+			if rows != nil {
+				row = rows[i]
+			}
+			b := bucket[i]
+			at := m.starts[b] - 1
+			m.starts[b] = at
+			m.entries[at] = multiEntry{key: keys[i], row: row}
 		}
 	}
 	return m, nil
+}
+
+// Release hands the table's arrays back to the scratch pool. Only the builder
+// of a table nobody else holds may call it, and the table must not be used
+// afterwards.
+func (m *Multi) Release() {
+	storage.PutInt32s(m.starts)
+	storage.PutInt32s(m.arena)
+	m.starts, m.entries, m.arena = nil, nil, nil
 }
 
 // Count returns the number of rows built under key.
@@ -134,6 +168,31 @@ func (m *Multi) CountBatch(keys []uint32) int {
 					n++
 				}
 			}
+		}
+	}
+	return n
+}
+
+// CountEach is CountBatch that also keeps what it counted: counts[i] is the
+// number of rows built under keys[i]. A probe that wants only its own side's
+// row ids expands these counts and does not walk the buckets a second time.
+func (m *Multi) CountEach(keys []uint32, counts []int32) int {
+	var hs [hashBlock]uint64
+	var lo, hi [hashBlock]int32
+	n := 0
+	for o := 0; o < len(keys); o += hashBlock {
+		blk := keys[o:min(o+hashBlock, len(keys))]
+		m.window(blk, &hs, &lo, &hi)
+		cs := counts[o : o+len(blk)]
+		for i, k := range blk {
+			c := int32(0)
+			for _, e := range m.entries[lo[i]:hi[i]] {
+				if e.key == k {
+					c++
+				}
+			}
+			cs[i] = c
+			n += int(c)
 		}
 	}
 	return n

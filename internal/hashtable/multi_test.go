@@ -86,15 +86,30 @@ func fillRows(t *testing.T, m interface {
 }
 
 // checkBatch probes idx with the whole key batch and compares the pairs with
-// the per-key expectation.
+// the per-key expectation; the per-key counts of CountEach, repeated, must be
+// the probe side of those pairs.
 func checkBatch(t *testing.T, idx interface {
 	CountBatch([]uint32) int
+	CountEach([]uint32, []int32) int
 	FillBatch([]uint32, int32, []int32, []int32) int
 }, keys []uint32, first int32, wantBuild, wantProbe []int32) {
 	t.Helper()
 	n := idx.CountBatch(keys)
 	if n != len(wantBuild) {
 		t.Fatalf("CountBatch = %d, want %d", n, len(wantBuild))
+	}
+	counts := make([]int32, len(keys))
+	if got := idx.CountEach(keys, counts); got != n {
+		t.Fatalf("CountEach = %d, CountBatch = %d", got, n)
+	}
+	var repeated []int32
+	for i, c := range counts {
+		for ; c > 0; c-- {
+			repeated = append(repeated, first+int32(i))
+		}
+	}
+	if !slices.Equal(repeated, wantProbe) {
+		t.Fatalf("CountEach's counts expand to different probe rows than the per-key probes")
 	}
 	build, probe := make([]int32, n), make([]int32, n)
 	if got := idx.FillBatch(keys, first, build, probe); got != n {
@@ -218,6 +233,35 @@ func TestBuildMultiStops(t *testing.T) {
 		})
 		if !errors.Is(err, stopErr) {
 			t.Fatalf("failAt %d: err = %v after %d polls, want stop", failAt, err, polls)
+		}
+	}
+}
+
+// TestBuildsPollAtBlockBoundaries: both builds poll once per buildPoll rows of
+// each of their two passes — never per row — and an SPH build stops in either
+// pass like a Multi build does.
+func TestBuildsPollAtBlockBoundaries(t *testing.T) {
+	keys := make([]uint32, 4*buildPoll+1) // five blocks, the last of one row
+	polls := 0
+	count := func() error { polls++; return nil }
+	if _, err := BuildMulti(Murmur3Fin, keys, nil, count); err != nil || polls != 10 {
+		t.Fatalf("BuildMulti polled %d times (err %v), want 10", polls, err)
+	}
+	polls = 0
+	if _, err := BuildSPH(keys, 0, 1, count); err != nil || polls != 10 {
+		t.Fatalf("BuildSPH polled %d times (err %v), want 10", polls, err)
+	}
+	stopErr := errors.New("stop")
+	for _, failAt := range []int{1, 5, 6, 10} {
+		polls = 0
+		_, err := BuildSPH(keys, 0, 1, func() error {
+			if polls++; polls == failAt {
+				return stopErr
+			}
+			return nil
+		})
+		if !errors.Is(err, stopErr) || polls != failAt {
+			t.Fatalf("failAt %d: err = %v after %d polls", failAt, err, polls)
 		}
 	}
 }

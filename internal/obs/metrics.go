@@ -193,6 +193,10 @@ type Snapshot struct {
 
 	SpilledQueries int64 // queries that wrote at least one spill run file
 	SpilledBytes   int64 // cumulative run-file bytes written by those queries
+
+	AVAdopted  int64 // join tables adopted as Algorithmic Views
+	AVDeclined int64 // offered tables declined because the budget was full
+	AVBytes    int64 // gauge: bytes the adopted views hold now
 }
 
 // WriteProm writes the snapshot in the Prometheus text exposition format.
@@ -257,6 +261,14 @@ func (s Snapshot) WriteProm(w io.Writer) error {
 	pf("# HELP dqo_spill_bytes_total Run-file bytes written by spilling queries.\n")
 	pf("# TYPE dqo_spill_bytes_total counter\n")
 	pf("dqo_spill_bytes_total %d\n", s.SpilledBytes)
+	pf("# HELP dqo_av_adopted_total Join tables adopted as Algorithmic Views (declined: budget full).\n")
+	pf("# TYPE dqo_av_adopted_total counter\n")
+	pf("dqo_av_adopted_total %d\n", s.AVAdopted)
+	pf("# TYPE dqo_av_declined_total counter\n")
+	pf("dqo_av_declined_total %d\n", s.AVDeclined)
+	pf("# HELP dqo_av_bytes Bytes held by adopted Algorithmic Views.\n")
+	pf("# TYPE dqo_av_bytes gauge\n")
+	pf("dqo_av_bytes %d\n", s.AVBytes)
 	return err
 }
 

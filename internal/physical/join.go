@@ -123,26 +123,21 @@ func Join(kind JoinKind, left, right []uint32, leftDom props.Domain, opt JoinOpt
 // joinSides is Join producing only the row-id arrays of sides.
 func joinSides(kind JoinKind, left, right []uint32, leftDom props.Domain, opt JoinOptions, sides pairSides) (*JoinResult, error) {
 	switch kind {
-	case HJ:
-		var res *JoinResult
-		var err error
-		if opt.Parallel > 1 {
-			res, err = joinHashParallel(left, right, opt, sides)
-		} else {
-			res, err = joinHash(left, right, opt, sides)
+	case HJ, SPHJ:
+		if kind == HJ && opt.Parallel > 1 && len(left) >= minParallelChunk && len(right) >= minParallelChunk {
+			res, err := joinHashParallel(left, right, opt, sides)
+			if err != nil {
+				return nil, err
+			}
+			res.SortedByKey = sortx.IsSortedUint32(right) // probe-major emission
+			return res, nil
 		}
+		t, err := buildJoinTable(kind, left, leftDom, opt)
 		if err != nil {
 			return nil, err
 		}
-		res.SortedByKey = sortx.IsSortedUint32(right) // probe-major emission
-		return res, nil
-	case SPHJ:
-		res, err := joinSPH(left, right, leftDom, opt, sides)
-		if err != nil {
-			return nil, err
-		}
-		res.SortedByKey = sortx.IsSortedUint32(right)
-		return res, nil
+		defer t.Release()
+		return probeIndex(t.idx, right, probeWorkers(kind, opt), &t.rv, sides)
 	case OJ:
 		return joinMerge(left, right, opt.Ctl, sides)
 	case SOJ:
@@ -172,6 +167,14 @@ type RowIndex interface {
 	FillBatch(keys []uint32, first int32, build, probe []int32) int
 }
 
+// keyCounter is the fast path a RowIndex may offer a probe that keeps only
+// its own side's row ids: CountEach is CountBatch that also writes the number
+// of build rows holding keys[i] to counts[i]. Those counts are all such a
+// probe needs, so it expands them and does not touch the index again.
+type keyCounter interface {
+	CountEach(keys []uint32, counts []int32) int
+}
+
 // perKey makes a RowIndex of a build side that answers one key at a time
 // (BSJ's sorted directory, parallel HJ's partitioned tables): Count says how
 // many build rows hold the key, Fill writes them to the front of dst.
@@ -186,6 +189,16 @@ func (p perKey) CountBatch(keys []uint32) int {
 	n := 0
 	for _, k := range keys {
 		n += p.idx.Count(k)
+	}
+	return n
+}
+
+func (p perKey) CountEach(keys []uint32, counts []int32) int {
+	n := 0
+	for i, k := range keys {
+		c := p.idx.Count(k)
+		counts[i] = int32(c)
+		n += c
 	}
 	return n
 }
@@ -221,9 +234,20 @@ func (p perKey) FillBatch(keys []uint32, first int32, build, probe []int32) int 
 // returns them), and only those of sides — the build rows are the left — are
 // taken at all; the reservation covers both either way, so what a join may
 // hold does not depend on the columns its consumer reads.
+//
+// When only the probe rows are wanted and idx can say how many build rows
+// hold each key (keyCounter), the first pass keeps those counts — 4 B per
+// probe row of pooled scratch, like a selection vector not charged — and the
+// second pass repeats each probe row that often: the index is touched once.
 func probePairs(idx RowIndex, probe []uint32, workers int, rv *resv, sides pairSides) (*JoinResult, error) {
 	if len(probe) < minParallelChunk || workers < 1 {
 		workers = 1
+	}
+	var counts []int32
+	kc, _ := idx.(keyCounter)
+	if kc != nil && sides == rightRows {
+		counts = storage.GetInt32s(len(probe))[:len(probe)]
+		defer storage.PutInt32s(counts)
 	}
 	chunk := max((len(probe)+workers-1)/workers, 1)
 	nChunks := max((len(probe)+chunk-1)/chunk, 1) // an empty probe side is one empty chunk
@@ -233,7 +257,12 @@ func probePairs(idx RowIndex, probe []uint32, workers int, rv *resv, sides pairS
 			if err := rv.ctl.Err(); err != nil {
 				return err
 			}
-			offs[c+1] += idx.CountBatch(probe[lo:min(lo+checkEvery, hi)])
+			to := min(lo+checkEvery, hi)
+			if counts != nil {
+				offs[c+1] += kc.CountEach(probe[lo:to], counts[lo:to])
+			} else {
+				offs[c+1] += idx.CountBatch(probe[lo:to])
+			}
 		}
 		return nil
 	})
@@ -266,7 +295,12 @@ func probePairs(idx RowIndex, probe []uint32, workers int, rv *resv, sides pairS
 			if err := rv.ctl.Err(); err != nil {
 				return err
 			}
-			o += idx.FillBatch(probe[lo:min(lo+checkEvery, hi)], int32(lo), tail(res.LeftIdx, o), tail(res.RightIdx, o))
+			to := min(lo+checkEvery, hi)
+			if counts != nil {
+				o += repeatRows(counts[lo:to], int32(lo), res.RightIdx[o:])
+			} else {
+				o += idx.FillBatch(probe[lo:to], int32(lo), tail(res.LeftIdx, o), tail(res.RightIdx, o))
+			}
 		}
 		return nil
 	})
@@ -274,6 +308,39 @@ func probePairs(idx RowIndex, probe []uint32, workers int, rv *resv, sides pairS
 		res.Release()
 		return nil, err
 	}
+	return res, nil
+}
+
+// repeatRows writes row first+i counts[i] times, for every i in order, from
+// the front of dst, and returns how many it wrote.
+func repeatRows(counts []int32, first int32, dst []int32) int {
+	n := 0
+	for i, c := range counts {
+		for ; c > 0; c-- {
+			dst[n] = first + int32(i)
+			n++
+		}
+	}
+	return n
+}
+
+// probeWorkers is how many goroutines probe a built table: the serial HJ
+// probes serially, SPHJ (and a prebuilt index) at the join's parallelism.
+func probeWorkers(kind JoinKind, opt JoinOptions) int {
+	if kind == HJ {
+		return 1
+	}
+	return opt.Parallel
+}
+
+// probeIndex is the probe step of the probe-major joins: the pairs of probing
+// idx with every probe key, in key order exactly when the probe keys are.
+func probeIndex(idx RowIndex, probe []uint32, workers int, rv *resv, sides pairSides) (*JoinResult, error) {
+	res, err := probePairs(idx, probe, workers, rv, sides)
+	if err != nil {
+		return nil, err
+	}
+	res.SortedByKey = sortx.IsSortedUint32(probe)
 	return res, nil
 }
 
@@ -309,43 +376,81 @@ func forChunks(n, chunk int, fn func(c, lo, hi int) error) error {
 	return nil
 }
 
-// joinHash is HJ: build-once multimap on left, probe with right. The table
-// is reserved before it is built and the pair arrays before they are filled.
-func joinHash(left, right []uint32, opt JoinOptions, sides pairSides) (*JoinResult, error) {
-	rv := resv{ctl: opt.Ctl}
-	defer rv.release()
-	if err := rv.add(hashtable.MultiBytes(len(left))); err != nil {
-		return nil, err
+// JoinTable is the built side of a serial HJ (a hashtable.Multi) or of an
+// SPHJ (a hashtable.SPH) between the join's two steps: BuildJoinTable is the
+// build, probing Index() the probe. It holds the table's reservation against
+// the query budget, so whoever builds one releases it — and with it hands the
+// table's arrays back to the scratch pool, unless Keep was called.
+type JoinTable struct {
+	idx interface {
+		RowIndex
+		MemBytes() int64
+		Release()
 	}
-	m, err := hashtable.BuildMulti(opt.Hash, left, nil, opt.Ctl.Err)
-	if err != nil {
-		return nil, err
-	}
-	return probePairs(m, right, 1, &rv, sides)
+	keys []uint32
+	rv   resv
+	kept bool
 }
 
-// joinSPH is SPHJ: left keys, offset by the domain minimum, index a dense
-// directory directly, so a probe is a single array access. The build is
-// serial; with opt.Parallel > 1 the probe runs over contiguous right chunks.
-func joinSPH(left, right []uint32, leftDom props.Domain, opt JoinOptions, sides pairSides) (*JoinResult, error) {
-	lo64, hi64, ok := leftDom.DenseDomain()
+// buildJoinTable builds the table of kind (HJ or SPHJ) over keys. The table
+// is reserved before it is built. dom describes the key domain; SPHJ needs it
+// known and dense: the keys, offset by the domain minimum, then index a
+// directory directly and a probe is a single array access.
+func buildJoinTable(kind JoinKind, keys []uint32, dom props.Domain, opt JoinOptions) (*JoinTable, error) {
+	t := &JoinTable{keys: keys, rv: resv{ctl: opt.Ctl}}
+	if kind == HJ {
+		if err := t.rv.add(hashtable.MultiBytes(len(keys))); err != nil {
+			return nil, err
+		}
+		m, err := hashtable.BuildMulti(opt.Hash, keys, nil, opt.Ctl.Err)
+		if err != nil {
+			t.rv.release()
+			return nil, err
+		}
+		t.idx = m
+		return t, nil
+	}
+	lo64, hi64, ok := dom.DenseDomain()
 	if !ok {
-		return nil, fmt.Errorf("physical: SPHJ requires a known dense left key domain, have %+v", leftDom)
+		return nil, fmt.Errorf("physical: SPHJ requires a known dense left key domain, have %+v", dom)
 	}
 	width := hi64 - lo64 + 1
 	if width > maxSPHWidth {
 		return nil, fmt.Errorf("physical: SPHJ domain width %d exceeds limit %d", width, maxSPHWidth)
 	}
-	rv := resv{ctl: opt.Ctl}
-	defer rv.release()
-	if err := rv.add(hashtable.SPHBytes(int(width), len(left))); err != nil {
+	if err := t.rv.add(hashtable.SPHBytes(int(width), len(keys))); err != nil {
 		return nil, err
 	}
-	d, err := hashtable.BuildSPH(left, uint32(lo64), int(width), opt.Ctl.Err)
+	d, err := hashtable.BuildSPH(keys, uint32(lo64), int(width), opt.Ctl.Err)
 	if err != nil {
+		t.rv.release()
 		return nil, err
 	}
-	return probePairs(d, right, opt.Parallel, &rv, sides)
+	t.idx = d
+	return t, nil
+}
+
+// Index returns the built table, for the probe step.
+func (t *JoinTable) Index() RowIndex { return t.idx }
+
+// Keys returns the key column the table was built over.
+func (t *JoinTable) Keys() []uint32 { return t.keys }
+
+// Bytes returns the table's heap footprint.
+func (t *JoinTable) Bytes() int64 { return t.idx.MemBytes() }
+
+// Keep gives the table away: somebody else holds Index() from now on, so
+// Release returns the reservation to the query's budget and leaves the
+// arrays alone.
+func (t *JoinTable) Keep() { t.kept = true }
+
+// Release ends the builder's hold on the table: no probe may be running.
+func (t *JoinTable) Release() {
+	t.rv.release()
+	if !t.kept && t.idx != nil {
+		t.idx.Release()
+	}
+	t.idx = nil
 }
 
 // joinMerge is OJ: classic sort-merge join over two sorted inputs, with full

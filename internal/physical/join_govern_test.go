@@ -157,7 +157,7 @@ func TestJoinRelKeepsOnlyNamedColumns(t *testing.T) {
 		case "swapped":
 			return JoinRelDomSwapped(r, s, "ID", "R_ID", kind, JoinOptions{}, props.Domain{}, cols)
 		case "index":
-			return JoinRelIndex(r, s, "R_ID", idx, JoinOptions{}, cols)
+			return JoinRelIndex(r, s, "ID", "R_ID", HJ, idx, false, JoinOptions{}, cols)
 		default:
 			return JoinRelDom(r, s, "ID", "R_ID", kind, JoinOptions{}, props.Domain{}, cols)
 		}

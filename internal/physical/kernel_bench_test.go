@@ -8,6 +8,7 @@ import (
 	"dqo/internal/expr"
 	"dqo/internal/hashtable"
 	"dqo/internal/props"
+	"dqo/internal/storage"
 )
 
 // BenchmarkJoinHash prices one HJ kernel call, build plus probe, at the
@@ -15,24 +16,83 @@ import (
 // |S| = 225 k foreign keys): dup1 builds on R and probes with S, dup4.5
 // builds on S (4.5 rows per key) and probes with R. The result is released
 // the way the relation-level joins release it once they have gathered, so
-// B/op is the table: the pair arrays come back out of the scratch pool.
+// neither the pair arrays nor the table's arrays count towards B/op: both come
+// back out of the scratch pool.
 func BenchmarkJoinHash(b *testing.B) {
 	r, s := datagen.FKPair(42, datagen.FKConfig{RRows: 50000, SRows: 225000, AGroups: 50000})
 	id, rid := r.MustColumn("ID").Uint32s(), s.MustColumn("R_ID").Uint32s()
+	// probe-only is dup4.5 keeping the probe side's row ids alone, what the
+	// Figure-5 query's join gathers: the count pass's per-key counts are the
+	// answer, and the buckets are not walked a second time.
 	for _, side := range []struct {
 		name         string
 		build, probe []uint32
-	}{{"dup1", id, rid}, {"dup4.5", rid, id}} {
+		sides        pairSides
+	}{{"dup1", id, rid, bothRows}, {"dup4.5", rid, id, bothRows}, {"probe-only", rid, id, rightRows}} {
 		b.Run(side.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := Join(HJ, side.build, side.probe, props.Domain{}, JoinOptions{Hash: hashtable.Murmur3Fin})
+				res, err := joinSides(HJ, side.build, side.probe, props.Domain{}, JoinOptions{Hash: hashtable.Murmur3Fin}, side.sides)
 				if err != nil || res.Len() != len(rid) {
 					b.Fatalf("pairs = %d, err = %v", res.Len(), err)
 				}
 				res.Release()
 			}
 		})
+	}
+}
+
+// indexedJoinCase is the Figure-5 join with its build side prebuilt under the
+// right input: S's table (a Multi, or an SPH over the dense domain of the
+// keys R_ID refers to) probed with R in R's order, R.A kept.
+func indexedJoinCase(tb testing.TB, kind JoinKind) (r, s *storage.Relation, idx RowIndex) {
+	r, s = datagen.FKPair(42, datagen.FKConfig{RRows: 50000, SRows: 225000, AGroups: 50000, Dense: true})
+	t, err := BuildJoinTable(s, "R_ID", kind, JoinOptions{}, domainOf(r, "ID"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	t.Keep()
+	return r, s, t.Index()
+}
+
+// BenchmarkJoinIndexed prices the probe step alone at relation level: what a
+// join through an Algorithmic View costs once the build is prepaid.
+func BenchmarkJoinIndexed(b *testing.B) {
+	for _, kind := range []JoinKind{HJ, SPHJ} {
+		r, s, idx := indexedJoinCase(b, kind)
+		b.Run(kind.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := JoinRelIndex(r, s, "ID", "R_ID", kind, idx, true, JoinOptions{}, []string{"A"})
+				if err != nil || out.NumRows() != s.NumRows() {
+					b.Fatalf("out = %v, err = %v", out, err)
+				}
+			}
+		})
+	}
+}
+
+// TestJoinIndexedAllocBound is the B/op guard of the indexed join: it
+// allocates its output column (225 k rows of 4 B; now and then the row-id
+// scratch again, when a collection has emptied the pool) and no table — S's
+// Multi is 2.8 MB, its SPH 1.1 MB.
+func TestJoinIndexedAllocBound(t *testing.T) {
+	for _, kind := range []JoinKind{HJ, SPHJ} {
+		r, s, idx := indexedJoinCase(t, kind)
+		const runs = 5
+		var before, after runtime.MemStats
+		for i := -1; i < runs; i++ { // run -1 leaves the row-id scratch in the pool
+			if i == 0 {
+				runtime.ReadMemStats(&before)
+			}
+			if _, err := JoinRelIndex(r, s, "ID", "R_ID", kind, idx, true, JoinOptions{}, []string{"A"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 1500000 {
+			t.Fatalf("%s indexed join allocates %d B/op, want at most 1.5 MB (the output column is 0.9 MB)", kind, got)
+		}
 	}
 }
 

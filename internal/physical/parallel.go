@@ -125,7 +125,8 @@ func joinPartition(key uint32, bits uint) int {
 }
 
 // joinHashParallel is HJ with radix-partitioned parallel build and parallel
-// probe, equal to joinHash output for any worker count.
+// probe, equal to the serial build-and-probe's output for any worker count
+// (joinSides sends inputs under minParallelChunk rows down the serial path).
 //
 // Output-order proof: the scatter is partition-preserving — per-chunk
 // histograms plus prefix sums give every input chunk a disjoint write window
@@ -140,9 +141,6 @@ func joinPartition(key uint32, bits uint) int {
 // partition count.
 func joinHashParallel(left, right []uint32, opt JoinOptions, sides pairSides) (*JoinResult, error) {
 	workers := opt.Parallel
-	if workers <= 1 || len(left) < minParallelChunk || len(right) < minParallelChunk {
-		return joinHash(left, right, opt, sides)
-	}
 	bits := joinPartBits(workers)
 	nPart := 1 << bits
 
@@ -248,6 +246,7 @@ func joinHashParallel(left, right []uint32, opt JoinOptions, sides pairSides) (*
 		return nil, err
 	}
 	idx := partitionedMulti{bits: bits, tables: make([]*hashtable.Multi, nPart)}
+	defer idx.release()
 	err := forChunks(workers, 1, func(w, _, _ int) error {
 		for p := w; p < nPart; p += workers {
 			lo, hi := partStart[p], partStart[p+1]
@@ -270,6 +269,15 @@ func joinHashParallel(left, right []uint32, opt JoinOptions, sides pairSides) (*
 type partitionedMulti struct {
 	bits   uint
 	tables []*hashtable.Multi
+}
+
+// release hands the partitions' tables back to the scratch pool.
+func (p partitionedMulti) release() {
+	for _, m := range p.tables {
+		if m != nil {
+			m.Release()
+		}
+	}
 }
 
 func (p partitionedMulti) Count(key uint32) int {

@@ -129,7 +129,7 @@ func TestParallelJoinDuplicateChains(t *testing.T) {
 	for i := range right {
 		right[i] = uint32(rng.Intn(7))
 	}
-	want, err := joinHash(left, right, JoinOptions{}, bothRows)
+	want, err := joinSides(HJ, left, right, props.Domain{}, JoinOptions{}, bothRows)
 	if err != nil {
 		t.Fatal(err)
 	}

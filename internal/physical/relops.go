@@ -308,7 +308,7 @@ func JoinRel(left, right *storage.Relation, leftKey, rightKey string, kind JoinK
 // only those are gathered. The plan compiler passes the columns the join's
 // ancestors reference.
 func JoinRelDom(left, right *storage.Relation, leftKey, rightKey string, kind JoinKind, opt JoinOptions, dom props.Domain, cols []string) (*storage.Relation, error) {
-	return joinRelImpl(left, right, leftKey, rightKey, kind, opt, dom, false, cols)
+	return joinRelImpl(left, right, leftKey, rightKey, kind, opt, dom, false, cols, nil)
 }
 
 // JoinRelDomSwapped executes the join with the roles of the inputs swapped
@@ -316,10 +316,43 @@ func JoinRelDom(left, right *storage.Relation, leftKey, rightKey string, kind Jo
 // output schema identical to JoinRelDom: left columns first, clashing right
 // columns suffixed "_r". dom describes the right (build) key domain.
 func JoinRelDomSwapped(left, right *storage.Relation, leftKey, rightKey string, kind JoinKind, opt JoinOptions, dom props.Domain, cols []string) (*storage.Relation, error) {
-	return joinRelImpl(left, right, leftKey, rightKey, kind, opt, dom, true, cols)
+	return joinRelImpl(left, right, leftKey, rightKey, kind, opt, dom, true, cols, nil)
 }
 
-func joinRelImpl(left, right *storage.Relation, leftKey, rightKey string, kind JoinKind, opt JoinOptions, dom props.Domain, swapped bool, cols []string) (*storage.Relation, error) {
+// JoinRelIndex joins left and right through idx, an index somebody built
+// over the whole key column of the build side — the left input, or with
+// swapped the right — so only the probe runs: the probe step of a join whose
+// caller did the build step itself (BuildJoinTable), or of one whose build
+// was paid offline (an Algorithmic View). kind says whether idx is HJ's
+// multimap or SPHJ's directory. Output schema, order and cols are those of
+// JoinRelDom / JoinRelDomSwapped.
+func JoinRelIndex(left, right *storage.Relation, leftKey, rightKey string, kind JoinKind, idx RowIndex, swapped bool, opt JoinOptions, cols []string) (*storage.Relation, error) {
+	return joinRelImpl(left, right, leftKey, rightKey, kind, opt, props.Domain{}, swapped, cols, idx)
+}
+
+// BuildJoinTable is the build step of a serial HJ or SPHJ over rel's key
+// column, for a caller that wants to own the table between the two steps;
+// JoinRelIndex over its Index() is the probe step, and the two together are
+// JoinRelDom. A zero dom falls back to the relation's statistics.
+func BuildJoinTable(rel *storage.Relation, key string, kind JoinKind, opt JoinOptions, dom props.Domain) (*JoinTable, error) {
+	keys, err := keyColumn(rel, key)
+	if err != nil {
+		return nil, err
+	}
+	if kind != HJ && kind != SPHJ || opt.Parallel > 1 {
+		return nil, fmt.Errorf("physical: %s (parallel=%d) has no build step of its own", kind, opt.Parallel)
+	}
+	if !dom.Known {
+		dom = domainOf(rel, key)
+	}
+	return buildJoinTable(kind, keys, dom, opt)
+}
+
+// joinRelImpl is the one relation-level join: fresh build or prebuilt index,
+// either build side, in memory or as one partition of a spill twin. It
+// decides the output schema, runs the kernel in build/probe terms for only
+// the row ids that schema gathers, checks a claimed key order and assembles.
+func joinRelImpl(left, right *storage.Relation, leftKey, rightKey string, kind JoinKind, opt JoinOptions, dom props.Domain, swapped bool, cols []string, idx RowIndex) (*storage.Relation, error) {
 	lk, err := keyColumn(left, leftKey)
 	if err != nil {
 		return nil, err
@@ -332,64 +365,49 @@ func joinRelImpl(left, right *storage.Relation, leftKey, rightKey string, kind J
 	if err != nil {
 		return nil, err
 	}
-	var res *JoinResult
+	build, buildKey, buildKeys, probeKeys, sides := left, leftKey, lk, rk, out.sides()
 	if swapped {
-		if !dom.Known {
-			dom = domainOf(right, rightKey)
-		}
-		inner, err := joinSides(kind, rk, lk, dom, opt, out.sides().swap())
-		if err != nil {
-			return nil, err
-		}
-		res = &JoinResult{LeftIdx: inner.RightIdx, RightIdx: inner.LeftIdx, SortedByKey: inner.SortedByKey}
+		build, buildKey, buildKeys, probeKeys, sides = right, rightKey, rk, lk, sides.swap()
+	}
+	var res *JoinResult
+	if idx != nil {
+		rv := resv{ctl: opt.Ctl}
+		defer rv.release()
+		res, err = probeIndex(idx, probeKeys, probeWorkers(kind, opt), &rv, sides)
 	} else {
 		if !dom.Known {
-			dom = domainOf(left, leftKey)
+			dom = domainOf(build, buildKey)
 		}
-		res, err = joinSides(kind, lk, rk, dom, opt, out.sides())
-		if err != nil {
-			return nil, err
-		}
+		res, err = joinSides(kind, buildKeys, probeKeys, dom, opt, sides)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if swapped {
+		res.LeftIdx, res.RightIdx = res.RightIdx, res.LeftIdx
 	}
 	defer res.Release() // the gather below copies; nothing aliases the row ids after it
 	// Matching rows hold equal keys, so whichever side's row ids were kept
 	// shows the order of the output's key.
-	keys, idx := lk, res.LeftIdx
-	if idx == nil {
-		keys, idx = rk, res.RightIdx
+	keys, ids := lk, res.LeftIdx
+	if ids == nil {
+		keys, ids = rk, res.RightIdx
 	}
-	if res.SortedByKey && !gatherSorted(keys, idx) {
+	if res.SortedByKey && !gatherSorted(keys, ids) {
 		return nil, fmt.Errorf("physical: join claimed sorted output but key column is not sorted")
 	}
 	return out.assemble(res, opt.Parallel)
 }
 
-// JoinRelIndex joins left and right through a prebuilt index on the left
-// key: the build phase was paid offline, so only the probe runs. Output
-// schema and cols are as for JoinRelDom.
-func JoinRelIndex(left, right *storage.Relation, rightKey string, idx RowIndex, opt JoinOptions, cols []string) (*storage.Relation, error) {
-	rk, err := keyColumn(right, rightKey)
-	if err != nil {
-		return nil, err
-	}
-	out, err := newJoinOutput(left, right, cols)
-	if err != nil {
-		return nil, err
-	}
-	rv := resv{ctl: opt.Ctl}
-	defer rv.release()
-	res, err := probePairs(idx, rk, 1, &rv, out.sides())
-	if err != nil {
-		return nil, err
-	}
-	defer res.Release()
-	return out.assemble(res, 1)
-}
-
 // gatherSorted reports whether keys[idx[0]], keys[idx[1]], ... is
 // non-decreasing: the sortedness of a gathered key column, checked without
-// materialising it.
+// materialising it. Non-decreasing ids into sorted keys — the probe side of a
+// probe-major join over a sorted probe input — say so in two sequential
+// passes; anything else is read through every id.
 func gatherSorted(keys []uint32, idx []int32) bool {
+	if slices.IsSorted(idx) && sortx.IsSortedUint32(keys) {
+		return true
+	}
 	for i := 1; i < len(idx); i++ {
 		if keys[idx[i]] < keys[idx[i-1]] {
 			return false

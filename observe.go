@@ -3,6 +3,7 @@ package dqo
 import (
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"time"
 
@@ -70,6 +71,7 @@ func (db *DB) Metrics() MetricsSnapshot {
 	s.AdmissionQueued = g.Queued()
 	s.Morsels = db.execCounters.Morsels.Load()
 	s.MorselRows = db.execCounters.Rows.Load()
+	s.AVAdopted, s.AVDeclined, s.AVBytes = db.avs.Adoption()
 	return s
 }
 
@@ -94,6 +96,9 @@ type phaseTimes struct {
 	beam      int    // beam width (0 = exact enumeration)
 	feedback  bool   // the optimiser planned through the DB's feedback store
 	fbVersion uint64 // feedback store version the plan was built against
+	// adopted lists the Algorithmic Views this execution's join tables were
+	// adopted as: the reason the statement's next execution plans differently.
+	adopted []string
 }
 
 // dur returns the phase durations in obs.Phases() order.
@@ -209,8 +214,11 @@ func buildSpans(total time.Duration, pt *phaseTimes, profile exec.Profile) *obs.
 		offset += durs[i]
 		root.Children = append(root.Children, sp)
 	}
+	execSpan := root.Children[len(root.Children)-1]
+	if len(pt.adopted) > 0 {
+		execSpan.SetAttr("av-adopted", strings.Join(pt.adopted, ","))
+	}
 	if len(profile) > 0 {
-		execSpan := root.Children[len(root.Children)-1]
 		execSpan.Children = profileSpans(profile, execSpan.Start)
 	}
 	return root
