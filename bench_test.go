@@ -289,6 +289,35 @@ func BenchmarkPlanDeep(b *testing.B) {
 	benchPlanTier(b, m)
 }
 
+// TestOptimizeAllocBound is the alloc guard of the enumeration: a site costs
+// an alternative before it builds it, so planning the two-join star allocates
+// for what survives (a few hundred objects: tables, winners, their property
+// vectors), not for the 269 alternatives costed. Exact DQO allocated 3 539
+// objects per run and the greedy tier 104 when every alternative was built
+// with its property set, key and granule tree; a change that reintroduces
+// per-alternative construction fails here rather than in a benchmark.
+func TestOptimizeAllocBound(t *testing.T) {
+	q := twoJoinQueryNode()
+	for _, c := range []struct {
+		mode  core.Mode
+		bound float64
+	}{
+		{core.DQO(), 900},
+		{core.DQOCalibrated(), 900},
+		{core.Greedy(), 60},
+	} {
+		c.mode.DOP = 4
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := core.Optimize(q, c.mode); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs >= c.bound {
+			t.Errorf("%s: %.0f allocations per Optimize of the two-join star, want under %.0f", c.mode.Name, allocs, c.bound)
+		}
+	}
+}
+
 // BenchmarkAblationHashTable is A1: HG with every scheme x hash function.
 func BenchmarkAblationHashTable(b *testing.B) {
 	n := benchN() / 4

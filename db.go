@@ -708,7 +708,7 @@ func (db *DB) Explain(mode Mode, query string, opts ...ExplainOption) (string, e
 		res.Physicality(), res.Stats.Duration)
 	b.WriteString(res.Best.Explain())
 	if cfg.granules {
-		b.WriteString(granuleTrees(res.Best))
+		b.WriteString(res.Best.GranuleTrees())
 	}
 	if cfg.unnesting {
 		b.WriteString(unnestChains(res.Best))
@@ -724,29 +724,6 @@ func (db *DB) Explain(mode Mode, query string, opts ...ExplainOption) (string, e
 	return b.String(), nil
 }
 
-// granuleTrees renders the granule tree of every join/group node, bottom-up.
-func granuleTrees(plan *core.Plan) string {
-	var b strings.Builder
-	var rec func(n *core.Plan)
-	rec = func(n *core.Plan) {
-		for _, c := range n.Children {
-			rec(c)
-		}
-		var tree *physio.Granule
-		switch n.Op {
-		case core.OpJoin:
-			tree = n.Join.Tree
-		case core.OpGroup:
-			tree = n.Group.Tree
-		}
-		if tree != nil {
-			fmt.Fprintf(&b, "\n%s granule tree (physicality %.2f):\n%s", n.Label(), tree.Physicality(), tree.Render())
-		}
-	}
-	rec(plan)
-	return b.String()
-}
-
 // unnestChains renders the unnesting steps of every join/group node.
 func unnestChains(plan *core.Plan) string {
 	var b strings.Builder
@@ -760,7 +737,7 @@ func unnestChains(plan *core.Plan) string {
 		case core.OpGroup:
 			steps = physio.UnnestSteps(p.Group, p.GroupKey)
 		case core.OpJoin:
-			steps = physio.UnnestJoinSteps(p.Join, p.LeftKey, p.RightKey)
+			steps = physio.UnnestJoinSteps(p.Join, p.LeftKey, p.RightKey, p.Swapped)
 		default:
 			return
 		}

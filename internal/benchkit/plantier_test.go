@@ -9,8 +9,8 @@ import (
 // TestRunPlanTierSmall runs the planning-tier sweep at toy scale and checks
 // the report's shape: 4 tiers x 3 queries of rows, one summary per tier,
 // the acceptance-check lines, and a template-cache measurement. It does NOT
-// assert the 100x planning-speedup check passes — that headroom only exists
-// at the default scale.
+// assert the greedy planning-time check passes — a loaded test machine can
+// miss an absolute 50 us.
 func TestRunPlanTierSmall(t *testing.T) {
 	cfg := PlanTierConfig{
 		RRows: 400, SRows: 1200, AGroups: 200,

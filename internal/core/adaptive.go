@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dqo/internal/physical"
-	"dqo/internal/physio"
 	"dqo/internal/props"
 	"dqo/internal/storage"
 )
@@ -99,22 +98,13 @@ func executeAdaptive(p *Plan, mode Mode, rep *AdaptiveReport) (*storage.Relation
 	actualDom := actual.Domain(p.GroupKey)
 
 	// Re-decide: cheapest applicable choice under the actual properties.
-	dop := 1
-	if mode.Depth == physio.Deep && mode.DOP > 1 {
-		dop = mode.DOP
-	}
-	choices := physio.GroupChoices(p.GroupKey, mode.Depth, dop)
-	if mode.GroupFilter != nil {
-		if filtered := mode.GroupFilter(p.GroupKey, choices); len(filtered) > 0 {
-			choices = filtered
-		}
-	}
+	choices := groupChoices(mode, p.GroupKey)
 	rows := float64(in.NumRows())
 	groups := float64(st.Distinct)
 	best := -1
 	bestCost := 0.0
 	for i, ch := range choices {
-		if !actual.SatisfiesAll(ch.Reqs) {
+		if !ch.Kind.Admits(actual, p.GroupKey) {
 			continue
 		}
 		c := mode.Model.Group(ch, rows, groups)

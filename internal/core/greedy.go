@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"dqo/internal/cost"
 	"dqo/internal/expr"
@@ -40,19 +39,8 @@ func (o *optimizer) greedy(n logical.Node, want string) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		dop := 0
-		if c.Op == OpFilter || c.Op == OpProject {
-			dop = c.DOP
-		}
-		p := &Plan{
-			Op: OpProject, Children: []*Plan{c}, Cols: n.Cols, DOP: dop,
-			Props: c.Props.Project(n.Cols...),
-			Rows:  c.Rows,
-			Cost:  c.Cost,
-		}
-		setFootprint(p)
 		o.stats.Alternatives++
-		return p, nil
+		return projectPlan(c, n.Cols, c.Props.Project(n.Cols...)), nil
 	case *logical.Sort:
 		return o.greedySort(n)
 	case *logical.Join:
@@ -68,29 +56,14 @@ func (o *optimizer) greedy(n logical.Node, want string) (*Plan, error) {
 // sorted projection already paid for — that variant, at identical scan cost.
 func (o *optimizer) greedyScan(n *logical.Scan, want string) *Plan {
 	rows := o.estimator().Estimate(n)
-	p := &Plan{
-		Op: OpScan, Table: n.Table, Rel: n.Rel,
-		Props: o.scanPropsOf(n.Rel),
-		Rows:  rows,
-		Cost:  o.mode.Model.Scan(rows),
-	}
-	setFootprint(p)
+	p := o.baseScan(n)
 	o.stats.Alternatives++
 	if o.mode.Scans != nil && want != "" && !p.Props.SortedOn(want) {
 		for _, v := range o.mode.Scans.ScanVariants(n.Table) {
-			vprops := o.scanPropsOf(v.Rel)
-			if !vprops.SortedOn(want) {
-				continue
+			if o.scanPropsOf(v.Rel).set.SortedOn(want) {
+				o.stats.Alternatives++
+				return o.scanPlan(n, v.Rel, v.Label, props.NoCompression, p.Cost)
 			}
-			vp := &Plan{
-				Op: OpScan, Table: n.Table, Rel: v.Rel, AV: v.Label,
-				Props: vprops,
-				Rows:  rows,
-				Cost:  o.mode.Model.Scan(rows),
-			}
-			setFootprint(vp)
-			o.stats.Alternatives++
-			return vp
 		}
 	}
 	// Compressed-scan twin: one strict-< probe, so models that cannot see
@@ -98,16 +71,15 @@ func (o *optimizer) greedyScan(n *logical.Scan, want string) *Plan {
 	if enc := relCompression(n.Rel); enc != props.NoCompression {
 		o.stats.Alternatives++
 		if cc := o.mode.Model.ScanCompressed(rows, enc); cc < p.Cost {
-			cp := &Plan{
-				Op: OpScan, Table: n.Table, Rel: n.Rel, Enc: enc,
-				Props: p.Props, Rows: rows, Cost: cc,
-			}
-			setFootprint(cp)
-			return cp
+			return o.scanPlan(n, n.Rel, "", enc, cc)
 		}
 	}
 	return p
 }
+
+// greedyBase plans the bare scan beneath an AV-backed filter or join: no
+// parent wants an order of it.
+func (o *optimizer) greedyBase(n *logical.Scan) *Plan { return o.greedyScan(n, "") }
 
 // provablyEmpty reports whether pred provably selects nothing from an input
 // with the given properties: its single-column key range is disjoint from
@@ -134,82 +106,32 @@ func (o *optimizer) greedyFilter(n *logical.Filter, want string) (*Plan, error) 
 	if provablyEmpty(c.Props, n.Pred) {
 		rows = 0
 	}
-	p := &Plan{
-		Op: OpFilter, Children: []*Plan{c}, Pred: n.Pred,
-		Props: c.Props,
-		Rows:  rows,
-		Cost:  c.Cost + o.mode.Model.Filter(c.Rows),
-	}
-	setFootprint(p)
+	filter := o.mode.Model.Filter(c.Rows)
+	p := filterPlan(n, c, 0, rows, c.Cost+filter)
 	o.stats.Alternatives++
+	if rows == 0 {
+		return p, nil
+	}
 	// Cracked-index AV over a bare base scan: the adaptive index answers the
-	// range directly, touching only qualifying pieces — selectivity made
-	// visible without statistics. Skipped when the parent wants an order the
-	// current child provides (the crack emits in piece order).
-	if o.mode.CrackedIdx != nil && rows > 0 {
-		if scan, isScan := n.Input.(*logical.Scan); isScan {
-			if col, lo, hi, ok := predRange(n.Pred); ok {
-				if idx, have := o.mode.CrackedIdx.Cracked(scan.Table, col); have {
-					if want == "" || !c.Props.SortedOn(want) {
-						base := o.greedyScan(scan, "")
-						o.stats.Alternatives++
-						cp := &Plan{
-							Op: OpFilter, Children: []*Plan{base}, Pred: n.Pred,
-							AV: idx.Label(), Crack: idx, CrackLo: lo, CrackHi: hi,
-							Props: base.Props.DropOrder(),
-							Rows:  rows,
-							Cost:  base.Cost + o.mode.Model.Filter(rows),
-						}
-						setFootprint(cp)
-						if cp.Cost < p.Cost {
-							return cp, nil
-						}
-					}
-				}
-			}
+	// range directly — selectivity made visible without statistics. Skipped
+	// when the parent wants an order the current child provides (the crack
+	// emits in piece order).
+	if want == "" || !c.Props.SortedOn(want) {
+		if cp := o.crackedFilter(n, rows, o.greedyBase); cp != nil && cp.Cost < p.Cost {
+			return cp, nil
 		}
 	}
 	// Direct-on-compressed filter over a bare base scan: one strict-< probe
-	// priced from the exact zone-map census (segments skipped, encoded units
-	// left to compare). Output order matches the decoded filter, so no
-	// want-order guard is needed.
-	if rows > 0 {
-		if scan, isScan := n.Input.(*logical.Scan); isScan {
-			if col, lo, hi, ok := predRange(n.Pred); ok {
-				if plo, phi, okb := encBounds(lo, hi); okb {
-					if enc, skipped, total, work, oke := encFilterTarget(scan.Rel, col, plo, phi); oke {
-						base := o.greedyScan(scan, "")
-						o.stats.Alternatives++
-						ep := &Plan{
-							Op: OpFilter, Children: []*Plan{base}, Pred: n.Pred,
-							Enc: enc, EncCol: col, EncLo: plo, EncHi: phi,
-							SegsSkipped: skipped, SegsTotal: total,
-							Props: base.Props,
-							Rows:  rows,
-							Cost:  base.Cost + o.mode.Model.FilterCompressed(base.Rows, float64(work), rows, enc),
-						}
-						setFootprint(ep)
-						if ep.Cost < p.Cost {
-							return ep, nil
-						}
-					}
-				}
-			}
-		}
+	// priced from the exact zone-map census. Output order matches the decoded
+	// filter, so no want-order guard is needed.
+	if ep := o.encFilter(n, rows, func(scan *logical.Scan, _ props.Compression) *Plan { return o.greedyBase(scan) }); ep != nil && ep.Cost < p.Cost {
+		return ep, nil
 	}
 	// Parallel pipe over a streaming segment: one extra probe.
-	if dop := o.dop(); dop > 1 && rows > 0 && isStreamSegment(c) {
+	if dop := o.mode.dop(); dop > 1 && isStreamSegment(c) {
 		o.stats.Alternatives++
-		par := c.Cost + o.mode.Model.Parallel(o.mode.Model.Filter(c.Rows), dop)
-		if par < p.Cost {
-			pp := &Plan{
-				Op: OpFilter, Children: []*Plan{c}, Pred: n.Pred, DOP: dop,
-				Props: c.Props,
-				Rows:  rows,
-				Cost:  par,
-			}
-			setFootprint(pp)
-			return pp, nil
+		if par := c.Cost + o.mode.Model.Parallel(filter, dop); par < p.Cost {
+			return filterPlan(n, c, dop, rows, par), nil
 		}
 	}
 	return p, nil
@@ -221,13 +143,8 @@ func (o *optimizer) greedySort(n *logical.Sort) (*Plan, error) {
 		return nil, err
 	}
 	if c.Props.SortedOn(n.Key) {
-		p := &Plan{
-			Op: OpSort, Children: []*Plan{c}, SortKey: n.Key, SortKind: sortx.Radix,
-			Props: c.Props, Rows: c.Rows, Cost: c.Cost,
-		}
-		setFootprint(p)
 		o.stats.Alternatives++
-		return p, nil
+		return sortPlan(c, n.Key, sortx.Radix, 0, false, c.Props, c.Cost), nil
 	}
 	// One probe per sort algorithm, cheapest wins; provably-empty inputs
 	// skip the sweep — any algorithm sorts nothing equally well.
@@ -244,27 +161,13 @@ func (o *optimizer) greedySort(n *logical.Sort) (*Plan, error) {
 		}
 	}
 	dop := 0
-	if d := o.dop(); d > 1 && c.Rows > 0 {
+	if d := o.mode.dop(); d > 1 && c.Rows > 0 {
 		o.stats.Alternatives++
 		if pc := o.mode.Model.Parallel(o.mode.Model.SortBy(c.Rows, best), d); pc < bestCost {
 			dop, bestCost = d, pc
 		}
 	}
-	p := &Plan{
-		Op: OpSort, Children: []*Plan{c}, SortKey: n.Key, SortKind: best, DOP: dop,
-		Props: c.Props.AfterSortBy(n.Key),
-		Rows:  c.Rows,
-		Cost:  c.Cost + bestCost,
-	}
-	setFootprint(p)
-	return p, nil
-}
-
-// greedyJoinChoice builds one fully resolved join choice.
-func greedyJoinChoice(kind physical.JoinKind, opt physical.JoinOptions, lcol, rcol string) physio.JoinChoice {
-	l, r := kind.Requirements(lcol, rcol)
-	return physio.JoinChoice{Kind: kind, Opt: opt, LeftReqs: l, RightReqs: r,
-		Tree: physio.JoinTree(kind, opt, lcol, rcol)}
+	return sortPlan(c, n.Key, best, dop, false, c.Props.AfterSortBy(n.Key), c.Cost+bestCost), nil
 }
 
 // joinSide returns the logical input playing the build role.
@@ -313,57 +216,45 @@ func (o *optimizer) greedyJoin(n *logical.Join) (*Plan, error) {
 		kind = physical.SPHJ
 	}
 	buildDistinct := o.estimator().ColDistinct(joinSide(n, swapped), buildKey)
-	lreqs, rreqs := kind.Requirements(buildKey, probeKey)
-	if !build.Props.SatisfiesAll(lreqs) || !probe.Props.SatisfiesAll(rreqs) {
+	if !kind.Admits(build.Props, probe.Props, buildKey, probeKey) {
 		// The heuristic's requirements are derived from the same properties
 		// it inspects, so this is defensive: fall back to the hash join,
 		// which requires nothing.
 		kind = physical.HJ
-		lreqs, rreqs = kind.Requirements(buildKey, probeKey)
 	}
-	// Cost probes run on bare choices; the granule tree (an EXPLAIN surface
-	// the cost model never reads) is built once, for the winner only.
-	opt := physical.JoinOptions{}
+	ch := physio.JoinChoice{Kind: kind}
 	o.stats.Alternatives++
-	chCost := o.mode.Model.Join(physio.JoinChoice{Kind: kind}, build.Rows, probe.Rows, buildDistinct)
+	chCost := o.mode.Model.Join(ch, build.Rows, probe.Rows, buildDistinct)
 	// Parallel twin: one extra probe for the DOP-invariant kernels.
-	if dop := o.dop(); dop > 1 && rows > 0 && kind != physical.OJ {
-		popt := physical.JoinOptions{Parallel: dop}
+	if dop := o.mode.dop(); dop > 1 && rows > 0 && kind != physical.OJ {
+		par := physio.JoinChoice{Kind: kind, Opt: physical.JoinOptions{Parallel: dop}}
 		o.stats.Alternatives++
-		if pc := o.mode.Model.Join(physio.JoinChoice{Kind: kind, Opt: popt}, build.Rows, probe.Rows, buildDistinct); pc < chCost {
-			opt, chCost = popt, pc
+		if pc := o.mode.Model.Join(par, build.Rows, probe.Rows, buildDistinct); pc < chCost {
+			ch, chCost = par, pc
 		}
 	}
-	ch := physio.JoinChoice{Kind: kind, Opt: opt, LeftReqs: lreqs, RightReqs: rreqs,
-		Tree: physio.JoinTree(kind, opt, buildKey, probeKey)}
-	p := &Plan{
-		Op: OpJoin, Children: []*Plan{lp, rp},
-		Join: ch, LeftKey: n.LeftKey, RightKey: n.RightKey, Swapped: swapped,
-		DOP:    ch.Opt.Parallel,
-		KeyDom: build.Props.Domain(buildKey),
-		Props:  o.restrict(o.joinOutProps(ch, build.Props, probe.Props, buildKey, probeKey)),
-		Rows:   rows,
-		Cost:   lp.Cost + rp.Cost + chCost,
-	}
-	setJoinFootprint(p, lp, rp, cost.MemJoin(ch, build.Rows, probe.Rows, buildDistinct, rows))
+	p := o.greedyJoinPlan(n.LeftKey, n.RightKey, lp, rp, ch, swapped, rows, buildDistinct, lp.Cost+rp.Cost+chCost)
 
 	// AV-backed join: a prebuilt index on either base scan's join key
 	// prepaid the build phase — one probe each decides whether the
 	// probe-only cost beats the greedy pick.
-	for _, ap := range o.indexedJoins(n, rows, []*Plan{lp}, []*Plan{rp}, func(scan *logical.Scan) *Plan {
-		return o.greedyScan(scan, "")
-	}) {
+	o.indexedJoins(n, rows, []*Plan{lp}, []*Plan{rp}, o.greedyBase, func(ap *Plan) {
 		if ap.Cost < p.Cost {
 			p = ap
 		}
-	}
+	})
 	return o.greedyDegrade(p), nil
 }
 
-// greedyGroupChoice builds one fully resolved grouping choice.
-func greedyGroupChoice(kind physical.GroupKind, opt physical.GroupOptions, key string) physio.GroupChoice {
-	return physio.GroupChoice{Kind: kind, Opt: opt, Reqs: kind.Requirements(key),
-		Tree: physio.GroupTree(kind, opt, key)}
+// greedyJoinPlan assembles the join node for the chosen granule.
+func (o *optimizer) greedyJoinPlan(leftKey, rightKey string, lp, rp *Plan, ch physio.JoinChoice, swapped bool, rows, buildDistinct, total float64) *Plan {
+	build, probe, buildKey, probeKey := lp, rp, leftKey, rightKey
+	if swapped {
+		build, probe, buildKey, probeKey = rp, lp, rightKey, leftKey
+	}
+	out := o.joinOutProps(ch.Kind, build.Props, probe.Props, buildKey, probeKey)
+	mem := joinMem(lp, rp, rows, cost.MemJoin(ch, build.Rows, probe.Rows, buildDistinct, rows))
+	return joinPlan(lp, rp, leftKey, rightKey, ch, swapped, out, rows, total, mem)
 }
 
 func (o *optimizer) greedyGroup(n *logical.GroupBy) (*Plan, error) {
@@ -388,76 +279,59 @@ func (o *optimizer) greedyGroup(n *logical.GroupBy) (*Plan, error) {
 	// Partial-AV hook: a pinned algorithm family restricts the candidates;
 	// with the set already bounded, probe each satisfied choice once.
 	if o.mode.GroupFilter != nil {
-		choices := physio.GroupChoices(n.Key, o.mode.Depth, o.dop())
+		choices := physio.GroupChoices(n.Key, o.mode.Depth, o.mode.dop())
 		if filtered := o.mode.GroupFilter(n.Key, choices); len(filtered) > 0 {
-			var ch physio.GroupChoice
-			picked := false
-			var bestCost float64
-			for i := range filtered {
-				fc := filtered[i]
-				if !c.Props.SatisfiesAll(fc.Reqs) {
-					continue
-				}
-				o.stats.Alternatives++
-				fcCost := o.mode.Model.Group(fc, c.Rows, groups)
-				if !picked || fcCost < bestCost {
-					ch, bestCost, picked = fc, fcCost, true
-				}
-			}
+			ch, picked := o.cheapestGroup(filtered, c, n.Key, groups)
 			if !picked {
 				// No pinned choice is satisfiable on the raw input: enforce
 				// order (sorting satisfies grouped-ness) and retry.
-				c = o.sortPlan(c, n.Key, sortx.Radix, true)
-				for i := range filtered {
-					fc := filtered[i]
-					if !c.Props.SatisfiesAll(fc.Reqs) {
-						continue
-					}
-					o.stats.Alternatives++
-					fcCost := o.mode.Model.Group(fc, c.Rows, groups)
-					if !picked || fcCost < bestCost {
-						ch, bestCost, picked = fc, fcCost, true
-					}
-				}
+				o.stats.Alternatives++
+				c = sortPlan(c, n.Key, sortx.Radix, 0, true, c.Props.AfterSortBy(n.Key), c.Cost+o.mode.Model.SortBy(c.Rows, sortx.Radix))
+				ch, picked = o.cheapestGroup(filtered, c, n.Key, groups)
 			}
 			if picked {
-				return o.finishGroup(n, c, ch, rows, groups), nil
+				return o.greedyDegrade(o.greedyGroupPlan(c, n.Key, n.Aggs, ch, rows, groups)), nil
 			}
 		}
 	}
 
-	if !c.Props.SatisfiesAll(kind.Requirements(n.Key)) {
+	if !kind.Admits(c.Props, n.Key) {
 		kind = physical.HG
 	}
-	// Cost probes on bare choices; the granule tree is built for the winner.
-	opt := physical.GroupOptions{}
+	ch := physio.GroupChoice{Kind: kind}
 	o.stats.Alternatives++
-	chCost := o.mode.Model.Group(physio.GroupChoice{Kind: kind}, c.Rows, groups)
-	if dop := o.dop(); dop > 1 && rows > 0 && kind != physical.OG {
-		popt := physical.GroupOptions{Parallel: dop}
+	chCost := o.mode.Model.Group(ch, c.Rows, groups)
+	if dop := o.mode.dop(); dop > 1 && rows > 0 && kind != physical.OG {
+		par := physio.GroupChoice{Kind: kind, Opt: physical.GroupOptions{Parallel: dop}}
 		o.stats.Alternatives++
-		if pc := o.mode.Model.Group(physio.GroupChoice{Kind: kind, Opt: popt}, c.Rows, groups); pc < chCost {
-			opt = popt
+		if o.mode.Model.Group(par, c.Rows, groups) < chCost {
+			ch = par
 		}
 	}
-	return o.finishGroup(n, c, greedyGroupChoice(kind, opt, n.Key), rows, groups), nil
+	return o.greedyDegrade(o.greedyGroupPlan(c, n.Key, n.Aggs, ch, rows, groups)), nil
 }
 
-// finishGroup assembles the grouping plan node for the chosen granule.
-func (o *optimizer) finishGroup(n *logical.GroupBy, c *Plan, ch physio.GroupChoice, rows, groups float64) *Plan {
-	p := &Plan{
-		Op: OpGroup, Children: []*Plan{c},
-		Group: ch, GroupKey: n.Key, Aggs: n.Aggs,
-		DOP:    ch.Opt.Parallel,
-		KeyDom: c.Props.Domain(n.Key),
-		Props:  o.restrict(ch.Kind.OutputProps(c.Props, n.Key)),
-		Rows:   rows,
-		Cost:   c.Cost + o.mode.Model.Group(ch, c.Rows, groups),
+// cheapestGroup probes each choice the input c admits once and returns the
+// cheapest, the first on a tie.
+func (o *optimizer) cheapestGroup(choices []physio.GroupChoice, c *Plan, key string, groups float64) (best physio.GroupChoice, picked bool) {
+	var bestCost float64
+	for _, ch := range choices {
+		if !ch.Kind.Admits(c.Props, key) {
+			continue
+		}
+		o.stats.Alternatives++
+		if chCost := o.mode.Model.Group(ch, c.Rows, groups); !picked || chCost < bestCost {
+			best, bestCost, picked = ch, chCost, true
+		}
 	}
-	p.Width = 4 + 8*float64(len(n.Aggs))
-	resident := c.Rows*c.Width + cost.MemGroup(ch, c.Rows, groups) + rows*p.Width
-	p.Mem = math.Max(c.Mem, resident)
-	return o.greedyDegrade(p)
+	return best, picked
+}
+
+// greedyGroupPlan assembles the grouping node for the chosen granule.
+func (o *optimizer) greedyGroupPlan(c *Plan, key string, aggs []expr.AggSpec, ch physio.GroupChoice, rows, groups float64) *Plan {
+	out := o.restrict(ch.Kind.OutputProps(c.Props, key))
+	mem := groupMem(c, rows, groupWidth(aggs), cost.MemGroup(ch, c.Rows, groups))
+	return groupPlan(c, key, aggs, ch, out, rows, c.Cost+o.mode.Model.Group(ch, c.Rows, groups), mem)
 }
 
 // greedyDegrade applies the memory budget to a greedy join/group pick: a
@@ -468,62 +342,34 @@ func (o *optimizer) greedyDegrade(p *Plan) *Plan {
 	if o.mode.MemBudget <= 0 || p.Mem <= float64(o.mode.MemBudget) {
 		return p
 	}
-	budget := float64(o.mode.MemBudget)
-	switch p.Op {
-	case OpGroup:
-		if p.Group.Kind != physical.HG && p.Group.Kind != physical.SPHG {
-			return p
+	var alt *Plan
+	distinct := float64(p.KeyDom.Distinct)
+	switch {
+	case p.Op == OpGroup && (p.Group.Kind == physical.HG || p.Group.Kind == physical.SPHG):
+		if distinct <= 0 {
+			distinct = p.Rows
 		}
-		c := p.Children[0]
-		groups := float64(p.KeyDom.Distinct)
-		if groups <= 0 {
-			groups = p.Rows
-		}
-		ch := greedyGroupChoice(physical.SOG, physical.GroupOptions{Sort: sortx.Radix}, p.GroupKey)
 		o.stats.Alternatives++
-		alt := &Plan{
-			Op: OpGroup, Children: []*Plan{c},
-			Group: ch, GroupKey: p.GroupKey, Aggs: p.Aggs,
-			KeyDom: p.KeyDom,
-			Props:  o.restrict(ch.Kind.OutputProps(c.Props, p.GroupKey)),
-			Rows:   p.Rows,
-			Cost:   c.Cost + o.mode.Model.Group(ch, c.Rows, groups),
-		}
-		alt.Width = p.Width
-		resident := c.Rows*c.Width + cost.MemGroup(ch, c.Rows, groups) + p.Rows*alt.Width
-		alt.Mem = math.Max(c.Mem, resident)
-		if alt.Mem <= budget || alt.Mem < p.Mem {
-			return alt
-		}
-	case OpJoin:
-		if p.Join.Kind != physical.HJ || p.Index != nil {
-			return p
-		}
+		sog := physio.GroupChoice{Kind: physical.SOG, Opt: physical.GroupOptions{Sort: sortx.Radix}}
+		alt = o.greedyGroupPlan(p.Children[0], p.GroupKey, p.Aggs, sog, p.Rows, distinct)
+	case p.Op == OpJoin && p.Join.Kind == physical.HJ && p.Index == nil:
 		lp, rp := p.Children[0], p.Children[1]
 		build, probe := lp, rp
-		buildKey, probeKey := p.LeftKey, p.RightKey
 		if p.Swapped {
 			build, probe = rp, lp
-			buildKey, probeKey = p.RightKey, p.LeftKey
 		}
-		buildDistinct := float64(p.KeyDom.Distinct)
-		if buildDistinct <= 0 {
-			buildDistinct = build.Rows
+		if distinct <= 0 {
+			distinct = build.Rows
 		}
-		ch := greedyJoinChoice(physical.SOJ, physical.JoinOptions{Sort: sortx.Radix}, buildKey, probeKey)
 		o.stats.Alternatives++
-		alt := &Plan{
-			Op: OpJoin, Children: []*Plan{lp, rp},
-			Join: ch, LeftKey: p.LeftKey, RightKey: p.RightKey, Swapped: p.Swapped,
-			KeyDom: p.KeyDom,
-			Props:  o.restrict(o.joinOutProps(ch, build.Props, probe.Props, buildKey, probeKey)),
-			Rows:   p.Rows,
-			Cost:   lp.Cost + rp.Cost + o.mode.Model.Join(ch, build.Rows, probe.Rows, buildDistinct),
-		}
-		setJoinFootprint(alt, lp, rp, cost.MemJoin(ch, build.Rows, probe.Rows, buildDistinct, p.Rows))
-		if alt.Mem <= budget || alt.Mem < p.Mem {
-			return alt
-		}
+		soj := physio.JoinChoice{Kind: physical.SOJ, Opt: physical.JoinOptions{Sort: sortx.Radix}}
+		total := lp.Cost + rp.Cost + o.mode.Model.Join(soj, build.Rows, probe.Rows, distinct)
+		alt = o.greedyJoinPlan(p.LeftKey, p.RightKey, lp, rp, soj, p.Swapped, p.Rows, distinct, total)
+	default:
+		return p
+	}
+	if alt.Mem <= float64(o.mode.MemBudget) || alt.Mem < p.Mem {
+		return alt
 	}
 	return p
 }

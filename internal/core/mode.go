@@ -94,6 +94,15 @@ type Mode struct {
 	Feedback *feedback.Store
 }
 
+// dop returns the degree of parallelism offered to deep enumeration; shallow
+// modes and modes with DOP <= 1 enumerate serial plans only.
+func (m Mode) dop() int {
+	if m.Depth != physio.Deep || m.DOP <= 1 {
+		return 1
+	}
+	return m.DOP
+}
+
 // WithAVs returns a copy of the mode with the given AV providers installed
 // (either may be nil).
 func (m Mode) WithAVs(scans ScanProvider, indexes IndexProvider) Mode {

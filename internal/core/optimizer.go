@@ -3,10 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"dqo/internal/cost"
+	"dqo/internal/expr"
 	"dqo/internal/feedback"
 	"dqo/internal/hashtable"
 	"dqo/internal/logical"
@@ -38,17 +38,9 @@ func (r *Result) Physicality() float64 {
 	total, n := 0.0, 0
 	var rec func(p *Plan)
 	rec = func(p *Plan) {
-		switch p.Op {
-		case OpJoin:
-			if p.Join.Tree != nil {
-				total += p.Join.Tree.Physicality()
-				n++
-			}
-		case OpGroup:
-			if p.Group.Tree != nil {
-				total += p.Group.Tree.Physicality()
-				n++
-			}
+		if tree := p.GranuleTree(); tree != nil {
+			total += tree.Physicality()
+			n++
 		}
 		for _, c := range p.Children {
 			rec(c)
@@ -110,7 +102,7 @@ type optimizer struct {
 	// tier revisits base relations within one run (compressed twins, AV
 	// variants and fallbacks, cracked and direct-on-compressed filter bases),
 	// and the extraction walks every column's statistics.
-	scanProps map[*storage.Relation]props.Set
+	scanProps map[*storage.Relation]outProps
 	// est shares one memoised cardinality estimator across the whole run —
 	// the greedy pass asks about every node it visits, and the DP tiers
 	// revisit subtree cardinalities per enumeration site. It is also where
@@ -146,60 +138,29 @@ func cheapest(plans []*Plan) *Plan {
 	return best
 }
 
-// scanPropsOf returns the restricted property set of a stored relation,
-// computed once per run. Property sets are immutable once built, so every
-// plan over the relation shares the one value.
-func (o *optimizer) scanPropsOf(rel *storage.Relation) props.Set {
+// scanPropsOf returns the restricted property set of a stored relation with
+// its table key, computed once per run. Property sets are immutable once
+// built, so every plan over the relation shares the one value.
+func (o *optimizer) scanPropsOf(rel *storage.Relation) outProps {
 	if ps, ok := o.scanProps[rel]; ok {
 		return ps
 	}
-	ps := o.restrict(logical.ScanProps(rel))
+	ps := keyed(o.restrict(logical.ScanProps(rel)))
 	if o.scanProps == nil {
-		o.scanProps = make(map[*storage.Relation]props.Set, 8)
+		o.scanProps = make(map[*storage.Relation]outProps, 8)
 	}
 	o.scanProps[rel] = ps
 	return ps
 }
 
-// keepPareto retains, per property vector, the cheapest plan, in order of
-// first appearance; dropping any plan strictly worse than another whose
-// properties subsume it would require a lattice — per-vector pruning is the
-// classical compromise and keeps enumeration exact for the requirements we
-// check.
-func (o *optimizer) keepPareto(plans []*Plan) []*Plan {
-	slot := make(map[props.Key]int, len(plans))
-	out := make([]*Plan, 0, len(plans))
-	for _, p := range plans {
-		if !p.keyed {
-			p.key, p.keyed = p.Props.Key(), true
-		}
-		if i, ok := slot[p.key]; !ok {
-			slot[p.key] = len(out)
-			out = append(out, p)
-		} else if p.Cost < out[i].Cost {
-			out[i] = p
-		}
-	}
-	return o.beamCap(out)
-}
+// The footprint of a node is its estimated output row width and peak
+// resident memory (Plan.Width / Plan.Mem), derived from its children:
+// breakers account their materialised input, kernel working set, and output;
+// streaming operators only what their consumer accumulates. Breaker sites
+// compute Mem before they build a plan, because a mode with a MemBudget prunes
+// on it.
 
-// beamCap truncates a site's DP table to the mode's beam width: the Beam
-// cheapest property-distinct plans survive, ties resolved in enumeration
-// order (stable sort), so the cap is deterministic. Beam <= 0 returns the
-// table untouched — beam-free enumeration stays byte-identical.
-func (o *optimizer) beamCap(plans []*Plan) []*Plan {
-	if o.mode.Beam <= 0 || len(plans) <= o.mode.Beam {
-		return plans
-	}
-	sort.SliceStable(plans, func(i, j int) bool { return plans[i].Cost < plans[j].Cost })
-	return plans[:o.mode.Beam]
-}
-
-// setFootprint derives the node's estimated output row width and peak
-// resident memory (Plan.Width / Plan.Mem) from its children: breakers
-// account their materialised input, kernel working set, and output;
-// streaming operators only what their consumer accumulates. Join and group
-// nodes compute theirs inline where the distinct counts are at hand.
+// setFootprint fills Width and Mem of a scan, filter, project or sort node.
 func setFootprint(p *Plan) {
 	switch p.Op {
 	case OpScan:
@@ -222,108 +183,62 @@ func setFootprint(p *Plan) {
 	case OpSort:
 		c := p.Children[0]
 		p.Width = c.Width
-		resident := c.Rows*c.Width + cost.MemSort(c.Rows, p.DOP > 1) + p.Rows*p.Width
-		p.Mem = math.Max(c.Mem, resident)
+		p.Mem = sortMem(c, p.DOP > 1)
 	}
 }
 
-// pruneMem drops alternatives whose estimated peak memory exceeds the
-// mode's budget; if every alternative exceeds it, a spill-enabled mode
-// degrades to the disk-backed twin of the cheapest spill-compatible
-// alternative, and otherwise the single smallest survives, so optimisation
-// still returns a plan and the runtime budget enforces the limit.
-// MemBudget <= 0 returns plans untouched, keeping budget-free enumeration
-// byte-identical; so does any site with at least one alternative under the
-// budget, keeping fitting plans byte-identical with Spill on or off.
-func (o *optimizer) pruneMem(plans []*Plan) []*Plan {
-	if o.mode.MemBudget <= 0 || len(plans) == 0 {
-		return plans
-	}
-	budget := float64(o.mode.MemBudget)
-	out := make([]*Plan, 0, len(plans))
-	minP := plans[0]
-	for _, p := range plans {
-		if p.Mem < minP.Mem {
-			minP = p
-		}
-		if p.Mem <= budget {
-			out = append(out, p)
-		}
-	}
-	if len(out) == 0 {
-		if o.mode.Spill {
-			if twin := o.spillTwin(plans, budget); twin != nil {
-				return []*Plan{twin}
-			}
-		}
-		return []*Plan{minP}
-	}
-	return out
+// sortMem is the Mem of a sort of c: input, sort working set and output
+// resident at once.
+func sortMem(c *Plan, parallel bool) float64 {
+	resident := c.Rows*c.Width + cost.MemSort(c.Rows, parallel) + c.Rows*c.Width
+	return math.Max(c.Mem, resident)
 }
 
-// spillCompatible reports whether a breaker alternative has a disk-backed
-// twin: the serial kernels whose emission order partitioned or merged
-// execution reproduces exactly (see the internal/exec spill operators).
-// Sorts spill at any sort kind (stable runs merge into the stable full
-// sort); joins only as the serial non-AV hash join (grace partitioning);
-// groupings only as the serial chained-scheme hash aggregation (first-seen
-// iteration order is partition-recomposable).
+// joinMem is the Mem of a join of lp and rp emitting rows rows: both inputs
+// materialised, the kernel's working set, and the emitted pair-gathered
+// output resident at once.
+func joinMem(lp, rp *Plan, rows, work float64) float64 {
+	resident := lp.Rows*lp.Width + rp.Rows*rp.Width + work + rows*(lp.Width+rp.Width)
+	return math.Max(math.Max(lp.Mem, rp.Mem), resident)
+}
+
+// groupWidth is the output row width of a grouping with the given aggregates.
+func groupWidth(aggs []expr.AggSpec) float64 { return 4 + 8*float64(len(aggs)) }
+
+// groupMem is the Mem of a grouping of c into rows groups of the given width.
+func groupMem(c *Plan, rows, width, work float64) float64 {
+	return math.Max(c.Mem, c.Rows*c.Width+work+rows*width)
+}
+
+// spillableSort, spillableJoin and spillableGroup report whether a breaker
+// alternative has a disk-backed twin: the serial kernels whose emission order
+// partitioned or merged execution reproduces exactly (see the internal/exec
+// spill operators). Sorts spill at any sort kind (stable runs merge into the
+// stable full sort); joins only as the serial non-AV hash join (grace
+// partitioning); groupings only as the serial chained-scheme hash aggregation
+// (first-seen iteration order is partition-recomposable).
+func spillableSort(dop int) bool { return dop <= 1 }
+
+func spillableJoin(ch physio.JoinChoice, indexed bool) bool {
+	return ch.Kind == physical.HJ && !indexed && ch.Opt.Parallel <= 1
+}
+
+func spillableGroup(ch physio.GroupChoice) bool {
+	return ch.Kind == physical.HG && ch.Opt.Parallel <= 1 && ch.Opt.Scheme == hashtable.Chained
+}
+
+// spillCompatible is the same question asked of a built plan node.
 func spillCompatible(p *Plan) bool {
 	switch p.Op {
 	case OpSort:
-		return p.DOP <= 1
+		return spillableSort(p.DOP)
 	case OpJoin:
-		return p.Join.Kind == physical.HJ && p.AV == "" && p.Index == nil &&
-			p.Join.Opt.Parallel <= 1
+		return spillableJoin(p.Join, p.AV != "" || p.Index != nil)
 	case OpGroup:
-		return p.Group.Kind == physical.HG && p.Group.Opt.Parallel <= 1 &&
-			p.Group.Opt.Scheme == hashtable.Chained
+		return spillableGroup(p.Group)
 	default:
 		return false
 	}
-}
-
-// spillTwin builds the disk-backed twin of the cheapest spill-compatible
-// alternative at a site where nothing fits the memory budget. Bases whose
-// inputs themselves fit the budget are preferred — spilling the breaker
-// cannot shrink a child's residency. The twin produces the identical output
-// (same property vector), is priced by Model.Spill over the input rows with
-// a nominal two disk passes (partition write + read; deeper recursion is
-// the skew exception, not the rule), and claims the budget as its peak
-// residency — the runtime kernel bounds itself to the spill grant.
-func (o *optimizer) spillTwin(plans []*Plan, budget float64) *Plan {
-	var base *Plan
-	baseFits := false
-	for _, p := range plans {
-		if !spillCompatible(p) {
-			continue
-		}
-		fits := true
-		for _, c := range p.Children {
-			if c.Mem > budget {
-				fits = false
-				break
-			}
-		}
-		switch {
-		case base == nil, fits && !baseFits, fits == baseFits && p.Cost < base.Cost:
-			base, baseFits = p, fits
-		}
-	}
-	if base == nil {
-		return nil
-	}
-	o.stats.Alternatives++
-	var inRows float64
-	for _, c := range base.Children {
-		inRows += c.Rows
-	}
-	twin := *base
-	twin.Spill = true
-	twin.DOP = 0
-	twin.Cost = o.mode.Model.Spill(base.Cost, inRows, 2)
-	twin.Mem = math.Min(base.Mem, budget)
-	return &twin
 }
 
 // MarkSpillTwins rewrites every spill-compatible breaker of an optimised
@@ -382,15 +297,6 @@ func (o *optimizer) sortKinds() []sortx.Kind {
 	return []sortx.Kind{sortx.Radix}
 }
 
-// dop returns the degree of parallelism offered to deep enumeration; shallow
-// modes and modes with DOP <= 1 enumerate serial plans only.
-func (o *optimizer) dop() int {
-	if o.mode.Depth != physio.Deep || o.mode.DOP <= 1 {
-		return 1
-	}
-	return o.mode.DOP
-}
-
 // isStreamSegment reports whether p is a scan→filter→project chain a
 // parallel pipe can be fanned over: every stage is morsel-decomposable and
 // the source is a plain (or AV-variant) table scan. Cracked and
@@ -410,33 +316,199 @@ func isStreamSegment(p *Plan) bool {
 	}
 }
 
+// scanPlan builds one way of reading n's table: the stored relation, an AV
+// variant of it, or (enc set) its compressed-scan twin.
+func (o *optimizer) scanPlan(n *logical.Scan, rel *storage.Relation, av string, enc props.Compression, cost float64) *Plan {
+	p := &Plan{
+		Op: OpScan, Table: n.Table, Rel: rel, AV: av, Enc: enc,
+		Props: o.scanPropsOf(rel).set,
+		Rows:  o.estimator().Estimate(n),
+		Cost:  cost,
+	}
+	setFootprint(p)
+	return p
+}
+
+// baseScan plans the bare scan beneath an AV-backed filter or join.
+func (o *optimizer) baseScan(n *logical.Scan) *Plan {
+	return o.scanPlan(n, n.Rel, "", props.NoCompression, o.mode.Model.Scan(o.estimator().Estimate(n)))
+}
+
+// filterPlan builds the filter of c by n's predicate, as a stage of a
+// dop-wide morsel pipe when dop > 1. Filtering preserves order, clustering,
+// correlations, and domains-as-bounds (a filtered dense domain stays
+// SPH-addressable; it is merely no longer minimal). The pipe re-emits morsels
+// in input order, so the parallel variant's properties are the serial
+// filter's — parallelism is purely a cost trade the model prices with its
+// Parallel term.
+func filterPlan(n *logical.Filter, c *Plan, dop int, rows, cost float64) *Plan {
+	p := &Plan{
+		Op: OpFilter, Children: []*Plan{c}, Pred: n.Pred, DOP: dop,
+		Props: c.Props,
+		Rows:  rows,
+		Cost:  cost,
+	}
+	setFootprint(p)
+	return p
+}
+
+// crackedFilter returns the adaptive-index alternative of filter n, nil when
+// it has none: a range filter directly over a base scan can be answered by
+// the cracked index, touching only qualifying pieces (cracking cost amortises
+// to ~zero over a workload). The crack emits rows in piece order, so order
+// knowledge is lost. scanPlan plans the subsumed scan the calling tier's way.
+func (o *optimizer) crackedFilter(n *logical.Filter, rows float64, scanPlan func(*logical.Scan) *Plan) *Plan {
+	scan, isScan := n.Input.(*logical.Scan)
+	if o.mode.CrackedIdx == nil || !isScan {
+		return nil
+	}
+	col, lo, hi, ok := predRange(n.Pred)
+	if !ok {
+		return nil
+	}
+	idx, have := o.mode.CrackedIdx.Cracked(scan.Table, col)
+	if !have {
+		return nil
+	}
+	base := scanPlan(scan)
+	o.stats.Alternatives++
+	p := &Plan{
+		Op: OpFilter, Children: []*Plan{base}, Pred: n.Pred,
+		AV: idx.Label(), Crack: idx, CrackLo: lo, CrackHi: hi,
+		Props: base.Props.DropOrder(),
+		Rows:  rows,
+		Cost:  base.Cost + o.mode.Model.Filter(rows),
+	}
+	setFootprint(p)
+	return p
+}
+
+// encFilter returns the direct-on-compressed alternative of filter n, nil
+// when it has none: a range predicate over a base scan of an encoded column
+// runs on the compressed payload itself — zone maps answer whole segments,
+// RLE runs decide once per run, packed segments compare in delta space — and
+// only qualifying rows are gathered (ascending, so output order and hence
+// properties match the decoded filter exactly). The cost model sees the exact
+// zone-map census: segments skipped and the encoded units left to compare.
+// scanPlan plans the subsumed scan, given the column's encoding.
+func (o *optimizer) encFilter(n *logical.Filter, rows float64, scanPlan func(*logical.Scan, props.Compression) *Plan) *Plan {
+	scan, isScan := n.Input.(*logical.Scan)
+	if !isScan {
+		return nil
+	}
+	col, lo, hi, ok := predRange(n.Pred)
+	if !ok {
+		return nil
+	}
+	plo, phi, ok := encBounds(lo, hi)
+	if !ok {
+		return nil
+	}
+	enc, skipped, total, work, ok := encFilterTarget(scan.Rel, col, plo, phi)
+	if !ok {
+		return nil
+	}
+	base := scanPlan(scan, enc)
+	o.stats.Alternatives++
+	p := &Plan{
+		Op: OpFilter, Children: []*Plan{base}, Pred: n.Pred,
+		Enc: enc, EncCol: col, EncLo: plo, EncHi: phi,
+		SegsSkipped: skipped, SegsTotal: total,
+		Props: base.Props,
+		Rows:  rows,
+		Cost:  base.Cost + o.mode.Model.FilterCompressed(base.Rows, float64(work), rows, enc),
+	}
+	setFootprint(p)
+	return p
+}
+
+// projectPlan builds the projection of c onto cols. Projection is zero-cost;
+// it inherits the child's pipe membership so a project above a parallel
+// filter stays inside the same morsel pipe.
+func projectPlan(c *Plan, cols []string, out props.Set) *Plan {
+	dop := 0
+	if c.Op == OpFilter || c.Op == OpProject {
+		dop = c.DOP
+	}
+	p := &Plan{
+		Op: OpProject, Children: []*Plan{c}, Cols: cols, DOP: dop,
+		Props: out,
+		Rows:  c.Rows,
+		Cost:  c.Cost,
+	}
+	setFootprint(p)
+	return p
+}
+
+// sortPlan builds the sort of child by key (a user sort, or an enforcer the
+// optimiser inserts) with the given algorithm, at dop > 1 as per-worker
+// sorted runs + k-way merge. out is child's vector after the sort.
+func sortPlan(child *Plan, key string, sk sortx.Kind, dop int, enforcer bool, out props.Set, cost float64) *Plan {
+	p := &Plan{
+		Op: OpSort, Children: []*Plan{child},
+		SortKey: key, SortKind: sk, Enforcer: enforcer, DOP: dop,
+		Props: out,
+		Rows:  child.Rows,
+		Cost:  cost,
+	}
+	setFootprint(p)
+	return p
+}
+
+// joinPlan builds the join of lp and rp on leftKey = rightKey as choice ch,
+// commuted (build on the right input, probe with the left) when swapped.
+func joinPlan(lp, rp *Plan, leftKey, rightKey string, ch physio.JoinChoice, swapped bool, out props.Set, rows, cost, mem float64) *Plan {
+	build, buildKey := lp, leftKey
+	if swapped {
+		build, buildKey = rp, rightKey
+	}
+	return &Plan{
+		Op: OpJoin, Children: []*Plan{lp, rp},
+		Join: ch, LeftKey: leftKey, RightKey: rightKey, Swapped: swapped,
+		DOP:    ch.Opt.Parallel,
+		KeyDom: build.Props.Domain(buildKey),
+		Props:  out,
+		Rows:   rows,
+		Cost:   cost,
+		Width:  lp.Width + rp.Width,
+		Mem:    mem,
+	}
+}
+
+// groupPlan builds the grouping of c on key as choice ch.
+func groupPlan(c *Plan, key string, aggs []expr.AggSpec, ch physio.GroupChoice, out props.Set, rows, cost, mem float64) *Plan {
+	return &Plan{
+		Op: OpGroup, Children: []*Plan{c},
+		Group: ch, GroupKey: key, Aggs: aggs,
+		DOP:    ch.Opt.Parallel,
+		KeyDom: c.Props.Domain(key),
+		Props:  out,
+		Rows:   rows,
+		Cost:   cost,
+		Width:  groupWidth(aggs),
+		Mem:    mem,
+	}
+}
+
+// optimize returns the DP table of n: per distinct output property vector
+// the cheapest plan. Every site costs its alternatives one by one against a
+// site table and builds only those that take a place in it.
 func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
+	t := site{o: o}
 	switch n := n.(type) {
 	case *logical.Scan:
 		rows := o.estimator().Estimate(n)
-		p := &Plan{
-			Op: OpScan, Table: n.Table, Rel: n.Rel,
-			Props: o.scanPropsOf(n.Rel),
-			Rows:  rows,
+		offer := func(rel *storage.Relation, av string, enc props.Compression, cost float64) {
+			o.stats.Alternatives++
+			t.offer(o.scanPropsOf(rel).key, cost, func() *Plan { return o.scanPlan(n, rel, av, enc, cost) })
 		}
-		p.Cost = o.mode.Model.Scan(p.Rows)
-		setFootprint(p)
-		o.stats.Alternatives++
-		out := []*Plan{p}
+		offer(n.Rel, "", props.NoCompression, o.mode.Model.Scan(rows))
 		if o.mode.Scans != nil {
 			// Algorithmic-View access paths: materialised variants of the
 			// table (e.g. sorted projections) start the plan from different
 			// physical properties at plain scan cost.
 			for _, v := range o.mode.Scans.ScanVariants(n.Table) {
-				vp := &Plan{
-					Op: OpScan, Table: n.Table, Rel: v.Rel, AV: v.Label,
-					Props: o.scanPropsOf(v.Rel),
-					Rows:  rows,
-					Cost:  o.mode.Model.Scan(rows),
-				}
-				setFootprint(vp)
-				o.stats.Alternatives++
-				out = append(out, vp)
+				offer(v.Rel, v.Label, props.NoCompression, o.mode.Model.Scan(rows))
 			}
 		}
 		// Compressed-scan granule twin: decode every segment once and stream
@@ -447,18 +519,9 @@ func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
 		// enumeration stays at the classical operator boundary.
 		if o.mode.Depth == physio.Deep {
 			if enc := relCompression(n.Rel); enc != props.NoCompression {
-				cp := &Plan{
-					Op: OpScan, Table: n.Table, Rel: n.Rel, Enc: enc,
-					Props: o.scanPropsOf(n.Rel),
-					Rows:  rows,
-					Cost:  o.mode.Model.ScanCompressed(rows, enc),
-				}
-				setFootprint(cp)
-				o.stats.Alternatives++
-				out = append(out, cp)
+				offer(n.Rel, "", enc, o.mode.Model.ScanCompressed(rows, enc))
 			}
 		}
-		return o.keepPareto(out), nil
 
 	case *logical.Filter:
 		children, err := o.optimize(n.Input)
@@ -466,313 +529,194 @@ func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
 			return nil, err
 		}
 		rows := o.estimator().Estimate(n)
-		var out []*Plan
 		for _, c := range children {
-			p := &Plan{
-				Op: OpFilter, Children: []*Plan{c}, Pred: n.Pred,
-				// Filtering preserves order, clustering, correlations, and
-				// domains-as-bounds (a filtered dense domain stays
-				// SPH-addressable; it is merely no longer minimal).
-				Props: c.Props,
-				Rows:  rows,
-				Cost:  c.Cost + o.mode.Model.Filter(c.Rows),
-			}
-			setFootprint(p)
 			o.stats.Alternatives++
-			out = append(out, p)
+			filter := o.mode.Model.Filter(c.Rows)
+			serial := c.Cost + filter
+			t.offer(c.key, serial, func() *Plan { return filterPlan(n, c, 0, rows, serial) })
 			// Parallel variant: fan the streaming segment below across a
-			// morsel pipe. The pipe re-emits morsels in input order, so the
-			// properties are identical to the serial filter — parallelism is
-			// purely a cost trade the model prices with its Parallel term.
-			if dop := o.dop(); dop > 1 && isStreamSegment(c) {
+			// morsel pipe.
+			if dop := o.mode.dop(); dop > 1 && isStreamSegment(c) {
 				o.stats.Alternatives++
-				pp := &Plan{
-					Op: OpFilter, Children: []*Plan{c}, Pred: n.Pred, DOP: dop,
-					Props: c.Props,
-					Rows:  rows,
-					Cost:  c.Cost + o.mode.Model.Parallel(o.mode.Model.Filter(c.Rows), dop),
-				}
-				setFootprint(pp)
-				out = append(out, pp)
+				parallel := c.Cost + o.mode.Model.Parallel(filter, dop)
+				t.offer(c.key, parallel, func() *Plan { return filterPlan(n, c, dop, rows, parallel) })
 			}
 		}
-		// Adaptive-index AV: a range filter directly over a base scan can be
-		// answered by the cracked index, touching only qualifying pieces.
-		// The crack emits rows in piece order, so order knowledge is lost.
-		if o.mode.CrackedIdx != nil {
-			if scan, isScan := n.Input.(*logical.Scan); isScan {
-				if col, lo, hi, ok := predRange(n.Pred); ok {
-					if idx, have := o.mode.CrackedIdx.Cracked(scan.Table, col); have {
-						base := &Plan{
-							Op: OpScan, Table: scan.Table, Rel: scan.Rel,
-							Props: o.scanPropsOf(scan.Rel),
-							Rows:  o.estimator().Estimate(scan),
-							Cost:  o.mode.Model.Scan(o.estimator().Estimate(scan)),
-						}
-						setFootprint(base)
-						o.stats.Alternatives++
-						cp := &Plan{
-							Op: OpFilter, Children: []*Plan{base}, Pred: n.Pred,
-							AV: idx.Label(), Crack: idx, CrackLo: lo, CrackHi: hi,
-							Props: base.Props.DropOrder(),
-							Rows:  rows,
-							// Only qualifying rows are touched (cracking
-							// cost amortises to ~zero over a workload).
-							Cost: base.Cost + o.mode.Model.Filter(rows),
-						}
-						setFootprint(cp)
-						out = append(out, cp)
-					}
-				}
-			}
+		// The AV-backed and the direct-on-compressed alternative are at most
+		// one each per site and come built.
+		if p := o.crackedFilter(n, rows, o.baseScan); p != nil {
+			t.offer(p.Props.Key(), p.Cost, func() *Plan { return p })
 		}
-		// Direct-on-compressed filter granule: a range predicate over a base
-		// scan of an encoded column runs on the compressed payload itself —
-		// zone maps answer whole segments, RLE runs decide once per run,
-		// packed segments compare in delta space — and only qualifying rows
-		// are gathered (ascending, so output order and hence properties match
-		// the decoded filter exactly). The cost model sees the exact zone-map
-		// census: segments skipped and the encoded units left to compare.
+		// Deep-only, like the compressed-scan twin it reads: the kernel works
+		// on the encoded payload, so the subsumed base scan is priced (and
+		// displayed) as that twin.
 		if o.mode.Depth == physio.Deep {
-			if scan, isScan := n.Input.(*logical.Scan); isScan {
-				if col, lo, hi, ok := predRange(n.Pred); ok {
-					if plo, phi, okb := encBounds(lo, hi); okb {
-						if enc, skipped, total, work, oke := encFilterTarget(scan.Rel, col, plo, phi); oke {
-							scanRows := o.estimator().Estimate(scan)
-							// The kernel reads the encoded payload, so the
-							// subsumed base scan is priced (and displayed) as
-							// its compressed twin.
-							base := &Plan{
-								Op: OpScan, Table: scan.Table, Rel: scan.Rel,
-								Enc:   relCompression(scan.Rel),
-								Props: o.scanPropsOf(scan.Rel),
-								Rows:  scanRows,
-								Cost:  o.mode.Model.ScanCompressed(scanRows, enc),
-							}
-							setFootprint(base)
-							o.stats.Alternatives++
-							ep := &Plan{
-								Op: OpFilter, Children: []*Plan{base}, Pred: n.Pred,
-								Enc: enc, EncCol: col, EncLo: plo, EncHi: phi,
-								SegsSkipped: skipped, SegsTotal: total,
-								Props: base.Props,
-								Rows:  rows,
-								Cost:  base.Cost + o.mode.Model.FilterCompressed(scanRows, float64(work), rows, enc),
-							}
-							setFootprint(ep)
-							out = append(out, ep)
-						}
-					}
-				}
+			twin := func(scan *logical.Scan, enc props.Compression) *Plan {
+				return o.scanPlan(scan, scan.Rel, "", relCompression(scan.Rel), o.mode.Model.ScanCompressed(o.estimator().Estimate(scan), enc))
+			}
+			if p := o.encFilter(n, rows, twin); p != nil {
+				t.offer(p.Props.Key(), p.Cost, func() *Plan { return p })
 			}
 		}
-		return o.keepPareto(out), nil
 
 	case *logical.Project:
 		children, err := o.optimize(n.Input)
 		if err != nil {
 			return nil, err
 		}
-		var out []*Plan
 		for _, c := range children {
-			dop := 0
-			if c.Op == OpFilter || c.Op == OpProject {
-				// Projection is zero-cost; it inherits the child's pipe
-				// membership so a project above a parallel filter stays
-				// inside the same morsel pipe.
-				dop = c.DOP
-			}
-			p := &Plan{
-				Op: OpProject, Children: []*Plan{c}, Cols: n.Cols, DOP: dop,
-				Props: c.Props.Project(n.Cols...),
-				Rows:  c.Rows,
-				Cost:  c.Cost,
-			}
-			setFootprint(p)
 			o.stats.Alternatives++
-			out = append(out, p)
+			out := keyed(c.Props.Project(n.Cols...))
+			t.offer(out.key, c.Cost, func() *Plan { return projectPlan(c, n.Cols, out.set) })
 		}
-		return o.keepPareto(out), nil
 
 	case *logical.Sort:
 		children, err := o.optimize(n.Input)
 		if err != nil {
 			return nil, err
 		}
-		var out []*Plan
 		for _, c := range children {
-			if c.Props.SortedOn(n.Key) {
-				// Already sorted: the sort is a no-op; keep the child as-is
-				// wrapped for plan-shape fidelity at zero cost.
-				np := &Plan{
-					Op: OpSort, Children: []*Plan{c}, SortKey: n.Key, SortKind: sortx.Radix,
-					Props: c.Props, Rows: c.Rows, Cost: c.Cost,
-				}
-				setFootprint(np)
-				out = append(out, np)
-				o.stats.Alternatives++
+			if !c.Props.SortedOn(n.Key) {
+				o.offerSorts(&t, c, n.Key, false)
 				continue
 			}
-			for _, sk := range o.sortKinds() {
-				out = append(out, o.sortVariants(c, n.Key, sk, false)...)
-			}
+			// Already sorted: the sort is a no-op; keep the child as-is
+			// wrapped for plan-shape fidelity at zero cost.
+			o.stats.Alternatives++
+			t.offerBreaker(c.key, c.Cost, sortMem(c, false), twinRank(spillableSort(0), o.fits(c)), func() *Plan {
+				return sortPlan(c, n.Key, sortx.Radix, 0, false, c.Props, c.Cost)
+			})
 		}
-		return o.keepPareto(o.pruneMem(out)), nil
 
 	case *logical.Join:
-		return o.optimizeJoin(n)
+		if err := o.offerJoins(&t, n); err != nil {
+			return nil, err
+		}
 
 	case *logical.GroupBy:
-		return o.optimizeGroup(n)
+		if err := o.offerGroups(&t, n); err != nil {
+			return nil, err
+		}
 
 	default:
 		return nil, fmt.Errorf("core: cannot optimise %T", n)
 	}
+	return t.table(), nil
 }
 
-// joinOutProps derives join output properties, hiding probe-order
-// preservation from optimisers that do not look below the operator boundary
-// (classical assumption: hash joins destroy order; only the order-based
-// family preserves it).
-func (o *optimizer) joinOutProps(ch physio.JoinChoice, build, probe props.Set, buildKey, probeKey string) props.Set {
-	out := ch.Kind.OutputProps(build, probe, buildKey, probeKey)
-	if !o.mode.TrackProbeOrder {
-		switch ch.Kind {
-		case physical.HJ, physical.SPHJ, physical.BSJ:
-			out = out.DropOrder()
-		}
+// joinOutProps derives the output properties of a join of the given kind,
+// restricted to what the mode tracks. Optimisers that do not look below the
+// operator boundary are not told that probe-major joins preserve the probe
+// side's order (classical assumption: hash joins destroy order; only the
+// order-based family preserves it). The result depends on the kind only
+// through its family (physical.JoinKind.KeyOrdered).
+func (o *optimizer) joinOutProps(kind physical.JoinKind, build, probe props.Set, buildKey, probeKey string) props.Set {
+	out := kind.OutputProps(build, probe, buildKey, probeKey)
+	if !o.mode.TrackProbeOrder && !kind.KeyOrdered() {
+		out.SortedBy, out.GroupedBy = nil, nil // fresh and unshared: no copy to defend
 	}
-	return out
+	return o.restrict(out)
 }
 
-// sortPlan wraps child in a sort by key (enforcer or user sort).
-func (o *optimizer) sortPlan(child *Plan, key string, sk sortx.Kind, enforcer bool) *Plan {
-	o.stats.Alternatives++
-	p := &Plan{
-		Op: OpSort, Children: []*Plan{child},
-		SortKey: key, SortKind: sk, Enforcer: enforcer,
-		Props: child.Props.AfterSortBy(key),
-		Rows:  child.Rows,
-		Cost:  child.Cost + o.mode.Model.SortBy(child.Rows, sk),
-	}
-	setFootprint(p)
-	return p
-}
-
-// sortVariants enumerates the serial sort plus, at deep DOP > 1, its
-// parallel twin (per-worker sorted runs + k-way merge — identical output, so
-// identical properties; only the cost differs).
-func (o *optimizer) sortVariants(child *Plan, key string, sk sortx.Kind, enforcer bool) []*Plan {
-	out := []*Plan{o.sortPlan(child, key, sk, enforcer)}
-	if dop := o.dop(); dop > 1 {
+// offerSorts offers t every way of sorting child by key: each sort kind,
+// serial and, at deep DOP > 1, as its parallel twin (identical output, so
+// identical properties; only the cost differs) — one property vector for all
+// of them. A user sort is a breaker site under the memory budget; enforcers
+// are candidates for the operator above and are pruned there.
+func (o *optimizer) offerSorts(t *site, child *Plan, key string, enforcer bool) {
+	out := keyed(child.Props.AfterSortBy(key))
+	offer := func(sk sortx.Kind, dop int, cost float64) {
 		o.stats.Alternatives++
-		pp := &Plan{
-			Op: OpSort, Children: []*Plan{child},
-			SortKey: key, SortKind: sk, Enforcer: enforcer, DOP: dop,
-			Props: child.Props.AfterSortBy(key),
-			Rows:  child.Rows,
-			Cost:  child.Cost + o.mode.Model.Parallel(o.mode.Model.SortBy(child.Rows, sk), dop),
+		build := func() *Plan { return sortPlan(child, key, sk, dop, enforcer, out.set, cost) }
+		if enforcer {
+			t.offer(out.key, cost, build)
+		} else {
+			t.offerBreaker(out.key, cost, sortMem(child, dop > 1), twinRank(spillableSort(dop), o.fits(child)), build)
 		}
-		setFootprint(pp)
-		out = append(out, pp)
 	}
-	return out
+	for _, sk := range o.sortKinds() {
+		serial := o.mode.Model.SortBy(child.Rows, sk)
+		offer(sk, 0, child.Cost+serial)
+		if dop := o.mode.dop(); dop > 1 {
+			offer(sk, dop, child.Cost+o.mode.Model.Parallel(serial, dop))
+		}
+	}
 }
 
 // withEnforcers returns the candidate input plans for an operator that
 // might want its input sorted by key: the originals plus, for each plan not
 // already sorted on key, sort-enforced variants.
 func (o *optimizer) withEnforcers(plans []*Plan, key string) []*Plan {
-	out := append([]*Plan(nil), plans...)
+	// The originals come from a finished table: one vector each.
+	t := site{o: o, plans: append(make([]*Plan, 0, 2*len(plans)), plans...)}
 	for _, p := range plans {
-		if p.Props.SortedOn(key) {
-			continue
-		}
-		for _, sk := range o.sortKinds() {
-			out = append(out, o.sortVariants(p, key, sk, true)...)
+		if !p.Props.SortedOn(key) {
+			o.offerSorts(&t, p, key, true)
 		}
 	}
-	return o.keepPareto(out)
+	return t.table()
 }
 
-func (o *optimizer) optimizeJoin(n *logical.Join) ([]*Plan, error) {
+// offerJoins offers t the implementations of join n over every pair of its
+// inputs' plans, in both orientations.
+func (o *optimizer) offerJoins(t *site, n *logical.Join) error {
 	lefts, err := o.optimize(n.Left)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rights, err := o.optimize(n.Right)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	lefts = o.withEnforcers(lefts, n.LeftKey)
 	rights = o.withEnforcers(rights, n.RightKey)
 
 	rows := o.estimator().Estimate(n)
-	keyDistinct := o.estimator().ColDistinct(n.Left, n.LeftKey)
+	leftDistinct := o.estimator().ColDistinct(n.Left, n.LeftKey)
 	rightDistinct := o.estimator().ColDistinct(n.Right, n.RightKey)
-	choices := physio.JoinChoices(n.LeftKey, n.RightKey, o.mode.Depth, o.dop())
-	// Join commutativity: the same algorithm families with build and probe
-	// roles exchanged. Requirements and costs are evaluated with the right
-	// input as the build side; the output schema is unchanged.
-	swapChoices := physio.JoinChoices(n.RightKey, n.LeftKey, o.mode.Depth, o.dop())
-
-	var out []*Plan
+	choices := physio.JoinChoices(n.LeftKey, n.RightKey, o.mode.Depth, o.mode.dop())
 	for _, lp := range lefts {
 		for _, rp := range rights {
-			for i := range choices {
-				ch := choices[i]
-				if !lp.Props.SatisfiesAll(ch.LeftReqs) || !rp.Props.SatisfiesAll(ch.RightReqs) {
-					continue
+			fit := o.fits(lp, rp)
+			// Join commutativity: the same choices with build and probe roles
+			// exchanged. Requirements and costs are evaluated with the right
+			// input as the build side; the output schema is unchanged.
+			for _, swapped := range [2]bool{false, true} {
+				build, probe, buildKey, probeKey, distinct := lp, rp, n.LeftKey, n.RightKey, leftDistinct
+				if swapped {
+					build, probe, buildKey, probeKey, distinct = rp, lp, n.RightKey, n.LeftKey, rightDistinct
 				}
-				o.stats.Alternatives++
-				outProps := o.joinOutProps(ch, lp.Props, rp.Props, n.LeftKey, n.RightKey)
-				p := &Plan{
-					Op: OpJoin, Children: []*Plan{lp, rp},
-					Join: ch, LeftKey: n.LeftKey, RightKey: n.RightKey,
-					DOP:    ch.Opt.Parallel,
-					KeyDom: lp.Props.Domain(n.LeftKey),
-					Props:  o.restrict(outProps),
-					Rows:   rows,
-					Cost:   lp.Cost + rp.Cost + o.mode.Model.Join(ch, lp.Rows, rp.Rows, keyDistinct),
+				// One output vector per algorithm family: probe-major, key-ordered.
+				var fams [2]outProps
+				for i := range choices {
+					ch := choices[i]
+					if !ch.Kind.Admits(build.Props, probe.Props, buildKey, probeKey) {
+						continue
+					}
+					o.stats.Alternatives++
+					out := &fams[0]
+					if ch.Kind.KeyOrdered() {
+						out = &fams[1]
+					}
+					if !out.ok {
+						*out = keyed(o.joinOutProps(ch.Kind, build.Props, probe.Props, buildKey, probeKey))
+					}
+					total := lp.Cost + rp.Cost + o.mode.Model.Join(ch, build.Rows, probe.Rows, distinct)
+					mem := joinMem(lp, rp, rows, cost.MemJoin(ch, build.Rows, probe.Rows, distinct, rows))
+					t.offerBreaker(out.key, total, mem, twinRank(spillableJoin(ch, false), fit), func() *Plan {
+						return joinPlan(lp, rp, n.LeftKey, n.RightKey, ch, swapped, out.set, rows, total, mem)
+					})
 				}
-				setJoinFootprint(p, lp, rp, cost.MemJoin(ch, lp.Rows, rp.Rows, keyDistinct, rows))
-				out = append(out, p)
-			}
-			for i := range swapChoices {
-				ch := swapChoices[i]
-				if !rp.Props.SatisfiesAll(ch.LeftReqs) || !lp.Props.SatisfiesAll(ch.RightReqs) {
-					continue
-				}
-				o.stats.Alternatives++
-				outProps := o.joinOutProps(ch, rp.Props, lp.Props, n.RightKey, n.LeftKey)
-				p := &Plan{
-					Op: OpJoin, Children: []*Plan{lp, rp},
-					Join: ch, LeftKey: n.LeftKey, RightKey: n.RightKey, Swapped: true,
-					DOP:    ch.Opt.Parallel,
-					KeyDom: rp.Props.Domain(n.RightKey),
-					Props:  o.restrict(outProps),
-					Rows:   rows,
-					Cost:   lp.Cost + rp.Cost + o.mode.Model.Join(ch, rp.Rows, lp.Rows, rightDistinct),
-				}
-				setJoinFootprint(p, lp, rp, cost.MemJoin(ch, rp.Rows, lp.Rows, rightDistinct, rows))
-				out = append(out, p)
 			}
 		}
 	}
-	out = append(out, o.indexedJoins(n, rows, lefts, rights, func(scan *logical.Scan) *Plan {
-		base := &Plan{
-			Op: OpScan, Table: scan.Table, Rel: scan.Rel,
-			Props: o.scanPropsOf(scan.Rel),
-			Rows:  o.estimator().Estimate(scan),
-			Cost:  o.mode.Model.Scan(o.estimator().Estimate(scan)),
-		}
-		setFootprint(base)
-		return base
-	})...)
-	if len(out) == 0 {
-		return nil, fmt.Errorf("core: no applicable join implementation for %s", n)
+	o.indexedJoins(n, rows, lefts, rights, o.baseScan, func(p *Plan) {
+		t.offerBreaker(p.Props.Key(), p.Cost, p.Mem, noTwin, func() *Plan { return p })
+	})
+	if t.empty() {
+		return fmt.Errorf("core: no applicable join implementation for %s", n)
 	}
-	return o.keepPareto(o.pruneMem(out)), nil
+	return nil
 }
 
 // indexedJoins enumerates the AV-backed alternatives of join n, which both
@@ -783,13 +727,13 @@ func (o *optimizer) optimizeJoin(n *logical.Join) ([]*Plan, error) {
 // plan of the other input, charged the probe only and holding no build
 // working set. An index under the right input is the commuted join: probe
 // with the left, output in the left's order. scanPlan plans the indexed
-// table's bare scan the way the calling tier does.
-func (o *optimizer) indexedJoins(n *logical.Join, rows float64, lefts, rights []*Plan, scanPlan func(*logical.Scan) *Plan) []*Plan {
+// table's bare scan the way the calling tier does; the alternatives are few
+// and are handed to offer built.
+func (o *optimizer) indexedJoins(n *logical.Join, rows float64, lefts, rights []*Plan, scanPlan func(*logical.Scan) *Plan, offer func(*Plan)) {
 	if o.mode.Indexes == nil {
-		return nil
+		return
 	}
-	var out []*Plan
-	for _, swapped := range []bool{false, true} {
+	for _, swapped := range [2]bool{false, true} {
 		buildNode, buildKey, probeKey, probes := n.Left, n.LeftKey, n.RightKey, rights
 		if swapped {
 			buildNode, buildKey, probeKey, probes = n.Right, n.RightKey, n.LeftKey, lefts
@@ -804,89 +748,79 @@ func (o *optimizer) indexedJoins(n *logical.Join, rows float64, lefts, rights []
 		}
 		base := scanPlan(scan)
 		distinct := o.estimator().ColDistinct(scan, buildKey)
-		kind := physical.HJ
+		ch := physio.JoinChoice{Kind: physical.HJ, Opt: physical.JoinOptions{Hash: idx.Hash()}}
 		if idx.SPH() {
-			kind = physical.SPHJ
+			ch.Kind = physical.SPHJ
 		}
-		opt := physical.JoinOptions{Hash: idx.Hash()}
-		ch := physio.JoinChoice{Kind: kind, Opt: opt, Tree: physio.JoinTree(kind, opt, buildKey, probeKey)}
 		for _, pp := range probes {
 			o.stats.Alternatives++
 			lp, rp := base, pp
 			if swapped {
 				lp, rp = pp, base
 			}
-			ap := &Plan{
-				Op: OpJoin, Children: []*Plan{lp, rp},
-				Join: ch, LeftKey: n.LeftKey, RightKey: n.RightKey, Swapped: swapped,
-				AV: idx.Label(), Index: idx,
-				KeyDom: base.Props.Domain(buildKey),
-				Props:  o.restrict(o.joinOutProps(ch, base.Props, pp.Props, buildKey, probeKey)),
-				Rows:   rows,
-				// Build side already materialised: charge probe only.
-				Cost: base.Cost + pp.Cost + o.mode.Model.Join(ch, 0, pp.Rows, distinct),
-			}
-			// Build side prepaid: no build working set.
-			setJoinFootprint(ap, lp, rp, cost.MemJoin(ch, 0, pp.Rows, distinct, rows))
-			out = append(out, ap)
+			out := o.joinOutProps(ch.Kind, base.Props, pp.Props, buildKey, probeKey)
+			// Build side already materialised: charge the probe only, and no
+			// build working set.
+			total := base.Cost + pp.Cost + o.mode.Model.Join(ch, 0, pp.Rows, distinct)
+			mem := joinMem(lp, rp, rows, cost.MemJoin(ch, 0, pp.Rows, distinct, rows))
+			p := joinPlan(lp, rp, n.LeftKey, n.RightKey, ch, swapped, out, rows, total, mem)
+			p.AV, p.Index = idx.Label(), idx
+			offer(p)
 		}
 	}
-	return out
 }
 
-// setJoinFootprint fills Width/Mem for a join alternative: both inputs
-// materialised, the kernel's working set, and the emitted pair-gathered
-// output resident at once.
-func setJoinFootprint(p, lp, rp *Plan, work float64) {
-	p.Width = lp.Width + rp.Width
-	resident := lp.Rows*lp.Width + rp.Rows*rp.Width + work + p.Rows*p.Width
-	p.Mem = math.Max(math.Max(lp.Mem, rp.Mem), resident)
+// groupChoices returns the grouping implementations a site on key may pick
+// from under mode: the (depth, DOP) list, narrowed by the mode's GroupFilter
+// when that leaves any.
+func groupChoices(mode Mode, key string) []physio.GroupChoice {
+	choices := physio.GroupChoices(key, mode.Depth, mode.dop())
+	if mode.GroupFilter != nil {
+		if filtered := mode.GroupFilter(key, choices); len(filtered) > 0 {
+			return filtered
+		}
+	}
+	return choices
 }
 
-func (o *optimizer) optimizeGroup(n *logical.GroupBy) ([]*Plan, error) {
+// offerGroups offers t the implementations of grouping n over every plan of
+// its input.
+func (o *optimizer) offerGroups(t *site, n *logical.GroupBy) error {
 	children, err := o.optimize(n.Input)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	children = o.withEnforcers(children, n.Key)
 
 	groups := o.estimator().ColDistinct(n.Input, n.Key)
 	rows := o.estimator().Estimate(n)
-	choices := physio.GroupChoices(n.Key, o.mode.Depth, o.dop())
-	if o.mode.GroupFilter != nil {
-		if filtered := o.mode.GroupFilter(n.Key, choices); len(filtered) > 0 {
-			choices = filtered
-		}
-	}
-
-	var out []*Plan
+	width := groupWidth(n.Aggs)
+	choices := groupChoices(o.mode, n.Key)
 	for _, c := range children {
+		fit := o.fits(c)
+		// One output vector per algorithm family.
+		var fams [physical.NumGroupKinds]outProps
 		for i := range choices {
 			ch := choices[i]
-			if !c.Props.SatisfiesAll(ch.Reqs) {
+			if !ch.Kind.Admits(c.Props, n.Key) {
 				continue
 			}
 			o.stats.Alternatives++
-			outProps := ch.Kind.OutputProps(c.Props, n.Key)
-			p := &Plan{
-				Op: OpGroup, Children: []*Plan{c},
-				Group: ch, GroupKey: n.Key, Aggs: n.Aggs,
-				DOP:    ch.Opt.Parallel,
-				KeyDom: c.Props.Domain(n.Key),
-				Props:  o.restrict(outProps),
-				Rows:   rows,
-				Cost:   c.Cost + o.mode.Model.Group(ch, c.Rows, groups),
+			out := &fams[ch.Kind]
+			if !out.ok {
+				*out = keyed(o.restrict(ch.Kind.OutputProps(c.Props, n.Key)))
 			}
-			p.Width = 4 + 8*float64(len(n.Aggs))
-			resident := c.Rows*c.Width + cost.MemGroup(ch, c.Rows, groups) + rows*p.Width
-			p.Mem = math.Max(c.Mem, resident)
-			out = append(out, p)
+			total := c.Cost + o.mode.Model.Group(ch, c.Rows, groups)
+			mem := groupMem(c, rows, width, cost.MemGroup(ch, c.Rows, groups))
+			t.offerBreaker(out.key, total, mem, twinRank(spillableGroup(ch), fit), func() *Plan {
+				return groupPlan(c, n.Key, n.Aggs, ch, out.set, rows, total, mem)
+			})
 		}
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("core: no applicable grouping implementation for %s", n)
+	if t.empty() {
+		return fmt.Errorf("core: no applicable grouping implementation for %s", n)
 	}
-	return o.keepPareto(o.pruneMem(out)), nil
+	return nil
 }
 
 // CompareModes optimises the same logical plan under two modes and returns

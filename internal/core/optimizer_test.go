@@ -454,7 +454,7 @@ func TestModeConstructors(t *testing.T) {
 	}
 }
 
-// fingerprintPareto is keepPareto as it was keyed before props.Key: per
+// fingerprintPareto is the DP table as it was keyed before props.Key: per
 // Fingerprint string, the cheapest plan, in order of first appearance.
 func fingerprintPareto(plans []*Plan) []*Plan {
 	slot := map[string]int{}
@@ -471,7 +471,7 @@ func fingerprintPareto(plans []*Plan) []*Plan {
 	return out
 }
 
-// TestParetoKeyedLikeFingerprint feeds keepPareto the plans of the DP tables
+// TestParetoKeyedLikeFingerprint offers a site table the plans of the DP tables
 // of the query corpus — the Figure-5 cells and the differential suite's
 // random shapes, at every logical site, pooled per mode so that vectors
 // differing only in order, density or bounds meet — and checks it keeps
@@ -519,7 +519,11 @@ func TestParetoKeyedLikeFingerprint(t *testing.T) {
 		for _, q := range queries {
 			sites(q)
 		}
-		got, want := o.keepPareto(pool), fingerprintPareto(pool)
+		table := site{o: o}
+		for _, p := range pool {
+			table.offer(p.Props.Key(), p.Cost, func() *Plan { return p })
+		}
+		got, want := table.table(), fingerprintPareto(pool)
 		if len(got) != len(want) {
 			t.Fatalf("%s: kept %d of %d plans, per-Fingerprint pruning keeps %d", m.Name, len(got), len(pool), len(want))
 		}

@@ -116,10 +116,10 @@ type Plan struct {
 	Width float64
 	Mem   float64
 
-	// key caches Props.Key() for the DP tables: a plan is keyed at its own
-	// site and again as an enforcer candidate of its parent's.
-	key   props.Key
-	keyed bool
+	// key is Props.Key(), set by the DP table the plan took a place in: the
+	// plan is looked up by it at its own site and again as a candidate input
+	// of its parent's.
+	key props.Key
 }
 
 // Summary returns a one-line account of the chosen plan: the operator chain
@@ -225,22 +225,34 @@ func (p *Plan) Explain() string {
 
 // ExplainDeep is Explain plus the granule tree of every join/group node —
 // the Figure 3 view of the chosen plan.
-func (p *Plan) ExplainDeep() string {
+func (p *Plan) ExplainDeep() string { return p.Explain() + p.GranuleTrees() }
+
+// GranuleTree returns the granule tree that explains this node's join or
+// grouping implementation, nil for other operators. The tree is a function
+// of the chosen granule and the key columns (a join names its build key
+// first), derived when somebody reads it: enumeration carries none.
+func (p *Plan) GranuleTree() *physio.Granule {
+	switch {
+	case p.Op == OpJoin && p.Swapped:
+		return p.Join.Tree(p.RightKey, p.LeftKey)
+	case p.Op == OpJoin:
+		return p.Join.Tree(p.LeftKey, p.RightKey)
+	case p.Op == OpGroup:
+		return p.Group.Tree(p.GroupKey)
+	default:
+		return nil
+	}
+}
+
+// GranuleTrees renders the granule tree of every join/group node, bottom-up.
+func (p *Plan) GranuleTrees() string {
 	var b strings.Builder
-	b.WriteString(p.Explain())
 	var rec func(n *Plan)
 	rec = func(n *Plan) {
 		for _, c := range n.Children {
 			rec(c)
 		}
-		var tree *physio.Granule
-		switch n.Op {
-		case OpJoin:
-			tree = n.Join.Tree
-		case OpGroup:
-			tree = n.Group.Tree
-		}
-		if tree != nil {
+		if tree := n.GranuleTree(); tree != nil {
 			fmt.Fprintf(&b, "\n%s granule tree (physicality %.2f):\n%s", n.Label(), tree.Physicality(), tree.Render())
 		}
 	}

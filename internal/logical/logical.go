@@ -236,7 +236,7 @@ func ScanProps(rel *storage.Relation) props.Set {
 	// The set is built in place rather than through WithSortedBy/WithCorr:
 	// those return defensive copies, and a fresh unshared set has nothing to
 	// defend. The invariants they maintain — SortedBy sorted and duplicate-
-	// free, Corrs deduplicated and in (key, dep) order — are kept by hand.
+	// free, Corrs deduplicated and in (key, dep) order — are kept here.
 	s := props.NewSet()
 	for _, c := range rel.Columns() {
 		if !c.Kind().Integer() {
@@ -264,16 +264,9 @@ func ScanProps(rel *storage.Relation) props.Set {
 	}
 	sort.Strings(s.SortedBy) // column names are unique, so sorting normalises
 	for _, corr := range rel.Corrs() {
-		if !s.CorrelatedWith(corr[0], corr[1]) {
-			s.Corrs = append(s.Corrs, props.Corr{Key: corr[0], Dep: corr[1]})
-		}
+		s.Corrs = append(s.Corrs, props.Corr{Key: corr[0], Dep: corr[1]})
 	}
-	sort.Slice(s.Corrs, func(i, j int) bool {
-		if s.Corrs[i].Key != s.Corrs[j].Key {
-			return s.Corrs[i].Key < s.Corrs[j].Key
-		}
-		return s.Corrs[i].Dep < s.Corrs[j].Dep
-	})
+	s.Corrs = props.NormalizeCorrs(s.Corrs)
 	return s
 }
 

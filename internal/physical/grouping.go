@@ -63,6 +63,10 @@ func (k GroupKind) String() string {
 	}
 }
 
+// NumGroupKinds is the number of grouping algorithms, for tables indexed by
+// GroupKind.
+const NumGroupKinds = int(numGroupKinds)
+
 // GroupKinds lists all grouping algorithms.
 func GroupKinds() []GroupKind { return []GroupKind{HG, SPHG, OG, SOG, BSG} }
 
@@ -76,6 +80,19 @@ func (k GroupKind) Requirements(col string) []props.Requirement {
 		return []props.Requirement{{Kind: props.ReqGrouped, Column: col}}
 	default:
 		return nil
+	}
+}
+
+// Admits reports whether an input with these properties meets
+// Requirements(col), without building the list.
+func (k GroupKind) Admits(in props.Set, col string) bool {
+	switch k {
+	case SPHG:
+		return in.DenseOn(col)
+	case OG:
+		return in.GroupedOn(col)
+	default:
+		return true
 	}
 }
 
@@ -591,9 +608,8 @@ func searchUint32(xs []uint32, k uint32) (int, bool) {
 // input property set (for the key column named col): which algorithms yield
 // sorted output, and the key domain of the result.
 func (k GroupKind) OutputProps(in props.Set, col string) props.Set {
-	out := props.NewSet()
-	d := in.Domain(col)
-	out.Cols[col] = d // grouping preserves the key domain exactly
+	// Grouping preserves the key domain exactly.
+	out := props.Set{Cols: map[string]props.Domain{col: in.Domain(col)}}
 	switch k {
 	case SPHG, SOG, BSG:
 		out.SortedBy = []string{col}

@@ -2,6 +2,7 @@ package physical
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"dqo/internal/govern"
@@ -69,6 +70,26 @@ func (k JoinKind) Requirements(leftCol, rightCol string) (left, right []props.Re
 		return nil, nil
 	}
 }
+
+// Admits reports whether inputs with these properties meet
+// Requirements(leftCol, rightCol): the same answer without building the lists,
+// for the enumeration loop that asks it of every alternative.
+func (k JoinKind) Admits(left, right props.Set, leftCol, rightCol string) bool {
+	switch k {
+	case SPHJ:
+		return left.DenseOn(leftCol)
+	case OJ:
+		return left.SortedOn(leftCol) && right.SortedOn(rightCol)
+	default:
+		return true
+	}
+}
+
+// KeyOrdered reports whether the algorithm emits pairs in key order whatever
+// its inputs look like (the order-based family). The others are probe-major:
+// their output order is the probe side's. All kinds of one family derive the
+// same OutputProps from the same inputs.
+func (k JoinKind) KeyOrdered() bool { return k == OJ || k == SOJ }
 
 // JoinOptions selects the molecule choices inside a join algorithm.
 type JoinOptions struct {
@@ -660,24 +681,17 @@ func (d sortedDir) Fill(key uint32, dst []int32) int {
 //
 // Correlations are value-level monotone-function facts, so they survive.
 func (k JoinKind) OutputProps(left, right props.Set, lcol, rcol string) props.Set {
-	out := props.NewSet()
-	keyOrder := false
-	switch k {
-	case OJ, SOJ:
-		keyOrder = true
-	case BSJ, SPHJ, HJ:
-		// Probe-major emission: probe-side key order drives output order.
-		if right.SortedOn(rcol) {
-			keyOrder = true
-		} else if right.GroupedOn(rcol) {
-			out.GroupedBy = []string{lcol, rcol}
-		}
-	}
-	if keyOrder {
+	out := props.Set{Cols: make(map[string]props.Domain, len(left.Cols)+len(right.Cols))}
+	// Probe-major emission: probe-side key order drives output order.
+	switch {
+	case k.KeyOrdered() || right.SortedOn(rcol):
 		sorted := []string{lcol, rcol}
 		sorted = append(sorted, left.Dependents(lcol)...)
 		sorted = append(sorted, right.Dependents(rcol)...)
-		out = out.WithSortedBy(sorted...)
+		slices.Sort(sorted)
+		out.SortedBy = slices.Compact(sorted)
+	case right.GroupedOn(rcol):
+		out.GroupedBy = []string{lcol, rcol}
 	}
 	for c, d := range left.Cols {
 		if d.Known {
@@ -691,7 +705,6 @@ func (k JoinKind) OutputProps(left, right props.Set, lcol, rcol string) props.Se
 			}
 		}
 	}
-	out.Corrs = append(out.Corrs, left.Corrs...)
-	out.Corrs = append(out.Corrs, right.Corrs...)
+	out.Corrs = props.MergeCorrs(left.Corrs, right.Corrs)
 	return out
 }

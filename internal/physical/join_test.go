@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -286,6 +287,69 @@ func TestJoinOutputProps(t *testing.T) {
 	out = SPHJ.OutputProps(leftSorted, rightSorted, "ID", "R_ID")
 	if !out.SortedOn("ID") {
 		t.Fatal("probe-major join with sorted probe should claim order")
+	}
+}
+
+// TestKindsAdmitWhatTheyRequire pins the allocation-free Admits of every join
+// and grouping kind to its declarative Requirements, over inputs that hold
+// every combination of the properties a requirement can ask for, and in both
+// orientations of a join (the commuted join asks the same kind with the
+// inputs exchanged).
+func TestKindsAdmitWhatTheyRequire(t *testing.T) {
+	var inputs []props.Set
+	for bits := 0; bits < 8; bits++ {
+		s := props.NewSet()
+		for _, col := range []string{"l", "r"} {
+			s.Cols[col] = props.Domain{Known: true, Dense: bits&1 != 0, Lo: 0, Hi: 9, Distinct: 10}
+		}
+		if bits&2 != 0 {
+			s = s.WithSortedBy("l", "r")
+		} else if bits&4 != 0 {
+			s = s.WithGroupedBy("l", "r")
+		}
+		inputs = append(inputs, s)
+	}
+	for _, k := range GroupKinds() {
+		for i, in := range inputs {
+			if got, want := k.Admits(in, "l"), in.SatisfiesAll(k.Requirements("l")); got != want {
+				t.Fatalf("%s on input %d: Admits = %v, requirements say %v", k, i, got, want)
+			}
+		}
+	}
+	for _, k := range JoinKinds() {
+		for i, build := range inputs {
+			for j, probe := range inputs {
+				for _, cols := range [][2]string{{"l", "r"}, {"r", "l"}} {
+					breqs, preqs := k.Requirements(cols[0], cols[1])
+					want := build.SatisfiesAll(breqs) && probe.SatisfiesAll(preqs)
+					if got := k.Admits(build, probe, cols[0], cols[1]); got != want {
+						t.Fatalf("%s on inputs %d/%d: Admits = %v, requirements say %v", k, i, j, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestJoinOutputPropsCommutedCorrelations: a join and its commuted twin over
+// inputs that both carry a correlation know the same things about their
+// output, so they must print, fingerprint and key alike — one DP slot, not
+// two — whichever input's correlations come first; a correlation both carry
+// is kept once.
+func TestJoinOutputPropsCommutedCorrelations(t *testing.T) {
+	dom := props.Domain{Known: true, Dense: true, Lo: 0, Hi: 99, Distinct: 100}
+	left := props.NewSet().WithSortedBy("ID").WithDomain("ID", dom).WithCorr("ID", "A").WithCorr("X", "Y")
+	right := props.NewSet().WithSortedBy("K").WithDomain("K", dom).WithCorr("K", "B").WithCorr("X", "Y")
+	for _, k := range JoinKinds() {
+		out := k.OutputProps(left, right, "ID", "K")
+		twin := k.OutputProps(right, left, "K", "ID")
+		want := []props.Corr{{Key: "ID", Dep: "A"}, {Key: "K", Dep: "B"}, {Key: "X", Dep: "Y"}}
+		if !slices.Equal(out.Corrs, want) || !slices.Equal(twin.Corrs, want) {
+			t.Fatalf("%s: correlations %v, commuted %v, want %v both ways", k, out.Corrs, twin.Corrs, want)
+		}
+		if out.Key() != twin.Key() || out.Fingerprint() != twin.Fingerprint() {
+			t.Fatalf("%s: the commuted join keys differently:\n%s\n%s", k, out.Fingerprint(), twin.Fingerprint())
+		}
 	}
 }
 

@@ -6,19 +6,21 @@ import (
 
 	"dqo/internal/hashtable"
 	"dqo/internal/physical"
-	"dqo/internal/props"
 	"dqo/internal/sortx"
 )
 
 // GroupChoice is one fully resolved way to implement a grouping operator: an
-// algorithm family plus every molecule-level decision inside it, the input
-// properties it requires, and the granule tree that explains it.
+// algorithm family plus every molecule-level decision inside it. It is plain
+// data: what it requires of its input (Kind.Admits, Kind.Requirements) and
+// the granule tree that explains it (Tree) are functions of the choice and
+// the site's key column, worked out when somebody asks.
 type GroupChoice struct {
 	Kind physical.GroupKind
 	Opt  physical.GroupOptions
-	Reqs []props.Requirement
-	Tree *Granule
 }
+
+// Tree returns the granule tree of the choice applied to keyCol.
+func (c GroupChoice) Tree(keyCol string) *Granule { return GroupTree(c.Kind, c.Opt, keyCol) }
 
 // Label returns e.g. "HG(chained,murmur3fin)" or "SPHG"; parallel variants
 // carry a ",parallel=N" suffix so EXPLAIN output names the full molecule set.
@@ -44,13 +46,18 @@ func (c GroupChoice) Label() string {
 	}
 }
 
-// JoinChoice is one fully resolved way to implement an equi-join.
+// JoinChoice is one fully resolved way to implement an equi-join; plain data
+// like GroupChoice. A commuted join is the same choice asked (Kind.Admits,
+// Tree) with the inputs exchanged.
 type JoinChoice struct {
-	Kind      physical.JoinKind
-	Opt       physical.JoinOptions
-	LeftReqs  []props.Requirement
-	RightReqs []props.Requirement
-	Tree      *Granule
+	Kind physical.JoinKind
+	Opt  physical.JoinOptions
+}
+
+// Tree returns the granule tree of the choice building on buildCol and
+// probing with probeCol.
+func (c JoinChoice) Tree(buildCol, probeCol string) *Granule {
+	return JoinTree(c.Kind, c.Opt, buildCol, probeCol)
 }
 
 // Label returns e.g. "HJ(murmur3fin)"; parallel variants carry a
@@ -79,22 +86,39 @@ func (c JoinChoice) Label() string {
 	}
 }
 
-// GroupChoices enumerates the implementations of grouping on keyCol at the
-// given depth. Shallow yields one choice per family with the paper's
-// textbook defaults (the "translate to hash-based grouping" arrow of
-// Figure 3); Deep unnests the molecule space. dop > 1 additionally offers
-// parallel variants of every family whose kernel is DOP-invariant
-// (SPHG/HG-chained/SOG), making the degree of parallelism one more molecule
-// dimension the optimiser prices rather than a runtime default.
-func GroupChoices(keyCol string, depth Depth, dop int) []GroupChoice {
-	var out []GroupChoice
+// The choices of a site depend on the enumeration depth and the degree of
+// parallelism on offer and on nothing else, so the serial lists are built
+// once and shared read-only by every optimiser run.
+var (
+	shallowGroups = groupChoices(Shallow, 1)
+	deepGroups    = groupChoices(Deep, 1)
+	shallowJoins  = joinChoices(Shallow, 1)
+	deepJoins     = joinChoices(Deep, 1)
+)
+
+// GroupChoices enumerates the implementations of a grouping at the given
+// depth. Shallow yields one choice per family with the paper's textbook
+// defaults (the "translate to hash-based grouping" arrow of Figure 3); Deep
+// unnests the molecule space. dop > 1 additionally offers parallel variants
+// of every family whose kernel is DOP-invariant (SPHG/HG-chained/SOG), making
+// the degree of parallelism one more molecule dimension the optimiser prices
+// rather than a runtime default. The list may be shared: callers filter it
+// into a new slice, never modify it. The column name is not needed to
+// enumerate (a choice is asked about a key when it is used) and is ignored.
+func GroupChoices(_ string, depth Depth, dop int) []GroupChoice {
+	switch {
+	case depth == Shallow:
+		return shallowGroups
+	case dop <= 1:
+		return deepGroups
+	}
+	return groupChoices(depth, dop)
+}
+
+func groupChoices(depth Depth, dop int) []GroupChoice {
+	out := make([]GroupChoice, 0, 32)
 	add := func(kind physical.GroupKind, opt physical.GroupOptions) {
-		out = append(out, GroupChoice{
-			Kind: kind,
-			Opt:  opt,
-			Reqs: kind.Requirements(keyCol),
-			Tree: GroupTree(kind, opt, keyCol),
-		})
+		out = append(out, GroupChoice{Kind: kind, Opt: opt})
 	}
 	// Order-based choices come first: on cost ties the optimiser keeps the
 	// earlier alternative, and the paper's sorted/sorted cell is won by the
@@ -107,7 +131,7 @@ func GroupChoices(keyCol string, depth Depth, dop int) []GroupChoice {
 		add(physical.HG, physical.GroupOptions{})   // chained + murmur3fin
 		add(physical.SOG, physical.GroupOptions{})  // radix
 		add(physical.BSG, physical.GroupOptions{})
-		return out
+		return out[:len(out):len(out)]
 	}
 	add(physical.OG, physical.GroupOptions{})
 	add(physical.SPHG, physical.GroupOptions{})
@@ -129,24 +153,29 @@ func GroupChoices(keyCol string, depth Depth, dop int) []GroupChoice {
 		}
 		add(physical.SOG, physical.GroupOptions{Sort: sortx.Radix, Parallel: dop})
 	}
-	return out
+	return out[:len(out):len(out)]
 }
 
-// JoinChoices enumerates the implementations of an equi-join of lcol with
-// rcol at the given depth. dop > 1 additionally offers parallel variants of
-// the DOP-invariant join kernels (radix-partitioned HJ, chunked-probe SPHJ,
-// parallel-sort SOJ), serial twins first so ties stay serial.
-func JoinChoices(lcol, rcol string, depth Depth, dop int) []JoinChoice {
-	var out []JoinChoice
+// JoinChoices enumerates the implementations of an equi-join at the given
+// depth. dop > 1 additionally offers parallel variants of the DOP-invariant
+// join kernels (radix-partitioned HJ, chunked-probe SPHJ, parallel-sort SOJ),
+// serial twins first so ties stay serial. As with GroupChoices the list may be
+// shared and the column names are ignored: the commuted join reads the same
+// list with the inputs exchanged.
+func JoinChoices(_, _ string, depth Depth, dop int) []JoinChoice {
+	switch {
+	case depth == Shallow:
+		return shallowJoins
+	case dop <= 1:
+		return deepJoins
+	}
+	return joinChoices(depth, dop)
+}
+
+func joinChoices(depth Depth, dop int) []JoinChoice {
+	out := make([]JoinChoice, 0, 24)
 	add := func(kind physical.JoinKind, opt physical.JoinOptions) {
-		l, r := kind.Requirements(lcol, rcol)
-		out = append(out, JoinChoice{
-			Kind:      kind,
-			Opt:       opt,
-			LeftReqs:  l,
-			RightReqs: r,
-			Tree:      JoinTree(kind, opt, lcol, rcol),
-		})
+		out = append(out, JoinChoice{Kind: kind, Opt: opt})
 	}
 	// Order-based first: ties go to the less physical alternative.
 	if depth == Shallow {
@@ -155,7 +184,7 @@ func JoinChoices(lcol, rcol string, depth Depth, dop int) []JoinChoice {
 		add(physical.HJ, physical.JoinOptions{})
 		add(physical.SOJ, physical.JoinOptions{})
 		add(physical.BSJ, physical.JoinOptions{})
-		return out
+		return out[:len(out):len(out)]
 	}
 	add(physical.OJ, physical.JoinOptions{})
 	add(physical.SPHJ, physical.JoinOptions{})
@@ -175,7 +204,7 @@ func JoinChoices(lcol, rcol string, depth Depth, dop int) []JoinChoice {
 		}
 		add(physical.SOJ, physical.JoinOptions{Sort: sortx.Radix, Parallel: dop})
 	}
-	return out
+	return out[:len(out):len(out)]
 }
 
 // GroupTree builds the granule tree for one grouping implementation — the
@@ -296,8 +325,10 @@ func JoinTree(kind physical.JoinKind, opt physical.JoinOptions, lcol, rcol strin
 // UnnestJoinSteps returns the Figure 3-style refinement chain for a join
 // choice (a join is a co-group with two inputs, so the same unnesting
 // applies): logical ⋈ → build/probe form → index family fixed → fully
-// resolved deep plan.
-func UnnestJoinSteps(choice JoinChoice, lcol, rcol string) []*Granule {
+// resolved deep plan. lcol and rcol are the logical join's columns; the last
+// step names the join the way its tree does, build key first, so swapped says
+// whether the choice builds on rcol.
+func UnnestJoinSteps(choice JoinChoice, lcol, rcol string, swapped bool) []*Granule {
 	on := lcol + "=" + rcol
 	a := New("⋈", LevelCell, "logical join on "+on)
 	b := New("⋈", LevelCell, "join on "+on,
@@ -319,7 +350,10 @@ func UnnestJoinSteps(choice JoinChoice, lcol, rcol string) []*Granule {
 	c := New("⋈", LevelOrganelle, "join on "+on,
 		New("build", LevelMacro, family),
 		New("probe", LevelMacro, "per-row lookup"))
-	d := choice.Tree.Clone()
+	d := choice.Tree(lcol, rcol)
+	if swapped {
+		d = choice.Tree(rcol, lcol)
+	}
 	return []*Granule{a, b, c, d}
 }
 
@@ -348,6 +382,5 @@ func UnnestSteps(choice GroupChoice, keyCol string) []*Granule {
 	c := New("Γ", LevelOrganelle, "grouping on "+keyCol,
 		New("partitionBy", LevelMacro, family),
 		New("aggregate", LevelMacro, "running aggregates"))
-	d := choice.Tree.Clone()
-	return []*Granule{a, b, c, d}
+	return []*Granule{a, b, c, choice.Tree(keyCol)}
 }

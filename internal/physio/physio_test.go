@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dqo/internal/physical"
-	"dqo/internal/props"
 )
 
 func TestLevelNames(t *testing.T) {
@@ -71,7 +70,7 @@ func TestGroupChoicesShallow(t *testing.T) {
 	kinds := map[physical.GroupKind]bool{}
 	for _, c := range cs {
 		kinds[c.Kind] = true
-		if c.Tree == nil {
+		if c.Tree("k") == nil {
 			t.Fatalf("%s: missing granule tree", c.Label())
 		}
 	}
@@ -143,8 +142,8 @@ func TestParallelChoicesAppendAfterSerial(t *testing.T) {
 		}
 	}
 	for _, c := range gs {
-		if c.Opt.Parallel > 1 && !strings.Contains(c.Tree.Render(), "parallel") {
-			t.Fatalf("%s: granule tree does not mention parallelism:\n%s", c.Label(), c.Tree.Render())
+		if c.Opt.Parallel > 1 && !strings.Contains(c.Tree("k").Render(), "parallel") {
+			t.Fatalf("%s: granule tree does not mention parallelism:\n%s", c.Label(), c.Tree("k").Render())
 		}
 	}
 	js := JoinChoices("a", "b", Deep, 4)
@@ -168,45 +167,29 @@ func TestParallelChoicesAppendAfterSerial(t *testing.T) {
 	}
 }
 
-func TestChoiceRequirements(t *testing.T) {
-	for _, c := range GroupChoices("k", Deep, 1) {
-		switch c.Kind {
-		case physical.SPHG:
-			if len(c.Reqs) != 1 || c.Reqs[0] != (props.Requirement{Kind: props.ReqDense, Column: "k"}) {
-				t.Fatalf("SPHG reqs = %v", c.Reqs)
-			}
-		case physical.OG:
-			if len(c.Reqs) != 1 || c.Reqs[0].Kind != props.ReqGrouped {
-				t.Fatalf("OG reqs = %v", c.Reqs)
-			}
-		default:
-			if len(c.Reqs) != 0 {
-				t.Fatalf("%s has unexpected reqs %v", c.Label(), c.Reqs)
-			}
-		}
+// TestChoiceListsAreShared checks that the serial lists are built once and
+// that a caller appending to one cannot reach its neighbour's view of it.
+func TestChoiceListsAreShared(t *testing.T) {
+	a, b := JoinChoices("a", "b", Deep, 1), JoinChoices("x", "y", Deep, 0)
+	if &a[0] != &b[0] {
+		t.Fatal("the deep serial join list is rebuilt per call")
 	}
-	for _, c := range JoinChoices("l", "r", Deep, 1) {
-		if c.Kind == physical.OJ {
-			if len(c.LeftReqs) != 1 || len(c.RightReqs) != 1 {
-				t.Fatalf("OJ reqs = %v / %v", c.LeftReqs, c.RightReqs)
-			}
-		}
-		if c.Kind == physical.SPHJ {
-			if len(c.LeftReqs) != 1 || c.LeftReqs[0].Kind != props.ReqDense {
-				t.Fatalf("SPHJ reqs = %v", c.LeftReqs)
-			}
-		}
+	if g, h := GroupChoices("k", Shallow, 4), GroupChoices("q", Shallow, 1); &g[0] != &h[0] {
+		t.Fatal("the shallow grouping list is rebuilt per call")
+	}
+	if grown := append(a, JoinChoice{}); &grown[0] == &a[0] {
+		t.Fatal("appending to a shared list writes into it")
 	}
 }
 
 func TestDeepTreesAreMorePhysicalThanLogical(t *testing.T) {
 	for _, c := range GroupChoices("k", Deep, 1) {
-		if c.Tree.Physicality() <= 0 {
+		if c.Tree("k").Physicality() <= 0 {
 			t.Fatalf("%s: deep tree has zero physicality", c.Label())
 		}
 	}
 	for _, c := range JoinChoices("a", "b", Deep, 1) {
-		if c.Tree.Physicality() <= 0 {
+		if c.Tree("a", "b").Physicality() <= 0 {
 			t.Fatalf("%s: deep tree has zero physicality", c.Label())
 		}
 	}
@@ -262,7 +245,7 @@ func TestLabels(t *testing.T) {
 
 func TestUnnestJoinSteps(t *testing.T) {
 	for _, c := range JoinChoices("a", "b", Shallow, 1) {
-		steps := UnnestJoinSteps(c, "a", "b")
+		steps := UnnestJoinSteps(c, "a", "b", false)
 		if len(steps) != 4 {
 			t.Fatalf("%s: %d steps", c.Label(), len(steps))
 		}

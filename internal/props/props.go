@@ -263,15 +263,43 @@ func (s Set) WithGroupedBy(cols ...string) Set {
 func (s Set) WithCorr(key, dep string) Set {
 	n := s.Clone()
 	if !n.CorrelatedWith(key, dep) {
-		n.Corrs = append(n.Corrs, Corr{Key: key, Dep: dep})
-		sort.Slice(n.Corrs, func(i, j int) bool {
-			if n.Corrs[i].Key != n.Corrs[j].Key {
-				return n.Corrs[i].Key < n.Corrs[j].Key
-			}
-			return n.Corrs[i].Dep < n.Corrs[j].Dep
-		})
+		n.Corrs = MergeCorrs(n.Corrs, []Corr{{Key: key, Dep: dep}})
 	}
 	return n
+}
+
+// NormalizeCorrs sorts cs in place into (key, dep) order and drops duplicates:
+// the form every Set keeps its correlations in, so that equal knowledge reads,
+// prints and keys alike however it was arrived at.
+func NormalizeCorrs(cs []Corr) []Corr {
+	sort.Slice(cs, func(i, j int) bool {
+		if cs[i].Key != cs[j].Key {
+			return cs[i].Key < cs[j].Key
+		}
+		return cs[i].Dep < cs[j].Dep
+	})
+	w := 0
+	for i, c := range cs {
+		if i == 0 || cs[w-1] != c {
+			cs[w] = c
+			w++
+		}
+	}
+	return cs[:w]
+}
+
+// MergeCorrs returns the normalised correlations of an output that carries
+// both a's and b's — the same list whichever input comes first. Sets are
+// immutable, so when one side has none the other's list is returned as it is.
+func MergeCorrs(a, b []Corr) []Corr {
+	switch {
+	case len(b) == 0:
+		return a
+	case len(a) == 0:
+		return b
+	}
+	out := make([]Corr, 0, len(a)+len(b))
+	return NormalizeCorrs(append(append(out, a...), b...))
 }
 
 // DropOrder returns a copy with all order/clustering knowledge removed (what

@@ -283,3 +283,29 @@ func TestEnumStrings(t *testing.T) {
 		}
 	}
 }
+
+func TestMergeCorrs(t *testing.T) {
+	a := []Corr{{Key: "ID", Dep: "A"}, {Key: "X", Dep: "Y"}}
+	b := []Corr{{Key: "K", Dep: "B"}, {Key: "X", Dep: "Y"}}
+	want := []Corr{{Key: "ID", Dep: "A"}, {Key: "K", Dep: "B"}, {Key: "X", Dep: "Y"}}
+	for _, got := range [][]Corr{MergeCorrs(a, b), MergeCorrs(b, a)} {
+		if len(got) != len(want) {
+			t.Fatalf("merged %v, want %v", got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("merged %v, want %v", got, want)
+			}
+		}
+	}
+	if a[1] != (Corr{Key: "X", Dep: "Y"}) || b[0] != (Corr{Key: "K", Dep: "B"}) {
+		t.Fatal("MergeCorrs wrote into an input")
+	}
+	// One side empty: the other's list as it is (sets are immutable).
+	if got := MergeCorrs(a, nil); &got[0] != &a[0] {
+		t.Fatal("MergeCorrs copied the only list")
+	}
+	if got := MergeCorrs(nil, b); &got[0] != &b[0] {
+		t.Fatal("MergeCorrs copied the only list")
+	}
+}

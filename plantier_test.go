@@ -3,6 +3,7 @@ package dqo
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sort"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"dqo/internal/av"
+	"dqo/internal/core"
 	"dqo/internal/storage"
 )
 
@@ -65,6 +67,62 @@ func TestBeamZeroDeepPlansGolden(t *testing.T) {
 		}
 		if got != string(want) {
 			t.Errorf("Beam=0 plans drifted from %s (re-run with -update only if the planner change is deliberate)\ngot:\n%s", name, got)
+		}
+	}
+}
+
+// TestGranuleTreesGolden pins everything that reads a granule tree —
+// ExplainDeep, the unnesting chains, Result.Physicality — for every corpus
+// plan of every tier, serial and parallel, with the index the commuted
+// AV-backed plans need and without it: one digest per plan in
+// testdata/golden_granule_trees.txt, written when every choice still carried
+// its tree through the enumeration. The trees are derived from the chosen
+// granule when they are read, and must read the same.
+func TestGranuleTreesGolden(t *testing.T) {
+	leftOnly := corpusDB(t)
+	if !leftOnly.avs.Drop(av.HashIndex, "S", "R_ID") {
+		t.Fatal("the corpus has no hash index on S.R_ID to set aside")
+	}
+	var b strings.Builder
+	swapped := 0
+	for i, db := range []*DB{leftOnly, corpusDB(t)} {
+		for _, mode := range []Mode{ModeSQO, ModeDQO, ModeDQOCalibrated, ModeGreedy} {
+			for _, workers := range []int{1, 4} {
+				for _, query := range corpusQueries {
+					res, _, err := db.compile(mode, query, queryConfig{workers: workers}, nil)
+					if err != nil {
+						t.Fatalf("%s/%s: %v", mode, query, err)
+					}
+					res.Best.PreOrder(func(n *core.Plan, _ int) {
+						if n.Op == core.OpJoin && n.Swapped {
+							swapped++
+						}
+					})
+					h := fnv.New64a()
+					fmt.Fprintf(h, "%s%s%.6f", res.Best.ExplainDeep(), unnestChains(res.Best), res.Physicality())
+					fmt.Fprintf(&b, "indexes=%d mode=%s workers=%d query=%s %016x\n", i+1, mode, workers, query, h.Sum64())
+				}
+			}
+		}
+	}
+	if swapped == 0 {
+		t.Fatal("no corpus plan commutes a join: the swapped trees are not covered")
+	}
+	path := filepath.Join("testdata", "golden_granule_trees.txt")
+	if *update {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, wantLines := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range got {
+		if i >= len(wantLines) || got[i] != wantLines[i] {
+			t.Errorf("granule trees, unnesting chains or physicality drifted from %s: %s", path, got[i])
 		}
 	}
 }
