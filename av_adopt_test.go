@@ -9,6 +9,7 @@ import (
 
 	"dqo/internal/core"
 	"dqo/internal/datagen"
+	"dqo/internal/naive"
 	"dqo/internal/storage"
 )
 
@@ -430,7 +431,7 @@ func TestJoinAnswersAcrossViewOrigins(t *testing.T) {
 							t.Fatal(err)
 						}
 						res := mustQuery(t, mustPrepare(t, explicit, mode, q), WithWorkers(workers))
-						got, ref := resultRows(res), resultRows(want)
+						got, ref := naive.Rows(res.rel), naive.Rows(want.rel)
 						if len(got) != len(ref) {
 							t.Fatalf("%s: %d rows through %v(%s.%s), want %d", label, len(got), av.kind, av.table, av.column, len(ref))
 						}

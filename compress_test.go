@@ -4,10 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-
-	"dqo/internal/core"
-	"dqo/internal/exec"
-	"dqo/internal/storage"
 )
 
 // compressedCorpusDB is corpusDB with every table re-encoded into compressed
@@ -23,82 +19,6 @@ func compressedCorpusDB(t testing.TB) *DB {
 		}
 	}
 	return db
-}
-
-// diffQuery compiles and runs one query through the morsel executor at an
-// explicit (morsel, workers, beam) point, mirroring morselQuery plus the
-// beam dimension.
-func diffQuery(t *testing.T, db *DB, mode Mode, query string, morsel, workers, beam int) *storage.Relation {
-	t.Helper()
-	res, stmt, err := db.compile(mode, query, queryConfig{workers: workers, beam: beam}, nil)
-	if err != nil {
-		t.Fatalf("%s/%s: compile: %v", mode, query, err)
-	}
-	root, err := core.Compile(res.Best)
-	if err != nil {
-		t.Fatalf("%s/%s: plan compile: %v", mode, query, err)
-	}
-	if stmt.Limit >= 0 {
-		root = exec.NewLimit(root, stmt.Limit)
-	}
-	ec := exec.NewExecContext(context.Background(), morsel, workers)
-	rel, err := exec.Run(ec, root)
-	if err != nil {
-		t.Fatalf("%s/%s/morsel=%d/workers=%d: run: %v", mode, query, morsel, workers, err)
-	}
-	out, err := applyAliases(rel, stmt)
-	if err != nil {
-		t.Fatalf("%s/%s: aliases: %v", mode, query, err)
-	}
-	return out
-}
-
-// TestCompressedDifferential is the acceptance differential for compressed
-// execution: every corpus query must return a byte-identical relation from
-// the compressed database and the plain one, for every mode (SQO, DQO,
-// calibrated, greedy, and the beam-capped deep tier), across worker counts
-// from serial to every core and morsel sizes from degenerate to
-// whole-relation — morsel boundaries landing mid-run and mid-segment
-// included. The plain serial result is the single reference; the bulk
-// interpreter over compressed tables is differenced too.
-func TestCompressedDifferential(t *testing.T) {
-	plain := corpusDB(t)
-	comp := compressedCorpusDB(t)
-
-	// Sanity: compression must actually have kicked in, or the test is
-	// vacuous.
-	desc, err := comp.DescribeStorage("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(desc, "bitpack") && !strings.Contains(desc, "rle") && !strings.Contains(desc, "for") {
-		t.Fatalf("no table compressed; storage:\n%s", desc)
-	}
-
-	for _, query := range corpusQueries {
-		for _, mode := range declaredModes {
-			beams := []int{0}
-			if mode == ModeDQOCalibrated {
-				beams = []int{0, 4}
-			}
-			for _, beam := range beams {
-				want := diffQuery(t, plain, mode, query, 1024, 1, beam)
-				if bulk := bulkQuery(t, comp, mode, query, 1); !bulk.Equal(want) {
-					t.Errorf("%s / %q / bulk: compressed diverges from plain\nplain:\n%s\ncompressed:\n%s",
-						mode, query, want, bulk)
-				}
-				for _, workers := range workerCounts() {
-					for _, morsel := range []int{1, 7, 1024} {
-						got := diffQuery(t, comp, mode, query, morsel, workers, beam)
-						if !got.Equal(want) {
-							t.Errorf("%s / %q / beam=%d / morsel=%d / workers=%d: compressed diverges from plain\nplain:\n%s\ncompressed:\n%s",
-								mode, query, beam, morsel, workers, want, got)
-						}
-					}
-				}
-			}
-		}
-	}
 }
 
 // planText renders the chosen physical plan without the timing header, so

@@ -8,13 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"dqo/internal/core"
-	"dqo/internal/cost"
 	"dqo/internal/datagen"
-	"dqo/internal/exec"
-	"dqo/internal/physio"
-	"dqo/internal/sql"
-	"dqo/internal/storage"
 )
 
 // corpusDB assembles every table the dqo_test.go corpus queries touch into
@@ -81,177 +75,6 @@ var corpusQueries = []string{
 	"SELECT R_ID, M FROM S WHERE R_ID < 100 ORDER BY R_ID",
 	"SELECT key, SUM(val) AS s FROM runs WHERE key < 3 GROUP BY key ORDER BY key",
 	"SELECT key, val FROM runs WHERE key = 5",
-}
-
-// bulkQuery runs a query through the retained pre-morsel interpreter
-// (core.ExecuteBulk) with the facade's old LIMIT truncation semantics.
-// workers is the DOP offered to the optimiser (1 = serial plans only).
-func bulkQuery(t *testing.T, db *DB, mode Mode, query string, workers int) *storage.Relation {
-	t.Helper()
-	res, stmt, err := db.compile(mode, query, queryConfig{workers: workers}, nil)
-	if err != nil {
-		t.Fatalf("%s/%s: compile: %v", mode, query, err)
-	}
-	rel, err := core.ExecuteBulk(res.Best)
-	if err != nil {
-		t.Fatalf("%s/%s: bulk execute: %v", mode, query, err)
-	}
-	if stmt.Limit >= 0 && rel.NumRows() > stmt.Limit {
-		rel = rel.Slice(0, stmt.Limit)
-	}
-	out, err := applyAliases(rel, stmt)
-	if err != nil {
-		t.Fatalf("%s/%s: aliases: %v", mode, query, err)
-	}
-	return out
-}
-
-// morselQuery runs the same query through the morsel executor at an
-// explicit morsel size and worker-pool size (the optimiser also plans at
-// that DOP, matching Query with WithWorkers/WithMorselSize).
-func morselQuery(t *testing.T, db *DB, mode Mode, query string, morsel, workers int) *storage.Relation {
-	t.Helper()
-	res, stmt, err := db.compile(mode, query, queryConfig{workers: workers}, nil)
-	if err != nil {
-		t.Fatalf("%s/%s: compile: %v", mode, query, err)
-	}
-	root, err := core.Compile(res.Best)
-	if err != nil {
-		t.Fatalf("%s/%s: plan compile: %v", mode, query, err)
-	}
-	if stmt.Limit >= 0 {
-		root = exec.NewLimit(root, stmt.Limit)
-	}
-	ec := exec.NewExecContext(context.Background(), morsel, workers)
-	rel, err := exec.Run(ec, root)
-	if err != nil {
-		t.Fatalf("%s/%s/morsel=%d/workers=%d: run: %v", mode, query, morsel, workers, err)
-	}
-	out, err := applyAliases(rel, stmt)
-	if err != nil {
-		t.Fatalf("%s/%s: aliases: %v", mode, query, err)
-	}
-	return out
-}
-
-// workerCounts is the DOP sweep used by the differentials: serial, two
-// workers, and every core.
-func workerCounts() []int {
-	out := []int{1, 2}
-	if n := runtime.NumCPU(); n > 2 {
-		out = append(out, n)
-	}
-	return out
-}
-
-// TestMorselDifferential checks that every corpus query returns an
-// identical relation through the old bulk interpreter and the morsel
-// executor, for every mode, across morsel sizes from degenerate (1 row) to
-// whole-relation and worker counts from serial to every core. The serial
-// bulk interpreter is the single reference: parallelism must never change
-// a result, only its latency.
-func TestMorselDifferential(t *testing.T) {
-	db := corpusDB(t)
-	morselSizes := []int{1, 7, 1024, 1 << 30}
-	for _, query := range corpusQueries {
-		for _, mode := range declaredModes {
-			want := bulkQuery(t, db, mode, query, 1)
-			for _, workers := range workerCounts() {
-				for _, morsel := range morselSizes {
-					got := morselQuery(t, db, mode, query, morsel, workers)
-					if !got.Equal(want) {
-						t.Errorf("%s / %q / morsel=%d / workers=%d: relations differ\nbulk:\n%s\nmorsel:\n%s",
-							mode, query, morsel, workers, want, got)
-					}
-				}
-			}
-		}
-	}
-}
-
-// forcedParallelMode returns a deep optimisation mode whose cost model makes
-// parallel variants strictly cheaper than serial ones (no fixed fork/merge
-// overhead), so even the tiny differential corpus plans parallel granules.
-func forcedParallelMode(dop int) core.Mode {
-	m := cost.NewCalibrated()
-	m.ParallelFixedNS = 0
-	return core.Mode{
-		Name: "forced-parallel", Depth: physio.Deep,
-		TrackDensity: true, TrackProbeOrder: true,
-		DOP: dop, Model: m,
-	}
-}
-
-// parallelNodes counts plan nodes carrying a parallel granule choice.
-func parallelNodes(p *core.Plan) int {
-	n := 0
-	if p.DOP > 1 {
-		n++
-	}
-	for _, c := range p.Children {
-		n += parallelNodes(c)
-	}
-	return n
-}
-
-// TestParallelPlanDifferential forces parallel plans over the full corpus
-// and checks byte-identical results against the serial reference at every
-// (workers, morsel) combination — the acceptance criterion that makes DOP a
-// pure cost dimension. The corpus is tiny, so the calibrated model would
-// never naturally parallelise it; the forced mode removes the fixed
-// overhead so parallel granules win wherever they are enumerated.
-func TestParallelPlanDifferential(t *testing.T) {
-	db := corpusDB(t)
-	sawParallel := 0
-	for _, query := range corpusQueries {
-		stmt, err := sql.Parse(query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		node, err := sql.Bind(stmt, catalogView{db})
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial, err := core.Optimize(node, forcedParallelMode(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := core.ExecuteBulk(serial.Best)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stmt.Limit >= 0 && want.NumRows() > stmt.Limit {
-			want = want.Slice(0, stmt.Limit)
-		}
-		for _, workers := range []int{2, runtime.NumCPU()} {
-			res, err := core.Optimize(node, forcedParallelMode(workers))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sawParallel += parallelNodes(res.Best)
-			for _, morsel := range []int{1, 7, 1024} {
-				root, err := core.Compile(res.Best)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if stmt.Limit >= 0 {
-					root = exec.NewLimit(root, stmt.Limit)
-				}
-				ec := exec.NewExecContext(context.Background(), morsel, workers)
-				got, err := exec.Run(ec, root)
-				if err != nil {
-					t.Fatalf("%q workers=%d morsel=%d: %v", query, workers, morsel, err)
-				}
-				if !got.Equal(want) {
-					t.Errorf("%q workers=%d morsel=%d: parallel plan diverges from serial\nserial:\n%s\nparallel:\n%s",
-						query, workers, morsel, want, got)
-				}
-			}
-		}
-	}
-	if sawParallel == 0 {
-		t.Fatal("forced-parallel mode never produced a parallel plan node; differential is vacuous")
-	}
 }
 
 // bigSeqDB registers a table large enough that the calibrated model picks a

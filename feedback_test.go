@@ -2,10 +2,11 @@ package dqo
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
-	"dqo/internal/storage"
+	"dqo/internal/naive"
 )
 
 // skewDB extends the corpus DB with a table whose filter selectivity the
@@ -30,67 +31,6 @@ func skewDB(t testing.TB) *DB {
 }
 
 const skewSQL = "SELECT k, COUNT(*) FROM skew WHERE v < 2 GROUP BY k"
-
-// orderedRows renders a relation's rows in their emitted order, for the
-// byte-identical comparison ORDER BY queries demand.
-func orderedRows(rel *storage.Relation) []string {
-	out := make([]string, rel.NumRows())
-	for i := range out {
-		parts := make([]string, rel.NumCols())
-		for j, v := range rel.Row(i) {
-			parts[j] = v.String()
-		}
-		out[i] = strings.Join(parts, "|")
-	}
-	return out
-}
-
-// TestReoptimizeDifferential runs the full corpus (plus the skewed queries
-// that actually trigger splices) with re-planning on and off, across the
-// DOP and morsel-size sweep. Ordered queries must match byte for byte;
-// unordered queries as multisets — a spliced kernel may emit another of the
-// equally valid row orders SQL leaves unspecified.
-func TestReoptimizeDifferential(t *testing.T) {
-	db := skewDB(t)
-	queries := append([]string{}, corpusQueries...)
-	queries = append(queries,
-		skewSQL,
-		skewSQL+" ORDER BY k",
-		"SELECT R.A, COUNT(*) FROM R JOIN S ON R.ID = S.R_ID WHERE R.A < 3 GROUP BY R.A",
-	)
-	ctx := context.Background()
-	for _, mode := range []Mode{ModeDQO, ModeGreedy} {
-		for _, q := range queries {
-			for _, workers := range workerCounts() {
-				for _, morsel := range []int{1, 7, 1024} {
-					off, err := db.Query(ctx, mode, q,
-						WithWorkers(workers), WithMorselSize(morsel))
-					if err != nil {
-						t.Fatalf("%s/%s w=%d m=%d: off: %v", mode, q, workers, morsel, err)
-					}
-					on, err := db.Query(ctx, mode, q,
-						WithWorkers(workers), WithMorselSize(morsel), WithReoptimize(0))
-					if err != nil {
-						t.Fatalf("%s/%s w=%d m=%d: on: %v", mode, q, workers, morsel, err)
-					}
-					if strings.Contains(q, "ORDER BY") {
-						a, b := orderedRows(off.rel), orderedRows(on.rel)
-						if !sameRows(a, b) {
-							t.Errorf("%s/%s w=%d m=%d: ordered results diverge\noff: %v\non:  %v",
-								mode, q, workers, morsel, a, b)
-						}
-					} else if !sameRows(canonicalRows(off.rel), canonicalRows(on.rel)) {
-						t.Errorf("%s/%s w=%d m=%d: result multisets diverge\noff: %v\non:  %v",
-							mode, q, workers, morsel, canonicalRows(off.rel), canonicalRows(on.rel))
-					}
-					if len(off.Replans()) != 0 {
-						t.Errorf("%s/%s: replans recorded without WithReoptimize", mode, q)
-					}
-				}
-			}
-		}
-	}
-}
 
 // TestReplanEventsSurface checks the API surface of one triggering query:
 // the splice appears on Result.Replans with sane cardinalities, the
@@ -195,7 +135,7 @@ func TestFeedbackWarmPlanSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameRows(canonicalRows(coldRes.rel), canonicalRows(warmRes.rel)) {
+	if !slices.Equal(naive.Rows(coldRes.rel), naive.Rows(warmRes.rel)) {
 		t.Error("warmed plan changed the query result")
 	}
 

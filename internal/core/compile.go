@@ -65,11 +65,10 @@ func Compile(p *Plan) (exec.Operator, error) {
 	return compileNode(p, nil, nil)
 }
 
-// compileNode is the compiler body. With a non-nil ReoptConfig, every
-// pipeline-breaker kernel is wrapped with a mid-query re-planning check
-// (index joins excepted: their build side was prepaid offline). rc == nil
-// lowers exactly as Compile always has. need names the columns p's
-// ancestors reference; nil means all of p's output.
+// compileNode is the compiler body. Every in-memory breaker runs its node
+// through rc.replan, which with a nil ReoptConfig is the node dispatch
+// (Plan.run) alone. need names the columns p's ancestors reference; nil means
+// all of p's output.
 func compileNode(p *Plan, rc *ReoptConfig, need []string) (exec.Operator, error) {
 	switch p.Op {
 	case OpScan:
@@ -132,23 +131,11 @@ func compileNode(p *Plan, rc *ReoptConfig, need []string) (exec.Operator, error)
 			// already the last resort under the budget.
 			return exec.NewSpillSort(p, child, p.SortKey, p.SortKind), nil
 		}
-		key, kind, dop := p.SortKey, p.SortKind, p.DOP
-		kernel := func(ec *exec.ExecContext, in *storage.Relation) (*storage.Relation, error) {
-			w := 1
-			if dop > 1 {
-				w = ec.EffectiveDOP(dop)
-			}
-			return physical.SortRelParCtl(in, key, kind, w, ec.Ctl())
-		}
 		var b *exec.Breaker1
-		if rc != nil {
-			node, orig := p, kernel
-			kernel = func(ec *exec.ExecContext, in *storage.Relation) (*storage.Relation, error) {
-				return rc.replan1(ec, node, in, orig, func() { b.NoteReplan() })
-			}
-		}
-		b = exec.NewBreaker1(p, child, kernel)
-		b.SetDOP(dop)
+		b = exec.NewBreaker1(p, child, func(ec *exec.ExecContext, in *storage.Relation) (*storage.Relation, error) {
+			return rc.replan(ec, p, nil, b, in)
+		})
+		b.SetDOP(p.DOP)
 		return b, nil
 	case OpGroup:
 		groupNeed := []string{p.GroupKey}
@@ -166,24 +153,11 @@ func compileNode(p *Plan, rc *ReoptConfig, need []string) (exec.Operator, error)
 			// byte-identical to the serial chained-hash kernel.
 			return exec.NewSpillGroup(p, child, p.GroupKey, p.Aggs, p.Group.Opt, p.KeyDom), nil
 		}
-		key, aggs, kind, opt, dom := p.GroupKey, p.Aggs, p.Group.Kind, p.Group.Opt, p.KeyDom
-		kernel := func(ec *exec.ExecContext, in *storage.Relation) (*storage.Relation, error) {
-			o := opt
-			if o.Parallel > 1 {
-				o.Parallel = ec.EffectiveDOP(o.Parallel)
-			}
-			o.Ctl = ec.Ctl()
-			return physical.GroupByRelDom(in, key, aggs, kind, o, dom)
-		}
 		var b *exec.Breaker1
-		if rc != nil {
-			node, orig := p, kernel
-			kernel = func(ec *exec.ExecContext, in *storage.Relation) (*storage.Relation, error) {
-				return rc.replan1(ec, node, in, orig, func() { b.NoteReplan() })
-			}
-		}
-		b = exec.NewBreaker1(p, child, kernel)
-		b.SetDOP(opt.Parallel)
+		b = exec.NewBreaker1(p, child, func(ec *exec.ExecContext, in *storage.Relation) (*storage.Relation, error) {
+			return rc.replan(ec, p, nil, b, in)
+		})
+		b.SetDOP(p.Group.Opt.Parallel)
 		return b, nil
 	case OpJoin:
 		// The output-name rule ("_r" on a clash) is decided on the inputs a
@@ -209,23 +183,10 @@ func compileNode(p *Plan, rc *ReoptConfig, need []string) (exec.Operator, error)
 			return exec.NewSpillJoin(p, left, right, p.LeftKey, p.RightKey,
 				p.Join.Opt, p.Swapped, p.KeyDom, cols), nil
 		}
-		node := p
-		kernel := func(ec *exec.ExecContext, l, r *storage.Relation) (*storage.Relation, error) {
-			o := node.Join.Opt
-			if o.Parallel > 1 {
-				o.Parallel = ec.EffectiveDOP(o.Parallel)
-			}
-			o.Ctl = ec.Ctl()
-			return node.runJoin(ec, l, r, o, cols)
-		}
 		var b *exec.Breaker2
-		if rc != nil && p.Index == nil {
-			orig := kernel
-			kernel = func(ec *exec.ExecContext, l, r *storage.Relation) (*storage.Relation, error) {
-				return rc.replan2(ec, node, l, r, orig, func() { b.NoteReplan() })
-			}
-		}
-		b = exec.NewBreaker2(p, left, right, kernel)
+		b = exec.NewBreaker2(p, left, right, func(ec *exec.ExecContext, l, r *storage.Relation) (*storage.Relation, error) {
+			return rc.replan(ec, p, cols, b, l, r)
+		})
 		b.SetDOP(p.Join.Opt.Parallel)
 		return b, nil
 	default:

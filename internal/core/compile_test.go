@@ -7,6 +7,7 @@ import (
 	"dqo/internal/datagen"
 	"dqo/internal/expr"
 	"dqo/internal/logical"
+	"dqo/internal/naive"
 	"dqo/internal/storage"
 )
 
@@ -27,7 +28,7 @@ func fkJoin(seed uint64) (join *logical.Join, r, s *storage.Relation) {
 func TestCompileJoinMaterialisesReferencedColumnsOnly(t *testing.T) {
 	join, r, s := fkJoin(3)
 	q := &logical.GroupBy{Input: join, Key: "A", Aggs: []expr.AggSpec{{Func: expr.AggCount}}}
-	want, err := naiveExecute(q)
+	want, err := naive.Execute(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +41,8 @@ func TestCompileJoinMaterialisesReferencedColumnsOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameRows(canonical(got), canonical(want)) {
-			t.Fatalf("%s: result differs from the naive evaluator", m.Name)
+		if err := naive.Check(got, want, "", -1); err != nil {
+			t.Fatalf("%s: result differs from the naive evaluator: %v", m.Name, err)
 		}
 		var joinPeak int64
 		var joinPlan *Plan
@@ -68,8 +69,8 @@ func TestCompileJoinMaterialisesReferencedColumnsOnly(t *testing.T) {
 
 // TestCompileRequiredColumnsAcrossOperators drives the required-columns pass
 // through every operator that extends or replaces the set, and through the
-// shapes where it must back off, comparing with the naive evaluator (row
-// order included where the query sorts).
+// shapes where it must back off, comparing with the naive evaluator (schema,
+// and row order where the query sorts).
 func TestCompileRequiredColumnsAcrossOperators(t *testing.T) {
 	join, _, _ := fkJoin(8)
 	// T.K joins R.A; T.M clashes with S.M (a non-key column), T.W is payload.
@@ -83,29 +84,28 @@ func TestCompileRequiredColumnsAcrossOperators(t *testing.T) {
 		return expr.Bin{Op: expr.OpLt, L: expr.Col{Name: col}, R: expr.IntLit{V: v}}
 	}
 	cases := []struct {
-		name   string
-		q      logical.Node
-		sorted string // column the result must be ordered by, "" = any order
+		name string
+		q    logical.Node
 	}{
-		{"project", &logical.Project{Input: join, Cols: []string{"M", "A"}}, ""},
-		{"no project: every column", join, ""},
+		{"project", &logical.Project{Input: join, Cols: []string{"M", "A"}}},
+		{"no project: every column", join},
 		{"filter on an unprojected column",
-			&logical.Project{Input: &logical.Filter{Input: join, Pred: lt("M", 50)}, Cols: []string{"A"}}, ""},
+			&logical.Project{Input: &logical.Filter{Input: join, Pred: lt("M", 50)}, Cols: []string{"A"}}},
 		{"sort by an unprojected column",
-			&logical.Project{Input: &logical.Sort{Input: join, Key: "R_ID"}, Cols: []string{"A", "M"}}, ""},
-		{"sorted output", &logical.Sort{Input: &logical.Project{Input: join, Cols: []string{"R_ID", "M"}}, Key: "R_ID"}, "R_ID"},
+			&logical.Project{Input: &logical.Sort{Input: join, Key: "R_ID"}, Cols: []string{"A", "M"}}},
+		{"sorted output", &logical.Sort{Input: &logical.Project{Input: join, Cols: []string{"R_ID", "M"}}, Key: "R_ID"}},
 		{"aggregate arguments", &logical.GroupBy{Input: &logical.Filter{Input: join, Pred: lt("ID", 200)}, Key: "A",
-			Aggs: []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "M"}, {Func: expr.AggMax, Col: "R_ID"}}}, ""},
+			Aggs: []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "M"}, {Func: expr.AggMax, Col: "R_ID"}}}},
 		{"join above a join", &logical.GroupBy{Input: three, Key: "K",
-			Aggs: []expr.AggSpec{{Func: expr.AggSum, Col: "W"}, {Func: expr.AggCount}}}, ""},
+			Aggs: []expr.AggSpec{{Func: expr.AggSum, Col: "W"}, {Func: expr.AggCount}}}},
 		// M_r exists only because the inner join's M is still there when the
 		// outer join names its columns: nothing below a clash is pruned.
-		{"clashing names above a join", &logical.Project{Input: three, Cols: []string{"M_r", "ID"}}, ""},
+		{"clashing names above a join", &logical.Project{Input: three, Cols: []string{"M_r", "ID"}}},
 		{"clashing names, both sides", &logical.GroupBy{Input: three, Key: "A",
-			Aggs: []expr.AggSpec{{Func: expr.AggSum, Col: "M"}, {Func: expr.AggSum, Col: "M_r"}}}, ""},
+			Aggs: []expr.AggSpec{{Func: expr.AggSum, Col: "M"}, {Func: expr.AggSum, Col: "M_r"}}}},
 	}
 	for _, tc := range cases {
-		want, err := naiveExecute(tc.q)
+		want, err := naive.Execute(tc.q)
 		if err != nil {
 			t.Fatalf("%s: naive: %v", tc.name, err)
 		}
@@ -118,23 +118,8 @@ func TestCompileRequiredColumnsAcrossOperators(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v\n%s", tc.name, m.Name, err, res.Best.Explain())
 			}
-			if len(got.ColumnNames()) != len(want.ColumnNames()) {
-				t.Fatalf("%s/%s: schema %v, want %v", tc.name, m.Name, got.ColumnNames(), want.ColumnNames())
-			}
-			for i, name := range want.ColumnNames() {
-				if got.ColumnNames()[i] != name {
-					t.Fatalf("%s/%s: schema %v, want %v", tc.name, m.Name, got.ColumnNames(), want.ColumnNames())
-				}
-			}
-			if !sameRows(canonical(got), canonical(want)) {
-				t.Fatalf("%s/%s: result differs from the naive evaluator\n%s", tc.name, m.Name, res.Best.Explain())
-			}
-			if tc.sorted != "" && !got.MustColumn(tc.sorted).Stats().Sorted {
-				t.Fatalf("%s/%s: output not ordered by %s", tc.name, m.Name, tc.sorted)
-			}
-			bulk, err := ExecuteBulk(res.Best)
-			if err != nil || !sameRows(canonical(bulk), canonical(want)) {
-				t.Fatalf("%s/%s: bulk reference disagrees (err %v)", tc.name, m.Name, err)
+			if err := naive.Check(got, want, naive.SortKey(tc.q), -1); err != nil {
+				t.Fatalf("%s/%s: result differs from the naive evaluator: %v\n%s", tc.name, m.Name, err, res.Best.Explain())
 			}
 		}
 	}

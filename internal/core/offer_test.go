@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"dqo/internal/expr"
 	"dqo/internal/hashtable"
 	"dqo/internal/logical"
+	"dqo/internal/naive"
 	"dqo/internal/physical"
 	"dqo/internal/storage"
 )
@@ -92,7 +94,7 @@ func TestIndexUnderEitherInput(t *testing.T) {
 		if mode.Name == "dqo" && !got.Equal(want) {
 			t.Fatalf("%s: result through the index differs from the fresh build's", mode.Name)
 		}
-		if !sameRows(canonical(got), canonical(want)) {
+		if !slices.Equal(naive.Rows(got), naive.Rows(want)) {
 			t.Fatalf("%s: result through the index differs from the fresh build's", mode.Name)
 		}
 	}
@@ -231,9 +233,42 @@ func TestOffersOnlyWholeBaseTableBuilds(t *testing.T) {
 		}
 	})
 	none("parallel build", par, false)
+}
 
-	// The bulk interpreter has no taker at all.
-	if _, err := ExecuteBulk(plan); err != nil {
+// TestReplannedJoinOffersNoTable: a join re-planned mid-query runs its
+// remainder over intermediates, not base tables, so it offers no table — even
+// when the side it builds on is the whole of a table of more than a morsel.
+func TestReplannedJoinOffersNoTable(t *testing.T) {
+	q, _, _ := fkGroupQuery(datagen.FKConfig{RRows: 5000, SRows: 22500, AGroups: 5000, RSorted: true})
+	// S keeps every row through a filter estimated to keep a third of them,
+	// so the join re-plans on its true inputs.
+	join := q.(*logical.GroupBy).Input.(*logical.Join)
+	join.Right = &logical.Filter{Input: join.Right, Pred: expr.Bin{Op: expr.OpGe, L: expr.Col{Name: "M"}, R: expr.IntLit{V: 0}}}
+	want, err := naive.Execute(q)
+	if err != nil {
 		t.Fatal(err)
+	}
+	plan := optimize(t, q, DQO()).Best
+	rc := &ReoptConfig{Mode: DQO(), Threshold: 1.0001}
+	root, err := CompileReopt(plan, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	taker := &countingTaker{take: true}
+	ec := exec.NewExecContext(context.Background(), 0, 2)
+	ec.Tables = taker
+	got, err := exec.Run(ec, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := naive.Check(got, want, "", -1); err != nil {
+		t.Fatal(err)
+	}
+	evs := rc.Events()
+	if len(evs) == 0 || !strings.Contains(evs[0].Operator, "J(") {
+		t.Fatalf("the join was not re-planned (splices %v):\n%s", evs, plan.Explain())
+	}
+	if len(taker.offers) != 0 {
+		t.Fatalf("a re-planned remainder offered %d tables: %v", len(taker.offers), evs)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"dqo/internal/datagen"
 	"dqo/internal/expr"
 	"dqo/internal/logical"
+	"dqo/internal/naive"
 	"dqo/internal/physical"
 	"dqo/internal/physio"
 	"dqo/internal/sortx"
@@ -535,6 +536,54 @@ func TestParetoKeyedLikeFingerprint(t *testing.T) {
 		}
 		if len(got) < 100 || len(got) == len(pool) {
 			t.Fatalf("%s: %d property-distinct entries among %d plans: the pool does not exercise the dedup", m.Name, len(got), len(pool))
+		}
+	}
+}
+
+func TestThreeWayJoin(t *testing.T) {
+	// A chain R -> S -> T: multi-join plans must optimise and execute in
+	// every mode, and agree with the oracle. T maps each A group to a label id.
+	cfg := datagen.FKConfig{RRows: 400, SRows: 1600, AGroups: 40, RSorted: true, SSorted: true, Dense: true}
+	r, s := datagen.FKPair(17, cfg)
+	labelIDs := make([]uint32, 40)
+	weights := make([]int64, 40)
+	for i := range labelIDs {
+		labelIDs[i] = uint32(i)
+		weights[i] = int64(i * 10)
+	}
+	tt := storage.MustNewRelation("T",
+		storage.NewUint32("AID", labelIDs),
+		storage.NewInt64("W", weights),
+	)
+	// (R join S) join T on A = AID, group by AID.
+	node := &logical.GroupBy{
+		Input: &logical.Join{
+			Left: &logical.Join{
+				Left:    &logical.Scan{Table: "R", Rel: r},
+				Right:   &logical.Scan{Table: "S", Rel: s},
+				LeftKey: "ID", RightKey: "R_ID",
+			},
+			Right:   &logical.Scan{Table: "T", Rel: tt},
+			LeftKey: "A", RightKey: "AID",
+		},
+		Key:  "AID",
+		Aggs: []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "W"}},
+	}
+	want, err := naive.Execute(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.NumRows() != 40 {
+		t.Fatalf("oracle: %d groups, want 40", want.NumRows())
+	}
+	for _, m := range []Mode{SQO(), DQO(), DQOCalibrated(), Greedy()} {
+		res := optimize(t, node, m)
+		out, err := Execute(res.Best)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", m.Name, err, res.Best.Explain())
+		}
+		if err := naive.Check(out, want, "", -1); err != nil {
+			t.Fatalf("%s: three-way join: %v\n%s", m.Name, err, res.Best.Explain())
 		}
 	}
 }

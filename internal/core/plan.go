@@ -293,54 +293,35 @@ func normalizeStrings(xs []string) []string {
 	return out
 }
 
-// ExecuteBulk runs the plan with the pre-morsel whole-relation
-// interpreter: every operator fully materialises its result before the
-// parent runs. Retained as the reference implementation for differential
-// tests against the morsel executor (Execute); new code should use Execute
-// or ExecuteContext.
-func ExecuteBulk(p *Plan) (*storage.Relation, error) {
+// run executes breaker p (a sort, grouping or join) over its materialised
+// inputs, under the query's governance handle and clamped to the pool's
+// effective DOP: the one node dispatch behind every compiled breaker and every
+// node of a re-planned remainder. cols restricts a join's output columns (see
+// physical.JoinRelDom); nil keeps them all.
+func (p *Plan) run(ec *exec.ExecContext, cols []string, in ...*storage.Relation) (*storage.Relation, error) {
 	switch p.Op {
-	case OpScan:
-		return p.Rel, nil
-	case OpFilter:
-		in, err := ExecuteBulk(p.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		if p.Crack != nil {
-			return in.Gather(p.Crack.Range64(p.CrackLo, p.CrackHi)), nil
-		}
-		return physical.FilterRel(in, p.Pred)
-	case OpProject:
-		in, err := ExecuteBulk(p.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		return physical.ProjectRel(in, p.Cols...)
 	case OpSort:
-		in, err := ExecuteBulk(p.Children[0])
-		if err != nil {
-			return nil, err
+		w := 1
+		if p.DOP > 1 {
+			w = ec.EffectiveDOP(p.DOP)
 		}
-		return physical.SortRel(in, p.SortKey, p.SortKind)
-	case OpJoin:
-		left, err := ExecuteBulk(p.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		right, err := ExecuteBulk(p.Children[1])
-		if err != nil {
-			return nil, err
-		}
-		return p.runJoin(nil, left, right, p.Join.Opt, nil)
+		return physical.SortRelParCtl(in[0], p.SortKey, p.SortKind, w, ec.Ctl())
 	case OpGroup:
-		in, err := ExecuteBulk(p.Children[0])
-		if err != nil {
-			return nil, err
+		o := p.Group.Opt
+		if o.Parallel > 1 {
+			o.Parallel = ec.EffectiveDOP(o.Parallel)
 		}
-		return physical.GroupByRelDom(in, p.GroupKey, p.Aggs, p.Group.Kind, p.Group.Opt, p.KeyDom)
+		o.Ctl = ec.Ctl()
+		return physical.GroupByRelDom(in[0], p.GroupKey, p.Aggs, p.Group.Kind, o, p.KeyDom)
+	case OpJoin:
+		o := p.Join.Opt
+		if o.Parallel > 1 {
+			o.Parallel = ec.EffectiveDOP(o.Parallel)
+		}
+		o.Ctl = ec.Ctl()
+		return p.runJoin(ec, in[0], in[1], o, cols)
 	default:
-		return nil, fmt.Errorf("core: cannot execute operator %v", p.Op)
+		return nil, fmt.Errorf("core: %v is not a pipeline breaker", p.Op)
 	}
 }
 
@@ -348,10 +329,10 @@ func ExecuteBulk(p *Plan) (*storage.Relation, error) {
 // the prebuilt index of an AV-backed join (the build phase was paid offline
 // and the build-side child is by construction the bare base scan), otherwise
 // with the chosen kernel in the planned build/probe roles. cols restricts the
-// output columns (see physical.JoinRelDom); nil keeps them all. With an
-// execution context, a join whose build may be worth keeping (offersBuild)
-// does its two steps itself and offers the table in between to the context's
-// taker; a table that is taken is kept out of the scratch pool.
+// output columns (see physical.JoinRelDom); nil keeps them all. A join whose
+// build may be worth keeping (offersBuild) does its two steps itself and
+// offers the table in between to the context's taker; a table that is taken
+// is kept out of the scratch pool.
 func (p *Plan) runJoin(ec *exec.ExecContext, left, right *storage.Relation, opt physical.JoinOptions, cols []string) (*storage.Relation, error) {
 	build, probe, buildKey, buildNode := left, right, p.LeftKey, p.Children[0]
 	if p.Swapped {
@@ -360,7 +341,7 @@ func (p *Plan) runJoin(ec *exec.ExecContext, left, right *storage.Relation, opt 
 	switch {
 	case p.Index != nil:
 		return physical.JoinRelIndex(left, right, p.LeftKey, p.RightKey, p.Join.Kind, p.Index.Serve(probe.NumRows()), p.Swapped, opt, cols)
-	case ec != nil && ec.Tables != nil && p.offersBuild(buildNode):
+	case ec.Tables != nil && p.offersBuild(buildNode):
 		t, err := physical.BuildJoinTable(build, buildKey, p.Join.Kind, opt, p.KeyDom)
 		if err != nil {
 			return nil, err
@@ -385,15 +366,17 @@ func (p *Plan) runJoin(ec *exec.ExecContext, left, right *storage.Relation, opt 
 // could serve as an Algorithmic View afterwards: a serial in-memory HJ or SPHJ
 // that builds, and builds over the unfiltered scan of a plain base table of at
 // least a morsel of rows — below that the build costs less than the re-plan an
-// adoption triggers. Spill twins and their partition joins never come here. Whoever
-// takes the offer checks the table against its own catalog; this only keeps
-// joins that cannot qualify from asking.
+// adoption triggers. Spill twins and their partition joins never come here,
+// and a re-planned remainder keeps its builds to itself: its scans read
+// intermediates, not base tables. Whoever takes the offer checks the table
+// against its own catalog; this only keeps joins that cannot qualify from
+// asking.
 func (p *Plan) offersBuild(b *Plan) bool {
 	if p.Index != nil || p.Spill || p.Join.Opt.Parallel > 1 ||
 		(p.Join.Kind != physical.HJ && p.Join.Kind != physical.SPHJ) {
 		return false
 	}
-	return b.Op == OpScan && b.AV == "" && b.Enc == props.NoCompression &&
+	return b.Op == OpScan && b.AV == "" && b.Enc == props.NoCompression && !strings.HasPrefix(b.Table, replanTable) &&
 		!b.Rel.HasEncoded() && b.Rel.NumRows() >= exec.DefaultMorselSize
 }
 

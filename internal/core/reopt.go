@@ -9,7 +9,6 @@ import (
 	"dqo/internal/exec"
 	"dqo/internal/faultinject"
 	"dqo/internal/logical"
-	"dqo/internal/physical"
 	"dqo/internal/storage"
 )
 
@@ -40,10 +39,9 @@ func (e ReplanEvent) String() string {
 // optimiser's estimate in either direction, the remaining plan suffix is
 // re-enumerated with the true cardinality under the active planning tier
 // (deep / beam-capped / greedy, with the mode's feedback store if any) and
-// the winner is spliced into the running query. This generalises the
-// grouping-only re-decision of ExecuteAdaptive into the morsel executor: any
-// breaker can switch algorithm family, build/probe roles, or enforcer
-// strategy once the truth is on the table.
+// the winner is spliced into the running query: any breaker can switch
+// algorithm family, build/probe roles, or enforcer strategy once the truth is
+// on the table.
 //
 // One ReoptConfig serves one query execution; it is safe for the concurrent
 // breaker kernels of a bushy plan.
@@ -85,8 +83,8 @@ func (rc *ReoptConfig) threshold() float64 {
 func (rc *ReoptConfig) replanMode() Mode {
 	m := rc.Mode
 	m.Scans, m.Indexes, m.CrackedIdx = nil, nil, nil
-	// Re-planned suffixes execute as direct in-memory kernel invocations
-	// (execReplanned), which cannot lower a spill twin; over-budget suffixes
+	// Re-planned suffixes run through the in-memory node dispatch
+	// (runRemainder), which cannot lower a spill twin; over-budget suffixes
 	// keep the smallest in-memory alternative, as before spilling existed.
 	m.Spill = false
 	return m
@@ -137,142 +135,77 @@ func CompileReopt(p *Plan, rc *ReoptConfig) (exec.Operator, error) {
 	return compileNode(p, rc, nil)
 }
 
-// replan1 is the re-planning wrapper around a single-input breaker kernel
-// (sort or aggregation). If the materialised input's cardinality is within
-// tolerance the planned kernel runs untouched; otherwise the remaining
-// suffix is re-enumerated over the true input and the winner executed in its
-// place. Re-planning must never fail a query the planned kernel could run,
-// so an optimiser error falls back to the planned kernel.
-func (rc *ReoptConfig) replan1(ec *exec.ExecContext, node *Plan, in *storage.Relation,
-	orig func(*exec.ExecContext, *storage.Relation) (*storage.Relation, error),
-	noteReplan func()) (*storage.Relation, error) {
-
-	atomic.AddInt64(&rc.checks, 1)
-	act, est := float64(in.NumRows()), node.Children[0].Rows
-	if !offByFactor(act, est, rc.threshold()) {
-		return orig(ec, in)
+// replan runs breaker node over its materialised inputs. Without a
+// ReoptConfig, or for an index join (its build side was prepaid offline), that
+// is the node dispatch alone. Otherwise, if an input's actual cardinality is
+// at least the threshold off its estimate, the breaker is re-enumerated over
+// the true inputs (algorithm family, build/probe roles and enforcers all up
+// for re-decision) and the winning remainder runs in the planned node's place.
+// Re-planning must never fail a query the planned node could run, so an
+// optimiser error falls back to the planned node.
+func (rc *ReoptConfig) replan(ec *exec.ExecContext, node *Plan, cols []string, op interface{ NoteReplan() }, in ...*storage.Relation) (*storage.Relation, error) {
+	if rc == nil || node.Index != nil {
+		return node.run(ec, cols, in...)
 	}
-	scan := &logical.Scan{Table: replanTable, Rel: in}
+	atomic.AddInt64(&rc.checks, 1)
+	off := -1
+	for i, r := range in {
+		if offByFactor(float64(r.NumRows()), node.Children[i].Rows, rc.threshold()) {
+			off = i
+			break
+		}
+	}
+	if off < 0 {
+		return node.run(ec, cols, in...)
+	}
+	scans := make([]logical.Node, len(in))
+	for i, r := range in {
+		name := replanTable
+		if len(in) == 2 {
+			name += "LR"[i : i+1]
+		}
+		scans[i] = &logical.Scan{Table: name, Rel: r}
+	}
 	var ln logical.Node
 	switch node.Op {
 	case OpSort:
-		ln = &logical.Sort{Input: scan, Key: node.SortKey}
+		ln = &logical.Sort{Input: scans[0], Key: node.SortKey}
 	case OpGroup:
-		ln = &logical.GroupBy{Input: scan, Key: node.GroupKey, Aggs: node.Aggs}
+		ln = &logical.GroupBy{Input: scans[0], Key: node.GroupKey, Aggs: node.Aggs}
 	default:
-		return orig(ec, in)
+		ln = &logical.Join{Left: scans[0], Right: scans[1], LeftKey: node.LeftKey, RightKey: node.RightKey}
 	}
 	res, err := Optimize(ln, rc.replanMode())
-	if err != nil {
-		return orig(ec, in)
-	}
-	if suffixLabels(res.Best) == node.Label() {
-		// The truth confirms the planned choice; nothing to splice.
-		return orig(ec, in)
+	if err != nil || suffixLabels(res.Best) == node.Label() {
+		// No alternative, or the truth confirms the planned choice.
+		return node.run(ec, cols, in...)
 	}
 	if err := faultinject.Fire(faultinject.PointReplanSplice); err != nil {
 		return nil, err
 	}
-	out, err := execReplanned(ec, res.Best)
+	out, err := runRemainder(ec, res.Best)
 	if err != nil {
 		return nil, err
 	}
-	rc.record(node, res.Best, est, act)
-	if noteReplan != nil {
-		noteReplan()
-	}
+	rc.record(node, res.Best, node.Children[off].Rows, float64(in[off].NumRows()))
+	op.NoteReplan()
 	return out, nil
 }
 
-// replan2 is the re-planning wrapper around a join kernel. Both inputs are
-// materialised when it runs; if either side's cardinality is out of
-// tolerance, the join is re-enumerated over the true inputs — algorithm
-// family, build/probe roles, and enforcers all up for re-decision.
-func (rc *ReoptConfig) replan2(ec *exec.ExecContext, node *Plan, l, r *storage.Relation,
-	orig func(*exec.ExecContext, *storage.Relation, *storage.Relation) (*storage.Relation, error),
-	noteReplan func()) (*storage.Relation, error) {
-
-	atomic.AddInt64(&rc.checks, 1)
-	actL, estL := float64(l.NumRows()), node.Children[0].Rows
-	actR, estR := float64(r.NumRows()), node.Children[1].Rows
-	t := rc.threshold()
-	offL, offR := offByFactor(actL, estL, t), offByFactor(actR, estR, t)
-	if !offL && !offR {
-		return orig(ec, l, r)
+// runRemainder runs a re-planned remainder over the intermediates its scans
+// read. A re-planned logical tree holds only those scans, sorts, groupings
+// and joins, so every other node goes through the node dispatch, keeping all
+// its columns.
+func runRemainder(ec *exec.ExecContext, p *Plan) (*storage.Relation, error) {
+	if p.Op == OpScan {
+		return p.Rel, nil
 	}
-	ln := &logical.Join{
-		Left:    &logical.Scan{Table: replanTable + "L", Rel: l},
-		Right:   &logical.Scan{Table: replanTable + "R", Rel: r},
-		LeftKey: node.LeftKey, RightKey: node.RightKey,
-	}
-	res, err := Optimize(ln, rc.replanMode())
-	if err != nil {
-		return orig(ec, l, r)
-	}
-	if suffixLabels(res.Best) == node.Label() {
-		return orig(ec, l, r)
-	}
-	if err := faultinject.Fire(faultinject.PointReplanSplice); err != nil {
-		return nil, err
-	}
-	out, err := execReplanned(ec, res.Best)
-	if err != nil {
-		return nil, err
-	}
-	est, act := estL, actL
-	if offR && !offL {
-		est, act = estR, actR
-	}
-	rc.record(node, res.Best, est, act)
-	if noteReplan != nil {
-		noteReplan()
-	}
-	return out, nil
-}
-
-// execReplanned runs a re-planned suffix over its already-materialised
-// inputs. The suffix bottoms out at scans of in-memory intermediates, so
-// lowering is a direct recursive kernel invocation threaded with the query's
-// governance handle (cancellation + memory budget) and effective DOP —
-// mirroring the kernels Compile builds, without re-entering the morsel
-// drive loop.
-func execReplanned(ec *exec.ExecContext, p *Plan) (*storage.Relation, error) {
-	kids := make([]*storage.Relation, len(p.Children))
+	in := make([]*storage.Relation, len(p.Children))
 	for i, c := range p.Children {
-		r, err := execReplanned(ec, c)
-		if err != nil {
+		var err error
+		if in[i], err = runRemainder(ec, c); err != nil {
 			return nil, err
 		}
-		kids[i] = r
 	}
-	switch p.Op {
-	case OpScan:
-		return p.Rel, nil
-	case OpFilter:
-		return physical.FilterRel(kids[0], p.Pred)
-	case OpProject:
-		return physical.ProjectRel(kids[0], p.Cols...)
-	case OpSort:
-		w := 1
-		if p.DOP > 1 {
-			w = ec.EffectiveDOP(p.DOP)
-		}
-		return physical.SortRelParCtl(kids[0], p.SortKey, p.SortKind, w, ec.Ctl())
-	case OpGroup:
-		o := p.Group.Opt
-		if o.Parallel > 1 {
-			o.Parallel = ec.EffectiveDOP(o.Parallel)
-		}
-		o.Ctl = ec.Ctl()
-		return physical.GroupByRelDom(kids[0], p.GroupKey, p.Aggs, p.Group.Kind, o, p.KeyDom)
-	case OpJoin:
-		o := p.Join.Opt
-		if o.Parallel > 1 {
-			o.Parallel = ec.EffectiveDOP(o.Parallel)
-		}
-		o.Ctl = ec.Ctl()
-		return p.runJoin(nil, kids[0], kids[1], o, nil) // a spliced remainder keeps its builds to itself
-	default:
-		return nil, fmt.Errorf("core: cannot execute re-planned operator %v", p.Op)
-	}
+	return p.run(ec, nil, in...)
 }

@@ -6,7 +6,7 @@ import "sync/atomic"
 // at pipeline boundaries (the Run drive loop and breaker drains). They are
 // plain atomic adds on a pre-existing struct — no allocation, no lock — so
 // they are safe to leave enabled on the hot path; a nil *Counters is a
-// no-op for ungoverned callers (direct kernel tests, the bulk interpreter).
+// no-op for ungoverned callers (direct kernel tests).
 type Counters struct {
 	Morsels atomic.Int64 // batches consumed at pipeline boundaries
 	Rows    atomic.Int64 // rows in those batches

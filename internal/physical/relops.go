@@ -14,9 +14,8 @@ import (
 
 // This file lifts the kernel algorithms to whole relations: filter, project,
 // sort, group-by, and join operators that consume and produce
-// storage.Relation values. The bulk interpreter in internal/core
-// (ExecuteBulk) composes these directly; the morsel executor
-// (internal/exec) splits them into two classes:
+// storage.Relation values. The morsel executor (internal/exec) splits them
+// into two classes:
 //
 //   - FilterRel and ProjectRel are morsel-decomposable: applying them to
 //     each row-range chunk of a relation and concatenating the outputs

@@ -6,13 +6,11 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
 	"dqo/internal/av"
 	"dqo/internal/core"
-	"dqo/internal/storage"
 )
 
 // TestBeamZeroDeepPlansGolden pins the Beam=0 contract: with no beam set,
@@ -123,76 +121,6 @@ func TestGranuleTreesGolden(t *testing.T) {
 	for i := range got {
 		if i >= len(wantLines) || got[i] != wantLines[i] {
 			t.Errorf("granule trees, unnesting chains or physicality drifted from %s: %s", path, got[i])
-		}
-	}
-}
-
-// canonicalRows renders a relation as a sorted multiset of row strings, so
-// results can be compared across plans that produce different (but equally
-// valid) row orders.
-func canonicalRows(rel *storage.Relation) []string {
-	out := make([]string, rel.NumRows())
-	for i := range out {
-		parts := make([]string, rel.NumCols())
-		for j, v := range rel.Row(i) {
-			parts[j] = fmt.Sprint(v)
-		}
-		out[i] = strings.Join(parts, "|")
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sameRows(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// beamQuery runs a query through the morsel executor with the DP table
-// capped at the given beam width.
-func beamQuery(t *testing.T, db *DB, query string, beam, morsel, workers int) *storage.Relation {
-	t.Helper()
-	res, err := db.Query(context.Background(), ModeDQOCalibrated, query,
-		WithWorkers(workers), WithMorselSize(morsel), WithBeam(beam))
-	if err != nil {
-		t.Fatalf("beam=%d/%s: %v", beam, query, err)
-	}
-	return res.rel
-}
-
-// TestFastTierResultsMatchPaperMode is the full-corpus differential for the
-// new planning tiers: ModeGreedy and beam-capped Deep plans must return the
-// same rows as the Paper-mode (ModeDQO) serial bulk reference at every
-// (workers, morsel, beam) point. Row order is canonicalised: tiers may
-// legitimately pick plans with different output orders unless the query
-// itself orders.
-func TestFastTierResultsMatchPaperMode(t *testing.T) {
-	db := corpusDB(t)
-	morselSizes := []int{1, 7, 1024}
-	for _, query := range corpusQueries {
-		want := canonicalRows(bulkQuery(t, db, ModeDQO, query, 1))
-		for _, workers := range workerCounts() {
-			for _, morsel := range morselSizes {
-				got := canonicalRows(morselQuery(t, db, ModeGreedy, query, morsel, workers))
-				if !sameRows(got, want) {
-					t.Errorf("greedy / %q / morsel=%d / workers=%d: rows differ from paper-mode reference\nwant %v\ngot  %v",
-						query, morsel, workers, want, got)
-				}
-				for _, beam := range []int{1, 2, 8} {
-					got := canonicalRows(beamQuery(t, db, query, beam, morsel, workers))
-					if !sameRows(got, want) {
-						t.Errorf("beam=%d / %q / morsel=%d / workers=%d: rows differ from paper-mode reference\nwant %v\ngot  %v",
-							beam, query, morsel, workers, want, got)
-					}
-				}
-			}
 		}
 	}
 }

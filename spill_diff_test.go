@@ -3,83 +3,11 @@ package dqo
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os"
-	"sort"
 	"testing"
 
-	"dqo/internal/core"
-	"dqo/internal/exec"
+	"dqo/internal/naive"
 )
-
-// TestSpillDifferential forces the disk path onto every spill-compatible
-// breaker of the full query corpus and checks byte-identical results against
-// the serial bulk reference at every (workers, morsel) combination — the
-// spill counterpart of TestMorselDifferential. The corpus would never be
-// memory-starved, so MarkSpillTwins plus a one-byte run quota stand in for
-// starvation; the vacuity guards ensure both the marking and the disk
-// traffic actually happened.
-func TestSpillDifferential(t *testing.T) {
-	db := corpusDB(t)
-	totalMarked, totalSpilled := 0, int64(0)
-	for _, query := range corpusQueries {
-		for _, mode := range declaredModes {
-			// Reference first: marking mutates the cached plan in place, so
-			// the bulk reference must run before the twins are forced.
-			want := bulkQuery(t, db, mode, query, 1)
-			res, stmt, err := db.compile(mode, query, queryConfig{workers: 1}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			marked := core.MarkSpillTwins(res.Best)
-			if marked == 0 {
-				continue // nothing spill-compatible in this plan (AV/index/stream-only)
-			}
-			for _, workers := range workerCounts() {
-				for _, morsel := range []int{1, 7, 1024} {
-					root, err := core.Compile(res.Best)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if stmt.Limit >= 0 {
-						root = exec.NewLimit(root, stmt.Limit)
-					}
-					dir := t.TempDir()
-					ec := exec.NewExecContext(context.Background(), morsel, workers)
-					ec.SetSpill(dir, 0)
-					ec.SetSpillQuota(1)
-					out, err := exec.Run(ec, root)
-					if err != nil {
-						t.Fatalf("%s/%q/morsel=%d/workers=%d: spill run: %v", mode, query, morsel, workers, err)
-					}
-					var spilled int64
-					for _, s := range exec.CollectProfile(root) {
-						spilled += s.SpillBytes
-					}
-					if ents, rdErr := os.ReadDir(dir); rdErr != nil || len(ents) != 0 {
-						t.Fatalf("%s/%q: spill directory not cleaned: %d entries, err=%v", mode, query, len(ents), rdErr)
-					}
-					got, err := applyAliases(out, stmt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !got.Equal(want) {
-						t.Errorf("%s / %q / morsel=%d / workers=%d: spill-forced plan diverges from bulk reference\nbulk:\n%s\nspill:\n%s",
-							mode, query, morsel, workers, want, got)
-					}
-					totalMarked += marked
-					totalSpilled += spilled
-				}
-			}
-		}
-	}
-	if totalMarked == 0 {
-		t.Fatal("no corpus plan had a spill-compatible breaker; differential is vacuous")
-	}
-	if totalSpilled == 0 {
-		t.Fatal("spill-marked plans never wrote a run file; differential is vacuous")
-	}
-}
 
 // spillJoinDB registers two n-row tables with nearly disjoint distinct keys
 // plus a small planted overlap: the build-side hash table dominates
@@ -110,20 +38,6 @@ func spillJoinDB(t testing.TB, n int) *DB {
 		}
 	}
 	return db
-}
-
-// resultRows renders a result as a sorted row multiset. The unlimited
-// baseline and the starved spill plan may pick different join kinds, which
-// order their output differently; content identity is the cross-plan check
-// (byte-identity against the same base plan is proved by the kernel twin
-// tests and TestSpillDifferential).
-func resultRows(r *Result) []string {
-	out := make([]string, r.NumRows())
-	for i := range out {
-		out[i] = fmt.Sprint(r.Row(i))
-	}
-	sort.Strings(out)
-	return out
 }
 
 // TestSpillCompletesPreviouslyAbortingQuery is the issue's acceptance
@@ -179,7 +93,7 @@ func TestSpillCompletesPreviouslyAbortingQuery(t *testing.T) {
 	if res.SpilledBytes() == 0 {
 		t.Fatalf("query completed at limit %d without touching disk; scenario is vacuous", abortLimit)
 	}
-	got, want := resultRows(res), resultRows(baseline)
+	got, want := naive.Rows(res.rel), naive.Rows(baseline.rel)
 	if len(got) != len(want) {
 		t.Fatalf("spilled run returned %d rows, baseline %d", len(got), len(want))
 	}
