@@ -10,11 +10,13 @@ package dqo
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
 	"testing"
 
+	"dqo/internal/benchkit"
 	"dqo/internal/core"
 	"dqo/internal/datagen"
 	"dqo/internal/exec"
@@ -364,6 +366,24 @@ func BenchmarkAblationParallelLoad(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkAblationAV is A4: optimisation with and without Algorithmic
+// Views (structure AVs change plan costs; the effect on optimisation time
+// itself is measured by the benchkit A4 runner and cmd/dqobench).
+func BenchmarkAblationAV(b *testing.B) {
+	b.Run("report", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			res, err := benchkit.RunAblationAV(benchkit.Figure5Config{RRows: 20000, SRows: 90000, AGroups: 20000, Seed: 42}, io.Discard)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if i == b.N-1 {
+				b.ReportMetric(res.CostImprovement, "cost_improvement")
+				b.ReportMetric(res.OptTimeImprovement, "opt_time_improvement")
+			}
+		}
+	})
 }
 
 // BenchmarkEndToEndSQL measures the full pipeline (parse, bind, optimise,

@@ -1,55 +1,42 @@
-// Command dqobench regenerates the paper's tables and figures plus this
-// repository's ablations from the command line.
+// Command dqobench regenerates the paper's evaluation — Figure 4 (Section
+// 4.2, grouping performance) and Figure 5 (Section 4.3, DQO vs SQO) — plus
+// the experiments this repository adds to test the paper's claims.
 //
 // Usage:
 //
 //	dqobench -experiment figure4 [-n 100000000] [-quadrant unsorted-dense] [-zoom] [-repeats 3]
 //	dqobench -experiment figure5 [-execute]
 //	dqobench -experiment ablations [-n 10000000]
-//	dqobench -experiment scaling [-n 100000000] [-workers 8]
-//	dqobench -experiment budget [-n 100000000]
-//	dqobench -experiment spill [-n 100000000]
-//	dqobench -experiment observe [-metrics metrics.prom]
 //	dqobench -experiment plantier [-repeats 25]
 //	dqobench -experiment feedback [-n 2000000]
 //	dqobench -experiment compress [-n 4000000] [-repeats 3]
-//	dqobench -experiment serve [-conns 1000] [-duration 10s]
 //	dqobench -experiment all
+//	dqobench -calibrate
 //
 // figure4 reproduces Section 4.2 (grouping performance, four datasets);
 // figure5 reproduces Section 4.3 (DQO vs SQO improvement factors; with
 // -execute the winning plans are also run and timed); ablations runs the
-// A1-A5 design-choice sweeps of DESIGN.md; scaling sweeps the
-// morsel-parallel kernels (group-by, join, sort, filter pipe) from 1 to
-// -workers workers and prints per-query speedup over serial; budget sweeps
-// a per-query memory limit over a high-cardinality grouping query and shows
-// the optimiser trading hash aggregation for sort-based plans as the budget
-// tightens; spill descends the same way on a selective hash join but with
-// spill-to-disk armed, showing the in-memory -> grace-hash-join -> abort
-// ladder (at the starvation budget the query completes byte-identically by
-// spilling, aborts when spilling is off, and fails with the typed
-// spill-limit error under a tiny disk cap), always writing the
-// BENCH_spill.json artifact; observe runs a mixed success/failure workload through the public
-// query API and dumps the observability surfaces (EXPLAIN ANALYZE, the last
-// span tree, and the Prometheus metrics exposition); plantier sweeps the
-// planning tiers (greedy, beam-capped Deep, full Deep) over a two-join
-// corpus and reports the planning-time vs execution-time Pareto frontier,
-// always writing the BENCH_plantier.json artifact; feedback runs a skewed
-// corpus cold (mid-query re-planning armed) and again after a harvesting
-// pass has warmed the feedback store, reporting plan-switch counts and
-// executed-time deltas, always writing the BENCH_feedback.json artifact;
-// compress sweeps the direct-on-compressed kernels (zone-map skipping,
-// run-aware RLE selection/aggregation, delta-space packed comparison)
-// against their decoded twins over cardinality × skew × clustering, always
-// writing the BENCH_compress.json artifact; serve starts the dqoserve HTTP
-// serving layer on a loopback listener and drives it with -conns concurrent
-// clients in three classes (parameterised one-shot queries, prepare-once/
-// execute-many, and a noisy analytics tenant that deliberately overruns its
-// admission quota), reporting per-class p50/p99/QPS and the plan-cache hit
-// rate, always writing the BENCH_serve.json artifact.
+// A1-A5 design-choice sweeps of DESIGN.md; plantier sweeps the planning
+// tiers (greedy, beam-capped Deep, full Deep) over a two-join corpus and
+// reports the planning-time vs execution-time Pareto frontier; feedback runs
+// a skewed corpus cold (mid-query re-planning armed) and again after a
+// harvesting pass has warmed the feedback store, reporting plan-switch
+// counts and executed-time deltas; compress sweeps the direct-on-compressed
+// kernels (zone-map skipping, run-aware RLE selection/aggregation,
+// delta-space packed comparison) against their decoded twins over
+// cardinality × skew × clustering; -calibrate fits the calibrated cost model
+// to this machine and prints its coefficients.
 //
-// -json additionally writes a BENCH_<experiment>.json artifact with the
-// machine-readable rows of each experiment that ran.
+// figure4, plantier, feedback and compress print one PASS or FAIL line per
+// acceptance check, and dqobench exits 1 when any check failed. plantier,
+// feedback and compress always write a BENCH_<experiment>.json artifact;
+// -json writes one for figure4, figure5 and ablations too.
+//
+// The serving layer, spilling, memory budgets and parallel scaling are the
+// system's questions rather than the paper's: the repository benchmark (bash
+// bench/run.sh --workload serve-point|budget-spill) and the tests under
+// go test ./... answer them, and go test -bench Scaling . times the parallel
+// kernels.
 package main
 
 import (
@@ -57,7 +44,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"time"
+	"slices"
 
 	"dqo/internal/benchkit"
 	"dqo/internal/cost"
@@ -67,7 +54,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "figure4 | figure5 | ablations | scaling | budget | spill | observe | plantier | feedback | compress | serve | all")
+		experiment = flag.String("experiment", "all", "figure4 | figure5 | ablations | plantier | feedback | compress | all")
 		n          = flag.Int("n", 100_000_000, "figure4/ablation dataset size (paper: 100M)")
 		quadrant   = flag.String("quadrant", "", "restrict figure4 to one quadrant (e.g. unsorted-dense)")
 		zoom       = flag.Bool("zoom", false, "add the unsorted-sparse small-group zoom (paper's inset)")
@@ -75,13 +62,9 @@ func main() {
 		execute    = flag.Bool("execute", false, "figure5: also execute and time the winning plans")
 		morsel     = flag.Int("morsel", 0, "figure5 -execute: executor morsel size in rows (0 = default)")
 		seed       = flag.Uint64("seed", 42, "dataset seed")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "scaling: maximum worker count for the parallel sweep")
 		calibrate  = flag.Bool("calibrate", false, "fit the calibrated cost model to this machine and print its coefficients")
 		csvPath    = flag.String("csv", "", "figure4: also write the measured series to this CSV file")
-		metrics    = flag.String("metrics", "", "observe: write the Prometheus exposition to this file (default stdout)")
 		jsonOut    = flag.Bool("json", false, "also write BENCH_<experiment>.json with the machine-readable rows")
-		conns      = flag.Int("conns", 0, "serve: peak concurrent connections (0 = the default 1000)")
-		duration   = flag.Duration("duration", 0, "serve: measured wall time per concurrency level (0 = the default 10s)")
 	)
 	flag.Parse()
 
@@ -105,73 +88,74 @@ func main() {
 		return
 	}
 
-	out := os.Stdout
-	run := func(name string, fn func() error) {
-		fmt.Fprintf(out, "\n==== %s ====\n", name)
-		if err := fn(); err != nil {
+	run := func(name string) ([]benchkit.Check, error) {
+		switch name {
+		case "figure4":
+			return runFigure4(*n, *quadrant, *zoom, *repeats, *seed, *csvPath, *jsonOut)
+		case "figure5":
+			return runFigure5(*execute, *morsel, *seed, *jsonOut)
+		case "ablations":
+			return runAblations(*n, *seed, *jsonOut)
+		case "plantier":
+			return runPlanTier(*repeats, *seed)
+		case "feedback":
+			return runFeedback(*n, *seed)
+		default:
+			return runCompress(*n, *repeats, *seed)
+		}
+	}
+	names := []string{"figure5", "figure4", "ablations", "plantier", "feedback", "compress"}
+	if *experiment != "all" {
+		if !slices.Contains(names, *experiment) {
+			fmt.Fprintf(os.Stderr, "dqobench: unknown experiment %q\n", *experiment)
+			os.Exit(2)
+		}
+		names = []string{*experiment}
+	}
+	failed := 0
+	for _, name := range names {
+		fmt.Printf("\n==== %s ====\n", name)
+		checks, err := run(name)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "dqobench: %s: %v\n", name, err)
 			os.Exit(1)
 		}
+		if len(checks) > 0 {
+			fmt.Println("\n# acceptance checks:")
+		}
+		for _, c := range checks {
+			fmt.Println(c)
+			if !c.OK {
+				failed++
+			}
+		}
 	}
-
-	switch *experiment {
-	case "figure4":
-		run("figure4", func() error { return runFigure4(*n, *quadrant, *zoom, *repeats, *seed, *csvPath, *jsonOut) })
-	case "figure5":
-		run("figure5", func() error { return runFigure5(*execute, *morsel, *seed, *jsonOut) })
-	case "ablations":
-		run("ablations", func() error { return runAblations(*n, *seed, *jsonOut) })
-	case "scaling":
-		run("scaling", func() error { return runScaling(*n, *workers, *seed, *jsonOut) })
-	case "budget":
-		run("budget", func() error { return runBudget(*n, *seed, *jsonOut) })
-	case "spill":
-		run("spill", func() error { return runSpill(*n, *seed) })
-	case "observe":
-		run("observe", func() error { return runObserve(*metrics, *seed) })
-	case "plantier":
-		run("plantier", func() error { return runPlanTier(*repeats, *seed) })
-	case "feedback":
-		run("feedback", func() error { return runFeedback(*n, *seed) })
-	case "compress":
-		run("compress", func() error { return runCompress(*n, *repeats, *seed) })
-	case "serve":
-		run("serve", func() error { return runServe(*conns, *duration, *seed) })
-	case "all":
-		run("figure5", func() error { return runFigure5(*execute, *morsel, *seed, *jsonOut) })
-		run("figure4", func() error { return runFigure4(*n, *quadrant, *zoom, *repeats, *seed, *csvPath, *jsonOut) })
-		run("ablations", func() error { return runAblations(*n, *seed, *jsonOut) })
-		run("scaling", func() error { return runScaling(*n, *workers, *seed, *jsonOut) })
-		run("budget", func() error { return runBudget(*n, *seed, *jsonOut) })
-		run("spill", func() error { return runSpill(*n, *seed) })
-		run("observe", func() error { return runObserve(*metrics, *seed) })
-		run("plantier", func() error { return runPlanTier(*repeats, *seed) })
-		run("feedback", func() error { return runFeedback(*n, *seed) })
-		run("compress", func() error { return runCompress(*n, *repeats, *seed) })
-		run("serve", func() error { return runServe(*conns, *duration, *seed) })
-	default:
-		fmt.Fprintf(os.Stderr, "dqobench: unknown experiment %q\n", *experiment)
-		os.Exit(2)
+	if failed > 0 {
+		fmt.Fprintf(os.Stderr, "dqobench: %d acceptance check(s) failed\n", failed)
+		os.Exit(1)
 	}
 }
 
 // writeArtifact writes one BENCH_<name>.json machine-readable artifact.
-func writeArtifact(name string, cfg, rows any, checks []string) error {
+func writeArtifact(name string, cfg, rows any, checks []benchkit.Check) error {
 	path := "BENCH_" + name + ".json"
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	doc := benchkit.BenchDoc{Experiment: name, Config: cfg, Rows: rows, Checks: checks}
 	if err := benchkit.WriteBenchJSON(f, doc); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Printf("# artifact written to %s\n", path)
 	return nil
 }
 
-func runFigure4(n int, quadrant string, zoom bool, repeats int, seed uint64, csvPath string, jsonOut bool) error {
+func runFigure4(n int, quadrant string, zoom bool, repeats int, seed uint64, csvPath string, jsonOut bool) ([]benchkit.Check, error) {
 	cfg := benchkit.DefaultFigure4(n)
 	cfg.Quadrant = quadrant
 	cfg.Zoom = zoom
@@ -179,46 +163,39 @@ func runFigure4(n int, quadrant string, zoom bool, repeats int, seed uint64, csv
 	cfg.Seed = seed
 	rows, err := benchkit.RunFigure4(cfg, os.Stdout)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	checks := benchkit.CheckFigure4Shape(rows)
-	fmt.Println("\n# shape checks against the paper's qualitative claims:")
-	for _, line := range checks {
-		fmt.Println(line)
-	}
 	if csvPath != "" {
 		f, err := os.Create(csvPath)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		defer f.Close()
 		if err := benchkit.WriteCSV(rows, f); err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Printf("# series written to %s\n", csvPath)
 	}
 	if jsonOut {
-		return writeArtifact("figure4", cfg, rows, checks)
+		return checks, writeArtifact("figure4", cfg, rows, checks)
 	}
-	return nil
+	return checks, nil
 }
 
-func runFigure5(execute bool, morsel int, seed uint64, jsonOut bool) error {
+func runFigure5(execute bool, morsel int, seed uint64, jsonOut bool) ([]benchkit.Check, error) {
 	cfg := benchkit.DefaultFigure5()
 	cfg.Execute = execute
 	cfg.MorselSize = morsel
 	cfg.Seed = seed
 	cells, err := benchkit.RunFigure5(cfg, os.Stdout)
-	if err != nil {
-		return err
+	if err != nil || !jsonOut {
+		return nil, err
 	}
-	if jsonOut {
-		return writeArtifact("figure5", cfg, cells, nil)
-	}
-	return nil
+	return nil, writeArtifact("figure5", cfg, cells, nil)
 }
 
-func runAblations(n int, seed uint64, jsonOut bool) error {
+func runAblations(n int, seed uint64, jsonOut bool) ([]benchkit.Check, error) {
 	// Ablations run at a tenth of the figure4 scale by default: they sweep
 	// many variants.
 	an := n / 10
@@ -227,90 +204,35 @@ func runAblations(n int, seed uint64, jsonOut bool) error {
 	}
 	ht, err := benchkit.RunAblationHashTable(an, 10000, seed, os.Stdout)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Println()
 	srt, err := benchkit.RunAblationSort(an, 10000, seed, os.Stdout)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Println()
 	par, err := benchkit.RunAblationParallel(an, 10000, runtime.GOMAXPROCS(0), seed, os.Stdout)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Println()
 	eng, err := benchkit.RunAblationEngine(an, 10000, seed, os.Stdout)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Println()
 	avr, err := benchkit.RunAblationAV(benchkit.DefaultFigure5(), os.Stdout)
-	if err != nil {
-		return err
+	if err != nil || !jsonOut {
+		return nil, err
 	}
-	if jsonOut {
-		rows := map[string]any{
-			"hashtable": ht, "sort": srt, "parallel": par, "engine": eng, "av": avr,
-		}
-		return writeArtifact("ablations", map[string]any{"n": an, "seed": seed}, rows, nil)
+	rows := map[string]any{
+		"hashtable": ht, "sort": srt, "parallel": par, "engine": eng, "av": avr,
 	}
-	return nil
+	return nil, writeArtifact("ablations", map[string]any{"n": an, "seed": seed}, rows, nil)
 }
 
-func runScaling(n, workers int, seed uint64, jsonOut bool) error {
-	// The scaling sweep runs at a tenth of the figure4 scale: four kernels
-	// times the full worker sweep at each point.
-	sn := n / 10
-	if sn < 100000 {
-		sn = 100000
-	}
-	rows, err := benchkit.RunScaling(sn, 10000, workers, seed, os.Stdout)
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		return writeArtifact("scaling", map[string]any{"n": sn, "workers": workers, "seed": seed}, rows, nil)
-	}
-	return nil
-}
-
-func runBudget(n int, seed uint64, jsonOut bool) error {
-	// The budget sweep runs at a thousandth of the figure4 scale: several
-	// optimise+execute rounds over a half-distinct grouping relation, some
-	// of which land on deliberately slow low-memory plans.
-	bn := n / 1000
-	if bn < 100000 {
-		bn = 100000
-	}
-	rows, err := benchkit.RunBudget(bn, bn/2, seed, os.Stdout)
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		return writeArtifact("budget", map[string]any{"n": bn, "groups": bn / 2, "seed": seed}, rows, nil)
-	}
-	return nil
-}
-
-func runSpill(n int, seed uint64) error {
-	// The spill ladder runs at a thousandth of the figure4 scale: each rung
-	// re-optimises and re-executes a selective join, and the starved rungs
-	// run a serial grace hash join on purpose. All-distinct sparse keys keep
-	// the two sides nearly disjoint, so the hash table dwarfs the output.
-	sn := n / 1000
-	if sn < 200000 {
-		sn = 200000
-	}
-	rows, checks, err := benchkit.RunSpill(sn, sn, seed, os.Stdout)
-	if err != nil {
-		return err
-	}
-	// The ladder artifact is the experiment's deliverable; write it always.
-	return writeArtifact("spill", map[string]any{"n": sn, "seed": seed}, rows, checks)
-}
-
-func runFeedback(n int, seed uint64) error {
+func runFeedback(n int, seed uint64) ([]benchkit.Check, error) {
 	cfg := benchkit.DefaultFeedback()
 	cfg.Seed = seed
 	// -n is the figure4 scale (100M default); the feedback corpus runs each
@@ -321,14 +243,14 @@ func runFeedback(n int, seed uint64) error {
 	}
 	report, err := benchkit.RunFeedback(cfg, os.Stdout)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// The cold-vs-warm artifact is the experiment's deliverable; write it
 	// always.
-	return writeArtifact("feedback", report.Config, report, report.Checks)
+	return report.Checks, writeArtifact("feedback", report.Config, report.Rows, report.Checks)
 }
 
-func runPlanTier(repeats int, seed uint64) error {
+func runPlanTier(repeats int, seed uint64) ([]benchkit.Check, error) {
 	cfg := benchkit.DefaultPlanTier()
 	cfg.Seed = seed
 	if repeats > 1 {
@@ -336,30 +258,13 @@ func runPlanTier(repeats int, seed uint64) error {
 	}
 	report, err := benchkit.RunPlanTier(cfg, os.Stdout)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// The Pareto artifact is the experiment's deliverable; write it always.
-	return writeArtifact("plantier", report.Config, report.Rows, report.Checks)
+	return report.Checks, writeArtifact("plantier", report.Config, report.Rows, report.Checks)
 }
 
-func runServe(conns int, duration time.Duration, seed uint64) error {
-	cfg := benchkit.DefaultServe()
-	cfg.Seed = seed
-	if conns > 0 {
-		cfg.Conns = conns
-	}
-	if duration > 0 {
-		cfg.Duration = duration
-	}
-	report, err := benchkit.RunServe(cfg, os.Stdout)
-	if err != nil {
-		return err
-	}
-	// The serving artifact is the experiment's deliverable; write it always.
-	return writeArtifact("serve", report.Config, report, report.Checks)
-}
-
-func runCompress(n int, repeats int, seed uint64) error {
+func runCompress(n int, repeats int, seed uint64) ([]benchkit.Check, error) {
 	// -n is the figure4 scale (100M default); the compress sweep times nine
 	// kernels per grid point, so cap it at 4M and scale down with small
 	// explicit -n values.
@@ -374,14 +279,10 @@ func runCompress(n int, repeats int, seed uint64) error {
 	}
 	rows, err := benchkit.RunCompress(cfg, os.Stdout)
 	if err != nil {
-		return err
-	}
-	checks := benchkit.CheckCompressShape(rows)
-	fmt.Println("\n# shape checks against the compressed-execution claims:")
-	for _, line := range checks {
-		fmt.Println(line)
+		return nil, err
 	}
 	// The encoded-vs-decoded artifact is the experiment's deliverable;
 	// write it always.
-	return writeArtifact("compress", cfg, rows, checks)
+	checks := benchkit.CheckCompressShape(rows)
+	return checks, writeArtifact("compress", cfg, rows, checks)
 }

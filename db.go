@@ -815,8 +815,10 @@ func suffixAfterDot(s string) string {
 // table.column and registers it with the optimiser: AVSorted is a sorted
 // projection (prepaid sort), AVHashIndex a prebuilt hash-join build side,
 // AVSPH a static-perfect-hash directory over a dense key, and AVCracked an
-// adaptive index that partitions itself along query bounds. Materialising
-// invalidates cached plans so subsequent queries can choose the view.
+// adaptive index that partitions itself along query bounds. The view is
+// built outside the DB lock; adding it changes what statements should plan
+// against, exactly like a Register: the catalog epoch moves on, so neither a
+// cached plan nor one being planned meanwhile answers without the view.
 func (db *DB) MaterializeAV(kind AVKind, table, column string) error {
 	rel, ok := db.lookup(table)
 	if !ok {
@@ -839,8 +841,10 @@ func (db *DB) MaterializeAV(kind AVKind, table, column string) error {
 	if err != nil {
 		return err
 	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	db.avs.Add(v)
-	db.planCache.Clear()
+	db.catalogChanged()
 	return nil
 }
 
@@ -918,8 +922,8 @@ func (t *tableTaker) OfferTable(o exec.TableOffer) bool {
 
 // SelectAVs solves the Algorithmic View Selection Problem for a workload of
 // (query, frequency) pairs under a byte budget, using submodular greedy
-// selection, and installs the chosen views. It returns a human-readable
-// report.
+// selection, and installs the chosen views as MaterializeAV does. It returns
+// a human-readable report.
 func (db *DB) SelectAVs(mode Mode, workload map[string]float64, budgetBytes int64) (string, error) {
 	cm, err := mode.coreMode()
 	if err != nil {
@@ -952,10 +956,12 @@ func (db *DB) SelectAVs(mode Mode, workload map[string]float64, budgetBytes int6
 	if err != nil {
 		return "", err
 	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	for _, v := range sel.Views {
 		db.avs.Add(v)
 	}
-	db.planCache.Clear()
+	db.catalogChanged()
 	return sel.String(), nil
 }
 

@@ -4,9 +4,12 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"dqo/internal/datagen"
+	"dqo/internal/physio"
+	"dqo/internal/sql"
 )
 
 // testDB builds a DB with the paper's R/S schema at reduced scale.
@@ -225,6 +228,64 @@ func TestAVsThroughFacade(t *testing.T) {
 	db.DropAVs()
 	if !strings.Contains(db.DescribeAVs(), "empty") {
 		t.Fatal("DropAVs left views behind")
+	}
+}
+
+// TestMaterializeAVRetiresPlanInFlight: a template being planned while a view
+// is materialised stores its view-less plan after the view arrives. That plan
+// must not answer the next execution: MaterializeAV moves the catalog epoch,
+// so the next Explain plans afresh, through the view.
+func TestMaterializeAVRetiresPlanInFlight(t *testing.T) {
+	db := testDB(t, false, false, true)
+	db.EnablePlanCache(true)
+	stmt, err := sql.Parse(paperSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := sql.Bind(stmt, catalogView{db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := ModeDQO.coreMode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm = db.overViews(cm, stmt)
+	key := planKey(ModeDQO.String()+"|"+sql.Fingerprint(stmt), cm, db.catalogEpoch.Load(), false, 0)
+
+	// The planner parks at the grouping site, above the join it has planned.
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	cm.GroupFilter = func(_ string, choices []physio.GroupChoice) []physio.GroupChoice {
+		once.Do(func() { close(entered) })
+		<-release
+		return choices
+	}
+	planned := make(chan error, 1)
+	go func() {
+		_, _, err := db.planCache.OptimizeTemplate(key, node, cm)
+		planned <- err
+	}()
+	select {
+	case <-entered:
+	case err := <-planned:
+		t.Fatalf("the planner never reached the grouping site (err=%v)", err)
+	}
+	matErr := db.MaterializeAV(AVHashIndex, "S", "R_ID")
+	close(release)
+	if err := <-planned; err != nil {
+		t.Fatal(err)
+	}
+	if matErr != nil {
+		t.Fatal(matErr)
+	}
+
+	exp, err := db.Explain(ModeDQO, paperSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(exp, "via av:hashidx(S.R_ID)") {
+		t.Fatalf("the plan stored in flight answers without the view:\n%s", exp)
 	}
 }
 

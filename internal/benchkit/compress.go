@@ -181,17 +181,12 @@ func timeKernel(repeats int, fn func()) float64 {
 // must run at least 2x faster on the encoded form, run-aware aggregation
 // must beat the summing loop on RLE columns, and every chosen encoding must
 // actually shrink its column.
-func CheckCompressShape(rows []CompressRow) []string {
-	var out []string
-	check := func(name string, ok, applicable bool) {
-		if !applicable {
-			return
+func CheckCompressShape(rows []CompressRow) []Check {
+	var out []Check
+	check := func(what string, ok, applicable bool) {
+		if applicable {
+			out = append(out, Check{OK: ok, What: what})
 		}
-		status := "PASS"
-		if !ok {
-			status = "FAIL"
-		}
-		out = append(out, fmt.Sprintf("%s  %s", status, name))
 	}
 
 	minCard := 1 << 62

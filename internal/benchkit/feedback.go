@@ -4,13 +4,14 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
 	"dqo/internal/core"
 	"dqo/internal/exec"
 	"dqo/internal/feedback"
+	"dqo/internal/naive"
 	"dqo/internal/storage"
 )
 
@@ -47,13 +48,13 @@ type FeedbackRow struct {
 	DeltaP      float64 `json:"delta_p"` // warm vs cold, percent (negative = faster warm)
 }
 
-// FeedbackReport is the full experiment outcome, JSON-serialisable for the
-// BENCH_feedback.json artifact.
+// FeedbackReport is the full experiment outcome; Config, Rows and Checks
+// make up the BENCH_feedback.json artifact.
 type FeedbackReport struct {
-	Config    FeedbackConfig `json:"config"`
-	Rows      []FeedbackRow  `json:"rows"`
-	StoreView string         `json:"store_view"` // the warmed store, human-readable
-	Checks    []string       `json:"checks"`
+	Config    FeedbackConfig
+	Rows      []FeedbackRow
+	StoreView string // the warmed store, human-readable
+	Checks    []Check
 }
 
 // feedbackCatalog builds the skewed corpus: a fact table whose uniform v
@@ -164,7 +165,7 @@ func RunFeedback(cfg FeedbackConfig, w io.Writer) (*FeedbackReport, error) {
 		if coldMS > 0 {
 			row.DeltaP = 100 * (warmMS - coldMS) / coldMS
 		}
-		if !sameCanonical(coldRel, warmRel) {
+		if !slices.Equal(naive.Rows(coldRel), naive.Rows(warmRel)) {
 			return nil, fmt.Errorf("benchkit: q%d: warm plan changed the result", qi+1)
 		}
 		report.Rows = append(report.Rows, row)
@@ -181,10 +182,6 @@ func RunFeedback(cfg FeedbackConfig, w io.Writer) (*FeedbackReport, error) {
 	fmt.Fprintf(w, "\n# warmed store:\n%s", report.StoreView)
 
 	report.Checks = checkFeedback(report)
-	fmt.Fprintln(w)
-	for _, line := range report.Checks {
-		fmt.Fprintln(w, line)
-	}
 	return report, nil
 }
 
@@ -234,41 +231,8 @@ func timeStraight(p *core.Plan, repeats int) (*storage.Relation, float64, error)
 	return rel, best, nil
 }
 
-// sameCanonical compares two relations as row multisets.
-func sameCanonical(a, b *storage.Relation) bool {
-	if a.NumRows() != b.NumRows() {
-		return false
-	}
-	render := func(r *storage.Relation) []string {
-		out := make([]string, r.NumRows())
-		for i := 0; i < r.NumRows(); i++ {
-			parts := make([]string, r.NumCols())
-			for j, v := range r.Row(i) {
-				parts[j] = fmt.Sprint(v)
-			}
-			out[i] = strings.Join(parts, "|")
-		}
-		sort.Strings(out)
-		return out
-	}
-	ra, rb := render(a), render(b)
-	for i := range ra {
-		if ra[i] != rb[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // checkFeedback evaluates the experiment's acceptance criteria.
-func checkFeedback(r *FeedbackReport) []string {
-	verdict := func(ok bool, claim string) string {
-		mark := "PASS"
-		if !ok {
-			mark = "FAIL"
-		}
-		return fmt.Sprintf("%s  %s", mark, claim)
-	}
+func checkFeedback(r *FeedbackReport) []Check {
 	switched, replanned := 0, 0
 	for _, row := range r.Rows {
 		if row.Switched {
@@ -277,14 +241,10 @@ func checkFeedback(r *FeedbackReport) []string {
 		replanned += row.ColdReplans
 	}
 	control := r.Rows[len(r.Rows)-1]
-	return []string{
-		verdict(switched >= 1,
-			fmt.Sprintf("at least one corpus query switches plan once the store is warm (%d/%d switched)", switched, len(r.Rows))),
-		verdict(replanned >= 1,
-			fmt.Sprintf("the cold misestimate triggers mid-query re-planning (%d splices)", replanned)),
-		verdict(!control.Switched,
-			"the accurately-estimated control query keeps its plan warm"),
-		verdict(strings.Contains(r.StoreView, "cardinality corrections"),
-			"the warmed store holds cardinality corrections"),
+	return []Check{
+		{switched >= 1, fmt.Sprintf("at least one corpus query switches plan once the store is warm (%d/%d switched)", switched, len(r.Rows))},
+		{replanned >= 1, fmt.Sprintf("the cold misestimate triggers mid-query re-planning (%d splices)", replanned)},
+		{!control.Switched, "the accurately-estimated control query keeps its plan warm"},
+		{strings.Contains(r.StoreView, "cardinality corrections"), "the warmed store holds cardinality corrections"},
 	}
 }

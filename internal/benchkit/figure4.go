@@ -154,9 +154,8 @@ func timeGrouping(alg physical.GroupKind, keys []uint32, vals []int64, dom props
 }
 
 // CheckFigure4Shape validates the qualitative claims of Section 4.2 against
-// measured rows and returns a report; failed checks are marked. It is used
-// by EXPERIMENTS.md generation and the integration tests.
-func CheckFigure4Shape(rows []Figure4Row) []string {
+// measured rows; a claim whose points were not measured is left out.
+func CheckFigure4Shape(rows []Figure4Row) []Check {
 	at := func(quadrant, alg string, groups int) (float64, bool) {
 		for _, r := range rows {
 			if r.Quadrant == quadrant && r.Algorithm == alg && r.Groups == groups {
@@ -171,16 +170,11 @@ func CheckFigure4Shape(rows []Figure4Row) []string {
 			maxG = r.Groups
 		}
 	}
-	var out []string
-	check := func(name string, ok, applicable bool) {
-		if !applicable {
-			return
+	var out []Check
+	check := func(what string, ok, applicable bool) {
+		if applicable {
+			out = append(out, Check{OK: ok, What: what})
 		}
-		status := "PASS"
-		if !ok {
-			status = "FAIL"
-		}
-		out = append(out, fmt.Sprintf("%s  %s", status, name))
 	}
 
 	// Sorted & dense: OG and SPHG clearly beat HG; SOG worst (useless re-sort).

@@ -78,14 +78,14 @@ type PlanTemplateStats struct {
 	SpeedupX        float64 `json:"speedup_x"`
 }
 
-// PlanTierReport is the full experiment outcome, JSON-serialisable for the
-// BENCH_plantier.json artifact.
+// PlanTierReport is the full experiment outcome; Config, Rows and Checks
+// make up the BENCH_plantier.json artifact.
 type PlanTierReport struct {
-	Config    PlanTierConfig    `json:"config"`
-	Rows      []PlanTierRow     `json:"rows"`
-	Summaries []PlanTierSummary `json:"summaries"`
-	Template  PlanTemplateStats `json:"template"`
-	Checks    []string          `json:"checks"`
+	Config    PlanTierConfig
+	Rows      []PlanTierRow
+	Summaries []PlanTierSummary
+	Template  PlanTemplateStats
+	Checks    []Check
 }
 
 // relCatalog adapts a plain relation map to the sql.Catalog interface.
@@ -227,10 +227,6 @@ func RunPlanTier(cfg PlanTierConfig, w io.Writer) (*PlanTierReport, error) {
 		tmpl.HitAlternatives, tmpl.SpeedupX)
 
 	report.Checks = checkPlanTier(report)
-	fmt.Fprintln(w)
-	for _, line := range report.Checks {
-		fmt.Fprintln(w, line)
-	}
 	return report, nil
 }
 
@@ -349,25 +345,17 @@ const greedyPlanBudgetNS = 50_000
 // checkPlanTier evaluates the experiment's acceptance criteria: greedy
 // planning within its absolute budget, costing at most 15% in execution
 // time, and template-cache hits re-planning with zero enumeration.
-func checkPlanTier(r *PlanTierReport) []string {
+func checkPlanTier(r *PlanTierReport) []Check {
 	var greedy PlanTierSummary
 	for _, s := range r.Summaries {
 		if s.Tier == "greedy" {
 			greedy = s
 		}
 	}
-	verdict := func(ok bool) string {
-		if ok {
-			return "PASS"
-		}
-		return "FAIL"
-	}
-	return []string{
-		fmt.Sprintf("check: greedy plans the corpus in %.1f us, %.0fx faster than full deep (want < %d us): %s",
-			greedy.PlanNS/1e3, greedy.PlanSpeedupX, greedyPlanBudgetNS/1000, verdict(greedy.PlanNS < greedyPlanBudgetNS)),
-		fmt.Sprintf("check: greedy execution %+.1f%% vs full deep (want <= +15%%): %s",
-			greedy.ExecOverheadP, verdict(greedy.ExecOverheadP <= 15)),
-		fmt.Sprintf("check: template-cache hit rebinds with %d alternatives (want 0): %s",
-			r.Template.HitAlternatives, verdict(r.Template.HitAlternatives == 0)),
+	return []Check{
+		{greedy.PlanNS < greedyPlanBudgetNS, fmt.Sprintf("greedy plans the corpus in %.1f us, %.0fx faster than full deep (want < %d us)",
+			greedy.PlanNS/1e3, greedy.PlanSpeedupX, greedyPlanBudgetNS/1000)},
+		{greedy.ExecOverheadP <= 15, fmt.Sprintf("greedy execution %+.1f%% vs full deep (want <= +15%%)", greedy.ExecOverheadP)},
+		{r.Template.HitAlternatives == 0, fmt.Sprintf("template-cache hit rebinds with %d alternatives (want 0)", r.Template.HitAlternatives)},
 	}
 }

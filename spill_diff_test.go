@@ -58,6 +58,15 @@ func TestSpillCompletesPreviouslyAbortingQuery(t *testing.T) {
 	if baseline.NumRows() == 0 {
 		t.Fatal("planted matches missing; the scenario would be vacuous")
 	}
+	// Without a limit, an armed spill directory stays idle.
+	dir := t.TempDir()
+	idle, err := db.Query(ctx, ModeDQOCalibrated, query, WithSpillDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idle.SpilledBytes() != 0 {
+		t.Fatalf("unlimited run with a spill directory spilled %d bytes", idle.SpilledBytes())
+	}
 
 	// Descend on the measured high-water mark until the runtime budget
 	// aborts the query: each rung's limit sits just below the previous
@@ -84,7 +93,6 @@ func TestSpillCompletesPreviouslyAbortingQuery(t *testing.T) {
 	}
 
 	// Same budget, spilling armed: the query that just aborted completes.
-	dir := t.TempDir()
 	res, err := db.Query(ctx, ModeDQOCalibrated, query,
 		WithMemoryLimit(abortLimit), WithSpillDir(dir))
 	if err != nil {
