@@ -351,10 +351,10 @@ func TestAdoptUnderTheNamedTable(t *testing.T) {
 
 // TestNeverAdoptedBuilds: three executions each of a join whose build side is
 // under a morsel of rows and of a spill twin under a real memory limit leave
-// the catalog, the counters and the epoch alone. (The SQL front end puts WHERE
-// above the joins, so a filtered build side takes a hand-built logical plan:
-// core's TestOffersOnlyWholeBaseTableBuilds covers it, the forced one-byte
-// quota and the fact that none of these is even offered.)
+// the catalog, the counters and the epoch alone. (A build side filtered by a
+// WHERE conjunct is TestAdoptSkipsFilteredBuildSide's; core's
+// TestOffersOnlyWholeBaseTableBuilds covers hand-built filtered inputs, the
+// forced one-byte quota and the fact that none of these is even offered.)
 func TestNeverAdoptedBuilds(t *testing.T) {
 	check := func(name string, db *DB, run func() *Result) {
 		t.Helper()
@@ -384,6 +384,43 @@ func TestNeverAdoptedBuilds(t *testing.T) {
 		}
 		return res
 	})
+}
+
+// TestAdoptSkipsFilteredBuildSide: the binder puts a WHERE conjunct on the
+// scan it reads, so a join whose build side carries one builds over a filtered
+// copy, which is never offered — three executions leave the catalog, the
+// counters and the epoch alone — while the same join with its conjunct on the
+// probe side builds over the bare scan and adopts on its second build.
+func TestAdoptSkipsFilteredBuildSide(t *testing.T) {
+	const join = "SELECT R.A, COUNT(*) FROM R JOIN S ON R.ID = S.R_ID WHERE "
+	db := adoptDB(t, false)
+	built := mustPrepare(t, db, ModeDQO, join+"S.M < 50 GROUP BY R.A")
+	epoch := db.catalogEpoch.Load()
+	want := mustQuery(t, built)
+	if plan := want.PlanExplain(); !strings.Contains(plan, "[build right]") || strings.Index(plan, "Filter((S.M < 50))") < strings.Index(plan, "J(") {
+		t.Fatalf("the join does not build on the filtered S:\n%s", plan)
+	}
+	for i := 2; i <= 3; i++ {
+		if res := mustQuery(t, built); res.PlanExplain() != want.PlanExplain() || !res.rel.Equal(want.rel) {
+			t.Fatalf("execution %d: plan or answer moved", i)
+		}
+	}
+	if m := db.Metrics(); m.AVAdopted+m.AVDeclined != 0 || db.catalogEpoch.Load() != epoch || !strings.Contains(db.DescribeAVs(), "empty") {
+		t.Fatalf("a filtered build side was adopted (%d) or declined (%d):\n%s", m.AVAdopted, m.AVDeclined, db.DescribeAVs())
+	}
+
+	probed := mustPrepare(t, db, ModeDQO, join+"R.A < 300 GROUP BY R.A")
+	first := mustQuery(t, probed)
+	if plan := first.PlanExplain(); !strings.Contains(plan, "[build right]") || strings.Index(plan, "Filter((R.A < 300))") < strings.Index(plan, "J(") {
+		t.Fatalf("the join does not build on the bare S under the filtered R:\n%s", plan)
+	}
+	mustQuery(t, probed)
+	if m := db.Metrics(); m.AVAdopted != 1 || !strings.Contains(db.DescribeAVs(), "av:hashidx(S.R_ID)") {
+		t.Fatalf("the second build over the bare S was not adopted (%d):\n%s", m.AVAdopted, db.DescribeAVs())
+	}
+	if res := mustQuery(t, probed); !strings.Contains(res.PlanExplain(), "via av:hashidx(S.R_ID)") || !res.rel.Equal(first.rel) {
+		t.Fatalf("the third execution does not probe the adopted view, or answers differently:\n%s", res.PlanExplain())
+	}
 }
 
 // TestJoinAnswersAcrossViewOrigins is the differential at the DB: the

@@ -387,16 +387,22 @@ func BenchmarkAblationAV(b *testing.B) {
 }
 
 // BenchmarkEndToEndSQL measures the full pipeline (parse, bind, optimise,
-// execute) through the public API.
+// execute) through the public API: the Figure-5 join, then the same join with
+// a WHERE conjunct on R and a star shaped like the repository benchmark's
+// adhoc-plan statements, whose conjuncts the binder puts on the scans of R and
+// S below the joins.
 func BenchmarkEndToEndSQL(b *testing.B) {
 	cfg := datagen.FKConfig{RRows: 20000, SRows: 90000, AGroups: 2000, Dense: true}
 	r, s := datagen.FKPair(42, cfg)
-	db := Open()
-	if err := db.Register(&Table{rel: r}); err != nil {
-		b.Fatal(err)
+	g, w := make([]uint32, cfg.AGroups), make([]int64, cfg.AGroups)
+	for i := range g {
+		g[i], w[i] = uint32(i), int64(i%100)
 	}
-	if err := db.Register(&Table{rel: s}); err != nil {
-		b.Fatal(err)
+	db := Open()
+	for _, tab := range []*Table{{rel: r}, {rel: s}, NewTableBuilder("D").Uint32("G", g).Int64("W", w).MustBuild()} {
+		if err := db.Register(tab); err != nil {
+			b.Fatal(err)
+		}
 	}
 	const q = "SELECT R.A, COUNT(*) FROM R JOIN S ON R.ID = S.R_ID GROUP BY R.A"
 	// Every iteration builds its join table: with adoption on, the second
@@ -419,6 +425,20 @@ func BenchmarkEndToEndSQL(b *testing.B) {
 				}
 			}
 		})
+	}
+	for _, f := range []struct{ name, sql string }{
+		{"filtered", "SELECT R.A, COUNT(*) FROM R JOIN S ON R.ID = S.R_ID WHERE R.A < 1000 GROUP BY R.A"},
+		{"star", "SELECT R.A, COUNT(*), SUM(D.W) FROM S JOIN R ON S.R_ID = R.ID JOIN D ON R.A = D.G WHERE R.A >= 200 AND S.M < 70 GROUP BY R.A ORDER BY R.A LIMIT 20"},
+	} {
+		for _, mode := range []Mode{ModeSQO, ModeDQO} {
+			b.Run(f.name+"/"+mode.String(), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := db.Query(context.Background(), mode, f.sql); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -4,6 +4,9 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"dqo/internal/datagen"
+	"dqo/internal/naive"
 )
 
 // compressedCorpusDB is corpusDB with every table re-encoded into compressed
@@ -136,6 +139,47 @@ func TestCompressedPlanCacheRebind(t *testing.T) {
 		// overwhelming likelihood; equal counts mean the rebound plan
 		// replayed the old bounds.
 		t.Fatalf("suspicious counts: key=5 -> %d rows, key=2 -> %d rows", n5, n2)
+	}
+}
+
+// TestCompressedFilterUnderJoin: with the WHERE conjunct bound onto the scan it
+// reads, a range filter below a join over a compressed clustered table — data
+// whose zone maps skip segments — runs as the direct-on-compressed filter
+// granule under the calibrated model, and answers like the oracle.
+func TestCompressedFilterUnderJoin(t *testing.T) {
+	db := Open()
+	runs := datagen.CompressRelation("runs", 11, 200_000, 64, 1.2, true)
+	g, w := make([]uint32, 64), make([]int64, 64)
+	for i := range g {
+		g[i], w[i] = uint32(i), int64(i%7)
+	}
+	for _, tab := range []*Table{{rel: runs}, NewTableBuilder("dim").Uint32("g", g).Int64("w", w).MustBuild()} {
+		if err := db.Register(tab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.CompressTable("runs"); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"SELECT runs.key, COUNT(*), SUM(dim.w) FROM runs JOIN dim ON runs.key = dim.g WHERE runs.key >= 20 GROUP BY runs.key ORDER BY runs.key",
+		"SELECT dim.g, COUNT(*) FROM dim JOIN runs ON dim.g = runs.key WHERE runs.key < 4 AND dim.w < 5 GROUP BY dim.g",
+	} {
+		res, err := db.Query(context.Background(), ModeDQOCalibrated, q, WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := res.PlanExplain()
+		if !strings.Contains(plan, "CompressedFilter") || strings.Index(plan, "CompressedFilter") < strings.Index(plan, "J(") {
+			t.Fatalf("%s: no direct-on-compressed filter below the join:\n%s", q, plan)
+		}
+		if !strings.Contains(plan, " skipped]") || strings.Contains(plan, "segs=0/") {
+			t.Fatalf("%s: the zone maps skip no segment:\n%s", q, plan)
+		}
+		want := oracle(t, db, q)
+		if err := naive.Check(res.rel, want.rel, want.sortKey, want.limit); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
 	}
 }
 

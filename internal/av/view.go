@@ -156,9 +156,13 @@ func MaterializeSorted(table string, rel *storage.Relation, col string) (*View, 
 	if err != nil {
 		return nil, fmt.Errorf("av: materialising sorted(%s.%s): %w", table, col, err)
 	}
-	// Re-declare correlations: a whole-row permutation preserves them.
-	for _, c := range rel.Corrs() {
-		sorted.DeclareCorr(c[0], c[1])
+	// Re-declare correlations on a permuted copy: a whole-row permutation
+	// preserves them. Input already in order comes back as itself, holding
+	// them already.
+	if sorted != rel {
+		for _, c := range rel.Corrs() {
+			sorted.DeclareCorr(c[0], c[1])
+		}
 	}
 	return &View{
 		Kind: SortedProjection, Table: table, Column: col,

@@ -11,6 +11,7 @@ import (
 	"dqo/internal/core"
 	"dqo/internal/exec"
 	"dqo/internal/feedback"
+	"dqo/internal/logical"
 	"dqo/internal/naive"
 	"dqo/internal/storage"
 )
@@ -118,6 +119,7 @@ func RunFeedback(cfg FeedbackConfig, w io.Writer) (*FeedbackReport, error) {
 		cfg.FactRows, cfg.Groups, cfg.Keep, cfg.FactRows/3)
 
 	report := &FeedbackReport{Config: cfg}
+	var corrected []correction
 	for qi, query := range queries {
 		row := FeedbackRow{Query: query}
 		node, err := bindQuery(query, cat)
@@ -155,6 +157,7 @@ func RunFeedback(cfg FeedbackConfig, w io.Writer) (*FeedbackReport, error) {
 		if err != nil {
 			return nil, err
 		}
+		corrected = append(corrected, corrections(qi+1, node, st, cold.Best, warm.Best)...)
 		row.WarmPlan = planSummary(warm.Best)
 		row.Switched = row.WarmPlan != row.ColdPlan
 		warmRel, warmMS, err := timeStraight(warm.Best, cfg.ExecRepeats)
@@ -181,8 +184,49 @@ func RunFeedback(cfg FeedbackConfig, w io.Writer) (*FeedbackReport, error) {
 	report.StoreView = st.Snapshot().String()
 	fmt.Fprintf(w, "\n# warmed store:\n%s", report.StoreView)
 
-	report.Checks = checkFeedback(report)
+	report.Checks = checkFeedback(report, corrected)
 	return report, nil
+}
+
+// correction is one filter of the corpus whose cardinality the warm store
+// holds: the row estimate at its node in the cold and in the warm plan, and
+// the cardinality harvested for it.
+type correction struct {
+	query                 int
+	pred                  string
+	cold, warm, harvested float64
+}
+
+// corrections lists the filters of node that st holds a cardinality for,
+// with their estimates in the cold and warm plans (-1 where a plan has no
+// filter on that predicate).
+func corrections(query int, node logical.Node, st *feedback.Store, cold, warm *core.Plan) []correction {
+	var out []correction
+	var walk func(n logical.Node)
+	walk = func(n logical.Node) {
+		if f, ok := n.(*logical.Filter); ok {
+			if rows, ok := st.CardHint(logical.ShapeKey(f)); ok {
+				pred := fmt.Sprint(f.Pred)
+				out = append(out, correction{query, pred, filterRows(cold, pred), filterRows(warm, pred), rows})
+			}
+		}
+		for _, c := range n.Children() {
+			walk(c)
+		}
+	}
+	walk(node)
+	return out
+}
+
+// filterRows returns the row estimate of p's filter on pred, -1 if p has none.
+func filterRows(p *core.Plan, pred string) float64 {
+	rows := -1.0
+	p.PreOrder(func(n *core.Plan, _ int) {
+		if n.Op == core.OpFilter && fmt.Sprint(n.Pred) == pred {
+			rows = n.Rows
+		}
+	})
+	return rows
 }
 
 // timeReopt executes a plan with mid-query re-planning armed (min of
@@ -231,18 +275,31 @@ func timeStraight(p *core.Plan, repeats int) (*storage.Relation, float64, error)
 	return rel, best, nil
 }
 
-// checkFeedback evaluates the experiment's acceptance criteria.
-func checkFeedback(r *FeedbackReport) []Check {
+// checkFeedback evaluates the experiment's acceptance criteria. What the
+// loop is for is a better estimate and no worse a plan: a switch is not a
+// success in itself, so the switch count is reported, not required.
+func checkFeedback(r *FeedbackReport, corrected []correction) []Check {
 	switched, replanned := 0, 0
-	for _, row := range r.Rows {
+	var slower []string
+	for qi, row := range r.Rows {
 		if row.Switched {
 			switched++
+			if row.WarmMillis > 1.1*row.ColdMillis {
+				slower = append(slower, fmt.Sprintf("q%d %+.0f%%", qi+1, row.DeltaP))
+			}
 		}
 		replanned += row.ColdReplans
 	}
+	exact := len(corrected) > 0
+	var est []string
+	for _, c := range corrected {
+		exact = exact && c.warm == c.harvested
+		est = append(est, fmt.Sprintf("q%d %s: cold %.0f, warm %.0f, harvested %.0f", c.query, c.pred, c.cold, c.warm, c.harvested))
+	}
 	control := r.Rows[len(r.Rows)-1]
 	return []Check{
-		{switched >= 1, fmt.Sprintf("at least one corpus query switches plan once the store is warm (%d/%d switched)", switched, len(r.Rows))},
+		{len(slower) == 0, fmt.Sprintf("no query whose plan switched runs more than 10%% slower warm than cold (%d/%d switched, slower: [%s])", switched, len(r.Rows), strings.Join(slower, ", "))},
+		{exact, "the warm plans estimate every corrected filter at its harvested cardinality (" + strings.Join(est, "; ") + ")"},
 		{replanned >= 1, fmt.Sprintf("the cold misestimate triggers mid-query re-planning (%d splices)", replanned)},
 		{!control.Switched, "the accurately-estimated control query keeps its plan warm"},
 		{strings.Contains(r.StoreView, "cardinality corrections"), "the warmed store holds cardinality corrections"},

@@ -78,7 +78,7 @@ func TestSiteTablesMatchCollectThenPrune(t *testing.T) {
 		if diagonal := map[[2]int]bool{{0, 1}: true, {2, 4}: true, {8, 2}: true}; budget.name != "none" && !diagonal[[2]int{mode.Beam, mode.DOP}] {
 			return
 		}
-		star := len(queries) - 36
+		star := len(queries) - 2*starShapes
 		for qi, q := range queries {
 			if qi >= star && (qi-star)%3 != ((qi-star)/3)%3 || qi < star && qi%2 == 1 {
 				continue
@@ -122,12 +122,13 @@ func TestSiteTablesMatchCollectThenPrune(t *testing.T) {
 	})
 }
 
-// TestConcurrentOptimizeSharesChoiceLists plans the 36 adhoc-plan shapes from
-// eight goroutines at once: the choice lists are package-level and read-only,
-// and every goroutine must arrive at the serial run's plans.
+// TestConcurrentOptimizeSharesChoiceLists plans the adhoc-plan shapes, in
+// both layouts, from eight goroutines at once: the choice lists are
+// package-level and read-only, and every goroutine must arrive at the serial
+// run's plans.
 func TestConcurrentOptimizeSharesChoiceLists(t *testing.T) {
 	queries := enumQueries(t, false)
-	queries = queries[len(queries)-36:]
+	queries = queries[len(queries)-2*starShapes:]
 	mode := DQO()
 	mode.DOP = 1 // the shared serial lists
 	want := make([]string, len(queries))
@@ -154,4 +155,16 @@ func TestConcurrentOptimizeSharesChoiceLists(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestPushedStarShapesAreTheBinders: the corpus's second layout of the star
+// shapes, built by hand, is what logical.PushFilters makes of the first.
+func TestPushedStarShapesAreTheBinders(t *testing.T) {
+	qs := enumQueries(t, false)
+	written, pushed := qs[len(qs)-2*starShapes:len(qs)-starShapes], qs[len(qs)-starShapes:]
+	for i := range written {
+		if got, want := logical.Format(logical.PushFilters(written[i])), logical.Format(pushed[i]); got != want {
+			t.Fatalf("shape %d: PushFilters makes\n%swant\n%s", i, got, want)
+		}
+	}
 }

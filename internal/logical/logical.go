@@ -452,8 +452,9 @@ func (e *Estimator) colDistinct(n Node, col string) float64 {
 }
 
 // FilterPreds returns the predicate of every Filter node in pre-order
-// (root first). Bind produces Filters only from WHERE and HAVING clauses,
-// so for two statements sharing a fingerprint the sequences are positionally
+// (root first). Bind produces Filters only from WHERE conjuncts and HAVING,
+// and places each conjunct by the columns it names alone (PushFilters), so
+// for two statements sharing a fingerprint the sequences are positionally
 // aligned — the contract plan-template rebinding relies on.
 func FilterPreds(n Node) []expr.Expr { return appendFilterPreds(nil, n) }
 

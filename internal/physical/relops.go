@@ -77,12 +77,16 @@ func ProjectRel(rel *storage.Relation, cols ...string) (*storage.Relation, error
 	return rel.Project(cols...)
 }
 
-// SortRel returns rel sorted ascending by the key column (stable). The
-// output's statistics stay lazy, for the rare caller that asks.
+// SortRel returns rel sorted ascending by the key column (stable). Input
+// already in key order is returned as it is: a stable sort of it is the
+// identity. The output's statistics stay lazy, for the rare caller that asks.
 func SortRel(rel *storage.Relation, keyCol string, kind sortx.Kind) (*storage.Relation, error) {
 	keys, err := keyColumn(rel, keyCol)
 	if err != nil {
 		return nil, err
+	}
+	if sortx.IsSortedUint32(keys) {
+		return rel, nil
 	}
 	perm := sortx.ArgSortUint32(kind, keys)
 	out := rel.Gather(perm)
@@ -102,8 +106,19 @@ func SortRelPar(rel *storage.Relation, keyCol string, kind sortx.Kind, workers i
 // SortRelParCtl is SortRelPar under governance: ctl's cancellation is polled
 // inside the parallel argsort's run and merge phases, and the permutation
 // plus merge buffers are charged against its budget. A nil ctl is
-// ungoverned.
+// ungoverned. Input already in key order is returned as it is, with nothing
+// charged.
 func SortRelParCtl(rel *storage.Relation, keyCol string, kind sortx.Kind, workers int, ctl *govern.Ctl) (*storage.Relation, error) {
+	keys, err := keyColumn(rel, keyCol)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctl.Err(); err != nil {
+		return nil, err
+	}
+	if sortx.IsSortedUint32(keys) {
+		return rel, nil
+	}
 	rv := resv{ctl: ctl}
 	defer rv.release()
 	// Permutation plus the parallel merge passes' swap buffer: 8 B/row.
@@ -111,14 +126,7 @@ func SortRelParCtl(rel *storage.Relation, keyCol string, kind sortx.Kind, worker
 		return nil, err
 	}
 	if workers <= 1 {
-		if err := ctl.Err(); err != nil {
-			return nil, err
-		}
 		return SortRel(rel, keyCol, kind)
-	}
-	keys, err := keyColumn(rel, keyCol)
-	if err != nil {
-		return nil, err
 	}
 	perm, err := sortx.ParallelArgSortUint32Ctl(kind, keys, workers, ctl.Err)
 	if err != nil {

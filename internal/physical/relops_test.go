@@ -1,11 +1,13 @@
 package physical
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"dqo/internal/datagen"
 	"dqo/internal/expr"
+	"dqo/internal/govern"
 	"dqo/internal/hashtable"
 	"dqo/internal/props"
 	"dqo/internal/sortx"
@@ -79,14 +81,48 @@ func TestSortRelLeavesStatsLazy(t *testing.T) {
 
 // BenchmarkSortRelPostcondition prices SortRel end to end; the sortedness
 // postcondition is part of every call, so its cost (and, before it became a
-// linear check, its distinct-count map) shows in ns/op and allocs/op.
+// linear check, its distinct-count map) shows in ns/op and allocs/op. The
+// sorted case is an ORDER BY over input some granule already ordered: one
+// linear pass and no allocation.
 func BenchmarkSortRelPostcondition(b *testing.B) {
 	_, s := datagen.FKPair(11, datagen.FKConfig{RRows: 20000, SRows: 100000, AGroups: 200})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SortRel(s, "R_ID", sortx.Radix); err != nil {
-			b.Fatal(err)
+	sorted, err := SortRel(s, "R_ID", sortx.Radix)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		rel  *storage.Relation
+	}{{"unsorted", s}, {"sorted", sorted}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := SortRel(c.rel, "R_ID", sortx.Radix); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestSortRelReturnsSortedInput: input already in key order comes back as it
+// is, serial or parallel, with nothing charged to the budget.
+func TestSortRelReturnsSortedInput(t *testing.T) {
+	rel := storage.MustNewRelation("t",
+		storage.NewUint32("k", []uint32{1, 1, 2, 5}),
+		storage.NewInt64("v", []int64{11, 10, 20, 30}),
+	)
+	for _, workers := range []int{1, 4} {
+		mem := govern.NewBudget(0)
+		out, err := SortRelParCtl(rel, "k", sortx.Radix, workers, &govern.Ctl{Ctx: context.Background(), Mem: mem})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != rel {
+			t.Fatalf("workers=%d: sorted input was copied", workers)
+		}
+		if mem.Peak() != 0 {
+			t.Fatalf("workers=%d: %d bytes charged for a sort that moved nothing", workers, mem.Peak())
 		}
 	}
 }

@@ -25,9 +25,22 @@ func Bind(stmt *SelectStmt, cat Catalog) (logical.Node, error) {
 
 // BindTemplate is Bind for a statement that may still hold positional
 // parameters: they stay in the tree's filter predicates as expr.Param, for
-// BindTree to replace. Binding resolves names and nothing else, so one bound
-// template serves every argument set until the catalog changes.
+// BindTree to replace. Binding resolves names and places each WHERE conjunct
+// on the scan or join it reads (logical.PushFilters) — a placement that
+// depends on the statement's shape alone — so one bound template serves every
+// argument set until the catalog changes.
 func BindTemplate(stmt *SelectStmt, cat Catalog) (logical.Node, error) {
+	node, err := bindAsWritten(stmt, cat)
+	if err != nil {
+		return nil, err
+	}
+	return logical.PushFilters(node), nil
+}
+
+// bindAsWritten lowers the statement clause by clause: the joins in FROM
+// order, WHERE as one Filter over the whole join tree, then grouping,
+// HAVING, ordering and projection.
+func bindAsWritten(stmt *SelectStmt, cat Catalog) (logical.Node, error) {
 	b := &binder{cat: cat, cols: map[string][]string{}}
 
 	var node logical.Node

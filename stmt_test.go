@@ -423,3 +423,45 @@ func TestStmtFingerprintIsComputedOnce(t *testing.T) {
 		t.Fatalf("Fingerprint allocates %v times per call", n)
 	}
 }
+
+// TestPreparedFiltersOnBothJoinSides: a statement with a parameter on each
+// side of a join, each conjunct bound onto the scan it reads, hits its
+// template from the second execution on in either FROM order, enumerates
+// nothing there, and always returns what the concrete statement returns.
+func TestPreparedFiltersOnBothJoinSides(t *testing.T) {
+	ctx := context.Background()
+	for _, from := range []string{"R JOIN S ON R.ID = S.R_ID", "S JOIN R ON S.R_ID = R.ID"} {
+		db := testDB(t, false, false, true)
+		text := "SELECT R.A, COUNT(*), SUM(S.M) FROM " + from + " WHERE R.A < ? AND S.M >= ? GROUP BY R.A ORDER BY R.A"
+		stmt, err := db.Prepare(ModeDQOCalibrated, text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, args := range [][2]int{{30, 10}, {77, 0}, {5, 90}, {100, 50}, {0, 0}} {
+			hits, misses := db.PlanCacheStats()
+			alts := db.Metrics().OptimizerAlternatives
+			got, err := stmt.Query(ctx, args[0], args[1])
+			if err != nil {
+				t.Fatalf("%s: Query%v: %v", from, args, err)
+			}
+			h, m := db.PlanCacheStats()
+			if i > 0 && (h != hits+1 || m != misses || db.Metrics().OptimizerAlternatives != alts) {
+				t.Fatalf("%s: execution %d missed its template (hits %d → %d, misses %d → %d)", from, i+1, hits, h, misses, m)
+			}
+			concrete := strings.Replace(strings.Replace(text, "?", strconv.Itoa(args[0]), 1), "?", strconv.Itoa(args[1]), 1)
+			want, err := db.Query(ctx, ModeDQOCalibrated, concrete)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != want.String() {
+				t.Fatalf("%s: Query%v differs from the concrete statement:\nwant:\n%s\ngot:\n%s", from, args, want, got)
+			}
+			if i == 1 && got.NumRows() == 0 {
+				t.Fatalf("%s: Query%v returned no row; the comparison is vacuous", from, args)
+			}
+			if plan := got.PlanExplain(); strings.Index(plan, "Filter(") < strings.Index(plan, "J(") {
+				t.Fatalf("%s: a filter runs above the join:\n%s", from, plan)
+			}
+		}
+	}
+}
