@@ -65,10 +65,10 @@ func Compile(p *Plan) (exec.Operator, error) {
 	return compileNode(p, nil, nil)
 }
 
-// compileNode is the compiler body. Every in-memory breaker runs its node
-// through rc.replan, which with a nil ReoptConfig is the node dispatch
-// (Plan.run) alone. need names the columns p's ancestors reference; nil means
-// all of p's output.
+// compileNode is the compiler body. Every breaker runs its node through
+// rc.replan, which with a nil ReoptConfig (always, for a spill twin) is the
+// node dispatch (Plan.run) alone. need names the columns p's ancestors
+// reference; nil means all of p's output.
 func compileNode(p *Plan, rc *ReoptConfig, need []string) (exec.Operator, error) {
 	switch p.Op {
 	case OpScan:
@@ -125,18 +125,7 @@ func compileNode(p *Plan, rc *ReoptConfig, need []string) (exec.Operator, error)
 		if err != nil {
 			return nil, err
 		}
-		if p.Spill {
-			// Disk-backed twin: external merge sort, byte-identical to the
-			// serial in-memory sort. No reopt wrapping — the spill twin is
-			// already the last resort under the budget.
-			return exec.NewSpillSort(p, child, p.SortKey, p.SortKind), nil
-		}
-		var b *exec.Breaker1
-		b = exec.NewBreaker1(p, child, func(ec *exec.ExecContext, in *storage.Relation) (*storage.Relation, error) {
-			return rc.replan(ec, p, nil, b, in)
-		})
-		b.SetDOP(p.DOP)
-		return b, nil
+		return breaker(p, rc, nil, p.DOP, child), nil
 	case OpGroup:
 		groupNeed := []string{p.GroupKey}
 		for _, a := range p.Aggs {
@@ -148,17 +137,7 @@ func compileNode(p *Plan, rc *ReoptConfig, need []string) (exec.Operator, error)
 		if err != nil {
 			return nil, err
 		}
-		if p.Spill {
-			// Disk-backed twin: partition-and-recurse hash aggregation,
-			// byte-identical to the serial chained-hash kernel.
-			return exec.NewSpillGroup(p, child, p.GroupKey, p.Aggs, p.Group.Opt, p.KeyDom), nil
-		}
-		var b *exec.Breaker1
-		b = exec.NewBreaker1(p, child, func(ec *exec.ExecContext, in *storage.Relation) (*storage.Relation, error) {
-			return rc.replan(ec, p, nil, b, in)
-		})
-		b.SetDOP(p.Group.Opt.Parallel)
-		return b, nil
+		return breaker(p, rc, nil, p.Group.Opt.Parallel, child), nil
 	case OpJoin:
 		// The output-name rule ("_r" on a clash) is decided on the inputs a
 		// join actually receives, so pruning below a join whose sides share
@@ -177,20 +156,41 @@ func compileNode(p *Plan, rc *ReoptConfig, need []string) (exec.Operator, error)
 		if err != nil {
 			return nil, err
 		}
-		if p.Spill {
-			// Disk-backed twin: grace hash join, byte-identical to the serial
-			// in-memory hash join.
-			return exec.NewSpillJoin(p, left, right, p.LeftKey, p.RightKey,
-				p.Join.Opt, p.Swapped, p.KeyDom, cols), nil
-		}
-		var b *exec.Breaker2
-		b = exec.NewBreaker2(p, left, right, func(ec *exec.ExecContext, l, r *storage.Relation) (*storage.Relation, error) {
-			return rc.replan(ec, p, cols, b, l, r)
-		})
-		b.SetDOP(p.Join.Opt.Parallel)
-		return b, nil
+		return breaker(p, rc, cols, p.Join.Opt.Parallel, left, right), nil
 	default:
 		return nil, fmt.Errorf("core: cannot compile operator %v", p.Op)
+	}
+}
+
+// breaker lowers sort, grouping or join p over its compiled inputs: one
+// materialising operator running the node's kernel through rc.replan. A spill
+// twin adds its spill strategy and runs the kernel without rc: it neither
+// re-plans nor offers its join table (Plan.offersBuild). cols restricts a
+// join's output columns; dop is the kernel's planned parallelism.
+func breaker(p *Plan, rc *ReoptConfig, cols []string, dop int, in ...exec.Operator) exec.Operator {
+	var spill exec.SpillStrategy
+	if p.Spill {
+		rc, spill = nil, p.spillStrategy(cols)
+	}
+	var b *exec.Materialize
+	b = exec.NewBreaker(p, func(ec *exec.ExecContext, ctl *govern.Ctl, in ...*storage.Relation) (*storage.Relation, error) {
+		return rc.replan(ec, ctl, p, cols, b, in...)
+	}, spill, in...)
+	b.SetDOP(dop)
+	return b
+}
+
+// spillStrategy is how the disk-backed twin p holds its input past the spill
+// grant: sorted runs for a sort, partition sets for a grouping or join. Each
+// produces output byte-identical to the serial in-memory kernel.
+func (p *Plan) spillStrategy(cols []string) exec.SpillStrategy {
+	switch p.Op {
+	case OpSort:
+		return exec.SortRuns(p.SortKey, p.SortKind)
+	case OpGroup:
+		return exec.GroupPartitions(p.GroupKey, p.Aggs, p.Group.Opt, p.KeyDom)
+	default:
+		return exec.JoinPartitions(p.LeftKey, p.RightKey, p.Join.Opt, p.Swapped, p.KeyDom, cols)
 	}
 }
 

@@ -2,12 +2,16 @@ package core
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"dqo/internal/datagen"
 	"dqo/internal/expr"
+	"dqo/internal/govern"
 	"dqo/internal/logical"
 	"dqo/internal/naive"
+	"dqo/internal/qerr"
 	"dqo/internal/storage"
 )
 
@@ -121,6 +125,44 @@ func TestCompileRequiredColumnsAcrossOperators(t *testing.T) {
 			if err := naive.Check(got, want, naive.SortKey(tc.q), -1); err != nil {
 				t.Fatalf("%s/%s: result differs from the naive evaluator: %v\n%s", tc.name, m.Name, err, res.Best.Explain())
 			}
+		}
+	}
+}
+
+// TestBudgetFailureInsideAKernelNamesTheOperator: under a memory limit that
+// lets a breaker drain its inputs but not run its kernel, or lets a
+// compressed source decode or select but not keep the result, the query
+// fails with an error naming that operator, as a failure in the drain does:
+// the kernel reserves through the operator's labelled handle.
+func TestBudgetFailureInsideAKernelNamesTheOperator(t *testing.T) {
+	join, r, s := fkJoin(5)
+	scanS := &logical.Scan{Table: "S", Rel: s}
+	comp := datagen.CompressRelation("C", 42, 20000, 8, 1.1, true).Compress()
+	enc, skipped, total, _, ok := encFilterTarget(comp, "key", 0, 2)
+	if !ok {
+		t.Fatal("the compressed table's key column is not encoded")
+	}
+	plainC := &Plan{Op: OpScan, Table: "C", Rel: comp}
+	cases := []struct {
+		name  string
+		plan  *Plan
+		limit int64 // what the drain holds, plus one byte
+	}{
+		{"sort", optimize(t, &logical.Sort{Input: scanS, Key: "R_ID"}, DQO()).Best, s.MemBytes() + 1},
+		{"group", optimize(t, &logical.GroupBy{Input: scanS, Key: "R_ID", Aggs: []expr.AggSpec{{Func: expr.AggCount}}}, DQO()).Best, s.MemBytes() + 1},
+		{"join", optimize(t, join, DQO()).Best, r.MemBytes() + s.MemBytes() + 1},
+		{"compressed scan", &Plan{Op: OpScan, Table: "C", Rel: comp, Enc: relCompression(comp)}, 1},
+		{"compressed filter", &Plan{Op: OpFilter, Children: []*Plan{plainC},
+			Pred: expr.Bin{Op: expr.OpLe, L: expr.Col{Name: "key"}, R: expr.IntLit{V: 2}},
+			Enc:  enc, EncCol: "key", EncLo: 0, EncHi: 2, SegsSkipped: skipped, SegsTotal: total}, 1},
+	}
+	for _, tc := range cases {
+		_, _, err := ExecuteContext(context.Background(), tc.plan, ExecOptions{MorselSize: 64, Workers: 1, Mem: govern.NewBudget(tc.limit)})
+		if !errors.Is(err, qerr.ErrMemoryBudgetExceeded) {
+			t.Fatalf("%s: err = %v, want a budget failure\n%s", tc.name, err, tc.plan.Explain())
+		}
+		if want := "operator " + tc.plan.Label() + ": "; !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: %q does not name the operator (%q)", tc.name, err, want)
 		}
 	}
 }

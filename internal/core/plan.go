@@ -7,6 +7,7 @@ import (
 
 	"dqo/internal/exec"
 	"dqo/internal/expr"
+	"dqo/internal/govern"
 	"dqo/internal/physical"
 	"dqo/internal/physio"
 	"dqo/internal/props"
@@ -120,33 +121,6 @@ type Plan struct {
 	// plan is looked up by it at its own site and again as a candidate input
 	// of its parent's.
 	key props.Key
-}
-
-// Summary returns a one-line account of the chosen plan: the operator chain
-// bottom-up with the estimated cost and peak memory — what the budget sweep
-// prints per MemoryLimit step.
-func (p *Plan) Summary() string {
-	var labels []string
-	var rec func(n *Plan)
-	rec = func(n *Plan) {
-		for _, c := range n.Children {
-			rec(c)
-		}
-		labels = append(labels, n.Label())
-	}
-	rec(p)
-	return fmt.Sprintf("%s  (cost=%.0f mem=%s)", strings.Join(labels, " -> "), p.Cost, fmtMem(p.Mem))
-}
-
-func fmtMem(n float64) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1fMiB", n/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1fKiB", n/(1<<10))
-	default:
-		return fmt.Sprintf("%.0fB", n)
-	}
 }
 
 // Label returns a one-line description of this node alone.
@@ -294,31 +268,32 @@ func normalizeStrings(xs []string) []string {
 }
 
 // run executes breaker p (a sort, grouping or join) over its materialised
-// inputs, under the query's governance handle and clamped to the pool's
-// effective DOP: the one node dispatch behind every compiled breaker and every
-// node of a re-planned remainder. cols restricts a join's output columns (see
-// physical.JoinRelDom); nil keeps them all.
-func (p *Plan) run(ec *exec.ExecContext, cols []string, in ...*storage.Relation) (*storage.Relation, error) {
+// inputs, under ctl — the governance handle of the breaker the kernel runs
+// for, so a budget failure inside the kernel names it — and clamped to the
+// pool's effective DOP: the one node dispatch behind every compiled breaker
+// and every node of a re-planned remainder. cols restricts a join's output
+// columns (see physical.JoinRelDom); nil keeps them all.
+func (p *Plan) run(ec *exec.ExecContext, ctl *govern.Ctl, cols []string, in ...*storage.Relation) (*storage.Relation, error) {
 	switch p.Op {
 	case OpSort:
 		w := 1
 		if p.DOP > 1 {
 			w = ec.EffectiveDOP(p.DOP)
 		}
-		return physical.SortRelParCtl(in[0], p.SortKey, p.SortKind, w, ec.Ctl())
+		return physical.SortRelParCtl(in[0], p.SortKey, p.SortKind, w, ctl)
 	case OpGroup:
 		o := p.Group.Opt
 		if o.Parallel > 1 {
 			o.Parallel = ec.EffectiveDOP(o.Parallel)
 		}
-		o.Ctl = ec.Ctl()
+		o.Ctl = ctl
 		return physical.GroupByRelDom(in[0], p.GroupKey, p.Aggs, p.Group.Kind, o, p.KeyDom)
 	case OpJoin:
 		o := p.Join.Opt
 		if o.Parallel > 1 {
 			o.Parallel = ec.EffectiveDOP(o.Parallel)
 		}
-		o.Ctl = ec.Ctl()
+		o.Ctl = ctl
 		return p.runJoin(ec, in[0], in[1], o, cols)
 	default:
 		return nil, fmt.Errorf("core: %v is not a pipeline breaker", p.Op)
@@ -366,8 +341,8 @@ func (p *Plan) runJoin(ec *exec.ExecContext, left, right *storage.Relation, opt 
 // could serve as an Algorithmic View afterwards: a serial in-memory HJ or SPHJ
 // that builds, and builds over the unfiltered scan of a plain base table of at
 // least a morsel of rows — below that the build costs less than the re-plan an
-// adoption triggers. Spill twins and their partition joins never come here,
-// and a re-planned remainder keeps its builds to itself: its scans read
+// adoption triggers. A spill twin never offers, spilled or not, and a
+// re-planned remainder keeps its builds to itself: its scans read
 // intermediates, not base tables. Whoever takes the offer checks the table
 // against its own catalog; this only keeps joins that cannot qualify from
 // asking.

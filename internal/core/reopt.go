@@ -8,6 +8,7 @@ import (
 
 	"dqo/internal/exec"
 	"dqo/internal/faultinject"
+	"dqo/internal/govern"
 	"dqo/internal/logical"
 	"dqo/internal/storage"
 )
@@ -110,8 +111,8 @@ func offByFactor(act, est, t float64) bool {
 	return act >= est*t || est >= act*t
 }
 
-// suffixLabels renders a re-planned suffix bottom-up (the Summary reading
-// order), skipping the synthetic intermediate scans.
+// suffixLabels renders a re-planned suffix bottom-up, skipping the synthetic
+// intermediate scans.
 func suffixLabels(p *Plan) string {
 	var labels []string
 	p.PreOrder(func(n *Plan, _ int) {
@@ -143,9 +144,9 @@ func CompileReopt(p *Plan, rc *ReoptConfig) (exec.Operator, error) {
 // for re-decision) and the winning remainder runs in the planned node's place.
 // Re-planning must never fail a query the planned node could run, so an
 // optimiser error falls back to the planned node.
-func (rc *ReoptConfig) replan(ec *exec.ExecContext, node *Plan, cols []string, op interface{ NoteReplan() }, in ...*storage.Relation) (*storage.Relation, error) {
+func (rc *ReoptConfig) replan(ec *exec.ExecContext, ctl *govern.Ctl, node *Plan, cols []string, op interface{ NoteReplan() }, in ...*storage.Relation) (*storage.Relation, error) {
 	if rc == nil || node.Index != nil {
-		return node.run(ec, cols, in...)
+		return node.run(ec, ctl, cols, in...)
 	}
 	atomic.AddInt64(&rc.checks, 1)
 	off := -1
@@ -156,7 +157,7 @@ func (rc *ReoptConfig) replan(ec *exec.ExecContext, node *Plan, cols []string, o
 		}
 	}
 	if off < 0 {
-		return node.run(ec, cols, in...)
+		return node.run(ec, ctl, cols, in...)
 	}
 	scans := make([]logical.Node, len(in))
 	for i, r := range in {
@@ -178,12 +179,12 @@ func (rc *ReoptConfig) replan(ec *exec.ExecContext, node *Plan, cols []string, o
 	res, err := Optimize(ln, rc.replanMode())
 	if err != nil || suffixLabels(res.Best) == node.Label() {
 		// No alternative, or the truth confirms the planned choice.
-		return node.run(ec, cols, in...)
+		return node.run(ec, ctl, cols, in...)
 	}
 	if err := faultinject.Fire(faultinject.PointReplanSplice); err != nil {
 		return nil, err
 	}
-	out, err := runRemainder(ec, res.Best)
+	out, err := runRemainder(ec, ctl, res.Best)
 	if err != nil {
 		return nil, err
 	}
@@ -193,19 +194,19 @@ func (rc *ReoptConfig) replan(ec *exec.ExecContext, node *Plan, cols []string, o
 }
 
 // runRemainder runs a re-planned remainder over the intermediates its scans
-// read. A re-planned logical tree holds only those scans, sorts, groupings
-// and joins, so every other node goes through the node dispatch, keeping all
-// its columns.
-func runRemainder(ec *exec.ExecContext, p *Plan) (*storage.Relation, error) {
+// read, under the planned breaker's handle ctl. A re-planned logical tree
+// holds only those scans, sorts, groupings and joins, so every other node goes
+// through the node dispatch, keeping all its columns.
+func runRemainder(ec *exec.ExecContext, ctl *govern.Ctl, p *Plan) (*storage.Relation, error) {
 	if p.Op == OpScan {
 		return p.Rel, nil
 	}
 	in := make([]*storage.Relation, len(p.Children))
 	for i, c := range p.Children {
 		var err error
-		if in[i], err = runRemainder(ec, c); err != nil {
+		if in[i], err = runRemainder(ec, ctl, c); err != nil {
 			return nil, err
 		}
 	}
-	return p.run(ec, nil, in...)
+	return p.run(ec, ctl, nil, in...)
 }

@@ -7,6 +7,7 @@ import (
 
 	"dqo/internal/datagen"
 	"dqo/internal/expr"
+	"dqo/internal/govern"
 	"dqo/internal/physical"
 	"dqo/internal/props"
 	"dqo/internal/sortx"
@@ -71,10 +72,10 @@ func TestBreakersDoNotWriteTheirInputs(t *testing.T) {
 	aggs := []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "val"}, {Func: expr.AggMin, Col: "key"}}
 	for _, kind := range physical.GroupKinds() {
 		for _, dop := range []int{1, 4} {
-			runTree(t, NewBreaker1(Text("group"), NewScan(Text("g"), g), func(ec *ExecContext, in *storage.Relation) (*storage.Relation, error) {
-				sawView(in, g)
-				return physical.GroupByRel(in, "key", aggs, kind, physical.GroupOptions{Parallel: dop, Ctl: ec.Ctl()})
-			}), morsel)
+			runTree(t, NewBreaker(Text("group"), func(_ *ExecContext, ctl *govern.Ctl, in ...*storage.Relation) (*storage.Relation, error) {
+				sawView(in[0], g)
+				return physical.GroupByRel(in[0], "key", aggs, kind, physical.GroupOptions{Parallel: dop, Ctl: ctl})
+			}, nil, NewScan(Text("g"), g)), morsel)
 		}
 	}
 	for _, kind := range physical.JoinKinds() {
@@ -83,24 +84,24 @@ func TestBreakersDoNotWriteTheirInputs(t *testing.T) {
 				if swapped && kind == physical.SPHJ {
 					continue // S.R_ID is not a dense build key
 				}
-				runTree(t, NewBreaker2(Text("join"), NewScan(Text("r"), r), NewScan(Text("s"), s), func(ec *ExecContext, l, rr *storage.Relation) (*storage.Relation, error) {
-					sawView(l, r)
-					sawView(rr, s)
-					opt := physical.JoinOptions{Parallel: dop, Ctl: ec.Ctl()}
+				runTree(t, NewBreaker(Text("join"), func(_ *ExecContext, ctl *govern.Ctl, in ...*storage.Relation) (*storage.Relation, error) {
+					sawView(in[0], r)
+					sawView(in[1], s)
+					opt := physical.JoinOptions{Parallel: dop, Ctl: ctl}
 					if swapped {
-						return physical.JoinRelDomSwapped(l, rr, "ID", "R_ID", kind, opt, props.Domain{}, nil)
+						return physical.JoinRelDomSwapped(in[0], in[1], "ID", "R_ID", kind, opt, props.Domain{}, nil)
 					}
-					return physical.JoinRelDom(l, rr, "ID", "R_ID", kind, opt, props.Domain{}, nil)
-				}), morsel)
+					return physical.JoinRelDom(in[0], in[1], "ID", "R_ID", kind, opt, props.Domain{}, nil)
+				}, nil, NewScan(Text("r"), r), NewScan(Text("s"), s)), morsel)
 			}
 		}
 	}
 	for _, kind := range sortx.Kinds() {
 		for _, dop := range []int{1, 4} {
-			runTree(t, NewBreaker1(Text("sort"), NewScan(Text("s"), s), func(ec *ExecContext, in *storage.Relation) (*storage.Relation, error) {
-				sawView(in, s)
-				return physical.SortRelParCtl(in, "R_ID", kind, dop, ec.Ctl())
-			}), morsel)
+			runTree(t, NewBreaker(Text("sort"), func(_ *ExecContext, ctl *govern.Ctl, in ...*storage.Relation) (*storage.Relation, error) {
+				sawView(in[0], s)
+				return physical.SortRelParCtl(in[0], "R_ID", kind, dop, ctl)
+			}, nil, NewScan(Text("s"), s)), morsel)
 		}
 	}
 	for i, tab := range tables {
@@ -118,19 +119,19 @@ func TestBreakersDoNotWriteTheirInputs(t *testing.T) {
 func BenchmarkDrainScan(b *testing.B) {
 	rel := datagen.GroupingRelation(42, 300000, 20000, datagen.Quadrant{})
 	var copied int64
-	kernel := func(_ *ExecContext, in *storage.Relation) (*storage.Relation, error) {
-		if in.NumRows() != rel.NumRows() {
-			return nil, fmt.Errorf("drained %d rows, want %d", in.NumRows(), rel.NumRows())
+	kernel := func(_ *ExecContext, _ *govern.Ctl, in ...*storage.Relation) (*storage.Relation, error) {
+		if in[0].NumRows() != rel.NumRows() {
+			return nil, fmt.Errorf("drained %d rows, want %d", in[0].NumRows(), rel.NumRows())
 		}
-		if !aliasesTable(in, rel) {
-			copied += in.MemBytes()
+		if !aliasesTable(in[0], rel) {
+			copied += in[0].MemBytes()
 		}
-		return in.Slice(0, 0), nil
+		return in[0].Slice(0, 0), nil
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ec := NewExecContext(context.Background(), 0, 1)
-		if _, err := Run(ec, NewBreaker1(Text("drain"), NewScan(Text("scan"), rel), kernel)); err != nil {
+		if _, err := Run(ec, NewBreaker(Text("drain"), kernel, nil, NewScan(Text("scan"), rel))); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dqo/internal/expr"
+	"dqo/internal/govern"
 	"dqo/internal/storage"
 )
 
@@ -31,8 +32,9 @@ func TestCountersTickAtBoundaries(t *testing.T) {
 	// 10-row morsels plus re-emitting the result counts on both sides.
 	c.Morsels.Store(0)
 	c.Rows.Store(0)
-	br := NewBreaker1(Text("identity"), NewScan(Text("scan"), rel),
-		func(_ *ExecContext, in *storage.Relation) (*storage.Relation, error) { return in, nil })
+	br := NewBreaker(Text("identity"), func(_ *ExecContext, _ *govern.Ctl, in ...*storage.Relation) (*storage.Relation, error) {
+		return in[0], nil
+	}, nil, NewScan(Text("scan"), rel))
 	ec2 := NewExecContext(context.Background(), 10, 0)
 	ec2.Counters = &c
 	if _, err := Run(ec2, br); err != nil {

@@ -6,10 +6,13 @@
 // allocation).
 //
 // Streaming operators (scan, filter, project, limit) process one morsel at
-// a time; pipeline breakers (sort, join, group) keep their whole-relation
-// kernel cores but adopt the interface: they drain their inputs morsel by
-// morsel — join inputs concurrently via the worker pool — run the bulk
-// kernel once, and stream the result back out in morsel chunks. The plan →
+// a time; everything else is one materialising operator (Materialize).
+// Pipeline breakers (sort, join, group) keep their whole-relation kernel
+// cores but adopt the interface: they drain their inputs morsel by morsel —
+// join inputs concurrently via the worker pool — run the bulk kernel once,
+// and stream the result back out in morsel chunks; a spill twin is the same
+// breaker with a spill strategy, and a whole-table source the same operator
+// without inputs. The plan →
 // operator-tree compiler lives in internal/core; this package is
 // deliberately plan-agnostic.
 //
@@ -118,9 +121,6 @@ func (ec *ExecContext) SetSpill(dir string, limit int64) {
 	}
 }
 
-// SpillEnabled reports whether a spill directory is configured.
-func (ec *ExecContext) SpillEnabled() bool { return ec.spillParent != "" }
-
 // Spill returns the query's spill directory, creating it on first use.
 func (ec *ExecContext) Spill() (*spill.Dir, error) {
 	if ec.spillParent == "" {
@@ -180,9 +180,6 @@ func (ec *ExecContext) CtlFor(op Labeler) *govern.Ctl {
 	}
 	return ec.ctl.For(op.Label())
 }
-
-// Budget returns the query's memory budget (nil = unlimited).
-func (ec *ExecContext) Budget() *govern.Budget { return ec.ctl.Mem }
 
 // Err returns the context's cancellation error mapped onto the error
 // taxonomy (qerr.ErrCancelled / qerr.ErrTimeout), if any.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dqo/internal/expr"
+	"dqo/internal/govern"
 	"dqo/internal/storage"
 )
 
@@ -118,14 +119,14 @@ func TestLimitZero(t *testing.T) {
 func TestBreaker1KernelRunsOnce(t *testing.T) {
 	rel := testRel(t, 25)
 	calls := 0
-	rev := NewBreaker1(Text("reverse"), NewScan(Text("scan"), rel), func(_ *ExecContext, in *storage.Relation) (*storage.Relation, error) {
+	rev := NewBreaker(Text("reverse"), func(_ *ExecContext, _ *govern.Ctl, in ...*storage.Relation) (*storage.Relation, error) {
 		calls++
-		idx := make([]int32, in.NumRows())
+		idx := make([]int32, in[0].NumRows())
 		for i := range idx {
-			idx[i] = int32(in.NumRows() - 1 - i)
+			idx[i] = int32(in[0].NumRows() - 1 - i)
 		}
-		return in.Gather(idx), nil
-	})
+		return in[0].Gather(idx), nil
+	}, nil, NewScan(Text("scan"), rel))
 	out := runTree(t, rev, 4)
 	if calls != 1 {
 		t.Fatalf("kernel ran %d times", calls)
@@ -142,11 +143,10 @@ func TestBreaker1KernelRunsOnce(t *testing.T) {
 func TestBreaker2ConcurrentDrain(t *testing.T) {
 	left := testRel(t, 40)
 	right := testRel(t, 60)
-	join := NewBreaker2(Text("cross-count"), NewScan(Text("l"), left), NewScan(Text("r"), right),
-		func(_ *ExecContext, l, r *storage.Relation) (*storage.Relation, error) {
-			n := int64(l.NumRows()) * int64(r.NumRows())
-			return storage.NewRelation("out", storage.NewInt64("n", []int64{n}))
-		})
+	join := NewBreaker(Text("cross-count"), func(_ *ExecContext, _ *govern.Ctl, in ...*storage.Relation) (*storage.Relation, error) {
+		n := int64(in[0].NumRows()) * int64(in[1].NumRows())
+		return storage.NewRelation("out", storage.NewInt64("n", []int64{n}))
+	}, nil, NewScan(Text("l"), left), NewScan(Text("r"), right))
 	out := runTree(t, join, 8)
 	if got := out.MustColumn("n").Int64s()[0]; got != 2400 {
 		t.Fatalf("kernel saw wrong inputs: %d", got)
@@ -174,13 +174,10 @@ func (b *blocking) Next(ec *ExecContext) (*storage.Relation, error) {
 func TestCancellationUnwindsWithoutLeaks(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
-	join := NewBreaker2(Text("join"),
-		&blocking{base: base{label: Text("block-l")}},
-		&blocking{base: base{label: Text("block-r")}},
-		func(_ *ExecContext, l, r *storage.Relation) (*storage.Relation, error) {
-			t.Error("kernel ran despite cancellation")
-			return l, nil
-		})
+	join := NewBreaker(Text("join"), func(_ *ExecContext, _ *govern.Ctl, in ...*storage.Relation) (*storage.Relation, error) {
+		t.Error("kernel ran despite cancellation")
+		return in[0], nil
+	}, nil, &blocking{base: base{label: Text("block-l")}}, &blocking{base: base{label: Text("block-r")}})
 	ec := NewExecContext(ctx, 8, 2)
 	done := make(chan error, 1)
 	go func() {

@@ -43,8 +43,14 @@ func govCases(t *testing.T) []govCase {
 	t.Helper()
 	// Large enough that two workers clear the kernels' 4096-row per-worker
 	// parallel minimum, so the sort-merge and join build/scatter points are
-	// actually reached at DOP >= 2.
+	// actually reached at DOP >= 2. The ids descend: a sort returns input
+	// already in key order as it is, and would reach no merge.
 	rel := testRel(t, 12000)
+	desc := make([]int32, rel.NumRows())
+	for i := range desc {
+		desc[i] = int32(len(desc) - 1 - i)
+	}
+	rel = rel.Gather(desc)
 	keys := make([]uint32, 3000)
 	vals := make([]int64, 3000)
 	for i := range keys {
@@ -81,9 +87,9 @@ func govCases(t *testing.T) []govCase {
 				pipe.AddStage(Text("filter"), func(in *storage.Relation) (*storage.Relation, error) {
 					return physical.FilterRel(in, pred)
 				})
-				b := NewBreaker1(Text("sort"), pipe, func(ec *ExecContext, in *storage.Relation) (*storage.Relation, error) {
-					return physical.SortRelParCtl(in, "id", sortx.Radix, ec.EffectiveDOP(dop), ec.Ctl())
-				})
+				b := NewBreaker(Text("sort"), func(ec *ExecContext, ctl *govern.Ctl, in ...*storage.Relation) (*storage.Relation, error) {
+					return physical.SortRelParCtl(in[0], "id", sortx.Radix, ec.EffectiveDOP(dop), ctl)
+				}, nil, pipe)
 				b.SetDOP(dop)
 				return b
 			},
@@ -93,15 +99,15 @@ func govCases(t *testing.T) []govCase {
 			points: []string{faultinject.PointHashtableGrow},
 			build: func(dop int) Operator {
 				aggs := []expr.AggSpec{{Func: expr.AggCount}}
-				b := NewBreaker1(Text("group"), NewScan(Text("scan"), grpRel), func(ec *ExecContext, in *storage.Relation) (*storage.Relation, error) {
+				b := NewBreaker(Text("group"), func(ec *ExecContext, ctl *govern.Ctl, in ...*storage.Relation) (*storage.Relation, error) {
 					opt := physical.GroupOptions{
 						Scheme: hashtable.Chained, Hash: hashtable.Murmur3Fin,
-						Parallel: ec.EffectiveDOP(dop), Ctl: ec.Ctl(),
+						Parallel: ec.EffectiveDOP(dop), Ctl: ctl,
 					}
 					// Unknown domain: tables start minimal and must grow,
 					// reaching the hashtable.grow failure point.
-					return physical.GroupByRelDom(in, "key", aggs, physical.HG, opt, props.Domain{})
-				})
+					return physical.GroupByRelDom(in[0], "key", aggs, physical.HG, opt, props.Domain{})
+				}, nil, NewScan(Text("scan"), grpRel))
 				b.SetDOP(dop)
 				return b
 			},
@@ -113,13 +119,12 @@ func govCases(t *testing.T) []govCase {
 				faultinject.PointPhysicalBuild,
 			},
 			build: func(dop int) Operator {
-				b := NewBreaker2(Text("join"), NewScan(Text("l"), joinL), NewScan(Text("r"), joinR),
-					func(ec *ExecContext, l, r *storage.Relation) (*storage.Relation, error) {
-						opt := physical.JoinOptions{
-							Hash: hashtable.Murmur3Fin, Parallel: ec.EffectiveDOP(dop), Ctl: ec.Ctl(),
-						}
-						return physical.JoinRel(l, r, "id", "fk", physical.HJ, opt)
-					})
+				b := NewBreaker(Text("join"), func(ec *ExecContext, ctl *govern.Ctl, in ...*storage.Relation) (*storage.Relation, error) {
+					opt := physical.JoinOptions{
+						Hash: hashtable.Murmur3Fin, Parallel: ec.EffectiveDOP(dop), Ctl: ctl,
+					}
+					return physical.JoinRel(in[0], in[1], "id", "fk", physical.HJ, opt)
+				}, nil, NewScan(Text("l"), joinL), NewScan(Text("r"), joinR))
 				b.SetDOP(dop)
 				return b
 			},
@@ -259,7 +264,7 @@ func TestInjectedMergeCancellation(t *testing.T) {
 // merge sort whose tiny run quota forces disk traffic, reaching the
 // spill.write and spill.read failure points.
 func spillGovTree() Operator {
-	return NewSpillSort(Text("sort"), NewScan(Text("scan"), spillRel("t", 6000, 7)), "key", sortx.Radix)
+	return spillSort(NewScan(Text("scan"), spillRel("t", 6000, 7)), "key", sortx.Radix)
 }
 
 func newSpillEC(t *testing.T, morsel, dop int, mem *govern.Budget) (*ExecContext, string) {

@@ -73,7 +73,7 @@ func TestSpillGroupFirstSeenWalk(t *testing.T) {
 		for _, quota := range []int64{1, 4 << 10, 0} {
 			for _, morsel := range spillMorsels {
 				got, spilled := runSpillTree(t, func() Operator {
-					return NewSpillGroup(Text("group"), NewScan(Text("scan"), rel), "k", aggs, opt, props.Domain{})
+					return spillGroup(NewScan(Text("scan"), rel), "k", aggs, opt, props.Domain{})
 				}, morsel, 1, quota)
 				if (spilled > 0) != (quota > 0) {
 					t.Fatalf("%s quota=%d morsel=%d: spilled %d bytes", name, quota, morsel, spilled)
@@ -113,10 +113,9 @@ func newTestPartitionSet(t *testing.T, quota int64) (*ExecContext, *partitionSet
 		}
 	})
 	b := &base{label: Text("set")}
-	var held int64
-	rv := &resv{ctl: ec.CtlFor(b), held: &held, b: b}
+	h := &holder{ctl: ec.CtlFor(b), b: b}
 	sets := new([]*partitionSet)
-	return ec, newPartitionSet(rv, sets, "set", "key", rowTagL, 0, quota), sets, mem, dir
+	return ec, newPartitionSet(h, sets, "set", "key", rowTagL, 0, quota), sets, mem, dir
 }
 
 // checkPartition asserts a loaded partition holds exactly the rows of rel
@@ -216,7 +215,7 @@ func TestPartitionSetSingleFile(t *testing.T) {
 		if fds >= 0 && openFDs() > fds+2 {
 			t.Fatalf("%d descriptors open while two sets are read", openFDs()-fds)
 		}
-		set.rv.drop(held)
+		set.h.drop(held)
 	}
 	for q := 0; q < spillParts; q++ {
 		load(child, q, 3<<spillPartBits|q)
@@ -287,7 +286,7 @@ func TestSpillSortMergeWindows(t *testing.T) {
 		ec := NewExecContext(context.Background(), morsel, 1)
 		ec.SetSpill(dir, 0)
 		ec.SetSpillQuota(20 << 10) // 216 KB of input: 11+ runs
-		root := NewSpillSort(Text("sort"), NewScan(Text("scan"), rel), "key", sortx.Radix)
+		root := spillSort(NewScan(Text("scan"), rel), "key", sortx.Radix)
 		got, err := Run(ec, root)
 		if err != nil {
 			t.Fatal(err)
@@ -330,7 +329,7 @@ func TestSpillJoinReleasesOrphanedSides(t *testing.T) {
 	ec.SetSpill(t.TempDir(), 0)
 	ec.SetSpillQuota(16 << 10)
 	opt := physical.JoinOptions{Hash: hashtable.Murmur3Fin, Parallel: 1}
-	root := NewSpillJoin(Text("join"), NewScan(Text("l"), left), NewScan(Text("r"), right), "key", "key", opt, false, props.Domain{}, nil)
+	root := spillJoin(NewScan(Text("l"), left), NewScan(Text("r"), right), "key", opt, false, props.Domain{}, nil)
 	if err := root.Open(ec); err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +347,7 @@ func TestSpillJoinReleasesOrphanedSides(t *testing.T) {
 		t.Fatalf("vacuous: %d partitions spilled (want 8 a side), %d output rows", st.SpillParts, root.out.NumRows())
 	}
 	orphanTails := false
-	for _, ps := range root.sets {
+	for _, ps := range root.spill.(*partitioned).sets {
 		for p := 0; p < spillParts; p++ {
 			orphanTails = orphanTails || ps.rows[p] > 0 && len(ps.extents[p]) == 0 && ps.bufs[p] != nil
 		}

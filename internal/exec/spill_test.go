@@ -81,21 +81,59 @@ func runSpillTree(t *testing.T, build func() Operator, morsel, workers int, quot
 	return out, spilled
 }
 
+// sortKernel, groupKernel and joinKernel are the serial kernels the plan
+// compiler hands a sort, a chained-hash grouping and a hash join over a key
+// of one name on both sides, reserving through the breaker's handle.
+func sortKernel(key string, kind sortx.Kind) Kernel {
+	return func(_ *ExecContext, ctl *govern.Ctl, in ...*storage.Relation) (*storage.Relation, error) {
+		return physical.SortRelParCtl(in[0], key, kind, 1, ctl)
+	}
+}
+
+func groupKernel(key string, aggs []expr.AggSpec, opt physical.GroupOptions, dom props.Domain) Kernel {
+	return func(_ *ExecContext, ctl *govern.Ctl, in ...*storage.Relation) (*storage.Relation, error) {
+		o := opt
+		o.Ctl = ctl
+		return physical.GroupByRelDom(in[0], key, aggs, physical.HG, o, dom)
+	}
+}
+
+func joinKernel(key string, opt physical.JoinOptions, swapped bool, dom props.Domain, cols []string) Kernel {
+	return func(_ *ExecContext, ctl *govern.Ctl, in ...*storage.Relation) (*storage.Relation, error) {
+		o := opt
+		o.Ctl = ctl
+		if swapped {
+			return physical.JoinRelDomSwapped(in[0], in[1], key, key, physical.HJ, o, dom, cols)
+		}
+		return physical.JoinRelDom(in[0], in[1], key, key, physical.HJ, o, dom, cols)
+	}
+}
+
+// spillSort, spillGroup and spillJoin are those kernels' spill twins: the
+// same breaker with the matching spill strategy.
+func spillSort(child Operator, key string, kind sortx.Kind) *Materialize {
+	return NewBreaker(Text("sort"), sortKernel(key, kind), SortRuns(key, kind), child)
+}
+
+func spillGroup(child Operator, key string, aggs []expr.AggSpec, opt physical.GroupOptions, dom props.Domain) *Materialize {
+	return NewBreaker(Text("group"), groupKernel(key, aggs, opt, dom), GroupPartitions(key, aggs, opt, dom), child)
+}
+
+func spillJoin(left, right Operator, key string, opt physical.JoinOptions, swapped bool, dom props.Domain, cols []string) *Materialize {
+	return NewBreaker(Text("join"), joinKernel(key, opt, swapped, dom, cols), JoinPartitions(key, key, opt, swapped, dom, cols), left, right)
+}
+
 // TestSpillSortMatchesInMemory checks the external merge sort against the
 // serial in-memory sort for every sort kind across the DOP x morsel grid,
 // with a quota small enough to force multi-pass merges.
 func TestSpillSortMatchesInMemory(t *testing.T) {
 	rel := spillRel("t", 6000, 7)
 	for _, kind := range []sortx.Kind{sortx.Radix, sortx.Comparison, sortx.Std} {
-		kind := kind
-		want := runTree(t, NewBreaker1(Text("sort"), NewScan(Text("scan"), rel),
-			func(ec *ExecContext, in *storage.Relation) (*storage.Relation, error) {
-				return physical.SortRelParCtl(in, "key", kind, 1, ec.Ctl())
-			}), 4096)
+		want := runTree(t, NewBreaker(Text("sort"), sortKernel("key", kind), nil, NewScan(Text("scan"), rel)), 4096)
 		for _, workers := range spillDOPs() {
 			for _, morsel := range spillMorsels {
 				got, spilled := runSpillTree(t, func() Operator {
-					return NewSpillSort(Text("sort"), NewScan(Text("scan"), rel), "key", kind)
+					return spillSort(NewScan(Text("scan"), rel), "key", kind)
 				}, morsel, workers, 2048)
 				if spilled == 0 {
 					t.Fatalf("kind=%v morsel=%d workers=%d: external sort never touched disk", kind, morsel, workers)
@@ -115,18 +153,12 @@ func TestSpillGroupMatchesInMemory(t *testing.T) {
 	rel := spillRel("t", 6000, 11)
 	aggs := []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "val"}}
 	for _, key := range []string{"key", "city"} {
-		key := key
 		opt := physical.GroupOptions{Scheme: hashtable.Chained, Hash: hashtable.Murmur3Fin, Parallel: 1}
-		want := runTree(t, NewBreaker1(Text("group"), NewScan(Text("scan"), rel),
-			func(ec *ExecContext, in *storage.Relation) (*storage.Relation, error) {
-				o := opt
-				o.Ctl = ec.Ctl()
-				return physical.GroupByRelDom(in, key, aggs, physical.HG, o, props.Domain{})
-			}), 4096)
+		want := runTree(t, NewBreaker(Text("group"), groupKernel(key, aggs, opt, props.Domain{}), nil, NewScan(Text("scan"), rel)), 4096)
 		for _, workers := range spillDOPs() {
 			for _, morsel := range spillMorsels {
 				got, spilled := runSpillTree(t, func() Operator {
-					return NewSpillGroup(Text("group"), NewScan(Text("scan"), rel), key, aggs, opt, props.Domain{})
+					return spillGroup(NewScan(Text("scan"), rel), key, aggs, opt, props.Domain{})
 				}, morsel, workers, 2048)
 				if spilled == 0 {
 					t.Fatalf("key=%s morsel=%d workers=%d: spill group never touched disk", key, morsel, workers)
@@ -149,24 +181,15 @@ func TestSpillJoinMatchesInMemory(t *testing.T) {
 	opt := physical.JoinOptions{Hash: hashtable.Murmur3Fin, Parallel: 1}
 	for _, cols := range [][]string{nil, {"city_r", "val"}} {
 		for _, swapped := range []bool{false, true} {
-			cols, swapped := cols, swapped
-			want := runTree(t, NewBreaker2(Text("join"), NewScan(Text("l"), left), NewScan(Text("r"), right),
-				func(ec *ExecContext, l, r *storage.Relation) (*storage.Relation, error) {
-					o := opt
-					o.Ctl = ec.Ctl()
-					if swapped {
-						return physical.JoinRelDomSwapped(l, r, "key", "key", physical.HJ, o, props.Domain{}, cols)
-					}
-					return physical.JoinRelDom(l, r, "key", "key", physical.HJ, o, props.Domain{}, cols)
-				}), 4096)
+			want := runTree(t, NewBreaker(Text("join"), joinKernel("key", opt, swapped, props.Domain{}, cols), nil,
+				NewScan(Text("l"), left), NewScan(Text("r"), right)), 4096)
 			if cols != nil && want.NumCols() != len(cols) {
 				t.Fatalf("in-memory join kept %v, want %v", want.ColumnNames(), cols)
 			}
 			for _, workers := range spillDOPs() {
 				for _, morsel := range spillMorsels {
 					got, spilled := runSpillTree(t, func() Operator {
-						return NewSpillJoin(Text("join"), NewScan(Text("l"), left), NewScan(Text("r"), right),
-							"key", "key", opt, swapped, props.Domain{}, cols)
+						return spillJoin(NewScan(Text("l"), left), NewScan(Text("r"), right), "key", opt, swapped, props.Domain{}, cols)
 					}, morsel, workers, 2048)
 					if spilled == 0 {
 						t.Fatalf("cols=%v swapped=%v morsel=%d workers=%d: grace join never touched disk", cols, swapped, morsel, workers)
@@ -185,14 +208,11 @@ func TestSpillJoinMatchesInMemory(t *testing.T) {
 // return the exact in-memory result.
 func TestSpillIdleStaysInMemory(t *testing.T) {
 	rel := spillRel("t", 3000, 5)
-	want := runTree(t, NewBreaker1(Text("sort"), NewScan(Text("scan"), rel),
-		func(ec *ExecContext, in *storage.Relation) (*storage.Relation, error) {
-			return physical.SortRelParCtl(in, "key", sortx.Radix, 1, ec.Ctl())
-		}), 4096)
+	want := runTree(t, NewBreaker(Text("sort"), sortKernel("key", sortx.Radix), nil, NewScan(Text("scan"), rel)), 4096)
 	dir := t.TempDir()
 	ec := NewExecContext(context.Background(), 256, 2)
 	ec.SetSpill(dir, 0) // default quota: nothing this small ever flushes
-	root := NewSpillSort(Text("sort"), NewScan(Text("scan"), rel), "key", sortx.Radix)
+	root := spillSort(NewScan(Text("scan"), rel), "key", sortx.Radix)
 	got, err := Run(ec, root)
 	if err != nil {
 		t.Fatal(err)
@@ -254,13 +274,45 @@ func openFDs() int {
 	return len(ents)
 }
 
-// TestSpillLifecycleCensus drives a spilling sort through success, a spill
-// disk-cap failure, mid-query cancellation, a child error, and a child
-// panic. However the query ends, the spill directory must be removed, the
-// memory budget drained, and no file descriptor leaked.
+// censusPeaks pins the budget peak of a successful census run per breaker
+// kind and path: a change in any path's reservation order, or in what its
+// drain or kernel charges, moves one of them.
+var censusPeaks = map[string]int64{
+	"sort/in-memory": 288000, "sort/spill-idle": 288000, "sort/spill-forced": 288000,
+	"group/in-memory": 205440, "group/spill-idle": 205440, "group/spill-forced": 76280,
+	"join/in-memory": 1423584, "join/spill-idle": 1423584, "join/spill-forced": 1542216,
+}
+
+// TestSpillLifecycleCensus drives every breaker kind — sort, grouping, join —
+// in memory, spill-capable but idle (the default grant) and forced to disk (a
+// one-byte grant) through success, a spill disk-cap failure, mid-query
+// cancellation, a child error, and a child panic. However the query ends, the
+// spill directory must be removed, the memory budget drained, and no file
+// descriptor leaked; a successful run must reach its pinned budget peak.
 func TestSpillLifecycleCensus(t *testing.T) {
-	rel := spillRel("t", 6000, 9)
-	cases := []struct {
+	rel, right := spillRel("t", 6000, 9), spillRel("r", 5000, 13)
+	aggs := []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "val"}}
+	gopt := physical.GroupOptions{Scheme: hashtable.Chained, Hash: hashtable.Murmur3Fin, Parallel: 1}
+	jopt := physical.JoinOptions{Hash: hashtable.Murmur3Fin, Parallel: 1}
+	breaker := func(kind string, spill bool, child Operator) Operator {
+		var k Kernel
+		var s SpillStrategy
+		inputs := []Operator{child}
+		switch kind {
+		case "sort":
+			k, s = sortKernel("key", sortx.Radix), SortRuns("key", sortx.Radix)
+		case "group":
+			k, s = groupKernel("key", aggs, gopt, props.Domain{}), GroupPartitions("key", aggs, gopt, props.Domain{})
+		default:
+			k, s = joinKernel("key", jopt, false, props.Domain{}, nil), JoinPartitions("key", "key", jopt, false, props.Domain{}, nil)
+			inputs = append(inputs, NewScan(Text("r"), right))
+		}
+		if !spill {
+			s = nil
+		}
+		return NewBreaker(Text(kind), k, s, inputs...)
+	}
+	outcomes := []struct {
 		name    string
 		mode    string // tripwire mode; "" = no tripwire
 		diskCap int64
@@ -272,53 +324,70 @@ func TestSpillLifecycleCensus(t *testing.T) {
 		{name: "cancel", mode: "cancel", wantErr: qerr.ErrCancelled},
 		{name: "panic", mode: "panic", wantErr: qerr.ErrInternal},
 	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			fds := openFDs()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			mem := govern.NewBudget(0)
-			ec := NewExecContextBudget(ctx, 64, 2, mem)
-			ec.SetSpill(dir, tc.diskCap)
-			ec.SetSpillQuota(1)
-			var child Operator = NewScan(Text("scan"), rel)
-			if tc.mode != "" {
-				// Trip late enough that runs are already on disk.
-				child = &tripwire{base: base{label: Text("trip")}, child: child,
-					after: 40, mode: tc.mode, cancel: cancel}
-			}
-			root := NewSpillSort(Text("sort"), child, "key", sortx.Radix)
-			_, err := Run(ec, root)
-			if tc.wantErr == nil {
-				if err != nil {
-					t.Fatalf("success case failed: %v", err)
-				}
-			} else if !errors.Is(err, tc.wantErr) {
-				t.Fatalf("err = %v, want %v", err, tc.wantErr)
-			}
-			var spilled int64
-			for _, s := range CollectProfile(root) {
-				spilled += s.SpillBytes
-			}
-			if tc.name != "disk-cap" && spilled == 0 {
-				t.Fatal("census vacuous: no run files were ever written")
-			}
-			ents, rdErr := os.ReadDir(dir)
-			if rdErr != nil || len(ents) != 0 {
-				t.Fatalf("spill directory leaked: %d entries, err=%v", len(ents), rdErr)
-			}
-			if used := mem.Used(); used != 0 {
-				t.Fatalf("budget leak: %d bytes still reserved", used)
-			}
-			if fds >= 0 {
-				deadline := time.Now().Add(2 * time.Second)
-				for openFDs() > fds && time.Now().Before(deadline) {
-					time.Sleep(10 * time.Millisecond)
-				}
-				if now := openFDs(); now > fds {
-					t.Fatalf("fd leak: %d -> %d", fds, now)
+	for _, oc := range outcomes {
+		t.Run(oc.name, func(t *testing.T) {
+			for _, kind := range []string{"sort", "group", "join"} {
+				for _, path := range []string{"in-memory", "spill-idle", "spill-forced"} {
+					t.Run(kind+"-"+path, func(t *testing.T) {
+						forced := path == "spill-forced"
+						wantErr := oc.wantErr
+						if oc.mode == "" && !forced {
+							wantErr = nil // only a run file can pass the disk cap
+						}
+						dir := t.TempDir()
+						fds := openFDs()
+						ctx, cancel := context.WithCancel(context.Background())
+						defer cancel()
+						mem := govern.NewBudget(0)
+						ec := NewExecContextBudget(ctx, 64, 2, mem)
+						ec.SetSpill(dir, oc.diskCap)
+						if forced {
+							ec.SetSpillQuota(1)
+						}
+						var child Operator = NewScan(Text("scan"), rel)
+						if oc.mode != "" {
+							// Trip late enough that runs are already on disk.
+							child = &tripwire{base: base{label: Text("trip")}, child: child,
+								after: 40, mode: oc.mode, cancel: cancel}
+						}
+						root := breaker(kind, path != "in-memory", child)
+						_, err := Run(ec, root)
+						if wantErr == nil {
+							if err != nil {
+								t.Fatalf("success case failed: %v", err)
+							}
+							if want := censusPeaks[kind+"/"+path]; mem.Peak() != want {
+								t.Fatalf("budget peak %d, want %d", mem.Peak(), want)
+							}
+						} else if !errors.Is(err, wantErr) {
+							t.Fatalf("err = %v, want %v", err, wantErr)
+						}
+						var spilled int64
+						for _, s := range CollectProfile(root) {
+							spilled += s.SpillBytes
+						}
+						if forced && oc.name != "disk-cap" && spilled == 0 {
+							t.Fatal("census vacuous: no run files were ever written")
+						} else if !forced && spilled != 0 {
+							t.Fatalf("%d bytes spilled by a breaker whose input fits", spilled)
+						}
+						ents, rdErr := os.ReadDir(dir)
+						if rdErr != nil || len(ents) != 0 {
+							t.Fatalf("spill directory leaked: %d entries, err=%v", len(ents), rdErr)
+						}
+						if used := mem.Used(); used != 0 {
+							t.Fatalf("budget leak: %d bytes still reserved", used)
+						}
+						if fds >= 0 {
+							deadline := time.Now().Add(2 * time.Second)
+							for openFDs() > fds && time.Now().Before(deadline) {
+								time.Sleep(10 * time.Millisecond)
+							}
+							if now := openFDs(); now > fds {
+								t.Fatalf("fd leak: %d -> %d", fds, now)
+							}
+						}
+					})
 				}
 			}
 		})
@@ -333,7 +402,7 @@ func TestSpillStatsSurface(t *testing.T) {
 	ec := NewExecContext(context.Background(), 256, 1)
 	ec.SetSpill(dir, 0)
 	ec.SetSpillQuota(2048)
-	root := NewSpillSort(Text("sort"), NewScan(Text("scan"), rel), "key", sortx.Radix)
+	root := spillSort(NewScan(Text("scan"), rel), "key", sortx.Radix)
 	if _, err := Run(ec, root); err != nil {
 		t.Fatal(err)
 	}
@@ -352,18 +421,20 @@ func TestSpillStatsSurface(t *testing.T) {
 // in-memory sort, and the forced variant prices the disk round-trip.
 func BenchmarkExternalSort(b *testing.B) {
 	rel := spillRel("t", 200_000, 17)
-	inMemory := func() Operator {
-		return NewBreaker1(Text("sort"), NewScan(Text("scan"), rel),
-			func(ec *ExecContext, in *storage.Relation) (*storage.Relation, error) {
-				return physical.SortRelParCtl(in, "key", sortx.Radix, 1, ec.Ctl())
-			})
-	}
-	spillSort := func() Operator {
-		return NewSpillSort(Text("sort"), NewScan(Text("scan"), rel), "key", sortx.Radix)
-	}
-	b.Run("in-memory", func(b *testing.B) { benchSpillOp(b, inMemory, 0) })
-	b.Run("spill-idle", func(b *testing.B) { benchSpillOp(b, spillSort, 0) })
-	b.Run("spill-forced", func(b *testing.B) { benchSpillOp(b, spillSort, 256<<10) })
+	benchSpillPaths(b, func(spill bool) Operator {
+		if spill {
+			return spillSort(NewScan(Text("scan"), rel), "key", sortx.Radix)
+		}
+		return NewBreaker(Text("sort"), sortKernel("key", sortx.Radix), nil, NewScan(Text("scan"), rel))
+	}, 256<<10)
+}
+
+// benchSpillPaths times a breaker in memory, spill-capable but idle, and
+// forced to disk by the run quota forced.
+func benchSpillPaths(b *testing.B, build func(spill bool) Operator, forced int64) {
+	b.Run("in-memory", func(b *testing.B) { benchSpillOp(b, func() Operator { return build(false) }, 0) })
+	b.Run("spill-idle", func(b *testing.B) { benchSpillOp(b, func() Operator { return build(true) }, 0) })
+	b.Run("spill-forced", func(b *testing.B) { benchSpillOp(b, func() Operator { return build(true) }, forced) })
 }
 
 // benchSpillOp times one breaker tree per iteration with the spill directory
@@ -420,24 +491,26 @@ func payloadCol(n int) []int64 {
 
 // BenchmarkSpillGroup is the bench guard for the spilling aggregation at the
 // repository benchmark's shape (120 000 rows, 30 000 groups, COUNT + SUM):
-// the same operator in memory and forced to partition through disk by the run
-// quota that benchmark's 2 MiB memory limit grants (a quarter of it).
+// the in-memory breaker, its spill twin idle, and the twin forced to
+// partition through disk by the run quota that benchmark's 2 MiB memory limit
+// grants (a quarter of it).
 func BenchmarkSpillGroup(b *testing.B) {
 	rel := storage.MustNewRelation("G", storage.NewUint32("K", sparseKeys(120_000, 30_000, 5)),
 		storage.NewInt64("V", payloadCol(120_000)))
 	aggs := []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "V"}}
 	opt := physical.GroupOptions{Scheme: hashtable.Chained, Hash: hashtable.Identity, Parallel: 1}
 	dom := plannedDomain(rel, "K")
-	build := func() Operator {
-		return NewSpillGroup(Text("group"), NewScan(Text("scan"), rel), "K", aggs, opt, dom)
-	}
-	b.Run("in-memory", func(b *testing.B) { benchSpillOp(b, build, 0) })
-	b.Run("spill-forced", func(b *testing.B) { benchSpillOp(b, build, 512<<10) })
+	benchSpillPaths(b, func(spill bool) Operator {
+		if spill {
+			return spillGroup(NewScan(Text("scan"), rel), "K", aggs, opt, dom)
+		}
+		return NewBreaker(Text("group"), groupKernel("K", aggs, opt, dom), nil, NewScan(Text("scan"), rel))
+	}, 512<<10)
 }
 
 // BenchmarkSpillJoin is the bench guard for the grace hash join at the
 // repository benchmark's shape: two tables of 70 000 unique keys that share
-// 1 000 of them.
+// 1 000 of them, on the same three paths as BenchmarkSpillGroup.
 func BenchmarkSpillJoin(b *testing.B) {
 	const n, shared = 70_000, 1_000
 	keys := sparseKeys(2*n-shared, 2*n-shared, 11)
@@ -445,9 +518,10 @@ func BenchmarkSpillJoin(b *testing.B) {
 	right := storage.MustNewRelation("Q", storage.NewUint32("K", keys[n-shared:]), storage.NewInt64("W", payloadCol(n)))
 	opt := physical.JoinOptions{Hash: hashtable.Identity, Parallel: 1}
 	dom := plannedDomain(left, "K")
-	build := func() Operator {
-		return NewSpillJoin(Text("join"), NewScan(Text("l"), left), NewScan(Text("r"), right), "K", "K", opt, false, dom, nil)
-	}
-	b.Run("in-memory", func(b *testing.B) { benchSpillOp(b, build, 0) })
-	b.Run("spill-forced", func(b *testing.B) { benchSpillOp(b, build, 512<<10) })
+	benchSpillPaths(b, func(spill bool) Operator {
+		if spill {
+			return spillJoin(NewScan(Text("l"), left), NewScan(Text("r"), right), "K", opt, false, dom, nil)
+		}
+		return NewBreaker(Text("join"), joinKernel("K", opt, false, dom, nil), nil, NewScan(Text("l"), left), NewScan(Text("r"), right))
+	}, 512<<10)
 }

@@ -1,44 +1,41 @@
 package exec
 
-// Spill-capable breaker twins: external merge sort, grace hash join, and
-// spilling hash aggregation. Each is the disk-backed sibling of an
-// in-memory breaker kernel, chosen by the optimiser only when no in-memory
-// variant fits Mode.MemBudget, and each is byte-identical to its twin:
+// Spill strategies: how a breaker that may spill holds its input. A spill
+// twin is the in-memory breaker — the same Materialize running the same
+// kernel — plus one of three strategies, chosen by the optimiser only when no
+// in-memory variant fits Mode.MemBudget. Each buffers in memory up to the
+// govern spill grant and only touches disk past it, so a query whose data
+// fits never pays a single write (and never creates the spill directory):
+// its breaker runs the kernel as the in-memory breaker does. Past the grant
+// each produces output byte-identical to that kernel's:
 //
-//   - SpillSort writes stably sorted runs and k-way merges them with a
+//   - SortRuns writes stably sorted runs and k-way merges them with a
 //     (key, run order) tie-break — since the in-memory argsort is stable for
 //     every sort kind, the merged output IS the stable full sort. The merge
 //     decides on keys alone and copies whole column windows.
-//   - SpillJoin numbers each side's rows by global input ordinal,
+//   - JoinPartitions numbers each side's rows by global input ordinal,
 //     hash-partitions both sides to disk, joins partition pairs serially, and
 //     restores the serial hash join's emission order — (probe row ascending,
 //     build row descending: the multimap's reverse-build-order emission
 //     contract) — with one radix sort over the pair outputs' ordinals.
-//   - SpillGroup hash-partitions its input (keys are partition-complete, so
-//     per-partition aggregates are exact), reuses the serial chained-hash
+//   - GroupPartitions hash-partitions its input (keys are partition-complete,
+//     so per-partition aggregates are exact), reuses the serial chained-hash
 //     aggregation kernel per partition, and reorders the merged groups by
 //     each key's first-occurrence ordinal — found by one forward walk per
 //     partition, ordered by one radix sort — reproducing the chained table's
 //     first-seen iteration order.
 //
-// The twins move columns, not values: a partition set scatters each batch
-// column by column into per-partition buffers and writes a buffer as one
-// frame of the set's one run file; a partition is read back by its frame
+// The strategies move columns, not values: a partition set scatters each
+// batch column by column into per-partition buffers and writes a buffer as
+// one frame of the set's one run file; a partition is read back by its frame
 // offsets straight into a relation allocated once at its known size.
-//
-// All three buffer in memory up to the govern spill grant and only touch
-// disk past it, so a query whose data fits never pays a single write
-// (and never creates the spill directory). Partitions that still exceed
-// the grant recurse — re-partitioning on a different hash-bit window —
-// down to a fixed depth cap.
+// Partitions that still exceed the grant recurse — re-partitioning on a
+// different hash-bit window — down to a fixed depth cap.
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"dqo/internal/expr"
-	"dqo/internal/faultinject"
-	"dqo/internal/govern"
 	"dqo/internal/physical"
 	"dqo/internal/props"
 	"dqo/internal/qerr"
@@ -80,35 +77,6 @@ func seedDicts(rel *storage.Relation) map[string]*storage.Dict {
 		}
 	}
 	return pool
-}
-
-// resv couples an operator's held-bytes counter to the labelled governance
-// handle: grab reserves and raises the operator's peak, drop releases. The
-// operator's Close still releases the whole counter at once, so error and
-// panic paths cannot leak reservations.
-type resv struct {
-	ctl  *govern.Ctl
-	held *int64
-	b    *base
-}
-
-func (r *resv) grab(n int64) error {
-	if n <= 0 {
-		return nil
-	}
-	if err := r.ctl.Reserve(n); err != nil {
-		return err
-	}
-	r.b.peak(atomic.AddInt64(r.held, n))
-	return nil
-}
-
-func (r *resv) drop(n int64) {
-	if n <= 0 {
-		return
-	}
-	r.ctl.Release(n)
-	atomic.AddInt64(r.held, -n)
 }
 
 // ---------------------------------------------------------------------------
@@ -159,183 +127,153 @@ func copyRows(dst *storage.Relation, at int, src *storage.Relation, n int) {
 }
 
 // ---------------------------------------------------------------------------
-// SpillSort: external merge sort.
+// SpillStrategy, and the buffers every strategy starts with.
 
-// SpillSort sorts its input by a uint32 key column with bounded working
+// SpillStrategy is how a breaker that may spill holds its input. The breaker
+// drains its inputs one after the other and hands the strategy every
+// non-empty batch; the strategy keeps them in memory, reserved through the
+// breaker's holder, until they pass the spill grant, and spills past it. At
+// the end of the drain finish returns either the inputs whole — nothing went
+// to disk, and the breaker runs its kernel as an in-memory breaker does — or
+// the output, produced from disk. abort closes whatever files the strategy
+// still has open (error and panic paths; the files die with the query's
+// spill.Dir).
+type SpillStrategy interface {
+	add(ec *ExecContext, h *holder, i int, batch *storage.Relation) error
+	finish(ec *ExecContext, h *holder, schema []*storage.Relation) (whole []*storage.Relation, out *storage.Relation, err error)
+	abort()
+}
+
+// buffered is what a strategy holds in memory: each input's batches and the
+// bytes reserved for them.
+type buffered struct {
+	parts [][]*storage.Relation
+	bytes []int64
+}
+
+func newBuffered(inputs int) buffered {
+	return buffered{parts: make([][]*storage.Relation, inputs), bytes: make([]int64, inputs)}
+}
+
+// keep buffers batch as input i's next, n bytes already reserved.
+func (b *buffered) keep(i int, batch *storage.Relation, n int64) {
+	b.parts[i] = append(b.parts[i], batch)
+	b.bytes[i] += n
+}
+
+// whole returns every input whole: its buffered batches, or the empty
+// relation of its schema when none was buffered.
+func (b *buffered) whole(schema []*storage.Relation) ([]*storage.Relation, error) {
+	in := make([]*storage.Relation, len(schema))
+	for i, s := range schema {
+		parts := b.parts[i]
+		if len(parts) == 0 {
+			parts = []*storage.Relation{s.Slice(0, 0)}
+		}
+		var err error
+		if in[i], err = storage.Concat(parts); err != nil {
+			return nil, err
+		}
+	}
+	return in, nil
+}
+
+// ---------------------------------------------------------------------------
+// SortRuns: external merge sort.
+
+// sortRuns sorts its input by a uint32 key column with bounded working
 // memory: batches buffer up to the spill grant, each overflow is stably
 // sorted and written as a run, and the runs are k-way merged (recursively,
 // above the fan-in) with a (key, run order) tie-break. Output is
 // byte-identical to the serial in-memory sort for every sort kind, because
 // the in-memory argsort is stable and the runs partition the input in
 // order.
-type SpillSort struct {
-	base
-	child Operator
-	key   string
-	kind  sortx.Kind
-	out   *storage.Relation
-	pos   int
-	held  int64
-	runs  []*spill.Run
-	tmpl  *storage.Relation
+type sortRuns struct {
+	buffered
+	key  string
+	kind sortx.Kind
+	runs []*spill.Run
+	tmpl *storage.Relation // the input's schema, once merging
 }
 
-// NewSpillSort returns an external merge sort of child by key.
-func NewSpillSort(label Labeler, child Operator, key string, kind sortx.Kind) *SpillSort {
-	return &SpillSort{base: base{label: label}, child: child, key: key, kind: kind}
+// SortRuns returns the external merge sort's strategy for a sort by key.
+func SortRuns(key string, kind sortx.Kind) SpillStrategy {
+	return &sortRuns{buffered: newBuffered(1), key: key, kind: kind}
 }
 
-// Open implements Operator.
-func (s *SpillSort) Open(ec *ExecContext) error {
-	s.out, s.pos, s.runs, s.tmpl = nil, 0, nil, nil
-	s.stats.DOP = 1
-	return s.child.Open(ec)
-}
-
-// Next implements Operator.
-func (s *SpillSort) Next(ec *ExecContext) (*storage.Relation, error) {
-	defer s.timed()()
-	if err := ec.Err(); err != nil {
-		return nil, err
-	}
-	if s.out == nil {
-		if err := s.materialize(ec); err != nil {
-			return nil, err
+func (s *sortRuns) add(ec *ExecContext, h *holder, _ int, batch *storage.Relation) error {
+	n := batch.MemBytes()
+	if s.bytes[0] > 0 && s.bytes[0]+n > ec.SpillQuota() {
+		if err := s.flush(ec, h); err != nil {
+			return err
 		}
 	}
-	return emitChunk(ec, &s.base, s.out, &s.pos)
-}
-
-// Close implements Operator.
-func (s *SpillSort) Close(ec *ExecContext) error {
-	ec.Ctl().Release(atomic.SwapInt64(&s.held, 0))
-	s.runs = nil // files die with the query's spill.Dir
-	return s.child.Close(ec)
-}
-
-// Children implements Operator.
-func (s *SpillSort) Children() []Operator { return []Operator{s.child} }
-
-func (s *SpillSort) materialize(ec *ExecContext) error {
-	rv := &resv{ctl: ec.CtlFor(s), held: &s.held, b: &s.base}
-	quota := ec.SpillQuota()
-	var parts []*storage.Relation
-	var bufBytes, rows int64
-
-	flush := func() error {
-		if bufBytes == 0 {
-			return nil
+	if err := h.grab(n); err != nil {
+		// Memory pressure before the proactive quota: flush and retry once.
+		if ferr := s.flush(ec, h); ferr != nil {
+			return ferr
 		}
-		// The run sort gathers a sorted copy of the buffer: charge it for
-		// the duration of the write.
-		if err := rv.grab(bufBytes); err != nil {
+		if err := h.grab(n); err != nil {
 			return err
 		}
-		in, err := storage.Concat(parts)
-		if err != nil {
-			return err
-		}
-		sorted, err := physical.SortRel(in, s.key, s.kind)
-		if err != nil {
-			return err
-		}
-		run, err := s.writeRun(ec, sorted)
-		if err != nil {
-			return err
-		}
-		s.runs = append(s.runs, run)
-		s.addSpill(run.Bytes, 1, 0)
-		freed := bufBytes
-		parts, bufBytes = parts[:0], 0
-		rv.drop(2 * freed) // buffered batches + the sorted copy
-		return nil
 	}
-
-	for {
-		if err := ec.Err(); err != nil {
-			return err
-		}
-		if err := faultinject.Fire(faultinject.PointExecDrainBatch); err != nil {
-			return err
-		}
-		batch, err := s.child.Next(ec)
-		if err != nil {
-			return err
-		}
-		if batch == nil {
-			break
-		}
-		ec.Counters.tick(batch.NumRows())
-		rows += int64(batch.NumRows())
-		if s.tmpl == nil {
-			s.tmpl = batch
-		}
-		if batch.NumRows() == 0 {
-			continue
-		}
-		n := batch.MemBytes()
-		if bufBytes > 0 && bufBytes+n > quota {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-		if err := rv.grab(n); err != nil {
-			// Memory pressure before the proactive quota: flush and retry once.
-			if ferr := flush(); ferr != nil {
-				return ferr
-			}
-			if err := rv.grab(n); err != nil {
-				return err
-			}
-		}
-		parts = append(parts, batch)
-		bufBytes += n
-	}
-	s.addRowsIn(rows)
-	if err := faultinject.Fire(faultinject.PointExecBreaker); err != nil {
-		return err
-	}
-	if s.tmpl == nil {
-		return qerr.New(qerr.ErrInternal, "spill sort: no input schema")
-	}
-
-	if len(s.runs) == 0 {
-		// Everything fit in the grant: the in-memory twin, exactly.
-		in, err := storage.Concat(orSchema(parts, s.tmpl))
-		if err != nil {
-			return err
-		}
-		out, err := physical.SortRel(in, s.key, s.kind)
-		if err != nil {
-			return err
-		}
-		rv.drop(bufBytes)
-		if err := rv.grab(out.MemBytes()); err != nil {
-			return err
-		}
-		s.out = out
-		return nil
-	}
-
-	if err := flush(); err != nil { // tail
-		return err
-	}
-	out, err := s.merge(ec, rv)
-	if err != nil {
-		return err
-	}
-	s.out = out
+	s.keep(0, batch, n)
 	return nil
 }
 
+// flush sorts the buffered batches and writes them as one run.
+func (s *sortRuns) flush(ec *ExecContext, h *holder) error {
+	buf := s.bytes[0]
+	if buf == 0 {
+		return nil
+	}
+	// The run sort gathers a sorted copy of the buffer: charge it for the
+	// duration of the write.
+	if err := h.grab(buf); err != nil {
+		return err
+	}
+	in, err := storage.Concat(s.parts[0])
+	if err != nil {
+		return err
+	}
+	sorted, err := physical.SortRel(in, s.key, s.kind)
+	if err != nil {
+		return err
+	}
+	run, err := s.writeRun(ec, h.b.Label(), sorted)
+	if err != nil {
+		return err
+	}
+	s.runs = append(s.runs, run)
+	h.b.addSpill(run.Bytes, 1, 0)
+	s.parts[0], s.bytes[0] = s.parts[0][:0], 0
+	h.drop(2 * buf) // buffered batches + the sorted copy
+	return nil
+}
+
+func (s *sortRuns) finish(ec *ExecContext, h *holder, schema []*storage.Relation) ([]*storage.Relation, *storage.Relation, error) {
+	if len(s.runs) == 0 {
+		whole, err := s.whole(schema)
+		return whole, nil, err
+	}
+	if err := s.flush(ec, h); err != nil { // tail
+		return nil, nil, err
+	}
+	s.tmpl = schema[0]
+	out, err := s.merge(ec, h)
+	return nil, out, err
+}
+
+func (s *sortRuns) abort() { s.runs = nil }
+
 // writeRun streams a sorted relation into a fresh run in morsel-sized
 // frames, bounding the memory a merge cursor needs to read it back.
-func (s *SpillSort) writeRun(ec *ExecContext, sorted *storage.Relation) (*spill.Run, error) {
+func (s *sortRuns) writeRun(ec *ExecContext, label string, sorted *storage.Relation) (*spill.Run, error) {
 	dir, err := ec.Spill()
 	if err != nil {
 		return nil, err
 	}
-	w, err := dir.NewRun(s.Label())
+	w, err := dir.NewRun(label)
 	if err != nil {
 		return nil, err
 	}
@@ -379,14 +317,14 @@ func (c *sortCursor) advance(key string) error {
 
 // merge k-way merges s.runs down to the final in-memory output, doing
 // intermediate disk-to-disk passes while the run count exceeds the fan-in.
-func (s *SpillSort) merge(ec *ExecContext, rv *resv) (*storage.Relation, error) {
+func (s *sortRuns) merge(ec *ExecContext, h *holder) (*storage.Relation, error) {
 	runs := s.runs
 	passes := int64(1)
 	for len(runs) > spillFanIn {
 		var next []*spill.Run
 		for lo := 0; lo < len(runs); lo += spillFanIn {
 			hi := min(lo+spillFanIn, len(runs))
-			merged, err := s.mergeToDisk(ec, runs[lo:hi])
+			merged, err := s.mergeToDisk(ec, h, runs[lo:hi])
 			if err != nil {
 				return nil, err
 			}
@@ -400,14 +338,14 @@ func (s *SpillSort) merge(ec *ExecContext, rv *resv) (*storage.Relation, error) 
 		runs = next
 		passes++
 	}
-	s.addSpill(0, 0, passes)
+	h.b.addSpill(0, 0, passes)
 
 	// The output is allocated, and reserved, once at its final size.
 	var total int64
 	for _, r := range runs {
 		total += r.Rows
 	}
-	if err := rv.grab(total * rowBytes(s.tmpl)); err != nil {
+	if err := h.grab(total * rowBytes(s.tmpl)); err != nil {
 		return nil, err
 	}
 	out, err := allocLike(s.tmpl, int(total))
@@ -421,7 +359,7 @@ func (s *SpillSort) merge(ec *ExecContext, rv *resv) (*storage.Relation, error) 
 	return out, err
 }
 
-func (s *SpillSort) mergeToDisk(ec *ExecContext, runs []*spill.Run) (*spill.Run, error) {
+func (s *sortRuns) mergeToDisk(ec *ExecContext, h *holder, runs []*spill.Run) (*spill.Run, error) {
 	dir, err := ec.Spill()
 	if err != nil {
 		return nil, err
@@ -430,7 +368,7 @@ func (s *SpillSort) mergeToDisk(ec *ExecContext, runs []*spill.Run) (*spill.Run,
 	if err != nil {
 		return nil, err
 	}
-	w, err := dir.NewRun(s.Label() + "-merge")
+	w, err := dir.NewRun(h.b.Label() + "-merge")
 	if err != nil {
 		return nil, err
 	}
@@ -442,7 +380,7 @@ func (s *SpillSort) mergeToDisk(ec *ExecContext, runs []*spill.Run) (*spill.Run,
 	if err != nil {
 		return nil, err
 	}
-	s.addSpill(run.Bytes, 1, 0)
+	h.b.addSpill(run.Bytes, 1, 0)
 	return run, nil
 }
 
@@ -455,7 +393,7 @@ func (s *SpillSort) mergeToDisk(ec *ExecContext, runs []*spill.Run) (*spill.Run,
 // window fills, copies that window column by column. With an emit, out is a
 // window handed on each time it fills (and once more for the rest) and
 // overwritten after; without, out must hold every row.
-func (s *SpillSort) mergeRuns(ec *ExecContext, runs []*spill.Run, out *storage.Relation, emit func(*storage.Relation) error) (int64, error) {
+func (s *sortRuns) mergeRuns(ec *ExecContext, runs []*spill.Run, out *storage.Relation, emit func(*storage.Relation) error) (int64, error) {
 	dicts := seedDicts(s.tmpl)
 	cursors := make([]*sortCursor, 0, len(runs))
 	defer func() {
@@ -571,8 +509,8 @@ func selectCol[T any](dst []T, sel []uint8, cursors []*sortCursor, c int, data f
 // in order plus its buffered tail always hold its rows in global input order.
 // The file is removed when the last partition has been retired.
 type partitionSet struct {
-	rv       *resv
-	sets     *[]*partitionSet // the owning operator's list of sets to abort on Close
+	h        *holder
+	sets     *[]*partitionSet // the owning strategy's list of sets to abort on Close
 	label    string
 	key      string
 	tag      string
@@ -596,8 +534,8 @@ type partitionSet struct {
 }
 
 // newPartitionSet returns an empty set, registered in sets.
-func newPartitionSet(rv *resv, sets *[]*partitionSet, label, key, tag string, level int, quota int64) *partitionSet {
-	ps := &partitionSet{rv: rv, sets: sets, label: label, key: key, tag: tag, level: level, quota: quota, left: spillParts}
+func newPartitionSet(h *holder, sets *[]*partitionSet, label, key, tag string, level int, quota int64) *partitionSet {
+	ps := &partitionSet{h: h, sets: sets, label: label, key: key, tag: tag, level: level, quota: quota, left: spillParts}
 	*sets = append(*sets, ps)
 	return ps
 }
@@ -643,12 +581,12 @@ func (ps *partitionSet) add(ec *ExecContext, batch *storage.Relation, tagged boo
 		}
 	}
 	need := int64(n) * ps.rowB
-	if ps.rv.grab(need) != nil {
+	if ps.h.grab(need) != nil {
 		// Memory pressure before the grant: flush and retry once.
 		if err := ps.flush(ec); err != nil {
 			return err
 		}
-		if err := ps.rv.grab(need); err != nil {
+		if err := ps.h.grab(need); err != nil {
 			return err
 		}
 	}
@@ -753,15 +691,15 @@ func (ps *partitionSet) flush(ec *ExecContext) error {
 			continue
 		}
 		if len(ps.extents[p]) == 0 {
-			ps.rv.b.addSpill(0, 1, 0)
+			ps.h.b.addSpill(0, 1, 0)
 		}
 		off := ps.w.BytesWritten()
 		if err := ps.w.Append(ps.bufs[p].Slice(0, n)); err != nil {
 			return err
 		}
-		ps.rv.b.addSpill(ps.w.BytesWritten()-off, 0, 0)
+		ps.h.b.addSpill(ps.w.BytesWritten()-off, 0, 0)
 		ps.extents[p] = append(ps.extents[p], off)
-		ps.rv.drop(int64(n) * ps.rowB)
+		ps.h.drop(int64(n) * ps.rowB)
 		ps.fill[p] = 0
 	}
 	ps.bufTotal = 0
@@ -819,7 +757,7 @@ func (ps *partitionSet) reader(ec *ExecContext) (*spill.RunReader, error) {
 // drops when it is done with it.
 func (ps *partitionSet) load(ec *ExecContext, p int) (*storage.Relation, int64, error) {
 	held := ps.partBytes(p)
-	if err := ps.rv.grab(held); err != nil {
+	if err := ps.h.grab(held); err != nil {
 		return nil, 0, err
 	}
 	rel, err := allocLike(ps.schema, int(ps.rows[p]))
@@ -852,7 +790,7 @@ func (ps *partitionSet) load(ec *ExecContext, p int) (*storage.Relation, int64, 
 // returns the file's bytes to the disk budget.
 func (ps *partitionSet) retire(p int) error {
 	tail := int64(ps.fill[p]) * ps.rowB
-	ps.rv.drop(tail)
+	ps.h.drop(tail)
 	ps.bufTotal -= tail
 	ps.bufs[p], ps.fill[p], ps.extents[p] = nil, 0, nil
 	if ps.left--; ps.left > 0 || ps.run == nil {
@@ -873,9 +811,9 @@ func (ps *partitionSet) retire(p int) error {
 // deeper (a different hash-bit window) and retires p. Used when a partition
 // alone still exceeds the spill grant.
 func (ps *partitionSet) repartition(ec *ExecContext, p int) (*partitionSet, error) {
-	child := newPartitionSet(ps.rv, ps.sets, ps.label, ps.key, ps.tag, ps.level+1, ps.quota)
+	child := newPartitionSet(ps.h, ps.sets, ps.label, ps.key, ps.tag, ps.level+1, ps.quota)
 	child.schema, child.keyCol, child.rowB, child.dicts = ps.schema, ps.keyCol, ps.rowB, ps.dicts
-	ps.rv.b.addSpill(0, 0, 1)
+	ps.h.b.addSpill(0, 0, 1)
 	for _, off := range ps.extents[p] {
 		rd, err := ps.reader(ec)
 		if err != nil {
@@ -900,94 +838,83 @@ func (ps *partitionSet) repartition(ec *ExecContext, p int) (*partitionSet, erro
 	return child, child.seal()
 }
 
-// spillInput is one child of a partitioned operator as it is drained:
-// in-memory batches until the operator's inputs together pass the grant, a
-// partition set afterwards.
-type spillInput struct {
-	op       Operator
-	key      string
-	tag      string
-	template *storage.Relation
-	parts    []*storage.Relation
-	bufBytes int64
-	ps       *partitionSet
+// partitioned is the strategy of the partitioned operators, grouping and
+// join. Batches buffer in memory while all inputs together fit the grant and
+// the budget; the first batch that does not sends every input's buffer to a
+// partition set of its own, each with an equal share of the grant, and later
+// batches are dealt straight to the sets. merge produces the output from the
+// sealed sets.
+type partitioned struct {
+	buffered
+	keys  []string        // each input's partitioning key
+	ps    []*partitionSet // each input's set once spilled; nil while in memory
+	sets  []*partitionSet // every set, re-partitions included, for abort
+	merge func(ec *ExecContext, h *holder, schema []*storage.Relation) (*storage.Relation, error)
 }
 
-// drainInputs drains ins one after the other and reports whether they
-// spilled. Batches buffer in memory while all inputs together fit the grant
-// and the budget; the first batch that does not sends every input's buffer
-// to a partition set of its own, each with an equal share of the grant, and
-// later batches are dealt straight to the sets, which are returned sealed.
-func drainInputs(ec *ExecContext, rv *resv, sets *[]*partitionSet, label string, quota int64, ins ...*spillInput) (bool, error) {
-	var rows, buffered int64
-	spilled := false
-	for _, in := range ins {
-		for {
-			if err := ec.Err(); err != nil {
-				return false, err
-			}
-			if err := faultinject.Fire(faultinject.PointExecDrainBatch); err != nil {
-				return false, err
-			}
-			batch, err := in.op.Next(ec)
-			if err != nil {
-				return false, err
-			}
-			if batch == nil {
-				break
-			}
-			ec.Counters.tick(batch.NumRows())
-			rows += int64(batch.NumRows())
-			if in.template == nil {
-				in.template = batch
-			}
-			if batch.NumRows() == 0 {
-				continue
-			}
-			if !spilled {
-				n := batch.MemBytes()
-				if err := rv.grab(n); err == nil && buffered+n <= quota {
-					in.parts = append(in.parts, batch)
-					in.bufBytes, buffered = in.bufBytes+n, buffered+n
-					continue
-				} else if err == nil {
-					rv.drop(n) // quota, not budget, tripped: re-grab inside spill mode
-				}
-				spilled = true
-				for _, s := range ins {
-					s.ps = newPartitionSet(rv, sets, label, s.key, s.tag, 0, quota/int64(len(ins)))
-					for _, b := range s.parts {
-						if err := s.ps.add(ec, b, false); err != nil {
-							return false, err
-						}
-					}
-					rv.drop(s.bufBytes)
-					s.parts, s.bufBytes = nil, 0
-					if err := s.ps.flush(ec); err != nil {
-						return false, err
-					}
-				}
-			}
-			if err := in.ps.add(ec, batch, false); err != nil {
-				return false, err
-			}
+// rowTags name the tag column of each input's partition sets.
+var rowTags = [2]string{rowTagL, rowTagR}
+
+func (p *partitioned) add(ec *ExecContext, h *holder, i int, batch *storage.Relation) error {
+	if p.ps == nil {
+		n, quota := batch.MemBytes(), ec.SpillQuota()
+		var buffered int64
+		for _, b := range p.bytes {
+			buffered += b
+		}
+		if err := h.grab(n); err == nil && buffered+n <= quota {
+			p.keep(i, batch, n)
+			return nil
+		} else if err == nil {
+			h.drop(n) // quota, not budget, tripped: re-grab inside spill mode
+		}
+		if err := p.spillBuffers(ec, h, quota); err != nil {
+			return err
 		}
 	}
-	rv.b.addRowsIn(rows)
-	if err := faultinject.Fire(faultinject.PointExecBreaker); err != nil {
-		return false, err
-	}
-	for _, in := range ins {
-		if in.template == nil {
-			return false, qerr.New(qerr.ErrInternal, "spill: %s has no input schema", label)
-		}
-		if spilled {
-			if err := in.ps.seal(); err != nil {
-				return false, err
+	return p.ps[i].add(ec, batch, false)
+}
+
+// spillBuffers deals every input's buffer into a fresh partition set of its
+// own.
+func (p *partitioned) spillBuffers(ec *ExecContext, h *holder, quota int64) error {
+	p.ps = make([]*partitionSet, len(p.keys))
+	for i, key := range p.keys {
+		ps := newPartitionSet(h, &p.sets, h.b.Label(), key, rowTags[i], 0, quota/int64(len(p.keys)))
+		p.ps[i] = ps
+		for _, b := range p.parts[i] {
+			if err := ps.add(ec, b, false); err != nil {
+				return err
 			}
 		}
+		h.drop(p.bytes[i])
+		p.parts[i], p.bytes[i] = nil, 0
+		if err := ps.flush(ec); err != nil {
+			return err
+		}
 	}
-	return spilled, nil
+	return nil
+}
+
+func (p *partitioned) finish(ec *ExecContext, h *holder, schema []*storage.Relation) ([]*storage.Relation, *storage.Relation, error) {
+	if p.ps == nil {
+		whole, err := p.whole(schema)
+		return whole, nil, err
+	}
+	for _, ps := range p.ps {
+		if err := ps.seal(); err != nil {
+			return nil, nil, err
+		}
+	}
+	out, err := p.merge(ec, h, schema)
+	return nil, out, err
+}
+
+func (p *partitioned) abort() {
+	for _, ps := range p.sets {
+		ps.abort()
+	}
+	p.sets = nil
 }
 
 // dropCols returns rel without the named columns.
@@ -1006,99 +933,33 @@ func dropCols(rel *storage.Relation, names ...string) (*storage.Relation, error)
 }
 
 // ---------------------------------------------------------------------------
-// SpillGroup: spilling hash aggregation (partition and recurse).
+// GroupPartitions: spilling hash aggregation (partition and recurse).
 
-// SpillGroup aggregates with bounded memory: the input is hash-partitioned
-// (keys are partition-complete, so per-partition aggregates are exact), the
-// serial chained-hash kernel runs per partition, and the merged groups are
-// reordered by each key's first-occurrence row — exactly the chained
-// table's first-seen iteration order, so the output is byte-identical to
-// the in-memory serial HG twin.
-type SpillGroup struct {
-	base
-	child Operator
-	key   string
-	aggs  []expr.AggSpec
-	opt   physical.GroupOptions
-	dom   props.Domain
-	out   *storage.Relation
-	pos   int
-	held  int64
-	sets  []*partitionSet
-}
-
-// NewSpillGroup returns a spilling hash aggregation of child by key. opt
-// must describe the serial chained-hash variant (the only scheme whose
-// iteration order is partition-recomposable).
-func NewSpillGroup(label Labeler, child Operator, key string, aggs []expr.AggSpec, opt physical.GroupOptions, dom props.Domain) *SpillGroup {
+// GroupPartitions returns the spilling hash aggregation's strategy for a
+// grouping by key: the input is hash-partitioned (keys are
+// partition-complete, so per-partition aggregates are exact), the serial
+// chained-hash kernel runs per partition, and the merged groups are reordered
+// by each key's first-occurrence row — exactly the chained table's first-seen
+// iteration order, so the output is byte-identical to the in-memory serial HG
+// kernel. opt must describe the serial chained-hash variant (the only scheme
+// whose iteration order is partition-recomposable).
+func GroupPartitions(key string, aggs []expr.AggSpec, opt physical.GroupOptions, dom props.Domain) SpillStrategy {
 	opt.Parallel = 1
-	return &SpillGroup{base: base{label: label}, child: child, key: key, aggs: aggs, opt: opt, dom: dom}
-}
-
-// Open implements Operator.
-func (g *SpillGroup) Open(ec *ExecContext) error {
-	g.out, g.pos, g.sets = nil, 0, nil
-	g.stats.DOP = 1
-	return g.child.Open(ec)
-}
-
-// Next implements Operator.
-func (g *SpillGroup) Next(ec *ExecContext) (*storage.Relation, error) {
-	defer g.timed()()
-	if err := ec.Err(); err != nil {
-		return nil, err
+	p := &partitioned{buffered: newBuffered(1), keys: []string{key}}
+	p.merge = func(ec *ExecContext, h *holder, schema []*storage.Relation) (*storage.Relation, error) {
+		o := opt
+		o.Ctl = h.ctl
+		return mergeGroups(ec, h, p.ps[0], schema[0], func(rel *storage.Relation) (*storage.Relation, error) {
+			return physical.GroupByRelDom(rel, key, aggs, physical.HG, o, dom)
+		})
 	}
-	if g.out == nil {
-		if err := g.materialize(ec); err != nil {
-			return nil, err
-		}
-	}
-	return emitChunk(ec, &g.base, g.out, &g.pos)
+	return p
 }
 
-// Close implements Operator.
-func (g *SpillGroup) Close(ec *ExecContext) error {
-	for _, ps := range g.sets {
-		ps.abort()
-	}
-	g.sets = nil
-	ec.Ctl().Release(atomic.SwapInt64(&g.held, 0))
-	return g.child.Close(ec)
-}
-
-// Children implements Operator.
-func (g *SpillGroup) Children() []Operator { return []Operator{g.child} }
-
-func (g *SpillGroup) materialize(ec *ExecContext) error {
-	ctl := ec.CtlFor(g)
-	rv := &resv{ctl: ctl, held: &g.held, b: &g.base}
-	opt := g.opt
-	opt.Ctl = ctl
+// mergeGroups aggregates a spilled input partition by partition with group
+// and restores the first-seen order of the groups over the whole input.
+func mergeGroups(ec *ExecContext, h *holder, in *partitionSet, schema *storage.Relation, group func(*storage.Relation) (*storage.Relation, error)) (*storage.Relation, error) {
 	quota := ec.SpillQuota()
-
-	in := &spillInput{op: g.child, key: g.key, tag: rowTagL}
-	spilled, err := drainInputs(ec, rv, &g.sets, g.Label(), quota, in)
-	if err != nil {
-		return err
-	}
-	if !spilled {
-		// Everything fit: the in-memory serial twin, exactly.
-		rel, err := storage.Concat(orSchema(in.parts, in.template))
-		if err != nil {
-			return err
-		}
-		out, err := physical.GroupByRelDom(rel, g.key, g.aggs, physical.HG, opt, g.dom)
-		if err != nil {
-			return err
-		}
-		rv.drop(in.bufBytes)
-		if err := rv.grab(out.MemBytes()); err != nil {
-			return err
-		}
-		g.out = out
-		return nil
-	}
-
 	var groups []*storage.Relation
 	var ord []uint32 // every group's first input row, in groups order
 	var groupBytes int64
@@ -1132,11 +993,11 @@ func (g *SpillGroup) materialize(ec *ExecContext) error {
 		if err != nil {
 			return err
 		}
-		gr, err := physical.GroupByRelDom(stripped, g.key, g.aggs, physical.HG, opt, g.dom)
+		gr, err := group(stripped)
 		if err != nil {
 			return err
 		}
-		if err := rv.grab(gr.MemBytes()); err != nil {
+		if err := h.grab(gr.MemBytes()); err != nil {
 			return err
 		}
 		groupBytes += gr.MemBytes()
@@ -1144,36 +1005,30 @@ func (g *SpillGroup) materialize(ec *ExecContext) error {
 			return err
 		}
 		groups = append(groups, gr)
-		rv.drop(held)
+		h.drop(held)
 		return nil
 	}
 	for p := 0; p < spillParts; p++ {
-		if err := process(in.ps, p); err != nil {
-			return err
+		if err := process(in, p); err != nil {
+			return nil, err
 		}
 	}
 
 	if len(groups) == 0 {
-		out, err := physical.GroupByRelDom(in.template.Slice(0, 0), g.key, g.aggs, physical.HG, opt, g.dom)
-		if err != nil {
-			return err
-		}
-		g.out = out
-		return nil
+		return group(schema.Slice(0, 0))
 	}
 	merged, err := storage.Concat(groups)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// First-occurrence ordinals are unique, so their argsort is the chained
 	// table's first-seen order over the whole input.
 	out := merged.Gather(sortx.ArgSortUint32(sortx.Radix, ord))
-	if err := rv.grab(out.MemBytes()); err != nil {
-		return err
+	if err := h.grab(out.MemBytes()); err != nil {
+		return nil, err
 	}
-	rv.drop(groupBytes)
-	g.out = out
-	return nil
+	h.drop(groupBytes)
+	return out, nil
 }
 
 // firstSeen appends to ord the input ordinal of each group's first row. keys
@@ -1201,129 +1056,44 @@ func firstSeen(ord, keys, rows, gkeys []uint32) ([]uint32, error) {
 }
 
 // ---------------------------------------------------------------------------
-// SpillJoin: grace hash join.
+// JoinPartitions: grace hash join.
 
-// SpillJoin executes an equi-join with bounded memory: both sides are
-// tagged with their global row ordinals and hash-partitioned on the join
-// key (matching keys land in matching partitions), each partition pair is
-// joined with the serial in-memory hash join, and one global sort over the
-// tagged pair outputs restores the serial emission order — probe row
-// ascending, build row descending. The output is byte-identical to the
-// in-memory serial HJ twin.
-type SpillJoin struct {
-	base
-	left, right Operator
-	leftKey     string
-	rightKey    string
-	opt         physical.JoinOptions
-	swapped     bool
-	dom         props.Domain
-	cols        []string // output columns kept (physical.JoinRelDom); nil = all
-	out         *storage.Relation
-	pos         int
-	held        int64
-	sets        []*partitionSet
-}
-
-// NewSpillJoin returns a grace hash join of left and right. swapped selects
-// build-on-right (join commutativity) and cols the output columns kept,
-// both mirroring physical.JoinRelDom / JoinRelDomSwapped.
-func NewSpillJoin(label Labeler, left, right Operator, leftKey, rightKey string, opt physical.JoinOptions, swapped bool, dom props.Domain, cols []string) *SpillJoin {
+// JoinPartitions returns the grace hash join's strategy for an equi-join of
+// the breaker's two inputs: both sides are tagged with their global row
+// ordinals and hash-partitioned on the join key (matching keys land in
+// matching partitions), each partition pair is joined with the serial
+// in-memory hash join, and one global sort over the tagged pair outputs
+// restores the serial emission order — probe row ascending, build row
+// descending. The output is byte-identical to the in-memory serial HJ kernel.
+// swapped selects build-on-right (join commutativity) and cols the output
+// columns kept, both mirroring physical.JoinRelDom / JoinRelDomSwapped.
+func JoinPartitions(leftKey, rightKey string, opt physical.JoinOptions, swapped bool, dom props.Domain, cols []string) SpillStrategy {
 	opt.Parallel = 1
-	return &SpillJoin{base: base{label: label}, left: left, right: right,
-		leftKey: leftKey, rightKey: rightKey, opt: opt, swapped: swapped, dom: dom, cols: cols}
+	p := &partitioned{buffered: newBuffered(2), keys: []string{leftKey, rightKey}}
+	p.merge = func(ec *ExecContext, h *holder, schema []*storage.Relation) (*storage.Relation, error) {
+		o := opt
+		o.Ctl = h.ctl
+		return mergePairs(ec, h, p.ps[0], p.ps[1], schema, swapped, cols, func(l, r *storage.Relation, cols []string) (*storage.Relation, error) {
+			if swapped {
+				return physical.JoinRelDomSwapped(l, r, leftKey, rightKey, physical.HJ, o, dom, cols)
+			}
+			return physical.JoinRelDom(l, r, leftKey, rightKey, physical.HJ, o, dom, cols)
+		})
+	}
+	return p
 }
 
-// Open implements Operator.
-func (j *SpillJoin) Open(ec *ExecContext) error {
-	j.out, j.pos, j.sets = nil, 0, nil
-	j.stats.DOP = 1
-	if err := j.left.Open(ec); err != nil {
-		return err
-	}
-	return j.right.Open(ec)
-}
-
-// Next implements Operator.
-func (j *SpillJoin) Next(ec *ExecContext) (*storage.Relation, error) {
-	defer j.timed()()
-	if err := ec.Err(); err != nil {
-		return nil, err
-	}
-	if j.out == nil {
-		if err := j.materialize(ec); err != nil {
-			return nil, err
-		}
-	}
-	return emitChunk(ec, &j.base, j.out, &j.pos)
-}
-
-// Close implements Operator.
-func (j *SpillJoin) Close(ec *ExecContext) error {
-	for _, ps := range j.sets {
-		ps.abort()
-	}
-	j.sets = nil
-	ec.Ctl().Release(atomic.SwapInt64(&j.held, 0))
-	err := j.left.Close(ec)
-	if err2 := j.right.Close(ec); err == nil {
-		err = err2
-	}
-	return err
-}
-
-// Children implements Operator.
-func (j *SpillJoin) Children() []Operator { return []Operator{j.left, j.right} }
-
-func (j *SpillJoin) materialize(ec *ExecContext) error {
-	ctl := ec.CtlFor(j)
-	rv := &resv{ctl: ctl, held: &j.held, b: &j.base}
-	opt := j.opt
-	opt.Ctl = ctl
+// mergePairs joins spilled inputs partition pair by partition pair with join
+// and restores the serial hash join's emission order over the whole input.
+func mergePairs(ec *ExecContext, h *holder, ls, rs *partitionSet, schema []*storage.Relation, swapped bool, cols []string,
+	join func(l, r *storage.Relation, cols []string) (*storage.Relation, error)) (*storage.Relation, error) {
 	quota := ec.SpillQuota()
-
-	ls := &spillInput{op: j.left, key: j.leftKey, tag: rowTagL}
-	rs := &spillInput{op: j.right, key: j.rightKey, tag: rowTagR}
-	spilled, err := drainInputs(ec, rv, &j.sets, j.Label(), quota, ls, rs)
-	if err != nil {
-		return err
-	}
-
-	join := func(l, r *storage.Relation, cols []string) (*storage.Relation, error) {
-		if j.swapped {
-			return physical.JoinRelDomSwapped(l, r, j.leftKey, j.rightKey, physical.HJ, opt, j.dom, cols)
-		}
-		return physical.JoinRelDom(l, r, j.leftKey, j.rightKey, physical.HJ, opt, j.dom, cols)
-	}
 	// Partition pairs are joined over row-tagged inputs and must carry the
 	// tags through to the order-restoring sort.
-	taggedCols := j.cols
+	taggedCols := cols
 	if taggedCols != nil {
-		taggedCols = append(append([]string(nil), j.cols...), rowTagL, rowTagR)
+		taggedCols = append(append([]string(nil), cols...), rowTagL, rowTagR)
 	}
-
-	if !spilled {
-		// Everything fit: the in-memory serial twin, exactly.
-		l, err := storage.Concat(orSchema(ls.parts, ls.template))
-		if err != nil {
-			return err
-		}
-		r, err := storage.Concat(orSchema(rs.parts, rs.template))
-		if err != nil {
-			return err
-		}
-		out, err := join(l, r, j.cols)
-		if err != nil {
-			return err
-		}
-		rv.drop(ls.bufBytes + rs.bufBytes)
-		if err := rv.grab(out.MemBytes()); err != nil {
-			return err
-		}
-		j.out = out
-		return nil
-	}
-
 	var pairs []*storage.Relation
 	var pairBytes int64
 	var process func(lset, rset *partitionSet, p int) error
@@ -1340,7 +1110,7 @@ func (j *SpillJoin) materialize(ec *ExecContext) error {
 			return rset.retire(p)
 		}
 		build := lset
-		if j.swapped {
+		if swapped {
 			build = rset
 		}
 		if build.partBytes(p) > quota/2 && lset.level+1 < spillMaxDepth {
@@ -1371,37 +1141,32 @@ func (j *SpillJoin) materialize(ec *ExecContext) error {
 		if err != nil {
 			return err
 		}
-		if err := rv.grab(out.MemBytes()); err != nil {
+		if err := h.grab(out.MemBytes()); err != nil {
 			return err
 		}
 		pairBytes += out.MemBytes()
 		pairs = append(pairs, out)
-		rv.drop(lheld + rheld)
+		h.drop(lheld + rheld)
 		return nil
 	}
 	for p := 0; p < spillParts; p++ {
-		if err := process(ls.ps, rs.ps, p); err != nil {
-			return err
+		if err := process(ls, rs, p); err != nil {
+			return nil, err
 		}
 	}
 
 	if len(pairs) == 0 {
-		out, err := join(ls.template.Slice(0, 0), rs.template.Slice(0, 0), j.cols)
-		if err != nil {
-			return err
-		}
-		j.out = out
-		return nil
+		return join(schema[0].Slice(0, 0), schema[1].Slice(0, 0), cols)
 	}
 	merged, err := storage.Concat(pairs)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// Restore the serial hash join's emission order: probe row ascending,
 	// build row descending. Probe is the right side, or the left when the
 	// join is swapped (build on right).
 	probeTag, buildTag := rowTagR, rowTagL
-	if j.swapped {
+	if swapped {
 		probeTag, buildTag = rowTagL, rowTagR
 	}
 	// That order is ascending in the 64-bit key probe<<32 | ^build, which an
@@ -1421,22 +1186,12 @@ func (j *SpillJoin) materialize(ec *ExecContext) error {
 	}
 	untagged, err := dropCols(merged, rowTagL, rowTagR)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	out := untagged.Gather(perm)
-	if err := rv.grab(out.MemBytes()); err != nil {
-		return err
+	if err := h.grab(out.MemBytes()); err != nil {
+		return nil, err
 	}
-	rv.drop(pairBytes)
-	j.out = out
-	return nil
-}
-
-// orSchema substitutes an empty schema batch when nothing was buffered, so
-// the in-memory fast paths can Concat unconditionally.
-func orSchema(parts []*storage.Relation, template *storage.Relation) []*storage.Relation {
-	if len(parts) == 0 {
-		return []*storage.Relation{template.Slice(0, 0)}
-	}
-	return parts
+	h.drop(pairBytes)
+	return out, nil
 }
