@@ -81,14 +81,14 @@ var corpusQueries = []string{
 // parallel filter pipe through the public facade.
 func bigSeqDB(t testing.TB, n int) *DB {
 	t.Helper()
-	ids := make([]uint32, n)
+	ids, groups := make([]uint32, n), make([]uint32, n)
 	vals := make([]int64, n)
 	for i := range ids {
-		ids[i] = uint32(i)
+		ids[i], groups[i] = uint32(i), uint32(i%97)
 		vals[i] = int64(i % 97)
 	}
 	db := Open()
-	tab := NewTableBuilder("big").Uint32("id", ids).Int64("v", vals).MustBuild()
+	tab := NewTableBuilder("big").Uint32("id", ids).Int64("v", vals).Uint32("g", groups).MustBuild()
 	if err := db.Register(tab); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestParallelQueryCancellation(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Microsecond)
 		_, err := db.Query(ctx, ModeDQOCalibrated,
-			"SELECT v, COUNT(*) FROM big WHERE v >= 1 GROUP BY v",
+			"SELECT g, COUNT(*) FROM big WHERE v >= 1 GROUP BY g",
 			WithWorkers(8), WithMorselSize(512))
 		cancel()
 		if err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"dqo/internal/cost"
 	"dqo/internal/expr"
 	"dqo/internal/logical"
 	"dqo/internal/physical"
@@ -17,11 +16,13 @@ import (
 // visible selectivity (whichever input the literal predicates, cracked-index
 // ranges, and estimated cardinalities make smaller builds), picks the
 // granule the input properties already pay for (order-based on sorted
-// inputs, SPH on dense keys, hash otherwise), and prices each remaining
-// candidate with a single cost-model probe. Provably-empty intermediates —
-// a predicate range disjoint from a column's exact domain bounds — short-
-// circuit the probing entirely. The result is a normal *Plan: EXPLAIN,
-// EXPLAIN ANALYZE, compilation, and execution are unchanged.
+// inputs, SPH on dense keys, hash otherwise), and prices what the site's
+// enumerator yields for that narrowed input — the one child plan, the picked
+// kind and its parallel twin — keeping the cheapest (site.take).
+// Provably-empty intermediates — a predicate range disjoint from a column's
+// exact domain bounds — end the probing at the first alternative. The result
+// is a normal *Plan: EXPLAIN, EXPLAIN ANALYZE, compilation, and execution are
+// unchanged.
 //
 // want names a column the parent would like sorted (a join key, grouping
 // key, or ORDER BY key); scans use it to pick a sorted AV projection and
@@ -40,7 +41,9 @@ func (o *optimizer) greedy(n logical.Node, want string) (*Plan, error) {
 			return nil, err
 		}
 		o.stats.Alternatives++
-		return projectPlan(c, n.Cols, c.Props.Project(n.Cols...)), nil
+		p := new(Plan)
+		projectPlan(p, c, n.Cols, c.Props.Project(n.Cols...))
+		return p, nil
 	case *logical.Sort:
 		return o.greedySort(n)
 	case *logical.Join:
@@ -52,34 +55,20 @@ func (o *optimizer) greedy(n logical.Node, want string) (*Plan, error) {
 	}
 }
 
-// greedyScan picks the base scan, or — when the parent wants an order an AV
-// sorted projection already paid for — that variant, at identical scan cost.
-func (o *optimizer) greedyScan(n *logical.Scan, want string) *Plan {
-	rows := o.estimator().Estimate(n)
-	p := o.baseScan(n)
-	o.stats.Alternatives++
-	if o.mode.Scans != nil && want != "" && !p.Props.SortedOn(want) {
-		for _, v := range o.mode.Scans.ScanVariants(n.Table) {
-			if o.scanPropsOf(v.Rel).set.SortedOn(want) {
-				o.stats.Alternatives++
-				return o.scanPlan(n, v.Rel, v.Label, props.NoCompression, p.Cost)
-			}
-		}
-	}
-	// Compressed-scan twin: one strict-< probe, so models that cannot see
-	// storage format (Paper) keep the plain scan on the tie.
-	if enc := relCompression(n.Rel); enc != props.NoCompression {
-		o.stats.Alternatives++
-		if cc := o.mode.Model.ScanCompressed(rows, enc); cc < p.Cost {
-			return o.scanPlan(n, n.Rel, "", enc, cc)
-		}
-	}
-	return p
+// greedySite returns the greedy tier's consumer of one site's enumeration.
+func (o *optimizer) greedySite(want string) site {
+	return site{o: o, greedy: true, pick: pick{want: want}}
 }
 
-// greedyBase plans the bare scan beneath an AV-backed filter or join: no
-// parent wants an order of it.
-func (o *optimizer) greedyBase(n *logical.Scan) *Plan { return o.greedyScan(n, "") }
+// greedyScan picks the base scan, or — when the parent wants an order an AV
+// sorted projection already paid for — that variant, at identical scan cost,
+// or the compressed-scan twin when strictly cheaper (models that cannot see
+// storage format, Paper, keep the plain scan on the tie).
+func (o *optimizer) greedyScan(n *logical.Scan, want string) *Plan {
+	t := o.greedySite(want)
+	o.enumScan(&t, n)
+	return t.pick.best
+}
 
 // provablyEmpty reports whether pred provably selects nothing from an input
 // with the given properties: its single-column key range is disjoint from
@@ -97,87 +86,44 @@ func provablyEmpty(in props.Set, pred expr.Expr) bool {
 	return lo > d.Hi || hi <= d.Lo
 }
 
+// greedyFilter takes the serial filter unless a cracked-index,
+// direct-on-compressed or parallel alternative beats it, the first of them to
+// do so in that order: selectivity made visible without statistics.
 func (o *optimizer) greedyFilter(n *logical.Filter, want string) (*Plan, error) {
 	c, err := o.greedy(n.Input, want)
 	if err != nil {
 		return nil, err
 	}
 	rows := o.estimator().Estimate(n)
+	t := o.greedySite(want)
 	if provablyEmpty(c.Props, n.Pred) {
-		rows = 0
+		rows, t.pick.empty = 0, true
 	}
-	filter := o.mode.Model.Filter(c.Rows)
-	p := filterPlan(n, c, 0, rows, c.Cost+filter)
-	o.stats.Alternatives++
-	if rows == 0 {
-		return p, nil
-	}
-	// Cracked-index AV over a bare base scan: the adaptive index answers the
-	// range directly — selectivity made visible without statistics. Skipped
-	// when the parent wants an order the current child provides (the crack
-	// emits in piece order).
-	if want == "" || !c.Props.SortedOn(want) {
-		if cp := o.crackedFilter(n, rows, o.greedyBase); cp != nil && cp.Cost < p.Cost {
-			return cp, nil
-		}
-	}
-	// Direct-on-compressed filter over a bare base scan: one strict-< probe
-	// priced from the exact zone-map census. Output order matches the decoded
-	// filter, so no want-order guard is needed.
-	if ep := o.encFilter(n, rows, func(scan *logical.Scan, _ props.Compression) *Plan { return o.greedyBase(scan) }); ep != nil && ep.Cost < p.Cost {
-		return ep, nil
-	}
-	// Parallel pipe over a streaming segment: one extra probe.
-	if dop := o.mode.dop(); dop > 1 && isStreamSegment(c) {
-		o.stats.Alternatives++
-		if par := c.Cost + o.mode.Model.Parallel(filter, dop); par < p.Cost {
-			return filterPlan(n, c, dop, rows, par), nil
-		}
-	}
-	return p, nil
+	o.enumFilter(&t, n, []*Plan{c}, rows)
+	return t.pick.best, nil
 }
 
+// greedySort sweeps the sort kinds serially, cheapest wins, then prices the
+// winner's parallel twin; a provably empty input skips the sweep — any
+// algorithm sorts nothing equally well.
 func (o *optimizer) greedySort(n *logical.Sort) (*Plan, error) {
 	c, err := o.greedy(n.Input, n.Key)
 	if err != nil {
 		return nil, err
 	}
-	if c.Props.SortedOn(n.Key) {
-		o.stats.Alternatives++
-		return o.greedySpill(sortPlan(c, n.Key, sortx.Radix, 0, false, c.Props, c.Cost)), nil
-	}
-	// One probe per sort algorithm, cheapest wins; provably-empty inputs
-	// skip the sweep — any algorithm sorts nothing equally well.
-	kinds := o.sortKinds()
-	best := kinds[0]
-	bestCost := o.mode.Model.SortBy(c.Rows, best)
-	o.stats.Alternatives++
-	if c.Rows > 0 {
-		for _, sk := range kinds[1:] {
-			o.stats.Alternatives++
-			if sc := o.mode.Model.SortBy(c.Rows, sk); sc < bestCost {
-				best, bestCost = sk, sc
-			}
-		}
-	}
-	dop := 0
-	if d := o.mode.dop(); d > 1 && c.Rows > 0 {
-		o.stats.Alternatives++
-		if pc := o.mode.Model.Parallel(o.mode.Model.SortBy(c.Rows, best), d); pc < bestCost {
-			dop, bestCost = d, pc
-		}
-	}
-	return o.greedySpill(sortPlan(c, n.Key, best, dop, false, c.Props.AfterSortBy(n.Key), c.Cost+bestCost)), nil
+	t := o.greedySite("")
+	t.pick.empty = c.Rows == 0
+	o.enumSort(&t, c, n.Key, false, o.sortKinds(), serialSorts)
+	o.enumSort(&t, c, n.Key, false, []sortx.Kind{t.pick.best.SortKind}, parallelSorts)
+	return o.greedyBudget(&t, func(p *Plan, _ bool) site {
+		s := o.greedySite("")
+		o.enumSort(&s, c, n.Key, false, []sortx.Kind{p.SortKind}, serialSorts)
+		return s
+	}), nil
 }
 
-// joinSide returns the logical input playing the build role.
-func joinSide(n *logical.Join, swapped bool) logical.Node {
-	if swapped {
-		return n.Right
-	}
-	return n.Left
-}
-
+// greedyJoin picks the roles and the kind the inputs' properties pay for and
+// prices that kind, its parallel twin and the AV-backed joins.
 func (o *optimizer) greedyJoin(n *logical.Join) (*Plan, error) {
 	lp, err := o.greedy(n.Left, n.LeftKey)
 	if err != nil {
@@ -215,48 +161,59 @@ func (o *optimizer) greedyJoin(n *logical.Join) (*Plan, error) {
 	case build.Props.DenseOn(buildKey):
 		kind = physical.SPHJ
 	}
-	buildDistinct := o.estimator().ColDistinct(joinSide(n, swapped), buildKey)
 	if !kind.Admits(build.Props, probe.Props, buildKey, probeKey) {
 		// The heuristic's requirements are derived from the same properties
 		// it inspects, so this is defensive: fall back to the hash join,
 		// which requires nothing.
 		kind = physical.HJ
 	}
-	ch := physio.JoinChoice{Kind: kind}
-	o.stats.Alternatives++
-	chCost := o.mode.Model.Join(ch, build.Rows, probe.Rows, buildDistinct)
-	// Parallel twin: one extra probe for the DOP-invariant kernels.
-	if dop := o.mode.dop(); dop > 1 && rows > 0 && kind != physical.OJ {
-		par := physio.JoinChoice{Kind: kind, Opt: physical.JoinOptions{Parallel: dop}}
-		o.stats.Alternatives++
-		if pc := o.mode.Model.Join(par, build.Rows, probe.Rows, buildDistinct); pc < chCost {
-			ch, chCost = par, pc
+	// The kind at its default molecules, and its parallel twin unless
+	// nothing reaches the join.
+	var buf [2]physio.JoinChoice
+	choices := buf[:0]
+	for _, ch := range o.joinChoices() {
+		if ch.Kind == kind && ch.Opt == (physical.JoinOptions{Parallel: ch.Opt.Parallel}) && (ch.Opt.Parallel <= 1 || rows > 0) {
+			choices = append(choices, ch)
 		}
 	}
-	p := o.greedyJoinPlan(n.LeftKey, n.RightKey, lp, rp, ch, swapped, rows, buildDistinct, lp.Cost+rp.Cost+chCost)
-
-	// AV-backed join: a prebuilt index on either base scan's join key
-	// prepaid the build phase — one probe each decides whether the
-	// probe-only cost beats the greedy pick.
-	o.indexedJoins(n, rows, []*Plan{lp}, []*Plan{rp}, o.greedyBase, func(ap *Plan) {
-		if ap.Cost < p.Cost {
-			p = ap
-		}
-	})
-	return o.greedyDegrade(p), nil
-}
-
-// greedyJoinPlan assembles the join node for the chosen granule.
-func (o *optimizer) greedyJoinPlan(leftKey, rightKey string, lp, rp *Plan, ch physio.JoinChoice, swapped bool, rows, buildDistinct, total float64) *Plan {
-	build, probe, buildKey, probeKey := lp, rp, leftKey, rightKey
+	in := joinIn{n: n, lefts: []*Plan{lp}, rights: []*Plan{rp}, swaps: []bool{swapped}, choices: choices, rows: rows, indexed: true}
 	if swapped {
-		build, probe, buildKey, probeKey = rp, lp, rightKey, leftKey
+		in.distinct[1] = o.estimator().ColDistinct(n.Right, n.RightKey)
+	} else {
+		in.distinct[0] = o.estimator().ColDistinct(n.Left, n.LeftKey)
 	}
-	out := o.joinOutProps(ch.Kind, build.Props, probe.Props, buildKey, probeKey)
-	mem := joinMem(lp, rp, rows, cost.MemJoin(ch, build.Rows, probe.Rows, buildDistinct, rows))
-	return joinPlan(lp, rp, leftKey, rightKey, ch, swapped, out, rows, total, mem)
+	t := o.greedySite("")
+	o.enumJoin(&t, &in)
+	return o.greedyBudget(&t, func(p *Plan, sortBased bool) site { return o.rejoin(n, p, sortBased) }), nil
 }
 
+// rejoin prices p's join as the serial hash join or, sortBased, the radix
+// sort-merge join, over p's inputs and in p's orientation: an indexed pick's
+// indexed table becomes the build input that the join builds.
+func (o *optimizer) rejoin(n *logical.Join, p *Plan, sortBased bool) site {
+	ch := physio.JoinChoice{Kind: physical.HJ}
+	if sortBased {
+		ch = physio.JoinChoice{Kind: physical.SOJ, Opt: physical.JoinOptions{Sort: sortx.Radix}}
+	}
+	lp, rp := p.Children[0], p.Children[1]
+	in := joinIn{n: n, lefts: []*Plan{lp}, rights: []*Plan{rp}, swaps: []bool{p.Swapped}, choices: []physio.JoinChoice{ch}, rows: p.Rows}
+	build, side := lp, 0
+	if p.Swapped {
+		build, side = rp, 1
+	}
+	in.distinct[side] = float64(p.KeyDom.Distinct)
+	if in.distinct[side] <= 0 {
+		in.distinct[side] = build.Rows
+	}
+	t := o.greedySite("")
+	o.enumJoin(&t, &in)
+	return t
+}
+
+// greedyGroup picks the kind the input's properties pay for (order-based on
+// grouped input, SPH on a dense key, hash otherwise) and prices it and its
+// parallel twin — or, under a GroupFilter that pins choices, each pinned
+// choice the input admits.
 func (o *optimizer) greedyGroup(n *logical.GroupBy) (*Plan, error) {
 	c, err := o.greedy(n.Input, n.Key)
 	if err != nil {
@@ -275,144 +232,73 @@ func (o *optimizer) greedyGroup(n *logical.GroupBy) (*Plan, error) {
 	case c.Props.DenseOn(n.Key):
 		kind = physical.SPHG
 	}
-
-	// Partial-AV hook: a pinned algorithm family restricts the candidates;
-	// with the set already bounded, probe each satisfied choice once.
-	if o.mode.GroupFilter != nil {
-		choices := physio.GroupChoices(n.Key, o.mode.Depth, o.mode.dop())
-		if filtered := o.mode.GroupFilter(n.Key, choices); len(filtered) > 0 {
-			ch, picked := o.cheapestGroup(filtered, c, n.Key, groups)
-			if !picked {
-				// No pinned choice is satisfiable on the raw input: enforce
-				// order (sorting satisfies grouped-ness) and retry.
-				o.stats.Alternatives++
-				c = sortPlan(c, n.Key, sortx.Radix, 0, true, c.Props.AfterSortBy(n.Key), c.Cost+o.mode.Model.SortBy(c.Rows, sortx.Radix))
-				ch, picked = o.cheapestGroup(filtered, c, n.Key, groups)
-			}
-			if picked {
-				return o.greedyDegrade(o.greedyGroupPlan(c, n.Key, n.Aggs, ch, rows, groups)), nil
-			}
+	all, pinned := o.groupChoices(n.Key)
+	if len(pinned) > 0 {
+		// Partial-AV hook: a pinned algorithm family restricts the
+		// candidates; with the set already bounded, price each once.
+		t := o.greedySite("")
+		o.enumGroup(&t, n.Key, n.Aggs, []*Plan{c}, pinned, rows, groups)
+		if t.pick.best == nil {
+			// No pinned choice is satisfiable on the raw input: enforce
+			// order (sorting satisfies grouped-ness) and retry.
+			s := o.greedySite("")
+			o.enumSort(&s, c, n.Key, true, []sortx.Kind{sortx.Radix}, serialSorts)
+			c = s.pick.best
+			o.enumGroup(&t, n.Key, n.Aggs, []*Plan{c}, pinned, rows, groups)
+		}
+		if t.pick.best != nil {
+			return o.greedyBudget(&t, o.regroup), nil
 		}
 	}
 
 	if !kind.Admits(c.Props, n.Key) {
 		kind = physical.HG
 	}
-	ch := physio.GroupChoice{Kind: kind}
-	o.stats.Alternatives++
-	chCost := o.mode.Model.Group(ch, c.Rows, groups)
-	if dop := o.mode.dop(); dop > 1 && rows > 0 && kind != physical.OG {
-		par := physio.GroupChoice{Kind: kind, Opt: physical.GroupOptions{Parallel: dop}}
-		o.stats.Alternatives++
-		if o.mode.Model.Group(par, c.Rows, groups) < chCost {
-			ch = par
+	var buf [2]physio.GroupChoice
+	choices := buf[:0]
+	for _, ch := range all {
+		if ch.Kind == kind && ch.Opt == (physical.GroupOptions{Parallel: ch.Opt.Parallel}) && (ch.Opt.Parallel <= 1 || rows > 0) {
+			choices = append(choices, ch)
 		}
 	}
-	return o.greedyDegrade(o.greedyGroupPlan(c, n.Key, n.Aggs, ch, rows, groups)), nil
+	t := o.greedySite("")
+	o.enumGroup(&t, n.Key, n.Aggs, []*Plan{c}, choices, rows, groups)
+	return o.greedyBudget(&t, o.regroup), nil
 }
 
-// cheapestGroup probes each choice the input c admits once and returns the
-// cheapest, the first on a tie.
-func (o *optimizer) cheapestGroup(choices []physio.GroupChoice, c *Plan, key string, groups float64) (best physio.GroupChoice, picked bool) {
-	var bestCost float64
-	for _, ch := range choices {
-		if !ch.Kind.Admits(c.Props, key) {
-			continue
-		}
-		o.stats.Alternatives++
-		if chCost := o.mode.Model.Group(ch, c.Rows, groups); !picked || chCost < bestCost {
-			best, bestCost, picked = ch, chCost, true
-		}
+// regroup prices grouping p as the serial chained hash aggregation or,
+// sortBased, the radix sort-based grouping.
+func (o *optimizer) regroup(p *Plan, sortBased bool) site {
+	ch := physio.GroupChoice{Kind: physical.HG}
+	if sortBased {
+		ch = physio.GroupChoice{Kind: physical.SOG, Opt: physical.GroupOptions{Sort: sortx.Radix}}
 	}
-	return best, picked
-}
-
-// greedyGroupPlan assembles the grouping node for the chosen granule.
-func (o *optimizer) greedyGroupPlan(c *Plan, key string, aggs []expr.AggSpec, ch physio.GroupChoice, rows, groups float64) *Plan {
-	out := o.restrict(ch.Kind.OutputProps(c.Props, key))
-	mem := groupMem(c, rows, groupWidth(aggs), cost.MemGroup(ch, c.Rows, groups))
-	return groupPlan(c, key, aggs, ch, out, rows, c.Cost+o.mode.Model.Group(ch, c.Rows, groups), mem)
-}
-
-// greedyDegrade applies the memory budget to a greedy join/group pick: a
-// hash-based choice whose estimated footprint exceeds the budget degrades to
-// its sort-based sibling when that fits — mirroring what budgeted DP
-// enumeration converges to. A pick still over the budget spills when the mode
-// allows it (greedySpill); otherwise the runtime govern.Budget remains the
-// backstop.
-func (o *optimizer) greedyDegrade(p *Plan) *Plan {
-	if o.mode.MemBudget <= 0 || p.Mem <= float64(o.mode.MemBudget) {
-		return p
-	}
-	var alt *Plan
-	switch {
-	case p.Op == OpGroup && (p.Group.Kind == physical.HG || p.Group.Kind == physical.SPHG):
-		alt = o.regroup(p, physio.GroupChoice{Kind: physical.SOG, Opt: physical.GroupOptions{Sort: sortx.Radix}})
-	case p.Op == OpJoin && p.Join.Kind == physical.HJ && p.Index == nil:
-		alt = o.rejoin(p, physio.JoinChoice{Kind: physical.SOJ, Opt: physical.JoinOptions{Sort: sortx.Radix}})
-	}
-	if alt != nil && (alt.Mem <= float64(o.mode.MemBudget) || alt.Mem < p.Mem) {
-		p = alt
-	}
-	return o.greedySpill(p)
-}
-
-// greedySpill is the greedy tier's spill fallback: in a spill-enabled mode, a
-// sort, join or grouping pick still over the memory budget runs as the
-// disk-backed twin of its serial spill-compatible sibling — the serial sort,
-// the serial non-indexed hash join in the pick's orientation, the serial
-// chained hash aggregation — as an over-budget DP site does. A pick that fits
-// is returned as it is.
-func (o *optimizer) greedySpill(p *Plan) *Plan {
-	if !o.mode.Spill || o.mode.MemBudget <= 0 || p.Mem <= float64(o.mode.MemBudget) {
-		return p
-	}
-	base := p
-	switch p.Op {
-	case OpSort:
-		if !spillableSort(p.DOP) {
-			c := p.Children[0]
-			o.stats.Alternatives++
-			base = sortPlan(c, p.SortKey, p.SortKind, 0, p.Enforcer, p.Props, c.Cost+o.mode.Model.SortBy(c.Rows, p.SortKind))
-		}
-	case OpJoin:
-		if !spillableJoin(p.Join, p.AV != "" || p.Index != nil) {
-			base = o.rejoin(p, physio.JoinChoice{Kind: physical.HJ})
-		}
-	case OpGroup:
-		if !spillableGroup(p.Group) {
-			base = o.regroup(p, physio.GroupChoice{Kind: physical.HG})
-		}
-	default:
-		return p
-	}
-	return o.spillTwin(base)
-}
-
-// regroup plans grouping p's input with ch in place of p's choice.
-func (o *optimizer) regroup(p *Plan, ch physio.GroupChoice) *Plan {
 	distinct := float64(p.KeyDom.Distinct)
 	if distinct <= 0 {
 		distinct = p.Rows
 	}
-	o.stats.Alternatives++
-	return o.greedyGroupPlan(p.Children[0], p.GroupKey, p.Aggs, ch, p.Rows, distinct)
+	t := o.greedySite("")
+	o.enumGroup(&t, p.GroupKey, p.Aggs, []*Plan{p.Children[0]}, []physio.GroupChoice{ch}, p.Rows, distinct)
+	return t
 }
 
-// rejoin plans p's join with ch in place of p's choice, in p's orientation.
-// An indexed pick's inputs are kept, so its indexed table becomes the build
-// input that ch builds.
-func (o *optimizer) rejoin(p *Plan, ch physio.JoinChoice) *Plan {
-	lp, rp := p.Children[0], p.Children[1]
-	build, probe := lp, rp
-	if p.Swapped {
-		build, probe = rp, lp
+// greedyBudget applies the memory budget to the pick p of breaker site t: a
+// pick over it takes its sort-based sibling, sibling(p, true), when that fits
+// or at least needs less, as budgeted DP enumeration converges to (hash
+// aggregation degrades to sort-based grouping, an unindexed hash join to the
+// sort-merge join); a pick still over it spills (site.spill), through its
+// serial sibling, sibling(p, false), when it has no disk-backed twin itself.
+func (o *optimizer) greedyBudget(t *site, sibling func(p *Plan, sortBased bool) site) *Plan {
+	budget := float64(o.mode.MemBudget)
+	p := t.pick.best
+	if budget <= 0 || p.Mem <= budget {
+		return p
 	}
-	distinct := float64(p.KeyDom.Distinct)
-	if distinct <= 0 {
-		distinct = build.Rows
+	if p.Op == OpGroup && (p.Group.Kind == physical.HG || p.Group.Kind == physical.SPHG) ||
+		p.Op == OpJoin && p.Join.Kind == physical.HJ && p.Index == nil {
+		if alt := sibling(p, true); alt.pick.best.Mem <= budget || alt.pick.best.Mem < p.Mem {
+			t = &alt
+		}
 	}
-	o.stats.Alternatives++
-	total := lp.Cost + rp.Cost + o.mode.Model.Join(ch, build.Rows, probe.Rows, distinct)
-	return o.greedyJoinPlan(p.LeftKey, p.RightKey, lp, rp, ch, p.Swapped, p.Rows, distinct, total)
+	return t.spill(func(p *Plan) site { return sibling(p, false) })
 }

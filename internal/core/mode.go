@@ -64,8 +64,9 @@ type Mode struct {
 	// Spill, when true alongside a MemBudget, replaces the prune-to-abort
 	// fallback: when every alternative at a breaker site exceeds the budget,
 	// the optimiser enumerates a disk-backed spill twin (external merge
-	// sort, grace hash join, spilling hash aggregation) of the cheapest
-	// spill-compatible variant instead of keeping a plan the runtime budget
+	// sort, grace hash join, spilling hash aggregation) of a
+	// spill-compatible variant — among those whose inputs fit the budget if
+	// any do, the cheapest — instead of keeping a plan the runtime budget
 	// will abort. Spill twins are priced by Model.Spill, which always
 	// exceeds the in-memory cost — any alternative that fits still wins, so
 	// plans below the budget are byte-identical with the flag on or off.

@@ -212,9 +212,13 @@ func TestOffersOnlyWholeBaseTableBuilds(t *testing.T) {
 	none("build under a morsel", optimize(t, small, DQO()).Best, false)
 
 	// Spill twin, forced onto disk: neither the twin nor its partition joins.
-	twin := optimize(t, q, DQO()).Best
-	if MarkSpillTwins(twin) == 0 {
-		t.Fatal("no spill-compatible breaker to mark")
+	spilling := DQO()
+	spilling.MemBudget, spilling.Spill = 1, true
+	twin := optimize(t, q, spilling).Best
+	spilledJoin := false
+	twin.PreOrder(func(n *Plan, _ int) { spilledJoin = spilledJoin || n.Op == OpJoin && n.Spill })
+	if !spilledJoin {
+		t.Fatalf("the join was not planned as its spill twin:\n%s", twin.Explain())
 	}
 	none("spill twin", twin, true)
 

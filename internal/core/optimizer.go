@@ -196,56 +196,6 @@ func groupMem(c *Plan, rows, width, work float64) float64 {
 	return math.Max(c.Mem, c.Rows*c.Width+work+rows*width)
 }
 
-// spillableSort, spillableJoin and spillableGroup report whether a breaker
-// alternative has a disk-backed twin: the serial kernels whose emission order
-// partitioned or merged execution reproduces exactly (see the internal/exec
-// spill operators). Sorts spill at any sort kind (stable runs merge into the
-// stable full sort); joins only as the serial non-AV hash join (grace
-// partitioning); groupings only as the serial chained-scheme hash aggregation
-// (first-seen iteration order is partition-recomposable).
-func spillableSort(dop int) bool { return dop <= 1 }
-
-func spillableJoin(ch physio.JoinChoice, indexed bool) bool {
-	return ch.Kind == physical.HJ && !indexed && ch.Opt.Parallel <= 1
-}
-
-func spillableGroup(ch physio.GroupChoice) bool {
-	return ch.Kind == physical.HG && ch.Opt.Parallel <= 1 && ch.Opt.Scheme == hashtable.Chained
-}
-
-// spillCompatible is the same question asked of a built plan node.
-func spillCompatible(p *Plan) bool {
-	switch p.Op {
-	case OpSort:
-		return spillableSort(p.DOP)
-	case OpJoin:
-		return spillableJoin(p.Join, p.AV != "" || p.Index != nil)
-	case OpGroup:
-		return spillableGroup(p.Group)
-	default:
-		return false
-	}
-}
-
-// MarkSpillTwins rewrites every spill-compatible breaker of an optimised
-// plan into its disk-backed twin in place, returning how many nodes were
-// marked. Differential tests and benchmarks use it to force the spill
-// kernels onto the disk path for plans that would never be memory-starved,
-// so the byte-identity proof covers the whole corpus, not just the rare
-// over-budget site.
-func MarkSpillTwins(p *Plan) int {
-	n := 0
-	if spillCompatible(p) {
-		p.Spill = true
-		p.DOP = 0
-		n++
-	}
-	for _, c := range p.Children {
-		n += MarkSpillTwins(c)
-	}
-	return n
-}
-
 // restrict hides the properties the mode does not track — the SQO/DQO
 // delta. SQO keeps sortedness (and what follows from it) but is blind to
 // density: its property vector simply never contains a dense domain, so
@@ -302,22 +252,24 @@ func isStreamSegment(p *Plan) bool {
 	}
 }
 
+// The constructors below fill in the plan node p, which the consumer of the
+// enumeration owns: a DP table builds each winner afresh, the greedy tier
+// rewrites its one running best in place.
+
+// inputs returns children as p's input list, reusing the list p holds when it
+// is rebuilt in place.
+func (p *Plan) inputs(children ...*Plan) []*Plan { return append(p.Children[:0], children...) }
+
 // scanPlan builds one way of reading n's table: the stored relation, an AV
 // variant of it, or (enc set) its compressed-scan twin.
-func (o *optimizer) scanPlan(n *logical.Scan, rel *storage.Relation, av string, enc props.Compression, cost float64) *Plan {
-	p := &Plan{
+func (o *optimizer) scanPlan(p *Plan, n *logical.Scan, rel *storage.Relation, av string, enc props.Compression, cost float64) {
+	*p = Plan{
 		Op: OpScan, Table: n.Table, Rel: rel, AV: av, Enc: enc,
 		Props: o.scanPropsOf(rel).set,
 		Rows:  o.estimator().Estimate(n),
 		Cost:  cost,
 	}
 	setFootprint(p)
-	return p
-}
-
-// baseScan plans the bare scan beneath an AV-backed filter or join.
-func (o *optimizer) baseScan(n *logical.Scan) *Plan {
-	return o.scanPlan(n, n.Rel, "", props.NoCompression, o.mode.Model.Scan(o.estimator().Estimate(n)))
 }
 
 // filterPlan builds the filter of c by n's predicate, as a stage of a
@@ -327,129 +279,56 @@ func (o *optimizer) baseScan(n *logical.Scan) *Plan {
 // in input order, so the parallel variant's properties are the serial
 // filter's — parallelism is purely a cost trade the model prices with its
 // Parallel term.
-func filterPlan(n *logical.Filter, c *Plan, dop int, rows, cost float64) *Plan {
-	p := &Plan{
-		Op: OpFilter, Children: []*Plan{c}, Pred: n.Pred, DOP: dop,
+func filterPlan(p *Plan, n *logical.Filter, c *Plan, dop int, rows, cost float64) {
+	*p = Plan{
+		Op: OpFilter, Children: p.inputs(c), Pred: n.Pred, DOP: dop,
 		Props: c.Props,
 		Rows:  rows,
 		Cost:  cost,
 	}
 	setFootprint(p)
-	return p
-}
-
-// crackedFilter returns the adaptive-index alternative of filter n, nil when
-// it has none: a range filter directly over a base scan can be answered by
-// the cracked index, touching only qualifying pieces (cracking cost amortises
-// to ~zero over a workload). The crack emits rows in piece order, so order
-// knowledge is lost. scanPlan plans the subsumed scan the calling tier's way.
-func (o *optimizer) crackedFilter(n *logical.Filter, rows float64, scanPlan func(*logical.Scan) *Plan) *Plan {
-	scan, isScan := n.Input.(*logical.Scan)
-	if o.mode.CrackedIdx == nil || !isScan {
-		return nil
-	}
-	col, lo, hi, ok := predRange(n.Pred)
-	if !ok {
-		return nil
-	}
-	idx, have := o.mode.CrackedIdx.Cracked(scan.Table, col)
-	if !have {
-		return nil
-	}
-	base := scanPlan(scan)
-	o.stats.Alternatives++
-	p := &Plan{
-		Op: OpFilter, Children: []*Plan{base}, Pred: n.Pred,
-		AV: idx.Label(), Crack: idx, CrackLo: lo, CrackHi: hi,
-		Props: base.Props.DropOrder(),
-		Rows:  rows,
-		Cost:  base.Cost + o.mode.Model.Filter(rows),
-	}
-	setFootprint(p)
-	return p
-}
-
-// encFilter returns the direct-on-compressed alternative of filter n, nil
-// when it has none: a range predicate over a base scan of an encoded column
-// runs on the compressed payload itself — zone maps answer whole segments,
-// RLE runs decide once per run, packed segments compare in delta space — and
-// only qualifying rows are gathered (ascending, so output order and hence
-// properties match the decoded filter exactly). The cost model sees the exact
-// zone-map census: segments skipped and the encoded units left to compare.
-// scanPlan plans the subsumed scan, given the column's encoding.
-func (o *optimizer) encFilter(n *logical.Filter, rows float64, scanPlan func(*logical.Scan, props.Compression) *Plan) *Plan {
-	scan, isScan := n.Input.(*logical.Scan)
-	if !isScan {
-		return nil
-	}
-	col, lo, hi, ok := predRange(n.Pred)
-	if !ok {
-		return nil
-	}
-	plo, phi, ok := encBounds(lo, hi)
-	if !ok {
-		return nil
-	}
-	enc, skipped, total, work, ok := encFilterTarget(scan.Rel, col, plo, phi)
-	if !ok {
-		return nil
-	}
-	base := scanPlan(scan, enc)
-	o.stats.Alternatives++
-	p := &Plan{
-		Op: OpFilter, Children: []*Plan{base}, Pred: n.Pred,
-		Enc: enc, EncCol: col, EncLo: plo, EncHi: phi,
-		SegsSkipped: skipped, SegsTotal: total,
-		Props: base.Props,
-		Rows:  rows,
-		Cost:  base.Cost + o.mode.Model.FilterCompressed(base.Rows, float64(work), rows, enc),
-	}
-	setFootprint(p)
-	return p
 }
 
 // projectPlan builds the projection of c onto cols. Projection is zero-cost;
 // it inherits the child's pipe membership so a project above a parallel
 // filter stays inside the same morsel pipe.
-func projectPlan(c *Plan, cols []string, out props.Set) *Plan {
+func projectPlan(p *Plan, c *Plan, cols []string, out props.Set) {
 	dop := 0
 	if c.Op == OpFilter || c.Op == OpProject {
 		dop = c.DOP
 	}
-	p := &Plan{
-		Op: OpProject, Children: []*Plan{c}, Cols: cols, DOP: dop,
+	*p = Plan{
+		Op: OpProject, Children: p.inputs(c), Cols: cols, DOP: dop,
 		Props: out,
 		Rows:  c.Rows,
 		Cost:  c.Cost,
 	}
 	setFootprint(p)
-	return p
 }
 
 // sortPlan builds the sort of child by key (a user sort, or an enforcer the
 // optimiser inserts) with the given algorithm, at dop > 1 as per-worker
 // sorted runs + k-way merge. out is child's vector after the sort.
-func sortPlan(child *Plan, key string, sk sortx.Kind, dop int, enforcer bool, out props.Set, cost float64) *Plan {
-	p := &Plan{
-		Op: OpSort, Children: []*Plan{child},
+func sortPlan(p *Plan, child *Plan, key string, sk sortx.Kind, dop int, enforcer bool, out props.Set, cost float64) {
+	*p = Plan{
+		Op: OpSort, Children: p.inputs(child),
 		SortKey: key, SortKind: sk, Enforcer: enforcer, DOP: dop,
 		Props: out,
 		Rows:  child.Rows,
 		Cost:  cost,
 	}
 	setFootprint(p)
-	return p
 }
 
 // joinPlan builds the join of lp and rp on leftKey = rightKey as choice ch,
 // commuted (build on the right input, probe with the left) when swapped.
-func joinPlan(lp, rp *Plan, leftKey, rightKey string, ch physio.JoinChoice, swapped bool, out props.Set, rows, cost, mem float64) *Plan {
+func joinPlan(p *Plan, lp, rp *Plan, leftKey, rightKey string, ch physio.JoinChoice, swapped bool, out props.Set, rows, cost, mem float64) {
 	build, buildKey := lp, leftKey
 	if swapped {
 		build, buildKey = rp, rightKey
 	}
-	return &Plan{
-		Op: OpJoin, Children: []*Plan{lp, rp},
+	*p = Plan{
+		Op: OpJoin, Children: p.inputs(lp, rp),
 		Join: ch, LeftKey: leftKey, RightKey: rightKey, Swapped: swapped,
 		DOP:    ch.Opt.Parallel,
 		KeyDom: build.Props.Domain(buildKey),
@@ -462,9 +341,9 @@ func joinPlan(lp, rp *Plan, leftKey, rightKey string, ch physio.JoinChoice, swap
 }
 
 // groupPlan builds the grouping of c on key as choice ch.
-func groupPlan(c *Plan, key string, aggs []expr.AggSpec, ch physio.GroupChoice, out props.Set, rows, cost, mem float64) *Plan {
-	return &Plan{
-		Op: OpGroup, Children: []*Plan{c},
+func groupPlan(p *Plan, c *Plan, key string, aggs []expr.AggSpec, ch physio.GroupChoice, out props.Set, rows, cost, mem float64) {
+	*p = Plan{
+		Op: OpGroup, Children: p.inputs(c),
 		Group: ch, GroupKey: key, Aggs: aggs,
 		DOP:    ch.Opt.Parallel,
 		KeyDom: c.Props.Domain(key),
@@ -483,67 +362,14 @@ func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
 	t := site{o: o}
 	switch n := n.(type) {
 	case *logical.Scan:
-		rows := o.estimator().Estimate(n)
-		offer := func(rel *storage.Relation, av string, enc props.Compression, cost float64) {
-			o.stats.Alternatives++
-			t.offer(o.scanPropsOf(rel).key, cost, func() *Plan { return o.scanPlan(n, rel, av, enc, cost) })
-		}
-		offer(n.Rel, "", props.NoCompression, o.mode.Model.Scan(rows))
-		if o.mode.Scans != nil {
-			// Algorithmic-View access paths: materialised variants of the
-			// table (e.g. sorted projections) start the plan from different
-			// physical properties at plain scan cost.
-			for _, v := range o.mode.Scans.ScanVariants(n.Table) {
-				offer(v.Rel, v.Label, props.NoCompression, o.mode.Model.Scan(rows))
-			}
-		}
-		// Compressed-scan granule twin: decode every segment once and stream
-		// plain morsels, instead of per-morsel lazy views of the encoded
-		// payload. Identical output and properties, so it competes purely on
-		// cost — models blind to storage format (Paper) price it as an exact
-		// tie, which the first-enumerated plain scan wins. Deep-only: shallow
-		// enumeration stays at the classical operator boundary.
-		if o.mode.Depth == physio.Deep {
-			if enc := relCompression(n.Rel); enc != props.NoCompression {
-				offer(n.Rel, "", enc, o.mode.Model.ScanCompressed(rows, enc))
-			}
-		}
+		o.enumScan(&t, n)
 
 	case *logical.Filter:
 		children, err := o.optimize(n.Input)
 		if err != nil {
 			return nil, err
 		}
-		rows := o.estimator().Estimate(n)
-		for _, c := range children {
-			o.stats.Alternatives++
-			filter := o.mode.Model.Filter(c.Rows)
-			serial := c.Cost + filter
-			t.offer(c.key, serial, func() *Plan { return filterPlan(n, c, 0, rows, serial) })
-			// Parallel variant: fan the streaming segment below across a
-			// morsel pipe.
-			if dop := o.mode.dop(); dop > 1 && isStreamSegment(c) {
-				o.stats.Alternatives++
-				parallel := c.Cost + o.mode.Model.Parallel(filter, dop)
-				t.offer(c.key, parallel, func() *Plan { return filterPlan(n, c, dop, rows, parallel) })
-			}
-		}
-		// The AV-backed and the direct-on-compressed alternative are at most
-		// one each per site and come built.
-		if p := o.crackedFilter(n, rows, o.baseScan); p != nil {
-			t.offer(p.Props.Key(), p.Cost, func() *Plan { return p })
-		}
-		// Deep-only, like the compressed-scan twin it reads: the kernel works
-		// on the encoded payload, so the subsumed base scan is priced (and
-		// displayed) as that twin.
-		if o.mode.Depth == physio.Deep {
-			twin := func(scan *logical.Scan, enc props.Compression) *Plan {
-				return o.scanPlan(scan, scan.Rel, "", relCompression(scan.Rel), o.mode.Model.ScanCompressed(o.estimator().Estimate(scan), enc))
-			}
-			if p := o.encFilter(n, rows, twin); p != nil {
-				t.offer(p.Props.Key(), p.Cost, func() *Plan { return p })
-			}
-		}
+		o.enumFilter(&t, n, children, o.estimator().Estimate(n))
 
 	case *logical.Project:
 		children, err := o.optimize(n.Input)
@@ -551,9 +377,8 @@ func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
 			return nil, err
 		}
 		for _, c := range children {
-			o.stats.Alternatives++
 			out := keyed(c.Props.Project(n.Cols...))
-			t.offer(out.key, c.Cost, func() *Plan { return projectPlan(c, n.Cols, out.set) })
+			t.offer(ordinary, out.key, c.Cost, func(p *Plan) { projectPlan(p, c, n.Cols, out.set) })
 		}
 
 	case *logical.Sort:
@@ -562,32 +387,127 @@ func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
 			return nil, err
 		}
 		for _, c := range children {
-			if !c.Props.SortedOn(n.Key) {
-				o.offerSorts(&t, c, n.Key, false)
-				continue
-			}
-			// Already sorted: the sort is a no-op; keep the child as-is
-			// wrapped for plan-shape fidelity at zero cost.
-			o.stats.Alternatives++
-			t.offerBreaker(c.key, c.Cost, sortMem(c, false), twinRank(spillableSort(0), o.fits(c)), func() *Plan {
-				return sortPlan(c, n.Key, sortx.Radix, 0, false, c.Props, c.Cost)
-			})
+			o.enumSort(&t, c, n.Key, false, o.sortKinds(), serialSorts|parallelSorts)
 		}
 
 	case *logical.Join:
-		if err := o.offerJoins(&t, n); err != nil {
+		lefts, err := o.optimize(n.Left)
+		if err != nil {
 			return nil, err
+		}
+		rights, err := o.optimize(n.Right)
+		if err != nil {
+			return nil, err
+		}
+		o.enumJoin(&t, &joinIn{
+			n: n, lefts: o.withEnforcers(lefts, n.LeftKey), rights: o.withEnforcers(rights, n.RightKey),
+			swaps: []bool{false, true}, choices: o.joinChoices(), rows: o.estimator().Estimate(n),
+			distinct: [2]float64{o.estimator().ColDistinct(n.Left, n.LeftKey), o.estimator().ColDistinct(n.Right, n.RightKey)},
+			indexed:  true,
+		})
+		if t.empty() {
+			return nil, fmt.Errorf("core: no applicable join implementation for %s", n)
 		}
 
 	case *logical.GroupBy:
-		if err := o.offerGroups(&t, n); err != nil {
+		children, err := o.optimize(n.Input)
+		if err != nil {
 			return nil, err
+		}
+		choices, pinned := o.groupChoices(n.Key)
+		if len(pinned) > 0 {
+			choices = pinned
+		}
+		o.enumGroup(&t, n.Key, n.Aggs, o.withEnforcers(children, n.Key), choices,
+			o.estimator().Estimate(n), o.estimator().ColDistinct(n.Input, n.Key))
+		if t.empty() {
+			return nil, fmt.Errorf("core: no applicable grouping implementation for %s", n)
 		}
 
 	default:
 		return nil, fmt.Errorf("core: cannot optimise %T", n)
 	}
 	return t.table(), nil
+}
+
+// Each kind of site has one enumerator below, which offers t every
+// alternative its input admits, variants included, in one fixed order. The
+// DP passes a site's whole input, the greedy tier the input it narrowed to.
+
+// enumScan offers t every way of reading n's table: the stored relation; its
+// Algorithmic-View access paths (e.g. sorted projections: other properties at
+// plain scan cost); and, at deep enumeration, the compressed-scan twin, which
+// decodes every segment once instead of per morsel. The twin's output is the
+// scan's, so a model blind to storage format (Paper) ties them and the plain
+// scan, enumerated first, wins.
+func (o *optimizer) enumScan(t *site, n *logical.Scan) {
+	rows := o.estimator().Estimate(n)
+	offer := func(v variant, rel *storage.Relation, av string, enc props.Compression, cost float64) {
+		t.offer(v, o.scanPropsOf(rel).key, cost, func(p *Plan) { o.scanPlan(p, n, rel, av, enc, cost) })
+	}
+	offer(ordinary, n.Rel, "", props.NoCompression, o.mode.Model.Scan(rows))
+	if o.mode.Scans != nil {
+		for _, v := range o.mode.Scans.ScanVariants(n.Table) {
+			if t.considers(avScan, o.scanPropsOf(v.Rel).set) {
+				offer(avScan, v.Rel, v.Label, props.NoCompression, o.mode.Model.Scan(rows))
+			}
+		}
+	}
+	if o.mode.Depth == physio.Deep {
+		if enc := relCompression(n.Rel); enc != props.NoCompression {
+			offer(ordinary, n.Rel, "", enc, o.mode.Model.ScanCompressed(rows, enc))
+		}
+	}
+}
+
+// enumFilter offers t the filter n over each of children, emitting rows:
+// serially; for a range filter directly over a base scan, as the cracked
+// index (only the qualifying pieces, cracking amortised to ~zero; piece
+// order, so no order) and, at deep enumeration, as the direct-on-compressed
+// filter (zone maps answer whole segments, RLE runs decide once, packed
+// segments compare in delta space; ascending gather, so the decoded filter's
+// properties; priced from the exact zone-map census), both over the bare scan
+// the consumer plans (site.scanBase); and over each streaming-segment child as
+// the parallel variant, fanned across a morsel pipe.
+func (o *optimizer) enumFilter(t *site, n *logical.Filter, children []*Plan, rows float64) {
+	for _, c := range children {
+		serial := c.Cost + o.mode.Model.Filter(c.Rows)
+		t.offer(ordinary, c.key, serial, func(p *Plan) { filterPlan(p, n, c, 0, rows, serial) })
+	}
+	scan, isScan := n.Input.(*logical.Scan)
+	col, lo, hi, isRange := predRange(n.Pred)
+	if isScan && isRange && o.mode.CrackedIdx != nil {
+		if idx, have := o.mode.CrackedIdx.Cracked(scan.Table, col); have && t.considers(cracked, props.Set{}) {
+			base := t.scanBase(scan, props.NoCompression)
+			out := t.keyed(base.Props.DropOrder())
+			cost := base.Cost + o.mode.Model.Filter(rows)
+			t.offer(cracked, out.key, cost, func(p *Plan) {
+				filterPlan(p, n, base, 0, rows, cost)
+				p.AV, p.Crack, p.CrackLo, p.CrackHi, p.Props = idx.Label(), idx, lo, hi, out.set
+			})
+		}
+	}
+	if isScan && isRange && o.mode.Depth == physio.Deep {
+		if plo, phi, ok := encBounds(lo, hi); ok {
+			enc, skipped, total, work, ok := encFilterTarget(scan.Rel, col, plo, phi)
+			if ok && t.considers(encoded, props.Set{}) {
+				base := t.scanBase(scan, enc)
+				cost := base.Cost + o.mode.Model.FilterCompressed(base.Rows, float64(work), rows, enc)
+				t.offer(encoded, t.keyed(base.Props).key, cost, func(p *Plan) {
+					filterPlan(p, n, base, 0, rows, cost)
+					p.Enc, p.EncCol, p.EncLo, p.EncHi, p.SegsSkipped, p.SegsTotal = enc, col, plo, phi, skipped, total
+				})
+			}
+		}
+	}
+	if dop := o.mode.dop(); dop > 1 {
+		for _, c := range children {
+			if isStreamSegment(c) {
+				parallel := c.Cost + o.mode.Model.Parallel(o.mode.Model.Filter(c.Rows), dop)
+				t.offer(ordinary, c.key, parallel, func(p *Plan) { filterPlan(p, n, c, dop, rows, parallel) })
+			}
+		}
+	}
 }
 
 // joinOutProps derives the output properties of a join of the given kind,
@@ -604,27 +524,49 @@ func (o *optimizer) joinOutProps(kind physical.JoinKind, build, probe props.Set,
 	return o.restrict(out)
 }
 
-// offerSorts offers t every way of sorting child by key: each sort kind,
-// serial and, at deep DOP > 1, as its parallel twin (identical output, so
-// identical properties; only the cost differs) — one property vector for all
-// of them. A user sort is a breaker site under the memory budget; enforcers
-// are candidates for the operator above and are pruned there.
-func (o *optimizer) offerSorts(t *site, child *Plan, key string, enforcer bool) {
-	out := keyed(child.Props.AfterSortBy(key))
+// sortTwins selects which realisations of each sort kind enumSort offers.
+type sortTwins uint8
+
+const (
+	serialSorts sortTwins = 1 << iota
+	parallelSorts
+)
+
+// enumSort offers t the sorts of c by key: each of kinds serially and, at
+// deep DOP > 1, as its parallel twin (identical output, so identical
+// properties; only the cost differs) — one property vector for all of them.
+// A user sort of input already sorted on key is a no-op, kept for plan-shape
+// fidelity at zero cost; it has no parallel twin. A user sort is a breaker
+// site under the memory budget; enforcers are candidates for the operator
+// above and are pruned there. Sorts spill at any sort kind, serially: stable
+// runs merge into the stable full sort.
+func (o *optimizer) enumSort(t *site, c *Plan, key string, enforcer bool, kinds []sortx.Kind, twins sortTwins) {
+	fit := o.fits(c)
+	if !enforcer && c.Props.SortedOn(key) {
+		if twins&serialSorts != 0 {
+			t.offerBreaker(c.key, c.Cost, sortMem(c, false), twinRank(true, fit), func(p *Plan) {
+				sortPlan(p, c, key, sortx.Radix, 0, false, c.Props, c.Cost)
+			})
+		}
+		return
+	}
+	out := t.keyed(c.Props.AfterSortBy(key))
 	offer := func(sk sortx.Kind, dop int, cost float64) {
-		o.stats.Alternatives++
-		build := func() *Plan { return sortPlan(child, key, sk, dop, enforcer, out.set, cost) }
+		build := func(p *Plan) { sortPlan(p, c, key, sk, dop, enforcer, out.set, cost) }
 		if enforcer {
-			t.offer(out.key, cost, build)
+			t.offer(ordinary, out.key, cost, build)
 		} else {
-			t.offerBreaker(out.key, cost, sortMem(child, dop > 1), twinRank(spillableSort(dop), o.fits(child)), build)
+			t.offerBreaker(out.key, cost, sortMem(c, dop > 1), twinRank(dop <= 1, fit), build)
 		}
 	}
-	for _, sk := range o.sortKinds() {
-		serial := o.mode.Model.SortBy(child.Rows, sk)
-		offer(sk, 0, child.Cost+serial)
-		if dop := o.mode.dop(); dop > 1 {
-			offer(sk, dop, child.Cost+o.mode.Model.Parallel(serial, dop))
+	dop := o.mode.dop()
+	for _, sk := range kinds {
+		serial := o.mode.Model.SortBy(c.Rows, sk)
+		if twins&serialSorts != 0 {
+			offer(sk, 0, c.Cost+serial)
+		}
+		if dop > 1 && twins&parallelSorts != 0 {
+			offer(sk, dop, c.Cost+o.mode.Model.Parallel(serial, dop))
 		}
 	}
 }
@@ -637,85 +579,81 @@ func (o *optimizer) withEnforcers(plans []*Plan, key string) []*Plan {
 	t := site{o: o, plans: append(make([]*Plan, 0, 2*len(plans)), plans...)}
 	for _, p := range plans {
 		if !p.Props.SortedOn(key) {
-			o.offerSorts(&t, p, key, true)
+			o.enumSort(&t, p, key, true, o.sortKinds(), serialSorts|parallelSorts)
 		}
 	}
 	return t.table()
 }
 
-// offerJoins offers t the implementations of join n over every pair of its
-// inputs' plans, in both orientations.
-func (o *optimizer) offerJoins(t *site, n *logical.Join) error {
-	lefts, err := o.optimize(n.Left)
-	if err != nil {
-		return err
-	}
-	rights, err := o.optimize(n.Right)
-	if err != nil {
-		return err
-	}
-	lefts = o.withEnforcers(lefts, n.LeftKey)
-	rights = o.withEnforcers(rights, n.RightKey)
+// joinChoices returns the join implementations of the mode's (depth, DOP).
+func (o *optimizer) joinChoices() []physio.JoinChoice {
+	return physio.JoinChoices(o.mode.Depth, o.mode.dop())
+}
 
-	rows := o.estimator().Estimate(n)
-	leftDistinct := o.estimator().ColDistinct(n.Left, n.LeftKey)
-	rightDistinct := o.estimator().ColDistinct(n.Right, n.RightKey)
-	choices := physio.JoinChoices(n.LeftKey, n.RightKey, o.mode.Depth, o.mode.dop())
-	for _, lp := range lefts {
-		for _, rp := range rights {
+// joinIn is the input of a join site's enumeration.
+type joinIn struct {
+	n             *logical.Join
+	lefts, rights []*Plan
+	swaps         []bool // the orientations: false builds on the left input
+	choices       []physio.JoinChoice
+	rows          float64    // estimated output rows
+	distinct      [2]float64 // distinct join keys of the left and of the right input
+	indexed       bool       // also offer the AV-backed joins (indexedJoins)
+}
+
+// enumJoin offers t the implementations of in.n over every pair of its
+// input plans, in each of in.swaps — join commutativity: the same choices
+// with build and probe roles exchanged; requirements and costs are evaluated
+// with the right input as the build side, the output schema is unchanged.
+// Only the serial hash join has a disk-backed twin (grace partitioning).
+func (o *optimizer) enumJoin(t *site, in *joinIn) {
+	n, rows := in.n, in.rows
+	for _, lp := range in.lefts {
+		for _, rp := range in.rights {
 			fit := o.fits(lp, rp)
-			// Join commutativity: the same choices with build and probe roles
-			// exchanged. Requirements and costs are evaluated with the right
-			// input as the build side; the output schema is unchanged.
-			for _, swapped := range [2]bool{false, true} {
-				build, probe, buildKey, probeKey, distinct := lp, rp, n.LeftKey, n.RightKey, leftDistinct
+			for _, swapped := range in.swaps {
+				build, probe, buildKey, probeKey, distinct := lp, rp, n.LeftKey, n.RightKey, in.distinct[0]
 				if swapped {
-					build, probe, buildKey, probeKey, distinct = rp, lp, n.RightKey, n.LeftKey, rightDistinct
+					build, probe, buildKey, probeKey, distinct = rp, lp, n.RightKey, n.LeftKey, in.distinct[1]
 				}
 				// One output vector per algorithm family: probe-major, key-ordered.
 				var fams [2]outProps
-				for i := range choices {
-					ch := choices[i]
+				for i := range in.choices {
+					ch := in.choices[i]
 					if !ch.Kind.Admits(build.Props, probe.Props, buildKey, probeKey) {
 						continue
 					}
-					o.stats.Alternatives++
 					out := &fams[0]
 					if ch.Kind.KeyOrdered() {
 						out = &fams[1]
 					}
 					if !out.ok {
-						*out = keyed(o.joinOutProps(ch.Kind, build.Props, probe.Props, buildKey, probeKey))
+						*out = t.keyed(o.joinOutProps(ch.Kind, build.Props, probe.Props, buildKey, probeKey))
 					}
 					total := lp.Cost + rp.Cost + o.mode.Model.Join(ch, build.Rows, probe.Rows, distinct)
 					mem := joinMem(lp, rp, rows, cost.MemJoin(ch, build.Rows, probe.Rows, distinct, rows))
-					t.offerBreaker(out.key, total, mem, twinRank(spillableJoin(ch, false), fit), func() *Plan {
-						return joinPlan(lp, rp, n.LeftKey, n.RightKey, ch, swapped, out.set, rows, total, mem)
+					spillable := ch.Kind == physical.HJ && ch.Opt.Parallel <= 1
+					t.offerBreaker(out.key, total, mem, twinRank(spillable, fit), func(p *Plan) {
+						joinPlan(p, lp, rp, n.LeftKey, n.RightKey, ch, swapped, out.set, rows, total, mem)
 					})
 				}
 			}
 		}
 	}
-	o.indexedJoins(n, rows, lefts, rights, o.baseScan, func(p *Plan) {
-		t.offerBreaker(p.Props.Key(), p.Cost, p.Mem, noTwin, func() *Plan { return p })
-	})
-	if t.empty() {
-		return fmt.Errorf("core: no applicable join implementation for %s", n)
+	if in.indexed {
+		o.indexedJoins(t, n, in.lefts, in.rights, rows)
 	}
-	return nil
 }
 
-// indexedJoins enumerates the AV-backed alternatives of join n, which both
-// planning tiers consider: for either input that is the bare base scan of a
-// table with a prebuilt index on its join key, the build phase was paid
-// offline (or by an earlier execution whose table was adopted), so the join
-// is that index probed with the other input — one alternative per candidate
-// plan of the other input, charged the probe only and holding no build
-// working set. An index under the right input is the commuted join: probe
-// with the left, output in the left's order. scanPlan plans the indexed
-// table's bare scan the way the calling tier does; the alternatives are few
-// and are handed to offer built.
-func (o *optimizer) indexedJoins(n *logical.Join, rows float64, lefts, rights []*Plan, scanPlan func(*logical.Scan) *Plan, offer func(*Plan)) {
+// indexedJoins offers t the AV-backed alternatives of join n: for either
+// input that is the bare base scan of a table with a prebuilt index on its
+// join key, the build phase was paid offline (or by an earlier execution
+// whose table was adopted), so the join is that index probed with the other
+// input — one alternative per candidate plan of the other input, charged the
+// probe only and holding no build working set. An index under the right
+// input is the commuted join: probe with the left, output in the left's
+// order. The consumer plans the indexed table's bare scan.
+func (o *optimizer) indexedJoins(t *site, n *logical.Join, lefts, rights []*Plan, rows float64) {
 	if o.mode.Indexes == nil {
 		return
 	}
@@ -732,81 +670,66 @@ func (o *optimizer) indexedJoins(n *logical.Join, rows float64, lefts, rights []
 		if !have {
 			continue
 		}
-		base := scanPlan(scan)
+		base := t.scanBase(scan, props.NoCompression)
 		distinct := o.estimator().ColDistinct(scan, buildKey)
 		ch := physio.JoinChoice{Kind: physical.HJ, Opt: physical.JoinOptions{Hash: idx.Hash()}}
 		if idx.SPH() {
 			ch.Kind = physical.SPHJ
 		}
 		for _, pp := range probes {
-			o.stats.Alternatives++
 			lp, rp := base, pp
 			if swapped {
 				lp, rp = pp, base
 			}
-			out := o.joinOutProps(ch.Kind, base.Props, pp.Props, buildKey, probeKey)
-			// Build side already materialised: charge the probe only, and no
-			// build working set.
+			out := t.keyed(o.joinOutProps(ch.Kind, base.Props, pp.Props, buildKey, probeKey))
 			total := base.Cost + pp.Cost + o.mode.Model.Join(ch, 0, pp.Rows, distinct)
 			mem := joinMem(lp, rp, rows, cost.MemJoin(ch, 0, pp.Rows, distinct, rows))
-			p := joinPlan(lp, rp, n.LeftKey, n.RightKey, ch, swapped, out, rows, total, mem)
-			p.AV, p.Index = idx.Label(), idx
-			offer(p)
+			t.offerBreaker(out.key, total, mem, noTwin, func(p *Plan) {
+				joinPlan(p, lp, rp, n.LeftKey, n.RightKey, ch, swapped, out.set, rows, total, mem)
+				p.AV, p.Index = idx.Label(), idx
+			})
 		}
 	}
 }
 
 // groupChoices returns the grouping implementations a site on key may pick
-// from under mode: the (depth, DOP) list, narrowed by the mode's GroupFilter
-// when that leaves any.
-func groupChoices(mode Mode, key string) []physio.GroupChoice {
-	choices := physio.GroupChoices(key, mode.Depth, mode.dop())
-	if mode.GroupFilter != nil {
-		if filtered := mode.GroupFilter(key, choices); len(filtered) > 0 {
-			return filtered
-		}
+// from: the list of the mode's (depth, DOP) and, when the mode's GroupFilter
+// leaves any of it, the choices it pins.
+func (o *optimizer) groupChoices(key string) (all, pinned []physio.GroupChoice) {
+	all = physio.GroupChoices(o.mode.Depth, o.mode.dop())
+	if o.mode.GroupFilter != nil {
+		pinned = o.mode.GroupFilter(key, all)
 	}
-	return choices
+	return all, pinned
 }
 
-// offerGroups offers t the implementations of grouping n over every plan of
-// its input.
-func (o *optimizer) offerGroups(t *site, n *logical.GroupBy) error {
-	children, err := o.optimize(n.Input)
-	if err != nil {
-		return err
-	}
-	children = o.withEnforcers(children, n.Key)
-
-	groups := o.estimator().ColDistinct(n.Input, n.Key)
-	rows := o.estimator().Estimate(n)
-	width := groupWidth(n.Aggs)
-	choices := groupChoices(o.mode, n.Key)
+// enumGroup offers t the groupings of each of children on key into an
+// estimated rows output rows of groups distinct keys, as every choice the
+// child admits. Only the serial chained-scheme hash aggregation has a
+// disk-backed twin: its first-seen iteration order is partition-recomposable.
+func (o *optimizer) enumGroup(t *site, key string, aggs []expr.AggSpec, children []*Plan, choices []physio.GroupChoice, rows, groups float64) {
+	width := groupWidth(aggs)
 	for _, c := range children {
 		fit := o.fits(c)
 		// One output vector per algorithm family.
 		var fams [physical.NumGroupKinds]outProps
 		for i := range choices {
 			ch := choices[i]
-			if !ch.Kind.Admits(c.Props, n.Key) {
+			if !ch.Kind.Admits(c.Props, key) {
 				continue
 			}
-			o.stats.Alternatives++
 			out := &fams[ch.Kind]
 			if !out.ok {
-				*out = keyed(o.restrict(ch.Kind.OutputProps(c.Props, n.Key)))
+				*out = t.keyed(o.restrict(ch.Kind.OutputProps(c.Props, key)))
 			}
 			total := c.Cost + o.mode.Model.Group(ch, c.Rows, groups)
 			mem := groupMem(c, rows, width, cost.MemGroup(ch, c.Rows, groups))
-			t.offerBreaker(out.key, total, mem, twinRank(spillableGroup(ch), fit), func() *Plan {
-				return groupPlan(c, n.Key, n.Aggs, ch, out.set, rows, total, mem)
+			spillable := ch.Kind == physical.HG && ch.Opt.Parallel <= 1 && ch.Opt.Scheme == hashtable.Chained
+			t.offerBreaker(out.key, total, mem, twinRank(spillable, fit), func(p *Plan) {
+				groupPlan(p, c, key, aggs, ch, out.set, rows, total, mem)
 			})
 		}
 	}
-	if t.empty() {
-		return fmt.Errorf("core: no applicable grouping implementation for %s", n)
-	}
-	return nil
 }
 
 // CompareModes optimises the same logical plan under two modes and returns

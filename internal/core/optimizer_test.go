@@ -522,14 +522,15 @@ func TestParetoKeyedLikeFingerprint(t *testing.T) {
 		}
 		table := site{o: o}
 		for _, p := range pool {
-			table.offer(p.Props.Key(), p.Cost, func() *Plan { return p })
+			table.offer(ordinary, p.Props.Key(), p.Cost, func(q *Plan) { *q = *p })
 		}
 		got, want := table.table(), fingerprintPareto(pool)
 		if len(got) != len(want) {
 			t.Fatalf("%s: kept %d of %d plans, per-Fingerprint pruning keeps %d", m.Name, len(got), len(pool), len(want))
 		}
 		for i := range got {
-			if got[i] != want[i] {
+			// The table holds copies of the pool's plans.
+			if got[i].Label() != want[i].Label() || got[i].Cost != want[i].Cost || got[i].Props.Fingerprint() != want[i].Props.Fingerprint() {
 				t.Fatalf("%s: entry %d differs: %s vs %s", m.Name, i,
 					got[i].Props.Fingerprint(), want[i].Props.Fingerprint())
 			}

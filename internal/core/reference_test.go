@@ -407,8 +407,8 @@ func (o *refOptimizer) optimizeJoin(n *logical.Join) ([]*Plan, error) {
 	rows := o.estimator().Estimate(n)
 	keyDistinct := o.estimator().ColDistinct(n.Left, n.LeftKey)
 	rightDistinct := o.estimator().ColDistinct(n.Right, n.RightKey)
-	choices := physio.JoinChoices(n.LeftKey, n.RightKey, o.mode.Depth, o.mode.dop())
-	swapChoices := physio.JoinChoices(n.RightKey, n.LeftKey, o.mode.Depth, o.mode.dop())
+	choices := physio.JoinChoices(o.mode.Depth, o.mode.dop())
+	swapChoices := physio.JoinChoices(o.mode.Depth, o.mode.dop())
 
 	var out []*Plan
 	for _, lp := range lefts {
@@ -534,7 +534,7 @@ func (o *refOptimizer) optimizeGroup(n *logical.GroupBy) ([]*Plan, error) {
 
 	groups := o.estimator().ColDistinct(n.Input, n.Key)
 	rows := o.estimator().Estimate(n)
-	choices := physio.GroupChoices(n.Key, o.mode.Depth, o.mode.dop())
+	choices := physio.GroupChoices(o.mode.Depth, o.mode.dop())
 	if o.mode.GroupFilter != nil {
 		if filtered := o.mode.GroupFilter(n.Key, choices); len(filtered) > 0 {
 			choices = filtered

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"dqo/internal/logical"
 	"dqo/internal/props"
 )
 
@@ -19,10 +20,30 @@ type outProps struct {
 
 func keyed(s props.Set) outProps { return outProps{set: s, key: s.Key(), ok: true} }
 
+// keyed is keyed at a DP site; the greedy pick compares costs alone and
+// leaves the key unset.
+func (s *site) keyed(ps props.Set) outProps {
+	if s.greedy {
+		return outProps{set: ps, ok: true}
+	}
+	return keyed(ps)
+}
+
+// variant tags the alternatives the greedy tier has rules for (site.considers,
+// site.take); every other alternative is ordinary. The DP table prices them
+// all alike.
+type variant uint8
+
+const (
+	ordinary variant = iota
+	avScan           // an Algorithmic-View access path in place of the stored table
+	cracked          // a range filter answered by a cracked index
+	encoded          // a range filter run on the compressed payload
+)
+
 // How a breaker alternative ranks as the base of a spill twin: not at all,
-// or with a disk-backed twin (spillCompatible), and then better when every
-// input fits the budget by itself — spilling the breaker cannot shrink a
-// child's residency.
+// or with a disk-backed twin, and then better when every input fits the
+// budget by itself — spilling the breaker cannot shrink a child's residency.
 const (
 	noTwin = iota
 	twinOverInputs
@@ -50,17 +71,23 @@ func twinRank(spillable, inputsFit bool) int {
 	}
 }
 
-// site is the DP table of one enumeration site: per distinct output property
-// vector the cheapest alternative offered, in order of first appearance.
-// Dropping a plan strictly worse than another whose properties subsume it
-// would require a lattice — per-vector pruning is the classical compromise
-// and keeps enumeration exact for the requirements we check.
+// site consumes what one enumerator (optimizer.go) offers at one site: each
+// alternative as the numbers that decide its fate (property key, cost,
+// estimated peak memory, twin rank) plus a constructor, which runs only if
+// the alternative takes a place. This is the one place where an alternative
+// wins or loses, in one of two consumers:
 //
-// An alternative is offered as the numbers that decide its fate (property
-// key, cost, estimated peak memory) plus a constructor, and its Plan is built
-// only if it takes a place: the first of its vector, or strictly cheaper than
-// the holder (on a cost tie the earlier-enumerated alternative stays). This
-// is the one place where an alternative wins or loses.
+//   - The DP table: per distinct output property vector the cheapest
+//     alternative, in order of first appearance; the first of its vector or
+//     one strictly cheaper than the holder takes the place. (Dropping a plan
+//     whose properties another subsumes would need a lattice; per-vector
+//     pruning keeps enumeration exact for the requirements we check.)
+//   - The greedy tier's pick (greedy set): one running best over the input
+//     the tier narrowed to, by the same strict <.
+//
+// So in both the first enumerated wins a tie, and the enumeration order is
+// the tie-break: serial before parallel, decoded before compressed, in-memory
+// before spilling (a twin is priced above its base).
 type site struct {
 	o     *optimizer
 	plans []*Plan
@@ -71,19 +98,43 @@ type site struct {
 	smallest *Plan
 	base     *Plan
 	baseRank int
+
+	greedy bool
+	pick   pick
+}
+
+// pick is the greedy tier's running best at one site and its rules' state.
+type pick struct {
+	want  string // a column the parent would like sorted (site.considers)
+	empty bool   // a provably empty input: the first alternative ends the site
+	best  *Plan
+	twin  int  // best's twin rank
+	done  bool // the site has ended: later alternatives are not costed
 }
 
 // built constructs an alternative that took a place, remembering its key.
-func built(key props.Key, build func() *Plan) *Plan {
-	p := build()
+func built(key props.Key, build func(*Plan)) *Plan {
+	p := new(Plan)
+	build(p)
 	p.key = key
 	return p
 }
 
-// offer costs one alternative against the table. The slot is found by a scan
-// of the entries' keys: a table holds a handful of vectors, fewer than a map
+// offer costs one streaming alternative (a scan, filter, projection or
+// enforcer sort).
+func (s *site) offer(v variant, key props.Key, cost float64, build func(*Plan)) {
+	if s.greedy {
+		s.take(v, cost, noTwin, build)
+		return
+	}
+	s.o.stats.Alternatives++
+	s.put(key, cost, build)
+}
+
+// put enters an alternative into the DP table. The slot is found by a scan of
+// the entries' keys: a table holds a handful of vectors, fewer than a map
 // costs to set up.
-func (s *site) offer(key props.Key, cost float64, build func() *Plan) {
+func (s *site) put(key props.Key, cost float64, build func(*Plan)) {
 	for i, q := range s.plans {
 		if q.key == key {
 			if cost < q.Cost {
@@ -99,11 +150,16 @@ func (s *site) offer(key props.Key, cost float64, build func() *Plan) {
 // where a mode with a MemBudget prunes on estimated peak memory: an
 // alternative over the budget never enters the table. Until one fits, those
 // over it compete for the two fallbacks, and are built only when they take
-// the lead of one. Without a budget, and for whatever fits it, this is offer:
-// budget-free enumeration and fitting plans stay byte-identical.
-func (s *site) offerBreaker(key props.Key, cost, mem float64, twin int, build func() *Plan) {
+// the lead of one. Without a budget, and for whatever fits it, this is offer.
+// The greedy pick applies the budget to its winner instead (greedyBudget).
+func (s *site) offerBreaker(key props.Key, cost, mem float64, twin int, build func(*Plan)) {
+	if s.greedy {
+		s.take(ordinary, cost, twin, build)
+		return
+	}
+	s.o.stats.Alternatives++
 	if budget := s.o.mode.MemBudget; budget <= 0 || mem <= float64(budget) {
-		s.offer(key, cost, build)
+		s.put(key, cost, build)
 		return
 	}
 	if len(s.plans) > 0 {
@@ -120,6 +176,89 @@ func (s *site) offerBreaker(key props.Key, cost, mem float64, twin int, build fu
 		}
 		s.base, s.baseRank = p, twin
 	}
+}
+
+// take is the greedy pick's offer: the first alternative is the best, a later
+// one replaces it, rebuilt in place, when strictly cheaper. A cracked or
+// direct-on-compressed filter that wins ends the site; so does an AV access
+// path, taken for its order whatever its cost.
+func (s *site) take(v variant, cost float64, twin int, build func(*Plan)) {
+	g := &s.pick
+	if g.done {
+		return
+	}
+	s.o.stats.Alternatives++
+	switch {
+	case g.best == nil:
+		g.best = new(Plan)
+		g.done = g.empty
+	case v == avScan:
+		g.done = true
+	case cost < g.best.Cost:
+		g.done = v == cracked || v == encoded
+	default:
+		return
+	}
+	build(g.best)
+	g.twin = twin
+}
+
+// considers reports whether the site costs alternative v before the
+// enumerator plans anything for it; alt is the alternative's property vector
+// where a rule reads it (an AV access path's). The DP considers everything.
+// The greedy pick considers nothing once its site has ended, an AV access
+// path only for the wanted order it gains over the best, and a crack, which
+// emits in piece order, only when the best has no wanted order to lose.
+func (s *site) considers(v variant, alt props.Set) bool {
+	if !s.greedy {
+		return true
+	}
+	g := &s.pick
+	ordered := func(ps props.Set) bool { return g.want != "" && ps.SortedOn(g.want) }
+	switch {
+	case g.done:
+		return false
+	case v == avScan:
+		return !ordered(g.best.Props) && ordered(alt)
+	case v == cracked:
+		return !ordered(g.best.Props)
+	}
+	return true
+}
+
+// scanBase plans the bare scan of n that an AV-backed or direct-on-compressed
+// alternative subsumes: the DP's is the plain scan or, under a filter on a
+// payload of compression enc, the compressed-scan twin; the greedy tier's is
+// its pick for a scan no parent wants ordered.
+func (s *site) scanBase(n *logical.Scan, enc props.Compression) *Plan {
+	o := s.o
+	if s.greedy {
+		return o.greedyScan(n, "")
+	}
+	rows := o.estimator().Estimate(n)
+	p := new(Plan)
+	if enc == props.NoCompression {
+		o.scanPlan(p, n, n.Rel, "", enc, o.mode.Model.Scan(rows))
+	} else {
+		o.scanPlan(p, n, n.Rel, "", relCompression(n.Rel), o.mode.Model.ScanCompressed(rows, enc))
+	}
+	return p
+}
+
+// spill is the greedy pick's fallback over the memory budget: in a
+// spill-enabled mode the disk-backed twin of the pick or, when it has none,
+// of the pick of its serial sibling site (serial), as an over-budget DP site
+// does; otherwise the pick, with the runtime govern.Budget as the backstop.
+func (s *site) spill(serial func(*Plan) site) *Plan {
+	g := &s.pick
+	if !s.o.mode.Spill {
+		return g.best
+	}
+	if g.twin == noTwin {
+		sib := serial(g.best)
+		g = &sib.pick
+	}
+	return s.o.spillTwin(g.best)
 }
 
 // empty reports whether nothing was offered.

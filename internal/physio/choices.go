@@ -3,6 +3,7 @@ package physio
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"dqo/internal/hashtable"
 	"dqo/internal/physical"
@@ -87,14 +88,30 @@ func (c JoinChoice) Label() string {
 }
 
 // The choices of a site depend on the enumeration depth and the degree of
-// parallelism on offer and on nothing else, so the serial lists are built
-// once and shared read-only by every optimiser run.
+// parallelism on offer and on nothing else, so each list is built once and
+// shared read-only by every optimiser run: the serial lists up front, the
+// deep lists of a DOP above 1 when that DOP is first asked for.
 var (
 	shallowGroups = groupChoices(Shallow, 1)
 	deepGroups    = groupChoices(Deep, 1)
 	shallowJoins  = joinChoices(Shallow, 1)
 	deepJoins     = joinChoices(Deep, 1)
+	parallelLists sync.Map // dop → *choiceLists
 )
+
+type choiceLists struct {
+	groups []GroupChoice
+	joins  []JoinChoice
+}
+
+// parallel returns the deep lists of dop > 1.
+func parallel(dop int) *choiceLists {
+	l, ok := parallelLists.Load(dop)
+	if !ok {
+		l, _ = parallelLists.LoadOrStore(dop, &choiceLists{groupChoices(Deep, dop), joinChoices(Deep, dop)})
+	}
+	return l.(*choiceLists)
+}
 
 // GroupChoices enumerates the implementations of a grouping at the given
 // depth. Shallow yields one choice per family with the paper's textbook
@@ -103,16 +120,16 @@ var (
 // of every family whose kernel is DOP-invariant (SPHG/HG-chained/SOG), making
 // the degree of parallelism one more molecule dimension the optimiser prices
 // rather than a runtime default. The list may be shared: callers filter it
-// into a new slice, never modify it. The column name is not needed to
-// enumerate (a choice is asked about a key when it is used) and is ignored.
-func GroupChoices(_ string, depth Depth, dop int) []GroupChoice {
+// into a new slice, never modify it. A choice is asked about its key column
+// when it is used, so the list does not depend on one.
+func GroupChoices(depth Depth, dop int) []GroupChoice {
 	switch {
 	case depth == Shallow:
 		return shallowGroups
 	case dop <= 1:
 		return deepGroups
 	}
-	return groupChoices(depth, dop)
+	return parallel(dop).groups
 }
 
 func groupChoices(depth Depth, dop int) []GroupChoice {
@@ -160,16 +177,16 @@ func groupChoices(depth Depth, dop int) []GroupChoice {
 // depth. dop > 1 additionally offers parallel variants of the DOP-invariant
 // join kernels (radix-partitioned HJ, chunked-probe SPHJ, parallel-sort SOJ),
 // serial twins first so ties stay serial. As with GroupChoices the list may be
-// shared and the column names are ignored: the commuted join reads the same
-// list with the inputs exchanged.
-func JoinChoices(_, _ string, depth Depth, dop int) []JoinChoice {
+// shared and does not depend on the key columns: the commuted join reads the
+// same list with the inputs exchanged.
+func JoinChoices(depth Depth, dop int) []JoinChoice {
 	switch {
 	case depth == Shallow:
 		return shallowJoins
 	case dop <= 1:
 		return deepJoins
 	}
-	return joinChoices(depth, dop)
+	return parallel(dop).joins
 }
 
 func joinChoices(depth Depth, dop int) []JoinChoice {

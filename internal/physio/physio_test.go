@@ -63,7 +63,7 @@ func TestCloneIndependent(t *testing.T) {
 }
 
 func TestGroupChoicesShallow(t *testing.T) {
-	cs := GroupChoices("k", Shallow, 1)
+	cs := GroupChoices(Shallow, 1)
 	if len(cs) != 5 {
 		t.Fatalf("shallow grouping choices = %d, want 5 (one per family)", len(cs))
 	}
@@ -82,7 +82,7 @@ func TestGroupChoicesShallow(t *testing.T) {
 }
 
 func TestGroupChoicesDeepExpandsMolecules(t *testing.T) {
-	cs := GroupChoices("k", Deep, 1)
+	cs := GroupChoices(Deep, 1)
 	// 12 HG variants + SPHG + OG + 3 SOG + BSG, all serial at dop=1.
 	if want := 12 + 1 + 1 + 3 + 1; len(cs) != want {
 		t.Fatalf("deep grouping choices = %d, want %d", len(cs), want)
@@ -103,10 +103,10 @@ func TestGroupChoicesDeepExpandsMolecules(t *testing.T) {
 }
 
 func TestJoinChoicesCounts(t *testing.T) {
-	if n := len(JoinChoices("a", "b", Shallow, 1)); n != 5 {
+	if n := len(JoinChoices(Shallow, 1)); n != 5 {
 		t.Fatalf("shallow join choices = %d, want 5", n)
 	}
-	if n := len(JoinChoices("a", "b", Deep, 1)); n != 4+1+1+3+3 {
+	if n := len(JoinChoices(Deep, 1)); n != 4+1+1+3+3 {
 		t.Fatalf("deep join choices = %d, want 12", n)
 	}
 }
@@ -115,7 +115,7 @@ func TestJoinChoicesCounts(t *testing.T) {
 // serial twins: SPHG + 4 chained HG + radix SOG for grouping, SPHJ + 4 HJ +
 // radix SOJ for joins. Shallow enumeration never parallelises.
 func TestParallelChoicesAppendAfterSerial(t *testing.T) {
-	gs := GroupChoices("k", Deep, 4)
+	gs := GroupChoices(Deep, 4)
 	if want := (12 + 1 + 1 + 3 + 1) + 6; len(gs) != want {
 		t.Fatalf("deep grouping choices at dop=4 = %d, want %d", len(gs), want)
 	}
@@ -146,7 +146,7 @@ func TestParallelChoicesAppendAfterSerial(t *testing.T) {
 			t.Fatalf("%s: granule tree does not mention parallelism:\n%s", c.Label(), c.Tree("k").Render())
 		}
 	}
-	js := JoinChoices("a", "b", Deep, 4)
+	js := JoinChoices(Deep, 4)
 	if want := (4 + 1 + 1 + 3 + 3) + 6; len(js) != want {
 		t.Fatalf("deep join choices at dop=4 = %d, want %d", len(js), want)
 	}
@@ -159,10 +159,10 @@ func TestParallelChoicesAppendAfterSerial(t *testing.T) {
 			t.Fatalf("missing parallel join choice %s", want)
 		}
 	}
-	if n := len(GroupChoices("k", Shallow, 4)); n != 5 {
+	if n := len(GroupChoices(Shallow, 4)); n != 5 {
 		t.Fatalf("shallow grouping at dop=4 = %d choices, want 5 (no parallel variants)", n)
 	}
-	if n := len(JoinChoices("a", "b", Shallow, 4)); n != 5 {
+	if n := len(JoinChoices(Shallow, 4)); n != 5 {
 		t.Fatalf("shallow joins at dop=4 = %d choices, want 5 (no parallel variants)", n)
 	}
 }
@@ -170,11 +170,11 @@ func TestParallelChoicesAppendAfterSerial(t *testing.T) {
 // TestChoiceListsAreShared checks that the serial lists are built once and
 // that a caller appending to one cannot reach its neighbour's view of it.
 func TestChoiceListsAreShared(t *testing.T) {
-	a, b := JoinChoices("a", "b", Deep, 1), JoinChoices("x", "y", Deep, 0)
+	a, b := JoinChoices(Deep, 1), JoinChoices(Deep, 0)
 	if &a[0] != &b[0] {
 		t.Fatal("the deep serial join list is rebuilt per call")
 	}
-	if g, h := GroupChoices("k", Shallow, 4), GroupChoices("q", Shallow, 1); &g[0] != &h[0] {
+	if g, h := GroupChoices(Shallow, 4), GroupChoices(Shallow, 1); &g[0] != &h[0] {
 		t.Fatal("the shallow grouping list is rebuilt per call")
 	}
 	if grown := append(a, JoinChoice{}); &grown[0] == &a[0] {
@@ -183,12 +183,12 @@ func TestChoiceListsAreShared(t *testing.T) {
 }
 
 func TestDeepTreesAreMorePhysicalThanLogical(t *testing.T) {
-	for _, c := range GroupChoices("k", Deep, 1) {
+	for _, c := range GroupChoices(Deep, 1) {
 		if c.Tree("k").Physicality() <= 0 {
 			t.Fatalf("%s: deep tree has zero physicality", c.Label())
 		}
 	}
-	for _, c := range JoinChoices("a", "b", Deep, 1) {
+	for _, c := range JoinChoices(Deep, 1) {
 		if c.Tree("a", "b").Physicality() <= 0 {
 			t.Fatalf("%s: deep tree has zero physicality", c.Label())
 		}
@@ -196,7 +196,7 @@ func TestDeepTreesAreMorePhysicalThanLogical(t *testing.T) {
 }
 
 func TestUnnestStepsIncreasePhysicality(t *testing.T) {
-	for _, c := range GroupChoices("k", Shallow, 1) {
+	for _, c := range GroupChoices(Shallow, 1) {
 		steps := UnnestSteps(c, "k")
 		if len(steps) != 4 {
 			t.Fatalf("%s: %d steps, want 4", c.Label(), len(steps))
@@ -219,7 +219,7 @@ func TestUnnestStepsIncreasePhysicality(t *testing.T) {
 }
 
 func TestLabels(t *testing.T) {
-	cs := GroupChoices("k", Shallow, 1)
+	cs := GroupChoices(Shallow, 1)
 	var hg GroupChoice
 	for _, c := range cs {
 		if c.Kind == physical.HG {
@@ -229,7 +229,7 @@ func TestLabels(t *testing.T) {
 	if hg.Label() != "HG(chained,murmur3fin)" {
 		t.Fatalf("HG label = %q", hg.Label())
 	}
-	js := JoinChoices("a", "b", Shallow, 1)
+	js := JoinChoices(Shallow, 1)
 	for _, j := range js {
 		if j.Kind == physical.HJ && j.Label() != "HJ(murmur3fin)" {
 			t.Fatalf("HJ label = %q", j.Label())
@@ -244,7 +244,7 @@ func TestLabels(t *testing.T) {
 }
 
 func TestUnnestJoinSteps(t *testing.T) {
-	for _, c := range JoinChoices("a", "b", Shallow, 1) {
+	for _, c := range JoinChoices(Shallow, 1) {
 		steps := UnnestJoinSteps(c, "a", "b", false)
 		if len(steps) != 4 {
 			t.Fatalf("%s: %d steps", c.Label(), len(steps))

@@ -115,6 +115,35 @@ func TestQueryErrorsAreTyped(t *testing.T) {
 	}
 }
 
+// TestKeyOfWrongKindIsInvalid: a grouping, join or sort key that is neither
+// a uint32 column nor a dictionary string is the client's error, refused at
+// bind — here on the next execution of a statement prepared before the
+// table's key column was re-registered as int64.
+func TestKeyOfWrongKindIsInvalid(t *testing.T) {
+	db := testEngine(t, 2000, 9000)
+	_, c := testServer(t, Config{DB: db})
+	ctx := context.Background()
+	if err := c.NewSession(ctx, ""); err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.Prepare(ctx, "", "SELECT R_ID, COUNT(*) FROM S WHERE R_ID < ? GROUP BY R_ID")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Execute(ctx, p.Stmt, 5); err != nil {
+		t.Fatal(err)
+	}
+	wide := dqo.NewTableBuilder("S").Int64("R_ID", []int64{1, 2, 3}).Int64("M", []int64{4, 5, 6}).MustBuild()
+	if err := db.Register(wide); err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Execute(ctx, p.Stmt, 5)
+	var re *RemoteError
+	if !errors.As(err, &re) || re.Status != 400 || re.Kind != KindInvalid || !strings.Contains(re.Error(), "sql: GROUP BY key S.R_ID has kind int64") {
+		t.Fatalf("err = %v, want HTTP 400 %s from the binder", err, KindInvalid)
+	}
+}
+
 func TestSessionLifecycleAndExpiry(t *testing.T) {
 	srv, c := testServer(t, Config{SessionTTL: time.Minute})
 

@@ -41,7 +41,7 @@ func BindTemplate(stmt *SelectStmt, cat Catalog) (logical.Node, error) {
 // order, WHERE as one Filter over the whole join tree, then grouping,
 // HAVING, ordering and projection.
 func bindAsWritten(stmt *SelectStmt, cat Catalog) (logical.Node, error) {
-	b := &binder{cat: cat, cols: map[string][]string{}}
+	b := &binder{cat: cat, cols: map[string][]string{}, kinds: map[string]storage.Kind{}}
 
 	var node logical.Node
 	base, err := b.addTable(stmt.From)
@@ -60,6 +60,9 @@ func bindAsWritten(stmt *SelectStmt, cat Catalog) (logical.Node, error) {
 		}
 		right, err := b.resolve(j.Right)
 		if err != nil {
+			return nil, err
+		}
+		if err := b.checkKey("JOIN", left, right); err != nil {
 			return nil, err
 		}
 		// Accept the ON clause in either order: the key belonging to the
@@ -100,6 +103,9 @@ func bindAsWritten(stmt *SelectStmt, cat Catalog) (logical.Node, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := b.checkKey("GROUP BY", key); err != nil {
+			return nil, err
+		}
 		var aggs []expr.AggSpec
 		for _, it := range stmt.Items {
 			if it.Agg != nil {
@@ -112,6 +118,10 @@ func bindAsWritten(stmt *SelectStmt, cat Catalog) (logical.Node, error) {
 					spec.Col = col
 				}
 				aggs = append(aggs, spec)
+				b.kinds[spec.OutName()] = storage.KindInt64
+				if spec.Func == expr.AggAvg {
+					b.kinds[spec.OutName()] = storage.KindFloat64
+				}
 				outCols = append(outCols, spec.OutName())
 				continue
 			}
@@ -150,6 +160,9 @@ func bindAsWritten(stmt *SelectStmt, cat Catalog) (logical.Node, error) {
 	if stmt.OrderBy != "" {
 		key, err := b.resolveInSchema(stmt.OrderBy, node)
 		if err != nil {
+			return nil, err
+		}
+		if err := b.checkKey("ORDER BY", key); err != nil {
 			return nil, err
 		}
 		node = &logical.Sort{Input: node, Key: key}
@@ -213,8 +226,22 @@ func suffixAfterDot(s string) string {
 type binder struct {
 	cat Catalog
 	// cols maps a bare column name to the qualified names providing it.
-	cols   map[string][]string
+	cols map[string][]string
+	// kinds holds the kind of every qualified column and aggregate output.
+	kinds  map[string]storage.Kind
 	tables []string
+}
+
+// checkKey rejects a join, grouping or sort key the kernels cannot take:
+// keys are uint32 columns or dictionary-encoded strings. Aggregate outputs
+// are int64 (AVG float64), so no ORDER BY may name one.
+func (b *binder) checkKey(clause string, cols ...string) error {
+	for _, col := range cols {
+		if k := b.kinds[col]; k != storage.KindUint32 && k != storage.KindString {
+			return fmt.Errorf("sql: %s key %s has kind %s; keys must be uint32 or dictionary-encoded strings", clause, col, k)
+		}
+	}
+	return nil
 }
 
 // addTable qualifies a base relation's columns with the table alias and
@@ -237,6 +264,7 @@ func (b *binder) addTable(ref TableRef) (*logical.Scan, error) {
 		q := alias + "." + c.Name()
 		cols = append(cols, c.Rename(q))
 		b.cols[c.Name()] = append(b.cols[c.Name()], q)
+		b.kinds[q] = c.Kind()
 	}
 	view, err := storage.NewRelation(alias, cols...)
 	if err != nil {

@@ -106,7 +106,7 @@ var starTails = []struct{ sel, tail string }{
 	{"R.A, COUNT(*), SUM(S.M)", " GROUP BY R.A ORDER BY R.A"},
 	{"R.A, COUNT(*), SUM(D.W)", " GROUP BY R.A HAVING count_star >= %d"},
 	{"R.ID, S.M, D.W", ""},
-	{"R.ID, S.M, D.W", " ORDER BY S.M"},
+	{"R.ID, S.M, D.W", " ORDER BY R.ID"},
 }
 
 // bothWays binds query as written and as bound and runs each through the

@@ -32,7 +32,8 @@ type latticeVariant struct {
 	beam      int  // DP beam width (0 = exact enumeration)
 	parallel  bool // plan with forcedParallelMode instead of the declared modes
 	compress  bool // every table compressed
-	spill     bool // breakers lowered to their spill twins, one-byte run quota
+	spill     bool // breakers planned as their spill twins (one-byte budget, spilling on), one-byte run quota
+	inMemory  bool // spill twins run with the default run quota: the spill variant's reference
 	reopt     bool // breakers re-plan at the default misestimation threshold
 	identical bool // byte-identical to the plain serial whole-morsel run
 }
@@ -118,31 +119,47 @@ type latticeCounts struct {
 	parallel, marked, splices, spilled atomic.Int64
 }
 
-// latticePoint plans query afresh (MarkSpillTwins rewrites the plan in place)
-// and runs it at one point; nil when the spill variant finds no breaker to
-// lower.
+// latticePoint plans query and runs it at one point; nil when the spill
+// variant plans no breaker as its spill twin.
 func latticePoint(t *testing.T, db *DB, mode Mode, query string, v latticeVariant, workers, morsel int, n *latticeCounts) *storage.Relation {
 	t.Helper()
 	var res *core.Result
 	var stmt *sql.SelectStmt
 	var err error
+	var dir string
+	if v.spill {
+		dir = t.TempDir()
+	}
 	if v.parallel {
 		var node logical.Node
 		stmt, node = bindQuery(t, db, query)
-		res, err = core.Optimize(node, forcedParallelMode(workers))
+		m := forcedParallelMode(workers)
+		if v.spill {
+			m.MemBudget, m.Spill = 1, true
+		}
+		res, err = core.Optimize(node, m)
 	} else {
-		res, stmt, err = db.compile(mode, query, queryConfig{workers: workers, beam: v.beam}, nil)
+		cfg := queryConfig{workers: workers, beam: v.beam}
+		if v.spill {
+			cfg.memLimit, cfg.spillDir = 1, dir
+		}
+		res, stmt, err = db.compile(mode, query, cfg, nil)
 	}
 	if err != nil {
 		t.Fatalf("%s/%q: plan: %v", mode, query, err)
 	}
 	n.parallel.Add(int64(parallelNodes(res.Best)))
 	if v.spill {
-		marked := core.MarkSpillTwins(res.Best)
-		if marked == 0 {
-			return nil // nothing spill-compatible (AV, index or streaming plans)
+		twins := 0
+		res.Best.PreOrder(func(c *core.Plan, _ int) {
+			if c.Spill {
+				twins++
+			}
+		})
+		if twins == 0 {
+			return nil // no breaker has a spill twin (AV, index or streaming plans)
 		}
-		n.marked.Add(int64(marked))
+		n.marked.Add(int64(twins))
 	}
 	var rc *core.ReoptConfig
 	if v.reopt {
@@ -156,11 +173,11 @@ func latticePoint(t *testing.T, db *DB, mode Mode, query string, v latticeVarian
 		root = exec.NewLimit(root, stmt.Limit)
 	}
 	ec := exec.NewExecContext(context.Background(), morsel, workers)
-	var dir string
 	if v.spill {
-		dir = t.TempDir()
 		ec.SetSpill(dir, 0)
-		ec.SetSpillQuota(1)
+		if !v.inMemory {
+			ec.SetSpillQuota(1)
+		}
 	}
 	out, err := exec.Run(ec, root)
 	if err != nil {
@@ -214,7 +231,7 @@ func runLattice(t *testing.T, v latticeVariant) {
 					if v.beam > 0 && mode == ModeGreedy {
 						continue // the greedy tier ignores the beam: these are the plain variant's points
 					}
-					ref := latticePoint(t, plain, mode, query, latticeVariant{beam: v.beam, parallel: v.parallel}, 1, 1<<30, &latticeCounts{})
+					ref := latticePoint(t, plain, mode, query, latticeVariant{beam: v.beam, parallel: v.parallel, spill: v.spill, inMemory: true}, 1, 1<<30, &latticeCounts{})
 					for _, workers := range workerCounts() {
 						for _, morsel := range latticeMorsels {
 							got := latticePoint(t, db, mode, query, v, workers, morsel, &n)
@@ -237,7 +254,7 @@ func runLattice(t *testing.T, v latticeVariant) {
 	case v.parallel && n.parallel.Load() == 0:
 		t.Fatal("no parallel plan node was planned; the variant is vacuous")
 	case v.spill && (n.marked.Load() == 0 || n.spilled.Load() == 0):
-		t.Fatalf("%d breakers spill-marked, %d bytes spilled; the variant is vacuous", n.marked.Load(), n.spilled.Load())
+		t.Fatalf("%d breakers planned as spill twins, %d bytes spilled; the variant is vacuous", n.marked.Load(), n.spilled.Load())
 	case v.reopt && n.splices.Load() == 0:
 		t.Fatal("no breaker re-planned; the variant is vacuous")
 	}
@@ -263,9 +280,10 @@ func TestParallelPlanDifferential(t *testing.T) {
 	runLattice(t, latticeVariant{parallel: true, identical: true})
 }
 
-// TestSpillDifferential: the disk-backed twins of every spill-compatible
-// breaker, forced onto disk, return the in-memory kernels' bytes and leave no
-// run file behind.
+// TestSpillDifferential: planned under a one-byte budget with spilling on,
+// every breaker that has a disk-backed twin runs as it; forced onto disk, the
+// twins return the bytes they return holding their input in memory, and leave
+// no run file behind.
 func TestSpillDifferential(t *testing.T) {
 	runLattice(t, latticeVariant{spill: true, identical: true})
 }
