@@ -99,7 +99,9 @@ func (o *optimizer) greedyFilter(n *logical.Filter, want string) (*Plan, error) 
 	if provablyEmpty(c.Props, n.Pred) {
 		rows, t.pick.empty = 0, true
 	}
-	o.enumFilter(&t, n, []*Plan{c}, rows)
+	cs := []*Plan{c}
+	o.enumFilter(&t, n, cs, rows, serialTwins)
+	o.enumFilter(&t, n, cs, rows, parallelTwins)
 	return t.pick.best, nil
 }
 
@@ -113,11 +115,11 @@ func (o *optimizer) greedySort(n *logical.Sort) (*Plan, error) {
 	}
 	t := o.greedySite("")
 	t.pick.empty = c.Rows == 0
-	o.enumSort(&t, c, n.Key, false, o.sortKinds(), serialSorts)
-	o.enumSort(&t, c, n.Key, false, []sortx.Kind{t.pick.best.SortKind}, parallelSorts)
+	o.enumSort(&t, c, n.Key, false, o.sortKinds(), serialTwins)
+	o.enumSort(&t, c, n.Key, false, []sortx.Kind{t.pick.best.SortKind}, parallelTwins)
 	return o.greedyBudget(&t, func(p *Plan, _ bool) site {
 		s := o.greedySite("")
-		o.enumSort(&s, c, n.Key, false, []sortx.Kind{p.SortKind}, serialSorts)
+		o.enumSort(&s, c, n.Key, false, []sortx.Kind{p.SortKind}, serialTwins)
 		return s
 	}), nil
 }
@@ -242,7 +244,7 @@ func (o *optimizer) greedyGroup(n *logical.GroupBy) (*Plan, error) {
 			// No pinned choice is satisfiable on the raw input: enforce
 			// order (sorting satisfies grouped-ness) and retry.
 			s := o.greedySite("")
-			o.enumSort(&s, c, n.Key, true, []sortx.Kind{sortx.Radix}, serialSorts)
+			o.enumSort(&s, c, n.Key, true, []sortx.Kind{sortx.Radix}, serialTwins)
 			c = s.pick.best
 			o.enumGroup(&t, n.Key, n.Aggs, []*Plan{c}, pinned, rows, groups)
 		}
@@ -286,8 +288,9 @@ func (o *optimizer) regroup(p *Plan, sortBased bool) site {
 // pick over it takes its sort-based sibling, sibling(p, true), when that fits
 // or at least needs less, as budgeted DP enumeration converges to (hash
 // aggregation degrades to sort-based grouping, an unindexed hash join to the
-// sort-merge join); a pick still over it spills (site.spill), through its
-// serial sibling, sibling(p, false), when it has no disk-backed twin itself.
+// sort-merge join); a pick that fits runs in memory, spilling armed or not,
+// and one still over it spills (site.spill), through its serial sibling,
+// sibling(p, false), when it has no disk-backed twin itself.
 func (o *optimizer) greedyBudget(t *site, sibling func(p *Plan, sortBased bool) site) *Plan {
 	budget := float64(o.mode.MemBudget)
 	p := t.pick.best
@@ -299,6 +302,9 @@ func (o *optimizer) greedyBudget(t *site, sibling func(p *Plan, sortBased bool) 
 		if alt := sibling(p, true); alt.pick.best.Mem <= budget || alt.pick.best.Mem < p.Mem {
 			t = &alt
 		}
+	}
+	if t.pick.best.Mem <= budget {
+		return t.pick.best
 	}
 	return t.spill(func(p *Plan) site { return sibling(p, false) })
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"dqo/internal/datagen"
@@ -9,6 +10,7 @@ import (
 	"dqo/internal/logical"
 	"dqo/internal/naive"
 	"dqo/internal/physical"
+	"dqo/internal/storage"
 )
 
 // greedyQuery builds the paper's join+group query over a small FK pair.
@@ -263,5 +265,49 @@ func TestGreedySpillsOverBudgetBreakers(t *testing.T) {
 	}
 	if twins == 0 {
 		t.Fatal("no spill twin planned; the test is vacuous")
+	}
+}
+
+// TestGreedyFittingSiblingDoesNotSpill: a greedy hash grouping or hash join
+// over the memory budget whose sort-based sibling fits runs that sibling in
+// memory, and plans identically with spilling armed or not — the twin is the
+// fallback for a pick that fits nowhere, as at a DP site.
+func TestGreedyFittingSiblingDoesNotSpill(t *testing.T) {
+	// Unique, sparse, unsorted keys: the greedy tier picks hashing, and
+	// with a group per row sort-based grouping needs less memory.
+	const n = 5000
+	keys := func(name string, step int) *storage.Relation {
+		k := make([]uint32, n)
+		for i := range k {
+			k[i] = uint32((i*step)%n) * 1000
+		}
+		return storage.MustNewRelation(name, storage.NewUint32("K", k))
+	}
+	l, r := keys("L", 7919), keys("R", 104729)
+	scan := func(rel *storage.Relation) *logical.Scan { return &logical.Scan{Table: rel.Name(), Rel: rel} }
+	for _, c := range []struct {
+		name string
+		q    logical.Node
+		dop  int // a parallel hash join's partition copies outweigh SOJ's sort scratch
+		want string
+	}{
+		{"group", &logical.GroupBy{Input: scan(l), Key: "K", Aggs: []expr.AggSpec{{Func: expr.AggCount}}}, 1, "SOG"},
+		{"join", &logical.Join{Left: scan(l), Right: scan(r), LeftKey: "K", RightKey: "K"}, 4, "SOJ"},
+	} {
+		mode := Greedy()
+		mode.DOP = c.dop
+		hashed := optimize(t, c.q, mode).Best
+		mode.MemBudget = int64(hashed.Mem) - 1
+		plain := optimize(t, c.q, mode).Best
+		if !strings.Contains(plain.Label(), c.want) || plain.Mem > float64(mode.MemBudget) {
+			t.Fatalf("%s: want the fitting %s sibling of %s under a budget of %d, got:\n%s",
+				c.name, c.want, hashed.Label(), mode.MemBudget, plain.Explain())
+		}
+		mode.Spill = true
+		spilled := optimize(t, c.q, mode).Best
+		if spilled.Explain() != plain.Explain() {
+			t.Errorf("%s: spilling armed changed a plan that fits:\nwithout:\n%s\nwith:\n%s",
+				c.name, plain.Explain(), spilled.Explain())
+		}
 	}
 }

@@ -35,17 +35,12 @@ type Result struct {
 // grouping implementations — how deeply the winning plan was unnested.
 func (r *Result) Physicality() float64 {
 	total, n := 0.0, 0
-	var rec func(p *Plan)
-	rec = func(p *Plan) {
+	r.Best.PreOrder(func(p *Plan, _ int) {
 		if tree := p.GranuleTree(); tree != nil {
 			total += tree.Physicality()
 			n++
 		}
-		for _, c := range p.Children {
-			rec(c)
-		}
-	}
-	rec(r.Best)
+	})
 	if n == 0 {
 		return 0
 	}
@@ -66,16 +61,15 @@ func Optimize(n logical.Node, mode Mode) (*Result, error) {
 	}
 	start := time.Now()
 	o := &optimizer{mode: mode}
+	var plans []*Plan
+	var err error
 	if mode.Greedy {
-		best, err := o.greedy(n, "")
-		if err != nil {
-			return nil, err
-		}
-		o.stats.Duration = time.Since(start)
-		o.stats.Kept = 1
-		return &Result{Best: best, Mode: mode, Stats: o.stats}, nil
+		var best *Plan
+		best, err = o.greedy(n, "")
+		plans = []*Plan{best}
+	} else {
+		plans, err = o.optimize(n)
 	}
-	plans, err := o.optimize(n)
 	if err != nil {
 		return nil, err
 	}
@@ -369,7 +363,7 @@ func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		o.enumFilter(&t, n, children, o.estimator().Estimate(n))
+		o.enumFilter(&t, n, children, o.estimator().Estimate(n), serialTwins|parallelTwins)
 
 	case *logical.Project:
 		children, err := o.optimize(n.Input)
@@ -387,7 +381,7 @@ func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
 			return nil, err
 		}
 		for _, c := range children {
-			o.enumSort(&t, c, n.Key, false, o.sortKinds(), serialSorts|parallelSorts)
+			o.enumSort(&t, c, n.Key, false, o.sortKinds(), serialTwins|parallelTwins)
 		}
 
 	case *logical.Join:
@@ -461,18 +455,28 @@ func (o *optimizer) enumScan(t *site, n *logical.Scan) {
 }
 
 // enumFilter offers t the filter n over each of children, emitting rows:
-// serially; for a range filter directly over a base scan, as the cracked
-// index (only the qualifying pieces, cracking amortised to ~zero; piece
-// order, so no order) and, at deep enumeration, as the direct-on-compressed
-// filter (zone maps answer whole segments, RLE runs decide once, packed
-// segments compare in delta space; ascending gather, so the decoded filter's
-// properties; priced from the exact zone-map census), both over the bare scan
-// the consumer plans (site.scanBase); and over each streaming-segment child as
-// the parallel variant, fanned across a morsel pipe.
-func (o *optimizer) enumFilter(t *site, n *logical.Filter, children []*Plan, rows float64) {
+// serially and, over a streaming-segment child, as the parallel twin fanned
+// across a morsel pipe; then with the serial twins, for a range filter
+// directly over a base scan, as the cracked index (only the qualifying
+// pieces, cracking amortised to ~zero; piece order, so no order) and, at deep
+// enumeration, as the direct-on-compressed filter (zone maps answer whole
+// segments, RLE runs decide once, packed segments compare in delta space;
+// ascending gather, so the decoded filter's properties; priced from the exact
+// zone-map census), both over the bare scan the consumer plans
+// (site.scanBase).
+func (o *optimizer) enumFilter(t *site, n *logical.Filter, children []*Plan, rows float64, twins twinSet) {
 	for _, c := range children {
-		serial := c.Cost + o.mode.Model.Filter(c.Rows)
-		t.offer(ordinary, c.key, serial, func(p *Plan) { filterPlan(p, n, c, 0, rows, serial) })
+		if twins&serialTwins != 0 {
+			serial := c.Cost + o.mode.Model.Filter(c.Rows)
+			t.offer(ordinary, c.key, serial, func(p *Plan) { filterPlan(p, n, c, 0, rows, serial) })
+		}
+		if dop := o.mode.dop(); dop > 1 && twins&parallelTwins != 0 && isStreamSegment(c) {
+			parallel := c.Cost + o.mode.Model.Parallel(o.mode.Model.Filter(c.Rows), dop)
+			t.offer(ordinary, c.key, parallel, func(p *Plan) { filterPlan(p, n, c, dop, rows, parallel) })
+		}
+	}
+	if twins&serialTwins == 0 {
+		return
 	}
 	scan, isScan := n.Input.(*logical.Scan)
 	col, lo, hi, isRange := predRange(n.Pred)
@@ -500,14 +504,6 @@ func (o *optimizer) enumFilter(t *site, n *logical.Filter, children []*Plan, row
 			}
 		}
 	}
-	if dop := o.mode.dop(); dop > 1 {
-		for _, c := range children {
-			if isStreamSegment(c) {
-				parallel := c.Cost + o.mode.Model.Parallel(o.mode.Model.Filter(c.Rows), dop)
-				t.offer(ordinary, c.key, parallel, func(p *Plan) { filterPlan(p, n, c, dop, rows, parallel) })
-			}
-		}
-	}
 }
 
 // joinOutProps derives the output properties of a join of the given kind,
@@ -524,12 +520,13 @@ func (o *optimizer) joinOutProps(kind physical.JoinKind, build, probe props.Set,
 	return o.restrict(out)
 }
 
-// sortTwins selects which realisations of each sort kind enumSort offers.
-type sortTwins uint8
+// twinSet selects which realisations enumFilter and enumSort offer: the
+// serial ones, their parallel twins, or both.
+type twinSet uint8
 
 const (
-	serialSorts sortTwins = 1 << iota
-	parallelSorts
+	serialTwins twinSet = 1 << iota
+	parallelTwins
 )
 
 // enumSort offers t the sorts of c by key: each of kinds serially and, at
@@ -540,10 +537,10 @@ const (
 // site under the memory budget; enforcers are candidates for the operator
 // above and are pruned there. Sorts spill at any sort kind, serially: stable
 // runs merge into the stable full sort.
-func (o *optimizer) enumSort(t *site, c *Plan, key string, enforcer bool, kinds []sortx.Kind, twins sortTwins) {
+func (o *optimizer) enumSort(t *site, c *Plan, key string, enforcer bool, kinds []sortx.Kind, twins twinSet) {
 	fit := o.fits(c)
 	if !enforcer && c.Props.SortedOn(key) {
-		if twins&serialSorts != 0 {
+		if twins&serialTwins != 0 {
 			t.offerBreaker(c.key, c.Cost, sortMem(c, false), twinRank(true, fit), func(p *Plan) {
 				sortPlan(p, c, key, sortx.Radix, 0, false, c.Props, c.Cost)
 			})
@@ -562,10 +559,10 @@ func (o *optimizer) enumSort(t *site, c *Plan, key string, enforcer bool, kinds 
 	dop := o.mode.dop()
 	for _, sk := range kinds {
 		serial := o.mode.Model.SortBy(c.Rows, sk)
-		if twins&serialSorts != 0 {
+		if twins&serialTwins != 0 {
 			offer(sk, 0, c.Cost+serial)
 		}
-		if dop > 1 && twins&parallelSorts != 0 {
+		if dop > 1 && twins&parallelTwins != 0 {
 			offer(sk, dop, c.Cost+o.mode.Model.Parallel(serial, dop))
 		}
 	}
@@ -579,7 +576,7 @@ func (o *optimizer) withEnforcers(plans []*Plan, key string) []*Plan {
 	t := site{o: o, plans: append(make([]*Plan, 0, 2*len(plans)), plans...)}
 	for _, p := range plans {
 		if !p.Props.SortedOn(key) {
-			o.enumSort(&t, p, key, true, o.sortKinds(), serialSorts|parallelSorts)
+			o.enumSort(&t, p, key, true, o.sortKinds(), serialTwins|parallelTwins)
 		}
 	}
 	return t.table()

@@ -182,18 +182,13 @@ func (p *Plan) label() string {
 // vector at every node.
 func (p *Plan) Explain() string {
 	var b strings.Builder
-	var rec func(n *Plan, depth int)
-	rec = func(n *Plan, depth int) {
+	p.PreOrder(func(n *Plan, depth int) {
 		pad := strings.Repeat("  ", depth)
 		fmt.Fprintf(&b, "%s%s  (cost=%.0f rows=%.0f)\n", pad, n.Label(), n.Cost, n.Rows)
 		if desc := describeProps(n.Props); desc != "" {
 			fmt.Fprintf(&b, "%s  props: %s\n", pad, desc)
 		}
-		for _, c := range n.Children {
-			rec(c, depth+1)
-		}
-	}
-	rec(p, 0)
+	})
 	return b.String()
 }
 

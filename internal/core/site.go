@@ -61,14 +61,13 @@ func (o *optimizer) fits(inputs ...*Plan) bool {
 }
 
 func twinRank(spillable, inputsFit bool) int {
-	switch {
-	case !spillable:
+	if !spillable {
 		return noTwin
-	case inputsFit:
-		return twinFits
-	default:
-		return twinOverInputs
 	}
+	if inputsFit {
+		return twinFits
+	}
+	return twinOverInputs
 }
 
 // site consumes what one enumerator (optimizer.go) offers at one site: each

@@ -1,6 +1,10 @@
 package expr
 
-import "fmt"
+import (
+	"fmt"
+
+	"dqo/internal/storage"
+)
 
 // AggFunc identifies an aggregation function. All are distributive or
 // algebraic, so they can be computed "on the fly" and merged — the property
@@ -91,5 +95,11 @@ func (a AggSpec) Validate() error {
 	return nil
 }
 
-// Integral reports whether the aggregate produces an integer column.
-func (a AggSpec) Integral() bool { return a.Func != AggAvg }
+// OutKind is the kind of the aggregate's output column: AVG's mean is
+// float64, every other aggregate int64.
+func (a AggSpec) OutKind() storage.Kind {
+	if a.Func == AggAvg {
+		return storage.KindFloat64
+	}
+	return storage.KindInt64
+}

@@ -261,7 +261,8 @@ func groupAndAssemble(rel *storage.Relation, keyCol string, aggs []expr.AggSpec,
 			vals = res.Aggs[argOf(a.Col)].Min
 		case expr.AggMax:
 			vals = res.Aggs[argOf(a.Col)].Max
-		case expr.AggAvg:
+		}
+		if a.OutKind() == storage.KindFloat64 { // AVG: sum over count
 			avg := make([]float64, g)
 			for j, sum := range res.Aggs[argOf(a.Col)].Sum {
 				avg[j] = float64(sum) / float64(res.Counts[j])

@@ -118,10 +118,7 @@ func bindAsWritten(stmt *SelectStmt, cat Catalog) (logical.Node, error) {
 					spec.Col = col
 				}
 				aggs = append(aggs, spec)
-				b.kinds[spec.OutName()] = storage.KindInt64
-				if spec.Func == expr.AggAvg {
-					b.kinds[spec.OutName()] = storage.KindFloat64
-				}
+				b.kinds[spec.OutName()] = spec.OutKind()
 				outCols = append(outCols, spec.OutName())
 				continue
 			}
