@@ -117,7 +117,7 @@ func (m *Materialize) Next(ec *ExecContext) (*storage.Relation, error) {
 // Close implements Operator.
 func (m *Materialize) Close(ec *ExecContext) error {
 	if m.spill != nil {
-		m.spill.abort() // the files themselves die with the query's spill.Dir
+		m.spill.abort()
 	}
 	ec.Ctl().Release(m.h.swap())
 	var err error

@@ -152,7 +152,8 @@ func checkPartition(t *testing.T, got, rel *storage.Relation, p, level int) {
 // flushes interleave into one run file, every partition reads back by its
 // extents in input order (also after a repartition one level down), the file
 // goes with its last partition, and a set never holds more than one
-// descriptor — none once it is sealed and idle, retired or aborted.
+// descriptor — its run file's, which the writer opens and the reads borrow —
+// and none once retired or aborted.
 func TestPartitionSetSingleFile(t *testing.T) {
 	rel := spillRel("t", 5000, 31)
 	fds := openFDs()
@@ -177,8 +178,8 @@ func TestPartitionSetSingleFile(t *testing.T) {
 	if err := ps.seal(); err != nil {
 		t.Fatal(err)
 	}
-	if fds >= 0 && openFDs() != fds {
-		t.Fatalf("a sealed, unread set holds %d descriptors", openFDs()-fds)
+	if fds >= 0 && openFDs() != fds+1 {
+		t.Fatalf("a sealed, unread set holds %d descriptors, want its run's 1", openFDs()-fds)
 	}
 	tails := 0
 	for p := 0; p < spillParts; p++ {

@@ -489,39 +489,97 @@ func payloadCol(n int) []int64 {
 	return vals
 }
 
-// BenchmarkSpillGroup is the bench guard for the spilling aggregation at the
-// repository benchmark's shape (120 000 rows, 30 000 groups, COUNT + SUM):
-// the in-memory breaker, its spill twin idle, and the twin forced to
-// partition through disk by the run quota that benchmark's 2 MiB memory limit
-// grants (a quarter of it).
-func BenchmarkSpillGroup(b *testing.B) {
+// forcedQuota is the run quota that the repository benchmark's 2 MiB memory
+// limit grants (a quarter of it): what forces the spill twins of
+// BenchmarkSpillGroup and BenchmarkSpillJoin to disk.
+const forcedQuota = 512 << 10
+
+// spillGroupShape builds the repository benchmark's spilling grouping (120 000
+// rows, 30 000 groups, COUNT + SUM): the in-memory breaker, or its spill twin.
+func spillGroupShape() func(spill bool) Operator {
 	rel := storage.MustNewRelation("G", storage.NewUint32("K", sparseKeys(120_000, 30_000, 5)),
 		storage.NewInt64("V", payloadCol(120_000)))
 	aggs := []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "V"}}
 	opt := physical.GroupOptions{Scheme: hashtable.Chained, Hash: hashtable.Identity, Parallel: 1}
 	dom := plannedDomain(rel, "K")
-	benchSpillPaths(b, func(spill bool) Operator {
+	return func(spill bool) Operator {
 		if spill {
 			return spillGroup(NewScan(Text("scan"), rel), "K", aggs, opt, dom)
 		}
 		return NewBreaker(Text("group"), groupKernel("K", aggs, opt, dom), nil, NewScan(Text("scan"), rel))
-	}, 512<<10)
+	}
 }
 
-// BenchmarkSpillJoin is the bench guard for the grace hash join at the
-// repository benchmark's shape: two tables of 70 000 unique keys that share
-// 1 000 of them, on the same three paths as BenchmarkSpillGroup.
-func BenchmarkSpillJoin(b *testing.B) {
+// spillJoinShape builds the repository benchmark's spilling join (two tables
+// of 70 000 unique keys that share 1 000 of them): the in-memory breaker, or
+// its spill twin.
+func spillJoinShape() func(spill bool) Operator {
 	const n, shared = 70_000, 1_000
 	keys := sparseKeys(2*n-shared, 2*n-shared, 11)
 	left := storage.MustNewRelation("P", storage.NewUint32("K", keys[:n]), storage.NewInt64("V", payloadCol(n)))
 	right := storage.MustNewRelation("Q", storage.NewUint32("K", keys[n-shared:]), storage.NewInt64("W", payloadCol(n)))
 	opt := physical.JoinOptions{Hash: hashtable.Identity, Parallel: 1}
 	dom := plannedDomain(left, "K")
-	benchSpillPaths(b, func(spill bool) Operator {
+	return func(spill bool) Operator {
 		if spill {
 			return spillJoin(NewScan(Text("l"), left), NewScan(Text("r"), right), "K", opt, false, dom, nil)
 		}
 		return NewBreaker(Text("join"), joinKernel("K", opt, false, dom, nil), nil, NewScan(Text("l"), left), NewScan(Text("r"), right))
-	}, 512<<10)
+	}
+}
+
+// BenchmarkSpillGroup is the bench guard for the spilling aggregation at the
+// repository benchmark's shape: the in-memory breaker, its spill twin idle,
+// and the twin forced to partition through disk by forcedQuota.
+func BenchmarkSpillGroup(b *testing.B) { benchSpillPaths(b, spillGroupShape(), forcedQuota) }
+
+// BenchmarkSpillJoin is the bench guard for the grace hash join at the
+// repository benchmark's shape, on the same three paths as
+// BenchmarkSpillGroup.
+func BenchmarkSpillJoin(b *testing.B) { benchSpillPaths(b, spillJoinShape(), forcedQuota) }
+
+// TestSpillForcedAllocBound guards what the forced spill twins of
+// BenchmarkSpillGroup and BenchmarkSpillJoin allocate per operation beyond
+// their kernels' own output: frames moved with one copy per column, one load
+// buffer per partition set, and grouping tables sized for a partition rather
+// than for the whole input.
+func TestSpillForcedAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch at random")
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(spill bool) Operator
+		bound uint64
+	}{
+		{"group", spillGroupShape(), 6_500_000},
+		{"join", spillJoinShape(), 2_500_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			run := func() {
+				ec := NewExecContext(context.Background(), 4096, 1)
+				ec.SetSpill(dir, 0)
+				ec.SetSpillQuota(forcedQuota)
+				root := tc.build(true)
+				if _, err := Run(ec, root); err != nil {
+					t.Fatal(err)
+				}
+				if CollectProfile(root)[0].SpillBytes == 0 {
+					t.Fatal("vacuous: the twin did not spill")
+				}
+			}
+			run() // warm the scratch pools
+			const runs = 5
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				run()
+			}
+			runtime.ReadMemStats(&after)
+			if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > tc.bound {
+				t.Fatalf("forced spill %s allocates %d B/op, want at most %d", tc.name, got, tc.bound)
+			}
+		})
+	}
 }

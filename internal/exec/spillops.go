@@ -34,6 +34,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 
 	"dqo/internal/expr"
 	"dqo/internal/physical"
@@ -135,9 +136,9 @@ func copyRows(dst *storage.Relation, at int, src *storage.Relation, n int) {
 // breaker's holder, until they pass the spill grant, and spills past it. At
 // the end of the drain finish returns either the inputs whole — nothing went
 // to disk, and the breaker runs its kernel as an in-memory breaker does — or
-// the output, produced from disk. abort closes whatever files the strategy
-// still has open (error and panic paths; the files die with the query's
-// spill.Dir).
+// the output, produced from disk. abort closes and removes whatever run files
+// the strategy still holds; the breaker's Close calls it however the query
+// ended, and the query's spill.Dir removes anything left.
 type SpillStrategy interface {
 	add(ec *ExecContext, h *holder, i int, batch *storage.Relation) error
 	finish(ec *ExecContext, h *holder, schema []*storage.Relation) (whole []*storage.Relation, out *storage.Relation, err error)
@@ -264,7 +265,12 @@ func (s *sortRuns) finish(ec *ExecContext, h *holder, schema []*storage.Relation
 	return nil, out, err
 }
 
-func (s *sortRuns) abort() { s.runs = nil }
+func (s *sortRuns) abort() {
+	for _, r := range s.runs {
+		_ = r.Remove() // best effort: the query's spill.Dir removes what is left
+	}
+	s.runs = nil
+}
 
 // writeRun streams a sorted relation into a fresh run in morsel-sized
 // frames, bounding the memory a merge cursor needs to read it back.
@@ -530,7 +536,8 @@ type partitionSet struct {
 	w        *spill.RunWriter
 	run      *spill.Run
 	rd       *spill.RunReader
-	left     int // partitions not yet retired
+	loaded   *storage.Relation // every load's rows, reused: see load
+	left     int               // partitions not yet retired
 }
 
 // newPartitionSet returns an empty set, registered in sets.
@@ -717,16 +724,15 @@ func (ps *partitionSet) seal() error {
 	return err
 }
 
-// abort closes the set's open file, if any (error/panic path; the file
-// itself dies with the query's spill.Dir).
+// abort closes and removes the set's run file, if any (error/panic path).
 func (ps *partitionSet) abort() {
 	if ps.w != nil {
 		ps.w.Abort()
 		ps.w = nil
 	}
-	if ps.rd != nil {
-		ps.rd.Close()
-		ps.rd = nil
+	if ps.run != nil {
+		_ = ps.run.Remove() // best effort: the query's spill.Dir removes what is left
+		ps.run, ps.rd = nil, nil
 	}
 }
 
@@ -750,20 +756,35 @@ func (ps *partitionSet) reader(ec *ExecContext) (*spill.RunReader, error) {
 }
 
 // load materialises the non-empty partition p, tag column included, as one
-// relation in global input order, allocated once at its known size: frames
-// decode straight into it and the buffered tail is copied behind them (later
-// rows were never flushed, so extent order + tail = input order). It retires
-// p and returns the bytes now reserved for the relation, which the caller
-// drops when it is done with it.
+// relation in global input order: frames decode straight into it and the
+// buffered tail is copied behind them (later rows were never flushed, so
+// extent order + tail = input order). Every load of a set fills the same
+// buffer, allocated once for the set's largest partition within its grant —
+// the partitions that are loaded rather than re-dealt — and regrown only for
+// a larger one. So the relation is valid until the set's next load, which is
+// all a kernel needs of it: grouping builds its output from fresh arrays and a
+// join gathers. It retires p and returns the bytes reserved for the relation
+// (its rows, not the buffer's), which the caller drops when it is done with
+// it.
 func (ps *partitionSet) load(ec *ExecContext, p int) (*storage.Relation, int64, error) {
 	held := ps.partBytes(p)
 	if err := ps.h.grab(held); err != nil {
 		return nil, 0, err
 	}
-	rel, err := allocLike(ps.schema, int(ps.rows[p]))
-	if err != nil {
-		return nil, 0, err
+	n := int(ps.rows[p])
+	if ps.loaded == nil || ps.loaded.NumRows() < n {
+		most := n
+		for _, r := range ps.rows {
+			if r*ps.rowB <= ps.quota {
+				most = max(most, int(r))
+			}
+		}
+		var err error
+		if ps.loaded, err = allocLike(ps.schema, most); err != nil {
+			return nil, 0, err
+		}
 	}
+	rel := ps.loaded.Slice(0, n)
 	at := 0
 	for _, off := range ps.extents[p] {
 		rd, err := ps.reader(ec)
@@ -793,7 +814,10 @@ func (ps *partitionSet) retire(p int) error {
 	ps.h.drop(tail)
 	ps.bufTotal -= tail
 	ps.bufs[p], ps.fill[p], ps.extents[p] = nil, 0, nil
-	if ps.left--; ps.left > 0 || ps.run == nil {
+	if ps.left--; ps.left == 0 {
+		ps.loaded = nil
+	}
+	if ps.left > 0 || ps.run == nil {
 		return nil
 	}
 	run := ps.run
@@ -949,11 +973,28 @@ func GroupPartitions(key string, aggs []expr.AggSpec, opt physical.GroupOptions,
 	p.merge = func(ec *ExecContext, h *holder, schema []*storage.Relation) (*storage.Relation, error) {
 		o := opt
 		o.Ctl = h.ctl
+		total := int64(p.ps[0].next) // every input row was numbered once
 		return mergeGroups(ec, h, p.ps[0], schema[0], func(rel *storage.Relation) (*storage.Relation, error) {
-			return physical.GroupByRelDom(rel, key, aggs, physical.HG, o, dom)
+			return physical.GroupByRelDom(rel, key, aggs, physical.HG, o, partDomain(dom, rel.NumRows(), total))
 		})
 	}
 	return p
+}
+
+// partDomain is the planned key domain dom as the grouping kernel of a
+// partition of rows out of total input rows sees it: the distinct count
+// scaled to the partition's share of the rows, plus three standard deviations
+// of a hashed partition's count around that share, so that the kernel sizes
+// its table and states for the groups a partition can expect, not for the
+// whole input's. A skewed partition's table grows past it. The bounds stay;
+// the domain is no longer dense.
+func partDomain(dom props.Domain, rows int, total int64) props.Domain {
+	if !dom.Known || total == 0 {
+		return dom
+	}
+	share := float64(dom.Distinct) * float64(rows) / float64(total)
+	dom.Distinct, dom.Dense = int64(share+3*math.Sqrt(share))+1, false
+	return dom
 }
 
 // mergeGroups aggregates a spilled input partition by partition with group

@@ -2,7 +2,7 @@ package spill
 
 import (
 	"encoding/binary"
-	"math"
+	"unsafe"
 
 	"dqo/internal/qerr"
 	"dqo/internal/storage"
@@ -15,27 +15,41 @@ func appendStr(buf []byte, s string) []byte {
 	return append(binary.LittleEndian.AppendUint32(buf, uint32(len(s))), s...)
 }
 
-// extend grows buf by n bytes and returns it with the offset of the window.
-func extend(buf []byte, n int) ([]byte, int) {
-	off := len(buf)
-	if cap(buf)-off < n {
-		buf = append(buf, make([]byte, n)...)
+// words views a column's values as bytes in host byte order: the window a
+// frame carries for the column, and the one a decoded frame is copied into.
+func words(c *storage.Column) []byte {
+	switch c.Kind() {
+	case storage.KindUint32, storage.KindString:
+		return asBytes(c.Uint32s())
+	case storage.KindUint64:
+		return asBytes(c.Uint64s())
+	case storage.KindInt64:
+		return asBytes(c.Int64s())
+	case storage.KindFloat64:
+		return asBytes(c.Float64s())
 	}
-	return buf[:off+n], off
+	return nil
+}
+
+func asBytes[T uint32 | uint64 | int64 | float64](vals []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), len(vals)*int(unsafe.Sizeof(*new(T))))
 }
 
 // encodeFrame appends rel to buf as one frame: frameHeader bytes the caller
 // fills in (magic/length/checksum), then the payload, each column's values as
-// one sized window of little-endian words. dicts tracks which columns'
-// dictionaries this run has already carried, so each dictionary is written
-// once per run.
+// one window copied from the column in host byte order. dicts tracks which
+// columns' dictionaries this run has already carried, so each dictionary is
+// written once per run.
 func encodeFrame(buf []byte, rel *storage.Relation, dicts *map[string]bool) ([]byte, error) {
 	cols := rel.Columns()
-	buf, _ = extend(buf, frameHeader)
+	buf = append(buf, make([]byte, frameHeader)...)
 	buf = appendStr(buf, rel.Name())
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(cols)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(rel.NumRows()))
 	for _, c := range cols {
+		if !c.Kind().Valid() {
+			return buf, qerr.New(qerr.ErrSpillIO, "cannot spill column %q of kind %v", c.Name(), c.Kind())
+		}
 		hasDict := byte(0)
 		if c.Kind() == storage.KindString {
 			if *dicts == nil {
@@ -54,35 +68,7 @@ func encodeFrame(buf []byte, rel *storage.Relation, dicts *map[string]bool) ([]b
 				buf = appendStr(buf, d.Lookup(uint32(i)))
 			}
 		}
-		var off int
-		switch c.Kind() {
-		case storage.KindUint32, storage.KindString:
-			vals := c.Uint32s()
-			buf, off = extend(buf, 4*len(vals))
-			for i, v := range vals {
-				binary.LittleEndian.PutUint32(buf[off+4*i:], v)
-			}
-		case storage.KindUint64:
-			vals := c.Uint64s()
-			buf, off = extend(buf, 8*len(vals))
-			for i, v := range vals {
-				binary.LittleEndian.PutUint64(buf[off+8*i:], v)
-			}
-		case storage.KindInt64:
-			vals := c.Int64s()
-			buf, off = extend(buf, 8*len(vals))
-			for i, v := range vals {
-				binary.LittleEndian.PutUint64(buf[off+8*i:], uint64(v))
-			}
-		case storage.KindFloat64:
-			vals := c.Float64s()
-			buf, off = extend(buf, 8*len(vals))
-			for i, v := range vals {
-				binary.LittleEndian.PutUint64(buf[off+8*i:], math.Float64bits(v))
-			}
-		default:
-			return buf, qerr.New(qerr.ErrSpillIO, "cannot spill column %q of kind %v", c.Name(), c.Kind())
-		}
+		buf = append(buf, words(c)...)
 	}
 	return buf, nil
 }
@@ -147,8 +133,8 @@ func remapCodes(codes, remap []uint32, dictLen int) error {
 // translations across a run's frames (later frames reference the dictionary of
 // the first without re-carrying it); it stays empty when the pool already
 // holds the original dictionaries. Each column's bytes are taken once and
-// converted in one typed loop, and nothing is allocated before the payload is
-// known to hold it.
+// moved with one copy, and nothing is allocated before the payload is known to
+// hold it.
 func decodeFrame(payload []byte, dicts map[string]*storage.Dict, remaps map[string][]uint32, dst *storage.Relation, at int) (*storage.Relation, int, error) {
 	f := &frameReader{b: payload}
 	name := f.str()
@@ -230,31 +216,10 @@ func decodeFrame(payload []byte, dicts map[string]*storage.Dict, remaps map[stri
 		} else if col = dst.Columns()[ci]; col.Kind() != kind || col.Name() != cname || (kind == storage.KindString && col.Dict() != pool) {
 			return nil, 0, qerr.New(qerr.ErrSpillIO, "spill frame column %d is %v %q, its destination %v %q (or of another dictionary)", ci, kind, cname, col.Kind(), col.Name())
 		}
-		switch kind {
-		case storage.KindUint32, storage.KindString:
-			vals := col.Uint32s()[at : at+nrows]
-			for i := range vals {
-				vals[i] = binary.LittleEndian.Uint32(b[4*i:])
-			}
-			if kind == storage.KindString {
-				if err := remapCodes(vals, remaps[cname], pool.Len()); err != nil {
-					return nil, 0, err
-				}
-			}
-		case storage.KindUint64:
-			vals := col.Uint64s()[at : at+nrows]
-			for i := range vals {
-				vals[i] = binary.LittleEndian.Uint64(b[8*i:])
-			}
-		case storage.KindInt64:
-			vals := col.Int64s()[at : at+nrows]
-			for i := range vals {
-				vals[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-			}
-		case storage.KindFloat64:
-			vals := col.Float64s()[at : at+nrows]
-			for i := range vals {
-				vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		copy(words(col)[width*at:], b)
+		if kind == storage.KindString {
+			if err := remapCodes(col.Uint32s()[at:at+nrows], remaps[cname], pool.Len()); err != nil {
+				return nil, 0, err
 			}
 		}
 	}

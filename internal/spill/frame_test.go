@@ -3,6 +3,7 @@ package spill
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -87,6 +88,96 @@ func TestReadByOffset(t *testing.T) {
 	}
 	if _, err := rd.ReadAt(offs[3] + 1); !errors.Is(err, qerr.ErrSpillIO) {
 		t.Errorf("offset inside a frame: err = %v, want ErrSpillIO", err)
+	}
+}
+
+// bitsAt is row i of c as the bit pattern its kind stores: values, codes, or
+// the IEEE bits of a float, so NaNs and signed zeros compare exactly.
+func bitsAt(c *storage.Column, i int) uint64 {
+	switch c.Kind() {
+	case storage.KindUint32, storage.KindString:
+		return uint64(c.Uint32s()[i])
+	case storage.KindUint64:
+		return c.Uint64s()[i]
+	case storage.KindInt64:
+		return uint64(c.Int64s()[i])
+	default:
+		return math.Float64bits(c.Float64s()[i])
+	}
+}
+
+// TestFrameExtremesBitExact: the edges of every kind — integer extremes,
+// negative zero, both infinities, a NaN with a payload, a subnormal — come
+// back bit for bit, as a fresh relation and decoded by ReadInto into the
+// middle of a destination whose rows outside the window keep what they held.
+func TestFrameExtremesBitExact(t *testing.T) {
+	rel := storage.MustNewRelation("edges",
+		storage.NewUint32("u32", []uint32{0, 1, math.MaxUint32, math.MaxUint32 - 1, 1 << 31}),
+		storage.NewUint64("u64", []uint64{0, math.MaxUint64, math.MaxUint32, 1 << 63, math.MaxUint64 - 1}),
+		storage.NewInt64("i64", []int64{math.MinInt64, math.MaxInt64, -1, 0, math.MinInt64 + 1}),
+		storage.NewFloat64("f64", []float64{math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+			math.Float64frombits(0x7ff0_0000_dead_beef), math.SmallestNonzeroFloat64}),
+		storage.NewString("s", []string{"", "\x00\xff", "edge", "", "edge"}))
+	d, _ := newTestDir(t, 0)
+	run := writeRun(t, d, rel)
+	dict := rel.MustColumn("s").Dict()
+	rd, err := run.Open(map[string]*storage.Dict{"s": dict})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	if nan := rel.MustColumn("f64").Float64s()[3]; !math.IsNaN(nan) {
+		t.Fatal("vacuous: the payload NaN is not a NaN")
+	}
+
+	const at, rows, fill = 3, 11, 0xa5a5a5a5a5a5a5a5
+	cols := make([]*storage.Column, rel.NumCols())
+	for i, c := range rel.Columns() {
+		if cols[i], err = storage.NewColumn(c.Name(), c.Kind(), c.Dict(), rows); err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < rows; r++ {
+			switch c.Kind() {
+			case storage.KindUint32:
+				cols[i].Uint32s()[r] = fill >> 32
+			case storage.KindString:
+				cols[i].Uint32s()[r] = 1 // a valid code
+			case storage.KindUint64:
+				cols[i].Uint64s()[r] = fill
+			case storage.KindInt64:
+				cols[i].Int64s()[r] = fill >> 1
+			case storage.KindFloat64:
+				cols[i].Float64s()[r] = math.Float64frombits(fill)
+			}
+		}
+	}
+	dst := storage.MustNewRelation("edges", cols...)
+	before := make([][]uint64, rel.NumCols())
+	for i, c := range dst.Columns() {
+		for r := 0; r < rows; r++ {
+			before[i] = append(before[i], bitsAt(c, r))
+		}
+	}
+	n, err := rd.ReadInto(0, dst, at)
+	if err != nil || n != rel.NumRows() {
+		t.Fatalf("ReadInto: %d rows, err %v", n, err)
+	}
+	fresh, err := rd.ReadAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range rel.Columns() {
+		got, into := fresh.Columns()[i], dst.Columns()[i]
+		for r := 0; r < rel.NumRows(); r++ {
+			if w := bitsAt(want, r); bitsAt(got, r) != w || bitsAt(into, at+r) != w {
+				t.Errorf("%s row %d: %#x read, %#x read into, want %#x", want.Name(), r, bitsAt(got, r), bitsAt(into, at+r), w)
+			}
+		}
+		for r := 0; r < rows; r++ {
+			if (r < at || r >= at+n) && bitsAt(into, r) != before[i][r] {
+				t.Errorf("%s: destination row %d outside the window changed to %#x", want.Name(), r, bitsAt(into, r))
+			}
+		}
 	}
 }
 

@@ -8,7 +8,9 @@
 // executor calls it from the drive loop's deferred close path, so cancelled
 // and panicking queries leak neither files nor descriptors.
 //
-// Frame format (little-endian), one frame per appended batch:
+// Frame format, one frame per appended batch. Headers, names and counts are
+// little-endian; column values are in host byte order, since a run is only
+// ever read by the process that wrote it:
 //
 //	magic   uint32  "DQSP"
 //	length  uint32  payload bytes
@@ -20,9 +22,12 @@
 //	    [hasDict: ndict uint32, then ndict strings]
 //	    raw values (uint32/codes: 4 B per row; 64-bit kinds: 8 B per row)
 //
-// A column's values are one window of words: the writer appends it in one
-// sized step and the reader converts it in one typed loop, into a fresh column
-// or straight into the rows of a relation the caller allocated (ReadInto).
+// A column's values are one window of words, moved with one copy each way:
+// the writer appends the column's bytes, and the reader copies them into a
+// fresh column or straight into the rows of a relation the caller allocated
+// (ReadInto). Every check stays on the reader: the magic, the length against
+// the file, the checksum, truncation, the destination's schema and the range
+// of every dictionary code.
 //
 // A run is a sequence of frames, and a frame is addressed by the offset
 // RunWriter.BytesWritten reported before it was appended. That lets one file
@@ -31,6 +36,10 @@
 // in memory, and reads a partition back by ReadAt/ReadInto on those offsets,
 // so it creates one file per partition set, not one per partition. The file's
 // bytes stay charged to the disk budget until Run.Remove (or Cleanup).
+//
+// A run file is opened once, read-write, by Dir.NewRun. The Run keeps that
+// descriptor and its readers borrow it, so reading a run back opens nothing;
+// RunWriter.Abort, Run.Remove and Dir.Cleanup close it.
 //
 // A dictionary is serialised in full (all codes in order) the first time a
 // string column appears in a run; readers re-intern it into the caller's
@@ -70,6 +79,7 @@ type Dir struct {
 	live    int64 // bytes currently on disk (released on run removal)
 	written atomic.Int64
 	removed bool
+	files   map[*os.File]bool // descriptors of runs not yet removed; Cleanup closes them
 }
 
 // NewDir creates a fresh spill directory under parent (os.TempDir() when
@@ -112,6 +122,10 @@ func (d *Dir) Cleanup() error {
 	d.removed = true
 	d.ctl.ReleaseDisk(d.live)
 	d.live = 0
+	for f := range d.files {
+		f.Close()
+	}
+	d.files = nil
 	if err := faultinject.Fire(faultinject.PointSpillCleanup); err != nil {
 		os.RemoveAll(d.path) // injected failure still must not leak files
 		return qerr.Wrap(qerr.ErrSpillIO, err)
@@ -122,23 +136,51 @@ func (d *Dir) Cleanup() error {
 	return nil
 }
 
-// NewRun opens a fresh run file for writing. The label only names the file
-// for post-mortem inspection of a kept spill directory.
+// NewRun opens a fresh run file for writing and, once finished, reading. The
+// label only names the file for post-mortem inspection of a kept spill
+// directory.
 func (d *Dir) NewRun(label string) (*RunWriter, error) {
 	d.mu.Lock()
 	if d.removed {
 		d.mu.Unlock()
-		return nil, qerr.New(qerr.ErrSpillIO, "spill directory already cleaned up")
+		return nil, errCleanedUp()
 	}
 	id := d.nextID
 	d.nextID++
 	d.mu.Unlock()
 	name := filepath.Join(d.path, fmt.Sprintf("run-%04d-%s.dqs", id, sanitize(label)))
-	f, err := os.OpenFile(name, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o600)
+	f, err := os.OpenFile(name, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o600)
 	if err != nil {
 		return nil, qerr.Wrap(qerr.ErrSpillIO, err)
 	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.removed { // a Cleanup ran meanwhile and would not close f
+		f.Close()
+		os.Remove(name)
+		return nil, errCleanedUp()
+	}
+	if d.files == nil {
+		d.files = make(map[*os.File]bool)
+	}
+	d.files[f] = true
 	return &RunWriter{d: d, f: f, w: bufio.NewWriterSize(f, 64<<10), path: name}, nil
+}
+
+func errCleanedUp() error {
+	return qerr.New(qerr.ErrSpillIO, "spill directory already cleaned up")
+}
+
+// close closes a run's descriptor unless Cleanup (or an earlier close) has
+// already closed it.
+func (d *Dir) close(f *os.File) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if !d.files[f] {
+		return nil
+	}
+	delete(d.files, f)
+	return f.Close()
 }
 
 func sanitize(s string) string {
@@ -227,23 +269,20 @@ func (w *RunWriter) Append(rel *storage.Relation) error {
 // offset the next frame starts at.
 func (w *RunWriter) BytesWritten() int64 { return w.bytes }
 
-// Finish flushes and closes the run file, returning a handle for reading it
-// back.
+// Finish flushes the run file and returns a handle for reading it back, which
+// takes over the file's descriptor.
 func (w *RunWriter) Finish() (*Run, error) {
 	if err := w.w.Flush(); err != nil {
-		w.f.Close()
+		w.d.close(w.f)
 		return nil, qerr.Wrap(qerr.ErrSpillIO, err)
 	}
-	if err := w.f.Close(); err != nil {
-		return nil, qerr.Wrap(qerr.ErrSpillIO, err)
-	}
-	return &Run{d: w.d, path: w.path, Bytes: w.bytes, Rows: w.rows}, nil
+	return &Run{d: w.d, f: w.f, path: w.path, Bytes: w.bytes, Rows: w.rows}, nil
 }
 
 // Abort closes and deletes a half-written run, returning every byte it
 // charged — a frame whose write failed included — to the disk budget.
 func (w *RunWriter) Abort() {
-	w.f.Close()
+	w.d.close(w.f)
 	os.Remove(w.path)
 	w.d.forget(w.bytes)
 	w.bytes = 0
@@ -252,6 +291,7 @@ func (w *RunWriter) Abort() {
 // Run is a finished, readable run file.
 type Run struct {
 	d     *Dir
+	f     *os.File // the writer's descriptor, which readers borrow; nil for a run image opened by path
 	path  string
 	Bytes int64
 	Rows  int64
@@ -262,32 +302,47 @@ type Run struct {
 // original columns' dictionaries makes decoded batches share those exact
 // dictionary objects (and code assignment), which keeps spilled results
 // byte-identical and lets storage.Concat take its shared-dictionary fast
-// path. A nil pool re-interns per run.
+// path. A nil pool re-interns per run. Any number of readers may be open on
+// one run; they share its descriptor.
 func (r *Run) Open(dicts map[string]*storage.Dict) (*RunReader, error) {
-	f, err := os.Open(r.path)
-	if err != nil {
-		return nil, qerr.Wrap(qerr.ErrSpillIO, err)
+	f, own := r.f, false
+	if f == nil { // a run file no writer of this Dir handed over
+		var err error
+		if f, err = os.Open(r.path); err != nil {
+			return nil, qerr.Wrap(qerr.ErrSpillIO, err)
+		}
+		own = true
 	}
 	st, err := f.Stat()
 	if err != nil {
-		f.Close()
+		if own {
+			f.Close()
+		}
 		return nil, qerr.Wrap(qerr.ErrSpillIO, err)
 	}
 	if dicts == nil {
 		dicts = make(map[string]*storage.Dict)
 	}
-	return &RunReader{f: f, size: st.Size(), dicts: dicts, remaps: make(map[string][]uint32)}, nil
+	return &RunReader{f: f, own: own, size: st.Size(), dicts: dicts, remaps: make(map[string][]uint32)}, nil
 }
 
-// Remove deletes the run file early (before Cleanup), releasing its bytes
-// from the disk budget so long-running queries return spill space as merge
-// passes retire their inputs.
+// Remove deletes the run file early (before Cleanup), closing its descriptor
+// and releasing its bytes from the disk budget so long-running queries return
+// spill space as merge passes retire their inputs.
 func (r *Run) Remove() error {
+	var cerr error
+	if r.f != nil {
+		cerr = r.d.close(r.f)
+		r.f = nil
+	}
 	if err := os.Remove(r.path); err != nil && !os.IsNotExist(err) {
 		return qerr.Wrap(qerr.ErrSpillIO, err)
 	}
 	r.d.forget(r.Bytes)
 	r.Bytes = 0
+	if cerr != nil {
+		return qerr.Wrap(qerr.ErrSpillIO, cerr)
+	}
 	return nil
 }
 
@@ -296,6 +351,7 @@ func (r *Run) Remove() error {
 // use.
 type RunReader struct {
 	f      *os.File
+	own    bool  // f was opened for this reader alone, not borrowed from its run
 	size   int64 // file bytes; bounds a frame's claimed length
 	off    int64 // end of the frame read last: where Next continues
 	dicts  map[string]*storage.Dict
@@ -364,8 +420,11 @@ func (r *RunReader) read(off int64, dst *storage.Relation, at int) (*storage.Rel
 	return decodeFrame(payload, r.dicts, r.remaps, dst, at)
 }
 
-// Close releases the reader's file descriptor.
+// Close ends the reader. The descriptor it borrowed stays with the run.
 func (r *RunReader) Close() error {
+	if !r.own {
+		return nil
+	}
 	if err := r.f.Close(); err != nil {
 		return qerr.Wrap(qerr.ErrSpillIO, err)
 	}
