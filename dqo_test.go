@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"dqo/internal/cost"
 	"dqo/internal/datagen"
 	"dqo/internal/physio"
 	"dqo/internal/sql"
@@ -254,13 +255,9 @@ func TestMaterializeAVRetiresPlanInFlight(t *testing.T) {
 	key := planKey(ModeDQO.String()+"|"+sql.Fingerprint(stmt), cm, db.catalogEpoch.Load())
 
 	// The planner parks at the grouping site, above the join it has planned.
-	entered, release := make(chan struct{}), make(chan struct{})
-	var once sync.Once
-	cm.GroupFilter = func(_ string, choices []physio.GroupChoice) []physio.GroupChoice {
-		once.Do(func() { close(entered) })
-		<-release
-		return choices
-	}
+	park := &parkingModel{Model: cm.Model, entered: make(chan struct{}), release: make(chan struct{})}
+	cm.Model = park
+	entered, release := park.entered, park.release
 	planned := make(chan error, 1)
 	go func() {
 		_, _, err := db.planCache.OptimizeTemplate(key, node, cm)
@@ -287,6 +284,22 @@ func TestMaterializeAVRetiresPlanInFlight(t *testing.T) {
 	if !strings.Contains(exp, "via av:hashidx(S.R_ID)") {
 		t.Fatalf("the plan stored in flight answers without the view:\n%s", exp)
 	}
+}
+
+// parkingModel is a cost model that blocks the first grouping it prices
+// until release is closed, after closing entered.
+type parkingModel struct {
+	cost.Model
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (m *parkingModel) Group(c physio.GroupChoice, rows, groups float64) float64 {
+	m.once.Do(func() {
+		close(m.entered)
+		<-m.release
+	})
+	return m.Model.Group(c, rows, groups)
 }
 
 func TestSelectAVs(t *testing.T) {

@@ -370,59 +370,24 @@ func TestRateCandidatesBenefits(t *testing.T) {
 func TestPlanCache(t *testing.T) {
 	_, _, q := fkTables(t, true, true, true)
 	pc := NewPlanCache()
-	r1, hit, err := pc.Optimize("q1/dqo", q, core.DQO())
+	r1, hit, err := pc.OptimizeTemplate("q1/dqo", q, core.DQO())
 	if err != nil || hit {
 		t.Fatalf("first call: hit=%v err=%v", hit, err)
 	}
-	r2, hit, err := pc.Optimize("q1/dqo", q, core.DQO())
+	// A statement without filters rebinds to the cached plan as it is.
+	r2, hit, err := pc.OptimizeTemplate("q1/dqo", q, core.DQO())
 	if err != nil || !hit {
 		t.Fatalf("second call: hit=%v err=%v", hit, err)
 	}
-	if r1 != r2 {
-		t.Fatal("cache returned a different result")
+	if r1.Best != r2.Best || r2.Stats.Alternatives != 0 {
+		t.Fatalf("cache hit planned again: %d alternatives", r2.Stats.Alternatives)
 	}
 	if h, m := pc.Stats(); h != 1 || m != 1 {
 		t.Fatalf("stats = %d/%d", h, m)
 	}
-	pc.Invalidate("q1/dqo")
-	if _, hit, _ := pc.Optimize("q1/dqo", q, core.DQO()); hit {
-		t.Fatal("invalidated entry served")
-	}
 	pc.Clear()
-	if _, hit, _ := pc.Optimize("q1/dqo", q, core.DQO()); hit {
+	if _, hit, _ := pc.OptimizeTemplate("q1/dqo", q, core.DQO()); hit {
 		t.Fatal("cleared entry served")
-	}
-}
-
-func TestPartialAV(t *testing.T) {
-	_, _, q := fkTables(t, false, false, true)
-	// Pin grouping on A to the hash family; molecules stay free.
-	partial := PartialAV{Key: "A", Family: physical.HG}
-	mode := core.DQOCalibrated()
-	mode.GroupFilter = partial.GroupFilter()
-	res, err := core.Optimize(q, mode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Best.Group.Kind != physical.HG {
-		t.Fatalf("partial AV ignored: grouping = %s", res.Best.Group.Label())
-	}
-	out, err := core.Execute(res.Best)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.NumRows() != 200 {
-		t.Fatalf("%d groups", out.NumRows())
-	}
-	// A partial AV on a different key must not interfere.
-	other := PartialAV{Key: "zz", Family: physical.BSG}
-	mode.GroupFilter = CombineGroupFilters(other)
-	res2, err := core.Optimize(q, mode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Best.Group.Kind == physical.BSG {
-		t.Fatal("partial AV leaked to the wrong key")
 	}
 }
 

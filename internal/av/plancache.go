@@ -11,16 +11,15 @@ import (
 // PlanCache is a plan-level Algorithmic View: a fully optimised plan reused
 // across queries — the prepared-statement analogy of Section 3 ("how much
 // time do I want to spend on DQO offline vs at query time?"). Keys are
-// caller-chosen; the caller is responsible for invalidating entries when
-// base data properties change.
+// caller-chosen; the caller is responsible for invalidating entries (Clear)
+// when base data properties change.
 //
-// Two lookup disciplines share the store. Optimize keys on exact statements
-// and returns cached results verbatim. OptimizeTemplate keys on normalized
-// query fingerprints (sql.Fingerprint: literals stripped to parameter
-// slots): a hit reuses the cached plan as a parameterised template, splicing
-// the new statement's literals into a copy of its root-to-filter spine via
-// core.Rebind — repeated query shapes skip enumeration entirely and re-plan
-// in O(rebind).
+// OptimizeTemplate keys on normalized query fingerprints (sql.Fingerprint:
+// literals stripped to parameter slots): a hit reuses the cached plan as a
+// parameterised template, splicing the new statement's literals into a copy
+// of its root-to-filter spine via core.Rebind — repeated query shapes skip
+// enumeration entirely and re-plan in O(rebind). A statement without filters
+// rebinds to the cached plan as it is.
 type PlanCache struct {
 	mu      sync.RWMutex
 	entries map[string]*core.Result
@@ -38,25 +37,6 @@ type flight struct{ done chan struct{} }
 // NewPlanCache returns an empty cache.
 func NewPlanCache() *PlanCache {
 	return &PlanCache{entries: make(map[string]*core.Result), flights: make(map[string]*flight)}
-}
-
-// Optimize returns the cached result for key, or optimises n under mode,
-// caches, and returns it. The second result reports a cache hit.
-func (pc *PlanCache) Optimize(key string, n logical.Node, mode core.Mode) (*core.Result, bool, error) {
-	pc.mu.RLock()
-	res, ok := pc.entries[key]
-	pc.mu.RUnlock()
-	if ok {
-		pc.hits.Add(1)
-		return res, true, nil
-	}
-	pc.misses.Add(1)
-	res, err := core.Optimize(n, mode)
-	if err != nil {
-		return nil, false, err
-	}
-	pc.store(key, res)
-	return res, false, nil
 }
 
 // OptimizeTemplate returns the plan for n, treating the entry under key as a
@@ -82,7 +62,9 @@ func (pc *PlanCache) OptimizeTemplate(key string, n logical.Node, mode core.Mode
 			if err != nil {
 				return nil, false, err
 			}
-			pc.store(key, res)
+			pc.mu.Lock()
+			pc.entries[key] = res
+			pc.mu.Unlock()
 			return res, false, nil
 		}
 		fl, mine := pc.join(key)
@@ -129,19 +111,6 @@ func (pc *PlanCache) plan(key string, n logical.Node, mode core.Mode, fl *flight
 	}()
 	res, err = core.Optimize(n, mode)
 	return res, false, err
-}
-
-func (pc *PlanCache) store(key string, res *core.Result) {
-	pc.mu.Lock()
-	pc.entries[key] = res
-	pc.mu.Unlock()
-}
-
-// Invalidate drops the entry for key (if any).
-func (pc *PlanCache) Invalidate(key string) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	delete(pc.entries, key)
 }
 
 // Clear drops every entry.

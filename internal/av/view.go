@@ -16,8 +16,7 @@
 //     key column — the build phase of an SPH join paid offline.
 //
 // Plan-level AVs are covered by PlanCache (a fully optimised plan reused
-// across queries, the prepared-statement analogy) and PartialAV (the
-// algorithm family pinned offline, molecules left for query time).
+// across queries, the prepared-statement analogy).
 package av
 
 import (

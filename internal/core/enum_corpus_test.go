@@ -256,22 +256,11 @@ func (flatModel) FilterCompressed(r, w, o float64, _ props.Compression) float64 
 func (flatModel) Spill(c, rows, passes float64) float64                         { return c + 1 }
 
 // enumModes is the mode dimension: the three exact tiers, the greedy tier,
-// every alternative tying (flat), and a pinned grouping family (GroupFilter).
+// and every alternative tying (flat).
 func enumModes() []Mode {
 	flat := DQO()
 	flat.Name, flat.Model = "flat", flatModel{}
-	pinned := DQOCalibrated()
-	pinned.Name = "pinned-sog"
-	pinned.GroupFilter = func(key string, choices []physio.GroupChoice) []physio.GroupChoice {
-		var out []physio.GroupChoice
-		for _, c := range choices {
-			if key == "A" && c.Kind == physical.SOG {
-				out = append(out, c)
-			}
-		}
-		return out
-	}
-	return []Mode{SQO(), DQO(), DQOCalibrated(), Greedy(), flat, pinned}
+	return []Mode{SQO(), DQO(), DQOCalibrated(), Greedy(), flat}
 }
 
 // forEachEnumConfig calls fn with every configuration of the grid and the

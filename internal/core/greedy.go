@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"dqo/internal/expr"
 	"dqo/internal/logical"
@@ -18,7 +19,8 @@ import (
 // granule the input properties already pay for (order-based on sorted
 // inputs, SPH on dense keys, hash otherwise), and prices what the site's
 // enumerator yields for that narrowed input — the one child plan, the picked
-// kind and its parallel twin — keeping the cheapest (site.take).
+// kind and its parallel twin — keeping the cheapest that fits the memory
+// budget (site.take, site.offerBreaker).
 // Provably-empty intermediates — a predicate range disjoint from a column's
 // exact domain bounds — end the probing at the first alternative. The result
 // is a normal *Plan: EXPLAIN, EXPLAIN ANALYZE, compilation, and execution are
@@ -106,8 +108,8 @@ func (o *optimizer) greedyFilter(n *logical.Filter, want string) (*Plan, error) 
 }
 
 // greedySort sweeps the sort kinds serially, cheapest wins, then prices the
-// winner's parallel twin; a provably empty input skips the sweep — any
-// algorithm sorts nothing equally well.
+// winner's parallel twin when a serial sort fits the budget; a provably empty
+// input skips the sweep — any algorithm sorts nothing equally well.
 func (o *optimizer) greedySort(n *logical.Sort) (*Plan, error) {
 	c, err := o.greedy(n.Input, n.Key)
 	if err != nil {
@@ -116,12 +118,10 @@ func (o *optimizer) greedySort(n *logical.Sort) (*Plan, error) {
 	t := o.greedySite("")
 	t.pick.empty = c.Rows == 0
 	o.enumSort(&t, c, n.Key, false, o.sortKinds(), serialTwins)
-	o.enumSort(&t, c, n.Key, false, []sortx.Kind{t.pick.best.SortKind}, parallelTwins)
-	return o.greedyBudget(&t, func(p *Plan, _ bool) site {
-		s := o.greedySite("")
-		o.enumSort(&s, c, n.Key, false, []sortx.Kind{p.SortKind}, serialTwins)
-		return s
-	}), nil
+	if t.pick.best != nil {
+		o.enumSort(&t, c, n.Key, false, []sortx.Kind{t.pick.best.SortKind}, parallelTwins)
+	}
+	return t.picked(), nil
 }
 
 // greedyJoin picks the roles and the kind the inputs' properties pay for and
@@ -186,36 +186,16 @@ func (o *optimizer) greedyJoin(n *logical.Join) (*Plan, error) {
 	}
 	t := o.greedySite("")
 	o.enumJoin(&t, &in)
-	return o.greedyBudget(&t, func(p *Plan, sortBased bool) site { return o.rejoin(n, p, sortBased) }), nil
-}
-
-// rejoin prices p's join as the serial hash join or, sortBased, the radix
-// sort-merge join, over p's inputs and in p's orientation: an indexed pick's
-// indexed table becomes the build input that the join builds.
-func (o *optimizer) rejoin(n *logical.Join, p *Plan, sortBased bool) site {
-	ch := physio.JoinChoice{Kind: physical.HJ}
-	if sortBased {
-		ch = physio.JoinChoice{Kind: physical.SOJ, Opt: physical.JoinOptions{Sort: sortx.Radix}}
+	if t.pruned {
+		in.choices, in.indexed = unoffered(choices, joinSiblings[:]), false
+		o.enumJoin(&t, &in)
 	}
-	lp, rp := p.Children[0], p.Children[1]
-	in := joinIn{n: n, lefts: []*Plan{lp}, rights: []*Plan{rp}, swaps: []bool{p.Swapped}, choices: []physio.JoinChoice{ch}, rows: p.Rows}
-	build, side := lp, 0
-	if p.Swapped {
-		build, side = rp, 1
-	}
-	in.distinct[side] = float64(p.KeyDom.Distinct)
-	if in.distinct[side] <= 0 {
-		in.distinct[side] = build.Rows
-	}
-	t := o.greedySite("")
-	o.enumJoin(&t, &in)
-	return t
+	return t.picked(), nil
 }
 
 // greedyGroup picks the kind the input's properties pay for (order-based on
 // grouped input, SPH on a dense key, hash otherwise) and prices it and its
-// parallel twin — or, under a GroupFilter that pins choices, each pinned
-// choice the input admits.
+// parallel twin.
 func (o *optimizer) greedyGroup(n *logical.GroupBy) (*Plan, error) {
 	c, err := o.greedy(n.Input, n.Key)
 	if err != nil {
@@ -234,77 +214,40 @@ func (o *optimizer) greedyGroup(n *logical.GroupBy) (*Plan, error) {
 	case c.Props.DenseOn(n.Key):
 		kind = physical.SPHG
 	}
-	all, pinned := o.groupChoices(n.Key)
-	if len(pinned) > 0 {
-		// Partial-AV hook: a pinned algorithm family restricts the
-		// candidates; with the set already bounded, price each once.
-		t := o.greedySite("")
-		o.enumGroup(&t, n.Key, n.Aggs, []*Plan{c}, pinned, rows, groups)
-		if t.pick.best == nil {
-			// No pinned choice is satisfiable on the raw input: enforce
-			// order (sorting satisfies grouped-ness) and retry.
-			s := o.greedySite("")
-			o.enumSort(&s, c, n.Key, true, []sortx.Kind{sortx.Radix}, serialTwins)
-			c = s.pick.best
-			o.enumGroup(&t, n.Key, n.Aggs, []*Plan{c}, pinned, rows, groups)
-		}
-		if t.pick.best != nil {
-			return o.greedyBudget(&t, o.regroup), nil
-		}
-	}
-
 	if !kind.Admits(c.Props, n.Key) {
 		kind = physical.HG
 	}
 	var buf [2]physio.GroupChoice
 	choices := buf[:0]
-	for _, ch := range all {
+	for _, ch := range o.groupChoices() {
 		if ch.Kind == kind && ch.Opt == (physical.GroupOptions{Parallel: ch.Opt.Parallel}) && (ch.Opt.Parallel <= 1 || rows > 0) {
 			choices = append(choices, ch)
 		}
 	}
 	t := o.greedySite("")
 	o.enumGroup(&t, n.Key, n.Aggs, []*Plan{c}, choices, rows, groups)
-	return o.greedyBudget(&t, o.regroup), nil
+	if t.pruned {
+		o.enumGroup(&t, n.Key, n.Aggs, []*Plan{c}, unoffered(choices, groupSiblings[:]), rows, groups)
+	}
+	return t.picked(), nil
 }
 
-// regroup prices grouping p as the serial chained hash aggregation or,
-// sortBased, the radix sort-based grouping.
-func (o *optimizer) regroup(p *Plan, sortBased bool) site {
-	ch := physio.GroupChoice{Kind: physical.HG}
-	if sortBased {
-		ch = physio.GroupChoice{Kind: physical.SOG, Opt: physical.GroupOptions{Sort: sortx.Radix}}
-	}
-	distinct := float64(p.KeyDom.Distinct)
-	if distinct <= 0 {
-		distinct = p.Rows
-	}
-	t := o.greedySite("")
-	o.enumGroup(&t, p.GroupKey, p.Aggs, []*Plan{p.Children[0]}, []physio.GroupChoice{ch}, p.Rows, distinct)
-	return t
-}
+// The siblings a greedy join or grouping site also offers once the budget
+// has pruned one of its candidates, because a DP site could fall back to
+// them: the radix sort-based kind, which needs the least memory, and the
+// serial hash kind, which has a disk-backed twin.
+var (
+	joinSiblings  = [...]physio.JoinChoice{{Kind: physical.SOJ, Opt: physical.JoinOptions{Sort: sortx.Radix}}, {Kind: physical.HJ}}
+	groupSiblings = [...]physio.GroupChoice{{Kind: physical.SOG, Opt: physical.GroupOptions{Sort: sortx.Radix}}, {Kind: physical.HG}}
+)
 
-// greedyBudget applies the memory budget to the pick p of breaker site t: a
-// pick over it takes its sort-based sibling, sibling(p, true), when that fits
-// or at least needs less, as budgeted DP enumeration converges to (hash
-// aggregation degrades to sort-based grouping, an unindexed hash join to the
-// sort-merge join); a pick that fits runs in memory, spilling armed or not,
-// and one still over it spills (site.spill), through its serial sibling,
-// sibling(p, false), when it has no disk-backed twin itself.
-func (o *optimizer) greedyBudget(t *site, sibling func(p *Plan, sortBased bool) site) *Plan {
-	budget := float64(o.mode.MemBudget)
-	p := t.pick.best
-	if budget <= 0 || p.Mem <= budget {
-		return p
-	}
-	if p.Op == OpGroup && (p.Group.Kind == physical.HG || p.Group.Kind == physical.SPHG) ||
-		p.Op == OpJoin && p.Join.Kind == physical.HJ && p.Index == nil {
-		if alt := sibling(p, true); alt.pick.best.Mem <= budget || alt.pick.best.Mem < p.Mem {
-			t = &alt
+// unoffered returns those of want that are not among offered.
+func unoffered[C comparable](offered, want []C) []C {
+	var out []C
+	for _, w := range want {
+		if !slices.Contains(offered, w) {
+			out = append(out, w)
 		}
 	}
-	if t.pick.best.Mem <= budget {
-		return t.pick.best
-	}
-	return t.spill(func(p *Plan) site { return sibling(p, false) })
+	return out
 }

@@ -311,3 +311,48 @@ func TestGreedyFittingSiblingDoesNotSpill(t *testing.T) {
 		}
 	}
 }
+
+// TestGreedyKeepsFittingSerialTwin: at DOP 4 the greedy tier's unbudgeted
+// pick for a grouping, a join and a sort is parallel; under a budget of the
+// serial pick's memory, the tier runs the serial twin that fits, as a DP site
+// does, rather than the parallel pick over the budget or a spill twin —
+// whether spilling is armed or not.
+func TestGreedyKeepsFittingSerialTwin(t *testing.T) {
+	// Unique or repeated, sparse, unsorted keys: the greedy tier picks
+	// hashing, and the estimates are large enough for parallelism to pay.
+	keys := func(n, distinct int) *storage.Column {
+		k := make([]uint32, n)
+		for i := range k {
+			k[i] = uint32((i*7919)%distinct) * 1000
+		}
+		return storage.NewUint32("K", k)
+	}
+	scan := func(name string, cols ...*storage.Column) *logical.Scan {
+		return &logical.Scan{Table: name, Rel: storage.MustNewRelation(name, cols...)}
+	}
+	for _, c := range []struct {
+		name string
+		q    logical.Node
+	}{
+		{"group", &logical.GroupBy{Input: scan("G", keys(400_000, 5_000), storage.NewInt64("V", make([]int64, 400_000))), Key: "K", Aggs: []expr.AggSpec{{Func: expr.AggSum, Col: "V"}}}},
+		{"join", &logical.Join{Left: scan("L", keys(200_000, 200_000)), Right: scan("R", keys(800_000, 800_000)), LeftKey: "K", RightKey: "K"}},
+		{"sort", &logical.Sort{Input: scan("S", keys(400_000, 400_000)), Key: "K"}},
+	} {
+		mode := Greedy()
+		mode.DOP = 1
+		serial := optimize(t, c.q, mode).Best
+		mode.DOP = 4
+		if parallel := optimize(t, c.q, mode).Best; parallel.DOP <= 1 || parallel.Mem <= serial.Mem {
+			t.Fatalf("%s: the unbudgeted pick at DOP 4 is not a parallel plan over the serial pick's memory; the test is vacuous:\n%s", c.name, parallel.Explain())
+		}
+		mode.MemBudget = int64(serial.Mem)
+		for _, spill := range []bool{false, true} {
+			mode.Spill = spill
+			got := optimize(t, c.q, mode).Best
+			if got.Spill || got.Mem > float64(mode.MemBudget) {
+				t.Errorf("%s (spill=%v): want a plan within the budget of %d that does not spill, got %s (mem %.0f, cost %.4g); the serial pick is %s (mem %.0f, cost %.4g)",
+					c.name, spill, mode.MemBudget, got.Label(), got.Mem, got.Cost, serial.Label(), serial.Mem, serial.Cost)
+			}
+		}
+	}
+}

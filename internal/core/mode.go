@@ -18,7 +18,11 @@ type Mode struct {
 	// Name is used in EXPLAIN output ("sqo", "dqo", or custom).
 	Name string
 	// Depth selects the enumeration granularity (physio.Shallow: one opaque
-	// choice per algorithm family; physio.Deep: the molecule space).
+	// choice per algorithm family; physio.Deep: the molecule space). Deep
+	// enumeration also makes key density a plan property. This is the exact
+	// delta of the paper's Figure 5 experiment: "While SQO only considers
+	// data sortedness as in traditional dynamic programming, DQO also
+	// considers ... the density of the grouping keys."
 	Depth physio.Depth
 	// Greedy selects the fast planning tier: instead of dynamic programming
 	// over the full (deep) choice space, the optimiser walks the logical
@@ -34,11 +38,6 @@ type Mode struct {
 	// cost from exponential to tunable. 0 leaves enumeration exact —
 	// byte-identical to planning without the knob.
 	Beam int
-	// TrackDensity makes key density a plan property. This is the exact
-	// delta of the paper's Figure 5 experiment: "While SQO only considers
-	// data sortedness as in traditional dynamic programming, DQO also
-	// considers ... the density of the grouping keys."
-	TrackDensity bool
 	// DOP is the degree of parallelism offered to the enumeration: deep
 	// modes with DOP > 1 also enumerate parallel variants of the
 	// DOP-invariant kernels, priced by the model's Parallel term, so
@@ -80,11 +79,6 @@ type Mode struct {
 	// CrackedIdx optionally supplies adaptive (cracked) indexes used to
 	// answer range filters over base scans.
 	CrackedIdx RangeProvider
-	// GroupFilter optionally restricts the grouping choices enumerated for
-	// a key column — the hook partial Algorithmic Views use to pin an
-	// algorithm family offline while leaving molecule choices to query
-	// time. Returning an empty slice falls back to the unrestricted set.
-	GroupFilter func(key string, choices []physio.GroupChoice) []physio.GroupChoice
 }
 
 // dop returns the degree of parallelism offered to deep enumeration; shallow
@@ -115,7 +109,7 @@ func SQO() Mode {
 // parallel variants tie with their serial twins and ties resolve serial —
 // DQO's plans are unchanged by the DOP dimension.
 func DQO() Mode {
-	return Mode{Name: "dqo", Depth: physio.Deep, TrackDensity: true, TrackProbeOrder: true,
+	return Mode{Name: "dqo", Depth: physio.Deep, TrackProbeOrder: true,
 		DOP: runtime.GOMAXPROCS(0), Model: cost.Paper{}}
 }
 
@@ -129,7 +123,7 @@ var calibrated = cost.NewCalibrated()
 // calibrated cost model — the setting in which deep enumeration can pay off
 // below the algorithm-family level, including the serial-vs-parallel choice.
 func DQOCalibrated() Mode {
-	return Mode{Name: "dqo-calibrated", Depth: physio.Deep, TrackDensity: true, TrackProbeOrder: true,
+	return Mode{Name: "dqo-calibrated", Depth: physio.Deep, TrackProbeOrder: true,
 		DOP: runtime.GOMAXPROCS(0), Model: calibrated}
 }
 
@@ -137,7 +131,7 @@ func DQOCalibrated() Mode {
 // calibrated model, but one greedy pass instead of dynamic programming —
 // constant cost probes per operator, ordered by visible selectivity.
 func Greedy() Mode {
-	return Mode{Name: "greedy", Depth: physio.Deep, Greedy: true, TrackDensity: true, TrackProbeOrder: true,
+	return Mode{Name: "greedy", Depth: physio.Deep, Greedy: true, TrackProbeOrder: true,
 		DOP: runtime.GOMAXPROCS(0), Model: calibrated}
 }
 

@@ -191,14 +191,14 @@ func groupMem(c *Plan, rows, width, work float64) float64 {
 }
 
 // restrict hides the properties the mode does not track — the SQO/DQO
-// delta. SQO keeps sortedness (and what follows from it) but is blind to
-// density: its property vector simply never contains a dense domain, so
-// SPH-based alternatives are unreachable.
+// delta. Shallow enumeration keeps sortedness (and what follows from it) but
+// is blind to density: its property vector simply never contains a dense
+// domain, so SPH-based alternatives are unreachable.
 //
 // Sets are immutable once built, so a set with nothing dense is returned
 // as-is and otherwise only the domain map is copied.
 func (o *optimizer) restrict(s props.Set) props.Set {
-	if o.mode.TrackDensity {
+	if o.mode.Depth == physio.Deep {
 		return s
 	}
 	anyDense := false
@@ -408,11 +408,7 @@ func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		choices, pinned := o.groupChoices(n.Key)
-		if len(pinned) > 0 {
-			choices = pinned
-		}
-		o.enumGroup(&t, n.Key, n.Aggs, o.withEnforcers(children, n.Key), choices,
+		o.enumGroup(&t, n.Key, n.Aggs, o.withEnforcers(children, n.Key), o.groupChoices(),
 			o.estimator().Estimate(n), o.estimator().ColDistinct(n.Input, n.Key))
 		if t.empty() {
 			return nil, fmt.Errorf("core: no applicable grouping implementation for %s", n)
@@ -689,15 +685,9 @@ func (o *optimizer) indexedJoins(t *site, n *logical.Join, lefts, rights []*Plan
 	}
 }
 
-// groupChoices returns the grouping implementations a site on key may pick
-// from: the list of the mode's (depth, DOP) and, when the mode's GroupFilter
-// leaves any of it, the choices it pins.
-func (o *optimizer) groupChoices(key string) (all, pinned []physio.GroupChoice) {
-	all = physio.GroupChoices(o.mode.Depth, o.mode.dop())
-	if o.mode.GroupFilter != nil {
-		pinned = o.mode.GroupFilter(key, all)
-	}
-	return all, pinned
+// groupChoices returns the grouping implementations of the mode's (depth, DOP).
+func (o *optimizer) groupChoices() []physio.GroupChoice {
+	return physio.GroupChoices(o.mode.Depth, o.mode.dop())
 }
 
 // enumGroup offers t the groupings of each of children on key into an

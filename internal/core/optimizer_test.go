@@ -441,10 +441,10 @@ func TestPipelineBreakers(t *testing.T) {
 }
 
 func TestModeConstructors(t *testing.T) {
-	if m := SQO(); m.Depth != physio.Shallow || m.TrackDensity || m.Model.Name() != "paper" {
+	if m := SQO(); m.Depth != physio.Shallow || m.TrackProbeOrder || m.Model.Name() != "paper" {
 		t.Fatalf("SQO() = %+v", m)
 	}
-	if m := DQO(); m.Depth != physio.Deep || !m.TrackDensity || m.Model.Name() != "paper" {
+	if m := DQO(); m.Depth != physio.Deep || !m.TrackProbeOrder || m.Model.Name() != "paper" {
 		t.Fatalf("DQO() = %+v", m)
 	}
 	if m := DQOCalibrated(); m.Model.Name() != "calibrated" {

@@ -535,11 +535,6 @@ func (o *refOptimizer) optimizeGroup(n *logical.GroupBy) ([]*Plan, error) {
 	groups := o.estimator().ColDistinct(n.Input, n.Key)
 	rows := o.estimator().Estimate(n)
 	choices := physio.GroupChoices(o.mode.Depth, o.mode.dop())
-	if o.mode.GroupFilter != nil {
-		if filtered := o.mode.GroupFilter(n.Key, choices); len(filtered) > 0 {
-			choices = filtered
-		}
-	}
 
 	var out []*Plan
 	for _, c := range children {

@@ -86,17 +86,20 @@ func twinRank(spillable, inputsFit bool) int {
 //
 // So in both the first enumerated wins a tie, and the enumeration order is
 // the tie-break: serial before parallel, decoded before compressed, in-memory
-// before spilling (a twin is priced above its base).
+// before spilling (a twin is priced above its base). Both apply the memory
+// budget alike (offerBreaker) and fall back alike when nothing fits it
+// (fallback).
 type site struct {
 	o     *optimizer
 	plans []*Plan
 	// Fallbacks of a breaker site where nothing offered so far fits the
 	// memory budget, each a running best: the alternative of least Mem (the
 	// first wins), and the base of the spill twin (twin rank, then cost, the
-	// first wins).
+	// first wins). pruned records that the budget turned an alternative away.
 	smallest *Plan
 	base     *Plan
 	baseRank int
+	pruned   bool
 
 	greedy bool
 	pick   pick
@@ -107,7 +110,6 @@ type pick struct {
 	want  string // a column the parent would like sorted (site.considers)
 	empty bool   // a provably empty input: the first alternative ends the site
 	best  *Plan
-	twin  int  // best's twin rank
 	done  bool // the site has ended: later alternatives are not costed
 }
 
@@ -120,10 +122,10 @@ func built(key props.Key, build func(*Plan)) *Plan {
 }
 
 // offer costs one streaming alternative (a scan, filter, projection or
-// enforcer sort).
+// enforcer sort), or a breaker alternative that fits the memory budget.
 func (s *site) offer(v variant, key props.Key, cost float64, build func(*Plan)) {
 	if s.greedy {
-		s.take(v, cost, noTwin, build)
+		s.take(v, cost, build)
 		return
 	}
 	s.o.stats.Alternatives++
@@ -147,21 +149,21 @@ func (s *site) put(key props.Key, cost float64, build func(*Plan)) {
 
 // offerBreaker is offer at a site that materialises (sort, join, grouping),
 // where a mode with a MemBudget prunes on estimated peak memory: an
-// alternative over the budget never enters the table. Until one fits, those
-// over it compete for the two fallbacks, and are built only when they take
-// the lead of one. Without a budget, and for whatever fits it, this is offer.
-// The greedy pick applies the budget to its winner instead (greedyBudget).
+// alternative over the budget never enters the table nor becomes the pick.
+// Until one fits, those over it compete for the two fallbacks, and are built
+// only when they take the lead of one. Without a budget, and for whatever
+// fits it, this is offer.
 func (s *site) offerBreaker(key props.Key, cost, mem float64, twin int, build func(*Plan)) {
-	if s.greedy {
-		s.take(ordinary, cost, twin, build)
+	if budget := s.o.mode.MemBudget; budget <= 0 || mem <= float64(budget) {
+		s.offer(ordinary, key, cost, build)
+		return
+	}
+	if s.pick.done {
 		return
 	}
 	s.o.stats.Alternatives++
-	if budget := s.o.mode.MemBudget; budget <= 0 || mem <= float64(budget) {
-		s.put(key, cost, build)
-		return
-	}
-	if len(s.plans) > 0 {
+	s.pruned = true
+	if len(s.plans) > 0 || s.pick.best != nil {
 		return
 	}
 	var p *Plan
@@ -181,7 +183,7 @@ func (s *site) offerBreaker(key props.Key, cost, mem float64, twin int, build fu
 // one replaces it, rebuilt in place, when strictly cheaper. A cracked or
 // direct-on-compressed filter that wins ends the site; so does an AV access
 // path, taken for its order whatever its cost.
-func (s *site) take(v variant, cost float64, twin int, build func(*Plan)) {
+func (s *site) take(v variant, cost float64, build func(*Plan)) {
 	g := &s.pick
 	if g.done {
 		return
@@ -199,7 +201,6 @@ func (s *site) take(v variant, cost float64, twin int, build func(*Plan)) {
 		return
 	}
 	build(g.best)
-	g.twin = twin
 }
 
 // considers reports whether the site costs alternative v before the
@@ -244,38 +245,36 @@ func (s *site) scanBase(n *logical.Scan, enc props.Compression) *Plan {
 	return p
 }
 
-// spill is the greedy pick's fallback over the memory budget: in a
-// spill-enabled mode the disk-backed twin of the pick or, when it has none,
-// of the pick of its serial sibling site (serial), as an over-budget DP site
-// does; otherwise the pick, with the runtime govern.Budget as the backstop.
-func (s *site) spill(serial func(*Plan) site) *Plan {
-	g := &s.pick
-	if !s.o.mode.Spill {
-		return g.best
-	}
-	if g.twin == noTwin {
-		sib := serial(g.best)
-		g = &sib.pick
-	}
-	return s.o.spillTwin(g.best)
-}
-
 // empty reports whether nothing was offered.
 func (s *site) empty() bool { return len(s.plans) == 0 && s.smallest == nil }
 
-// table returns the finished table, capped to the mode's beam. A breaker
-// site where every alternative exceeded the budget degrades, in a
-// spill-enabled mode, to the disk-backed twin of its spill base, and
-// otherwise to its smallest alternative, so optimisation still returns a plan
-// and the runtime budget enforces the limit.
+// table returns the finished table, capped to the mode's beam, or the
+// fallback when every alternative exceeded the budget.
 func (s *site) table() []*Plan {
 	if len(s.plans) == 0 && s.smallest != nil {
-		if s.base != nil {
-			return []*Plan{s.o.spillTwin(s.base)}
-		}
-		return []*Plan{s.smallest}
+		return []*Plan{s.fallback()}
 	}
 	return s.o.beamCap(s.plans)
+}
+
+// picked returns the greedy pick, or the fallback when every alternative
+// exceeded the budget.
+func (s *site) picked() *Plan {
+	if s.pick.best != nil {
+		return s.pick.best
+	}
+	return s.fallback()
+}
+
+// fallback is what a breaker site where nothing fits the budget degrades to:
+// in a spill-enabled mode the disk-backed twin of its spill base, otherwise
+// its smallest alternative, so optimisation still returns a plan and the
+// runtime budget enforces the limit.
+func (s *site) fallback() *Plan {
+	if s.base != nil {
+		return s.o.spillTwin(s.base)
+	}
+	return s.smallest
 }
 
 // beamCap truncates a site's DP table to the mode's beam width: the Beam

@@ -58,8 +58,7 @@ func sameTable(got, want []*Plan) string {
 // the same plans with the same costs and memory estimates in the same order —
 // and at the root the same plan, alternatives costed and entries kept. The
 // flat mode ties every alternative at every kind of site, so "the first
-// enumerated wins" is part of what is compared; pinned-sog runs the sites
-// under a GroupFilter. The reference is slow (it is the parent's cost), so
+// enumerated wins" is part of what is compared. The reference is slow (it is the parent's cost), so
 // the grid is thinned here: every other query, one tail per FROM order and
 // filter of the star shapes, and under a budget one diagonal of beam x DOP.
 // The whole grid is pinned to the parent's output by

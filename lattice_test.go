@@ -66,8 +66,7 @@ func forcedParallelMode(dop int) core.Mode {
 	m := cost.NewCalibrated()
 	m.ParallelFixedNS = 0
 	return core.Mode{
-		Name: "forced-parallel", Depth: physio.Deep,
-		TrackDensity: true, TrackProbeOrder: true,
+		Name: "forced-parallel", Depth: physio.Deep, TrackProbeOrder: true,
 		DOP: dop, Model: m,
 	}
 }

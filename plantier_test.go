@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -320,5 +321,47 @@ func TestTraceOptimiseSpanTier(t *testing.T) {
 	}
 	if !strings.Contains(sp.Render(), "tier=beam") {
 		t.Errorf("span render missing tier attribute:\n%s", sp.Render())
+	}
+}
+
+// TestGreedyBudgetedGroupFitsInMemory: a grouping whose parallel hash
+// aggregation is over the memory limit and whose serial one fits runs the
+// serial one under the greedy tier, as under the exact tiers: the same rows
+// as ModeDQOCalibrated, no budget failure, and nothing spilled when a spill
+// directory is set.
+func TestGreedyBudgetedGroupFitsInMemory(t *testing.T) {
+	const n, groups = 400_000, 5_000
+	k, v := make([]uint32, n), make([]int64, n)
+	for i := range k {
+		k[i], v[i] = uint32((i*7919)%groups)*1000, int64(i%97)
+	}
+	db := Open()
+	if err := db.Register(NewTableBuilder("T").Uint32("K", k).Int64("V", v).MustBuild()); err != nil {
+		t.Fatal(err)
+	}
+	const q = "SELECT K, SUM(V) FROM T GROUP BY K"
+	rows := func(mode Mode, opts ...QueryOption) ([]string, *Result) {
+		t.Helper()
+		res, err := db.Query(context.Background(), mode, q, append(opts, WithWorkers(4), WithMemoryLimit(5_100_001))...)
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		out := make([]string, res.NumRows())
+		for i := range out {
+			out[i] = strings.Join(res.Row(i), ",")
+		}
+		slices.Sort(out)
+		return out, res
+	}
+	want, _ := rows(ModeDQOCalibrated)
+	if len(want) != groups {
+		t.Fatalf("%s returned %d groups, want %d", ModeDQOCalibrated, len(want), groups)
+	}
+	if got, res := rows(ModeGreedy); !slices.Equal(got, want) {
+		t.Fatalf("greedy returned %d rows, want the %d of %s:\n%s", len(got), len(want), ModeDQOCalibrated, res.PlanExplain())
+	}
+	if got, res := rows(ModeGreedy, WithSpillDir(t.TempDir())); !slices.Equal(got, want) || res.SpilledBytes() != 0 {
+		t.Fatalf("greedy with a spill directory returned %d rows (want %d) and spilled %d bytes:\n%s",
+			len(got), len(want), res.SpilledBytes(), res.PlanExplain())
 	}
 }
