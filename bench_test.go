@@ -455,7 +455,7 @@ func BenchmarkAblationEngine(b *testing.B) {
 	aggs := []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "val"}}
 	b.Run("operator-SPHG", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := physical.GroupByRel(rel, "key", aggs, physical.SPHG, physical.GroupOptions{}); err != nil {
+			if _, err := physical.GroupByRel(rel, "key", aggs, physical.SPHG, physical.GroupOptions{}, props.Domain{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -494,7 +494,7 @@ func BenchmarkScalingGroupBy(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opt := physical.GroupOptions{Scheme: hashtable.Chained, Hash: hashtable.Murmur3Fin, Parallel: p}
-				if _, err := physical.GroupByRel(rel, "key", aggs, physical.HG, opt); err != nil {
+				if _, err := physical.GroupByRel(rel, "key", aggs, physical.HG, opt, props.Domain{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -512,7 +512,7 @@ func BenchmarkScalingJoin(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opt := physical.JoinOptions{Hash: hashtable.Murmur3Fin, Parallel: p}
-				if _, err := physical.JoinRel(r, s, "ID", "R_ID", physical.HJ, opt); err != nil {
+				if _, err := physical.JoinRel(r, s, "ID", "R_ID", physical.HJ, opt, props.Domain{}, false, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -528,7 +528,7 @@ func BenchmarkScalingSort(b *testing.B) {
 	for _, p := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := physical.SortRelPar(rel, "key", sortx.Radix, p); err != nil {
+				if _, err := physical.SortRel(rel, "key", sortx.Radix, p, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -72,8 +72,8 @@ func main() {
 		for _, f := range hashtable.Funcs() {
 			fmt.Printf("hashfunc %-14s %6.2f\n", f, m.HashNS[f])
 		}
-		fmt.Printf("radix %.2f  cmp(log) %.2f  std(log) %.2f  sph %.2f  og %.2f  bs(log) %.2f  cache(log) %.2f\n",
-			m.RadixRowNS, m.CmpRowNS, m.StdRowNS, m.SPHRowNS, m.OGRowNS, m.BSRowLogNS, m.CacheNS)
+		fmt.Printf("radix %.2f  cmp(log) %.2f  sph %.2f  og %.2f  bs(log) %.2f  cache(log) %.2f\n",
+			m.RadixRowNS, m.CmpRowNS, m.SPHRowNS, m.OGRowNS, m.BSRowLogNS, m.CacheNS)
 		return
 	}
 

@@ -248,7 +248,7 @@ func renderStorage(b *strings.Builder, rel *storage.Relation) {
 		ratio = float64(plain) / float64(stored)
 	}
 	fmt.Fprintf(b, "table %s (%d rows, %s stored, %.2fx)\n",
-		rel.Name(), rel.NumRows(), fmtBytes(stored), ratio)
+		rel.Name(), rel.NumRows(), obs.FmtBytes(stored), ratio)
 	fmt.Fprintf(b, "  %-16s %-8s %-8s %9s %9s %12s %7s %6s\n",
 		"column", "kind", "encoding", "segments", "runs", "bytes", "ratio", "zones")
 	for _, cs := range info {
@@ -261,19 +261,7 @@ func renderStorage(b *strings.Builder, rel *storage.Relation) {
 			}
 		}
 		fmt.Fprintf(b, "  %-16s %-8s %-8s %9s %9s %12s %6.2fx %6s\n",
-			cs.Name, cs.Kind, cs.Encoding, segs, runs, fmtBytes(cs.StoredBytes), cs.Ratio(), zones)
-	}
-}
-
-// fmtBytes renders a byte count with a binary-unit suffix.
-func fmtBytes(n int64) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1fMiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1fKiB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", n)
+			cs.Name, cs.Kind, cs.Encoding, segs, runs, obs.FmtBytes(cs.StoredBytes), cs.Ratio(), zones)
 	}
 }
 

@@ -199,8 +199,8 @@ func TestSortedProjectionAVChangesPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	as, _ := physical.SortRel(a, "A", sortx.Radix)
-	bs, _ := physical.SortRel(b, "A", sortx.Radix)
+	as, _ := physical.SortRel(a, "A", sortx.Radix, 1, nil)
+	bs, _ := physical.SortRel(b, "A", sortx.Radix, 1, nil)
 	if !as.MustColumn("A").Equal(bs.MustColumn("A")) ||
 		!as.MustColumn("count_star").Equal(bs.MustColumn("count_star")) {
 		t.Fatal("AV plan result differs from plain plan")
@@ -239,8 +239,8 @@ func TestPrebuiltIndexJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	as, _ := physical.SortRel(a, "A", sortx.Radix)
-	bs, _ := physical.SortRel(b, "A", sortx.Radix)
+	as, _ := physical.SortRel(a, "A", sortx.Radix, 1, nil)
+	bs, _ := physical.SortRel(b, "A", sortx.Radix, 1, nil)
 	if !as.Equal(bs) {
 		t.Fatal("index AV plan result differs")
 	}
@@ -495,8 +495,8 @@ func TestCrackedAVInPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, _ := physical.SortRel(want, "k", sortx.Radix)
-	gs, _ := physical.SortRel(got, "k", sortx.Radix)
+	ws, _ := physical.SortRel(want, "k", sortx.Radix, 1, nil)
+	gs, _ := physical.SortRel(got, "k", sortx.Radix, 1, nil)
 	if !ws.MustColumn("k").Equal(gs.MustColumn("k")) ||
 		!ws.MustColumn("count_star").Equal(gs.MustColumn("count_star")) {
 		t.Fatal("cracked plan result differs")

@@ -151,7 +151,7 @@ func MaterializeCracked(table string, rel *storage.Relation, col string) (*View,
 // sorted by col.
 func MaterializeSorted(table string, rel *storage.Relation, col string) (*View, error) {
 	start := time.Now()
-	sorted, err := physical.SortRel(rel, col, sortx.Radix)
+	sorted, err := physical.SortRel(rel, col, sortx.Radix, 1, nil)
 	if err != nil {
 		return nil, fmt.Errorf("av: materialising sorted(%s.%s): %w", table, col, err)
 	}

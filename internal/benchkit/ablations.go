@@ -48,7 +48,8 @@ func RunAblationHashTable(n, groups int, seed uint64, w io.Writer) ([]AblationRo
 	return rows, nil
 }
 
-// RunAblationSort measures SOG with each sort molecule (ablation A2).
+// RunAblationSort measures SOG with each sort molecule, LSD radix against
+// the standard library's comparison sort (ablation A2).
 func RunAblationSort(n, groups int, seed uint64, w io.Writer) ([]AblationRow, error) {
 	q := datagen.Quadrant{Sorted: false, Dense: false}
 	keys := datagen.GroupingKeys(seed, n, groups, q)
@@ -112,7 +113,7 @@ func RunAblationEngine(n, groups int, seed uint64, w io.Writer) ([]AblationRow, 
 		return nil
 	}
 	if err := record("operator:SPHG", func() error {
-		_, err := physical.GroupByRel(rel, "key", aggs, physical.SPHG, physical.GroupOptions{})
+		_, err := physical.GroupByRel(rel, "key", aggs, physical.SPHG, physical.GroupOptions{}, props.Domain{})
 		return err
 	}); err != nil {
 		return nil, err

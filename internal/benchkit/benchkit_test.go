@@ -191,8 +191,8 @@ func TestAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("A2: %d rows, want 3", len(rows))
+	if len(rows) != 2 {
+		t.Fatalf("A2: %d rows, want 2", len(rows))
 	}
 	rows, err = RunAblationParallel(200000, 1000, 4, 1, &buf)
 	if err != nil {

@@ -40,11 +40,6 @@ type ExecOptions struct {
 	// SpillLimit caps the query's live spill bytes on disk; <= 0 is
 	// unlimited. Past it, writes fail with qerr.ErrSpillLimitExceeded.
 	SpillLimit int64
-	// SpillQuota, when positive, overrides the budget-derived run quota —
-	// the bytes a spilling operator buffers before flushing a run. Tests
-	// and benchmarks use a tiny quota to force the disk path without
-	// starving the memory budget.
-	SpillQuota int64
 }
 
 // Compile lowers an optimised plan to its operator tree. The tree is
@@ -256,9 +251,6 @@ func ExecuteContext(ctx context.Context, p *Plan, opts ExecOptions) (*storage.Re
 	ec := exec.NewExecContextBudget(ctx, opts.MorselSize, opts.Workers, opts.Mem)
 	if opts.SpillDir != "" {
 		ec.SetSpill(opts.SpillDir, opts.SpillLimit)
-		if opts.SpillQuota > 0 {
-			ec.SetSpillQuota(opts.SpillQuota)
-		}
 	}
 	rel, err := exec.Run(ec, root)
 	prof := exec.CollectProfile(root)

@@ -193,7 +193,7 @@ type enumAV struct {
 func enumAVs(t testing.TB) []enumAV {
 	r, s := starPair()
 	sorted := func(rel *storage.Relation, col string) ScanVariant {
-		out, err := physical.SortRel(rel, col, sortx.Radix)
+		out, err := physical.SortRel(rel, col, sortx.Radix, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -151,8 +151,8 @@ func TestJoinCommutativity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := physical.SortRel(out, "A", sortx.Radix)
-	b, _ := physical.SortRel(refOut, "A", sortx.Radix)
+	a, _ := physical.SortRel(out, "A", sortx.Radix, 1, nil)
+	b, _ := physical.SortRel(refOut, "A", sortx.Radix, 1, nil)
 	if !a.MustColumn("A").Equal(b.MustColumn("A")) || !a.MustColumn("count_star").Equal(b.MustColumn("count_star")) {
 		t.Fatal("swapped plan result differs from reference")
 	}
@@ -244,7 +244,7 @@ func TestFigure5PlansExecute(t *testing.T) {
 					if out.NumRows() != 80 {
 						t.Fatalf("%s: %d groups, want 80", m.Name, out.NumRows())
 					}
-					sorted, err := physical.SortRel(out, "A", sortx.Radix)
+					sorted, err := physical.SortRel(out, "A", sortx.Radix, 1, nil)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -267,7 +267,7 @@ func normalizeStrings(xs []string) []string {
 // for, so a budget failure inside the kernel names it — and clamped to the
 // pool's effective DOP: the one node dispatch behind every compiled breaker
 // and every node of a re-planned remainder. cols restricts a join's output
-// columns (see physical.JoinRelDom); nil keeps them all.
+// columns (see physical.JoinRel); nil keeps them all.
 func (p *Plan) run(ec *exec.ExecContext, ctl *govern.Ctl, cols []string, in ...*storage.Relation) (*storage.Relation, error) {
 	switch p.Op {
 	case OpSort:
@@ -275,14 +275,14 @@ func (p *Plan) run(ec *exec.ExecContext, ctl *govern.Ctl, cols []string, in ...*
 		if p.DOP > 1 {
 			w = ec.EffectiveDOP(p.DOP)
 		}
-		return physical.SortRelParCtl(in[0], p.SortKey, p.SortKind, w, ctl)
+		return physical.SortRel(in[0], p.SortKey, p.SortKind, w, ctl)
 	case OpGroup:
 		o := p.Group.Opt
 		if o.Parallel > 1 {
 			o.Parallel = ec.EffectiveDOP(o.Parallel)
 		}
 		o.Ctl = ctl
-		return physical.GroupByRelDom(in[0], p.GroupKey, p.Aggs, p.Group.Kind, o, p.KeyDom)
+		return physical.GroupByRel(in[0], p.GroupKey, p.Aggs, p.Group.Kind, o, p.KeyDom)
 	case OpJoin:
 		o := p.Join.Opt
 		if o.Parallel > 1 {
@@ -299,7 +299,7 @@ func (p *Plan) run(ec *exec.ExecContext, ctl *govern.Ctl, cols []string, in ...*
 // the prebuilt index of an AV-backed join (the build phase was paid offline
 // and the build-side child is by construction the bare base scan), otherwise
 // with the chosen kernel in the planned build/probe roles. cols restricts the
-// output columns (see physical.JoinRelDom); nil keeps them all. A join whose
+// output columns (see physical.JoinRel); nil keeps them all. A join whose
 // build may be worth keeping (offersBuild) does its two steps itself and
 // offers the table in between to the context's taker; a table that is taken
 // is kept out of the scratch pool.
@@ -310,14 +310,14 @@ func (p *Plan) runJoin(ec *exec.ExecContext, left, right *storage.Relation, opt 
 	}
 	switch {
 	case p.Index != nil:
-		return physical.JoinRelIndex(left, right, p.LeftKey, p.RightKey, p.Join.Kind, p.Index.Serve(probe.NumRows()), p.Swapped, opt, cols)
+		return physical.JoinRel(left, right, p.LeftKey, p.RightKey, p.Join.Kind, opt, p.KeyDom, p.Swapped, cols, p.Index.Serve(probe.NumRows()))
 	case ec.Tables != nil && p.offersBuild(buildNode):
 		t, err := physical.BuildJoinTable(build, buildKey, p.Join.Kind, opt, p.KeyDom)
 		if err != nil {
 			return nil, err
 		}
 		defer t.Release()
-		out, err := physical.JoinRelIndex(left, right, p.LeftKey, p.RightKey, p.Join.Kind, t.Index(), p.Swapped, opt, cols)
+		out, err := physical.JoinRel(left, right, p.LeftKey, p.RightKey, p.Join.Kind, opt, p.KeyDom, p.Swapped, cols, t.Index())
 		if err == nil && ec.Tables.OfferTable(exec.TableOffer{
 			Table: buildNode.Table, Column: buildKey, Keys: t.Keys(), Index: t.Index(),
 			SPH: p.Join.Kind == physical.SPHJ, Hash: opt.Hash, Bytes: t.Bytes(),
@@ -325,10 +325,8 @@ func (p *Plan) runJoin(ec *exec.ExecContext, left, right *storage.Relation, opt 
 			t.Keep()
 		}
 		return out, err
-	case p.Swapped:
-		return physical.JoinRelDomSwapped(left, right, p.LeftKey, p.RightKey, p.Join.Kind, opt, p.KeyDom, cols)
 	default:
-		return physical.JoinRelDom(left, right, p.LeftKey, p.RightKey, p.Join.Kind, opt, p.KeyDom, cols)
+		return physical.JoinRel(left, right, p.LeftKey, p.RightKey, p.Join.Kind, opt, p.KeyDom, p.Swapped, cols, nil)
 	}
 }
 

@@ -162,10 +162,10 @@ type Calibrated struct {
 	SchemeNS map[hashtable.Scheme]float64
 	// Hash function evaluation cost per row (ns).
 	HashNS map[hashtable.Func]float64
-	// Sort cost: per-row fixed for radix, per-row-per-log2(n) otherwise.
+	// Sort cost: per-row fixed for radix, per-row-per-log2(n) for the
+	// comparison sort.
 	RadixRowNS float64
 	CmpRowNS   float64
-	StdRowNS   float64
 	// Array/scan kernels (ns per row).
 	SPHRowNS   float64
 	OGRowNS    float64
@@ -210,8 +210,7 @@ func NewCalibrated() *Calibrated {
 			hashtable.Identity:      0.5,
 		},
 		RadixRowNS:      4.5,
-		CmpRowNS:        2.2,
-		StdRowNS:        2.1,
+		CmpRowNS:        2.1,
 		SPHRowNS:        2.4,
 		OGRowNS:         1.3,
 		BSRowLogNS:      0.9,
@@ -270,18 +269,10 @@ func (m *Calibrated) Spill(c, rows, passes float64) float64 {
 
 // SortBy implements Model.
 func (m *Calibrated) SortBy(rows float64, kind sortx.Kind) float64 {
-	return m.sortCost(rows, kind)
-}
-
-func (m *Calibrated) sortCost(rows float64, kind sortx.Kind) float64 {
-	switch kind {
-	case sortx.Radix:
+	if kind == sortx.Radix {
 		return m.RadixRowNS * rows
-	case sortx.Comparison:
-		return m.CmpRowNS * rows * log2(rows)
-	default:
-		return m.StdRowNS * rows * log2(rows)
 	}
+	return m.CmpRowNS * rows * log2(rows)
 }
 
 // cachePenalty models the growing per-insert cost of a hash table whose
@@ -315,7 +306,7 @@ func (m *Calibrated) Group(c physio.GroupChoice, rows, groups float64) float64 {
 		return m.OGRowNS * rows
 	case physical.SOG:
 		// Parallel sort runs + merges; the OG pass stays serial.
-		return m.Parallel(m.sortCost(rows, c.Opt.Sort), c.Opt.Parallel) + m.OGRowNS*rows
+		return m.Parallel(m.SortBy(rows, c.Opt.Sort), c.Opt.Parallel) + m.OGRowNS*rows
 	case physical.BSG:
 		return (m.BSRowLogNS*log2(groups) + 2) * rows
 	default:
@@ -339,10 +330,10 @@ func (m *Calibrated) Join(c physio.JoinChoice, build, probe, keyDistinct float64
 		return m.OGRowNS*(build+probe) + emit
 	case physical.SOJ:
 		// Both argsorts parallelise; the merge pass stays serial.
-		return m.Parallel(m.sortCost(build, c.Opt.Sort)+m.sortCost(probe, c.Opt.Sort), c.Opt.Parallel) +
+		return m.Parallel(m.SortBy(build, c.Opt.Sort)+m.SortBy(probe, c.Opt.Sort), c.Opt.Parallel) +
 			m.OGRowNS*(build+probe) + emit
 	case physical.BSJ:
-		return m.sortCost(build, c.Opt.Sort) + (m.BSRowLogNS*log2(keyDistinct)+2)*probe + emit
+		return m.SortBy(build, c.Opt.Sort) + (m.BSRowLogNS*log2(keyDistinct)+2)*probe + emit
 	default:
 		return math.Inf(1)
 	}

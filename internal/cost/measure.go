@@ -114,7 +114,6 @@ func Measure(rows int) *Calibrated {
 	l2 := log2(float64(rows))
 	m.RadixRowNS = timeSort(sortx.Radix)
 	m.CmpRowNS = timeSort(sortx.Comparison) / l2
-	m.StdRowNS = timeSort(sortx.Std) / l2
 
 	// Array/scan kernels.
 	m.SPHRowNS = nsPerRow(func() {
@@ -157,7 +156,6 @@ func Measure(rows int) *Calibrated {
 	}
 	clamp(&m.RadixRowNS, 0.2)
 	clamp(&m.CmpRowNS, 0.05)
-	clamp(&m.StdRowNS, 0.05)
 	clamp(&m.SPHRowNS, 0.2)
 	clamp(&m.OGRowNS, 0.2)
 	clamp(&m.BSRowLogNS, 0.05)

@@ -74,7 +74,7 @@ func TestBreakersDoNotWriteTheirInputs(t *testing.T) {
 		for _, dop := range []int{1, 4} {
 			runTree(t, NewBreaker(Text("group"), func(_ *ExecContext, ctl *govern.Ctl, in ...*storage.Relation) (*storage.Relation, error) {
 				sawView(in[0], g)
-				return physical.GroupByRel(in[0], "key", aggs, kind, physical.GroupOptions{Parallel: dop, Ctl: ctl})
+				return physical.GroupByRel(in[0], "key", aggs, kind, physical.GroupOptions{Parallel: dop, Ctl: ctl}, props.Domain{})
 			}, nil, NewScan(Text("g"), g)), morsel)
 		}
 	}
@@ -88,10 +88,7 @@ func TestBreakersDoNotWriteTheirInputs(t *testing.T) {
 					sawView(in[0], r)
 					sawView(in[1], s)
 					opt := physical.JoinOptions{Parallel: dop, Ctl: ctl}
-					if swapped {
-						return physical.JoinRelDomSwapped(in[0], in[1], "ID", "R_ID", kind, opt, props.Domain{}, nil)
-					}
-					return physical.JoinRelDom(in[0], in[1], "ID", "R_ID", kind, opt, props.Domain{}, nil)
+					return physical.JoinRel(in[0], in[1], "ID", "R_ID", kind, opt, props.Domain{}, swapped, nil, nil)
 				}, nil, NewScan(Text("r"), r), NewScan(Text("s"), s)), morsel)
 			}
 		}
@@ -100,7 +97,7 @@ func TestBreakersDoNotWriteTheirInputs(t *testing.T) {
 		for _, dop := range []int{1, 4} {
 			runTree(t, NewBreaker(Text("sort"), func(_ *ExecContext, ctl *govern.Ctl, in ...*storage.Relation) (*storage.Relation, error) {
 				sawView(in[0], s)
-				return physical.SortRelParCtl(in[0], "R_ID", kind, dop, ctl)
+				return physical.SortRel(in[0], "R_ID", kind, dop, ctl)
 			}, nil, NewScan(Text("s"), s)), morsel)
 		}
 	}

@@ -35,6 +35,7 @@ import (
 
 	"dqo/internal/faultinject"
 	"dqo/internal/govern"
+	"dqo/internal/obs"
 	"dqo/internal/qerr"
 	"dqo/internal/spill"
 	"dqo/internal/storage"
@@ -476,7 +477,7 @@ func (p Profile) String() string {
 	for _, s := range p {
 		label := strings.Repeat("  ", s.Depth) + s.Label
 		if s.SpillBytes > 0 {
-			label += fmt.Sprintf(" [spilled %d parts, %s]", s.SpillParts, fmtBytes(s.SpillBytes))
+			label += fmt.Sprintf(" [spilled %d parts, %s]", s.SpillParts, obs.FmtBytes(s.SpillBytes))
 		}
 		dop := s.DOP
 		if dop < 1 {
@@ -485,18 +486,7 @@ func (p Profile) String() string {
 		fmt.Fprintf(&b, "%-42s %10d %10d %8d %5d %12s %12s %10s\n",
 			label, s.RowsIn, s.RowsOut, s.Batches, dop,
 			s.Wall.Round(time.Microsecond), s.Self.Round(time.Microsecond),
-			fmtBytes(s.PeakBytes))
+			obs.FmtBytes(s.PeakBytes))
 	}
 	return b.String()
-}
-
-func fmtBytes(n int64) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1fMiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1fKiB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", n)
-	}
 }

@@ -88,7 +88,7 @@ func govCases(t *testing.T) []govCase {
 					return physical.FilterRel(in, pred)
 				})
 				b := NewBreaker(Text("sort"), func(ec *ExecContext, ctl *govern.Ctl, in ...*storage.Relation) (*storage.Relation, error) {
-					return physical.SortRelParCtl(in[0], "id", sortx.Radix, ec.EffectiveDOP(dop), ctl)
+					return physical.SortRel(in[0], "id", sortx.Radix, ec.EffectiveDOP(dop), ctl)
 				}, nil, pipe)
 				b.SetDOP(dop)
 				return b
@@ -104,9 +104,13 @@ func govCases(t *testing.T) []govCase {
 						Scheme: hashtable.Chained, Hash: hashtable.Murmur3Fin,
 						Parallel: ec.EffectiveDOP(dop), Ctl: ctl,
 					}
-					// Unknown domain: tables start minimal and must grow,
-					// reaching the hashtable.grow failure point.
-					return physical.GroupByRelDom(in[0], "key", aggs, physical.HG, opt, props.Domain{})
+					// A planned domain that counts 8 distinct keys where
+					// the input holds 1 500 (a zero one would fall back to
+					// the exact statistics and presize the tables): they
+					// start small and must grow, reaching the hashtable.grow
+					// failure point.
+					dom := props.Domain{Known: true, Lo: 0, Hi: 1499, Distinct: 8}
+					return physical.GroupByRel(in[0], "key", aggs, physical.HG, opt, dom)
 				}, nil, NewScan(Text("scan"), grpRel))
 				b.SetDOP(dop)
 				return b
@@ -123,7 +127,7 @@ func govCases(t *testing.T) []govCase {
 					opt := physical.JoinOptions{
 						Hash: hashtable.Murmur3Fin, Parallel: ec.EffectiveDOP(dop), Ctl: ctl,
 					}
-					return physical.JoinRel(in[0], in[1], "id", "fk", physical.HJ, opt)
+					return physical.JoinRel(in[0], in[1], "id", "fk", physical.HJ, opt, props.Domain{}, false, nil, nil)
 				}, nil, NewScan(Text("l"), joinL), NewScan(Text("r"), joinR))
 				b.SetDOP(dop)
 				return b

@@ -66,7 +66,7 @@ func TestSpillGroupFirstSeenWalk(t *testing.T) {
 	opt := physical.GroupOptions{Scheme: hashtable.Chained, Hash: hashtable.Murmur3Fin, Parallel: 1}
 	for name, key := range shapes {
 		rel := storage.MustNewRelation("t", key, storage.NewInt64("v", vals))
-		want, err := physical.GroupByRelDom(rel, "k", aggs, physical.HG, opt, props.Domain{})
+		want, err := physical.GroupByRel(rel, "k", aggs, physical.HG, opt, props.Domain{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +278,7 @@ func TestSpillSortMergeWindows(t *testing.T) {
 		ids[i] = uint64(i)<<32 | 5
 	}
 	rel := storage.MustNewRelation("t", append(base.Columns(), storage.NewUint64("id", ids))...)
-	want, err := physical.SortRel(rel, "key", sortx.Radix)
+	want, err := physical.SortRel(rel, "key", sortx.Radix, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

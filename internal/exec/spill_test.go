@@ -86,7 +86,7 @@ func runSpillTree(t *testing.T, build func() Operator, morsel, workers int, quot
 // of one name on both sides, reserving through the breaker's handle.
 func sortKernel(key string, kind sortx.Kind) Kernel {
 	return func(_ *ExecContext, ctl *govern.Ctl, in ...*storage.Relation) (*storage.Relation, error) {
-		return physical.SortRelParCtl(in[0], key, kind, 1, ctl)
+		return physical.SortRel(in[0], key, kind, 1, ctl)
 	}
 }
 
@@ -94,7 +94,7 @@ func groupKernel(key string, aggs []expr.AggSpec, opt physical.GroupOptions, dom
 	return func(_ *ExecContext, ctl *govern.Ctl, in ...*storage.Relation) (*storage.Relation, error) {
 		o := opt
 		o.Ctl = ctl
-		return physical.GroupByRelDom(in[0], key, aggs, physical.HG, o, dom)
+		return physical.GroupByRel(in[0], key, aggs, physical.HG, o, dom)
 	}
 }
 
@@ -102,10 +102,7 @@ func joinKernel(key string, opt physical.JoinOptions, swapped bool, dom props.Do
 	return func(_ *ExecContext, ctl *govern.Ctl, in ...*storage.Relation) (*storage.Relation, error) {
 		o := opt
 		o.Ctl = ctl
-		if swapped {
-			return physical.JoinRelDomSwapped(in[0], in[1], key, key, physical.HJ, o, dom, cols)
-		}
-		return physical.JoinRelDom(in[0], in[1], key, key, physical.HJ, o, dom, cols)
+		return physical.JoinRel(in[0], in[1], key, key, physical.HJ, o, dom, swapped, cols, nil)
 	}
 }
 
@@ -128,7 +125,7 @@ func spillJoin(left, right Operator, key string, opt physical.JoinOptions, swapp
 // with a quota small enough to force multi-pass merges.
 func TestSpillSortMatchesInMemory(t *testing.T) {
 	rel := spillRel("t", 6000, 7)
-	for _, kind := range []sortx.Kind{sortx.Radix, sortx.Comparison, sortx.Std} {
+	for _, kind := range sortx.Kinds() {
 		want := runTree(t, NewBreaker(Text("sort"), sortKernel("key", kind), nil, NewScan(Text("scan"), rel)), 4096)
 		for _, workers := range spillDOPs() {
 			for _, morsel := range spillMorsels {
@@ -279,7 +276,7 @@ func openFDs() int {
 // drain or kernel charges, moves one of them.
 var censusPeaks = map[string]int64{
 	"sort/in-memory": 288000, "sort/spill-idle": 288000, "sort/spill-forced": 288000,
-	"group/in-memory": 205440, "group/spill-idle": 205440, "group/spill-forced": 76280,
+	"group/in-memory": 206152, "group/spill-idle": 206152, "group/spill-forced": 76280,
 	"join/in-memory": 1423584, "join/spill-idle": 1423584, "join/spill-forced": 1542216,
 }
 

@@ -237,7 +237,7 @@ func (s *sortRuns) flush(ec *ExecContext, h *holder) error {
 	if err != nil {
 		return err
 	}
-	sorted, err := physical.SortRel(in, s.key, s.kind)
+	sorted, err := physical.SortRel(in, s.key, s.kind, 1, nil)
 	if err != nil {
 		return err
 	}
@@ -975,7 +975,7 @@ func GroupPartitions(key string, aggs []expr.AggSpec, opt physical.GroupOptions,
 		o.Ctl = h.ctl
 		total := int64(p.ps[0].next) // every input row was numbered once
 		return mergeGroups(ec, h, p.ps[0], schema[0], func(rel *storage.Relation) (*storage.Relation, error) {
-			return physical.GroupByRelDom(rel, key, aggs, physical.HG, o, partDomain(dom, rel.NumRows(), total))
+			return physical.GroupByRel(rel, key, aggs, physical.HG, o, partDomain(dom, rel.NumRows(), total))
 		})
 	}
 	return p
@@ -1107,7 +1107,7 @@ func firstSeen(ord, keys, rows, gkeys []uint32) ([]uint32, error) {
 // restores the serial emission order — probe row ascending, build row
 // descending. The output is byte-identical to the in-memory serial HJ kernel.
 // swapped selects build-on-right (join commutativity) and cols the output
-// columns kept, both mirroring physical.JoinRelDom / JoinRelDomSwapped.
+// columns kept, both as in physical.JoinRel.
 func JoinPartitions(leftKey, rightKey string, opt physical.JoinOptions, swapped bool, dom props.Domain, cols []string) SpillStrategy {
 	opt.Parallel = 1
 	p := &partitioned{buffered: newBuffered(2), keys: []string{leftKey, rightKey}}
@@ -1115,10 +1115,7 @@ func JoinPartitions(leftKey, rightKey string, opt physical.JoinOptions, swapped 
 		o := opt
 		o.Ctl = h.ctl
 		return mergePairs(ec, h, p.ps[0], p.ps[1], schema, swapped, cols, func(l, r *storage.Relation, cols []string) (*storage.Relation, error) {
-			if swapped {
-				return physical.JoinRelDomSwapped(l, r, leftKey, rightKey, physical.HJ, o, dom, cols)
-			}
-			return physical.JoinRelDom(l, r, leftKey, rightKey, physical.HJ, o, dom, cols)
+			return physical.JoinRel(l, r, leftKey, rightKey, physical.HJ, o, dom, swapped, cols, nil)
 		})
 	}
 	return p

@@ -82,12 +82,13 @@ type Join struct {
 // Columns implements Node: left columns then right columns, with clashing
 // right names suffixed "_r" (mirroring physical.JoinRel).
 func (j *Join) Columns() []string {
-	out := append([]string(nil), j.Left.Columns()...)
+	left, right := j.Left.Columns(), j.Right.Columns()
+	out := append(make([]string, 0, len(left)+len(right)), left...)
 	used := make(map[string]bool, len(out))
 	for _, c := range out {
 		used[c] = true
 	}
-	for _, c := range j.Right.Columns() {
+	for _, c := range right {
 		if used[c] {
 			c += "_r"
 		}

@@ -9,6 +9,7 @@ import (
 
 	"dqo/internal/govern"
 	"dqo/internal/hashtable"
+	"dqo/internal/props"
 	"dqo/internal/qerr"
 	"dqo/internal/sortx"
 	"dqo/internal/storage"
@@ -81,7 +82,7 @@ func TestJoinBuildCancellation(t *testing.T) {
 		err, cancelled := cancelMidKernel(t, func(ctl *govern.Ctl) error {
 			o := opt
 			o.Ctl = ctl
-			_, jerr := JoinRel(l, r, "id", "fk", HJ, o)
+			_, jerr := JoinRel(l, r, "id", "fk", HJ, o, props.Domain{}, false, nil, nil)
 			return jerr
 		})
 		if !cancelled {
@@ -110,7 +111,7 @@ func TestParallelSortCancellation(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for attempt := 0; attempt < 5; attempt++ {
 		err, cancelled := cancelMidKernel(t, func(ctl *govern.Ctl) error {
-			_, serr := SortRelParCtl(rel, "key", sortx.Radix, 4, ctl)
+			_, serr := SortRel(rel, "key", sortx.Radix, 4, ctl)
 			return serr
 		})
 		if !cancelled {

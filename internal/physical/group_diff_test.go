@@ -243,7 +243,7 @@ func TestGroupKernelsAgainstMapReference(t *testing.T) {
 			for _, al := range diffAggLists {
 				want := reference(in, al.aggs, order)
 				label := fmt.Sprintf("%s/%s/%s", in.name, c.name, al.name)
-				serial, err := GroupByRelDom(rel, "k", al.aggs, c.kind, c.opt, dom)
+				serial, err := GroupByRel(rel, "k", al.aggs, c.kind, c.opt, dom)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -251,7 +251,7 @@ func TestGroupKernelsAgainstMapReference(t *testing.T) {
 				for _, dop := range []int{2, 4} {
 					opt := c.opt
 					opt.Parallel = dop
-					par, err := GroupByRelDom(rel, "k", al.aggs, c.kind, opt, dom)
+					par, err := GroupByRel(rel, "k", al.aggs, c.kind, opt, dom)
 					if err != nil {
 						t.Fatalf("%s dop %d: %v", label, dop, err)
 					}
@@ -279,16 +279,16 @@ func TestGroupArgumentKinds(t *testing.T) {
 	}
 	dom := props.Domain{Known: true, Dense: true, Lo: 0, Hi: 150000, Distinct: 150001}
 	for _, kind := range GroupKinds() {
-		want, err := GroupByRelDom(storage.MustNewRelation("t", key, storage.NewInt64("x", i64)), "k", aggs("x"), kind, GroupOptions{}, dom)
+		want, err := GroupByRel(storage.MustNewRelation("t", key, storage.NewInt64("x", i64)), "k", aggs("x"), kind, GroupOptions{}, dom)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := GroupByRelDom(storage.MustNewRelation("t", key, storage.NewUint32("x", u32)), "k", aggs("x"), kind, GroupOptions{}, dom)
+		got, err := GroupByRel(storage.MustNewRelation("t", key, storage.NewUint32("x", u32)), "k", aggs("x"), kind, GroupOptions{}, dom)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameRelation(t, kind.String()+"/uint32", got, want.Columns())
-		wide, err := GroupByRelDom(storage.MustNewRelation("t", key, storage.NewUint64("x", u64)), "k", aggs("x")[:1], kind, GroupOptions{}, dom)
+		wide, err := GroupByRel(storage.MustNewRelation("t", key, storage.NewUint64("x", u64)), "k", aggs("x")[:1], kind, GroupOptions{}, dom)
 		if err != nil {
 			t.Fatal(err)
 		}

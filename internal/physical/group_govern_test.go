@@ -180,7 +180,7 @@ func TestUnsignedArgumentIsNotCopied(t *testing.T) {
 		rel.MustColumn("k").Stats() // computed once per column, not part of a GROUP BY
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		out, err := GroupByRel(rel, "k", aggs, kind, opt)
+		out, err := GroupByRel(rel, "k", aggs, kind, opt, props.Domain{})
 		runtime.ReadMemStats(&after)
 		if err != nil || out.NumRows() != groups {
 			t.Fatalf("%s over %d rows: %v", kind, rel.NumRows(), err)

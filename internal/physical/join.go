@@ -685,9 +685,8 @@ func (k JoinKind) OutputProps(left, right props.Set, lcol, rcol string) props.Se
 	// Probe-major emission: probe-side key order drives output order.
 	switch {
 	case k.KeyOrdered() || right.SortedOn(rcol):
-		sorted := []string{lcol, rcol}
-		sorted = append(sorted, left.Dependents(lcol)...)
-		sorted = append(sorted, right.Dependents(rcol)...)
+		sorted := append(make([]string, 0, 4), lcol, rcol)
+		sorted = right.AppendDependents(left.AppendDependents(sorted, lcol), rcol)
 		slices.Sort(sorted)
 		out.SortedBy = slices.Compact(sorted)
 	case right.GroupedOn(rcol):

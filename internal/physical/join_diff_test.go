@@ -172,11 +172,7 @@ func TestJoinVariantsAgainstReference(t *testing.T) {
 						opt := JoinOptions{Hash: hashtable.Fibonacci, Parallel: par}
 						label := fmt.Sprintf("%s/%s/swapped=%v/cols=%v/parallel=%d", in.name, kind, swapped, cols, par)
 
-						fresh := JoinRelDom
-						if swapped {
-							fresh = JoinRelDomSwapped
-						}
-						got, err := fresh(in.left, in.right, "lk", "rk", kind, opt, in.dom, cols)
+						got, err := JoinRel(in.left, in.right, "lk", "rk", kind, opt, in.dom, swapped, cols, nil)
 						if err != nil {
 							t.Fatalf("%s fresh: %v", label, err)
 						}
@@ -192,7 +188,7 @@ func TestJoinVariantsAgainstReference(t *testing.T) {
 						tab.Keep()
 						kept := tab.Index()
 						tab.Release()
-						if got, err = JoinRelIndex(in.left, in.right, "lk", "rk", kind, kept, swapped, opt, cols); err != nil {
+						if got, err = JoinRel(in.left, in.right, "lk", "rk", kind, opt, props.Domain{}, swapped, cols, kept); err != nil {
 							t.Fatalf("%s kept table: %v", label, err)
 						}
 						check(label+" kept table", got, want)
@@ -209,7 +205,7 @@ func TestJoinVariantsAgainstReference(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s explicit build: %v", label, err)
 						}
-						if got, err = JoinRelIndex(in.left, in.right, "lk", "rk", kind, explicit, swapped, opt, cols); err != nil {
+						if got, err = JoinRel(in.left, in.right, "lk", "rk", kind, opt, props.Domain{}, swapped, cols, explicit); err != nil {
 							t.Fatalf("%s explicit table: %v", label, err)
 						}
 						check(label+" explicit table", got, want)

@@ -155,11 +155,11 @@ func TestJoinRelKeepsOnlyNamedColumns(t *testing.T) {
 	run := func(kind JoinKind, variant string, cols []string) (*storage.Relation, error) {
 		switch variant {
 		case "swapped":
-			return JoinRelDomSwapped(r, s, "ID", "R_ID", kind, JoinOptions{}, props.Domain{}, cols)
+			return JoinRel(r, s, "ID", "R_ID", kind, JoinOptions{}, props.Domain{}, true, cols, nil)
 		case "index":
-			return JoinRelIndex(r, s, "ID", "R_ID", HJ, idx, false, JoinOptions{}, cols)
+			return JoinRel(r, s, "ID", "R_ID", HJ, JoinOptions{}, props.Domain{}, false, cols, idx)
 		default:
-			return JoinRelDom(r, s, "ID", "R_ID", kind, JoinOptions{}, props.Domain{}, cols)
+			return JoinRel(r, s, "ID", "R_ID", kind, JoinOptions{}, props.Domain{}, false, cols, nil)
 		}
 	}
 	for _, kind := range []JoinKind{HJ, SPHJ, OJ, SOJ, BSJ} {

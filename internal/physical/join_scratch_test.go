@@ -72,10 +72,7 @@ func TestPooledJoinScratchDoesNotEscape(t *testing.T) {
 	run := func(v variant, r, s *storage.Relation) (*storage.Relation, error) {
 		opt := JoinOptions{Parallel: v.dop}
 		dom := domainOf(r, "ID") // dense, and a superset of the foreign keys present
-		if v.swapped {
-			return JoinRelDomSwapped(r, s, "ID", "R_ID", v.kind, opt, dom, v.cols)
-		}
-		return JoinRelDom(r, s, "ID", "R_ID", v.kind, opt, dom, v.cols)
+		return JoinRel(r, s, "ID", "R_ID", v.kind, opt, dom, v.swapped, v.cols, nil)
 	}
 	check := func(v variant) error {
 		first, err := run(v, r1, s1)

@@ -63,7 +63,7 @@ func BenchmarkJoinIndexed(b *testing.B) {
 		b.Run(kind.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out, err := JoinRelIndex(r, s, "ID", "R_ID", kind, idx, true, JoinOptions{}, []string{"A"})
+				out, err := JoinRel(r, s, "ID", "R_ID", kind, JoinOptions{}, props.Domain{}, true, []string{"A"}, idx)
 				if err != nil || out.NumRows() != s.NumRows() {
 					b.Fatalf("out = %v, err = %v", out, err)
 				}
@@ -85,7 +85,7 @@ func TestJoinIndexedAllocBound(t *testing.T) {
 			if i == 0 {
 				runtime.ReadMemStats(&before)
 			}
-			if _, err := JoinRelIndex(r, s, "ID", "R_ID", kind, idx, true, JoinOptions{}, []string{"A"}); err != nil {
+			if _, err := JoinRel(r, s, "ID", "R_ID", kind, JoinOptions{}, props.Domain{}, true, []string{"A"}, idx); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -125,7 +125,7 @@ func BenchmarkGroupByRelCountSum(b *testing.B) {
 			b.Run(v.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					out, err := GroupByRel(rel, "key", v.aggs, c.kind, GroupOptions{})
+					out, err := GroupByRel(rel, "key", v.aggs, c.kind, GroupOptions{}, props.Domain{})
 					if err != nil || out.NumRows() != 20000 {
 						b.Fatalf("groups = %v, err = %v", out, err)
 					}
@@ -166,7 +166,7 @@ func TestGroupHashAllocBound(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		if _, err := GroupByRel(rel, "key", aggs, HG, GroupOptions{}); err != nil {
+		if _, err := GroupByRel(rel, "key", aggs, HG, GroupOptions{}, props.Domain{}); err != nil {
 			t.Fatal(err)
 		}
 	}

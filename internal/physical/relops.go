@@ -21,7 +21,7 @@ import (
 //     each row-range chunk of a relation and concatenating the outputs
 //     yields exactly the whole-relation result, so the executor runs them
 //     per morsel. TestRelopsMorselDecomposable pins this contract.
-//   - SortRel, GroupByRel*, and JoinRel* are pipeline breakers — their
+//   - SortRel, GroupByRel(Bundle) and JoinRel are pipeline breakers — their
 //     results depend on the whole input — so the executor drains their
 //     inputs and invokes them once, behind the same operator interface.
 //     What a breaker receives is a possibly aliasing view, not a private
@@ -77,38 +77,15 @@ func ProjectRel(rel *storage.Relation, cols ...string) (*storage.Relation, error
 	return rel.Project(cols...)
 }
 
-// SortRel returns rel sorted ascending by the key column (stable). Input
-// already in key order is returned as it is: a stable sort of it is the
-// identity. The output's statistics stay lazy, for the rare caller that asks.
-func SortRel(rel *storage.Relation, keyCol string, kind sortx.Kind) (*storage.Relation, error) {
-	keys, err := keyColumn(rel, keyCol)
-	if err != nil {
-		return nil, err
-	}
-	if sortx.IsSortedUint32(keys) {
-		return rel, nil
-	}
-	perm := sortx.ArgSortUint32(kind, keys)
-	out := rel.Gather(perm)
-	if !keySorted(out, keyCol) {
-		return nil, fmt.Errorf("physical: SortRel postcondition violated on %q", keyCol)
-	}
-	return out, nil
-}
-
-// SortRelPar is SortRel with the argsort and the gather fanned across
-// workers. Both parallel kernels are DOP-invariant, so the output is
-// identical to SortRel for any worker count.
-func SortRelPar(rel *storage.Relation, keyCol string, kind sortx.Kind, workers int) (*storage.Relation, error) {
-	return SortRelParCtl(rel, keyCol, kind, workers, nil)
-}
-
-// SortRelParCtl is SortRelPar under governance: ctl's cancellation is polled
-// inside the parallel argsort's run and merge phases, and the permutation
-// plus merge buffers are charged against its budget. A nil ctl is
-// ungoverned. Input already in key order is returned as it is, with nothing
-// charged.
-func SortRelParCtl(rel *storage.Relation, keyCol string, kind sortx.Kind, workers int, ctl *govern.Ctl) (*storage.Relation, error) {
+// SortRel returns rel sorted ascending by the key column (stable), with the
+// argsort and the gather fanned across workers; at most one worker sorts
+// serially, and every worker count gives the same output. Input already in
+// key order is returned as it is, with nothing charged: a stable sort of it
+// is the identity. ctl's cancellation is polled inside the argsort, and the
+// permutation plus the merge passes' swap buffer, 8 B per row, are charged
+// against its budget; a nil ctl is ungoverned. The output's statistics stay
+// lazy, for the rare caller that asks.
+func SortRel(rel *storage.Relation, keyCol string, kind sortx.Kind, workers int, ctl *govern.Ctl) (*storage.Relation, error) {
 	keys, err := keyColumn(rel, keyCol)
 	if err != nil {
 		return nil, err
@@ -121,41 +98,38 @@ func SortRelParCtl(rel *storage.Relation, keyCol string, kind sortx.Kind, worker
 	}
 	rv := resv{ctl: ctl}
 	defer rv.release()
-	// Permutation plus the parallel merge passes' swap buffer: 8 B/row.
 	if err := rv.add(int64(rel.NumRows()) * 8); err != nil {
 		return nil, err
 	}
-	if workers <= 1 {
-		return SortRel(rel, keyCol, kind)
+	var stop func() error // nil when ungoverned: the method value would allocate
+	if ctl != nil {
+		stop = ctl.Err
 	}
-	perm, err := sortx.ParallelArgSortUint32Ctl(kind, keys, workers, ctl.Err)
+	perm, err := sortx.ParallelArgSortUint32Ctl(kind, keys, workers, stop)
 	if err != nil {
 		return nil, err
 	}
 	out := rel.GatherPar(perm, workers)
 	if !keySorted(out, keyCol) {
-		return nil, fmt.Errorf("physical: SortRelPar postcondition violated on %q", keyCol)
+		return nil, fmt.Errorf("physical: SortRel postcondition violated on %q", keyCol)
 	}
 	return out, nil
 }
 
 // GroupByRel groups rel by keyCol and computes the requested aggregates
-// using the chosen algorithm, deriving the key domain from the relation's
-// own statistics.
-func GroupByRel(rel *storage.Relation, keyCol string, aggs []expr.AggSpec, kind GroupKind, opt GroupOptions) (*storage.Relation, error) {
-	return GroupByRelDom(rel, keyCol, aggs, kind, opt, domainOf(rel, keyCol))
-}
-
-// GroupByRelDom is GroupByRel with an explicit key-domain description — the
-// optimiser passes the domain it planned with, which may be a (dense)
-// superset of the data actually present (e.g. after a selective join). The
-// output relation has the key column first (kind preserved, including
-// dictionaries) followed by one column per aggregate. Aggregate argument
-// columns must be integer-kinded.
-func GroupByRelDom(rel *storage.Relation, keyCol string, aggs []expr.AggSpec, kind GroupKind, opt GroupOptions, dom props.Domain) (*storage.Relation, error) {
+// using the chosen algorithm. dom describes the key domain: the optimiser
+// passes the one it planned with, which may be a (dense) superset of the data
+// actually present (e.g. after a selective join); a zero dom falls back to
+// the relation's own statistics. The output relation has the key column
+// first (kind preserved, including dictionaries) followed by one column per
+// aggregate. Aggregate argument columns must be integer-kinded.
+func GroupByRel(rel *storage.Relation, keyCol string, aggs []expr.AggSpec, kind GroupKind, opt GroupOptions, dom props.Domain) (*storage.Relation, error) {
 	keys, err := keyColumn(rel, keyCol)
 	if err != nil {
 		return nil, err
+	}
+	if !dom.Known {
+		dom = domainOf(rel, keyCol)
 	}
 	return groupAndAssemble(rel, keyCol, aggs, func(args []aggArg) (*GroupResult, error) {
 		return groupArgs(kind, keys, args, dom, opt)
@@ -301,47 +275,10 @@ func aggArgument(rel *storage.Relation, col string) (argVals, error) {
 	}
 }
 
-// JoinRel joins left and right on leftKey = rightKey using the chosen
-// algorithm, deriving the build-side key domain from the relation's own
-// statistics. The output contains all left columns followed by all right
-// columns; right columns whose names clash are suffixed with "_r".
-func JoinRel(left, right *storage.Relation, leftKey, rightKey string, kind JoinKind, opt JoinOptions) (*storage.Relation, error) {
-	return JoinRelDom(left, right, leftKey, rightKey, kind, opt, props.Domain{}, nil)
-}
-
-// JoinRelDom is JoinRel with an explicit build-side key domain (a zero
-// domain falls back to the left relation's statistics) and an explicit
-// output column list: a non-nil cols keeps only the output columns it names
-// (after "_r" suffixing; names the output does not have are ignored), and
-// only those are gathered. The plan compiler passes the columns the join's
-// ancestors reference.
-func JoinRelDom(left, right *storage.Relation, leftKey, rightKey string, kind JoinKind, opt JoinOptions, dom props.Domain, cols []string) (*storage.Relation, error) {
-	return joinRelImpl(left, right, leftKey, rightKey, kind, opt, dom, false, cols, nil)
-}
-
-// JoinRelDomSwapped executes the join with the roles of the inputs swapped
-// (build on right, probe with left — join commutativity) while keeping the
-// output schema identical to JoinRelDom: left columns first, clashing right
-// columns suffixed "_r". dom describes the right (build) key domain.
-func JoinRelDomSwapped(left, right *storage.Relation, leftKey, rightKey string, kind JoinKind, opt JoinOptions, dom props.Domain, cols []string) (*storage.Relation, error) {
-	return joinRelImpl(left, right, leftKey, rightKey, kind, opt, dom, true, cols, nil)
-}
-
-// JoinRelIndex joins left and right through idx, an index somebody built
-// over the whole key column of the build side — the left input, or with
-// swapped the right — so only the probe runs: the probe step of a join whose
-// caller did the build step itself (BuildJoinTable), or of one whose build
-// was paid offline (an Algorithmic View). kind says whether idx is HJ's
-// multimap or SPHJ's directory. Output schema, order and cols are those of
-// JoinRelDom / JoinRelDomSwapped.
-func JoinRelIndex(left, right *storage.Relation, leftKey, rightKey string, kind JoinKind, idx RowIndex, swapped bool, opt JoinOptions, cols []string) (*storage.Relation, error) {
-	return joinRelImpl(left, right, leftKey, rightKey, kind, opt, props.Domain{}, swapped, cols, idx)
-}
-
 // BuildJoinTable is the build step of a serial HJ or SPHJ over rel's key
 // column, for a caller that wants to own the table between the two steps;
-// JoinRelIndex over its Index() is the probe step, and the two together are
-// JoinRelDom. A zero dom falls back to the relation's statistics.
+// JoinRel with its Index() is the probe step, and the two together are a
+// JoinRel that builds. A zero dom falls back to the relation's statistics.
 func BuildJoinTable(rel *storage.Relation, key string, kind JoinKind, opt JoinOptions, dom props.Domain) (*JoinTable, error) {
 	keys, err := keyColumn(rel, key)
 	if err != nil {
@@ -356,11 +293,28 @@ func BuildJoinTable(rel *storage.Relation, key string, kind JoinKind, opt JoinOp
 	return buildJoinTable(kind, keys, dom, opt)
 }
 
-// joinRelImpl is the one relation-level join: fresh build or prebuilt index,
-// either build side, in memory or as one partition of a spill twin. It
-// decides the output schema, runs the kernel in build/probe terms for only
-// the row ids that schema gathers, checks a claimed key order and assembles.
-func joinRelImpl(left, right *storage.Relation, leftKey, rightKey string, kind JoinKind, opt JoinOptions, dom props.Domain, swapped bool, cols []string, idx RowIndex) (*storage.Relation, error) {
+// JoinRel joins left and right on leftKey = rightKey using the chosen
+// algorithm: the one relation-level join, fresh build or prebuilt index,
+// either build side, in memory or as one partition of a spill twin. The
+// output contains the left columns followed by the right ones, right columns
+// whose names clash suffixed "_r", whichever side builds.
+//   - dom describes the build-side key domain; a zero dom falls back to the
+//     build relation's statistics.
+//   - swapped builds on right and probes with left (join commutativity).
+//   - A non-nil cols keeps only the output columns it names (after "_r"
+//     suffixing; names the output does not have are ignored), and only those
+//     are gathered. The plan compiler passes the columns the join's ancestors
+//     reference.
+//   - A non-nil idx is an index somebody built over the whole key column of
+//     the build side, so only the probe runs: the probe step of a join whose
+//     caller did the build step itself (BuildJoinTable), or of one whose
+//     build was paid offline (an Algorithmic View). kind says whether idx is
+//     HJ's multimap or SPHJ's directory; dom is then unused.
+//
+// It decides the output schema, runs the kernel in build/probe terms for
+// only the row ids that schema gathers, checks a claimed key order and
+// assembles.
+func JoinRel(left, right *storage.Relation, leftKey, rightKey string, kind JoinKind, opt JoinOptions, dom props.Domain, swapped bool, cols []string, idx RowIndex) (*storage.Relation, error) {
 	lk, err := keyColumn(left, leftKey)
 	if err != nil {
 		return nil, err

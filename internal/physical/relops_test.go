@@ -37,7 +37,7 @@ func TestSortRel(t *testing.T) {
 		storage.NewInt64("v", []int64{30, 10, 20, 11}),
 	)
 	for _, sk := range sortx.Kinds() {
-		out, err := SortRel(rel, "k", sk)
+		out, err := SortRel(rel, "k", sk, 1, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", sk, err)
 		}
@@ -54,10 +54,10 @@ func TestSortRel(t *testing.T) {
 			t.Fatalf("%s: output stats not sorted", sk)
 		}
 	}
-	if _, err := SortRel(rel, "missing", sortx.Radix); err == nil {
+	if _, err := SortRel(rel, "missing", sortx.Radix, 1, nil); err == nil {
 		t.Fatal("sort by missing column accepted")
 	}
-	if _, err := SortRel(storage.MustNewRelation("t", storage.NewFloat64("f", []float64{1})), "f", sortx.Radix); err == nil {
+	if _, err := SortRel(storage.MustNewRelation("t", storage.NewFloat64("f", []float64{1})), "f", sortx.Radix, 1, nil); err == nil {
 		t.Fatal("sort by float column accepted as key")
 	}
 }
@@ -67,7 +67,7 @@ func TestSortRel(t *testing.T) {
 func TestSortRelLeavesStatsLazy(t *testing.T) {
 	r, _ := datagen.FKPair(3, datagen.FKConfig{RRows: 5000, SRows: 10, AGroups: 50})
 	before := storage.StatsComputations()
-	out, err := SortRel(r, "A", sortx.Radix)
+	out, err := SortRel(r, "A", sortx.Radix, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestSortRelLeavesStatsLazy(t *testing.T) {
 // linear pass and no allocation.
 func BenchmarkSortRelPostcondition(b *testing.B) {
 	_, s := datagen.FKPair(11, datagen.FKConfig{RRows: 20000, SRows: 100000, AGroups: 200})
-	sorted, err := SortRel(s, "R_ID", sortx.Radix)
+	sorted, err := SortRel(s, "R_ID", sortx.Radix, 1, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func BenchmarkSortRelPostcondition(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := SortRel(c.rel, "R_ID", sortx.Radix); err != nil {
+				if _, err := SortRel(c.rel, "R_ID", sortx.Radix, 1, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -114,7 +114,7 @@ func TestSortRelReturnsSortedInput(t *testing.T) {
 	)
 	for _, workers := range []int{1, 4} {
 		mem := govern.NewBudget(0)
-		out, err := SortRelParCtl(rel, "k", sortx.Radix, workers, &govern.Ctl{Ctx: context.Background(), Mem: mem})
+		out, err := SortRel(rel, "k", sortx.Radix, workers, &govern.Ctl{Ctx: context.Background(), Mem: mem})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestGroupByRelBasic(t *testing.T) {
 		{Func: expr.AggMin, Col: "v"},
 		{Func: expr.AggMax, Col: "v"},
 		{Func: expr.AggAvg, Col: "v"},
-	}, SPHG, GroupOptions{})
+	}, SPHG, GroupOptions{}, props.Domain{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestGroupByRelAllKindsAgree(t *testing.T) {
 	aggs := []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "val"}}
 	var ref *storage.Relation
 	for _, k := range GroupKinds() {
-		out, err := GroupByRel(rel, "key", aggs, k, GroupOptions{})
+		out, err := GroupByRel(rel, "key", aggs, k, GroupOptions{}, props.Domain{})
 		if err != nil {
 			t.Fatalf("%s: %v", k, err)
 		}
@@ -197,7 +197,7 @@ func TestGroupByRelStringKeys(t *testing.T) {
 		storage.NewString("city", []string{"ba", "sb", "ba", "hh", "sb", "ba"}),
 		storage.NewInt64("pop", []int64{1, 2, 3, 4, 5, 6}),
 	)
-	out, err := GroupByRel(rel, "city", []expr.AggSpec{{Func: expr.AggSum, Col: "pop"}}, SPHG, GroupOptions{})
+	out, err := GroupByRel(rel, "city", []expr.AggSpec{{Func: expr.AggSum, Col: "pop"}}, SPHG, GroupOptions{}, props.Domain{})
 	if err != nil {
 		t.Fatal(err) // dict codes are dense: SPHG must apply
 	}
@@ -222,26 +222,26 @@ func TestGroupByRelErrors(t *testing.T) {
 		storage.NewUint32("g", []uint32{1}),
 		storage.NewFloat64("f", []float64{1.5}),
 	)
-	if _, err := GroupByRel(rel, "missing", nil, HG, GroupOptions{}); err == nil {
+	if _, err := GroupByRel(rel, "missing", nil, HG, GroupOptions{}, props.Domain{}); err == nil {
 		t.Fatal("missing key column accepted")
 	}
-	if _, err := GroupByRel(rel, "g", []expr.AggSpec{{Func: expr.AggSum, Col: "f"}}, HG, GroupOptions{}); err == nil {
+	if _, err := GroupByRel(rel, "g", []expr.AggSpec{{Func: expr.AggSum, Col: "f"}}, HG, GroupOptions{}, props.Domain{}); err == nil {
 		t.Fatal("float aggregate argument accepted")
 	}
-	if _, err := GroupByRel(rel, "g", []expr.AggSpec{{Func: expr.AggSum, Col: "missing"}}, HG, GroupOptions{}); err == nil {
+	if _, err := GroupByRel(rel, "g", []expr.AggSpec{{Func: expr.AggSum, Col: "missing"}}, HG, GroupOptions{}, props.Domain{}); err == nil {
 		t.Fatal("missing aggregate argument accepted")
 	}
-	if _, err := GroupByRel(rel, "g", []expr.AggSpec{{Func: expr.AggSum}}, HG, GroupOptions{}); err == nil {
+	if _, err := GroupByRel(rel, "g", []expr.AggSpec{{Func: expr.AggSum}}, HG, GroupOptions{}, props.Domain{}); err == nil {
 		t.Fatal("SUM without argument accepted")
 	}
-	if _, err := GroupByRel(rel, "f", nil, HG, GroupOptions{}); err == nil {
+	if _, err := GroupByRel(rel, "f", nil, HG, GroupOptions{}, props.Domain{}); err == nil {
 		t.Fatal("float grouping key accepted")
 	}
 }
 
 func TestGroupByRelNoAggs(t *testing.T) {
 	rel := storage.MustNewRelation("t", storage.NewUint32("g", []uint32{2, 0, 2, 1}))
-	out, err := GroupByRel(rel, "g", nil, SOG, GroupOptions{})
+	out, err := GroupByRel(rel, "g", nil, SOG, GroupOptions{}, props.Domain{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestJoinRelBasic(t *testing.T) {
 		storage.NewInt64("M", []int64{100, 200, 300, 400}),
 	)
 	for _, k := range []JoinKind{HJ, SPHJ, SOJ, BSJ} {
-		out, err := JoinRel(r, s, "ID", "R_ID", k, JoinOptions{})
+		out, err := JoinRel(r, s, "ID", "R_ID", k, JoinOptions{}, props.Domain{}, false, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", k, err)
 		}
@@ -288,7 +288,7 @@ func TestJoinRelColumnClash(t *testing.T) {
 		storage.NewUint32("ID", []uint32{0, 1}),
 		storage.NewInt64("x", []int64{10, 20}),
 	)
-	out, err := JoinRel(r, s, "ID", "ID", HJ, JoinOptions{})
+	out, err := JoinRel(r, s, "ID", "ID", HJ, JoinOptions{}, props.Domain{}, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,14 +310,14 @@ func TestJoinRelColumnClash(t *testing.T) {
 func TestJoinRelErrors(t *testing.T) {
 	r := storage.MustNewRelation("R", storage.NewUint32("ID", []uint32{0}))
 	s := storage.MustNewRelation("S", storage.NewUint32("R_ID", []uint32{0}))
-	if _, err := JoinRel(r, s, "missing", "R_ID", HJ, JoinOptions{}); err == nil {
+	if _, err := JoinRel(r, s, "missing", "R_ID", HJ, JoinOptions{}, props.Domain{}, false, nil, nil); err == nil {
 		t.Fatal("missing left key accepted")
 	}
-	if _, err := JoinRel(r, s, "ID", "missing", HJ, JoinOptions{}); err == nil {
+	if _, err := JoinRel(r, s, "ID", "missing", HJ, JoinOptions{}, props.Domain{}, false, nil, nil); err == nil {
 		t.Fatal("missing right key accepted")
 	}
 	sparse := storage.MustNewRelation("R", storage.NewUint32("ID", []uint32{0, 5}))
-	if _, err := JoinRel(sparse, s, "ID", "R_ID", SPHJ, JoinOptions{}); err == nil {
+	if _, err := JoinRel(sparse, s, "ID", "R_ID", SPHJ, JoinOptions{}, props.Domain{}, false, nil, nil); err == nil {
 		t.Fatal("SPHJ over sparse keys accepted")
 	}
 }
@@ -329,18 +329,18 @@ func TestEndToEndPaperQuery(t *testing.T) {
 	r, s := datagen.FKPair(21, cfg)
 
 	run := func(jk JoinKind, gk GroupKind) *storage.Relation {
-		j, err := JoinRel(r, s, "ID", "R_ID", jk, JoinOptions{})
+		j, err := JoinRel(r, s, "ID", "R_ID", jk, JoinOptions{}, props.Domain{}, false, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", jk, err)
 		}
 		// A's domain stats are lost after the join (gathered column);
 		// recompute so SPHG can run.
 		j.MustColumn("A").ResetStats()
-		out, err := GroupByRel(j, "A", []expr.AggSpec{{Func: expr.AggCount}}, gk, GroupOptions{})
+		out, err := GroupByRel(j, "A", []expr.AggSpec{{Func: expr.AggCount}}, gk, GroupOptions{}, props.Domain{})
 		if err != nil {
 			t.Fatalf("%s/%s: %v", jk, gk, err)
 		}
-		sorted, err := SortRel(out, "A", sortx.Radix)
+		sorted, err := SortRel(out, "A", sortx.Radix, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,7 +369,7 @@ func TestEndToEndPaperQuery(t *testing.T) {
 func TestGroupByRelBundleMatchesOperator(t *testing.T) {
 	rel := datagen.GroupingRelation(31, 30000, 128, datagen.Quadrant{Sorted: false, Dense: true})
 	aggs := []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "val"}}
-	ref, err := GroupByRel(rel, "key", aggs, SPHG, GroupOptions{})
+	ref, err := GroupByRel(rel, "key", aggs, SPHG, GroupOptions{}, props.Domain{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestGroupByRelBundleMatchesOperator(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/p=%d: %v", strat, parallel, err)
 			}
-			sorted, err := SortRel(out, "key", sortx.Radix)
+			sorted, err := SortRel(out, "key", sortx.Radix, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -476,7 +476,7 @@ func TestGroupByRelKernelRuns(t *testing.T) {
 				t.Fatalf("%s/%s: %d output columns", kind, tc.name, got.NumCols())
 			}
 			for _, a := range tc.aggs {
-				ref, err := GroupByRel(rel, "key", []expr.AggSpec{a}, kind, GroupOptions{})
+				ref, err := GroupByRel(rel, "key", []expr.AggSpec{a}, kind, GroupOptions{}, props.Domain{})
 				if err != nil {
 					t.Fatal(err)
 				}

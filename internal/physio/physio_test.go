@@ -83,8 +83,8 @@ func TestGroupChoicesShallow(t *testing.T) {
 
 func TestGroupChoicesDeepExpandsMolecules(t *testing.T) {
 	cs := GroupChoices(Deep, 1)
-	// 12 HG variants + SPHG + OG + 3 SOG + BSG, all serial at dop=1.
-	if want := 12 + 1 + 1 + 3 + 1; len(cs) != want {
+	// 12 HG variants + SPHG + OG + 2 SOG + BSG, all serial at dop=1.
+	if want := 12 + 1 + 1 + 2 + 1; len(cs) != want {
 		t.Fatalf("deep grouping choices = %d, want %d", len(cs), want)
 	}
 	labels := map[string]bool{}
@@ -106,8 +106,8 @@ func TestJoinChoicesCounts(t *testing.T) {
 	if n := len(JoinChoices(Shallow, 1)); n != 5 {
 		t.Fatalf("shallow join choices = %d, want 5", n)
 	}
-	if n := len(JoinChoices(Deep, 1)); n != 4+1+1+3+3 {
-		t.Fatalf("deep join choices = %d, want 12", n)
+	if n := len(JoinChoices(Deep, 1)); n != 4+1+1+2+2 {
+		t.Fatalf("deep join choices = %d, want 10", n)
 	}
 }
 
@@ -116,7 +116,7 @@ func TestJoinChoicesCounts(t *testing.T) {
 // radix SOJ for joins. Shallow enumeration never parallelises.
 func TestParallelChoicesAppendAfterSerial(t *testing.T) {
 	gs := GroupChoices(Deep, 4)
-	if want := (12 + 1 + 1 + 3 + 1) + 6; len(gs) != want {
+	if want := (12 + 1 + 1 + 2 + 1) + 6; len(gs) != want {
 		t.Fatalf("deep grouping choices at dop=4 = %d, want %d", len(gs), want)
 	}
 	labels := map[string]int{}
@@ -147,7 +147,7 @@ func TestParallelChoicesAppendAfterSerial(t *testing.T) {
 		}
 	}
 	js := JoinChoices(Deep, 4)
-	if want := (4 + 1 + 1 + 3 + 3) + 6; len(js) != want {
+	if want := (4 + 1 + 1 + 2 + 2) + 6; len(js) != want {
 		t.Fatalf("deep join choices at dop=4 = %d, want %d", len(js), want)
 	}
 	jl := map[string]bool{}

@@ -224,13 +224,19 @@ func (s Set) CorrelatedWith(key, dep string) bool {
 // Dependents returns all columns (other than key) known non-decreasing in
 // key order.
 func (s Set) Dependents(key string) []string {
-	var out []string
+	return normalize(s.AppendDependents(nil, key))
+}
+
+// AppendDependents appends Dependents(key) to dst, in the order the
+// correlations are held and with any repeats: for a caller that sorts and
+// compacts a longer list anyway.
+func (s Set) AppendDependents(dst []string, key string) []string {
 	for _, c := range s.Corrs {
 		if c.Key == key {
-			out = append(out, c.Dep)
+			dst = append(dst, c.Dep)
 		}
 	}
-	return normalize(out)
+	return dst
 }
 
 // WithDomain returns a copy with col's domain set.

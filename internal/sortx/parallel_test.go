@@ -1,6 +1,7 @@
 package sortx
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -35,7 +36,10 @@ func TestParallelArgSortMatchesSerial(t *testing.T) {
 		for _, k := range Kinds() {
 			want := ArgSortUint32(k, keys)
 			for _, w := range []int{1, 2, 3, 8} {
-				got := ParallelArgSortUint32(k, keys, w)
+				got, err := ParallelArgSortUint32Ctl(k, keys, w, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if len(got) != len(want) {
 					t.Fatalf("%s/%s/w=%d: length %d vs %d", name, k, w, len(got), len(want))
 				}
@@ -57,7 +61,9 @@ func TestParallelSortMatchesSerial(t *testing.T) {
 			SortUint32(k, want)
 			for _, w := range []int{2, 3, 8} {
 				got := append([]uint32(nil), keys...)
-				ParallelSortUint32(k, got, w)
+				if err := ParallelSortUint32Ctl(k, got, w, nil); err != nil {
+					t.Fatal(err)
+				}
 				for i := range got {
 					if got[i] != want[i] {
 						t.Fatalf("%s/%s/w=%d: [%d] = %d, want %d", name, k, w, i, got[i], want[i])
@@ -81,7 +87,9 @@ func TestParallelSortPairsMatchesSerial(t *testing.T) {
 			for _, w := range []int{2, 3, 8} {
 				gk := append([]uint32(nil), keys...)
 				gv := append([]int64(nil), vals...)
-				ParallelSortPairsUint32Int64(k, gk, gv, w)
+				if err := ParallelSortPairsUint32Int64Ctl(k, gk, gv, w, nil); err != nil {
+					t.Fatal(err)
+				}
 				for i := range gk {
 					if gk[i] != wk[i] || gv[i] != wv[i] {
 						t.Fatalf("%s/%s/w=%d: [%d] = (%d,%d), want (%d,%d)",
@@ -90,5 +98,48 @@ func TestParallelSortPairsMatchesSerial(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkParallelSort times the three shapes through the parallel
+// run-and-merge driver over 1 M sparse keys with the radix kind, the one the
+// planner picks: <shape>/w=1 is the serial sort, w=2 and w=4 add the fork and
+// the merge rounds.
+func BenchmarkParallelSort(b *testing.B) {
+	const n = 1 << 20
+	rng := rand.New(rand.NewSource(11))
+	keys := make([]uint32, n)
+	for i := range keys {
+		keys[i] = rng.Uint32()
+	}
+	xs := make([]uint32, n)
+	vals := make([]int64, n)
+	for _, w := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("argsort/w=%d", w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := ParallelArgSortUint32Ctl(Radix, keys, w, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("values/w=%d", w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(xs, keys)
+				if err := ParallelSortUint32Ctl(Radix, xs, w, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("pairs/w=%d", w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(xs, keys)
+				for j := range vals {
+					vals[j] = int64(j)
+				}
+				if err := ParallelSortPairsUint32Int64Ctl(Radix, xs, vals, w, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

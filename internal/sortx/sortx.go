@@ -14,13 +14,12 @@ import "slices"
 type Kind uint8
 
 // Sorting algorithm kinds. Radix is a least-significant-digit counting sort
-// over 8-bit digits (4 passes for uint32). Comparison is an introsort
-// (quicksort with a heap-sort depth guard and insertion sort for small runs).
-// Std delegates to the Go standard library (pattern-defeating quicksort).
+// over 8-bit digits (4 passes for uint32). Comparison is the standard
+// library's sort: slices.Sort for values, slices.SortStableFunc for the
+// argsort and the key/payload pairs.
 const (
 	Radix Kind = iota
 	Comparison
-	Std
 )
 
 // String returns the kind name.
@@ -30,26 +29,21 @@ func (k Kind) String() string {
 		return "radix"
 	case Comparison:
 		return "comparison"
-	case Std:
-		return "std"
 	default:
 		return "unknown"
 	}
 }
 
 // Kinds lists all sort kinds, for ablation sweeps.
-func Kinds() []Kind { return []Kind{Radix, Comparison, Std} }
+func Kinds() []Kind { return []Kind{Radix, Comparison} }
 
 // SortUint32 sorts xs ascending in place using the given algorithm.
 func SortUint32(k Kind, xs []uint32) {
-	switch k {
-	case Radix:
+	if k == Radix {
 		radixSortUint32(xs)
-	case Comparison:
-		introSortUint32(xs, 0, len(xs))
-	default:
-		slices.Sort(xs)
+		return
 	}
+	slices.Sort(xs)
 }
 
 // IsSortedUint32 reports whether xs is non-decreasing.
@@ -77,7 +71,7 @@ func IsSortedUint64(xs []uint64) bool {
 func radixSortUint32(xs []uint32) {
 	n := len(xs)
 	if n < 64 {
-		insertionSortUint32(xs)
+		slices.Sort(xs)
 		return
 	}
 	buf := make([]uint32, n)
@@ -111,136 +105,40 @@ func radixSortUint32(xs []uint32) {
 	}
 }
 
-func insertionSortUint32(xs []uint32) {
-	for i := 1; i < len(xs); i++ {
-		x := xs[i]
-		j := i - 1
-		for j >= 0 && xs[j] > x {
-			xs[j+1] = xs[j]
-			j--
-		}
-		xs[j+1] = x
-	}
-}
-
-// introSortUint32 sorts xs[lo:hi) with quicksort, falling back to heapsort
-// when recursion depth exceeds 2*log2(n) and to insertion sort below 16.
-func introSortUint32(xs []uint32, lo, hi int) {
-	depth := 0
-	for n := hi - lo; n > 1; n >>= 1 {
-		depth += 2
-	}
-	introSortRec(xs, lo, hi, depth)
-}
-
-func introSortRec(xs []uint32, lo, hi, depth int) {
-	for hi-lo > 16 {
-		if depth == 0 {
-			heapSortUint32(xs[lo:hi])
-			return
-		}
-		depth--
-		// Hoare partition: xs[lo:p+1] <= pivot <= xs[p+1:hi]; the pivot
-		// itself is not in final position, so both halves include it.
-		p := partitionUint32(xs, lo, hi)
-		// Recurse into the smaller half, loop on the larger: O(log n) stack.
-		if p+1-lo < hi-p-1 {
-			introSortRec(xs, lo, p+1, depth)
-			lo = p + 1
-		} else {
-			introSortRec(xs, p+1, hi, depth)
-			hi = p + 1
-		}
-	}
-	insertionSortUint32(xs[lo:hi])
-}
-
-func partitionUint32(xs []uint32, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	// Median of three to xs[lo].
-	if xs[mid] < xs[lo] {
-		xs[mid], xs[lo] = xs[lo], xs[mid]
-	}
-	if xs[hi-1] < xs[lo] {
-		xs[hi-1], xs[lo] = xs[lo], xs[hi-1]
-	}
-	if xs[hi-1] < xs[mid] {
-		xs[hi-1], xs[mid] = xs[mid], xs[hi-1]
-	}
-	pivot := xs[mid]
-	i, j := lo, hi-1
-	for {
-		for xs[i] < pivot {
-			i++
-		}
-		for xs[j] > pivot {
-			j--
-		}
-		if i >= j {
-			return j
-		}
-		xs[i], xs[j] = xs[j], xs[i]
-		i++
-		j--
-	}
-}
-
-func heapSortUint32(xs []uint32) {
-	n := len(xs)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(xs, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		xs[0], xs[i] = xs[i], xs[0]
-		siftDown(xs, 0, i)
-	}
-}
-
-func siftDown(xs []uint32, root, n int) {
-	for {
-		child := 2*root + 1
-		if child >= n {
-			return
-		}
-		if child+1 < n && xs[child+1] > xs[child] {
-			child++
-		}
-		if xs[root] >= xs[child] {
-			return
-		}
-		xs[root], xs[child] = xs[child], xs[root]
-		root = child
-	}
-}
-
 // ArgSortUint32 returns a permutation idx such that keys[idx[0]] <=
 // keys[idx[1]] <= ... The sort is stable: equal keys keep their input order.
 // It is used to sort whole relations by one key column (gather with idx).
 func ArgSortUint32(k Kind, keys []uint32) []int32 {
-	idx := make([]int32, len(keys))
+	idx := iota32(len(keys))
+	argSortRun(k, keys, idx)
+	return idx
+}
+
+func iota32(n int) []int32 {
+	idx := make([]int32, n)
 	for i := range idx {
 		idx[i] = int32(i)
 	}
-	switch k {
-	case Radix:
-		argRadixUint32(keys, idx)
-	default:
-		// SortStableFunc keeps equal keys in input order for both
-		// comparison kinds; the distinction Radix/Comparison matters for
-		// the raw-key sorts used inside operators.
-		slices.SortStableFunc(idx, func(a, b int32) int {
-			ka, kb := keys[a], keys[b]
-			switch {
-			case ka < kb:
-				return -1
-			case ka > kb:
-				return 1
-			default:
-				return 0
-			}
-		})
-	}
 	return idx
+}
+
+// argSortRun stable-sorts the row ids in idx by their keys.
+func argSortRun(k Kind, keys []uint32, idx []int32) {
+	if k == Radix {
+		argRadixUint32(keys, idx)
+		return
+	}
+	slices.SortStableFunc(idx, func(a, b int32) int {
+		ka, kb := keys[a], keys[b]
+		switch {
+		case ka < kb:
+			return -1
+		case ka > kb:
+			return 1
+		default:
+			return 0
+		}
+	})
 }
 
 // argRadixUint32 permutes idx so keys[idx] is sorted, using LSD radix over
@@ -288,14 +186,13 @@ func SortPairsUint32Int64(k Kind, keys []uint32, vals []int64) {
 	if len(keys) != len(vals) {
 		panic("sortx: SortPairsUint32Int64 length mismatch")
 	}
-	switch k {
-	case Radix:
+	if k == Radix {
 		radixSortPairs(keys, vals)
-	default:
-		idx := ArgSortUint32(k, keys)
-		applyPermUint32(keys, idx)
-		applyPermInt64(vals, idx)
+		return
 	}
+	idx := ArgSortUint32(k, keys)
+	applyPerm(keys, idx)
+	applyPerm(vals, idx)
 }
 
 func radixSortPairs(keys []uint32, vals []int64) {
@@ -339,16 +236,9 @@ func radixSortPairs(keys []uint32, vals []int64) {
 	}
 }
 
-func applyPermUint32(xs []uint32, idx []int32) {
-	out := make([]uint32, len(xs))
-	for i, j := range idx {
-		out[i] = xs[j]
-	}
-	copy(xs, out)
-}
-
-func applyPermInt64(xs []int64, idx []int32) {
-	out := make([]int64, len(xs))
+// applyPerm rearranges xs so that xs[i] becomes the old xs[idx[i]].
+func applyPerm[T any](xs []T, idx []int32) {
+	out := make([]T, len(xs))
 	for i, j := range idx {
 		out[i] = xs[j]
 	}

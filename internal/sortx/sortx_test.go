@@ -198,21 +198,6 @@ func TestSortPairsStability(t *testing.T) {
 	}
 }
 
-func TestHeapSortDirect(t *testing.T) {
-	// Exercise the introsort depth-guard fallback directly.
-	r := xrand.New(9)
-	xs := make([]uint32, 500)
-	for i := range xs {
-		xs[i] = r.Uint32()
-	}
-	want := append([]uint32(nil), xs...)
-	slices.Sort(want)
-	heapSortUint32(xs)
-	if !slices.Equal(xs, want) {
-		t.Fatal("heapsort mismatch")
-	}
-}
-
 func BenchmarkSortUint32(b *testing.B) {
 	r := xrand.New(3)
 	const n = 1 << 20

@@ -59,7 +59,12 @@ type SelectItem struct {
 
 // String reconstructs a normalised form of the statement (for cache keys
 // and EXPLAIN headers).
-func (s *SelectStmt) String() string {
+func (s *SelectStmt) String() string { return s.render(false) }
+
+// render writes the statement in its normalised form; with shape set, every
+// literal — WHERE/HAVING constants and the LIMIT count — renders as "?"
+// (see Fingerprint).
+func (s *SelectStmt) render(shape bool) string {
 	var b strings.Builder
 	b.WriteString("SELECT ")
 	if s.Star {
@@ -89,18 +94,21 @@ func (s *SelectStmt) String() string {
 		fmt.Fprintf(&b, " ON %s = %s", j.Left, j.Right)
 	}
 	if s.Where != nil {
-		b.WriteString(" WHERE " + s.Where.String())
+		b.WriteString(" WHERE " + renderExpr(s.Where, shape))
 	}
 	if s.GroupBy != "" {
 		b.WriteString(" GROUP BY " + s.GroupBy)
 	}
 	if s.Having != nil {
-		b.WriteString(" HAVING " + s.Having.String())
+		b.WriteString(" HAVING " + renderExpr(s.Having, shape))
 	}
 	if s.OrderBy != "" {
 		b.WriteString(" ORDER BY " + s.OrderBy)
 	}
-	if s.Limit >= 0 {
+	switch {
+	case s.Limit >= 0 && shape:
+		b.WriteString(" LIMIT ?")
+	case s.Limit >= 0:
 		fmt.Fprintf(&b, " LIMIT %d", s.Limit)
 	}
 	return b.String()

@@ -1,11 +1,6 @@
 package sql
 
-import (
-	"fmt"
-	"strings"
-
-	"dqo/internal/expr"
-)
+import "dqo/internal/expr"
 
 // Fingerprint returns the normalized shape of a statement for plan-template
 // caching: the String() form with every literal — WHERE/HAVING constants and
@@ -15,58 +10,16 @@ import (
 // splice into a cached physical plan: the optimiser's selectivity estimates
 // (1/distinct for equality, 1/3 otherwise) and granule choices do not depend
 // on the literal values, only on the predicate shape.
-func Fingerprint(s *SelectStmt) string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
-	if s.Star {
-		b.WriteString("*")
-	}
-	parts := make([]string, len(s.Items))
-	for i, it := range s.Items {
-		switch {
-		case it.Agg != nil:
-			parts[i] = it.Agg.String()
-		case it.Alias != "":
-			parts[i] = it.Col + " AS " + it.Alias
-		default:
-			parts[i] = it.Col
-		}
-	}
-	b.WriteString(strings.Join(parts, ", "))
-	b.WriteString(" FROM " + s.From.Table)
-	if s.From.Alias != "" && s.From.Alias != s.From.Table {
-		b.WriteString(" " + s.From.Alias)
-	}
-	for _, j := range s.Joins {
-		fmt.Fprintf(&b, " JOIN %s", j.Table.Table)
-		if j.Table.Alias != "" && j.Table.Alias != j.Table.Table {
-			b.WriteString(" " + j.Table.Alias)
-		}
-		fmt.Fprintf(&b, " ON %s = %s", j.Left, j.Right)
-	}
-	if s.Where != nil {
-		b.WriteString(" WHERE " + exprFingerprint(s.Where))
-	}
-	if s.GroupBy != "" {
-		b.WriteString(" GROUP BY " + s.GroupBy)
-	}
-	if s.Having != nil {
-		b.WriteString(" HAVING " + exprFingerprint(s.Having))
-	}
-	if s.OrderBy != "" {
-		b.WriteString(" ORDER BY " + s.OrderBy)
-	}
-	if s.Limit >= 0 {
-		b.WriteString(" LIMIT ?")
-	}
-	return b.String()
-}
+func Fingerprint(s *SelectStmt) string { return s.render(true) }
 
-// exprFingerprint renders an expression with literals replaced by "?".
-func exprFingerprint(e expr.Expr) string {
+// renderExpr renders an expression; with shape set, literals render as "?".
+func renderExpr(e expr.Expr, shape bool) string {
+	if !shape {
+		return e.String()
+	}
 	switch e := e.(type) {
 	case expr.Bin:
-		return "(" + exprFingerprint(e.L) + " " + e.Op.String() + " " + exprFingerprint(e.R) + ")"
+		return "(" + renderExpr(e.L, true) + " " + e.Op.String() + " " + renderExpr(e.R, true) + ")"
 	case expr.IntLit, expr.FloatLit, expr.StrLit, expr.Param:
 		return "?"
 	default:
