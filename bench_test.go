@@ -295,9 +295,9 @@ func BenchmarkPlanDeep(b *testing.B) {
 // an alternative before it builds it, and hands the enumerator's constructor
 // closures nowhere they could escape, so planning the two-join star
 // allocates for what survives (tables, winners, their property vectors), not
-// for the 264 alternatives costed. Exact DQO allocated 3 539 objects per run
+// for the 211 alternatives costed. Exact DQO allocated 3 539 objects per run
 // and the greedy tier 104 when every alternative was built with its property
-// set, key and granule tree; now 214 and, calibrated, 242. The exact
+// set, key and granule tree; now 141 and, calibrated, 169. The exact
 // tiers must stay under one allocation per alternative costed, so a change
 // that reintroduces per-alternative construction, or a constructor closure
 // that escapes to the heap once per alternative, fails here rather than in a
@@ -325,20 +325,18 @@ func TestOptimizeAllocBound(t *testing.T) {
 	}
 }
 
-// BenchmarkAblationHashTable is A1: HG with every scheme x hash function.
+// BenchmarkAblationHashTable is A1: HG with every hash function.
 func BenchmarkAblationHashTable(b *testing.B) {
 	n := benchN() / 4
 	ds := makeFigure4Dataset(n, 10000, datagen.Quadrant{Sorted: false, Dense: false})
-	for _, scheme := range hashtable.Schemes() {
-		for _, fn := range hashtable.Funcs() {
-			b.Run(scheme.String()+"/"+fn.String(), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := physical.Group(physical.HG, ds.keys, ds.vals, ds.dom, physical.GroupOptions{Scheme: scheme, Hash: fn}); err != nil {
-						b.Fatal(err)
-					}
+	for _, fn := range hashtable.Funcs() {
+		b.Run(fn.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := physical.Group(physical.HG, ds.keys, ds.vals, ds.dom, physical.GroupOptions{Hash: fn}); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -493,7 +491,7 @@ func BenchmarkScalingGroupBy(b *testing.B) {
 	for _, p := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				opt := physical.GroupOptions{Scheme: hashtable.Chained, Hash: hashtable.Murmur3Fin, Parallel: p}
+				opt := physical.GroupOptions{Hash: hashtable.Murmur3Fin, Parallel: p}
 				if _, err := physical.GroupByRel(rel, "key", aggs, physical.HG, opt, props.Domain{}); err != nil {
 					b.Fatal(err)
 				}

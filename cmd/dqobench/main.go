@@ -66,9 +66,7 @@ func main() {
 	if *calibrate {
 		m := cost.Measure(1 << 21)
 		fmt.Println("# calibrated cost model coefficients fitted to this machine (ns/row):")
-		for _, s := range hashtable.Schemes() {
-			fmt.Printf("scheme   %-14s %6.2f\n", s, m.SchemeNS[s])
-		}
+		fmt.Printf("insert   %-14s %6.2f\n", "chained", m.InsertNS)
 		for _, f := range hashtable.Funcs() {
 			fmt.Printf("hashfunc %-14s %6.2f\n", f, m.HashNS[f])
 		}

@@ -36,8 +36,8 @@ const (
 	// model — the paper's Figure 5 configuration.
 	ModeDQO
 	// ModeDQOCalibrated is ModeDQO with the molecule-aware calibrated cost
-	// model, letting the optimiser discriminate hash-table schemes, hash
-	// functions, sort algorithms, and loop parallelism.
+	// model, letting the optimiser discriminate hash functions, sort
+	// algorithms, and loop parallelism.
 	ModeDQOCalibrated
 	// ModeGreedy is the fast planning tier: the deep granule vocabulary and
 	// calibrated model of ModeDQOCalibrated, but a single greedy pass

@@ -4,8 +4,8 @@
 //
 // Instead of translating logical operators into opaque physical operators in
 // one step (shallow query optimisation, SQO), the DQO optimiser unnests
-// operators into sub-components — index structure families, hash-table
-// schemes, hash functions, sort algorithms, loop disciplines — and
+// operators into sub-components — index structure families, hash
+// functions, sort algorithms, loop disciplines — and
 // enumerates plans over that finer space while tracking a richer set of
 // data properties (sortedness, clustering, key density, order
 // correlations). Precomputed components can be materialised as Algorithmic

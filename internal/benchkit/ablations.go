@@ -24,26 +24,24 @@ type AblationRow struct {
 	Millis     float64
 }
 
-// RunAblationHashTable measures HG with every hash-table scheme and hash
-// function (ablation A1: the paper's "which hash table exactly?" point).
+// RunAblationHashTable measures HG with every hash function over the
+// chained table (ablation A1: the paper's "which hash table exactly?" point).
 func RunAblationHashTable(n, groups int, seed uint64, w io.Writer) ([]AblationRow, error) {
 	q := datagen.Quadrant{Sorted: false, Dense: false}
 	keys := datagen.GroupingKeys(seed, n, groups, q)
 	vals := makeVals(seed, n)
 	dom := groundDomain(keys, groups, q)
 	fmt.Fprintf(w, "# A1: HG molecule sweep, N=%d groups=%d (unsorted-sparse)\n", n, groups)
-	fmt.Fprintf(w, "%-14s %-14s %12s\n", "scheme", "hashfunc", "runtime_ms")
+	fmt.Fprintf(w, "%-14s %12s\n", "hashfunc", "runtime_ms")
 	var rows []AblationRow
-	for _, scheme := range hashtable.Schemes() {
-		for _, fn := range hashtable.Funcs() {
-			start := time.Now()
-			if _, err := physical.Group(physical.HG, keys, vals, dom, physical.GroupOptions{Scheme: scheme, Hash: fn}); err != nil {
-				return nil, err
-			}
-			ms := float64(time.Since(start).Microseconds()) / 1000.0
-			rows = append(rows, AblationRow{Experiment: "A1", Variant: scheme.String() + "/" + fn.String(), Groups: groups, Millis: ms})
-			fmt.Fprintf(w, "%-14s %-14s %12.2f\n", scheme, fn, ms)
+	for _, fn := range hashtable.Funcs() {
+		start := time.Now()
+		if _, err := physical.Group(physical.HG, keys, vals, dom, physical.GroupOptions{Hash: fn}); err != nil {
+			return nil, err
 		}
+		ms := float64(time.Since(start).Microseconds()) / 1000.0
+		rows = append(rows, AblationRow{Experiment: "A1", Variant: fn.String(), Groups: groups, Millis: ms})
+		fmt.Fprintf(w, "%-14s %12.2f\n", fn, ms)
 	}
 	return rows, nil
 }

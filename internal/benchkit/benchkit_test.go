@@ -184,8 +184,8 @@ func TestAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 12 {
-		t.Fatalf("A1: %d rows, want 12", len(rows))
+	if len(rows) != 4 {
+		t.Fatalf("A1: %d rows, want 4", len(rows))
 	}
 	rows, err = RunAblationSort(100000, 1000, 1, &buf)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -29,6 +30,9 @@ import (
 
 var updateEnumeration = flag.Bool("update-enumeration", false,
 	"rewrite testdata/enumeration.golden: only from a commit whose enumeration is the reference")
+
+var enumerationCensus = flag.Bool("enumeration-census", false,
+	"TestEnumerationMatchesGolden: also log, over the grid, how many chosen plans use each group, join and sort label, and the alternatives costed (run with -v)")
 
 // starShapes is the number of adhoc-plan shapes of the repository benchmark:
 // 3 FROM orders x 4 filters x 3 tails over the S⋈R⋈D star.
@@ -307,6 +311,8 @@ func TestEnumerationMatchesGolden(t *testing.T) {
 	type digest struct{ plans, alts uint64 }
 	digests := map[string]digest{}
 	var order, pushedOrder []string
+	census := map[string]int{}
+	var censusPlans, censusAlts int
 	forEachEnumConfig(t, func(name string, mode Mode, budget enumBudget, queries []logical.Node) {
 		line := name[:strings.Index(name, "/beam=")]
 		pushed := line + "/star=pushed"
@@ -342,10 +348,22 @@ func TestEnumerationMatchesGolden(t *testing.T) {
 			}
 			fmt.Fprintf(h, "%s%d\n", res.Best.Explain(), res.Stats.Kept)
 			fmt.Fprintf(ha, "%d\n", res.Stats.Alternatives)
+			if *enumerationCensus {
+				censusPlans++
+				censusAlts += res.Stats.Alternatives
+				res.Best.PreOrder(func(n *Plan, _ int) {
+					if l := censusLabel(n); l != "" {
+						census[l]++
+					}
+				})
+			}
 		}
 		digests[line] = digest{h.Sum64(), ha.Sum64()}
 		digests[pushed] = digest{hp.Sum64(), hpa.Sum64()}
 	})
+	if *enumerationCensus {
+		logCensus(t, census, censusPlans, censusAlts)
+	}
 	var b strings.Builder
 	for _, line := range append(order, pushedOrder...) {
 		fmt.Fprintf(&b, "%s plans=%016x alternatives=%016x\n", line, digests[line].plans, digests[line].alts)
@@ -372,5 +390,45 @@ func TestEnumerationMatchesGolden(t *testing.T) {
 		if got[i] != wantLines[i] {
 			t.Errorf("plans, kept counts or alternatives moved: %s (golden %s)", got[i], wantLines[i])
 		}
+	}
+}
+
+// censusLabel names the implementation a chosen plan node runs: its group,
+// join or sort label without the columns, marked when it is a spill twin; ""
+// for the other operators.
+func censusLabel(p *Plan) string {
+	var l string
+	switch p.Op {
+	case OpGroup:
+		l = p.Group.Label()
+	case OpJoin:
+		l = p.Join.Label()
+	case OpSort:
+		l = "Sort(" + p.SortKind.String()
+		if p.DOP > 1 {
+			l += fmt.Sprintf(",parallel=%d", p.DOP)
+		}
+		l += ")"
+	default:
+		return ""
+	}
+	if p.Spill {
+		l += " [spill]"
+	}
+	return l
+}
+
+// logCensus logs the census of the enumeration grid: the plans chosen, the
+// alternatives costed for them, and per label the chosen plan nodes that use
+// it, in label order.
+func logCensus(t *testing.T, census map[string]int, plans, alts int) {
+	t.Logf("enumeration census: %d plans chosen, %d alternatives costed", plans, alts)
+	labels := make([]string, 0, len(census))
+	for l := range census {
+		labels = append(labels, l)
+	}
+	slices.Sort(labels)
+	for _, l := range labels {
+		t.Logf("  %8d  %s", census[l], l)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"dqo/internal/cost"
 	"dqo/internal/expr"
-	"dqo/internal/hashtable"
 	"dqo/internal/logical"
 	"dqo/internal/physical"
 	"dqo/internal/physio"
@@ -507,13 +506,21 @@ func (o *optimizer) enumFilter(t *site, n *logical.Filter, children []*Plan, row
 // operator boundary are not told that probe-major joins preserve the probe
 // side's order (classical assumption: hash joins destroy order; only the
 // order-based family preserves it). The result depends on the kind only
-// through its family (physical.JoinKind.KeyOrdered).
+// through joinSorted.
 func (o *optimizer) joinOutProps(kind physical.JoinKind, build, probe props.Set, buildKey, probeKey string) props.Set {
 	out := kind.OutputProps(build, probe, buildKey, probeKey)
 	if !o.mode.TrackProbeOrder && !kind.KeyOrdered() {
 		out.SortedBy, out.GroupedBy = nil, nil // fresh and unshared: no copy to defend
 	}
 	return o.restrict(out)
+}
+
+// joinSorted reports whether joinOutProps of kind over this probe side is in
+// key order: the kind's own rule (physical.JoinKind.SortsOutput), where the
+// mode tracks probe order or the kind is key-ordered. Kinds that agree derive
+// the same output vector from one pair of inputs.
+func (o *optimizer) joinSorted(kind physical.JoinKind, probe props.Set, probeKey string) bool {
+	return (o.mode.TrackProbeOrder || kind.KeyOrdered()) && kind.SortsOutput(probe, probeKey)
 }
 
 // twinSet selects which realisations enumFilter and enumSort offer: the
@@ -609,16 +616,18 @@ func (o *optimizer) enumJoin(t *site, in *joinIn) {
 				if swapped {
 					build, probe, buildKey, probeKey, distinct = rp, lp, n.RightKey, n.LeftKey, in.distinct[1]
 				}
-				// One output vector per algorithm family: probe-major, key-ordered.
-				var fams [2]outProps
+				// One output vector per output order: key-ordered (the
+				// order-based family, and probe-major over a probe side
+				// sorted on its key) or not.
+				var sorted, unsorted outProps
 				for i := range in.choices {
 					ch := in.choices[i]
 					if !ch.Kind.Admits(build.Props, probe.Props, buildKey, probeKey) {
 						continue
 					}
-					out := &fams[0]
-					if ch.Kind.KeyOrdered() {
-						out = &fams[1]
+					out := &unsorted
+					if o.joinSorted(ch.Kind, probe.Props, probeKey) {
+						out = &sorted
 					}
 					if !out.ok {
 						*out = t.keyed(o.joinOutProps(ch.Kind, build.Props, probe.Props, buildKey, probeKey))
@@ -692,26 +701,30 @@ func (o *optimizer) groupChoices() []physio.GroupChoice {
 
 // enumGroup offers t the groupings of each of children on key into an
 // estimated rows output rows of groups distinct keys, as every choice the
-// child admits. Only the serial chained-scheme hash aggregation has a
-// disk-backed twin: its first-seen iteration order is partition-recomposable.
+// child admits. Only the serial hash aggregation has a disk-backed twin: its
+// first-seen iteration order is partition-recomposable.
 func (o *optimizer) enumGroup(t *site, key string, aggs []expr.AggSpec, children []*Plan, choices []physio.GroupChoice, rows, groups float64) {
 	width := groupWidth(aggs)
 	for _, c := range children {
 		fit := o.fits(c)
-		// One output vector per algorithm family.
-		var fams [physical.NumGroupKinds]outProps
+		// One output vector per output order (physical.GroupKind.SortsOutput):
+		// sorted on key, or only grouped on it.
+		var sorted, grouped outProps
 		for i := range choices {
 			ch := choices[i]
 			if !ch.Kind.Admits(c.Props, key) {
 				continue
 			}
-			out := &fams[ch.Kind]
+			out := &grouped
+			if ch.Kind.SortsOutput(c.Props, key) {
+				out = &sorted
+			}
 			if !out.ok {
 				*out = t.keyed(o.restrict(ch.Kind.OutputProps(c.Props, key)))
 			}
 			total := c.Cost + o.mode.Model.Group(ch, c.Rows, groups)
 			mem := groupMem(c, rows, width, cost.MemGroup(ch, c.Rows, groups))
-			spillable := ch.Kind == physical.HG && ch.Opt.Parallel <= 1 && ch.Opt.Scheme == hashtable.Chained
+			spillable := ch.Kind == physical.HG && ch.Opt.Parallel <= 1
 			t.offerBreaker(out.key, total, mem, twinRank(spillable, fit), func(p *Plan) {
 				groupPlan(p, c, key, aggs, ch, out.set, rows, total, mem)
 			})

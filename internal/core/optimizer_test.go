@@ -8,6 +8,7 @@ import (
 	"dqo/internal/cost"
 	"dqo/internal/datagen"
 	"dqo/internal/expr"
+	"dqo/internal/hashtable"
 	"dqo/internal/logical"
 	"dqo/internal/naive"
 	"dqo/internal/physical"
@@ -389,14 +390,14 @@ func TestOptimizeErrors(t *testing.T) {
 
 func TestCalibratedDeepPicksCheapMolecules(t *testing.T) {
 	// Under the calibrated model the deep optimiser should never pick the
-	// chained+murmur default when linear-probe+identity class choices are
-	// modelled cheaper — on an unsorted sparse input where HG wins.
+	// murmur3 default when cheaper hash functions are modelled — on an
+	// unsorted sparse input where HG wins.
 	rel := datagen.GroupingRelation(9, 100000, 5000, datagen.Quadrant{Sorted: false, Dense: false})
 	node := &logical.GroupBy{Input: &logical.Scan{Table: "g", Rel: rel}, Key: "key",
 		Aggs: []expr.AggSpec{{Func: expr.AggCount}}}
 	res := optimize(t, node, DQOCalibrated())
 	if res.Best.Group.Kind == physical.HG {
-		if res.Best.Group.Opt.Scheme == 0 && res.Best.Group.Opt.Hash == 0 {
+		if res.Best.Group.Opt.Hash == hashtable.Murmur3Fin {
 			t.Fatalf("calibrated deep optimiser kept textbook defaults: %s", res.Best.Group.Label())
 		}
 	}

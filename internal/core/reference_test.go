@@ -14,7 +14,6 @@ import (
 	"math"
 
 	"dqo/internal/cost"
-	"dqo/internal/hashtable"
 	"dqo/internal/logical"
 	"dqo/internal/physical"
 	"dqo/internal/physio"
@@ -112,8 +111,7 @@ func refSpillCompatible(p *Plan) bool {
 		return p.Join.Kind == physical.HJ && p.AV == "" && p.Index == nil &&
 			p.Join.Opt.Parallel <= 1
 	case OpGroup:
-		return p.Group.Kind == physical.HG && p.Group.Opt.Parallel <= 1 &&
-			p.Group.Opt.Scheme == hashtable.Chained
+		return p.Group.Kind == physical.HG && p.Group.Opt.Parallel <= 1
 	default:
 		return false
 	}

@@ -5,9 +5,9 @@
 // all the paper's Figure 5 experiment needs).
 //
 // Calibrated is a molecule-aware model: nanosecond-scale per-row
-// coefficients that differ by hash-table scheme, hash function, sort
-// algorithm, and loop parallelism — the model a deep optimiser needs to
-// discriminate choices the paper model considers identical.
+// coefficients that differ by hash function, sort algorithm, and loop
+// parallelism — the model a deep optimiser needs to discriminate choices the
+// paper model considers identical.
 package cost
 
 import (
@@ -158,8 +158,9 @@ func (Paper) Join(c physio.JoinChoice, build, probe, keyDistinct float64) float6
 // option) — the point is the *structure*: the deep optimiser can only
 // exploit molecule choices if the model can tell them apart.
 type Calibrated struct {
-	// Hash-table insert cost per row by scheme (ns).
-	SchemeNS map[hashtable.Scheme]float64
+	// Hash-table insert cost per row (ns): the chained table's, for grouping
+	// and join builds alike, before the hash function's.
+	InsertNS float64
 	// Hash function evaluation cost per row (ns).
 	HashNS map[hashtable.Func]float64
 	// Sort cost: per-row fixed for radix, per-row-per-log2(n) for the
@@ -192,17 +193,12 @@ type Calibrated struct {
 // NewCalibrated returns the default-coefficient calibrated model. The
 // defaults were fitted against this repository's own A1-A3 ablation runs
 // (cmd/dqobench -experiment ablations; see EXPERIMENTS.md): at 10 M
-// unsorted sparse rows with 10 000 groups the flat-arena chained table is
-// the cheapest insert path (~12 ns/row), open addressing pays for its
-// displacement logic, the hash-function spread is small on uniform keys,
+// unsorted sparse rows with 10 000 groups the flat-arena chained table
+// inserts at ~12 ns/row, the hash-function spread is small on uniform keys,
 // and LSD radix beats comparison sorting by an order of magnitude.
 func NewCalibrated() *Calibrated {
 	return &Calibrated{
-		SchemeNS: map[hashtable.Scheme]float64{
-			hashtable.Chained:     11.0,
-			hashtable.LinearProbe: 13.0,
-			hashtable.RobinHood:   14.0,
-		},
+		InsertNS: 11.0,
 		HashNS: map[hashtable.Func]float64{
 			hashtable.Murmur3Fin:    1.2,
 			hashtable.Fibonacci:     0.7,
@@ -289,7 +285,7 @@ func (m *Calibrated) cachePenalty(groups float64) float64 {
 func (m *Calibrated) Group(c physio.GroupChoice, rows, groups float64) float64 {
 	switch c.Kind {
 	case physical.HG:
-		perRow := m.SchemeNS[c.Opt.Scheme] + m.HashNS[c.Opt.Hash] + m.cachePenalty(groups)
+		perRow := m.InsertNS + m.HashNS[c.Opt.Hash] + m.cachePenalty(groups)
 		if p := c.Opt.Parallel; p > 1 {
 			// Parallel partial tables, merged sequentially: one AddState per
 			// group per partial table.
@@ -319,7 +315,7 @@ func (m *Calibrated) Join(c physio.JoinChoice, build, probe, keyDistinct float64
 	emit := m.ProbeNS * probe
 	switch c.Kind {
 	case physical.HJ:
-		perRow := m.SchemeNS[hashtable.Chained] + m.HashNS[c.Opt.Hash] + m.cachePenalty(keyDistinct)
+		perRow := m.InsertNS + m.HashNS[c.Opt.Hash] + m.cachePenalty(keyDistinct)
 		// Radix-partitioned build and chunked probe both parallelise.
 		return m.Parallel(perRow*(build+probe), c.Opt.Parallel) + emit
 	case physical.SPHJ:

@@ -130,17 +130,9 @@ func TestUnknownKindsAreInfinite(t *testing.T) {
 	}
 }
 
-func TestCalibratedDiscriminatesSchemes(t *testing.T) {
+func TestCalibratedDiscriminatesHashes(t *testing.T) {
 	m := NewCalibrated()
 	const rows, groups = 1e6, 100
-	// Fitted to the A1 ablation: the flat-arena chained table is the
-	// cheapest insert path on this class of hardware.
-	chained := m.Group(groupChoice(physical.HG, physical.GroupOptions{Scheme: hashtable.Chained}), rows, groups)
-	linear := m.Group(groupChoice(physical.HG, physical.GroupOptions{Scheme: hashtable.LinearProbe}), rows, groups)
-	robin := m.Group(groupChoice(physical.HG, physical.GroupOptions{Scheme: hashtable.RobinHood}), rows, groups)
-	if chained >= linear || linear >= robin {
-		t.Fatalf("calibrated scheme ordering wrong: chained %g, linear %g, robinhood %g", chained, linear, robin)
-	}
 	murmur := m.Group(groupChoice(physical.HG, physical.GroupOptions{Hash: hashtable.Murmur3Fin}), rows, groups)
 	fib := m.Group(groupChoice(physical.HG, physical.GroupOptions{Hash: hashtable.Fibonacci}), rows, groups)
 	if fib >= murmur {
@@ -225,10 +217,8 @@ func TestMeasureProducesUsableModel(t *testing.T) {
 		t.Skip("calibration run")
 	}
 	m := Measure(1 << 17)
-	for _, s := range hashtable.Schemes() {
-		if m.SchemeNS[s] <= 0 {
-			t.Fatalf("scheme %s coefficient %g", s, m.SchemeNS[s])
-		}
+	if m.InsertNS <= 0 {
+		t.Fatalf("insert coefficient %g", m.InsertNS)
 	}
 	for _, f := range hashtable.Funcs() {
 		if m.HashNS[f] < 0 {
@@ -240,7 +230,7 @@ func TestMeasureProducesUsableModel(t *testing.T) {
 	}
 	// The fitted model must still price real workloads finitely and keep
 	// the structural facts every machine shares: OG is cheaper per row than
-	// any hash scheme, and SPH is cheaper than hashing.
+	// hashing, and so is SPH.
 	const rows, groups = 1e7, 1e4
 	og := m.Group(groupChoice(physical.OG, physical.GroupOptions{}), rows, groups)
 	sph := m.Group(groupChoice(physical.SPHG, physical.GroupOptions{}), rows, groups)

@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"slices"
 	"time"
 
 	"dqo/internal/hashtable"
@@ -64,45 +65,21 @@ func Measure(rows int) *Calibrated {
 		return float64(time.Since(start).Nanoseconds()) / float64(rows)
 	}
 
-	// Hash-table molecules: time every scheme x function combination and
-	// decompose additively (row/column effects around the grand mean).
-	schemes := hashtable.Schemes()
+	// Hash-function molecules: time HG with every function. The cheapest
+	// function is put at ~0.5 ns, the rest of its time is the table's insert
+	// cost, and each other function costs its excess over the cheapest.
 	funcs := hashtable.Funcs()
-	times := make([][]float64, len(schemes))
-	grand := 0.0
-	for si, s := range schemes {
-		times[si] = make([]float64, len(funcs))
-		for fi, f := range funcs {
-			opt := physical.GroupOptions{Scheme: s, Hash: f}
-			times[si][fi] = nsPerRow(func() {
-				_, _ = physical.Group(physical.HG, sparseG, vals, sparseDom, opt)
-			})
-			grand += times[si][fi]
-		}
-	}
-	grand /= float64(len(schemes) * len(funcs))
-	colMean := make([]float64, len(funcs))
-	for fi := range funcs {
-		for si := range schemes {
-			colMean[fi] += times[si][fi]
-		}
-		colMean[fi] /= float64(len(schemes))
-	}
-	minCol := colMean[0]
-	for _, c := range colMean {
-		if c < minCol {
-			minCol = c
-		}
-	}
+	times := make([]float64, len(funcs))
 	for fi, f := range funcs {
-		m.HashNS[f] = colMean[fi] - minCol + 0.5 // cheapest function ~0.5 ns
+		opt := physical.GroupOptions{Hash: f}
+		times[fi] = nsPerRow(func() {
+			_, _ = physical.Group(physical.HG, sparseG, vals, sparseDom, opt)
+		})
 	}
-	for si, s := range schemes {
-		rowMean := 0.0
-		for fi := range funcs {
-			rowMean += times[si][fi] - m.HashNS[funcs[fi]]
-		}
-		m.SchemeNS[s] = rowMean / float64(len(funcs))
+	fastest := slices.Min(times)
+	m.InsertNS = fastest - 0.5
+	for fi, f := range funcs {
+		m.HashNS[f] = times[fi] - fastest + 0.5
 	}
 
 	// Sort molecules.
@@ -139,7 +116,7 @@ func Measure(rows int) *Calibrated {
 	tFew := nsPerRow(func() {
 		_, _ = physical.Group(physical.HG, few, vals, fewDom, physical.GroupOptions{})
 	})
-	tMany := times[0][0] // chained/murmur at `groups` groups
+	tMany := times[0] // murmur3fin at `groups` groups
 	if tMany > tFew && groups > int(m.CacheGroups) {
 		m.CacheNS = (tMany - tFew) / log2(float64(groups)/m.CacheGroups)
 	}
@@ -149,11 +126,7 @@ func Measure(rows int) *Calibrated {
 			*x = lo
 		}
 	}
-	for s := range m.SchemeNS {
-		v := m.SchemeNS[s]
-		clamp(&v, 0.5)
-		m.SchemeNS[s] = v
-	}
+	clamp(&m.InsertNS, 0.5)
 	clamp(&m.RadixRowNS, 0.2)
 	clamp(&m.CmpRowNS, 0.05)
 	clamp(&m.SPHRowNS, 0.2)

@@ -101,7 +101,7 @@ func govCases(t *testing.T) []govCase {
 				aggs := []expr.AggSpec{{Func: expr.AggCount}}
 				b := NewBreaker(Text("group"), func(ec *ExecContext, ctl *govern.Ctl, in ...*storage.Relation) (*storage.Relation, error) {
 					opt := physical.GroupOptions{
-						Scheme: hashtable.Chained, Hash: hashtable.Murmur3Fin,
+						Hash:     hashtable.Murmur3Fin,
 						Parallel: ec.EffectiveDOP(dop), Ctl: ctl,
 					}
 					// A planned domain that counts 8 distinct keys where

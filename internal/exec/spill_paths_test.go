@@ -63,7 +63,7 @@ func TestSpillGroupFirstSeenWalk(t *testing.T) {
 		vals[i] = int64(i%13) - 6
 	}
 	aggs := []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "v"}}
-	opt := physical.GroupOptions{Scheme: hashtable.Chained, Hash: hashtable.Murmur3Fin, Parallel: 1}
+	opt := physical.GroupOptions{Hash: hashtable.Murmur3Fin, Parallel: 1}
 	for name, key := range shapes {
 		rel := storage.MustNewRelation("t", key, storage.NewInt64("v", vals))
 		want, err := physical.GroupByRel(rel, "k", aggs, physical.HG, opt, props.Domain{})

@@ -144,13 +144,13 @@ func TestSpillSortMatchesInMemory(t *testing.T) {
 }
 
 // TestSpillGroupMatchesInMemory checks the partitioned aggregation against
-// the serial chained-scheme hash aggregation, for a numeric and a
+// the serial hash aggregation, for a numeric and a
 // dictionary-coded string key.
 func TestSpillGroupMatchesInMemory(t *testing.T) {
 	rel := spillRel("t", 6000, 11)
 	aggs := []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "val"}}
 	for _, key := range []string{"key", "city"} {
-		opt := physical.GroupOptions{Scheme: hashtable.Chained, Hash: hashtable.Murmur3Fin, Parallel: 1}
+		opt := physical.GroupOptions{Hash: hashtable.Murmur3Fin, Parallel: 1}
 		want := runTree(t, NewBreaker(Text("group"), groupKernel(key, aggs, opt, props.Domain{}), nil, NewScan(Text("scan"), rel)), 4096)
 		for _, workers := range spillDOPs() {
 			for _, morsel := range spillMorsels {
@@ -289,7 +289,7 @@ var censusPeaks = map[string]int64{
 func TestSpillLifecycleCensus(t *testing.T) {
 	rel, right := spillRel("t", 6000, 9), spillRel("r", 5000, 13)
 	aggs := []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "val"}}
-	gopt := physical.GroupOptions{Scheme: hashtable.Chained, Hash: hashtable.Murmur3Fin, Parallel: 1}
+	gopt := physical.GroupOptions{Hash: hashtable.Murmur3Fin, Parallel: 1}
 	jopt := physical.JoinOptions{Hash: hashtable.Murmur3Fin, Parallel: 1}
 	breaker := func(kind string, spill bool, child Operator) Operator {
 		var k Kernel
@@ -497,7 +497,7 @@ func spillGroupShape() func(spill bool) Operator {
 	rel := storage.MustNewRelation("G", storage.NewUint32("K", sparseKeys(120_000, 30_000, 5)),
 		storage.NewInt64("V", payloadCol(120_000)))
 	aggs := []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "V"}}
-	opt := physical.GroupOptions{Scheme: hashtable.Chained, Hash: hashtable.Identity, Parallel: 1}
+	opt := physical.GroupOptions{Hash: hashtable.Identity, Parallel: 1}
 	dom := plannedDomain(rel, "K")
 	return func(spill bool) Operator {
 		if spill {

@@ -965,8 +965,7 @@ func dropCols(rel *storage.Relation, names ...string) (*storage.Relation, error)
 // chained-hash kernel runs per partition, and the merged groups are reordered
 // by each key's first-occurrence row — exactly the chained table's first-seen
 // iteration order, so the output is byte-identical to the in-memory serial HG
-// kernel. opt must describe the serial chained-hash variant (the only scheme
-// whose iteration order is partition-recomposable).
+// kernel.
 func GroupPartitions(key string, aggs []expr.AggSpec, opt physical.GroupOptions, dom props.Domain) SpillStrategy {
 	opt.Parallel = 1
 	p := &partitioned{buffered: newBuffered(1), keys: []string{key}}

@@ -19,7 +19,7 @@ const (
 	PointExecBreaker     = "exec.breaker"        // before a breaker's whole-relation kernel runs
 	PointExecPipeMorsel  = "exec.pipe.morsel"    // each morsel claimed by a Pipe worker
 	PointStorageConcat   = "storage.concat"      // relation chunk concatenation
-	PointHashtableGrow   = "hashtable.grow"      // hash-table growth (chained/open aggregation tables)
+	PointHashtableGrow   = "hashtable.grow"      // hash-table growth (the grouping table)
 	PointSortxMerge      = "sortx.merge"         // each parallel-sort merge pass
 	PointPhysicalBuild   = "physical.join.build" // parallel hash-join build phase
 	PointPhysicalScatter = "physical.scatter"    // radix partition scatter workers

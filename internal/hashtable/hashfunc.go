@@ -1,13 +1,17 @@
 // Package hashtable implements the aggregation and join hash tables used by
-// the physical operators, with the table scheme and the hash function exposed
-// as independent design dimensions.
+// the physical operators, with the hash function exposed as an
+// optimiser-visible design dimension.
 //
 // The paper's point (1) in Section 1 — "As an internal index structure a hash
 // table is used, but which one exactly? ... a hash table has many different
 // dimensions which influence performance dramatically" (citing Richter et
-// al.'s seven-dimensional analysis) — is the reason these are separate,
-// optimiser-visible choices ("molecules" in the Table 1 analogy) rather than
-// hard-coded implementation details.
+// al.'s seven-dimensional analysis) — is the reason the hash function is a
+// choice ("molecule" in the Table 1 analogy) rather than a hard-coded
+// implementation detail. The collision scheme is not: the grouping table is
+// chained, because linear probing and Robin Hood displacement, once offered
+// beside it, won no plan under either cost model and lost every measurement
+// (EXPERIMENTS.md, A1). The join side has a build-once multimap (Multi) and a
+// static perfect hash directory for dense domains (SPH).
 package hashtable
 
 import "fmt"

@@ -310,15 +310,11 @@ func TestResolveWindowing(t *testing.T) {
 	for i := range keys {
 		keys[i] = r.Uint32n(300)
 	}
-	for _, s := range Schemes() {
-		for _, f := range Funcs() {
-			one, bulk := NewGroupTable(s, f, 0), NewGroupTable(s, f, 0)
-			oneIDs, bulkIDs := resolveAll(one, keys, 1), resolveAll(bulk, keys, len(keys))
-			oneKeys, oneOrder := one.Groups()
-			bulkKeys, bulkOrder := bulk.Groups()
-			if !slices.Equal(oneIDs, bulkIDs) || !slices.Equal(oneKeys, bulkKeys) || !slices.Equal(oneOrder, bulkOrder) {
-				t.Fatalf("%s/%s: one Resolve over all rows diverges from one per row", s, f)
-			}
+	for _, f := range Funcs() {
+		one, bulk := NewGroupTable(f, 0), NewGroupTable(f, 0)
+		oneIDs, bulkIDs := resolveAll(one, keys, 1), resolveAll(bulk, keys, len(keys))
+		if !slices.Equal(oneIDs, bulkIDs) || !slices.Equal(one.Groups(), bulk.Groups()) {
+			t.Fatalf("%s: one Resolve over all rows diverges from one per row", f)
 		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 // aggregate argument column indexed by that id. A column no aggregate takes
 // MIN or MAX of keeps the 16-byte countSum; MIN or MAX selects the 32-byte
 // wideState. Each layout's maintenance is one loop over a block of resolved
-// ids, shared by every kernel and every table scheme, so the inner loops hold
-// no polling, no nil test and no dispatch.
+// ids, shared by every kernel and every group directory, so the inner loops
+// hold no polling, no nil test and no dispatch.
 
 // groupBlock is the number of rows a kernel resolves before it accumulates
 // them: the ids of a block (8 KiB) stay in L1 next to the block's keys and

@@ -2,7 +2,6 @@ package physical
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"slices"
 	"testing"
@@ -14,14 +13,12 @@ import (
 	"dqo/internal/xrand"
 )
 
-// The kernel differential test: every grouping kernel, table scheme and hash
-// function, over every shape of aggregate list and a set of inputs chosen
-// for their edges, against a naive map reference — values and group order.
-// The order contract of each kernel is part of what a query returns:
+// The kernel differential test: every grouping kernel and hash function,
+// over every shape of aggregate list and a set of inputs chosen for their
+// edges, against a naive map reference — values and group order. The order
+// contract of each kernel is part of what a query returns:
 //
-//	HG chained      first-seen order of the keys
-//	HG open tables  slot order (pinned below to what the tables produced
-//	                before the kernels kept state by need)
+//	HG              first-seen order of the keys
 //	SPHG, SOG, BSG  ascending
 //	OG              run order
 //
@@ -188,14 +185,6 @@ func sameRelation(t *testing.T, label string, got *storage.Relation, want []*sto
 	}
 }
 
-func orderHash(keys []uint32) uint64 {
-	h := fnv.New64a()
-	for _, k := range keys {
-		h.Write([]byte{byte(k), byte(k >> 8), byte(k >> 16), byte(k >> 24)})
-	}
-	return h.Sum64()
-}
-
 func TestGroupKernelsAgainstMapReference(t *testing.T) {
 	type config struct {
 		name string
@@ -203,10 +192,8 @@ func TestGroupKernelsAgainstMapReference(t *testing.T) {
 		opt  GroupOptions
 	}
 	var configs []config
-	for _, s := range hashtable.Schemes() {
-		for _, f := range hashtable.Funcs() {
-			configs = append(configs, config{fmt.Sprintf("HG/%s/%s", s, f), HG, GroupOptions{Scheme: s, Hash: f}})
-		}
+	for _, f := range hashtable.Funcs() {
+		configs = append(configs, config{fmt.Sprintf("HG/%s", f), HG, GroupOptions{Hash: f}})
 	}
 	for _, k := range []GroupKind{SPHG, OG, SOG, BSG} {
 		configs = append(configs, config{k.String(), k, GroupOptions{}})
@@ -222,22 +209,8 @@ func TestGroupKernelsAgainstMapReference(t *testing.T) {
 			if c.kind == SPHG { // any dense superset of the keys is a legal SPH domain
 				dom = props.Domain{Known: true, Dense: true, Lo: 0, Hi: 150000, Distinct: 150001}
 			}
-			var order []uint32
-			switch {
-			case c.kind == HG && c.opt.Scheme == hashtable.Chained, c.kind == OG:
-				order = firstSeen(in.keys)
-			case c.kind == HG: // open table: the kernel's own order, pinned below
-				res, err := Group(HG, in.keys, nil, dom, c.opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				order = res.Keys
-				label := fmt.Sprintf("%s/%s/%s", in.name, c.opt.Scheme, c.opt.Hash)
-				if got, want := orderHash(order), openTableOrders[label]; got != want {
-					t.Errorf("%s: open-table group order hashes to %#x, pinned %#x", label, got, want)
-				}
-			default:
-				order = firstSeen(in.keys)
+			order := firstSeen(in.keys)
+			if c.kind != HG && c.kind != OG {
 				slices.Sort(order)
 			}
 			for _, al := range diffAggLists {
@@ -298,75 +271,4 @@ func TestGroupArgumentKinds(t *testing.T) {
 			}
 		}
 	}
-}
-
-// openTableOrders pins the group order of the open-addressing tables, which
-// depends on hash function, capacity and insertion history, to the order the
-// tables of the commit before this kernel rewrite produced over diffInputs:
-// an FNV-1a hash of the output key sequence, per input, scheme and function.
-var openTableOrders = map[string]uint64{
-	"empty/linearprobe/murmur3fin":           0xcbf29ce484222325,
-	"empty/linearprobe/fibonacci":            0xcbf29ce484222325,
-	"empty/linearprobe/multiplyshift":        0xcbf29ce484222325,
-	"empty/linearprobe/identity":             0xcbf29ce484222325,
-	"empty/robinhood/murmur3fin":             0xcbf29ce484222325,
-	"empty/robinhood/fibonacci":              0xcbf29ce484222325,
-	"empty/robinhood/multiplyshift":          0xcbf29ce484222325,
-	"empty/robinhood/identity":               0xcbf29ce484222325,
-	"one-row/linearprobe/murmur3fin":         0x6d3572669b2cde42,
-	"one-row/linearprobe/fibonacci":          0x6d3572669b2cde42,
-	"one-row/linearprobe/multiplyshift":      0x6d3572669b2cde42,
-	"one-row/linearprobe/identity":           0x6d3572669b2cde42,
-	"one-row/robinhood/murmur3fin":           0x6d3572669b2cde42,
-	"one-row/robinhood/fibonacci":            0x6d3572669b2cde42,
-	"one-row/robinhood/multiplyshift":        0x6d3572669b2cde42,
-	"one-row/robinhood/identity":             0x6d3572669b2cde42,
-	"one-group/linearprobe/murmur3fin":       0x2d401a55eec16520,
-	"one-group/linearprobe/fibonacci":        0x2d401a55eec16520,
-	"one-group/linearprobe/multiplyshift":    0x2d401a55eec16520,
-	"one-group/linearprobe/identity":         0x2d401a55eec16520,
-	"one-group/robinhood/murmur3fin":         0x2d401a55eec16520,
-	"one-group/robinhood/fibonacci":          0x2d401a55eec16520,
-	"one-group/robinhood/multiplyshift":      0x2d401a55eec16520,
-	"one-group/robinhood/identity":           0x2d401a55eec16520,
-	"all-distinct/linearprobe/murmur3fin":    0xf06a9f7abc6e0932,
-	"all-distinct/linearprobe/fibonacci":     0x7836007f68ec357a,
-	"all-distinct/linearprobe/multiplyshift": 0x90e8ab66be71730e,
-	"all-distinct/linearprobe/identity":      0x3637dc0ae12c4dfe,
-	"all-distinct/robinhood/murmur3fin":      0xb89bcf6a46d89d6e,
-	"all-distinct/robinhood/fibonacci":       0x420730a009017f6,
-	"all-distinct/robinhood/multiplyshift":   0x2e6ca37235363c9e,
-	"all-distinct/robinhood/identity":        0x3637dc0ae12c4dfe,
-	"groups-20k/linearprobe/murmur3fin":      0x1e1f143209090cd6,
-	"groups-20k/linearprobe/fibonacci":       0x38139a60a327fba6,
-	"groups-20k/linearprobe/multiplyshift":   0xe75680d69fc5d68a,
-	"groups-20k/linearprobe/identity":        0x167b841cbc85378a,
-	"groups-20k/robinhood/murmur3fin":        0xbd2df02f90b21cfe,
-	"groups-20k/robinhood/fibonacci":         0x7dbf64168fffd32,
-	"groups-20k/robinhood/multiplyshift":     0x90fc4c582092a072,
-	"groups-20k/robinhood/identity":          0x167b841cbc85378a,
-	"negative/linearprobe/murmur3fin":        0x2b09c42102ae1ab4,
-	"negative/linearprobe/fibonacci":         0x379d51c00850bac4,
-	"negative/linearprobe/multiplyshift":     0x9ba3eada50cab604,
-	"negative/linearprobe/identity":          0xe46f93eff88573f4,
-	"negative/robinhood/murmur3fin":          0x612a22aa71d7c204,
-	"negative/robinhood/fibonacci":           0x55e285302f4cb5c4,
-	"negative/robinhood/multiplyshift":       0x9ba3eada50cab604,
-	"negative/robinhood/identity":            0xe46f93eff88573f4,
-	"extremes/linearprobe/murmur3fin":        0xa326d54d19619b89,
-	"extremes/linearprobe/fibonacci":         0xb63d7ab363617369,
-	"extremes/linearprobe/multiplyshift":     0xcaf88422580a7de9,
-	"extremes/linearprobe/identity":          0xeb5b8e32ac9c41a9,
-	"extremes/robinhood/murmur3fin":          0xa326d54d19619b89,
-	"extremes/robinhood/fibonacci":           0xb63d7ab363617369,
-	"extremes/robinhood/multiplyshift":       0xcaf88422580a7de9,
-	"extremes/robinhood/identity":            0xeb5b8e32ac9c41a9,
-	"sum-wrap/linearprobe/murmur3fin":        0xafd799237a9390f5,
-	"sum-wrap/linearprobe/fibonacci":         0xb5b17de74c03b3f5,
-	"sum-wrap/linearprobe/multiplyshift":     0xdf68c14ffc24c565,
-	"sum-wrap/linearprobe/identity":          0x30d77e22c5da0365,
-	"sum-wrap/robinhood/murmur3fin":          0xafd799237a9390f5,
-	"sum-wrap/robinhood/fibonacci":           0xb5b17de74c03b3f5,
-	"sum-wrap/robinhood/multiplyshift":       0xdf68c14ffc24c565,
-	"sum-wrap/robinhood/identity":            0x30d77e22c5da0365,
 }

@@ -3,10 +3,10 @@
 // plus scans, filters, projections, sorts, and the Figure 2 push-based
 // producer-bundle engine.
 //
-// Each algorithm family exposes its inner design decisions (hash table
-// scheme, hash function, sort algorithm, loop parallelism) as options — these
-// are the "molecules" the DQO optimiser chooses; shallow optimisers treat the
-// whole family as one opaque physical operator.
+// Each algorithm family exposes its inner design decisions (hash function,
+// sort algorithm, loop parallelism) as options — these are the "molecules"
+// the DQO optimiser chooses; shallow optimisers treat the whole family as one
+// opaque physical operator.
 package physical
 
 import (
@@ -28,7 +28,7 @@ type GroupKind uint8
 const (
 	// HG: hash-based grouping. Every input element is inserted individually
 	// into a hash table (the paper uses std::unordered_map + Murmur3
-	// finaliser; the table scheme and hash function are options here).
+	// finaliser; here the table is chained and the hash function an option).
 	HG GroupKind = iota
 	// SPHG: static perfect hash-based grouping. The grouping key, offset by
 	// the domain minimum, indexes directly into the group array. Requires a
@@ -42,7 +42,6 @@ const (
 	// BSG: binary-search-based grouping. Groups live in a sorted array;
 	// lookups are binary searches, new groups are insertion-shifted in.
 	BSG
-	numGroupKinds
 )
 
 // String returns the paper's abbreviation.
@@ -62,10 +61,6 @@ func (k GroupKind) String() string {
 		return fmt.Sprintf("GroupKind(%d)", uint8(k))
 	}
 }
-
-// NumGroupKinds is the number of grouping algorithms, for tables indexed by
-// GroupKind.
-const NumGroupKinds = int(numGroupKinds)
 
 // GroupKinds lists all grouping algorithms.
 func GroupKinds() []GroupKind { return []GroupKind{HG, SPHG, OG, SOG, BSG} }
@@ -100,11 +95,10 @@ func (k GroupKind) Admits(in props.Set, col string) bool {
 // grouping algorithm. The zero value reproduces the paper's setup: chained
 // hash table, Murmur3 finaliser, radix sort, serial load loop.
 type GroupOptions struct {
-	Scheme   hashtable.Scheme // HG: collision handling
-	Hash     hashtable.Func   // HG: hash function
-	Sort     sortx.Kind       // SOG: sort algorithm
-	Parallel int              // HG/SPHG load loop + SOG sort goroutines; <=1 is serial
-	Ctl      *govern.Ctl      // cancellation + memory budget; nil is ungoverned
+	Hash     hashtable.Func // HG: hash function
+	Sort     sortx.Kind     // SOG: sort algorithm
+	Parallel int            // HG/SPHG load loop + SOG sort goroutines; <=1 is serial
+	Ctl      *govern.Ctl    // cancellation + memory budget; nil is ungoverned
 }
 
 // maxSPHWidth bounds the group-array width SPHG will allocate (16 Mi slots
@@ -226,13 +220,13 @@ func loadGroups(dir resolver, st *groupStates, keys []uint32, begin, end int, rv
 	return rv.charge(dir.MemBytes() + st.memBytes())
 }
 
-// groupHash is HG: one hash table lookup per input element, with the table
-// scheme and hash function resolved once per block of rows. The table's and
-// the states' footprint is charged against the budget as they grow;
-// cancellation and budget violations abort mid-build.
+// groupHash is HG: one hash table lookup per input element, with the hash
+// function resolved once per block of rows. The table's and the states'
+// footprint is charged against the budget as they grow; cancellation and
+// budget violations abort mid-build.
 func groupHash(keys []uint32, args []aggArg, dom props.Domain, opt GroupOptions) (*GroupResult, error) {
 	hint := capHint(dom, len(keys))
-	tab := hashtable.NewGroupTable(opt.Scheme, opt.Hash, hint)
+	tab := hashtable.NewGroupTable(opt.Hash, hint)
 	st := newGroupStates(args, 0, hint)
 	rv := resv{ctl: opt.Ctl}
 	defer rv.release()
@@ -242,14 +236,11 @@ func groupHash(keys []uint32, args []aggArg, dom props.Domain, opt GroupOptions)
 	return hashResult(tab, st), nil
 }
 
-// hashResult is HG's output: the groups in the table's iteration order. A
-// hash table's output order depends on the hash function; per the paper, a
-// consumer must assume it is unordered.
-func hashResult(tab hashtable.GroupTable, st *groupStates) *GroupResult {
-	gkeys, order := tab.Groups()
-	if order != nil {
-		st.reorder(order)
-	}
+// hashResult is HG's output: the groups in the table's id order, which is
+// first-seen order. Per the paper, a consumer must assume a hash table's
+// output is unordered.
+func hashResult(tab *hashtable.GroupTable, st *groupStates) *GroupResult {
+	gkeys := tab.Groups()
 	return st.result(gkeys, sortx.IsSortedUint32(gkeys))
 }
 
@@ -604,25 +595,32 @@ func searchUint32(xs []uint32, k uint32) (int, bool) {
 	return lo, lo < len(xs) && xs[lo] == k
 }
 
+// SortsOutput reports whether the algorithm's output over an input with
+// these properties is sorted on the key column col; otherwise it is only
+// grouped on it (one row per key). SPHG, SOG and BSG always sort, HG never
+// does, and OG keeps its input's run order: sorted on sorted input, first-run
+// order on merely grouped input. OutputProps reads nothing else of the kind,
+// so kinds that agree here derive equal output properties from one input.
+func (k GroupKind) SortsOutput(in props.Set, col string) bool {
+	switch k {
+	case SPHG, SOG, BSG:
+		return true
+	case OG:
+		return in.SortedOn(col)
+	default:
+		return false
+	}
+}
+
 // OutputProps returns the property set of the grouping output given the
-// input property set (for the key column named col): which algorithms yield
-// sorted output, and the key domain of the result.
+// input property set (for the key column named col): the order SortsOutput
+// states, and the key domain of the result.
 func (k GroupKind) OutputProps(in props.Set, col string) props.Set {
 	// Grouping preserves the key domain exactly.
 	out := props.Set{Cols: map[string]props.Domain{col: in.Domain(col)}}
-	switch k {
-	case SPHG, SOG, BSG:
+	if k.SortsOutput(in, col) {
 		out.SortedBy = []string{col}
-	case OG:
-		if in.SortedOn(col) {
-			out.SortedBy = []string{col}
-		} else {
-			// Grouped input: output keys in first-run order — still one row
-			// per key, trivially grouped.
-			out.GroupedBy = []string{col}
-		}
-	case HG:
-		// One row per key: grouped by definition, but unordered.
+	} else {
 		out.GroupedBy = []string{col}
 	}
 	return out

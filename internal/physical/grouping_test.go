@@ -282,21 +282,19 @@ func TestGroupNilValsCountsOnly(t *testing.T) {
 	}
 }
 
-func TestHGAllSchemesAndHashes(t *testing.T) {
+func TestHGAllHashes(t *testing.T) {
 	keys := datagen.GroupingKeys(5, 20000, 123, datagen.Quadrant{Sorted: false, Dense: false})
 	vals := make([]int64, len(keys))
 	for i := range vals {
 		vals[i] = int64(i % 7)
 	}
 	ref := refGroup(keys, vals)
-	for _, s := range hashtable.Schemes() {
-		for _, f := range hashtable.Funcs() {
-			res, err := Group(HG, keys, vals, props.Domain{}, GroupOptions{Scheme: s, Hash: f})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", s, f, err)
-			}
-			checkResult(t, "HG/"+s.String()+"/"+f.String(), res, ref)
+	for _, f := range hashtable.Funcs() {
+		res, err := Group(HG, keys, vals, props.Domain{}, GroupOptions{Hash: f})
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
 		}
+		checkResult(t, "HG/"+f.String(), res, ref)
 	}
 }
 
@@ -387,7 +385,7 @@ func TestGroupQuickEquivalence(t *testing.T) {
 }
 
 func TestGroupKindMetadata(t *testing.T) {
-	if len(GroupKinds()) != int(numGroupKinds) {
+	if len(GroupKinds()) != int(BSG)+1 {
 		t.Fatal("GroupKinds incomplete")
 	}
 	names := map[string]bool{}

@@ -87,9 +87,17 @@ func (k JoinKind) Admits(left, right props.Set, leftCol, rightCol string) bool {
 
 // KeyOrdered reports whether the algorithm emits pairs in key order whatever
 // its inputs look like (the order-based family). The others are probe-major:
-// their output order is the probe side's. All kinds of one family derive the
-// same OutputProps from the same inputs.
+// their output order is the probe side's.
 func (k JoinKind) KeyOrdered() bool { return k == OJ || k == SOJ }
+
+// SortsOutput reports whether the join's output is in key order when the
+// right input, probed on rcol, has these properties: always for the
+// order-based family, for a probe-major kind when the probe side is sorted on
+// its key. OutputProps reads nothing else of the kind, so kinds that agree
+// here derive equal output properties from one pair of inputs.
+func (k JoinKind) SortsOutput(right props.Set, rcol string) bool {
+	return k.KeyOrdered() || right.SortedOn(rcol)
+}
 
 // JoinOptions selects the molecule choices inside a join algorithm.
 type JoinOptions struct {
@@ -684,7 +692,7 @@ func (k JoinKind) OutputProps(left, right props.Set, lcol, rcol string) props.Se
 	out := props.Set{Cols: make(map[string]props.Domain, len(left.Cols)+len(right.Cols))}
 	// Probe-major emission: probe-side key order drives output order.
 	switch {
-	case k.KeyOrdered() || right.SortedOn(rcol):
+	case k.SortsOutput(right, rcol):
 		sorted := append(make([]string, 0, 4), lcol, rcol)
 		sorted = right.AppendDependents(left.AppendDependents(sorted, lcol), rcol)
 		slices.Sort(sorted)

@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"testing"
@@ -324,6 +325,66 @@ func TestKindsAdmitWhatTheyRequire(t *testing.T) {
 					want := build.SatisfiesAll(breqs) && probe.SatisfiesAll(preqs)
 					if got := k.Admits(build, probe, cols[0], cols[1]); got != want {
 						t.Fatalf("%s on inputs %d/%d: Admits = %v, requirements say %v", k, i, j, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSortsOutputClassesShareOutputProps pins the rule the enumerators share
+// output vectors by: over one input (a grouping) or one pair of inputs in
+// either orientation (a join), every admitted kind that SortsOutput puts in
+// one class derives output properties with the same key, and the two classes
+// differ. The inputs are sorted, grouped or neither on their key, each with a
+// dense key domain and a column correlated with the key.
+func TestSortsOutputClassesShareOutputProps(t *testing.T) {
+	dom := props.Domain{Known: true, Dense: true, Lo: 0, Hi: 99, Distinct: 100}
+	orders := []string{"neither", "grouped", "sorted"}
+	input := func(key, dep string, order int) props.Set {
+		s := props.NewSet().WithDomain(key, dom).WithDomain(dep, dom).WithCorr(key, dep)
+		switch orders[order] {
+		case "grouped":
+			s = s.WithGroupedBy(key)
+		case "sorted":
+			s = s.WithSortedBy(key)
+		}
+		return s
+	}
+	// check records key as the output of kind in class sorted, and fails
+	// when its class already holds another key or the other class holds it.
+	check := func(classes map[bool]props.Key, label string, kind fmt.Stringer, sorted bool, key props.Key) {
+		t.Helper()
+		if prev, ok := classes[sorted]; ok && prev != key {
+			t.Fatalf("%s: %s (sorted output %v) keys its output apart from its class", label, kind, sorted)
+		}
+		if other, ok := classes[!sorted]; ok && other == key {
+			t.Fatalf("%s: %s (sorted output %v) keys its output like the other class", label, kind, sorted)
+		}
+		classes[sorted] = key
+	}
+	for o := range orders {
+		in := input("k", "a", o)
+		classes := map[bool]props.Key{}
+		for _, k := range GroupKinds() {
+			if k.Admits(in, "k") {
+				check(classes, "group over "+orders[o], k, k.SortsOutput(in, "k"), k.OutputProps(in, "k").Key())
+			}
+		}
+	}
+	for lo := range orders {
+		for ro := range orders {
+			left, right := input("l", "a", lo), input("r", "b", ro)
+			for _, swapped := range []bool{false, true} {
+				build, probe, bcol, pcol := left, right, "l", "r"
+				if swapped {
+					build, probe, bcol, pcol = right, left, "r", "l"
+				}
+				label := fmt.Sprintf("join %s ⋈ %s (swapped %v)", orders[lo], orders[ro], swapped)
+				classes := map[bool]props.Key{}
+				for _, k := range JoinKinds() {
+					if k.Admits(build, probe, bcol, pcol) {
+						check(classes, label, k, k.SortsOutput(probe, pcol), k.OutputProps(build, probe, bcol, pcol).Key())
 					}
 				}
 			}

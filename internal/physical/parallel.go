@@ -30,22 +30,18 @@ const minParallelChunk = 1 << 12
 // chunk) — which is exactly the global first-seen order, because chunks are
 // contiguous input ranges. Hence the merged table's ids equal the serial
 // table's, and the result matches groupHash exactly.
-//
-// Only the Chained scheme has a content-deterministic iteration order (open
-// addressing slot order depends on insertion history), so other schemes fall
-// back to the serial kernel.
 func groupHashParallel(keys []uint32, args []aggArg, dom props.Domain, opt GroupOptions) (*GroupResult, error) {
 	workers := opt.Parallel
 	if max := len(keys) / minParallelChunk; workers > max {
 		workers = max
 	}
-	if workers <= 1 || opt.Scheme != hashtable.Chained {
+	if workers <= 1 {
 		return groupHash(keys, args, dom, opt)
 	}
 	chunk := (len(keys) + workers - 1) / workers
 	nChunks := (len(keys) + chunk - 1) / chunk
 	type partial struct {
-		tab hashtable.GroupTable
+		tab *hashtable.GroupTable
 		st  *groupStates
 	}
 	parts := make([]partial, nChunks)
@@ -62,7 +58,7 @@ func groupHashParallel(keys []uint32, args []aggArg, dom props.Domain, opt Group
 	}()
 	err := forChunks(len(keys), chunk, func(c, lo, hi int) error {
 		rv := resv{ctl: opt.Ctl}
-		p := partial{hashtable.NewGroupTable(opt.Scheme, opt.Hash, 0), newGroupStates(args, 0, 0)}
+		p := partial{hashtable.NewGroupTable(opt.Hash, 0), newGroupStates(args, 0, 0)}
 		if err := loadGroups(p.tab, p.st, keys, lo, hi, &rv); err != nil {
 			rv.release()
 			return err
@@ -77,11 +73,11 @@ func groupHashParallel(keys []uint32, args []aggArg, dom props.Domain, opt Group
 	hint := capHint(dom, len(keys))
 	rv := resv{ctl: opt.Ctl}
 	defer rv.release()
-	tab := hashtable.NewGroupTable(opt.Scheme, opt.Hash, hint)
+	tab := hashtable.NewGroupTable(opt.Hash, hint)
 	st := newGroupStates(args, 0, hint)
 	ids := make([]int32, groupBlock)
 	for _, p := range parts {
-		pkeys, _ := p.tab.Groups()
+		pkeys := p.tab.Groups()
 		for lo := 0; lo < len(pkeys); lo += groupBlock {
 			if err := opt.Ctl.Err(); err != nil {
 				return nil, err

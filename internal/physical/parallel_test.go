@@ -51,7 +51,7 @@ func TestParallelGroupMatchesSerial(t *testing.T) {
 	for _, kind := range []GroupKind{HG, SPHG, SOG} {
 		for _, fn := range hashtable.Funcs() {
 			for _, srt := range sortx.Kinds() {
-				serialOpt := GroupOptions{Scheme: hashtable.Chained, Hash: fn, Sort: srt}
+				serialOpt := GroupOptions{Hash: fn, Sort: srt}
 				want, err := groupWide(kind, keys, vals, dom, serialOpt)
 				if err != nil {
 					t.Fatalf("%s serial: %v", kind, err)

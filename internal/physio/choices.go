@@ -29,9 +29,9 @@ func (c GroupChoice) Label() string {
 	switch c.Kind {
 	case physical.HG:
 		if c.Opt.Parallel > 1 {
-			return fmt.Sprintf("HG(%s,%s,parallel=%d)", c.Opt.Scheme, c.Opt.Hash, c.Opt.Parallel)
+			return fmt.Sprintf("HG(chained,%s,parallel=%d)", c.Opt.Hash, c.Opt.Parallel)
 		}
-		return fmt.Sprintf("HG(%s,%s)", c.Opt.Scheme, c.Opt.Hash)
+		return fmt.Sprintf("HG(chained,%s)", c.Opt.Hash)
 	case physical.SOG:
 		if c.Opt.Parallel > 1 {
 			return fmt.Sprintf("SOG(%s,parallel=%d)", c.Opt.Sort, c.Opt.Parallel)
@@ -117,7 +117,7 @@ func parallel(dop int) *choiceLists {
 // depth. Shallow yields one choice per family with the paper's textbook
 // defaults (the "translate to hash-based grouping" arrow of Figure 3); Deep
 // unnests the molecule space. dop > 1 additionally offers parallel variants
-// of every family whose kernel is DOP-invariant (SPHG/HG-chained/SOG), making
+// of every family whose kernel is DOP-invariant (SPHG/HG/SOG), making
 // the degree of parallelism one more molecule dimension the optimiser prices
 // rather than a runtime default. The list may be shared: callers filter it
 // into a new slice, never modify it. A choice is asked about its key column
@@ -152,10 +152,8 @@ func groupChoices(depth Depth, dop int) []GroupChoice {
 	}
 	add(physical.OG, physical.GroupOptions{})
 	add(physical.SPHG, physical.GroupOptions{})
-	for _, scheme := range hashtable.Schemes() {
-		for _, fn := range hashtable.Funcs() {
-			add(physical.HG, physical.GroupOptions{Scheme: scheme, Hash: fn})
-		}
+	for _, fn := range hashtable.Funcs() {
+		add(physical.HG, physical.GroupOptions{Hash: fn})
 	}
 	for _, sk := range sortx.Kinds() {
 		add(physical.SOG, physical.GroupOptions{Sort: sk})
@@ -163,10 +161,8 @@ func groupChoices(depth Depth, dop int) []GroupChoice {
 	add(physical.BSG, physical.GroupOptions{})
 	if dop > 1 {
 		add(physical.SPHG, physical.GroupOptions{Parallel: dop})
-		// Only the chained scheme's merge order is deterministic (arena
-		// first-seen order); open addressing stays serial-only.
 		for _, fn := range hashtable.Funcs() {
-			add(physical.HG, physical.GroupOptions{Scheme: hashtable.Chained, Hash: fn, Parallel: dop})
+			add(physical.HG, physical.GroupOptions{Hash: fn, Parallel: dop})
 		}
 		add(physical.SOG, physical.GroupOptions{Sort: sortx.Radix, Parallel: dop})
 	}
@@ -238,7 +234,7 @@ func GroupTree(kind physical.GroupKind, opt physical.GroupOptions, keyCol string
 		return New("Γ", LevelOrganelle, "hash-based grouping on "+keyCol,
 			New("partitionBy", LevelMacro, "hash table",
 				New("index", LevelMacro, "dynamic hash table",
-					New("scheme", LevelMolecule, opt.Scheme.String()),
+					New("scheme", LevelMolecule, "chained"),
 					New("hashfunc", LevelMolecule, opt.Hash.String())),
 				New("loop", LevelMolecule, loopDetail)),
 			agg)

@@ -147,8 +147,8 @@ type Depth uint8
 
 // Enumeration depths. Shallow is classical query optimisation: each
 // algorithm family is one opaque physical operator with fixed textbook
-// internals. Deep unnests into the molecule space: hash-table schemes, hash
-// functions, sort algorithms, loop disciplines.
+// internals. Deep unnests into the molecule space: hash functions, sort
+// algorithms, loop disciplines.
 const (
 	Shallow Depth = iota
 	Deep

@@ -83,8 +83,9 @@ func TestGroupChoicesShallow(t *testing.T) {
 
 func TestGroupChoicesDeepExpandsMolecules(t *testing.T) {
 	cs := GroupChoices(Deep, 1)
-	// 12 HG variants + SPHG + OG + 2 SOG + BSG, all serial at dop=1.
-	if want := 12 + 1 + 1 + 2 + 1; len(cs) != want {
+	// 4 HG variants (one per hash function) + SPHG + OG + 2 SOG + BSG, all
+	// serial at dop=1.
+	if want := 4 + 1 + 1 + 2 + 1; len(cs) != want {
 		t.Fatalf("deep grouping choices = %d, want %d", len(cs), want)
 	}
 	labels := map[string]bool{}
@@ -94,8 +95,8 @@ func TestGroupChoicesDeepExpandsMolecules(t *testing.T) {
 		}
 		labels[c.Label()] = true
 	}
-	if !labels["HG(robinhood,fibonacci)"] {
-		t.Fatal("deep enumeration missing a hash-table molecule combination")
+	if !labels["HG(chained,fibonacci)"] {
+		t.Fatal("deep enumeration missing a hash-function molecule")
 	}
 	if !labels["SOG(comparison)"] {
 		t.Fatal("deep enumeration missing a sort molecule")
@@ -112,11 +113,11 @@ func TestJoinChoicesCounts(t *testing.T) {
 }
 
 // dop > 1 appends parallel variants of the DOP-invariant kernels after their
-// serial twins: SPHG + 4 chained HG + radix SOG for grouping, SPHJ + 4 HJ +
+// serial twins: SPHG + 4 HG + radix SOG for grouping, SPHJ + 4 HJ +
 // radix SOJ for joins. Shallow enumeration never parallelises.
 func TestParallelChoicesAppendAfterSerial(t *testing.T) {
 	gs := GroupChoices(Deep, 4)
-	if want := (12 + 1 + 1 + 2 + 1) + 6; len(gs) != want {
+	if want := (4 + 1 + 1 + 2 + 1) + 6; len(gs) != want {
 		t.Fatalf("deep grouping choices at dop=4 = %d, want %d", len(gs), want)
 	}
 	labels := map[string]int{}
