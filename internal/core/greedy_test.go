@@ -38,11 +38,15 @@ func TestGreedyMatchesDeepResults(t *testing.T) {
 		{true, true, true}, {true, false, true}, {false, false, true}, {false, false, false},
 	} {
 		q := greedyQuery(t, c.rSorted, c.sSorted, c.dense)
-		deep, err := Optimize(q, DQOCalibrated())
+		// Both modes take DOP from GOMAXPROCS; pinned, the alternative
+		// counts compared below do not depend on the machine's CPUs.
+		deepMode, fastMode := DQOCalibrated(), Greedy()
+		deepMode.DOP, fastMode.DOP = 2, 2
+		deep, err := Optimize(q, deepMode)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, err := Optimize(q, Greedy())
+		fast, err := Optimize(q, fastMode)
 		if err != nil {
 			t.Fatal(err)
 		}

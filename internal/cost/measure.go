@@ -8,6 +8,7 @@ import (
 	"dqo/internal/physical"
 	"dqo/internal/props"
 	"dqo/internal/sortx"
+	"dqo/internal/storage"
 	"dqo/internal/xrand"
 )
 
@@ -42,19 +43,8 @@ func Measure(rows int) *Calibrated {
 		vals[i] = int64(i & 1023)
 	}
 	domOf := func(keys []uint32) props.Domain {
-		mn, mx := keys[0], keys[0]
-		d := map[uint32]struct{}{}
-		for _, k := range keys {
-			if k < mn {
-				mn = k
-			}
-			if k > mx {
-				mx = k
-			}
-			d[k] = struct{}{}
-		}
-		return props.Domain{Known: true, Lo: uint64(mn), Hi: uint64(mx),
-			Distinct: int64(len(d)), Dense: uint64(len(d)) == uint64(mx)-uint64(mn)+1}
+		st := storage.Uint32Stats(keys)
+		return props.Domain{Known: true, Lo: st.Min, Hi: st.Max, Distinct: int64(st.Distinct), Dense: st.Dense}
 	}
 	sparseDom := domOf(sparseG)
 	denseDom := domOf(dense)

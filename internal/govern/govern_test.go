@@ -95,6 +95,41 @@ func TestCtlErrMapsTaxonomy(t *testing.T) {
 	}
 }
 
+// lateTimer is a context whose deadline has passed while its timer has not
+// fired yet (as under one P while a kernel holds it): Err is still nil.
+type lateTimer struct{ context.Context }
+
+func (lateTimer) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// TestCtlErrReadsTheCachedDeadline: a handle built by NewCtl reports a
+// passed deadline as ErrTimeout wrapping context.DeadlineExceeded without
+// waiting for the context to notice; one built without a deadline never
+// times out, and a literal handle reads the context alone.
+func TestCtlErrReadsTheCachedDeadline(t *testing.T) {
+	late := lateTimer{context.Background()}
+	if late.Err() != nil {
+		t.Fatal("test context must not report its own deadline")
+	}
+	err := NewCtl(late, nil).Err()
+	if !errors.Is(err, qerr.ErrTimeout) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("passed cached deadline: %v", err)
+	}
+	if err := NewCtl(late, nil).For("Group(test)").Err(); !errors.Is(err, qerr.ErrTimeout) {
+		t.Fatalf("labelled copy lost the deadline: %v", err)
+	}
+	if err := (&Ctl{Ctx: late}).Err(); err != nil {
+		t.Fatalf("literal handle: %v", err)
+	}
+	if err := NewCtl(context.Background(), nil).Err(); err != nil {
+		t.Fatalf("no deadline: %v", err)
+	}
+	live, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	if err := NewCtl(live, nil).Err(); err != nil {
+		t.Fatalf("future deadline: %v", err)
+	}
+}
+
 func TestGateAdmitQueueReject(t *testing.T) {
 	g := NewGate(1, 1)
 	rel1, err := g.Enter(context.Background())

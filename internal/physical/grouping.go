@@ -18,6 +18,7 @@ import (
 	"dqo/internal/hashtable"
 	"dqo/internal/props"
 	"dqo/internal/sortx"
+	"dqo/internal/storage"
 )
 
 // GroupKind identifies one of the paper's five grouping implementations
@@ -340,8 +341,8 @@ func sphParallelLoad(keys []uint32, args []aggArg, d sphDomain, workers int, ctl
 // and its aggregates are folded from the run's window of values straight
 // into the output arrays — there is no per-row state. If the input violates
 // the grouped requirement, a key starts more than one run; that is detected
-// (cheaply, via the known distinct count when available, and always via a
-// final duplicate check on small group counts) and reported.
+// (cheaply, via the known distinct count when available, otherwise by
+// counting the distinct run keys of unsorted output exactly) and reported.
 func groupOrder(keys []uint32, args []aggArg, dom props.Domain, ctl *govern.Ctl) (*GroupResult, error) {
 	res := newGroupResult(make([]uint32, 0, capHint(dom, len(keys))), args)
 	perGroup := int64(4 + 8)
@@ -404,7 +405,7 @@ func groupOrder(keys []uint32, args []aggArg, dom props.Domain, ctl *govern.Ctl)
 	if dom.Known && len(res.Keys) > int(dom.Distinct) {
 		return nil, fmt.Errorf("physical: OG input not grouped: %d runs for %d distinct keys", len(res.Keys), dom.Distinct)
 	}
-	if !dom.Known && !res.Sorted && hasDuplicates(res.Keys) {
+	if !dom.Known && !res.Sorted && storage.Uint32Stats(res.Keys).Distinct < len(res.Keys) {
 		return nil, fmt.Errorf("physical: OG input not grouped: duplicate runs detected")
 	}
 	return res, nil
@@ -465,17 +466,6 @@ func maxRuns(dst, vals []int64, ends []int32) {
 		dst[r] = m
 		start = end
 	}
-}
-
-func hasDuplicates(keys []uint32) bool {
-	seen := make(map[uint32]struct{}, len(keys))
-	for _, k := range keys {
-		if _, dup := seen[k]; dup {
-			return true
-		}
-		seen[k] = struct{}{}
-	}
-	return false
 }
 
 // groupSortOrder is SOG: sort copies of the key and argument columns by key,

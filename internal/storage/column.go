@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 )
 
@@ -292,24 +291,13 @@ func (c *Column) computeStats() Stats {
 	statsComputed.Add(1)
 	switch c.kind {
 	case KindUint32, KindString:
-		return statsForUint32(c.data32())
+		return intStats(c.data32(), 0)
 	case KindUint64:
-		return computeStatsU64(c.u64)
+		return intStats(c.u64, 0)
 	case KindInt64:
-		return computeStatsU64(c.Keys())
+		return intStats(c.i64, 1<<63)
 	case KindFloat64:
-		st := Stats{Rows: len(c.f64), Sorted: true, Exact: true}
-		prev := math.Inf(-1)
-		distinct := make(map[float64]struct{})
-		for _, v := range c.f64 {
-			if v < prev {
-				st.Sorted = false
-			}
-			prev = v
-			distinct[v] = struct{}{}
-		}
-		st.Distinct = len(distinct)
-		return st
+		return floatStats(c.f64)
 	default:
 		return Stats{}
 	}

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -69,60 +71,202 @@ func (s Stats) DenseDomain() (lo, hi uint64, ok bool) {
 	return s.Min, s.Max, true
 }
 
-// computeStatsU64 computes exact stats over keys already mapped to uint64.
-func computeStatsU64(keys []uint64) Stats {
-	st := Stats{Rows: len(keys), Sorted: true, Exact: true}
-	if len(keys) == 0 {
+// Exact statistics are one kernel per kind, in two passes over the values
+// as stored (no key copy, no Go map). The first pass finds sortedness, min
+// and max, and the runs of equal values up to the first descent. The second
+// counts the distinct values by the cheapest exact means the first pass
+// allows: the run count of a sorted column, a bitmap over [min, max] when
+// that span is under bitmapSpanPerRow values per row, or else an
+// open-addressing set sized by the distinct values it meets.
+
+// bitmapSpanPerRow bounds the bitmap path: a span of up to 64 values per row
+// costs at most one 8-byte word per row, the size of the column's own keys.
+const bitmapSpanPerRow = 64
+
+// intKey is the set of stored integer kinds; string columns count as uint32.
+type intKey interface{ uint32 | uint64 | int64 }
+
+// Uint32Stats returns the exact statistics of a uint32 slice (values or
+// dictionary codes), computed as a column's are.
+func Uint32Stats(keys []uint32) Stats { return intStats(keys, 0) }
+
+// intStats computes exact stats over integer values. flip is XORed onto the
+// values' bits to map them to order-preserving uint64 keys: 0 for unsigned
+// kinds, the sign bit for int64.
+func intStats[T intKey](vals []T, flip uint64) Stats {
+	st := Stats{Rows: len(vals), Sorted: true, Exact: true}
+	if len(vals) == 0 {
 		st.Dense = true
 		return st
 	}
-	st.Min, st.Max = keys[0], keys[0]
-	distinct := make(map[uint64]struct{})
-	prev := keys[0]
-	for _, k := range keys {
-		if k < prev {
-			st.Sorted = false
+	// The sorted prefix: its runs of equal values, up to the first descent.
+	runs, i := 1, 1
+	for ; i < len(vals); i++ {
+		if vals[i] < vals[i-1] {
+			break
 		}
-		prev = k
-		if k < st.Min {
-			st.Min = k
+		if vals[i] != vals[i-1] {
+			runs++
 		}
-		if k > st.Max {
-			st.Max = k
-		}
-		distinct[k] = struct{}{}
 	}
-	st.Distinct = len(distinct)
+	sorted := i == len(vals)
+	mn, mx := vals[0], vals[i-1]
+	for _, v := range vals[i:] {
+		mn, mx = min(mn, v), max(mx, v)
+	}
+	st.Sorted = sorted
+	st.Min, st.Max = uint64(mn)^flip, uint64(mx)^flip
+	// The span is the same in the values' own arithmetic and in key space:
+	// the flip adds the same constant to both ends, modulo 2^64.
+	span := uint64(mx) - uint64(mn)
+	switch {
+	case sorted:
+		st.Distinct = runs
+	case span/bitmapSpanPerRow < uint64(len(vals)):
+		st.Distinct = bitmapDistinct(vals, mn, span)
+	case span <= math.MaxUint32:
+		st.Distinct = hashDistinct[T, uint32](vals, mn)
+	default:
+		st.Distinct = hashDistinct[T, uint64](vals, mn)
+	}
 	st.Dense = uint64(st.Distinct) == st.Max-st.Min+1
 	return st
 }
 
-// statsForUint32 computes exact stats for a uint32 slice without the
-// per-element uint64 conversion allocating.
-func statsForUint32(keys []uint32) Stats {
-	st := Stats{Rows: len(keys), Sorted: true, Exact: true}
-	if len(keys) == 0 {
-		st.Dense = true
-		return st
+// bitmapDistinct counts the distinct values of vals, all within
+// [mn, mn+span], with one bit per value of the span.
+func bitmapDistinct[T intKey](vals []T, mn T, span uint64) int {
+	words := make([]uint64, span/64+1)
+	for _, v := range vals {
+		o := uint64(v) - uint64(mn)
+		words[o/64] |= 1 << (o % 64)
 	}
-	mn, mx := keys[0], keys[0]
-	distinct := make(map[uint32]struct{})
-	prev := keys[0]
-	for _, k := range keys {
-		if k < prev {
+	n := 0
+	for _, w := range words {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// hashDistinct counts the distinct values of vals, whose minimum is mn. The
+// set holds each value's offset from mn in K (wide enough for the span), so
+// mn is counted up front and offset 0 is free to mark an empty slot.
+func hashDistinct[T intKey, K uint32 | uint64](vals []T, mn T) int {
+	set := newDistinctSet[K]()
+	for _, v := range vals {
+		if v != mn {
+			set.add(K(uint64(v) - uint64(mn)))
+		}
+	}
+	return 1 + set.n
+}
+
+// distinctSet is an open-addressing (linear probing) set of non-zero keys.
+// It starts small and doubles at half load, so its size follows the
+// distinct values met, not the rows scanned.
+type distinctSet[K uint32 | uint64] struct {
+	slots []K
+	mask  uint64 // len(slots) - 1
+	shift uint   // 64 - log2(len(slots))
+	n     int    // keys held
+}
+
+// newDistinctSet returns an empty set of a few hundred slots.
+func newDistinctSet[K uint32 | uint64]() *distinctSet[K] {
+	s := &distinctSet[K]{}
+	s.resize(256)
+	return s
+}
+
+// home is k's first slot: Fibonacci hashing, the product's top bits.
+func (s *distinctSet[K]) home(k K) uint64 { return (uint64(k) * 0x9E3779B97F4A7C15) >> s.shift }
+
+// add inserts the non-zero key k. The probe is small enough to inline; the
+// insert of a new key is not on the path of the values already held.
+func (s *distinctSet[K]) add(k K) {
+	i := s.home(k)
+	for s.slots[i] != k {
+		if s.slots[i] == 0 {
+			s.insert(i, k)
+			return
+		}
+		i = (i + 1) & s.mask
+	}
+}
+
+// insert puts k into the empty slot i, doubling the set at half load.
+func (s *distinctSet[K]) insert(i uint64, k K) {
+	s.slots[i] = k
+	s.n++
+	if 2*s.n > len(s.slots) {
+		s.resize(2 * len(s.slots))
+	}
+}
+
+// resize rehashes the set into n slots (a power of two).
+func (s *distinctSet[K]) resize(n int) {
+	old := s.slots
+	s.slots = make([]K, n)
+	s.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	s.mask = uint64(n - 1)
+	for _, k := range old {
+		if k == 0 {
+			continue
+		}
+		i := s.home(k)
+		for s.slots[i] != 0 {
+			i = (i + 1) & s.mask
+		}
+		s.slots[i] = k
+	}
+}
+
+// floatStats computes the float64 statistics: Rows, Sorted and Distinct.
+// Equality is Go's ==, as a map[float64] keyed on the values would see it:
+// -0 and +0 are one value, and every NaN is a value of its own (NaN never
+// breaks sortedness, as v < prev is false on it).
+func floatStats(vals []float64) Stats {
+	st := Stats{Rows: len(vals), Sorted: true, Exact: true}
+	prev := math.Inf(-1)
+	nans, runs := 0, 0
+	for i, v := range vals {
+		if v < prev {
 			st.Sorted = false
 		}
-		prev = k
-		if k < mn {
-			mn = k
+		if v != v {
+			nans++
+		} else if i == 0 || v != prev {
+			runs++
 		}
-		if k > mx {
-			mx = k
-		}
-		distinct[k] = struct{}{}
+		prev = v
 	}
-	st.Min, st.Max = uint64(mn), uint64(mx)
-	st.Distinct = len(distinct)
-	st.Dense = uint64(st.Distinct) == st.Max-st.Min+1
+	if st.Sorted && nans == 0 {
+		st.Distinct = runs
+		return st
+	}
+	// The set holds bit patterns, -0 folded onto +0, as offsets from the
+	// first non-NaN value's; NaNs are counted apart.
+	set := newDistinctSet[uint64]()
+	var base uint64
+	seen := false
+	for _, v := range vals {
+		if v != v {
+			continue
+		}
+		if v == 0 {
+			v = 0
+		}
+		b := math.Float64bits(v)
+		switch {
+		case !seen:
+			base, seen = b, true
+		case b != base:
+			set.add(b - base)
+		}
+	}
+	if seen {
+		st.Distinct = 1 + set.n
+	}
+	st.Distinct += nans
 	return st
 }
