@@ -158,15 +158,6 @@ func TestStatsMatchMapOracle(t *testing.T) {
 	}
 }
 
-// TestUint32StatsMatchesColumnStats: the exported kernel other packages
-// count distinct keys with is the column's.
-func TestUint32StatsMatchesColumnStats(t *testing.T) {
-	keys := unsortedKeys(10000)
-	if got, want := Uint32Stats(keys), oracleStatsU64(NewUint32("k", keys).Keys()); got != want {
-		t.Fatalf("Uint32Stats %+v, oracle %+v", got, want)
-	}
-}
-
 // FuzzColumnStats reads the input as 8-byte little-endian values (width
 // bytes of each kept, so narrow inputs repeat values) and compares every
 // kind's statistics with the oracle.
