@@ -108,7 +108,7 @@ func NewExecContextBudget(ctx context.Context, morsel, workers int, mem *govern.
 	}
 	return &ExecContext{
 		ctx: ctx, MorselSize: morsel, Pool: NewPool(workers),
-		ctl: govern.NewCtl(ctx, mem),
+		ctl: &govern.Ctl{Ctx: ctx, Mem: mem},
 	}
 }
 

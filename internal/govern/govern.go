@@ -121,20 +121,6 @@ type Ctl struct {
 	Mem   *Budget
 	Disk  *Budget // spilled-bytes account; nil = spilling untracked
 	Label string  // requesting operator, prefixed onto budget failures
-
-	deadline time.Time // Ctx's deadline as NewCtl found it; zero = none
-}
-
-// NewCtl returns the handle for a query running under ctx and mem. It
-// caches ctx's deadline, so that Err reports a passed deadline even while
-// the context's own timer has not fired: with a single P the timer waits for
-// the running kernel to be preempted, which can be longer than the query.
-func NewCtl(ctx context.Context, mem *Budget) *Ctl {
-	c := &Ctl{Ctx: ctx, Mem: mem}
-	if ctx != nil {
-		c.deadline, _ = ctx.Deadline()
-	}
-	return c
 }
 
 // For returns a copy of the handle labelled with the requesting operator, so
@@ -150,8 +136,10 @@ func (c *Ctl) For(label string) *Ctl {
 }
 
 // Err reports the query's cancellation state mapped onto the error taxonomy
-// (ErrCancelled / ErrTimeout), the latter also once the deadline NewCtl
-// cached has passed. Nil receiver or nil context never cancels.
+// (ErrCancelled / ErrTimeout), the latter also once the context's deadline
+// has passed while its timer has not fired yet: with a single P the timer
+// waits for the running kernel to be preempted, which can be longer than
+// the query. Nil receiver or nil context never cancels.
 func (c *Ctl) Err() error {
 	if c == nil || c.Ctx == nil {
 		return nil
@@ -159,7 +147,7 @@ func (c *Ctl) Err() error {
 	if err := c.Ctx.Err(); err != nil {
 		return qerr.From(err)
 	}
-	if !c.deadline.IsZero() && !time.Now().Before(c.deadline) {
+	if d, ok := c.Ctx.Deadline(); ok && !time.Now().Before(d) {
 		return qerr.From(context.DeadlineExceeded)
 	}
 	return nil

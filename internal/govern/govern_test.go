@@ -101,31 +101,28 @@ type lateTimer struct{ context.Context }
 
 func (lateTimer) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
 
-// TestCtlErrReadsTheCachedDeadline: a handle built by NewCtl reports a
-// passed deadline as ErrTimeout wrapping context.DeadlineExceeded without
-// waiting for the context to notice; one built without a deadline never
-// times out, and a literal handle reads the context alone.
-func TestCtlErrReadsTheCachedDeadline(t *testing.T) {
+// TestCtlErrReadsTheDeadline: a handle reports a passed deadline as
+// ErrTimeout wrapping context.DeadlineExceeded without waiting for the
+// context's timer; a context without a deadline, or with one still ahead,
+// never times out.
+func TestCtlErrReadsTheDeadline(t *testing.T) {
 	late := lateTimer{context.Background()}
 	if late.Err() != nil {
 		t.Fatal("test context must not report its own deadline")
 	}
-	err := NewCtl(late, nil).Err()
+	err := (&Ctl{Ctx: late}).Err()
 	if !errors.Is(err, qerr.ErrTimeout) || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("passed cached deadline: %v", err)
+		t.Fatalf("passed deadline: %v", err)
 	}
-	if err := NewCtl(late, nil).For("Group(test)").Err(); !errors.Is(err, qerr.ErrTimeout) {
+	if err := (&Ctl{Ctx: late}).For("Group(test)").Err(); !errors.Is(err, qerr.ErrTimeout) {
 		t.Fatalf("labelled copy lost the deadline: %v", err)
 	}
-	if err := (&Ctl{Ctx: late}).Err(); err != nil {
-		t.Fatalf("literal handle: %v", err)
-	}
-	if err := NewCtl(context.Background(), nil).Err(); err != nil {
+	if err := (&Ctl{Ctx: context.Background()}).Err(); err != nil {
 		t.Fatalf("no deadline: %v", err)
 	}
 	live, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
-	if err := NewCtl(live, nil).Err(); err != nil {
+	if err := (&Ctl{Ctx: live}).Err(); err != nil {
 		t.Fatalf("future deadline: %v", err)
 	}
 }

@@ -124,10 +124,8 @@ func intStats[T intKey](vals []T, flip uint64) Stats {
 		st.Distinct = runs
 	case span/bitmapSpanPerRow < uint64(len(vals)):
 		st.Distinct = bitmapDistinct(vals, mn, span)
-	case span <= math.MaxUint32:
-		st.Distinct = hashDistinct[T, uint32](vals, mn)
 	default:
-		st.Distinct = hashDistinct[T, uint64](vals, mn)
+		st.Distinct = hashDistinct(vals, mn)
 	}
 	st.Dense = uint64(st.Distinct) == st.Max-st.Min+1
 	return st
@@ -149,13 +147,13 @@ func bitmapDistinct[T intKey](vals []T, mn T, span uint64) int {
 }
 
 // hashDistinct counts the distinct values of vals, whose minimum is mn. The
-// set holds each value's offset from mn in K (wide enough for the span), so
-// mn is counted up front and offset 0 is free to mark an empty slot.
-func hashDistinct[T intKey, K uint32 | uint64](vals []T, mn T) int {
-	set := newDistinctSet[K]()
+// set holds each value's offset from mn, so mn is counted up front and
+// offset 0 is free to mark an empty slot.
+func hashDistinct[T intKey](vals []T, mn T) int {
+	set := newDistinctSet()
 	for _, v := range vals {
 		if v != mn {
-			set.add(K(uint64(v) - uint64(mn)))
+			set.add(uint64(v) - uint64(mn))
 		}
 	}
 	return 1 + set.n
@@ -164,26 +162,26 @@ func hashDistinct[T intKey, K uint32 | uint64](vals []T, mn T) int {
 // distinctSet is an open-addressing (linear probing) set of non-zero keys.
 // It starts small and doubles at half load, so its size follows the
 // distinct values met, not the rows scanned.
-type distinctSet[K uint32 | uint64] struct {
-	slots []K
+type distinctSet struct {
+	slots []uint64
 	mask  uint64 // len(slots) - 1
 	shift uint   // 64 - log2(len(slots))
 	n     int    // keys held
 }
 
 // newDistinctSet returns an empty set of a few hundred slots.
-func newDistinctSet[K uint32 | uint64]() *distinctSet[K] {
-	s := &distinctSet[K]{}
+func newDistinctSet() *distinctSet {
+	s := &distinctSet{}
 	s.resize(256)
 	return s
 }
 
 // home is k's first slot: Fibonacci hashing, the product's top bits.
-func (s *distinctSet[K]) home(k K) uint64 { return (uint64(k) * 0x9E3779B97F4A7C15) >> s.shift }
+func (s *distinctSet) home(k uint64) uint64 { return (k * 0x9E3779B97F4A7C15) >> s.shift }
 
 // add inserts the non-zero key k. The probe is small enough to inline; the
 // insert of a new key is not on the path of the values already held.
-func (s *distinctSet[K]) add(k K) {
+func (s *distinctSet) add(k uint64) {
 	i := s.home(k)
 	for s.slots[i] != k {
 		if s.slots[i] == 0 {
@@ -195,7 +193,7 @@ func (s *distinctSet[K]) add(k K) {
 }
 
 // insert puts k into the empty slot i, doubling the set at half load.
-func (s *distinctSet[K]) insert(i uint64, k K) {
+func (s *distinctSet) insert(i uint64, k uint64) {
 	s.slots[i] = k
 	s.n++
 	if 2*s.n > len(s.slots) {
@@ -204,9 +202,9 @@ func (s *distinctSet[K]) insert(i uint64, k K) {
 }
 
 // resize rehashes the set into n slots (a power of two).
-func (s *distinctSet[K]) resize(n int) {
+func (s *distinctSet) resize(n int) {
 	old := s.slots
-	s.slots = make([]K, n)
+	s.slots = make([]uint64, n)
 	s.shift = uint(64 - bits.TrailingZeros(uint(n)))
 	s.mask = uint64(n - 1)
 	for _, k := range old {
@@ -246,7 +244,7 @@ func floatStats(vals []float64) Stats {
 	}
 	// The set holds bit patterns, -0 folded onto +0, as offsets from the
 	// first non-NaN value's; NaNs are counted apart.
-	set := newDistinctSet[uint64]()
+	set := newDistinctSet()
 	var base uint64
 	seen := false
 	for _, v := range vals {
