@@ -17,7 +17,8 @@ import (
 // learned-cost-model counterpart the paper gestures at via the Data
 // Calculator citation [7]: the right molecule is an empirical fact, so the
 // model asks the hardware. Intended for offline use (cmd/dqobench
-// -calibrate); a call takes a few hundred milliseconds at the default size.
+// -calibrate). Each kernel is timed five times and the median kept; a call
+// takes a few seconds at the 2 M rows dqobench uses.
 func Measure(rows int) *Calibrated {
 	if rows < 1<<16 {
 		rows = 1 << 16
@@ -49,10 +50,21 @@ func Measure(rows int) *Calibrated {
 	sparseDom := domOf(sparseG)
 	denseDom := domOf(dense)
 
-	nsPerRow := func(fn func()) float64 {
-		start := time.Now()
-		fn()
-		return float64(time.Since(start).Nanoseconds()) / float64(rows)
+	// nsPerRow is the median of five timings of fn: one timing can land on a
+	// preempted slice, and what Measure returns is shipped as constants.
+	// prep, when non-nil, runs untimed before each timing.
+	nsPerRow := func(prep, fn func()) float64 {
+		var ts [5]float64
+		for i := range ts {
+			if prep != nil {
+				prep()
+			}
+			start := time.Now()
+			fn()
+			ts[i] = float64(time.Since(start).Nanoseconds()) / float64(rows)
+		}
+		slices.Sort(ts[:])
+		return ts[len(ts)/2]
 	}
 
 	// Hash-function molecules: time HG with every function. The cheapest
@@ -62,7 +74,7 @@ func Measure(rows int) *Calibrated {
 	times := make([]float64, len(funcs))
 	for fi, f := range funcs {
 		opt := physical.GroupOptions{Hash: f}
-		times[fi] = nsPerRow(func() {
+		times[fi] = nsPerRow(nil, func() {
 			_, _ = physical.Group(physical.HG, sparseG, vals, sparseDom, opt)
 		})
 	}
@@ -75,24 +87,23 @@ func Measure(rows int) *Calibrated {
 	// Sort molecules.
 	buf := make([]uint32, rows)
 	timeSort := func(k sortx.Kind) float64 {
-		copy(buf, sparse)
-		return nsPerRow(func() { sortx.SortUint32(k, buf) })
+		return nsPerRow(func() { copy(buf, sparse) }, func() { sortx.SortUint32(k, buf) })
 	}
 	l2 := log2(float64(rows))
 	m.RadixRowNS = timeSort(sortx.Radix)
 	m.CmpRowNS = timeSort(sortx.Comparison) / l2
 
 	// Array/scan kernels.
-	m.SPHRowNS = nsPerRow(func() {
+	m.SPHRowNS = nsPerRow(nil, func() {
 		_, _ = physical.Group(physical.SPHG, dense, vals, denseDom, physical.GroupOptions{})
 	})
 	sorted := make([]uint32, rows)
 	copy(sorted, dense)
 	sortx.SortUint32(sortx.Radix, sorted)
-	m.OGRowNS = nsPerRow(func() {
+	m.OGRowNS = nsPerRow(nil, func() {
 		_, _ = physical.Group(physical.OG, sorted, vals, denseDom, physical.GroupOptions{})
 	})
-	bs := nsPerRow(func() {
+	bs := nsPerRow(nil, func() {
 		_, _ = physical.Group(physical.BSG, sparseG, vals, sparseDom, physical.GroupOptions{})
 	})
 	m.BSRowLogNS = bs / log2(groups)
@@ -103,7 +114,7 @@ func Measure(rows int) *Calibrated {
 	for i := range few {
 		few[i] = dense[i] % 256
 	}
-	tFew := nsPerRow(func() {
+	tFew := nsPerRow(nil, func() {
 		_, _ = physical.Group(physical.HG, few, vals, fewDom, physical.GroupOptions{})
 	})
 	tMany := times[0] // murmur3fin at `groups` groups

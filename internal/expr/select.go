@@ -69,21 +69,21 @@ func selectRows(e Expr, rel *storage.Relation, cand []int32, all bool) ([]int32,
 		return nil, err
 	}
 	if all {
-		out := storage.GetInt32s(len(keep))
-		for i, k := range keep {
-			if k {
-				out = append(out, int32(i))
-			}
+		out := storage.GetInt32s(len(keep))[:len(keep)]
+		k := 0
+		for i, kept := range keep {
+			out[k] = int32(i)
+			k += b2i(kept)
 		}
-		return out, nil
+		return out[:k], nil
 	}
-	out := storage.GetInt32s(len(cand))
+	out := storage.GetInt32s(len(cand))[:len(cand)]
+	k := 0
 	for _, i := range cand {
-		if keep[i] {
-			out = append(out, i)
-		}
+		out[k] = i
+		k += b2i(keep[i])
 	}
-	return out, nil
+	return out[:k], nil
 }
 
 // columnVsLiteral recognises "column <cmp> literal" and "literal <cmp>
@@ -181,57 +181,94 @@ func wrapInt64s(u []uint64) []int64 {
 	return unsafe.Slice((*int64)(unsafe.Pointer(unsafe.SliceData(u))), len(u))
 }
 
-// compare appends to dst the candidate rows i with V(vals[i]) <op> lit. The
-// full scan, the common first conjunct, gets one loop per operator; a
-// narrowing pass over fewer rows decides the operator per row.
+// compare writes to dst the candidate rows i with V(vals[i]) <op> lit. dst
+// has capacity for every candidate (len(vals) of them on a full scan), so
+// each candidate is written at the cursor unconditionally and the cursor
+// advances by the comparison's 0/1 outcome: no branch depends on the data,
+// and a filter near 50 % selectivity costs what one near 0 % or 100 % does.
+// Each operator gets its own loop on both paths, so the operator is not
+// decided per row either.
 func compare[C uint32 | int64 | float64, V int64 | float64](dst []int32, op Op, vals []C, lit V, cand []int32, all bool) []int32 {
-	if !all {
-		for _, i := range cand {
-			if holds(op, V(vals[i]), lit) {
-				dst = append(dst, i)
+	k := 0
+	if all {
+		out := dst[:len(vals)]
+		switch op {
+		case OpEq:
+			for i, v := range vals {
+				out[k] = int32(i)
+				k += b2i(V(v) == lit)
+			}
+		case OpNe:
+			for i, v := range vals {
+				out[k] = int32(i)
+				k += b2i(V(v) != lit)
+			}
+		case OpLt:
+			for i, v := range vals {
+				out[k] = int32(i)
+				k += b2i(V(v) < lit)
+			}
+		case OpLe:
+			for i, v := range vals {
+				out[k] = int32(i)
+				k += b2i(V(v) <= lit)
+			}
+		case OpGt:
+			for i, v := range vals {
+				out[k] = int32(i)
+				k += b2i(V(v) > lit)
+			}
+		case OpGe:
+			for i, v := range vals {
+				out[k] = int32(i)
+				k += b2i(V(v) >= lit)
 			}
 		}
-		return dst
+		return out[:k]
 	}
+	out := dst[:len(cand)]
 	switch op {
 	case OpEq:
-		for i, v := range vals {
-			if V(v) == lit {
-				dst = append(dst, int32(i))
-			}
+		for _, i := range cand {
+			out[k] = i
+			k += b2i(V(vals[i]) == lit)
 		}
 	case OpNe:
-		for i, v := range vals {
-			if V(v) != lit {
-				dst = append(dst, int32(i))
-			}
+		for _, i := range cand {
+			out[k] = i
+			k += b2i(V(vals[i]) != lit)
 		}
 	case OpLt:
-		for i, v := range vals {
-			if V(v) < lit {
-				dst = append(dst, int32(i))
-			}
+		for _, i := range cand {
+			out[k] = i
+			k += b2i(V(vals[i]) < lit)
 		}
 	case OpLe:
-		for i, v := range vals {
-			if V(v) <= lit {
-				dst = append(dst, int32(i))
-			}
+		for _, i := range cand {
+			out[k] = i
+			k += b2i(V(vals[i]) <= lit)
 		}
 	case OpGt:
-		for i, v := range vals {
-			if V(v) > lit {
-				dst = append(dst, int32(i))
-			}
+		for _, i := range cand {
+			out[k] = i
+			k += b2i(V(vals[i]) > lit)
 		}
 	case OpGe:
-		for i, v := range vals {
-			if V(v) >= lit {
-				dst = append(dst, int32(i))
-			}
+		for _, i := range cand {
+			out[k] = i
+			k += b2i(V(vals[i]) >= lit)
 		}
 	}
-	return dst
+	return out[:k]
+}
+
+// b2i is 1 for true and 0 for false; the compiler lowers it to a flag
+// read (SETcc), not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // holds evaluates one comparison.
@@ -256,7 +293,7 @@ func holds[V int64 | float64 | string](op Op, a, b V) bool {
 // row. Equality is a comparison of codes (a literal the dictionary never
 // saw matches no row). Codes are in insertion order, not string order, so an
 // ordering comparison is decided once per dictionary entry and rows are
-// selected by their code's verdict.
+// selected by their code's verdict, written and advanced over as in compare.
 func compareCodes(dst []int32, op Op, codes []uint32, dict *storage.Dict, lit string, cand []int32, all bool) []int32 {
 	if op == OpEq || op == OpNe {
 		if code, known := dict.Code(lit); known {
@@ -270,20 +307,21 @@ func compareCodes(dst []int32, op Op, codes []uint32, dict *storage.Dict, lit st
 	for c := range verdict {
 		verdict[c] = holds(op, dict.Lookup(uint32(c)), lit)
 	}
+	k := 0
 	if all {
+		out := dst[:len(codes)]
 		for i, c := range codes {
-			if verdict[c] {
-				dst = append(dst, int32(i))
-			}
+			out[k] = int32(i)
+			k += b2i(verdict[c])
 		}
-		return dst
+		return out[:k]
 	}
+	out := dst[:len(cand)]
 	for _, i := range cand {
-		if verdict[codes[i]] {
-			dst = append(dst, i)
-		}
+		out[k] = i
+		k += b2i(verdict[codes[i]])
 	}
-	return dst
+	return out[:k]
 }
 
 // union merges two ascending selections into dst without duplicates.

@@ -301,6 +301,47 @@ func TestSPHMatchesMulti(t *testing.T) {
 	}
 }
 
+// TestSPHUniqueDirectory: a build over keys without duplicates marks the
+// directory unique, and one repeated key clears the mark. Either way the
+// batch probe agrees with the per-key probe, over keys below the domain
+// (which wrap around), inside it and above it, with the last keys of the
+// batch all misses.
+func TestSPHUniqueDirectory(t *testing.T) {
+	r := xrand.New(38)
+	const lo, width = 1000, 3000
+	keys := make([]uint32, width)
+	for i := range keys {
+		keys[i] = lo + uint32(i)
+	}
+	r.ShuffleUint32(keys)
+	keys = keys[:width/2]
+	probes := make([]uint32, 5000)
+	for i := range probes {
+		probes[i] = r.Uint32n(lo + width + 500)
+	}
+	probes = append(probes, 0, lo-1, lo+width, ^uint32(0))
+	for _, c := range []struct {
+		name   string
+		keys   []uint32
+		unique bool
+	}{{"unique", keys, true}, {"one-duplicate", append(slices.Clone(keys), keys[7]), false}, {"empty", nil, true}} {
+		d, err := BuildSPH(c.keys, lo, width, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.unique != c.unique {
+			t.Fatalf("%s: unique = %v, want %v", c.name, d.unique, c.unique)
+		}
+		var wantBuild, wantProbe []int32
+		for j, k := range probes {
+			for _, row := range fillRows(t, d, k) {
+				wantBuild, wantProbe = append(wantBuild, row), append(wantProbe, 3+int32(j))
+			}
+		}
+		checkBatch(t, d, probes, 3, wantBuild, wantProbe)
+	}
+}
+
 // TestResolveWindowing checks that a table ends in the same state however
 // its input is cut into Resolve calls — ids row for row and Groups in
 // iteration order — across hash-block boundaries and growth.

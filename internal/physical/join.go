@@ -190,7 +190,10 @@ func joinSides(kind JoinKind, left, right []uint32, leftDom props.Domain, opt Jo
 // build rows in the index's emission order to build and the probe row
 // first+i to probe — from index 0 of slices that have room for
 // CountBatch(keys), and returns how many there are. A nil build or probe is
-// a side the caller does not want: it is not written.
+// a side the caller does not want: it is not written. The slices are the
+// window the caller hands over: FillBatch may write scratch anywhere inside
+// it, past the pairs it returns, and never outside it. A probe that runs in
+// chunks therefore ends each chunk's window at that chunk's own end.
 type RowIndex interface {
 	CountBatch(keys []uint32) int
 	FillBatch(keys []uint32, first int32, build, probe []int32) int
@@ -312,23 +315,19 @@ func probePairs(idx RowIndex, probe []uint32, workers int, rv *resv, sides pairS
 	if sides&rightRows != 0 {
 		res.RightIdx = storage.GetInt32s(total)[:total]
 	}
-	// tail is xs from o on, and stays nil for the side that was not taken.
-	tail := func(xs []int32, o int) []int32 {
-		if xs == nil {
-			return nil
-		}
-		return xs[o:]
-	}
 	err = forChunks(len(probe), chunk, func(c, lo, hi int) error {
-		for o := offs[c]; lo < hi; lo += checkEvery {
+		// Chunk c's pairs end at offs[c+1]. The fill kernels write scratch
+		// past their last pair, so a window that ran on into the next chunk's
+		// pairs would let one worker overwrite another's.
+		for o, end := offs[c], offs[c+1]; lo < hi; lo += checkEvery {
 			if err := rv.ctl.Err(); err != nil {
 				return err
 			}
 			to := min(lo+checkEvery, hi)
 			if counts != nil {
-				o += repeatRows(counts[lo:to], int32(lo), res.RightIdx[o:])
+				o += repeatRows(counts[lo:to], int32(lo), res.RightIdx[o:end])
 			} else {
-				o += idx.FillBatch(probe[lo:to], int32(lo), tail(res.LeftIdx, o), tail(res.RightIdx, o))
+				o += idx.FillBatch(probe[lo:to], int32(lo), window(res.LeftIdx, o, end), window(res.RightIdx, o, end))
 			}
 		}
 		return nil
@@ -340,15 +339,32 @@ func probePairs(idx RowIndex, probe []uint32, workers int, rv *resv, sides pairS
 	return res, nil
 }
 
+// window is xs[o:end], or nil for a side that was not taken.
+func window(xs []int32, o, end int) []int32 {
+	if xs == nil {
+		return nil
+	}
+	return xs[o:end]
+}
+
 // repeatRows writes row first+i counts[i] times, for every i in order, from
-// the front of dst, and returns how many it wrote.
+// the front of dst, and returns how many it wrote. Most counts are 0 or 1, so
+// each row is written at the cursor whatever its count, and the cursor
+// advances by the count: no branch asks whether a probe row matched. Past the
+// rows it returns, repeatRows may leave scratch anywhere in dst (see
+// RowIndex); once the cursor reaches dst's end, the counts left must be 0.
 func repeatRows(counts []int32, first int32, dst []int32) int {
 	n := 0
 	for i, c := range counts {
-		for ; c > 0; c-- {
-			dst[n] = first + int32(i)
-			n++
+		if n == len(dst) {
+			break
 		}
+		r := first + int32(i)
+		dst[n] = r
+		for j := 1; j < int(c); j++ {
+			dst[n+j] = r
+		}
+		n += int(c)
 	}
 	return n
 }

@@ -2,6 +2,7 @@ package physical
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"dqo/internal/datagen"
@@ -9,6 +10,7 @@ import (
 	"dqo/internal/hashtable"
 	"dqo/internal/props"
 	"dqo/internal/storage"
+	"dqo/internal/xrand"
 )
 
 // BenchmarkJoinHash prices one HJ kernel call, build plus probe, at the
@@ -35,6 +37,48 @@ func BenchmarkJoinHash(b *testing.B) {
 				res, err := joinSides(HJ, side.build, side.probe, props.Domain{}, JoinOptions{Hash: hashtable.Murmur3Fin}, side.sides)
 				if err != nil || res.Len() != len(rid) {
 					b.Fatalf("pairs = %d, err = %v", res.Len(), err)
+				}
+				res.Release()
+			}
+		})
+	}
+}
+
+// BenchmarkJoinProbeSmall prices one SPHJ kernel call, build plus probe, at
+// the size of the adhoc-plan star's S ⋈ R: 920 unique keys of the dense
+// domain [0, 2000) (what a filter keeping about half of R leaves) probed by
+// 9 000 foreign keys, so that a probe hits about 46 % of the time — where a
+// branch on whether a key hit mispredicts most. build-only keeps the build
+// side's row ids alone, both-sides the pairs.
+func BenchmarkJoinProbeSmall(b *testing.B) {
+	r := xrand.New(42)
+	build := make([]uint32, 2000)
+	for i := range build {
+		build[i] = uint32(i)
+	}
+	r.ShuffleUint32(build)
+	build = build[:920]
+	probe := make([]uint32, 9000)
+	for i := range probe {
+		probe[i] = r.Uint32n(2000)
+	}
+	dom := props.Domain{Known: true, Dense: true, Lo: 0, Hi: 1999, Distinct: 2000}
+	want := 0
+	for _, k := range probe {
+		if slices.Contains(build, k) {
+			want++
+		}
+	}
+	for _, v := range []struct {
+		name  string
+		sides pairSides
+	}{{"build-only", leftRows}, {"both-sides", bothRows}} {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := joinSides(SPHJ, build, probe, dom, JoinOptions{}, v.sides)
+				if err != nil || res.Len() != want {
+					b.Fatalf("pairs = %d, want %d, err = %v", res.Len(), want, err)
 				}
 				res.Release()
 			}
