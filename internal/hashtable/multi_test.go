@@ -266,79 +266,61 @@ func TestBuildsPollAtBlockBoundaries(t *testing.T) {
 	}
 }
 
+// TestSPHMatchesMulti: an SPH directory yields the same rows per key as a
+// Multi built over the same keys, and its batch probe agrees with the per-key
+// probes. The builds are one with duplicates, one over a key (every slot one
+// row or none) and an empty one; the probes are every key of the domain and
+// around it in order, and random keys below the domain (which wrap around),
+// inside it and above it, whose last ones all miss.
 func TestSPHMatchesMulti(t *testing.T) {
 	r := xrand.New(5)
 	const lo, width = 100, 500
-	keys := make([]uint32, 4000)
-	for i := range keys {
-		keys[i] = lo + r.Uint32n(width)
+	dups := make([]uint32, 4000)
+	for i := range dups {
+		dups[i] = lo + r.Uint32n(width)
 	}
-	d, err := BuildSPH(keys, lo, width, nil)
-	if err != nil {
-		t.Fatal(err)
+	unique := make([]uint32, width)
+	for i := range unique {
+		unique[i] = lo + uint32(i)
 	}
-	m := mustBuildMulti(t, Murmur3Fin, keys, nil)
-	var probes []uint32
-	var wantBuild, wantProbe []int32
-	for k := uint32(0); k < lo+width+50; k++ {
-		want := fillRows(t, m, k)
-		if got := fillRows(t, d, k); !reflect.DeepEqual(got, want) {
-			t.Fatalf("key %d: SPH rows %v, Multi rows %v", k, got, want)
+	r.ShuffleUint32(unique)
+	unique = unique[:width/2]
+	ordered := make([]uint32, lo+width+50)
+	for k := range ordered {
+		ordered[k] = uint32(k)
+	}
+	random := make([]uint32, 5000)
+	for i := range random {
+		random[i] = r.Uint32n(lo + width + 100)
+	}
+	random = append(random, 0, lo-1, lo+width, ^uint32(0))
+	for _, keys := range [][]uint32{dups, unique, nil} {
+		d, err := BuildSPH(keys, lo, width, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		probes = append(probes, k)
-		for _, row := range want {
-			wantBuild, wantProbe = append(wantBuild, row), append(wantProbe, int32(k))
+		m := mustBuildMulti(t, Murmur3Fin, keys, nil)
+		for _, probes := range [][]uint32{ordered, random} {
+			var wantBuild, wantProbe []int32
+			for j, k := range probes {
+				want := fillRows(t, m, k)
+				if got := fillRows(t, d, k); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%d build keys, key %d: SPH rows %v, Multi rows %v", len(keys), k, got, want)
+				}
+				for _, row := range want {
+					wantBuild, wantProbe = append(wantBuild, row), append(wantProbe, 3+int32(j))
+				}
+			}
+			checkBatch(t, d, probes, 3, wantBuild, wantProbe)
 		}
-	}
-	checkBatch(t, d, probes, 0, wantBuild, wantProbe)
-	if d.MemBytes() != SPHBytes(width, len(keys)) {
-		t.Fatalf("MemBytes = %d, SPHBytes = %d", d.MemBytes(), SPHBytes(width, len(keys)))
+		if d.MemBytes() != SPHBytes(width, len(keys)) {
+			t.Fatalf("MemBytes = %d, SPHBytes = %d", d.MemBytes(), SPHBytes(width, len(keys)))
+		}
 	}
 	for _, bad := range []uint32{lo - 1, lo + width} {
 		if _, err := BuildSPH([]uint32{lo, bad}, lo, width, nil); err == nil {
 			t.Fatalf("build key %d outside [%d,%d) accepted", bad, lo, lo+width)
 		}
-	}
-}
-
-// TestSPHUniqueDirectory: a build over keys without duplicates marks the
-// directory unique, and one repeated key clears the mark. Either way the
-// batch probe agrees with the per-key probe, over keys below the domain
-// (which wrap around), inside it and above it, with the last keys of the
-// batch all misses.
-func TestSPHUniqueDirectory(t *testing.T) {
-	r := xrand.New(38)
-	const lo, width = 1000, 3000
-	keys := make([]uint32, width)
-	for i := range keys {
-		keys[i] = lo + uint32(i)
-	}
-	r.ShuffleUint32(keys)
-	keys = keys[:width/2]
-	probes := make([]uint32, 5000)
-	for i := range probes {
-		probes[i] = r.Uint32n(lo + width + 500)
-	}
-	probes = append(probes, 0, lo-1, lo+width, ^uint32(0))
-	for _, c := range []struct {
-		name   string
-		keys   []uint32
-		unique bool
-	}{{"unique", keys, true}, {"one-duplicate", append(slices.Clone(keys), keys[7]), false}, {"empty", nil, true}} {
-		d, err := BuildSPH(c.keys, lo, width, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.unique != c.unique {
-			t.Fatalf("%s: unique = %v, want %v", c.name, d.unique, c.unique)
-		}
-		var wantBuild, wantProbe []int32
-		for j, k := range probes {
-			for _, row := range fillRows(t, d, k) {
-				wantBuild, wantProbe = append(wantBuild, row), append(wantProbe, 3+int32(j))
-			}
-		}
-		checkBatch(t, d, probes, 3, wantBuild, wantProbe)
 	}
 }
 

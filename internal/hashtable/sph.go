@@ -17,7 +17,6 @@ type SPH struct {
 	lo     uint32
 	starts []int32 // slot s holds rows[starts[s]:starts[s+1]]
 	rows   []int32
-	unique bool // no slot holds two rows (a key column without duplicates)
 }
 
 // SPHBytes is the heap footprint of an SPH directory of the given domain
@@ -49,17 +48,13 @@ func BuildSPH(keys []uint32, lo uint32, width int, stop func() error) (*SPH, err
 		}
 	}
 	// Inclusive prefix sum, then scatter each slot's cursor downwards — see
-	// BuildMulti. The sum also notes whether any slot counted two rows or
-	// more (a count shifted right by one is non-zero exactly then).
-	var run, dup int32
+	// BuildMulti.
+	var run int32
 	for s := 0; s < width; s++ {
-		c := d.starts[s]
-		dup |= c >> 1
-		run += c
+		run += d.starts[s]
 		d.starts[s] = run
 	}
 	d.starts[width] = run
-	d.unique = dup == 0
 	for at := 0; at < len(keys); at += buildPoll {
 		if stop != nil {
 			if err := stop(); err != nil {
@@ -129,14 +124,27 @@ func (d *SPH) CountEach(keys []uint32, counts []int32) int {
 // FillBatch writes the join pairs of probing keys in order — see
 // Multi.FillBatch. build and probe are windows the pairs are written to from
 // index 0; past the pairs it returns, FillBatch may leave scratch anywhere
-// inside them, and it never writes outside them.
+// inside them, and it never writes outside them. Should the keys have more
+// pairs than the windows hold, it writes those that fit and returns the full
+// number, so that a caller comparing it with CountBatch sees the surplus.
 //
-// Every key writes its pair at the cursor, hit or miss, and advances the
-// cursor by its slot's row count: no branch asks whether a key hit, and a
-// miss's write is scratch that the next pair overwrites. A unique directory
-// (every slot one row or none, the common case of a join on a key) takes
-// fillUnique, whose loop has no per-key inner loop; otherwise fillMulti
-// writes a slot's further rows in an index loop.
+// Every key writes its first pair at the cursor, hit or miss, and advances
+// the cursor by its slot's row count: no branch asks whether a key hit, and a
+// miss's write is scratch that the next pair overwrites. Only a slot with two
+// rows or more enters the loop that writes its further rows; on a directory
+// built over a key (every slot one row or none) that loop's test is always
+// false and predicted so.
+//
+// The loop reads and writes through raw pointers: with the two windows, the
+// directory, the rows and the cursor all live, bounds-checked slices leave
+// too few registers, and the cursor (on which every write depends) is spilled
+// to the stack on each key. Every index is in range by construction. A key
+// outside the domain reads slot 0 (slot <= width-1, so slot+1 < len(starts))
+// with its count multiplied by 0. A slot's first row index is clamped to
+// len(rows)-1, which only a miss past the last occupied slot reaches. The
+// cursor is below the window's end at each write, and a slot's further rows
+// are cut at the window's end. build and probe have one length, and are the
+// directory's windows: the directory holds at least one row.
 func (d *SPH) FillBatch(keys []uint32, first int32, build, probe []int32) int {
 	switch {
 	case len(d.rows) == 0:
@@ -146,10 +154,11 @@ func (d *SPH) FillBatch(keys []uint32, first int32, build, probe []int32) int {
 		// instead, so this path is not tuned.
 		n := 0
 		for i, k := range keys {
-			for c := d.Count(k); c > 0; c-- {
-				probe[n] = first + int32(i)
-				n++
+			c := d.Count(k)
+			for j := n; j < min(n+c, len(probe)); j++ {
+				probe[j] = first + int32(i)
 			}
+			n += c
 		}
 		return n
 	case probe == nil:
@@ -158,68 +167,23 @@ func (d *SPH) FillBatch(keys []uint32, first int32, build, probe []int32) int {
 		end := min(len(build), len(probe))
 		build, probe = build[:end], probe[:end]
 	}
-	if d.unique {
-		return d.fillUnique(keys, first, build, probe)
-	}
-	return d.fillMulti(keys, first, build, probe)
-}
-
-// The fill loops read and write through raw pointers: with the two windows,
-// the directory, the rows and the cursor all live, bounds-checked slices
-// leave too few registers, and the cursor (on which every write depends) is
-// spilled to the stack on each key. Every index is in range by construction.
-// A key outside the domain reads slot 0 (slot <= width-1, so slot+1 <
-// len(starts)) with its count multiplied by 0. A slot's first row index is
-// clamped to len(rows)-1, which only a miss past the last occupied slot
-// reaches. The cursor is below the window's end at each write, and a count is
-// cut at the window's end. build and probe have one length, and are the
-// directory's windows: the directory holds at least one row.
-
-// fillUnique is FillBatch over a unique directory: each count is 0 or 1.
-// Once the cursor reaches the window's end, the keys left must all miss, so
-// the loop stops there.
-func (d *SPH) fillUnique(keys []uint32, first int32, build, probe []int32) int {
 	wm1 := uint32(len(d.starts) - 2)
 	nr, lo, end := int32(len(d.rows)), d.lo, len(build)
 	sp, rp := unsafe.Pointer(&d.starts[0]), unsafe.Pointer(&d.rows[0])
 	bp, pp := unsafe.Pointer(unsafe.SliceData(build)), unsafe.Pointer(unsafe.SliceData(probe))
 	n := 0
 	for i, k := range keys {
-		if n == end {
-			break
+		if n >= end { // the window is full: the keys left should all miss
+			return n + d.CountBatch(keys[i:])
 		}
 		slot := k - lo
 		in := b2i(slot <= wm1) // 0 also for k < lo (wraparound)
 		slot &= -uint32(in)
 		a := *at(sp, int(slot))
+		c := int(*at(sp, int(slot)+1)-a) * in
 		*at(pp, n) = first + int32(i)
 		*at(bp, n) = *at(rp, int(a-int32(b2i(a == nr))))
-		n += int(*at(sp, int(slot)+1)-a) * in
-	}
-	return n
-}
-
-// fillMulti is fillUnique for a directory whose slots may hold several rows:
-// the first row of a slot is written the same way, and only a slot with two
-// rows or more enters the inner loop.
-func (d *SPH) fillMulti(keys []uint32, first int32, build, probe []int32) int {
-	wm1 := uint32(len(d.starts) - 2)
-	nr, lo, end := int32(len(d.rows)), d.lo, len(build)
-	sp, rp := unsafe.Pointer(&d.starts[0]), unsafe.Pointer(&d.rows[0])
-	bp, pp := unsafe.Pointer(unsafe.SliceData(build)), unsafe.Pointer(unsafe.SliceData(probe))
-	n := 0
-	for i, k := range keys {
-		if n == end {
-			break
-		}
-		slot := k - lo
-		in := b2i(slot <= wm1)
-		slot &= -uint32(in)
-		a := *at(sp, int(slot))
-		c := min(int(*at(sp, int(slot)+1)-a)*in, end-n)
-		*at(pp, n) = first + int32(i)
-		*at(bp, n) = *at(rp, int(a-int32(b2i(a == nr))))
-		for j := 1; j < c; j++ {
+		for j, m := 1, min(c, end-n); j < m; j++ {
 			*at(pp, n+j) = first + int32(i)
 			*at(bp, n+j) = *at(rp, int(a)+j)
 		}

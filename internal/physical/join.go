@@ -193,7 +193,11 @@ func joinSides(kind JoinKind, left, right []uint32, leftDom props.Domain, opt Jo
 // a side the caller does not want: it is not written. The slices are the
 // window the caller hands over: FillBatch may write scratch anywhere inside
 // it, past the pairs it returns, and never outside it. A probe that runs in
-// chunks therefore ends each chunk's window at that chunk's own end.
+// chunks therefore ends each chunk's window at that chunk's own end. Keys
+// with more pairs than the window holds are a fault of the index (its count
+// and its fill disagree): FillBatch then panics on the bounds or returns the
+// larger number, and the probe reports a chunk whose fills do not end exactly
+// at the chunk's end as an error.
 type RowIndex interface {
 	CountBatch(keys []uint32) int
 	FillBatch(keys []uint32, first int32, build, probe []int32) int
@@ -319,7 +323,8 @@ func probePairs(idx RowIndex, probe []uint32, workers int, rv *resv, sides pairS
 		// Chunk c's pairs end at offs[c+1]. The fill kernels write scratch
 		// past their last pair, so a window that ran on into the next chunk's
 		// pairs would let one worker overwrite another's.
-		for o, end := offs[c], offs[c+1]; lo < hi; lo += checkEvery {
+		o, end := offs[c], offs[c+1]
+		for ; lo < hi && o <= end; lo += checkEvery {
 			if err := rv.ctl.Err(); err != nil {
 				return err
 			}
@@ -329,6 +334,9 @@ func probePairs(idx RowIndex, probe []uint32, workers int, rv *resv, sides pairS
 			} else {
 				o += idx.FillBatch(probe[lo:to], int32(lo), window(res.LeftIdx, o, end), window(res.RightIdx, o, end))
 			}
+		}
+		if o != end {
+			return fmt.Errorf("physical: probe chunk %d: the count pass found %d pairs, the fill pass reached %d", c, end-offs[c], o-offs[c])
 		}
 		return nil
 	})
@@ -351,17 +359,21 @@ func window(xs []int32, o, end int) []int32 {
 // the front of dst, and returns how many it wrote. Most counts are 0 or 1, so
 // each row is written at the cursor whatever its count, and the cursor
 // advances by the count: no branch asks whether a probe row matched. Past the
-// rows it returns, repeatRows may leave scratch anywhere in dst (see
-// RowIndex); once the cursor reaches dst's end, the counts left must be 0.
+// rows it returns, repeatRows may leave scratch anywhere in dst, and never
+// outside it; counts that add up to more than dst holds are written as far
+// as they fit, and the full sum is returned (see RowIndex).
 func repeatRows(counts []int32, first int32, dst []int32) int {
 	n := 0
 	for i, c := range counts {
-		if n == len(dst) {
-			break
+		if n >= len(dst) { // dst is full: the counts left should all be 0
+			for _, left := range counts[i:] {
+				n += int(left)
+			}
+			return n
 		}
 		r := first + int32(i)
 		dst[n] = r
-		for j := 1; j < int(c); j++ {
+		for j, m := 1, min(int(c), len(dst)-n); j < m; j++ {
 			dst[n+j] = r
 		}
 		n += int(c)

@@ -96,7 +96,10 @@ func TestUniqueSPHJAcrossChunks(t *testing.T) {
 // relies on it, since the next slot belongs to the next chunk. Each window is
 // followed by sentinels, and it is exactly as long as the pairs or a little
 // longer; the batches end in misses, where a predicated write is tempted
-// past the end. The pairs written must be the reference's.
+// past the end. The pairs written must be the reference's. The SPH fill and
+// repeatRows also get windows too short for their pairs: they write those
+// that fit and return the full number, which is how a probe whose two passes
+// disagree finds out.
 func TestFillStaysInsideItsWindow(t *testing.T) {
 	const sentinel, guard = -7, 8
 	build, probe, dom := uniqueProbeCase()
@@ -129,7 +132,10 @@ func TestFillStaysInsideItsWindow(t *testing.T) {
 		}
 		wantBuild, wantProbe := referencePairs(c.keys, probe)
 		pairs := idx.CountBatch(probe)
-		for _, slack := range []int{0, 1, 5} {
+		for _, slack := range []int{-3, -1, 0, 1, 5} {
+			if slack < 0 && c.hash {
+				continue // Multi's fill is bounds-checked: a short window panics
+			}
 			for _, sides := range []pairSides{leftRows, rightRows, bothRows} {
 				b, ball := withWindow(pairs, slack, sides&leftRows != 0)
 				p, pall := withWindow(pairs, slack, sides&rightRows != 0)
@@ -143,7 +149,7 @@ func TestFillStaysInsideItsWindow(t *testing.T) {
 					if s.all == nil {
 						continue
 					}
-					if !slices.Equal(s.all[:pairs], s.want) {
+					if k := min(pairs, pairs+slack); !slices.Equal(s.all[:k], s.want[:k]) {
 						t.Fatalf("%s: pairs differ from the reference", label)
 					}
 					for i, v := range s.all[pairs+slack:] {
@@ -165,14 +171,52 @@ func TestFillStaysInsideItsWindow(t *testing.T) {
 			want = append(want, 40+int32(i))
 		}
 	}
-	for _, slack := range []int{0, 1, 5} {
+	for _, slack := range []int{-3, -1, 0, 1, 5} {
 		dst, all := withWindow(len(want), slack, true)
-		if n := repeatRows(counts, 40, dst); n != len(want) || !slices.Equal(dst[:n], want) {
+		k := min(len(want), len(dst))
+		if n := repeatRows(counts, 40, dst); n != len(want) || !slices.Equal(dst[:k], want[:k]) {
 			t.Fatalf("repeatRows slack=%d: %d rows, want %d, or the rows differ", slack, n, len(want))
 		}
 		for i, v := range all[len(want)+slack:] {
 			if v != sentinel {
 				t.Fatalf("repeatRows slack=%d: wrote %d at %d past the window's end", slack, v, i)
+			}
+		}
+	}
+}
+
+// miscounter is an SPH directory whose count pass is off by by pairs on every
+// batch, so that its fills do not end where the counts say.
+type miscounter struct {
+	*hashtable.SPH
+	by int
+}
+
+func (m miscounter) CountBatch(keys []uint32) int { return m.SPH.CountBatch(keys) + m.by }
+
+func (m miscounter) CountEach(keys []uint32, counts []int32) int {
+	return m.SPH.CountEach(keys, counts) + m.by
+}
+
+// TestProbeReportsAMiscount: when an index's count and fill disagree, by a
+// pair too many or too few per batch, the probe returns an error instead of
+// pairs cut short or stale scratch in the result — through FillBatch and,
+// keeping the probe rows alone, through repeatRows, serially and in chunks.
+func TestProbeReportsAMiscount(t *testing.T) {
+	build, probe, dom := uniqueProbeCase()
+	d, err := hashtable.BuildSPH(build, uint32(dom.Lo), int(dom.Width()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Release()
+	for _, by := range []int{-1, 1} {
+		for _, sides := range []pairSides{leftRows, rightRows, bothRows} {
+			for _, workers := range []int{1, 2} {
+				res, err := probePairs(miscounter{d, by}, probe, workers, &resv{}, sides)
+				if err == nil {
+					res.Release()
+					t.Fatalf("by=%d/sides=%b/workers=%d: no error", by, sides, workers)
+				}
 			}
 		}
 	}
