@@ -395,22 +395,8 @@ func BenchmarkAblationAV(b *testing.B) {
 // adhoc-plan statements, whose conjuncts the binder puts on the scans of R and
 // S below the joins.
 func BenchmarkEndToEndSQL(b *testing.B) {
-	cfg := datagen.FKConfig{RRows: 20000, SRows: 90000, AGroups: 2000, Dense: true}
-	r, s := datagen.FKPair(42, cfg)
-	g, w := make([]uint32, cfg.AGroups), make([]int64, cfg.AGroups)
-	for i := range g {
-		g[i], w[i] = uint32(i), int64(i%100)
-	}
-	db := Open()
-	for _, tab := range []*Table{{rel: r}, {rel: s}, NewTableBuilder("D").Uint32("G", g).Int64("W", w).MustBuild()} {
-		if err := db.Register(tab); err != nil {
-			b.Fatal(err)
-		}
-	}
+	db := endToEndDB(b)
 	const q = "SELECT R.A, COUNT(*) FROM R JOIN S ON R.ID = S.R_ID GROUP BY R.A"
-	// Every iteration builds its join table: with adoption on, the second
-	// one's would be kept and the four cases would time different plans.
-	db.avs.SetBudget(0)
 	for _, mode := range []Mode{ModeSQO, ModeDQO} {
 		// traced = default posture (ring tracer on); untraced disables the
 		// tracer to expose any observability cost on the end-to-end path.
@@ -431,7 +417,7 @@ func BenchmarkEndToEndSQL(b *testing.B) {
 	}
 	for _, f := range []struct{ name, sql string }{
 		{"filtered", "SELECT R.A, COUNT(*) FROM R JOIN S ON R.ID = S.R_ID WHERE R.A < 1000 GROUP BY R.A"},
-		{"star", "SELECT R.A, COUNT(*), SUM(D.W) FROM S JOIN R ON S.R_ID = R.ID JOIN D ON R.A = D.G WHERE R.A >= 200 AND S.M < 70 GROUP BY R.A ORDER BY R.A LIMIT 20"},
+		{"star", starSQL},
 	} {
 		for _, mode := range []Mode{ModeSQO, ModeDQO} {
 			b.Run(f.name+"/"+mode.String(), func(b *testing.B) {
@@ -444,6 +430,32 @@ func BenchmarkEndToEndSQL(b *testing.B) {
 		}
 	}
 }
+
+// endToEndDB registers BenchmarkEndToEndSQL's tables: the R/S pair at 20 000
+// and 90 000 rows and the 2 000-row dimension D. Every query builds its join
+// tables: with adoption on, the second execution's would be kept and
+// repeated executions would time different plans.
+func endToEndDB(tb testing.TB) *DB {
+	tb.Helper()
+	cfg := datagen.FKConfig{RRows: 20000, SRows: 90000, AGroups: 2000, Dense: true}
+	r, s := datagen.FKPair(42, cfg)
+	g, w := make([]uint32, cfg.AGroups), make([]int64, cfg.AGroups)
+	for i := range g {
+		g[i], w[i] = uint32(i), int64(i%100)
+	}
+	db := Open()
+	for _, tab := range []*Table{{rel: r}, {rel: s}, NewTableBuilder("D").Uint32("G", g).Int64("W", w).MustBuild()} {
+		if err := db.Register(tab); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	db.avs.SetBudget(0)
+	return db
+}
+
+// starSQL is the star statement of BenchmarkEndToEndSQL: two joins, a
+// filter on each side, grouping, ORDER BY and LIMIT.
+const starSQL = "SELECT R.A, COUNT(*), SUM(D.W) FROM S JOIN R ON S.R_ID = R.ID JOIN D ON R.A = D.G WHERE R.A >= 200 AND S.M < 70 GROUP BY R.A ORDER BY R.A LIMIT 20"
 
 // BenchmarkAblationEngine is A5: the same grouping executed by the
 // operator-at-a-time kernel vs the Figure 2 producer-bundle engine.
@@ -549,16 +561,16 @@ func BenchmarkMorselPipelineAllocs(b *testing.B) {
 				var root exec.Operator
 				if p > 1 {
 					pipe := exec.NewPipe(exec.Text("scan"), rel, p)
-					pipe.AddStage(exec.Text("filter"), func(in *storage.Relation) (*storage.Relation, error) {
-						return physical.FilterRel(in, pred)
+					pipe.AddStage(exec.Text("filter"), func(s *storage.Scratch, in *storage.Relation) (*storage.Relation, error) {
+						return physical.FilterRel(in, pred, nil, s)
 					})
-					pipe.AddStage(exec.Text("project"), func(in *storage.Relation) (*storage.Relation, error) {
+					pipe.AddStage(exec.Text("project"), func(_ *storage.Scratch, in *storage.Relation) (*storage.Relation, error) {
 						return physical.ProjectRel(in, "key")
 					})
 					root = pipe
 				} else {
 					root = exec.NewProject(exec.Text("project"),
-						exec.NewFilter(exec.Text("filter"), exec.NewScan(exec.Text("scan"), rel), pred), []string{"key"})
+						exec.NewFilter(exec.Text("filter"), exec.NewScan(exec.Text("scan"), rel), pred, nil), []string{"key"})
 				}
 				ec := exec.NewExecContext(context.Background(), 0, p)
 				if _, err := exec.Run(ec, root); err != nil {

@@ -52,9 +52,9 @@ type ExecOptions struct {
 //
 // Lowering also carries, top-down, the columns each node's ancestors
 // reference (project lists, predicates, group key and aggregate arguments,
-// sort keys, the keys of joins above), and join breakers materialise only
-// those: a join under GROUP BY R.A, COUNT(*) gathers R.A, not every column
-// of both inputs. This is a property of the lowering, not of the plan —
+// sort keys, the keys of joins above), and joins and filters materialise
+// only those: a join under GROUP BY R.A, COUNT(*) gathers R.A, not every
+// column of both inputs, and SELECT ID FROM R WHERE A = ? gathers ID alone. This is a property of the lowering, not of the plan —
 // EXPLAIN shows the same logical schema as before.
 func Compile(p *Plan) (exec.Operator, error) {
 	return compileNode(p, nil, nil)
@@ -73,7 +73,7 @@ func compileNode(p *Plan, rc *ReoptConfig, need []string) (exec.Operator, error)
 		return exec.NewScan(p, p.Rel), nil
 	case OpFilter:
 		if p.DOP > 1 {
-			if op, ok := compilePipe(p); ok {
+			if op, ok := compilePipe(p, need); ok {
 				return op, nil
 			}
 		}
@@ -103,10 +103,10 @@ func compileNode(p *Plan, rc *ReoptConfig, need []string) (exec.Operator, error)
 		if err != nil {
 			return nil, err
 		}
-		return exec.NewFilter(p, child, p.Pred), nil
+		return exec.NewFilter(p, child, p.Pred, need), nil
 	case OpProject:
 		if p.DOP > 1 {
-			if op, ok := compilePipe(p); ok {
+			if op, ok := compilePipe(p, need); ok {
 				return op, nil
 			}
 		}
@@ -206,13 +206,21 @@ func sharesColumn(a, b []string) bool {
 // the optimiser marked with DOP > 1, bottoming out at a plain scan — onto
 // the morsel-parallel pipe driver. Stages run per morsel on the worker pool
 // and the pipe re-emits batches in input order, so the result is identical
-// to the serial chain. Returns false if the chain has an unexpected shape
-// (e.g. a cracked filter); the caller then falls back to serial lowering.
-func compilePipe(p *Plan) (exec.Operator, bool) {
+// to the serial chain. need names the columns p's ancestors reference, and
+// each filter stage keeps only what is read above it, as compileNode's
+// filters do. Returns false if the chain has an unexpected shape (e.g. a
+// cracked filter); the caller then falls back to serial lowering.
+func compilePipe(p *Plan, need []string) (exec.Operator, bool) {
 	var chain []*Plan
+	var keep [][]string // the columns chain[i]'s output keeps
 	n := p
 	for (n.Op == OpFilter && n.Crack == nil && n.Enc == props.NoCompression) || n.Op == OpProject {
-		chain = append(chain, n)
+		chain, keep = append(chain, n), append(keep, need)
+		if n.Op == OpFilter {
+			need = withColumns(need, n.Pred.Columns(nil)...)
+		} else {
+			need = n.Cols
+		}
 		n = n.Children[0]
 	}
 	if n.Op != OpScan || len(chain) == 0 {
@@ -223,13 +231,13 @@ func compilePipe(p *Plan) (exec.Operator, bool) {
 		st := chain[i]
 		switch st.Op {
 		case OpFilter:
-			pred := st.Pred
-			pipe.AddStage(st, func(in *storage.Relation) (*storage.Relation, error) {
-				return physical.FilterRel(in, pred)
+			pred, cols := st.Pred, keep[i]
+			pipe.AddStage(st, func(s *storage.Scratch, in *storage.Relation) (*storage.Relation, error) {
+				return physical.FilterRel(in, pred, cols, s)
 			})
 		case OpProject:
 			cols := st.Cols
-			pipe.AddStage(st, func(in *storage.Relation) (*storage.Relation, error) {
+			pipe.AddStage(st, func(_ *storage.Scratch, in *storage.Relation) (*storage.Relation, error) {
 				return physical.ProjectRel(in, cols...)
 			})
 		}

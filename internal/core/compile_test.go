@@ -71,6 +71,64 @@ func TestCompileJoinMaterialisesReferencedColumnsOnly(t *testing.T) {
 	}
 }
 
+// TestCompileFilterGathersNeededColumnsOnly: a filter keeps only what its
+// ancestors read, serial and in a parallel pipe alike. Under SELECT M ... WHERE
+// R_ID < 100 the filter's batches hold M (8 B per row), not R_ID and M (12 B):
+// the predicate reads R_ID on the input, and the output gathers M alone.
+func TestCompileFilterGathersNeededColumnsOnly(t *testing.T) {
+	_, _, s := fkJoin(5)
+	pred := expr.Bin{Op: expr.OpLt, L: expr.Col{Name: "R_ID"}, R: expr.IntLit{V: 100}}
+	q := &logical.Project{Cols: []string{"M"}, Input: &logical.Filter{Input: &logical.Scan{Table: "S", Rel: s}, Pred: pred}}
+	want, err := naive.Execute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const morsel = 128
+	// The filter's largest batch: the most rows one morsel lets through.
+	var most int64
+	keys := s.MustColumn("R_ID").Uint32s()
+	for lo := 0; lo < len(keys); lo += morsel {
+		var n int64
+		for _, k := range keys[lo:min(lo+morsel, len(keys))] {
+			if k < 100 {
+				n++
+			}
+		}
+		most = max(most, n)
+	}
+	for _, dop := range []int{1, 2} {
+		res, err := Optimize(q, DQO())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var filter *Plan
+		res.Best.PreOrder(func(n *Plan, _ int) {
+			if n.Op == OpFilter {
+				filter = n
+			}
+			if n.Op != OpScan {
+				n.DOP = dop // a streaming chain with DOP > 1 lowers to a Pipe
+			}
+		})
+		got, prof, err := ExecuteContext(context.Background(), res.Best, ExecOptions{MorselSize: morsel, Workers: dop})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := naive.Check(got, want, "", -1); err != nil {
+			t.Fatalf("dop=%d: result differs from the naive evaluator: %v", dop, err)
+		}
+		var peak int64 = -1
+		for _, op := range prof {
+			if op.Label == filter.Label() {
+				peak = op.PeakBytes
+			}
+		}
+		if peak != 8*most {
+			t.Fatalf("dop=%d: filter's largest batch is %d bytes, want %d (M alone); with R_ID it would be %d", dop, peak, 8*most, 12*most)
+		}
+	}
+}
+
 // TestCompileRequiredColumnsAcrossOperators drives the required-columns pass
 // through every operator that extends or replaces the set, and through the
 // shapes where it must back off, comparing with the naive evaluator (schema,

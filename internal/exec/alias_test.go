@@ -20,7 +20,7 @@ func snapshot(rel *storage.Relation) *storage.Relation {
 	for i := range idx {
 		idx[i] = int32(i)
 	}
-	return rel.Gather(idx)
+	return rel.Gather(nil, idx)
 }
 
 // aliasesTable reports whether in is a zero-copy view of the first rows of

@@ -70,7 +70,7 @@ func BenchmarkFilterRLE(b *testing.B) {
 		name string
 		mk   func() Operator
 	}{
-		{"decoded", func() Operator { return NewFilter(Text("filter"), NewCompressedScan(Text("cscan"), comp), pred) }},
+		{"decoded", func() Operator { return NewFilter(Text("filter"), NewCompressedScan(Text("cscan"), comp), pred, nil) }},
 		{"compressed", func() Operator { return NewCompressedFilter(Text("cfilter"), comp, "key", 0, phi) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

@@ -78,7 +78,7 @@ func TestHotPathInstrumentationAllocFree(t *testing.T) {
 		return testing.AllocsPerRun(50, func() {
 			ec := NewExecContext(context.Background(), 256, 0)
 			ec.Counters = cnt
-			if _, err := Run(ec, NewFilter(Text("f"), NewScan(Text("s"), rel), pred)); err != nil {
+			if _, err := Run(ec, NewFilter(Text("f"), NewScan(Text("s"), rel), pred, nil)); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -300,8 +300,19 @@ func (s *OpStats) snapshot() OpStats {
 // qerr taxonomy, and a panic anywhere in the tree — a worker goroutine
 // rethrown by its coordinator, or the drive loop itself — surfaces as a
 // typed qerr.ErrInternal instead of killing the process.
+//
+// The run draws its intermediate arrays from a scratch arena on ec's handle
+// and recycles them once, on the way out, whatever the outcome: after the
+// tree is closed, so every worker has been joined. The arrays the returned
+// relation views (a breaker's output streamed up as it is, a LIMIT's prefix
+// of it) are not recycled; the caller owns them with the relation.
 func Run(ec *ExecContext, root Operator) (rel *storage.Relation, err error) {
 	closed := false
+	ec.ctl.Scratch = storage.NewScratch()
+	defer func() {
+		ec.ctl.Scratch.Recycle(rel)
+		ec.ctl.Scratch = nil
+	}()
 	defer func() {
 		if r := recover(); r != nil {
 			err = qerr.Internal(r, debug.Stack())
@@ -357,7 +368,7 @@ func Run(ec *ExecContext, root Operator) (rel *storage.Relation, err error) {
 	if err := root.Close(ec); err != nil {
 		return nil, err
 	}
-	return storage.Concat(parts)
+	return storage.Concat(nil, parts)
 }
 
 // partsPool recycles the batch-accumulator slices of Run and drain; only the

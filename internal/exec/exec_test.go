@@ -59,7 +59,7 @@ func TestEmptyRelationEmitsSchema(t *testing.T) {
 	}
 	// A filter over an empty input must still surface the schema.
 	pred := expr.Bin{Op: expr.OpLt, L: expr.Col{Name: "id"}, R: expr.IntLit{V: 5}}
-	out = runTree(t, NewFilter(Text("filter"), NewScan(Text("scan"), testRel(t, 0)), pred), 4)
+	out = runTree(t, NewFilter(Text("filter"), NewScan(Text("scan"), testRel(t, 0)), pred, nil), 4)
 	if out.NumCols() != 2 {
 		t.Fatal("filter over empty input lost schema")
 	}
@@ -68,7 +68,7 @@ func TestEmptyRelationEmitsSchema(t *testing.T) {
 func TestFilterPerMorsel(t *testing.T) {
 	rel := testRel(t, 100)
 	pred := expr.Bin{Op: expr.OpLt, L: expr.Col{Name: "id"}, R: expr.IntLit{V: 30}}
-	filter := NewFilter(Text("filter"), NewScan(Text("scan"), rel), pred)
+	filter := NewFilter(Text("filter"), NewScan(Text("scan"), rel), pred, nil)
 	out := runTree(t, filter, 7)
 	if out.NumRows() != 30 {
 		t.Fatalf("filter kept %d rows, want 30", out.NumRows())
@@ -125,7 +125,7 @@ func TestBreaker1KernelRunsOnce(t *testing.T) {
 		for i := range idx {
 			idx[i] = int32(in[0].NumRows() - 1 - i)
 		}
-		return in[0].Gather(idx), nil
+		return in[0].Gather(nil, idx), nil
 	}, nil, NewScan(Text("scan"), rel))
 	out := runTree(t, rev, 4)
 	if calls != 1 {
@@ -243,7 +243,7 @@ func TestPoolPropagatesFirstError(t *testing.T) {
 func TestProfileCollectsEveryOperator(t *testing.T) {
 	rel := testRel(t, 64)
 	pred := expr.Bin{Op: expr.OpGe, L: expr.Col{Name: "id"}, R: expr.IntLit{V: 0}}
-	root := NewLimit(NewFilter(Text("filter"), NewScan(Text("scan"), rel), pred), 20)
+	root := NewLimit(NewFilter(Text("filter"), NewScan(Text("scan"), rel), pred, nil), 20)
 	runTree(t, root, 8)
 	prof := CollectProfile(root)
 	if len(prof) != 3 {

@@ -50,7 +50,7 @@ func govCases(t *testing.T) []govCase {
 	for i := range desc {
 		desc[i] = int32(len(desc) - 1 - i)
 	}
-	rel = rel.Gather(desc)
+	rel = rel.Gather(nil, desc)
 	keys := make([]uint32, 3000)
 	vals := make([]int64, 3000)
 	for i := range keys {
@@ -84,8 +84,8 @@ func govCases(t *testing.T) []govCase {
 			},
 			build: func(dop int) Operator {
 				pipe := NewPipe(Text("scan"), rel, dop)
-				pipe.AddStage(Text("filter"), func(in *storage.Relation) (*storage.Relation, error) {
-					return physical.FilterRel(in, pred)
+				pipe.AddStage(Text("filter"), func(s *storage.Scratch, in *storage.Relation) (*storage.Relation, error) {
+					return physical.FilterRel(in, pred, nil, s)
 				})
 				b := NewBreaker(Text("sort"), func(ec *ExecContext, ctl *govern.Ctl, in ...*storage.Relation) (*storage.Relation, error) {
 					return physical.SortRel(in[0], "id", sortx.Radix, ec.EffectiveDOP(dop), ctl)

@@ -248,7 +248,7 @@ func (m *Materialize) hold(ec *ExecContext, op Operator) (*storage.Relation, int
 	if err != nil || first == nil {
 		return nil, 0, err
 	}
-	rel, err := storage.Concat(parts)
+	rel, err := storage.Concat(m.h.ctl.Arena(), parts)
 	return rel, rows, err
 }
 
@@ -339,7 +339,7 @@ func (h *holder) gather(rel *storage.Relation, idx []int32) (*storage.Relation, 
 			return nil, err
 		}
 	}
-	return rel.Gather(idx), nil
+	return rel.Gather(h.ctl.Arena(), idx), nil
 }
 
 // NewIndexScan returns the source answering an AV-backed range filter: the

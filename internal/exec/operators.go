@@ -62,16 +62,19 @@ func (s *Scan) Children() []Operator { return nil }
 // ---------------------------------------------------------------------------
 // Filter: per-morsel predicate evaluation.
 
-// Filter emits the rows of each input batch satisfying a predicate.
+// Filter emits the rows of each input batch satisfying a predicate, with
+// the columns its ancestors read.
 type Filter struct {
 	base
 	child Operator
 	pred  expr.Expr
+	keep  []string
 }
 
-// NewFilter returns a filter of child by pred.
-func NewFilter(label Labeler, child Operator, pred expr.Expr) *Filter {
-	return &Filter{base: base{label: label}, child: child, pred: pred}
+// NewFilter returns a filter of child by pred whose batches keep the columns
+// keep names (nil: every column); the predicate may read columns keep drops.
+func NewFilter(label Labeler, child Operator, pred expr.Expr, keep []string) *Filter {
+	return &Filter{base: base{label: label}, child: child, pred: pred, keep: keep}
 }
 
 // Open implements Operator.
@@ -90,7 +93,7 @@ func (f *Filter) Next(ec *ExecContext) (*storage.Relation, error) {
 	f.addRowsIn(int64(in.NumRows()))
 	// FilterRel is morsel-decomposable (see its contract in
 	// internal/physical), so the bulk kernel applies per batch unchanged.
-	batch, err := physical.FilterRel(in, f.pred)
+	batch, err := physical.FilterRel(in, f.pred, f.keep, ec.ctl.Scratch)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,7 @@ import (
 	"sync/atomic"
 
 	"dqo/internal/faultinject"
-	"dqo/internal/govern"
+	"dqo/internal/qerr"
 	"dqo/internal/storage"
 )
 
@@ -51,8 +51,12 @@ type Pipe struct {
 
 type pipeStage struct {
 	node *pipeNode
-	fn   func(*storage.Relation) (*storage.Relation, error)
+	fn   Stage
 }
+
+// Stage is a morsel-decomposable pipeline stage: it maps one morsel to its
+// output, drawing any arrays it makes from the query's scratch arena s.
+type Stage func(s *storage.Scratch, in *storage.Relation) (*storage.Relation, error)
 
 type pipeResult struct {
 	idx   int
@@ -91,7 +95,7 @@ func NewPipe(scanLabel Labeler, rel *storage.Relation, dop int) *Pipe {
 
 // AddStage appends a morsel-decomposable stage (filter, project) above the
 // current top of the pipeline.
-func (p *Pipe) AddStage(label Labeler, fn func(*storage.Relation) (*storage.Relation, error)) {
+func (p *Pipe) AddStage(label Labeler, fn Stage) {
 	node := &pipeNode{base: base{label: label}}
 	if len(p.stages) == 0 {
 		node.child = p.scan
@@ -179,7 +183,7 @@ func (p *Pipe) worker(ec *ExecContext) {
 // morsel fails the query instead of the process; the consumer's error return
 // makes Run close the pipe, which stops the sibling workers.
 func (p *Pipe) runMorsel(ec *ExecContext, i int) (batch *storage.Relation, err error) {
-	defer govern.RecoverTo(&err)
+	defer qerr.RecoverTo(&err)
 	if err := faultinject.Fire(faultinject.PointExecPipeMorsel); err != nil {
 		return nil, err
 	}
@@ -195,7 +199,7 @@ func (p *Pipe) runMorsel(ec *ExecContext, i int) (batch *storage.Relation, err e
 	for _, st := range p.stages {
 		stop := st.node.timed()
 		st.node.addRowsIn(int64(batch.NumRows()))
-		out, err := st.fn(batch)
+		out, err := st.fn(ec.ctl.Scratch, batch)
 		if err != nil {
 			stop()
 			return nil, err

@@ -28,9 +28,9 @@ func pipeRel(t *testing.T, n int) *storage.Relation {
 	return rel
 }
 
-func filterStage(pred expr.Expr) func(*storage.Relation) (*storage.Relation, error) {
-	return func(in *storage.Relation) (*storage.Relation, error) {
-		return physical.FilterRel(in, pred)
+func filterStage(pred expr.Expr) Stage {
+	return func(s *storage.Scratch, in *storage.Relation) (*storage.Relation, error) {
+		return physical.FilterRel(in, pred, nil, s)
 	}
 }
 
@@ -39,7 +39,7 @@ func filterStage(pred expr.Expr) func(*storage.Relation) (*storage.Relation, err
 func TestPipeMatchesSerialPipeline(t *testing.T) {
 	rel := pipeRel(t, 10_000)
 	pred := expr.Bin{Op: expr.OpLt, L: expr.Col{Name: "id"}, R: expr.IntLit{V: 7000}}
-	want, err := physical.FilterRel(rel, pred)
+	want, err := physical.FilterRel(rel, pred, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestPipeMatchesSerialPipeline(t *testing.T) {
 		for _, morsel := range []int{1, 7, 1024, 1 << 30} {
 			p := NewPipe(Text("scan"), rel, workers)
 			p.AddStage(Text("filter"), filterStage(pred))
-			p.AddStage(Text("project"), func(in *storage.Relation) (*storage.Relation, error) {
+			p.AddStage(Text("project"), func(_ *storage.Scratch, in *storage.Relation) (*storage.Relation, error) {
 				return physical.ProjectRel(in, "v")
 			})
 			ec := NewExecContext(context.Background(), morsel, workers)
@@ -84,7 +84,7 @@ func TestPipeStageErrorIsDeterministic(t *testing.T) {
 	rel := pipeRel(t, 1000)
 	for _, workers := range []int{1, 4} {
 		p := NewPipe(Text("scan"), rel, workers)
-		p.AddStage(Text("boom"), func(in *storage.Relation) (*storage.Relation, error) {
+		p.AddStage(Text("boom"), func(_ *storage.Scratch, in *storage.Relation) (*storage.Relation, error) {
 			if ids := in.MustColumn("id").Uint32s(); len(ids) > 0 && ids[0] >= 96 {
 				return nil, fmt.Errorf("boom at %d", ids[0])
 			}
@@ -107,7 +107,7 @@ func TestPipeLimitEarlyExit(t *testing.T) {
 	for _, morsel := range []int{1, 7, 1024} {
 		for _, workers := range []int{2, 8} {
 			p := NewPipe(Text("scan"), rel, workers)
-			p.AddStage(Text("pass"), func(in *storage.Relation) (*storage.Relation, error) { return in, nil })
+			p.AddStage(Text("pass"), func(_ *storage.Scratch, in *storage.Relation) (*storage.Relation, error) { return in, nil })
 			limit := NewLimit(p, 10)
 			ec := NewExecContext(context.Background(), morsel, workers)
 			got, err := Run(ec, limit)
@@ -135,7 +135,7 @@ func TestPipeCancellationStopsWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
 	rel := pipeRel(t, 100_000)
 	ctx, cancel := context.WithCancel(context.Background())
-	slow := func(in *storage.Relation) (*storage.Relation, error) {
+	slow := func(_ *storage.Scratch, in *storage.Relation) (*storage.Relation, error) {
 		time.Sleep(200 * time.Microsecond)
 		return in, nil
 	}

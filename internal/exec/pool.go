@@ -3,7 +3,7 @@ package exec
 import (
 	"runtime"
 
-	"dqo/internal/govern"
+	"dqo/internal/qerr"
 )
 
 // Pool is the bounded worker pool shared by one query execution. Pipeline
@@ -51,7 +51,7 @@ func (p *Pool) Run(fns ...func() error) error {
 	// A panicking task — inline or pooled — becomes a typed internal error
 	// rather than killing the process from a lost goroutine.
 	call := func(fn func() error) (err error) {
-		defer govern.RecoverTo(&err)
+		defer qerr.RecoverTo(&err)
 		return fn()
 	}
 	errs := make(chan error, len(fns)-1)

@@ -132,7 +132,7 @@ func checkPartition(t *testing.T, got, rel *storage.Relation, p, level int) {
 			idx = append(idx, int32(i))
 		}
 	}
-	want := rel.Gather(idx)
+	want := rel.Gather(nil, idx)
 	tag := got.NumCols() - 1
 	body, err := storage.NewRelation(rel.Name(), got.Columns()[:tag]...)
 	if err != nil {

@@ -172,7 +172,7 @@ func (b *buffered) whole(schema []*storage.Relation) ([]*storage.Relation, error
 			parts = []*storage.Relation{s.Slice(0, 0)}
 		}
 		var err error
-		if in[i], err = storage.Concat(parts); err != nil {
+		if in[i], err = storage.Concat(nil, parts); err != nil {
 			return nil, err
 		}
 	}
@@ -233,7 +233,7 @@ func (s *sortRuns) flush(ec *ExecContext, h *holder) error {
 	if err := h.grab(buf); err != nil {
 		return err
 	}
-	in, err := storage.Concat(s.parts[0])
+	in, err := storage.Concat(nil, s.parts[0])
 	if err != nil {
 		return err
 	}
@@ -971,7 +971,7 @@ func GroupPartitions(key string, aggs []expr.AggSpec, opt physical.GroupOptions,
 	p := &partitioned{buffered: newBuffered(1), keys: []string{key}}
 	p.merge = func(ec *ExecContext, h *holder, schema []*storage.Relation) (*storage.Relation, error) {
 		o := opt
-		o.Ctl = h.ctl
+		o.Ctl = h.ctl.WithoutArena() // a partition's arrays die with it, not with the query
 		total := int64(p.ps[0].next) // every input row was numbered once
 		return mergeGroups(ec, h, p.ps[0], schema[0], func(rel *storage.Relation) (*storage.Relation, error) {
 			return physical.GroupByRel(rel, key, aggs, physical.HG, o, partDomain(dom, rel.NumRows(), total))
@@ -1057,13 +1057,13 @@ func mergeGroups(ec *ExecContext, h *holder, in *partitionSet, schema *storage.R
 	if len(groups) == 0 {
 		return group(schema.Slice(0, 0))
 	}
-	merged, err := storage.Concat(groups)
+	merged, err := storage.Concat(nil, groups)
 	if err != nil {
 		return nil, err
 	}
 	// First-occurrence ordinals are unique, so their argsort is the chained
 	// table's first-seen order over the whole input.
-	out := merged.Gather(sortx.ArgSortUint32(sortx.Radix, ord))
+	out := merged.Gather(nil, sortx.ArgSortUint32(sortx.Radix, ord))
 	if err := h.grab(out.MemBytes()); err != nil {
 		return nil, err
 	}
@@ -1112,7 +1112,7 @@ func JoinPartitions(leftKey, rightKey string, opt physical.JoinOptions, swapped 
 	p := &partitioned{buffered: newBuffered(2), keys: []string{leftKey, rightKey}}
 	p.merge = func(ec *ExecContext, h *holder, schema []*storage.Relation) (*storage.Relation, error) {
 		o := opt
-		o.Ctl = h.ctl
+		o.Ctl = h.ctl.WithoutArena() // a partition's arrays die with it, not with the query
 		return mergePairs(ec, h, p.ps[0], p.ps[1], schema, swapped, cols, func(l, r *storage.Relation, cols []string) (*storage.Relation, error) {
 			return physical.JoinRel(l, r, leftKey, rightKey, physical.HJ, o, dom, swapped, cols, nil)
 		})
@@ -1195,7 +1195,7 @@ func mergePairs(ec *ExecContext, h *holder, ls, rs *partitionSet, schema []*stor
 	if len(pairs) == 0 {
 		return join(schema[0].Slice(0, 0), schema[1].Slice(0, 0), cols)
 	}
-	merged, err := storage.Concat(pairs)
+	merged, err := storage.Concat(nil, pairs)
 	if err != nil {
 		return nil, err
 	}
@@ -1225,7 +1225,7 @@ func mergePairs(ec *ExecContext, h *holder, ls, rs *partitionSet, schema []*stor
 	if err != nil {
 		return nil, err
 	}
-	out := untagged.Gather(perm)
+	out := untagged.Gather(nil, perm)
 	if err := h.grab(out.MemBytes()); err != nil {
 		return nil, err
 	}

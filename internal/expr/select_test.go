@@ -65,7 +65,7 @@ var boundaryLiterals = []Expr{
 
 func TestKernelMatchesInterpreter(t *testing.T) {
 	rel := kernelRel()
-	empty := rel.Gather(nil)
+	empty := rel.Gather(nil, nil)
 	for _, name := range rel.ColumnNames() {
 		for _, op := range comparisons {
 			for _, lit := range boundaryLiterals {

@@ -1,8 +1,7 @@
 // Package govern provides per-query resource governance: a memory Budget
 // that allocating operators reserve against, a Ctl handle that threads the
-// budget and cancellation into kernels, an admission Gate that bounds
-// concurrent queries, and panic-containment helpers that convert worker
-// panics into typed qerr.ErrInternal errors.
+// budget, cancellation and the query's scratch arena into kernels, and an
+// admission Gate that bounds concurrent queries.
 //
 // Everything here is nil-receiver safe: a nil *Budget or nil *Ctl is an
 // unlimited, never-cancelled no-op, so kernels call Reserve/Err
@@ -13,12 +12,12 @@ package govern
 import (
 	"context"
 	"errors"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dqo/internal/qerr"
+	"dqo/internal/storage"
 )
 
 // Budget is a per-query memory account. Operators Reserve before allocating
@@ -112,15 +111,38 @@ func (b *Budget) Limit() int64 {
 }
 
 // Ctl is the governance handle threaded into kernels: cancellation plus the
-// memory budget, an optional disk budget for spilled run files, and the
-// label of the operator the handle was cut for (so a failed Reserve names
-// the culprit kernel). A nil *Ctl never cancels and never limits, so kernels
-// can call its methods unconditionally.
+// memory budget, an optional disk budget for spilled run files, the query's
+// scratch arena, and the label of the operator the handle was cut for (so a
+// failed Reserve names the culprit kernel). A nil *Ctl never cancels, never
+// limits and has no arena, so kernels can call its methods unconditionally.
 type Ctl struct {
-	Ctx   context.Context
-	Mem   *Budget
-	Disk  *Budget // spilled-bytes account; nil = spilling untracked
-	Label string  // requesting operator, prefixed onto budget failures
+	Ctx  context.Context
+	Mem  *Budget
+	Disk *Budget // spilled-bytes account; nil = spilling untracked
+	// Scratch is the arena the query's intermediate arrays are drawn from,
+	// recycled once when the query ends; nil = fresh arrays.
+	Scratch *storage.Scratch
+	Label   string // requesting operator, prefixed onto budget failures
+}
+
+// Arena returns the handle's scratch arena: nil on a nil receiver, which
+// draws fresh arrays.
+func (c *Ctl) Arena() *storage.Scratch {
+	if c == nil {
+		return nil
+	}
+	return c.Scratch
+}
+
+// WithoutArena returns a copy of the handle that draws fresh arrays, for
+// kernels whose outputs must not be held until the query ends; nil stays nil.
+func (c *Ctl) WithoutArena() *Ctl {
+	if c == nil || c.Scratch == nil {
+		return c
+	}
+	n := *c
+	n.Scratch = nil
+	return &n
 }
 
 // For returns a copy of the handle labelled with the requesting operator, so
@@ -295,60 +317,6 @@ func (g *Gate) Queued() int {
 		return 0
 	}
 	return int(g.queue.Load())
-}
-
-// RecoverTo is a defer helper that converts a panic in the current function
-// into a typed qerr.ErrInternal stored in *errp (unless *errp is already
-// set). Usage:
-//
-//	defer govern.RecoverTo(&err)
-func RecoverTo(errp *error) {
-	if r := recover(); r != nil {
-		e := qerr.Internal(r, debug.Stack())
-		if errp != nil && *errp == nil {
-			*errp = e
-		}
-	}
-}
-
-// PanicBox transfers the first panic caught in worker goroutines back to the
-// coordinator. Workers defer Guard(); after wg.Wait the coordinator calls
-// Err() (or Rethrow()) to surface it. This keeps worker panics from killing
-// the process while preserving the panic site's stack.
-type PanicBox struct {
-	mu    sync.Mutex
-	first error
-}
-
-// Guard is deferred at the top of each worker goroutine.
-func (p *PanicBox) Guard() {
-	if r := recover(); r != nil {
-		e := qerr.Internal(r, debug.Stack())
-		p.mu.Lock()
-		if p.first == nil {
-			p.first = e
-		}
-		p.mu.Unlock()
-	}
-}
-
-// Err returns the first captured panic as a typed error, or nil.
-func (p *PanicBox) Err() error {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.first
-}
-
-// Rethrow re-panics with the first captured panic, if any. Callers that
-// cannot return an error use this to propagate the failure to an enclosing
-// RecoverTo.
-func (p *PanicBox) Rethrow() {
-	if err := p.Err(); err != nil {
-		panic(err)
-	}
 }
 
 // TenantGates is a registry of per-tenant admission gates: each distinct

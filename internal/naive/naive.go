@@ -66,7 +66,7 @@ func Execute(n logical.Node) (*storage.Relation, error) {
 				idx = append(idx, int32(i))
 			}
 		}
-		return in.Gather(idx), nil
+		return in.Gather(nil, idx), nil
 	case *logical.Project:
 		in, err := Execute(n.Input)
 		if err != nil {
@@ -89,7 +89,7 @@ func Execute(n logical.Node) (*storage.Relation, error) {
 		sort.SliceStable(idx, func(a, b int) bool {
 			return keyAt(col, int(idx[a])).compare(keyAt(col, int(idx[b]))) < 0
 		})
-		return in.Gather(idx), nil
+		return in.Gather(nil, idx), nil
 	case *logical.Join:
 		return join(n)
 	case *logical.GroupBy:
@@ -132,12 +132,12 @@ func join(n *logical.Join) (*storage.Relation, error) {
 			}
 		}
 	}
-	cols := left.Gather(li).Columns()
+	cols := left.Gather(nil, li).Columns()
 	used := map[string]bool{}
 	for _, c := range cols {
 		used[c.Name()] = true
 	}
-	for _, c := range right.Gather(ri).Columns() {
+	for _, c := range right.Gather(nil, ri).Columns() {
 		name := c.Name()
 		if used[name] {
 			name += "_r"
@@ -174,7 +174,7 @@ func group(n *logical.GroupBy) (*storage.Relation, error) {
 	for g, k := range keys {
 		first[g] = rows[k][0]
 	}
-	cols := []*storage.Column{keyCol.Gather(first)}
+	cols := []*storage.Column{keyCol.Gather(nil, first)}
 	for _, a := range n.Aggs {
 		var vals []int64
 		if a.Col != "" {

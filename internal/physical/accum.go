@@ -3,6 +3,9 @@ package physical
 import (
 	"math"
 	"slices"
+	"unsafe"
+
+	"dqo/internal/storage"
 )
 
 // Aggregate state, sized to what the statement asks. A grouping kernel's job
@@ -92,16 +95,15 @@ func (v argVals) window(lo, hi int, buf []int64) []int64 {
 	return nil
 }
 
-// clone returns the whole column as a fresh []int64.
-func (v argVals) clone() []int64 {
-	switch {
-	case v.i64 != nil:
-		return slices.Clone(v.i64)
-	case v.u32 != nil:
-		return v.window(0, len(v.u32), make([]int64, len(v.u32)))
-	default:
-		return v.window(0, len(v.u64), make([]int64, len(v.u64)))
+// clone returns the whole column as an []int64 drawn from s.
+func (v argVals) clone(s *storage.Scratch) []int64 {
+	n := len(v.i64) + len(v.u32) + len(v.u64) // one of them is set
+	out := s.Int64s(n)
+	if v.i64 != nil {
+		copy(out, v.i64)
+		return out
 	}
+	return v.window(0, n, out)
 }
 
 // fold returns the sum, minimum and maximum of the column over rows (at
@@ -127,12 +129,12 @@ func foldRows[T int64 | uint32 | uint64](vals []T, rows []int32) (sum, mn, mx in
 	return sum, mn, mx
 }
 
-// widenBuf returns the block buffer window needs for args: nil unless one of
-// them is unsigned.
-func widenBuf(args []aggArg) []int64 {
+// widenBuf returns the block buffer window needs for args, drawn from s: nil
+// unless one of them is unsigned.
+func widenBuf(args []aggArg, s *storage.Scratch) []int64 {
 	for _, a := range args {
 		if a.vals.unsigned() {
-			return make([]int64, groupBlock)
+			return s.Int64s(groupBlock)
 		}
 	}
 	return nil
@@ -228,14 +230,16 @@ func (a *argState) rows(i int) int64 {
 // argument column, all indexed by the same group ids. A statement with no
 // argument column (COUNT(*) alone) keeps one narrow array and only counts.
 type groupStates struct {
-	spec []aggArg   // the argument columns asked for; empty for a statement that only counts
-	args []argState // a state array per entry of spec, or the one column-less array that only counts
-	buf  []int64    // argVals.window's widening buffer; nil when no column needs one
+	spec []aggArg         // the argument columns asked for; empty for a statement that only counts
+	args []argState       // a state array per entry of spec, or the one column-less array that only counts
+	buf  []int64          // argVals.window's widening buffer; nil when no column needs one
+	s    *storage.Scratch // where the state, order and result arrays are drawn from
 }
 
-// newGroupStates returns states of n empty groups with room for capacity.
-func newGroupStates(args []aggArg, n, capacity int) *groupStates {
-	g := &groupStates{spec: args, buf: widenBuf(args)}
+// newGroupStates returns states of n empty groups with room for capacity,
+// drawing its arrays from s.
+func newGroupStates(args []aggArg, n, capacity int, s *storage.Scratch) *groupStates {
+	g := &groupStates{spec: args, buf: widenBuf(args, s), s: s}
 	if len(args) == 0 {
 		args = []aggArg{{}}
 	}
@@ -244,13 +248,20 @@ func newGroupStates(args []aggArg, n, capacity int) *groupStates {
 	for i, a := range args {
 		g.args[i].aggArg = a
 		if a.wide() {
-			g.args[i].ws = make([]wideState, 0, capacity)
+			g.args[i].ws = drawStates[wideState](s, capacity)[:0]
 		} else {
-			g.args[i].ns = make([]countSum, 0, capacity)
+			g.args[i].ns = drawStates[countSum](s, capacity)[:0]
 		}
 	}
 	g.extend(n)
 	return g
+}
+
+// drawStates draws n dirty states from s, as the int64 words they consist
+// of: both state layouts are int64 fields alone.
+func drawStates[S countSum | wideState](s *storage.Scratch, n int) []S {
+	words := s.Int64s(n * int(unsafe.Sizeof(*new(S))) / 8)
+	return unsafe.Slice((*S)(unsafe.Pointer(unsafe.SliceData(words))), n)
 }
 
 // extend grows every state array to n empty groups.
@@ -318,20 +329,27 @@ func (g *groupStates) reorder(order []int32) {
 	for i := range g.args {
 		a := &g.args[i]
 		if a.ws != nil {
-			a.ws = gather(a.ws, order)
+			a.ws = gather(a.ws, order, drawStates[wideState](g.s, len(order)))
 		} else {
-			a.ns = gather(a.ns, order)
+			a.ns = gather(a.ns, order, drawStates[countSum](g.s, len(order)))
 		}
 	}
 }
 
 // compact drops the states no row was folded into, moving the others down in
 // place, and returns base plus the index each survivor had, ascending:
-// SPHG's slots becoming its output groups and their keys, of which there are
-// at most rows.
-func (g *groupStates) compact(base uint32, rows int) []uint32 {
+// SPHG's slots becoming its output groups and their keys. The survivors are
+// counted first, so that the keys — and the output arrays sized on them — are
+// drawn at their final size.
+func (g *groupStates) compact(base uint32) []uint32 {
 	first := &g.args[0]
-	keys := make([]uint32, 0, min(rows, first.groups()))
+	survivors := 0
+	for s, n := 0, first.groups(); s < n; s++ {
+		if first.rows(s) != 0 {
+			survivors++
+		}
+	}
+	keys := g.s.Uint32s(survivors)[:0]
 	for s, n := 0, first.groups(); s < n; s++ {
 		if first.rows(s) == 0 {
 			continue
@@ -355,9 +373,9 @@ func (g *groupStates) compact(base uint32, rows int) []uint32 {
 	return keys
 }
 
-// gather returns st[order[0]], st[order[1]], …
-func gather[S any](st []S, order []int32) []S {
-	out := make([]S, len(order))
+// gather writes st[order[0]], st[order[1]], … to out, as long as order, and
+// returns it.
+func gather[S any](st []S, order []int32, out []S) []S {
 	for i, g := range order {
 		out[i] = st[g]
 	}
@@ -368,7 +386,7 @@ func gather[S any](st []S, order []int32) []S {
 // the output arrays of a kernel whose groups are keys: the row counts and,
 // per argument column, the aggregates asked of it.
 func (g *groupStates) result(keys []uint32, sorted bool) *GroupResult {
-	res := newGroupResult(keys, g.spec)
+	res := newGroupResult(slices.Clip(keys), g.spec, g.s)
 	res.Sorted = sorted
 	for j := range res.Counts {
 		res.Counts[j] = g.args[0].rows(j)

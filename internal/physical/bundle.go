@@ -176,7 +176,7 @@ func AggregateBundle(b *Bundle, vals []int64, parallel int) *GroupResult {
 // A producer is a window of row ids, so like OG's runs it folds straight
 // into the output arrays.
 func aggregateBundle(b *Bundle, args []aggArg, parallel int) *GroupResult {
-	res := newGroupResult(make([]uint32, len(b.Producers)), args)
+	res := newGroupResult(make([]uint32, len(b.Producers)), args, nil)
 	res.Sorted = b.SortedByKey
 	aggOne := func(p int) {
 		prod := &b.Producers[p]

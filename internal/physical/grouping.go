@@ -124,9 +124,9 @@ type GroupResult struct {
 type ColAggs struct{ Sum, Min, Max []int64 }
 
 // newGroupResult returns a result over keys whose arrays — len(keys) long,
-// with room for cap(keys) — are those args ask for.
-func newGroupResult(keys []uint32, args []aggArg) *GroupResult {
-	array := func() []int64 { return make([]int64, len(keys), cap(keys)) }
+// with room for cap(keys), drawn from s and dirty — are those args ask for.
+func newGroupResult(keys []uint32, args []aggArg, s *storage.Scratch) *GroupResult {
+	array := func() []int64 { return s.Int64s(cap(keys))[:len(keys)] }
 	res := &GroupResult{Keys: keys, Counts: array()}
 	if len(args) > 0 {
 		res.Aggs = make([]ColAggs, len(args))
@@ -206,7 +206,8 @@ type resolver interface {
 // Between blocks it polls cancellation and charges the directory's and the
 // states' growth to rv, and charges once more at the end.
 func loadGroups(dir resolver, st *groupStates, keys []uint32, begin, end int, rv *resv) error {
-	ids := make([]int32, min(groupBlock, end-begin))
+	ids := storage.GetInt32s(groupBlock)[:groupBlock]
+	defer storage.PutInt32s(ids)
 	for lo := begin; lo < end; lo += groupBlock {
 		if err := rv.ctl.Err(); err != nil {
 			return err
@@ -228,7 +229,7 @@ func loadGroups(dir resolver, st *groupStates, keys []uint32, begin, end int, rv
 func groupHash(keys []uint32, args []aggArg, dom props.Domain, opt GroupOptions) (*GroupResult, error) {
 	hint := capHint(dom, len(keys))
 	tab := hashtable.NewGroupTable(opt.Hash, hint)
-	st := newGroupStates(args, 0, hint)
+	st := newGroupStates(args, 0, hint, opt.Ctl.Arena())
 	rv := resv{ctl: opt.Ctl}
 	defer rv.release()
 	if err := loadGroups(tab, st, keys, 0, len(keys), &rv); err != nil {
@@ -276,14 +277,14 @@ func groupSPH(keys []uint32, args []aggArg, dom props.Domain, opt GroupOptions) 
 			return nil, err
 		}
 	} else {
-		st = newGroupStates(args, sph.width, 0)
+		st = newGroupStates(args, sph.width, 0, opt.Ctl.Arena())
 		if err := sph.load(st, keys, 0, len(keys), opt.Ctl); err != nil {
 			return nil, err
 		}
 	}
 
 	// The non-empty slots, in slot order, are the output.
-	return st.result(st.compact(sph.lo, len(keys)), true), nil
+	return st.result(st.compact(sph.lo), true), nil
 }
 
 // sphDomain is SPHG's static perfect hash: key lo is slot 0.
@@ -295,7 +296,8 @@ type sphDomain struct {
 // load folds rows [begin, end) into the slot states st block by block,
 // polling ctl between blocks. A key outside the domain is an error.
 func (d sphDomain) load(st *groupStates, keys []uint32, begin, end int, ctl *govern.Ctl) error {
-	ids := make([]int32, min(groupBlock, end-begin))
+	ids := storage.GetInt32s(groupBlock)[:groupBlock]
+	defer storage.PutInt32s(ids)
 	for lo := begin; lo < end; lo += groupBlock {
 		if err := ctl.Err(); err != nil {
 			return err
@@ -320,13 +322,14 @@ func sphParallelLoad(keys []uint32, args []aggArg, d sphDomain, workers int, ctl
 	chunk := (len(keys) + workers - 1) / workers
 	partial := make([]*groupStates, (len(keys)+chunk-1)/chunk)
 	err := forChunks(len(keys), chunk, func(c, begin, end int) error {
-		partial[c] = newGroupStates(args, d.width, 0)
+		partial[c] = newGroupStates(args, d.width, 0, ctl.Arena())
 		return d.load(partial[c], keys, begin, end, ctl)
 	})
 	if err != nil {
 		return nil, err
 	}
-	slots := make([]int32, d.width)
+	slots := storage.GetInt32s(d.width)[:d.width]
+	defer storage.PutInt32s(slots)
 	for i := range slots {
 		slots[i] = int32(i)
 	}
@@ -344,7 +347,17 @@ func sphParallelLoad(keys []uint32, args []aggArg, d sphDomain, workers int, ctl
 // (cheaply, via the known distinct count when available, otherwise by
 // counting the distinct run keys of unsorted output exactly) and reported.
 func groupOrder(keys []uint32, args []aggArg, dom props.Domain, ctl *govern.Ctl) (*GroupResult, error) {
-	res := newGroupResult(make([]uint32, 0, capHint(dom, len(keys))), args)
+	// Every run of equal keys is one group: count them first, so that the
+	// output arrays are drawn at their final size, since they are often the
+	// query's result and stay with it.
+	groups := min(len(keys), 1)
+	for i := 1; i < len(keys); i++ {
+		if keys[i] != keys[i-1] {
+			groups++
+		}
+	}
+	s := ctl.Arena()
+	res := newGroupResult(s.Uint32s(groups)[:0], args, s)
 	perGroup := int64(4 + 8)
 	for _, a := range args {
 		perGroup += 8 * int64(bits.OnesCount8(uint8(a.need)))
@@ -352,8 +365,9 @@ func groupOrder(keys []uint32, args []aggArg, dom props.Domain, ctl *govern.Ctl)
 	rv := resv{ctl: ctl}
 	defer rv.release()
 
-	buf := widenBuf(args)
-	ends := make([]int32, min(groupBlock, len(keys))) // where each run of the block ends, block-relative
+	buf := widenBuf(args, s)
+	ends := storage.GetInt32s(groupBlock)[:groupBlock] // where each run of the block ends, block-relative
+	defer storage.PutInt32s(ends)
 	for lo := 0; lo < len(keys); lo += groupBlock {
 		if err := ctl.Err(); err != nil {
 			return nil, err
@@ -486,7 +500,8 @@ func groupSortOrder(keys []uint32, args []aggArg, dom props.Domain, opt GroupOpt
 		return nil, err
 	}
 	stop := opt.Ctl.Err
-	sk := make([]uint32, len(keys))
+	s := opt.Ctl.Arena()
+	sk := s.Uint32s(len(keys))
 	copy(sk, keys)
 	if len(args) == 0 {
 		if opt.Parallel > 1 {
@@ -505,7 +520,7 @@ func groupSortOrder(keys []uint32, args []aggArg, dom props.Domain, opt GroupOpt
 		if i > 0 {
 			copy(sk, keys)
 		}
-		sv := a.vals.clone()
+		sv := a.vals.clone(s)
 		if opt.Parallel > 1 {
 			if err := sortx.ParallelSortPairsUint32Int64Ctl(opt.Sort, sk, sv, opt.Parallel, stop); err != nil {
 				return nil, err
@@ -559,8 +574,9 @@ func (d *sortedGroups) Resolve(keys []uint32, ids []int32) {
 // group, not the aggregates) and are read out through the directory.
 func groupBinarySearch(keys []uint32, args []aggArg, dom props.Domain, ctl *govern.Ctl) (*GroupResult, error) {
 	hint := capHint(dom, len(keys))
-	dir := &sortedGroups{keys: make([]uint32, 0, hint), ids: make([]int32, 0, hint)}
-	st := newGroupStates(args, 0, hint)
+	s := ctl.Arena()
+	dir := &sortedGroups{keys: s.Uint32s(hint)[:0], ids: make([]int32, 0, hint)}
+	st := newGroupStates(args, 0, hint, s)
 	rv := resv{ctl: ctl}
 	defer rv.release()
 	if err := loadGroups(dir, st, keys, 0, len(keys), &rv); err != nil {

@@ -8,6 +8,7 @@ import (
 	"dqo/internal/govern"
 	"dqo/internal/hashtable"
 	"dqo/internal/props"
+	"dqo/internal/qerr"
 	"dqo/internal/sortx"
 	"dqo/internal/storage"
 )
@@ -411,7 +412,7 @@ func forChunks(n, chunk int, fn func(c, lo, hi int) error) error {
 	}
 	nChunks := (n + chunk - 1) / chunk
 	errs := make([]error, nChunks)
-	var box govern.PanicBox
+	var box qerr.PanicBox
 	var wg sync.WaitGroup
 	for c := 0; c < nChunks; c++ {
 		wg.Add(1)
@@ -521,7 +522,15 @@ func joinMerge(left, right []uint32, ctl *govern.Ctl, sides pairSides) (*JoinRes
 	}
 	rv := resv{ctl: ctl}
 	defer rv.release()
+	// The row ids go back to the pool with the result (Release): start them
+	// there, sized for a key join, the usual case.
 	res := &JoinResult{SortedByKey: true}
+	if sides&leftRows != 0 {
+		res.LeftIdx = storage.GetInt32s(max(len(left), len(right)))
+	}
+	if sides&rightRows != 0 {
+		res.RightIdx = storage.GetInt32s(max(len(left), len(right)))
+	}
 	emitted := 0
 	err := mergePairsErr(left, right, func(li, ri int32) error {
 		if emitted%checkEvery == 0 {

@@ -103,7 +103,7 @@ func expectedJoin(t *testing.T, in joinDiffInput, swapped bool, cols []string) *
 		rel  *storage.Relation
 		rows []int32
 	}{{in.left, lrows}, {in.right, rrows}} {
-		for _, c := range side.rel.Gather(side.rows).Columns() {
+		for _, c := range side.rel.Gather(nil, side.rows).Columns() {
 			if cols == nil || contains(cols, c.Name()) {
 				out = append(out, c)
 			}

@@ -134,7 +134,9 @@ func TestJoinIndexedAllocBound(t *testing.T) {
 			}
 		}
 		runtime.ReadMemStats(&after)
-		if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 1500000 {
+		// Under the race detector sync.Pool drops puts at random, and the
+		// 0.9 MB row-id scratch is then allocated again.
+		if got := (after.TotalAlloc - before.TotalAlloc) / runs; !raceEnabled && got > 1500000 {
 			t.Fatalf("%s indexed join allocates %d B/op, want at most 1.5 MB (the output column is 0.9 MB)", kind, got)
 		}
 	}

@@ -4,9 +4,10 @@ import (
 	"sync"
 
 	"dqo/internal/faultinject"
-	"dqo/internal/govern"
 	"dqo/internal/hashtable"
 	"dqo/internal/props"
+	"dqo/internal/qerr"
+	"dqo/internal/storage"
 )
 
 // Parallel kernel variants. Every one of them is DOP-invariant: its output is
@@ -58,7 +59,7 @@ func groupHashParallel(keys []uint32, args []aggArg, dom props.Domain, opt Group
 	}()
 	err := forChunks(len(keys), chunk, func(c, lo, hi int) error {
 		rv := resv{ctl: opt.Ctl}
-		p := partial{hashtable.NewGroupTable(opt.Hash, 0), newGroupStates(args, 0, 0)}
+		p := partial{hashtable.NewGroupTable(opt.Hash, 0), newGroupStates(args, 0, 0, opt.Ctl.Arena())}
 		if err := loadGroups(p.tab, p.st, keys, lo, hi, &rv); err != nil {
 			rv.release()
 			return err
@@ -74,8 +75,9 @@ func groupHashParallel(keys []uint32, args []aggArg, dom props.Domain, opt Group
 	rv := resv{ctl: opt.Ctl}
 	defer rv.release()
 	tab := hashtable.NewGroupTable(opt.Hash, hint)
-	st := newGroupStates(args, 0, hint)
-	ids := make([]int32, groupBlock)
+	st := newGroupStates(args, 0, hint, opt.Ctl.Arena())
+	ids := storage.GetInt32s(groupBlock)[:groupBlock]
+	defer storage.PutInt32s(ids)
 	for _, p := range parts {
 		pkeys := p.tab.Groups()
 		for lo := 0; lo < len(pkeys); lo += groupBlock {
@@ -142,7 +144,7 @@ func joinHashParallel(left, right []uint32, opt JoinOptions, sides pairSides) (*
 
 	rv := resv{ctl: opt.Ctl}
 	defer rv.release()
-	var box govern.PanicBox
+	var box qerr.PanicBox
 
 	// Scatter the build side into partitions, preserving order per partition.
 	n := len(left)

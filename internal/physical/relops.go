@@ -61,15 +61,27 @@ func keySorted(rel *storage.Relation, name string) bool {
 	return sortx.IsSortedUint32(rel.MustColumn(name).Uint32s())
 }
 
-// FilterRel returns the rows of rel satisfying pred.
-func FilterRel(rel *storage.Relation, pred expr.Expr) (*storage.Relation, error) {
+// FilterRel returns the rows of rel satisfying pred, gathered into arrays
+// drawn from s (nil: fresh arrays). The predicate reads rel whole; the output
+// keeps only the columns keep names, in rel's order (nil: every column; names
+// rel lacks are ignored). A keep that names none of rel's columns keeps them
+// all: a relation holds its row count only through a column.
+func FilterRel(rel *storage.Relation, pred expr.Expr, keep []string, s *storage.Scratch) (*storage.Relation, error) {
 	idx, err := expr.Selectivity(pred, rel)
 	if err != nil {
 		return nil, err
 	}
-	out := rel.Gather(idx)
-	storage.PutInt32s(idx) // Gather copies; no reference survives
-	return out, nil
+	defer storage.PutInt32s(idx) // Gather copies; no reference survives
+	cols := make([]*storage.Column, 0, rel.NumCols())
+	for _, c := range rel.Columns() {
+		if keep == nil || slices.Contains(keep, c.Name()) {
+			cols = append(cols, c.Gather(s, idx))
+		}
+	}
+	if len(cols) == 0 {
+		return rel.Gather(s, idx), nil
+	}
+	return storage.NewRelation(rel.Name(), cols...)
 }
 
 // ProjectRel returns rel restricted to the named columns.
@@ -109,7 +121,7 @@ func SortRel(rel *storage.Relation, keyCol string, kind sortx.Kind, workers int,
 	if err != nil {
 		return nil, err
 	}
-	out := rel.GatherPar(perm, workers)
+	out := rel.GatherPar(ctl.Arena(), perm, workers)
 	if !keySorted(out, keyCol) {
 		return nil, fmt.Errorf("physical: SortRel postcondition violated on %q", keyCol)
 	}
@@ -131,7 +143,7 @@ func GroupByRel(rel *storage.Relation, keyCol string, aggs []expr.AggSpec, kind 
 	if !dom.Known {
 		dom = domainOf(rel, keyCol)
 	}
-	return groupAndAssemble(rel, keyCol, aggs, func(args []aggArg) (*GroupResult, error) {
+	return groupAndAssemble(rel, keyCol, aggs, opt.Ctl.Arena(), func(args []aggArg) (*GroupResult, error) {
 		return groupArgs(kind, keys, args, dom, opt)
 	})
 }
@@ -152,7 +164,7 @@ func GroupByRelBundle(rel *storage.Relation, keyCol string, aggs []expr.AggSpec,
 	if err != nil {
 		return nil, err
 	}
-	return groupAndAssemble(rel, keyCol, aggs, func(args []aggArg) (*GroupResult, error) {
+	return groupAndAssemble(rel, keyCol, aggs, nil, func(args []aggArg) (*GroupResult, error) {
 		return aggregateBundle(bundle, args, parallel), nil
 	})
 }
@@ -162,8 +174,9 @@ func GroupByRelBundle(rel *storage.Relation, keyCol string, aggs []expr.AggSpec,
 // the aggregates the statement needs of it, and assembles the output
 // relation. The kernel's result arrays become the output columns as they
 // are: COUNT of anything is the group's row count, SUM, MIN and MAX are the
-// argument column's arrays, and only AVG computes (sum over count).
-func groupAndAssemble(rel *storage.Relation, keyCol string, aggs []expr.AggSpec, run func(args []aggArg) (*GroupResult, error)) (*storage.Relation, error) {
+// argument column's arrays, and only AVG computes (sum over count). The
+// arrays it computes or copies are drawn from s.
+func groupAndAssemble(rel *storage.Relation, keyCol string, aggs []expr.AggSpec, s *storage.Scratch, run func(args []aggArg) (*GroupResult, error)) (*storage.Relation, error) {
 	args := make([]aggArg, 0, len(aggs))
 	argOf := func(col string) int { return slices.IndexFunc(args, func(a aggArg) bool { return a.col == col }) }
 	for _, a := range aggs {
@@ -237,7 +250,7 @@ func groupAndAssemble(rel *storage.Relation, keyCol string, aggs []expr.AggSpec,
 			vals = res.Aggs[argOf(a.Col)].Max
 		}
 		if a.OutKind() == storage.KindFloat64 { // AVG: sum over count
-			avg := make([]float64, g)
+			avg := s.Float64s(g)
 			for j, sum := range res.Aggs[argOf(a.Col)].Sum {
 				avg[j] = float64(sum) / float64(res.Counts[j])
 			}
@@ -249,7 +262,7 @@ func groupAndAssemble(rel *storage.Relation, keyCol string, aggs []expr.AggSpec,
 		if slices.ContainsFunc(aggs[:i], func(b expr.AggSpec) bool {
 			return b.Func == a.Func && (b.Col == a.Col || a.Func == expr.AggCount)
 		}) {
-			vals = slices.Clone(vals)
+			vals = append(s.Int64s(len(vals))[:0], vals...)
 		}
 		outCols = append(outCols, storage.NewInt64(a.OutName(), vals))
 	}
@@ -358,7 +371,7 @@ func JoinRel(left, right *storage.Relation, leftKey, rightKey string, kind JoinK
 	if res.SortedByKey && !gatherSorted(keys, ids) {
 		return nil, fmt.Errorf("physical: join claimed sorted output but key column is not sorted")
 	}
-	return out.assemble(res, opt.Parallel)
+	return out.assemble(res, opt.Parallel, opt.Ctl.Arena())
 }
 
 // gatherSorted reports whether keys[idx[0]], keys[idx[1]], ... is
@@ -439,14 +452,14 @@ func (o *joinOutput) sides() pairSides {
 }
 
 // assemble materialises the output from the join's matching row pairs: only
-// the kept columns are gathered.
-func (o *joinOutput) assemble(res *JoinResult, workers int) (*storage.Relation, error) {
+// the kept columns are gathered, into arrays drawn from s.
+func (o *joinOutput) assemble(res *JoinResult, workers int, s *storage.Scratch) (*storage.Relation, error) {
 	out := make([]*storage.Column, 0, o.lproj.NumCols()+o.rproj.NumCols())
 	if o.lproj.NumCols() > 0 {
-		out = append(out, o.lproj.GatherPar(res.LeftIdx, workers).Columns()...)
+		out = append(out, o.lproj.GatherPar(s, res.LeftIdx, workers).Columns()...)
 	}
 	if o.rproj.NumCols() > 0 {
-		for i, c := range o.rproj.GatherPar(res.RightIdx, workers).Columns() {
+		for i, c := range o.rproj.GatherPar(s, res.RightIdx, workers).Columns() {
 			out = append(out, c.Rename(o.rout[i]))
 		}
 	}

@@ -37,17 +37,17 @@ func TestRelopsMorselDecomposable(t *testing.T) {
 			}
 			parts = append(parts, out)
 		}
-		whole, err := storage.Concat(parts)
+		whole, err := storage.Concat(nil, parts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return whole
 	}
 
-	filter := func(r *storage.Relation) (*storage.Relation, error) { return FilterRel(r, pred) }
+	filter := func(r *storage.Relation) (*storage.Relation, error) { return FilterRel(r, pred, nil, nil) }
 	project := func(r *storage.Relation) (*storage.Relation, error) { return ProjectRel(r, "v") }
 
-	wantF, err := FilterRel(rel, pred)
+	wantF, err := FilterRel(rel, pred, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,14 +19,14 @@ func TestFilterRel(t *testing.T) {
 		storage.NewUint32("k", []uint32{1, 2, 3, 4}),
 		storage.NewInt64("v", []int64{10, 20, 30, 40}),
 	)
-	out, err := FilterRel(rel, expr.Bin{Op: expr.OpGe, L: expr.Col{Name: "v"}, R: expr.IntLit{V: 25}})
+	out, err := FilterRel(rel, expr.Bin{Op: expr.OpGe, L: expr.Col{Name: "v"}, R: expr.IntLit{V: 25}}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.NumRows() != 2 || out.MustColumn("k").Uint32s()[0] != 3 {
 		t.Fatalf("filter wrong: %s", out)
 	}
-	if _, err := FilterRel(rel, expr.Col{Name: "nope"}); err == nil {
+	if _, err := FilterRel(rel, expr.Col{Name: "nope"}, nil, nil); err == nil {
 		t.Fatal("filter on bad predicate accepted")
 	}
 }
@@ -462,7 +462,7 @@ func TestGroupByRelKernelRuns(t *testing.T) {
 	for _, kind := range GroupKinds() {
 		for _, tc := range cases {
 			var ran []string
-			got, err := groupAndAssemble(rel, "key", tc.aggs, func(args []aggArg) (*GroupResult, error) {
+			got, err := groupAndAssemble(rel, "key", tc.aggs, nil, func(args []aggArg) (*GroupResult, error) {
 				ran = append(ran, describe(args))
 				return groupArgs(kind, keys, args, dom, GroupOptions{})
 			})

@@ -19,6 +19,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
+	"sync"
 )
 
 // Sentinel kinds. These are plain errors so tests and callers can use them
@@ -123,4 +125,58 @@ func Kind(err error) error {
 		}
 	}
 	return nil
+}
+
+// RecoverTo is a defer helper that converts a panic in the current function
+// into a typed qerr.ErrInternal stored in *errp (unless *errp is already
+// set). Usage:
+//
+//	defer qerr.RecoverTo(&err)
+func RecoverTo(errp *error) {
+	if r := recover(); r != nil {
+		e := Internal(r, debug.Stack())
+		if errp != nil && *errp == nil {
+			*errp = e
+		}
+	}
+}
+
+// PanicBox transfers the first panic caught in worker goroutines back to the
+// coordinator. Workers defer Guard(); after wg.Wait the coordinator calls
+// Err() (or Rethrow()) to surface it. This keeps worker panics from killing
+// the process while preserving the panic site's stack.
+type PanicBox struct {
+	mu    sync.Mutex
+	first error
+}
+
+// Guard is deferred at the top of each worker goroutine.
+func (p *PanicBox) Guard() {
+	if r := recover(); r != nil {
+		e := Internal(r, debug.Stack())
+		p.mu.Lock()
+		if p.first == nil {
+			p.first = e
+		}
+		p.mu.Unlock()
+	}
+}
+
+// Err returns the first captured panic as a typed error, or nil.
+func (p *PanicBox) Err() error {
+	if p == nil {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.first
+}
+
+// Rethrow re-panics with the first captured panic, if any. Callers that
+// cannot return an error use this to propagate the failure to an enclosing
+// RecoverTo.
+func (p *PanicBox) Rethrow() {
+	if err := p.Err(); err != nil {
+		panic(err)
+	}
 }

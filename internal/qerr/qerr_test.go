@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -69,4 +70,59 @@ func TestKind(t *testing.T) {
 	if Kind(errors.New("plain")) != nil {
 		t.Fatal("Kind invented a taxonomy for a plain error")
 	}
+}
+
+func TestRecoverTo(t *testing.T) {
+	fn := func() (err error) {
+		defer RecoverTo(&err)
+		panic("kernel exploded")
+	}
+	err := fn()
+	if !errors.Is(err, ErrInternal) {
+		t.Fatalf("got %v, want ErrInternal", err)
+	}
+	var qe *Error
+	if !errors.As(err, &qe) || len(qe.Stack) == 0 {
+		t.Fatal("panic stack not captured")
+	}
+	// An already-set error is not overwritten.
+	sentinel := errors.New("first")
+	fn2 := func() (err error) {
+		defer RecoverTo(&err)
+		err = sentinel
+		panic("second")
+	}
+	if got := fn2(); got != sentinel {
+		t.Fatalf("RecoverTo overwrote existing error: %v", got)
+	}
+}
+
+func TestPanicBoxTransfer(t *testing.T) {
+	var box PanicBox
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer box.Guard()
+			if i == 2 {
+				panic("worker 2 died")
+			}
+		}(i)
+	}
+	wg.Wait()
+	if err := box.Err(); !errors.Is(err, ErrInternal) {
+		t.Fatalf("box.Err() = %v", err)
+	}
+	// Rethrow + RecoverTo round-trips without double wrapping.
+	outer := func() (err error) {
+		defer RecoverTo(&err)
+		box.Rethrow()
+		return nil
+	}()
+	if outer.Error() != box.Err().Error() {
+		t.Fatalf("rethrow changed the error: %v vs %v", outer, box.Err())
+	}
+	var empty PanicBox
+	empty.Rethrow() // no-op when nothing was caught
 }

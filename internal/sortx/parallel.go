@@ -4,7 +4,7 @@ import (
 	"sync"
 
 	"dqo/internal/faultinject"
-	"dqo/internal/govern"
+	"dqo/internal/qerr"
 )
 
 // Parallel sorts: per-worker sorted runs over contiguous input ranges,
@@ -63,7 +63,7 @@ func runs(n, workers int, stop func() error) (int, error) {
 // so that it does not pay for a shape.
 func sortParallel(s shape, n, workers int, stop func() error) error {
 	chunk := (n + workers - 1) / workers
-	var box govern.PanicBox
+	var box qerr.PanicBox
 	var wg sync.WaitGroup
 	// round waits for the round's goroutines and reports a panic or a stop.
 	round := func() error {

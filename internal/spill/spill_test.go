@@ -118,7 +118,7 @@ func TestFrameRoundTripEveryKind(t *testing.T) {
 			}
 		}
 	}
-	whole, err := storage.Concat(got)
+	whole, err := storage.Concat(nil, got)
 	if err != nil || !whole.Equal(rel) || whole.MustColumn("s").Dict() != orig {
 		t.Fatalf("concat of decoded frames: err %v, shares dictionary %v", err, whole.MustColumn("s").Dict() == orig)
 	}

@@ -38,8 +38,9 @@ func (r *Relation) Slice(lo, hi int) *Relation {
 // repeated, reordered or from different arrays are copied. The result may
 // therefore alias its producer's storage (a registered table included):
 // like every relation it is immutable by convention, and no kernel writes
-// its input.
-func Concat(parts []*Relation) (*Relation, error) {
+// its input. The columns that are copied are drawn from s (nil: fresh
+// arrays).
+func Concat(s *Scratch, parts []*Relation) (*Relation, error) {
 	if err := faultinject.Fire(faultinject.PointStorageConcat); err != nil {
 		return nil, err
 	}
@@ -62,7 +63,7 @@ func Concat(parts []*Relation) (*Relation, error) {
 		for i, p := range parts {
 			parts_j[i] = p.cols[j]
 		}
-		c, err := concatColumns(parts_j)
+		c, err := concatColumns(s, parts_j)
 		if err != nil {
 			return nil, err
 		}
@@ -71,8 +72,9 @@ func Concat(parts []*Relation) (*Relation, error) {
 	return NewRelation(first.name, cols...)
 }
 
-// concatColumns concatenates same-name, same-kind columns in order.
-func concatColumns(cols []*Column) (*Column, error) {
+// concatColumns concatenates same-name, same-kind columns in order, into an
+// array drawn from s unless they are back-to-back windows of one array.
+func concatColumns(s *Scratch, cols []*Column) (*Column, error) {
 	first := cols[0]
 	total := 0
 	for _, c := range cols {
@@ -82,74 +84,59 @@ func concatColumns(cols []*Column) (*Column, error) {
 		}
 		total += c.Len()
 	}
+	out := &Column{name: first.name, kind: first.kind}
 	switch first.kind {
 	case KindUint32:
-		if v := spanOf(cols, (*Column).plain32); v != nil {
-			return &Column{name: first.name, kind: first.kind, u32: v}, nil
+		if out.u32 = spanOf(cols, (*Column).plain32); out.u32 == nil {
+			out.u32 = concatInto(s.Uint32s(total), cols, (*Column).data32)
 		}
-		out := make([]uint32, 0, total)
-		for _, c := range cols {
-			out = append(out, c.data32()...)
-		}
-		return &Column{name: first.name, kind: first.kind, u32: out}, nil
 	case KindUint64:
-		if v := spanOf(cols, (*Column).Uint64s); v != nil {
-			return &Column{name: first.name, kind: first.kind, u64: v}, nil
+		if out.u64 = spanOf(cols, (*Column).Uint64s); out.u64 == nil {
+			out.u64 = concatInto(s.Uint64s(total), cols, (*Column).Uint64s)
 		}
-		out := make([]uint64, 0, total)
-		for _, c := range cols {
-			out = append(out, c.u64...)
-		}
-		return &Column{name: first.name, kind: first.kind, u64: out}, nil
 	case KindInt64:
-		if v := spanOf(cols, (*Column).Int64s); v != nil {
-			return &Column{name: first.name, kind: first.kind, i64: v}, nil
+		if out.i64 = spanOf(cols, (*Column).Int64s); out.i64 == nil {
+			out.i64 = concatInto(s.Int64s(total), cols, (*Column).Int64s)
 		}
-		out := make([]int64, 0, total)
-		for _, c := range cols {
-			out = append(out, c.i64...)
-		}
-		return &Column{name: first.name, kind: first.kind, i64: out}, nil
 	case KindFloat64:
-		if v := spanOf(cols, (*Column).Float64s); v != nil {
-			return &Column{name: first.name, kind: first.kind, f64: v}, nil
+		if out.f64 = spanOf(cols, (*Column).Float64s); out.f64 == nil {
+			out.f64 = concatInto(s.Float64s(total), cols, (*Column).Float64s)
 		}
-		out := make([]float64, 0, total)
-		for _, c := range cols {
-			out = append(out, c.f64...)
-		}
-		return &Column{name: first.name, kind: first.kind, f64: out}, nil
 	case KindString:
-		shared := first.dict
+		out.dict = first.dict
 		for _, c := range cols {
-			if c.dict != shared {
-				shared = nil
+			if c.dict != out.dict {
+				out.dict = nil
 				break
 			}
 		}
-		if shared != nil {
-			if v := spanOf(cols, (*Column).plain32); v != nil {
-				return &Column{name: first.name, kind: KindString, u32: v, dict: shared}, nil
+		if out.dict != nil {
+			if out.u32 = spanOf(cols, (*Column).plain32); out.u32 == nil {
+				out.u32 = concatInto(s.Uint32s(total), cols, (*Column).data32)
 			}
-		}
-		out := make([]uint32, 0, total)
-		if shared != nil {
-			for _, c := range cols {
-				out = append(out, c.data32()...)
-			}
-			return &Column{name: first.name, kind: KindString, u32: out, dict: shared}, nil
+			break
 		}
 		// Differing dictionaries: re-intern by decoded value.
-		d := NewDict()
+		out.dict, out.u32 = NewDict(), s.Uint32s(total)[:0]
 		for _, c := range cols {
 			for _, code := range c.data32() {
-				out = append(out, d.Intern(c.dict.Lookup(code)))
+				out.u32 = append(out.u32, out.dict.Intern(c.dict.Lookup(code)))
 			}
 		}
-		return &Column{name: first.name, kind: KindString, u32: out, dict: d}, nil
 	default:
 		return nil, fmt.Errorf("storage: Concat on invalid column %q", first.name)
 	}
+	return out, nil
+}
+
+// concatInto copies every column's data into dst, back to back: dst is as
+// long as all of them, and every element of it is written.
+func concatInto[T any](dst []T, cols []*Column, data func(*Column) []T) []T {
+	at := 0
+	for _, c := range cols {
+		at += copy(dst[at:], data(c))
+	}
+	return dst
 }
 
 // plain32 returns the column's uint32 payload when it is stored plain, nil

@@ -36,7 +36,7 @@ func TestRelationSlice(t *testing.T) {
 func TestConcatRoundTrip(t *testing.T) {
 	r := chunkTestRel(t)
 	parts := []*Relation{r.Slice(0, 2), r.Slice(2, 3), r.Slice(3, 6)}
-	got, err := Concat(parts)
+	got, err := Concat(nil, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,14 +47,14 @@ func TestConcatRoundTrip(t *testing.T) {
 
 func TestConcatSinglePartIsIdentity(t *testing.T) {
 	r := chunkTestRel(t)
-	got, err := Concat([]*Relation{r})
+	got, err := Concat(nil, []*Relation{r})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != r {
 		t.Fatal("single-part concat copied")
 	}
-	if _, err := Concat(nil); err == nil {
+	if _, err := Concat(nil, nil); err == nil {
 		t.Fatal("empty concat accepted")
 	}
 }
@@ -62,7 +62,7 @@ func TestConcatSinglePartIsIdentity(t *testing.T) {
 func TestConcatMergesForeignDictionaries(t *testing.T) {
 	a := MustNewRelation("x", NewString("s", []string{"red", "blue"}))
 	b := MustNewRelation("x", NewString("s", []string{"blue", "green"}))
-	got, err := Concat([]*Relation{a, b})
+	got, err := Concat(nil, []*Relation{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +77,11 @@ func TestConcatMergesForeignDictionaries(t *testing.T) {
 func TestConcatRejectsSchemaMismatch(t *testing.T) {
 	a := MustNewRelation("x", NewUint32("k", []uint32{1}))
 	b := MustNewRelation("x", NewInt64("k", []int64{1}))
-	if _, err := Concat([]*Relation{a, b}); err == nil {
+	if _, err := Concat(nil, []*Relation{a, b}); err == nil {
 		t.Fatal("kind mismatch accepted")
 	}
 	c := MustNewRelation("x", NewUint32("other", []uint32{1}))
-	if _, err := Concat([]*Relation{a, c}); err == nil {
+	if _, err := Concat(nil, []*Relation{a, c}); err == nil {
 		t.Fatal("name mismatch accepted")
 	}
 }
@@ -186,7 +186,7 @@ func TestConcatAdjacentWindowsIsView(t *testing.T) {
 		for i := 0; i+1 < len(cuts); i++ {
 			parts = append(parts, base.Slice(cuts[i], cuts[i+1]))
 		}
-		got, err := Concat(parts)
+		got, err := Concat(nil, parts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func TestConcatAdjacentWindowsIsView(t *testing.T) {
 		}
 	}
 	before := StatsComputations()
-	got, _ := Concat([]*Relation{base.Slice(0, 20), base.Slice(20, 40)})
+	got, _ := Concat(nil, []*Relation{base.Slice(0, 20), base.Slice(20, 40)})
 	if st := got.MustColumn("u32").Stats(); st.Rows != 40 {
 		t.Fatalf("view stats rows = %d, want 40", st.Rows)
 	}
@@ -231,7 +231,7 @@ func TestConcatNonAdjacentPartsCopy(t *testing.T) {
 		"adjacent, then": {base.Slice(0, 10), base.Slice(10, 20), base.Slice(25, 30)},
 	}
 	for name, parts := range cases {
-		got, err := Concat(parts)
+		got, err := Concat(nil, parts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -264,7 +264,7 @@ func TestConcatEncodedColumnsCopy(t *testing.T) {
 		t.Fatal("runs column did not compress")
 	}
 	mid := n/2 + 7
-	got, err := Concat([]*Relation{comp.Slice(0, mid), comp.Slice(mid, n)})
+	got, err := Concat(nil, []*Relation{comp.Slice(0, mid), comp.Slice(mid, n)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestConcatMixedAdjacency(t *testing.T) {
 	part := func(lo, hi int, payload *Relation) *Relation {
 		return MustNewRelation("t", base.MustColumn("u32").Slice(lo, hi), payload.MustColumn("i64").Slice(lo, hi))
 	}
-	got, err := Concat([]*Relation{part(0, 15, base), part(15, 40, other)})
+	got, err := Concat(nil, []*Relation{part(0, 15, base), part(15, 40, other)})
 	if err != nil {
 		t.Fatal(err)
 	}

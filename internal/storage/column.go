@@ -304,42 +304,18 @@ func (c *Column) computeStats() Stats {
 }
 
 // Gather returns a new column holding rows idx[0], idx[1], ... of c, in that
-// order. It is the building block for sorts, joins, and selections.
-func (c *Column) Gather(idx []int32) *Column {
-	switch c.kind {
-	case KindUint32, KindString:
-		out := make([]uint32, len(idx))
-		if c.enc != nil {
-			// Gather straight off the encoded payload: ascending index lists
-			// (selection vectors) ride the run cursor, no full decode needed.
-			c.enc.p.Gather(c.enc.lo, idx, out)
-		} else {
-			for i, j := range idx {
-				out[i] = c.u32[j]
-			}
-		}
-		return &Column{name: c.name, kind: c.kind, u32: out, dict: c.dict}
-	case KindUint64:
-		out := make([]uint64, len(idx))
-		for i, j := range idx {
-			out[i] = c.u64[j]
-		}
-		return &Column{name: c.name, kind: c.kind, u64: out}
-	case KindInt64:
-		out := make([]int64, len(idx))
-		for i, j := range idx {
-			out[i] = c.i64[j]
-		}
-		return &Column{name: c.name, kind: c.kind, i64: out}
-	case KindFloat64:
-		out := make([]float64, len(idx))
-		for i, j := range idx {
-			out[i] = c.f64[j]
-		}
-		return &Column{name: c.name, kind: c.kind, f64: out}
-	default:
-		panic(fmt.Sprintf("storage: Gather on invalid column %q", c.name))
+// order. It is the building block for sorts, joins, and selections. The
+// payload is drawn from s (nil: a fresh array) and every element is written.
+func (c *Column) Gather(s *Scratch, idx []int32) *Column {
+	out := c.newGatherDst(s, len(idx))
+	if c.enc != nil {
+		// Gather straight off the encoded payload: ascending index lists
+		// (selection vectors) ride the run cursor, no full decode needed.
+		c.enc.p.Gather(c.enc.lo, idx, out.u32)
+		return out
 	}
+	c.gatherRange(out, idx, 0, len(idx))
+	return out
 }
 
 // NewColumn returns a column of n zeroed rows of the given kind, for a
@@ -368,11 +344,21 @@ func NewColumn(name string, kind Kind, dict *Dict, n int) (*Column, error) {
 	return out, nil
 }
 
-// newGatherDst allocates a gather destination of c's kind with n rows,
-// sharing the dictionary (Gather never rewrites codes).
-func (c *Column) newGatherDst(n int) *Column {
-	out, err := NewColumn(c.name, c.kind, c.dict, n)
-	if err != nil {
+// newGatherDst returns a gather destination of c's kind with n rows drawn
+// from s, sharing the dictionary (Gather never rewrites codes). Its rows are
+// dirty until the gather writes them.
+func (c *Column) newGatherDst(s *Scratch, n int) *Column {
+	out := &Column{name: c.name, kind: c.kind, dict: c.dict}
+	switch c.kind {
+	case KindUint32, KindString:
+		out.u32 = s.Uint32s(n)
+	case KindUint64:
+		out.u64 = s.Uint64s(n)
+	case KindInt64:
+		out.i64 = s.Int64s(n)
+	case KindFloat64:
+		out.f64 = s.Float64s(n)
+	default:
 		panic(fmt.Sprintf("storage: gather on invalid column %q", c.name))
 	}
 	return out

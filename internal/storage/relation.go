@@ -6,21 +6,23 @@ import (
 	"strings"
 	"sync"
 
-	"dqo/internal/govern"
+	"dqo/internal/qerr"
 )
 
-// Relation is a named, ordered collection of equal-length columns.
+// Relation is a named, ordered collection of equal-length columns. Columns
+// are found by name with a scan: relations are a handful of columns wide, and
+// the executor builds one per morsel, so a name index would cost more to
+// build than it saves.
 type Relation struct {
-	name   string
-	cols   []*Column
-	byName map[string]int
-	corrs  [][2]string // declared order correlations: dep ~ key
+	name  string
+	cols  []*Column
+	corrs [][2]string // declared order correlations: dep ~ key
 }
 
 // NewRelation returns a relation over cols. All columns must have equal
 // length and distinct names.
 func NewRelation(name string, cols ...*Column) (*Relation, error) {
-	r := &Relation{name: name, byName: make(map[string]int, len(cols))}
+	r := &Relation{name: name, cols: make([]*Column, 0, len(cols))}
 	for _, c := range cols {
 		if err := r.addColumn(c); err != nil {
 			return nil, err
@@ -40,14 +42,13 @@ func MustNewRelation(name string, cols ...*Column) *Relation {
 }
 
 func (r *Relation) addColumn(c *Column) error {
-	if _, dup := r.byName[c.Name()]; dup {
+	if _, dup := r.Column(c.Name()); dup {
 		return fmt.Errorf("storage: relation %q: duplicate column %q", r.name, c.Name())
 	}
 	if len(r.cols) > 0 && c.Len() != r.cols[0].Len() {
 		return fmt.Errorf("storage: relation %q: column %q has %d rows, want %d",
 			r.name, c.Name(), c.Len(), r.cols[0].Len())
 	}
-	r.byName[c.Name()] = len(r.cols)
 	r.cols = append(r.cols, c)
 	return nil
 }
@@ -115,11 +116,12 @@ func (r *Relation) Columns() []*Column { return r.cols }
 
 // Column returns the column with the given name.
 func (r *Relation) Column(name string) (*Column, bool) {
-	i, ok := r.byName[name]
-	if !ok {
-		return nil, false
+	for _, c := range r.cols {
+		if c.name == name {
+			return c, true
+		}
 	}
-	return r.cols[i], true
+	return nil, false
 }
 
 // MustColumn is Column that panics when the column is missing.
@@ -156,11 +158,11 @@ func (r *Relation) Project(names ...string) (*Relation, error) {
 }
 
 // Gather returns a relation holding rows idx of r in that order, with every
-// column gathered.
-func (r *Relation) Gather(idx []int32) *Relation {
+// column gathered into arrays drawn from s (nil: fresh arrays).
+func (r *Relation) Gather(s *Scratch, idx []int32) *Relation {
 	cols := make([]*Column, len(r.cols))
 	for i, c := range r.cols {
-		cols[i] = c.Gather(idx)
+		cols[i] = c.Gather(s, idx)
 	}
 	return MustNewRelation(r.name, cols...)
 }
@@ -171,17 +173,17 @@ const minGatherPar = 1 << 14
 // GatherPar is Gather with the row copies fanned across workers: every
 // column's output is preallocated and contiguous ranges of idx are written
 // into disjoint output ranges concurrently, so the result is identical to
-// Gather for any worker count.
-func (r *Relation) GatherPar(idx []int32, workers int) *Relation {
+// Gather for any worker count. The outputs are drawn from s, as Gather's.
+func (r *Relation) GatherPar(s *Scratch, idx []int32, workers int) *Relation {
 	if workers <= 1 || len(idx) < minGatherPar {
-		return r.Gather(idx)
+		return r.Gather(s, idx)
 	}
 	cols := make([]*Column, len(r.cols))
 	chunk := (len(idx) + workers - 1) / workers
-	var box govern.PanicBox
+	var box qerr.PanicBox
 	var wg sync.WaitGroup
 	for ci, c := range r.cols {
-		dst := c.newGatherDst(len(idx))
+		dst := c.newGatherDst(s, len(idx))
 		cols[ci] = dst
 		for lo := 0; lo < len(idx); lo += chunk {
 			hi := lo + chunk

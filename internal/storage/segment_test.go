@@ -204,7 +204,7 @@ func TestCompressColumnSemantics(t *testing.T) {
 	for i := range idx {
 		idx[i] = int32(rng.Intn(10_000))
 	}
-	if !plain.Gather(idx).Equal(comp.Gather(idx)) {
+	if !plain.Gather(nil, idx).Equal(comp.Gather(nil, idx)) {
 		t.Fatal("gather differs")
 	}
 	// A fresh slice of the encoded payload starts undecoded; forcing the
@@ -261,11 +261,11 @@ func TestCompressRelationAndConcat(t *testing.T) {
 		pparts = append(pparts, plain.Slice(lo, hi))
 		cparts = append(cparts, comp.Slice(lo, hi))
 	}
-	pc, err := Concat(pparts)
+	pc, err := Concat(nil, pparts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := Concat(cparts)
+	cc, err := Concat(nil, cparts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,13 +75,13 @@ func TestDerivedColumnsOwnTheirStats(t *testing.T) {
 	for i := range whole {
 		whole[i] = int32(i)
 	}
-	cat, err := Concat([]*Relation{src.Slice(0, rows/2), src.Slice(rows/2, rows)})
+	cat, err := Concat(nil, []*Relation{src.Slice(0, rows/2), src.Slice(rows/2, rows)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	derived := map[string]*Relation{
 		"Slice":  src.Slice(0, rows),
-		"Gather": src.Gather(whole),
+		"Gather": src.Gather(nil, whole),
 		"Concat": cat,
 	}
 	for name, rel := range derived {

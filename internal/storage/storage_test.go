@@ -261,7 +261,7 @@ func TestStatsPropertyMatchesBruteForce(t *testing.T) {
 
 func TestGatherAndSlice(t *testing.T) {
 	c := NewUint32("k", []uint32{10, 20, 30, 40})
-	g := c.Gather([]int32{3, 0, 0})
+	g := c.Gather(nil, []int32{3, 0, 0})
 	want := []uint32{40, 10, 10}
 	for i, w := range want {
 		if g.Uint32s()[i] != w {
@@ -276,7 +276,7 @@ func TestGatherAndSlice(t *testing.T) {
 
 func TestGatherString(t *testing.T) {
 	c := NewString("s", []string{"a", "b", "c"})
-	g := c.Gather([]int32{2, 1})
+	g := c.Gather(nil, []int32{2, 1})
 	if g.ValueAt(0).S != "c" || g.ValueAt(1).S != "b" {
 		t.Fatal("string gather wrong")
 	}
@@ -338,7 +338,7 @@ func TestRelationProjectAndGather(t *testing.T) {
 	if _, err := r.Project("zzz"); err == nil {
 		t.Fatal("project of missing column accepted")
 	}
-	g := r.Gather([]int32{2, 0})
+	g := r.Gather(nil, []int32{2, 0})
 	if g.MustColumn("a").Uint32s()[0] != 3 || g.MustColumn("b").Uint32s()[1] != 4 {
 		t.Fatal("relation gather wrong")
 	}
@@ -511,13 +511,13 @@ func TestComputeStatsAllKinds(t *testing.T) {
 
 func TestGatherAllKinds(t *testing.T) {
 	idx := []int32{1, 0}
-	if g := NewUint64("a", []uint64{5, 6}).Gather(idx); g.Uint64s()[0] != 6 {
+	if g := NewUint64("a", []uint64{5, 6}).Gather(nil, idx); g.Uint64s()[0] != 6 {
 		t.Fatal("uint64 gather wrong")
 	}
-	if g := NewInt64("b", []int64{-5, 6}).Gather(idx); g.Int64s()[0] != 6 {
+	if g := NewInt64("b", []int64{-5, 6}).Gather(nil, idx); g.Int64s()[0] != 6 {
 		t.Fatal("int64 gather wrong")
 	}
-	if g := NewFloat64("c", []float64{0.5, 1.5}).Gather(idx); g.Float64s()[0] != 1.5 {
+	if g := NewFloat64("c", []float64{0.5, 1.5}).Gather(nil, idx); g.Float64s()[0] != 1.5 {
 		t.Fatal("float gather wrong")
 	}
 }
