@@ -301,14 +301,21 @@ func (s *OpStats) snapshot() OpStats {
 // rethrown by its coordinator, or the drive loop itself — surfaces as a
 // typed qerr.ErrInternal instead of killing the process.
 //
-// The run draws its intermediate arrays from a scratch arena on ec's handle
-// and recycles them once, on the way out, whatever the outcome: after the
-// tree is closed, so every worker has been joined. The arrays the returned
-// relation views (a breaker's output streamed up as it is, a LIMIT's prefix
-// of it) are not recycled; the caller owns them with the relation.
+// An unbounded run draws its intermediate arrays from a scratch arena on
+// ec's handle and recycles them once, on the way out, whatever the outcome:
+// after the tree is closed, so every worker has been joined. The arrays the
+// returned relation views (a breaker's output streamed up as it is, a
+// LIMIT's prefix of it) are not recycled; the caller owns them with the
+// relation. A run under a memory budget or with spilling armed takes no
+// arena and draws fresh arrays: the arena holds every array it hands out
+// until the query ends, the budget cannot see the ones nobody reserves (a
+// filter's morsel batches, a breaker's drained inputs), and a spill twin
+// exists to hold one partition at a time.
 func Run(ec *ExecContext, root Operator) (rel *storage.Relation, err error) {
 	closed := false
-	ec.ctl.Scratch = storage.NewScratch()
+	if ec.ctl.Mem == nil && ec.spillParent == "" {
+		ec.ctl.Scratch = storage.NewScratch()
+	}
 	defer func() {
 		ec.ctl.Scratch.Recycle(rel)
 		ec.ctl.Scratch = nil

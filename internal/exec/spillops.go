@@ -971,7 +971,7 @@ func GroupPartitions(key string, aggs []expr.AggSpec, opt physical.GroupOptions,
 	p := &partitioned{buffered: newBuffered(1), keys: []string{key}}
 	p.merge = func(ec *ExecContext, h *holder, schema []*storage.Relation) (*storage.Relation, error) {
 		o := opt
-		o.Ctl = h.ctl.WithoutArena() // a partition's arrays die with it, not with the query
+		o.Ctl = h.ctl
 		total := int64(p.ps[0].next) // every input row was numbered once
 		return mergeGroups(ec, h, p.ps[0], schema[0], func(rel *storage.Relation) (*storage.Relation, error) {
 			return physical.GroupByRel(rel, key, aggs, physical.HG, o, partDomain(dom, rel.NumRows(), total))
@@ -1112,7 +1112,7 @@ func JoinPartitions(leftKey, rightKey string, opt physical.JoinOptions, swapped 
 	p := &partitioned{buffered: newBuffered(2), keys: []string{leftKey, rightKey}}
 	p.merge = func(ec *ExecContext, h *holder, schema []*storage.Relation) (*storage.Relation, error) {
 		o := opt
-		o.Ctl = h.ctl.WithoutArena() // a partition's arrays die with it, not with the query
+		o.Ctl = h.ctl
 		return mergePairs(ec, h, p.ps[0], p.ps[1], schema, swapped, cols, func(l, r *storage.Relation, cols []string) (*storage.Relation, error) {
 			return physical.JoinRel(l, r, leftKey, rightKey, physical.HJ, o, dom, swapped, cols, nil)
 		})

@@ -134,17 +134,6 @@ func (c *Ctl) Arena() *storage.Scratch {
 	return c.Scratch
 }
 
-// WithoutArena returns a copy of the handle that draws fresh arrays, for
-// kernels whose outputs must not be held until the query ends; nil stays nil.
-func (c *Ctl) WithoutArena() *Ctl {
-	if c == nil || c.Scratch == nil {
-		return c
-	}
-	n := *c
-	n.Scratch = nil
-	return &n
-}
-
 // For returns a copy of the handle labelled with the requesting operator, so
 // budget failures inside that operator's kernels name it. Nil receiver or
 // empty label returns the handle unchanged.

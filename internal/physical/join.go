@@ -522,15 +522,7 @@ func joinMerge(left, right []uint32, ctl *govern.Ctl, sides pairSides) (*JoinRes
 	}
 	rv := resv{ctl: ctl}
 	defer rv.release()
-	// The row ids go back to the pool with the result (Release): start them
-	// there, sized for a key join, the usual case.
 	res := &JoinResult{SortedByKey: true}
-	if sides&leftRows != 0 {
-		res.LeftIdx = storage.GetInt32s(max(len(left), len(right)))
-	}
-	if sides&rightRows != 0 {
-		res.RightIdx = storage.GetInt32s(max(len(left), len(right)))
-	}
 	emitted := 0
 	err := mergePairsErr(left, right, func(li, ri int32) error {
 		if emitted%checkEvery == 0 {

@@ -3,6 +3,7 @@ package physical
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -56,6 +57,41 @@ func TestJoinBudgetIsExact(t *testing.T) {
 				t.Fatalf("%s dop %d: peak reservation %d, want %d", tc.kind, tc.opt.Parallel, mem.Peak(), tc.need)
 			}
 		}
+	}
+}
+
+// TestMergeJoinBudgetFollowsMatches: OJ grows its pair arrays as it finds
+// matches, so a selective merge join — a small side against a large one —
+// reserves in proportion to its matches, not to its inputs. A budget of four
+// times the exact pair bytes runs; it is a fraction of what arrays sized for
+// the larger input would take.
+func TestMergeJoinBudgetFollowsMatches(t *testing.T) {
+	const n, matches = 200_000, 3*checkEvery + 5
+	left := make([]uint32, 0, n/4) // even keys
+	for k := uint32(0); len(left) < n/4; k += 2 {
+		left = append(left, k)
+	}
+	right := make([]uint32, 0, n) // odd keys, and every 2nd left key up to matches
+	for k := uint32(1); len(right) < n-matches; k += 2 {
+		right = append(right, k)
+	}
+	for i := 0; i < matches; i++ {
+		right = append(right, left[2*i])
+	}
+	slices.Sort(right)
+	pairs := int64(matches) * 8
+	mem := govern.NewBudget(4 * pairs)
+	opt := JoinOptions{Ctl: &govern.Ctl{Ctx: context.Background(), Mem: mem}}
+	res, err := Join(OJ, left, right, props.Domain{}, opt)
+	if err != nil {
+		t.Fatalf("OJ with %d matches over %d and %d rows, budget %d bytes: %v", matches, len(left), len(right), 4*pairs, err)
+	}
+	if res.Len() != matches {
+		t.Fatalf("OJ found %d matches, want %d", res.Len(), matches)
+	}
+	res.Release()
+	if mem.Used() != 0 {
+		t.Fatalf("%d bytes still reserved", mem.Used())
 	}
 }
 
