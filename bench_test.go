@@ -295,9 +295,10 @@ func BenchmarkPlanDeep(b *testing.B) {
 // an alternative before it builds it, and hands the enumerator's constructor
 // closures nowhere they could escape, so planning the two-join star
 // allocates for what survives (tables, winners, their property vectors), not
-// for the 211 alternatives costed. Exact DQO allocated 3 539 objects per run
-// and the greedy tier 104 when every alternative was built with its property
-// set, key and granule tree; now 141 and, calibrated, 169. The exact
+// for the alternatives costed (211 calibrated; 129 under DQO, which is offered
+// no parallel twin). Exact DQO allocated 3 539 objects per run and the greedy
+// tier 104 when every alternative was built with its property set, key and
+// granule tree; now 127 and, calibrated, 155. The exact
 // tiers must stay under one allocation per alternative costed, so a change
 // that reintroduces per-alternative construction, or a constructor closure
 // that escapes to the heap once per alternative, fails here rather than in a

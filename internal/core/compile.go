@@ -8,7 +8,6 @@ import (
 	"dqo/internal/exec"
 	"dqo/internal/govern"
 	"dqo/internal/physical"
-	"dqo/internal/props"
 	"dqo/internal/storage"
 )
 
@@ -67,7 +66,7 @@ func Compile(p *Plan) (exec.Operator, error) {
 func compileNode(p *Plan, rc *ReoptConfig, need []string) (exec.Operator, error) {
 	switch p.Op {
 	case OpScan:
-		if p.Enc != props.NoCompression {
+		if p.Enc != storage.EncNone {
 			return exec.NewCompressedScan(p, p.Rel), nil
 		}
 		return exec.NewScan(p, p.Rel), nil
@@ -77,7 +76,7 @@ func compileNode(p *Plan, rc *ReoptConfig, need []string) (exec.Operator, error)
 				return op, nil
 			}
 		}
-		if p.Enc != props.NoCompression {
+		if p.Enc != storage.EncNone {
 			// The direct-on-compressed kernel answers the filter straight off
 			// the encoded segments, so — like the cracked index — it subsumes
 			// the scan below it.
@@ -214,7 +213,7 @@ func compilePipe(p *Plan, need []string) (exec.Operator, bool) {
 	var chain []*Plan
 	var keep [][]string // the columns chain[i]'s output keeps
 	n := p
-	for (n.Op == OpFilter && n.Crack == nil && n.Enc == props.NoCompression) || n.Op == OpProject {
+	for (n.Op == OpFilter && n.Crack == nil && n.Enc == storage.EncNone) || n.Op == OpProject {
 		chain, keep = append(chain, n), append(keep, need)
 		if n.Op == OpFilter {
 			need = withColumns(need, n.Pred.Columns(nil)...)

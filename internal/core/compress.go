@@ -1,39 +1,21 @@
 package core
 
-import (
-	"dqo/internal/props"
-	"dqo/internal/storage"
-)
+import "dqo/internal/storage"
 
-// Helpers bridging storage segment encodings into the optimiser's property
-// space. The compressed granule twins enumerated in optimizer.go/greedy.go
-// are costed from exact zone-map metadata via these.
+// Helpers reading storage segment encodings for the optimiser. The
+// compressed granule twins enumerated in optimizer.go/greedy.go are gated on
+// and costed from exact zone-map metadata via these.
 
-// encCompression maps a storage encoding onto the compression property
-// dimension the paper names (props.Compression).
-func encCompression(e storage.Encoding) props.Compression {
-	switch e {
-	case storage.EncDictRLE:
-		return props.RLECompression
-	case storage.EncBitPack:
-		return props.BitPackCompression
-	case storage.EncFoR:
-		return props.FoRCompression
-	default:
-		return props.NoCompression
-	}
-}
-
-// relCompression returns the compression property of the first encoded
-// column, or NoCompression when the relation is stored plain — the gate for
-// enumerating a compressed-scan granule twin.
-func relCompression(rel *storage.Relation) props.Compression {
+// relCompression returns the encoding of the first encoded column, or
+// EncNone when the relation is stored plain — the gate for enumerating a
+// compressed-scan granule twin.
+func relCompression(rel *storage.Relation) storage.Encoding {
 	for _, c := range rel.Columns() {
 		if e := c.Encoding(); e != storage.EncNone {
-			return encCompression(e)
+			return e
 		}
 	}
-	return props.NoCompression
+	return storage.EncNone
 }
 
 // encBounds converts predRange's half-open uint64 [lo, hi) onto the
@@ -50,18 +32,18 @@ func encBounds(lo, hi uint64) (plo, phi uint32, ok bool) {
 }
 
 // encFilterTarget resolves a range predicate against an encoded uint32
-// column of rel: the encoded payload, the compression property, and the
-// zone-map census for the inclusive bounds. ok is false when the column is
-// missing, not a plain uint32 column, or stored undecoded.
-func encFilterTarget(rel *storage.Relation, col string, plo, phi uint32) (enc props.Compression, skipped, total, work int, ok bool) {
+// column of rel: the payload's encoding and the zone-map census for the
+// inclusive bounds. ok is false when the column is missing, not a plain
+// uint32 column, or stored undecoded.
+func encFilterTarget(rel *storage.Relation, col string, plo, phi uint32) (enc storage.Encoding, skipped, total, work int, ok bool) {
 	c, have := rel.Column(col)
 	if !have || c.Kind() != storage.KindUint32 {
-		return props.NoCompression, 0, 0, 0, false
+		return storage.EncNone, 0, 0, 0, false
 	}
 	p, _, _, isEnc := c.EncodedView()
 	if !isEnc {
-		return props.NoCompression, 0, 0, 0, false
+		return storage.EncNone, 0, 0, 0, false
 	}
 	skip, full, partial, w := p.PredStats(plo, phi)
-	return encCompression(p.Encoding()), skip, skip + full + partial, w, true
+	return p.Encoding(), skip, skip + full + partial, w, true
 }

@@ -15,7 +15,6 @@ import (
 	"dqo/internal/logical"
 	"dqo/internal/physical"
 	"dqo/internal/physio"
-	"dqo/internal/props"
 	"dqo/internal/sortx"
 	"dqo/internal/storage"
 	"dqo/internal/xrand"
@@ -58,11 +57,7 @@ func enumQueries(t testing.TB, compressed bool) []logical.Node {
 	}
 
 	r, s := starPair()
-	g, w := make([]uint32, 200), make([]int64, 200)
-	for i := range g {
-		g[i], w[i] = uint32(i), int64(i%97)
-	}
-	d := storage.MustNewRelation("D", storage.NewUint32("G", g), storage.NewInt64("W", w))
+	d := starDim()
 	runs := datagen.CompressRelation("runs", 7, 10_000, 8, 1.2, true)
 	if compressed {
 		r, s, d, runs = r.Compress(), s.Compress(), d.Compress(), runs.Compress()
@@ -161,6 +156,15 @@ func starPair() (r, s *storage.Relation) {
 	return datagen.FKPair(42, datagen.FKConfig{RRows: 2000, SRows: 9000, AGroups: 200, RSorted: true, Dense: true})
 }
 
+// starDim generates the star's second dimension table, D(G, W).
+func starDim() *storage.Relation {
+	g, w := make([]uint32, 200), make([]int64, 200)
+	for i := range g {
+		g[i], w[i] = uint32(i), int64(i%97)
+	}
+	return storage.MustNewRelation("D", storage.NewUint32("G", g), storage.NewInt64("W", w))
+}
+
 // Test doubles of the AV providers. They answer by table name alone, so a
 // corpus query over another generation of R gets the star's view: nothing is
 // executed here, and the optimiser reads a view's statistics and label only.
@@ -248,16 +252,16 @@ var enumBudgets = func() []enumBudget {
 // inputs ties at every kind of site and only enumeration order decides.
 type flatModel struct{}
 
-func (flatModel) Name() string                                                  { return "flat" }
-func (flatModel) Scan(float64) float64                                          { return 1 }
-func (flatModel) Filter(float64) float64                                        { return 1 }
-func (flatModel) SortBy(float64, sortx.Kind) float64                            { return 1 }
-func (flatModel) Group(c physio.GroupChoice, rows, groups float64) float64      { return 1 }
-func (flatModel) Join(c physio.JoinChoice, b, p, d float64) float64             { return 1 }
-func (flatModel) Parallel(c float64, dop int) float64                           { return c }
-func (flatModel) ScanCompressed(float64, props.Compression) float64             { return 1 }
-func (flatModel) FilterCompressed(r, w, o float64, _ props.Compression) float64 { return 1 }
-func (flatModel) Spill(c, rows, passes float64) float64                         { return c + 1 }
+func (flatModel) Name() string                                             { return "flat" }
+func (flatModel) Scan(float64) float64                                     { return 1 }
+func (flatModel) Filter(float64) float64                                   { return 1 }
+func (flatModel) SortBy(float64, sortx.Kind) float64                       { return 1 }
+func (flatModel) Group(c physio.GroupChoice, rows, groups float64) float64 { return 1 }
+func (flatModel) Join(c physio.JoinChoice, b, p, d float64) float64        { return 1 }
+func (flatModel) Parallel(c float64, dop int) float64                      { return c }
+func (flatModel) ScanCompressed(float64) float64                           { return 1 }
+func (flatModel) FilterCompressed(r, w, o float64) float64                 { return 1 }
+func (flatModel) Spill(c, rows, passes float64) float64                    { return c + 1 }
 
 // enumModes is the mode dimension: the three exact tiers, the greedy tier,
 // and every alternative tying (flat).

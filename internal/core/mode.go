@@ -42,7 +42,9 @@ type Mode struct {
 	// modes with DOP > 1 also enumerate parallel variants of the
 	// DOP-invariant kernels, priced by the model's Parallel term, so
 	// serial-vs-parallel is decided per granule rather than globally.
-	// DOP <= 1 enumerates serial plans only.
+	// DOP <= 1 enumerates serial plans only, and so does a model that cannot
+	// price parallelism (cost.Paper): a twin it costs like its serial
+	// original could never be chosen.
 	DOP int
 	// TrackProbeOrder lets the optimiser know that probe-major joins
 	// (HJ/SPHJ/BSJ) emit pairs in probe order, so a sorted probe input
@@ -82,9 +84,10 @@ type Mode struct {
 }
 
 // dop returns the degree of parallelism offered to deep enumeration; shallow
-// modes and modes with DOP <= 1 enumerate serial plans only.
+// modes, modes with DOP <= 1 and the Table 2 model, whose Parallel term
+// returns its input, enumerate serial plans only.
 func (m Mode) dop() int {
-	if m.Depth != physio.Deep || m.DOP <= 1 {
+	if _, paper := m.Model.(cost.Paper); paper || m.Depth != physio.Deep || m.DOP <= 1 {
 		return 1
 	}
 	return m.DOP
@@ -106,8 +109,8 @@ func SQO() Mode {
 
 // DQO returns the deep configuration with the paper's Table 2 cost model.
 // The Table 2 model is blind to parallelism (Parallel returns its input), so
-// parallel variants tie with their serial twins and ties resolve serial —
-// DQO's plans are unchanged by the DOP dimension.
+// no parallel twin is offered under it: DQO enumerates and picks the same
+// serial plans at any DOP.
 func DQO() Mode {
 	return Mode{Name: "dqo", Depth: physio.Deep, TrackProbeOrder: true,
 		DOP: runtime.GOMAXPROCS(0), Model: cost.Paper{}}

@@ -236,7 +236,7 @@ func isStreamSegment(p *Plan) bool {
 		switch {
 		case p.Op == OpScan:
 			return true
-		case p.Op == OpFilter && p.Crack == nil && p.Enc == props.NoCompression,
+		case p.Op == OpFilter && p.Crack == nil && p.Enc == storage.EncNone,
 			p.Op == OpProject:
 			p = p.Children[0]
 		default:
@@ -255,7 +255,7 @@ func (p *Plan) inputs(children ...*Plan) []*Plan { return append(p.Children[:0],
 
 // scanPlan builds one way of reading n's table: the stored relation, an AV
 // variant of it, or (enc set) its compressed-scan twin.
-func (o *optimizer) scanPlan(p *Plan, n *logical.Scan, rel *storage.Relation, av string, enc props.Compression, cost float64) {
+func (o *optimizer) scanPlan(p *Plan, n *logical.Scan, rel *storage.Relation, av string, enc storage.Encoding, cost float64) {
 	*p = Plan{
 		Op: OpScan, Table: n.Table, Rel: rel, AV: av, Enc: enc,
 		Props: o.scanPropsOf(rel).set,
@@ -431,20 +431,20 @@ func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
 // scan, enumerated first, wins.
 func (o *optimizer) enumScan(t *site, n *logical.Scan) {
 	rows := o.estimator().Estimate(n)
-	offer := func(v variant, rel *storage.Relation, av string, enc props.Compression, cost float64) {
+	offer := func(v variant, rel *storage.Relation, av string, enc storage.Encoding, cost float64) {
 		t.offer(v, o.scanPropsOf(rel).key, cost, func(p *Plan) { o.scanPlan(p, n, rel, av, enc, cost) })
 	}
-	offer(ordinary, n.Rel, "", props.NoCompression, o.mode.Model.Scan(rows))
+	offer(ordinary, n.Rel, "", storage.EncNone, o.mode.Model.Scan(rows))
 	if o.mode.Scans != nil {
 		for _, v := range o.mode.Scans.ScanVariants(n.Table) {
 			if t.considers(avScan, o.scanPropsOf(v.Rel).set) {
-				offer(avScan, v.Rel, v.Label, props.NoCompression, o.mode.Model.Scan(rows))
+				offer(avScan, v.Rel, v.Label, storage.EncNone, o.mode.Model.Scan(rows))
 			}
 		}
 	}
 	if o.mode.Depth == physio.Deep {
-		if enc := relCompression(n.Rel); enc != props.NoCompression {
-			offer(ordinary, n.Rel, "", enc, o.mode.Model.ScanCompressed(rows, enc))
+		if enc := relCompression(n.Rel); enc != storage.EncNone {
+			offer(ordinary, n.Rel, "", enc, o.mode.Model.ScanCompressed(rows))
 		}
 	}
 }
@@ -477,7 +477,7 @@ func (o *optimizer) enumFilter(t *site, n *logical.Filter, children []*Plan, row
 	col, lo, hi, isRange := predRange(n.Pred)
 	if isScan && isRange && o.mode.CrackedIdx != nil {
 		if idx, have := o.mode.CrackedIdx.Cracked(scan.Table, col); have && t.considers(cracked, props.Set{}) {
-			base := t.scanBase(scan, props.NoCompression)
+			base := t.scanBase(scan, storage.EncNone)
 			out := t.keyed(base.Props.DropOrder())
 			cost := base.Cost + o.mode.Model.Filter(rows)
 			t.offer(cracked, out.key, cost, func(p *Plan) {
@@ -491,7 +491,7 @@ func (o *optimizer) enumFilter(t *site, n *logical.Filter, children []*Plan, row
 			enc, skipped, total, work, ok := encFilterTarget(scan.Rel, col, plo, phi)
 			if ok && t.considers(encoded, props.Set{}) {
 				base := t.scanBase(scan, enc)
-				cost := base.Cost + o.mode.Model.FilterCompressed(base.Rows, float64(work), rows, enc)
+				cost := base.Cost + o.mode.Model.FilterCompressed(base.Rows, float64(work), rows)
 				t.offer(encoded, t.keyed(base.Props).key, cost, func(p *Plan) {
 					filterPlan(p, n, base, 0, rows, cost)
 					p.Enc, p.EncCol, p.EncLo, p.EncHi, p.SegsSkipped, p.SegsTotal = enc, col, plo, phi, skipped, total
@@ -672,7 +672,7 @@ func (o *optimizer) indexedJoins(t *site, n *logical.Join, lefts, rights []*Plan
 		if !have {
 			continue
 		}
-		base := t.scanBase(scan, props.NoCompression)
+		base := t.scanBase(scan, storage.EncNone)
 		distinct := o.estimator().ColDistinct(scan, buildKey)
 		ch := physio.JoinChoice{Kind: physical.HJ, Opt: physical.JoinOptions{Hash: idx.Hash()}}
 		if idx.SPH() {

@@ -290,6 +290,47 @@ func TestDeepEnumeratesMoreAlternatives(t *testing.T) {
 	if sqo.Stats.Duration <= 0 || dqo.Stats.Duration <= 0 {
 		t.Fatal("missing optimisation timings")
 	}
+
+	// The Table 2 model cannot price parallelism, so DQO is offered no
+	// parallel twin at any DOP: it costs the same alternatives and picks the
+	// same plan. The calibrated model prices twins and is still offered them.
+	r, s := starPair()
+	d := starDim()
+	scan := func(rel *storage.Relation) *logical.Scan { return &logical.Scan{Table: rel.Name(), Rel: rel} }
+	star := &logical.GroupBy{
+		Input: &logical.Join{
+			Left:  &logical.Join{Left: scan(s), Right: scan(r), LeftKey: "R_ID", RightKey: "ID"},
+			Right: scan(d), LeftKey: "A", RightKey: "G",
+		},
+		Key:  "A",
+		Aggs: []expr.AggSpec{{Func: expr.AggCount}},
+	}
+	at := func(q logical.Node, m Mode, dop int) *Result {
+		m.DOP = dop
+		return optimize(t, q, m)
+	}
+	for _, c := range []struct {
+		name string
+		q    logical.Node
+	}{{"paper query", q}, {"two-join star", star}} {
+		name, q := c.name, c.q
+		serial := at(q, DQO(), 1)
+		for _, dop := range []int{2, 4} {
+			res := at(q, DQO(), dop)
+			if res.Stats.Alternatives != serial.Stats.Alternatives {
+				t.Errorf("%s: DQO at DOP %d costed %d alternatives, at DOP 1 %d",
+					name, dop, res.Stats.Alternatives, serial.Stats.Alternatives)
+			}
+			if got, want := res.Best.Explain(), serial.Best.Explain(); got != want {
+				t.Errorf("%s: DQO at DOP %d picked\n%s\nat DOP 1\n%s", name, dop, got, want)
+			}
+		}
+		cal1, cal4 := at(q, DQOCalibrated(), 1), at(q, DQOCalibrated(), 4)
+		if cal4.Stats.Alternatives <= cal1.Stats.Alternatives {
+			t.Errorf("%s: calibrated DQO at DOP 4 costed %d alternatives, at DOP 1 %d: no parallel twin offered",
+				name, cal4.Stats.Alternatives, cal1.Stats.Alternatives)
+		}
+	}
 }
 
 func TestGroupOnlyQuery(t *testing.T) {

@@ -89,7 +89,7 @@ type Plan struct {
 	// inclusive value/code bounds [EncLo, EncHi]. SegsSkipped/SegsTotal are
 	// the plan-time zone-map census (exact — zone maps are exact metadata),
 	// surfaced by EXPLAIN.
-	Enc          props.Compression
+	Enc          storage.Encoding
 	EncCol       string
 	EncLo, EncHi uint32
 	SegsSkipped  int
@@ -137,7 +137,7 @@ func (p *Plan) label() string {
 		if p.AV != "" {
 			return fmt.Sprintf("Scan(%s via %s)", p.Table, p.AV)
 		}
-		if p.Enc != props.NoCompression {
+		if p.Enc != storage.EncNone {
 			return fmt.Sprintf("CompressedScan(%s) [%s]", p.Table, p.Enc)
 		}
 		return fmt.Sprintf("Scan(%s)", p.Table)
@@ -145,7 +145,7 @@ func (p *Plan) label() string {
 		if p.AV != "" {
 			return fmt.Sprintf("Filter(%s) via %s", p.Pred, p.AV)
 		}
-		if p.Enc != props.NoCompression {
+		if p.Enc != storage.EncNone {
 			return fmt.Sprintf("CompressedFilter(%s) [%s segs=%d/%d skipped]",
 				p.Pred, p.Enc, p.SegsSkipped, p.SegsTotal)
 		}
@@ -344,7 +344,7 @@ func (p *Plan) offersBuild(b *Plan) bool {
 		(p.Join.Kind != physical.HJ && p.Join.Kind != physical.SPHJ) {
 		return false
 	}
-	return b.Op == OpScan && b.AV == "" && b.Enc == props.NoCompression && !strings.HasPrefix(b.Table, replanTable) &&
+	return b.Op == OpScan && b.AV == "" && b.Enc == storage.EncNone && !strings.HasPrefix(b.Table, replanTable) &&
 		!b.Rel.HasEncoded() && b.Rel.NumRows() >= exec.DefaultMorselSize
 }
 

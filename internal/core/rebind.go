@@ -5,7 +5,7 @@ import (
 
 	"dqo/internal/expr"
 	"dqo/internal/logical"
-	"dqo/internal/props"
+	"dqo/internal/storage"
 )
 
 // Rebind instantiates a cached plan template for a new logical tree of the
@@ -85,7 +85,7 @@ func (p *Plan) rebindFilter(pred expr.Expr) error {
 		}
 		p.CrackLo, p.CrackHi = lo, hi
 	}
-	if p.Enc != props.NoCompression {
+	if p.Enc != storage.EncNone {
 		// A compressed filter's encoded bounds derive from the literals;
 		// recompute them (and the zone-map census EXPLAIN shows) for the
 		// new predicate, or fail into a re-plan.

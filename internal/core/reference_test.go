@@ -19,6 +19,7 @@ import (
 	"dqo/internal/physio"
 	"dqo/internal/props"
 	"dqo/internal/sortx"
+	"dqo/internal/storage"
 )
 
 type refOptimizer struct {
@@ -179,12 +180,12 @@ func (o *refOptimizer) enumerate(n logical.Node) ([]*Plan, error) {
 			}
 		}
 		if o.mode.Depth == physio.Deep {
-			if enc := relCompression(n.Rel); enc != props.NoCompression {
+			if enc := relCompression(n.Rel); enc != storage.EncNone {
 				cp := &Plan{
 					Op: OpScan, Table: n.Table, Rel: n.Rel, Enc: enc,
 					Props: o.scanPropsOf(n.Rel).set,
 					Rows:  rows,
-					Cost:  o.mode.Model.ScanCompressed(rows, enc),
+					Cost:  o.mode.Model.ScanCompressed(rows),
 				}
 				refSetFootprint(cp)
 				o.stats.Alternatives++
@@ -258,7 +259,7 @@ func (o *refOptimizer) enumerate(n logical.Node) ([]*Plan, error) {
 								Enc:   relCompression(scan.Rel),
 								Props: o.scanPropsOf(scan.Rel).set,
 								Rows:  scanRows,
-								Cost:  o.mode.Model.ScanCompressed(scanRows, enc),
+								Cost:  o.mode.Model.ScanCompressed(scanRows),
 							}
 							refSetFootprint(base)
 							o.stats.Alternatives++
@@ -268,7 +269,7 @@ func (o *refOptimizer) enumerate(n logical.Node) ([]*Plan, error) {
 								SegsSkipped: skipped, SegsTotal: total,
 								Props: base.Props,
 								Rows:  rows,
-								Cost:  base.Cost + o.mode.Model.FilterCompressed(scanRows, float64(work), rows, enc),
+								Cost:  base.Cost + o.mode.Model.FilterCompressed(scanRows, float64(work), rows),
 							}
 							refSetFootprint(ep)
 							out = append(out, ep)

@@ -6,6 +6,7 @@ import (
 
 	"dqo/internal/logical"
 	"dqo/internal/props"
+	"dqo/internal/storage"
 )
 
 // outProps is an output property vector with its table key. Property sets
@@ -230,17 +231,17 @@ func (s *site) considers(v variant, alt props.Set) bool {
 // alternative subsumes: the DP's is the plain scan or, under a filter on a
 // payload of compression enc, the compressed-scan twin; the greedy tier's is
 // its pick for a scan no parent wants ordered.
-func (s *site) scanBase(n *logical.Scan, enc props.Compression) *Plan {
+func (s *site) scanBase(n *logical.Scan, enc storage.Encoding) *Plan {
 	o := s.o
 	if s.greedy {
 		return o.greedyScan(n, "")
 	}
 	rows := o.estimator().Estimate(n)
 	p := new(Plan)
-	if enc == props.NoCompression {
+	if enc == storage.EncNone {
 		o.scanPlan(p, n, n.Rel, "", enc, o.mode.Model.Scan(rows))
 	} else {
-		o.scanPlan(p, n, n.Rel, "", relCompression(n.Rel), o.mode.Model.ScanCompressed(rows, enc))
+		o.scanPlan(p, n, n.Rel, "", relCompression(n.Rel), o.mode.Model.ScanCompressed(rows))
 	}
 	return p
 }

@@ -16,7 +16,6 @@ import (
 	"dqo/internal/hashtable"
 	"dqo/internal/physical"
 	"dqo/internal/physio"
-	"dqo/internal/props"
 	"dqo/internal/sortx"
 )
 
@@ -39,22 +38,23 @@ type Model interface {
 	Join(c physio.JoinChoice, build, probe, keyDistinct float64) float64
 	// Parallel returns the cost of running work costing c serially across
 	// dop workers, including fork/merge overhead. Models that cannot see
-	// parallelism (Paper) return c unchanged, which makes parallel variants
-	// tie with serial ones — and ties resolve to the first-enumerated
-	// (serial) variant, preserving those models' plans exactly.
+	// parallelism return c unchanged: the optimiser offers no parallel
+	// variant under Paper, and under any other such model a parallel variant
+	// ties with its serial one and the tie resolves to the first-enumerated
+	// (serial) variant, so those models' plans do not depend on DOP.
 	Parallel(c float64, dop int) float64
 	// ScanCompressed returns the cost of producing rows from a base table
-	// stored with the given segment encoding (decode-once + stream). Models
+	// stored with a segment encoding (decode-once + stream). Models
 	// blind to storage format (Paper) price it like Scan, so compressed
 	// granule twins tie and lose to the first-enumerated plain plan.
-	ScanCompressed(rows float64, enc props.Compression) float64
+	ScanCompressed(rows float64) float64
 	// FilterCompressed returns the cost of a range/equality filter evaluated
 	// directly on a compressed column: rows input rows, work the encoded
 	// units actually compared (runs or packed values in segments the zone
 	// maps could not answer), and out the qualifying rows gathered. work and
 	// out come from the segment zone metadata at plan time, so the model sees
 	// exactly how much of the payload the predicate must touch.
-	FilterCompressed(rows, work, out float64, enc props.Compression) float64
+	FilterCompressed(rows, work, out float64) float64
 	// Spill returns the cost of running work costing c in-memory as the
 	// spilling twin over rows input rows with the given number of disk
 	// passes (a pass writes and reads every row once). Spill twins are only
@@ -102,11 +102,11 @@ func (Paper) Filter(rows float64) float64 { return rows }
 // ScanCompressed implements Model: the paper's model counts abstract element
 // operations and cannot see storage format, so compressed scans tie with
 // plain ones (and ties keep the first-enumerated plain plan).
-func (Paper) ScanCompressed(rows float64, _ props.Compression) float64 { return 0 }
+func (Paper) ScanCompressed(rows float64) float64 { return 0 }
 
 // FilterCompressed implements Model: identical to Filter for the same
 // reason — |R| comparisons regardless of representation.
-func (Paper) FilterCompressed(rows, _, _ float64, _ props.Compression) float64 { return rows }
+func (Paper) FilterCompressed(rows, _, _ float64) float64 { return rows }
 
 // Spill implements Model: the in-memory work plus one abstract element
 // operation per row per disk pass (each pass writes and reads every row).
@@ -244,7 +244,7 @@ func (*Calibrated) Filter(rows float64) float64 { return 1.5 * rows }
 // ScanCompressed implements Model: a compressed scan decodes each segment
 // once into a streamable buffer, beating the plain scan's per-morsel view
 // bookkeeping over the same encoded storage.
-func (m *Calibrated) ScanCompressed(rows float64, _ props.Compression) float64 {
+func (m *Calibrated) ScanCompressed(rows float64) float64 {
 	return m.EncScanRowNS * rows
 }
 
@@ -253,7 +253,7 @@ func (m *Calibrated) ScanCompressed(rows float64, _ props.Compression) float64 {
 // units the zone maps could not answer plus the qualifying-row gather, so
 // run-heavy or zone-prunable columns undercut it and the optimiser picks
 // the compressed granule exactly where the payload shape earns it.
-func (m *Calibrated) FilterCompressed(rows, work, out float64, _ props.Compression) float64 {
+func (m *Calibrated) FilterCompressed(rows, work, out float64) float64 {
 	return m.EncWorkNS*work + m.EncEmitNS*out
 }
 

@@ -235,9 +235,10 @@ func Validate(n Node) error {
 // column statistics and declared correlations.
 func ScanProps(rel *storage.Relation) props.Set {
 	// The set is built in place rather than through WithSortedBy/WithCorr:
-	// those return defensive copies, and a fresh unshared set has nothing to
-	// defend. The invariants they maintain — SortedBy sorted and duplicate-
-	// free, Corrs deduplicated and in (key, dep) order — are kept here.
+	// those copy the component they change, and a fresh unshared set has
+	// nothing to protect. The invariants they maintain — SortedBy sorted and
+	// duplicate-free, Corrs deduplicated and in (key, dep) order — are kept
+	// here.
 	s := props.NewSet()
 	for _, c := range rel.Columns() {
 		if !c.Kind().Integer() {
@@ -248,20 +249,6 @@ func ScanProps(rel *storage.Relation) props.Set {
 			s.SortedBy = append(s.SortedBy, c.Name())
 		}
 		s.Cols[c.Name()] = props.FromStats(st.Rows, st.Min, st.Max, st.Distinct, st.Dense, st.Exact)
-		// Compression is a per-column plan property (paper §2): segment
-		// encodings surface as themselves, plain string storage as dict.
-		switch c.Encoding() {
-		case storage.EncDictRLE:
-			s.ColComp[c.Name()] = props.RLECompression
-		case storage.EncBitPack:
-			s.ColComp[c.Name()] = props.BitPackCompression
-		case storage.EncFoR:
-			s.ColComp[c.Name()] = props.FoRCompression
-		default:
-			if c.Kind() == storage.KindString {
-				s.ColComp[c.Name()] = props.DictCompression
-			}
-		}
 	}
 	sort.Strings(s.SortedBy) // column names are unique, so sorting normalises
 	for _, corr := range rel.Corrs() {

@@ -6,7 +6,6 @@ import (
 
 	"dqo/internal/datagen"
 	"dqo/internal/expr"
-	"dqo/internal/props"
 	"dqo/internal/storage"
 )
 
@@ -160,9 +159,6 @@ func TestScanPropsStringColumn(t *testing.T) {
 	p := ScanProps(rel)
 	if !p.DenseOn("s") {
 		t.Fatal("dict codes should be dense")
-	}
-	if p.ColComp["s"] != props.DictCompression {
-		t.Fatal("dict compression not recorded")
 	}
 }
 

@@ -29,8 +29,6 @@ func keyPool() []Set {
 		{Corrs: []Corr{{"R.ID", "R.A"}, {"D.G", "D.W"}}},
 		{Corrs: []Corr{{"D.G", "D.W"}, {"R.ID", "R.A"}}}, // sequence, not set
 		{Corrs: []Corr{{"R.ID", "R.A"}, {"R.ID", "R.A"}}},
-		{Layout: RowLayout},
-		{Layout: PAXLayout},
 		{Cols: map[string]Domain{"R.A": {}}}, // unknown: as good as absent
 		{Cols: map[string]Domain{"R.A": dom(true, 0, 9, 10)}},
 		{Cols: map[string]Domain{"R.A": dom(false, 0, 9, 10)}},
@@ -40,11 +38,6 @@ func keyPool() []Set {
 		{Cols: map[string]Domain{"R.ID": dom(true, 0, 9, 10)}},
 		{Cols: map[string]Domain{"R.A": dom(true, 0, 9, 10), "R.ID": dom(true, 0, 9, 10)}},
 		{Cols: map[string]Domain{"R.A": dom(true, 0, 9, 10), "R.ID": {}}},
-		{ColComp: map[string]Compression{"R.A": NoCompression}}, // present, so not the empty set
-		{ColComp: map[string]Compression{"R.A": DictCompression}},
-		{ColComp: map[string]Compression{"R.A": RLECompression}},
-		{ColComp: map[string]Compression{"R.ID": DictCompression}},
-		{SortedBy: []string{"R.A"}, ColComp: map[string]Compression{"R.A": DictCompression}},
 	}
 	r := rand.New(rand.NewSource(7))
 	pick := func() []string {
@@ -67,9 +60,6 @@ func keyPool() []Set {
 			lo := uint64(r.Intn(2))
 			d := int64(1 + r.Intn(3))
 			s.Cols[c] = Domain{Known: r.Intn(4) > 0, Dense: r.Intn(2) == 0, Lo: lo, Hi: lo + uint64(d) - 1, Distinct: d}
-		}
-		for _, c := range pick() {
-			s.ColComp[c] = Compression(r.Intn(3))
 		}
 		pool = append(pool, s, s.Clone())
 	}
@@ -100,6 +90,50 @@ func TestKeyDistinguishesWhatFingerprintDoes(t *testing.T) {
 	}
 	if same < 300 {
 		t.Fatalf("pool has only %d equal pairs; the test does not exercise equality", same)
+	}
+}
+
+// TestDerivationsLeaveTheirReceiver: sets share their slices and domain map
+// with the sets derived from them, so every derivation must copy what it
+// changes. Each one is applied twice to every set of the pool, and every
+// derivation once more to each result; no set it was applied to may change.
+func TestDerivationsLeaveTheirReceiver(t *testing.T) {
+	derivations := []struct {
+		name   string
+		derive func(Set) Set
+	}{
+		{"DropOrder", Set.DropOrder},
+		{"WithSortedBy", func(s Set) Set { return s.WithSortedBy("R.A", "D.G") }},
+		{"WithGroupedBy", func(s Set) Set { return s.WithGroupedBy("S.M", "R.ID") }},
+		{"WithCorr", func(s Set) Set { return s.WithCorr("S.M", "D.W") }},
+		{"WithDomain", func(s Set) Set {
+			return s.WithDomain("R.A", Domain{Known: true, Dense: true, Lo: 7, Hi: 9, Distinct: 3})
+		}},
+		{"Project", func(s Set) Set { return s.Project("R.ID", "R.A", "D.G") }},
+		{"AfterSortBy", func(s Set) Set { return s.AfterSortBy("R.ID") }},
+	}
+	type seen struct {
+		set Set
+		fp  string
+		key Key
+	}
+	see := func(s Set) seen { return seen{s, s.Fingerprint(), s.Key()} }
+	for i, s := range keyPool() {
+		for _, d := range derivations {
+			recv := see(s)
+			results := []seen{see(d.derive(s)), see(d.derive(s))}
+			for _, r := range results {
+				for _, d2 := range derivations {
+					d2.derive(r.set)
+				}
+			}
+			for j, x := range append(results, recv) {
+				if fp, key := x.set.Fingerprint(), x.set.Key(); fp != x.fp || key != x.key {
+					t.Fatalf("set %d, %s: a later derivation changed set %d of [first, second, receiver]\n  was %s\n  now %s",
+						i, d.name, j, x.fp, fp)
+				}
+			}
+		}
 	}
 }
 

@@ -4,6 +4,13 @@
 // properties. The paper argues an interesting order is "just one tiny special
 // case": density, clustering, correlation, compression, layout and more are
 // equally property-like and must not be discarded between optimisation steps.
+// What is kept is what a later choice reads: a Set carries per-column
+// sortedness and clustering, order correlations, and each column's key
+// domain (bounds, distinct count, density). A dimension no decision reads
+// would only split the DP's entries, so compression is not one: the scan
+// granule reads it from the relation's encoding. The engine is columnar
+// throughout, so layout is not one either.
+//
 // This package is the shared vocabulary: a Set describes what is known about
 // a (sub)plan's output, a Requirement describes what a consumer needs, and
 // subsumption between the two drives both optimisers (SQO uses a restricted
@@ -12,6 +19,7 @@ package props
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -42,63 +50,6 @@ func (d Domain) Width() uint64 {
 	return d.Hi - d.Lo + 1
 }
 
-// Layout identifies the physical tuple layout of an output.
-type Layout uint8
-
-// Layouts. The engine is columnar throughout; Row appears when operators
-// materialise packed rows. PAX is modelled for completeness of the property
-// algebra.
-const (
-	ColumnLayout Layout = iota
-	RowLayout
-	PAXLayout
-)
-
-// String returns the layout name.
-func (l Layout) String() string {
-	switch l {
-	case ColumnLayout:
-		return "columnar"
-	case RowLayout:
-		return "row"
-	case PAXLayout:
-		return "pax"
-	default:
-		return "unknown"
-	}
-}
-
-// Compression identifies per-column compression.
-type Compression uint8
-
-// Compression schemes tracked as properties. Dict marks dictionary-encoded
-// string storage; RLE, BitPack, and FoR mark the segment encodings of
-// internal/storage that the optimiser can enumerate direct-on-compressed
-// granules against.
-const (
-	NoCompression Compression = iota
-	DictCompression
-	RLECompression
-	BitPackCompression
-	FoRCompression
-)
-
-// String returns the compression name.
-func (c Compression) String() string {
-	switch c {
-	case DictCompression:
-		return "dict"
-	case RLECompression:
-		return "rle"
-	case BitPackCompression:
-		return "bitpack"
-	case FoRCompression:
-		return "for"
-	default:
-		return "none"
-	}
-}
-
 // Corr records an order correlation: Dep is non-decreasing when rows are
 // ordered by Key — "correlated" in the paper's property list. It is a value
 // relationship (Dep is a monotone function of Key), so it survives any
@@ -122,35 +73,34 @@ func (c Corr) String() string { return c.Dep + "~" + c.Key }
 // the distinction matters because order-based grouping (OG) only needs
 // groupedness, a strictly weaker — and strictly cheaper to establish —
 // property.
+//
+// A Set is an immutable value once built: its slices and its domain map may
+// be shared with the sets derived from it, so a derivation (the With*
+// methods, DropOrder, Project, AfterSortBy) copies only the component it
+// changes and never writes into its receiver's. Code that builds a set in
+// place starts from NewSet or Clone.
 type Set struct {
 	SortedBy  []string
 	GroupedBy []string
 	Corrs     []Corr
 	Cols      map[string]Domain
-	ColComp   map[string]Compression
-	Layout    Layout
 }
 
-// NewSet returns an empty property set (columnar layout, nothing known).
+// NewSet returns an empty property set (nothing known).
 func NewSet() Set {
-	return Set{Cols: make(map[string]Domain), ColComp: make(map[string]Compression)}
+	return Set{Cols: make(map[string]Domain)}
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy, which the caller may modify in place.
 func (s Set) Clone() Set {
 	n := Set{
 		SortedBy:  append([]string(nil), s.SortedBy...),
 		GroupedBy: append([]string(nil), s.GroupedBy...),
 		Corrs:     append([]Corr(nil), s.Corrs...),
 		Cols:      make(map[string]Domain, len(s.Cols)),
-		ColComp:   make(map[string]Compression, len(s.ColComp)),
-		Layout:    s.Layout,
 	}
 	for k, v := range s.Cols {
 		n.Cols[k] = v
-	}
-	for k, v := range s.ColComp {
-		n.ColComp[k] = v
 	}
 	return n
 }
@@ -221,15 +171,10 @@ func (s Set) CorrelatedWith(key, dep string) bool {
 	return false
 }
 
-// Dependents returns all columns (other than key) known non-decreasing in
-// key order.
-func (s Set) Dependents(key string) []string {
-	return normalize(s.AppendDependents(nil, key))
-}
-
-// AppendDependents appends Dependents(key) to dst, in the order the
-// correlations are held and with any repeats: for a caller that sorts and
-// compacts a longer list anyway.
+// AppendDependents appends to dst the columns (other than key) known
+// non-decreasing in key order, in the order the correlations are held and
+// with any repeats: for a caller that sorts and compacts a longer list
+// anyway.
 func (s Set) AppendDependents(dst []string, key string) []string {
 	for _, c := range s.Corrs {
 		if c.Key == key {
@@ -239,39 +184,41 @@ func (s Set) AppendDependents(dst []string, key string) []string {
 	return dst
 }
 
-// WithDomain returns a copy with col's domain set.
+// WithDomain returns a copy with col's domain set. The domain map is the one
+// component it writes, so it is the one it copies.
 func (s Set) WithDomain(col string, d Domain) Set {
-	n := s.Clone()
-	n.Cols[col] = d
-	return n
+	cols := make(map[string]Domain, len(s.Cols)+1)
+	for c, v := range s.Cols {
+		cols[c] = v
+	}
+	cols[col] = d
+	s.Cols = cols
+	return s
 }
 
 // WithSortedBy returns a copy in which exactly the given columns are
 // individually sorted (and clustering knowledge is cleared).
 func (s Set) WithSortedBy(cols ...string) Set {
-	n := s.Clone()
-	n.SortedBy = normalize(cols)
-	n.GroupedBy = nil
-	return n
+	s.SortedBy = normalize(cols)
+	s.GroupedBy = nil
+	return s
 }
 
 // WithGroupedBy returns a copy clustered by the given columns with no sort
 // order (e.g. the output of partition-based grouping with an unordered
 // partition directory).
 func (s Set) WithGroupedBy(cols ...string) Set {
-	n := s.Clone()
-	n.SortedBy = nil
-	n.GroupedBy = normalize(cols)
-	return n
+	s.SortedBy = nil
+	s.GroupedBy = normalize(cols)
+	return s
 }
 
 // WithCorr returns a copy recording that dep is non-decreasing in key order.
 func (s Set) WithCorr(key, dep string) Set {
-	n := s.Clone()
-	if !n.CorrelatedWith(key, dep) {
-		n.Corrs = MergeCorrs(n.Corrs, []Corr{{Key: key, Dep: dep}})
+	if !s.CorrelatedWith(key, dep) {
+		s.Corrs = MergeCorrs(s.Corrs, []Corr{{Key: key, Dep: dep}})
 	}
-	return n
+	return s
 }
 
 // NormalizeCorrs sorts cs in place into (key, dep) order and drops duplicates:
@@ -312,10 +259,9 @@ func MergeCorrs(a, b []Corr) []Corr {
 // a property-oblivious operator does to its input knowledge). Correlations
 // survive: they are value relationships, not row-order facts.
 func (s Set) DropOrder() Set {
-	n := s.Clone()
-	n.SortedBy = nil
-	n.GroupedBy = nil
-	return n
+	s.SortedBy = nil
+	s.GroupedBy = nil
+	return s
 }
 
 // Project returns a copy restricted to the given output columns.
@@ -325,7 +271,6 @@ func (s Set) Project(keep ...string) Set {
 		kept[c] = true
 	}
 	n := NewSet()
-	n.Layout = s.Layout
 	for _, c := range s.SortedBy {
 		if kept[c] {
 			n.SortedBy = append(n.SortedBy, c)
@@ -345,45 +290,6 @@ func (s Set) Project(keep ...string) Set {
 		if kept[c] {
 			n.Cols[c] = d
 		}
-	}
-	for c, cc := range s.ColComp {
-		if kept[c] {
-			n.ColComp[c] = cc
-		}
-	}
-	return n
-}
-
-// Rename returns a copy with column old renamed to new in every component.
-func (s Set) Rename(old, new string) Set {
-	n := s.Clone()
-	for i, c := range n.SortedBy {
-		if c == old {
-			n.SortedBy[i] = new
-		}
-	}
-	for i, c := range n.GroupedBy {
-		if c == old {
-			n.GroupedBy[i] = new
-		}
-	}
-	for i := range n.Corrs {
-		if n.Corrs[i].Key == old {
-			n.Corrs[i].Key = new
-		}
-		if n.Corrs[i].Dep == old {
-			n.Corrs[i].Dep = new
-		}
-	}
-	n.SortedBy = normalize(n.SortedBy)
-	n.GroupedBy = normalize(n.GroupedBy)
-	if d, ok := n.Cols[old]; ok {
-		delete(n.Cols, old)
-		n.Cols[new] = d
-	}
-	if c, ok := n.ColComp[old]; ok {
-		delete(n.ColComp, old)
-		n.ColComp[new] = c
 	}
 	return n
 }
@@ -415,16 +321,6 @@ func (s Set) Fingerprint() string {
 		}
 		fmt.Fprintf(&b, "%s=%v,%d,%d,%d;", c, d.Dense, d.Lo, d.Hi, d.Distinct)
 	}
-	b.WriteString("c:")
-	comps := make([]string, 0, len(s.ColComp))
-	for c := range s.ColComp {
-		comps = append(comps, c)
-	}
-	sort.Strings(comps)
-	for _, c := range comps {
-		fmt.Fprintf(&b, "%s=%s;", c, s.ColComp[c])
-	}
-	fmt.Fprintf(&b, "l:%s", s.Layout)
 	return b.String()
 }
 
@@ -441,8 +337,6 @@ const (
 	tagGrouped
 	tagCorr
 	tagDomain
-	tagComp
-	tagLayout
 )
 
 // mix is the splitmix64 finaliser: a bijection that spreads every input bit
@@ -510,10 +404,6 @@ func (s Set) Key() Key {
 		}
 		k.add(mix(h + last))
 	}
-	for c, cc := range s.ColComp {
-		k.add(mix(mix(hashName(c))+tagComp) + uint64(cc))
-	}
-	k.add(mix(tagLayout) + uint64(s.Layout))
 	return k
 }
 
@@ -581,10 +471,10 @@ func (s Set) SatisfiesAll(reqs []Requirement) bool {
 // key becomes sorted, every known dependent of key becomes sorted with it,
 // everything else loses order knowledge. Domains and correlations survive.
 func (s Set) AfterSortBy(key string) Set {
-	n := s.DropOrder()
-	cols := append([]string{key}, s.Dependents(key)...)
-	n.SortedBy = normalize(cols)
-	return n
+	sorted := s.AppendDependents([]string{key}, key)
+	slices.Sort(sorted)
+	s.SortedBy, s.GroupedBy = slices.Compact(sorted), nil
+	return s
 }
 
 // FromStats converts column statistics (storage layer) into a Domain.

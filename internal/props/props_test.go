@@ -85,9 +85,9 @@ func TestCorrelations(t *testing.T) {
 	if !s.CorrelatedWith("X", "X") {
 		t.Fatal("self-correlation should hold trivially")
 	}
-	deps := s.Dependents("ID")
+	deps := s.AppendDependents(nil, "ID")
 	if len(deps) != 1 || deps[0] != "A" {
-		t.Fatalf("Dependents = %v", deps)
+		t.Fatalf("AppendDependents = %v", deps)
 	}
 	// Idempotent add.
 	s2 := s.WithCorr("ID", "A")
@@ -125,14 +125,6 @@ func TestAfterSortBy(t *testing.T) {
 	}
 }
 
-func TestRenameCorr(t *testing.T) {
-	s := NewSet().WithCorr("ID", "A")
-	r := s.Rename("ID", "key")
-	if !r.CorrelatedWith("key", "A") || r.CorrelatedWith("ID", "A") {
-		t.Fatalf("rename on correlations wrong: %v", r.Corrs)
-	}
-}
-
 func TestProjectFiltersDomainsAndGrouping(t *testing.T) {
 	s := NewSet().WithGroupedBy("g").
 		WithDomain("g", Domain{Known: true, Dense: true, Lo: 0, Hi: 1, Distinct: 2}).
@@ -143,20 +135,6 @@ func TestProjectFiltersDomainsAndGrouping(t *testing.T) {
 	}
 	if p.Domain("x").Known {
 		t.Fatal("dropped column kept domain")
-	}
-}
-
-func TestRename(t *testing.T) {
-	s := NewSet().WithSortedBy("a").WithGroupedBy("a").
-		WithDomain("a", Domain{Known: true, Dense: true, Lo: 1, Hi: 2, Distinct: 2})
-	// WithGroupedBy clears SortedBy, so rebuild with both via fields.
-	s.SortedBy = []string{"a"}
-	r := s.Rename("a", "z")
-	if !r.SortedOn("z") || !r.GroupedOn("z") || !r.DenseOn("z") {
-		t.Fatalf("rename lost properties: %+v", r)
-	}
-	if r.SortedOn("a") || r.Domain("a").Known {
-		t.Fatal("rename kept old name")
 	}
 }
 
@@ -262,19 +240,10 @@ func TestEnumStrings(t *testing.T) {
 		enum fmt.Stringer
 		want string
 	}{
-		{ColumnLayout, "columnar"},
-		{RowLayout, "row"},
-		{PAXLayout, "pax"},
-		{Layout(99), "unknown"},
-		{NoCompression, "none"},
-		{DictCompression, "dict"},
-		{RLECompression, "rle"},
-		{BitPackCompression, "bitpack"},
-		{FoRCompression, "for"},
-		{Compression(99), "none"},
 		{ReqSorted, "sorted"},
 		{ReqGrouped, "grouped"},
 		{ReqDense, "dense"},
+		{ReqKind(99), "unknown"},
 		{Requirement{ReqDense, "col"}, "dense(col)"},
 	}
 	for _, tt := range tests {

@@ -32,7 +32,8 @@ const (
 	EncFoR
 )
 
-// String returns the encoding name, matching the props.Compression names.
+// String returns the encoding name, as EXPLAIN prints it on the optimiser's
+// compressed granules (e.g. "CompressedScan(S) [for]").
 func (e Encoding) String() string {
 	switch e {
 	case EncDictRLE:
