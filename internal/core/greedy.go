@@ -2,14 +2,15 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
-	"dqo/internal/expr"
 	"dqo/internal/logical"
 	"dqo/internal/physical"
 	"dqo/internal/physio"
 	"dqo/internal/props"
 	"dqo/internal/sortx"
+	"dqo/internal/storage"
 )
 
 // greedy is the fast planning tier: one pass over the logical tree instead
@@ -72,20 +73,39 @@ func (o *optimizer) greedyScan(n *logical.Scan, want string) *Plan {
 	return t.pick.best
 }
 
-// provablyEmpty reports whether pred provably selects nothing from an input
-// with the given properties: its single-column key range is disjoint from
-// the column's exact domain bounds. This is the visible-selectivity early
-// exit — no statistics beyond what the property vector already carries.
-func provablyEmpty(in props.Set, pred expr.Expr) bool {
-	col, lo, hi, ok := predRange(pred)
-	if !ok {
-		return false
+// provablyEmpty reports whether pred provably selects nothing from n's
+// input, whose output has the given properties: its single-column key range,
+// in the key space of the column's kind, is disjoint from the column's exact
+// domain bounds. This is the visible-selectivity early exit — no statistics
+// beyond what the property vector already carries.
+func provablyEmpty(n *logical.Filter, in props.Set) bool {
+	col, lo, hi, ok := predRange(n.Pred)
+	if ok {
+		lo, hi, ok = keyRange(scanKind(n.Input, col), lo, hi)
 	}
 	d := in.Domain(col)
-	if !d.Known {
+	if !ok || !d.Known {
 		return false
 	}
-	return lo > d.Hi || hi <= d.Lo
+	return lo > d.Hi || hi <= d.Lo && hi != math.MaxUint64
+}
+
+// scanKind returns the kind of column col as the first scan under n that
+// stores it holds it, the left input of a join first (its columns keep their
+// names), or KindInvalid.
+func scanKind(n logical.Node, col string) storage.Kind {
+	if s, ok := n.(*logical.Scan); ok {
+		if c, have := s.Rel.Column(col); have {
+			return c.Kind()
+		}
+		return storage.KindInvalid
+	}
+	for _, c := range n.Children() {
+		if k := scanKind(c, col); k != storage.KindInvalid {
+			return k
+		}
+	}
+	return storage.KindInvalid
 }
 
 // greedyFilter takes the serial filter unless a cracked-index,
@@ -98,7 +118,7 @@ func (o *optimizer) greedyFilter(n *logical.Filter, want string) (*Plan, error) 
 	}
 	rows := o.estimator().Estimate(n)
 	t := o.greedySite(want)
-	if provablyEmpty(c.Props, n.Pred) {
+	if provablyEmpty(n, c.Props) {
 		rows, t.pick.empty = 0, true
 	}
 	cs := []*Plan{c}

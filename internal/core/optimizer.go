@@ -474,8 +474,11 @@ func (o *optimizer) enumFilter(t *site, n *logical.Filter, children []*Plan, row
 		return
 	}
 	scan, isScan := n.Input.(*logical.Scan)
-	col, lo, hi, isRange := predRange(n.Pred)
-	if isScan && isRange && o.mode.CrackedIdx != nil {
+	if !isScan {
+		return
+	}
+	col, lo, hi, isRange := relKeyRange(n.Pred, scan.Rel)
+	if isRange && o.mode.CrackedIdx != nil {
 		if idx, have := o.mode.CrackedIdx.Cracked(scan.Table, col); have && t.considers(cracked, props.Set{}) {
 			base := t.scanBase(scan, storage.EncNone)
 			out := t.keyed(base.Props.DropOrder())
@@ -486,7 +489,7 @@ func (o *optimizer) enumFilter(t *site, n *logical.Filter, children []*Plan, row
 			})
 		}
 	}
-	if isScan && isRange && o.mode.Depth == physio.Deep {
+	if isRange && o.mode.Depth == physio.Deep {
 		if plo, phi, ok := encBounds(lo, hi); ok {
 			enc, skipped, total, work, ok := encFilterTarget(scan.Rel, col, plo, phi)
 			if ok && t.considers(encoded, props.Set{}) {

@@ -79,7 +79,7 @@ func rebindNode(p *Plan, preds []expr.Expr, next *int) (*Plan, error) {
 func (p *Plan) rebindFilter(pred expr.Expr) error {
 	if p.Crack != nil {
 		oldCol, _, _, _ := predRange(p.Pred)
-		col, lo, hi, ok := predRange(pred)
+		col, lo, hi, ok := relKeyRange(pred, p.Children[0].Rel)
 		if !ok || col != oldCol {
 			return fmt.Errorf("core: rebind: predicate %s is not a %s key range", pred, oldCol)
 		}
@@ -90,7 +90,7 @@ func (p *Plan) rebindFilter(pred expr.Expr) error {
 		// recompute them (and the zone-map census EXPLAIN shows) for the
 		// new predicate, or fail into a re-plan.
 		oldCol, _, _, _ := predRange(p.Pred)
-		col, lo, hi, ok := predRange(pred)
+		col, lo, hi, ok := relKeyRange(pred, p.Children[0].Rel)
 		if !ok || col != oldCol {
 			return fmt.Errorf("core: rebind: predicate %s is not a %s key range", pred, oldCol)
 		}
