@@ -291,6 +291,14 @@ func BenchmarkPlanDeep(b *testing.B) {
 	benchPlanTier(b, m)
 }
 
+// BenchmarkPlanDQO is exact DQO under the Table 2 model, the tier the
+// repository benchmark's adhoc-plan workload plans every query with.
+func BenchmarkPlanDQO(b *testing.B) {
+	m := core.DQO()
+	m.DOP = 4
+	benchPlanTier(b, m)
+}
+
 // TestOptimizeAllocBound is the alloc guard of the enumeration: a site costs
 // an alternative before it builds it, and hands the enumerator's constructor
 // closures nowhere they could escape, so planning the two-join star
