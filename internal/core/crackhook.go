@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"dqo/internal/expr"
 	"dqo/internal/storage"
 )
@@ -78,41 +76,14 @@ func predRange(e expr.Expr) (col string, lo, hi uint64, ok bool) {
 	}
 }
 
-// keyRange maps predRange's literal bounds [lo, hi) into the key space of a
-// column of kind k, the space its statistics' domain bounds, its cracked
-// index and its encoded payload compare in: unsigned values (and dictionary
-// codes) are their own keys, an int64 value is its bits with the sign flipped
-// (storage.Stats). predRange caps hi at 2^32, the top of the uint32 domain; a
-// wider kind holds values above it, so there the cap is no bound and hi
-// becomes the top of the key space. ok is false for a kind without integer
-// keys.
-func keyRange(k storage.Kind, lo, hi uint64) (klo, khi uint64, ok bool) {
-	const top, sign = uint64(1) << 32, uint64(1) << 63
-	switch k {
-	case storage.KindUint32, storage.KindString:
-		return lo, hi, true
-	case storage.KindUint64, storage.KindInt64:
-		flip := uint64(0)
-		if k == storage.KindInt64 {
-			flip = sign
-		}
-		if hi >= top {
-			return lo ^ flip, math.MaxUint64, true
-		}
-		return lo ^ flip, hi ^ flip, true
-	default:
-		return 0, 0, false
-	}
-}
-
-// relKeyRange is predRange in the key space of the column of rel that pred
-// reads: the bounds a cracked index of rel or its encoded payload compares.
+// relKeyRange is predRange in the key space (storage.Kind.KeyRange) of the
+// column of rel that pred reads: what a cracked index of rel or its encoded
+// payload compares.
 func relKeyRange(pred expr.Expr, rel *storage.Relation) (col string, lo, hi uint64, ok bool) {
 	col, lo, hi, ok = predRange(pred)
-	c, have := rel.Column(col)
-	if !ok || !have {
-		return col, 0, 0, false
+	if c, have := rel.Column(col); ok && have {
+		lo, hi, ok = c.Kind().KeyRange(lo, hi)
+		return col, lo, hi, ok
 	}
-	lo, hi, ok = keyRange(c.Kind(), lo, hi)
-	return col, lo, hi, ok
+	return col, 0, 0, false
 }

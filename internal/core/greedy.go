@@ -5,32 +5,25 @@ import (
 	"math"
 	"slices"
 
+	"dqo/internal/expr"
 	"dqo/internal/logical"
 	"dqo/internal/physical"
 	"dqo/internal/physio"
 	"dqo/internal/props"
 	"dqo/internal/sortx"
-	"dqo/internal/storage"
 )
 
 // greedy is the fast planning tier: one pass over the logical tree instead
-// of dynamic programming. At each site it selects build/probe roles by
-// visible selectivity (whichever input the literal predicates, cracked-index
-// ranges, and estimated cardinalities make smaller builds), picks the
-// granule the input properties already pay for (order-based on sorted
-// inputs, SPH on dense keys, hash otherwise), and prices what the site's
-// enumerator yields for that narrowed input — the one child plan, the picked
-// kind and its parallel twin — keeping the cheapest that fits the memory
-// budget (site.take, site.offerBreaker).
-// Provably-empty intermediates — a predicate range disjoint from a column's
-// exact domain bounds — end the probing at the first alternative. The result
-// is a normal *Plan: EXPLAIN, EXPLAIN ANALYZE, compilation, and execution are
-// unchanged.
+// of dynamic programming, returning a table of one. At each site it orders
+// build/probe roles by estimated cardinality, picks the granule the input
+// properties already pay for (order-based on sorted inputs, SPH on dense
+// keys, hash otherwise), and prices what the site's enumerator yields for
+// that narrowed input, keeping the cheapest that fits the memory budget
+// (site.take). A provably empty input ends a site at its first alternative.
 //
-// want names a column the parent would like sorted (a join key, grouping
-// key, or ORDER BY key); scans use it to pick a sorted AV projection and
-// filters to avoid destroying an order the parent needs.
-func (o *optimizer) greedy(n logical.Node, want string) (*Plan, error) {
+// want holds a column the parent would like sorted (a join, grouping or
+// ORDER BY key): scans pick a sorted AV projection for it, filters keep it.
+func (o *optimizer) greedy(n logical.Node, want props.Cols) ([]slot, error) {
 	// Optimize validated the tree once at entry; the recursion must not —
 	// per-node revalidation would make the single greedy pass quadratic.
 	switch n := n.(type) {
@@ -44,9 +37,7 @@ func (o *optimizer) greedy(n logical.Node, want string) (*Plan, error) {
 			return nil, err
 		}
 		o.stats.Alternatives++
-		p := new(Plan)
-		projectPlan(p, c, n.Cols, c.Props.Project(n.Cols...))
-		return p, nil
+		return o.keep(projectSlot(n, &c[0], keyed(c[0].props.Project(o.colsOf(n.Cols))))), nil
 	case *logical.Sort:
 		return o.greedySort(n)
 	case *logical.Join:
@@ -59,116 +50,91 @@ func (o *optimizer) greedy(n logical.Node, want string) (*Plan, error) {
 }
 
 // greedySite returns the greedy tier's consumer of one site's enumeration.
-func (o *optimizer) greedySite(want string) site {
+func (o *optimizer) greedySite(want props.Cols) site {
 	return site{o: o, greedy: true, pick: pick{want: want}}
 }
 
-// greedyScan picks the base scan, or — when the parent wants an order an AV
-// sorted projection already paid for — that variant, at identical scan cost,
-// or the compressed-scan twin when strictly cheaper (models that cannot see
-// storage format, Paper, keep the plain scan on the tie).
-func (o *optimizer) greedyScan(n *logical.Scan, want string) *Plan {
+// greedyScan picks the base scan, an AV sorted projection that has the
+// order the parent wants, or the compressed-scan twin when strictly cheaper.
+func (o *optimizer) greedyScan(n *logical.Scan, want props.Cols) []slot {
 	t := o.greedySite(want)
 	o.enumScan(&t, n)
-	return t.pick.best
+	return t.picked()
 }
 
-// provablyEmpty reports whether pred provably selects nothing from n's
-// input, whose output has the given properties: its single-column key range,
-// in the key space of the column's kind, is disjoint from the column's exact
-// domain bounds. This is the visible-selectivity early exit — no statistics
-// beyond what the property vector already carries.
-func provablyEmpty(n *logical.Filter, in props.Set) bool {
-	col, lo, hi, ok := predRange(n.Pred)
-	if ok {
-		lo, hi, ok = keyRange(scanKind(n.Input, col), lo, hi)
+// provablyEmpty reports whether pred provably selects nothing from an input
+// with the given properties: its key range, in the key space of the column's
+// kind (storage.Kind.KeyRange), is disjoint from the column's exact domain.
+func (o *optimizer) provablyEmpty(pred expr.Expr, in props.Set) bool {
+	name, lo, hi, ok := predRange(pred)
+	c, numbered := o.tab.Col(name)
+	if d := in.Domain(c); ok && numbered && d.Known {
+		lo, hi, ok = o.tab.Column(c).Kind.KeyRange(lo, hi)
+		return ok && (lo > d.Hi || hi <= d.Lo && hi != math.MaxUint64)
 	}
-	d := in.Domain(col)
-	if !ok || !d.Known {
-		return false
-	}
-	return lo > d.Hi || hi <= d.Lo && hi != math.MaxUint64
-}
-
-// scanKind returns the kind of column col as the first scan under n that
-// stores it holds it, the left input of a join first (its columns keep their
-// names), or KindInvalid.
-func scanKind(n logical.Node, col string) storage.Kind {
-	if s, ok := n.(*logical.Scan); ok {
-		if c, have := s.Rel.Column(col); have {
-			return c.Kind()
-		}
-		return storage.KindInvalid
-	}
-	for _, c := range n.Children() {
-		if k := scanKind(c, col); k != storage.KindInvalid {
-			return k
-		}
-	}
-	return storage.KindInvalid
+	return false
 }
 
 // greedyFilter takes the serial filter unless a cracked-index,
 // direct-on-compressed or parallel alternative beats it, the first of them to
 // do so in that order: selectivity made visible without statistics.
-func (o *optimizer) greedyFilter(n *logical.Filter, want string) (*Plan, error) {
-	c, err := o.greedy(n.Input, want)
+func (o *optimizer) greedyFilter(n *logical.Filter, want props.Cols) ([]slot, error) {
+	cs, err := o.greedy(n.Input, want)
 	if err != nil {
 		return nil, err
 	}
-	rows := o.estimator().Estimate(n)
+	rows := o.est.Estimate(n)
 	t := o.greedySite(want)
-	if provablyEmpty(n, c.Props) {
+	if o.provablyEmpty(n.Pred, cs[0].props) {
 		rows, t.pick.empty = 0, true
 	}
-	cs := []*Plan{c}
 	o.enumFilter(&t, n, cs, rows, serialTwins)
 	o.enumFilter(&t, n, cs, rows, parallelTwins)
-	return t.pick.best, nil
+	return t.picked(), nil
 }
 
 // greedySort sweeps the sort kinds serially, cheapest wins, then prices the
 // winner's parallel twin when a serial sort fits the budget; a provably empty
 // input skips the sweep — any algorithm sorts nothing equally well.
-func (o *optimizer) greedySort(n *logical.Sort) (*Plan, error) {
-	c, err := o.greedy(n.Input, n.Key)
+func (o *optimizer) greedySort(n *logical.Sort) ([]slot, error) {
+	cs, err := o.greedy(n.Input, props.ColsOf(o.col(n.Key)))
 	if err != nil {
 		return nil, err
 	}
-	t := o.greedySite("")
-	t.pick.empty = c.Rows == 0
-	o.enumSort(&t, c, n.Key, false, o.sortKinds(), serialTwins)
-	if t.pick.best != nil {
-		o.enumSort(&t, c, n.Key, false, []sortx.Kind{t.pick.best.SortKind}, parallelTwins)
+	t := o.greedySite(0)
+	t.pick.empty = cs[0].rows == 0
+	o.enumSort(&t, &cs[0], o.col(n.Key), false, o.sortKinds(), serialTwins)
+	if t.pick.have {
+		o.enumSort(&t, &cs[0], o.col(n.Key), false, []sortx.Kind{t.pick.best.sort}, parallelTwins)
 	}
 	return t.picked(), nil
 }
 
 // greedyJoin picks the roles and the kind the inputs' properties pay for and
 // prices that kind, its parallel twin and the AV-backed joins.
-func (o *optimizer) greedyJoin(n *logical.Join) (*Plan, error) {
-	lp, err := o.greedy(n.Left, n.LeftKey)
+func (o *optimizer) greedyJoin(n *logical.Join) ([]slot, error) {
+	ls, err := o.greedy(n.Left, props.ColsOf(o.col(n.LeftKey)))
 	if err != nil {
 		return nil, err
 	}
-	rp, err := o.greedy(n.Right, n.RightKey)
+	rs, err := o.greedy(n.Right, props.ColsOf(o.col(n.RightKey)))
 	if err != nil {
 		return nil, err
 	}
-	rows := o.estimator().Estimate(n)
-	if lp.Rows == 0 || rp.Rows == 0 {
+	lp, rp := &ls[0], &rs[0]
+	lk, rk := o.col(n.LeftKey), o.col(n.RightKey)
+	rows := o.est.Estimate(n)
+	if lp.rows == 0 || rp.rows == 0 {
 		rows = 0
 	}
 
 	// Role ordering by visible selectivity: the side the predicates (and
 	// cracked ranges, via the cardinality they imply) make smaller builds;
 	// the larger side streams through as the probe.
-	swapped := rp.Rows < lp.Rows
-	build, probe := lp, rp
-	buildKey, probeKey := n.LeftKey, n.RightKey
+	swapped := rp.rows < lp.rows
+	build, probe, buildKey, probeKey := lp, rp, lk, rk
 	if swapped {
-		build, probe = rp, lp
-		buildKey, probeKey = n.RightKey, n.LeftKey
+		build, probe, buildKey, probeKey = rp, lp, rk, lk
 	}
 
 	// Granule selection from the properties already paid for: sorted inputs
@@ -176,14 +142,13 @@ func (o *optimizer) greedyJoin(n *logical.Join) (*Plan, error) {
 	// static-perfect-hash directory, anything else hashes.
 	kind := physical.HJ
 	switch {
-	case lp.Props.SortedOn(n.LeftKey) && rp.Props.SortedOn(n.RightKey):
+	case lp.props.SortedOn(lk) && rp.props.SortedOn(rk):
 		kind, swapped = physical.OJ, false
-		build, probe = lp, rp
-		buildKey, probeKey = n.LeftKey, n.RightKey
-	case build.Props.DenseOn(buildKey):
+		build, probe, buildKey, probeKey = lp, rp, lk, rk
+	case build.props.DenseOn(buildKey):
 		kind = physical.SPHJ
 	}
-	if !kind.Admits(build.Props, probe.Props, buildKey, probeKey) {
+	if !kind.Admits(build.props, probe.props, buildKey, probeKey) {
 		// The heuristic's requirements are derived from the same properties
 		// it inspects, so this is defensive: fall back to the hash join,
 		// which requires nothing.
@@ -198,13 +163,13 @@ func (o *optimizer) greedyJoin(n *logical.Join) (*Plan, error) {
 			choices = append(choices, ch)
 		}
 	}
-	in := joinIn{n: n, lefts: []*Plan{lp}, rights: []*Plan{rp}, swaps: []bool{swapped}, choices: choices, rows: rows, indexed: true}
+	in := joinIn{n: n, lefts: ls, rights: rs, swaps: []bool{swapped}, choices: choices, rows: rows, indexed: true}
 	if swapped {
-		in.distinct[1] = o.estimator().ColDistinct(n.Right, n.RightKey)
+		in.distinct[1] = o.est.ColDistinct(n.Right, n.RightKey)
 	} else {
-		in.distinct[0] = o.estimator().ColDistinct(n.Left, n.LeftKey)
+		in.distinct[0] = o.est.ColDistinct(n.Left, n.LeftKey)
 	}
-	t := o.greedySite("")
+	t := o.greedySite(0)
 	o.enumJoin(&t, &in)
 	if t.pruned {
 		in.choices, in.indexed = unoffered(choices, joinSiblings[:]), false
@@ -216,25 +181,26 @@ func (o *optimizer) greedyJoin(n *logical.Join) (*Plan, error) {
 // greedyGroup picks the kind the input's properties pay for (order-based on
 // grouped input, SPH on a dense key, hash otherwise) and prices it and its
 // parallel twin.
-func (o *optimizer) greedyGroup(n *logical.GroupBy) (*Plan, error) {
-	c, err := o.greedy(n.Input, n.Key)
+func (o *optimizer) greedyGroup(n *logical.GroupBy) ([]slot, error) {
+	cs, err := o.greedy(n.Input, props.ColsOf(o.col(n.Key)))
 	if err != nil {
 		return nil, err
 	}
-	groups := o.estimator().ColDistinct(n.Input, n.Key)
-	rows := o.estimator().Estimate(n)
-	if c.Rows == 0 {
+	c, key := &cs[0], o.col(n.Key)
+	groups := o.est.ColDistinct(n.Input, n.Key)
+	rows := o.est.Estimate(n)
+	if c.rows == 0 {
 		rows = 0
 	}
 
 	kind := physical.HG
 	switch {
-	case c.Props.GroupedOn(n.Key):
+	case c.props.GroupedOn(key):
 		kind = physical.OG
-	case c.Props.DenseOn(n.Key):
+	case c.props.DenseOn(key):
 		kind = physical.SPHG
 	}
-	if !kind.Admits(c.Props, n.Key) {
+	if !kind.Admits(c.props, key) {
 		kind = physical.HG
 	}
 	var buf [2]physio.GroupChoice
@@ -244,10 +210,10 @@ func (o *optimizer) greedyGroup(n *logical.GroupBy) (*Plan, error) {
 			choices = append(choices, ch)
 		}
 	}
-	t := o.greedySite("")
-	o.enumGroup(&t, n.Key, n.Aggs, []*Plan{c}, choices, rows, groups)
+	t := o.greedySite(0)
+	o.enumGroup(&t, n, cs, choices, rows, groups)
 	if t.pruned {
-		o.enumGroup(&t, n.Key, n.Aggs, []*Plan{c}, unoffered(choices, groupSiblings[:]), rows, groups)
+		o.enumGroup(&t, n, cs, unoffered(choices, groupSiblings[:]), rows, groups)
 	}
 	return t.picked(), nil
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"dqo/internal/cost"
@@ -59,164 +61,132 @@ func Optimize(n logical.Node, mode Mode) (*Result, error) {
 		return nil, fmt.Errorf("core: mode %q has no cost model", mode.Name)
 	}
 	start := time.Now()
-	o := &optimizer{mode: mode}
-	var plans []*Plan
-	var err error
+	o, err := newOptimizer(n, mode)
+	if err != nil {
+		return nil, err
+	}
+	var plans []slot
 	if mode.Greedy {
-		var best *Plan
-		best, err = o.greedy(n, "")
-		plans = []*Plan{best}
+		plans, err = o.greedy(n, 0)
 	} else {
 		plans, err = o.optimize(n)
 	}
 	if err != nil {
 		return nil, err
 	}
-	best := cheapest(plans)
-	if best == nil {
+	if len(plans) == 0 {
 		return nil, fmt.Errorf("core: no plan found for %s", n)
 	}
+	best := slices.MinFunc(plans, func(a, b slot) int { return cmp.Compare(a.cost, b.cost) }) // the first of the cheapest
+	p := o.build(&best)
 	o.stats.Duration = time.Since(start)
 	o.stats.Kept = len(plans)
-	return &Result{Best: best, Mode: mode, Stats: o.stats}, nil
+	return &Result{Best: p, Mode: mode, Stats: o.stats}, nil
 }
 
 type optimizer struct {
 	mode  Mode
 	stats Stats
-	// scanProps memoises the restricted scan properties per relation: every
-	// tier revisits base relations within one run (compressed twins, AV
-	// variants and fallbacks, cracked and direct-on-compressed filter bases),
-	// and the extraction walks every column's statistics.
-	scanProps map[*storage.Relation]outProps
-	// est shares one memoised cardinality estimator across the whole run —
-	// the greedy pass asks about every node it visits, and the DP tiers
-	// revisit subtree cardinalities per enumeration site.
-	est *logical.Estimator
+	tab   *props.Table // numbers the query's columns for every set of the run
+	// scans memoises a relation's scan properties, which every tier revisits
+	// (twins, AV variants, filter bases); est memoises the estimates.
+	scans []scanProps
+	est   *logical.Estimator
+	aux   []aux // the payloads slots refer to by position + 1
+	// slab holds the finished tables' slots (keep); buf is the scratch table
+	// a site under construction takes (site.table).
+	slab, buf []slot
 }
 
-// estimator returns the run-shared memoised estimator, creating it on first
-// use.
-func (o *optimizer) estimator() *logical.Estimator {
-	if o.est == nil {
-		o.est = logical.NewEstimator()
-	}
-	return o.est
+type scanProps struct {
+	rel *storage.Relation
+	outProps
 }
 
-// cheapest returns the lowest-cost plan (ties: first wins, which prefers
-// the earlier-enumerated, less physical alternative — matching the paper's
-// outcome that order-based plans win the sorted/sorted cell).
-func cheapest(plans []*Plan) *Plan {
-	var best *Plan
-	for _, p := range plans {
-		if best == nil || p.Cost < best.Cost {
-			best = p
+// newOptimizer numbers the columns of n (its scans' relations and their AV
+// variants, and its key columns) for a run under mode.
+func newOptimizer(n logical.Node, mode Mode) (*optimizer, error) {
+	scans, keys := logical.Inputs(n)
+	rels := make([]*storage.Relation, 0, len(scans))
+	for _, s := range scans {
+		rels = append(rels, s.Rel)
+		if mode.Scans != nil {
+			for _, v := range mode.Scans.ScanVariants(s.Table) {
+				rels = append(rels, v.Rel)
+			}
 		}
 	}
-	return best
+	o := &optimizer{mode: mode, tab: props.NewTable(rels, keys, mode.Depth == physio.Deep), est: logical.NewEstimator()}
+	for _, k := range keys {
+		if _, ok := o.tab.Col(k); !ok {
+			return nil, fmt.Errorf("core: %s names more than %d key columns", n, props.MaxCols)
+		}
+	}
+	return o, nil
 }
 
-// scanPropsOf returns the restricted property set of a stored relation with
-// its table key, computed once per run. Property sets are immutable once
-// built, so every plan over the relation shares the one value.
+// col returns the ordinal of a key column (newOptimizer numbered them all).
+func (o *optimizer) col(name string) props.Col {
+	c, _ := o.tab.Col(name)
+	return c
+}
+
+// colsOf returns the numbered columns among names.
+func (o *optimizer) colsOf(names []string) props.Cols {
+	var cs props.Cols
+	for _, name := range names {
+		if c, ok := o.tab.Col(name); ok {
+			cs |= props.ColsOf(c)
+		}
+	}
+	return cs
+}
+
+// addAux stores an alternative's payload and returns its reference.
+func (o *optimizer) addAux(a aux) int32 {
+	o.aux = append(o.aux, a)
+	return int32(len(o.aux))
+}
+
+// scanPropsOf returns the property set of a stored relation with its table
+// key, computed once per run.
 func (o *optimizer) scanPropsOf(rel *storage.Relation) outProps {
-	if ps, ok := o.scanProps[rel]; ok {
-		return ps
+	for i := range o.scans {
+		if o.scans[i].rel == rel {
+			return o.scans[i].outProps
+		}
 	}
-	ps := keyed(o.restrict(logical.ScanProps(rel)))
-	if o.scanProps == nil {
-		o.scanProps = make(map[*storage.Relation]outProps, 8)
-	}
-	o.scanProps[rel] = ps
+	ps := keyed(o.tab.Scan(rel))
+	o.scans = append(o.scans, scanProps{rel, ps})
 	return ps
 }
 
 // The footprint of a node is its estimated output row width and peak
 // resident memory (Plan.Width / Plan.Mem), derived from its children:
-// breakers account their materialised input, kernel working set, and output;
-// streaming operators only what their consumer accumulates. Breaker sites
-// compute Mem before they build a plan, because a mode with a MemBudget prunes
-// on it.
-
-// setFootprint fills Width and Mem of a scan, filter, project or sort node.
-func setFootprint(p *Plan) {
-	switch p.Op {
-	case OpScan:
-		p.Width = 8
-		if n := p.Rel.NumRows(); n > 0 {
-			p.Width = float64(p.Rel.MemBytes()) / float64(n)
-		}
-		p.Mem = 0 // morsels are zero-copy views of the base table
-	case OpFilter:
-		c := p.Children[0]
-		p.Width = c.Width
-		p.Mem = math.Max(c.Mem, p.Rows*p.Width)
-	case OpProject:
-		c := p.Children[0]
-		p.Width = 8 * float64(len(p.Cols))
-		if c.Width > 0 && p.Width > c.Width {
-			p.Width = c.Width
-		}
-		p.Mem = c.Mem
-	case OpSort:
-		c := p.Children[0]
-		p.Width = c.Width
-		p.Mem = sortMem(c, p.DOP > 1)
-	}
-}
+// breakers account their materialised input, kernel working set and output;
+// streaming operators what their consumer accumulates.
 
 // sortMem is the Mem of a sort of c: input, sort working set and output
 // resident at once.
-func sortMem(c *Plan, parallel bool) float64 {
-	resident := c.Rows*c.Width + cost.MemSort(c.Rows, parallel) + c.Rows*c.Width
-	return math.Max(c.Mem, resident)
+func sortMem(c *slot, parallel bool) float64 {
+	resident := c.rows*c.width + cost.MemSort(c.rows, parallel) + c.rows*c.width
+	return math.Max(c.mem, resident)
 }
 
 // joinMem is the Mem of a join of lp and rp emitting rows rows: both inputs
 // materialised, the kernel's working set, and the emitted pair-gathered
 // output resident at once.
-func joinMem(lp, rp *Plan, rows, work float64) float64 {
-	resident := lp.Rows*lp.Width + rp.Rows*rp.Width + work + rows*(lp.Width+rp.Width)
-	return math.Max(math.Max(lp.Mem, rp.Mem), resident)
+func joinMem(lp, rp *slot, rows, work float64) float64 {
+	resident := lp.rows*lp.width + rp.rows*rp.width + work + rows*(lp.width+rp.width)
+	return math.Max(math.Max(lp.mem, rp.mem), resident)
 }
 
 // groupWidth is the output row width of a grouping with the given aggregates.
 func groupWidth(aggs []expr.AggSpec) float64 { return 4 + 8*float64(len(aggs)) }
 
 // groupMem is the Mem of a grouping of c into rows groups of the given width.
-func groupMem(c *Plan, rows, width, work float64) float64 {
-	return math.Max(c.Mem, c.Rows*c.Width+work+rows*width)
-}
-
-// restrict hides the properties the mode does not track — the SQO/DQO
-// delta. Shallow enumeration keeps sortedness (and what follows from it) but
-// is blind to density: its property vector simply never contains a dense
-// domain, so SPH-based alternatives are unreachable.
-//
-// Sets are immutable once built, so a set with nothing dense is returned
-// as-is and otherwise only the domain map is copied.
-func (o *optimizer) restrict(s props.Set) props.Set {
-	if o.mode.Depth == physio.Deep {
-		return s
-	}
-	anyDense := false
-	for _, d := range s.Cols {
-		if d.Dense {
-			anyDense = true
-			break
-		}
-	}
-	if !anyDense {
-		return s
-	}
-	cols := make(map[string]props.Domain, len(s.Cols))
-	for c, d := range s.Cols {
-		d.Dense = false
-		cols[c] = d
-	}
-	s.Cols = cols
-	return s
+func groupMem(c *slot, rows, width, work float64) float64 {
+	return math.Max(c.mem, c.rows*c.width+work+rows*width)
 }
 
 func (o *optimizer) sortKinds() []sortx.Kind {
@@ -227,131 +197,143 @@ func (o *optimizer) sortKinds() []sortx.Kind {
 }
 
 // isStreamSegment reports whether p is a scan→filter→project chain a
-// parallel pipe can be fanned over: every stage is morsel-decomposable and
-// the source is a plain (or AV-variant) table scan. Cracked and
-// direct-on-compressed filters are excluded — both replace the scan with a
-// whole-table position-list probe.
-func isStreamSegment(p *Plan) bool {
+// parallel pipe can be fanned over. Cracked and direct-on-compressed
+// filters are not: both replace the scan with a whole-table probe.
+func isStreamSegment(p *slot) bool {
 	for {
 		switch {
-		case p.Op == OpScan:
+		case p.op == OpScan:
 			return true
-		case p.Op == OpFilter && p.Crack == nil && p.Enc == storage.EncNone,
-			p.Op == OpProject:
-			p = p.Children[0]
+		case p.op == OpFilter && p.v == ordinary, p.op == OpProject:
+			p = p.in[0]
 		default:
 			return false
 		}
 	}
 }
 
-// The constructors below fill in the plan node p, which the consumer of the
-// enumeration owns: a DP table builds each winner afresh, the greedy tier
-// rewrites its one running best in place.
+// The constructors below describe one alternative as a slot; the plan node
+// is built from it only if it is part of the chosen plan (build).
 
-// inputs returns children as p's input list, reusing the list p holds when it
-// is rebuilt in place.
-func (p *Plan) inputs(children ...*Plan) []*Plan { return append(p.Children[:0], children...) }
-
-// scanPlan builds one way of reading n's table: the stored relation, an AV
-// variant of it, or (enc set) its compressed-scan twin.
-func (o *optimizer) scanPlan(p *Plan, n *logical.Scan, rel *storage.Relation, av string, enc storage.Encoding, cost float64) {
-	*p = Plan{
-		Op: OpScan, Table: n.Table, Rel: rel, AV: av, Enc: enc,
-		Props: o.scanPropsOf(rel).set,
-		Rows:  o.estimator().Estimate(n),
-		Cost:  cost,
+// scanSlot is one way of reading n's table, of rows rows: the stored
+// relation, the AV variant av of it (rel), or (enc set) its compressed-scan
+// twin.
+func (o *optimizer) scanSlot(n *logical.Scan, rel *storage.Relation, av string, enc storage.Encoding, rows, cost float64) slot {
+	ps, width := o.scanPropsOf(rel), 8.0
+	if rows := rel.NumRows(); rows > 0 {
+		width = float64(rel.MemBytes()) / float64(rows)
 	}
-	setFootprint(p)
+	p := slot{key: ps.key, props: ps.set, cost: cost, rows: rows, width: width, node: n, how: how{op: OpScan, enc: enc}}
+	if av != "" {
+		p.aux = o.addAux(aux{rel: rel, av: av})
+	}
+	return p
 }
 
-// filterPlan builds the filter of c by n's predicate, as a stage of a
-// dop-wide morsel pipe when dop > 1. Filtering preserves order, clustering,
-// correlations, and domains-as-bounds (a filtered dense domain stays
-// SPH-addressable; it is merely no longer minimal). The pipe re-emits morsels
-// in input order, so the parallel variant's properties are the serial
-// filter's — parallelism is purely a cost trade the model prices with its
-// Parallel term.
-func filterPlan(p *Plan, n *logical.Filter, c *Plan, dop int, rows, cost float64) {
-	*p = Plan{
-		Op: OpFilter, Children: p.inputs(c), Pred: n.Pred, DOP: dop,
-		Props: c.Props,
-		Rows:  rows,
-		Cost:  cost,
-	}
-	setFootprint(p)
+// filterSlot is the filter of c by n's predicate, as a stage of a dop-wide
+// morsel pipe when dop > 1. A filter keeps its input's properties, domains
+// as bounds included (a filtered dense domain stays SPH-addressable), and
+// the pipe re-emits morsels in input order: parallelism is a cost trade.
+func filterSlot(n *logical.Filter, c *slot, dop int, rows, cost float64) slot {
+	return slot{key: c.key, props: c.props, cost: cost, rows: rows, width: c.width, mem: math.Max(c.mem, rows*c.width),
+		in: [2]*slot{c}, node: n, how: how{op: OpFilter, dop: dop}}
 }
 
-// projectPlan builds the projection of c onto cols. Projection is zero-cost;
-// it inherits the child's pipe membership so a project above a parallel
-// filter stays inside the same morsel pipe.
-func projectPlan(p *Plan, c *Plan, cols []string, out props.Set) {
-	dop := 0
-	if c.Op == OpFilter || c.Op == OpProject {
-		dop = c.DOP
-	}
-	*p = Plan{
-		Op: OpProject, Children: p.inputs(c), Cols: cols, DOP: dop,
-		Props: out,
-		Rows:  c.Rows,
-		Cost:  c.Cost,
-	}
-	setFootprint(p)
-}
-
-// sortPlan builds the sort of child by key (a user sort, or an enforcer the
+// sortSlot is the sort of c by key (a user sort, or an enforcer the
 // optimiser inserts) with the given algorithm, at dop > 1 as per-worker
-// sorted runs + k-way merge. out is child's vector after the sort.
-func sortPlan(p *Plan, child *Plan, key string, sk sortx.Kind, dop int, enforcer bool, out props.Set, cost float64) {
-	*p = Plan{
-		Op: OpSort, Children: p.inputs(child),
-		SortKey: key, SortKind: sk, Enforcer: enforcer, DOP: dop,
-		Props: out,
-		Rows:  child.Rows,
-		Cost:  cost,
-	}
-	setFootprint(p)
+// sorted runs + k-way merge. out is c's vector after the sort.
+func sortSlot(c *slot, key props.Col, sk sortx.Kind, dop int, enforcer bool, out outProps, cost float64) slot {
+	return slot{key: out.key, props: out.set, cost: cost, rows: c.rows, width: c.width, mem: sortMem(c, dop > 1),
+		in: [2]*slot{c}, how: how{op: OpSort, sort: sk, col: key, enforcer: enforcer, dop: dop}}
 }
 
-// joinPlan builds the join of lp and rp on leftKey = rightKey as choice ch,
-// commuted (build on the right input, probe with the left) when swapped.
-func joinPlan(p *Plan, lp, rp *Plan, leftKey, rightKey string, ch physio.JoinChoice, swapped bool, out props.Set, rows, cost, mem float64) {
-	build, buildKey := lp, leftKey
-	if swapped {
-		build, buildKey = rp, rightKey
-	}
-	*p = Plan{
-		Op: OpJoin, Children: p.inputs(lp, rp),
-		Join: ch, LeftKey: leftKey, RightKey: rightKey, Swapped: swapped,
-		DOP:    ch.Opt.Parallel,
-		KeyDom: build.Props.Domain(buildKey),
-		Props:  out,
-		Rows:   rows,
-		Cost:   cost,
-		Width:  lp.Width + rp.Width,
-		Mem:    mem,
-	}
+// joinSlot is the join n of lp and rp as choice ch, commuted (build on the
+// right input, probe with the left) when swapped.
+func joinSlot(n *logical.Join, lp, rp *slot, ch physio.JoinChoice, swapped bool, out outProps, rows, cost, mem float64) slot {
+	return slot{key: out.key, props: out.set, cost: cost, rows: rows, width: lp.width + rp.width, mem: mem,
+		in: [2]*slot{lp, rp}, node: n, how: how{op: OpJoin, join: ch, dop: ch.Opt.Parallel, swapped: swapped}}
 }
 
-// groupPlan builds the grouping of c on key as choice ch.
-func groupPlan(p *Plan, c *Plan, key string, aggs []expr.AggSpec, ch physio.GroupChoice, out props.Set, rows, cost, mem float64) {
-	*p = Plan{
-		Op: OpGroup, Children: p.inputs(c),
-		Group: ch, GroupKey: key, Aggs: aggs,
-		DOP:    ch.Opt.Parallel,
-		KeyDom: c.Props.Domain(key),
-		Props:  out,
-		Rows:   rows,
-		Cost:   cost,
-		Width:  groupWidth(aggs),
-		Mem:    mem,
+// build returns the plan of the slot tree under root, built top-down once
+// enumeration has ended: one node per slot, the nodes and their child lists
+// allocated at once (a tree of n nodes has n-1 links).
+func (o *optimizer) build(root *slot) *Plan {
+	n := root.size()
+	b := builder{o: o, nodes: make([]Plan, n), links: make([]*Plan, n-1)}
+	return b.plan(root)
+}
+
+// size counts the slots of the tree under s.
+func (s *slot) size() int {
+	n := 1
+	for _, c := range s.in {
+		if c != nil {
+			n += c.size()
+		}
 	}
+	return n
+}
+
+// builder hands out the nodes and child lists of one plan.
+type builder struct {
+	o     *optimizer
+	nodes []Plan
+	links []*Plan
+}
+
+// plan builds the node of s over the plans of its inputs.
+func (b *builder) plan(s *slot) *Plan {
+	p := &b.nodes[0]
+	b.nodes = b.nodes[1:]
+	*p = Plan{Op: s.op, DOP: s.dop, Spill: s.spill, Props: s.props, Rows: s.rows, Cost: s.cost, Width: s.width, Mem: s.mem}
+	if s.spill {
+		p.DOP = 0
+	}
+	k := 0
+	for k < 2 && s.in[k] != nil {
+		k++
+	}
+	if k > 0 {
+		p.Children, b.links = b.links[:k:k], b.links[k:]
+	}
+	for i := range p.Children {
+		p.Children[i] = b.plan(s.in[i])
+	}
+	var x aux
+	if s.aux > 0 {
+		x = b.o.aux[s.aux-1]
+	}
+	switch n := s.node.(type) {
+	case *logical.Scan:
+		p.Table, p.Rel, p.Enc, p.AV = n.Table, n.Rel, s.enc, x.av
+		if x.rel != nil {
+			p.Rel = x.rel
+		}
+	case *logical.Filter:
+		p.Pred, p.AV, p.Crack, p.CrackLo, p.CrackHi = n.Pred, x.av, x.crack, x.lo, x.hi
+		p.Enc, p.EncCol, p.EncLo, p.EncHi, p.SegsSkipped, p.SegsTotal = s.enc, x.encCol, x.encLo, x.encHi, x.skipped, x.total
+	case *logical.Project:
+		p.Cols = n.Cols
+	case *logical.Join:
+		p.Join, p.LeftKey, p.RightKey, p.Swapped, p.AV, p.Index = s.join, n.LeftKey, n.RightKey, s.swapped, x.av, x.index
+		build, key := p.Children[0], n.LeftKey
+		if s.swapped {
+			build, key = p.Children[1], n.RightKey
+		}
+		p.KeyDom = build.Props.Domain(b.o.col(key))
+	case *logical.GroupBy:
+		p.Group, p.GroupKey, p.Aggs = s.group, n.Key, n.Aggs
+		p.KeyDom = p.Children[0].Props.Domain(b.o.col(n.Key))
+	default:
+		p.SortKey, p.SortKind, p.Enforcer = b.o.tab.Column(s.col).Name, s.sort, s.enforcer
+	}
+	return p
 }
 
 // optimize returns the DP table of n: per distinct output property vector
-// the cheapest plan. Every site costs its alternatives one by one against a
-// site table and builds only those that take a place in it.
-func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
+// the cheapest alternative. Every site costs its alternatives one by one
+// against a site table, which keeps each that takes a place as a slot.
+func (o *optimizer) optimize(n logical.Node) ([]slot, error) {
 	t := site{o: o}
 	switch n := n.(type) {
 	case *logical.Scan:
@@ -362,16 +344,20 @@ func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		o.enumFilter(&t, n, children, o.estimator().Estimate(n), serialTwins|parallelTwins)
+		o.enumFilter(&t, n, children, o.est.Estimate(n), serialTwins|parallelTwins)
 
 	case *logical.Project:
 		children, err := o.optimize(n.Input)
 		if err != nil {
 			return nil, err
 		}
-		for _, c := range children {
-			out := keyed(c.Props.Project(n.Cols...))
-			t.offer(ordinary, out.key, c.Cost, func(p *Plan) { projectPlan(p, c, n.Cols, out.set) })
+		keep := o.colsOf(n.Cols)
+		for i := range children {
+			c := &children[i]
+			out := keyed(c.props.Project(keep))
+			if p := t.admit(ordinary, out.key, c.cost); p != nil {
+				*p = projectSlot(n, c, out)
+			}
 		}
 
 	case *logical.Sort:
@@ -379,8 +365,8 @@ func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, c := range children {
-			o.enumSort(&t, c, n.Key, false, o.sortKinds(), serialTwins|parallelTwins)
+		for i := range children {
+			o.enumSort(&t, &children[i], o.col(n.Key), false, o.sortKinds(), serialTwins|parallelTwins)
 		}
 
 	case *logical.Join:
@@ -393,9 +379,9 @@ func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
 			return nil, err
 		}
 		o.enumJoin(&t, &joinIn{
-			n: n, lefts: o.withEnforcers(lefts, n.LeftKey), rights: o.withEnforcers(rights, n.RightKey),
-			swaps: []bool{false, true}, choices: o.joinChoices(), rows: o.estimator().Estimate(n),
-			distinct: [2]float64{o.estimator().ColDistinct(n.Left, n.LeftKey), o.estimator().ColDistinct(n.Right, n.RightKey)},
+			n: n, lefts: o.withEnforcers(lefts, o.col(n.LeftKey)), rights: o.withEnforcers(rights, o.col(n.RightKey)),
+			swaps: []bool{false, true}, choices: o.joinChoices(), rows: o.est.Estimate(n),
+			distinct: [2]float64{o.est.ColDistinct(n.Left, n.LeftKey), o.est.ColDistinct(n.Right, n.RightKey)},
 			indexed:  true,
 		})
 		if t.empty() {
@@ -407,8 +393,8 @@ func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		o.enumGroup(&t, n.Key, n.Aggs, o.withEnforcers(children, n.Key), o.groupChoices(),
-			o.estimator().Estimate(n), o.estimator().ColDistinct(n.Input, n.Key))
+		o.enumGroup(&t, n, o.withEnforcers(children, o.col(n.Key)), o.groupChoices(),
+			o.est.Estimate(n), o.est.ColDistinct(n.Input, n.Key))
 		if t.empty() {
 			return nil, fmt.Errorf("core: no applicable grouping implementation for %s", n)
 		}
@@ -417,6 +403,22 @@ func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
 		return nil, fmt.Errorf("core: cannot optimise %T", n)
 	}
 	return t.table(), nil
+}
+
+// projectSlot is the projection of c onto n's columns, with output vector
+// out. Projection is zero-cost; it inherits the child's pipe membership so a
+// project above a parallel filter stays inside the same morsel pipe.
+func projectSlot(n *logical.Project, c *slot, out outProps) slot {
+	dop := 0
+	if c.op == OpFilter || c.op == OpProject {
+		dop = c.dop
+	}
+	width := 8 * float64(len(n.Cols))
+	if c.width > 0 && width > c.width {
+		width = c.width
+	}
+	return slot{key: out.key, props: out.set, cost: c.cost, rows: c.rows, width: width, mem: c.mem,
+		in: [2]*slot{c}, node: n, how: how{op: OpProject, dop: dop}}
 }
 
 // Each kind of site has one enumerator below, which offers t every
@@ -430,9 +432,11 @@ func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
 // scan's, so a model blind to storage format (Paper) ties them and the plain
 // scan, enumerated first, wins.
 func (o *optimizer) enumScan(t *site, n *logical.Scan) {
-	rows := o.estimator().Estimate(n)
+	rows := o.est.Estimate(n)
 	offer := func(v variant, rel *storage.Relation, av string, enc storage.Encoding, cost float64) {
-		t.offer(v, o.scanPropsOf(rel).key, cost, func(p *Plan) { o.scanPlan(p, n, rel, av, enc, cost) })
+		if p := t.admit(v, o.scanPropsOf(rel).key, cost); p != nil {
+			*p = o.scanSlot(n, rel, av, enc, rows, cost)
+		}
 	}
 	offer(ordinary, n.Rel, "", storage.EncNone, o.mode.Model.Scan(rows))
 	if o.mode.Scans != nil {
@@ -442,51 +446,46 @@ func (o *optimizer) enumScan(t *site, n *logical.Scan) {
 			}
 		}
 	}
-	if o.mode.Depth == physio.Deep {
-		if enc := relCompression(n.Rel); enc != storage.EncNone {
-			offer(ordinary, n.Rel, "", enc, o.mode.Model.ScanCompressed(rows))
-		}
+	if enc := relCompression(n.Rel); enc != storage.EncNone && o.mode.Depth == physio.Deep {
+		offer(ordinary, n.Rel, "", enc, o.mode.Model.ScanCompressed(rows))
 	}
 }
 
 // enumFilter offers t the filter n over each of children, emitting rows:
-// serially and, over a streaming-segment child, as the parallel twin fanned
-// across a morsel pipe; then with the serial twins, for a range filter
-// directly over a base scan, as the cracked index (only the qualifying
-// pieces, cracking amortised to ~zero; piece order, so no order) and, at deep
-// enumeration, as the direct-on-compressed filter (zone maps answer whole
-// segments, RLE runs decide once, packed segments compare in delta space;
-// ascending gather, so the decoded filter's properties; priced from the exact
-// zone-map census), both over the bare scan the consumer plans
-// (site.scanBase).
-func (o *optimizer) enumFilter(t *site, n *logical.Filter, children []*Plan, rows float64, twins twinSet) {
-	for _, c := range children {
-		if twins&serialTwins != 0 {
-			serial := c.Cost + o.mode.Model.Filter(c.Rows)
-			t.offer(ordinary, c.key, serial, func(p *Plan) { filterPlan(p, n, c, 0, rows, serial) })
+// serially and, over a streaming segment, as the parallel pipe; then, with
+// the serial twins, for a range filter directly over a scan, as the cracked
+// index (piece order, so no order) and at deep enumeration as the
+// direct-on-compressed filter (priced from the exact zone-map census), both
+// over the bare scan the consumer plans (site.scanBase).
+func (o *optimizer) enumFilter(t *site, n *logical.Filter, children []slot, rows float64, twins twinSet) {
+	for i := range children {
+		c := &children[i]
+		if cost := c.cost + o.mode.Model.Filter(c.rows); twins&serialTwins != 0 {
+			if p := t.admit(ordinary, c.key, cost); p != nil {
+				*p = filterSlot(n, c, 0, rows, cost)
+			}
 		}
 		if dop := o.mode.dop(); dop > 1 && twins&parallelTwins != 0 && isStreamSegment(c) {
-			parallel := c.Cost + o.mode.Model.Parallel(o.mode.Model.Filter(c.Rows), dop)
-			t.offer(ordinary, c.key, parallel, func(p *Plan) { filterPlan(p, n, c, dop, rows, parallel) })
+			cost := c.cost + o.mode.Model.Parallel(o.mode.Model.Filter(c.rows), dop)
+			if p := t.admit(ordinary, c.key, cost); p != nil {
+				*p = filterSlot(n, c, dop, rows, cost)
+			}
 		}
 	}
-	if twins&serialTwins == 0 {
-		return
-	}
 	scan, isScan := n.Input.(*logical.Scan)
-	if !isScan {
+	if twins&serialTwins == 0 || !isScan {
 		return
 	}
 	col, lo, hi, isRange := relKeyRange(n.Pred, scan.Rel)
 	if isRange && o.mode.CrackedIdx != nil {
 		if idx, have := o.mode.CrackedIdx.Cracked(scan.Table, col); have && t.considers(cracked, props.Set{}) {
 			base := t.scanBase(scan, storage.EncNone)
-			out := t.keyed(base.Props.DropOrder())
-			cost := base.Cost + o.mode.Model.Filter(rows)
-			t.offer(cracked, out.key, cost, func(p *Plan) {
-				filterPlan(p, n, base, 0, rows, cost)
-				p.AV, p.Crack, p.CrackLo, p.CrackHi, p.Props = idx.Label(), idx, lo, hi, out.set
-			})
+			out, cost := keyed(base.props.DropOrder()), base.cost+o.mode.Model.Filter(rows)
+			if p := t.admit(cracked, out.key, cost); p != nil {
+				*p = filterSlot(n, base, 0, rows, cost)
+				p.key, p.props, p.v = out.key, out.set, cracked
+				p.aux = o.addAux(aux{av: idx.Label(), crack: idx, lo: lo, hi: hi})
+			}
 		}
 	}
 	if isRange && o.mode.Depth == physio.Deep {
@@ -494,35 +493,31 @@ func (o *optimizer) enumFilter(t *site, n *logical.Filter, children []*Plan, row
 			enc, skipped, total, work, ok := encFilterTarget(scan.Rel, col, plo, phi)
 			if ok && t.considers(encoded, props.Set{}) {
 				base := t.scanBase(scan, enc)
-				cost := base.Cost + o.mode.Model.FilterCompressed(base.Rows, float64(work), rows)
-				t.offer(encoded, t.keyed(base.Props).key, cost, func(p *Plan) {
-					filterPlan(p, n, base, 0, rows, cost)
-					p.Enc, p.EncCol, p.EncLo, p.EncHi, p.SegsSkipped, p.SegsTotal = enc, col, plo, phi, skipped, total
-				})
+				cost := base.cost + o.mode.Model.FilterCompressed(base.rows, float64(work), rows)
+				if p := t.admit(encoded, base.key, cost); p != nil {
+					*p = filterSlot(n, base, 0, rows, cost)
+					p.v, p.enc = encoded, enc
+					p.aux = o.addAux(aux{encCol: col, encLo: plo, encHi: phi, skipped: skipped, total: total})
+				}
 			}
 		}
 	}
 }
 
-// joinOutProps derives the output properties of a join of the given kind,
-// restricted to what the mode tracks. Optimisers that do not look below the
-// operator boundary are not told that probe-major joins preserve the probe
-// side's order (classical assumption: hash joins destroy order; only the
-// order-based family preserves it). The result depends on the kind only
-// through joinSorted.
-func (o *optimizer) joinOutProps(kind physical.JoinKind, build, probe props.Set, buildKey, probeKey string) props.Set {
+// joinOutProps derives the output properties of a join of the given kind. A
+// mode that does not track probe order is not told that probe-major joins
+// keep the probe side's order. The kind matters only through joinSorted.
+func (o *optimizer) joinOutProps(kind physical.JoinKind, build, probe props.Set, buildKey, probeKey props.Col) props.Set {
 	out := kind.OutputProps(build, probe, buildKey, probeKey)
 	if !o.mode.TrackProbeOrder && !kind.KeyOrdered() {
-		out.SortedBy, out.GroupedBy = nil, nil // fresh and unshared: no copy to defend
+		out = out.DropOrder()
 	}
-	return o.restrict(out)
+	return out
 }
 
 // joinSorted reports whether joinOutProps of kind over this probe side is in
-// key order: the kind's own rule (physical.JoinKind.SortsOutput), where the
-// mode tracks probe order or the kind is key-ordered. Kinds that agree derive
-// the same output vector from one pair of inputs.
-func (o *optimizer) joinSorted(kind physical.JoinKind, probe props.Set, probeKey string) bool {
+// key order (physical.JoinKind.SortsOutput, where the mode lets it tell).
+func (o *optimizer) joinSorted(kind physical.JoinKind, probe props.Set, probeKey props.Col) bool {
 	return (o.mode.TrackProbeOrder || kind.KeyOrdered()) && kind.SortsOutput(probe, probeKey)
 }
 
@@ -536,40 +531,41 @@ const (
 )
 
 // enumSort offers t the sorts of c by key: each of kinds serially and, at
-// deep DOP > 1, as its parallel twin (identical output, so identical
-// properties; only the cost differs) — one property vector for all of them.
-// A user sort of input already sorted on key is a no-op, kept for plan-shape
-// fidelity at zero cost; it has no parallel twin. A user sort is a breaker
-// site under the memory budget; enforcers are candidates for the operator
-// above and are pruned there. Sorts spill at any sort kind, serially: stable
-// runs merge into the stable full sort.
-func (o *optimizer) enumSort(t *site, c *Plan, key string, enforcer bool, kinds []sortx.Kind, twins twinSet) {
+// DOP > 1, as its parallel twin — one property vector for all. A user sort
+// of input sorted on key is a zero-cost no-op without a twin. A user sort is
+// a breaker under the memory budget; enforcers are pruned at the operator
+// above. Sorts spill at any kind, serially.
+func (o *optimizer) enumSort(t *site, c *slot, key props.Col, enforcer bool, kinds []sortx.Kind, twins twinSet) {
 	fit := o.fits(c)
-	if !enforcer && c.Props.SortedOn(key) {
-		if twins&serialTwins != 0 {
-			t.offerBreaker(c.key, c.Cost, sortMem(c, false), twinRank(true, fit), func(p *Plan) {
-				sortPlan(p, c, key, sortx.Radix, 0, false, c.Props, c.Cost)
-			})
+	if !enforcer && c.props.SortedOn(key) {
+		if twins&serialTwins == 0 {
+			return
+		}
+		if p := t.admitBreaker(c.key, c.cost, sortMem(c, false), twinRank(true, fit)); p != nil {
+			*p = sortSlot(c, key, sortx.Radix, 0, false, outProps{set: c.props, key: c.key}, c.cost)
 		}
 		return
 	}
-	out := t.keyed(c.Props.AfterSortBy(key))
+	out := keyed(c.props.AfterSortBy(key))
 	offer := func(sk sortx.Kind, dop int, cost float64) {
-		build := func(p *Plan) { sortPlan(p, c, key, sk, dop, enforcer, out.set, cost) }
+		var p *slot
 		if enforcer {
-			t.offer(ordinary, out.key, cost, build)
+			p = t.admit(ordinary, out.key, cost)
 		} else {
-			t.offerBreaker(out.key, cost, sortMem(c, dop > 1), twinRank(dop <= 1, fit), build)
+			p = t.admitBreaker(out.key, cost, sortMem(c, dop > 1), twinRank(dop <= 1, fit))
+		}
+		if p != nil {
+			*p = sortSlot(c, key, sk, dop, enforcer, out, cost)
 		}
 	}
 	dop := o.mode.dop()
 	for _, sk := range kinds {
-		serial := o.mode.Model.SortBy(c.Rows, sk)
+		serial := o.mode.Model.SortBy(c.rows, sk)
 		if twins&serialTwins != 0 {
-			offer(sk, 0, c.Cost+serial)
+			offer(sk, 0, c.cost+serial)
 		}
 		if dop > 1 && twins&parallelTwins != 0 {
-			offer(sk, dop, c.Cost+o.mode.Model.Parallel(serial, dop))
+			offer(sk, dop, c.cost+o.mode.Model.Parallel(serial, dop))
 		}
 	}
 }
@@ -577,11 +573,12 @@ func (o *optimizer) enumSort(t *site, c *Plan, key string, enforcer bool, kinds 
 // withEnforcers returns the candidate input plans for an operator that
 // might want its input sorted by key: the originals plus, for each plan not
 // already sorted on key, sort-enforced variants.
-func (o *optimizer) withEnforcers(plans []*Plan, key string) []*Plan {
+func (o *optimizer) withEnforcers(plans []slot, key props.Col) []slot {
 	// The originals come from a finished table: one vector each.
-	t := site{o: o, plans: append(make([]*Plan, 0, 2*len(plans)), plans...)}
-	for _, p := range plans {
-		if !p.Props.SortedOn(key) {
+	t := site{o: o, plans: append(o.buf[:0], plans...)}
+	o.buf = nil
+	for i := range plans {
+		if p := &plans[i]; !p.props.SortedOn(key) {
 			o.enumSort(&t, p, key, true, o.sortKinds(), serialTwins|parallelTwins)
 		}
 	}
@@ -596,7 +593,7 @@ func (o *optimizer) joinChoices() []physio.JoinChoice {
 // joinIn is the input of a join site's enumeration.
 type joinIn struct {
 	n             *logical.Join
-	lefts, rights []*Plan
+	lefts, rights []slot
 	swaps         []bool // the orientations: false builds on the left input
 	choices       []physio.JoinChoice
 	rows          float64    // estimated output rows
@@ -605,42 +602,43 @@ type joinIn struct {
 }
 
 // enumJoin offers t the implementations of in.n over every pair of its
-// input plans, in each of in.swaps — join commutativity: the same choices
-// with build and probe roles exchanged; requirements and costs are evaluated
-// with the right input as the build side, the output schema is unchanged.
-// Only the serial hash join has a disk-backed twin (grace partitioning).
+// input plans, in each of in.swaps (the commuted join builds on the right
+// input; the output schema is unchanged). Only the serial hash join has a
+// disk-backed twin.
 func (o *optimizer) enumJoin(t *site, in *joinIn) {
 	n, rows := in.n, in.rows
-	for _, lp := range in.lefts {
-		for _, rp := range in.rights {
+	lk, rk := o.col(n.LeftKey), o.col(n.RightKey)
+	for i := range in.lefts {
+		lp := &in.lefts[i]
+		for j := range in.rights {
+			rp := &in.rights[j]
 			fit := o.fits(lp, rp)
 			for _, swapped := range in.swaps {
-				build, probe, buildKey, probeKey, distinct := lp, rp, n.LeftKey, n.RightKey, in.distinct[0]
+				build, probe, buildKey, probeKey, distinct := lp, rp, lk, rk, in.distinct[0]
 				if swapped {
-					build, probe, buildKey, probeKey, distinct = rp, lp, n.RightKey, n.LeftKey, in.distinct[1]
+					build, probe, buildKey, probeKey, distinct = rp, lp, rk, lk, in.distinct[1]
 				}
 				// One output vector per output order: key-ordered (the
 				// order-based family, and probe-major over a probe side
 				// sorted on its key) or not.
 				var sorted, unsorted outProps
-				for i := range in.choices {
-					ch := in.choices[i]
-					if !ch.Kind.Admits(build.Props, probe.Props, buildKey, probeKey) {
+				for _, ch := range in.choices {
+					if !ch.Kind.Admits(build.props, probe.props, buildKey, probeKey) {
 						continue
 					}
 					out := &unsorted
-					if o.joinSorted(ch.Kind, probe.Props, probeKey) {
+					if o.joinSorted(ch.Kind, probe.props, probeKey) {
 						out = &sorted
 					}
 					if !out.ok {
-						*out = t.keyed(o.joinOutProps(ch.Kind, build.Props, probe.Props, buildKey, probeKey))
+						*out = keyed(o.joinOutProps(ch.Kind, build.props, probe.props, buildKey, probeKey))
 					}
-					total := lp.Cost + rp.Cost + o.mode.Model.Join(ch, build.Rows, probe.Rows, distinct)
-					mem := joinMem(lp, rp, rows, cost.MemJoin(ch, build.Rows, probe.Rows, distinct, rows))
+					total := lp.cost + rp.cost + o.mode.Model.Join(ch, build.rows, probe.rows, distinct)
+					mem := joinMem(lp, rp, rows, cost.MemJoin(ch, build.rows, probe.rows, distinct, rows))
 					spillable := ch.Kind == physical.HJ && ch.Opt.Parallel <= 1
-					t.offerBreaker(out.key, total, mem, twinRank(spillable, fit), func(p *Plan) {
-						joinPlan(p, lp, rp, n.LeftKey, n.RightKey, ch, swapped, out.set, rows, total, mem)
-					})
+					if p := t.admitBreaker(out.key, total, mem, twinRank(spillable, fit)); p != nil {
+						*p = joinSlot(n, lp, rp, ch, swapped, *out, rows, total, mem)
+					}
 				}
 			}
 		}
@@ -650,15 +648,12 @@ func (o *optimizer) enumJoin(t *site, in *joinIn) {
 	}
 }
 
-// indexedJoins offers t the AV-backed alternatives of join n: for either
-// input that is the bare base scan of a table with a prebuilt index on its
-// join key, the build phase was paid offline (or by an earlier execution
-// whose table was adopted), so the join is that index probed with the other
-// input — one alternative per candidate plan of the other input, charged the
-// probe only and holding no build working set. An index under the right
-// input is the commuted join: probe with the left, output in the left's
-// order. The consumer plans the indexed table's bare scan.
-func (o *optimizer) indexedJoins(t *site, n *logical.Join, lefts, rights []*Plan, rows float64) {
+// indexedJoins offers t the AV-backed alternatives of join n: where either
+// input is the bare scan of a table with a prebuilt index on its join key,
+// that index probed with each plan of the other input, charged the probe
+// only (an index under the right input is the commuted join). The consumer
+// plans the indexed table's bare scan.
+func (o *optimizer) indexedJoins(t *site, n *logical.Join, lefts, rights []slot, rows float64) {
 	if o.mode.Indexes == nil {
 		return
 	}
@@ -676,23 +671,25 @@ func (o *optimizer) indexedJoins(t *site, n *logical.Join, lefts, rights []*Plan
 			continue
 		}
 		base := t.scanBase(scan, storage.EncNone)
-		distinct := o.estimator().ColDistinct(scan, buildKey)
+		distinct := o.est.ColDistinct(scan, buildKey)
 		ch := physio.JoinChoice{Kind: physical.HJ, Opt: physical.JoinOptions{Hash: idx.Hash()}}
 		if idx.SPH() {
 			ch.Kind = physical.SPHJ
 		}
-		for _, pp := range probes {
+		a := o.addAux(aux{av: idx.Label(), index: idx})
+		for i := range probes {
+			pp := &probes[i]
 			lp, rp := base, pp
 			if swapped {
 				lp, rp = pp, base
 			}
-			out := t.keyed(o.joinOutProps(ch.Kind, base.Props, pp.Props, buildKey, probeKey))
-			total := base.Cost + pp.Cost + o.mode.Model.Join(ch, 0, pp.Rows, distinct)
-			mem := joinMem(lp, rp, rows, cost.MemJoin(ch, 0, pp.Rows, distinct, rows))
-			t.offerBreaker(out.key, total, mem, noTwin, func(p *Plan) {
-				joinPlan(p, lp, rp, n.LeftKey, n.RightKey, ch, swapped, out.set, rows, total, mem)
-				p.AV, p.Index = idx.Label(), idx
-			})
+			out := keyed(o.joinOutProps(ch.Kind, base.props, pp.props, o.col(buildKey), o.col(probeKey)))
+			total := base.cost + pp.cost + o.mode.Model.Join(ch, 0, pp.rows, distinct)
+			mem := joinMem(lp, rp, rows, cost.MemJoin(ch, 0, pp.rows, distinct, rows))
+			if p := t.admitBreaker(out.key, total, mem, noTwin); p != nil {
+				*p = joinSlot(n, lp, rp, ch, swapped, out, rows, total, mem)
+				p.aux = a
+			}
 		}
 	}
 }
@@ -702,35 +699,36 @@ func (o *optimizer) groupChoices() []physio.GroupChoice {
 	return physio.GroupChoices(o.mode.Depth, o.mode.dop())
 }
 
-// enumGroup offers t the groupings of each of children on key into an
-// estimated rows output rows of groups distinct keys, as every choice the
-// child admits. Only the serial hash aggregation has a disk-backed twin: its
+// enumGroup offers t the groupings n of each of children into an estimated
+// rows output rows of groups distinct keys, as every choice the child
+// admits. Only the serial hash aggregation has a disk-backed twin: its
 // first-seen iteration order is partition-recomposable.
-func (o *optimizer) enumGroup(t *site, key string, aggs []expr.AggSpec, children []*Plan, choices []physio.GroupChoice, rows, groups float64) {
-	width := groupWidth(aggs)
-	for _, c := range children {
+func (o *optimizer) enumGroup(t *site, n *logical.GroupBy, children []slot, choices []physio.GroupChoice, rows, groups float64) {
+	key, width := o.col(n.Key), groupWidth(n.Aggs)
+	for i := range children {
+		c := &children[i]
 		fit := o.fits(c)
 		// One output vector per output order (physical.GroupKind.SortsOutput):
 		// sorted on key, or only grouped on it.
 		var sorted, grouped outProps
-		for i := range choices {
-			ch := choices[i]
-			if !ch.Kind.Admits(c.Props, key) {
+		for _, ch := range choices {
+			if !ch.Kind.Admits(c.props, key) {
 				continue
 			}
 			out := &grouped
-			if ch.Kind.SortsOutput(c.Props, key) {
+			if ch.Kind.SortsOutput(c.props, key) {
 				out = &sorted
 			}
 			if !out.ok {
-				*out = t.keyed(o.restrict(ch.Kind.OutputProps(c.Props, key)))
+				*out = keyed(ch.Kind.OutputProps(c.props, key))
 			}
-			total := c.Cost + o.mode.Model.Group(ch, c.Rows, groups)
-			mem := groupMem(c, rows, width, cost.MemGroup(ch, c.Rows, groups))
+			total := c.cost + o.mode.Model.Group(ch, c.rows, groups)
+			mem := groupMem(c, rows, width, cost.MemGroup(ch, c.rows, groups))
 			spillable := ch.Kind == physical.HG && ch.Opt.Parallel <= 1
-			t.offerBreaker(out.key, total, mem, twinRank(spillable, fit), func(p *Plan) {
-				groupPlan(p, c, key, aggs, ch, out.set, rows, total, mem)
-			})
+			if p := t.admitBreaker(out.key, total, mem, twinRank(spillable, fit)); p != nil {
+				*p = slot{key: out.key, props: out.set, cost: total, rows: rows, width: width, mem: mem,
+					in: [2]*slot{c}, node: n, how: how{op: OpGroup, group: ch, dop: ch.Opt.Parallel}}
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"dqo/internal/props"
 	"math"
 	"strings"
 	"testing"
@@ -413,7 +414,7 @@ func TestProjectQuery(t *testing.T) {
 	if out.NumCols() != 1 || out.NumRows() != 1000 {
 		t.Fatal("project output wrong")
 	}
-	if !res.Best.Props.SortedOn("key") {
+	if !res.Best.Props.Satisfies(props.Requirement{Kind: props.ReqSorted, Column: "key"}) {
 		t.Fatal("projection lost sortedness")
 	}
 }
@@ -498,28 +499,31 @@ func TestModeConstructors(t *testing.T) {
 }
 
 // fingerprintPareto is the DP table as it was keyed before props.Key: per
-// Fingerprint string, the cheapest plan, in order of first appearance.
-func fingerprintPareto(plans []*Plan) []*Plan {
-	slot := map[string]int{}
-	var out []*Plan
+// Fingerprint string, the cheapest alternative, in order of first appearance.
+func fingerprintPareto(plans []*slot) []*slot {
+	at := map[string]int{}
+	var out []*slot
 	for _, p := range plans {
-		fp := p.Props.Fingerprint()
-		if i, ok := slot[fp]; !ok {
-			slot[fp] = len(out)
+		fp := p.props.Fingerprint()
+		if i, ok := at[fp]; !ok {
+			at[fp] = len(out)
 			out = append(out, p)
-		} else if p.Cost < out[i].Cost {
+		} else if p.cost < out[i].cost {
 			out[i] = p
 		}
 	}
 	return out
 }
 
-// TestParetoKeyedLikeFingerprint offers a site table the plans of the DP tables
-// of the query corpus — the Figure-5 cells and the differential suite's
-// random shapes, at every logical site, pooled per mode so that vectors
-// differing only in order, density or bounds meet — and checks it keeps
-// exactly the plans per-Fingerprint pruning keeps: the digest key is a
-// cheaper spelling of the same dedup, never a different pruning.
+// TestParetoKeyedLikeFingerprint offers a site table the slots of the DP
+// tables of the query corpus — the Figure-5 cells and the differential
+// suite's random shapes, at every logical site, pooled per mode so that
+// vectors differing only in order, density or bounds meet — and checks it
+// keeps exactly the alternatives per-Fingerprint pruning keeps: the digest
+// key is a cheaper spelling of the same dedup, never a different pruning.
+// The pool spans queries over different generations of tables that share
+// column names, so one column table numbers them all, and most of their
+// domains are overrides of the first generation's.
 func TestParetoKeyedLikeFingerprint(t *testing.T) {
 	var queries []logical.Node
 	for cell := 0; cell < 8; cell++ {
@@ -529,31 +533,40 @@ func TestParetoKeyedLikeFingerprint(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		queries = append(queries, randomQuery(r))
 	}
+	var rels []*storage.Relation
+	var keys []string
+	for _, q := range queries {
+		scans, ks := logical.Inputs(q)
+		for _, s := range scans {
+			rels = append(rels, s.Rel)
+		}
+		keys = append(keys, ks...)
+	}
 	parallel := DQO()
 	parallel.DOP = 4
 	for _, m := range []Mode{SQO(), DQO(), parallel, DQOCalibrated()} {
-		var pool []*Plan
-		seen := map[*Plan]bool{}
-		var collect func(p *Plan)
-		collect = func(p *Plan) {
-			if seen[p] {
+		var pool []*slot
+		seen := map[*slot]bool{}
+		var collect func(p *slot)
+		collect = func(p *slot) {
+			if p == nil || seen[p] {
 				return
 			}
 			seen[p] = true
 			pool = append(pool, p)
-			for _, c := range p.Children {
+			for _, c := range p.in {
 				collect(c)
 			}
 		}
-		o := &optimizer{mode: m}
+		o := &optimizer{mode: m, tab: props.NewTable(rels, keys, m.Depth == physio.Deep), est: logical.NewEstimator()}
 		var sites func(n logical.Node)
 		sites = func(n logical.Node) {
 			table, err := o.optimize(n)
 			if err != nil {
 				t.Fatalf("%s: %v", m.Name, err)
 			}
-			for _, p := range table {
-				collect(p)
+			for i := range table {
+				collect(&table[i])
 			}
 			for _, c := range n.Children() {
 				sites(c)
@@ -564,21 +577,23 @@ func TestParetoKeyedLikeFingerprint(t *testing.T) {
 		}
 		table := site{o: o}
 		for _, p := range pool {
-			table.offer(ordinary, p.Props.Key(), p.Cost, func(q *Plan) { *q = *p })
+			if q := table.admit(ordinary, p.key, p.cost); q != nil {
+				*q = *p
+			}
 		}
 		got, want := table.table(), fingerprintPareto(pool)
 		if len(got) != len(want) {
-			t.Fatalf("%s: kept %d of %d plans, per-Fingerprint pruning keeps %d", m.Name, len(got), len(pool), len(want))
+			t.Fatalf("%s: kept %d of %d alternatives, per-Fingerprint pruning keeps %d", m.Name, len(got), len(pool), len(want))
 		}
 		for i := range got {
-			// The table holds copies of the pool's plans.
-			if got[i].Label() != want[i].Label() || got[i].Cost != want[i].Cost || got[i].Props.Fingerprint() != want[i].Props.Fingerprint() {
+			// The table holds copies of the pool's slots.
+			if got[i].how != want[i].how || got[i].cost != want[i].cost || got[i].props.Fingerprint() != want[i].props.Fingerprint() {
 				t.Fatalf("%s: entry %d differs: %s vs %s", m.Name, i,
-					got[i].Props.Fingerprint(), want[i].Props.Fingerprint())
+					got[i].props.Fingerprint(), want[i].props.Fingerprint())
 			}
 		}
 		if len(got) < 100 || len(got) == len(pool) {
-			t.Fatalf("%s: %d property-distinct entries among %d plans: the pool does not exercise the dedup", m.Name, len(got), len(pool))
+			t.Fatalf("%s: %d property-distinct entries among %d alternatives: the pool does not exercise the dedup", m.Name, len(got), len(pool))
 		}
 	}
 }

@@ -116,11 +116,6 @@ type Plan struct {
 	// kernel working set + output). Modes with a MemBudget prune on Mem.
 	Width float64
 	Mem   float64
-
-	// key is Props.Key(), set by the DP table the plan took a place in: the
-	// plan is looked up by it at its own site and again as a candidate input
-	// of its parent's.
-	key props.Key
 }
 
 // Label returns a one-line description of this node alone.
@@ -185,7 +180,7 @@ func (p *Plan) Explain() string {
 	p.PreOrder(func(n *Plan, depth int) {
 		pad := strings.Repeat("  ", depth)
 		fmt.Fprintf(&b, "%s%s  (cost=%.0f rows=%.0f)\n", pad, n.Label(), n.Cost, n.Rows)
-		if desc := describeProps(n.Props); desc != "" {
+		if desc := n.Props.String(); desc != "" {
 			fmt.Fprintf(&b, "%s  props: %s\n", pad, desc)
 		}
 	})
@@ -227,39 +222,6 @@ func (p *Plan) GranuleTrees() string {
 	}
 	rec(p)
 	return b.String()
-}
-
-func describeProps(s props.Set) string {
-	var parts []string
-	if len(s.SortedBy) > 0 {
-		parts = append(parts, "sorted{"+strings.Join(s.SortedBy, ",")+"}")
-	}
-	if len(s.GroupedBy) > 0 {
-		parts = append(parts, "grouped{"+strings.Join(s.GroupedBy, ",")+"}")
-	}
-	var dense []string
-	for c, d := range s.Cols {
-		if _, _, ok := d.DenseDomain(); ok {
-			dense = append(dense, c)
-		}
-	}
-	if len(dense) > 0 {
-		parts = append(parts, "dense{"+strings.Join(normalizeStrings(dense), ",")+"}")
-	}
-	for _, c := range s.Corrs {
-		parts = append(parts, "corr{"+c.String()+"}")
-	}
-	return strings.Join(parts, " ")
-}
-
-func normalizeStrings(xs []string) []string {
-	out := append([]string(nil), xs...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
 }
 
 // run executes breaker p (a sort, grouping or join) over its materialised

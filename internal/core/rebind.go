@@ -77,23 +77,22 @@ func rebindNode(p *Plan, preds []expr.Expr, next *int) (*Plan, error) {
 // rebindFilter replaces the filter's predicate and what was derived from
 // its literals.
 func (p *Plan) rebindFilter(pred expr.Expr) error {
-	if p.Crack != nil {
+	var col string
+	var lo, hi uint64
+	if p.Crack != nil || p.Enc != storage.EncNone {
 		oldCol, _, _, _ := predRange(p.Pred)
-		col, lo, hi, ok := relKeyRange(pred, p.Children[0].Rel)
-		if !ok || col != oldCol {
+		var ok bool
+		if col, lo, hi, ok = relKeyRange(pred, p.Children[0].Rel); !ok || col != oldCol {
 			return fmt.Errorf("core: rebind: predicate %s is not a %s key range", pred, oldCol)
 		}
+	}
+	if p.Crack != nil {
 		p.CrackLo, p.CrackHi = lo, hi
 	}
 	if p.Enc != storage.EncNone {
 		// A compressed filter's encoded bounds derive from the literals;
 		// recompute them (and the zone-map census EXPLAIN shows) for the
 		// new predicate, or fail into a re-plan.
-		oldCol, _, _, _ := predRange(p.Pred)
-		col, lo, hi, ok := relKeyRange(pred, p.Children[0].Rel)
-		if !ok || col != oldCol {
-			return fmt.Errorf("core: rebind: predicate %s is not a %s key range", pred, oldCol)
-		}
 		plo, phi, okb := encBounds(lo, hi)
 		if !okb {
 			return fmt.Errorf("core: rebind: predicate %s leaves the encoded %s domain", pred, col)

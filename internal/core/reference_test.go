@@ -6,12 +6,14 @@ package core
 // property vector (keepPareto). It is kept, comments stripped, as the oracle
 // of TestSiteTablesMatchCollectThenPrune and is no product path: it shares
 // with the optimiser only what this PR did not touch (the estimator, the
-// cost model, restrict, the scan-property cache, the beam cap) and carries
-// its own copies of the footprint and spill-compatibility rules.
+// cost model, the column table and its scan-property cache) and carries its
+// own copies of the footprint, spill-compatibility and beam-cap rules. Its
+// plans are keyed in a map of their own: a product Plan carries no key.
 
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"dqo/internal/cost"
 	"dqo/internal/logical"
@@ -40,15 +42,19 @@ func (o *refOptimizer) keepPareto(plans []*Plan) []*Plan {
 	slot := make(map[props.Key]int, len(plans))
 	out := make([]*Plan, 0, len(plans))
 	for _, p := range plans {
-		p.key = p.Props.Key()
-		if i, ok := slot[p.key]; !ok {
-			slot[p.key] = len(out)
+		key := p.Props.Key()
+		if i, ok := slot[key]; !ok {
+			slot[key] = len(out)
 			out = append(out, p)
 		} else if p.Cost < out[i].Cost {
 			out[i] = p
 		}
 	}
-	return o.beamCap(out)
+	if o.mode.Beam <= 0 || len(out) <= o.mode.Beam {
+		return out
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Cost < out[j].Cost })
+	return out[:o.mode.Beam]
 }
 
 func refSetFootprint(p *Plan) {
@@ -104,6 +110,19 @@ func (o *refOptimizer) pruneMem(plans []*Plan) []*Plan {
 	return out
 }
 
+func refStreamSegment(p *Plan) bool {
+	for {
+		switch {
+		case p.Op == OpScan:
+			return true
+		case p.Op == OpFilter && p.Crack == nil && p.Enc == storage.EncNone, p.Op == OpProject:
+			p = p.Children[0]
+		default:
+			return false
+		}
+	}
+}
+
 func refSpillCompatible(p *Plan) bool {
 	switch p.Op {
 	case OpSort:
@@ -156,7 +175,7 @@ func (o *refOptimizer) spillTwin(plans []*Plan, budget float64) *Plan {
 func (o *refOptimizer) enumerate(n logical.Node) ([]*Plan, error) {
 	switch n := n.(type) {
 	case *logical.Scan:
-		rows := o.estimator().Estimate(n)
+		rows := o.est.Estimate(n)
 		p := &Plan{
 			Op: OpScan, Table: n.Table, Rel: n.Rel,
 			Props: o.scanPropsOf(n.Rel).set,
@@ -199,7 +218,7 @@ func (o *refOptimizer) enumerate(n logical.Node) ([]*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows := o.estimator().Estimate(n)
+		rows := o.est.Estimate(n)
 		var out []*Plan
 		for _, c := range children {
 			p := &Plan{
@@ -211,7 +230,7 @@ func (o *refOptimizer) enumerate(n logical.Node) ([]*Plan, error) {
 			refSetFootprint(p)
 			o.stats.Alternatives++
 			out = append(out, p)
-			if dop := o.mode.dop(); dop > 1 && isStreamSegment(c) {
+			if dop := o.mode.dop(); dop > 1 && refStreamSegment(c) {
 				o.stats.Alternatives++
 				pp := &Plan{
 					Op: OpFilter, Children: []*Plan{c}, Pred: n.Pred, DOP: dop,
@@ -230,8 +249,8 @@ func (o *refOptimizer) enumerate(n logical.Node) ([]*Plan, error) {
 						base := &Plan{
 							Op: OpScan, Table: scan.Table, Rel: scan.Rel,
 							Props: o.scanPropsOf(scan.Rel).set,
-							Rows:  o.estimator().Estimate(scan),
-							Cost:  o.mode.Model.Scan(o.estimator().Estimate(scan)),
+							Rows:  o.est.Estimate(scan),
+							Cost:  o.mode.Model.Scan(o.est.Estimate(scan)),
 						}
 						refSetFootprint(base)
 						o.stats.Alternatives++
@@ -253,7 +272,7 @@ func (o *refOptimizer) enumerate(n logical.Node) ([]*Plan, error) {
 				if col, lo, hi, ok := predRange(n.Pred); ok {
 					if plo, phi, okb := encBounds(lo, hi); okb {
 						if enc, skipped, total, work, oke := encFilterTarget(scan.Rel, col, plo, phi); oke {
-							scanRows := o.estimator().Estimate(scan)
+							scanRows := o.est.Estimate(scan)
 							base := &Plan{
 								Op: OpScan, Table: scan.Table, Rel: scan.Rel,
 								Enc:   relCompression(scan.Rel),
@@ -293,7 +312,7 @@ func (o *refOptimizer) enumerate(n logical.Node) ([]*Plan, error) {
 			}
 			p := &Plan{
 				Op: OpProject, Children: []*Plan{c}, Cols: n.Cols, DOP: dop,
-				Props: c.Props.Project(n.Cols...),
+				Props: c.Props.Project(o.colsOf(n.Cols)),
 				Rows:  c.Rows,
 				Cost:  c.Cost,
 			}
@@ -310,7 +329,7 @@ func (o *refOptimizer) enumerate(n logical.Node) ([]*Plan, error) {
 		}
 		var out []*Plan
 		for _, c := range children {
-			if c.Props.SortedOn(n.Key) {
+			if c.Props.SortedOn(o.col(n.Key)) {
 				np := &Plan{
 					Op: OpSort, Children: []*Plan{c}, SortKey: n.Key, SortKind: sortx.Radix,
 					Props: c.Props, Rows: c.Rows, Cost: c.Cost,
@@ -338,7 +357,7 @@ func (o *refOptimizer) enumerate(n logical.Node) ([]*Plan, error) {
 }
 
 func (o *refOptimizer) joinOutProps(ch physio.JoinChoice, build, probe props.Set, buildKey, probeKey string) props.Set {
-	out := ch.Kind.OutputProps(build, probe, buildKey, probeKey)
+	out := ch.Kind.OutputProps(build, probe, o.col(buildKey), o.col(probeKey))
 	if !o.mode.TrackProbeOrder {
 		switch ch.Kind {
 		case physical.HJ, physical.SPHJ, physical.BSJ:
@@ -353,7 +372,7 @@ func (o *refOptimizer) sortPlan(child *Plan, key string, sk sortx.Kind, enforcer
 	p := &Plan{
 		Op: OpSort, Children: []*Plan{child},
 		SortKey: key, SortKind: sk, Enforcer: enforcer,
-		Props: child.Props.AfterSortBy(key),
+		Props: child.Props.AfterSortBy(o.col(key)),
 		Rows:  child.Rows,
 		Cost:  child.Cost + o.mode.Model.SortBy(child.Rows, sk),
 	}
@@ -368,7 +387,7 @@ func (o *refOptimizer) sortVariants(child *Plan, key string, sk sortx.Kind, enfo
 		pp := &Plan{
 			Op: OpSort, Children: []*Plan{child},
 			SortKey: key, SortKind: sk, Enforcer: enforcer, DOP: dop,
-			Props: child.Props.AfterSortBy(key),
+			Props: child.Props.AfterSortBy(o.col(key)),
 			Rows:  child.Rows,
 			Cost:  child.Cost + o.mode.Model.Parallel(o.mode.Model.SortBy(child.Rows, sk), dop),
 		}
@@ -381,7 +400,7 @@ func (o *refOptimizer) sortVariants(child *Plan, key string, sk sortx.Kind, enfo
 func (o *refOptimizer) withEnforcers(plans []*Plan, key string) []*Plan {
 	out := append([]*Plan(nil), plans...)
 	for _, p := range plans {
-		if p.Props.SortedOn(key) {
+		if p.Props.SortedOn(o.col(key)) {
 			continue
 		}
 		for _, sk := range o.sortKinds() {
@@ -403,9 +422,9 @@ func (o *refOptimizer) optimizeJoin(n *logical.Join) ([]*Plan, error) {
 	lefts = o.withEnforcers(lefts, n.LeftKey)
 	rights = o.withEnforcers(rights, n.RightKey)
 
-	rows := o.estimator().Estimate(n)
-	keyDistinct := o.estimator().ColDistinct(n.Left, n.LeftKey)
-	rightDistinct := o.estimator().ColDistinct(n.Right, n.RightKey)
+	rows := o.est.Estimate(n)
+	keyDistinct := o.est.ColDistinct(n.Left, n.LeftKey)
+	rightDistinct := o.est.ColDistinct(n.Right, n.RightKey)
 	choices := physio.JoinChoices(o.mode.Depth, o.mode.dop())
 	swapChoices := physio.JoinChoices(o.mode.Depth, o.mode.dop())
 
@@ -424,8 +443,8 @@ func (o *refOptimizer) optimizeJoin(n *logical.Join) ([]*Plan, error) {
 					Op: OpJoin, Children: []*Plan{lp, rp},
 					Join: ch, LeftKey: n.LeftKey, RightKey: n.RightKey,
 					DOP:    ch.Opt.Parallel,
-					KeyDom: lp.Props.Domain(n.LeftKey),
-					Props:  o.restrict(outProps),
+					KeyDom: lp.Props.Domain(o.col(n.LeftKey)),
+					Props:  outProps,
 					Rows:   rows,
 					Cost:   lp.Cost + rp.Cost + o.mode.Model.Join(ch, lp.Rows, rp.Rows, keyDistinct),
 				}
@@ -444,8 +463,8 @@ func (o *refOptimizer) optimizeJoin(n *logical.Join) ([]*Plan, error) {
 					Op: OpJoin, Children: []*Plan{lp, rp},
 					Join: ch, LeftKey: n.LeftKey, RightKey: n.RightKey, Swapped: true,
 					DOP:    ch.Opt.Parallel,
-					KeyDom: rp.Props.Domain(n.RightKey),
-					Props:  o.restrict(outProps),
+					KeyDom: rp.Props.Domain(o.col(n.RightKey)),
+					Props:  outProps,
 					Rows:   rows,
 					Cost:   lp.Cost + rp.Cost + o.mode.Model.Join(ch, rp.Rows, lp.Rows, rightDistinct),
 				}
@@ -458,8 +477,8 @@ func (o *refOptimizer) optimizeJoin(n *logical.Join) ([]*Plan, error) {
 		base := &Plan{
 			Op: OpScan, Table: scan.Table, Rel: scan.Rel,
 			Props: o.scanPropsOf(scan.Rel).set,
-			Rows:  o.estimator().Estimate(scan),
-			Cost:  o.mode.Model.Scan(o.estimator().Estimate(scan)),
+			Rows:  o.est.Estimate(scan),
+			Cost:  o.mode.Model.Scan(o.est.Estimate(scan)),
 		}
 		refSetFootprint(base)
 		return base
@@ -489,7 +508,7 @@ func (o *refOptimizer) indexedJoins(n *logical.Join, rows float64, lefts, rights
 			continue
 		}
 		base := scanPlan(scan)
-		distinct := o.estimator().ColDistinct(scan, buildKey)
+		distinct := o.est.ColDistinct(scan, buildKey)
 		kind := physical.HJ
 		if idx.SPH() {
 			kind = physical.SPHJ
@@ -506,8 +525,8 @@ func (o *refOptimizer) indexedJoins(n *logical.Join, rows float64, lefts, rights
 				Op: OpJoin, Children: []*Plan{lp, rp},
 				Join: ch, LeftKey: n.LeftKey, RightKey: n.RightKey, Swapped: swapped,
 				AV: idx.Label(), Index: idx,
-				KeyDom: base.Props.Domain(buildKey),
-				Props:  o.restrict(o.joinOutProps(ch, base.Props, pp.Props, buildKey, probeKey)),
+				KeyDom: base.Props.Domain(o.col(buildKey)),
+				Props:  o.joinOutProps(ch, base.Props, pp.Props, buildKey, probeKey),
 				Rows:   rows,
 				Cost:   base.Cost + pp.Cost + o.mode.Model.Join(ch, 0, pp.Rows, distinct),
 			}
@@ -531,8 +550,8 @@ func (o *refOptimizer) optimizeGroup(n *logical.GroupBy) ([]*Plan, error) {
 	}
 	children = o.withEnforcers(children, n.Key)
 
-	groups := o.estimator().ColDistinct(n.Input, n.Key)
-	rows := o.estimator().Estimate(n)
+	groups := o.est.ColDistinct(n.Input, n.Key)
+	rows := o.est.Estimate(n)
 	choices := physio.GroupChoices(o.mode.Depth, o.mode.dop())
 
 	var out []*Plan
@@ -543,13 +562,13 @@ func (o *refOptimizer) optimizeGroup(n *logical.GroupBy) ([]*Plan, error) {
 				continue
 			}
 			o.stats.Alternatives++
-			outProps := ch.Kind.OutputProps(c.Props, n.Key)
+			outProps := ch.Kind.OutputProps(c.Props, o.col(n.Key))
 			p := &Plan{
 				Op: OpGroup, Children: []*Plan{c},
 				Group: ch, GroupKey: n.Key, Aggs: n.Aggs,
 				DOP:    ch.Opt.Parallel,
-				KeyDom: c.Props.Domain(n.Key),
-				Props:  o.restrict(outProps),
+				KeyDom: c.Props.Domain(o.col(n.Key)),
+				Props:  outProps,
 				Rows:   rows,
 				Cost:   c.Cost + o.mode.Model.Group(ch, c.Rows, groups),
 			}

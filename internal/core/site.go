@@ -1,18 +1,20 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"dqo/internal/logical"
+	"dqo/internal/physio"
 	"dqo/internal/props"
+	"dqo/internal/sortx"
 	"dqo/internal/storage"
 )
 
-// outProps is an output property vector with its table key. Property sets
-// are immutable once built, so every alternative that derives the same vector
-// from the same inputs (an algorithm family over one pair of plans, the sorts
-// of one child) shares one value, computed when the first of them asks.
+// outProps is an output property vector with its table key, computed once
+// for every alternative that derives it from the same inputs (an algorithm
+// family over one pair of plans, the sorts of one child).
 type outProps struct {
 	set props.Set
 	key props.Key
@@ -20,15 +22,6 @@ type outProps struct {
 }
 
 func keyed(s props.Set) outProps { return outProps{set: s, key: s.Key(), ok: true} }
-
-// keyed is keyed at a DP site; the greedy pick compares costs alone and
-// leaves the key unset.
-func (s *site) keyed(ps props.Set) outProps {
-	if s.greedy {
-		return outProps{set: ps, ok: true}
-	}
-	return keyed(ps)
-}
 
 // variant tags the alternatives the greedy tier has rules for (site.considers,
 // site.take); every other alternative is ordinary. The DP table prices them
@@ -42,6 +35,51 @@ const (
 	encoded          // a range filter run on the compressed payload
 )
 
+// slot is one alternative as data: what decides its fate (its output
+// vector's key, cost and estimated peak memory), what a parent reads of it,
+// and how it is built: its inputs' slots and a closure-free choice
+// descriptor. DP tables and the greedy pick hold slots; the returned plan is
+// built from the winning root slot once enumeration ends (build).
+type slot struct {
+	key   props.Key
+	props props.Set
+	// cost, rows, width and mem are the plan node's Cost, Rows, Width, Mem.
+	cost, rows, width, mem float64
+	in                     [2]*slot
+	node                   logical.Node // the site's logical node; nil for a sort
+	how
+}
+
+// how is a slot's choice descriptor: the operator, the variant, a sort's
+// algorithm and key, a join's or grouping's granule choice, and the payload
+// of an AV-backed or encoded alternative (an index into optimizer.aux, 0 for
+// none).
+type how struct {
+	op                       OpKind
+	v                        variant
+	enc                      storage.Encoding
+	sort                     sortx.Kind
+	col                      props.Col // OpSort: the key
+	swapped, enforcer, spill bool
+	dop                      int
+	join                     physio.JoinChoice
+	group                    physio.GroupChoice
+	aux                      int32
+}
+
+// aux is the payload of an alternative that reads an Algorithmic View or a
+// compressed payload.
+type aux struct {
+	rel            *storage.Relation // an AV scan's relation
+	av             string
+	index          PrebuiltIndex
+	crack          RangeIndex
+	lo, hi         uint64 // a cracked filter's key range
+	encCol         string
+	encLo, encHi   uint32
+	skipped, total int
+}
+
 // How a breaker alternative ranks as the base of a spill twin: not at all,
 // or with a disk-backed twin, and then better when every input fits the
 // budget by itself — spilling the breaker cannot shrink a child's residency.
@@ -52,9 +90,9 @@ const (
 )
 
 // fits reports whether each of the inputs is within the memory budget.
-func (o *optimizer) fits(inputs ...*Plan) bool {
+func (o *optimizer) fits(inputs ...*slot) bool {
 	for _, c := range inputs {
-		if c.Mem > float64(o.mode.MemBudget) {
+		if c.mem > float64(o.mode.MemBudget) {
 			return false
 		}
 	}
@@ -71,36 +109,32 @@ func twinRank(spillable, inputsFit bool) int {
 	return twinOverInputs
 }
 
-// site consumes what one enumerator (optimizer.go) offers at one site: each
-// alternative as the numbers that decide its fate (property key, cost,
-// estimated peak memory, twin rank) plus a constructor, which runs only if
-// the alternative takes a place. This is the one place where an alternative
-// wins or loses, in one of two consumers:
+// site consumes what one enumerator (optimizer.go) offers at one site: it
+// admits each alternative by the numbers that decide its fate (its output
+// vector's key, cost, peak memory, twin rank), and the enumerator describes
+// the alternative only in the place it takes. This is the one place where an
+// alternative wins or loses, in one of two consumers:
 //
 //   - The DP table: per distinct output property vector the cheapest
 //     alternative, in order of first appearance; the first of its vector or
-//     one strictly cheaper than the holder takes the place. (Dropping a plan
-//     whose properties another subsumes would need a lattice; per-vector
-//     pruning keeps enumeration exact for the requirements we check.)
+//     one strictly cheaper than the holder takes the place.
 //   - The greedy tier's pick (greedy set): one running best over the input
-//     the tier narrowed to, by the same strict <.
+//     the tier narrowed to, by the same strict <, rewritten in place.
 //
-// So in both the first enumerated wins a tie, and the enumeration order is
-// the tie-break: serial before parallel, decoded before compressed, in-memory
-// before spilling (a twin is priced above its base). Both apply the memory
-// budget alike (offerBreaker) and fall back alike when nothing fits it
-// (fallback).
+// So in both the first enumerated wins a tie: serial before parallel,
+// decoded before compressed, in-memory before spilling. Both apply the
+// memory budget (admitBreaker) and fall back (fallback) alike.
 type site struct {
 	o     *optimizer
-	plans []*Plan
-	// Fallbacks of a breaker site where nothing offered so far fits the
-	// memory budget, each a running best: the alternative of least Mem (the
-	// first wins), and the base of the spill twin (twin rank, then cost, the
-	// first wins). pruned records that the budget turned an alternative away.
-	smallest *Plan
-	base     *Plan
-	baseRank int
-	pruned   bool
+	plans []slot
+	// Fallbacks while nothing admitted fits the memory budget, each a running
+	// best: the least mem (fell: there is one) and the spill twin's base (twin
+	// rank, then cost). An over-budget alternative that leads either is
+	// described in over and settled before the next is weighed. pruned: the
+	// budget turned an alternative away.
+	smallest, base, over  slot
+	baseRank, overTwin    int
+	fell, pending, pruned bool
 
 	greedy bool
 	pick   pick
@@ -108,100 +142,92 @@ type site struct {
 
 // pick is the greedy tier's running best at one site and its rules' state.
 type pick struct {
-	want  string // a column the parent would like sorted (site.considers)
-	empty bool   // a provably empty input: the first alternative ends the site
-	best  *Plan
+	want  props.Cols // a column the parent would like sorted (site.considers)
+	empty bool       // a provably empty input: the first alternative ends the site
+	best  slot
+	have  bool
 	done  bool // the site has ended: later alternatives are not costed
 }
 
-// built constructs an alternative that took a place, remembering its key.
-func built(key props.Key, build func(*Plan)) *Plan {
-	p := new(Plan)
-	build(p)
-	p.key = key
-	return p
-}
-
-// offer costs one streaming alternative (a scan, filter, projection or
-// enforcer sort), or a breaker alternative that fits the memory budget.
-func (s *site) offer(v variant, key props.Key, cost float64, build func(*Plan)) {
+// admit costs a streaming alternative, or a breaker alternative that fits the
+// memory budget, and returns the place it takes, or nil when it loses. A DP
+// table holds a handful of vectors: a scan of their keys beats a map.
+func (s *site) admit(v variant, key props.Key, cost float64) *slot {
 	if s.greedy {
-		s.take(v, cost, build)
-		return
+		return s.take(v, cost)
 	}
 	s.o.stats.Alternatives++
-	s.put(key, cost, build)
-}
-
-// put enters an alternative into the DP table. The slot is found by a scan of
-// the entries' keys: a table holds a handful of vectors, fewer than a map
-// costs to set up.
-func (s *site) put(key props.Key, cost float64, build func(*Plan)) {
-	for i, q := range s.plans {
-		if q.key == key {
-			if cost < q.Cost {
-				s.plans[i] = built(key, build)
+	for i := range s.plans {
+		if q := &s.plans[i]; q.key == key {
+			if cost < q.cost {
+				return q
 			}
-			return
+			return nil
 		}
 	}
-	s.plans = append(s.plans, built(key, build))
+	if s.plans == nil {
+		s.plans, s.o.buf = s.o.buf[:0], nil
+	}
+	s.plans = append(s.plans, slot{})
+	return &s.plans[len(s.plans)-1]
 }
 
-// offerBreaker is offer at a site that materialises (sort, join, grouping),
-// where a mode with a MemBudget prunes on estimated peak memory: an
-// alternative over the budget never enters the table nor becomes the pick.
-// Until one fits, those over it compete for the two fallbacks, and are built
-// only when they take the lead of one. Without a budget, and for whatever
-// fits it, this is offer.
-func (s *site) offerBreaker(key props.Key, cost, mem float64, twin int, build func(*Plan)) {
+// admitBreaker is admit at a sort, join or grouping, where a mode's
+// MemBudget prunes on peak memory: an alternative over it never enters the
+// table nor becomes the pick, but competes for the fallbacks until one fits.
+func (s *site) admitBreaker(key props.Key, cost, mem float64, twin int) *slot {
 	if budget := s.o.mode.MemBudget; budget <= 0 || mem <= float64(budget) {
-		s.offer(ordinary, key, cost, build)
-		return
+		return s.admit(ordinary, key, cost)
 	}
+	s.settle()
 	if s.pick.done {
-		return
+		return nil
 	}
 	s.o.stats.Alternatives++
 	s.pruned = true
-	if len(s.plans) > 0 || s.pick.best != nil {
+	if len(s.plans) > 0 || s.pick.have {
+		return nil
+	}
+	s.pending, s.overTwin = true, twin
+	return &s.over
+}
+
+// settle weighs the last over-budget alternative described against the
+// fallbacks, and takes the lead of those it beats.
+func (s *site) settle() {
+	if !s.pending {
 		return
 	}
-	var p *Plan
-	if s.smallest == nil || mem < s.smallest.Mem {
-		p = built(key, build)
-		s.smallest = p
+	s.pending = false
+	if !s.fell || s.over.mem < s.smallest.mem {
+		s.smallest, s.fell = s.over, true
 	}
-	if s.o.mode.Spill && twin > noTwin && (twin > s.baseRank || twin == s.baseRank && cost < s.base.Cost) {
-		if p == nil {
-			p = built(key, build)
-		}
-		s.base, s.baseRank = p, twin
+	if t := s.overTwin; s.o.mode.Spill && t > noTwin && (t > s.baseRank || t == s.baseRank && s.over.cost < s.base.cost) {
+		s.base, s.baseRank = s.over, t
 	}
 }
 
-// take is the greedy pick's offer: the first alternative is the best, a later
-// one replaces it, rebuilt in place, when strictly cheaper. A cracked or
-// direct-on-compressed filter that wins ends the site; so does an AV access
-// path, taken for its order whatever its cost.
-func (s *site) take(v variant, cost float64, build func(*Plan)) {
+// take is the greedy pick's admit: the first alternative is the best, a
+// later one replaces it when strictly cheaper. A winning cracked or
+// direct-on-compressed filter ends the site, as does an AV access path,
+// taken for its order whatever its cost.
+func (s *site) take(v variant, cost float64) *slot {
 	g := &s.pick
 	if g.done {
-		return
+		return nil
 	}
 	s.o.stats.Alternatives++
 	switch {
-	case g.best == nil:
-		g.best = new(Plan)
-		g.done = g.empty
+	case !g.have:
+		g.have, g.done = true, g.empty
 	case v == avScan:
 		g.done = true
-	case cost < g.best.Cost:
+	case cost < g.best.cost:
 		g.done = v == cracked || v == encoded
 	default:
-		return
+		return nil
 	}
-	build(g.best)
+	return &g.best
 }
 
 // considers reports whether the site costs alternative v before the
@@ -215,14 +241,13 @@ func (s *site) considers(v variant, alt props.Set) bool {
 		return true
 	}
 	g := &s.pick
-	ordered := func(ps props.Set) bool { return g.want != "" && ps.SortedOn(g.want) }
 	switch {
 	case g.done:
 		return false
 	case v == avScan:
-		return !ordered(g.best.Props) && ordered(alt)
+		return g.best.props.Sorted&g.want == 0 && alt.Sorted&g.want != 0
 	case v == cracked:
-		return !ordered(g.best.Props)
+		return g.best.props.Sorted&g.want == 0
 	}
 	return true
 }
@@ -231,82 +256,96 @@ func (s *site) considers(v variant, alt props.Set) bool {
 // alternative subsumes: the DP's is the plain scan or, under a filter on a
 // payload of compression enc, the compressed-scan twin; the greedy tier's is
 // its pick for a scan no parent wants ordered.
-func (s *site) scanBase(n *logical.Scan, enc storage.Encoding) *Plan {
+func (s *site) scanBase(n *logical.Scan, enc storage.Encoding) *slot {
 	o := s.o
 	if s.greedy {
-		return o.greedyScan(n, "")
+		return &o.greedyScan(n, 0)[0]
 	}
-	rows := o.estimator().Estimate(n)
-	p := new(Plan)
-	if enc == storage.EncNone {
-		o.scanPlan(p, n, n.Rel, "", enc, o.mode.Model.Scan(rows))
+	p := new(slot)
+	if rows := o.est.Estimate(n); enc == storage.EncNone {
+		*p = o.scanSlot(n, n.Rel, "", enc, rows, o.mode.Model.Scan(rows))
 	} else {
-		o.scanPlan(p, n, n.Rel, "", relCompression(n.Rel), o.mode.Model.ScanCompressed(rows))
+		*p = o.scanSlot(n, n.Rel, "", relCompression(n.Rel), rows, o.mode.Model.ScanCompressed(rows))
 	}
 	return p
 }
 
-// empty reports whether nothing was offered.
-func (s *site) empty() bool { return len(s.plans) == 0 && s.smallest == nil }
+// empty reports whether nothing was admitted.
+func (s *site) empty() bool {
+	s.settle()
+	return len(s.plans) == 0 && !s.fell
+}
+
+// keep moves finished slots into the optimizer's slab, where they keep the
+// addresses their parents refer to: a table costs no allocation of its own.
+func (o *optimizer) keep(plans ...slot) []slot {
+	if cap(o.slab)-len(o.slab) < len(plans) {
+		o.slab = make([]slot, 0, max(len(plans), 2*cap(o.slab), 8))
+	}
+	start := len(o.slab)
+	o.slab = append(o.slab, plans...)
+	return o.slab[start:len(o.slab):len(o.slab)]
+}
 
 // table returns the finished table, capped to the mode's beam, or the
-// fallback when every alternative exceeded the budget.
-func (s *site) table() []*Plan {
-	if len(s.plans) == 0 && s.smallest != nil {
-		return []*Plan{s.fallback()}
+// fallback when every alternative exceeded the budget. A site builds its
+// table in the optimizer's scratch buffer (taken at its first entry, unless
+// another site under construction holds it) and hands it back here.
+func (s *site) table() []slot {
+	if s.settle(); len(s.plans) == 0 && s.fell {
+		return s.o.keep(s.fallback())
 	}
-	return s.o.beamCap(s.plans)
+	out := s.o.keep(s.o.beamCap(s.plans)...)
+	if cap(s.plans) > cap(s.o.buf) {
+		s.o.buf = s.plans[:0]
+	}
+	return out
 }
 
 // picked returns the greedy pick, or the fallback when every alternative
-// exceeded the budget.
-func (s *site) picked() *Plan {
-	if s.pick.best != nil {
-		return s.pick.best
+// exceeded the budget, as a table of one: the slot the parent site refers to.
+func (s *site) picked() []slot {
+	if s.settle(); !s.pick.have {
+		return s.o.keep(s.fallback())
 	}
-	return s.fallback()
+	return s.o.keep(s.pick.best)
 }
 
 // fallback is what a breaker site where nothing fits the budget degrades to:
-// in a spill-enabled mode the disk-backed twin of its spill base, otherwise
-// its smallest alternative, so optimisation still returns a plan and the
-// runtime budget enforces the limit.
-func (s *site) fallback() *Plan {
-	if s.base != nil {
+// the disk-backed twin of its spill base under Spill, else its smallest
+// alternative, leaving the runtime budget to enforce the limit.
+func (s *site) fallback() slot {
+	if s.baseRank > noTwin {
 		return s.o.spillTwin(s.base)
 	}
 	return s.smallest
 }
 
-// beamCap truncates a site's DP table to the mode's beam width: the Beam
-// cheapest property-distinct plans survive, ties resolved in enumeration
-// order (stable sort), so the cap is deterministic. Beam <= 0 returns the
-// table untouched — beam-free enumeration stays byte-identical.
-func (o *optimizer) beamCap(plans []*Plan) []*Plan {
+// beamCap truncates a DP table to the Beam cheapest entries, ties in
+// enumeration order (a stable sort); Beam <= 0 leaves it untouched.
+func (o *optimizer) beamCap(plans []slot) []slot {
 	if o.mode.Beam <= 0 || len(plans) <= o.mode.Beam {
 		return plans
 	}
-	sort.SliceStable(plans, func(i, j int) bool { return plans[i].Cost < plans[j].Cost })
+	slices.SortStableFunc(plans, func(a, b slot) int { return cmp.Compare(a.cost, b.cost) })
 	return plans[:o.mode.Beam]
 }
 
-// spillTwin builds the disk-backed twin of base, the cheapest
-// spill-compatible alternative of a site where nothing fits the memory
-// budget. The twin produces the identical output (same property vector), is
-// priced by Model.Spill over the input rows with a nominal two disk passes
-// (partition write + read; deeper recursion is the skew exception, not the
-// rule), and claims the budget as its peak residency — the runtime kernel
+// spillTwin is the disk-backed twin of base: the same output, priced by
+// Model.Spill over the input rows at a nominal two disk passes (partition
+// write and read), claiming the budget as its peak residency — the kernel
 // bounds itself to the spill grant.
-func (o *optimizer) spillTwin(base *Plan) *Plan {
+func (o *optimizer) spillTwin(base slot) slot {
 	o.stats.Alternatives++
 	var inRows float64
-	for _, c := range base.Children {
-		inRows += c.Rows
+	for _, c := range base.in {
+		if c != nil {
+			inRows += c.rows
+		}
 	}
-	twin := *base
-	twin.Spill = true
-	twin.DOP = 0
-	twin.Cost = o.mode.Model.Spill(base.Cost, inRows, 2)
-	twin.Mem = math.Min(base.Mem, float64(o.mode.MemBudget))
-	return &twin
+	twin := base
+	twin.spill = true
+	twin.cost = o.mode.Model.Spill(base.cost, inRows, 2)
+	twin.mem = math.Min(base.mem, float64(o.mode.MemBudget))
+	return twin
 }

@@ -10,11 +10,10 @@ package logical
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"dqo/internal/expr"
-	"dqo/internal/props"
 	"dqo/internal/storage"
 )
 
@@ -81,18 +80,16 @@ type Join struct {
 
 // Columns implements Node: left columns then right columns, with clashing
 // right names suffixed "_r" (mirroring physical.JoinRel).
-func (j *Join) Columns() []string {
-	left, right := j.Left.Columns(), j.Right.Columns()
+func (j *Join) Columns() []string { return joinColumns(j.Left.Columns(), j.Right.Columns()) }
+
+// joinColumns names a join's output: the left input's columns, then the
+// right's, each suffixed "_r" when its name is taken.
+func joinColumns(left, right []string) []string {
 	out := append(make([]string, 0, len(left)+len(right)), left...)
-	used := make(map[string]bool, len(out))
-	for _, c := range out {
-		used[c] = true
-	}
 	for _, c := range right {
-		if used[c] {
+		if slices.Contains(out, c) {
 			c += "_r"
 		}
-		used[c] = true
 		out = append(out, c)
 	}
 	return out
@@ -164,98 +161,103 @@ func Format(n Node) string {
 }
 
 // Validate checks that every referenced column exists in the corresponding
-// input schema.
+// input schema. Of several errors it reports the first in pre-order.
 func Validate(n Node) error {
-	has := func(cols []string, c string) bool {
-		for _, x := range cols {
-			if x == c {
-				return true
-			}
-		}
-		return false
-	}
+	_, err := validate(n)
+	return err
+}
+
+// validate returns n's output columns, derived once per node from its
+// children's, and the first error of its subtree in pre-order: its own
+// before its inputs', the left input's before the right's.
+func validate(n Node) ([]string, error) {
 	switch n := n.(type) {
 	case *Scan:
 		if n.Rel == nil {
-			return fmt.Errorf("logical: scan of %q has no relation bound", n.Table)
+			return nil, fmt.Errorf("logical: scan of %q has no relation bound", n.Table)
 		}
-		return nil
+		return n.Rel.ColumnNames(), nil
 	case *Filter:
-		in := n.Input.Columns()
+		in, err := validate(n.Input)
 		for _, c := range n.Pred.Columns(nil) {
-			if !has(in, c) {
-				return fmt.Errorf("logical: filter references unknown column %q", c)
+			if !slices.Contains(in, c) {
+				return nil, fmt.Errorf("logical: filter references unknown column %q", c)
 			}
 		}
-		return Validate(n.Input)
+		return in, err
 	case *Project:
-		in := n.Input.Columns()
+		in, err := validate(n.Input)
 		for _, c := range n.Cols {
-			if !has(in, c) {
-				return fmt.Errorf("logical: projection references unknown column %q", c)
+			if !slices.Contains(in, c) {
+				return nil, fmt.Errorf("logical: projection references unknown column %q", c)
 			}
 		}
-		return Validate(n.Input)
+		return n.Cols, err
 	case *Join:
-		if !has(n.Left.Columns(), n.LeftKey) {
-			return fmt.Errorf("logical: join references unknown left key %q", n.LeftKey)
+		left, lerr := validate(n.Left)
+		right, rerr := validate(n.Right)
+		switch {
+		case !slices.Contains(left, n.LeftKey):
+			return nil, fmt.Errorf("logical: join references unknown left key %q", n.LeftKey)
+		case !slices.Contains(right, n.RightKey):
+			return nil, fmt.Errorf("logical: join references unknown right key %q", n.RightKey)
+		case lerr != nil:
+			return nil, lerr
 		}
-		if !has(n.Right.Columns(), n.RightKey) {
-			return fmt.Errorf("logical: join references unknown right key %q", n.RightKey)
-		}
-		if err := Validate(n.Left); err != nil {
-			return err
-		}
-		return Validate(n.Right)
+		return joinColumns(left, right), rerr
 	case *GroupBy:
-		in := n.Input.Columns()
-		if !has(in, n.Key) {
-			return fmt.Errorf("logical: group-by references unknown key %q", n.Key)
+		in, err := validate(n.Input)
+		if !slices.Contains(in, n.Key) {
+			return nil, fmt.Errorf("logical: group-by references unknown key %q", n.Key)
 		}
 		for _, a := range n.Aggs {
-			if err := a.Validate(); err != nil {
-				return err
+			if verr := a.Validate(); verr != nil {
+				return nil, verr
 			}
-			if a.Col != "" && !has(in, a.Col) {
-				return fmt.Errorf("logical: aggregate references unknown column %q", a.Col)
+			if a.Col != "" && !slices.Contains(in, a.Col) {
+				return nil, fmt.Errorf("logical: aggregate references unknown column %q", a.Col)
 			}
 		}
-		return Validate(n.Input)
+		return n.Columns(), err
 	case *Sort:
-		if !has(n.Input.Columns(), n.Key) {
-			return fmt.Errorf("logical: sort references unknown key %q", n.Key)
+		in, err := validate(n.Input)
+		if !slices.Contains(in, n.Key) {
+			return nil, fmt.Errorf("logical: sort references unknown key %q", n.Key)
 		}
-		return Validate(n.Input)
+		return in, err
 	default:
-		return fmt.Errorf("logical: unknown node type %T", n)
+		return nil, fmt.Errorf("logical: unknown node type %T", n)
 	}
 }
 
-// ScanProps derives the base property set of a stored relation from its
-// column statistics and declared correlations.
-func ScanProps(rel *storage.Relation) props.Set {
-	// The set is built in place rather than through WithSortedBy/WithCorr:
-	// those copy the component they change, and a fresh unshared set has
-	// nothing to protect. The invariants they maintain — SortedBy sorted and
-	// duplicate-free, Corrs deduplicated and in (key, dep) order — are kept
-	// here.
-	s := props.NewSet()
-	for _, c := range rel.Columns() {
-		if !c.Kind().Integer() {
-			continue
+// Inputs returns the scans under n and the key columns its joins,
+// groupings and sorts name, in pre-order: what a planner numbers the
+// query's columns from.
+func Inputs(n Node) (scans []*Scan, keys []string) {
+	scans, keys = make([]*Scan, 0, 4), make([]string, 0, 8)
+	var walk func(n Node)
+	walk = func(n Node) {
+		switch n := n.(type) {
+		case *Scan:
+			scans = append(scans, n)
+		case *Filter:
+			walk(n.Input)
+		case *Project:
+			walk(n.Input)
+		case *Sort:
+			keys = append(keys, n.Key)
+			walk(n.Input)
+		case *Join:
+			keys = append(keys, n.LeftKey, n.RightKey)
+			walk(n.Left)
+			walk(n.Right)
+		case *GroupBy:
+			keys = append(keys, n.Key)
+			walk(n.Input)
 		}
-		st := c.Stats()
-		if st.Sorted && st.Rows > 0 {
-			s.SortedBy = append(s.SortedBy, c.Name())
-		}
-		s.Cols[c.Name()] = props.FromStats(st.Rows, st.Min, st.Max, st.Distinct, st.Dense, st.Exact)
 	}
-	sort.Strings(s.SortedBy) // column names are unique, so sorting normalises
-	for _, corr := range rel.Corrs() {
-		s.Corrs = append(s.Corrs, props.Corr{Key: corr[0], Dep: corr[1]})
-	}
-	s.Corrs = props.NormalizeCorrs(s.Corrs)
-	return s
+	walk(n)
+	return scans, keys
 }
 
 // Estimator memoises cardinality and distinct-count estimates over logical
@@ -265,24 +267,36 @@ func ScanProps(rel *storage.Relation) props.Set {
 // subtree many times over. Trees are immutable during planning, which makes
 // the per-node results cacheable; one Estimator shared across an optimiser
 // run (the greedy tier asks about every node it visits) turns the quadratic
-// re-walks into single visits.
-//
-// The zero value is not usable; call NewEstimator.
+// re-walks into single visits. A planned tree has a few dozen nodes at
+// most, so the memo is a list searched by node identity: cheaper than
+// hashing an interface, and no map to grow.
 type Estimator struct {
-	rows map[Node]float64
-	dist map[distKey]float64
+	rows, dist []estimate
 }
 
-type distKey struct {
+// estimate is one memoised answer: the cardinality of n, or the distinct
+// count of col in n's output.
+type estimate struct {
 	n   Node
 	col string
+	v   float64
 }
 
 // NewEstimator returns an empty Estimator. Results are cached by node
 // identity, so the estimator must be discarded if a tree it has seen is
 // mutated or its base statistics change.
 func NewEstimator() *Estimator {
-	return &Estimator{rows: make(map[Node]float64), dist: make(map[distKey]float64)}
+	return &Estimator{rows: make([]estimate, 0, 16), dist: make([]estimate, 0, 16)}
+}
+
+// lookup returns the answer memo holds for (n, col).
+func lookup(memo []estimate, n Node, col string) (float64, bool) {
+	for i := range memo {
+		if m := &memo[i]; m.n == n && m.col == col {
+			return m.v, true
+		}
+	}
+	return 0, false
 }
 
 // Estimate returns the estimated output cardinality of a plan. Estimates use
@@ -292,11 +306,11 @@ func Estimate(n Node) float64 { return NewEstimator().Estimate(n) }
 
 // Estimate is the memoised form of the package-level Estimate.
 func (e *Estimator) Estimate(n Node) float64 {
-	if v, ok := e.rows[n]; ok {
+	if v, ok := lookup(e.rows, n, ""); ok {
 		return v
 	}
 	v := e.estimate(n)
-	e.rows[n] = v
+	e.rows = append(e.rows, estimate{n: n, v: v})
 	return v
 }
 
@@ -352,12 +366,11 @@ func ColDistinct(n Node, col string) float64 { return NewEstimator().ColDistinct
 
 // ColDistinct is the memoised form of the package-level ColDistinct.
 func (e *Estimator) ColDistinct(n Node, col string) float64 {
-	k := distKey{n, col}
-	if v, ok := e.dist[k]; ok {
+	if v, ok := lookup(e.dist, n, col); ok {
 		return v
 	}
 	v := e.colDistinct(n, col)
-	e.dist[k] = v
+	e.dist = append(e.dist, estimate{n: n, col: col, v: v})
 	return v
 }
 

@@ -1,6 +1,7 @@
 package logical
 
 import (
+	"dqo/internal/props"
 	"strings"
 	"testing"
 
@@ -118,46 +119,59 @@ func TestColDistinctThroughJoin(t *testing.T) {
 	}
 }
 
+// scanProps numbers rel's columns in a deep table and returns its scan
+// property set with the ordinal of a name, as a planner derives them.
+func scanProps(t *testing.T, rel *storage.Relation) (props.Set, func(string) props.Col) {
+	tab := props.NewTable([]*storage.Relation{rel}, nil, true)
+	return tab.Scan(rel), func(name string) props.Col {
+		c, ok := tab.Col(name)
+		if !ok {
+			t.Fatalf("no column %s", name)
+		}
+		return c
+	}
+}
+
 func TestScanPropsFromStats(t *testing.T) {
 	_, r, s := paperPlan(t, true, false, true)
-	rp := ScanProps(r)
-	if !rp.SortedOn("ID") || !rp.SortedOn("A") {
-		t.Fatalf("sorted R props wrong: %v", rp.SortedBy)
+	rp, c := scanProps(t, r)
+	if !rp.SortedOn(c("ID")) || !rp.SortedOn(c("A")) {
+		t.Fatalf("sorted R props wrong: %s", rp)
 	}
-	if !rp.DenseOn("ID") || !rp.DenseOn("A") {
+	if !rp.DenseOn(c("ID")) || !rp.DenseOn(c("A")) {
 		t.Fatal("dense domains missing")
 	}
-	if !rp.CorrelatedWith("ID", "A") {
+	if !rp.Dependents(c("ID")).Has(c("A")) {
 		t.Fatal("declared correlation missing from scan props")
 	}
-	sp := ScanProps(s)
-	if sp.SortedOn("R_ID") {
+	sp, c := scanProps(t, s)
+	if sp.SortedOn(c("R_ID")) {
 		t.Fatal("unsorted S claimed sorted")
 	}
 	// M is an int64 payload: has a domain entry but no order claims.
-	if sp.SortedOn("M") {
-		t.Fatal("unsorted M claimed sorted")
+	if sp.SortedOn(c("M")) || !sp.Domain(c("M")).Known {
+		t.Fatal("unsorted M claimed sorted, or lost its domain")
 	}
 }
 
 func TestScanPropsUnsortedSparse(t *testing.T) {
 	_, r, _ := paperPlan(t, false, false, false)
-	rp := ScanProps(r)
-	if rp.SortedOn("ID") {
+	rp, c := scanProps(t, r)
+	if rp.SortedOn(c("ID")) {
 		t.Fatal("unsorted R claimed sorted")
 	}
-	if rp.DenseOn("ID") {
+	if rp.DenseOn(c("ID")) {
 		t.Fatal("sparse ID claimed dense")
 	}
-	if rp.DenseOn("A") {
+	if rp.DenseOn(c("A")) {
 		t.Fatal("the density knob covers the grouping key too (Figure 5 sparse column)")
 	}
 }
 
 func TestScanPropsStringColumn(t *testing.T) {
 	rel := storage.MustNewRelation("t", storage.NewString("s", []string{"a", "b", "a"}))
-	p := ScanProps(rel)
-	if !p.DenseOn("s") {
+	p, c := scanProps(t, rel)
+	if !p.DenseOn(c("s")) {
 		t.Fatal("dict codes should be dense")
 	}
 }

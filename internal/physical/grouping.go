@@ -81,7 +81,7 @@ func (k GroupKind) Requirements(col string) []props.Requirement {
 
 // Admits reports whether an input with these properties meets
 // Requirements(col), without building the list.
-func (k GroupKind) Admits(in props.Set, col string) bool {
+func (k GroupKind) Admits(in props.Set, col props.Col) bool {
 	switch k {
 	case SPHG:
 		return in.DenseOn(col)
@@ -607,7 +607,7 @@ func searchUint32(xs []uint32, k uint32) (int, bool) {
 // does, and OG keeps its input's run order: sorted on sorted input, first-run
 // order on merely grouped input. OutputProps reads nothing else of the kind,
 // so kinds that agree here derive equal output properties from one input.
-func (k GroupKind) SortsOutput(in props.Set, col string) bool {
+func (k GroupKind) SortsOutput(in props.Set, col props.Col) bool {
 	switch k {
 	case SPHG, SOG, BSG:
 		return true
@@ -621,13 +621,13 @@ func (k GroupKind) SortsOutput(in props.Set, col string) bool {
 // OutputProps returns the property set of the grouping output given the
 // input property set (for the key column named col): the order SortsOutput
 // states, and the key domain of the result.
-func (k GroupKind) OutputProps(in props.Set, col string) props.Set {
+func (k GroupKind) OutputProps(in props.Set, col props.Col) props.Set {
 	// Grouping preserves the key domain exactly.
-	out := props.Set{Cols: map[string]props.Domain{col: in.Domain(col)}}
+	out := in.Project(props.ColsOf(col)).DropOrder()
 	if k.SortsOutput(in, col) {
-		out.SortedBy = []string{col}
+		out.Sorted = props.ColsOf(col)
 	} else {
-		out.GroupedBy = []string{col}
+		out.Grouped = props.ColsOf(col)
 	}
 	return out
 }

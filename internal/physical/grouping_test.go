@@ -9,6 +9,7 @@ import (
 	"dqo/internal/hashtable"
 	"dqo/internal/props"
 	"dqo/internal/sortx"
+	"dqo/internal/storage"
 	"dqo/internal/xrand"
 )
 
@@ -420,25 +421,26 @@ func TestGroupKindMetadata(t *testing.T) {
 }
 
 func TestGroupOutputProps(t *testing.T) {
-	in := props.NewSet().WithSortedBy("k").
-		WithDomain("k", props.Domain{Known: true, Dense: true, Lo: 0, Hi: 9, Distinct: 10})
+	sets, c := scanSets(true, storage.MustNewRelation("T", upTo("k", 10)))
+	in, k0 := sets[0], c("k")
 	for _, k := range []GroupKind{SPHG, SOG, BSG} {
-		out := k.OutputProps(in, "k")
-		if !out.SortedOn("k") {
+		out := k.OutputProps(in, k0)
+		if !out.SortedOn(k0) {
 			t.Fatalf("%s output should be sorted", k)
 		}
-		if !out.DenseOn("k") {
+		if !out.DenseOn(k0) {
 			t.Fatalf("%s output should keep the dense domain", k)
 		}
 	}
-	if out := OG.OutputProps(in, "k"); !out.SortedOn("k") {
+	if out := OG.OutputProps(in, k0); !out.SortedOn(k0) {
 		t.Fatal("OG on sorted input should stay sorted")
 	}
-	grouped := props.NewSet().WithGroupedBy("k")
-	if out := OG.OutputProps(grouped, "k"); out.SortedOn("k") || !out.GroupedOn("k") {
+	grouped := in.DropOrder()
+	grouped.Grouped = props.ColsOf(k0)
+	if out := OG.OutputProps(grouped, k0); out.SortedOn(k0) || !out.GroupedOn(k0) {
 		t.Fatal("OG on grouped input should stay grouped, not sorted")
 	}
-	if out := HG.OutputProps(in, "k"); out.SortedOn("k") || !out.GroupedOn("k") {
+	if out := HG.OutputProps(in, k0); out.SortedOn(k0) || !out.GroupedOn(k0) {
 		t.Fatal("HG output should be grouped but unsorted")
 	}
 }

@@ -2,7 +2,6 @@ package physical
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"dqo/internal/govern"
@@ -73,9 +72,10 @@ func (k JoinKind) Requirements(leftCol, rightCol string) (left, right []props.Re
 }
 
 // Admits reports whether inputs with these properties meet
-// Requirements(leftCol, rightCol): the same answer without building the lists,
-// for the enumeration loop that asks it of every alternative.
-func (k JoinKind) Admits(left, right props.Set, leftCol, rightCol string) bool {
+// Requirements(leftCol, rightCol), the columns given as ordinals of the
+// inputs' table: the same answer without building the lists, for the
+// enumeration loop that asks it of every alternative.
+func (k JoinKind) Admits(left, right props.Set, leftCol, rightCol props.Col) bool {
 	switch k {
 	case SPHJ:
 		return left.DenseOn(leftCol)
@@ -96,7 +96,7 @@ func (k JoinKind) KeyOrdered() bool { return k == OJ || k == SOJ }
 // order-based family, for a probe-major kind when the probe side is sorted on
 // its key. OutputProps reads nothing else of the kind, so kinds that agree
 // here derive equal output properties from one pair of inputs.
-func (k JoinKind) SortsOutput(right props.Set, rcol string) bool {
+func (k JoinKind) SortsOutput(right props.Set, rcol props.Col) bool {
 	return k.KeyOrdered() || right.SortedOn(rcol)
 }
 
@@ -717,30 +717,14 @@ func (d sortedDir) Fill(key uint32, dst []int32) int {
 // the SPH array tolerates unused slots, it is merely no longer minimal).
 //
 // Correlations are value-level monotone-function facts, so they survive.
-func (k JoinKind) OutputProps(left, right props.Set, lcol, rcol string) props.Set {
-	out := props.Set{Cols: make(map[string]props.Domain, len(left.Cols)+len(right.Cols))}
+func (k JoinKind) OutputProps(left, right props.Set, lcol, rcol props.Col) props.Set {
+	out := left.Union(right)
 	// Probe-major emission: probe-side key order drives output order.
 	switch {
 	case k.SortsOutput(right, rcol):
-		sorted := append(make([]string, 0, 4), lcol, rcol)
-		sorted = right.AppendDependents(left.AppendDependents(sorted, lcol), rcol)
-		slices.Sort(sorted)
-		out.SortedBy = slices.Compact(sorted)
+		out.Sorted = props.ColsOf(lcol, rcol) | left.Dependents(lcol) | right.Dependents(rcol)
 	case right.GroupedOn(rcol):
-		out.GroupedBy = []string{lcol, rcol}
+		out.Grouped = props.ColsOf(lcol, rcol)
 	}
-	for c, d := range left.Cols {
-		if d.Known {
-			out.Cols[c] = d
-		}
-	}
-	for c, d := range right.Cols {
-		if d.Known {
-			if _, exists := out.Cols[c]; !exists {
-				out.Cols[c] = d
-			}
-		}
-	}
-	out.Corrs = props.MergeCorrs(left.Corrs, right.Corrs)
 	return out
 }

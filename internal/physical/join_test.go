@@ -2,16 +2,43 @@ package physical
 
 import (
 	"fmt"
-	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"dqo/internal/datagen"
 	"dqo/internal/props"
 	"dqo/internal/sortx"
+	"dqo/internal/storage"
 	"dqo/internal/xrand"
 )
+
+// scanSets numbers the relations in one table, deep (dense) or not, and
+// returns each one's scan property set and the table's ordinal of a name.
+func scanSets(dense bool, rels ...*storage.Relation) ([]props.Set, func(string) props.Col) {
+	tab := props.NewTable(rels, nil, dense)
+	sets := make([]props.Set, len(rels))
+	for i, r := range rels {
+		sets[i] = tab.Scan(r)
+	}
+	return sets, func(name string) props.Col {
+		c, ok := tab.Col(name)
+		if !ok {
+			panic("no column " + name)
+		}
+		return c
+	}
+}
+
+// upTo returns the uint32 column name holding 0..n-1: sorted and dense.
+func upTo(name string, n int) *storage.Column {
+	vals := make([]uint32, n)
+	for i := range vals {
+		vals[i] = uint32(i)
+	}
+	return storage.NewUint32(name, vals)
+}
 
 // refJoin computes all matching pairs by nested loops.
 func refJoin(left, right []uint32) map[[2]int32]bool {
@@ -272,21 +299,20 @@ func TestJoinKindMetadata(t *testing.T) {
 }
 
 func TestJoinOutputProps(t *testing.T) {
-	leftSorted := props.NewSet().WithSortedBy("ID").
-		WithDomain("ID", props.Domain{Known: true, Dense: true, Lo: 0, Hi: 99, Distinct: 100})
-	rightSorted := props.NewSet().WithSortedBy("R_ID")
-	rightUnsorted := props.NewSet()
+	sets, c := scanSets(true, storage.MustNewRelation("L", upTo("ID", 100)), storage.MustNewRelation("S", upTo("R_ID", 100)))
+	leftSorted, rightSorted := sets[0], sets[1]
+	rightUnsorted := rightSorted.DropOrder()
 
-	out := OJ.OutputProps(leftSorted, rightSorted, "ID", "R_ID")
-	if !out.SortedOn("ID") || !out.DenseOn("ID") {
-		t.Fatalf("OJ output props wrong: %+v", out)
+	out := OJ.OutputProps(leftSorted, rightSorted, c("ID"), c("R_ID"))
+	if !out.SortedOn(c("ID")) || !out.DenseOn(c("ID")) {
+		t.Fatalf("OJ output props wrong: %s", out)
 	}
-	out = HJ.OutputProps(leftSorted, rightUnsorted, "ID", "R_ID")
-	if out.SortedOn("ID") {
+	out = HJ.OutputProps(leftSorted, rightUnsorted, c("ID"), c("R_ID"))
+	if out.SortedOn(c("ID")) {
 		t.Fatal("HJ with unsorted probe must not claim order")
 	}
-	out = SPHJ.OutputProps(leftSorted, rightSorted, "ID", "R_ID")
-	if !out.SortedOn("ID") {
+	out = SPHJ.OutputProps(leftSorted, rightSorted, c("ID"), c("R_ID"))
+	if !out.SortedOn(c("ID")) {
 		t.Fatal("probe-major join with sorted probe should claim order")
 	}
 }
@@ -297,22 +323,26 @@ func TestJoinOutputProps(t *testing.T) {
 // orientations of a join (the commuted join asks the same kind with the
 // inputs exchanged).
 func TestKindsAdmitWhatTheyRequire(t *testing.T) {
+	rel := storage.MustNewRelation("T", upTo("l", 10), upTo("r", 10))
+	dense, c := scanSets(true, rel)
+	sparse, _ := scanSets(false, rel)
 	var inputs []props.Set
 	for bits := 0; bits < 8; bits++ {
-		s := props.NewSet()
-		for _, col := range []string{"l", "r"} {
-			s.Cols[col] = props.Domain{Known: true, Dense: bits&1 != 0, Lo: 0, Hi: 9, Distinct: 10}
+		s := sparse[0]
+		if bits&1 != 0 {
+			s = dense[0]
 		}
+		s = s.DropOrder()
 		if bits&2 != 0 {
-			s = s.WithSortedBy("l", "r")
+			s.Sorted = props.ColsOf(c("l"), c("r"))
 		} else if bits&4 != 0 {
-			s = s.WithGroupedBy("l", "r")
+			s.Grouped = props.ColsOf(c("l"), c("r"))
 		}
 		inputs = append(inputs, s)
 	}
 	for _, k := range GroupKinds() {
 		for i, in := range inputs {
-			if got, want := k.Admits(in, "l"), in.SatisfiesAll(k.Requirements("l")); got != want {
+			if got, want := k.Admits(in, c("l")), in.SatisfiesAll(k.Requirements("l")); got != want {
 				t.Fatalf("%s on input %d: Admits = %v, requirements say %v", k, i, got, want)
 			}
 		}
@@ -323,7 +353,7 @@ func TestKindsAdmitWhatTheyRequire(t *testing.T) {
 				for _, cols := range [][2]string{{"l", "r"}, {"r", "l"}} {
 					breqs, preqs := k.Requirements(cols[0], cols[1])
 					want := build.SatisfiesAll(breqs) && probe.SatisfiesAll(preqs)
-					if got := k.Admits(build, probe, cols[0], cols[1]); got != want {
+					if got := k.Admits(build, probe, c(cols[0]), c(cols[1])); got != want {
 						t.Fatalf("%s on inputs %d/%d: Admits = %v, requirements say %v", k, i, j, got, want)
 					}
 				}
@@ -339,15 +369,23 @@ func TestKindsAdmitWhatTheyRequire(t *testing.T) {
 // differ. The inputs are sorted, grouped or neither on their key, each with a
 // dense key domain and a column correlated with the key.
 func TestSortsOutputClassesShareOutputProps(t *testing.T) {
-	dom := props.Domain{Known: true, Dense: true, Lo: 0, Hi: 99, Distinct: 100}
+	lrel := storage.MustNewRelation("L", upTo("l", 100), upTo("a", 100))
+	rrel := storage.MustNewRelation("R", upTo("r", 100), upTo("b", 100))
+	lrel.DeclareCorr("l", "a")
+	rrel.DeclareCorr("r", "b")
+	sets, c := scanSets(true, lrel, rrel)
 	orders := []string{"neither", "grouped", "sorted"}
-	input := func(key, dep string, order int) props.Set {
-		s := props.NewSet().WithDomain(key, dom).WithDomain(dep, dom).WithCorr(key, dep)
+	input := func(key string, order int) props.Set {
+		s := sets[0]
+		if key == "r" {
+			s = sets[1]
+		}
+		s = s.DropOrder()
 		switch orders[order] {
 		case "grouped":
-			s = s.WithGroupedBy(key)
+			s.Grouped = props.ColsOf(c(key))
 		case "sorted":
-			s = s.WithSortedBy(key)
+			s.Sorted = props.ColsOf(c(key))
 		}
 		return s
 	}
@@ -364,17 +402,17 @@ func TestSortsOutputClassesShareOutputProps(t *testing.T) {
 		classes[sorted] = key
 	}
 	for o := range orders {
-		in := input("k", "a", o)
+		in := input("l", o)
 		classes := map[bool]props.Key{}
 		for _, k := range GroupKinds() {
-			if k.Admits(in, "k") {
-				check(classes, "group over "+orders[o], k, k.SortsOutput(in, "k"), k.OutputProps(in, "k").Key())
+			if k.Admits(in, c("l")) {
+				check(classes, "group over "+orders[o], k, k.SortsOutput(in, c("l")), k.OutputProps(in, c("l")).Key())
 			}
 		}
 	}
 	for lo := range orders {
 		for ro := range orders {
-			left, right := input("l", "a", lo), input("r", "b", ro)
+			left, right := input("l", lo), input("r", ro)
 			for _, swapped := range []bool{false, true} {
 				build, probe, bcol, pcol := left, right, "l", "r"
 				if swapped {
@@ -383,8 +421,8 @@ func TestSortsOutputClassesShareOutputProps(t *testing.T) {
 				label := fmt.Sprintf("join %s ⋈ %s (swapped %v)", orders[lo], orders[ro], swapped)
 				classes := map[bool]props.Key{}
 				for _, k := range JoinKinds() {
-					if k.Admits(build, probe, bcol, pcol) {
-						check(classes, label, k, k.SortsOutput(probe, pcol), k.OutputProps(build, probe, bcol, pcol).Key())
+					if k.Admits(build, probe, c(bcol), c(pcol)) {
+						check(classes, label, k, k.SortsOutput(probe, c(pcol)), k.OutputProps(build, probe, c(bcol), c(pcol)).Key())
 					}
 				}
 			}
@@ -398,15 +436,21 @@ func TestSortsOutputClassesShareOutputProps(t *testing.T) {
 // two — whichever input's correlations come first; a correlation both carry
 // is kept once.
 func TestJoinOutputPropsCommutedCorrelations(t *testing.T) {
-	dom := props.Domain{Known: true, Dense: true, Lo: 0, Hi: 99, Distinct: 100}
-	left := props.NewSet().WithSortedBy("ID").WithDomain("ID", dom).WithCorr("ID", "A").WithCorr("X", "Y")
-	right := props.NewSet().WithSortedBy("K").WithDomain("K", dom).WithCorr("K", "B").WithCorr("X", "Y")
+	lrel := storage.MustNewRelation("L", upTo("ID", 100), upTo("A", 100), upTo("X", 100), upTo("Y", 100))
+	rrel := storage.MustNewRelation("R", upTo("K", 100), upTo("B", 100), upTo("X", 100), upTo("Y", 100))
+	lrel.DeclareCorr("ID", "A")
+	lrel.DeclareCorr("X", "Y")
+	rrel.DeclareCorr("K", "B")
+	rrel.DeclareCorr("X", "Y")
+	sets, c := scanSets(true, lrel, rrel)
+	left, right := sets[0].DropOrder(), sets[1].DropOrder()
+	left.Sorted, right.Sorted = props.ColsOf(c("ID")), props.ColsOf(c("K"))
 	for _, k := range JoinKinds() {
-		out := k.OutputProps(left, right, "ID", "K")
-		twin := k.OutputProps(right, left, "K", "ID")
-		want := []props.Corr{{Key: "ID", Dep: "A"}, {Key: "K", Dep: "B"}, {Key: "X", Dep: "Y"}}
-		if !slices.Equal(out.Corrs, want) || !slices.Equal(twin.Corrs, want) {
-			t.Fatalf("%s: correlations %v, commuted %v, want %v both ways", k, out.Corrs, twin.Corrs, want)
+		out := k.OutputProps(left, right, c("ID"), c("K"))
+		twin := k.OutputProps(right, left, c("K"), c("ID"))
+		const want = "corr{A~ID} corr{B~K} corr{Y~X}"
+		if !strings.HasSuffix(out.String(), want) || !strings.HasSuffix(twin.String(), want) {
+			t.Fatalf("%s: correlations %s, commuted %s, want %s both ways", k, out, twin, want)
 		}
 		if out.Key() != twin.Key() || out.Fingerprint() != twin.Fingerprint() {
 			t.Fatalf("%s: the commuted join keys differently:\n%s\n%s", k, out.Fingerprint(), twin.Fingerprint())

@@ -7,37 +7,36 @@ import (
 
 // keyPool builds property sets that differ from one another in one component
 // at a time and in random combinations, including the spellings Fingerprint
-// treats as equal: permuted and duplicated name lists, unknown domains,
-// other map insertion orders.
+// treats as equal: the same knowledge reached by other derivations (a domain
+// set to unknown, an override written over and back, other orders of
+// derivation).
 func keyPool() []Set {
 	names := []string{"R.ID", "R.A", "S.R_ID", "S.M", "D.G", "D.W"}
 	dom := func(dense bool, lo, hi uint64, distinct int64) Domain {
 		return Domain{Known: true, Dense: dense, Lo: lo, Hi: hi, Distinct: distinct}
 	}
 	pool := []Set{
-		{},
-		NewSet(),
-		{SortedBy: []string{"R.A"}},
-		{GroupedBy: []string{"R.A"}},
-		{SortedBy: []string{"R.A", "R.ID"}},
-		{SortedBy: []string{"R.ID", "R.A"}},
-		{SortedBy: []string{"R.ID", "R.A", "R.ID"}},
-		{SortedBy: []string{"R.A"}, GroupedBy: []string{"R.ID"}},
-		{SortedBy: []string{"R.ID"}, GroupedBy: []string{"R.A"}},
-		{Corrs: []Corr{{"R.ID", "R.A"}}},
-		{Corrs: []Corr{{"R.A", "R.ID"}}},
-		{Corrs: []Corr{{"R.ID", "R.A"}, {"D.G", "D.W"}}},
-		{Corrs: []Corr{{"D.G", "D.W"}, {"R.ID", "R.A"}}}, // sequence, not set
-		{Corrs: []Corr{{"R.ID", "R.A"}, {"R.ID", "R.A"}}},
-		{Cols: map[string]Domain{"R.A": {}}}, // unknown: as good as absent
-		{Cols: map[string]Domain{"R.A": dom(true, 0, 9, 10)}},
-		{Cols: map[string]Domain{"R.A": dom(false, 0, 9, 10)}},
-		{Cols: map[string]Domain{"R.A": dom(true, 1, 9, 10)}},
-		{Cols: map[string]Domain{"R.A": dom(true, 0, 10, 10)}},
-		{Cols: map[string]Domain{"R.A": dom(true, 0, 9, 9)}},
-		{Cols: map[string]Domain{"R.ID": dom(true, 0, 9, 10)}},
-		{Cols: map[string]Domain{"R.A": dom(true, 0, 9, 10), "R.ID": dom(true, 0, 9, 10)}},
-		{Cols: map[string]Domain{"R.A": dom(true, 0, 9, 10), "R.ID": {}}},
+		newSet(),
+		newSet().withSortedBy("R.A"),
+		newSet().withGroupedBy("R.A"),
+		newSet().withSortedBy("R.A", "R.ID"),
+		newSet().withSortedBy("R.ID", "R.A"),
+		newSet().withSortedBy("R.A").withGroupedBy("R.ID"),
+		newSet().withSortedBy("R.ID").withGroupedBy("R.A"),
+		newSet().withCorr("R.ID", "R.A"),
+		newSet().withCorr("R.A", "R.ID"),
+		newSet().withCorr("R.ID", "R.A").withCorr("D.G", "D.W"),
+		newSet().withCorr("D.G", "D.W").withCorr("R.ID", "R.A"),
+		newSet().withDomain("R.A", Domain{}), // unknown: as good as absent
+		newSet().withDomain("R.A", dom(true, 0, 9, 10)),
+		newSet().withDomain("R.A", dom(false, 0, 9, 10)),
+		newSet().withDomain("R.A", dom(true, 1, 9, 10)),
+		newSet().withDomain("R.A", dom(true, 0, 10, 10)),
+		newSet().withDomain("R.A", dom(true, 0, 9, 9)),
+		newSet().withDomain("R.ID", dom(true, 0, 9, 10)),
+		newSet().withDomain("R.A", dom(true, 0, 9, 10)).withDomain("R.ID", dom(true, 0, 9, 10)),
+		newSet().withDomain("R.A", dom(true, 0, 9, 10)).withDomain("R.ID", Domain{}),
+		newSet().withDomain("R.ID", dom(true, 0, 9, 10)).withDomain("R.A", dom(true, 0, 9, 10)).Project(cols("R.A")),
 	}
 	r := rand.New(rand.NewSource(7))
 	pick := func() []string {
@@ -51,17 +50,24 @@ func keyPool() []Set {
 		return out
 	}
 	for i := 0; i < 300; i++ {
-		s := NewSet()
-		s.SortedBy, s.GroupedBy = pick(), pick()
+		s := newSet().withSortedBy(pick()...)
+		s.Grouped = cols(pick()...)
 		for _, k := range pick() {
-			s.Corrs = append(s.Corrs, Corr{Key: k, Dep: names[r.Intn(len(names))]})
+			s = s.withCorr(k, names[r.Intn(len(names))])
 		}
 		for _, c := range pick() {
 			lo := uint64(r.Intn(2))
 			d := int64(1 + r.Intn(3))
-			s.Cols[c] = Domain{Known: r.Intn(4) > 0, Dense: r.Intn(2) == 0, Lo: lo, Hi: lo + uint64(d) - 1, Distinct: d}
+			s = s.withDomain(c, Domain{Known: r.Intn(4) > 0, Dense: r.Intn(2) == 0, Lo: lo, Hi: lo + uint64(d) - 1, Distinct: d})
 		}
-		pool = append(pool, s, s.Clone())
+		// The same set through another derivation: a column's domain made
+		// unknown and written again, and order dropped and restored.
+		again := s.withDomain("S.M", Domain{}).DropOrder()
+		again.Sorted, again.Grouped = s.Sorted, s.Grouped
+		if d := s.Domain(col("S.M")); d.Known {
+			again = again.withDomain("S.M", d)
+		}
+		pool = append(pool, s, again)
 	}
 	return pool
 }
@@ -93,24 +99,29 @@ func TestKeyDistinguishesWhatFingerprintDoes(t *testing.T) {
 	}
 }
 
-// TestDerivationsLeaveTheirReceiver: sets share their slices and domain map
-// with the sets derived from them, so every derivation must copy what it
-// changes. Each one is applied twice to every set of the pool, and every
-// derivation once more to each result; no set it was applied to may change.
+// TestDerivationsLeaveTheirReceiver: sets are values that share only their
+// domain overrides with the sets derived from them, so no derivation may
+// write what it shares. Each one is applied twice to every set of the pool,
+// and every derivation once more to each result; no set it was applied to
+// may change.
 func TestDerivationsLeaveTheirReceiver(t *testing.T) {
+	other := newSet().withSortedBy("D.G").withCorr("S.M", "D.W").
+		withDomain("R.A", Domain{Known: true, Dense: true, Lo: 7, Hi: 9, Distinct: 3}).
+		withDomain("S.M", Domain{Known: true, Lo: 1, Hi: 2, Distinct: 2})
 	derivations := []struct {
 		name   string
 		derive func(Set) Set
 	}{
 		{"DropOrder", Set.DropOrder},
-		{"WithSortedBy", func(s Set) Set { return s.WithSortedBy("R.A", "D.G") }},
-		{"WithGroupedBy", func(s Set) Set { return s.WithGroupedBy("S.M", "R.ID") }},
-		{"WithCorr", func(s Set) Set { return s.WithCorr("S.M", "D.W") }},
-		{"WithDomain", func(s Set) Set {
-			return s.WithDomain("R.A", Domain{Known: true, Dense: true, Lo: 7, Hi: 9, Distinct: 3})
+		{"Project", func(s Set) Set { return s.Project(cols("R.ID", "R.A", "D.G")) }},
+		{"AfterSortBy", func(s Set) Set { return s.AfterSortBy(col("R.ID")) }},
+		{"Union", func(s Set) Set { return s.Union(other) }},
+		{"Union (other first)", other.Union},
+		{"JoinOutput", func(s Set) Set {
+			u := s.Union(other)
+			u.Sorted = ColsOf(col("R.ID"), col("D.G")) | s.Dependents(col("R.ID"))
+			return u
 		}},
-		{"Project", func(s Set) Set { return s.Project("R.ID", "R.A", "D.G") }},
-		{"AfterSortBy", func(s Set) Set { return s.AfterSortBy("R.ID") }},
 	}
 	type seen struct {
 		set Set
@@ -140,11 +151,9 @@ func TestDerivationsLeaveTheirReceiver(t *testing.T) {
 // joinOutputSet is the shape the optimiser keys most often: the property
 // vector of a two-join star's output.
 func joinOutputSet() Set {
-	s := NewSet()
-	s.SortedBy = []string{"D.G", "R.A"}
-	s.Corrs = []Corr{{"R.ID", "R.A"}}
+	s := newSet().withSortedBy("D.G", "R.A").withCorr("R.ID", "R.A")
 	for i, c := range []string{"R.ID", "R.A", "S.R_ID", "S.M", "D.G", "D.W"} {
-		s.Cols[c] = Domain{Known: true, Dense: i%2 == 0, Lo: 0, Hi: uint64(1999 + i), Distinct: 2000}
+		s = s.withDomain(c, Domain{Known: true, Dense: i%2 == 0, Lo: 0, Hi: uint64(1999 + i), Distinct: 2000})
 	}
 	return s
 }

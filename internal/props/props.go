@@ -11,17 +11,20 @@
 // granule reads it from the relation's encoding. The engine is columnar
 // throughout, so layout is not one either.
 //
-// This package is the shared vocabulary: a Set describes what is known about
-// a (sub)plan's output, a Requirement describes what a consumer needs, and
-// subsumption between the two drives both optimisers (SQO uses a restricted
-// view of the same machinery).
+// This package is the shared vocabulary: a Table numbers one query's columns,
+// a Set describes what is known about a (sub)plan's output in terms of those
+// numbers, a Requirement describes what a consumer needs, and subsumption
+// between the two drives both optimisers (SQO uses a restricted view of the
+// same machinery).
 package props
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 	"strings"
+
+	"dqo/internal/storage"
 )
 
 // Domain describes the key domain of one output column — the property that
@@ -50,297 +53,339 @@ func (d Domain) Width() uint64 {
 	return d.Hi - d.Lo + 1
 }
 
+// Col is a column's ordinal in its query's Table.
+type Col uint8
+
+// MaxCols is how many columns a Table numbers, so that a Cols is one word.
+const MaxCols = 64
+
+// Cols is a set of column ordinals, one bit each.
+type Cols uint64
+
+// ColsOf returns the set holding the given columns.
+func ColsOf(cs ...Col) Cols {
+	var s Cols
+	for _, c := range cs {
+		s |= 1 << c
+	}
+	return s
+}
+
+// Has reports whether c is in the set.
+func (s Cols) Has(c Col) bool { return s>>c&1 != 0 }
+
+// each calls fn for every column of the set in ordinal order, which is the
+// order of the columns' names.
+func (s Cols) each(fn func(Col)) {
+	for w := uint64(s); w != 0; w &= w - 1 {
+		fn(Col(bits.TrailingZeros64(w)))
+	}
+}
+
 // Corr records an order correlation: Dep is non-decreasing when rows are
 // ordered by Key — "correlated" in the paper's property list. It is a value
 // relationship (Dep is a monotone function of Key), so it survives any
 // reordering or gathering of rows; its power is that whenever an operator
 // emits rows in Key order, Dep comes out sorted too.
-type Corr struct {
-	Key string
-	Dep string
+type Corr struct{ Key, Dep Col }
+
+// Column is a Table's entry for one name: the kind and key domain of the
+// first relation that holds it, the base every Set reads unless it overrides.
+type Column struct {
+	Name string
+	Kind storage.Kind
+	Dom  Domain
+	held bool // a relation holds it (a key name may not)
 }
 
-// String renders e.g. "A↗ID".
-func (c Corr) String() string { return c.Dep + "~" + c.Key }
-
-// Set is the property vector of a (sub)plan output.
-//
-// SortedBy lists the columns that are individually non-decreasing in output
-// order (the engine's keys are single columns, so per-column monotonicity is
-// the order property of interest). GroupedBy lists columns by which the
-// output is clustered: all rows with an equal key are adjacent, but runs are
-// in no particular order. Sortedness on a column implies groupedness on it;
-// the distinction matters because order-based grouping (OG) only needs
-// groupedness, a strictly weaker — and strictly cheaper to establish —
-// property.
-//
-// A Set is an immutable value once built: its slices and its domain map may
-// be shared with the sets derived from it, so a derivation (the With*
-// methods, DropOrder, Project, AfterSortBy) copies only the component it
-// changes and never writes into its receiver's. Code that builds a set in
-// place starts from NewSet or Clone.
-type Set struct {
-	SortedBy  []string
-	GroupedBy []string
-	Corrs     []Corr
-	Cols      map[string]Domain
+// Table numbers the columns one query names, once, in name order; and the
+// correlations its relations declare, in (key, dep) order, over which a Set
+// holds a bitmask. It is immutable once built and shared by every Set of the
+// query and by the finished plan, which reads names back through it.
+type Table struct {
+	cols  []Column
+	corrs []Corr
+	dense bool
 }
 
-// NewSet returns an empty property set (nothing known).
-func NewSet() Set {
-	return Set{Cols: make(map[string]Domain)}
-}
-
-// Clone returns a deep copy, which the caller may modify in place.
-func (s Set) Clone() Set {
-	n := Set{
-		SortedBy:  append([]string(nil), s.SortedBy...),
-		GroupedBy: append([]string(nil), s.GroupedBy...),
-		Corrs:     append([]Corr(nil), s.Corrs...),
-		Cols:      make(map[string]Domain, len(s.Cols)),
-	}
-	for k, v := range s.Cols {
-		n.Cols[k] = v
-	}
-	return n
-}
-
-func normalize(cols []string) []string {
-	out := append([]string(nil), cols...)
-	sort.Strings(out)
-	// Deduplicate.
-	w := 0
-	for i, c := range out {
-		if i == 0 || out[w-1] != c {
-			out[w] = c
-			w++
+// NewTable numbers the key columns keys and the columns of rels: the keys
+// first when there are more than MaxCols names, the rest in the order the
+// relations hold them. A column left without an ordinal is one nothing is
+// known about, and a name that relations hold in different kinds has none
+// (KindInvalid). With dense false the table hides density, so no domain of
+// the query's sets is dense (shallow enumeration).
+func NewTable(rels []*storage.Relation, keys []string, dense bool) *Table {
+	t := &Table{cols: make([]Column, 0, 16), dense: dense}
+	add := func(name string, c *storage.Column) {
+		i := 0
+		for i < len(t.cols) && t.cols[i].Name < name {
+			i++
+		}
+		if i == len(t.cols) || t.cols[i].Name != name {
+			if len(t.cols) == MaxCols {
+				return
+			}
+			t.cols = slices.Insert(t.cols, i, Column{Name: name})
+		}
+		switch e := &t.cols[i]; {
+		case c == nil:
+		case !e.held:
+			e.held, e.Kind, e.Dom = true, c.Kind(), t.domainOf(c)
+		case e.Kind != c.Kind():
+			e.Kind = storage.KindInvalid
 		}
 	}
-	return out[:w]
-}
-
-// SortedOn reports whether column col is non-decreasing in output order.
-func (s Set) SortedOn(col string) bool {
-	for _, c := range s.SortedBy {
-		if c == col {
-			return true
+	for _, k := range keys {
+		add(k, nil)
+	}
+	for _, r := range rels {
+		for _, c := range r.Columns() {
+			add(c.Name(), c)
 		}
 	}
-	return false
-}
-
-// GroupedOn reports whether equal values of col are adjacent in the output.
-// Sortedness implies groupedness.
-func (s Set) GroupedOn(col string) bool {
-	if s.SortedOn(col) {
-		return true
-	}
-	for _, c := range s.GroupedBy {
-		if c == col {
-			return true
+	for _, r := range rels {
+		for _, p := range r.Corrs() {
+			k, okk := t.Col(p[0])
+			d, okd := t.Col(p[1])
+			if okk && okd && len(t.corrs) < 64 && !slices.Contains(t.corrs, Corr{k, d}) {
+				t.corrs = append(t.corrs, Corr{k, d})
+			}
 		}
 	}
-	return false
+	slices.SortFunc(t.corrs, func(a, b Corr) int { return int(a.Key)<<8 + int(a.Dep) - int(b.Key)<<8 - int(b.Dep) })
+	return t
 }
 
-// Domain returns the domain property of col.
-func (s Set) Domain(col string) Domain {
-	if s.Cols == nil {
+// domainOf is the domain a set of the table knows for a stored column.
+func (t *Table) domainOf(c *storage.Column) Domain {
+	if !c.Kind().Integer() {
 		return Domain{}
 	}
-	return s.Cols[col]
+	st := c.Stats()
+	d := FromStats(st.Rows, st.Min, st.Max, st.Distinct, st.Dense, st.Exact)
+	d.Dense = d.Dense && t.dense
+	return d
 }
 
-// DenseOn reports whether col has a known dense domain.
-func (s Set) DenseOn(col string) bool {
-	_, _, ok := s.Domain(col).DenseDomain()
+// Col returns the ordinal of the named column.
+func (t *Table) Col(name string) (Col, bool) {
+	for i := range t.cols {
+		if t.cols[i].Name == name {
+			return Col(i), true
+		}
+	}
+	return 0, false
+}
+
+// Column returns the table's entry for c.
+func (t *Table) Column(c Col) Column { return t.cols[c] }
+
+// Scan returns the property set of a scan of rel: its sorted integer
+// columns, their domains and its declared correlations.
+func (t *Table) Scan(rel *storage.Relation) Set {
+	s := Set{tab: t}
+	var over Cols
+	var doms [MaxCols]Domain
+	for _, c := range rel.Columns() {
+		o, ok := t.Col(c.Name())
+		if !ok || !c.Kind().Integer() {
+			continue
+		}
+		if st := c.Stats(); st.Sorted && st.Rows > 0 {
+			s.Sorted |= 1 << o
+		}
+		if d := t.domainOf(c); d.Known {
+			s.known |= 1 << o
+			if d != t.cols[o].Dom {
+				over, doms[o] = over|1<<o, d
+			}
+		}
+	}
+	if over != 0 {
+		s.over, s.overCols = &overrides{cols: over}, over
+		over.each(func(c Col) { s.over.doms = append(s.over.doms, doms[c]) })
+	}
+	for i, p := range t.corrs {
+		if slices.Contains(rel.Corrs(), [2]string{t.cols[p.Key].Name, t.cols[p.Dep].Name}) {
+			s.corrs |= 1 << i
+		}
+	}
+	return s
+}
+
+// overrides are the domains a set knows that differ from its table's, one
+// per column of cols in ordinal order.
+type overrides struct {
+	cols Cols
+	doms []Domain
+}
+
+func (o *overrides) rank(c Col) int { return bits.OnesCount64(uint64(o.cols) & (1<<c - 1)) }
+
+// Set is the property vector of a (sub)plan output, over one Table.
+//
+// Sorted holds the columns that are individually non-decreasing in output
+// order (the engine's keys are single columns). Grouped holds columns by
+// which the output is clustered: rows with an equal key are adjacent, runs in
+// no particular order. Sortedness implies groupedness; the distinction
+// matters because order-based grouping (OG) needs only groupedness, which is
+// cheaper to establish. The set knows the table's domain of each column in
+// known, except where it overrides it (two relations of the query that hold
+// a name alike give it one base domain). A Set is a value of a few words:
+// derivations copy it and change what they change; only the overrides are
+// shared, and nothing writes them.
+type Set struct {
+	Sorted, Grouped Cols
+	known, overCols Cols
+	corrs           uint64
+	over            *overrides
+	tab             *Table
+}
+
+// SortedOn reports whether column c is non-decreasing in output order.
+func (s Set) SortedOn(c Col) bool { return s.Sorted.Has(c) }
+
+// GroupedOn reports whether equal values of c are adjacent in the output.
+// Sortedness implies groupedness.
+func (s Set) GroupedOn(c Col) bool { return (s.Sorted | s.Grouped).Has(c) }
+
+// Domain returns the domain property of c.
+func (s Set) Domain(c Col) Domain {
+	switch {
+	case !s.known.Has(c):
+		return Domain{}
+	case s.overCols.Has(c):
+		return s.over.doms[s.over.rank(c)]
+	}
+	return s.tab.cols[c].Dom
+}
+
+// DenseOn reports whether c has a known dense domain.
+func (s Set) DenseOn(c Col) bool {
+	_, _, ok := s.Domain(c).DenseDomain()
 	return ok
 }
 
-// CorrelatedWith reports whether dep is known non-decreasing in key order.
-// Every column is trivially correlated with itself.
-func (s Set) CorrelatedWith(key, dep string) bool {
-	if key == dep {
-		return true
-	}
-	for _, c := range s.Corrs {
-		if c.Key == key && c.Dep == dep {
-			return true
+// Dependents returns the columns known non-decreasing in key order.
+func (s Set) Dependents(key Col) Cols {
+	var deps Cols
+	for w := s.corrs; w != 0; w &= w - 1 {
+		if p := s.tab.corrs[bits.TrailingZeros64(w)]; p.Key == key {
+			deps |= 1 << p.Dep
 		}
 	}
-	return false
+	return deps
 }
 
-// AppendDependents appends to dst the columns (other than key) known
-// non-decreasing in key order, in the order the correlations are held and
-// with any repeats: for a caller that sorts and compacts a longer list
-// anyway.
-func (s Set) AppendDependents(dst []string, key string) []string {
-	for _, c := range s.Corrs {
-		if c.Key == key {
-			dst = append(dst, c.Dep)
-		}
-	}
-	return dst
-}
-
-// WithDomain returns a copy with col's domain set. The domain map is the one
-// component it writes, so it is the one it copies.
-func (s Set) WithDomain(col string, d Domain) Set {
-	cols := make(map[string]Domain, len(s.Cols)+1)
-	for c, v := range s.Cols {
-		cols[c] = v
-	}
-	cols[col] = d
-	s.Cols = cols
-	return s
-}
-
-// WithSortedBy returns a copy in which exactly the given columns are
-// individually sorted (and clustering knowledge is cleared).
-func (s Set) WithSortedBy(cols ...string) Set {
-	s.SortedBy = normalize(cols)
-	s.GroupedBy = nil
-	return s
-}
-
-// WithGroupedBy returns a copy clustered by the given columns with no sort
-// order (e.g. the output of partition-based grouping with an unordered
-// partition directory).
-func (s Set) WithGroupedBy(cols ...string) Set {
-	s.SortedBy = nil
-	s.GroupedBy = normalize(cols)
-	return s
-}
-
-// WithCorr returns a copy recording that dep is non-decreasing in key order.
-func (s Set) WithCorr(key, dep string) Set {
-	if !s.CorrelatedWith(key, dep) {
-		s.Corrs = MergeCorrs(s.Corrs, []Corr{{Key: key, Dep: dep}})
-	}
-	return s
-}
-
-// NormalizeCorrs sorts cs in place into (key, dep) order and drops duplicates:
-// the form every Set keeps its correlations in, so that equal knowledge reads,
-// prints and keys alike however it was arrived at.
-func NormalizeCorrs(cs []Corr) []Corr {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Key != cs[j].Key {
-			return cs[i].Key < cs[j].Key
-		}
-		return cs[i].Dep < cs[j].Dep
-	})
-	w := 0
-	for i, c := range cs {
-		if i == 0 || cs[w-1] != c {
-			cs[w] = c
-			w++
-		}
-	}
-	return cs[:w]
-}
-
-// MergeCorrs returns the normalised correlations of an output that carries
-// both a's and b's — the same list whichever input comes first. Sets are
-// immutable, so when one side has none the other's list is returned as it is.
-func MergeCorrs(a, b []Corr) []Corr {
-	switch {
-	case len(b) == 0:
-		return a
-	case len(a) == 0:
-		return b
-	}
-	out := make([]Corr, 0, len(a)+len(b))
-	return NormalizeCorrs(append(append(out, a...), b...))
-}
-
-// DropOrder returns a copy with all order/clustering knowledge removed (what
-// a property-oblivious operator does to its input knowledge). Correlations
-// survive: they are value relationships, not row-order facts.
+// DropOrder returns a copy without order/clustering knowledge (what a
+// property-oblivious operator does). Correlations are value facts: they stay.
 func (s Set) DropOrder() Set {
-	s.SortedBy = nil
-	s.GroupedBy = nil
+	s.Sorted, s.Grouped = 0, 0
 	return s
 }
 
-// Project returns a copy restricted to the given output columns.
-func (s Set) Project(keep ...string) Set {
-	kept := make(map[string]bool, len(keep))
-	for _, c := range keep {
-		kept[c] = true
-	}
-	n := NewSet()
-	for _, c := range s.SortedBy {
-		if kept[c] {
-			n.SortedBy = append(n.SortedBy, c)
+// AfterSortBy returns the set after sorting by key: key and its known
+// dependents sorted, no other order; domains and correlations stay.
+func (s Set) AfterSortBy(key Col) Set {
+	s.Sorted, s.Grouped = 1<<key|s.Dependents(key), 0
+	return s
+}
+
+// Project returns a copy restricted to the columns of keep.
+func (s Set) Project(keep Cols) Set {
+	s.Sorted &= keep
+	s.Grouped &= keep
+	s.known &= keep
+	s.overCols &= keep
+	for w := s.corrs; w != 0; w &= w - 1 {
+		if i := bits.TrailingZeros64(w); !keep.Has(s.tab.corrs[i].Key) || !keep.Has(s.tab.corrs[i].Dep) {
+			s.corrs &^= 1 << i
 		}
 	}
-	for _, c := range s.GroupedBy {
-		if kept[c] {
-			n.GroupedBy = append(n.GroupedBy, c)
+	return s
+}
+
+// Union returns what is known of an output carrying the columns of both s
+// and r, with no order: the domains of both, s's where both know one, and
+// the correlations of both.
+func (s Set) Union(r Set) Set {
+	out := Set{known: s.known | r.known, corrs: s.corrs | r.corrs, over: s.over, overCols: s.overCols, tab: s.tab}
+	if theirs := r.overCols &^ s.known; theirs != 0 {
+		out.over, out.overCols = r.over, theirs
+		if s.overCols != 0 {
+			merged := &overrides{cols: s.overCols | theirs}
+			merged.cols.each(func(c Col) {
+				d := r.Domain(c)
+				if s.known.Has(c) {
+					d = s.Domain(c)
+				}
+				merged.doms = append(merged.doms, d)
+			})
+			out.over, out.overCols = merged, merged.cols
 		}
 	}
-	for _, c := range s.Corrs {
-		if kept[c.Key] && kept[c.Dep] {
-			n.Corrs = append(n.Corrs, c)
-		}
+	return out
+}
+
+// names renders the columns of cs, in name order.
+func (s Set) names(cs Cols) string {
+	var out []string
+	cs.each(func(c Col) { out = append(out, s.tab.cols[c].Name) })
+	return strings.Join(out, ",")
+}
+
+// corrStrings renders the correlations, e.g. "A~ID", in (key, dep) order.
+func (s Set) corrStrings() []string {
+	var out []string
+	for w := s.corrs; w != 0; w &= w - 1 {
+		p := s.tab.corrs[bits.TrailingZeros64(w)]
+		out = append(out, s.tab.cols[p.Dep].Name+"~"+s.tab.cols[p.Key].Name)
 	}
-	for c, d := range s.Cols {
-		if kept[c] {
-			n.Cols[c] = d
-		}
-	}
-	return n
+	return out
 }
 
 // Fingerprint returns a canonical, readable string encoding: two sets with
-// equal knowledge produce equal strings. It formats every column, so it is
-// for tests and debugging; dynamic programming keys its tables on Key.
+// equal knowledge produce equal strings, whatever table numbers them. It
+// formats every column, so it is for tests and debugging; dynamic
+// programming keys its tables on Key.
 func (s Set) Fingerprint() string {
 	var b strings.Builder
-	b.WriteString("s:")
-	b.WriteString(strings.Join(normalize(s.SortedBy), ","))
-	b.WriteString(";g:")
-	b.WriteString(strings.Join(normalize(s.GroupedBy), ","))
-	b.WriteString(";r:")
-	for _, c := range s.Corrs {
-		b.WriteString(c.String())
-		b.WriteByte(',')
-	}
-	b.WriteString(";d:")
-	cols := make([]string, 0, len(s.Cols))
-	for c := range s.Cols {
-		cols = append(cols, c)
-	}
-	sort.Strings(cols)
-	for _, c := range cols {
-		d := s.Cols[c]
-		if !d.Known {
-			continue
-		}
-		fmt.Fprintf(&b, "%s=%v,%d,%d,%d;", c, d.Dense, d.Lo, d.Hi, d.Distinct)
-	}
+	corrs := strings.Join(append(s.corrStrings(), ""), ",") // each followed by a comma
+	fmt.Fprintf(&b, "s:%s;g:%s;r:%s;d:", s.names(s.Sorted), s.names(s.Grouped), corrs)
+	s.known.each(func(c Col) {
+		d := s.Domain(c)
+		fmt.Fprintf(&b, "%s=%v,%d,%d,%d;", s.tab.cols[c].Name, d.Dense, d.Lo, d.Hi, d.Distinct)
+	})
 	return b.String()
 }
 
-// Key is a fixed-size digest of a Set, comparable and usable as a map key: it
-// is the memo key of the optimiser's dynamic programming. Two sets get equal
-// keys exactly when their Fingerprints are equal (up to a 128-bit hash
-// collision), at none of Fingerprint's cost: no formatting, no sorting of map
-// keys, no allocation.
+// String renders what a plan's consumer can use, as EXPLAIN prints it:
+// e.g. "sorted{ID} dense{A,ID} corr{A~ID}".
+func (s Set) String() string {
+	var dense Cols
+	s.known.each(func(c Col) {
+		if s.DenseOn(c) {
+			dense |= 1 << c
+		}
+	})
+	var parts []string
+	for i, cs := range [...]Cols{s.Sorted, s.Grouped, dense} {
+		if cs != 0 {
+			parts = append(parts, [...]string{"sorted", "grouped", "dense"}[i]+"{"+s.names(cs)+"}")
+		}
+	}
+	for _, c := range s.corrStrings() {
+		parts = append(parts, "corr{"+c+"}")
+	}
+	return strings.Join(parts, " ")
+}
+
+// Key is the memo key of the optimiser's dynamic programming: a 128-bit mix
+// of a set's bitmasks and overridden domains, no name in sight. Two sets of
+// one table get equal keys exactly when their Fingerprints are equal.
 type Key struct{ a, b uint64 }
 
-// Component tags keep equal names in different components apart.
-const (
-	tagSorted uint64 = iota + 1
-	tagGrouped
-	tagCorr
-	tagDomain
-)
-
-// mix is the splitmix64 finaliser: a bijection that spreads every input bit
-// over the whole word.
+// mix is the splitmix64 finaliser, a bijection that spreads every bit.
 func mix(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -350,59 +395,27 @@ func mix(x uint64) uint64 {
 	return x
 }
 
-// hashName is FNV-1a over the column name.
-func hashName(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * 1099511628211
-	}
-	return h
-}
-
-// add folds one element into the key. Addition commutes, so elements of an
-// unordered component (a map, a name set) may arrive in any order.
-func (k *Key) add(h uint64) {
-	k.a += mix(h)
-	k.b += mix(h ^ 0x9e3779b97f4a7c15)
-}
-
-// addNames folds a name set: order and duplicates do not matter, as in
-// Fingerprint, which normalises the list first.
-func (k *Key) addNames(tag uint64, names []string) {
-next:
-	for i, n := range names {
-		for _, earlier := range names[:i] {
-			if earlier == n {
-				continue next
-			}
-		}
-		k.add(mix(hashName(n)) + tag)
-	}
+// add chains one word into both halves of the key.
+func (k *Key) add(w uint64) {
+	k.a = mix(k.a + w)
+	k.b = mix(k.b ^ w + 0x9e3779b97f4a7c15)
 }
 
 // Key returns the set's memo key.
 func (s Set) Key() Key {
-	var k Key
-	k.addNames(tagSorted, s.SortedBy)
-	k.addNames(tagGrouped, s.GroupedBy)
-	// Correlations are a sequence, as in Fingerprint: chain them in order.
-	seq := tagCorr
-	for _, c := range s.Corrs {
-		seq = mix(mix(seq+hashName(c.Key)) + hashName(c.Dep))
+	k := Key{a: 1, b: 2}
+	for _, w := range [...]uint64{uint64(s.Sorted), uint64(s.Grouped), uint64(s.known), s.corrs} {
+		k.add(w)
 	}
-	k.add(seq)
-	for c, d := range s.Cols {
-		if !d.Known {
-			continue
-		}
-		h := mix(hashName(c)) + tagDomain
-		h = mix(h + d.Lo)
-		h = mix(h + d.Hi)
-		last := uint64(d.Distinct) << 1
+	for w := uint64(s.overCols & s.known); w != 0; w &= w - 1 {
+		d := s.Domain(Col(bits.TrailingZeros64(w)))
+		flags := uint64(bits.TrailingZeros64(w)) << 1
 		if d.Dense {
-			last |= 1
+			flags |= 1
 		}
-		k.add(mix(h + last))
+		for _, v := range [...]uint64{flags, d.Lo, d.Hi, uint64(d.Distinct)} {
+			k.add(v)
+		}
 	}
 	return k
 }
@@ -419,16 +432,10 @@ const (
 
 // String returns the requirement kind name.
 func (k ReqKind) String() string {
-	switch k {
-	case ReqSorted:
-		return "sorted"
-	case ReqGrouped:
-		return "grouped"
-	case ReqDense:
-		return "dense"
-	default:
+	if k > ReqDense {
 		return "unknown"
 	}
+	return [...]string{"sorted", "grouped", "dense"}[k]
 }
 
 // Requirement is a property demanded of an input by an algorithm choice
@@ -443,15 +450,18 @@ func (r Requirement) String() string {
 	return fmt.Sprintf("%s(%s)", r.Kind, r.Column)
 }
 
-// Satisfies reports whether the property set meets the requirement.
+// Satisfies reports whether the property set meets the requirement. A
+// column its table does not number meets none.
 func (s Set) Satisfies(r Requirement) bool {
-	switch r.Kind {
-	case ReqSorted:
-		return s.SortedOn(r.Column)
-	case ReqGrouped:
-		return s.GroupedOn(r.Column)
-	case ReqDense:
-		return s.DenseOn(r.Column)
+	switch c, ok := s.tab.Col(r.Column); {
+	case !ok:
+		return false
+	case r.Kind == ReqSorted:
+		return s.SortedOn(c)
+	case r.Kind == ReqGrouped:
+		return s.GroupedOn(c)
+	case r.Kind == ReqDense:
+		return s.DenseOn(c)
 	default:
 		return false
 	}
@@ -467,19 +477,8 @@ func (s Set) SatisfiesAll(reqs []Requirement) bool {
 	return true
 }
 
-// AfterSortBy returns the property set after physically sorting by key:
-// key becomes sorted, every known dependent of key becomes sorted with it,
-// everything else loses order knowledge. Domains and correlations survive.
-func (s Set) AfterSortBy(key string) Set {
-	sorted := s.AppendDependents([]string{key}, key)
-	slices.Sort(sorted)
-	s.SortedBy, s.GroupedBy = slices.Compact(sorted), nil
-	return s
-}
-
-// FromStats converts column statistics (storage layer) into a Domain.
-// Defined here rather than importing storage to keep props dependency-free;
-// callers pass the raw numbers.
+// FromStats converts column statistics (storage layer) into a Domain; rows
+// of none or inexact statistics give an unknown domain.
 func FromStats(rows int, min, max uint64, distinct int, dense, exact bool) Domain {
 	if rows == 0 || !exact {
 		return Domain{}

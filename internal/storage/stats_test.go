@@ -143,3 +143,26 @@ func TestStatsConcurrentFirstUse(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyRangeMatchesStatsKeys: a literal range mapped by KeyRange compares
+// with a column's statistics the way the values themselves compare — for an
+// int64 column, whose keys have the sign bit flipped, W < 50 over values
+// -5..70 overlaps [Min, Max] — and 2^32, the top of the literal domain,
+// bounds nothing in a 64-bit kind.
+func TestKeyRangeMatchesStatsKeys(t *testing.T) {
+	st := NewInt64("W", []int64{-5, 3, 70}).Stats()
+	lo, hi, ok := KindInt64.KeyRange(0, 50)
+	if !ok || lo > st.Max || hi <= st.Min || !(st.Min < lo && lo < hi && hi < st.Max) {
+		t.Fatalf("W in [0, 50) keys [%#x, %#x), stats [%#x, %#x]", lo, hi, st.Min, st.Max)
+	}
+	big := NewUint64("U", []uint64{1 << 40}).Stats()
+	if lo, hi, ok := KindUint64.KeyRange(5, 1<<32); !ok || lo > big.Max || hi <= big.Min {
+		t.Fatalf("U >= 5 keys [%#x, %#x) misses %#x", lo, hi, big.Min)
+	}
+	if lo, hi, ok := KindUint32.KeyRange(5, 9); !ok || lo != 5 || hi != 9 {
+		t.Fatal("uint32 literals are their own keys")
+	}
+	if _, _, ok := KindFloat64.KeyRange(0, 1); ok {
+		t.Fatal("float64 has no key space")
+	}
+}
