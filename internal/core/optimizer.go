@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -170,7 +169,7 @@ func (o *optimizer) scanPropsOf(rel *storage.Relation) outProps {
 // resident at once.
 func sortMem(c *slot, parallel bool) float64 {
 	resident := c.rows*c.width + cost.MemSort(c.rows, parallel) + c.rows*c.width
-	return math.Max(c.mem, resident)
+	return max(c.mem, resident)
 }
 
 // joinMem is the Mem of a join of lp and rp emitting rows rows: both inputs
@@ -178,7 +177,7 @@ func sortMem(c *slot, parallel bool) float64 {
 // output resident at once.
 func joinMem(lp, rp *slot, rows, work float64) float64 {
 	resident := lp.rows*lp.width + rp.rows*rp.width + work + rows*(lp.width+rp.width)
-	return math.Max(math.Max(lp.mem, rp.mem), resident)
+	return max(lp.mem, rp.mem, resident)
 }
 
 // groupWidth is the output row width of a grouping with the given aggregates.
@@ -186,7 +185,7 @@ func groupWidth(aggs []expr.AggSpec) float64 { return 4 + 8*float64(len(aggs)) }
 
 // groupMem is the Mem of a grouping of c into rows groups of the given width.
 func groupMem(c *slot, rows, width, work float64) float64 {
-	return math.Max(c.mem, c.rows*c.width+work+rows*width)
+	return max(c.mem, c.rows*c.width+work+rows*width)
 }
 
 func (o *optimizer) sortKinds() []sortx.Kind {
@@ -235,7 +234,7 @@ func (o *optimizer) scanSlot(n *logical.Scan, rel *storage.Relation, av string, 
 // as bounds included (a filtered dense domain stays SPH-addressable), and
 // the pipe re-emits morsels in input order: parallelism is a cost trade.
 func filterSlot(n *logical.Filter, c *slot, dop int, rows, cost float64) slot {
-	return slot{key: c.key, props: c.props, cost: cost, rows: rows, width: c.width, mem: math.Max(c.mem, rows*c.width),
+	return slot{key: c.key, props: c.props, cost: cost, rows: rows, width: c.width, mem: max(c.mem, rows*c.width),
 		in: [2]*slot{c}, node: n, how: how{op: OpFilter, dop: dop}}
 }
 

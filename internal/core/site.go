@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"math"
 	"slices"
 
 	"dqo/internal/logical"
@@ -346,6 +345,6 @@ func (o *optimizer) spillTwin(base slot) slot {
 	twin := base
 	twin.spill = true
 	twin.cost = o.mode.Model.Spill(base.cost, inRows, 2)
-	twin.mem = math.Min(base.mem, float64(o.mode.MemBudget))
+	twin.mem = min(base.mem, float64(o.mode.MemBudget))
 	return twin
 }
