@@ -115,7 +115,8 @@ func newOptimizer(n logical.Node, mode Mode) (*optimizer, error) {
 			}
 		}
 	}
-	o := &optimizer{mode: mode, tab: props.NewTable(rels, keys, mode.Depth == physio.Deep), est: logical.NewEstimator()}
+	o := &optimizer{mode: mode, tab: props.NewTable(rels, keys, mode.Depth == physio.Deep), est: logical.NewEstimator(),
+		scans: make([]scanProps, 0, len(rels))}
 	for _, k := range keys {
 		if _, ok := o.tab.Col(k); !ok {
 			return nil, fmt.Errorf("core: %s names more than %d key columns", n, props.MaxCols)
@@ -250,7 +251,7 @@ func sortSlot(c *slot, key props.Col, sk sortx.Kind, dop int, enforcer bool, out
 // right input, probe with the left) when swapped.
 func joinSlot(n *logical.Join, lp, rp *slot, ch physio.JoinChoice, swapped bool, out outProps, rows, cost, mem float64) slot {
 	return slot{key: out.key, props: out.set, cost: cost, rows: rows, width: lp.width + rp.width, mem: mem,
-		in: [2]*slot{lp, rp}, node: n, how: how{op: OpJoin, join: ch, dop: ch.Opt.Parallel, swapped: swapped}}
+		in: [2]*slot{lp, rp}, node: n, how: how{op: OpJoin, kind: uint8(ch.Kind), hash: ch.Opt.Hash, sort: ch.Opt.Sort, dop: ch.Opt.Parallel, swapped: swapped}}
 }
 
 // build returns the plan of the slot tree under root, built top-down once
@@ -314,14 +315,16 @@ func (b *builder) plan(s *slot) *Plan {
 	case *logical.Project:
 		p.Cols = n.Cols
 	case *logical.Join:
-		p.Join, p.LeftKey, p.RightKey, p.Swapped, p.AV, p.Index = s.join, n.LeftKey, n.RightKey, s.swapped, x.av, x.index
+		p.Join = physio.JoinChoice{Kind: physical.JoinKind(s.kind), Opt: physical.JoinOptions{Hash: s.hash, Sort: s.sort, Parallel: s.dop}}
+		p.LeftKey, p.RightKey, p.Swapped, p.AV, p.Index = n.LeftKey, n.RightKey, s.swapped, x.av, x.index
 		build, key := p.Children[0], n.LeftKey
 		if s.swapped {
 			build, key = p.Children[1], n.RightKey
 		}
 		p.KeyDom = build.Props.Domain(b.o.col(key))
 	case *logical.GroupBy:
-		p.Group, p.GroupKey, p.Aggs = s.group, n.Key, n.Aggs
+		p.Group = physio.GroupChoice{Kind: physical.GroupKind(s.kind), Opt: physical.GroupOptions{Hash: s.hash, Sort: s.sort, Parallel: s.dop}}
+		p.GroupKey, p.Aggs = n.Key, n.Aggs
 		p.KeyDom = p.Children[0].Props.Domain(b.o.col(n.Key))
 	default:
 		p.SortKey, p.SortKind, p.Enforcer = b.o.tab.Column(s.col).Name, s.sort, s.enforcer
@@ -726,7 +729,7 @@ func (o *optimizer) enumGroup(t *site, n *logical.GroupBy, children []slot, choi
 			spillable := ch.Kind == physical.HG && ch.Opt.Parallel <= 1
 			if p := t.admitBreaker(out.key, total, mem, twinRank(spillable, fit)); p != nil {
 				*p = slot{key: out.key, props: out.set, cost: total, rows: rows, width: width, mem: mem,
-					in: [2]*slot{c}, node: n, how: how{op: OpGroup, group: ch, dop: ch.Opt.Parallel}}
+					in: [2]*slot{c}, node: n, how: how{op: OpGroup, kind: uint8(ch.Kind), hash: ch.Opt.Hash, sort: ch.Opt.Sort, dop: ch.Opt.Parallel}}
 			}
 		}
 	}

@@ -4,8 +4,8 @@ import (
 	"cmp"
 	"slices"
 
+	"dqo/internal/hashtable"
 	"dqo/internal/logical"
-	"dqo/internal/physio"
 	"dqo/internal/props"
 	"dqo/internal/sortx"
 	"dqo/internal/storage"
@@ -50,20 +50,19 @@ type slot struct {
 }
 
 // how is a slot's choice descriptor: the operator, the variant, a sort's
-// algorithm and key, a join's or grouping's granule choice, and the payload
-// of an AV-backed or encoded alternative (an index into optimizer.aux, 0 for
-// none).
+// algorithm and key or a join's or grouping's kind and molecules, and an AV
+// or encoded alternative's payload (its index in optimizer.aux + 1, or 0).
 type how struct {
 	op                       OpKind
 	v                        variant
 	enc                      storage.Encoding
-	sort                     sortx.Kind
+	sort                     sortx.Kind // a sort's algorithm, or a join's or grouping's
+	kind                     uint8      // physical.JoinKind or physical.GroupKind
+	hash                     hashtable.Func
 	col                      props.Col // OpSort: the key
 	swapped, enforcer, spill bool
-	dop                      int
-	join                     physio.JoinChoice
-	group                    physio.GroupChoice
 	aux                      int32
+	dop                      int
 }
 
 // aux is the payload of an alternative that reads an Algorithmic View or a
