@@ -103,3 +103,29 @@ func TestSharedNamesAcrossAJoin(t *testing.T) {
 		t.Fatalf("plans moved; got\n%s", b.String())
 	}
 }
+
+// TestWideQueriesKeepTheirKeys: a query naming more columns than a column
+// table numbers keeps ordinals for its key columns (a sort on the last of 70
+// columns still knows its input sorted there), and one naming more key
+// columns than that is refused rather than planned with keys confused.
+func TestWideQueriesKeepTheirKeys(t *testing.T) {
+	cols := make([]*storage.Column, 70)
+	for i := range cols {
+		cols[i] = storage.NewUint32(fmt.Sprintf("c%02d", i), []uint32{1, 2, 3})
+	}
+	rel := storage.MustNewRelation("W", cols...)
+	var q logical.Node = &logical.Scan{Table: "W", Rel: rel}
+	res, err := Optimize(&logical.Sort{Input: q, Key: "c69"}, DQO())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Best.Op != OpSort || res.Best.Cost != res.Best.Children[0].Cost {
+		t.Fatalf("the sort of input sorted on c69 should cost nothing:\n%s", res.Best.Explain())
+	}
+	for i := range cols {
+		q = &logical.Sort{Input: q, Key: fmt.Sprintf("c%02d", i)}
+	}
+	if _, err := Optimize(q, DQO()); err == nil || !strings.Contains(err.Error(), "key columns") {
+		t.Fatalf("a query with 70 key columns planned: %v", err)
+	}
+}

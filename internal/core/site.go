@@ -56,7 +56,7 @@ type how struct {
 	op                       OpKind
 	v                        variant
 	enc                      storage.Encoding
-	sort                     sortx.Kind // a sort's algorithm, or a join's or grouping's
+	sort                     sortx.Kind // a sort's algorithm, or a join's or grouping's sort molecule
 	kind                     uint8      // physical.JoinKind or physical.GroupKind
 	hash                     hashtable.Func
 	col                      props.Col // OpSort: the key
