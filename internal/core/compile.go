@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"dqo/internal/exec"
+	"dqo/internal/expr"
 	"dqo/internal/govern"
 	"dqo/internal/physical"
 	"dqo/internal/storage"
@@ -127,32 +128,100 @@ func compileNode(p *Plan, rc *ReoptConfig, need []string) (exec.Operator, error)
 				groupNeed = append(groupNeed, a.Col)
 			}
 		}
-		child, err := compileNode(p.Children[0], rc, groupNeed)
+		var child exec.Operator
+		var err error
+		if p.countsJoin(rc) {
+			child, err = compileJoin(p.Children[0], nil, groupNeed, true)
+		} else {
+			child, err = compileNode(p.Children[0], rc, groupNeed)
+		}
 		if err != nil {
 			return nil, err
 		}
 		return breaker(p, rc, nil, p.Group.Opt.Parallel, child), nil
 	case OpJoin:
-		// The output-name rule ("_r" on a clash) is decided on the inputs a
-		// join actually receives, so pruning below a join whose sides share
-		// a column name could change a name an ancestor uses: such a join,
-		// and everything under it, keeps every column.
-		cols := need
-		if cols != nil && sharesColumn(p.Children[0].outputColumns(), p.Children[1].outputColumns()) {
-			cols = nil
-		}
-		childNeed := withColumns(cols, p.LeftKey, p.RightKey)
-		left, err := compileNode(p.Children[0], rc, childNeed)
-		if err != nil {
-			return nil, err
-		}
-		right, err := compileNode(p.Children[1], rc, childNeed)
-		if err != nil {
-			return nil, err
-		}
-		return breaker(p, rc, cols, p.Join.Opt.Parallel, left, right), nil
+		return compileJoin(p, rc, need, false)
 	default:
 		return nil, fmt.Errorf("core: cannot compile operator %v", p.Op)
+	}
+}
+
+// compileJoin lowers join p, whose ancestors read need, over its compiled
+// inputs. With counting set the join runs as physical.CountJoinRel, for the
+// grouping above it that reads it as match counts (Plan.countsJoin).
+func compileJoin(p *Plan, rc *ReoptConfig, need []string, counting bool) (exec.Operator, error) {
+	// The output-name rule ("_r" on a clash) is decided on the inputs a
+	// join actually receives, so pruning below a join whose sides share
+	// a column name could change a name an ancestor uses: such a join,
+	// and everything under it, keeps every column.
+	cols := need
+	if cols != nil && sharesColumn(p.Children[0].outputColumns(), p.Children[1].outputColumns()) {
+		cols = nil
+	}
+	childNeed := withColumns(cols, p.LeftKey, p.RightKey)
+	left, err := compileNode(p.Children[0], rc, childNeed)
+	if err != nil {
+		return nil, err
+	}
+	right, err := compileNode(p.Children[1], rc, childNeed)
+	if err != nil {
+		return nil, err
+	}
+	if !counting {
+		return breaker(p, rc, cols, p.Join.Opt.Parallel, left, right), nil
+	}
+	b := exec.NewBreaker(p, func(ec *exec.ExecContext, ctl *govern.Ctl, in ...*storage.Relation) (*storage.Relation, error) {
+		return p.runJoin(ec, ctl, physical.CountJoinRel, cols, in[0], in[1])
+	}, nil, left, right)
+	b.SetDOP(p.Join.Opt.Parallel)
+	return b, nil
+}
+
+// countsJoin reports whether grouping p reads the join below it as match
+// counts: the join emits each row of its kept input once with its number of
+// matches w, and the grouping folds it as w rows (physical.CountJoinRel,
+// physical.GroupByRel). The kept input is the one holding every column the
+// grouping reads. The output is byte-identical to the pair lowering's, so the
+// rule asks for:
+//   - a join that can count without its pairs: a serial HJ or an SPHJ, fresh
+//     or through a prebuilt index, that is no spill twin;
+//   - no re-planning (rc nil), which may swap the join's kernel or roles, and
+//     no spill twin of the grouping;
+//   - inputs that share no column name, so no "_r" renaming is involved;
+//   - a kept input that probes, whose rows the pairs repeat in place — the
+//     grouping sees the same first rows of every key and the same runs — or
+//     one that builds under SPHG, SOG or BSG, whose output order does not
+//     depend on the order of their input.
+//
+// Plans, costs and EXPLAIN do not change: like column pruning this is a
+// property of the lowering.
+func (p *Plan) countsJoin(rc *ReoptConfig) bool {
+	j := p.Children[0]
+	if rc != nil || p.Spill || j.Op != OpJoin || j.Spill ||
+		!(j.Join.Kind == physical.SPHJ || j.Join.Kind == physical.HJ && j.Join.Opt.Parallel <= 1) {
+		return false
+	}
+	left, right := j.Children[0].outputColumns(), j.Children[1].outputColumns()
+	if sharesColumn(left, right) {
+		return false
+	}
+	reads := func(cols []string) bool {
+		return slices.Contains(cols, p.GroupKey) && !slices.ContainsFunc(p.Aggs, func(a expr.AggSpec) bool {
+			return a.Col != "" && !slices.Contains(cols, a.Col)
+		})
+	}
+	build, probe := left, right
+	if j.Swapped {
+		build, probe = right, left
+	}
+	switch {
+	case reads(probe):
+		return true
+	case reads(build):
+		k := p.Group.Kind
+		return k == physical.SPHG || k == physical.SOG || k == physical.BSG
+	default:
+		return false
 	}
 }
 

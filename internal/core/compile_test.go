@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -27,7 +28,9 @@ func fkJoin(seed uint64) (join *logical.Join, r, s *storage.Relation) {
 // TestCompileJoinMaterialisesReferencedColumnsOnly: under GROUP BY A,
 // COUNT(*) the join's ancestors reference A alone, so the join breaker holds
 // its two (aliased) inputs plus one 4-byte column per output pair — not the
-// 20 bytes per pair of ID, A, R_ID, M. Planning is untouched: the plan's
+// 20 bytes per pair of ID, A, R_ID, M. A join the grouping reads as match
+// counts (Plan.countsJoin) holds A and an 8-byte weight per R row that
+// matches, instead of a column per pair. Planning is untouched: the plan's
 // own width estimate still describes the logical schema.
 func TestCompileJoinMaterialisesReferencedColumnsOnly(t *testing.T) {
 	join, r, s := fkJoin(3)
@@ -61,7 +64,14 @@ func TestCompileJoinMaterialisesReferencedColumnsOnly(t *testing.T) {
 			}
 		}
 		pairs := int64(s.NumRows()) // FK join: one output row per S row
-		if want := r.MemBytes() + s.MemBytes() + 4*pairs; joinPeak != want {
+		if res.Best.countsJoin(nil) {
+			ids := slices.Clone(s.MustColumn("R_ID").Uint32s())
+			slices.Sort(ids)
+			matched := int64(len(slices.Compact(ids)))
+			if want := r.MemBytes() + s.MemBytes() + 12*matched; joinPeak != want {
+				t.Fatalf("%s: counting join held %d bytes at its peak, want %d (inputs + 12 B per matching R row)", m.Name, joinPeak, want)
+			}
+		} else if want := r.MemBytes() + s.MemBytes() + 4*pairs; joinPeak != want {
 			t.Fatalf("%s: join held %d bytes at its peak, want %d (inputs + 4 B per pair); all columns would be %d",
 				m.Name, joinPeak, want, r.MemBytes()+s.MemBytes()+20*pairs)
 		}

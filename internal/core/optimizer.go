@@ -53,14 +53,15 @@ func (r *Result) Physicality() float64 {
 // (generalised interesting orders — exactly the mechanism the paper extends
 // from sortedness to density and friends).
 func Optimize(n logical.Node, mode Mode) (*Result, error) {
-	if err := logical.Validate(n); err != nil {
+	est, err := logical.NewEstimatorFor(n)
+	if err != nil {
 		return nil, err
 	}
 	if mode.Model == nil {
 		return nil, fmt.Errorf("core: mode %q has no cost model", mode.Name)
 	}
 	start := time.Now()
-	o, err := newOptimizer(n, mode)
+	o, err := newOptimizer(n, mode, est)
 	if err != nil {
 		return nil, err
 	}
@@ -103,8 +104,8 @@ type scanProps struct {
 }
 
 // newOptimizer numbers the columns of n (its scans' relations and their AV
-// variants, and its key columns) for a run under mode.
-func newOptimizer(n logical.Node, mode Mode) (*optimizer, error) {
+// variants, and its key columns) for a run under mode, estimating through est.
+func newOptimizer(n logical.Node, mode Mode, est *logical.Estimator) (*optimizer, error) {
 	scans, keys := logical.Inputs(n)
 	rels := make([]*storage.Relation, 0, len(scans))
 	for _, s := range scans {
@@ -115,7 +116,7 @@ func newOptimizer(n logical.Node, mode Mode) (*optimizer, error) {
 			}
 		}
 	}
-	o := &optimizer{mode: mode, tab: props.NewTable(rels, keys, mode.Depth == physio.Deep), est: logical.NewEstimator(),
+	o := &optimizer{mode: mode, tab: props.NewTable(rels, keys, mode.Depth == physio.Deep), est: est,
 		scans: make([]scanProps, 0, len(rels))}
 	for _, k := range keys {
 		if _, ok := o.tab.Col(k); !ok {

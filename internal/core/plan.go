@@ -246,40 +246,45 @@ func (p *Plan) run(ec *exec.ExecContext, ctl *govern.Ctl, cols []string, in ...*
 		o.Ctl = ctl
 		return physical.GroupByRel(in[0], p.GroupKey, p.Aggs, p.Group.Kind, o, p.KeyDom)
 	case OpJoin:
-		o := p.Join.Opt
-		if o.Parallel > 1 {
-			o.Parallel = ec.EffectiveDOP(o.Parallel)
-		}
-		o.Ctl = ctl
-		return p.runJoin(ec, in[0], in[1], o, cols)
+		return p.runJoin(ec, ctl, physical.JoinRel, cols, in[0], in[1])
 	default:
 		return nil, fmt.Errorf("core: %v is not a pipeline breaker", p.Op)
 	}
 }
 
-// runJoin executes the node's join over its materialised inputs: through
-// the prebuilt index of an AV-backed join (the build phase was paid offline
-// and the build-side child is by construction the bare base scan), otherwise
-// with the chosen kernel in the planned build/probe roles. cols restricts the
-// output columns (see physical.JoinRel); nil keeps them all. A join whose
-// build may be worth keeping (offersBuild) does its two steps itself and
-// offers the table in between to the context's taker; a table that is taken
-// is kept out of the scratch pool.
-func (p *Plan) runJoin(ec *exec.ExecContext, left, right *storage.Relation, opt physical.JoinOptions, cols []string) (*storage.Relation, error) {
+// joinRel is physical.JoinRel, or physical.CountJoinRel for a join that a
+// grouping reads as match counts.
+type joinRel func(left, right *storage.Relation, leftKey, rightKey string, kind physical.JoinKind, opt physical.JoinOptions, dom props.Domain, swapped bool, cols []string, idx physical.RowIndex) (*storage.Relation, error)
+
+// runJoin executes the node's join over its materialised inputs with join,
+// under ctl and clamped to the pool's effective DOP: through the prebuilt
+// index of an AV-backed join (the build phase was paid offline and the
+// build-side child is by construction the bare base scan), otherwise with the
+// chosen kernel in the planned build/probe roles. cols restricts the output
+// columns (see physical.JoinRel); nil keeps them all. A join whose build may
+// be worth keeping (offersBuild) does its two steps itself and offers the
+// table in between to the context's taker; a table that is taken is kept out
+// of the scratch pool.
+func (p *Plan) runJoin(ec *exec.ExecContext, ctl *govern.Ctl, join joinRel, cols []string, left, right *storage.Relation) (*storage.Relation, error) {
+	opt := p.Join.Opt
+	if opt.Parallel > 1 {
+		opt.Parallel = ec.EffectiveDOP(opt.Parallel)
+	}
+	opt.Ctl = ctl
 	build, probe, buildKey, buildNode := left, right, p.LeftKey, p.Children[0]
 	if p.Swapped {
 		build, probe, buildKey, buildNode = right, left, p.RightKey, p.Children[1]
 	}
 	switch {
 	case p.Index != nil:
-		return physical.JoinRel(left, right, p.LeftKey, p.RightKey, p.Join.Kind, opt, p.KeyDom, p.Swapped, cols, p.Index.Serve(probe.NumRows()))
+		return join(left, right, p.LeftKey, p.RightKey, p.Join.Kind, opt, p.KeyDom, p.Swapped, cols, p.Index.Serve(probe.NumRows()))
 	case ec.Tables != nil && p.offersBuild(buildNode):
 		t, err := physical.BuildJoinTable(build, buildKey, p.Join.Kind, opt, p.KeyDom)
 		if err != nil {
 			return nil, err
 		}
 		defer t.Release()
-		out, err := physical.JoinRel(left, right, p.LeftKey, p.RightKey, p.Join.Kind, opt, p.KeyDom, p.Swapped, cols, t.Index())
+		out, err := join(left, right, p.LeftKey, p.RightKey, p.Join.Kind, opt, p.KeyDom, p.Swapped, cols, t.Index())
 		if err == nil && ec.Tables.OfferTable(exec.TableOffer{
 			Table: buildNode.Table, Column: buildKey, Keys: t.Keys(), Index: t.Index(),
 			SPH: p.Join.Kind == physical.SPHJ, Hash: opt.Hash, Bytes: t.Bytes(),
@@ -288,7 +293,7 @@ func (p *Plan) runJoin(ec *exec.ExecContext, left, right *storage.Relation, opt 
 		}
 		return out, err
 	default:
-		return physical.JoinRel(left, right, p.LeftKey, p.RightKey, p.Join.Kind, opt, p.KeyDom, p.Swapped, cols, nil)
+		return join(left, right, p.LeftKey, p.RightKey, p.Join.Kind, opt, p.KeyDom, p.Swapped, cols, nil)
 	}
 }
 

@@ -91,7 +91,7 @@ func TestSiteTablesMatchCollectThenPrune(t *testing.T) {
 			}
 			mode.MemBudget = budget.of(mem)
 
-			ro, err := newOptimizer(q, mode)
+			ro, err := newOptimizer(q, mode, logical.NewEstimator())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +99,7 @@ func TestSiteTablesMatchCollectThenPrune(t *testing.T) {
 			table, refErr := ref.optimize(q)
 			var sites func(n logical.Node)
 			sites = func(n logical.Node) {
-				o, err := newOptimizer(n, mode)
+				o, err := newOptimizer(n, mode, logical.NewEstimator())
 				if err != nil {
 					t.Fatal(err)
 				}

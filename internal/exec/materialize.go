@@ -5,6 +5,7 @@ import (
 
 	"dqo/internal/faultinject"
 	"dqo/internal/govern"
+	"dqo/internal/physical"
 	"dqo/internal/qerr"
 	"dqo/internal/storage"
 )
@@ -110,7 +111,7 @@ func (m *Materialize) Next(ec *ExecContext) (*storage.Relation, error) {
 	batch := m.out.Slice(m.pos, hi)
 	m.pos = hi
 	atomic.AddInt64(&m.stats.Batches, 1)
-	atomic.AddInt64(&m.stats.RowsOut, int64(batch.NumRows()))
+	atomic.AddInt64(&m.stats.RowsOut, physical.Rows(batch))
 	return batch, nil
 }
 
@@ -253,7 +254,8 @@ func (m *Materialize) hold(ec *ExecContext, op Operator) (*storage.Relation, int
 }
 
 // pull drains op to exhaustion, handing every batch to sink, and returns the
-// first batch and the rows consumed. Cancellation is checked at every batch
+// first batch and the rows consumed (a weighted batch counts the rows it
+// stands for, physical.Rows). Cancellation is checked at every batch
 // boundary, and every batch ticks the context's counters: a breaker's drain
 // is a pipeline boundary.
 func pull(ec *ExecContext, op Operator, sink func(*storage.Relation) error) (*storage.Relation, int64, error) {
@@ -273,8 +275,9 @@ func pull(ec *ExecContext, op Operator, sink func(*storage.Relation) error) (*st
 		if batch == nil {
 			return first, rows, nil
 		}
-		ec.Counters.tick(batch.NumRows())
-		rows += int64(batch.NumRows())
+		n := physical.Rows(batch)
+		ec.Counters.tick(int(n))
+		rows += n
 		if first == nil {
 			first = batch
 		}

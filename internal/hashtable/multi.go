@@ -198,6 +198,38 @@ func (m *Multi) CountEach(keys []uint32, counts []int32) int {
 	return n
 }
 
+// CountRows is the count seen from the build side: it sets counts[r], for
+// every build row r, to how many of keys hold r's key. A join whose consumer
+// reads only the build side's columns, and folds a row that joins m times as
+// m rows, needs these counts and not the pairs. counts holds one entry per
+// row recorded (rows are recorded as their index). stop, when non-nil, is
+// polled every buildPoll keys; its error aborts the count.
+func (m *Multi) CountRows(keys []uint32, counts []int32, stop func() error) error {
+	clear(counts)
+	var hs [hashBlock]uint64
+	var lo, hi [hashBlock]int32
+	for at := 0; at < len(keys); at += buildPoll {
+		if stop != nil {
+			if err := stop(); err != nil {
+				return err
+			}
+		}
+		end := min(at+buildPoll, len(keys))
+		for o := at; o < end; o += hashBlock {
+			blk := keys[o:min(o+hashBlock, end)]
+			m.window(blk, &hs, &lo, &hi)
+			for i, k := range blk {
+				for _, e := range m.entries[lo[i]:hi[i]] {
+					if e.key == k {
+						counts[e.row]++
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // FillBatch writes the join pairs of probing keys in order: for each keys[i]
 // its build rows (as Fill yields them) to build and the probe row first+i
 // alongside to probe, both from index 0. It returns the number of pairs;

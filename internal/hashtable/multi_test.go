@@ -271,7 +271,9 @@ func TestBuildsPollAtBlockBoundaries(t *testing.T) {
 // probes. The builds are one with duplicates, one over a key (every slot one
 // row or none) and an empty one; the probes are every key of the domain and
 // around it in order, and random keys below the domain (which wrap around),
-// inside it and above it, whose last ones all miss.
+// inside it and above it, whose last ones all miss. Both tables' CountRows
+// gives every build row as many matches as the pairs hold it, and stops at
+// a failing poll.
 func TestSPHMatchesMulti(t *testing.T) {
 	r := xrand.New(5)
 	const lo, width = 100, 500
@@ -312,6 +314,25 @@ func TestSPHMatchesMulti(t *testing.T) {
 				}
 			}
 			checkBatch(t, d, probes, 3, wantBuild, wantProbe)
+			wantRows := make([]int32, len(keys))
+			for _, row := range wantBuild {
+				wantRows[row]++
+			}
+			for name, idx := range map[string]interface {
+				CountRows(keys []uint32, counts []int32, stop func() error) error
+			}{"SPH": d, "Multi": m} {
+				got := make([]int32, len(keys))
+				for i := range got {
+					got[i] = -1 // overwritten, not added to
+				}
+				if err := idx.CountRows(probes, got, nil); err != nil || !slices.Equal(got, wantRows) {
+					t.Fatalf("%s over %d build keys: CountRows = %v, %v; the pairs hold %v", name, len(keys), got, err, wantRows)
+				}
+				stopErr := errors.New("stop")
+				if err := idx.CountRows(probes, got, func() error { return stopErr }); !errors.Is(err, stopErr) {
+					t.Fatalf("%s: CountRows under a failing poll returned %v", name, err)
+				}
+			}
 		}
 		if d.MemBytes() != SPHBytes(width, len(keys)) {
 			t.Fatalf("MemBytes = %d, SPHBytes = %d", d.MemBytes(), SPHBytes(width, len(keys)))

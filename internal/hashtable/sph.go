@@ -121,6 +121,36 @@ func (d *SPH) CountEach(keys []uint32, counts []int32) int {
 	return n
 }
 
+// CountRows sets counts[r], for every build row r, to how many of keys hold
+// r's key — see Multi.CountRows. It counts the keys per slot first, one
+// increment per key with no load depending on another, and then hands each
+// slot's count to the slot's rows: the counts per slot are 4 B per slot of
+// pooled scratch.
+func (d *SPH) CountRows(keys []uint32, counts []int32, stop func() error) error {
+	width := len(d.starts) - 1
+	hits := storage.GetInt32s(width)[:width]
+	defer storage.PutInt32s(hits)
+	clear(hits)
+	for at := 0; at < len(keys); at += buildPoll {
+		if stop != nil {
+			if err := stop(); err != nil {
+				return err
+			}
+		}
+		for _, k := range keys[at:min(at+buildPoll, len(keys))] {
+			if slot := k - d.lo; uint64(slot) < uint64(width) { // also rejects k < lo (wraparound)
+				hits[slot]++
+			}
+		}
+	}
+	for s, h := range hits {
+		for _, r := range d.rows[d.starts[s]:d.starts[s+1]] {
+			counts[r] = h
+		}
+	}
+	return nil
+}
+
 // FillBatch writes the join pairs of probing keys in order — see
 // Multi.FillBatch. build and probe are windows the pairs are written to from
 // index 0; past the pairs it returns, FillBatch may leave scratch anywhere

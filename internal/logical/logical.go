@@ -163,14 +163,27 @@ func Format(n Node) string {
 // Validate checks that every referenced column exists in the corresponding
 // input schema. Of several errors it reports the first in pre-order.
 func Validate(n Node) error {
-	_, err := validate(n)
+	_, err := validate(n, nil)
 	return err
+}
+
+// NewEstimatorFor validates n, as Validate, and returns an Estimator for its
+// tree that keeps the output columns validation derives for the left input
+// of every join: a distinct count asked through a join looks its column up
+// there instead of deriving the input's columns again.
+func NewEstimatorFor(n Node) (*Estimator, error) {
+	e := NewEstimator()
+	if _, err := validate(n, e); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // validate returns n's output columns, derived once per node from its
 // children's, and the first error of its subtree in pre-order: its own
-// before its inputs', the left input's before the right's.
-func validate(n Node) ([]string, error) {
+// before its inputs', the left input's before the right's. A non-nil e
+// keeps every join's left input columns.
+func validate(n Node, e *Estimator) ([]string, error) {
 	switch n := n.(type) {
 	case *Scan:
 		if n.Rel == nil {
@@ -178,7 +191,7 @@ func validate(n Node) ([]string, error) {
 		}
 		return n.Rel.ColumnNames(), nil
 	case *Filter:
-		in, err := validate(n.Input)
+		in, err := validate(n.Input, e)
 		for _, c := range n.Pred.Columns(nil) {
 			if !slices.Contains(in, c) {
 				return nil, fmt.Errorf("logical: filter references unknown column %q", c)
@@ -186,7 +199,7 @@ func validate(n Node) ([]string, error) {
 		}
 		return in, err
 	case *Project:
-		in, err := validate(n.Input)
+		in, err := validate(n.Input, e)
 		for _, c := range n.Cols {
 			if !slices.Contains(in, c) {
 				return nil, fmt.Errorf("logical: projection references unknown column %q", c)
@@ -194,8 +207,8 @@ func validate(n Node) ([]string, error) {
 		}
 		return n.Cols, err
 	case *Join:
-		left, lerr := validate(n.Left)
-		right, rerr := validate(n.Right)
+		left, lerr := validate(n.Left, e)
+		right, rerr := validate(n.Right, e)
 		switch {
 		case !slices.Contains(left, n.LeftKey):
 			return nil, fmt.Errorf("logical: join references unknown left key %q", n.LeftKey)
@@ -204,9 +217,12 @@ func validate(n Node) ([]string, error) {
 		case lerr != nil:
 			return nil, lerr
 		}
+		if e != nil {
+			e.lefts = append(e.lefts, joinLeft{n, left})
+		}
 		return joinColumns(left, right), rerr
 	case *GroupBy:
-		in, err := validate(n.Input)
+		in, err := validate(n.Input, e)
 		if !slices.Contains(in, n.Key) {
 			return nil, fmt.Errorf("logical: group-by references unknown key %q", n.Key)
 		}
@@ -220,7 +236,7 @@ func validate(n Node) ([]string, error) {
 		}
 		return n.Columns(), err
 	case *Sort:
-		in, err := validate(n.Input)
+		in, err := validate(n.Input, e)
 		if !slices.Contains(in, n.Key) {
 			return nil, fmt.Errorf("logical: sort references unknown key %q", n.Key)
 		}
@@ -272,6 +288,13 @@ func Inputs(n Node) (scans []*Scan, keys []string) {
 // hashing an interface, and no map to grow.
 type Estimator struct {
 	rows, dist []estimate
+	lefts      []joinLeft // from NewEstimatorFor's validation
+}
+
+// joinLeft is the output columns of a join's left input.
+type joinLeft struct {
+	j    *Join
+	cols []string
 }
 
 // estimate is one memoised answer: the cardinality of n, or the distinct
@@ -297,6 +320,17 @@ func lookup(memo []estimate, n Node, col string) (float64, bool) {
 		}
 	}
 	return 0, false
+}
+
+// leftColumns returns the output columns of j's left input: those validation
+// kept, or derived afresh for a join it did not see.
+func (e *Estimator) leftColumns(j *Join) []string {
+	for _, l := range e.lefts {
+		if l.j == j {
+			return l.cols
+		}
+	}
+	return j.Left.Columns()
 }
 
 // Estimate returns the estimated output cardinality of a plan. Estimates use
@@ -397,14 +431,12 @@ func (e *Estimator) colDistinct(n Node, col string) float64 {
 	case *Join:
 		// Try left first (its names win on clashes), then right with the
 		// suffix stripped.
-		for _, c := range n.Left.Columns() {
-			if c == col {
-				d := e.ColDistinct(n.Left, col)
-				if rows := e.Estimate(n); d > rows {
-					return rows
-				}
-				return d
+		if slices.Contains(e.leftColumns(n), col) {
+			d := e.ColDistinct(n.Left, col)
+			if rows := e.Estimate(n); d > rows {
+				return rows
 			}
+			return d
 		}
 		rcol := strings.TrimSuffix(col, "_r")
 		d := e.ColDistinct(n.Right, rcol)

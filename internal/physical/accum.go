@@ -106,6 +106,16 @@ func (v argVals) clone(s *storage.Scratch) []int64 {
 	return v.window(0, n, out)
 }
 
+// weighted returns the column's values multiplied by w, one weight per row,
+// drawn from s.
+func (v argVals) weighted(w []int64, s *storage.Scratch) []int64 {
+	out := v.clone(s)
+	for i, x := range w {
+		out[i] *= x
+	}
+	return out
+}
+
 // fold returns the sum, minimum and maximum of the column over rows (at
 // least one).
 func (v argVals) fold(rows []int32) (sum, mn, mx int64) {

@@ -167,7 +167,7 @@ func joinSides(kind JoinKind, left, right []uint32, leftDom props.Domain, opt Jo
 			return nil, err
 		}
 		defer t.Release()
-		return probeIndex(t.idx, right, probeWorkers(kind, opt), &t.rv, sides)
+		return probeIndex(t.idx, right, opt.Parallel, &t.rv, sides)
 	case OJ:
 		return joinMerge(left, right, opt.Ctl, sides)
 	case SOJ:
@@ -210,6 +210,13 @@ type RowIndex interface {
 // probe needs, so it expands them and does not touch the index again.
 type keyCounter interface {
 	CountEach(keys []uint32, counts []int32) int
+}
+
+// rowCounter is what a RowIndex may offer a join that keeps only its build
+// side's rows: CountRows sets counts[r], for every build row r, to how many
+// of keys hold r's key, polling stop.
+type rowCounter interface {
+	CountRows(keys []uint32, counts []int32, stop func() error) error
 }
 
 // perKey makes a RowIndex of a build side that answers one key at a time
@@ -382,13 +389,51 @@ func repeatRows(counts []int32, first int32, dst []int32) int {
 	return n
 }
 
-// probeWorkers is how many goroutines probe a built table: the serial HJ
-// probes serially, SPHJ (and a prebuilt index) at the join's parallelism.
-func probeWorkers(kind JoinKind, opt JoinOptions) int {
-	if kind == HJ {
-		return 1
+// matchCounts returns the number of matches of every row of one side of the
+// join of build (indexed by idx) and probe: of each probe row when keepProbe,
+// through keyCounter, over contiguous chunks of probe at workers goroutines;
+// otherwise of each build row, through rowCounter, serially. The counts are
+// pooled scratch for the caller to put back, 4 B per row and not charged,
+// like a selection vector. ok is false when idx offers neither method.
+// Cancellation is polled every checkEvery probe rows (the index polls it
+// itself when it counts per build row).
+func matchCounts(idx RowIndex, build, probe []uint32, keepProbe bool, workers int, ctl *govern.Ctl) (counts []int32, ok bool, err error) {
+	if keepProbe {
+		kc, ok := idx.(keyCounter)
+		if !ok {
+			return nil, false, nil
+		}
+		if len(probe) < minParallelChunk || workers < 1 {
+			workers = 1
+		}
+		counts = storage.GetInt32s(len(probe))[:len(probe)]
+		err = forChunks(len(probe), max((len(probe)+workers-1)/workers, 1), func(_, lo, hi int) error {
+			for ; lo < hi; lo += checkEvery {
+				if err := ctl.Err(); err != nil {
+					return err
+				}
+				to := min(lo+checkEvery, hi)
+				kc.CountEach(probe[lo:to], counts[lo:to])
+			}
+			return nil
+		})
+	} else {
+		rc, ok := idx.(rowCounter)
+		if !ok {
+			return nil, false, nil
+		}
+		var stop func() error // nil when ungoverned: the method value would allocate
+		if ctl != nil {
+			stop = ctl.Err
+		}
+		counts = storage.GetInt32s(len(build))[:len(build)]
+		err = rc.CountRows(probe, counts, stop)
 	}
-	return opt.Parallel
+	if err != nil {
+		storage.PutInt32s(counts)
+		return nil, true, err
+	}
+	return counts, true, nil
 }
 
 // probeIndex is the probe step of the probe-major joins: the pairs of probing

@@ -3,10 +3,12 @@ package physical
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"dqo/internal/hashtable"
 	"dqo/internal/props"
+	"dqo/internal/storage"
 	"dqo/internal/xrand"
 )
 
@@ -216,6 +218,54 @@ func TestProbeReportsAMiscount(t *testing.T) {
 				if err == nil {
 					res.Release()
 					t.Fatalf("by=%d/sides=%b/workers=%d: no error", by, sides, workers)
+				}
+			}
+		}
+	}
+}
+
+// fillRecorder is a Multi that notes the first probe row of every FillBatch
+// call: the probe's chunking, seen from the index.
+type fillRecorder struct {
+	*hashtable.Multi
+	mu     sync.Mutex
+	firsts []int32
+}
+
+func (f *fillRecorder) FillBatch(keys []uint32, first int32, build, probe []int32) int {
+	f.mu.Lock()
+	f.firsts = append(f.firsts, first)
+	f.mu.Unlock()
+	return f.Multi.FillBatch(keys, first, build, probe)
+}
+
+// TestIndexProbesAtTheJoinsParallelism pins that a join through a prebuilt
+// index probes at the join's parallelism, HJ as SPHJ: at Parallel 2 a probe
+// chunk starts at the middle of the probe side, and at Parallel 1 every fill
+// call starts where a serial probe's poll interval does. (Plans probe an
+// index serially: the optimiser gives an index join no parallelism.)
+func TestIndexProbesAtTheJoinsParallelism(t *testing.T) {
+	build, probe, _ := uniqueProbeCase()
+	m, err := hashtable.BuildMulti(hashtable.Murmur3Fin, build, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	l := storage.MustNewRelation("L", storage.NewUint32("k", build))
+	r := storage.MustNewRelation("R", storage.NewUint32("k2", probe))
+	mid := int32((len(probe) + 1) / 2)
+	for _, kind := range []JoinKind{HJ, SPHJ} {
+		for _, par := range []int{1, 2} {
+			idx := &fillRecorder{Multi: m}
+			if _, err := JoinRel(l, r, "k", "k2", kind, JoinOptions{Parallel: par}, props.Domain{}, false, nil, idx); err != nil {
+				t.Fatal(err)
+			}
+			if split := slices.Contains(idx.firsts, mid); split != (par == 2) {
+				t.Fatalf("%s at Parallel %d: fill calls start at %v; a chunk at %d: %v", kind, par, idx.firsts, mid, split)
+			}
+			for _, f := range idx.firsts {
+				if par == 1 && f%checkEvery != 0 {
+					t.Fatalf("%s serially: a fill call starts at %d", kind, f)
 				}
 			}
 		}

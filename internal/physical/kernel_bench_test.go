@@ -19,7 +19,8 @@ import (
 // builds on S (4.5 rows per key) and probes with R. The result is released
 // the way the relation-level joins release it once they have gathered, so
 // neither the pair arrays nor the table's arrays count towards B/op: both come
-// back out of the scratch pool.
+// back out of the scratch pool. <case>/dop2 is the partitioned parallel HJ at
+// two workers.
 func BenchmarkJoinHash(b *testing.B) {
 	r, s := datagen.FKPair(42, datagen.FKConfig{RRows: 50000, SRows: 225000, AGroups: 50000})
 	id, rid := r.MustColumn("ID").Uint32s(), s.MustColumn("R_ID").Uint32s()
@@ -30,11 +31,15 @@ func BenchmarkJoinHash(b *testing.B) {
 		name         string
 		build, probe []uint32
 		sides        pairSides
-	}{{"dup1", id, rid, bothRows}, {"dup4.5", rid, id, bothRows}, {"probe-only", rid, id, rightRows}} {
+		dop          int
+	}{
+		{"dup1", id, rid, bothRows, 1}, {"dup4.5", rid, id, bothRows, 1}, {"probe-only", rid, id, rightRows, 1},
+		{"dup1/dop2", id, rid, bothRows, 2}, {"dup4.5/dop2", rid, id, bothRows, 2},
+	} {
 		b.Run(side.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := joinSides(HJ, side.build, side.probe, props.Domain{}, JoinOptions{Hash: hashtable.Murmur3Fin}, side.sides)
+				res, err := joinSides(HJ, side.build, side.probe, props.Domain{}, JoinOptions{Hash: hashtable.Murmur3Fin, Parallel: side.dop}, side.sides)
 				if err != nil || res.Len() != len(rid) {
 					b.Fatalf("pairs = %d, err = %v", res.Len(), err)
 				}
@@ -142,6 +147,54 @@ func TestJoinIndexedAllocBound(t *testing.T) {
 	}
 }
 
+// BenchmarkGroupOverJoin prices the Figure-5 statement's two breakers
+// together — the join through a prebuilt index, then GROUP BY R.A, COUNT(*)
+// over it — at the repository benchmark's FK cell sizes (|R| = 50 k,
+// |S| = 225 k) as the deep plans run them: dense builds an SPH on R.ID and
+// groups with SPHG; sparse, R sorted, builds a Multi on S.R_ID, probes with R
+// and groups with OG. pairs gathers R.A for each of the 225 k pairs and
+// groups them; weights counts each R row's matches and groups the 50 k
+// weighted rows (CountJoinRel).
+func BenchmarkGroupOverJoin(b *testing.B) {
+	count := []expr.AggSpec{{Func: expr.AggCount}}
+	for _, c := range []struct {
+		name  string
+		dense bool
+		join  JoinKind
+		group GroupKind
+	}{{"dense", true, SPHJ, SPHG}, {"sparse", false, HJ, OG}} {
+		r, s := datagen.FKPair(42, datagen.FKConfig{RRows: 50000, SRows: 225000, AGroups: 50000, Dense: c.dense, RSorted: !c.dense})
+		build, key := r, "ID"
+		if !c.dense {
+			build, key = s, "R_ID"
+		}
+		t, err := BuildJoinTable(build, key, c.join, JoinOptions{}, domainOf(r, "ID"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		t.Keep()
+		dom := domainOf(r, "A")
+		for _, v := range []struct {
+			name string
+			join func(left, right *storage.Relation, leftKey, rightKey string, kind JoinKind, opt JoinOptions, dom props.Domain, swapped bool, cols []string, idx RowIndex) (*storage.Relation, error)
+		}{{"pairs", JoinRel}, {"weights", CountJoinRel}} {
+			b.Run(c.name+"/"+v.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					j, err := v.join(r, s, "ID", "R_ID", c.join, JoinOptions{}, props.Domain{}, !c.dense, []string{"A"}, t.Index())
+					if err != nil {
+						b.Fatal(err)
+					}
+					out, err := GroupByRel(j, "A", count, c.group, GroupOptions{}, dom)
+					if err != nil || out.NumRows() == 0 {
+						b.Fatalf("groups = %v, err = %v", out, err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // groupBenchCases are the grouping kernels the deep plans use, each on the
 // Figure-4 quadrant it is chosen for (BSG on the one where its sorted
 // output is all it has to offer): 300 k rows in 20 k groups.
@@ -158,20 +211,31 @@ var groupBenchCases = []struct {
 // BenchmarkGroupByRelCountSum prices the Figure-4 query's breaker —
 // COUNT(*) and SUM(V) over 300 k rows in 20 k groups, both out of one kernel
 // pass over the 16-byte state — and, as <kind>/MinMax, the same statement
-// with MIN(V) and MAX(V) added, which selects the 32-byte state.
+// with MIN(V) and MAX(V) added, which selects the 32-byte state. HG/dop2 and
+// SPHG/dop2 run the load loop at two workers (per-worker tables or slot
+// arrays, merged).
 func BenchmarkGroupByRelCountSum(b *testing.B) {
 	countSum := []expr.AggSpec{{Func: expr.AggCount}, {Func: expr.AggSum, Col: "val"}}
 	minMax := append(countSum[:2:2], expr.AggSpec{Func: expr.AggMin, Col: "val"}, expr.AggSpec{Func: expr.AggMax, Col: "val"})
 	for _, c := range groupBenchCases {
 		rel := datagen.GroupingRelation(42, 300000, 20000, c.q)
-		for _, v := range []struct {
+		variants := []struct {
 			name string
 			aggs []expr.AggSpec
-		}{{c.kind.String(), countSum}, {c.kind.String() + "/MinMax", minMax}} {
+			dop  int
+		}{{c.kind.String(), countSum, 1}, {c.kind.String() + "/MinMax", minMax, 1}}
+		if c.kind == HG || c.kind == SPHG {
+			variants = append(variants, struct {
+				name string
+				aggs []expr.AggSpec
+				dop  int
+			}{c.kind.String() + "/dop2", countSum, 2})
+		}
+		for _, v := range variants {
 			b.Run(v.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					out, err := GroupByRel(rel, "key", v.aggs, c.kind, GroupOptions{}, props.Domain{})
+					out, err := GroupByRel(rel, "key", v.aggs, c.kind, GroupOptions{Parallel: v.dop}, props.Domain{})
 					if err != nil || out.NumRows() != 20000 {
 						b.Fatalf("groups = %v, err = %v", out, err)
 					}

@@ -206,7 +206,13 @@ func groupAndAssemble(rel *storage.Relation, keyCol string, aggs []expr.AggSpec,
 	// COUNT(col) reads the row count: a column of which nothing else is
 	// asked is validated above and then not handed to the kernel.
 	args = slices.DeleteFunc(args, func(a aggArg) bool { return a.need == 0 })
-	res, err := run(args)
+	var res *GroupResult
+	var err error
+	if w, ok := rel.Column(WeightCol); ok {
+		res, err = groupWeighted(run, args, w.Int64s(), s)
+	} else {
+		res, err = run(args)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -269,6 +275,46 @@ func groupAndAssemble(rel *storage.Relation, keyCol string, aggs []expr.AggSpec,
 	return storage.NewRelation(rel.Name()+"_grouped", outCols...)
 }
 
+// groupWeighted runs the kernel over a weighted input, whose row i stands for
+// w[i] equal rows. The kernel is handed the weights, whose sum per group is
+// its row count; every column args sums, multiplied by the weights (int64
+// wrap-around makes Σ w·x exactly the sum over the rows the input stands
+// for); and every column args takes MIN or MAX of, as it is. The result holds
+// what args asks of the rows the input stands for, in the kernel's group
+// order: the order of the unweighted input whenever the kernel's order
+// depends only on each key's first row.
+func groupWeighted(run func(args []aggArg) (*GroupResult, error), args []aggArg, w []int64, s *storage.Scratch) (*GroupResult, error) {
+	in := append(make([]aggArg, 0, 1+2*len(args)), aggArg{vals: argVals{i64: w}, need: needSum})
+	for _, a := range args {
+		if a.need&needSum != 0 {
+			in = append(in, aggArg{col: a.col, vals: argVals{i64: a.vals.weighted(w, s)}, need: needSum})
+		}
+		if mm := a.need &^ needSum; mm != 0 {
+			in = append(in, aggArg{col: a.col, vals: a.vals, need: mm})
+		}
+	}
+	res, err := run(in)
+	if err != nil {
+		return nil, err
+	}
+	out := &GroupResult{Keys: res.Keys, Counts: res.Aggs[0].Sum, Sorted: res.Sorted}
+	if len(args) > 0 {
+		out.Aggs = make([]ColAggs, len(args))
+	}
+	next := 1
+	for i, a := range args {
+		if a.need&needSum != 0 {
+			out.Aggs[i].Sum = res.Aggs[next].Sum
+			next++
+		}
+		if a.need&^needSum != 0 {
+			out.Aggs[i].Min, out.Aggs[i].Max = res.Aggs[next].Min, res.Aggs[next].Max
+			next++
+		}
+	}
+	return out, nil
+}
+
 // aggArgument returns an aggregate argument column as a view the kernels
 // read int64 values through: no copy, whatever the column's integer kind.
 func aggArgument(rel *storage.Relation, col string) (argVals, error) {
@@ -328,6 +374,44 @@ func BuildJoinTable(rel *storage.Relation, key string, kind JoinKind, opt JoinOp
 // only the row ids that schema gathers, checks a claimed key order and
 // assembles.
 func JoinRel(left, right *storage.Relation, leftKey, rightKey string, kind JoinKind, opt JoinOptions, dom props.Domain, swapped bool, cols []string, idx RowIndex) (*storage.Relation, error) {
+	return joinRel(left, right, leftKey, rightKey, kind, opt, dom, swapped, cols, idx, false)
+}
+
+// WeightCol names the int64 column that makes a relation weighted: its row i
+// stands for WeightCol[i] equal rows. CountJoinRel writes it, a grouping
+// (GroupByRel) folds a weighted row as that many rows, and Rows counts
+// through it; no other operator ever sees one.
+const WeightCol = "⟨matches⟩"
+
+// Rows returns the number of rows rel stands for: the sum of its weights when
+// it is weighted, its row count otherwise.
+func Rows(rel *storage.Relation) int64 {
+	w, ok := rel.Column(WeightCol)
+	if !ok {
+		return int64(rel.NumRows())
+	}
+	var n int64
+	for _, x := range w.Int64s() {
+		n += x
+	}
+	return n
+}
+
+// CountJoinRel is JoinRel for a consumer that folds a weighted row as that
+// many rows: a grouping whose key and arguments are columns of one input.
+// When the columns kept are all of one input, and the join is a serial HJ,
+// an SPHJ or a prebuilt index that can count, it emits every row of that
+// input with w > 0 matches once, in input order, weighted w (WeightCol):
+// the pairs' multiset of kept rows, without the pairs. The kept input's
+// matches are counted by probing (Multi.CountEach, SPH.CountEach) when it is
+// the probe side, and per build row (Multi.CountRows, SPH.CountRows) when it
+// is the build side. Otherwise it is JoinRel.
+func CountJoinRel(left, right *storage.Relation, leftKey, rightKey string, kind JoinKind, opt JoinOptions, dom props.Domain, swapped bool, cols []string, idx RowIndex) (*storage.Relation, error) {
+	return joinRel(left, right, leftKey, rightKey, kind, opt, dom, swapped, cols, idx, true)
+}
+
+// joinRel is JoinRel, or with count set CountJoinRel.
+func joinRel(left, right *storage.Relation, leftKey, rightKey string, kind JoinKind, opt JoinOptions, dom props.Domain, swapped bool, cols []string, idx RowIndex, count bool) (*storage.Relation, error) {
 	lk, err := keyColumn(left, leftKey)
 	if err != nil {
 		return nil, err
@@ -344,15 +428,21 @@ func JoinRel(left, right *storage.Relation, leftKey, rightKey string, kind JoinK
 	if swapped {
 		build, buildKey, buildKeys, probeKeys, sides = right, rightKey, rk, lk, sides.swap()
 	}
+	if !dom.Known && idx == nil {
+		dom = domainOf(build, buildKey)
+	}
+	if count && sides != bothRows {
+		rel, ok, err := out.counted(kind, opt, dom, buildKeys, probeKeys, sides == rightRows, idx)
+		if ok || err != nil {
+			return rel, err
+		}
+	}
 	var res *JoinResult
 	if idx != nil {
 		rv := resv{ctl: opt.Ctl}
 		defer rv.release()
-		res, err = probeIndex(idx, probeKeys, probeWorkers(kind, opt), &rv, sides)
+		res, err = probeIndex(idx, probeKeys, opt.Parallel, &rv, sides)
 	} else {
-		if !dom.Known {
-			dom = domainOf(build, buildKey)
-		}
 		res, err = joinSides(kind, buildKeys, probeKeys, dom, opt, sides)
 	}
 	if err != nil {
@@ -449,6 +539,60 @@ func (o *joinOutput) sides() pairSides {
 		s |= rightRows
 	}
 	return s
+}
+
+// counted is CountJoinRel's output when the output keeps one input's columns
+// alone — the probe side's when keepProbe — and idx, or the table a serial HJ
+// or an SPHJ builds over buildKeys when idx is nil, can count that side's
+// matches; ok is false when they cannot be counted. Rows with no match are
+// left out, and when every row has one the kept columns are the input's own.
+// The weights are drawn for every kept-side row, matched or not.
+func (o *joinOutput) counted(kind JoinKind, opt JoinOptions, dom props.Domain, buildKeys, probeKeys []uint32, keepProbe bool, idx RowIndex) (rel *storage.Relation, ok bool, err error) {
+	if idx == nil {
+		if kind != SPHJ && (kind != HJ || opt.Parallel > 1) {
+			return nil, false, nil
+		}
+		t, err := buildJoinTable(kind, buildKeys, dom, opt)
+		if err != nil {
+			return nil, true, err
+		}
+		defer t.Release()
+		idx = t.idx
+	}
+	counts, ok, err := matchCounts(idx, buildKeys, probeKeys, keepProbe, opt.Parallel, opt.Ctl)
+	if !ok || err != nil {
+		return nil, ok, err
+	}
+	defer storage.PutInt32s(counts)
+	kept, names := o.lproj, []string(nil)
+	if o.lproj.NumCols() == 0 {
+		kept, names = o.rproj, o.rout
+	}
+	// One pass turns the counts into the weights of the rows that match and,
+	// in place, the ids of those rows: counts[n] is written only once
+	// counts[i], i >= n, has been read.
+	s := opt.Ctl.Arena()
+	w := s.Int64s(len(counts))
+	n := 0
+	for i, c := range counts {
+		w[n], counts[n] = int64(c), int32(i)
+		if c > 0 {
+			n++
+		}
+	}
+	w = w[:n]
+	if n < len(counts) {
+		kept = kept.GatherPar(s, counts[:n], opt.Parallel)
+	}
+	cols := make([]*storage.Column, 0, kept.NumCols()+1)
+	for i, c := range kept.Columns() {
+		if names != nil {
+			c = c.Rename(names[i])
+		}
+		cols = append(cols, c)
+	}
+	rel, err = storage.NewRelation(o.name, append(cols, storage.NewInt64(WeightCol, w))...)
+	return rel, true, err
 }
 
 // assemble materialises the output from the join's matching row pairs: only
