@@ -380,7 +380,10 @@ func JoinRel(left, right *storage.Relation, leftKey, rightKey string, kind JoinK
 // WeightCol names the int64 column that makes a relation weighted: its row i
 // stands for WeightCol[i] equal rows. CountJoinRel writes it, a grouping
 // (GroupByRel) folds a weighted row as that many rows, and Rows counts
-// through it; no other operator ever sees one.
+// through it; no other operator ever sees one. No column of a query can
+// carry the name: the SQL binder qualifies every base column as
+// alias.column, and an aggregate output is named after its function or by
+// an SQL identifier, which cannot hold "⟨".
 const WeightCol = "⟨matches⟩"
 
 // Rows returns the number of rows rel stands for: the sum of its weights when
