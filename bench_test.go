@@ -513,9 +513,8 @@ func benchWorkerCounts() []int {
 	return ps
 }
 
-// BenchmarkScalingGroupBy measures the radix-partitioned parallel hash
-// aggregation (per-worker partial tables merged at the end) against the
-// serial HG kernel.
+// BenchmarkScalingGroupBy measures the parallel hash aggregation (per-chunk
+// partial tables merged in chunk order) against the serial HG kernel.
 func BenchmarkScalingGroupBy(b *testing.B) {
 	n := benchN()
 	rel := datagen.GroupingRelation(42, n, 10000, datagen.Quadrant{Sorted: false, Dense: false})
@@ -532,8 +531,8 @@ func BenchmarkScalingGroupBy(b *testing.B) {
 	}
 }
 
-// BenchmarkScalingJoin measures the radix-partitioned parallel hash join
-// (serial build per partition, parallel probe) against the serial HJ kernel.
+// BenchmarkScalingJoin measures the hash join with its probe in parallel
+// chunks (the build is serial at every worker count) against the serial one.
 func BenchmarkScalingJoin(b *testing.B) {
 	n := benchN()
 	cfg := datagen.FKConfig{RRows: n / 10, SRows: n, AGroups: 10000, Dense: false}

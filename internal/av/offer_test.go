@@ -12,7 +12,7 @@ import (
 
 func offerOf(t *testing.T, bytes int64) exec.TableOffer {
 	t.Helper()
-	m, err := hashtable.BuildMulti(hashtable.Murmur3Fin, []uint32{3, 1, 3}, nil, nil)
+	m, err := hashtable.BuildMulti(hashtable.Murmur3Fin, []uint32{3, 1, 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,7 +178,7 @@ func MaterializeHashIndex(table string, rel *storage.Relation, col string, fn ha
 	if err != nil {
 		return nil, err
 	}
-	m, err := hashtable.BuildMulti(fn, keys, nil, nil)
+	m, err := hashtable.BuildMulti(fn, keys, nil)
 	if err != nil {
 		return nil, err
 	}

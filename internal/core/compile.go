@@ -183,8 +183,8 @@ func compileJoin(p *Plan, rc *ReoptConfig, need []string, counting bool) (exec.O
 // physical.GroupByRel). The kept input is the one holding every column the
 // grouping reads. The output is byte-identical to the pair lowering's, so the
 // rule asks for:
-//   - a join that can count without its pairs: a serial HJ or an SPHJ, fresh
-//     or through a prebuilt index, that is no spill twin;
+//   - a join that can count without its pairs: an HJ or an SPHJ, fresh or
+//     through a prebuilt index, that is no spill twin;
 //   - no re-planning (rc nil), which may swap the join's kernel or roles, and
 //     no spill twin of the grouping;
 //   - inputs that share no column name, so no "_r" renaming is involved;
@@ -198,7 +198,7 @@ func compileJoin(p *Plan, rc *ReoptConfig, need []string, counting bool) (exec.O
 func (p *Plan) countsJoin(rc *ReoptConfig) bool {
 	j := p.Children[0]
 	if rc != nil || p.Spill || j.Op != OpJoin || j.Spill ||
-		!(j.Join.Kind == physical.SPHJ || j.Join.Kind == physical.HJ && j.Join.Opt.Parallel <= 1) {
+		(j.Join.Kind != physical.HJ && j.Join.Kind != physical.SPHJ) {
 		return false
 	}
 	left, right := j.Children[0].outputColumns(), j.Children[1].outputColumns()

@@ -318,10 +318,12 @@ func TestGreedySpillsOverBudgetBreakers(t *testing.T) {
 	}
 }
 
-// TestGreedyFittingSiblingDoesNotSpill: a greedy hash grouping or hash join
-// over the memory budget whose sort-based sibling fits runs that sibling in
-// memory, and plans identically with spilling armed or not — the twin is the
-// fallback for a pick that fits nowhere, as at a DP site.
+// TestGreedyFittingSiblingDoesNotSpill: a greedy hash grouping over the
+// memory budget whose sort-based sibling fits runs that sibling in memory,
+// and plans identically with spilling armed or not — the twin is the fallback
+// for a pick that fits nowhere, as at a DP site. A greedy hash join has no
+// such sibling: it builds on its smaller input, and its table (16 B per build
+// row) never needs more than SOJ's sort scratch (8 B per row of both inputs).
 func TestGreedyFittingSiblingDoesNotSpill(t *testing.T) {
 	// Unique, sparse, unsorted keys: the greedy tier picks hashing, and
 	// with a group per row sort-based grouping needs less memory.
@@ -333,16 +335,15 @@ func TestGreedyFittingSiblingDoesNotSpill(t *testing.T) {
 		}
 		return storage.MustNewRelation(name, storage.NewUint32("K", k))
 	}
-	l, r := keys("L", 7919), keys("R", 104729)
+	l := keys("L", 7919)
 	scan := func(rel *storage.Relation) *logical.Scan { return &logical.Scan{Table: rel.Name(), Rel: rel} }
 	for _, c := range []struct {
 		name string
 		q    logical.Node
-		dop  int // a parallel hash join's partition copies outweigh SOJ's sort scratch
+		dop  int
 		want string
 	}{
 		{"group", &logical.GroupBy{Input: scan(l), Key: "K", Aggs: []expr.AggSpec{{Func: expr.AggCount}}}, 1, "SOG"},
-		{"join", &logical.Join{Left: scan(l), Right: scan(r), LeftKey: "K", RightKey: "K"}, 4, "SOJ"},
 	} {
 		mode := Greedy()
 		mode.DOP = c.dop
@@ -363,10 +364,11 @@ func TestGreedyFittingSiblingDoesNotSpill(t *testing.T) {
 }
 
 // TestGreedyKeepsFittingSerialTwin: at DOP 4 the greedy tier's unbudgeted
-// pick for a grouping, a join and a sort is parallel; under a budget of the
-// serial pick's memory, the tier runs the serial twin that fits, as a DP site
-// does, rather than the parallel pick over the budget or a spill twin —
-// whether spilling is armed or not.
+// pick for a grouping and a sort is parallel; under a budget of the serial
+// pick's memory, the tier runs the serial twin that fits, as a DP site does,
+// rather than the parallel pick over the budget or a spill twin — whether
+// spilling is armed or not. A join has no such case: a parallel HJ or SPHJ
+// builds the serial one's table and needs no more memory than it.
 func TestGreedyKeepsFittingSerialTwin(t *testing.T) {
 	// Unique or repeated, sparse, unsorted keys: the greedy tier picks
 	// hashing, and the estimates are large enough for parallelism to pay.
@@ -385,7 +387,6 @@ func TestGreedyKeepsFittingSerialTwin(t *testing.T) {
 		q    logical.Node
 	}{
 		{"group", &logical.GroupBy{Input: scan("G", keys(400_000, 5_000), storage.NewInt64("V", make([]int64, 400_000))), Key: "K", Aggs: []expr.AggSpec{{Func: expr.AggSum, Col: "V"}}}},
-		{"join", &logical.Join{Left: scan("L", keys(200_000, 200_000)), Right: scan("R", keys(800_000, 800_000)), LeftKey: "K", RightKey: "K"}},
 		{"sort", &logical.Sort{Input: scan("S", keys(400_000, 400_000)), Key: "K"}},
 	} {
 		mode := Greedy()

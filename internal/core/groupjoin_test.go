@@ -92,7 +92,7 @@ func (c lowerCase) plan(r, s *storage.Relation) *Plan {
 		if idx.sph {
 			idx.idx, _ = hashtable.BuildSPH(keys, 0, nr+64, nil)
 		} else {
-			idx.idx, _ = hashtable.BuildMulti(hashtable.Murmur3Fin, keys, nil, nil)
+			idx.idx, _ = hashtable.BuildMulti(hashtable.Murmur3Fin, keys, nil)
 		}
 		join.Index, join.AV = idx, idx.Label()
 	}
@@ -134,7 +134,7 @@ func (c lowerCase) run(t *testing.T, p *Plan, pairs bool) (*storage.Relation, ex
 	if c.swapped {
 		build = p.Children[0].Children[1].Rel
 	}
-	if c.source == "kept" && c.parallel <= 1 && build.NumRows() >= exec.DefaultMorselSize && len(taker.offers) != 1 {
+	if c.source == "kept" && build.NumRows() >= exec.DefaultMorselSize && len(taker.offers) != 1 {
 		t.Fatalf("%v (pairs=%v): %d offers of the build, want 1", c, pairs, len(taker.offers))
 	}
 	return out, exec.CollectProfile(root)
@@ -169,7 +169,7 @@ func batches(rows int) int64 { return int64(max(1, (rows+lowerMorsel-1)/lowerMor
 // TestGroupOverJoinLowering: a grouping whose columns all come from one
 // input of the join below it reads that join as match counts (countsJoin)
 // wherever the rule allows, and returns byte-identical relations, row order
-// included, to the pair lowering — for HJ and SPHJ (serial, and SPHJ at two
+// included, to the pair lowering — for HJ and SPHJ (serial, and at two
 // workers, whose probe counts in two chunks) built fresh, built and kept, or
 // served by a prebuilt Multi or SPH; built on either input; under every
 // grouping kind the rule admits, serial and at two workers; counting alone or
@@ -264,7 +264,7 @@ func TestGroupOverJoinLowering(t *testing.T) {
 				for _, j := range []struct {
 					kind     physical.JoinKind
 					parallel int
-				}{{physical.HJ, 0}, {physical.SPHJ, 0}, {physical.SPHJ, 2}} {
+				}{{physical.HJ, 0}, {physical.HJ, 2}, {physical.SPHJ, 0}, {physical.SPHJ, 2}} {
 					for _, source := range []string{"fresh", "kept", "av"} {
 						for _, swapped := range []bool{false, true} {
 							keepProbe := (key == "B") != swapped
@@ -305,7 +305,6 @@ func TestGroupOverJoinLowering(t *testing.T) {
 		{join: physical.HJ, source: "fresh", group: physical.HG, key: "A", aggs: count},                                  // HG over a kept build side
 		{join: physical.SOJ, source: "fresh", group: physical.SPHG, key: "A", aggs: count},                               // no counting kernel
 		{join: physical.BSJ, source: "fresh", group: physical.SPHG, key: "A", aggs: count},                               // no counting kernel
-		{join: physical.HJ, parallel: 2, source: "fresh", group: physical.SPHG, key: "A", aggs: count},                   // parallel HJ
 		{join: physical.HJ, source: "fresh", group: physical.SPHG, key: "A", aggs: count, spill: "join"},                 // spill twin join
 		{join: physical.SPHJ, swapped: true, source: "fresh", group: physical.HG, key: "A", aggs: count, spill: "group"}, // spill twin grouping
 	} {

@@ -53,7 +53,7 @@ func (o *oneIndex) Hash() hashtable.Func        { return hashtable.Murmur3Fin }
 // drops from |S| + 4·|R| + the build to 4·|R|.
 func TestIndexUnderEitherInput(t *testing.T) {
 	q, r, s := fkGroupQuery(datagen.FKConfig{RRows: 5000, SRows: 22500, AGroups: 5000, RSorted: true})
-	m, err := hashtable.BuildMulti(hashtable.Murmur3Fin, s.MustColumn("R_ID").Uint32s(), nil, nil)
+	m, err := hashtable.BuildMulti(hashtable.Murmur3Fin, s.MustColumn("R_ID").Uint32s(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,12 +151,12 @@ func runOffering(t *testing.T, plan *Plan, taker exec.TableTaker, spill bool) *s
 	return out
 }
 
-// TestOffersOnlyWholeBaseTableBuilds pins what a join offers: the table of a
-// serial in-memory HJ or SPHJ built over the unfiltered scan of a plain base
-// table of at least a morsel of rows — with the very key column it was built
-// over — and nothing else: not a filtered build side, not a build under one
-// morsel, not a spill twin or its partition joins, not a join that probes a
-// prebuilt index, not a parallel build.
+// TestOffersOnlyWholeBaseTableBuilds pins what a join offers: the table of an
+// in-memory HJ or SPHJ, serial or parallel, built over the unfiltered scan of
+// a plain base table of at least a morsel of rows — with the very key column
+// it was built over — and nothing else: not a filtered build side, not a
+// build under one morsel, not a spill twin or its partition joins, not a join
+// that probes a prebuilt index.
 func TestOffersOnlyWholeBaseTableBuilds(t *testing.T) {
 	big := datagen.FKConfig{RRows: 5000, SRows: 22500, AGroups: 5000, RSorted: true}
 	q, _, s := fkGroupQuery(big)
@@ -168,11 +168,16 @@ func TestOffersOnlyWholeBaseTableBuilds(t *testing.T) {
 	if len(taker.offers) != 1 {
 		t.Fatalf("%d offers from one eligible join, want 1:\n%s", len(taker.offers), plan.Explain())
 	}
-	o, keys := taker.offers[0], s.MustColumn("R_ID").Uint32s()
-	if o.Column != "R_ID" || o.SPH || len(o.Keys) != len(keys) || unsafe.SliceData(o.Keys) != unsafe.SliceData(keys) ||
-		o.Bytes != hashtable.MultiBytes(len(keys)) || taker.rows[0] < len(keys) {
-		t.Fatalf("offer %+v does not describe the table built over S.R_ID in place", o)
+	keys := s.MustColumn("R_ID").Uint32s()
+	builtOverS := func(name string, taker *countingTaker) {
+		t.Helper()
+		o := taker.offers[0]
+		if o.Column != "R_ID" || o.SPH || len(o.Keys) != len(keys) || unsafe.SliceData(o.Keys) != unsafe.SliceData(keys) ||
+			o.Bytes != hashtable.MultiBytes(len(keys)) || taker.rows[0] < len(keys) {
+			t.Fatalf("%s: offer %+v does not describe the table built over S.R_ID in place", name, o)
+		}
 	}
+	builtOverS("serial build", taker)
 	// A taken table is the taker's: later builds do not disturb it, and the
 	// join's result is what it was.
 	taker = &countingTaker{take: true}
@@ -223,20 +228,28 @@ func TestOffersOnlyWholeBaseTableBuilds(t *testing.T) {
 	none("spill twin", twin, true)
 
 	// Probing a prebuilt index builds nothing.
-	m, err := hashtable.BuildMulti(hashtable.Murmur3Fin, keys, nil, nil)
+	m, err := hashtable.BuildMulti(hashtable.Murmur3Fin, keys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	none("indexed join", optimize(t, q, DQO().WithAVs(nil, &oneIndex{table: "S", column: "R_ID", idx: m})).Best, false)
 
-	// A parallel build is partitioned: no single table to give away.
+	// A parallel HJ builds the same one table and probes it in chunks: it
+	// offers that table once, and answers as the serial join does.
 	par := optimize(t, q, DQO()).Best
 	par.PreOrder(func(n *Plan, _ int) {
 		if n.Op == OpJoin {
 			n.Join.Opt.Parallel = 2
 		}
 	})
-	none("parallel build", par, false)
+	taker = &countingTaker{}
+	if got := runOffering(t, par, taker, false); !got.Equal(want) {
+		t.Fatal("the parallel build's result differs from the serial build's")
+	}
+	if len(taker.offers) != 1 {
+		t.Fatalf("parallel build: %d offers, want 1:\n%s", len(taker.offers), par.Explain())
+	}
+	builtOverS("parallel build", taker)
 }
 
 // TestReplannedJoinOffersNoTable: a join re-planned mid-query runs its

@@ -298,8 +298,8 @@ func (p *Plan) runJoin(ec *exec.ExecContext, ctl *govern.Ctl, join joinRel, cols
 }
 
 // offersBuild reports whether the table this join builds over its child b
-// could serve as an Algorithmic View afterwards: a serial in-memory HJ or SPHJ
-// that builds, and builds over the unfiltered scan of a plain base table of at
+// could serve as an Algorithmic View afterwards: an in-memory HJ or SPHJ that
+// builds, and builds over the unfiltered scan of a plain base table of at
 // least a morsel of rows — below that the build costs less than the re-plan an
 // adoption triggers. A spill twin never offers, spilled or not, and a
 // re-planned remainder keeps its builds to itself: its scans read
@@ -307,8 +307,7 @@ func (p *Plan) runJoin(ec *exec.ExecContext, ctl *govern.Ctl, join joinRel, cols
 // against its own catalog; this only keeps joins that cannot qualify from
 // asking.
 func (p *Plan) offersBuild(b *Plan) bool {
-	if p.Index != nil || p.Spill || p.Join.Opt.Parallel > 1 ||
-		(p.Join.Kind != physical.HJ && p.Join.Kind != physical.SPHJ) {
+	if p.Index != nil || p.Spill || (p.Join.Kind != physical.HJ && p.Join.Kind != physical.SPHJ) {
 		return false
 	}
 	return b.Op == OpScan && b.AV == "" && b.Enc == storage.EncNone && !strings.HasPrefix(b.Table, replanTable) &&

@@ -316,8 +316,8 @@ func (m *Calibrated) Join(c physio.JoinChoice, build, probe, keyDistinct float64
 	switch c.Kind {
 	case physical.HJ:
 		perRow := m.InsertNS + m.HashNS[c.Opt.Hash] + m.cachePenalty(keyDistinct)
-		// Radix-partitioned build and chunked probe both parallelise.
-		return m.Parallel(perRow*(build+probe), c.Opt.Parallel) + emit
+		// One serial build; only the probe side fans out, as under SPHJ.
+		return perRow*build + m.Parallel(perRow*probe, c.Opt.Parallel) + emit
 	case physical.SPHJ:
 		// Build stays serial (chain order is the output contract); only the
 		// probe side fans out.

@@ -77,11 +77,7 @@ func MemGroup(c physio.GroupChoice, rows, groups float64) float64 {
 func MemJoin(c physio.JoinChoice, build, probe, keyDistinct, out float64) float64 {
 	switch c.Kind {
 	case physical.HJ:
-		table := build * 16 // bounds hashtable.Multi: directory (<= 2 slots/row) + (key, row) arena
-		if c.Opt.Parallel > 1 {
-			table += build * 8 // radix-partition key/index copies
-		}
-		return table + out*pairBytes
+		return build*16 + out*pairBytes // bounds hashtable.Multi: directory (<= 2 slots/row) + (key, row) arena
 	case physical.SPHJ:
 		return keyDistinct*4 + build*4 + out*pairBytes // hashtable.SPH: directory + rows
 	case physical.OJ:

@@ -42,9 +42,10 @@ type govCase struct {
 func govCases(t *testing.T) []govCase {
 	t.Helper()
 	// Large enough that two workers clear the kernels' 4096-row per-worker
-	// parallel minimum, so the sort-merge and join build/scatter points are
-	// actually reached at DOP >= 2. The ids descend: a sort returns input
-	// already in key order as it is, and would reach no merge.
+	// parallel minimum, so the sort-merge point is actually reached at
+	// DOP >= 2 (the join's build point is reached at every DOP). The ids
+	// descend: a sort returns input already in key order as it is, and would
+	// reach no merge.
 	rel := testRel(t, 12000)
 	desc := make([]int32, rel.NumRows())
 	for i := range desc {
@@ -117,11 +118,8 @@ func govCases(t *testing.T) []govCase {
 			},
 		},
 		{
-			name: "join-hj",
-			points: []string{
-				faultinject.PointPhysicalScatter,
-				faultinject.PointPhysicalBuild,
-			},
+			name:   "join-hj",
+			points: []string{faultinject.PointPhysicalBuild},
 			build: func(dop int) Operator {
 				b := NewBreaker(Text("join"), func(ec *ExecContext, ctl *govern.Ctl, in ...*storage.Relation) (*storage.Relation, error) {
 					opt := physical.JoinOptions{

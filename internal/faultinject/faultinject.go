@@ -14,19 +14,18 @@ package faultinject
 // active-build Summary reports hit counts per point so CI can verify
 // coverage.
 const (
-	PointExecRunNext     = "exec.run.next"       // each batch pulled by the drive loop
-	PointExecDrainBatch  = "exec.drain.batch"    // each batch drained into a pipeline breaker
-	PointExecBreaker     = "exec.breaker"        // before a breaker's whole-relation kernel runs
-	PointExecPipeMorsel  = "exec.pipe.morsel"    // each morsel claimed by a Pipe worker
-	PointStorageConcat   = "storage.concat"      // relation chunk concatenation
-	PointHashtableGrow   = "hashtable.grow"      // hash-table growth (the grouping table)
-	PointSortxMerge      = "sortx.merge"         // each parallel-sort merge pass
-	PointPhysicalBuild   = "physical.join.build" // parallel hash-join build phase
-	PointPhysicalScatter = "physical.scatter"    // radix partition scatter workers
-	PointReplanSplice    = "core.replan.splice"  // before a re-planned suffix is spliced in
-	PointSpillWrite      = "spill.write"         // before each spill frame hits disk (disk-full, short write)
-	PointSpillRead       = "spill.read"          // before each spill frame is read back (corrupt frame)
-	PointSpillCleanup    = "spill.cleanup"       // before spill temp files are removed
+	PointExecRunNext    = "exec.run.next"       // each batch pulled by the drive loop
+	PointExecDrainBatch = "exec.drain.batch"    // each batch drained into a pipeline breaker
+	PointExecBreaker    = "exec.breaker"        // before a breaker's whole-relation kernel runs
+	PointExecPipeMorsel = "exec.pipe.morsel"    // each morsel claimed by a Pipe worker
+	PointStorageConcat  = "storage.concat"      // relation chunk concatenation
+	PointHashtableGrow  = "hashtable.grow"      // hash-table growth (the grouping table)
+	PointSortxMerge     = "sortx.merge"         // each parallel-sort merge pass
+	PointPhysicalBuild  = "physical.join.build" // before an HJ or SPHJ builds its table
+	PointReplanSplice   = "core.replan.splice"  // before a re-planned suffix is spliced in
+	PointSpillWrite     = "spill.write"         // before each spill frame hits disk (disk-full, short write)
+	PointSpillRead      = "spill.read"          // before each spill frame is read back (corrupt frame)
+	PointSpillCleanup   = "spill.cleanup"       // before spill temp files are removed
 )
 
 // Points lists every registered failure point, for coverage reporting.
@@ -39,7 +38,6 @@ var Points = []string{
 	PointHashtableGrow,
 	PointSortxMerge,
 	PointPhysicalBuild,
-	PointPhysicalScatter,
 	PointReplanSplice,
 	PointSpillWrite,
 	PointSpillRead,

@@ -17,8 +17,8 @@ import (
 //
 // Emission-order contract: Fill yields the rows of a key in reverse build
 // order (the last row built under the key comes first) — the order the
-// chained table this replaces produced, which the parallel, spill and AV
-// join twins all reproduce.
+// chained table this replaces produced, which the spill and AV join twins
+// reproduce.
 //
 // Ownership: the directory and the arena come from the storage scratch pool.
 // Whoever built the table may Release it once no probe can be running; a
@@ -48,10 +48,10 @@ func MultiBytes(n int) int64 {
 	return int64(nextPow2(n)+1)*4 + int64(n)*int64(unsafe.Sizeof(multiEntry{}))
 }
 
-// BuildMulti builds the table over keys. Row i is recorded as rows[i], or as
-// i itself when rows is nil. stop, when non-nil, is polled every buildPoll
-// rows of both passes; its error aborts the build.
-func BuildMulti(f Func, keys []uint32, rows []int32, stop func() error) (*Multi, error) {
+// BuildMulti builds the table over keys, recording key i under row i. stop,
+// when non-nil, is polled every buildPoll rows of both passes; its error
+// aborts the build.
+func BuildMulti(f Func, keys []uint32, stop func() error) (*Multi, error) {
 	n := len(keys)
 	nb := nextPow2(n)
 	m := &Multi{fn: f, mask: uint64(nb - 1)}
@@ -103,14 +103,10 @@ func BuildMulti(f Func, keys []uint32, rows []int32, stop func() error) (*Multi,
 			}
 		}
 		for i := lo; i < min(lo+buildPoll, n); i++ {
-			row := int32(i)
-			if rows != nil {
-				row = rows[i]
-			}
 			b := bucket[i]
 			at := m.starts[b] - 1
 			m.starts[b] = at
-			m.entries[at] = multiEntry{key: keys[i], row: row}
+			m.entries[at] = multiEntry{key: keys[i], row: int32(i)}
 		}
 	}
 	return m, nil

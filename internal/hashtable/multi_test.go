@@ -120,9 +120,9 @@ func checkBatch(t *testing.T, idx interface {
 	}
 }
 
-func mustBuildMulti(t *testing.T, f Func, keys []uint32, rows []int32) *Multi {
+func mustBuildMulti(t *testing.T, f Func, keys []uint32) *Multi {
 	t.Helper()
-	m, err := BuildMulti(f, keys, rows, nil)
+	m, err := BuildMulti(f, keys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func mustBuildMulti(t *testing.T, f Func, keys []uint32, rows []int32) *Multi {
 }
 
 func TestMultiCountFill(t *testing.T) {
-	m := mustBuildMulti(t, Murmur3Fin, []uint32{5, 7, 5}, nil)
+	m := mustBuildMulti(t, Murmur3Fin, []uint32{5, 7, 5})
 	if m.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", m.Len())
 	}
@@ -139,11 +139,6 @@ func TestMultiCountFill(t *testing.T) {
 	}
 	if got := fillRows(t, m, 6); got != nil {
 		t.Fatalf("rows of 6 = %v, want none", got)
-	}
-	// Explicit row ids replace the build positions.
-	m = mustBuildMulti(t, Murmur3Fin, []uint32{5, 7, 5}, []int32{40, 41, 42})
-	if got := fillRows(t, m, 5); !reflect.DeepEqual(got, []int32{42, 40}) {
-		t.Fatalf("rows of 5 = %v, want [42 40]", got)
 	}
 }
 
@@ -184,7 +179,7 @@ func TestMultiMatchesChainedReference(t *testing.T) {
 	for _, f := range Funcs() {
 		for _, in := range inputs {
 			t.Run(f.String()+"/"+in.name, func(t *testing.T) {
-				m := mustBuildMulti(t, f, in.build, nil)
+				m := mustBuildMulti(t, f, in.build)
 				ref := newChainedMulti(f, len(in.build))
 				grown := newChainedMulti(f, 0) // the reference's order must not depend on its growth history
 				for i, k := range in.build {
@@ -224,7 +219,7 @@ func TestBuildMultiStops(t *testing.T) {
 	stopErr := errors.New("stop")
 	for _, failAt := range []int{1, 4, 8} { // first pass, second pass
 		polls := 0
-		_, err := BuildMulti(Fibonacci, keys, nil, func() error {
+		_, err := BuildMulti(Fibonacci, keys, func() error {
 			polls++
 			if polls == failAt {
 				return stopErr
@@ -244,7 +239,7 @@ func TestBuildsPollAtBlockBoundaries(t *testing.T) {
 	keys := make([]uint32, 4*buildPoll+1) // five blocks, the last of one row
 	polls := 0
 	count := func() error { polls++; return nil }
-	if _, err := BuildMulti(Murmur3Fin, keys, nil, count); err != nil || polls != 10 {
+	if _, err := BuildMulti(Murmur3Fin, keys, count); err != nil || polls != 10 {
 		t.Fatalf("BuildMulti polled %d times (err %v), want 10", polls, err)
 	}
 	polls = 0
@@ -301,7 +296,7 @@ func TestSPHMatchesMulti(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := mustBuildMulti(t, Murmur3Fin, keys, nil)
+		m := mustBuildMulti(t, Murmur3Fin, keys)
 		for _, probes := range [][]uint32{ordered, random} {
 			var wantBuild, wantProbe []int32
 			for j, k := range probes {

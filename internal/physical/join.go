@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"dqo/internal/faultinject"
 	"dqo/internal/govern"
 	"dqo/internal/hashtable"
 	"dqo/internal/props"
@@ -154,14 +155,6 @@ func Join(kind JoinKind, left, right []uint32, leftDom props.Domain, opt JoinOpt
 func joinSides(kind JoinKind, left, right []uint32, leftDom props.Domain, opt JoinOptions, sides pairSides) (*JoinResult, error) {
 	switch kind {
 	case HJ, SPHJ:
-		if kind == HJ && opt.Parallel > 1 && len(left) >= minParallelChunk && len(right) >= minParallelChunk {
-			res, err := joinHashParallel(left, right, opt, sides)
-			if err != nil {
-				return nil, err
-			}
-			res.SortedByKey = sortx.IsSortedUint32(right) // probe-major emission
-			return res, nil
-		}
 		t, err := buildJoinTable(kind, left, leftDom, opt)
 		if err != nil {
 			return nil, err
@@ -185,8 +178,8 @@ func joinSides(kind JoinKind, left, right []uint32, leftDom props.Domain, opt Jo
 }
 
 // RowIndex is the built side of a probe-major join (HJ's multimap, SPHJ's
-// directory, a prebuilt AV index; BSJ's and parallel HJ's through perKey),
-// probed a batch of keys at a time. CountBatch returns the total number of build rows holding
+// directory, BSJ's sorted directory, a prebuilt AV index), probed a batch of
+// keys at a time. CountBatch returns the total number of build rows holding
 // keys[0], keys[1], …; FillBatch writes the pairs — per key, in order, its
 // build rows in the index's emission order to build and the probe row
 // first+i to probe — from index 0 of slices that have room for
@@ -217,53 +210,6 @@ type keyCounter interface {
 // of keys hold r's key, polling stop.
 type rowCounter interface {
 	CountRows(keys []uint32, counts []int32, stop func() error) error
-}
-
-// perKey makes a RowIndex of a build side that answers one key at a time
-// (BSJ's sorted directory, parallel HJ's partitioned tables): Count says how
-// many build rows hold the key, Fill writes them to the front of dst.
-type perKey struct {
-	idx interface {
-		Count(key uint32) int
-		Fill(key uint32, dst []int32) int
-	}
-}
-
-func (p perKey) CountBatch(keys []uint32) int {
-	n := 0
-	for _, k := range keys {
-		n += p.idx.Count(k)
-	}
-	return n
-}
-
-func (p perKey) CountEach(keys []uint32, counts []int32) int {
-	n := 0
-	for i, k := range keys {
-		c := p.idx.Count(k)
-		counts[i] = int32(c)
-		n += c
-	}
-	return n
-}
-
-func (p perKey) FillBatch(keys []uint32, first int32, build, probe []int32) int {
-	n := 0
-	for i, k := range keys {
-		var c int
-		if build != nil {
-			c = p.idx.Fill(k, build[n:])
-		} else {
-			c = p.idx.Count(k)
-		}
-		if probe != nil {
-			for j := n; j < n+c; j++ {
-				probe[j] = first + int32(i)
-			}
-		}
-		n += c
-	}
-	return n
 }
 
 // probePairs probes idx with every key of probe and returns the matching
@@ -479,8 +425,8 @@ func forChunks(n, chunk int, fn func(c, lo, hi int) error) error {
 	return nil
 }
 
-// JoinTable is the built side of a serial HJ (a hashtable.Multi) or of an
-// SPHJ (a hashtable.SPH) between the join's two steps: BuildJoinTable is the
+// JoinTable is the built side of an HJ (a hashtable.Multi) or of an SPHJ (a
+// hashtable.SPH) between the join's two steps: BuildJoinTable is the
 // build, probing Index() the probe. It holds the table's reservation against
 // the query budget, so whoever builds one releases it — and with it hands the
 // table's arrays back to the scratch pool, unless Keep was called.
@@ -500,12 +446,15 @@ type JoinTable struct {
 // known and dense: the keys, offset by the domain minimum, then index a
 // directory directly and a probe is a single array access.
 func buildJoinTable(kind JoinKind, keys []uint32, dom props.Domain, opt JoinOptions) (*JoinTable, error) {
+	if err := faultinject.Fire(faultinject.PointPhysicalBuild); err != nil {
+		return nil, err
+	}
 	t := &JoinTable{keys: keys, rv: resv{ctl: opt.Ctl}}
 	if kind == HJ {
 		if err := t.rv.add(hashtable.MultiBytes(len(keys))); err != nil {
 			return nil, err
 		}
-		m, err := hashtable.BuildMulti(opt.Hash, keys, nil, opt.Ctl.Err)
+		m, err := hashtable.BuildMulti(opt.Hash, keys, opt.Ctl.Err)
 		if err != nil {
 			t.rv.release()
 			return nil, err
@@ -713,7 +662,7 @@ func joinBinarySearch(left, right []uint32, opt JoinOptions, sides pairSides) (*
 	for i, p := range d.perm {
 		d.keys[i] = left[p]
 	}
-	return probePairs(perKey{d}, right, 1, &rv, sides)
+	return probePairs(d, right, 1, &rv, sides)
 }
 
 // sortedDir is BSJ's build side: the left keys in ascending order and the
@@ -737,14 +686,40 @@ func (d sortedDir) run(key uint32) (lo, hi int) {
 	return lo, hi
 }
 
-func (d sortedDir) Count(key uint32) int {
-	lo, hi := d.run(key)
-	return hi - lo
+func (d sortedDir) CountBatch(keys []uint32) int {
+	n := 0
+	for _, k := range keys {
+		lo, hi := d.run(k)
+		n += hi - lo
+	}
+	return n
 }
 
-func (d sortedDir) Fill(key uint32, dst []int32) int {
-	lo, hi := d.run(key)
-	return copy(dst, d.perm[lo:hi])
+func (d sortedDir) CountEach(keys []uint32, counts []int32) int {
+	n := 0
+	for i, k := range keys {
+		lo, hi := d.run(k)
+		counts[i] = int32(hi - lo)
+		n += hi - lo
+	}
+	return n
+}
+
+func (d sortedDir) FillBatch(keys []uint32, first int32, build, probe []int32) int {
+	n := 0
+	for i, k := range keys {
+		lo, hi := d.run(k)
+		if build != nil {
+			copy(build[n:], d.perm[lo:hi])
+		}
+		if probe != nil {
+			for j := n; j < n+hi-lo; j++ {
+				probe[j] = first + int32(i)
+			}
+		}
+		n += hi - lo
+	}
+	return n
 }
 
 // OutputProps returns the property set of the join output given both input

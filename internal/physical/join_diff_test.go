@@ -60,7 +60,7 @@ func joinDiffInputs() []joinDiffInput {
 		}
 		return storage.MustNewRelation(name, storage.NewUint32(key, keys), storage.NewInt64(val, vals))
 	}
-	big := 3 * minParallelChunk // large enough for the chunked probe and the partitioned build
+	big := 3 * minParallelChunk // large enough for the chunked probe
 	var ins []joinDiffInput
 	for _, in := range []struct {
 		name   string
@@ -198,7 +198,7 @@ func TestJoinVariantsAgainstReference(t *testing.T) {
 						keys := build.MustColumn(buildKey).Uint32s()
 						var explicit RowIndex
 						if kind == HJ {
-							explicit, err = hashtable.BuildMulti(hashtable.Murmur3Fin, keys, nil, nil)
+							explicit, err = hashtable.BuildMulti(hashtable.Murmur3Fin, keys, nil)
 						} else {
 							explicit, err = hashtable.BuildSPH(keys, uint32(in.dom.Lo), int(in.dom.Width()), nil)
 						}

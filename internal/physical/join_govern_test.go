@@ -131,7 +131,7 @@ func TestProbeCancelledMidCountAndMidFill(t *testing.T) {
 	for i := range probe {
 		probe[i] = uint32(i % 1500)
 	}
-	m, err := hashtable.BuildMulti(hashtable.Fibonacci, build, nil, nil)
+	m, err := hashtable.BuildMulti(hashtable.Fibonacci, build, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestJoinRelKeepsOnlyNamedColumns(t *testing.T) {
 		sa[i] = uint32(i % 7)
 	}
 	s = storage.MustNewRelation("S", s.MustColumn("R_ID"), s.MustColumn("M"), storage.NewUint32("A", sa))
-	idx, err := hashtable.BuildMulti(hashtable.Murmur3Fin, r.MustColumn("ID").Uint32s(), nil, nil)
+	idx, err := hashtable.BuildMulti(hashtable.Murmur3Fin, r.MustColumn("ID").Uint32s(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

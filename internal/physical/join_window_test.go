@@ -125,7 +125,7 @@ func TestFillStaysInsideItsWindow(t *testing.T) {
 		var idx RowIndex
 		var err error
 		if c.hash {
-			idx, err = hashtable.BuildMulti(hashtable.Murmur3Fin, c.keys, nil, nil)
+			idx, err = hashtable.BuildMulti(hashtable.Murmur3Fin, c.keys, nil)
 		} else {
 			idx, err = hashtable.BuildSPH(c.keys, uint32(dom.Lo), int(dom.Width()), nil)
 		}
@@ -246,7 +246,7 @@ func (f *fillRecorder) FillBatch(keys []uint32, first int32, build, probe []int3
 // index serially: the optimiser gives an index join no parallelism.)
 func TestIndexProbesAtTheJoinsParallelism(t *testing.T) {
 	build, probe, _ := uniqueProbeCase()
-	m, err := hashtable.BuildMulti(hashtable.Murmur3Fin, build, nil, nil)
+	m, err := hashtable.BuildMulti(hashtable.Murmur3Fin, build, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

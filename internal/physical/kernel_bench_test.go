@@ -19,8 +19,8 @@ import (
 // builds on S (4.5 rows per key) and probes with R. The result is released
 // the way the relation-level joins release it once they have gathered, so
 // neither the pair arrays nor the table's arrays count towards B/op: both come
-// back out of the scratch pool. <case>/dop2 is the partitioned parallel HJ at
-// two workers.
+// back out of the scratch pool. <case>/dop2 is the same build with the probe
+// in two chunks at two workers.
 func BenchmarkJoinHash(b *testing.B) {
 	r, s := datagen.FKPair(42, datagen.FKConfig{RRows: 50000, SRows: 225000, AGroups: 50000})
 	id, rid := r.MustColumn("ID").Uint32s(), s.MustColumn("R_ID").Uint32s()
@@ -34,7 +34,7 @@ func BenchmarkJoinHash(b *testing.B) {
 		dop          int
 	}{
 		{"dup1", id, rid, bothRows, 1}, {"dup4.5", rid, id, bothRows, 1}, {"probe-only", rid, id, rightRows, 1},
-		{"dup1/dop2", id, rid, bothRows, 2}, {"dup4.5/dop2", rid, id, bothRows, 2},
+		{"dup1/dop2", id, rid, bothRows, 2}, {"dup4.5/dop2", rid, id, bothRows, 2}, {"probe-only/dop2", rid, id, rightRows, 2},
 	} {
 		b.Run(side.name, func(b *testing.B) {
 			b.ReportAllocs()

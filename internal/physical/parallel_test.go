@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"dqo/internal/hashtable"
 	"dqo/internal/props"
 	"dqo/internal/sortx"
+	"dqo/internal/storage"
 )
 
 // The parallel kernels' contract is DOP-invariance: byte-identical output to
@@ -117,7 +119,7 @@ func TestParallelJoinMatchesSerial(t *testing.T) {
 }
 
 // Heavy duplicates stress the per-key chain ordering of the parallel hash
-// join (descending build-row order per key must survive partitioning).
+// join: descending build-row order per key must survive the chunked probe.
 func TestParallelJoinDuplicateChains(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	nl, nr := 2*minParallelChunk, 2*minParallelChunk
@@ -133,9 +135,99 @@ func TestParallelJoinDuplicateChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := joinHashParallel(left, right, JoinOptions{Parallel: 4}, bothRows)
+	got, err := Join(HJ, left, right, props.Domain{}, JoinOptions{Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameJoinResult(t, "HJ dup-chains", want, got)
+}
+
+// TestHashJoinIsDOPInvariant: an HJ builds one table at every parallelism and
+// probes it in contiguous chunks, so each relation-level way of running it —
+// a fresh build keeping both inputs or the probe side's alone, the caller's
+// own build step then a probe through its index, and match counts keeping
+// either input — returns at 2 and 4 workers exactly the relation it returns
+// at 1, row order included. The build side holds unique or duplicated keys
+// and either input builds.
+func TestHashJoinIsDOPInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	keys := func(n, distinct int) []uint32 {
+		ks := make([]uint32, n)
+		for i := range ks {
+			ks[i] = uint32(rng.Intn(distinct))
+		}
+		return ks
+	}
+	rel := func(name string, ks []uint32) *storage.Relation {
+		vals := make([]int64, len(ks))
+		for i := range vals {
+			vals[i] = int64(i)*3 - 7
+		}
+		return storage.MustNewRelation(name, storage.NewUint32(name+"k", ks), storage.NewInt64(name+"v", vals))
+	}
+	unique := make([]uint32, 3*minParallelChunk)
+	for i := range unique {
+		unique[i] = uint32(i)
+	}
+	rng.Shuffle(len(unique), func(i, j int) { unique[i], unique[j] = unique[j], unique[i] })
+	probe := keys(5*minParallelChunk, 4*minParallelChunk)
+	for _, in := range []struct {
+		name        string
+		left, right *storage.Relation
+	}{
+		{"unique", rel("L", unique), rel("R", probe)},
+		{"dup", rel("L", keys(3*minParallelChunk, 700)), rel("R", probe)},
+	} {
+		for _, swapped := range []bool{false, true} {
+			build, buildKey, buildCols, probeCols := in.left, "Lk", []string{"Lk", "Lv"}, []string{"Rk", "Rv"}
+			if swapped {
+				build, buildKey, buildCols, probeCols = in.right, "Rk", probeCols, buildCols
+			}
+			ways := []struct {
+				name     string
+				weighted bool // the output is match counts, not pairs
+				run      func(opt JoinOptions) (*storage.Relation, error)
+			}{
+				{"fresh", false, func(opt JoinOptions) (*storage.Relation, error) {
+					return JoinRel(in.left, in.right, "Lk", "Rk", HJ, opt, props.Domain{}, swapped, nil, nil)
+				}},
+				{"fresh-probe-side", false, func(opt JoinOptions) (*storage.Relation, error) { // the per-key counts expanded
+					return JoinRel(in.left, in.right, "Lk", "Rk", HJ, opt, props.Domain{}, swapped, probeCols, nil)
+				}},
+				{"built", false, func(opt JoinOptions) (*storage.Relation, error) {
+					tab, err := BuildJoinTable(build, buildKey, HJ, opt, props.Domain{})
+					if err != nil {
+						return nil, err
+					}
+					defer tab.Release()
+					return JoinRel(in.left, in.right, "Lk", "Rk", HJ, opt, props.Domain{}, swapped, nil, tab.Index())
+				}},
+				{"counts-probe", true, func(opt JoinOptions) (*storage.Relation, error) {
+					return CountJoinRel(in.left, in.right, "Lk", "Rk", HJ, opt, props.Domain{}, swapped, probeCols, nil)
+				}},
+				{"counts-build", true, func(opt JoinOptions) (*storage.Relation, error) {
+					return CountJoinRel(in.left, in.right, "Lk", "Rk", HJ, opt, props.Domain{}, swapped, buildCols, nil)
+				}},
+			}
+			for _, way := range ways {
+				label := fmt.Sprintf("%s/swapped=%v/%s", in.name, swapped, way.name)
+				want, err := way.run(JoinOptions{Hash: hashtable.Murmur3Fin, Parallel: 1})
+				if err != nil {
+					t.Fatalf("%s serial: %v", label, err)
+				}
+				if _, weighted := want.Column(WeightCol); weighted != way.weighted {
+					t.Fatalf("%s: weighted = %v: the join did not run the way under test", label, weighted)
+				}
+				for _, par := range []int{2, 4} {
+					got, err := way.run(JoinOptions{Hash: hashtable.Murmur3Fin, Parallel: par})
+					if err != nil {
+						t.Fatalf("%s parallel=%d: %v", label, par, err)
+					}
+					if err := sameColumns(got, want); err != nil {
+						t.Fatalf("%s parallel=%d: %v", label, par, err)
+					}
+				}
+			}
+		}
+	}
 }

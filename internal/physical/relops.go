@@ -334,8 +334,7 @@ func aggArgument(rel *storage.Relation, col string) (argVals, error) {
 	}
 }
 
-// BuildJoinTable is the build step of a serial HJ or SPHJ over rel's key
-// column, for a caller that wants to own the table between the two steps;
+// BuildJoinTable is the build step of an HJ or SPHJ over rel's key column, for a caller that wants to own the table between the two steps;
 // JoinRel with its Index() is the probe step, and the two together are a
 // JoinRel that builds. A zero dom falls back to the relation's statistics.
 func BuildJoinTable(rel *storage.Relation, key string, kind JoinKind, opt JoinOptions, dom props.Domain) (*JoinTable, error) {
@@ -343,8 +342,8 @@ func BuildJoinTable(rel *storage.Relation, key string, kind JoinKind, opt JoinOp
 	if err != nil {
 		return nil, err
 	}
-	if kind != HJ && kind != SPHJ || opt.Parallel > 1 {
-		return nil, fmt.Errorf("physical: %s (parallel=%d) has no build step of its own", kind, opt.Parallel)
+	if kind != HJ && kind != SPHJ {
+		return nil, fmt.Errorf("physical: %s has no build step of its own", kind)
 	}
 	if !dom.Known {
 		dom = domainOf(rel, key)
@@ -402,8 +401,8 @@ func Rows(rel *storage.Relation) int64 {
 
 // CountJoinRel is JoinRel for a consumer that folds a weighted row as that
 // many rows: a grouping whose key and arguments are columns of one input.
-// When the columns kept are all of one input, and the join is a serial HJ,
-// an SPHJ or a prebuilt index that can count, it emits every row of that
+// When the columns kept are all of one input, and the join is an HJ, an SPHJ
+// or a prebuilt index that can count, it emits every row of that
 // input with w > 0 matches once, in input order, weighted w (WeightCol):
 // the pairs' multiset of kept rows, without the pairs. The kept input's
 // matches are counted by probing (Multi.CountEach, SPH.CountEach) when it is
@@ -545,14 +544,14 @@ func (o *joinOutput) sides() pairSides {
 }
 
 // counted is CountJoinRel's output when the output keeps one input's columns
-// alone — the probe side's when keepProbe — and idx, or the table a serial HJ
-// or an SPHJ builds over buildKeys when idx is nil, can count that side's
+// alone — the probe side's when keepProbe — and idx, or the table an HJ or an
+// SPHJ builds over buildKeys when idx is nil, can count that side's
 // matches; ok is false when they cannot be counted. Rows with no match are
 // left out, and when every row has one the kept columns are the input's own.
 // The weights are drawn for every kept-side row, matched or not.
 func (o *joinOutput) counted(kind JoinKind, opt JoinOptions, dom props.Domain, buildKeys, probeKeys []uint32, keepProbe bool, idx RowIndex) (rel *storage.Relation, ok bool, err error) {
 	if idx == nil {
-		if kind != SPHJ && (kind != HJ || opt.Parallel > 1) {
+		if kind != HJ && kind != SPHJ {
 			return nil, false, nil
 		}
 		t, err := buildJoinTable(kind, buildKeys, dom, opt)

@@ -171,7 +171,7 @@ func groupChoices(depth Depth, dop int) []GroupChoice {
 
 // JoinChoices enumerates the implementations of an equi-join at the given
 // depth. dop > 1 additionally offers parallel variants of the DOP-invariant
-// join kernels (radix-partitioned HJ, chunked-probe SPHJ, parallel-sort SOJ),
+// join kernels (chunked-probe HJ and SPHJ, parallel-sort SOJ),
 // serial twins first so ties stay serial. As with GroupChoices the list may be
 // shared and does not depend on the key columns: the commuted join reads the
 // same list with the inputs exchanged.
@@ -285,13 +285,12 @@ func JoinTree(kind physical.JoinKind, opt physical.JoinOptions, lcol, rcol strin
 		New("gather", LevelMolecule, "columnar row gather"))
 	switch kind {
 	case physical.HJ:
-		build, probe := "chained multimap", "serial probe"
+		probe := "serial probe"
 		if opt.Parallel > 1 {
-			build = "radix-partitioned chained multimap (" + strconv.Itoa(opt.Parallel) + " workers)"
 			probe = "parallel probe (" + strconv.Itoa(opt.Parallel) + " workers)"
 		}
 		return New("⋈", LevelOrganelle, "hash join on "+on,
-			New("build", LevelMacro, build,
+			New("build", LevelMacro, "chained multimap",
 				New("hashfunc", LevelMolecule, opt.Hash.String())),
 			New("probe", LevelMacro, "per-row lookup",
 				New("loop", LevelMolecule, probe)),
