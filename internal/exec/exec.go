@@ -213,8 +213,8 @@ type OpStats struct {
 	Replans   int64         // mid-query re-planning splices taken at this operator
 
 	SpillBytes  int64 // bytes written to spill run files by this operator
-	SpillParts  int64 // spill partitions / runs written
-	SpillPasses int64 // extra passes over spilled data (repartition or merge rounds)
+	SpillParts  int64 // spill partitions written
+	SpillPasses int64 // extra passes over spilled data: partitions dealt again
 }
 
 // Labeler names an operator for EXPLAIN/stats output. An operator keeps the
@@ -411,8 +411,8 @@ type OpStat struct {
 	Replans   int64 // mid-query re-planning splices taken at this operator
 
 	SpillBytes  int64 // bytes written to spill run files
-	SpillParts  int64 // spill partitions / runs written
-	SpillPasses int64 // extra passes over spilled data
+	SpillParts  int64 // spill partitions written
+	SpillPasses int64 // extra passes over spilled data: partitions dealt again
 }
 
 // Profile is the per-operator execution profile of one query, in pre-order

@@ -23,8 +23,8 @@ import (
 //   - a breaker (NewBreaker: sort, grouping, join) drains one or two inputs
 //     and runs the plan node's kernel over them once;
 //   - a breaker that may spill has a spill strategy besides (SortRuns,
-//     GroupPartitions, JoinPartitions), which holds the input and flushes it
-//     to disk past the spill grant. If nothing was flushed the kernel runs
+//     GroupPartitions, JoinPartitions), which holds the input and deals it
+//     into a partition set on disk past the spill grant. If nothing was flushed the kernel runs
 //     as it does for the plain breaker; otherwise the strategy produces the
 //     output from disk.
 //

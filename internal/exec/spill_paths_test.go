@@ -3,8 +3,10 @@ package exec
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"dqo/internal/expr"
@@ -115,7 +117,7 @@ func newTestPartitionSet(t *testing.T, quota int64) (*ExecContext, *partitionSet
 	b := &base{label: Text("set")}
 	h := &holder{ctl: ec.CtlFor(b), b: b}
 	sets := new([]*partitionSet)
-	return ec, newPartitionSet(h, sets, "set", "key", rowTagL, 0, quota), sets, mem, dir
+	return ec, newPartitionSet(h, sets, nil, "set", "key", rowTagL, 0, quota), sets, mem, dir
 }
 
 // checkPartition asserts a loaded partition holds exactly the rows of rel
@@ -267,47 +269,225 @@ func TestPartitionSetSingleFile(t *testing.T) {
 	}
 }
 
-// TestSpillSortMergeWindows forces the external sort through a disk-to-disk
-// pass (more runs than the fan-in) over every column kind. The uint64 column
-// numbers the input rows, so equality with the stable in-memory sort is
-// exactly "ties across runs keep run order".
-func TestSpillSortMergeWindows(t *testing.T) {
-	base := spillRel("t", 6000, 23)
-	ids := make([]uint64, base.NumRows())
-	for i := range ids {
-		ids[i] = uint64(i)<<32 | 5
+// TestSpillSortRangePartitions drives the range-partitioned external sort
+// over every column kind plus a uint64 column numbering the input rows, so
+// that equality with the stable in-memory sort is exactly "ties keep input
+// order", on the key sets that stress a range deal, under a grant that forces
+// re-deals. A narrow key band re-deals no more often than uniform keys: its
+// windows come from the keys seen. While the sort runs no more descriptors are
+// open than the deepest re-deal has live sets, and the spill directory is
+// empty once it ends.
+func TestSpillSortRangePartitions(t *testing.T) {
+	const n = 20_000
+	x := uint32(12345)
+	rnd := func() uint32 { x = x*1664525 + 1013904223; return x }
+	keySets := map[string]func(i int) uint32{
+		"uniform":     func(int) uint32 { return rnd() },
+		"all-equal":   func(int) uint32 { return 77 },
+		"two-hot":     func(i int) uint32 { return []uint32{9, 1 << 30, rnd()}[i%3] },
+		"narrow-band": func(int) uint32 { return rnd() >> 20 },
+		"edges":       func(i int) uint32 { return []uint32{0, math.MaxUint32, rnd()}[i%3] },
+		"descending":  func(i int) uint32 { return uint32(n-i) * 1000 },
 	}
-	rel := storage.MustNewRelation("t", append(base.Columns(), storage.NewUint64("id", ids))...)
-	want, err := physical.SortRel(rel, "key", sortx.Radix, 1, nil)
-	if err != nil {
-		t.Fatal(err)
+	base := spillRel("t", n, 29)
+	passes := map[string]int64{}
+	for name, key := range keySets {
+		keys := make([]uint32, n)
+		ids := make([]uint64, n)
+		for i := range keys {
+			keys[i], ids[i] = key(i), uint64(i)<<32|5
+		}
+		cols := append([]*storage.Column{storage.NewUint32("k", keys)}, base.Columns()...)
+		rel := storage.MustNewRelation("t", append(cols, storage.NewUint64("id", ids))...)
+		for _, kind := range sortx.Kinds() {
+			want, err := physical.SortRel(rel, "k", kind, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			ec := NewExecContext(context.Background(), 512, 1)
+			ec.SetSpill(dir, 0)
+			ec.SetSpillQuota(16 << 10) // 760 KB of input: level-0 partitions of ~47 KB
+			root := spillSort(NewScan(Text("scan"), rel), "k", kind)
+			fds, most := openFDs(), make(chan int)
+			stop := make(chan struct{})
+			go func() {
+				peak := fds
+				for {
+					select {
+					case <-stop:
+						most <- peak
+						return
+					default:
+						peak = max(peak, openFDs())
+					}
+				}
+			}()
+			err = root.Open(ec)
+			if err == nil {
+				_, err = root.Next(ec) // the first batch materialises the sort
+			}
+			close(stop)
+			peak := <-most
+			if err != nil {
+				t.Fatalf("%s/%v: %v", name, kind, err)
+			}
+			if !root.out.Equal(want) {
+				t.Fatalf("%s/%v: range-partitioned sort diverges from the stable in-memory sort", name, kind)
+			}
+			depth := 0
+			for _, ps := range root.spill.(*partitioned).sets {
+				depth = max(depth, ps.level)
+			}
+			root.Close(ec)
+			if err := ec.CleanupSpill(); err != nil {
+				t.Fatal(err)
+			}
+			st := root.Stats()
+			if st.SpillBytes == 0 {
+				t.Fatalf("%s/%v: vacuous: the sort did not spill", name, kind)
+			}
+			if name != "all-equal" && depth == 0 {
+				t.Fatalf("%s/%v: vacuous: no partition was dealt again", name, kind)
+			}
+			if fds >= 0 && peak-fds > depth+1 {
+				t.Fatalf("%s/%v: %d descriptors open during the sort, re-deal depth %d", name, kind, peak-fds, depth)
+			}
+			if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+				t.Fatalf("%s/%v: spill parent not cleaned: %d entries, err=%v", name, kind, len(ents), err)
+			}
+			passes[name] = st.SpillPasses
+		}
 	}
-	for _, morsel := range []int{7, 256} {
-		dir := t.TempDir()
-		ec := NewExecContext(context.Background(), morsel, 1)
-		ec.SetSpill(dir, 0)
-		ec.SetSpillQuota(20 << 10) // 216 KB of input: 11+ runs
-		root := spillSort(NewScan(Text("scan"), rel), "key", sortx.Radix)
-		got, err := Run(ec, root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := CollectProfile(root)[0]
-		if st.SpillParts <= spillFanIn+1 || st.SpillPasses < 2 {
-			t.Fatalf("morsel=%d: %d runs, %d passes: no disk-to-disk merge pass happened", morsel, st.SpillParts, st.SpillPasses)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("morsel=%d: merged output diverges from the stable in-memory sort", morsel)
-		}
-		if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
-			t.Fatalf("morsel=%d: spill parent not cleaned: %d entries, err=%v", morsel, len(ents), err)
+	t.Logf("re-deals per key set: %v", passes)
+	if passes["narrow-band"] > passes["uniform"] {
+		t.Fatalf("a narrow key band re-deals %d times, uniform keys %d", passes["narrow-band"], passes["uniform"])
+	}
+}
+
+// TestSpillJoinFiltersSecondInput joins two inputs of n unique keys that
+// share k: the grace join deals only the second-input rows whose key the
+// filter of first-input keys holds — the k shared ones and the filter's false
+// positives, counted here with a filter of the same size — and its output is
+// byte-identical to the in-memory kernel's, swapped and unswapped, with
+// nothing but the output reserved once it ends. Under a budget with no room
+// for the filter it deals every second-input row and still agrees.
+func TestSpillJoinFiltersSecondInput(t *testing.T) {
+	const n, k = 12_000, 300
+	const quota = 256 << 10
+	keys := sparseKeys(2*n-k, 2*n-k, 7)
+	left := storage.MustNewRelation("l", storage.NewUint32("key", keys[:n]), storage.NewInt64("val", payloadCol(n)))
+	right := storage.MustNewRelation("r", storage.NewUint32("key", keys[n-k:]), storage.NewInt64("val", payloadCol(n)))
+	f := newKeyFilter(make([]uint64, filterBytes(quota/2)/8))
+	f.add(left.MustColumn("key").Uint32s())
+	pass := 0
+	for _, key := range right.MustColumn("key").Uint32s() {
+		pass += f.has(key)
+	}
+	if pass < k || pass > k+n/10 {
+		t.Fatalf("a filter of the grant passes %d of %d second-input rows, %d of them matching", pass, n, k)
+	}
+	opt := physical.JoinOptions{Hash: hashtable.Murmur3Fin, Parallel: 1}
+	for _, limit := range []int64{0, 300 << 10} {
+		for _, swapped := range []bool{false, true} {
+			want := runTree(t, NewBreaker(Text("join"), joinKernel("key", opt, swapped, props.Domain{}, nil), nil,
+				NewScan(Text("l"), left), NewScan(Text("r"), right)), 4096)
+			if want.NumRows() != k {
+				t.Fatalf("in-memory join: %d pairs, want %d", want.NumRows(), k)
+			}
+			mem := govern.NewBudget(limit)
+			ec := NewExecContextBudget(context.Background(), 256, 1, mem)
+			ec.SetSpill(t.TempDir(), 0)
+			ec.SetSpillQuota(quota)
+			root := spillJoin(NewScan(Text("l"), left), NewScan(Text("r"), right), "key", opt, swapped, props.Domain{}, nil)
+			if err := root.Open(ec); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := root.Next(ec); err != nil {
+				t.Fatalf("limit=%d swapped=%v: %v", limit, swapped, err)
+			}
+			if used, out := mem.Used(), root.out.MemBytes(); used != out {
+				t.Fatalf("limit=%d swapped=%v: %d bytes reserved once the join ended, want the output's %d", limit, swapped, used, out)
+			}
+			if !root.out.Equal(want) {
+				t.Fatalf("limit=%d swapped=%v: grace join diverges from the in-memory join", limit, swapped)
+			}
+			var dealt int64
+			for _, r := range root.spill.(*partitioned).ps[1].rows {
+				dealt += r
+			}
+			wantDealt := int64(pass)
+			if limit > 0 {
+				wantDealt = n // the filter did not fit: every row is dealt
+			}
+			if dealt != wantDealt {
+				t.Fatalf("limit=%d swapped=%v: %d second-input rows dealt, want %d", limit, swapped, dealt, wantDealt)
+			}
+			root.Close(ec)
+			if err := ec.CleanupSpill(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
 
+// TestFirstSeenOrder checks the bitmap rank of first-seen ordinals against
+// their radix argsort: random unique ordinals, the word edges, the first and
+// last row, a single group, and every row a group's first.
+func TestFirstSeenOrder(t *testing.T) {
+	x := uint32(99)
+	shuffled := func(ord []uint32) []uint32 {
+		for i := len(ord) - 1; i > 0; i-- {
+			x = x*1664525 + 1013904223
+			j := int(x>>8) % (i + 1)
+			ord[i], ord[j] = ord[j], ord[i]
+		}
+		return ord
+	}
+	const total = 5000
+	random := make([]uint32, 0, total)
+	seen := map[uint32]bool{0: true, 63: true, 64: true, 65: true, total - 1: true}
+	for o := range seen {
+		random = append(random, o)
+	}
+	for len(random) < 1200 {
+		x = x*1664525 + 1013904223
+		if o := x % total; !seen[o] {
+			seen[o] = true
+			random = append(random, o)
+		}
+	}
+	every := make([]uint32, total)
+	for i := range every {
+		every[i] = uint32(i)
+	}
+	for name, tc := range map[string]struct {
+		ord   []uint32
+		total int
+	}{
+		"random":      {shuffled(random), total},
+		"word-edges":  {shuffled([]uint32{65, 0, 63, 64, 127, 128}), 129},
+		"single":      {[]uint32{17}, 18},
+		"single-zero": {[]uint32{0}, 1},
+		"every":       {shuffled(every), total},
+		"none":        {nil, 10},
+	} {
+		got, err := firstSeenOrder(tc.ord, tc.total)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := sortx.ArgSortUint32(sortx.Radix, tc.ord); !slices.Equal(got, want) {
+			t.Fatalf("%s: rank order %v, argsort %v", name, got, want)
+		}
+	}
+	if _, err := firstSeenOrder([]uint32{3, 8, 3}, 10); !errors.Is(err, qerr.ErrInternal) {
+		t.Fatalf("repeated ordinal: err = %v, want ErrInternal", err)
+	}
+}
+
 // TestSpillJoinReleasesOrphanedSides joins inputs whose keys fall in
-// overlapping halves of the partitions, so eight partitions have rows on one
-// side only. Once the last pair is joined nothing but the output may still be
+// overlapping halves of the partitions, so four partitions have left rows
+// only (and four more right rows only, which the key filter drops). Once the last pair is joined nothing but the output may still be
 // reserved — an orphaned side's in-memory tail included — and no run file may
 // still be charged to the disk budget.
 func TestSpillJoinReleasesOrphanedSides(t *testing.T) {
@@ -343,9 +523,18 @@ func TestSpillJoinReleasesOrphanedSides(t *testing.T) {
 	if _, err := root.Next(ec); err != nil { // the first batch materialises the join
 		t.Fatal(err)
 	}
+	// The key filter drops the right rows of partitions 8-11, whose keys no
+	// left row holds, so the orphaned sides are the left rows of 0-3.
 	st := root.Stats()
-	if st.SpillParts != 2*8 || root.out.NumRows() == 0 {
-		t.Fatalf("vacuous: %d partitions spilled (want 8 a side), %d output rows", st.SpillParts, root.out.NumRows())
+	sides := root.spill.(*partitioned).ps
+	leftOnly := 0
+	for p := 0; p < spillParts; p++ {
+		if sides[0].rows[p] > 0 && sides[1].rows[p] == 0 {
+			leftOnly++
+		}
+	}
+	if st.SpillParts != 8+4 || leftOnly != 4 || root.out.NumRows() == 0 {
+		t.Fatalf("vacuous: %d partitions spilled (want 8 left, 4 right), %d left-only, %d output rows", st.SpillParts, leftOnly, root.out.NumRows())
 	}
 	orphanTails := false
 	for _, ps := range root.spill.(*partitioned).sets {

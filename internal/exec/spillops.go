@@ -7,14 +7,17 @@ package exec
 // govern spill grant and only touches disk past it, so a query whose data
 // fits never pays a single write (and never creates the spill directory):
 // its breaker runs the kernel as the in-memory breaker does. Past the grant
-// each produces output byte-identical to that kernel's:
+// all three deal their input into partition sets, and each produces output
+// byte-identical to its kernel's:
 //
-//   - SortRuns writes stably sorted runs and k-way merges them with a
-//     (key, run order) tie-break — since the in-memory argsort is stable for
-//     every sort kind, the merged output IS the stable full sort. The merge
-//     decides on keys alone and copies whole column windows.
+//   - SortRuns deals by key range: a partition's keys all precede the next
+//     partition's, so sorting each partition stably in memory and emitting
+//     the partitions in order IS the stable full sort (a partition holds its
+//     rows in input order, and the in-memory argsort is stable for every sort
+//     kind).
 //   - JoinPartitions numbers each side's rows by global input ordinal,
-//     hash-partitions both sides to disk, joins partition pairs serially, and
+//     hash-partitions both sides to disk — dropping second-input rows whose
+//     key no first-input key can match — joins partition pairs serially, and
 //     restores the serial hash join's emission order — (probe row ascending,
 //     build row descending: the multimap's reverse-build-order emission
 //     contract) — with one radix sort over the pair outputs' ordinals.
@@ -22,19 +25,21 @@ package exec
 //     so per-partition aggregates are exact), reuses the serial chained-hash
 //     aggregation kernel per partition, and reorders the merged groups by
 //     each key's first-occurrence ordinal — found by one forward walk per
-//     partition, ordered by one radix sort — reproducing the chained table's
+//     partition, ranked in a bitmap of them — reproducing the chained table's
 //     first-seen iteration order.
 //
 // The strategies move columns, not values: a partition set scatters each
 // batch column by column into per-partition buffers and writes a buffer as
 // one frame of the set's one run file; a partition is read back by its frame
 // offsets straight into a relation allocated once at its known size.
-// Partitions that still exceed the grant recurse — re-partitioning on a
-// different hash-bit window — down to a fixed depth cap.
+// Partitions that still exceed the grant are dealt again one level down: on
+// a different hash-bit window, down to a fixed depth cap, or on the key range
+// the partition's own rows showed, until one key is left.
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"dqo/internal/expr"
 	"dqo/internal/physical"
@@ -46,10 +51,9 @@ import (
 )
 
 const (
-	spillFanIn    = 8                  // runs merged per external-sort pass
 	spillPartBits = 4                  // log2 of the partition fan-out
 	spillParts    = 1 << spillPartBits // partitions per recursion level
-	spillMaxDepth = 4                  // recursion cap: 4 levels * 4 bits = 16 hash bits
+	spillMaxDepth = 4                  // hash recursion cap: 4 levels * 4 bits = 16 hash bits
 
 	// The tag column carries each input row's global ordinal through
 	// partitioning, so partitioned operators can reconstruct the exact
@@ -58,13 +62,68 @@ const (
 	rowTagR = "__dqo_rrow"
 )
 
-// spillBucket assigns a key to a partition. Each recursion level consumes a
-// distinct window of the Fibonacci-hashed key, so a skewed partition is
+// spillHash is the Fibonacci hash of a key. Its top bits pick a hash-dealt
+// partition and a join filter's bit alike.
+func spillHash(key uint32) uint64 { return uint64(key) * 0x9E3779B97F4A7C15 }
+
+// spillBucket assigns a key to a hash partition. Each recursion level
+// consumes a distinct window of the hashed key, so a skewed partition is
 // actually split by re-partitioning rather than re-dealt identically.
 func spillBucket(key uint32, level int) int {
-	h := uint64(key) * 0x9E3779B97F4A7C15
 	shift := uint(64 - spillPartBits*(level+1))
-	return int((h >> shift) & (spillParts - 1))
+	return int((spillHash(key) >> shift) & (spillParts - 1))
+}
+
+// keyWindow deals keys by range: [lo, hi] split into spillParts runs of
+// near-equal width, a key outside it clamped into the edge partition on its
+// side. The partition is monotone in the key, so every key of partition p
+// precedes every key of partition p+1.
+type keyWindow struct {
+	lo, hi uint32
+	mul    uint64 // 2^36 / (hi-lo+1): (k-lo)*mul>>32 is below spillParts
+}
+
+func newKeyWindow(lo, hi uint32) *keyWindow {
+	return &keyWindow{lo: lo, hi: hi, mul: (1 << (32 + spillPartBits)) / (uint64(hi-lo) + 1)}
+}
+
+func (w *keyWindow) bucket(k uint32) int {
+	return int(uint64(min(max(k, w.lo), w.hi)-w.lo) * w.mul >> 32)
+}
+
+// keyFilter is a one-hash bit filter over the join keys of the first input:
+// the top bits of a key's spillHash pick its bit, the same bits whose top
+// four pick its level-0 partition, so a key only ever collides with keys of
+// its own partition.
+type keyFilter struct {
+	bits  []uint64
+	shift uint
+}
+
+// newKeyFilter returns an empty filter over words, a power-of-two count of
+// them that it clears.
+func newKeyFilter(words []uint64) *keyFilter {
+	clear(words)
+	return &keyFilter{bits: words, shift: uint(64 - bits.Len(uint(len(words))*64-1))}
+}
+
+func (f *keyFilter) add(keys []uint32) {
+	for _, k := range keys {
+		i := spillHash(k) >> f.shift
+		f.bits[i>>6] |= 1 << (i & 63)
+	}
+}
+
+// has reports 1 when some key added may equal k, 0 when none does.
+func (f *keyFilter) has(k uint32) int {
+	i := spillHash(k) >> f.shift
+	return int(f.bits[i>>6] >> (i & 63) & 1)
+}
+
+// filterBytes sizes a join's key filter from the spill grant: a power of two
+// near a quarter of it, at least 64 bytes and at most 8 MiB.
+func filterBytes(quota int64) int64 {
+	return 1 << (bits.Len64(uint64(min(max(quota/4, 64), 8<<20))) - 1)
 }
 
 // seedDicts returns a dictionary pool pre-seeded with a relation's own
@@ -97,33 +156,44 @@ func rowBytes(schema *storage.Relation) int64 {
 	return n
 }
 
-// allocLike returns a relation of n zeroed rows with schema's column names,
-// kinds and dictionaries.
-func allocLike(schema *storage.Relation, n int) (*storage.Relation, error) {
+// allocLike returns a relation of n rows with schema's column names, kinds
+// and dictionaries, its arrays drawn from s: dirty unless s is nil.
+func allocLike(s *storage.Scratch, schema *storage.Relation, n int) (*storage.Relation, error) {
 	cols := make([]*storage.Column, schema.NumCols())
 	for i, c := range schema.Columns() {
 		var err error
-		if cols[i], err = storage.NewColumn(c.Name(), c.Kind(), c.Dict(), n); err != nil {
+		if cols[i], err = storage.NewColumn(s, c.Name(), c.Kind(), c.Dict(), n); err != nil {
 			return nil, qerr.Wrap(qerr.ErrInternal, err)
 		}
 	}
 	return storage.NewRelation(schema.Name(), cols...)
 }
 
-// copyRows copies the first n rows of src into rows [at, at+n) of dst.
-func copyRows(dst *storage.Relation, at int, src *storage.Relation, n int) {
+// copyRows copies n rows of src into rows [at, at+n) of dst: its first n, or
+// the rows idx names, in that order, when idx is not nil.
+func copyRows(dst *storage.Relation, at int, src *storage.Relation, n int, idx []int32) {
 	for c, d := range dst.Columns() {
 		s := src.Columns()[c]
 		switch d.Kind() {
 		case storage.KindUint32, storage.KindString:
-			copy(d.Uint32s()[at:], s.Uint32s()[:n])
+			copyCol(d.Uint32s()[at:at+n], s.Uint32s(), idx)
 		case storage.KindUint64:
-			copy(d.Uint64s()[at:], s.Uint64s()[:n])
+			copyCol(d.Uint64s()[at:at+n], s.Uint64s(), idx)
 		case storage.KindInt64:
-			copy(d.Int64s()[at:], s.Int64s()[:n])
+			copyCol(d.Int64s()[at:at+n], s.Int64s(), idx)
 		case storage.KindFloat64:
-			copy(d.Float64s()[at:], s.Float64s()[:n])
+			copyCol(d.Float64s()[at:at+n], s.Float64s(), idx)
 		}
+	}
+}
+
+func copyCol[T any](dst, src []T, idx []int32) {
+	if idx == nil {
+		copy(dst, src[:len(dst)])
+		return
+	}
+	for i, r := range idx[:len(dst)] {
+		dst[i] = src[r]
 	}
 }
 
@@ -180,347 +250,34 @@ func (b *buffered) whole(schema []*storage.Relation) ([]*storage.Relation, error
 }
 
 // ---------------------------------------------------------------------------
-// SortRuns: external merge sort.
+// Partitioned spilling, shared by the external sort, grace join and spilling
+// aggregation.
 
-// sortRuns sorts its input by a uint32 key column with bounded working
-// memory: batches buffer up to the spill grant, each overflow is stably
-// sorted and written as a run, and the runs are k-way merged (recursively,
-// above the fan-in) with a (key, run order) tie-break. Output is
-// byte-identical to the serial in-memory sort for every sort kind, because
-// the in-memory argsort is stable and the runs partition the input in
-// order.
-type sortRuns struct {
-	buffered
-	key  string
-	kind sortx.Kind
-	runs []*spill.Run
-	tmpl *storage.Relation // the input's schema, once merging
-}
-
-// SortRuns returns the external merge sort's strategy for a sort by key.
-func SortRuns(key string, kind sortx.Kind) SpillStrategy {
-	return &sortRuns{buffered: newBuffered(1), key: key, kind: kind}
-}
-
-func (s *sortRuns) add(ec *ExecContext, h *holder, _ int, batch *storage.Relation) error {
-	n := batch.MemBytes()
-	if s.bytes[0] > 0 && s.bytes[0]+n > ec.SpillQuota() {
-		if err := s.flush(ec, h); err != nil {
-			return err
-		}
-	}
-	if err := h.grab(n); err != nil {
-		// Memory pressure before the proactive quota: flush and retry once.
-		if ferr := s.flush(ec, h); ferr != nil {
-			return ferr
-		}
-		if err := h.grab(n); err != nil {
-			return err
-		}
-	}
-	s.keep(0, batch, n)
-	return nil
-}
-
-// flush sorts the buffered batches and writes them as one run.
-func (s *sortRuns) flush(ec *ExecContext, h *holder) error {
-	buf := s.bytes[0]
-	if buf == 0 {
-		return nil
-	}
-	// The run sort gathers a sorted copy of the buffer: charge it for the
-	// duration of the write.
-	if err := h.grab(buf); err != nil {
-		return err
-	}
-	in, err := storage.Concat(nil, s.parts[0])
-	if err != nil {
-		return err
-	}
-	sorted, err := physical.SortRel(in, s.key, s.kind, 1, nil)
-	if err != nil {
-		return err
-	}
-	run, err := s.writeRun(ec, h.b.Label(), sorted)
-	if err != nil {
-		return err
-	}
-	s.runs = append(s.runs, run)
-	h.b.addSpill(run.Bytes, 1, 0)
-	s.parts[0], s.bytes[0] = s.parts[0][:0], 0
-	h.drop(2 * buf) // buffered batches + the sorted copy
-	return nil
-}
-
-func (s *sortRuns) finish(ec *ExecContext, h *holder, schema []*storage.Relation) ([]*storage.Relation, *storage.Relation, error) {
-	if len(s.runs) == 0 {
-		whole, err := s.whole(schema)
-		return whole, nil, err
-	}
-	if err := s.flush(ec, h); err != nil { // tail
-		return nil, nil, err
-	}
-	s.tmpl = schema[0]
-	out, err := s.merge(ec, h)
-	return nil, out, err
-}
-
-func (s *sortRuns) abort() {
-	for _, r := range s.runs {
-		_ = r.Remove() // best effort: the query's spill.Dir removes what is left
-	}
-	s.runs = nil
-}
-
-// writeRun streams a sorted relation into a fresh run in morsel-sized
-// frames, bounding the memory a merge cursor needs to read it back.
-func (s *sortRuns) writeRun(ec *ExecContext, label string, sorted *storage.Relation) (*spill.Run, error) {
-	dir, err := ec.Spill()
-	if err != nil {
-		return nil, err
-	}
-	w, err := dir.NewRun(label)
-	if err != nil {
-		return nil, err
-	}
-	n := sorted.NumRows()
-	for lo := 0; lo == 0 || lo < n; lo += ec.MorselSize {
-		if err := w.Append(sorted.Slice(lo, min(lo+ec.MorselSize, n))); err != nil {
-			w.Abort()
-			return nil, err
-		}
-	}
-	return w.Finish()
-}
-
-// sortCursor streams one sorted run during a merge through a frame-sized
-// window it owns: the current frame's keys, the next row to merge (pos) and
-// the row the pending selection starts at (from).
-type sortCursor struct {
-	run       *spill.Run
-	rd        *spill.RunReader
-	batch     *storage.Relation // morsel-sized: no frame of a run is larger
-	keys      []uint32
-	pos, from int
-	done      bool
-}
-
-func (c *sortCursor) advance(key string) error {
-	c.keys, c.pos, c.from = nil, 0, 0
-	for len(c.keys) == 0 { // an empty frame carries only the schema
-		if c.rd.Offset() == c.run.Bytes {
-			c.done = true
-			return nil
-		}
-		n, err := c.rd.ReadInto(c.rd.Offset(), c.batch, 0)
-		if err != nil {
-			return err
-		}
-		c.keys = c.batch.MustColumn(key).Uint32s()[:n]
-	}
-	return nil
-}
-
-// merge k-way merges s.runs down to the final in-memory output, doing
-// intermediate disk-to-disk passes while the run count exceeds the fan-in.
-func (s *sortRuns) merge(ec *ExecContext, h *holder) (*storage.Relation, error) {
-	runs := s.runs
-	passes := int64(1)
-	for len(runs) > spillFanIn {
-		var next []*spill.Run
-		for lo := 0; lo < len(runs); lo += spillFanIn {
-			hi := min(lo+spillFanIn, len(runs))
-			merged, err := s.mergeToDisk(ec, h, runs[lo:hi])
-			if err != nil {
-				return nil, err
-			}
-			for _, r := range runs[lo:hi] {
-				if err := r.Remove(); err != nil {
-					return nil, err
-				}
-			}
-			next = append(next, merged)
-		}
-		runs = next
-		passes++
-	}
-	h.b.addSpill(0, 0, passes)
-
-	// The output is allocated, and reserved, once at its final size.
-	var total int64
-	for _, r := range runs {
-		total += r.Rows
-	}
-	if err := h.grab(total * rowBytes(s.tmpl)); err != nil {
-		return nil, err
-	}
-	out, err := allocLike(s.tmpl, int(total))
-	if err != nil {
-		return nil, err
-	}
-	n, err := s.mergeRuns(ec, runs, out, nil)
-	if err == nil && n != total {
-		err = qerr.New(qerr.ErrInternal, "spill sort: merged %d rows of %d", n, total)
-	}
-	return out, err
-}
-
-func (s *sortRuns) mergeToDisk(ec *ExecContext, h *holder, runs []*spill.Run) (*spill.Run, error) {
-	dir, err := ec.Spill()
-	if err != nil {
-		return nil, err
-	}
-	out, err := allocLike(s.tmpl, ec.MorselSize)
-	if err != nil {
-		return nil, err
-	}
-	w, err := dir.NewRun(h.b.Label() + "-merge")
-	if err != nil {
-		return nil, err
-	}
-	if _, err = s.mergeRuns(ec, runs, out, w.Append); err != nil {
-		w.Abort()
-		return nil, err
-	}
-	run, err := w.Finish()
-	if err != nil {
-		return nil, err
-	}
-	h.b.addSpill(run.Bytes, 1, 0)
-	return run, nil
-}
-
-// mergeRuns streams the stable k-way merge of at most spillFanIn sorted runs
-// through out and returns the rows merged. Ties break by run order, which —
-// runs partitioning the input in order, each stably sorted — reproduces the
-// stable full sort. The merge decides on keys alone: it records which run
-// each output row comes from (a run's rows leave in order, so the run number
-// is the whole selection) and, whenever a cursor's frame runs out or the
-// window fills, copies that window column by column. With an emit, out is a
-// window handed on each time it fills (and once more for the rest) and
-// overwritten after; without, out must hold every row.
-func (s *sortRuns) mergeRuns(ec *ExecContext, runs []*spill.Run, out *storage.Relation, emit func(*storage.Relation) error) (int64, error) {
-	dicts := seedDicts(s.tmpl)
-	cursors := make([]*sortCursor, 0, len(runs))
-	defer func() {
-		for _, c := range cursors {
-			c.rd.Close()
-		}
-	}()
-	for _, r := range runs {
-		rd, err := r.Open(dicts)
-		if err != nil {
-			return 0, err
-		}
-		c := &sortCursor{run: r, rd: rd}
-		cursors = append(cursors, c)
-		if c.batch, err = allocLike(s.tmpl, ec.MorselSize); err != nil {
-			return 0, err
-		}
-		if err := c.advance(s.key); err != nil {
-			return 0, err
-		}
-	}
-	var merged int64
-	room, at := out.NumRows(), 0
-	sel := make([]uint8, 0, min(room, ec.MorselSize))
-	for {
-		best := -1
-		var bestKey uint32
-		for i, c := range cursors {
-			if !c.done && (best == -1 || c.keys[c.pos] < bestKey) {
-				best, bestKey = i, c.keys[c.pos]
-			}
-		}
-		if best == -1 {
-			break
-		}
-		if at+len(sel) == room {
-			return 0, qerr.New(qerr.ErrInternal, "spill sort: runs hold more than the %d rows they declared", room)
-		}
-		c := cursors[best]
-		sel = append(sel, uint8(best))
-		c.pos++
-		exhausted := c.pos == len(c.keys)
-		if !exhausted && len(sel) < cap(sel) && at+len(sel) < room {
-			continue
-		}
-		if err := ec.Err(); err != nil {
-			return 0, err
-		}
-		selectRows(out, at, sel, cursors)
-		at, merged, sel = at+len(sel), merged+int64(len(sel)), sel[:0]
-		if exhausted {
-			if err := c.advance(s.key); err != nil {
-				return 0, err
-			}
-		}
-		if at == room && emit != nil {
-			if err := emit(out); err != nil {
-				return 0, err
-			}
-			at = 0
-		}
-	}
-	if at > 0 && emit != nil {
-		return merged, emit(out.Slice(0, at))
-	}
-	return merged, nil
-}
-
-// selectRows copies the rows sel names — one run number per output row, each
-// cursor's rows taken in order from its from mark — into out from row at, one
-// typed loop per column, and moves the marks up.
-func selectRows(out *storage.Relation, at int, sel []uint8, cursors []*sortCursor) {
-	for c, col := range out.Columns() {
-		switch col.Kind() {
-		case storage.KindUint32, storage.KindString:
-			selectCol(col.Uint32s()[at:], sel, cursors, c, (*storage.Column).Uint32s)
-		case storage.KindUint64:
-			selectCol(col.Uint64s()[at:], sel, cursors, c, (*storage.Column).Uint64s)
-		case storage.KindInt64:
-			selectCol(col.Int64s()[at:], sel, cursors, c, (*storage.Column).Int64s)
-		case storage.KindFloat64:
-			selectCol(col.Float64s()[at:], sel, cursors, c, (*storage.Column).Float64s)
-		}
-	}
-	for _, cu := range cursors {
-		cu.from = cu.pos
-	}
-}
-
-func selectCol[T any](dst []T, sel []uint8, cursors []*sortCursor, c int, data func(*storage.Column) []T) {
-	var src [spillFanIn][]T
-	for i, cu := range cursors {
-		if !cu.done {
-			src[i] = data(cu.batch.Columns()[c])[cu.from:]
-		}
-	}
-	var pos [spillFanIn]int
-	for o, r := range sel {
-		dst[o] = src[r][pos[r]]
-		pos[r]++
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Partitioned spilling, shared by grace join and spilling aggregation.
-
-// partitionSet fans one input out into spillParts hash partitions. Every
-// partition has a column-wise append buffer — the input's columns plus each
-// row's global input ordinal as a last column named tag — that batches are
-// scattered into directly. Once the buffered bytes pass the spill grant every
-// buffer is appended, as one frame, to the set's single run file and the
-// frame's offset joins the partition's extent list, so a partition's extents
-// in order plus its buffered tail always hold its rows in global input order.
-// The file is removed when the last partition has been retired.
+// partitionSet fans one input out into spillParts partitions, by hash or, with
+// a key window, by key range. Every partition has a column-wise append buffer
+// — the input's columns, plus each row's global input ordinal as a last column
+// named tag when the set has one — that batches are scattered into directly.
+// Once the buffered bytes pass the spill grant every buffer is appended, as
+// one frame, to the set's single run file and the frame's offset joins the
+// partition's extent list, so a partition's extents in order plus its
+// buffered tail always hold its rows in global input order. The file is
+// removed when the last partition has been retired.
+//
+// The buffers are drawn from the strategy's scratch, dirty: every slot is
+// written before it is read. They go back to the pools when the strategy
+// ends, not when a partition retires: load retires its partition before the
+// kernel reads the relation it returned.
 type partitionSet struct {
 	h        *holder
 	sets     *[]*partitionSet // the owning strategy's list of sets to abort on Close
+	scratch  *storage.Scratch // the owning strategy's: every buffer below
 	label    string
 	key      string
-	tag      string
+	tag      string // the ordinal column's name; "" keeps no ordinals
 	level    int
+	window   *keyWindow // deals by key range; nil deals by hash
+	mark     *keyFilter // every dealt key's bit is set in it
+	test     *keyFilter // a row whose key's bit is clear in it is dropped
 	quota    int64
 	schema   *storage.Relation // zero rows: the input's columns, then the tag
 	keyCol   int
@@ -530,8 +287,11 @@ type partitionSet struct {
 	bufs     [spillParts]*storage.Relation
 	fill     [spillParts]int     // rows buffered in bufs[p]
 	rows     [spillParts]int64   // rows dealt to p, on disk or buffered
+	lo, hi   [spillParts]uint32  // by range: the least and greatest key dealt to p
 	extents  [spillParts][]int64 // p's frame offsets in the run file, in write order
 	bucket   []uint8             // scratch: the partition of each row of a batch
+	sel      []int32             // scratch: the rows of a batch test keeps
+	kept     *storage.Relation   // scratch: those rows
 	bufTotal int64
 	w        *spill.RunWriter
 	run      *spill.Run
@@ -540,19 +300,27 @@ type partitionSet struct {
 	left     int               // partitions not yet retired
 }
 
-// newPartitionSet returns an empty set, registered in sets.
-func newPartitionSet(h *holder, sets *[]*partitionSet, label, key, tag string, level int, quota int64) *partitionSet {
-	ps := &partitionSet{h: h, sets: sets, label: label, key: key, tag: tag, level: level, quota: quota, left: spillParts}
+// newPartitionSet returns an empty set, registered in sets, that draws its
+// buffers from scratch.
+func newPartitionSet(h *holder, sets *[]*partitionSet, scratch *storage.Scratch, label, key, tag string, level int, quota int64) *partitionSet {
+	ps := &partitionSet{h: h, sets: sets, scratch: scratch, label: label, key: key, tag: tag, level: level, quota: quota, left: spillParts}
+	for p := range ps.lo {
+		ps.lo[p] = math.MaxUint32
+	}
 	*sets = append(*sets, ps)
 	return ps
 }
 
 // setSchema fixes the buffers' schema: the input's columns plus the tag.
 func (ps *partitionSet) setSchema(input *storage.Relation) error {
-	if _, ok := input.Column(ps.tag); ok {
-		return qerr.New(qerr.ErrInternal, "spill: input already has reserved column %q", ps.tag)
+	cols := input.Slice(0, 0).Columns()
+	if ps.tag != "" {
+		if _, ok := input.Column(ps.tag); ok {
+			return qerr.New(qerr.ErrInternal, "spill: input already has reserved column %q", ps.tag)
+		}
+		cols = append(cols, storage.NewUint32(ps.tag, nil))
 	}
-	// Keys are uint32 codes: values, or dictionary codes — what every
+	// Keys are uint32 codes: values, or dictionary codes — what every sort,
 	// grouping and join kernel operates on.
 	ps.keyCol = -1
 	for i, c := range input.Columns() {
@@ -563,7 +331,6 @@ func (ps *partitionSet) setSchema(input *storage.Relation) error {
 	if ps.keyCol < 0 {
 		return qerr.New(qerr.ErrInternal, "spill: no uint32 or string key column %q", ps.key)
 	}
-	cols := append(input.Slice(0, 0).Columns(), storage.NewUint32(ps.tag, nil))
 	schema, err := storage.NewRelation(input.Name(), cols...)
 	if err != nil {
 		return err
@@ -572,11 +339,26 @@ func (ps *partitionSet) setSchema(input *storage.Relation) error {
 	return nil
 }
 
+// setWindow makes the set deal by key range, over the keys batches hold.
+func (ps *partitionSet) setWindow(batches []*storage.Relation) error {
+	if err := ps.setSchema(batches[0]); err != nil {
+		return err
+	}
+	lo, hi := uint32(math.MaxUint32), uint32(0)
+	for _, b := range batches {
+		for _, k := range b.Columns()[ps.keyCol].Uint32s() {
+			lo, hi = min(lo, k), max(hi, k)
+		}
+	}
+	ps.window = newKeyWindow(lo, max(lo, hi))
+	return nil
+}
+
 // add scatters a batch across the partition buffers — histogram, room, then
 // one typed pass per column — and flushes them all once the set's buffered
 // total passes the grant. Rows are numbered next, next+1, … unless the batch
 // is tagged already: a re-dealt partition, whose last column carries its rows'
-// ordinals.
+// ordinals, and which a filter does not see again.
 func (ps *partitionSet) add(ec *ExecContext, batch *storage.Relation, tagged bool) error {
 	n := batch.NumRows()
 	if n == 0 {
@@ -585,6 +367,22 @@ func (ps *partitionSet) add(ec *ExecContext, batch *storage.Relation, tagged boo
 	if ps.schema == nil {
 		if err := ps.setSchema(batch); err != nil {
 			return err
+		}
+	}
+	first := ps.next // the ordinal of the batch's first row
+	var sel []int32  // the batch's rows test kept; nil: all of them
+	if !tagged {
+		ps.next += uint32(n)
+		keys := batch.Columns()[ps.keyCol].Uint32s()
+		if ps.mark != nil {
+			ps.mark.add(keys)
+		}
+		if ps.test != nil {
+			var err error
+			if batch, sel, err = ps.pass(batch, keys); batch == nil || err != nil {
+				return err
+			}
+			n = batch.NumRows()
 		}
 	}
 	need := int64(n) * ps.rowB
@@ -604,10 +402,19 @@ func (ps *partitionSet) add(ec *ExecContext, batch *storage.Relation, tagged boo
 	}
 	ps.bucket = ps.bucket[:n]
 	var count [spillParts]int
-	for i, k := range batch.Columns()[ps.keyCol].Uint32s() {
-		p := spillBucket(k, ps.level)
-		ps.bucket[i] = uint8(p)
-		count[p]++
+	if w := ps.window; w != nil {
+		for i, k := range batch.Columns()[ps.keyCol].Uint32s() {
+			p := w.bucket(k)
+			ps.bucket[i] = uint8(p)
+			count[p]++
+			ps.lo[p], ps.hi[p] = min(ps.lo[p], k), max(ps.hi[p], k)
+		}
+	} else {
+		for i, k := range batch.Columns()[ps.keyCol].Uint32s() {
+			p := spillBucket(k, ps.level)
+			ps.bucket[i] = uint8(p)
+			count[p]++
+		}
 	}
 	for p, c := range count {
 		if need := ps.fill[p] + c; c > 0 && (ps.bufs[p] == nil || ps.bufs[p].NumRows() < need) {
@@ -615,12 +422,12 @@ func (ps *partitionSet) add(ec *ExecContext, batch *storage.Relation, tagged boo
 			// batch that overshoots it, plus an eighth for chance: uniform
 			// keys never regrow it.
 			even := (int(ps.quota/ps.rowB) + n) / spillParts
-			grown, err := allocLike(ps.schema, max(need, 2*ps.fill[p], even+even/8))
+			grown, err := allocLike(ps.scratch, ps.schema, max(need, 2*ps.fill[p], even+even/8))
 			if err != nil {
 				return err
 			}
 			if ps.fill[p] > 0 {
-				copyRows(grown, 0, ps.bufs[p], ps.fill[p])
+				copyRows(grown, 0, ps.bufs[p], ps.fill[p], nil)
 			}
 			ps.bufs[p] = grown
 		}
@@ -638,7 +445,7 @@ func (ps *partitionSet) add(ec *ExecContext, batch *storage.Relation, tagged boo
 			scatterCol(ps, c, col.Float64s(), (*storage.Column).Float64s)
 		}
 	}
-	if !tagged {
+	if !tagged && ps.tag != "" {
 		var dst [spillParts][]uint32
 		for p, b := range ps.bufs {
 			if b != nil {
@@ -646,11 +453,17 @@ func (ps *partitionSet) add(ec *ExecContext, batch *storage.Relation, tagged boo
 			}
 		}
 		pos := ps.fill
-		for i, p := range ps.bucket {
-			dst[p][pos[p]] = ps.next + uint32(i)
-			pos[p]++
+		if sel == nil {
+			for i, p := range ps.bucket {
+				dst[p][pos[p]] = first + uint32(i)
+				pos[p]++
+			}
+		} else {
+			for i, p := range ps.bucket {
+				dst[p][pos[p]] = first + uint32(sel[i])
+				pos[p]++
+			}
 		}
-		ps.next += uint32(n)
 	}
 	for p, c := range count {
 		ps.fill[p] += c
@@ -659,6 +472,35 @@ func (ps *partitionSet) add(ec *ExecContext, batch *storage.Relation, tagged boo
 		return ps.flush(ec)
 	}
 	return nil
+}
+
+// pass returns the rows of batch whose key test may hold, copied into the
+// set's kept buffer, and their row numbers in batch: batch itself and nil
+// when it keeps every row, and a nil batch when it keeps none.
+func (ps *partitionSet) pass(batch *storage.Relation, keys []uint32) (*storage.Relation, []int32, error) {
+	if cap(ps.sel) < len(keys) {
+		ps.sel = make([]int32, len(keys))
+	}
+	sel, n := ps.sel[:len(keys)], 0
+	for i, k := range keys {
+		sel[n] = int32(i)
+		n += ps.test.has(k)
+	}
+	switch n {
+	case 0:
+		return nil, nil, nil
+	case len(keys):
+		return batch, nil, nil
+	}
+	if ps.kept == nil || ps.kept.NumRows() < n {
+		var err error
+		if ps.kept, err = allocLike(ps.scratch, batch, len(keys)); err != nil {
+			return nil, nil, err
+		}
+	}
+	kept := ps.kept.Slice(0, n)
+	copyRows(kept, 0, batch, n, sel[:n])
+	return kept, sel[:n], nil
 }
 
 // scatterCol deals one column of a batch into column c of the partition
@@ -756,16 +598,14 @@ func (ps *partitionSet) reader(ec *ExecContext) (*spill.RunReader, error) {
 }
 
 // load materialises the non-empty partition p, tag column included, as one
-// relation in global input order: frames decode straight into it and the
-// buffered tail is copied behind them (later rows were never flushed, so
-// extent order + tail = input order). Every load of a set fills the same
-// buffer, allocated once for the set's largest partition within its grant —
-// the partitions that are loaded rather than re-dealt — and regrown only for
-// a larger one. So the relation is valid until the set's next load, which is
-// all a kernel needs of it: grouping builds its output from fresh arrays and a
-// join gathers. It retires p and returns the bytes reserved for the relation
-// (its rows, not the buffer's), which the caller drops when it is done with
-// it.
+// relation in global input order. Every load of a set fills the same buffer,
+// allocated once for the set's largest partition within its grant — the
+// partitions that are loaded rather than re-dealt — and regrown only for a
+// larger one. So the relation is valid until the set's next load, which is
+// all a kernel needs of it: grouping builds its output from fresh arrays, a
+// join and a sort gather. It retires p and returns the bytes reserved for the
+// relation (its rows, not the buffer's), which the caller drops when it is
+// done with it.
 func (ps *partitionSet) load(ec *ExecContext, p int) (*storage.Relation, int64, error) {
 	held := ps.partBytes(p)
 	if err := ps.h.grab(held); err != nil {
@@ -780,30 +620,38 @@ func (ps *partitionSet) load(ec *ExecContext, p int) (*storage.Relation, int64, 
 			}
 		}
 		var err error
-		if ps.loaded, err = allocLike(ps.schema, most); err != nil {
+		if ps.loaded, err = allocLike(ps.scratch, ps.schema, most); err != nil {
 			return nil, 0, err
 		}
 	}
 	rel := ps.loaded.Slice(0, n)
+	return rel, held, ps.readInto(ec, p, rel)
+}
+
+// readInto reads the non-empty partition p into dst, which holds exactly its
+// rows, and retires p: frames decode straight into it and the buffered tail
+// is copied behind them (later rows were never flushed, so extent order +
+// tail = input order).
+func (ps *partitionSet) readInto(ec *ExecContext, p int, dst *storage.Relation) error {
 	at := 0
 	for _, off := range ps.extents[p] {
 		rd, err := ps.reader(ec)
 		if err != nil {
-			return nil, 0, err
+			return err
 		}
-		n, err := rd.ReadInto(off, rel, at)
+		n, err := rd.ReadInto(off, dst, at)
 		if err != nil {
-			return nil, 0, err
+			return err
 		}
 		at += n
 	}
-	if at+ps.fill[p] != rel.NumRows() {
-		return nil, 0, qerr.New(qerr.ErrInternal, "spill: partition %d holds %d rows, %d were dealt", p, at+ps.fill[p], rel.NumRows())
+	if at+ps.fill[p] != dst.NumRows() {
+		return qerr.New(qerr.ErrInternal, "spill: partition %d holds %d rows, %d were dealt", p, at+ps.fill[p], dst.NumRows())
 	}
 	if ps.fill[p] > 0 {
-		copyRows(rel, at, ps.bufs[p], ps.fill[p])
+		copyRows(dst, at, ps.bufs[p], ps.fill[p], nil)
 	}
-	return rel, held, ps.retire(p)
+	return ps.retire(p)
 }
 
 // retire gives up partition p's buffer and its reservation and, with the
@@ -832,11 +680,14 @@ func (ps *partitionSet) retire(p int) error {
 }
 
 // repartition deals partition p out into a fresh, sealed set one level
-// deeper (a different hash-bit window) and retires p. Used when a partition
-// alone still exceeds the spill grant.
+// deeper — a different hash-bit window, or the key range p's rows showed —
+// and retires p. Used when a partition alone still exceeds the spill grant.
 func (ps *partitionSet) repartition(ec *ExecContext, p int) (*partitionSet, error) {
-	child := newPartitionSet(ps.h, ps.sets, ps.label, ps.key, ps.tag, ps.level+1, ps.quota)
+	child := newPartitionSet(ps.h, ps.sets, ps.scratch, ps.label, ps.key, ps.tag, ps.level+1, ps.quota)
 	child.schema, child.keyCol, child.rowB, child.dicts = ps.schema, ps.keyCol, ps.rowB, ps.dicts
+	if ps.window != nil {
+		child.window = newKeyWindow(ps.lo[p], ps.hi[p])
+	}
 	ps.h.b.addSpill(0, 0, 1)
 	for _, off := range ps.extents[p] {
 		rd, err := ps.reader(ec)
@@ -862,22 +713,23 @@ func (ps *partitionSet) repartition(ec *ExecContext, p int) (*partitionSet, erro
 	return child, child.seal()
 }
 
-// partitioned is the strategy of the partitioned operators, grouping and
-// join. Batches buffer in memory while all inputs together fit the grant and
-// the budget; the first batch that does not sends every input's buffer to a
-// partition set of its own, each with an equal share of the grant, and later
-// batches are dealt straight to the sets. merge produces the output from the
-// sealed sets.
+// partitioned is the strategy of every spill twin. Batches buffer in memory
+// while all inputs together fit the grant and the budget; the first batch that
+// does not sends every input's buffer to a partition set of its own, each
+// with an equal share of the grant, and later batches are dealt straight to
+// the sets. merge produces the output from the sealed sets.
 type partitioned struct {
 	buffered
-	keys  []string        // each input's partitioning key
-	ps    []*partitionSet // each input's set once spilled; nil while in memory
-	sets  []*partitionSet // every set, re-partitions included, for abort
-	merge func(ec *ExecContext, h *holder, schema []*storage.Relation) (*storage.Relation, error)
+	keys    []string         // each input's partitioning key
+	tags    []string         // each input's ordinal column; "" for none
+	ranged  bool             // deal by key range, not by hash
+	filter  bool             // drop second-input rows no first-input key matches
+	filterB int64            // bytes reserved for the filter
+	scratch *storage.Scratch // every set's buffers, once spilled
+	ps      []*partitionSet  // each input's set once spilled; nil while in memory
+	sets    []*partitionSet  // every set, re-partitions included, for abort
+	merge   func(ec *ExecContext, h *holder, schema []*storage.Relation) (*storage.Relation, error)
 }
-
-// rowTags name the tag column of each input's partition sets.
-var rowTags = [2]string{rowTagL, rowTagR}
 
 func (p *partitioned) add(ec *ExecContext, h *holder, i int, batch *storage.Relation) error {
 	if p.ps == nil {
@@ -892,7 +744,7 @@ func (p *partitioned) add(ec *ExecContext, h *holder, i int, batch *storage.Rela
 		} else if err == nil {
 			h.drop(n) // quota, not budget, tripped: re-grab inside spill mode
 		}
-		if err := p.spillBuffers(ec, h, quota); err != nil {
+		if err := p.spillBuffers(ec, h, quota, i, batch); err != nil {
 			return err
 		}
 	}
@@ -900,12 +752,36 @@ func (p *partitioned) add(ec *ExecContext, h *holder, i int, batch *storage.Rela
 }
 
 // spillBuffers deals every input's buffer into a fresh partition set of its
-// own.
-func (p *partitioned) spillBuffers(ec *ExecContext, h *holder, quota int64) error {
-	p.ps = make([]*partitionSet, len(p.keys))
+// own. A ranged set's window spans the keys of its buffer and of batch, input
+// at's pending batch. A filter, when the budget has room for it, is filled by
+// the first input's set and tested by the second's: the breaker drains input
+// 0 whole before input 1, and its buffer is dealt here first, so the filter is
+// complete before it drops a row.
+func (p *partitioned) spillBuffers(ec *ExecContext, h *holder, quota int64, at int, batch *storage.Relation) error {
+	p.ps, p.scratch = make([]*partitionSet, len(p.keys)), storage.NewScratch()
+	var f *keyFilter
+	if n := filterBytes(quota); p.filter && h.grab(n) == nil {
+		p.filterB, f = n, newKeyFilter(p.scratch.Uint64s(int(n/8)))
+	}
 	for i, key := range p.keys {
-		ps := newPartitionSet(h, &p.sets, h.b.Label(), key, rowTags[i], 0, quota/int64(len(p.keys)))
+		ps := newPartitionSet(h, &p.sets, p.scratch, h.b.Label(), key, p.tags[i], 0, quota/int64(len(p.keys)))
 		p.ps[i] = ps
+		if p.ranged {
+			keyed := p.parts[i]
+			if i == at {
+				keyed = append(keyed[:len(keyed):len(keyed)], batch)
+			}
+			if err := ps.setWindow(keyed); err != nil {
+				return err
+			}
+		}
+		switch {
+		case f == nil:
+		case i == 0:
+			ps.mark = f
+		default:
+			ps.test = f
+		}
 		for _, b := range p.parts[i] {
 			if err := ps.add(ec, b, false); err != nil {
 				return err
@@ -931,6 +807,9 @@ func (p *partitioned) finish(ec *ExecContext, h *holder, schema []*storage.Relat
 		}
 	}
 	out, err := p.merge(ec, h, schema)
+	h.drop(p.filterB)
+	p.filterB = 0
+	p.recycle()
 	return nil, out, err
 }
 
@@ -939,6 +818,14 @@ func (p *partitioned) abort() {
 		ps.abort()
 	}
 	p.sets = nil
+	p.recycle()
+}
+
+// recycle hands the sets' buffers back to the pools: the outputs were built
+// from fresh arrays.
+func (p *partitioned) recycle() {
+	p.scratch.Recycle(nil)
+	p.scratch = nil
 }
 
 // dropCols returns rel without the named columns.
@@ -956,6 +843,114 @@ func dropCols(rel *storage.Relation, names ...string) (*storage.Relation, error)
 	return storage.NewRelation(rel.Name(), cols...)
 }
 
+// walk visits the partitions of sets — one input's, or a join's two dealt
+// alike — in order. A partition that some set holds no rows of is retired
+// unvisited: an inner join's other side has no match in it, and the rows of
+// an empty one are given up unread. A partition that visit reports too large
+// is dealt again one level down in every set, and the children are walked in
+// its place.
+func walk(ec *ExecContext, sets []*partitionSet, visit func(sets []*partitionSet, p int) (split bool, err error)) error {
+	for p := 0; p < spillParts; p++ {
+		if err := ec.Err(); err != nil {
+			return err
+		}
+		empty := false
+		for _, s := range sets {
+			empty = empty || s.rows[p] == 0
+		}
+		if empty {
+			for _, s := range sets {
+				if err := s.retire(p); err != nil {
+					return err
+				}
+			}
+			continue
+		}
+		split, err := visit(sets, p)
+		if err != nil {
+			return err
+		}
+		if !split {
+			continue
+		}
+		children := make([]*partitionSet, len(sets))
+		for i, s := range sets {
+			if children[i], err = s.repartition(ec, p); err != nil {
+				return err
+			}
+		}
+		if err := walk(ec, children, visit); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ---------------------------------------------------------------------------
+// SortRuns: range-partitioned external sort.
+
+// SortRuns returns the external sort's strategy for a sort by key: the input
+// is dealt by key range, each partition is stably sorted in memory, and the
+// partitions are emitted in key order — byte-identical to the serial
+// in-memory sort for every sort kind.
+func SortRuns(key string, kind sortx.Kind) SpillStrategy {
+	p := &partitioned{buffered: newBuffered(1), keys: []string{key}, tags: []string{""}, ranged: true}
+	p.merge = func(ec *ExecContext, h *holder, schema []*storage.Relation) (*storage.Relation, error) {
+		return mergeSorted(ec, h, p.ps[0], schema[0], kind)
+	}
+	return p
+}
+
+// mergeSorted sorts a range-dealt input partition by partition into its
+// window of the output, which is allocated and reserved once at its final
+// size. A partition above the grant that holds more than one key is dealt
+// again over the range its keys showed; one that holds a single key is in
+// order as it stands and is read straight into its window; any other is
+// loaded, argsorted — the permutation and the radix sort's swap buffer
+// reserved as SortRel reserves them — and gathered into its window.
+func mergeSorted(ec *ExecContext, h *holder, in *partitionSet, schema *storage.Relation, kind sortx.Kind) (*storage.Relation, error) {
+	quota := ec.SpillQuota()
+	total := int(in.next) // every input row was dealt once
+	if err := h.grab(int64(total) * rowBytes(schema)); err != nil {
+		return nil, err
+	}
+	out, err := allocLike(nil, schema, total)
+	if err != nil {
+		return nil, err
+	}
+	at := 0
+	err = walk(ec, []*partitionSet{in}, func(sets []*partitionSet, p int) (bool, error) {
+		set, n := sets[0], int(sets[0].rows[p])
+		switch {
+		case set.lo[p] == set.hi[p]:
+			if err := set.readInto(ec, p, out.Slice(at, at+n)); err != nil {
+				return false, err
+			}
+		case set.partBytes(p) > quota:
+			return true, nil
+		default:
+			rel, held, err := set.load(ec, p)
+			if err != nil {
+				return false, err
+			}
+			if err := h.grab(int64(n) * 8); err != nil {
+				return false, err
+			}
+			copyRows(out, at, rel, n, sortx.ArgSortUint32(kind, rel.Columns()[set.keyCol].Uint32s()))
+			h.drop(held + int64(n)*8)
+		}
+		at += n
+		return false, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if at != total {
+		return nil, qerr.New(qerr.ErrInternal, "spill sort: %d rows of %d sorted", at, total)
+	}
+	return out, nil
+}
+
 // ---------------------------------------------------------------------------
 // GroupPartitions: spilling hash aggregation (partition and recurse).
 
@@ -968,7 +963,7 @@ func dropCols(rel *storage.Relation, names ...string) (*storage.Relation, error)
 // kernel.
 func GroupPartitions(key string, aggs []expr.AggSpec, opt physical.GroupOptions, dom props.Domain) SpillStrategy {
 	opt.Parallel = 1
-	p := &partitioned{buffered: newBuffered(1), keys: []string{key}}
+	p := &partitioned{buffered: newBuffered(1), keys: []string{key}, tags: []string{rowTagL}}
 	p.merge = func(ec *ExecContext, h *holder, schema []*storage.Relation) (*storage.Relation, error) {
 		o := opt
 		o.Ctl = h.ctl
@@ -1003,55 +998,38 @@ func mergeGroups(ec *ExecContext, h *holder, in *partitionSet, schema *storage.R
 	var groups []*storage.Relation
 	var ord []uint32 // every group's first input row, in groups order
 	var groupBytes int64
-	var process func(set *partitionSet, p int) error
-	process = func(set *partitionSet, p int) error {
-		if err := ec.Err(); err != nil {
-			return err
-		}
-		if set.rows[p] == 0 {
-			return set.retire(p)
-		}
+	err := walk(ec, []*partitionSet{in}, func(sets []*partitionSet, p int) (bool, error) {
+		set := sets[0]
 		if set.partBytes(p) > quota && set.level+1 < spillMaxDepth {
-			child, err := set.repartition(ec, p)
-			if err != nil {
-				return err
-			}
-			for q := 0; q < spillParts; q++ {
-				if err := process(child, q); err != nil {
-					return err
-				}
-			}
-			return nil
+			return true, nil
 		}
 		rel, held, err := set.load(ec, p)
 		if err != nil {
-			return err
+			return false, err
 		}
 		cols := rel.Columns()
 		tag := len(cols) - 1
 		stripped, err := storage.NewRelation(rel.Name(), cols[:tag]...)
 		if err != nil {
-			return err
+			return false, err
 		}
 		gr, err := group(stripped)
 		if err != nil {
-			return err
+			return false, err
 		}
 		if err := h.grab(gr.MemBytes()); err != nil {
-			return err
+			return false, err
 		}
 		groupBytes += gr.MemBytes()
 		if ord, err = firstSeen(ord, cols[set.keyCol].Uint32s(), cols[tag].Uint32s(), gr.Columns()[0].Uint32s()); err != nil {
-			return err
+			return false, err
 		}
 		groups = append(groups, gr)
 		h.drop(held)
-		return nil
-	}
-	for p := 0; p < spillParts; p++ {
-		if err := process(in, p); err != nil {
-			return nil, err
-		}
+		return false, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	if len(groups) == 0 {
@@ -1061,9 +1039,11 @@ func mergeGroups(ec *ExecContext, h *holder, in *partitionSet, schema *storage.R
 	if err != nil {
 		return nil, err
 	}
-	// First-occurrence ordinals are unique, so their argsort is the chained
-	// table's first-seen order over the whole input.
-	out := merged.Gather(nil, sortx.ArgSortUint32(sortx.Radix, ord))
+	order, err := firstSeenOrder(ord, int(in.next))
+	if err != nil {
+		return nil, err
+	}
+	out := merged.Gather(nil, order)
 	if err := h.grab(out.MemBytes()); err != nil {
 		return nil, err
 	}
@@ -1095,13 +1075,43 @@ func firstSeen(ord, keys, rows, gkeys []uint32) ([]uint32, error) {
 	return ord, nil
 }
 
+// firstSeenOrder returns the permutation that lists groups in the order of
+// their first input rows: ord holds each group's first-row ordinal, and the
+// result's i-th entry is the group whose ordinal ranks i. The ordinals are
+// unique and below total, so a bitmap of them with a running popcount per
+// word ranks every ordinal in constant time, where an argsort would move
+// them all four times. Repeated ordinals are an internal error.
+func firstSeenOrder(ord []uint32, total int) ([]int32, error) {
+	words := make([]uint64, (total+63)/64)
+	for _, o := range ord {
+		words[o>>6] |= 1 << (o & 63)
+	}
+	rank := make([]int32, len(words)) // set bits in the words before
+	var r int32
+	for w, x := range words {
+		rank[w] = r
+		r += int32(bits.OnesCount64(x))
+	}
+	if int(r) != len(ord) {
+		return nil, qerr.New(qerr.ErrInternal, "spill group: %d first-seen rows for %d groups", r, len(ord))
+	}
+	order := make([]int32, len(ord))
+	for i, o := range ord {
+		below := words[o>>6] & (1<<(o&63) - 1)
+		order[rank[o>>6]+int32(bits.OnesCount64(below))] = int32(i)
+	}
+	return order, nil
+}
+
 // ---------------------------------------------------------------------------
 // JoinPartitions: grace hash join.
 
 // JoinPartitions returns the grace hash join's strategy for an equi-join of
 // the breaker's two inputs: both sides are tagged with their global row
 // ordinals and hash-partitioned on the join key (matching keys land in
-// matching partitions), each partition pair is joined with the serial
+// matching partitions), second-input rows whose key a bit filter of the first
+// input's keys does not hold are dropped before they are dealt — an inner
+// join's row without a matching key contributes no pair — each partition pair is joined with the serial
 // in-memory hash join, and one global sort over the tagged pair outputs
 // restores the serial emission order — probe row ascending, build row
 // descending. The output is byte-identical to the in-memory serial HJ kernel.
@@ -1109,7 +1119,7 @@ func firstSeen(ord, keys, rows, gkeys []uint32) ([]uint32, error) {
 // columns kept, both as in physical.JoinRel.
 func JoinPartitions(leftKey, rightKey string, opt physical.JoinOptions, swapped bool, dom props.Domain, cols []string) SpillStrategy {
 	opt.Parallel = 1
-	p := &partitioned{buffered: newBuffered(2), keys: []string{leftKey, rightKey}}
+	p := &partitioned{buffered: newBuffered(2), keys: []string{leftKey, rightKey}, tags: []string{rowTagL, rowTagR}, filter: true}
 	p.merge = func(ec *ExecContext, h *holder, schema []*storage.Relation) (*storage.Relation, error) {
 		o := opt
 		o.Ctl = h.ctl
@@ -1133,63 +1143,36 @@ func mergePairs(ec *ExecContext, h *holder, ls, rs *partitionSet, schema []*stor
 	}
 	var pairs []*storage.Relation
 	var pairBytes int64
-	var process func(lset, rset *partitionSet, p int) error
-	process = func(lset, rset *partitionSet, p int) error {
-		if err := ec.Err(); err != nil {
-			return err
-		}
-		if lset.rows[p] == 0 || rset.rows[p] == 0 {
-			// Inner join: an empty side means no matches, and the other
-			// side's rows are given up unread.
-			if err := lset.retire(p); err != nil {
-				return err
-			}
-			return rset.retire(p)
-		}
-		build := lset
+	err := walk(ec, []*partitionSet{ls, rs}, func(sets []*partitionSet, p int) (bool, error) {
+		build := sets[0]
 		if swapped {
-			build = rset
+			build = sets[1]
 		}
-		if build.partBytes(p) > quota/2 && lset.level+1 < spillMaxDepth {
-			lchild, err := lset.repartition(ec, p)
-			if err != nil {
-				return err
-			}
-			rchild, err := rset.repartition(ec, p)
-			if err != nil {
-				return err
-			}
-			for q := 0; q < spillParts; q++ {
-				if err := process(lchild, rchild, q); err != nil {
-					return err
-				}
-			}
-			return nil
+		if build.partBytes(p) > quota/2 && build.level+1 < spillMaxDepth {
+			return true, nil
 		}
-		lrel, lheld, err := lset.load(ec, p)
+		lrel, lheld, err := sets[0].load(ec, p)
 		if err != nil {
-			return err
+			return false, err
 		}
-		rrel, rheld, err := rset.load(ec, p)
+		rrel, rheld, err := sets[1].load(ec, p)
 		if err != nil {
-			return err
+			return false, err
 		}
 		out, err := join(lrel, rrel, taggedCols)
 		if err != nil {
-			return err
+			return false, err
 		}
 		if err := h.grab(out.MemBytes()); err != nil {
-			return err
+			return false, err
 		}
 		pairBytes += out.MemBytes()
 		pairs = append(pairs, out)
 		h.drop(lheld + rheld)
-		return nil
-	}
-	for p := 0; p < spillParts; p++ {
-		if err := process(ls, rs, p); err != nil {
-			return nil, err
-		}
+		return false, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	if len(pairs) == 0 {

@@ -209,7 +209,7 @@ func decodeFrame(payload []byte, dicts map[string]*storage.Dict, remaps map[stri
 		var col *storage.Column
 		if dst == nil {
 			var err error
-			if col, err = storage.NewColumn(cname, kind, pool, nrows); err != nil {
+			if col, err = storage.NewColumn(nil, cname, kind, pool, nrows); err != nil {
 				return nil, 0, qerr.New(qerr.ErrSpillIO, "corrupt spill frame: %v", err)
 			}
 			cols[ci] = col

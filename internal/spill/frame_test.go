@@ -50,7 +50,7 @@ func TestReadByOffset(t *testing.T) {
 			if c.Dict() != nil {
 				cd = d
 			}
-			if cols[i], err = storage.NewColumn(c.Name(), c.Kind(), cd, n); err != nil {
+			if cols[i], err = storage.NewColumn(nil, c.Name(), c.Kind(), cd, n); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -133,7 +133,7 @@ func TestFrameExtremesBitExact(t *testing.T) {
 	const at, rows, fill = 3, 11, 0xa5a5a5a5a5a5a5a5
 	cols := make([]*storage.Column, rel.NumCols())
 	for i, c := range rel.Columns() {
-		if cols[i], err = storage.NewColumn(c.Name(), c.Kind(), c.Dict(), rows); err != nil {
+		if cols[i], err = storage.NewColumn(nil, c.Name(), c.Kind(), c.Dict(), rows); err != nil {
 			t.Fatal(err)
 		}
 		for r := 0; r < rows; r++ {

@@ -318,26 +318,27 @@ func (c *Column) Gather(s *Scratch, idx []int32) *Column {
 	return out
 }
 
-// NewColumn returns a column of n zeroed rows of the given kind, for a
-// caller that fills the backing slice in place before it publishes the
-// column. A string column needs its dictionary, and zeroed rows are code 0
-// until filled.
-func NewColumn(name string, kind Kind, dict *Dict, n int) (*Column, error) {
+// NewColumn returns a column of n rows of the given kind, for a caller that
+// fills the backing slice in place before it publishes the column. Its array
+// is drawn from s: dirty, so the caller writes every row before it reads one
+// (nil s: a fresh array of zeroed rows). A string column needs its
+// dictionary, and zeroed rows are code 0 until filled.
+func NewColumn(s *Scratch, name string, kind Kind, dict *Dict, n int) (*Column, error) {
 	out := &Column{name: name, kind: kind}
 	switch kind {
 	case KindUint32:
-		out.u32 = make([]uint32, n)
+		out.u32 = s.Uint32s(n)
 	case KindString:
 		if dict == nil {
 			return nil, fmt.Errorf("storage: string column %q without a dictionary", name)
 		}
-		out.u32, out.dict = make([]uint32, n), dict
+		out.u32, out.dict = s.Uint32s(n), dict
 	case KindUint64:
-		out.u64 = make([]uint64, n)
+		out.u64 = s.Uint64s(n)
 	case KindInt64:
-		out.i64 = make([]int64, n)
+		out.i64 = s.Int64s(n)
 	case KindFloat64:
-		out.f64 = make([]float64, n)
+		out.f64 = s.Float64s(n)
 	default:
 		return nil, fmt.Errorf("storage: column %q of invalid kind %d", name, kind)
 	}

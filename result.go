@@ -98,8 +98,8 @@ type OpStat struct {
 	// disk (a spill-lowered breaker whose input fit in memory spills
 	// nothing and reports zeros).
 	SpillBytes  int64 // run-file bytes written by this operator
-	SpillParts  int64 // run files / partitions written
-	SpillPasses int64 // extra disk passes (merge rounds, re-partitionings)
+	SpillParts  int64 // partitions written
+	SpillPasses int64 // extra disk passes: partitions dealt again one level down
 }
 
 // Stats returns the per-operator execution profile in pre-order (root
