@@ -24,9 +24,9 @@ import (
 //     and runs the plan node's kernel over them once;
 //   - a breaker that may spill has a spill strategy besides (SortRuns,
 //     GroupPartitions, JoinPartitions), which holds the input and deals it
-//     into a partition set on disk past the spill grant. If nothing was flushed the kernel runs
-//     as it does for the plain breaker; otherwise the strategy produces the
-//     output from disk.
+//     into a partition set on disk past the spill grant. If nothing was
+//     flushed the kernel runs as it does for the plain breaker; otherwise the
+//     strategy produces the output from disk.
 //
 // Everything the operator reserves goes through one holder labelled with the
 // operator — drained batches, spill buffers, a source's result, the kernel's

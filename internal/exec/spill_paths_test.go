@@ -487,9 +487,10 @@ func TestFirstSeenOrder(t *testing.T) {
 
 // TestSpillJoinReleasesOrphanedSides joins inputs whose keys fall in
 // overlapping halves of the partitions, so four partitions have left rows
-// only (and four more right rows only, which the key filter drops). Once the last pair is joined nothing but the output may still be
-// reserved — an orphaned side's in-memory tail included — and no run file may
-// still be charged to the disk budget.
+// only (and four more right rows only, which the key filter drops). Once the
+// last pair is joined nothing but the output may still be reserved — an
+// orphaned side's in-memory tail included — and no run file may still be
+// charged to the disk budget.
 func TestSpillJoinReleasesOrphanedSides(t *testing.T) {
 	side := func(name string, lo, hi int) *storage.Relation {
 		var keys []uint32

@@ -552,8 +552,8 @@ func BenchmarkSpillJoin(b *testing.B) { benchSpillPaths(b, spillJoinShape(), for
 // per operation beyond their kernels' own output: frames moved with one copy
 // per column, partition and load buffers drawn from pooled scratch, no sorted
 // copy per partition, grouping tables sized for a partition rather than for
-// the whole input, and a join that deals only the second-input rows its key
-// filter passes.
+// the whole input, a join that deals only the second-input rows its key
+// filter passes, and partition outputs concatenated into pooled scratch.
 func TestSpillForcedAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled scratch at random")
@@ -564,7 +564,7 @@ func TestSpillForcedAllocBound(t *testing.T) {
 		bound uint64
 	}{
 		{"sort", spillSortShape(), 3_000_000},
-		{"group", spillGroupShape(), 4_800_000},
+		{"group", spillGroupShape(), 4_000_000},
 		{"join", spillJoinShape(), 1_200_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1035,7 +1035,9 @@ func mergeGroups(ec *ExecContext, h *holder, in *partitionSet, schema *storage.R
 	if len(groups) == 0 {
 		return group(schema.Slice(0, 0))
 	}
-	merged, err := storage.Concat(nil, groups)
+	// The concatenation is drawn from the sets' pooled scratch: only the
+	// gathered output outlives the strategy.
+	merged, err := storage.Concat(in.scratch, groups)
 	if err != nil {
 		return nil, err
 	}
@@ -1111,10 +1113,11 @@ func firstSeenOrder(ord []uint32, total int) ([]int32, error) {
 // ordinals and hash-partitioned on the join key (matching keys land in
 // matching partitions), second-input rows whose key a bit filter of the first
 // input's keys does not hold are dropped before they are dealt — an inner
-// join's row without a matching key contributes no pair — each partition pair is joined with the serial
-// in-memory hash join, and one global sort over the tagged pair outputs
-// restores the serial emission order — probe row ascending, build row
-// descending. The output is byte-identical to the in-memory serial HJ kernel.
+// join's row without a matching key contributes no pair — each partition pair
+// is joined with the serial in-memory hash join, and one global sort over the
+// tagged pair outputs restores the serial emission order — probe row
+// ascending, build row descending. The output is byte-identical to the
+// in-memory serial HJ kernel.
 // swapped selects build-on-right (join commutativity) and cols the output
 // columns kept, both as in physical.JoinRel.
 func JoinPartitions(leftKey, rightKey string, opt physical.JoinOptions, swapped bool, dom props.Domain, cols []string) SpillStrategy {
@@ -1178,7 +1181,7 @@ func mergePairs(ec *ExecContext, h *holder, ls, rs *partitionSet, schema []*stor
 	if len(pairs) == 0 {
 		return join(schema[0].Slice(0, 0), schema[1].Slice(0, 0), cols)
 	}
-	merged, err := storage.Concat(nil, pairs)
+	merged, err := storage.Concat(ls.scratch, pairs) // pooled, as in mergeGroups
 	if err != nil {
 		return nil, err
 	}
